@@ -26,19 +26,23 @@ Asserted properties:
 * **throughput** -- on cache-disabled twins (so the decode path is what is
   measured), the inproc 4-shard cluster holds >= 0.7x the single-shard
   routes/sec (a parity floor: scatter-gather must not collapse under the
-  vectorized baseline; measured ~0.95x).  Both sides are measured
+  vectorized baseline; measured ~0.95x on the pool scatter, ~1.2-1.3x now
+  that the checkpoint-booted inproc fleet decodes as one wave).  Both sides
+  are measured
   ``MEASURE_ROUNDS`` times, interleaved, and gated on their best round, so
   background interference on a shared smoke core cannot sink one side of
   the ratio.  The subprocess backend pays IPC
   per wave and wins via real cores, so its throughput is *recorded* (CI
   uploads the summary) rather than gated -- smoke runners have unpredictable
   core counts.
-* **wave decode** -- with ``--wave-decode`` (inproc only), the throughput
-  cluster runs dense wave decode over shard-sliced vocabularies: one stacked
-  kernel stream per step for the whole fleet instead of one thread-pool call
-  per shard, and each shard's output head sliced to its own sub-catalog.
-  This restores a real single-core win, gated at >= 1.5x the vectorized
-  monolith at >= 0.99 top-1 agreement with it (measured ~1.7x / 0.995).
+* **wave decode** -- every unreplicated inproc fleet decodes a scatter wave
+  as one stacked kernel stream instead of one thread-pool call per shard, so
+  the default inproc run above already measures it.  ``--wave-decode``
+  (inproc only) additionally slices each shard's vocabulary, boots the
+  throughput cluster the way a deployment does (``save_cluster`` ->
+  ``load_cluster``, like every other fleet here), asserts that the loaded
+  fleet reports ``stats()["wave"]["enabled"]``, and gates it at >= WAVE_FLOOR
+  x the vectorized monolith at >= 0.99 top-1 agreement with it.
 
 ``--pipelined`` (with ``--backend subprocess``) adds a second benchmark,
 :func:`test_pipelined_transport`: concurrent Zipf waves through two
@@ -62,7 +66,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cluster import ClusterConfig, ClusterRoutingService
+from repro.cluster import ClusterConfig, ClusterRoutingService, load_cluster, save_cluster
 from repro.serving import LoadGenerator, RoutingService, ServingConfig, WorkloadConfig
 from repro.utils.tables import ResultTable
 
@@ -77,15 +81,22 @@ WAVE_SIZE = 16
 #: spreads the interference across both sides and best-of picks the
 #: least-disturbed round (the standard minimum-time estimator).
 MEASURE_ROUNDS = 3
+#: ``--wave-decode`` floor against the vectorized monolith.  The wave kernel
+#: keeps the exact kernel's row-stable numerics (a question must decode to
+#: the same doubles in every wave), so the fleet's edge over the monolith is
+#: its smaller beam budget and single step loop, not flat GEMMs: measured
+#: ~1.2x (the retired flat-GEMM wave kernel measured ~1.6x on ``from_router``
+#: fleets, with scores that drifted in the last ulps from wave to wave).
+WAVE_FLOOR = 1.0
 
 
 def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_backend,
-                         wave_decode):
+                         wave_decode, tmp_path):
     if wave_decode and cluster_backend != "inproc":
         import pytest
 
         pytest.skip("wave decode requires the inproc backend (subprocess "
-                    "workers fall back to the pool path)")
+                    "workers scatter through the pool)")
     master = spider_cluster.master_router
     questions = [example.question for example in spider_context.test_examples()[:40]]
     generator = LoadGenerator(questions, WORKLOAD)
@@ -112,13 +123,18 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
         master, ClusterConfig(num_shards=4, strategy="size_balanced",
                               enable_cache=False,
                               worker_backend=cluster_backend,
-                              wave_decode=wave_decode,
                               sliced_vocabulary=wave_decode))
+    if cluster_backend == "inproc":
+        # Measure the deployed path: subprocess fleets already boot from a
+        # checkpoint inside from_router, inproc ones are rebooted from one.
+        with cluster:
+            save_cluster(cluster, tmp_path / "cluster-ckpt")
+        cluster = load_cluster(tmp_path / "cluster-ckpt")
     backend_agreement_rate = None
     wave_agreement_rate = None
     with single, cluster:
         if wave_decode:
-            assert cluster.wave_engine is not None, cluster._wave_disabled_reason
+            assert cluster.stats()["wave"]["enabled"], cluster.stats()["wave"]
             # Wave fidelity: the wave cluster's merged top-1 vs the monolith
             # (the agreement the 1.5x speedup gate is conditioned on).
             wave_routes = dict(zip(distinct, cluster.submit_many(distinct,
@@ -202,12 +218,11 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
         # Backend fidelity bar: the wire protocol must not change answers.
         assert backend_agreement_rate >= 0.95, summary
     elif wave_decode:
-        # Wave decode restores the single-core speedup the vectorized monolith
-        # erased: one stacked kernel stream for the fleet, shard-sliced
-        # output heads.  Gate it, at near-perfect fidelity.
+        # One stacked kernel stream for the checkpoint-booted fleet, over
+        # shard-sliced output heads.  Gate it, at near-perfect fidelity.
         assert wave_agreement_rate >= 0.99, summary
-        assert cluster_report.throughput_rps >= 1.5 * single_report.throughput_rps, \
-            summary
+        assert cluster_report.throughput_rps \
+            >= WAVE_FLOOR * single_report.throughput_rps, summary
     else:
         # Parity floor: scatter-gather overhead must not collapse against the
         # vectorized single-shard baseline.  (Gated on the inproc backend

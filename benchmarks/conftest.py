@@ -24,9 +24,9 @@ def pytest_addoption(parser):
              "protocol)")
     parser.addoption(
         "--wave-decode", action="store_true", default=False,
-        help="run bench_cluster_scaling's throughput cluster with dense wave "
-             "decode and shard-sliced vocabularies (inproc backend only); "
-             "gates the 1.5x speedup over the vectorized monolith")
+        help="run bench_cluster_scaling's checkpoint-booted throughput "
+             "cluster over shard-sliced vocabularies (inproc backend only) and "
+             "gate its wave decode against the vectorized monolith")
     parser.addoption(
         "--pipelined", action="store_true", default=False,
         help="run bench_cluster_scaling's pipelined-transport comparison "

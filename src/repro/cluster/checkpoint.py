@@ -12,9 +12,12 @@ A cluster checkpoint is a directory::
 Each shard directory is an ordinary :mod:`repro.serving.checkpoint` router
 checkpoint of that shard's *projected* router (sub-catalog, shard beam
 budget), so a shard can also be booted standalone with
-``SchemaRouter.from_checkpoint``.  Loading the whole directory reproduces the
-cluster identically: same assignment, same per-shard configs, bit-identical
-weights, hence identical routes.
+``SchemaRouter.from_checkpoint`` -- which is what subprocess workers do.
+Loading the whole directory reproduces the cluster identically: same
+assignment, same per-shard configs, bit-identical weights, hence identical
+routes.  An inproc fleet reads the master once and re-projects its shards from
+it (trunk shared by reference, exactly as ``from_router`` builds them) after
+verifying that every shard directory holds that same projection by content.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from repro.cluster.partition import ShardAssignment
@@ -30,13 +33,22 @@ from repro.cluster.replica import ReplicaSet
 from repro.cluster.service import ClusterConfig, ClusterRoutingService
 from repro.cluster.shard import ShardWorker
 from repro.core.router import SchemaRouter
-from repro.serving.checkpoint import CheckpointError, load_router, save_router
+from repro.serving.checkpoint import (
+    CheckpointError,
+    load_manifest,
+    load_router,
+    save_router,
+    verify_router_checkpoint,
+)
 
 CLUSTER_FORMAT = "repro-cluster-checkpoint"
 CLUSTER_VERSION = 1
 
 CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
+#: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
+#: them, and loading drops them.
+RETIRED_CONFIG_KEYS = frozenset({"wave_decode"})
 
 
 def _shard_dir(shard_id: int) -> str:
@@ -182,6 +194,47 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     ]
 
 
+def _project_inproc_workers(shard_path: Path, entry: dict, config: ClusterConfig,
+                            master: SchemaRouter) -> list[ShardWorker]:
+    """One shard's inproc replicas, projected from ``master``.
+
+    The workers serve the same objects ``from_router`` hands out -- the
+    master's trunk (and, unsliced, its head) by reference, a sliced head as a
+    view of the master's own arrays -- so a loaded fleet decodes as one wave.
+    The shard directory is not loaded but *verified*: its contents must equal
+    the projection it is replaced by.
+    """
+    saved = load_manifest(shard_path)
+    try:
+        workers = [
+            ShardWorker.from_projection(
+                entry["shard_id"], tuple(entry["databases"]), master,
+                serving_config=config.serving_config(),
+                num_beams=saved["router_config"]["num_beams"],
+                beam_groups=saved["router_config"]["beam_groups"],
+                escalation_num_beams=config.escalation_beams_for(master),
+                sliced_vocabulary="vocabulary_slice" in saved,
+                checkpoint_dir=shard_path)
+            for _ in range(config.replicas)
+        ]
+    except (KeyError, ValueError) as error:
+        raise CheckpointError(f"shard {entry['shard_id']} checkpoint is not a "
+                              f"projection of the master: {error}") from error
+    verify_router_checkpoint(shard_path, workers[0].router)
+    return workers
+
+
+def _saved_config(payload: dict) -> ClusterConfig:
+    """The manifest's ``ClusterConfig``, tolerant of keys this build retired."""
+    known = {field.name for field in fields(ClusterConfig)}
+    unknown = sorted(set(payload) - known - RETIRED_CONFIG_KEYS)
+    if unknown:
+        raise CheckpointError(f"cluster manifest config has unknown key(s) "
+                              f"{', '.join(map(repr, unknown))}")
+    return ClusterConfig(**{key: value for key, value in payload.items()
+                            if key in known})
+
+
 def load_cluster(path: str | Path,
                  config: ClusterConfig | None = None) -> ClusterRoutingService:
     """Rebuild a :class:`ClusterRoutingService` from a checkpoint directory.
@@ -194,7 +247,7 @@ def load_cluster(path: str | Path,
     """
     path = Path(path)
     manifest = load_cluster_manifest(path)
-    saved_config = ClusterConfig(**manifest["config"])
+    saved_config = _saved_config(manifest["config"])
     assignment = ShardAssignment.from_payload(manifest["assignment"])
     if config is None:
         config = saved_config
@@ -215,46 +268,17 @@ def load_cluster(path: str | Path,
     entries = sorted(manifest["shards"], key=lambda item: item["shard_id"])
     if config.worker_backend == "subprocess":
         shards = _spawn_proc_shards(path, entries, config, master)
-        if len(shards) != assignment.num_shards:
-            raise CheckpointError(f"cluster manifest lists {len(shards)} shards but "
-                                  f"the assignment has {assignment.num_shards}")
-        return ClusterRoutingService(shards, assignment, config=config,
-                                     master_router=master,
-                                     catalog_version=manifest.get("catalog_version", 0))
-    shards = []
-    for entry in entries:
-        shard_id = entry["shard_id"]
-        shard_router = load_router(path / entry["dir"])
-        if sorted(shard_router.graph.catalog.database_names) != sorted(entry["databases"]):
-            raise CheckpointError(
-                f"shard {shard_id} checkpoint serves "
-                f"{shard_router.graph.catalog.database_names} but the manifest "
-                f"assigns {entry['databases']}"
+    else:
+        shards = [
+            ReplicaSet(
+                entry["shard_id"],
+                _project_inproc_workers(path / entry["dir"], entry, config, master),
+                quarantine_seconds=config.quarantine_seconds,
+                attempt_timeout_seconds=config.shard_timeout_seconds
+                if config.replicas > 1 else None,
             )
-        workers = []
-        for replica_index in range(config.replicas):
-            if replica_index == 0:
-                router = shard_router
-            else:
-                # Extra replicas share the loaded model and vocabularies; each
-                # gets its own router instance (own constraint/tries) so the
-                # replica services stay independent.
-                router = SchemaRouter(graph=shard_router.graph,
-                                      config=shard_router.config)
-                router.restore(shard_router.model, shard_router.source_vocabulary,
-                               shard_router.target_vocabulary,
-                               shard_router.training_losses)
-                router.vocabulary_slice = shard_router.vocabulary_slice
-            workers.append(ShardWorker(shard_id, tuple(entry["databases"]), router,
-                                       serving_config=config.serving_config(),
-                                       checkpoint_dir=path / entry["dir"],
-                                       escalation_num_beams=config.escalation_beams_for(master)))
-        shards.append(ReplicaSet(
-            shard_id, workers,
-            quarantine_seconds=config.quarantine_seconds,
-            attempt_timeout_seconds=config.shard_timeout_seconds
-            if config.replicas > 1 else None,
-        ))
+            for entry in entries
+        ]
     if len(shards) != assignment.num_shards:
         raise CheckpointError(f"cluster manifest lists {len(shards)} shards but "
                               f"the assignment has {assignment.num_shards}")

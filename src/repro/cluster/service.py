@@ -8,9 +8,11 @@ proportionally smaller beam budget, and keeps its own route cache and metrics;
 the dispatcher merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
-Throughput scales with shard count even on one core because each shard's
-constrained beam search explores a fraction of the monolithic search budget;
-on many cores the thread-pool scatter adds real parallelism on top.
+An unreplicated inproc fleet decodes each scatter wave as one stacked kernel
+stream (:mod:`repro.cluster.wave`); fleets whose shards must answer
+separately -- subprocess workers, replicas, shard timeouts, partial gathers --
+scatter through the dispatcher's thread pool, where subprocess workers add
+real cores.  ``stats()["wave"]`` says which path serves, and why.
 """
 
 from __future__ import annotations
@@ -81,13 +83,6 @@ class ClusterConfig:
     #: Beam budget of the escalation tier; None derives
     #: ``max(2, num_beams // num_shards)`` from the master router.
     escalation_num_beams: int | None = None
-    #: Decode whole scatter waves through one stacked kernel stream
-    #: (:class:`repro.cluster.wave.ClusterWaveEngine`) instead of one
-    #: thread-pool call per shard.  Engages only for unreplicated inproc
-    #: fleets whose shard models share the master trunk by reference;
-    #: anything else (subprocess workers, replication, checkpoint-booted
-    #: weight copies) falls back to the pool dispatcher transparently.
-    wave_decode: bool = False
     #: Slice each shard's target vocabulary / output head to its own
     #: sub-catalog tokens (see :func:`repro.cluster.shard.project_router`):
     #: decode cost scales with the slice, and final scores are calibrated by
@@ -205,10 +200,7 @@ class ClusterRoutingService:
                                  trace=trace))
                 for replica_set in self._shards
             ]
-        self.wave_engine: ClusterWaveEngine | None = None
-        self._wave_disabled_reason: str | None = None
-        if self.config.wave_decode:
-            self.wave_engine, self._wave_disabled_reason = self._build_wave_engine()
+        self.wave_engine, self._wave_disabled_reason = self._build_wave_engine()
         self.dispatcher = ClusterDispatcher(
             [replica_set.route_batch for replica_set in self._shards],
             default_max_candidates=default_candidates,
@@ -237,11 +229,16 @@ class ClusterRoutingService:
         self._closed = False
 
     def _build_wave_engine(self) -> "tuple[ClusterWaveEngine | None, str | None]":
-        """(engine, None) when the fleet qualifies, else (None, reason).
+        """(engine, None) when the fleet can decode as one wave, else
+        (None, why the thread-pool scatter serves instead).
 
-        Wave decode needs a single worker per shard that lives in this
-        process and shares the master trunk; everything else keeps the
-        thread-pool scatter path (which is why this never raises)."""
+        The one rule: a wave is a single in-process decode of every shard at
+        once, so it needs one inproc worker per shard and a caller who did
+        not ask for per-shard isolation (a shard timeout or partial gathers
+        only mean something when shards answer separately)."""
+        if self.config.shard_timeout_seconds is not None or self.config.allow_partial:
+            return None, ("per-shard isolation requested "
+                          "(shard_timeout_seconds / allow_partial)")
         if self._max_replicas > 1:
             return None, "replication enabled (failover needs the pool path)"
         workers = [replica_set.workers[0] for replica_set in self._shards]
@@ -250,6 +247,7 @@ class ClusterRoutingService:
         try:
             return ClusterWaveEngine(workers), None
         except ValueError as error:
+            # Hand-assembled workers that are not projections of one master.
             return None, str(error)
 
     # -- construction --------------------------------------------------------
@@ -543,15 +541,11 @@ class ClusterRoutingService:
             "partial_gathers": self.dispatcher.partial_gathers,
             "escalations": self.dispatcher.escalations,
         }
+        # Which scatter path serves, and why: never a silent fallback.
+        snapshot["wave"] = {"enabled": self.wave_engine is not None,
+                            "reason": self._wave_disabled_reason}
         if self.wave_engine is not None:
-            wave = self.wave_engine.stats()
-            wave["enabled"] = True
-            snapshot["wave"] = wave
-        elif self.config.wave_decode:
-            # Wave decode was requested but the fleet did not qualify --
-            # surface why, so "it silently ran the pool path" is diagnosable.
-            snapshot["wave"] = {"enabled": False,
-                                "reason": self._wave_disabled_reason}
+            snapshot["wave"].update(self.wave_engine.stats())
         snapshot["shards"] = shard_stats
         return snapshot
 

@@ -196,11 +196,13 @@ class ShardWorker:
                         num_beams: int | None = None,
                         beam_groups: int | None = None,
                         escalation_num_beams: int | None = None,
-                        sliced_vocabulary: bool = False) -> "ShardWorker":
+                        sliced_vocabulary: bool = False,
+                        checkpoint_dir: str | Path | None = None) -> "ShardWorker":
         router = project_router(master, databases, num_beams=num_beams,
                                 beam_groups=beam_groups,
                                 sliced_vocabulary=sliced_vocabulary)
         return cls(shard_id, databases, router, serving_config=serving_config,
+                   checkpoint_dir=checkpoint_dir,
                    escalation_num_beams=escalation_num_beams)
 
     @classmethod

@@ -4,10 +4,10 @@ The pool-based scatter path hands each shard its own ``submit_many`` call, so
 an inproc fleet of K shards pays K separate decode loops (and K thread hops)
 per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
 *one* slot-dense decode: each (shard, pending-question) pair becomes a virtual
-question of a single :func:`repro.nn.decoding.diverse_beam_search_batch` call
-over a :class:`repro.nn.seq2seq.WaveDecodeKernel`, tagged with its shard index
-so per-shard constraint masks and vocabulary slices stay exactly as they are
-on the pool path.  With sliced vocabularies the kernel decodes in
+question of a single :func:`repro.core.router.beam_search_wave` call over a
+:class:`repro.nn.seq2seq.WaveDecodeKernel`, tagged with its shard index so
+per-shard constraint masks and vocabulary slices stay exactly as they are on
+the pool path.  With sliced vocabularies the kernel decodes in
 calibrated-head mode: one master-width output GEMM per step, log-softmax over
 the *master* vocabulary, each shard's kept columns gathered into its grid
 slots -- so search prunes exactly as a master-head decode restricted to the
@@ -20,23 +20,25 @@ path around the stacked decode: the same cache consult (``variant`` keying
 included), the same ``requests`` / ``cache_hits`` / ``routed`` counters, the
 same within-wave dedup.  Shard services therefore report identical stats
 whether a wave went through the pool or the wave engine, and a cache warmed
-by one path is hit by the other.
+by one path is hit by the other.  A wave holds the route lock of every shard
+of its tier from cache probe to cache put: concurrent callers take turns, and
+a rebalance swaps routers between waves, never under one.
 
-Only homogeneous inproc fleets qualify: every shard must share the master
-trunk by reference (projection guarantees this; checkpoint-booted workers
-load independent weight copies and fall back to the pool path) and decode
-with one beam budget.  :class:`ClusterRoutingService` builds the engine
-opportunistically and keeps the pool dispatcher as the fallback.
+Every unreplicated inproc fleet qualifies, however it was booted: projection
+(``from_router``, ``load_cluster``, a rebalance) shares the master trunk by
+reference and gives every shard one beam budget.
+:class:`repro.cluster.service.ClusterRoutingService` decides which fleets
+scatter through the pool instead.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Iterator, Sequence
 
-from repro.core.router import SchemaRoute
-from repro.nn.decoding import diverse_beam_search_batch
+from repro.core.router import SchemaRoute, SchemaRouter, beam_search_wave
 from repro.nn.seq2seq import WaveDecodeKernel
 from repro.nn.tokenizer import WordTokenizer
 from repro.obs import maybe_span
@@ -58,9 +60,9 @@ class _WaveTier:
     a tier whenever a rebalance swapped a router out from under it.
     """
 
-    def __init__(self, services: Sequence) -> None:
+    def __init__(self, services: Sequence, routers: Sequence[SchemaRouter]) -> None:
         self.services = list(services)
-        self.routers = [service.router for service in self.services]
+        self.routers = list(routers)
         base = self.routers[0]
         for router in self.routers[1:]:
             for field in _UNIFORM_FIELDS:
@@ -80,24 +82,13 @@ class _WaveTier:
                 raise ValueError("wave decode requires matching special "
                                  "token ids across shards")
         # Validates that every shard model shares the master trunk by
-        # reference (raises ValueError for checkpoint-booted weight copies)
-        # and that any vocabulary slices share one master head -- in which
-        # case the kernel decodes in calibrated-head mode and emits exact
-        # master-vocabulary scores with no post-hoc rescoring.
+        # reference and that any vocabulary slices share one master head --
+        # in which case the kernel decodes in calibrated-head mode and emits
+        # exact master-vocabulary scores with no post-hoc rescoring.
         self.kernel = WaveDecodeKernel(
             [router.model for router in self.routers],
             [router.vocabulary_slice for router in self.routers])
-        config = base.config
-        self.num_beams = config.num_beams
-        if config.diverse_beam:
-            self.num_groups = config.beam_groups
-            self.diversity_penalty = config.diversity_penalty
-        else:
-            self.num_groups, self.diversity_penalty = 1, 0.0
-        self.max_length = config.max_decode_length
-        self.max_source_length = config.max_source_length
-        self.bos_id = base.target_vocabulary.bos_id
-        self.eos_id = base.target_vocabulary.eos_id
+        self.max_source_length = base.config.max_source_length
         self.pad_id = base.source_vocabulary.pad_id
         self.source_tokenizer = WordTokenizer(base.source_vocabulary)
 
@@ -111,9 +102,7 @@ class ClusterWaveEngine:
         self.workers = list(workers)
         self.has_careful_tier = all(worker.careful_service is not None
                                     for worker in self.workers)
-        self._tier_lock = threading.Lock()
-        self._fast: _WaveTier | None = None
-        self._careful: _WaveTier | None = None
+        self._tiers: dict[bool, _WaveTier] = {}
         self._stats_lock = threading.Lock()
         self._waves = 0
         self._careful_waves = 0
@@ -123,28 +112,31 @@ class ClusterWaveEngine:
              "questions_compacted": 0}
             for worker in self.workers
         ]
-        # Build tiers eagerly so an incompatible fleet (unshared trunk,
-        # mismatched beam budgets) fails at construction time, where the
-        # cluster service can fall back to the pool dispatcher.
-        self._tier(careful=False)
-        if self.has_careful_tier:
-            self._tier(careful=True)
+        # Build tiers eagerly so a fleet that cannot stack (unshared trunk,
+        # mismatched beam budgets) fails at construction time.
+        for careful in (False, True) if self.has_careful_tier else (False,):
+            with self._locked_tier(careful):
+                pass
 
-    def _tier(self, careful: bool) -> _WaveTier:
-        """The requested tier, rebuilt if a rebalance swapped any router."""
+    @contextmanager
+    def _locked_tier(self, careful: bool) -> Iterator[_WaveTier]:
+        """The requested tier, with every shard's route lock held.
+
+        Locks are taken in shard order (the pool path and ``replace_router``
+        only ever hold one), so waves serialise per tier, and the tier --
+        rebuilt here if a rebalance swapped any router -- cannot go stale
+        before the block ends.
+        """
         services = [(worker.careful_service if careful else worker.service)
                     for worker in self.workers]
-        with self._tier_lock:
-            tier = self._careful if careful else self._fast
-            if tier is None or any(
-                    cached is not service.router
-                    for cached, service in zip(tier.routers, services)):
-                tier = _WaveTier(services)
-                if careful:
-                    self._careful = tier
-                else:
-                    self._fast = tier
-            return tier
+        with ExitStack() as stack:
+            routers = [stack.enter_context(service.exclusive_router())
+                       for service in services]
+            tier = self._tiers.get(careful)
+            if tier is None or any(cached is not router for cached, router
+                                   in zip(tier.routers, routers)):
+                tier = self._tiers[careful] = _WaveTier(services, routers)
+            yield tier
 
     # -- request path --------------------------------------------------------
     def route_wave(self, questions: Sequence[str],
@@ -158,124 +150,103 @@ class ClusterWaveEngine:
         metrics are consulted and updated exactly as the pool path would.
         """
         questions = list(questions)
+        count = len(questions)
         use_careful = careful and self.has_careful_tier
-        tier = self._tier(careful=use_careful)
-        started = time.monotonic()
-        num_shards = len(self.workers)
-        results: list[list[list[SchemaRoute] | None]] = [
-            [None] * len(questions) for _ in range(num_shards)]
+        stats: dict = {}
         # Within one wave, identical questions decode once (per shard).
         first_index: dict[str, int] = {}
-        duplicate_of: list[int | None] = [None] * len(questions)
         for index, question in enumerate(questions):
-            if question in first_index:
-                duplicate_of[index] = first_index[question]
-            else:
-                first_index[question] = index
-        # Per-shard cache consult, mirroring RoutingService.submit_many
-        # (same counters, same cache variant keying).
-        variants: list[int | None] = []
-        pending_per_shard: list[list[int]] = []
-        for shard, service in enumerate(tier.services):
-            service.metrics.increment("requests", len(questions))
-            variant = max_candidates or service.config.max_candidates
-            variants.append(variant)
-            pending: list[int] = []
-            for index, question in enumerate(questions):
-                if duplicate_of[index] is not None:
-                    continue
-                cached = (service.cache.get(question, variant=variant)
-                          if service.cache is not None else None)
-                if cached is not None:
-                    service.metrics.increment("cache_hits")
-                    results[shard][index] = cached
-                else:
-                    pending.append(index)
-            pending_per_shard.append(pending)
+            first_index.setdefault(question, index)
+        with self._locked_tier(use_careful) as tier:
+            started = time.monotonic()
+            # Per-shard cache consult, mirroring RoutingService.submit_many
+            # (same counters, same cache variant keying): one probe and one
+            # counter bump per shard, not per question.
+            results: list[list] = []
+            variants: list[int | None] = []
+            pending_per_shard: list[list[int]] = []
+            for service in tier.services:
+                service.metrics.increment("requests", count)
+                variant = max_candidates or service.config.max_candidates
+                cached = (service.cache.get_many(questions, variant=variant)
+                          if service.cache is not None else [None] * count)
+                misses = [index for index, routes in enumerate(cached)
+                          if routes is None]
+                if len(misses) < count:
+                    service.metrics.increment("cache_hits", count - len(misses))
+                results.append(cached)
+                variants.append(variant)
+                pending_per_shard.append(
+                    [index for index in misses
+                     if first_index[questions[index]] == index])
+            with maybe_span(trace, "wave_decode", shards=len(self.workers),
+                            questions=count, careful=use_careful) as span:
+                try:
+                    self._decode_pending(
+                        tier, questions, pending_per_shard, variants, results,
+                        stats, trace.scoped(span) if span is not None else None)
+                except BaseException:
+                    for service, pending in zip(tier.services, pending_per_shard):
+                        service.metrics.increment("errors", len(pending))
+                    raise
+            for service, variant, shard_results, pending in zip(
+                    tier.services, variants, results, pending_per_shard):
+                if service.cache is not None:
+                    for index in pending:
+                        service.cache.put(questions[index], shard_results[index],
+                                          variant=variant)
+                if pending:
+                    service.metrics.increment("routed", len(pending))
+                for index, routes in enumerate(shard_results):
+                    if routes is None:
+                        shard_results[index] = \
+                            shard_results[first_index[questions[index]]]
+            elapsed = time.monotonic() - started
+            for service in tier.services:
+                service.metrics.observe_latency(elapsed / max(count, 1), count=count)
+        self._note_wave(stats, count, use_careful)
+        return results
+
+    def _decode_pending(self, tier: _WaveTier, questions: list[str],
+                        pending_per_shard: list[list[int]],
+                        variants: list[int | None], results: list[list],
+                        stats: dict, trace) -> None:
+        """Decode every shard's pending indices into ``results``, stacked."""
         needed = sorted({index for pending in pending_per_shard
                          for index in pending})
-        stats: dict = {}
-        with maybe_span(trace, "wave_decode", shards=num_shards,
-                        questions=len(questions), careful=use_careful,
-                        pending=len(needed)) as span:
-            # Encode each missing question once for the whole fleet: every
-            # shard model shares the master encoder trunk by reference, so
-            # shard 0's encoding is every shard's encoding.
-            encoded_of: dict[int, object] = {}
-            if needed:
-                encoded_list = tier.routers[0].model.encode_numpy_batch(
-                    [tier.source_tokenizer.encode_text(
-                        questions[index], max_length=tier.max_source_length)
-                     for index in needed],
-                    pad_id=tier.pad_id)
-                encoded_of = dict(zip(needed, encoded_list))
-            # Stack (shard, question) pairs shard-major as virtual questions.
-            virtual_encoded = []
-            tags: list[int] = []
-            constraints: list = []
+        if not needed:
+            return
+        # Encode each missing question once for the whole fleet: every shard
+        # model shares the master encoder trunk by reference, so shard 0's
+        # encoding is every shard's encoding.
+        with maybe_span(trace, "encode", questions=len(needed)):
+            encoded_of = dict(zip(needed, tier.routers[0].model.encode_numpy_batch(
+                [tier.source_tokenizer.encode_text(
+                    questions[index], max_length=tier.max_source_length)
+                 for index in needed],
+                pad_id=tier.pad_id)))
+        # Stack (shard, question) pairs shard-major as virtual questions.
+        tags = [shard for shard, pending in enumerate(pending_per_shard)
+                for _ in pending]
+        encoded = [encoded_of[index] for pending in pending_per_shard
+                   for index in pending]
+        hypotheses_batch = beam_search_wave(tier.kernel, tier.routers, tags,
+                                            encoded, trace=trace, stats=stats)
+        # Sliced shards come out of the kernel's calibrated-head decode with
+        # exact master-vocabulary scores already, so rescore_hypotheses only
+        # replays the (rare) greedy fallbacks.
+        for row, tag in enumerate(tags):
+            if not hypotheses_batch[row]:
+                router = tier.routers[tag]
+                hypotheses_batch[row] = router.decode_fallback(encoded[row])
+                router.rescore_hypotheses([encoded[row]], [hypotheses_batch[row]])
+        # Each shard's local token ids are parsed with its own vocabulary.
+        with maybe_span(trace, "parse"):
+            rows = iter(hypotheses_batch)
             for shard, pending in enumerate(pending_per_shard):
-                constraint = tier.routers[shard].constraint
                 for index in pending:
-                    virtual_encoded.append(encoded_of[index])
-                    tags.append(shard)
-                    constraints.append(constraint)
-            hypotheses_batch: list = []
-            if virtual_encoded:
-                try:
-                    hypotheses_batch = diverse_beam_search_batch(
-                        tier.kernel, virtual_encoded, tier.bos_id, tier.eos_id,
-                        num_beams=tier.num_beams, num_groups=tier.num_groups,
-                        diversity_penalty=tier.diversity_penalty,
-                        max_length=tier.max_length, constraint=constraints,
-                        kernel="fast", stats=stats, question_tags=tags)
-                except BaseException:
-                    for shard, service in enumerate(tier.services):
-                        service.metrics.increment(
-                            "errors", len(pending_per_shard[shard]))
-                    raise
-            # Fallback, calibration, and parsing run per shard.  Sliced
-            # shards come out of the kernel's calibrated-head decode with
-            # exact master-vocabulary scores already, so rescore_hypotheses
-            # only replays the (rare) greedy fallbacks; each shard's local
-            # token ids are then parsed with its own sliced vocabulary.
-            offset = 0
-            for shard, pending in enumerate(pending_per_shard):
-                rows = range(offset, offset + len(pending))
-                offset += len(pending)
-                router = tier.routers[shard]
-                service = tier.services[shard]
-                fallback_rows = [row for row in rows
-                                 if not hypotheses_batch[row]]
-                for row in fallback_rows:
-                    hypotheses_batch[row] = router.decode_fallback(
-                        virtual_encoded[row])
-                if fallback_rows:
-                    router.rescore_hypotheses(
-                        [virtual_encoded[row] for row in fallback_rows],
-                        [hypotheses_batch[row] for row in fallback_rows])
-                for row, index in zip(rows, pending):
-                    routes = router.combine_hypotheses(
-                        hypotheses_batch[row], max_candidates=variants[shard])
-                    results[shard][index] = routes
-                    if service.cache is not None:
-                        service.cache.put(questions[index], routes,
-                                          variant=variants[shard])
-                    service.metrics.increment("routed")
-            if span is not None and stats:
-                span.annotate(
-                    steps=stats.get("steps", 0),
-                    beam_rows=stats.get("beam_rows", 0),
-                    questions_compacted=stats.get("questions_compacted", 0))
-        for shard_results in results:
-            for index, source in enumerate(duplicate_of):
-                if source is not None:
-                    shard_results[index] = shard_results[source]
-        elapsed = time.monotonic() - started
-        for service in tier.services:
-            for _ in questions:
-                service.metrics.observe_latency(elapsed / max(len(questions), 1))
-        self._note_wave(stats, len(questions), use_careful)
-        return results  # type: ignore[return-value]
+                    results[shard][index] = tier.routers[shard].combine_hypotheses(
+                        next(rows), max_candidates=variants[shard])
 
     # -- introspection -------------------------------------------------------
     def _note_wave(self, stats: dict, num_questions: int, careful: bool) -> None:

@@ -36,7 +36,7 @@ from repro.nn.seq2seq import (
     rescore_token_sequences,
 )
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
-from repro.obs.trace import distinct_traces, stage_spans
+from repro.obs.trace import distinct_traces, maybe_span, stage_spans
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
 from repro.retrieval.base import CandidateSchema, RankedTable, RoutingPrediction
 from repro.utils.rng import SeededRng
@@ -192,6 +192,56 @@ def merge_route_lists(route_lists: Iterable[Sequence[SchemaRoute]],
         seen.add(route.database)
         merged.append(route)
     return merged[:max_candidates] if max_candidates is not None else merged
+
+
+def _mask_cache_counts(constraints: Iterable) -> tuple[int, int]:
+    """Summed (hits, misses) of the constraints' mask caches (``None`` skipped)."""
+    live = [constraint for constraint in constraints if constraint is not None]
+    return (sum(constraint.mask_cache_hits for constraint in live),
+            sum(constraint.mask_cache_misses for constraint in live))
+
+
+def beam_search_wave(kernel, routers: "Sequence[SchemaRouter]", tags: Sequence[int],
+                     encoded_batch: "Sequence[EncodedSource]", trace=None,
+                     stats: dict | None = None) -> list[list]:
+    """One stacked beam search for several routers of one trunk (a cluster wave).
+
+    Row ``i`` decodes ``encoded_batch[i]`` under the constraint of
+    ``routers[tags[i]]``, all rows advancing together through ``kernel`` (a
+    :class:`repro.nn.seq2seq.WaveDecodeKernel` over the routers' models).  The
+    routers must agree on the beam budget and special token ids -- the
+    cluster wave engine checks that -- so ``routers[0]`` configures the
+    search.  With a ``trace`` the search records the same ``decode`` span
+    :meth:`SchemaRouter.route_batch` does; ``stats`` accumulates the engine
+    counters, broken out per tag under ``"per_tag"``.  Returns one hypothesis
+    list per row (possibly empty: callers fall back like ``route_batch``).
+    """
+    config = routers[0].config
+    vocabulary = routers[0].target_vocabulary
+    if config.diverse_beam:
+        num_groups, diversity_penalty = config.beam_groups, config.diversity_penalty
+    else:
+        num_groups, diversity_penalty = 1, 0.0
+    constraints = [router.constraint for router in routers]
+    stats = stats if stats is not None else {}
+    masks_before = _mask_cache_counts(constraints)
+    with maybe_span(trace, "decode", backend="wave",
+                    questions=len(encoded_batch)) as span:
+        hypotheses_batch = diverse_beam_search_batch(
+            kernel, list(encoded_batch), vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=config.num_beams, num_groups=num_groups,
+            diversity_penalty=diversity_penalty,
+            max_length=config.max_decode_length,
+            constraint=[constraints[tag] for tag in tags],
+            kernel="fast", stats=stats, question_tags=tags)
+        if span is not None:
+            hits, misses = _mask_cache_counts(constraints)
+            span.annotate(steps=stats.get("steps", 0),
+                          beam_rows=stats.get("beam_rows", 0),
+                          questions_compacted=stats.get("questions_compacted", 0),
+                          mask_cache_hits=hits - masks_before[0],
+                          mask_cache_misses=misses - masks_before[1])
+    return hypotheses_batch
 
 
 @dataclass
@@ -393,9 +443,7 @@ class SchemaRouter:
                  for question in questions],
                 pad_id=self.source_vocabulary.pad_id,
             )
-        masks_before = ((self._constraint.mask_cache_hits,
-                         self._constraint.mask_cache_misses)
-                        if constraint is not None else (0, 0))
+        masks_before = _mask_cache_counts([constraint])
         with stage_spans(contexts, "decode",
                          backend=self.config.decode_backend,
                          questions=len(questions)) as decode_spans:
@@ -422,10 +470,9 @@ class SchemaRouter:
             if decode_spans and stats is not None:
                 counters = dict(stats)
                 if constraint is not None:
-                    counters["mask_cache_hits"] = \
-                        self._constraint.mask_cache_hits - masks_before[0]
-                    counters["mask_cache_misses"] = \
-                        self._constraint.mask_cache_misses - masks_before[1]
+                    hits, misses = _mask_cache_counts([constraint])
+                    counters["mask_cache_hits"] = hits - masks_before[0]
+                    counters["mask_cache_misses"] = misses - masks_before[1]
                 for span in decode_spans:
                     span.annotate(**counters)
         for index, hypotheses in enumerate(hypotheses_batch):

@@ -726,8 +726,9 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
     walk fallback stays scalar-only) -- and ``question_tags`` labels each
     question with an integer shard tag.  Tags ride through compaction, are
     handed to the kernel's ``tags`` parameter each step (the wave kernel
-    gathers per-shard input-table rows and runs per-shard output heads), and
-    split the decode counters into ``stats["per_tag"]``.
+    gathers per-shard embedding rows and per-shard head columns -- and, unlike
+    the model's fast kernel, keeps the exact kernel's row-stable numerics),
+    and split the decode counters into ``stats["per_tag"]``.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     num_questions = len(encoded_batch)

@@ -253,7 +253,22 @@ class Seq2SeqModel(Module):
         * per-row softmax reductions run over the vocabulary axis, whose
           length never varies with batching.
         """
-        previous_embedded = self.target_embedding.weight.data[previous_ids]     # (R, d)
+        combined, new_states = self.decode_trunk_numpy_batch(
+            self.target_embedding.weight.data[previous_ids], memory, memory_mask,
+            states, augmented_memory)
+        return (row_stable_log_softmax(combined, self.output_projection.weight.data,
+                                       self.output_projection.bias.data), new_states)
+
+    def decode_trunk_numpy_batch(self, previous_embedded: np.ndarray,
+                                 memory: np.ndarray, memory_mask: np.ndarray,
+                                 states: np.ndarray,
+                                 augmented_memory: np.ndarray | None = None
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The exact kernel up to the output head: ``(R, d)`` previous-token
+        embeddings in, (pre-head activations ``(R, h)``, new states ``(R, h)``)
+        out, under the bit-exactness contract of
+        :meth:`decode_step_numpy_batch` -- which is this plus the model's own
+        head; :class:`WaveDecodeKernel` puts other heads on the same trunk."""
         pre_activation = (
             np.matmul(previous_embedded[:, None, :], self.input_projection.weight.data)
             + np.matmul(states[:, None, :], self.recurrent_projection.weight.data)
@@ -275,12 +290,7 @@ class Seq2SeqModel(Module):
             np.matmul(np.concatenate([new_states, context], axis=1)[:, None, :],
                       self.combine_projection.weight.data)[:, 0, :]
             + self.combine_projection.bias.data)
-        logits = np.matmul(combined[:, None, :],
-                           self.output_projection.weight.data)[:, 0, :] \
-            + self.output_projection.bias.data
-        logits = logits - logits.max(axis=1, keepdims=True)
-        log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return log_probabilities, new_states
+        return combined, new_states
 
     def fast_input_table(self) -> np.ndarray:
         """The fused ``(V, h)`` previous-token table for the fast kernel.
@@ -363,6 +373,18 @@ class Seq2SeqModel(Module):
         logits = logits - logits.max(axis=1, keepdims=True)
         log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         return (log_probabilities.reshape(questions, slots, -1), states3)
+
+
+def row_stable_log_softmax(combined: np.ndarray, weight: np.ndarray,
+                           bias: np.ndarray) -> np.ndarray:
+    """``log_softmax(combined @ weight + bias)`` per row, ``(R, h) -> (R, V)``.
+
+    Row-stable like the rest of the exact kernel: the projection runs as
+    stacked ``(R, 1, h) @ (h, V)`` matmuls, so a row's doubles do not depend
+    on which other rows share the call."""
+    logits = np.matmul(combined[:, None, :], weight)[:, 0, :] + bias
+    logits = logits - logits.max(axis=1, keepdims=True)
+    return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -465,21 +487,31 @@ def rescore_token_sequences(model: "Seq2SeqModel",
 
 
 class WaveDecodeKernel:
-    """One fast-tier decode stream over several shard models of one trunk.
+    """One decode stream over several shard models of one trunk.
 
     Duck-types the slice of :class:`Seq2SeqModel` the slot-dense decode
     engine touches (``config``, :meth:`fast_input_table`,
     :meth:`decode_step_numpy_batch_fast`), batching every shard's beams of a
-    scatter wave into single flat GEMMs.  All shard models must share the
-    trunk modules by reference (they do: :func:`repro.cluster.shard.project_router`
+    scatter wave into one step call.  All shard models must share the trunk
+    modules by reference (they do: :func:`repro.cluster.shard.project_router`
     either reuses the master model outright or shares its trunk into a
     sliced twin); only the target embedding / output head may differ per
     shard.  Each question row carries a shard ``tag``; the previous-token
-    gather indexes a stacked per-shard input table, and the output head runs
-    either as one shared GEMM (unsliced shards -- every head is the master's)
-    or as per-shard grouped GEMMs whose log-softmax normalizes over each
-    shard's own slice, written into a ``-inf``-padded common-width grid so
-    the engine's top-k machinery is untouched.
+    gather indexes a stacked per-shard embedding table, and the output head
+    is the master's: shared outright by unsliced shards, or -- calibrated-head
+    mode, every shard a slice of one master head -- normalized over the
+    *master* vocabulary with each shard's kept columns gathered into a
+    ``-inf``-padded common-width grid, so the engine's top-k machinery is
+    untouched and emitted scores are exact master-vocabulary scores.
+
+    Despite the method name the engine dictates, a step runs the *exact*
+    kernel's numerics (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a
+    (shard, question) row decodes to the same doubles whatever else shares
+    its wave -- other questions, other shards, cache hits thinning the stack,
+    longer neighbours padding ``T`` -- so a cluster answers a question
+    identically in every wave, bit for bit the pool path's answer for
+    unsliced shards.  The wave's gain is one step loop for the whole fleet,
+    not flat GEMMs.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
@@ -501,45 +533,42 @@ class WaveDecodeKernel:
                         f"{attribute!r} differs")
         self.vocab_width = max(model.config.target_vocab_size for model in self.models)
         self.config = replace(base.config, target_vocab_size=self.vocab_width)
-        self.shared_head = all(
-            model.output_projection is base.output_projection for model in self.models)
-        if vocabulary_slices is None:
-            vocabulary_slices = [None] * len(self.models)
-        if len(vocabulary_slices) != len(self.models):
+        slices = list(vocabulary_slices or [None] * len(self.models))
+        if len(slices) != len(self.models):
             raise ValueError("one vocabulary slice (or None) per shard model")
-        self.vocabulary_slices = list(vocabulary_slices)
-        # Calibrated-head mode: every shard is a slice of one master head, so
-        # each step can run a single master-width GEMM, log-softmax over the
-        # *master* vocabulary, and gather each shard's kept columns -- the
-        # decode then emits exact master-vocabulary scores (no post-hoc
-        # rescoring), and search prunes exactly as a master-head decode
-        # restricted to the slice would.
+        # Calibrated-head mode: every shard is a slice of one master head.
         self.calibrated_head = all(
-            vocabulary_slice is not None for vocabulary_slice in self.vocabulary_slices
-        ) and all(
-            vocabulary_slice.output_weight is self.vocabulary_slices[0].output_weight
-            and vocabulary_slice.output_bias is self.vocabulary_slices[0].output_bias
-            for vocabulary_slice in self.vocabulary_slices)
-        if not self.calibrated_head and any(
-                vocabulary_slice is not None
-                for vocabulary_slice in self.vocabulary_slices):
+            vocabulary_slice is not None
+            and vocabulary_slice.output_weight is slices[0].output_weight
+            and vocabulary_slice.output_bias is slices[0].output_bias
+            for vocabulary_slice in slices)
+        if self.calibrated_head:
+            self.head_weight, self.head_bias = (slices[0].output_weight,
+                                                slices[0].output_bias)
+            self.kept_ids = [vocabulary_slice.kept_ids for vocabulary_slice in slices]
+        elif not any(slices) and all(
+                model.output_projection is base.output_projection
+                for model in self.models):
+            self.head_weight = base.output_projection.weight.data
+            self.head_bias = base.output_projection.bias.data
+        else:
             raise ValueError(
-                "wave decode requires either no vocabulary slices or one "
-                "shared master head across every shard's slice")
+                "wave decode requires shards that all decode the master head "
+                "or all slice one shared master head")
 
     def fast_input_table(self) -> np.ndarray:
-        """Per-shard fused previous-token tables, stacked ``(K * Vmax, h)``.
+        """Per-shard target embeddings, stacked ``(K * Vmax, d)``.
 
-        Shard ``k``'s table occupies rows ``[k * Vmax, k * Vmax + V_k)``;
-        the gather offset is ``tag * Vmax + previous_id``.  Pad rows stay
-        zero and are never gathered (a shard's previous ids are < ``V_k``).
+        Shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)``; the gather
+        offset is ``tag * Vmax + previous_id``.  Pad rows stay zero and are
+        never gathered (a shard's previous ids are < ``V_k``).
         """
-        hidden = self.config.hidden_dim
-        table = np.zeros((len(self.models) * self.vocab_width, hidden))
+        table = np.zeros((len(self.models) * self.vocab_width,
+                          self.config.embedding_dim))
         for shard, model in enumerate(self.models):
-            shard_table = model.fast_input_table()
+            embedding = model.target_embedding.weight.data
             start = shard * self.vocab_width
-            table[start : start + shard_table.shape[0]] = shard_table
+            table[start : start + embedding.shape[0]] = embedding
         return table
 
     def decode_step_numpy_batch_fast(self, memory: np.ndarray, memory_mask: np.ndarray,
@@ -548,87 +577,37 @@ class WaveDecodeKernel:
                                      memory_t: np.ndarray | None = None,
                                      tags: np.ndarray | None = None
                                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Fast-tier step for a shard-tagged wave; same shapes as the model
-        kernel plus ``tags`` ``(Q,)`` (shard index per question row).
+        """One step for a shard-tagged wave: the model kernel's shapes plus
+        ``tags`` ``(Q,)`` (shard index per question row); ``memory_t`` is
+        accepted for the engine's sake and unused.
 
-        Trunk math is identical to
-        :meth:`Seq2SeqModel.decode_step_numpy_batch_fast` (the trunk is
-        shared); only the previous-token gather and the output head are
-        shard-aware.  Columns ``>= V_k`` of a shard's rows come back
-        ``-inf``, so padded vocabulary slots can never win a top-k.
+        Columns ``>= V_k`` of a shard's rows come back ``-inf``, so padded
+        vocabulary slots can never win a top-k.
         """
         if tags is None:
             raise ValueError("the wave kernel needs per-question shard tags")
-        base = self.models[0]
         questions, slots, hidden = states.shape
-        flat_states = states.reshape(questions * slots, hidden)
         if input_table is None:
             input_table = self.fast_input_table()
-        if memory_t is None:
-            memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
         tags = np.asarray(tags, dtype=np.int64)
-        gather_rows = (previous_ids + tags[:, None] * self.vocab_width).reshape(-1)
-        new_states = np.tanh(
-            input_table[gather_rows]
-            + flat_states @ base.recurrent_projection.weight.data)              # (Q*S, h)
-        states3 = new_states.reshape(questions, slots, hidden)
-
-        scores = np.matmul(states3, memory_t)                                   # (Q, S, T)
-        if not memory_mask.all():
-            scores = np.where(memory_mask[:, None, :], scores, -np.inf)
-        if hidden > 512:
-            scores = scores - scores.max(axis=2, keepdims=True)
-        attention = np.exp(scores)
-        attention /= attention.sum(axis=2, keepdims=True)
-        context = np.matmul(attention, memory)                                  # (Q, S, h)
-
-        combined = np.tanh(
-            np.concatenate([new_states, context.reshape(-1, hidden)], axis=1)
-            @ base.combine_projection.weight.data
-            + base.combine_projection.bias.data)                                # (Q*S, h)
-        if self.shared_head:
-            logits = combined @ base.output_projection.weight.data \
-                + base.output_projection.bias.data
-            logits = logits - logits.max(axis=1, keepdims=True)
-            log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            return (log_probabilities.reshape(questions, slots, -1), states3)
-        flat_tags = np.repeat(tags, slots)
-        log_probabilities = np.full((questions * slots, self.vocab_width), -np.inf)
-        # The wave engine stacks rows shard-major and compaction preserves
-        # order, so each shard's rows are normally one contiguous block --
-        # sliced views instead of boolean gathers.  Unsorted tags still work
-        # through the nonzero fallback.
-        tags_sorted = bool(np.all(tags[:-1] <= tags[1:]))
-        master_log_probabilities = None
+        if slots > 1:
+            memory = np.repeat(memory, slots, axis=0)
+            memory_mask = np.repeat(memory_mask, slots, axis=0)
+        combined, new_states = self.models[0].decode_trunk_numpy_batch(
+            input_table[(previous_ids + tags[:, None] * self.vocab_width).reshape(-1)],
+            memory, memory_mask, states.reshape(questions * slots, hidden))
+        log_probabilities = row_stable_log_softmax(combined, self.head_weight,
+                                                   self.head_bias)
         if self.calibrated_head:
-            # One master-width GEMM for every row; per-shard work is just a
-            # kept-column gather.  Normalizing over the master vocabulary is
-            # the calibration: emitted scores are exact global scores.
-            head = self.vocabulary_slices[0]
-            logits = combined @ head.output_weight + head.output_bias           # (Q*S, V_master)
-            logits = logits - logits.max(axis=1, keepdims=True)
-            master_log_probabilities = logits \
-                - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        for shard, model in enumerate(self.models):
-            if tags_sorted:
-                start, stop = np.searchsorted(flat_tags, (shard, shard + 1))
-                if start == stop:
-                    continue
-                shard_rows: slice | np.ndarray = slice(int(start), int(stop))
-            else:
-                indices = np.nonzero(flat_tags == shard)[0]
-                if not indices.size:
-                    continue
-                shard_rows = indices
-            if master_log_probabilities is not None:
-                kept_ids = self.vocabulary_slices[shard].kept_ids
-                log_probabilities[shard_rows, : len(kept_ids)] = \
-                    master_log_probabilities[shard_rows][:, kept_ids]
-                continue
-            block = combined[shard_rows] @ model.output_projection.weight.data \
-                + model.output_projection.bias.data                             # (Rk, V_k)
-            block = block - block.max(axis=1, keepdims=True)
-            block = block - np.log(np.exp(block).sum(axis=1, keepdims=True))
-            log_probabilities[shard_rows, : block.shape[1]] = block
-        return (log_probabilities.reshape(questions, slots, -1), states3)
-
+            # Normalizing over the master vocabulary is the calibration; what
+            # is left per shard is a kept-column gather.
+            master_log_probabilities = log_probabilities
+            log_probabilities = np.full((questions * slots, self.vocab_width), -np.inf)
+            flat_tags = np.repeat(tags, slots)
+            for shard, kept_ids in enumerate(self.kept_ids):
+                rows = np.nonzero(flat_tags == shard)[0]
+                if rows.size:
+                    log_probabilities[rows, : len(kept_ids)] = \
+                        master_log_probabilities[rows][:, kept_ids]
+        return (log_probabilities.reshape(questions, slots, -1),
+                new_states.reshape(questions, slots, hidden))

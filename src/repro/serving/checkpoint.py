@@ -131,6 +131,24 @@ def _sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _content_payload(router: SchemaRouter) -> dict:
+    """The manifest entries that describe ``router`` itself (not its files)."""
+    return {
+        "router_config": asdict(router.config),
+        "source_vocabulary": router.source_vocabulary.to_payload(),
+        "target_vocabulary": router.target_vocabulary.to_payload(),
+        "catalog": catalog_to_payload(router.graph.catalog),
+        "joinable_edges": [list(edge) for edge in router.graph.joinable_edges()],
+        "training_losses": list(router.training_losses),
+    }
+
+
+def _slice_arrays(vocabulary_slice: VocabularySlice) -> dict[str, np.ndarray]:
+    return {"kept_ids": vocabulary_slice.kept_ids,
+            "output_weight": vocabulary_slice.output_weight,
+            "output_bias": vocabulary_slice.output_bias}
+
+
 def save_router(router: SchemaRouter, path: str | Path) -> Path:
     """Write ``router`` (which must be trained) to a checkpoint directory."""
     if not router.is_trained:
@@ -141,12 +159,7 @@ def save_router(router: SchemaRouter, path: str | Path) -> Path:
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "router_config": asdict(router.config),
-        "source_vocabulary": router.source_vocabulary.to_payload(),
-        "target_vocabulary": router.target_vocabulary.to_payload(),
-        "catalog": catalog_to_payload(router.graph.catalog),
-        "joinable_edges": [list(edge) for edge in router.graph.joinable_edges()],
-        "training_losses": list(router.training_losses),
+        **_content_payload(router),
         "weights": {
             "file": WEIGHTS_FILE,
             "sha256": _sha256_of(weights_path),
@@ -155,10 +168,7 @@ def save_router(router: SchemaRouter, path: str | Path) -> Path:
     }
     if router.vocabulary_slice is not None:
         slice_path = path / SLICE_FILE
-        np.savez(slice_path,
-                 kept_ids=router.vocabulary_slice.kept_ids,
-                 output_weight=router.vocabulary_slice.output_weight,
-                 output_bias=router.vocabulary_slice.output_bias)
+        np.savez(slice_path, **_slice_arrays(router.vocabulary_slice))
         manifest["vocabulary_slice"] = {
             "file": SLICE_FILE,
             "sha256": _sha256_of(slice_path),
@@ -187,16 +197,22 @@ def load_manifest(path: str | Path) -> dict:
     return manifest
 
 
+def _checked_archive(path: Path, entry: dict, what: str) -> Path:
+    """The archive a manifest ``entry`` names, once it passes its checksum."""
+    archive_path = path / entry["file"]
+    if not archive_path.is_file():
+        raise CheckpointError(f"missing {what} archive {archive_path!s}")
+    recorded = entry.get("sha256")
+    if recorded and _sha256_of(archive_path) != recorded:
+        raise CheckpointError(f"{what} archive {archive_path!s} fails its checksum")
+    return archive_path
+
+
 def load_router(path: str | Path) -> SchemaRouter:
     """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory."""
     path = Path(path)
     manifest = load_manifest(path)
-    weights_path = path / manifest["weights"]["file"]
-    if not weights_path.is_file():
-        raise CheckpointError(f"missing weight archive {weights_path!s}")
-    recorded = manifest["weights"].get("sha256")
-    if recorded and _sha256_of(weights_path) != recorded:
-        raise CheckpointError(f"weight archive {weights_path!s} fails its checksum")
+    weights_path = _checked_archive(path, manifest["weights"], "weight")
 
     config = RouterConfig(**manifest["router_config"])
     catalog = catalog_from_payload(manifest["catalog"])
@@ -221,16 +237,43 @@ def load_router(path: str | Path) -> SchemaRouter:
                    training_losses=manifest.get("training_losses"))
     slice_entry = manifest.get("vocabulary_slice")
     if slice_entry is not None:
-        slice_path = path / slice_entry["file"]
-        if not slice_path.is_file():
-            raise CheckpointError(f"missing vocabulary-slice archive {slice_path!s}")
-        recorded = slice_entry.get("sha256")
-        if recorded and _sha256_of(slice_path) != recorded:
-            raise CheckpointError(
-                f"vocabulary-slice archive {slice_path!s} fails its checksum")
-        with np.load(slice_path) as archive:
+        with np.load(_checked_archive(path, slice_entry,
+                                      "vocabulary-slice")) as archive:
             router.vocabulary_slice = VocabularySlice(
                 kept_ids=archive["kept_ids"],
                 output_weight=archive["output_weight"],
                 output_bias=archive["output_bias"])
     return router
+
+
+def _verify_arrays(path: Path, entry: dict, what: str,
+                   arrays: dict[str, np.ndarray]) -> None:
+    with np.load(_checked_archive(path, entry, what)) as archive:
+        if sorted(archive.files) != sorted(arrays) or not all(
+                np.array_equal(archive[name], array)
+                for name, array in arrays.items()):
+            raise CheckpointError(f"checkpoint {path!s} has different {what} arrays")
+
+
+def verify_router_checkpoint(path: str | Path, router: SchemaRouter) -> None:
+    """Raise :class:`CheckpointError` unless ``path`` holds exactly ``router``.
+
+    Compared by content -- configuration, vocabularies, catalog, joinable
+    edges, every weight array and the vocabulary slice -- never by object
+    identity, so a caller may serve ``router`` (say, a projection that shares
+    its master's weights) in place of a copy loaded from ``path``.
+    """
+    path = Path(path)
+    manifest = load_manifest(path)
+    for key, value in json.loads(json.dumps(_content_payload(router))).items():
+        if manifest.get(key) != value:
+            raise CheckpointError(f"checkpoint {path!s} has a different {key}")
+    _verify_arrays(path, manifest["weights"], "weight",
+                   {name: parameter.data
+                    for name, parameter in router.model.named_parameters()})
+    slice_entry = manifest.get("vocabulary_slice")
+    if (slice_entry is None) != (router.vocabulary_slice is None):
+        raise CheckpointError(f"checkpoint {path!s} has a different vocabulary slicing")
+    if slice_entry is not None:
+        _verify_arrays(path, slice_entry, "vocabulary-slice",
+                       _slice_arrays(router.vocabulary_slice))

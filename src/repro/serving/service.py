@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.control.admission import (
     AdmissionController,
@@ -140,6 +141,16 @@ class RoutingService:
             return self.router.route_batch(list(questions),
                                            max_candidates=max_candidates,
                                            traces=traces)
+
+    @contextmanager
+    def exclusive_router(self) -> Iterator[SchemaRouter]:
+        """Hold the route lock and yield the current router.
+
+        For decode drivers that bypass :meth:`submit_many` (the cluster wave
+        engine): inside the block no other decode touches this router's
+        constraint memos and :meth:`replace_router` cannot land."""
+        with self._route_lock:
+            yield self.router
 
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:

@@ -737,10 +737,15 @@ class TestSubprocessCluster:
                 == sub_answers[question][0].database
             )
             assert agreements / len(workload) >= 0.95
-            # Scores travel as hex floats, so the match is in fact bit-exact.
+            # Scores travel as hex floats, so the match is in fact bit-exact
+            # -- between the inproc fleet's stacked wave decode and the
+            # subprocess workers' pool scatter.
             assert {q: _signature([r]) for q, r in sub_answers.items()} \
                 == {q: _signature([r]) for q, r in inproc_answers.items()}
+            assert inproc.stats()["wave"]["enabled"] is True
             stats = sub.stats()
+            assert stats["wave"] == {"enabled": False,
+                                     "reason": "shard workers are not inproc"}
             assert stats["worker_backend"] == "subprocess"
             assert stats["dispatcher"]["shard_failures"] == 0
             transports = [worker["transport"]

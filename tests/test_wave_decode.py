@@ -1,24 +1,31 @@
 """Tests for cluster-native dense wave decode.
 
-With ``ClusterConfig(wave_decode=True)`` an unreplicated inproc fleet decodes
-whole scatter waves through one stacked kernel stream
-(:class:`repro.cluster.wave.ClusterWaveEngine`) instead of one thread-pool
-call per shard.  These tests pin the differential against the pool path, the
-per-shard decode counters, the transparent fallbacks (replication,
-checkpoint-booted weight copies), and the direct-submit fast path the
-dispatcher takes when no shard timeout is configured.
+Every unreplicated inproc fleet -- projected by ``from_router`` or booted by
+``load_cluster`` -- decodes whole scatter waves through one stacked kernel
+stream (:class:`repro.cluster.wave.ClusterWaveEngine`) instead of one
+thread-pool call per shard.  These tests pin the seeded differential against
+the pool path (a twin pinned to it structurally, by a shard timeout), the
+content verification ``load_cluster`` does before sharing the master trunk,
+the one rule that decides which fleets scatter through the pool, the
+per-shard decode counters and trace shape, concurrent callers under a live
+rebalance, and the direct-submit fast path the dispatcher takes when no shard
+timeout is configured.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
     ClusterConfig,
     ClusterDispatcher,
+    ClusterRebalancer,
     ClusterRoutingService,
     load_cluster,
     save_cluster,
@@ -32,7 +39,11 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
+from repro.serving.checkpoint import CheckpointError
 from test_cluster import QUESTIONS, _cluster_catalog
+
+#: What pins a fleet to the pool scatter without changing a routing decision.
+POOL_PIN = {"shard_timeout_seconds": 600.0}
 
 
 @pytest.fixture(scope="module")
@@ -52,64 +63,270 @@ def master_router() -> SchemaRouter:
 
 @pytest.fixture(scope="module")
 def workload(master_router) -> list[str]:
+    """A seeded stream of >= 200 questions in which some repeat."""
     catalog = master_router.graph.catalog
     questioner = TemplateQuestioner(catalog=catalog, seed=41)
     sampler = SchemaSampler(master_router.graph, seed=41)
     report = synthesize_training_data(sampler, questioner,
                                       SynthesisConfig(num_samples=200))
-    return [example.question for example in report.examples]
+    questions = [example.question for example in report.examples]
+    rng = random.Random(41)
+    stream = questions + rng.sample(questions, 40)
+    rng.shuffle(stream)
+    assert len(stream) >= 200
+    return stream
 
 
-class TestWaveDecode:
-    def test_wave_routes_agree_with_pool_routes(self, master_router, workload):
-        pool_config = ClusterConfig(num_shards=2, strategy="round_robin",
-                                    enable_cache=False)
-        wave_config = ClusterConfig(num_shards=2, strategy="round_robin",
-                                    enable_cache=False, wave_decode=True)
-        with ClusterRoutingService.from_router(master_router,
-                                               pool_config) as cluster:
-            pool = cluster.submit_many(workload)
-        with ClusterRoutingService.from_router(master_router,
-                                               wave_config) as cluster:
-            assert cluster.wave_engine is not None, cluster._wave_disabled_reason
-            wave = cluster.submit_many(workload)
-        agree = sum(1 for a, b in zip(pool, wave)
-                    if a and b and a[0].database == b[0].database)
-        assert agree >= round(0.99 * len(workload))
+def _checkpoint(master_router, path, **config) -> None:
+    config = ClusterConfig(num_shards=2, strategy="round_robin", **config)
+    with ClusterRoutingService.from_router(master_router, config) as cluster:
+        save_cluster(cluster, path)
 
-    def test_wave_with_sliced_vocabulary(self, master_router, workload):
-        """The tentpole pairing: dense wave decode over shard-sliced vocabs
-        still agrees with plain pool routing after calibration."""
-        pool_config = ClusterConfig(num_shards=2, strategy="round_robin",
-                                    enable_cache=False)
-        wave_config = ClusterConfig(num_shards=2, strategy="round_robin",
-                                    enable_cache=False, wave_decode=True,
-                                    sliced_vocabulary=True)
-        with ClusterRoutingService.from_router(master_router,
-                                               pool_config) as cluster:
-            pool = cluster.submit_many(workload)
-        with ClusterRoutingService.from_router(master_router,
-                                               wave_config) as cluster:
-            assert cluster.wave_engine is not None
-            sliced = cluster.shards[0].workers[0].router
-            assert sliced.vocabulary_slice is not None
-            # Sliced fleets decode in calibrated-head mode: the kernel
-            # normalizes over the master vocabulary per step, so scores come
-            # out of the wave already calibrated (no post-hoc rescoring).
-            tier = cluster.wave_engine._tier(careful=False)
-            assert tier.kernel.calibrated_head
-            wave = cluster.submit_many(workload)
-        agree = sum(1 for a, b in zip(pool, wave)
-                    if a and b and a[0].database == b[0].database)
-        assert agree >= round(0.99 * len(workload))
 
+def _serve(cluster, questions, wave_size: int = 8) -> list:
+    return [routes for start in range(0, len(questions), wave_size)
+            for routes in cluster.submit_many(questions[start:start + wave_size])]
+
+
+def _lists(replies) -> list:
+    return [[(route.database, route.tables) for route in routes]
+            for routes in replies]
+
+
+def _scores(replies) -> list[float]:
+    return [route.score for routes in replies for route in routes]
+
+
+def _shard_counters(cluster) -> list:
+    """Per shard and tier: the service counters and the cache's own tallies."""
+    return [
+        [(tier["counters"], {key: tier["cache"][key]
+                             for key in ("size", "hits", "misses", "invalidations")})
+         for tier in (worker, worker.get("careful")) if tier is not None]
+        for shard in cluster.stats()["shards"] for worker in shard["workers"]
+    ]
+
+
+class TestWaveAgainstPoolTwin:
+    """The seeded differential: a default ``save_cluster`` -> ``load_cluster``
+    fleet against a checkpoint pinned to the pool scatter.
+
+    The twin is always the *unsliced* checkpoint of the same layout.  For an
+    unsliced fleet that is its own checkpoint.  A sliced fleet's wave decodes
+    in calibrated-head mode -- master-vocabulary log-softmax, kept columns
+    gathered -- which is an unsliced decode to the bit, so it has to match
+    the same twin; its own pool twin prunes beams on slice-normalized scores
+    and only calibrates afterwards, so wide-beam tiers may rank the tail
+    differently there and only top-1 agreement is asserted against it.
+    """
+
+    @pytest.mark.parametrize("escalation_threshold", [0.8, None])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_loaded_fleet_answers_like_its_pool_twin(
+            self, master_router, workload, tmp_path, sliced, escalation_threshold):
+        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=sliced,
+                    escalation_threshold=escalation_threshold)
+        _checkpoint(master_router, tmp_path / "unsliced",
+                    escalation_threshold=escalation_threshold)
+        with load_cluster(tmp_path / "ckpt") as wave, \
+                load_cluster(tmp_path / "unsliced",
+                             config=ClusterConfig(**POOL_PIN)) as pool:
+            assert wave.stats()["wave"]["enabled"] is True
+            assert pool.stats()["wave"]["enabled"] is False
+            assert wave.wave_engine.has_careful_tier \
+                is (escalation_threshold is not None)
+            kernel = wave.wave_engine._tiers[False].kernel
+            assert kernel.calibrated_head is sliced
+            wave_replies = _serve(wave, workload)
+            pool_replies = _serve(pool, workload)
+            assert _lists(wave_replies) == _lists(pool_replies)
+            assert _scores(wave_replies) == pytest.approx(_scores(pool_replies),
+                                                         rel=0, abs=1e-9)
+            # In fact the wave decodes the very doubles the pool path does.
+            assert wave_replies == pool_replies
+            assert wave.dispatcher.escalations == pool.dispatcher.escalations
+            if escalation_threshold is not None:
+                assert wave.dispatcher.escalations > 0
+                assert wave.stats()["wave"]["careful_waves"] > 0
+            assert _shard_counters(wave) == _shard_counters(pool)
+            assert wave.stats()["counters"] == pool.stats()["counters"]
+        if sliced:
+            with load_cluster(tmp_path / "ckpt",
+                              config=ClusterConfig(**POOL_PIN)) as sliced_pool:
+                sliced_replies = _serve(sliced_pool, workload)
+            agree = sum(ours[0].database == theirs[0].database
+                        for ours, theirs in zip(wave_replies, sliced_replies))
+            assert agree >= round(0.99 * len(workload))
+
+    def test_a_question_decodes_the_same_in_any_wave(self, master_router,
+                                                     workload, tmp_path):
+        """Whatever shares its wave -- one neighbour or thirty, longer ones
+        padding the memory -- a question's reply is the same, bit for bit."""
+        _checkpoint(master_router, tmp_path / "ckpt", enable_cache=False)
+        distinct = list(dict.fromkeys(workload))
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            alone = dict(zip(distinct, _serve(cluster, distinct, wave_size=1)))
+            for seed, wave_size in ((1, 8), (2, 5), (3, 32)):
+                order = list(distinct)
+                random.Random(seed).shuffle(order)
+                assert dict(zip(order, _serve(cluster, order, wave_size))) == alone
+
+    def test_caches_interoperate_across_paths(self, master_router, tmp_path):
+        """A shard cache warmed through the pool path is hit by the wave."""
+        _checkpoint(master_router, tmp_path / "ckpt", escalation_threshold=None)
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            for replica_set in cluster.shards:
+                replica_set.route_batch(QUESTIONS[:4])           # the pool's call
+            cluster.submit_many(QUESTIONS[:6])                   # the wave
+            for shard in cluster.stats()["shards"]:
+                counters = shard["workers"][0]["counters"]
+                assert counters == {"requests": 10, "cache_hits": 4, "routed": 6}
+
+
+class TestLoadedFleetSharesTheMasterTrunk:
+    def test_bare_load_engages_the_wave_engine(self, master_router, tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt")
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            assert cluster.stats()["wave"]["enabled"] is True
+            assert cluster.stats()["wave"]["reason"] is None
+            master = cluster.master_router.model
+            for replica_set in cluster.shards:
+                assert replica_set.workers[0].router.model is master
+
+    def test_sliced_load_reattaches_the_master_head(self, master_router, tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=True)
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            head = cluster.master_router.model.output_projection
+            for replica_set in cluster.shards:
+                router = replica_set.workers[0].router
+                assert router.model.recurrent_projection \
+                    is cluster.master_router.model.recurrent_projection
+                assert router.vocabulary_slice.output_weight is head.weight.data
+                assert router.vocabulary_slice.output_bias is head.bias.data
+
+    @staticmethod
+    def _retamper_weights(shard_dir, fix_checksum: bool) -> None:
+        """Nudge one weight of a shard archive (optionally re-signing it)."""
+        from repro.serving.checkpoint import _sha256_of
+
+        with np.load(shard_dir / "weights.npz") as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        name = sorted(arrays)[0]
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] += 1e-9
+        np.savez_compressed(shard_dir / "weights.npz", **arrays)
+        if fix_checksum:
+            manifest = json.loads((shard_dir / "manifest.json").read_text())
+            manifest["weights"]["sha256"] = _sha256_of(shard_dir / "weights.npz")
+            (shard_dir / "manifest.json").write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_tampered_shard_weights_are_rejected(self, master_router, tmp_path,
+                                                 sliced):
+        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=sliced)
+        self._retamper_weights(tmp_path / "ckpt" / "shard-01", fix_checksum=False)
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_cluster(tmp_path / "ckpt")
+        # Re-signing the archive does not help: the arrays are compared.
+        self._retamper_weights(tmp_path / "ckpt" / "shard-01", fix_checksum=True)
+        with pytest.raises(CheckpointError, match="different weight arrays"):
+            load_cluster(tmp_path / "ckpt")
+
+    def test_mismatched_database_list_is_rejected(self, master_router, tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        first, second = manifest["shards"][0], manifest["shards"][1]
+        first["databases"], second["databases"] = \
+            second["databases"], first["databases"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="shard-00.*different catalog"):
+            load_cluster(tmp_path / "ckpt")
+
+    def test_foreign_shard_directory_is_rejected(self, master_router, tmp_path):
+        """A shard saved with another beam budget's config, or naming a
+        database the master never saw, is no projection of this master."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        shard_manifest = tmp_path / "ckpt" / "shard-00" / "manifest.json"
+        original = shard_manifest.read_text()
+        edited = json.loads(original)
+        edited["router_config"]["max_decode_length"] += 1
+        shard_manifest.write_text(json.dumps(edited))
+        with pytest.raises(CheckpointError, match="different router_config"):
+            load_cluster(tmp_path / "ckpt")
+        shard_manifest.write_text(original)
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["shards"][0]["databases"].append("atlantis")
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="atlantis"):
+            load_cluster(tmp_path / "ckpt")
+
+    def test_retired_and_unknown_config_keys(self, master_router, tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["wave_decode"] = True        # a PR 9-13 manifest
+        manifest_path.write_text(json.dumps(manifest))
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            assert not hasattr(cluster.config, "wave_decode")
+            assert cluster.stats()["wave"]["enabled"] is True
+            assert cluster.submit(QUESTIONS[0])
+        manifest["config"]["warp_drive"] = 9
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="warp_drive"):
+            load_cluster(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_rebalance_round_trip_keeps_the_engine(self, master_router, workload,
+                                                   tmp_path, sliced):
+        _checkpoint(master_router, tmp_path / "first", sliced_vocabulary=sliced)
+        questions = workload[:48]
+        with load_cluster(tmp_path / "first") as cluster:
+            moved = cluster.assignment.shards[0][0]
+            ClusterRebalancer(cluster).move_database(moved, 1)
+            assert cluster.shard_of(moved) == 1
+            expected = _serve(cluster, questions)
+            assert cluster.stats()["wave"]["enabled"] is True
+            save_cluster(cluster, tmp_path / "second")
+        with load_cluster(tmp_path / "second") as restored:
+            assert restored.stats()["wave"]["enabled"] is True
+            assert restored.shard_of(moved) == 1
+            assert _serve(restored, questions) == expected
+
+
+class TestWhichFleetsScatterThroughThePool:
+    @pytest.mark.parametrize("override, reason", [
+        ({"replicas": 2}, "replication"),
+        ({"shard_timeout_seconds": 30.0}, "isolation"),
+        ({"allow_partial": True}, "isolation"),
+    ])
+    def test_structural_pins(self, master_router, override, reason):
+        config = ClusterConfig(num_shards=2, strategy="round_robin", **override)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            assert cluster.wave_engine is None
+            assert cluster.submit(QUESTIONS[0])
+            stats = cluster.stats()
+        assert stats["wave"]["enabled"] is False
+        assert reason in stats["wave"]["reason"]
+        assert "scatter" in stats["stages"]
+        assert "wave_decode" not in stats["stages"]
+
+    def test_wave_decode_is_not_a_knob(self):
+        assert "wave_decode" not in ClusterConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            ClusterConfig(**{"wave_decode": True})
+
+
+class TestWaveBookkeeping:
     def test_wave_counters_roll_up_into_stats_and_traces(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               wave_decode=True)
+        config = ClusterConfig(num_shards=2, strategy="round_robin")
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
             cluster.submit_many(QUESTIONS)
             stats = cluster.stats()
+            (trace,) = [record for record in cluster.tracer.journal.slowest()
+                        if record["name"] == "request_wave"]
         wave = stats["wave"]
         assert wave["enabled"] is True
         assert wave["waves"] >= 1
@@ -122,83 +339,119 @@ class TestWaveDecode:
             assert entry["steps"] > 0
             assert entry["beam_rows"] > 0
             assert entry["questions_compacted"] >= 0
-        # The decode rode the single-stream span, not per-shard scatters.
+        # The decode rode the single-stream span, not per-shard scatters ...
         assert "wave_decode" in stats["stages"]
         assert "scatter" not in stats["stages"]
         assert json.loads(json.dumps(stats)) == stats
-
-    def test_escalation_rides_the_careful_wave_tier(self, master_router, workload):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               wave_decode=True, enable_cache=False)
-        with ClusterRoutingService.from_router(master_router,
-                                               config) as cluster:
-            assert cluster.wave_engine is not None
-            assert cluster.wave_engine.has_careful_tier
-            cluster.submit_many(workload[:60])
-            stats = cluster.stats()
-        # The seeded workload reliably produces some low-confidence merges.
-        assert stats["dispatcher"]["escalations"] > 0
-        assert stats["wave"]["careful_waves"] > 0
+        # ... under which the usual stage spans nest, decode counters included.
+        spans = {span["span_id"]: span for span in trace["spans"]}
+        fast_wave = next(span for span in trace["spans"]
+                         if span["name"] == "wave_decode"
+                         and not span["attributes"]["careful"])
+        stages = {span["name"]: span for span in trace["spans"]
+                  if span["parent_id"] == fast_wave["span_id"]}
+        assert set(stages) == {"encode", "decode", "parse"}
+        assert spans[fast_wave["parent_id"]]["name"] == "request_wave"
+        decode = stages["decode"]["attributes"]
+        assert decode["steps"] > 0 and decode["beam_rows"] > 0
+        assert decode["mask_cache_hits"] + decode["mask_cache_misses"] > 0
 
     def test_wave_deduplicates_and_caches_within_the_fleet(self, master_router):
         config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               wave_decode=True, escalation_threshold=None)
+                               escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
             first = cluster.submit_many([QUESTIONS[0], QUESTIONS[0], QUESTIONS[1]])
-            assert [(r.database, r.tables, r.score) for r in first[0]] == \
-                [(r.database, r.tables, r.score) for r in first[1]]
-            repeat = cluster.submit_many([QUESTIONS[0]])
-            assert [(r.database, r.tables, r.score) for r in repeat[0]] == \
-                [(r.database, r.tables, r.score) for r in first[0]]
+            assert first[0] == first[1]
+            assert cluster.submit_many([QUESTIONS[0]])[0] == first[0]
             stats = cluster.stats()
         # Each shard decoded 2 unique questions once; the repeat was a hit.
         for shard in stats["shards"]:
-            counters = shard["workers"][0]["counters"]
-            assert counters["routed"] == 2
-            assert counters["cache_hits"] >= 1
+            assert shard["workers"][0]["counters"] == \
+                {"requests": 4, "routed": 2, "cache_hits": 1}
         assert stats["cache_hit_rate"] > 0.0
 
-
-class TestWaveFallbacks:
-    def test_replicated_clusters_fall_back_to_the_pool_path(self, master_router):
+    def test_a_failed_wave_counts_errors_per_shard(self, master_router,
+                                                   monkeypatch):
         config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               replicas=2, wave_decode=True)
+                               escalation_threshold=None)
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("boom")
+
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
-            assert cluster.wave_engine is None
-            assert "replication" in cluster._wave_disabled_reason
-            routes = cluster.submit(QUESTIONS[0])
-            assert routes
-            stats = cluster.stats()
-        assert stats["wave"] == {"enabled": False,
-                                 "reason": cluster._wave_disabled_reason}
+            monkeypatch.setattr("repro.core.router.diverse_beam_search_batch",
+                                broken)
+            with pytest.raises(Exception, match="wave decode failed"):
+                cluster.submit_many(QUESTIONS[:3])
+            monkeypatch.undo()
+            for replica_set in cluster.shards:
+                counters = replica_set.workers[0].service.metrics.counters()
+                assert counters == {"requests": 3, "errors": 3}
+            assert cluster.submit_many(QUESTIONS[:3])
 
-    def test_checkpoint_booted_weight_copies_fall_back(self, master_router,
-                                                       tmp_path):
-        """A reloaded cluster's shard models are independent weight copies
-        (no shared trunk), so the wave engine declines and the pool path
-        serves -- transparently."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
-        with ClusterRoutingService.from_router(master_router,
-                                               config) as original:
-            save_cluster(original, tmp_path / "ckpt")
-            expected = [[(r.database, r.tables) for r in routes]
-                        for routes in original.submit_many(QUESTIONS[:4])]
-        wave_config = ClusterConfig(num_shards=2, wave_decode=True)
-        with load_cluster(tmp_path / "ckpt", config=wave_config) as restored:
-            assert restored.config.wave_decode is True
-            assert restored.wave_engine is None
-            assert restored._wave_disabled_reason
-            assert [[(r.database, r.tables) for r in routes]
-                    for routes in restored.submit_many(QUESTIONS[:4])] == expected
 
-    def test_wave_decode_off_means_no_wave_key(self, master_router):
+class TestConcurrentWaves:
+    def test_callers_and_a_live_rebalance(self, master_router, workload):
+        """8 threads x ``submit_many`` while a database moves between shards:
+        every call settles, a pass made after the move answers exactly like
+        a serial run on an identically rebalanced fleet, and nothing is left
+        running at ``close()``."""
         config = ClusterConfig(num_shards=2, strategy="round_robin")
-        with ClusterRoutingService.from_router(master_router,
-                                               config) as cluster:
-            cluster.submit(QUESTIONS[0])
-            assert "wave" not in cluster.stats()
+        distinct = list(dict.fromkeys(workload))
+        chunks = [distinct[slot::8][:16] for slot in range(8)]
+        with ClusterRoutingService.from_router(master_router, config) as serial:
+            moved = serial.assignment.shards[0][0]
+            ClusterRebalancer(serial).move_database(moved, 1)
+            expected = [_serve(serial, chunk) for chunk in chunks]
+
+        threads_before = set(threading.enumerate())
+        cluster = ClusterRoutingService.from_router(master_router, config)
+        warmed = threading.Semaphore(0)
+        moved_event = threading.Event()
+        finals: list = [None] * len(chunks)
+        failures: list[BaseException] = []
+
+        def caller(slot: int) -> None:
+            try:
+                first = True
+                while True:
+                    after_move = moved_event.is_set()
+                    replies = _serve(cluster, chunks[slot])
+                    assert len(replies) == len(chunks[slot])
+                    assert all(isinstance(routes, list) for routes in replies)
+                    if first:
+                        warmed.release()
+                        first = False
+                    if after_move:
+                        finals[slot] = replies
+                        return
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+                warmed.release()
+
+        callers = [threading.Thread(target=caller, args=(slot,))
+                   for slot in range(len(chunks))]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)      # interleave the callers finely
+        try:
+            for thread in callers:
+                thread.start()
+            assert all(warmed.acquire(timeout=120) for _ in callers)
+            ClusterRebalancer(cluster).move_database(moved, 1)   # mid-traffic
+            moved_event.set()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            moved_event.set()
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert not failures, failures
+        assert cluster.stats()["wave"]["enabled"] is True
+        cluster.close()
+        assert finals == expected
+        assert set(threading.enumerate()) <= threads_before
 
 
 class TestDirectSubmitWithoutTimeout:
