@@ -25,8 +25,9 @@ def pytest_addoption(parser):
     parser.addoption(
         "--wave-decode", action="store_true", default=False,
         help="run bench_cluster_scaling's checkpoint-booted throughput "
-             "cluster over shard-sliced vocabularies (inproc backend only) and "
-             "gate its wave decode against the vectorized monolith")
+             "cluster as a fast-backend fleet over shard-sliced vocabularies "
+             "(inproc backend only); gates the wave's 1.5x speedup over the "
+             "vectorized monolith")
     parser.addoption(
         "--pipelined", action="store_true", default=False,
         help="run bench_cluster_scaling's pipelined-transport comparison "

@@ -206,22 +206,19 @@ def _project_inproc_workers(shard_path: Path, entry: dict, config: ClusterConfig
     """
     saved = load_manifest(shard_path)
     try:
-        workers = [
-            ShardWorker.from_projection(
-                entry["shard_id"], tuple(entry["databases"]), master,
-                serving_config=config.serving_config(),
-                num_beams=saved["router_config"]["num_beams"],
-                beam_groups=saved["router_config"]["beam_groups"],
-                escalation_num_beams=config.escalation_beams_for(master),
-                sliced_vocabulary="vocabulary_slice" in saved,
-                checkpoint_dir=shard_path)
-            for _ in range(config.replicas)
-        ]
+        worker = ShardWorker.from_projection(
+            entry["shard_id"], tuple(entry["databases"]), master,
+            serving_config=config.serving_config(),
+            num_beams=saved["router_config"]["num_beams"],
+            beam_groups=saved["router_config"]["beam_groups"],
+            escalation_num_beams=config.escalation_beams_for(master),
+            sliced_vocabulary="vocabulary_slice" in saved,
+            checkpoint_dir=shard_path)
     except (KeyError, ValueError) as error:
         raise CheckpointError(f"shard {entry['shard_id']} checkpoint is not a "
                               f"projection of the master: {error}") from error
-    verify_router_checkpoint(shard_path, workers[0].router)
-    return workers
+    verify_router_checkpoint(shard_path, worker.router)
+    return [worker] + [worker.replica() for _ in range(config.replicas - 1)]
 
 
 def _saved_config(payload: dict) -> ClusterConfig:

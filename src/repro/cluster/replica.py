@@ -110,15 +110,12 @@ class ReplicaSet:
             except Exception as error:
                 last_error = error
                 all_timed_out = all_timed_out and isinstance(error, ShardTimeoutError)
-                with self._lock:
-                    replica.failures += 1
-                    replica.quarantined_until = self._clock() + self.quarantine_seconds
-                    if position + 1 < len(attempts):
+                self._settle(replica, ok=False)
+                if position + 1 < len(attempts):
+                    with self._lock:
                         self.failovers += 1
                 continue
-            with self._lock:
-                replica.successes += 1
-                replica.quarantined_until = 0.0
+            self._settle(replica, ok=True)
             return result
         # Preserve the failure class through the replica layer: when every
         # replica timed out the dispatcher should count a shard *timeout*
@@ -127,6 +124,20 @@ class ReplicaSet:
         raise error_class(
             f"all {len(attempts)} replicas of shard {self.shard_id} failed"
         ) from last_error
+
+    def _settle(self, replica: _ReplicaState, ok: bool) -> None:
+        with self._lock:
+            if ok:
+                replica.successes += 1
+                replica.quarantined_until = 0.0
+            else:
+                replica.failures += 1
+                replica.quarantined_until = self._clock() + self.quarantine_seconds
+
+    def note_attempt(self, ok: bool) -> None:
+        """Settle an unreplicated set's counters and quarantine for a call
+        made outside :meth:`route_batch` (the wave engine's stacked decode)."""
+        self._settle(self._replicas[0], ok)
 
     # -- rebalance / lifecycle ----------------------------------------------
     def set_databases(self, databases: tuple[str, ...], master) -> None:

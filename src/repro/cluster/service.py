@@ -245,7 +245,7 @@ class ClusterRoutingService:
         if not all(isinstance(worker, ShardWorker) for worker in workers):
             return None, "shard workers are not inproc"
         try:
-            return ClusterWaveEngine(workers), None
+            return ClusterWaveEngine(workers, replica_sets=self._shards), None
         except ValueError as error:
             # Hand-assembled workers that are not projections of one master.
             return None, str(error)
@@ -306,14 +306,13 @@ class ClusterRoutingService:
         escalation_beams = config.escalation_beams_for(master)
         shards = []
         for shard_id, databases in enumerate(assignment.shards):
-            workers = [
-                ShardWorker.from_projection(shard_id, databases, master,
-                                            serving_config=config.serving_config(),
-                                            num_beams=beams, beam_groups=groups,
-                                            escalation_num_beams=escalation_beams,
-                                            sliced_vocabulary=config.sliced_vocabulary)
-                for _ in range(config.replicas)
-            ]
+            workers = [ShardWorker.from_projection(
+                shard_id, databases, master,
+                serving_config=config.serving_config(),
+                num_beams=beams, beam_groups=groups,
+                escalation_num_beams=escalation_beams,
+                sliced_vocabulary=config.sliced_vocabulary)]
+            workers += [workers[0].replica() for _ in range(config.replicas - 1)]
             shards.append(ReplicaSet(
                 shard_id, workers,
                 quarantine_seconds=config.quarantine_seconds,

@@ -7,7 +7,10 @@ per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
 question of a single :func:`repro.core.router.beam_search_wave` call over a
 :class:`repro.nn.seq2seq.WaveDecodeKernel`, tagged with its shard index so
 per-shard constraint masks and vocabulary slices stay exactly as they are on
-the pool path.  With sliced vocabularies the kernel decodes in
+the pool path.  The kernel steps in the numerics the fleet's
+``RouterConfig.decode_backend`` promises: the exact kernel's by default (a
+question gets the same doubles in every wave, and from the pool path), flat
+GEMMs under ``"fast"``.  With sliced vocabularies the kernel decodes in
 calibrated-head mode: one master-width output GEMM per step, log-softmax over
 the *master* vocabulary, each shard's kept columns gathered into its grid
 slots -- so search prunes exactly as a master-head decode restricted to the
@@ -47,7 +50,8 @@ from repro.obs import maybe_span
 #: grid has one (groups, slots) shape and one step budget for all rows.
 _UNIFORM_FIELDS = ("num_beams", "beam_groups", "diverse_beam",
                    "diversity_penalty", "max_source_length",
-                   "max_decode_length", "constrained_decoding")
+                   "max_decode_length", "constrained_decoding",
+                   "decode_backend")
 
 
 class _WaveTier:
@@ -84,10 +88,13 @@ class _WaveTier:
         # Validates that every shard model shares the master trunk by
         # reference and that any vocabulary slices share one master head --
         # in which case the kernel decodes in calibrated-head mode and emits
-        # exact master-vocabulary scores with no post-hoc rescoring.
+        # exact master-vocabulary scores with no post-hoc rescoring.  The
+        # routers' decode backend picks the numerics, as it does on the pool
+        # path: flat GEMMs only where ``"fast"`` already tolerates drift.
         self.kernel = WaveDecodeKernel(
             [router.model for router in self.routers],
-            [router.vocabulary_slice for router in self.routers])
+            [router.vocabulary_slice for router in self.routers],
+            row_stable=base.config.decode_backend != "fast")
         self.max_source_length = base.config.max_source_length
         self.pad_id = base.source_vocabulary.pad_id
         self.source_tokenizer = WordTokenizer(base.source_vocabulary)
@@ -96,10 +103,13 @@ class _WaveTier:
 class ClusterWaveEngine:
     """Decodes whole scatter waves through one stacked kernel stream."""
 
-    def __init__(self, workers: Sequence) -> None:
+    def __init__(self, workers: Sequence, replica_sets: Sequence = ()) -> None:
         if not workers:
             raise ValueError("a wave engine needs at least one shard worker")
         self.workers = list(workers)
+        #: The workers' (single-replica) sets: a wave settles their success /
+        #: failure counters like one pool-path call per shard would.
+        self.replica_sets = list(replica_sets)
         self.has_careful_tier = all(worker.careful_service is not None
                                     for worker in self.workers)
         self._tiers: dict[bool, _WaveTier] = {}
@@ -157,13 +167,14 @@ class ClusterWaveEngine:
         first_index: dict[str, int] = {}
         for index, question in enumerate(questions):
             first_index.setdefault(question, index)
+        started = time.monotonic()  # lock wait counts, as on the pool path
         with self._locked_tier(use_careful) as tier:
-            started = time.monotonic()
             # Per-shard cache consult, mirroring RoutingService.submit_many
             # (same counters, same cache variant keying): one probe and one
             # counter bump per shard, not per question.
             results: list[list] = []
             variants: list[int | None] = []
+            misses_per_shard: list[int] = []
             pending_per_shard: list[list[int]] = []
             for service in tier.services:
                 service.metrics.increment("requests", count)
@@ -176,6 +187,7 @@ class ClusterWaveEngine:
                     service.metrics.increment("cache_hits", count - len(misses))
                 results.append(cached)
                 variants.append(variant)
+                misses_per_shard.append(len(misses))
                 pending_per_shard.append(
                     [index for index in misses
                      if first_index[questions[index]] == index])
@@ -186,8 +198,9 @@ class ClusterWaveEngine:
                         tier, questions, pending_per_shard, variants, results,
                         stats, trace.scoped(span) if span is not None else None)
                 except BaseException:
-                    for service, pending in zip(tier.services, pending_per_shard):
-                        service.metrics.increment("errors", len(pending))
+                    for service, missed in zip(tier.services, misses_per_shard):
+                        service.metrics.increment("errors", missed)
+                    self._note_replicas(ok=False)
                     raise
             for service, variant, shard_results, pending in zip(
                     tier.services, variants, results, pending_per_shard):
@@ -204,6 +217,7 @@ class ClusterWaveEngine:
             elapsed = time.monotonic() - started
             for service in tier.services:
                 service.metrics.observe_latency(elapsed / max(count, 1), count=count)
+        self._note_replicas(ok=True)
         self._note_wave(stats, count, use_careful)
         return results
 
@@ -249,6 +263,10 @@ class ClusterWaveEngine:
                         next(rows), max_candidates=variants[shard])
 
     # -- introspection -------------------------------------------------------
+    def _note_replicas(self, ok: bool) -> None:
+        for replica_set in self.replica_sets:
+            replica_set.note_attempt(ok)
+
     def _note_wave(self, stats: dict, num_questions: int, careful: bool) -> None:
         per_tag = stats.get("per_tag", {})
         with self._stats_lock:

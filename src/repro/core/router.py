@@ -74,8 +74,8 @@ class RouterConfig:
     #: (:meth:`repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`),
     #: trading bit-identity for tolerance-checked agreement and the highest
     #: throughput.  The knob round-trips through router and cluster
-    #: checkpoints, so serving fleets and shard workers ride whichever tier
-    #: the checkpoint was saved with.
+    #: checkpoints, so serving fleets, shard workers and the inproc cluster's
+    #: stacked wave decode ride whichever tier the checkpoint was saved with.
     decode_backend: str = "vectorized"
     seed: int = 0
 
@@ -233,7 +233,7 @@ def beam_search_wave(kernel, routers: "Sequence[SchemaRouter]", tags: Sequence[i
             diversity_penalty=diversity_penalty,
             max_length=config.max_decode_length,
             constraint=[constraints[tag] for tag in tags],
-            kernel="fast", stats=stats, question_tags=tags)
+            stats=stats, question_tags=tags)
         if span is not None:
             hits, misses = _mask_cache_counts(constraints)
             span.annotate(steps=stats.get("steps", 0),

@@ -400,15 +400,17 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
     ``beam_rows`` (active rows advanced across all steps); the fast tier
     additionally counts ``questions_compacted``.
 
-    The fast tier additionally accepts the cluster wave form: ``constraint``
-    may be a *sequence* of per-question constraints (each ``None`` or
-    incremental-protocol), and ``question_tags`` labels each question with
-    an integer shard tag that is forwarded to the kernel (see
-    :class:`~repro.nn.seq2seq.WaveDecodeKernel`) and broken out in
-    ``stats["per_tag"]``.  Neither is supported by the exact kernel.
+    The slot-dense engine additionally accepts the cluster wave form:
+    ``constraint`` may be a *sequence* of per-question constraints (each
+    ``None`` or incremental-protocol), and ``question_tags`` labels each
+    question with an integer shard tag that is forwarded to the kernel and
+    broken out in ``stats["per_tag"]``.  A tagged search always runs on that
+    engine, whatever ``kernel`` says: ``model`` is then a
+    :class:`~repro.nn.seq2seq.WaveDecodeKernel`, and its ``row_stable``
+    decides the numerics (exact by default).
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
-    if kernel == "fast":
+    if kernel == "fast" or question_tags is not None:
         return _diverse_beam_search_batch_dense(
             model, encoded_batch, bos_id, eos_id,
             num_beams=num_beams, num_groups=num_groups,
@@ -417,10 +419,9 @@ def diverse_beam_search_batch(model: Seq2SeqModel, encoded_batch: "list[EncodedS
             question_tags=question_tags)
     if kernel != "exact":
         raise ValueError(f"kernel must be 'exact' or 'fast', got {kernel!r}")
-    if question_tags is not None:
-        raise ValueError("question_tags requires kernel='fast'")
     if isinstance(constraint, (list, tuple)):
-        raise ValueError("per-question constraints require kernel='fast'")
+        raise ValueError("per-question constraints require kernel='fast' "
+                         "or question_tags")
     num_questions = len(encoded_batch)
     if num_questions == 0:
         return []
@@ -701,9 +702,12 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
     organised for throughput instead of bit-exactness:
 
     * every ``(question, group, slot)`` of the beam grid advances through
-      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`
-      each step -- flat GEMMs over all ``Q*G*B`` slots, batched per-question
-      attention -- with states, previous tokens, and constraint masks kept
+      ``model.dense_step`` each step (for a model,
+      :meth:`~repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`:
+      flat GEMMs over all ``Q*G*B`` slots, batched per-question attention;
+      ``model.dense_input_table()`` is fetched once per search and
+      ``model.dense_memory(...)`` once per search and per compaction) -- with
+      states, previous tokens, and constraint masks kept
       *resident* in preallocated arrays, so steps perform no row gathers and
       no stacking; finished or unused slots ride along (their outputs are
       simply never read) rather than being compacted away;
@@ -725,10 +729,11 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
     entry per question -- each ``None`` or incremental-protocol (the prefix-
     walk fallback stays scalar-only) -- and ``question_tags`` labels each
     question with an integer shard tag.  Tags ride through compaction, are
-    handed to the kernel's ``tags`` parameter each step (the wave kernel
-    gathers per-shard embedding rows and per-shard head columns -- and, unlike
-    the model's fast kernel, keeps the exact kernel's row-stable numerics),
-    and split the decode counters into ``stats["per_tag"]``.
+    handed to the kernel's ``tags`` parameter each step (``model`` is then a
+    :class:`~repro.nn.seq2seq.WaveDecodeKernel`: per-shard table rows and
+    head columns, and -- unless built with ``row_stable=False`` -- the exact
+    kernel's row-stable numerics instead of flat GEMMs), and split the decode
+    counters into ``stats["per_tag"]``.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     num_questions = len(encoded_batch)
@@ -778,8 +783,8 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
     group_index3 = np.arange(num_groups)[:, None, None]         # (G, 1, 1)
     question_index_mid = np.arange(num_questions)[None, :, None]  # (1, Q, 1)
     beam_index_last = beam_arange[None, None, :]                  # (1, 1, B)
-    input_table = model.fast_input_table()
-    memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))    # (Q, h, T)
+    input_table = model.dense_input_table()
+    resident = model.dense_memory(memory, memory_mask, slots)
 
     # Constraint plumbing.  The scalar form keeps both paths (incremental
     # protocol or prefix-walk fallback); the per-question sequence form (the
@@ -905,7 +910,7 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
                 tag_array = tag_array[kept]
             memory = memory[kept]
             memory_mask = memory_mask[kept]
-            memory_t = np.ascontiguousarray(memory_t[kept])
+            resident = model.dense_memory(memory, memory_mask, slots)
             tokens = tokens[kept]
             lengths = lengths[kept]
             scores = scores[kept]
@@ -971,17 +976,13 @@ def _diverse_beam_search_batch_dense(model: Seq2SeqModel,
             bos_id)
         steps += 1
         beam_rows += num_questions * slots
-        if tag_array is None:
-            log_probabilities, step_states = model.decode_step_numpy_batch_fast(
-                memory, memory_mask, flat_states, previous,
-                input_table=input_table, memory_t=memory_t)
-        else:
-            resident = np.bincount(tag_array, minlength=num_tags)
-            tag_beam_rows += resident * slots
-            tag_steps += resident > 0
-            log_probabilities, step_states = model.decode_step_numpy_batch_fast(
-                memory, memory_mask, flat_states, previous,
-                input_table=input_table, memory_t=memory_t, tags=tag_array)
+        if tag_array is not None:
+            tagged = np.bincount(tag_array, minlength=num_tags)
+            tag_beam_rows += tagged * slots
+            tag_steps += tagged > 0
+        log_probabilities, step_states = model.dense_step(
+            memory, memory_mask, flat_states, previous, input_table, resident,
+            tags=tag_array)
         log_probabilities = log_probabilities.reshape(shape + (vocab_size,))
         if masked:
             log_probabilities = np.where(row_masks, log_probabilities, -np.inf)

@@ -256,8 +256,8 @@ class Seq2SeqModel(Module):
         combined, new_states = self.decode_trunk_numpy_batch(
             self.target_embedding.weight.data[previous_ids], memory, memory_mask,
             states, augmented_memory)
-        return (row_stable_log_softmax(combined, self.output_projection.weight.data,
-                                       self.output_projection.bias.data), new_states)
+        return (head_log_softmax(combined, self.output_projection.weight.data,
+                                 self.output_projection.bias.data), new_states)
 
     def decode_trunk_numpy_batch(self, previous_embedded: np.ndarray,
                                  memory: np.ndarray, memory_mask: np.ndarray,
@@ -340,15 +340,30 @@ class Seq2SeqModel(Module):
         C-contiguous ``(Q, h, T)`` transpose of ``memory``; hot callers
         compute both once per decode, and they are rebuilt here when absent.
         """
-        questions, slots, hidden = states.shape
-        flat_states = states.reshape(questions * slots, hidden)
         if input_table is None:
             input_table = self.fast_input_table()
         if memory_t is None:
             memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
+        combined, new_states = self.decode_trunk_numpy_batch_fast(
+            input_table[previous_ids.reshape(-1)], memory, memory_mask, states, memory_t)
+        log_probabilities = head_log_softmax(
+            combined, self.output_projection.weight.data,
+            self.output_projection.bias.data, row_stable=False)
+        return (log_probabilities.reshape(states.shape[:2] + (-1,)), new_states)
+
+    def decode_trunk_numpy_batch_fast(self, previous_inputs: np.ndarray,
+                                      memory: np.ndarray, memory_mask: np.ndarray,
+                                      states: np.ndarray, memory_t: np.ndarray
+                                      ) -> tuple[np.ndarray, np.ndarray]:
+        """The fast kernel up to the output head: ``(Q*S, h)`` gathered
+        :meth:`fast_input_table` rows in, (pre-head activations ``(Q*S, h)``,
+        new states ``(Q, S, h)``) out; :class:`WaveDecodeKernel` gathers from
+        per-shard tables and puts other heads on the same trunk."""
+        questions, slots, hidden = states.shape
         new_states = np.tanh(
-            input_table[previous_ids.reshape(-1)]
-            + flat_states @ self.recurrent_projection.weight.data)              # (Q*S, h)
+            previous_inputs
+            + states.reshape(questions * slots, hidden)
+            @ self.recurrent_projection.weight.data)                            # (Q*S, h)
         states3 = new_states.reshape(questions, slots, hidden)
 
         scores = np.matmul(states3, memory_t)                                   # (Q, S, T)
@@ -368,21 +383,37 @@ class Seq2SeqModel(Module):
             np.concatenate([new_states, context.reshape(-1, hidden)], axis=1)
             @ self.combine_projection.weight.data
             + self.combine_projection.bias.data)                                # (Q*S, h)
-        logits = combined @ self.output_projection.weight.data \
-            + self.output_projection.bias.data                                  # (Q*S, V)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        log_probabilities = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return (log_probabilities.reshape(questions, slots, -1), states3)
+        return combined, states3
+
+    # The slot-dense engine's kernel protocol (``WaveDecodeKernel`` speaks it
+    # too): a per-search previous-token table, a resident memory operand the
+    # engine rebuilds whenever compaction shrinks ``memory``, and the step.
+    dense_input_table = fast_input_table
+
+    @staticmethod
+    def dense_memory(memory: np.ndarray, memory_mask: np.ndarray,
+                     slots: int) -> np.ndarray:
+        return np.ascontiguousarray(memory.transpose(0, 2, 1))                  # (Q, h, T)
+
+    def dense_step(self, memory: np.ndarray, memory_mask: np.ndarray,
+                   states: np.ndarray, previous_ids: np.ndarray,
+                   input_table: np.ndarray, resident: np.ndarray,
+                   tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        return self.decode_step_numpy_batch_fast(
+            memory, memory_mask, states, previous_ids,
+            input_table=input_table, memory_t=resident)
 
 
-def row_stable_log_softmax(combined: np.ndarray, weight: np.ndarray,
-                           bias: np.ndarray) -> np.ndarray:
+def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                     row_stable: bool = True) -> np.ndarray:
     """``log_softmax(combined @ weight + bias)`` per row, ``(R, h) -> (R, V)``.
 
-    Row-stable like the rest of the exact kernel: the projection runs as
-    stacked ``(R, 1, h) @ (h, V)`` matmuls, so a row's doubles do not depend
-    on which other rows share the call."""
-    logits = np.matmul(combined[:, None, :], weight)[:, 0, :] + bias
+    ``row_stable`` (the exact kernel) runs the projection as stacked
+    ``(R, 1, h) @ (h, V)`` matmuls, so a row's doubles do not depend on which
+    other rows share the call; the fast kernel's flat GEMM does not promise
+    that."""
+    logits = (np.matmul(combined[:, None, :], weight)[:, 0, :] if row_stable
+              else combined @ weight) + bias
     logits = logits - logits.max(axis=1, keepdims=True)
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
@@ -489,29 +520,33 @@ def rescore_token_sequences(model: "Seq2SeqModel",
 class WaveDecodeKernel:
     """One decode stream over several shard models of one trunk.
 
-    Duck-types the slice of :class:`Seq2SeqModel` the slot-dense decode
-    engine touches (``config``, :meth:`fast_input_table`,
-    :meth:`decode_step_numpy_batch_fast`), batching every shard's beams of a
-    scatter wave into one step call.  All shard models must share the trunk
-    modules by reference (they do: :func:`repro.cluster.shard.project_router`
-    either reuses the master model outright or shares its trunk into a
-    sliced twin); only the target embedding / output head may differ per
-    shard.  Each question row carries a shard ``tag``; the previous-token
-    gather indexes a stacked per-shard embedding table, and the output head
-    is the master's: shared outright by unsliced shards, or -- calibrated-head
-    mode, every shard a slice of one master head -- normalized over the
-    *master* vocabulary with each shard's kept columns gathered into a
-    ``-inf``-padded common-width grid, so the engine's top-k machinery is
-    untouched and emitted scores are exact master-vocabulary scores.
+    Speaks the slot-dense engine's kernel protocol (``config``,
+    :meth:`dense_input_table`, :meth:`dense_memory`, :meth:`dense_step`),
+    batching every shard's beams of a scatter wave into one step call.  All
+    shard models must share the trunk modules by reference (they do:
+    :func:`repro.cluster.shard.project_router` either reuses the master model
+    outright or shares its trunk into a sliced twin); only the target
+    embedding / output head may differ per shard.  Each question row carries
+    a shard ``tag``; the previous-token gather indexes a stacked per-shard
+    table, and the output head is the master's: shared outright by unsliced
+    shards, or -- calibrated-head mode, every shard a slice of one master
+    head -- normalized over the *master* vocabulary with each shard's kept
+    columns gathered into a ``-inf``-padded common-width grid, so the
+    engine's top-k machinery is untouched and emitted scores are exact
+    master-vocabulary scores.
 
-    Despite the method name the engine dictates, a step runs the *exact*
-    kernel's numerics (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a
-    (shard, question) row decodes to the same doubles whatever else shares
-    its wave -- other questions, other shards, cache hits thinning the stack,
-    longer neighbours padding ``T`` -- so a cluster answers a question
-    identically in every wave, bit for bit the pool path's answer for
-    unsliced shards.  The wave's gain is one step loop for the whole fleet,
-    not flat GEMMs.
+    ``row_stable`` picks the numerics, like ``RouterConfig.decode_backend``
+    does for one router.  True (the default) steps through the *exact*
+    kernel (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a (shard,
+    question) row decodes to the same doubles whatever else shares its wave
+    -- other questions, other shards, cache hits thinning the stack, longer
+    neighbours padding ``T`` -- so a cluster answers a question identically
+    in every wave, bit for bit the pool path's answer for unsliced shards;
+    the gain is one step loop for the whole fleet.  False steps through the
+    fast kernel's flat GEMMs (:meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`)
+    -- measured ~1.4x the exact wave's questions/s -- under the ``fast``
+    backend's contract: scores may drift in the last ulps with wave
+    composition.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
@@ -519,11 +554,12 @@ class WaveDecodeKernel:
                       "combine_projection")
 
     def __init__(self, models: list[Seq2SeqModel] | tuple[Seq2SeqModel, ...],
-                 vocabulary_slices: Sequence[VocabularySlice | None] | None = None
-                 ) -> None:
+                 vocabulary_slices: Sequence[VocabularySlice | None] | None = None,
+                 row_stable: bool = True) -> None:
         if not models:
             raise ValueError("a wave kernel needs at least one shard model")
         self.models = list(models)
+        self.row_stable = row_stable
         base = self.models[0]
         for model in self.models[1:]:
             for attribute in self._TRUNK_MODULES:
@@ -556,30 +592,40 @@ class WaveDecodeKernel:
                 "wave decode requires shards that all decode the master head "
                 "or all slice one shared master head")
 
-    def fast_input_table(self) -> np.ndarray:
-        """Per-shard target embeddings, stacked ``(K * Vmax, d)``.
+    def dense_input_table(self) -> np.ndarray:
+        """Per-shard previous-token tables, stacked ``(K * Vmax, ·)``: target
+        embeddings when ``row_stable``, fused :meth:`Seq2SeqModel.fast_input_table`
+        rows otherwise.
 
         Shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)``; the gather
         offset is ``tag * Vmax + previous_id``.  Pad rows stay zero and are
         never gathered (a shard's previous ids are < ``V_k``).
         """
-        table = np.zeros((len(self.models) * self.vocab_width,
-                          self.config.embedding_dim))
-        for shard, model in enumerate(self.models):
-            embedding = model.target_embedding.weight.data
+        tables = [model.target_embedding.weight.data if self.row_stable
+                  else model.fast_input_table() for model in self.models]
+        table = np.zeros((len(tables) * self.vocab_width, tables[0].shape[1]))
+        for shard, shard_table in enumerate(tables):
             start = shard * self.vocab_width
-            table[start : start + embedding.shape[0]] = embedding
+            table[start : start + shard_table.shape[0]] = shard_table
         return table
 
-    def decode_step_numpy_batch_fast(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                     states: np.ndarray, previous_ids: np.ndarray,
-                                     input_table: np.ndarray | None = None,
-                                     memory_t: np.ndarray | None = None,
-                                     tags: np.ndarray | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a shard-tagged wave: the model kernel's shapes plus
-        ``tags`` ``(Q,)`` (shard index per question row); ``memory_t`` is
-        accepted for the engine's sake and unused.
+    def dense_memory(self, memory: np.ndarray, memory_mask: np.ndarray, slots: int):
+        """What a step reads besides the grid, built once per search and per
+        compaction: the fast trunk's ``(Q, h, T)`` transpose, or the exact
+        trunk's per-beam-row ``(Q*S, T, ·)`` memory, mask and ones-augmented
+        memory."""
+        if not self.row_stable:
+            return Seq2SeqModel.dense_memory(memory, memory_mask, slots)
+        memory = np.repeat(memory, slots, axis=0)
+        return (memory, np.repeat(memory_mask, slots, axis=0),
+                np.concatenate([memory, np.ones(memory.shape[:2] + (1,))], axis=2))
+
+    def dense_step(self, memory: np.ndarray, memory_mask: np.ndarray,
+                   states: np.ndarray, previous_ids: np.ndarray,
+                   input_table: np.ndarray, resident,
+                   tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """One step for a shard-tagged wave: :meth:`Seq2SeqModel.dense_step`'s
+        shapes plus ``tags`` ``(Q,)``, the shard index of each question row.
 
         Columns ``>= V_k`` of a shard's rows come back ``-inf``, so padded
         vocabulary slots can never win a top-k.
@@ -587,17 +633,17 @@ class WaveDecodeKernel:
         if tags is None:
             raise ValueError("the wave kernel needs per-question shard tags")
         questions, slots, hidden = states.shape
-        if input_table is None:
-            input_table = self.fast_input_table()
-        tags = np.asarray(tags, dtype=np.int64)
-        if slots > 1:
-            memory = np.repeat(memory, slots, axis=0)
-            memory_mask = np.repeat(memory_mask, slots, axis=0)
-        combined, new_states = self.models[0].decode_trunk_numpy_batch(
-            input_table[(previous_ids + tags[:, None] * self.vocab_width).reshape(-1)],
-            memory, memory_mask, states.reshape(questions * slots, hidden))
-        log_probabilities = row_stable_log_softmax(combined, self.head_weight,
-                                                   self.head_bias)
+        previous_inputs = input_table[
+            (previous_ids + tags[:, None] * self.vocab_width).reshape(-1)]
+        if self.row_stable:
+            combined, new_states = self.models[0].decode_trunk_numpy_batch(
+                previous_inputs, resident[0], resident[1],
+                states.reshape(questions * slots, hidden), resident[2])
+        else:
+            combined, new_states = self.models[0].decode_trunk_numpy_batch_fast(
+                previous_inputs, memory, memory_mask, states, resident)
+        log_probabilities = head_log_softmax(combined, self.head_weight,
+                                             self.head_bias, self.row_stable)
         if self.calibrated_head:
             # Normalizing over the master vocabulary is the calibration; what
             # is left per shard is a kept-column gather.

@@ -98,12 +98,15 @@ def _scores(replies) -> list[float]:
 
 
 def _shard_counters(cluster) -> list:
-    """Per shard and tier: the service counters and the cache's own tallies."""
+    """Per shard: the replica tallies and, per tier, the service counters and
+    the cache's own tallies."""
     return [
-        [(tier["counters"], {key: tier["cache"][key]
-                             for key in ("size", "hits", "misses", "invalidations")})
-         for tier in (worker, worker.get("careful")) if tier is not None]
-        for shard in cluster.stats()["shards"] for worker in shard["workers"]
+        (shard["replicas"],
+         [(tier["counters"], {key: tier["cache"][key]
+                              for key in ("size", "hits", "misses", "invalidations")})
+          for worker in shard["workers"]
+          for tier in (worker, worker.get("careful")) if tier is not None])
+        for shard in cluster.stats()["shards"]
     ]
 
 
@@ -137,6 +140,7 @@ class TestWaveAgainstPoolTwin:
                 is (escalation_threshold is not None)
             kernel = wave.wave_engine._tiers[False].kernel
             assert kernel.calibrated_head is sliced
+            assert kernel.row_stable is True
             wave_replies = _serve(wave, workload)
             pool_replies = _serve(pool, workload)
             assert _lists(wave_replies) == _lists(pool_replies)
@@ -171,6 +175,29 @@ class TestWaveAgainstPoolTwin:
                 random.Random(seed).shuffle(order)
                 assert dict(zip(order, _serve(cluster, order, wave_size))) == alone
 
+    def test_a_fast_backend_fleet_waves_through_flat_gemms(self, master_router,
+                                                           workload, tmp_path):
+        """``decode_backend="fast"`` already trades bit-identity for flat
+        GEMMs on the pool path; its wave makes the same trade and no other."""
+        fast_master = SchemaRouter(
+            graph=master_router.graph,
+            config=master_router.config.ablated(decode_backend="fast"))
+        fast_master.restore(master_router.model, master_router.source_vocabulary,
+                            master_router.target_vocabulary)
+        _checkpoint(fast_master, tmp_path / "ckpt")
+        with load_cluster(tmp_path / "ckpt") as wave, \
+                load_cluster(tmp_path / "ckpt",
+                             config=ClusterConfig(**POOL_PIN)) as pool:
+            for tier in wave.wave_engine._tiers.values():
+                assert tier.kernel.row_stable is False
+            wave_replies = _serve(wave, workload)
+            pool_replies = _serve(pool, workload)
+            assert _lists(wave_replies) == _lists(pool_replies)
+            assert _scores(wave_replies) == pytest.approx(_scores(pool_replies),
+                                                         rel=0, abs=1e-9)
+            assert wave.dispatcher.escalations == pool.dispatcher.escalations
+            assert _shard_counters(wave) == _shard_counters(pool)
+
     def test_caches_interoperate_across_paths(self, master_router, tmp_path):
         """A shard cache warmed through the pool path is hit by the wave."""
         _checkpoint(master_router, tmp_path / "ckpt", escalation_threshold=None)
@@ -203,6 +230,19 @@ class TestLoadedFleetSharesTheMasterTrunk:
                     is cluster.master_router.model.recurrent_projection
                 assert router.vocabulary_slice.output_weight is head.weight.data
                 assert router.vocabulary_slice.output_bias is head.bias.data
+
+    def test_replicas_of_a_loaded_shard_share_one_sliced_twin(self, master_router,
+                                                              tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=True)
+        with load_cluster(tmp_path / "ckpt",
+                          config=ClusterConfig(replicas=2)) as cluster:
+            for replica_set in cluster.shards:
+                first, second = (worker.router for worker in replica_set.workers)
+                assert second is not first
+                assert second.model is first.model
+                assert second.vocabulary_slice is first.vocabulary_slice
+            assert cluster.submit_many(QUESTIONS[:4]) == \
+                cluster.submit_many(QUESTIONS[:4])      # one answer per replica
 
     @staticmethod
     def _retamper_weights(shard_dir, fix_checksum: bool) -> None:
@@ -383,13 +423,20 @@ class TestWaveBookkeeping:
                                                config) as cluster:
             monkeypatch.setattr("repro.core.router.diverse_beam_search_batch",
                                 broken)
+            # Errors count every cache miss, within-wave repeats included,
+            # and the failure lands on the replica like a failed pool call.
             with pytest.raises(Exception, match="wave decode failed"):
-                cluster.submit_many(QUESTIONS[:3])
+                cluster.submit_many(QUESTIONS[:3] + QUESTIONS[:1])
             monkeypatch.undo()
             for replica_set in cluster.shards:
                 counters = replica_set.workers[0].service.metrics.counters()
-                assert counters == {"requests": 3, "errors": 3}
+                assert counters == {"requests": 4, "errors": 4}
+                (replica,) = replica_set.stats()["replicas"]
+                assert (replica["successes"], replica["failures"]) == (0, 1)
             assert cluster.submit_many(QUESTIONS[:3])
+            for replica_set in cluster.shards:
+                (replica,) = replica_set.stats()["replicas"]
+                assert (replica["successes"], replica["quarantined"]) == (1, False)
 
 
 class TestConcurrentWaves:
