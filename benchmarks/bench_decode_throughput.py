@@ -1,11 +1,11 @@
 """Decode throughput: the three decode backends over the routing hot path.
 
 Routes the same seeded workload through the same trained router once per
-backend -- ``loop`` (the per-beam reference path), ``vectorized`` (the
-stacked bit-exact engine with incremental constraint states), and ``fast``
-(the slot-dense flat-GEMM tier) -- in micro-batches of ``DECODE_BATCH``
-questions.  ``--decode-backends`` (see ``benchmarks/conftest.py``) narrows
-the sweep; ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke
+backend -- ``loop`` (the per-beam reference search, the oracle) and the one
+batched grid engine under its two kernel numerics, ``vectorized``
+(row-stable, bit-exact) and ``fast`` (flat GEMMs) -- in micro-batches of
+``DECODE_BATCH`` questions.  ``--decode-backends`` (see
+``benchmarks/conftest.py``) narrows the sweep; ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke
 lanes.  Each backend is timed as the best of ``ROUNDS`` full passes, with
 rounds *interleaved* across backends so noisy-neighbour windows on a shared
 runner bias every backend equally instead of whichever was on the clock.
@@ -18,6 +18,12 @@ the CI bench-smoke lane to scrape, and asserts the tier contracts:
   score keys) at >= 2x its questions/sec;
 * ``fast`` must hold seeded top-1 agreement >= 0.99 against ``vectorized``
   at >= 1.5x its questions/sec (the flat-GEMM tier gate).
+
+It also records, ungated, the ``vectorized`` questions/sec of the two grid
+shapes deployments live on (``grid_1x1_questions_per_sec``: a cluster shard's
+budget, where the engine's per-step constant is most of the work;
+``grid_10x10_questions_per_sec``: the paper's), so that constant is visible
+per commit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ DECODE_BATCH = 8
 #: Timed passes per backend; speedup gates use the median of the per-round
 #: paired ratios and the table reports each backend's best pass.
 ROUNDS = 5
+#: (num_beams, beam_groups) of the grids recorded ungated beside the sweep.
+GRIDS = {"1x1": (1, 1), "10x10": (10, 10)}
 #: ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke lanes.
 NUM_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "200"))
 
@@ -46,9 +54,9 @@ def _top1(routes) -> str | None:
     return routes[0].database if routes else None
 
 
-def _clone_with_backend(router: SchemaRouter, backend: str) -> SchemaRouter:
+def _clone(router: SchemaRouter, **config_changes) -> SchemaRouter:
     clone = SchemaRouter(graph=router.graph,
-                         config=router.config.ablated(decode_backend=backend))
+                         config=router.config.ablated(**config_changes))
     clone.restore(router.model, router.source_vocabulary, router.target_vocabulary,
                   router.training_losses)
     return clone
@@ -68,7 +76,8 @@ def test_decode_throughput(benchmark, spider_context, decode_backends):
     batches = [workload[start:start + DECODE_BATCH]
                for start in range(0, len(workload), DECODE_BATCH)]
 
-    routers = {backend: _clone_with_backend(spider_context.copilot.router, backend)
+    routers = {backend: _clone(spider_context.copilot.router,
+                               decode_backend=backend)
                for backend in decode_backends}
     # Warm every router (constraint tries, mask caches, parse memos) so the
     # timed passes compare the engines, not first-touch setup.
@@ -158,6 +167,12 @@ def test_decode_throughput(benchmark, spider_context, decode_backends):
             median_speedup("fast", "vectorized"), 2)
         summary["fast_top1_agreement_vs_vectorized"] = round(
             top1_agreement("fast", "vectorized"), 4)
+    for grid, (num_beams, beam_groups) in GRIDS.items():
+        router = _clone(spider_context.copilot.router, decode_backend="vectorized",
+                        num_beams=num_beams, beam_groups=beam_groups)
+        router.route_batch(batches[0])
+        seconds = min(_one_pass(router, batches)[0] for _ in range(ROUNDS))
+        summary[f"grid_{grid}_questions_per_sec"] = round(len(workload) / seconds, 1)
     print("DECODE_SUMMARY " + json.dumps(summary, sort_keys=True))
 
     # Tier contracts (see the module docstring), gated on the *unrounded*

@@ -5,7 +5,7 @@ an inproc fleet of K shards pays K separate decode loops (and K thread hops)
 per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
 *one* slot-dense decode: each (shard, pending-question) pair becomes a virtual
 question of a single :func:`repro.core.router.beam_search_wave` call over a
-:class:`repro.nn.seq2seq.WaveDecodeKernel`, tagged with its shard index so
+:class:`repro.nn.seq2seq.DecodeKernel`, tagged with its shard index so
 per-shard constraint masks and vocabulary slices stay exactly as they are on
 the pool path.  The kernel steps in the numerics the fleet's
 ``RouterConfig.decode_backend`` promises: the exact kernel's by default (a
@@ -42,7 +42,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Iterator, Sequence
 
 from repro.core.router import SchemaRoute, SchemaRouter, beam_search_wave
-from repro.nn.seq2seq import WaveDecodeKernel
+from repro.nn.seq2seq import DecodeKernel
 from repro.nn.tokenizer import WordTokenizer
 from repro.obs import maybe_span
 
@@ -59,7 +59,7 @@ class _WaveTier:
 
     Holds the per-shard serving objects (for caches and counters), the
     routers (for constraints, calibration, and parsing), and the
-    :class:`WaveDecodeKernel` that decodes all of them at once.  Built
+    :class:`DecodeKernel` that decodes all of them at once.  Built
     against a snapshot of each service's current router; the engine rebuilds
     a tier whenever a rebalance swapped a router out from under it.
     """
@@ -91,7 +91,7 @@ class _WaveTier:
         # exact master-vocabulary scores with no post-hoc rescoring.  The
         # routers' decode backend picks the numerics, as it does on the pool
         # path: flat GEMMs only where ``"fast"`` already tolerates drift.
-        self.kernel = WaveDecodeKernel(
+        self.kernel = DecodeKernel(
             [router.model for router in self.routers],
             [router.vocabulary_slice for router in self.routers],
             row_stable=base.config.decode_backend != "fast")
@@ -244,8 +244,9 @@ class ClusterWaveEngine:
                 for _ in pending]
         encoded = [encoded_of[index] for pending in pending_per_shard
                    for index in pending]
-        hypotheses_batch = beam_search_wave(tier.kernel, tier.routers, tags,
-                                            encoded, trace=trace, stats=stats)
+        hypotheses_batch = beam_search_wave(
+            tier.kernel, tier.routers, tags, encoded,
+            traces=() if trace is None else (trace,), stats=stats)
         # Sliced shards come out of the kernel's calibrated-head decode with
         # exact master-vocabulary scores already, so rescore_hypotheses only
         # replays the (rare) greedy fallbacks.

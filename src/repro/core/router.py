@@ -29,6 +29,7 @@ from repro.nn.decoding import (
     greedy_decode,
 )
 from repro.nn.seq2seq import (
+    DecodeKernel,
     EncodedSource,
     Seq2SeqConfig,
     Seq2SeqModel,
@@ -36,7 +37,7 @@ from repro.nn.seq2seq import (
     rescore_token_sequences,
 )
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
-from repro.obs.trace import distinct_traces, maybe_span, stage_spans
+from repro.obs.trace import distinct_traces, stage_spans
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
 from repro.retrieval.base import CandidateSchema, RankedTable, RoutingPrediction
 from repro.utils.rng import SeededRng
@@ -66,13 +67,13 @@ class RouterConfig:
     serialization: str = "dfs"
     constrained_decoding: bool = True
     diverse_beam: bool = True
-    #: Decode tier.  "vectorized" (default) decodes every question of a batch
-    #: through the stacked beam engine with the bit-exact kernel; "loop" keeps
-    #: the per-beam reference path (bit-identical to "vectorized" -- the pair
-    #: exists for differential testing and as an escape hatch); "fast" runs
-    #: the same batched search over the flat-GEMM kernel
-    #: (:meth:`repro.nn.seq2seq.Seq2SeqModel.decode_step_numpy_batch_fast`),
-    #: trading bit-identity for tolerance-checked agreement and the highest
+    #: Decode tier.  "loop" is the per-beam reference search, the oracle.
+    #: "vectorized" (default) and "fast" decode every question of a batch
+    #: through the one batched grid engine
+    #: (:func:`repro.nn.decoding.diverse_beam_search_batch`) and differ only
+    #: in its kernel's numerics (:class:`repro.nn.seq2seq.DecodeKernel`):
+    #: row-stable, bit-identical to "loop" -- or flat GEMMs, trading
+    #: bit-identity for tolerance-checked agreement and the highest
     #: throughput.  The knob round-trips through router and cluster
     #: checkpoints, so serving fleets, shard workers and the inproc cluster's
     #: stacked wave decode ride whichever tier the checkpoint was saved with.
@@ -201,46 +202,63 @@ def _mask_cache_counts(constraints: Iterable) -> tuple[int, int]:
             sum(constraint.mask_cache_misses for constraint in live))
 
 
-def beam_search_wave(kernel, routers: "Sequence[SchemaRouter]", tags: Sequence[int],
-                     encoded_batch: "Sequence[EncodedSource]", trace=None,
-                     stats: dict | None = None) -> list[list]:
-    """One stacked beam search for several routers of one trunk (a cluster wave).
+def beam_search_wave(kernel: DecodeKernel | None,
+                     routers: "Sequence[SchemaRouter]",
+                     tags: Sequence[int] | None,
+                     encoded_batch: "Sequence[EncodedSource]",
+                     traces: Sequence = (), stats: dict | None = None) -> list[list]:
+    """One beam search for every row of a batch: a monolith's, or a cluster
+    wave's over several routers of one trunk.
 
     Row ``i`` decodes ``encoded_batch[i]`` under the constraint of
     ``routers[tags[i]]``, all rows advancing together through ``kernel`` (a
-    :class:`repro.nn.seq2seq.WaveDecodeKernel` over the routers' models).  The
-    routers must agree on the beam budget and special token ids -- the
-    cluster wave engine checks that -- so ``routers[0]`` configures the
-    search.  With a ``trace`` the search records the same ``decode`` span
-    :meth:`SchemaRouter.route_batch` does; ``stats`` accumulates the engine
-    counters, broken out per tag under ``"per_tag"``.  Returns one hypothesis
-    list per row (possibly empty: callers fall back like ``route_batch``).
+    :class:`repro.nn.seq2seq.DecodeKernel` over the routers' models).  A
+    monolith is a wave with one shard: ``tags=None`` decodes every row under
+    ``routers[0]``, and ``kernel=None`` sends each row through the loop
+    oracle instead (``decode_backend="loop"``).  The routers must agree on
+    the beam budget and special token ids -- the cluster wave engine checks
+    that -- so ``routers[0]`` configures the search.  Every context in
+    ``traces`` gets a ``decode`` span annotated with the engine counters and
+    the constraints' mask-cache traffic; ``stats`` accumulates the engine
+    counters (flat ``steps`` / ``beam_rows`` / ``questions_compacted``,
+    broken out under ``"per_tag"`` only when tags were passed).  Returns one
+    hypothesis list per row (possibly empty: callers fall back to
+    :meth:`SchemaRouter.decode_fallback`).
     """
     config = routers[0].config
     vocabulary = routers[0].target_vocabulary
+    search = dict(num_beams=config.num_beams, num_groups=1, diversity_penalty=0.0,
+                  max_length=config.max_decode_length)
     if config.diverse_beam:
-        num_groups, diversity_penalty = config.beam_groups, config.diversity_penalty
-    else:
-        num_groups, diversity_penalty = 1, 0.0
+        search.update(num_groups=config.beam_groups,
+                      diversity_penalty=config.diversity_penalty)
     constraints = [router.constraint for router in routers]
     stats = stats if stats is not None else {}
     masks_before = _mask_cache_counts(constraints)
-    with maybe_span(trace, "decode", backend="wave",
-                    questions=len(encoded_batch)) as span:
-        hypotheses_batch = diverse_beam_search_batch(
-            kernel, list(encoded_batch), vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=config.num_beams, num_groups=num_groups,
-            diversity_penalty=diversity_penalty,
-            max_length=config.max_decode_length,
-            constraint=[constraints[tag] for tag in tags],
-            stats=stats, question_tags=tags)
-        if span is not None:
+    with stage_spans(traces, "decode",
+                     backend=config.decode_backend if tags is None else "wave",
+                     questions=len(encoded_batch)) as spans:
+        if kernel is None:
+            hypotheses_batch = [
+                diverse_beam_search_loop(
+                    routers[0].model, (), vocabulary.bos_id, vocabulary.eos_id,
+                    constraint=constraints[0], encoded=encoded, stats=stats,
+                    **search)
+                for encoded in encoded_batch]
+        else:
+            hypotheses_batch = diverse_beam_search_batch(
+                kernel, list(encoded_batch), vocabulary.bos_id, vocabulary.eos_id,
+                constraint=(constraints[0] if tags is None
+                            else [constraints[tag] for tag in tags]),
+                stats=stats, question_tags=tags, **search)
+        if spans:
             hits, misses = _mask_cache_counts(constraints)
-            span.annotate(steps=stats.get("steps", 0),
-                          beam_rows=stats.get("beam_rows", 0),
-                          questions_compacted=stats.get("questions_compacted", 0),
-                          mask_cache_hits=hits - masks_before[0],
-                          mask_cache_misses=misses - masks_before[1])
+            counters = {key: value for key, value in stats.items()
+                        if key != "per_tag"}
+            for span in spans:
+                span.annotate(mask_cache_hits=hits - masks_before[0],
+                              mask_cache_misses=misses - masks_before[1],
+                              **counters)
     return hypotheses_batch
 
 
@@ -424,18 +442,9 @@ class SchemaRouter:
         if not questions:
             return []
         contexts = distinct_traces(traces)
-        stats = decode_stats if decode_stats is not None else ({} if contexts else None)
         max_candidates = max_candidates or self.config.max_candidate_schemas
         source_tokenizer = WordTokenizer(self.source_vocabulary)
         target_tokenizer = WordTokenizer(self.target_vocabulary)
-        constraint = self._constraint if self.config.constrained_decoding else None
-        if self.config.diverse_beam:
-            num_groups = self.config.beam_groups
-            diversity_penalty = self.config.diversity_penalty
-        else:
-            num_groups, diversity_penalty = 1, 0.0
-        bos_id = self.target_vocabulary.bos_id
-        eos_id = self.target_vocabulary.eos_id
         with stage_spans(contexts, "encode", questions=len(questions)):
             encoded_batch = self._model.encode_numpy_batch(
                 [source_tokenizer.encode_text(question,
@@ -443,38 +452,12 @@ class SchemaRouter:
                  for question in questions],
                 pad_id=self.source_vocabulary.pad_id,
             )
-        masks_before = _mask_cache_counts([constraint])
-        with stage_spans(contexts, "decode",
-                         backend=self.config.decode_backend,
-                         questions=len(questions)) as decode_spans:
-            if self.config.decode_backend == "loop":
-                hypotheses_batch = [
-                    diverse_beam_search_loop(
-                        self._model, (), bos_id, eos_id,
-                        num_beams=self.config.num_beams, num_groups=num_groups,
-                        diversity_penalty=diversity_penalty,
-                        max_length=self.config.max_decode_length, constraint=constraint,
-                        encoded=encoded, stats=stats,
-                    )
-                    for encoded in encoded_batch
-                ]
-            else:
-                hypotheses_batch = diverse_beam_search_batch(
-                    self._model, encoded_batch, bos_id, eos_id,
-                    num_beams=self.config.num_beams, num_groups=num_groups,
-                    diversity_penalty=diversity_penalty,
-                    max_length=self.config.max_decode_length, constraint=constraint,
-                    kernel="fast" if self.config.decode_backend == "fast" else "exact",
-                    stats=stats,
-                )
-            if decode_spans and stats is not None:
-                counters = dict(stats)
-                if constraint is not None:
-                    hits, misses = _mask_cache_counts([constraint])
-                    counters["mask_cache_hits"] = hits - masks_before[0]
-                    counters["mask_cache_misses"] = misses - masks_before[1]
-                for span in decode_spans:
-                    span.annotate(**counters)
+        # A monolith is a wave with one shard: this router's model, no tags.
+        backend = self.config.decode_backend
+        kernel = None if backend == "loop" else DecodeKernel(
+            [self._model], row_stable=backend != "fast")
+        hypotheses_batch = beam_search_wave(kernel, [self], None, encoded_batch,
+                                            traces=contexts, stats=decode_stats)
         for index, hypotheses in enumerate(hypotheses_batch):
             if not hypotheses:
                 hypotheses_batch[index] = self.decode_fallback(encoded_batch[index])

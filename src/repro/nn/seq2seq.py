@@ -19,7 +19,9 @@ beams -- across questions -- in one stacked step;
 keeps a strict bit-exactness contract (see its docstring): a beam produces the
 same doubles whether it is decoded alone or stacked into a batch, which is
 what lets the vectorized and loop decode backends return identical routes.
-:meth:`Seq2SeqModel.decode_step_numpy_batch_fast` is its throughput-first
+:class:`DecodeKernel` is what the batched search engine steps through: the
+exact trunk above for any number of shard models of one trunk, or
+:meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`, its throughput-first
 sibling (the ``fast`` decode tier): slot-dense flat GEMMs and batched
 attention, same math, no row-stability guarantee.
 """
@@ -268,7 +270,7 @@ class Seq2SeqModel(Module):
         embeddings in, (pre-head activations ``(R, h)``, new states ``(R, h)``)
         out, under the bit-exactness contract of
         :meth:`decode_step_numpy_batch` -- which is this plus the model's own
-        head; :class:`WaveDecodeKernel` puts other heads on the same trunk."""
+        head; :class:`DecodeKernel` puts other heads on the same trunk."""
         pre_activation = (
             np.matmul(previous_embedded[:, None, :], self.input_projection.weight.data)
             + np.matmul(states[:, None, :], self.recurrent_projection.weight.data)
@@ -306,26 +308,25 @@ class Seq2SeqModel(Module):
                 @ self.input_projection.weight.data
                 + self.recurrent_projection.bias.data)
 
-    def decode_step_numpy_batch_fast(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                     states: np.ndarray, previous_ids: np.ndarray,
-                                     input_table: np.ndarray | None = None,
-                                     memory_t: np.ndarray | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
+    def decode_trunk_numpy_batch_fast(self, previous_inputs: np.ndarray,
+                                      memory: np.ndarray, memory_mask: np.ndarray,
+                                      states: np.ndarray, memory_t: np.ndarray
+                                      ) -> tuple[np.ndarray, np.ndarray]:
         """The throughput-first, slot-dense sibling of
-        :meth:`decode_step_numpy_batch`.
+        :meth:`decode_trunk_numpy_batch`, up to the output head.
 
         Advances ``S`` beam slots of each of ``Q`` questions at once:
-        ``memory`` is ``(Q, T, h)`` (zero-padded along ``T``), ``memory_mask``
-        ``(Q, T)`` bool, ``states`` ``(Q, S, h)``, ``previous_ids`` ``(Q,
-        S)``.  Returns (log-probabilities ``(Q, S, V)``, new states ``(Q, S,
-        h)``).  Same math as the exact kernel, but every fixed-dimension
-        projection runs as one true flat ``(Q*S, k) @ (k, n)`` GEMM (the
-        ``(Q*S, h) @ (h, V)`` output projection is the dominant cost) and
-        attention contracts as batched ``(Q, S, h) @ (Q, h, T)`` / ``(Q, S,
-        T) @ (Q, T, h)`` matmuls with an ordinary row-sum softmax normalizer
-        -- no per-row ``(R, 1, k)`` slice stabilization, no padding-exact
-        einsum forms, and crucially no per-step row gathers: callers keep
-        their slot grid resident and hand the kernel whole-array views.
+        ``previous_inputs`` is ``(Q*S, h)`` gathered :meth:`fast_input_table`
+        rows, ``memory`` ``(Q, T, h)`` (zero-padded along ``T``),
+        ``memory_mask`` ``(Q, T)`` bool, ``states`` ``(Q, S, h)``,
+        ``memory_t`` a C-contiguous ``(Q, h, T)`` transpose of ``memory``.
+        Returns (pre-head activations ``(Q*S, h)``, new states ``(Q, S, h)``).
+        Same math as the exact trunk, but every fixed-dimension projection
+        runs as one true flat ``(Q*S, k) @ (k, n)`` GEMM and attention
+        contracts as batched ``(Q, S, h) @ (Q, h, T)`` / ``(Q, S, T) @ (Q, T,
+        h)`` matmuls with an ordinary row-sum softmax normalizer -- no
+        per-row ``(R, 1, k)`` slice stabilization, no padding-exact einsum
+        forms.
 
         That freedom is exactly what breaks the exact kernel's bit-exactness
         contract: BLAS picks different micro-kernels (different partial-sum
@@ -334,31 +335,8 @@ class Seq2SeqModel(Module):
         therefore trades bit-identity for *tolerance-checked* agreement
         (seeded top-1 agreement gates in
         ``benchmarks/bench_decode_throughput.py`` and CI); anything that must
-        be reproducible to the bit stays on :meth:`decode_step_numpy_batch`.
-        ``input_table`` is the :meth:`fast_input_table` fusion of the
-        previous-token embedding and input projection, and ``memory_t`` a
-        C-contiguous ``(Q, h, T)`` transpose of ``memory``; hot callers
-        compute both once per decode, and they are rebuilt here when absent.
+        be reproducible to the bit stays on :meth:`decode_trunk_numpy_batch`.
         """
-        if input_table is None:
-            input_table = self.fast_input_table()
-        if memory_t is None:
-            memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
-        combined, new_states = self.decode_trunk_numpy_batch_fast(
-            input_table[previous_ids.reshape(-1)], memory, memory_mask, states, memory_t)
-        log_probabilities = head_log_softmax(
-            combined, self.output_projection.weight.data,
-            self.output_projection.bias.data, row_stable=False)
-        return (log_probabilities.reshape(states.shape[:2] + (-1,)), new_states)
-
-    def decode_trunk_numpy_batch_fast(self, previous_inputs: np.ndarray,
-                                      memory: np.ndarray, memory_mask: np.ndarray,
-                                      states: np.ndarray, memory_t: np.ndarray
-                                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The fast kernel up to the output head: ``(Q*S, h)`` gathered
-        :meth:`fast_input_table` rows in, (pre-head activations ``(Q*S, h)``,
-        new states ``(Q, S, h)``) out; :class:`WaveDecodeKernel` gathers from
-        per-shard tables and puts other heads on the same trunk."""
         questions, slots, hidden = states.shape
         new_states = np.tanh(
             previous_inputs
@@ -385,24 +363,6 @@ class Seq2SeqModel(Module):
             + self.combine_projection.bias.data)                                # (Q*S, h)
         return combined, states3
 
-    # The slot-dense engine's kernel protocol (``WaveDecodeKernel`` speaks it
-    # too): a per-search previous-token table, a resident memory operand the
-    # engine rebuilds whenever compaction shrinks ``memory``, and the step.
-    dense_input_table = fast_input_table
-
-    @staticmethod
-    def dense_memory(memory: np.ndarray, memory_mask: np.ndarray,
-                     slots: int) -> np.ndarray:
-        return np.ascontiguousarray(memory.transpose(0, 2, 1))                  # (Q, h, T)
-
-    def dense_step(self, memory: np.ndarray, memory_mask: np.ndarray,
-                   states: np.ndarray, previous_ids: np.ndarray,
-                   input_table: np.ndarray, resident: np.ndarray,
-                   tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        return self.decode_step_numpy_batch_fast(
-            memory, memory_mask, states, previous_ids,
-            input_table=input_table, memory_t=resident)
-
 
 def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                      row_stable: bool = True) -> np.ndarray:
@@ -416,6 +376,21 @@ def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
               else combined @ weight) + bias
     logits = logits - logits.max(axis=1, keepdims=True)
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+def pad_encoder_memories(encoded_batch: "Sequence[EncodedSource]"
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Stack encoder memories zero-padded along ``T``: ``(Q, T, h)`` memory
+    and its ``(Q, T)`` bool mask (True at real source positions)."""
+    padded_length = max(encoded.memory.shape[0] for encoded in encoded_batch)
+    hidden = encoded_batch[0].memory.shape[1]
+    memory = np.zeros((len(encoded_batch), padded_length, hidden))
+    memory_mask = np.zeros((len(encoded_batch), padded_length), dtype=bool)
+    for row, encoded in enumerate(encoded_batch):
+        true_length = encoded.memory.shape[0]
+        memory[row, :true_length] = encoded.memory
+        memory_mask[row, :true_length] = np.asarray(encoded.mask) != 0.0
+    return memory, memory_mask
 
 
 @dataclass(frozen=True)
@@ -470,15 +445,8 @@ def rescore_token_sequences(model: "Seq2SeqModel",
         return scores
     hidden = model.config.hidden_dim
     rows = len(sequences)
-    memory_length = max(encoded.memory.shape[0] for encoded in encoded_list)
-    memory = np.zeros((rows, memory_length, hidden))
-    memory_mask = np.zeros((rows, memory_length), dtype=bool)
-    states = np.empty((rows, hidden))
-    for row, encoded in enumerate(encoded_list):
-        true_length = encoded.memory.shape[0]
-        memory[row, :true_length] = encoded.memory
-        memory_mask[row, :true_length] = np.asarray(encoded.mask) != 0.0
-        states[row] = encoded.state
+    memory, memory_mask = pad_encoder_memories(encoded_list)
+    states = np.stack([encoded.state for encoded in encoded_list])
     memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
     targets = np.zeros((rows, max_length), dtype=np.int64)
     for row, sequence in enumerate(sequences):
@@ -517,36 +485,39 @@ def rescore_token_sequences(model: "Seq2SeqModel",
     return scores
 
 
-class WaveDecodeKernel:
-    """One decode stream over several shard models of one trunk.
+class DecodeKernel:
+    """What the batched beam search steps through: one decode stream over one
+    model, or over several shard models of one trunk (a cluster wave).
 
-    Speaks the slot-dense engine's kernel protocol (``config``,
-    :meth:`dense_input_table`, :meth:`dense_memory`, :meth:`dense_step`),
-    batching every shard's beams of a scatter wave into one step call.  All
-    shard models must share the trunk modules by reference (they do:
+    The search engine (:func:`repro.nn.decoding.diverse_beam_search_batch`)
+    keeps a ``(Q, S)`` grid of beam slots resident and asks the kernel for
+    three things: :meth:`input_table` once per search, :meth:`resident_memory`
+    once per search (per-question operands the engine slices when it compacts
+    finished questions away), and :meth:`step` once per decode step.
+
+    All shard models must share the trunk modules by reference (they do:
     :func:`repro.cluster.shard.project_router` either reuses the master model
     outright or shares its trunk into a sliced twin); only the target
-    embedding / output head may differ per shard.  Each question row carries
-    a shard ``tag``; the previous-token gather indexes a stacked per-shard
-    table, and the output head is the master's: shared outright by unsliced
-    shards, or -- calibrated-head mode, every shard a slice of one master
-    head -- normalized over the *master* vocabulary with each shard's kept
-    columns gathered into a ``-inf``-padded common-width grid, so the
+    embedding / output head may differ per shard.  Each question row of a
+    wave carries a shard ``tag``; the previous-token gather indexes a stacked
+    per-shard table, and the output head is the master's: shared outright by
+    unsliced shards, or -- calibrated-head mode, every shard a slice of one
+    master head -- normalized over the *master* vocabulary with each shard's
+    kept columns gathered into a ``-inf``-padded common-width grid, so the
     engine's top-k machinery is untouched and emitted scores are exact
-    master-vocabulary scores.
+    master-vocabulary scores.  A monolith is a wave with one shard: one model,
+    no tags, the model's own table and head.
 
-    ``row_stable`` picks the numerics, like ``RouterConfig.decode_backend``
-    does for one router.  True (the default) steps through the *exact*
-    kernel (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a (shard,
-    question) row decodes to the same doubles whatever else shares its wave
-    -- other questions, other shards, cache hits thinning the stack, longer
-    neighbours padding ``T`` -- so a cluster answers a question identically
-    in every wave, bit for bit the pool path's answer for unsliced shards;
-    the gain is one step loop for the whole fleet.  False steps through the
-    fast kernel's flat GEMMs (:meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`)
-    -- measured ~1.4x the exact wave's questions/s -- under the ``fast``
-    backend's contract: scores may drift in the last ulps with wave
-    composition.
+    ``row_stable`` picks the numerics, from ``RouterConfig.decode_backend``.
+    True (``"vectorized"``, the default) steps through the *exact* trunk
+    (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a (shard, question) row
+    decodes to the same doubles whatever else shares its grid -- other
+    questions, other shards, cache hits thinning the stack, longer neighbours
+    padding ``T``, riding slots -- so the search is bit-identical to the loop
+    oracle and a cluster answers a question identically in every wave.  False
+    (``"fast"``) steps through the flat GEMMs of
+    :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast` under that backend's
+    contract: scores may drift in the last ulps with batch composition.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
@@ -557,7 +528,7 @@ class WaveDecodeKernel:
                  vocabulary_slices: Sequence[VocabularySlice | None] | None = None,
                  row_stable: bool = True) -> None:
         if not models:
-            raise ValueError("a wave kernel needs at least one shard model")
+            raise ValueError("a decode kernel needs at least one model")
         self.models = list(models)
         self.row_stable = row_stable
         base = self.models[0]
@@ -592,56 +563,75 @@ class WaveDecodeKernel:
                 "wave decode requires shards that all decode the master head "
                 "or all slice one shared master head")
 
-    def dense_input_table(self) -> np.ndarray:
-        """Per-shard previous-token tables, stacked ``(K * Vmax, ·)``: target
-        embeddings when ``row_stable``, fused :meth:`Seq2SeqModel.fast_input_table`
-        rows otherwise.
+    def input_table(self) -> np.ndarray:
+        """The previous-token table a search gathers from each step: target
+        embeddings when ``row_stable``, fused
+        :meth:`Seq2SeqModel.fast_input_table` rows otherwise.
 
-        Shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)``; the gather
-        offset is ``tag * Vmax + previous_id``.  Pad rows stay zero and are
-        never gathered (a shard's previous ids are < ``V_k``).
+        One model hands out its own table.  Several are stacked ``(K * Vmax,
+        ·)``: shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)`` and the
+        gather offset is ``tag * Vmax + previous_id``; pad rows stay zero and
+        are never gathered (a shard's previous ids are < ``V_k``).
         """
         tables = [model.target_embedding.weight.data if self.row_stable
                   else model.fast_input_table() for model in self.models]
+        if len(tables) == 1:
+            return tables[0]
         table = np.zeros((len(tables) * self.vocab_width, tables[0].shape[1]))
         for shard, shard_table in enumerate(tables):
             start = shard * self.vocab_width
             table[start : start + shard_table.shape[0]] = shard_table
         return table
 
-    def dense_memory(self, memory: np.ndarray, memory_mask: np.ndarray, slots: int):
-        """What a step reads besides the grid, built once per search and per
-        compaction: the fast trunk's ``(Q, h, T)`` transpose, or the exact
-        trunk's per-beam-row ``(Q*S, T, ·)`` memory, mask and ones-augmented
-        memory."""
-        if not self.row_stable:
-            return Seq2SeqModel.dense_memory(memory, memory_mask, slots)
-        memory = np.repeat(memory, slots, axis=0)
-        return (memory, np.repeat(memory_mask, slots, axis=0),
-                np.concatenate([memory, np.ones(memory.shape[:2] + (1,))], axis=2))
+    def resident_memory(self, encoded_batch: Sequence[EncodedSource],
+                        slots: int) -> tuple[np.ndarray, ...]:
+        """What a step reads besides the beam grid, built once per search.
 
-    def dense_step(self, memory: np.ndarray, memory_mask: np.ndarray,
-                   states: np.ndarray, previous_ids: np.ndarray,
-                   input_table: np.ndarray, resident,
-                   tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """One step for a shard-tagged wave: :meth:`Seq2SeqModel.dense_step`'s
-        shapes plus ``tags`` ``(Q,)``, the shard index of each question row.
+        Every operand leads with the question axis, so the engine compacts
+        finished questions away by slicing kept rows.  The fast trunk reads
+        the zero-padded ``(Q, T, h)`` memory, its ``(Q, T)`` mask and a
+        contiguous ``(Q, h, T)`` transpose; the exact trunk wants one row per
+        beam slot -- the ``(Q, S, T, h+1)`` ones-augmented memory (the plain
+        memory is a view of it) and the ``(Q, S, T)`` mask.
+        """
+        memory, memory_mask = pad_encoder_memories(encoded_batch)
+        if not self.row_stable:
+            return (memory, memory_mask,
+                    np.ascontiguousarray(memory.transpose(0, 2, 1)))
+        augmented_memory = np.concatenate(
+            [memory, np.ones(memory.shape[:2] + (1,))], axis=2)
+        return (np.repeat(augmented_memory[:, None], slots, axis=1),
+                np.repeat(memory_mask[:, None], slots, axis=1))
+
+    def step(self, states: np.ndarray, previous_ids: np.ndarray,
+             input_table: np.ndarray, resident: tuple[np.ndarray, ...],
+             tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every slot of the grid one token: ``states`` ``(Q, S, h)``,
+        ``previous_ids`` ``(Q, S)``, ``tags`` ``(Q,)`` the shard index of each
+        question row (``None``: one shard).  Returns (log-probabilities ``(Q,
+        S, V)``, new states ``(Q, S, h)``).
 
         Columns ``>= V_k`` of a shard's rows come back ``-inf``, so padded
         vocabulary slots can never win a top-k.
         """
-        if tags is None:
-            raise ValueError("the wave kernel needs per-question shard tags")
         questions, slots, hidden = states.shape
-        previous_inputs = input_table[
-            (previous_ids + tags[:, None] * self.vocab_width).reshape(-1)]
+        if tags is not None:
+            previous_ids = previous_ids + tags[:, None] * self.vocab_width
+        elif len(self.models) > 1 or self.calibrated_head:
+            raise ValueError("a multi-shard or calibrated-head kernel needs "
+                             "per-question shard tags")
+        previous_inputs = input_table[previous_ids.reshape(-1)]
         if self.row_stable:
+            augmented_memory, memory_mask = (
+                operand.reshape((questions * slots,) + operand.shape[2:])
+                for operand in resident)
             combined, new_states = self.models[0].decode_trunk_numpy_batch(
-                previous_inputs, resident[0], resident[1],
-                states.reshape(questions * slots, hidden), resident[2])
+                previous_inputs, augmented_memory[:, :, :hidden], memory_mask,
+                states.reshape(questions * slots, hidden), augmented_memory)
         else:
+            memory, memory_mask, memory_t = resident
             combined, new_states = self.models[0].decode_trunk_numpy_batch_fast(
-                previous_inputs, memory, memory_mask, states, resident)
+                previous_inputs, memory, memory_mask, states, memory_t)
         log_probabilities = head_log_softmax(combined, self.head_weight,
                                              self.head_bias, self.row_stable)
         if self.calibrated_head:

@@ -10,6 +10,8 @@ merges, cross-process agreement -- leans on this property.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,13 @@ from repro.core.router import RouterConfig, SchemaRouter
 from repro.core.sampling import SchemaSampler
 from repro.core.synthesis import SynthesisConfig, synthesize_training_data
 from repro.datasets import CollectionConfig, build_collection
+import repro.nn.decoding as decoding
 from repro.nn.decoding import (
     diverse_beam_search,
     diverse_beam_search_batch,
     diverse_beam_search_loop,
 )
-from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
+from repro.nn.seq2seq import DecodeKernel, Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
 
@@ -65,7 +68,9 @@ def toy_model():
     return model, target_vocab, encoded
 
 
-BUDGETS = [(1, 1, 0.0), (4, 1, 0.0), (4, 2, 2.0), (6, 3, 1.5), (6, 6, 2.0)]
+#: The last one is the paper's: 10 beams in 10 groups, penalty 2.0 (§4.1.5).
+BUDGETS = [(1, 1, 0.0), (4, 1, 0.0), (4, 2, 2.0), (6, 3, 1.5), (6, 6, 2.0),
+           (10, 10, 2.0)]
 
 
 class TestEngineDifferential:
@@ -132,8 +137,8 @@ class TestEngineDifferential:
             diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
                                       vocabulary.eos_id, num_beams=5, num_groups=3)
 
-    @pytest.mark.parametrize("kernel", ["exact", "fast"])
-    def test_beam_budget_wider_than_vocabulary(self, toy_model, kernel):
+    @pytest.mark.parametrize("row_stable", [True, False])
+    def test_beam_budget_wider_than_vocabulary(self, toy_model, row_stable):
         """top_n clamps at V: a beam budget wider than the target vocabulary
         must decode (matching the loop backend's slice-truncation), not
         overrun the candidate rows."""
@@ -141,17 +146,60 @@ class TestEngineDifferential:
         vocab_size = model.config.target_vocab_size
         num_beams = vocab_size + 4  # top_n would exceed V unclamped
         batched = diverse_beam_search_batch(
-            model, encoded[:2], vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=num_beams, num_groups=1, max_length=6, kernel=kernel)
+            DecodeKernel([model], row_stable=row_stable), encoded[:2],
+            vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=num_beams, num_groups=1, max_length=6)
         looped = [diverse_beam_search_loop(
             model, (), vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=1, max_length=6, encoded=item)
             for item in encoded[:2]]
         for one, reference in zip(batched, looped):
             assert [h.tokens for h in one] == [h.tokens for h in reference]
-            if kernel == "exact":
+            if row_stable:
                 assert [_hypothesis_key(h) for h in one] == \
                     [_hypothesis_key(h) for h in reference]
+
+    @pytest.mark.parametrize("num_beams,num_groups,penalty",
+                             [(1, 1, 0.0), (4, 2, 2.0), (6, 6, 2.0)])
+    def test_straggler_compacts_mid_search_and_pads(self, toy_model, num_beams,
+                                                    num_groups, penalty):
+        """One long question among short ones: the short ones finish and are
+        compacted out of the grid mid-search while the long one pads their
+        memories along ``T`` -- the row-stable kernel still answers to the bit
+        like the loop oracle (which decodes each question alone), and the
+        flat-GEMM kernel ranks the same token sequences first."""
+        model, vocabulary, encoded = toy_model
+        short, long = encoded[1], encoded[3]
+        assert long.memory.shape[0] > short.memory.shape[0]
+        batch = [short, long, short, encoded[0], short]
+        budget = dict(num_beams=num_beams, num_groups=num_groups,
+                      diversity_penalty=penalty, max_length=8)
+        stats: dict = {}
+        batched = diverse_beam_search_batch(
+            model, batch, vocabulary.bos_id, vocabulary.eos_id, stats=stats,
+            **budget)
+        assert stats["questions_compacted"] == 4  # all but the straggler
+        fast = diverse_beam_search_batch(
+            DecodeKernel([model], row_stable=False), batch, vocabulary.bos_id,
+            vocabulary.eos_id, **budget)
+        for item, one, fast_one in zip(batch, batched, fast):
+            looped = diverse_beam_search_loop(
+                model, (), vocabulary.bos_id, vocabulary.eos_id, encoded=item,
+                **budget)
+            assert [_hypothesis_key(h) for h in one] == \
+                [_hypothesis_key(h) for h in looped]
+            assert fast_one[0].tokens == one[0].tokens
+
+    def test_one_engine_is_not_a_knob(self):
+        """One oracle, one batched engine; its numerics come in as a kernel
+        object, never as a string selecting between engines."""
+        assert "kernel" not in inspect.signature(
+            diverse_beam_search_batch).parameters
+        searches = {name for name, value in vars(decoding).items()
+                    if inspect.isfunction(value)
+                    and value.__module__ == decoding.__name__
+                    and "diverse_beam_search_" in name}
+        assert searches == {"diverse_beam_search_loop", "diverse_beam_search_batch"}
 
     def test_batch_composition_invariance(self, toy_model):
         """A question decodes identically alone, in pairs, and in the full
@@ -243,6 +291,31 @@ class TestRouterDifferential:
         assert [_route_key(r) for r in router.route_batch(picked)] == \
             [_route_key(r) for r in looped.route_batch(picked)]
 
+    @pytest.mark.parametrize("backend", ["vectorized", "fast", "loop"])
+    def test_decode_counters_are_flat_on_the_one_shard_path(self, trained_pair,
+                                                            backend):
+        """``route_batch`` reports the engine counters flat -- ``per_tag``
+        belongs to tagged waves -- with ``questions_compacted`` under every
+        batched backend, and names its own backend on the decode span."""
+        from repro.obs import Tracer
+
+        router, _, questions = trained_pair
+        twin = SchemaRouter(graph=router.graph,
+                            config=router.config.ablated(decode_backend=backend))
+        twin.restore(router.model, router.source_vocabulary,
+                     router.target_vocabulary)
+        stats: dict = {}
+        trace = Tracer().start_trace("request")
+        twin.route_batch(questions[:5], traces=[trace] * 5, decode_stats=stats)
+        batched = {"questions_compacted"} if backend != "loop" else set()
+        assert set(stats) == {"steps", "beam_rows"} | batched
+        (span,) = trace.find_spans("decode")
+        assert span.attributes["backend"] == backend
+        assert set(span.attributes) == {
+            "backend", "questions", "mask_cache_hits", "mask_cache_misses"
+        } | set(stats)
+        trace.finish()
+
     def test_route_matches_route_batch(self, trained_pair):
         router, _, questions = trained_pair
         picked = questions[:5]
@@ -288,7 +361,7 @@ class TestRouterDifferential:
 
 
 # ---------------------------------------------------------------------------
-# The fast tier: flat-GEMM slot-dense decoding, tolerance-checked agreement.
+# The fast tier: the same engine over the flat-GEMM kernel, tolerance-checked.
 # ---------------------------------------------------------------------------
 def _fast_twin(router: SchemaRouter) -> SchemaRouter:
     twin = SchemaRouter(graph=router.graph,
@@ -306,13 +379,6 @@ class TestFastTier:
     def test_fast_backend_accepted(self):
         assert RouterConfig(decode_backend="fast").decode_backend == "fast"
 
-    def test_invalid_kernel_rejected(self, toy_model):
-        model, vocabulary, encoded = toy_model
-        with pytest.raises(ValueError):
-            diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
-                                      vocabulary.eos_id, num_beams=4,
-                                      num_groups=2, kernel="warp")
-
     def test_engine_fast_kernel_agrees_at_tolerance(self, toy_model):
         """Same search over the fast kernel: same tokens, near-equal scores
         (flat GEMMs may drift in the last ulps, never more)."""
@@ -321,8 +387,9 @@ class TestFastTier:
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
             num_beams=4, num_groups=2, max_length=8)
         fast = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, kernel="fast")
+            DecodeKernel([model], row_stable=False), encoded,
+            vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=2, max_length=8)
         for exact_hyps, fast_hyps in zip(exact, fast):
             assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
             for a, b in zip(exact_hyps, fast_hyps):
@@ -343,9 +410,9 @@ class TestFastTier:
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
             num_beams=4, num_groups=2, max_length=8, constraint=constraint)
         fast = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint,
-            kernel="fast")
+            DecodeKernel([model], row_stable=False), encoded,
+            vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
         for exact_hyps, fast_hyps in zip(exact, fast):
             assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
 
@@ -381,7 +448,7 @@ class TestFastTier:
     def test_fast_agrees_across_beam_budgets(self, trained_pair,
                                              num_beams, beam_groups):
         """Both the one-beam-per-group and general selection shapes, and the
-        question-compaction tail, reproduce the exact engine's decisions."""
+        question-compaction tail, reproduce the exact kernel's decisions."""
         router, _, questions = trained_pair
         vec = SchemaRouter(graph=router.graph, config=router.config.ablated(
             num_beams=num_beams, beam_groups=beam_groups))
