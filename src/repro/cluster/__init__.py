@@ -18,7 +18,7 @@ across the shards and merges the candidates into one deterministic top-k:
 * :mod:`repro.cluster.rebalance` -- live add/remove/move of databases with
   single-shard cache invalidation;
 * :mod:`repro.cluster.wave` -- dense wave decode: the whole inproc fleet's
-  beams stacked into one slot-dense kernel stream per step, with per-shard
+  distinct live prefixes stacked into one kernel stream per step, with per-shard
   vocabulary slices and constraint masks intact;
 * :mod:`repro.cluster.service` -- :class:`ClusterRoutingService`, the façade
   mirroring the PR-1 ``RoutingService`` API plus cluster-wide metrics;

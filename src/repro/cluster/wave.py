@@ -3,7 +3,7 @@
 The pool-based scatter path hands each shard its own ``submit_many`` call, so
 an inproc fleet of K shards pays K separate decode loops (and K thread hops)
 per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
-*one* slot-dense decode: each (shard, pending-question) pair becomes a virtual
+*one* decode: each (shard, pending-question) pair becomes a virtual
 question of a single :func:`repro.core.router.beam_search_wave` call over a
 :class:`repro.nn.seq2seq.DecodeKernel`, tagged with its shard index so
 per-shard constraint masks and vocabulary slices stay exactly as they are on
@@ -12,8 +12,8 @@ the pool path.  The kernel steps in the numerics the fleet's
 question gets the same doubles in every wave, and from the pool path), flat
 GEMMs under ``"fast"``.  With sliced vocabularies the kernel decodes in
 calibrated-head mode: one master-width output GEMM per step, log-softmax over
-the *master* vocabulary, each shard's kept columns gathered into its grid
-slots -- so search prunes exactly as a master-head decode restricted to the
+the *master* vocabulary, each shard's kept columns gathered into its rows
+-- so search prunes exactly as a master-head decode restricted to the
 slice would, and finished hypotheses already carry exact master-vocabulary
 scores (the pool path gets the same scores by post-hoc replay through
 :meth:`SchemaRouter.rescore_hypotheses`).
@@ -52,6 +52,9 @@ _UNIFORM_FIELDS = ("num_beams", "beam_groups", "diverse_beam",
                    "diversity_penalty", "max_source_length",
                    "max_decode_length", "constrained_decoding",
                    "decode_backend")
+
+#: The engine counters a wave reports per shard (``stats["per_tag"]``).
+_DECODE_COUNTERS = ("steps", "beam_rows", "live_beams", "questions_compacted")
 
 
 class _WaveTier:
@@ -118,8 +121,7 @@ class ClusterWaveEngine:
         self._careful_waves = 0
         self._questions = 0
         self._shard_counters = [
-            {"shard_id": worker.shard_id, "steps": 0, "beam_rows": 0,
-             "questions_compacted": 0}
+            {"shard_id": worker.shard_id, **dict.fromkeys(_DECODE_COUNTERS, 0)}
             for worker in self.workers
         ]
         # Build tiers eagerly so a fleet that cannot stack (unshared trunk,
@@ -277,22 +279,19 @@ class ClusterWaveEngine:
             self._questions += num_questions
             for tag, counters in per_tag.items():
                 entry = self._shard_counters[tag]
-                entry["steps"] += counters.get("steps", 0)
-                entry["beam_rows"] += counters.get("beam_rows", 0)
-                entry["questions_compacted"] += counters.get(
-                    "questions_compacted", 0)
+                for key in _DECODE_COUNTERS:
+                    entry[key] += counters.get(key, 0)
 
     def stats(self) -> dict:
-        """Decode-volume rollup: per-shard steps / beam rows / compactions."""
+        """Decode-volume rollup: per-shard steps, kernel rows (``beam_rows``)
+        and the live beams they served, compactions."""
         with self._stats_lock:
             shards = [dict(entry) for entry in self._shard_counters]
             return {
                 "waves": self._waves,
                 "careful_waves": self._careful_waves,
                 "questions": self._questions,
-                "steps": sum(entry["steps"] for entry in shards),
-                "beam_rows": sum(entry["beam_rows"] for entry in shards),
-                "questions_compacted": sum(entry["questions_compacted"]
-                                           for entry in shards),
+                **{key: sum(entry[key] for entry in shards)
+                   for key in _DECODE_COUNTERS},
                 "shards": shards,
             }

@@ -220,8 +220,10 @@ def beam_search_wave(kernel: DecodeKernel | None,
     that -- so ``routers[0]`` configures the search.  Every context in
     ``traces`` gets a ``decode`` span annotated with the engine counters and
     the constraints' mask-cache traffic; ``stats`` accumulates the engine
-    counters (flat ``steps`` / ``beam_rows`` / ``questions_compacted``,
-    broken out under ``"per_tag"`` only when tags were passed).  Returns one
+    counters (flat ``steps`` / ``beam_rows`` / ``live_beams`` /
+    ``questions_compacted``: kernel rows are distinct live prefixes, so
+    ``beam_rows / live_beams`` is the sharing ratio; broken out under
+    ``"per_tag"`` only when tags were passed).  Returns one
     hypothesis list per row (possibly empty: callers fall back to
     :meth:`SchemaRouter.decode_fallback`).
     """
@@ -419,9 +421,9 @@ class SchemaRouter:
 
         The source encoding runs once for the whole batch, the tokenizers and
         decoding constraint are set up once instead of per question, and (with
-        the default ``decode_backend="vectorized"``) every active beam of
-        every question advances through one stacked kernel call per decode
-        step.  ``decode_backend="loop"`` decodes each question through the
+        the default ``decode_backend="vectorized"``) every distinct live
+        prefix of every question advances through one stacked kernel call per
+        decode step.  ``decode_backend="loop"`` decodes each question through the
         per-beam reference path instead; both backends -- and per-question
         :meth:`route` calls -- return bit-identical results.
         ``decode_backend="fast"`` runs the batched engine over the flat-GEMM
@@ -432,8 +434,8 @@ class SchemaRouter:
         ``traces`` is an optional per-question list of ``repro.obs`` trace
         contexts (``None`` entries allowed; repeats collapse): each distinct
         context gets ``encode`` / ``decode`` / ``parse`` spans, with decode
-        spans annotated by engine counters (steps, beam rows advanced,
-        questions compacted, constraint mask-cache hits/misses).
+        spans annotated by engine counters (steps, kernel rows advanced, live
+        beams served, questions compacted, constraint mask-cache hits/misses).
         ``decode_stats`` additionally accumulates the raw engine counters
         into a caller-owned dict.  Neither affects routing results.
         """

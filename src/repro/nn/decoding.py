@@ -20,10 +20,12 @@ It is implemented twice, an oracle and an engine:
   call per beam, constraints resolved by prefix walks
   (``RouterConfig.decode_backend="loop"``).  Nothing is clever in it, which
   is what makes it the reference the differential tests compare against.
-* :func:`diverse_beam_search_batch` -- the one production engine: a resident
-  ``(question, group, slot)`` beam grid that advances every question of a
-  micro-batch -- or every (shard, question) row of a cluster wave: a monolith
-  is a wave with one shard -- through one kernel call per step.
+* :func:`diverse_beam_search_batch` -- the one production engine: every
+  distinct live ``(question, prefix)`` of a micro-batch -- or of a cluster
+  wave's (shard, question) pairs: a monolith is a wave with one shard --
+  advances once, through one kernel call per step.  The ``(question, group,
+  slot)`` beam grid is bookkeeping: beams that share a prefix share a kernel
+  row, finished beams and empty slots own none.
 
 The engine's numerics are a property of the
 :class:`~repro.nn.seq2seq.DecodeKernel` it steps through, not of a second
@@ -364,52 +366,55 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                               ) -> list[list[BeamHypothesis]]:
     """Diverse beam search over a whole micro-batch of questions at once.
 
-    The one batched engine: every ``(question, group, slot)`` of a resident
-    beam grid advances through one :meth:`DecodeKernel.step
-    <repro.nn.seq2seq.DecodeKernel.step>` call per decode step.  ``model`` is
-    that kernel -- its ``row_stable`` decides the numerics -- or a bare
+    The one batched engine: every distinct live ``(question, token prefix)``
+    advances once per decode step, as one row of one :meth:`DecodeKernel.step
+    <repro.nn.seq2seq.DecodeKernel.step>` call.  ``model`` is that kernel --
+    its ``row_stable`` decides the numerics -- or a bare
     :class:`~repro.nn.seq2seq.Seq2SeqModel`, decoded through its one-shard
     row-stable kernel.
 
-    * Decoder states, previous tokens and constraint masks stay resident in
-      ``(Q, S, ...)`` arrays, so a step gathers no rows; finished or unused
-      slots ride along (their outputs are never read).  Selection only
-      records, per slot, the parent it continues and the token it appends;
-      the one array commit per step gathers the parents' new states (the
-      identity, and skipped, with one beam per group -- the paper's 10-in-10
-      configuration).
+    * A row is a decoder state, a previous token, its question's encoder
+      operands and the prefix's constraint mask.  The ``(question, group,
+      slot)`` grid is bookkeeping over rows: a slot -> row index gathers the
+      kernel's ``(R, V)`` log-probabilities back to ``(Q, G, B, V)``.
+      Selection registers a continued beam's next row under ``(parent row,
+      token)``, so equal prefixes -- which a confident model hands most
+      groups, diversity penalty or not -- cost one row; beams ending on EOS,
+      finished beams passing through and slots never filled cost none.  By
+      the kernel's contract a row's doubles depend only on that row's
+      inputs, so sharing changes no result.
     * Group-sequential Hamming diversity is preserved exactly: groups
       *select* in order within a step, each later group scoring against its
       question's ``(Q, V)`` tally of tokens the earlier groups chose, with one
       stable descending argsort per group (ties lowest-token-id-first).
-      Scores, token lists and interpreter states are per-beam Python values,
-      enumerated in the loop oracle's order.
-    * Once every group of a question has finished, its beams are final: they
-      are banked and every per-question buffer shrinks, so the tail of a
-      decode (a few stragglers of a large batch) stops paying kernel flops
-      for questions that are already done.
+      Scores and token lists are per-beam Python values, enumerated in the
+      loop oracle's order.
+    * Once every group of a question has finished, its beams are final and
+      are banked; it owns no row any more, so the tail of a decode (a few
+      stragglers of a large batch) pays kernel flops for the stragglers only.
 
     Constraints exposing the incremental-state protocol (``initial_state`` /
     ``advance`` / ``allowed_mask_for_state``, see
     :class:`repro.core.constrained.GraphConstrainedDecoding`) are threaded
-    through the search: each surviving beam carries an O(1)-updatable
-    interpreter state, and its mask row is rewritten only when that state
-    changes.  Other constraints fall back to prefix walks with a per-step
-    prefix->mask memo.
+    through the search: each row carries an O(1)-updatable interpreter state,
+    advanced (and its mask written) once, when the row is registered.  Other
+    constraints fall back to prefix walks with a per-step prefix->mask memo.
 
     With a row-stable kernel, returns one hypothesis list per question,
     bit-identical to :func:`diverse_beam_search_loop` on the same inputs; the
     flat-GEMM kernel keeps the search semantics and may drift in the last
     ulps.  ``stats``, when given, accumulates ``steps`` (kernel calls),
-    ``beam_rows`` (grid rows advanced, riding slots included) and
+    ``beam_rows`` (rows the kernel advanced: distinct live prefixes),
+    ``live_beams`` (live beams those rows served -- the loop oracle's
+    ``beam_rows``; ``beam_rows / live_beams`` is the sharing ratio) and
     ``questions_compacted``.
 
     The cluster wave form: ``constraint`` may be a *sequence* with exactly one
     entry per question (each ``None`` or incremental-protocol), and
-    ``question_tags`` labels each question with an integer shard tag that
-    rides through compaction, is handed to the kernel each step (per-shard
-    table rows and head columns) and splits the counters into
-    ``stats["per_tag"]``.
+    ``question_tags`` labels each question with an integer shard tag that its
+    rows hand to the kernel each step (per-shard table rows and head columns)
+    and that splits the counters into ``stats["per_tag"]``.  Rows never span
+    questions, hence never shards.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     kernel = model if isinstance(model, DecodeKernel) else DecodeKernel([model])
@@ -419,12 +424,16 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     vocab_size = kernel.config.target_vocab_size
     slots = num_groups * beams_per_group
     input_table = kernel.input_table()
-    resident = kernel.resident_memory(encoded_batch, slots)
-    # Every slot starts from its question's encoder state (not just slot 0):
-    # dead slots keep flowing finite values through the kernel.
-    states = np.repeat(np.stack([encoded.state for encoded in encoded_batch])[:, None],
-                       slots, axis=1)                              # (Q, S, h)
-    previous = [[bos_id] * slots for _ in range(num_questions)]    # (Q, S)
+    resident = kernel.resident_memory(encoded_batch)
+    # The kernel's rows, one per distinct live (question, prefix): decoder
+    # state, previous token, owning question (by batch position, which is
+    # what ``resident`` and ``tags`` stay indexed by), that question's
+    # operands and, below, constraint interpreter state and mask.  A search
+    # starts with one row per question, shared by all its groups.
+    states = np.stack([encoded.state for encoded in encoded_batch])    # (R, h)
+    previous = [bos_id] * num_questions                                # (R,)
+    row_questions = gathered_for = list(range(num_questions))          # (R,)
+    operands = resident
     # Per-step Hamming tallies: counts[q, v] = how many earlier groups chose
     # token v for question q this step.  dp * count reproduces the loop
     # oracle's penalty doubles bit-for-bit (both compute dp * n once).
@@ -449,40 +458,43 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
             raise ValueError(
                 "per-question constraints must expose the incremental-state "
                 "protocol (initial_state/advance/allowed_mask_for_state)")
-        start_states = [protocol and protocol[0]() for protocol in protocols]
+        row_constraints = [protocol and protocol[0]() for protocol in protocols]
     else:
         protocol = _incremental_constraint(constraint)
         if protocol is None:
             prefix_constraint = constraint
         protocols = [protocol] * num_questions
-        # One shared empty-prefix state: beams taking a transition any
-        # sibling -- of any question -- already took pay one dict hit.
-        start_states = [protocol and protocol[0]()] * num_questions
+        # One shared empty-prefix state: rows taking a transition any
+        # other -- of any question -- already took pay one dict hit.
+        row_constraints = [protocol and protocol[0]()] * num_questions
     advance_fns = [protocol and protocol[1] for protocol in protocols]
     mask_fns = [protocol and protocol[2] for protocol in protocols]
     masked = prefix_constraint is not None or any(protocols)
-    # A beam is ``(score, tokens, finished, interpreter state)``; a group
-    # holds its alive beams in slot order (one at the start, up to
-    # ``beams_per_group`` after the first selection).
+    # A beam is ``(score, tokens, finished)``; a group holds its alive beams
+    # in slot order (one at the start, up to ``beams_per_group`` after the
+    # first selection).  ``slot_rows`` is the slot -> row index beside it:
+    # the row a live beam reads its next log-probabilities from, -1 (some
+    # row, never read) for a finished beam or a slot never filled.
     beams: list[list[list[tuple]]] = [
-        [[(0.0, [], False, start_state)] for _ in range(num_groups)]
-        for start_state in start_states]
+        [[(0.0, [], False)] for _ in range(num_groups)]
+        for _ in range(num_questions)]
+    dead_slots = [-1] * beams_per_group
+    slot_rows = [[[question] + dead_slots[1:] for _ in range(num_groups)]
+                 for question in range(num_questions)]
     group_active = [[True] * num_groups for _ in range(num_questions)]
     if masked:
-        # Resident mask grid; stale rows belong to dead slots and are never
-        # read.  With an incremental constraint a row is rewritten at
-        # selection time (a beam's mask only changes when its state does);
-        # prefix-walk constraints refill active rows before each step.
-        row_masks = np.ones((num_questions, num_groups, beams_per_group, vocab_size),
-                            dtype=bool)
+        # One mask per row (a prefix has one interpreter state), in a buffer
+        # as tall as the grid.  With an incremental constraint a row's mask
+        # is written when selection registers the row; prefix-walk
+        # constraints refill the live rows before each step.
+        row_masks = np.ones((num_questions * slots, vocab_size), dtype=bool)
         for question, mask_for_state in enumerate(mask_fns):
             if mask_for_state is not None:
                 _assign_state_mask(row_masks[question],
-                                   mask_for_state(start_states[question]))
+                                   mask_for_state(row_constraints[question]))
 
-    # Shard tags (the wave path): resident per-question, compacted alongside
-    # the grid, handed to the kernel each step, and split out per tag in the
-    # final stats.
+    # Shard tags (the wave path): handed to the kernel per row each step, and
+    # splitting the counters per tag in the final stats.
     tags: np.ndarray | None = None
     if question_tags is not None:
         tags = np.asarray(list(question_tags), dtype=np.int64)
@@ -490,54 +502,49 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
             raise ValueError("question_tags needs exactly one tag per question")
         num_tags = int(tags.max()) + 1
         tag_steps = np.zeros(num_tags, dtype=np.int64)
-        tag_questions = np.zeros(num_tags, dtype=np.int64)
-        tag_compacted = np.zeros(num_tags, dtype=np.int64)
+        tag_rows = np.zeros(num_tags, dtype=np.int64)
+    row_tags = tags
 
     # Clamped to the vocabulary: argsort slices truncate at V anyway (the
     # loop backend's behavior), and the candidate loops must not read
     # positions that do not exist when V < 2 * beams_per_group.
     top_n = min(max(beams_per_group * 2, 2), vocab_size)
     beam_index = np.arange(beams_per_group)[None, :, None]          # (1, B, 1)
-    own_slots = list(range(slots))
     question_index = np.arange(num_questions)[:, None, None]         # (Q, 1, 1)
     # Finished questions are banked here, by original batch position.
     banked: list = [None] * num_questions
     question_ids = list(range(num_questions))
+    compacted: list[int] = []
+    #: Live beams served, per question: the loop oracle's kernel calls.
+    served = [0] * num_questions
 
     steps = 0
     beam_rows = 0
-    questions_compacted = 0
     for _ in range(max_length):
         live = [any(flags) for flags in group_active]
         if not any(live):
             break
         if not all(live):
+            # A finished question owns no row; only the bookkeeping shrinks.
             kept = [question for question, alive in enumerate(live) if alive]
             for question, alive in enumerate(live):
                 if not alive:
                     banked[question_ids[question]] = beams[question]
-            questions_compacted += num_questions - len(kept)
-            question_ids, beams, group_active, previous, advance_fns, mask_fns = (
+                    compacted.append(question_ids[question])
+            question_ids, beams, slot_rows, group_active, advance_fns, mask_fns = (
                 [per_question[question] for question in kept]
-                for per_question in (question_ids, beams, group_active, previous,
+                for per_question in (question_ids, beams, slot_rows, group_active,
                                      advance_fns, mask_fns))
-            if tags is not None:
-                tag_compacted += np.bincount(np.delete(tags, kept), minlength=num_tags)
-                tags = tags[kept]
-            resident = tuple(operand[kept] for operand in resident)
-            states = states[kept]
-            counts = counts[kept]
-            if masked:
-                row_masks = row_masks[kept]
             num_questions = len(kept)
+            counts = counts[:num_questions]
             question_index = question_index[:num_questions]
 
         if prefix_constraint is not None:
             mask_memo: dict[tuple[int, ...], np.ndarray | None] = {}
-            for question, groups in enumerate(beams):
-                for group, group_beams in enumerate(groups):
-                    for slot, (_, prefix, finished, _) in enumerate(group_beams):
-                        if finished:
+            for groups, rows_of_groups in zip(beams, slot_rows):
+                for group_beams, group_rows in zip(groups, rows_of_groups):
+                    for (_, prefix, _), row in zip(group_beams, group_rows):
+                        if row < 0:
                             continue
                         key = tuple(prefix)
                         if key not in mask_memo:
@@ -545,31 +552,48 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                                 prefix_constraint, key, vocab_size, eos_id)
                         mask = mask_memo[key]
                         # None means "unconstrained at this prefix": the
-                        # resident row may hold a stale restrictive mask and
+                        # buffer row may hold a stale restrictive mask and
                         # must be reopened.
-                        row_masks[question, group, slot] = \
-                            True if mask is None else mask
+                        row_masks[row] = True if mask is None else mask
 
-        # One kernel call: all slots of all groups of all questions.
+        # Per-row operands follow the row -> question map, re-gathered only
+        # on steps where it moved (with one beam per question: only when one
+        # finished).
+        if row_questions != gathered_for:
+            gathered_for = row_questions
+            index = np.asarray(row_questions, dtype=np.int64)
+            operands = tuple(operand[index] for operand in resident)
+            if tags is not None:
+                row_tags = tags[index]
+
+        # One kernel call: every distinct live prefix of every question.
         steps += 1
-        beam_rows += num_questions * slots
+        beam_rows += len(previous)
         if tags is not None:
-            tagged = np.bincount(tags, minlength=num_tags)
-            tag_questions += tagged
+            tagged = np.bincount(row_tags, minlength=num_tags)
+            tag_rows += tagged
             tag_steps += tagged > 0
         log_probabilities, step_states = kernel.step(
-            states, np.asarray(previous, dtype=np.int64), input_table, resident,
-            tags=tags)
-        log_probabilities = log_probabilities.reshape(
-            num_questions, num_groups, beams_per_group, vocab_size)
+            states, np.asarray(previous, dtype=np.int64), input_table, operands,
+            tags=row_tags)
         if masked:
-            log_probabilities = np.where(row_masks, log_probabilities, -np.inf)
+            log_probabilities = np.where(row_masks[:len(previous)],
+                                         log_probabilities, -np.inf)
+        # Back to the (Q, G, B, V) grid selection reads: beams sharing a
+        # prefix read the same row, dead slots read one nobody looks at.
+        log_probabilities = log_probabilities[np.asarray(slot_rows, dtype=np.int64)]
 
-        # Group-sequential selection.  A selected slot records the flat slot
-        # of the parent it continues; unselected slots keep their own.
+        # Group-sequential selection.  A continued beam registers the row it
+        # advances through next step under (parent row, token), so equal
+        # prefixes -- whichever groups chose them -- resolve to one row; a
+        # row records its token, its parent's row and its question.
         counts[:] = 0.0
         any_chosen = False
-        parents = [list(own_slots) for _ in range(num_questions)]
+        child_rows: dict[int, int] = {}
+        next_previous: list[int] = []
+        next_parents: list[int] = []
+        next_questions: list[int] = []
+        next_constraints: list = []
         for group in range(num_groups):
             selecting = [question for question in range(num_questions)
                          if group_active[question][group]]
@@ -582,16 +606,17 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                 scored = block
             # One stable descending argsort over the group's dense block:
             # ties resolve lowest-token-id-first, identically to the loop
-            # oracle (dead rows are sorted too, and ignored below).
+            # oracle (dead slots are sorted too, and ignored below).
             order = np.argsort(-scored, axis=2, kind="stable")[:, :, :top_n]
             order_list = order.tolist()
             # ``.tolist()`` preserves every bit: the Python floats compare and
             # add exactly like the float64 array elements they came from.
             # Direct fancy indexing beats take_along_axis at these shapes.
             values_list = block[question_index, beam_index, order].tolist()
-            first_slot = group * beams_per_group
             for question in selecting:
                 group_beams = beams[question][group]
+                group_rows = slot_rows[question][group]
+                original = question_ids[question]
                 # Candidates in the loop oracle's enumeration order, so the
                 # stable sort breaks ties identically: (score, token, parent
                 # slot), token -1 marking a finished beam passing through.
@@ -600,6 +625,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                     if beam[2]:
                         candidates.append((beam[0], -1, slot))
                         continue
+                    served[original] += 1
                     parent_score = beam[0]
                     for value, token in zip(values_list[question][slot],
                                             order_list[question][slot]):
@@ -607,54 +633,77 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                             break  # descending: only masked tokens remain
                         candidates.append((parent_score + value, token, slot))
                 if not candidates:
+                    # No finite continuation now means none ever (same
+                    # inputs, same outputs): where the oracle re-derives that
+                    # every remaining step, the group rests as it stands.
+                    group_active[question][group] = False
+                    slot_rows[question][group] = dead_slots
                     continue
                 candidates.sort(key=_candidate_score, reverse=True)
                 advance_state = advance_fns[question]
                 selected: list[tuple] = []
+                rows = list(dead_slots)
                 still_active = False
                 for slot, (score, token, parent) in enumerate(
                         candidates[:beams_per_group]):
-                    _, prefix, _, constraint_state = group_beams[parent]
                     if token < 0:
                         selected.append(group_beams[parent])
                         continue
-                    previous[question][first_slot + slot] = token
-                    parents[question][first_slot + slot] = first_slot + parent
                     if token != eos_id:
                         still_active = True
                         counts[question, token] += 1.0
                         any_chosen = True
-                        if advance_state is not None:
-                            # A beam finishing on EOS keeps its parent state
-                            # (its mask is never consulted again).
-                            constraint_state = advance_state(constraint_state, token)
-                            _assign_state_mask(
-                                row_masks[question, group, slot],
-                                mask_fns[question](constraint_state))
-                    selected.append((score, prefix + [token], token == eos_id,
-                                     constraint_state))
+                        parent_row = group_rows[parent]
+                        key = parent_row * vocab_size + token
+                        row = child_rows.get(key)
+                        if row is None:
+                            row = child_rows[key] = len(next_previous)
+                            next_previous.append(token)
+                            next_parents.append(parent_row)
+                            next_questions.append(original)
+                            if advance_state is not None:
+                                constraint_state = advance_state(
+                                    row_constraints[parent_row], token)
+                                next_constraints.append(constraint_state)
+                                _assign_state_mask(
+                                    row_masks[row],
+                                    mask_fns[question](constraint_state))
+                            else:
+                                next_constraints.append(None)
+                                if masked:
+                                    # The buffer row may last have held a
+                                    # constrained question's mask.
+                                    row_masks[row] = True
+                        rows[slot] = row
+                    selected.append((score, group_beams[parent][1] + [token],
+                                     token == eos_id))
                 beams[question][group] = selected
+                slot_rows[question][group] = rows
                 group_active[question][group] = still_active
 
-        # The commit: every slot takes the new state of the parent it
-        # continues.  Pass-through and dead slots gather states nothing reads.
-        states = step_states if beams_per_group == 1 else step_states[
-            question_index[:, :, 0], np.asarray(parents, dtype=np.int64)]
+        # A child row starts from the state its parent's row stepped to.
+        states = step_states[np.asarray(next_parents, dtype=np.int64)]
+        previous, row_questions, row_constraints = (
+            next_previous, next_questions, next_constraints)
 
     _note_decode_stats(stats, steps=steps, beam_rows=beam_rows,
-                       questions_compacted=questions_compacted)
+                       live_beams=sum(served),
+                       questions_compacted=len(compacted))
     if stats is not None and tags is not None:
         per_tag = stats.setdefault("per_tag", {})
+        tag_served = np.bincount(tags, weights=served, minlength=num_tags)
+        tag_compacted = np.bincount(tags[compacted], minlength=num_tags)
         for tag in range(num_tags):
             _note_decode_stats(per_tag.setdefault(tag, {}),
                                steps=int(tag_steps[tag]),
-                               beam_rows=int(tag_questions[tag]) * slots,
+                               beam_rows=int(tag_rows[tag]),
+                               live_beams=int(tag_served[tag]),
                                questions_compacted=int(tag_compacted[tag]))
     for question, original in enumerate(question_ids):
         banked[original] = beams[question]
     return [
         _finalize_groups(
             [[_Beam(tokens=tokens, score=score, finished=finished)
-              for score, tokens, finished, _ in group] for group in groups],
+              for score, tokens, finished in group] for group in groups],
             eos_id, length_penalty, num_beams)
         for groups in banked]

@@ -22,7 +22,7 @@ what lets the vectorized and loop decode backends return identical routes.
 :class:`DecodeKernel` is what the batched search engine steps through: the
 exact trunk above for any number of shard models of one trunk, or
 :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`, its throughput-first
-sibling (the ``fast`` decode tier): slot-dense flat GEMMs and batched
+sibling (the ``fast`` decode tier): flat GEMMs and plain per-row
 attention, same math, no row-stability guarantee.
 """
 
@@ -310,22 +310,20 @@ class Seq2SeqModel(Module):
 
     def decode_trunk_numpy_batch_fast(self, previous_inputs: np.ndarray,
                                       memory: np.ndarray, memory_mask: np.ndarray,
-                                      states: np.ndarray, memory_t: np.ndarray
+                                      states: np.ndarray
                                       ) -> tuple[np.ndarray, np.ndarray]:
-        """The throughput-first, slot-dense sibling of
-        :meth:`decode_trunk_numpy_batch`, up to the output head.
+        """The throughput-first sibling of :meth:`decode_trunk_numpy_batch`,
+        up to the output head.
 
-        Advances ``S`` beam slots of each of ``Q`` questions at once:
-        ``previous_inputs`` is ``(Q*S, h)`` gathered :meth:`fast_input_table`
-        rows, ``memory`` ``(Q, T, h)`` (zero-padded along ``T``),
-        ``memory_mask`` ``(Q, T)`` bool, ``states`` ``(Q, S, h)``,
-        ``memory_t`` a C-contiguous ``(Q, h, T)`` transpose of ``memory``.
-        Returns (pre-head activations ``(Q*S, h)``, new states ``(Q, S, h)``).
-        Same math as the exact trunk, but every fixed-dimension projection
-        runs as one true flat ``(Q*S, k) @ (k, n)`` GEMM and attention
-        contracts as batched ``(Q, S, h) @ (Q, h, T)`` / ``(Q, S, T) @ (Q, T,
-        h)`` matmuls with an ordinary row-sum softmax normalizer -- no
-        per-row ``(R, 1, k)`` slice stabilization, no padding-exact einsum
+        Advances ``R`` rows at once: ``previous_inputs`` is ``(R, h)`` gathered
+        :meth:`fast_input_table` rows, ``memory`` ``(R, T, h)`` each row's
+        encoder memory (zero-padded along ``T``), ``memory_mask`` ``(R, T)``
+        bool, ``states`` ``(R, h)``.  Returns (pre-head activations ``(R,
+        h)``, new states ``(R, h)``).  Same math as the exact trunk, but every
+        fixed-dimension projection runs as one true flat ``(R, k) @ (k, n)``
+        GEMM and attention contracts per row as ``(T, h) @ (h, 1)`` / ``(1,
+        T) @ (T, h)`` matmuls with an ordinary row-sum softmax normalizer --
+        no per-row ``(R, 1, k)`` slice stabilization, no padding-exact einsum
         forms.
 
         That freedom is exactly what breaks the exact kernel's bit-exactness
@@ -337,31 +335,27 @@ class Seq2SeqModel(Module):
         ``benchmarks/bench_decode_throughput.py`` and CI); anything that must
         be reproducible to the bit stays on :meth:`decode_trunk_numpy_batch`.
         """
-        questions, slots, hidden = states.shape
+        hidden = states.shape[1]
         new_states = np.tanh(
-            previous_inputs
-            + states.reshape(questions * slots, hidden)
-            @ self.recurrent_projection.weight.data)                            # (Q*S, h)
-        states3 = new_states.reshape(questions, slots, hidden)
-
-        scores = np.matmul(states3, memory_t)                                   # (Q, S, T)
+            previous_inputs + states @ self.recurrent_projection.weight.data)  # (R, h)
+        scores = np.matmul(memory, new_states[:, :, None])[:, :, 0]            # (R, T)
         if not memory_mask.all():
-            scores = np.where(memory_mask[:, None, :], scores, -np.inf)
+            scores = np.where(memory_mask, scores, -np.inf)
         # Both attention operands are tanh outputs, so |score| <= hidden and
         # the exp cannot overflow at ordinary widths -- the max-subtraction
         # is only needed (and only paid) when hidden approaches the float64
         # exp limit of ~709.
         if hidden > 512:
-            scores = scores - scores.max(axis=2, keepdims=True)
+            scores = scores - scores.max(axis=1, keepdims=True)
         attention = np.exp(scores)                                              # pads -> 0.0
-        attention /= attention.sum(axis=2, keepdims=True)
-        context = np.matmul(attention, memory)                                  # (Q, S, h)
+        attention /= attention.sum(axis=1, keepdims=True)
+        context = np.matmul(attention[:, None, :], memory)[:, 0, :]            # (R, h)
 
         combined = np.tanh(
-            np.concatenate([new_states, context.reshape(-1, hidden)], axis=1)
+            np.concatenate([new_states, context], axis=1)
             @ self.combine_projection.weight.data
-            + self.combine_projection.bias.data)                                # (Q*S, h)
-        return combined, states3
+            + self.combine_projection.bias.data)                                # (R, h)
+        return combined, new_states
 
 
 def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -490,16 +484,17 @@ class DecodeKernel:
     model, or over several shard models of one trunk (a cluster wave).
 
     The search engine (:func:`repro.nn.decoding.diverse_beam_search_batch`)
-    keeps a ``(Q, S)`` grid of beam slots resident and asks the kernel for
-    three things: :meth:`input_table` once per search, :meth:`resident_memory`
-    once per search (per-question operands the engine slices when it compacts
-    finished questions away), and :meth:`step` once per decode step.
+    keeps one flat row per distinct live ``(question, prefix)`` and asks the
+    kernel for three things: :meth:`input_table` once per search,
+    :meth:`resident_memory` once per search (per-question operands the engine
+    gathers per row whenever its row -> question map moves), and :meth:`step`
+    once per decode step.
 
     All shard models must share the trunk modules by reference (they do:
     :func:`repro.cluster.shard.project_router` either reuses the master model
     outright or shares its trunk into a sliced twin); only the target
-    embedding / output head may differ per shard.  Each question row of a
-    wave carries a shard ``tag``; the previous-token gather indexes a stacked
+    embedding / output head may differ per shard.  Each row of a wave carries
+    its question's shard ``tag``; the previous-token gather indexes a stacked
     per-shard table, and the output head is the master's: shared outright by
     unsliced shards, or -- calibrated-head mode, every shard a slice of one
     master head -- normalized over the *master* vocabulary with each shard's
@@ -510,12 +505,12 @@ class DecodeKernel:
 
     ``row_stable`` picks the numerics, from ``RouterConfig.decode_backend``.
     True (``"vectorized"``, the default) steps through the *exact* trunk
-    (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a (shard, question) row
-    decodes to the same doubles whatever else shares its grid -- other
-    questions, other shards, cache hits thinning the stack, longer neighbours
-    padding ``T``, riding slots -- so the search is bit-identical to the loop
-    oracle and a cluster answers a question identically in every wave.  False
-    (``"fast"``) steps through the flat GEMMs of
+    (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a row decodes to the
+    same doubles whatever else shares its call -- other prefixes, questions
+    or shards, cache hits thinning the stack, longer neighbours padding ``T``
+    -- and however many beams read it, so the search is bit-identical to the
+    loop oracle and a cluster answers a question identically in every wave.
+    False (``"fast"``) steps through the flat GEMMs of
     :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast` under that backend's
     contract: scores may drift in the last ulps with batch composition.
     """
@@ -583,67 +578,58 @@ class DecodeKernel:
             table[start : start + shard_table.shape[0]] = shard_table
         return table
 
-    def resident_memory(self, encoded_batch: Sequence[EncodedSource],
-                        slots: int) -> tuple[np.ndarray, ...]:
-        """What a step reads besides the beam grid, built once per search.
+    def resident_memory(self, encoded_batch: Sequence[EncodedSource]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """What a step reads besides the rows, built once per search.
 
-        Every operand leads with the question axis, so the engine compacts
-        finished questions away by slicing kept rows.  The fast trunk reads
-        the zero-padded ``(Q, T, h)`` memory, its ``(Q, T)`` mask and a
-        contiguous ``(Q, h, T)`` transpose; the exact trunk wants one row per
-        beam slot -- the ``(Q, S, T, h+1)`` ones-augmented memory (the plain
-        memory is a view of it) and the ``(Q, S, T)`` mask.
+        Every operand leads with the question axis; the engine gathers one
+        entry per row (``operand[row -> question]``) and hands that to
+        :meth:`step`.  The exact trunk reads the zero-padded ``(Q, T, h+1)``
+        ones-augmented memory (the plain memory is a view of it) and its
+        ``(Q, T)`` mask; the fast trunk the plain ``(Q, T, h)`` memory and
+        the mask.
         """
         memory, memory_mask = pad_encoder_memories(encoded_batch)
-        if not self.row_stable:
-            return (memory, memory_mask,
-                    np.ascontiguousarray(memory.transpose(0, 2, 1)))
-        augmented_memory = np.concatenate(
-            [memory, np.ones(memory.shape[:2] + (1,))], axis=2)
-        return (np.repeat(augmented_memory[:, None], slots, axis=1),
-                np.repeat(memory_mask[:, None], slots, axis=1))
+        if self.row_stable:
+            memory = np.concatenate(
+                [memory, np.ones(memory.shape[:2] + (1,))], axis=2)
+        return memory, memory_mask
 
     def step(self, states: np.ndarray, previous_ids: np.ndarray,
-             input_table: np.ndarray, resident: tuple[np.ndarray, ...],
+             input_table: np.ndarray, operands: tuple[np.ndarray, np.ndarray],
              tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every slot of the grid one token: ``states`` ``(Q, S, h)``,
-        ``previous_ids`` ``(Q, S)``, ``tags`` ``(Q,)`` the shard index of each
-        question row (``None``: one shard).  Returns (log-probabilities ``(Q,
-        S, V)``, new states ``(Q, S, h)``).
+        """Advance ``R`` rows one token: ``states`` ``(R, h)``,
+        ``previous_ids`` ``(R,)``, ``operands`` the :meth:`resident_memory`
+        entries of each row's question, ``tags`` ``(R,)`` the shard index of
+        each row (``None``: one shard).  Returns (log-probabilities ``(R,
+        V)``, new states ``(R, h)``).
 
         Columns ``>= V_k`` of a shard's rows come back ``-inf``, so padded
         vocabulary slots can never win a top-k.
         """
-        questions, slots, hidden = states.shape
         if tags is not None:
-            previous_ids = previous_ids + tags[:, None] * self.vocab_width
+            previous_ids = previous_ids + tags * self.vocab_width
         elif len(self.models) > 1 or self.calibrated_head:
             raise ValueError("a multi-shard or calibrated-head kernel needs "
-                             "per-question shard tags")
-        previous_inputs = input_table[previous_ids.reshape(-1)]
+                             "per-row shard tags")
+        previous_inputs = input_table[previous_ids]
+        memory, memory_mask = operands
         if self.row_stable:
-            augmented_memory, memory_mask = (
-                operand.reshape((questions * slots,) + operand.shape[2:])
-                for operand in resident)
             combined, new_states = self.models[0].decode_trunk_numpy_batch(
-                previous_inputs, augmented_memory[:, :, :hidden], memory_mask,
-                states.reshape(questions * slots, hidden), augmented_memory)
+                previous_inputs, memory[:, :, :-1], memory_mask, states, memory)
         else:
-            memory, memory_mask, memory_t = resident
             combined, new_states = self.models[0].decode_trunk_numpy_batch_fast(
-                previous_inputs, memory, memory_mask, states, memory_t)
+                previous_inputs, memory, memory_mask, states)
         log_probabilities = head_log_softmax(combined, self.head_weight,
                                              self.head_bias, self.row_stable)
         if self.calibrated_head:
             # Normalizing over the master vocabulary is the calibration; what
             # is left per shard is a kept-column gather.
             master_log_probabilities = log_probabilities
-            log_probabilities = np.full((questions * slots, self.vocab_width), -np.inf)
-            flat_tags = np.repeat(tags, slots)
+            log_probabilities = np.full((len(states), self.vocab_width), -np.inf)
             for shard, kept_ids in enumerate(self.kept_ids):
-                rows = np.nonzero(flat_tags == shard)[0]
+                rows = np.nonzero(tags == shard)[0]
                 if rows.size:
                     log_probabilities[rows, : len(kept_ids)] = \
                         master_log_probabilities[rows][:, kept_ids]
-        return (log_probabilities.reshape(questions, slots, -1),
-                new_states.reshape(questions, slots, hidden))
+        return log_probabilities, new_states

@@ -10,10 +10,12 @@ merges, cross-process agreement -- leans on this property.
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import SchemaGraph
 from repro.core.questioner import TemplateQuestioner
@@ -30,6 +32,7 @@ from repro.nn.decoding import (
 from repro.nn.seq2seq import DecodeKernel, Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
+from test_constrained_incremental import _build as _build_graph_constraint
 
 
 def _hypothesis_key(hypothesis):
@@ -224,6 +227,162 @@ class TestEngineDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Prefix-shared rows: the kernel advances each distinct live (question, prefix)
+# once; ``beam_rows`` counts those rows, ``live_beams`` the beams they served.
+# ---------------------------------------------------------------------------
+def _loop_reference(model, vocabulary, encoded, constraint=None, stats=None,
+                    **budget):
+    """Per-question loop-oracle hypothesis keys, and the oracle's counters."""
+    stats = {} if stats is None else stats
+    keys = [[_hypothesis_key(h) for h in diverse_beam_search_loop(
+        model, (), vocabulary.bos_id, vocabulary.eos_id, encoded=item,
+        constraint=constraint, stats=stats, **budget)] for item in encoded]
+    return keys, stats
+
+
+class TestPrefixSharedRows:
+    @pytest.mark.parametrize("num_beams,num_groups", [(4, 2), (6, 3), (6, 6)])
+    def test_identical_groups_cost_one_groups_rows(self, toy_model, num_beams,
+                                                   num_groups):
+        """Without a diversity penalty every group makes the same choices, so
+        the whole grid rides on one group's rows."""
+        model, vocabulary, encoded = toy_model
+        budget = dict(num_beams=num_beams, num_groups=num_groups,
+                      diversity_penalty=0.0, max_length=8)
+        looped, loop_stats = _loop_reference(model, vocabulary, encoded, **budget)
+        stats: dict = {}
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id, stats=stats,
+            **budget)
+        assert [[_hypothesis_key(h) for h in one] for one in batched] == looped
+        assert stats["live_beams"] == loop_stats["beam_rows"]
+        assert stats["beam_rows"] * num_groups == loop_stats["beam_rows"]
+
+    @pytest.mark.parametrize("beams_per_group", [1, 3])
+    def test_one_group_shares_nothing_and_rides_nothing(self, toy_model,
+                                                        beams_per_group):
+        """One group's beams are distinct prefixes: the kernel advances
+        exactly the oracle's rows -- no finished, unused or duplicate slot."""
+        model, vocabulary, encoded = toy_model
+        budget = dict(num_beams=beams_per_group, num_groups=1,
+                      diversity_penalty=0.0, max_length=8)
+        _, loop_stats = _loop_reference(model, vocabulary, encoded, **budget)
+        stats: dict = {}
+        diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
+                                  vocabulary.eos_id, stats=stats, **budget)
+        assert stats["beam_rows"] == stats["live_beams"] == loop_stats["beam_rows"]
+
+    @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
+    def test_live_beams_is_the_oracles_row_count(self, toy_model, num_beams,
+                                                 num_groups, penalty):
+        model, vocabulary, encoded = toy_model
+        budget = dict(num_beams=num_beams, num_groups=num_groups,
+                      diversity_penalty=penalty, max_length=8)
+        _, loop_stats = _loop_reference(model, vocabulary, encoded, **budget)
+        stats: dict = {}
+        diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
+                                  vocabulary.eos_id, stats=stats, **budget)
+        assert stats["live_beams"] == loop_stats["beam_rows"]
+        assert stats["steps"] <= stats["beam_rows"] <= stats["live_beams"]
+
+    def test_tagged_rows_never_span_shards(self, toy_model):
+        """The same questions under two shard tags: every (shard, question)
+        keeps its own rows, and the per-tag counters split the flat ones."""
+        model, vocabulary, encoded = toy_model
+        budget = dict(num_beams=6, num_groups=3, diversity_penalty=0.0,
+                      max_length=8)
+        alone: dict = {}
+        expected = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id, stats=alone,
+            **budget)
+        stats: dict = {}
+        tags = [0] * len(encoded) + [1] * len(encoded)
+        waved = diverse_beam_search_batch(
+            DecodeKernel([model, model]), encoded + encoded, vocabulary.bos_id,
+            vocabulary.eos_id, constraint=[None] * len(tags),
+            question_tags=tags, stats=stats, **budget)
+        keys = [[_hypothesis_key(h) for h in one] for one in expected]
+        assert [[_hypothesis_key(h) for h in one] for one in waved] == keys + keys
+        for counter in ("beam_rows", "live_beams", "questions_compacted"):
+            assert stats["per_tag"][0][counter] == stats["per_tag"][1][counter] \
+                == alone[counter]
+            assert stats[counter] == 2 * alone[counter]
+        assert stats["steps"] == alone["steps"]
+
+    @pytest.mark.parametrize("num_beams,num_groups,penalty",
+                             [(1, 1, 0.0), (4, 2, 2.0), (6, 6, 2.0)])
+    def test_group_without_candidates_rests(self, toy_model, num_beams,
+                                            num_groups, penalty):
+        """A constraint that closes every token after some prefixes: the
+        stuck beams come back unfinished, exactly as the oracle reports them
+        (it re-derives the dead end every remaining step; the engine stops)."""
+        model, vocabulary, encoded = toy_model
+        size = model.config.target_vocab_size
+
+        class DeadEnds:
+            def __call__(self, prefix):
+                raise AssertionError("the mask form is preferred")
+
+            def allowed_mask(self, prefix):
+                mask = np.ones(size, dtype=bool)
+                if len(prefix) >= 2 and prefix[0] % 2 == 0:
+                    mask[:] = False
+                return mask
+
+        budget = dict(num_beams=num_beams, num_groups=num_groups,
+                      diversity_penalty=penalty, max_length=8)
+        looped, _ = _loop_reference(model, vocabulary, encoded,
+                                    constraint=DeadEnds(), **budget)
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            constraint=DeadEnds(), **budget)
+        assert [[_hypothesis_key(h) for h in one] for one in batched] == looped
+        assert any(not key[2] and len(key[0]) == 2
+                   for one in looped for key in one)
+
+
+#: Tiny seeded catalogs behind their graph constraints, built once each.
+_graph_constraint = functools.lru_cache(maxsize=None)(_build_graph_constraint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), num_databases=st.integers(1, 3),
+       budget=st.sampled_from(BUDGETS + [(3, 1, 0.0), (8, 4, 0.5), (6, 3, 0.0)]),
+       batch=st.lists(st.tuples(st.integers(0, 6), st.booleans()),
+                      min_size=1, max_size=5))
+def test_batch_matches_loop_property(seed, num_databases, budget, batch):
+    """Any tiny random model, catalog, budget and batch of (source length,
+    constrained?) questions: the engine returns the loop oracle's tokens and
+    ``score.hex()``, and serves exactly its beams."""
+    graph_constraint = _graph_constraint(seed % 5, num_databases)
+    vocabulary = graph_constraint.vocabulary
+    model = Seq2SeqModel(Seq2SeqConfig(12, len(vocabulary), embedding_dim=8,
+                                       hidden_dim=12, seed=seed))
+    rng = np.random.default_rng(seed)
+    encoded = model.encode_numpy_batch(
+        [rng.integers(0, 12, size=length).tolist() for length, _ in batch])
+    constraints = [graph_constraint if constrained else None
+                   for _, constrained in batch]
+    num_beams, num_groups, penalty = budget
+    search = dict(num_beams=num_beams, num_groups=num_groups,
+                  diversity_penalty=penalty, max_length=10)
+    looped, loop_stats = [], {}
+    for item, constraint in zip(encoded, constraints):
+        looped += _loop_reference(model, vocabulary, [item], constraint,
+                                  stats=loop_stats, **search)[0]
+    stats: dict = {}
+    batched = diverse_beam_search_batch(
+        model, encoded, vocabulary.bos_id, vocabulary.eos_id, stats=stats,
+        # One shared constraint takes the scalar form, a mix the per-question
+        # (wave) form.
+        constraint=(constraints[0] if len(set(constraints)) == 1
+                    else constraints), **search)
+    assert [[_hypothesis_key(h) for h in one] for one in batched] == looped
+    assert stats["live_beams"] == loop_stats["beam_rows"]
+    assert stats["beam_rows"] <= stats["live_beams"]
+
+
+# ---------------------------------------------------------------------------
 # Router level: trained routers over synthetic catalogs, graph constraints on.
 # ---------------------------------------------------------------------------
 def _train_router(seed: int, num_databases: int, **config_changes) -> tuple:
@@ -295,8 +454,9 @@ class TestRouterDifferential:
     def test_decode_counters_are_flat_on_the_one_shard_path(self, trained_pair,
                                                             backend):
         """``route_batch`` reports the engine counters flat -- ``per_tag``
-        belongs to tagged waves -- with ``questions_compacted`` under every
-        batched backend, and names its own backend on the decode span."""
+        belongs to tagged waves -- with ``live_beams`` and
+        ``questions_compacted`` under every batched backend, and names its own
+        backend on the decode span."""
         from repro.obs import Tracer
 
         router, _, questions = trained_pair
@@ -307,7 +467,8 @@ class TestRouterDifferential:
         stats: dict = {}
         trace = Tracer().start_trace("request")
         twin.route_batch(questions[:5], traces=[trace] * 5, decode_stats=stats)
-        batched = {"questions_compacted"} if backend != "loop" else set()
+        batched = ({"live_beams", "questions_compacted"} if backend != "loop"
+                   else set())
         assert set(stats) == {"steps", "beam_rows"} | batched
         (span,) = trace.find_spans("decode")
         assert span.attributes["backend"] == backend

@@ -372,13 +372,16 @@ class TestWaveBookkeeping:
         assert wave["waves"] >= 1
         assert wave["questions"] == len(QUESTIONS)
         assert wave["steps"] > 0
-        assert wave["beam_rows"] > 0
+        assert wave["live_beams"] >= wave["beam_rows"] > 0
         assert len(wave["shards"]) == 2
         for shard_id, entry in enumerate(wave["shards"]):
             assert entry["shard_id"] == shard_id
             assert entry["steps"] > 0
-            assert entry["beam_rows"] > 0
+            assert entry["live_beams"] >= entry["beam_rows"] > 0
             assert entry["questions_compacted"] >= 0
+        for counter in ("beam_rows", "live_beams"):
+            assert wave[counter] == sum(entry[counter]
+                                        for entry in wave["shards"])
         # The decode rode the single-stream span, not per-shard scatters ...
         assert "wave_decode" in stats["stages"]
         assert "scatter" not in stats["stages"]
@@ -393,7 +396,8 @@ class TestWaveBookkeeping:
         assert set(stages) == {"encode", "decode", "parse"}
         assert spans[fast_wave["parent_id"]]["name"] == "request_wave"
         decode = stages["decode"]["attributes"]
-        assert decode["steps"] > 0 and decode["beam_rows"] > 0
+        assert decode["steps"] > 0
+        assert decode["live_beams"] >= decode["beam_rows"] > 0
         assert decode["mask_cache_hits"] + decode["mask_cache_misses"] > 0
 
     def test_wave_deduplicates_and_caches_within_the_fleet(self, master_router):
