@@ -15,7 +15,7 @@ from repro.engine.relation import Relation, Row
 from repro.engine.values import Value, coerce_value
 from repro.schema.catalog import Catalog
 from repro.schema.database import Database
-from repro.utils.text import normalize_identifier
+from repro.utils.text import lookup_identifier, normalize_identifier
 
 
 @dataclass
@@ -26,9 +26,12 @@ class DatabaseInstance:
     tables: dict[str, list[Row]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in self.tables:
+        for name, rows in self.tables.items():
             if not self.schema.has_table(name):
                 raise ValueError(f"rows supplied for unknown table {name!r}")
+            width = len(self.schema.table(name).columns)
+            if any(len(row) != width for row in rows):
+                raise ValueError(f"rows supplied for table {name!r} are not {width} wide")
         for table in self.schema.tables:
             self.tables.setdefault(table.name, [])
 
@@ -56,14 +59,18 @@ class DatabaseInstance:
 
     # -- access -----------------------------------------------------------------
     def row_count(self, table_name: str) -> int:
-        return len(self.tables[normalize_identifier(table_name)])
+        return len(self.tables[self.schema.table(table_name).name])
 
     def scan(self, table_name: str, alias: str | None = None) -> Relation:
-        """Return the table's rows as a relation with qualified column names."""
+        """Return the table's rows as a relation with qualified column names.
+
+        Stored rows had their arity checked on the way in (by the constructor
+        or by :meth:`insert`), so the relation does not check widths again.
+        """
         table = self.schema.table(table_name)
         prefix = normalize_identifier(alias) if alias else table.name
         columns = [f"{prefix}.{column.name}" for column in table.columns]
-        return Relation(columns, list(self.tables[table.name]))
+        return Relation.trusted(columns, list(self.tables[table.name]))
 
     def column_values(self) -> dict[str, dict[str, list[Value]]]:
         """Mapping ``table -> column -> values`` for joinability detection."""
@@ -92,11 +99,10 @@ class CatalogInstance:
             self.instances.setdefault(database.name, DatabaseInstance(schema=database))
 
     def instance(self, database_name: str) -> DatabaseInstance:
-        normalized = normalize_identifier(database_name)
-        try:
-            return self.instances[normalized]
-        except KeyError:
-            raise KeyError(f"no instance for database {normalized!r}") from None
+        instance = lookup_identifier(self.instances, database_name)
+        if instance is None:
+            raise KeyError(f"no instance for database {normalize_identifier(database_name)!r}")
+        return instance
 
     def __iter__(self):
         return iter(self.instances.values())

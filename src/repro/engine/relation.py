@@ -1,19 +1,43 @@
 """Relations (row sets) and the relational operators the executor composes.
 
 A :class:`Relation` is an immutable-ish list of rows with named, possibly
-qualified columns (``table.column``).  The SQL executor translates an AST into
-a pipeline of the operators defined here: scan, filter, project, join,
-aggregate, sort, limit, distinct.
+qualified columns (``table.column``).  The SQL executor builds its source with
+the operators defined here -- scan (``DatabaseInstance.scan``) and hash join --
+runs its bound expressions over the source's rows, and finishes the result
+with distinct and limit.  Filtering, grouping, ordering and projection are
+closures the executor binds per statement, not operators.
+
+The public constructor (and :func:`from_records`) checks every row's width.
+Operators derive rows from rows that already passed that check, so they build
+their results with :meth:`Relation.trusted`, which does not look at the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.engine.values import Value, canonical, compare_values
+from repro.engine.values import Value, canonical
 
 Row = tuple[Value, ...]
+
+
+def column_index(columns: Sequence[str], name: str) -> int:
+    """Resolve a possibly-unqualified column name to its index in ``columns``.
+
+    Unqualified names match any qualifier as long as the match is unique.
+    Raises :class:`KeyError` for an unknown or ambiguous name.
+    """
+    if name in columns:
+        return columns.index(name)
+    suffix = "." + name
+    matches = [i for i, col in enumerate(columns) if col.endswith(suffix)]
+    if len(matches) == 1:
+        return matches[0]
+    if not matches:
+        raise KeyError(f"unknown column {name!r}; available: {list(columns)}")
+    raise KeyError(f"ambiguous column {name!r}; candidates: "
+                   f"{[columns[i] for i in matches]}")
 
 
 @dataclass
@@ -22,10 +46,14 @@ class Relation:
 
     Column names are qualified (``alias.column``) while flowing through the
     executor; projection at the end strips qualifiers for the final result.
+    ``ordered`` says the statement that produced the rows had an ORDER BY, so
+    their order is part of the result (execution accuracy compares ordered
+    results as lists, unordered ones as multisets).
     """
 
     columns: list[str]
     rows: list[Row] = field(default_factory=list)
+    ordered: bool = False
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -34,95 +62,45 @@ class Relation:
                     f"row width {len(row)} does not match columns {len(self.columns)}"
                 )
 
+    @classmethod
+    def trusted(cls, columns: list[str], rows: list[Row], ordered: bool = False) -> "Relation":
+        """A relation over rows already known to be ``len(columns)`` wide."""
+        relation = cls.__new__(cls)
+        relation.columns = columns
+        relation.rows = rows
+        relation.ordered = ordered
+        return relation
+
     # -- basic accessors ------------------------------------------------------
     def __len__(self) -> int:
         return len(self.rows)
 
     def column_index(self, name: str) -> int:
-        """Resolve a possibly-unqualified column name to its index.
-
-        Unqualified names match any qualifier as long as the match is unique.
-        """
-        if name in self.columns:
-            return self.columns.index(name)
-        suffix = "." + name
-        matches = [i for i, col in enumerate(self.columns) if col.endswith(suffix)]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise KeyError(f"unknown column {name!r}; available: {self.columns}")
-        raise KeyError(f"ambiguous column {name!r}; candidates: "
-                       f"{[self.columns[i] for i in matches]}")
-
-    def column_values(self, name: str) -> list[Value]:
-        index = self.column_index(name)
-        return [row[index] for row in self.rows]
+        """See :func:`column_index`."""
+        return column_index(self.columns, name)
 
     # -- operators ------------------------------------------------------------
-    def filter(self, predicate: Callable[[Row], bool]) -> "Relation":
-        return Relation(list(self.columns), [row for row in self.rows if predicate(row)])
-
-    def project(self, indices: Sequence[int], names: Sequence[str]) -> "Relation":
-        if len(indices) != len(names):
-            raise ValueError("indices and names must align")
-        rows = [tuple(row[i] for i in indices) for row in self.rows]
-        return Relation(list(names), rows)
-
-    def rename(self, names: Sequence[str]) -> "Relation":
-        if len(names) != len(self.columns):
-            raise ValueError("rename must preserve arity")
-        return Relation(list(names), list(self.rows))
-
-    def cross_join(self, other: "Relation") -> "Relation":
-        columns = list(self.columns) + list(other.columns)
-        rows = [left + right for left in self.rows for right in other.rows]
-        return Relation(columns, rows)
-
-    def hash_join(
-        self,
-        other: "Relation",
-        left_key: str,
-        right_key: str,
-    ) -> "Relation":
-        """Equi-join on ``left_key = right_key`` (inner join, NULLs never match)."""
-        left_index = self.column_index(left_key)
-        right_index = other.column_index(right_key)
+    def hash_join(self, other: "Relation", left_index: int, right_index: int) -> "Relation":
+        """Equi-join on column ``left_index`` of this relation and column
+        ``right_index`` of ``other`` (inner join, NULLs never match)."""
         buckets: dict[object, list[Row]] = {}
         for row in other.rows:
             key = row[right_index]
-            if key is None:
-                continue
-            buckets.setdefault(canonical(key), []).append(row)
-        columns = list(self.columns) + list(other.columns)
+            if key is not None:
+                buckets.setdefault(canonical(key), []).append(row)
         rows: list[Row] = []
         for row in self.rows:
             key = row[left_index]
-            if key is None:
-                continue
-            for match in buckets.get(canonical(key), ()):
-                rows.append(row + match)
-        return Relation(columns, rows)
-
-    def sort(self, keys: Sequence[tuple[str, bool]]) -> "Relation":
-        """Sort by ``(column, descending)`` keys, NULLs first ascending."""
-        import functools
-
-        indices = [(self.column_index(name), descending) for name, descending in keys]
-
-        def compare(left: Row, right: Row) -> int:
-            for index, descending in indices:
-                result = compare_values(left[index], right[index])
-                if result != 0:
-                    return -result if descending else result
-            return 0
-
-        return Relation(list(self.columns), sorted(self.rows, key=functools.cmp_to_key(compare)))
+            if key is not None:
+                for match in buckets.get(canonical(key), ()):
+                    rows.append(row + match)
+        return Relation.trusted(self.columns + other.columns, rows)
 
     def limit(self, count: int | None, offset: int = 0) -> "Relation":
         rows = self.rows[offset:]
         if count is not None:
             rows = rows[:count]
-        return Relation(list(self.columns), list(rows))
+        return Relation.trusted(self.columns, rows, self.ordered)
 
     def distinct(self) -> "Relation":
         seen: set[tuple[object, ...]] = set()
@@ -132,20 +110,7 @@ class Relation:
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
-        return Relation(list(self.columns), rows)
-
-    def group_rows(self, key_columns: Sequence[str]) -> list[tuple[tuple[object, ...], list[Row]]]:
-        """Group rows by the canonical values of ``key_columns`` (stable order)."""
-        indices = [self.column_index(name) for name in key_columns]
-        groups: dict[tuple[object, ...], list[Row]] = {}
-        order: list[tuple[object, ...]] = []
-        for row in self.rows:
-            key = tuple(canonical(row[i]) for i in indices)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        return [(key, groups[key]) for key in order]
+        return Relation.trusted(self.columns, rows, self.ordered)
 
 
 def from_records(columns: Sequence[str], records: Iterable[Sequence[Value]]) -> Relation:

@@ -54,6 +54,11 @@ def compare_values(left: Value, right: Value) -> int:
     a string are compared by their string forms, which keeps the comparison
     total (needed for deterministic ORDER BY).
     """
+    kind = type(left)
+    if kind is type(right) and (kind is int or kind is str or kind is float):
+        # Same plain type, by far the usual case (columns are typed): the
+        # comparisons the general path below would end up making.
+        return (left > right) - (left < right)
     if left is None and right is None:
         return 0
     if left is None:
@@ -92,6 +97,9 @@ def canonical(value: Value) -> object:
     Integral floats collapse to ints so that ``COUNT(*) = 3`` and ``3.0``
     compare equal, mirroring how execution-accuracy scripts normalise results.
     """
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():

@@ -124,9 +124,8 @@ class SimulatedLLM:
             if not database.has_table(table_name):
                 continue
             table = database.table(table_name)
-            words = {singularize(word) for word in table.words}
-            column_words = {singularize(word) for column in table.columns for word in column.words}
-            score += 2.0 * len(concepts & words) + 0.5 * len(concepts & column_words)
+            score += (2.0 * len(concepts & table.singular_words)
+                      + 0.5 * len(concepts & table.column_singular_words))
         return score
 
     # -- bookkeeping -----------------------------------------------------------------------

@@ -75,7 +75,7 @@ class SchemaAgnosticNL2SQL:
         self.strategy = strategy
         self.num_candidates = num_candidates
 
-    # -- execution helpers ---------------------------------------------------------
+    # -- execution and judgement -------------------------------------------------------
     def _execute(self, database: str, sql: str) -> Relation | None:
         try:
             instance = self.instances.instance(database)
@@ -83,15 +83,20 @@ class SchemaAgnosticNL2SQL:
         except (SqlError, KeyError):
             return None
 
-    def _gold_result(self, example: Example) -> Relation | None:
-        return self._execute(example.database, example.sql)
+    def _judge(self, example: Example, predicted_database: str,
+               sql: str) -> tuple[bool, str]:
+        """Execute ``sql`` and the gold query; returns (EX verdict, error note).
 
-    @staticmethod
-    def _is_ordered(sql: str) -> bool:
-        try:
-            return parse_sql(sql).is_ordered()
-        except SqlError:
-            return False
+        Each query is parsed once, inside ``execute_sql``: whether row order
+        counts is read off the gold *result* (``Relation.ordered``), not from
+        a second parse of the gold text.
+        """
+        predicted = self._execute(predicted_database, sql)
+        gold = self._execute(example.database, example.sql)
+        correct = results_equivalent(predicted, gold,
+                                     order_sensitive=gold is not None and gold.ordered) \
+            and predicted_database == example.database
+        return correct, "" if predicted is not None else "execution failed"
 
     # -- candidate selection ------------------------------------------------------------
     def _candidates(self, prediction: RoutingPrediction) -> list[tuple[str, list[str]]]:
@@ -145,12 +150,7 @@ class SchemaAgnosticNL2SQL:
             raise ValueError(f"unknown prompt strategy {self.strategy}")
         cost = self.llm.total_cost - cost_before
 
-        predicted = self._execute(predicted_database, sql)
-        gold = self._gold_result(example)
-        correct = results_equivalent(predicted, gold,
-                                     order_sensitive=self._is_ordered(example.sql)) \
-            and predicted_database == example.database
-        error = "" if predicted is not None else "execution failed"
+        correct, error = self._judge(example, predicted_database, sql)
         return GenerationResult(question=example.question, predicted_sql=sql,
                                 predicted_database=predicted_database,
                                 gold_database=example.database, correct=correct,
@@ -164,15 +164,11 @@ class SchemaAgnosticNL2SQL:
         cost_before = self.llm.total_cost
         sql, _ = self.llm.generate_sql(example.question, database, tables, columns_filter)
         cost = self.llm.total_cost - cost_before
-        predicted = self._execute(database_name, sql)
-        gold = self._gold_result(example)
-        correct = results_equivalent(predicted, gold,
-                                     order_sensitive=self._is_ordered(example.sql)) \
-            and database_name == example.database
+        correct, error = self._judge(example, database_name, sql)
         return GenerationResult(question=example.question, predicted_sql=sql,
                                 predicted_database=database_name,
                                 gold_database=example.database, correct=correct, cost=cost,
-                                error="" if predicted is not None else "execution failed")
+                                error=error)
 
     def answer_with_candidates(self, example: Example,
                                candidates: list[tuple[str, list[str]]]) -> GenerationResult:
@@ -182,15 +178,11 @@ class SchemaAgnosticNL2SQL:
         sql, _ = self.llm.generate_sql_multi(example.question, structured)
         cost = self.llm.total_cost - cost_before
         predicted_database = self._database_of_sql(structured, sql)
-        predicted = self._execute(predicted_database, sql)
-        gold = self._gold_result(example)
-        correct = results_equivalent(predicted, gold,
-                                     order_sensitive=self._is_ordered(example.sql)) \
-            and predicted_database == example.database
+        correct, error = self._judge(example, predicted_database, sql)
         return GenerationResult(question=example.question, predicted_sql=sql,
                                 predicted_database=predicted_database,
                                 gold_database=example.database, correct=correct, cost=cost,
-                                error="" if predicted is not None else "execution failed")
+                                error=error)
 
     def _human_in_the_loop_choice(self, example: Example,
                                   candidates: list[tuple[str, list[str]]]) -> tuple[str, list[str]]:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.datasets.vocabulary import SYNONYM_LEXICON
-from repro.schema.column import ColumnType
+from repro.schema.column import Column, ColumnType
 from repro.schema.database import Database
 from repro.schema.table import Table
 from repro.utils.text import singularize, tokenize_text
@@ -223,17 +223,9 @@ class HeuristicSqlGenerator:
     # ------------------------------------------------------------------
     # schema matching
     # ------------------------------------------------------------------
-    @staticmethod
-    def _table_words(table: Table) -> set[str]:
-        return {singularize(word) for word in table.words}
-
-    @staticmethod
-    def _column_words(table: Table) -> set[str]:
-        return {singularize(word) for column in table.columns for word in column.words}
-
     def _score_table(self, concepts: list[str], table: Table) -> float:
-        words = self._table_words(table)
-        column_words = self._column_words(table)
+        words = table.singular_words
+        column_words = table.column_singular_words
         score = 0.0
         for concept in concepts:
             if concept in words:
@@ -267,8 +259,9 @@ class HeuristicSqlGenerator:
             return None
         return best
 
-    def _column_score(self, concepts: list[str], column_name: str) -> float:
-        words = {singularize(word) for word in tokenize_text(column_name)}
+    @staticmethod
+    def _column_score(concepts: list[str], column: Column) -> float:
+        words = column.singular_words
         return sum(1.0 for concept in concepts if concept in words)
 
     def _identity_column(self, table: Table) -> str | None:
@@ -287,7 +280,7 @@ class HeuristicSqlGenerator:
         if not candidates:
             candidates = list(table.columns)
         scored = sorted(candidates, key=lambda column: (
-            -self._column_score(concepts, column.name),
+            -self._column_score(concepts, column),
             0 if column.column_type is ColumnType.TEXT else 1,
         ))
         best = scored[0]
@@ -299,7 +292,7 @@ class HeuristicSqlGenerator:
             identity = self._identity_column(table)
             if identity is not None:
                 return identity
-        if self._column_score(concepts, best.name) <= 0:
+        if self._column_score(concepts, best) <= 0:
             # No column is mentioned explicitly: "which singer ..." asks for
             # the identity column.
             identity = self._identity_column(table)
@@ -314,7 +307,7 @@ class HeuristicSqlGenerator:
         if not candidates:
             return None
         concepts = analysis.concepts
-        return max(candidates, key=lambda column: self._column_score(concepts, column.name)).name
+        return max(candidates, key=lambda column: self._column_score(concepts, column)).name
 
     # ------------------------------------------------------------------
     # filters
@@ -352,7 +345,7 @@ class HeuristicSqlGenerator:
                 is_text = column.column_type in (ColumnType.TEXT, ColumnType.DATE)
                 if prefer_text != is_text:
                     continue
-                score = self._column_score(concepts, column.name) - 0.1 * priority
+                score = self._column_score(concepts, column) - 0.1 * priority
                 if score <= 0:
                     continue
                 if best is None or score > best[0]:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from repro.schema.database import Database
 from repro.schema.table import Table
-from repro.utils.text import normalize_identifier
+from repro.utils.text import lookup_identifier, normalize_identifier
 
 
 @dataclass
@@ -25,8 +25,9 @@ class Catalog:
 
     def __post_init__(self) -> None:
         self.name = normalize_identifier(self.name) or "catalog"
-        names = [db.name for db in self.databases]
-        if len(names) != len(set(names)):
+        #: name -> database, kept in step with ``databases`` by :meth:`add_database`.
+        self._databases_by_name = {db.name: db for db in self.databases}
+        if len(self._databases_by_name) != len(self.databases):
             raise ValueError("duplicate database names in catalog")
 
     # -- membership ---------------------------------------------------------
@@ -46,19 +47,19 @@ class Catalog:
         return [db.name for db in self.databases]
 
     def has_database(self, name: str) -> bool:
-        return normalize_identifier(name) in set(self.database_names)
+        return lookup_identifier(self._databases_by_name, name) is not None
 
     def database(self, name: str) -> Database:
-        normalized = normalize_identifier(name)
-        for db in self.databases:
-            if db.name == normalized:
-                return db
-        raise KeyError(f"catalog has no database {normalized!r}")
+        database = lookup_identifier(self._databases_by_name, name)
+        if database is None:
+            raise KeyError(f"catalog has no database {normalize_identifier(name)!r}")
+        return database
 
     def add_database(self, database: Database) -> None:
-        if self.has_database(database.name):
+        if database.name in self._databases_by_name:
             raise ValueError(f"duplicate database {database.name!r} in catalog")
         self.databases.append(database)
+        self._databases_by_name[database.name] = database
 
     # -- aggregate views ------------------------------------------------------
     @property

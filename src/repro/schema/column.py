@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from repro.utils.text import normalize_identifier, tokenize_text
+from repro.utils.text import normalize_identifier, singularize, tokenize_text
 
 
 class ColumnType(str, Enum):
@@ -61,6 +62,12 @@ class Column:
     def words(self) -> list[str]:
         """Words composing the identifier (used for retrieval documents)."""
         return tokenize_text(self.name)
+
+    @cached_property
+    def singular_words(self) -> frozenset[str]:
+        """The singularised :attr:`words`, as the set question concepts are
+        matched against; computed once (a column never changes)."""
+        return frozenset(singularize(word) for word in self.words)
 
     def describe(self) -> str:
         """Readable one-line description used in prompts and documents."""

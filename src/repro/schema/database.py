@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.schema.table import ForeignKey, Table, validate_foreign_keys
-from repro.utils.text import normalize_identifier, tokenize_text
+from repro.utils.text import lookup_identifier, normalize_identifier, tokenize_text
 
 
 @dataclass
@@ -28,8 +28,10 @@ class Database:
         self.name = normalize_identifier(self.name)
         if not self.name:
             raise ValueError("database name must not be empty")
-        names = [t.name for t in self.tables]
-        if len(names) != len(set(names)):
+        #: name -> table, kept in step with ``tables`` by :meth:`add_table`
+        #: (the only way tables are added after construction).
+        self._tables_by_name = {table.name: table for table in self.tables}
+        if len(self._tables_by_name) != len(self.tables):
             raise ValueError(f"duplicate table names in database {self.name!r}")
         validate_foreign_keys(self.tables, self.foreign_keys)
 
@@ -39,19 +41,19 @@ class Database:
         return [table.name for table in self.tables]
 
     def has_table(self, name: str) -> bool:
-        return normalize_identifier(name) in set(self.table_names)
+        return lookup_identifier(self._tables_by_name, name) is not None
 
     def table(self, name: str) -> Table:
-        normalized = normalize_identifier(name)
-        for table in self.tables:
-            if table.name == normalized:
-                return table
-        raise KeyError(f"database {self.name!r} has no table {normalized!r}")
+        table = lookup_identifier(self._tables_by_name, name)
+        if table is None:
+            raise KeyError(f"database {self.name!r} has no table {normalize_identifier(name)!r}")
+        return table
 
     def add_table(self, table: Table) -> None:
-        if self.has_table(table.name):
+        if table.name in self._tables_by_name:
             raise ValueError(f"duplicate table {table.name!r} in database {self.name!r}")
         self.tables.append(table)
+        self._tables_by_name[table.name] = table
 
     def add_foreign_key(self, foreign_key: ForeignKey) -> None:
         validate_foreign_keys(self.tables, [foreign_key])

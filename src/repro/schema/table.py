@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.schema.column import Column, ColumnType
-from repro.utils.text import normalize_identifier, tokenize_text
+from repro.utils.text import normalize_identifier, singularize, tokenize_text
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ class Table:
         if self.has_column(column.name):
             raise ValueError(f"duplicate column {column.name!r} in table {self.name!r}")
         self.columns.append(column)
+        self.__dict__.pop("column_singular_words", None)
 
     @property
     def primary_key(self) -> Column | None:
@@ -94,6 +96,17 @@ class Table:
     @property
     def words(self) -> list[str]:
         return tokenize_text(self.name)
+
+    @cached_property
+    def singular_words(self) -> frozenset[str]:
+        """The singularised :attr:`words` of the table name, computed once."""
+        return frozenset(singularize(word) for word in self.words)
+
+    @cached_property
+    def column_singular_words(self) -> frozenset[str]:
+        """Union of the columns' :attr:`Column.singular_words`; computed once
+        per table and again after :meth:`add_column`."""
+        return frozenset().union(*(column.singular_words for column in self.columns))
 
     def flat_description(self, include_columns: bool = True) -> str:
         """Flat normalised text used by retrieval baselines (paper §4.1.5)."""

@@ -11,7 +11,7 @@ The parser is used in two places that matter for the reproduction:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -49,15 +49,13 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "string" | "operator" | "word"
     text: str
     position: int
-
-    @property
-    def lowered(self) -> str:
-        return self.text.lower()
+    #: ``text`` lowercased once, here, for the keyword checks (words only;
+    #: for the other kinds it is ``text`` itself).
+    lowered: str
 
 
 def _tokenize(sql: str) -> list[_Token]:
@@ -71,7 +69,9 @@ def _tokenize(sql: str) -> list[_Token]:
         kind = match.lastgroup or ""
         if kind == "space":
             continue
-        tokens.append(_Token(kind=kind, text=match.group(), position=match.start()))
+        text = match.group()
+        tokens.append(_Token(kind, text, match.start(),
+                             text.lower() if kind == "word" else text))
     return tokens
 
 

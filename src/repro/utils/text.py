@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import re
+from typing import Mapping, TypeVar
+
+T = TypeVar("T")
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _NON_WORD = re.compile(r"[^a-z0-9_]+")
 _WORD = re.compile(r"[a-z0-9]+")
 _WHITESPACE = re.compile(r"\s+")
+_UNDERSCORES = re.compile(r"_+")
+_NORMAL_IDENTIFIER = re.compile(r"[a-z0-9]+(?:_[a-z0-9]+)*")
 
 # Irregular noun forms used by the synthetic schema generator; pluralisation is
 # intentionally small because schema identifiers only need to look realistic.
@@ -44,11 +49,26 @@ def camel_to_snake(name: str) -> str:
 
 def normalize_identifier(name: str) -> str:
     """Normalise a schema identifier to lowercase snake_case words."""
+    if _NORMAL_IDENTIFIER.fullmatch(name):
+        # Already normal -- true of every name that has been through here
+        # once, which is nearly every name that comes back.
+        return name
     snake = camel_to_snake(name.strip())
     snake = snake.replace("-", "_").replace(" ", "_")
     snake = _NON_WORD.sub("_", snake)
-    snake = re.sub(r"_+", "_", snake).strip("_")
-    return snake
+    return _UNDERSCORES.sub("_", snake).strip("_")
+
+
+def lookup_identifier(mapping: Mapping[str, T], name: str) -> T | None:
+    """``mapping``'s value for ``name``, its keys being normalised identifiers.
+
+    The name is tried as given before it is normalised: names the program
+    made itself are already normal, and those are nearly all it looks up.
+    """
+    found = mapping.get(name)
+    if found is None:
+        found = mapping.get(normalize_identifier(name))
+    return found
 
 
 def normalize_whitespace(text: str) -> str:

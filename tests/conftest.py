@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets import CollectionConfig, build_collection
+from repro.datasets import CollectionConfig, build_collection, build_spider_like
+from repro.datasets.robustness import make_realistic_variant, make_synonym_variant
 from repro.engine import DatabaseInstance
 from repro.schema import Catalog, Column, ColumnType, Database, ForeignKey, Table
 
@@ -87,3 +88,18 @@ def tiny_dataset():
     config = CollectionConfig(name="tiny", num_databases=6, rows_per_table=12,
                               examples_per_database=8, seed=7)
     return build_collection(config)
+
+
+@pytest.fixture(scope="session")
+def spider_like():
+    """The collection the end-to-end benchmark's fixture is built from."""
+    return build_spider_like()
+
+
+@pytest.fixture(scope="session")
+def spider_like_test_examples(spider_like):
+    """The 900 examples the ``nl2sql_e2e`` row answers: the test split with
+    its regular, ``syn`` and ``real`` questions."""
+    return (spider_like.test_examples
+            + make_synonym_variant(spider_like).test_examples
+            + make_realistic_variant(spider_like).test_examples)

@@ -11,6 +11,7 @@ from repro.engine import (
     compare_values,
     results_equivalent,
 )
+from repro.engine.relation import from_records
 from repro.engine.values import canonical, coerce_value, values_equal
 from repro.schema import ColumnType
 
@@ -46,6 +47,13 @@ class TestValues:
     def test_compare_is_antisymmetric(self, a, b):
         assert compare_values(a, b) == -compare_values(b, a)
 
+    def test_compare_same_type_and_mixed(self):
+        assert compare_values("b", "a") == 1 and compare_values("a", "a") == 0
+        assert compare_values(1.5, 2.5) == -1 and compare_values(2, 2.0) == 0
+        assert compare_values(True, 1) == 0 and compare_values(False, True) == -1
+        # A number and a string compare by their string forms.
+        assert compare_values(10, "9") == -1 and compare_values(5, "5") == 0
+
 
 class TestRelation:
     @pytest.fixture
@@ -67,37 +75,37 @@ class TestRelation:
         with pytest.raises(KeyError):
             relation.column_index("a")
 
-    def test_filter_and_project(self, relation):
-        filtered = relation.filter(lambda row: row[0] == 2)
-        assert len(filtered) == 2
-        projected = filtered.project([1], ["b"])
-        assert projected.rows == [("y",), ("z",)]
-
     def test_hash_join_skips_nulls(self):
         left = Relation(["l.k"], [(1,), (None,)])
         right = Relation(["r.k", "r.v"], [(1, "a"), (1, "b")])
-        joined = left.hash_join(right, "l.k", "r.k")
-        assert len(joined) == 2
+        joined = left.hash_join(right, 0, 0)
+        assert joined.columns == ["l.k", "r.k", "r.v"]
+        assert joined.rows == [(1, 1, "a"), (1, 1, "b")]
 
-    def test_sort_and_limit(self, relation):
-        ordered = relation.sort([("t.a", True)])
-        assert [row[0] for row in ordered.rows] == [2, 2, 1]
-        assert len(ordered.limit(1)) == 1
-        assert len(ordered.limit(None, offset=1)) == 2
+    def test_hash_join_matches_canonical_keys(self):
+        left = Relation(["l.k"], [(1.0,), (True,), ("1",)])
+        right = Relation(["r.k"], [(1,)])
+        assert left.hash_join(right, 0, 0).rows == [(1.0, 1), (True, 1)]
+
+    def test_limit_and_offset(self, relation):
+        assert relation.limit(1).rows == [(1, "x")]
+        assert len(relation.limit(None, offset=1)) == 2
 
     def test_distinct(self):
         relation = Relation(["a"], [(1,), (1,), (2,)])
         assert len(relation.distinct()) == 2
 
-    def test_group_rows_stable_order(self, relation):
-        groups = relation.group_rows(["t.a"])
-        assert [key for key, _ in groups] == [(1,), (2,)]
-        assert len(groups[1][1]) == 2
+    def test_operators_keep_the_ordered_flag(self):
+        relation = Relation(["a"], [(2,), (1,), (1,)], ordered=True)
+        assert relation.distinct().ordered and relation.limit(1).ordered
+        assert not Relation(["a"], [(1,)]).limit(1).ordered
 
-    def test_cross_join(self):
-        a = Relation(["a.x"], [(1,), (2,)])
-        b = Relation(["b.y"], [(3,)])
-        assert len(a.cross_join(b)) == 2
+    def test_trusted_skips_the_width_check(self):
+        # Operators derive rows from checked rows, so they do not re-check;
+        # the public constructor and from_records still do.
+        assert Relation.trusted(["a"], [(1, 2)]).rows == [(1, 2)]
+        with pytest.raises(ValueError):
+            from_records(["a"], [[1, 2]])
 
 
 class TestDatabaseInstance:

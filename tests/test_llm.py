@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.datasets.examples import Example
@@ -110,6 +112,30 @@ class TestHeuristicGenerator:
     def test_empty_schema(self, generator, concert_database):
         assert generator.generate("anything", concert_database, []) == "SELECT 1"
 
+    def test_fixture_sql_is_unchanged(self, generator, spider_like, spider_like_test_examples):
+        """The SQL written for every test question of the benchmark fixture
+        (regular, ``syn`` and ``real`` variants; prompted with the gold
+        tables, the whole database, and the gold columns) is what it was when
+        the generator still re-derived every table's and column's word set
+        per question and scoring call -- 2 700 statements, by digest."""
+        digest = hashlib.sha256()
+        for example in spider_like_test_examples:
+            database = spider_like.catalog.database(example.database)
+            gold_columns: dict[str, list[str]] = {}
+            for qualified in example.columns:
+                table, _, column = qualified.partition(".")
+                gold_columns.setdefault(table, []).append(column)
+            for sql in (
+                generator.generate(example.question, database, list(example.tables)),
+                generator.generate(example.question, database, database.table_names),
+                generator.generate(example.question, database, list(example.tables),
+                                   columns_filter=gold_columns),
+            ):
+                digest.update(sql.encode() + b"\n")
+        assert len(spider_like_test_examples) == 900
+        assert digest.hexdigest() == \
+            "2572c85ddb339404b1bf9c3456fd81cab293b35c6681f673a4edace5a51de0dd"
+
 
 class TestSimulatedLLMAndPipeline:
     @pytest.fixture
@@ -183,6 +209,30 @@ class TestSimulatedLLMAndPipeline:
         result = pipeline.answer(example, prediction=prediction)
         assert result.predicted_database == "concert_singer"
         assert result.correct
+
+    def test_each_query_is_parsed_once_per_answer(self, environment, example, monkeypatch):
+        import repro.sql.executor as executor_module
+
+        parsed = []
+        parse = executor_module.parse_sql
+        monkeypatch.setattr(executor_module, "parse_sql",
+                            lambda sql: (parsed.append(sql), parse(sql))[1])
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+        result = pipeline.answer_with_schema(example, "concert_singer", ["singer"])
+        assert result.correct
+        assert parsed == [result.predicted_sql, example.sql]
+
+    def test_row_order_counts_when_the_gold_query_orders(self, environment, example):
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+        unordered = "SELECT name FROM singer"
+        by_age = "SELECT name FROM singer ORDER BY age"
+        for gold, predicted, correct in ((unordered, by_age, True), (by_age, unordered, False),
+                                         (by_age, by_age, True), ("SELECT nonsense", by_age, False)):
+            gold_example = Example(question=example.question, database=example.database,
+                                   tables=example.tables, sql=gold)
+            assert pipeline._judge(gold_example, "concert_singer", predicted) == (correct, "")
 
     def test_answer_requires_router_or_prediction(self, environment, example):
         catalog, instances, llm = environment

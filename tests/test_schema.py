@@ -52,6 +52,16 @@ class TestTable:
         table = Table("t", [Column("a"), Column("b")])
         assert table.schema_line() == "t(a, b)"
 
+    def test_singular_word_sets_are_computed_once_and_follow_add_column(self):
+        table = Table("SingersInConcerts", [Column("concert_ids"), Column("stage_names")])
+        assert table.singular_words == {"singer", "in", "concert"}
+        assert table.columns[0].singular_words == {"concert", "id"}
+        assert table.column_singular_words == {"concert", "id", "stage", "name"}
+        assert table.column_singular_words is table.column_singular_words
+        assert table.columns[0].singular_words is table.columns[0].singular_words
+        table.add_column(Column("ticket_prices"))
+        assert table.column_singular_words >= {"ticket", "price"}
+
     def test_flat_description_contains_column_words(self):
         table = Table("singer", [Column("net_worth", ColumnType.REAL)])
         assert "net" in table.flat_description() and "worth" in table.flat_description()
@@ -82,6 +92,29 @@ class TestDatabase:
         assert concert_database.num_tables == 3
         assert concert_database.num_columns == 9
 
+    def test_table_lookup_by_any_spelling(self, concert_database):
+        singer = concert_database.tables[0]
+        for name in ("singer", "Singer", " singer ", "SingerInConcert"):
+            assert concert_database.has_table(name)
+        assert concert_database.table("Singer") is singer
+        assert concert_database.table("Singer In Concert").name == "singer_in_concert"
+        assert not concert_database.has_table("singers")
+        with pytest.raises(KeyError, match="no table 'ghost_table'"):
+            concert_database.table("GhostTable")
+
+    def test_lookup_keeps_step_with_add_table(self, concert_database):
+        assert not concert_database.has_table("venue")
+        venue = Table("Venue", [Column("venue_id", ColumnType.INTEGER)])
+        concert_database.add_table(venue)
+        assert concert_database.table("venue") is venue
+        assert concert_database.table_names[-1] == "venue"
+        with pytest.raises(ValueError):
+            concert_database.add_table(Table("venue", [Column("x")]))
+
+    def test_duplicate_tables_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            Database("d", tables=[Table("t", [Column("a")]), Table("T", [Column("b")])])
+
 
 class TestCatalog:
     def test_membership(self, small_catalog):
@@ -92,6 +125,17 @@ class TestCatalog:
     def test_duplicate_database_rejected(self, concert_database):
         with pytest.raises(ValueError):
             Catalog(databases=[concert_database, concert_database])
+
+    def test_database_lookup_keeps_step_with_add_database(self, small_catalog):
+        assert small_catalog.database("World") is small_catalog.databases[1]
+        assert not small_catalog.has_database("library")
+        library = Database("Library", tables=[Table("book", [Column("title")])])
+        small_catalog.add_database(library)
+        assert small_catalog.database("library") is library and "Library" in small_catalog
+        with pytest.raises(ValueError):
+            small_catalog.add_database(Database("library"))
+        with pytest.raises(KeyError, match="no database 'ghost'"):
+            small_catalog.database("Ghost")
 
     def test_iter_tables(self, small_catalog):
         pairs = list(small_catalog.iter_tables())

@@ -65,6 +65,15 @@ class TestParser:
         with pytest.raises(SqlParseError):
             parse_sql(bad)
 
+    def test_keywords_match_in_any_case(self):
+        statement = parse_sql("sElEcT DiStInCt Name fRoM Singer wHeRe Age Not In "
+                              "(SELECT MAX(age) FROM singer) oRdEr By Name dEsC LiMiT 2")
+        assert statement.distinct and statement.limit == 2
+        assert statement.order_by[0].descending and statement.where.negated
+        # Identifiers keep their spelling; only keywords are case-blind.
+        assert statement.select_items[0].expression.name == "Name"
+        assert statement.where.subquery.select_items[0].expression.name == "max"
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(SqlParseError):
             parse_sql("SELECT a FROM t nonsense nonsense")
@@ -147,6 +156,16 @@ class TestExecutor:
     def test_wrong_database_qualifier(self, executor):
         with pytest.raises(SqlExecutionError):
             executor.execute_sql("SELECT name FROM other_db.singer")
+
+    def test_result_says_whether_its_order_counts(self, executor):
+        assert executor.execute_sql("SELECT name FROM singer ORDER BY age").ordered
+        assert executor.execute_sql(
+            "SELECT DISTINCT country FROM singer ORDER BY country LIMIT 1").ordered
+        assert not executor.execute_sql("SELECT name FROM singer").ordered
+        # Only the statement's own ORDER BY counts, not a sub-query's.
+        assert not executor.execute_sql(
+            "SELECT name FROM singer WHERE age = (SELECT age FROM singer ORDER BY age LIMIT 1)"
+        ).ordered
 
     def test_aggregate_outside_group_context(self, executor):
         # Aggregates in plain WHERE clauses are invalid in this dialect.

@@ -88,6 +88,16 @@ class TestText:
     def test_normalize_identifier(self, raw, expected):
         assert normalize_identifier(raw) == expected
 
+    @pytest.mark.parametrize("raw, expected", [
+        # Already normal: returned as it is, by the fast path ...
+        ("singer_in_concert", "singer_in_concert"), ("t1", "t1"), ("a", "a"),
+        # ... which must not mistake these for normal.
+        ("a__b", "a_b"), ("_a", "a"), ("a_", "a"), ("a\n", "a"), ("", ""), ("_", ""),
+        ("T1", "t1"), ("a.b", "a_b"), ("é", ""),
+    ])
+    def test_normalize_identifier_fast_path(self, raw, expected):
+        assert normalize_identifier(raw) == expected
+
     def test_normalize_whitespace(self):
         assert normalize_whitespace("  a \n b\t c ") == "a b c"
 
