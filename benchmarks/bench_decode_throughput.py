@@ -22,7 +22,9 @@ the CI bench-smoke lane to scrape, and asserts the tier contracts:
 ``fast_speedup_vs_vectorized`` is recorded, not gated: it was a ratio between
 twins (ROADMAP item 2c), and once the engine stopped advancing finished,
 unused and duplicate beam slots the kernel -- the only place the two differ --
-became the smaller share of a decode (measured ~1.2x, was ~1.5x).  The
+became the smaller share of a decode (~1.2x, was ~1.5x); since the exact
+kernel multiplies in fixed 8-row tiles it measures ~1.15x, which is the figure
+ROADMAP item 3 holds against its 10 % rule for retiring ``fast``.  The
 absolute figures live in the ``benchmarks/e2e`` rows.
 
 It also records, ungated, the ``vectorized`` questions/sec of the two grid

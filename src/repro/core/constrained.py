@@ -29,7 +29,11 @@ Two interpretation paths produce those masks:
   resolves the state's mask without ever touching the prefix again.  The two
   paths are exactly equivalent by construction (``advance`` mirrors one loop
   iteration of ``interpret``), which ``tests/test_constrained_incremental.py``
-  enforces differentially.
+  enforces differentially.  The states form an automaton that is a function
+  of the catalog, not of the question, so it belongs to the constraint object:
+  every search starts from the one persistent
+  :meth:`GraphConstrainedDecoding.initial_state` and walks -- and grows --
+  the same tree.
 """
 
 from __future__ import annotations
@@ -67,13 +71,15 @@ class ConstraintState:
     resolve their constraint as one attribute read.
 
     Instances are immutable from the search's point of view (``advance``
-    returns a new state), so surviving beams may share them freely across
-    groups, questions, and steps.  ``transitions`` memoizes outgoing
-    ``advance`` edges (token -> successor state): beams in different groups
-    repeatedly take the same transitions within a decode, and the memo turns
-    those repeats into one dict hit.  The tree is rooted at the
-    ``initial_state()`` a decode call starts from, so it lives exactly as
-    long as the call's beams and never accumulates across requests.
+    returns a new state), so beams share them freely across groups,
+    questions, shards' questions, searches and requests.  ``transitions``
+    memoizes outgoing ``advance`` edges (token -> successor state), so a
+    transition any beam of any earlier search took is one dict hit.  The tree
+    is rooted at the constraint's persistent ``initial_state()`` and lives as
+    long as the constraint object (the router's catalog) does, bounded by its
+    ``max_cached_masks``: past the bound the constraint drops the root whole
+    and the tree regrows from the next search on, while searches in flight
+    keep the states they hold.
     """
 
     __slots__ = ("database", "tables", "current_words", "complete", "node",
@@ -141,10 +147,17 @@ class GraphConstrainedDecoding:
         # first once ``max_cached_masks`` is reached.
         self._mask_cache: dict[tuple, _MaskEntry] = {}
         self.max_cached_masks = 4096
-        # Observability counters: memo/cache hits vs fresh mask computations.
-        # Read (as before/after deltas) by SchemaRouter's decode spans.
+        # The incremental automaton: one persistent root (see
+        # :meth:`initial_state`) and the number of states hanging off it,
+        # held to ``max_cached_masks`` like the mask cache.
+        self._root: ConstraintState | None = None
+        self._tree_states = 0
+        # Observability counters: memo/cache hits vs fresh mask computations,
+        # and automaton states made.  Read (as before/after deltas) by
+        # SchemaRouter's decode spans.
         self.mask_cache_hits = 0
         self.mask_cache_misses = 0
+        self.constraint_states = 0
 
     # -- helpers --------------------------------------------------------------
     def _word_ids(self, identifier: str) -> tuple[int, ...]:
@@ -209,8 +222,35 @@ class GraphConstrainedDecoding:
 
     # -- incremental interpretation --------------------------------------------------
     def initial_state(self) -> ConstraintState:
-        """The interpreter state of the empty prefix."""
-        return ConstraintState(None, (), (), True, self._database_trie.root())
+        """The interpreter state of the empty prefix: one persistent root.
+
+        Every search -- every question, group, (shard, question) pair and
+        request -- starts here, so the ``transitions`` / ``mask`` memos below
+        the root live as long as this constraint does, and a steady-state
+        decode makes no state at all (``constraint_states`` stands still).
+        The tree holds at most ``max_cached_masks`` states: the state that
+        would exceed the bound drops the root whole (:meth:`_new_state`), the
+        next call here roots a fresh tree, and searches in flight finish on
+        the states they hold.  Concurrent searches share the tree under the
+        GIL without a lock: a lost race builds an equal state twice, exactly
+        as the mask cache tolerates.
+        """
+        root = self._root
+        if root is None:
+            root = self._root = self._new_state(
+                None, (), (), True, self._database_trie.root())
+        return root
+
+    def _new_state(self, database: str | None, tables: tuple[str, ...],
+                   current_words: tuple[int, ...], complete: bool,
+                   node) -> ConstraintState:
+        """Make (and count) one automaton state, resetting a full tree."""
+        if self._tree_states >= self.max_cached_masks:
+            self._root = None
+            self._tree_states = 0
+        self._tree_states += 1
+        self.constraint_states += 1
+        return ConstraintState(database, tables, current_words, complete, node)
 
     def advance(self, state: ConstraintState, token: int) -> ConstraintState:
         """Consume one emitted token: O(1), no prefix re-walk.
@@ -234,7 +274,7 @@ class GraphConstrainedDecoding:
                 successor = state if not state.current_words \
                     else self._commit_state(state)
             else:
-                successor = ConstraintState(state.database, state.tables,
+                successor = self._new_state(state.database, state.tables,
                                             state.current_words + (token,), False,
                                             PrefixTrie.child(state.node, token))
             transitions[token] = successor
@@ -247,12 +287,12 @@ class GraphConstrainedDecoding:
             if not matches:
                 return self.initial_state()
             database = matches[0]
-            return ConstraintState(database, (), (), True,
+            return self._new_state(database, (), (), True,
                                    self._table_trie(database).root())
         tables = state.tables
         if matches and matches[0] not in tables:
             tables = tables + (matches[0],)
-        return ConstraintState(state.database, tables, (), True,
+        return self._new_state(state.database, tables, (), True,
                                self._table_trie(state.database).root())
 
     def allowed_mask_for_state(self, state: ConstraintState) -> np.ndarray:

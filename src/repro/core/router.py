@@ -195,11 +195,13 @@ def merge_route_lists(route_lists: Iterable[Sequence[SchemaRoute]],
     return merged[:max_candidates] if max_candidates is not None else merged
 
 
-def _mask_cache_counts(constraints: Iterable) -> tuple[int, int]:
-    """Summed (hits, misses) of the constraints' mask caches (``None`` skipped)."""
+def _constraint_counts(constraints: Iterable) -> tuple[int, int, int]:
+    """Summed (mask-cache hits, mask-cache misses, automaton states made) of
+    the constraints (``None`` skipped)."""
     live = [constraint for constraint in constraints if constraint is not None]
     return (sum(constraint.mask_cache_hits for constraint in live),
-            sum(constraint.mask_cache_misses for constraint in live))
+            sum(constraint.mask_cache_misses for constraint in live),
+            sum(constraint.constraint_states for constraint in live))
 
 
 def beam_search_wave(kernel: DecodeKernel | None,
@@ -218,13 +220,14 @@ def beam_search_wave(kernel: DecodeKernel | None,
     oracle instead (``decode_backend="loop"``).  The routers must agree on
     the beam budget and special token ids -- the cluster wave engine checks
     that -- so ``routers[0]`` configures the search.  Every context in
-    ``traces`` gets a ``decode`` span annotated with the engine counters and
-    the constraints' mask-cache traffic; ``stats`` accumulates the engine
-    counters (flat ``steps`` / ``beam_rows`` / ``live_beams`` /
-    ``questions_compacted``: kernel rows are distinct live prefixes, so
-    ``beam_rows / live_beams`` is the sharing ratio; broken out under
-    ``"per_tag"`` only when tags were passed).  Returns one
-    hypothesis list per row (possibly empty: callers fall back to
+    ``traces`` gets a ``decode`` span annotated with the engine counters, the
+    constraints' mask-cache traffic and the automaton states they made
+    (``constraint_states``: 0 once the catalog's automaton is grown);
+    ``stats`` accumulates the engine counters (flat ``steps`` / ``beam_rows``
+    / ``live_beams`` / ``questions_compacted``: kernel rows are distinct live
+    prefixes, so ``beam_rows / live_beams`` is the sharing ratio; broken out
+    under ``"per_tag"`` only when tags were passed).  Returns one hypothesis
+    list per row (possibly empty: callers fall back to
     :meth:`SchemaRouter.decode_fallback`).
     """
     config = routers[0].config
@@ -236,7 +239,7 @@ def beam_search_wave(kernel: DecodeKernel | None,
                       diversity_penalty=config.diversity_penalty)
     constraints = [router.constraint for router in routers]
     stats = stats if stats is not None else {}
-    masks_before = _mask_cache_counts(constraints)
+    counts_before = _constraint_counts(constraints)
     with stage_spans(traces, "decode",
                      backend=config.decode_backend if tags is None else "wave",
                      questions=len(encoded_batch)) as spans:
@@ -254,12 +257,13 @@ def beam_search_wave(kernel: DecodeKernel | None,
                             else [constraints[tag] for tag in tags]),
                 stats=stats, question_tags=tags, **search)
         if spans:
-            hits, misses = _mask_cache_counts(constraints)
+            hits, misses, states = _constraint_counts(constraints)
             counters = {key: value for key, value in stats.items()
                         if key != "per_tag"}
             for span in spans:
-                span.annotate(mask_cache_hits=hits - masks_before[0],
-                              mask_cache_misses=misses - masks_before[1],
+                span.annotate(mask_cache_hits=hits - counts_before[0],
+                              mask_cache_misses=misses - counts_before[1],
+                              constraint_states=states - counts_before[2],
                               **counters)
     return hypotheses_batch
 
@@ -435,7 +439,8 @@ class SchemaRouter:
         contexts (``None`` entries allowed; repeats collapse): each distinct
         context gets ``encode`` / ``decode`` / ``parse`` spans, with decode
         spans annotated by engine counters (steps, kernel rows advanced, live
-        beams served, questions compacted, constraint mask-cache hits/misses).
+        beams served, questions compacted, constraint mask-cache hits/misses,
+        constraint automaton states made).
         ``decode_stats`` additionally accumulates the raw engine counters
         into a caller-owned dict.  Neither affects routing results.
         """

@@ -31,8 +31,11 @@ The engine's numerics are a property of the
 :class:`~repro.nn.seq2seq.DecodeKernel` it steps through, not of a second
 engine: the row-stable kernel (``decode_backend="vectorized"``) makes the
 search *bit-identical* to the oracle -- token-for-token the same sequences
-with double-for-double the same scores, whatever else shares the grid -- and
-the flat-GEMM kernel (``"fast"``) trades that for throughput under
+with double-for-double the same scores, whatever else shares the grid.  It
+multiplies in fixed tiles (:func:`~repro.nn.seq2seq.row_stable_matmul`): a
+row's doubles depend on the row and the tile shape, and the oracle, which
+steps the same kernel one row at a time, is derived on the same primitive.
+The flat-GEMM kernel (``"fast"``) trades bit-identity for throughput under
 tolerance-checked agreement.  On the search side both break score ties
 identically -- stable, lowest-token-id-first (``np.argsort(-scores,
 kind="stable")``), never the platform-dependent order an unstable descending
@@ -43,8 +46,11 @@ Constraints exposing the incremental-state protocol (``initial_state`` /
 ``advance`` / ``allowed_mask_for_state``) are threaded through the engine:
 each surviving beam carries an O(1)-updatable interpreter state (taken from
 its parent on selection), so per-step constraint resolution never re-walks a
-beam's prefix.  The loop reference keeps the prefix-walk path, which is
-exactly what makes it the oracle.
+beam's prefix.  The states belong to the constraint, not to the search:
+``initial_state()`` hands every search the same root, so a transition or a
+mask any earlier search resolved is one dict hit or one attribute read.  The
+loop reference keeps the prefix-walk path, which is exactly what makes it the
+oracle.
 """
 
 from __future__ import annotations
@@ -397,8 +403,11 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     ``advance`` / ``allowed_mask_for_state``, see
     :class:`repro.core.constrained.GraphConstrainedDecoding`) are threaded
     through the search: each row carries an O(1)-updatable interpreter state,
-    advanced (and its mask written) once, when the row is registered.  Other
-    constraints fall back to prefix walks with a per-step prefix->mask memo.
+    advanced (and its mask written) once, when the row is registered.  Every
+    question starts from its constraint's ``initial_state()``; a constraint
+    that returns one persistent root there shares its automaton across
+    questions, shards' questions and calls.  Other constraints fall back to
+    prefix walks with a per-step prefix->mask memo.
 
     With a row-stable kernel, returns one hypothesis list per question,
     bit-identical to :func:`diverse_beam_search_loop` on the same inputs; the

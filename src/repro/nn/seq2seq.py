@@ -19,11 +19,14 @@ beams -- across questions -- in one stacked step;
 keeps a strict bit-exactness contract (see its docstring): a beam produces the
 same doubles whether it is decoded alone or stacked into a batch, which is
 what lets the vectorized and loop decode backends return identical routes.
-:class:`DecodeKernel` is what the batched search engine steps through: the
-exact trunk above for any number of shard models of one trunk, or
+Every fixed-dimension projection of the encoder and of that kernel goes
+through :func:`row_stable_matmul`, a GEMM in fixed ``TILE_ROWS``-row tiles:
+row-stable like the one-row GEMVs it replaced, at nearly the speed of a flat
+GEMM.  :class:`DecodeKernel` is what the batched search engine steps through:
+the exact trunk above for any number of shard models of one trunk, or
 :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`, its throughput-first
-sibling (the ``fast`` decode tier): flat GEMMs and plain per-row
-attention, same math, no row-stability guarantee.
+sibling (the ``fast`` decode tier): flat GEMMs, a fused input table and plain
+per-row attention, same math, no row-stability guarantee.
 """
 
 from __future__ import annotations
@@ -36,6 +39,38 @@ import numpy as np
 from repro.nn.autograd import Tensor, stack_rows
 from repro.nn.modules import Embedding, Linear, Module
 from repro.utils.rng import SeededRng
+
+#: Rows per GEMM tile of :func:`row_stable_matmul`.  Measured on OpenBLAS at
+#: this model's widths: M = 4, 8 and 16 are all bit-stable per row; 8 is the
+#: fastest at the 8-40 rows a decode step carries (1 is a GEMV per row, the
+#: numerics before the tiles).
+TILE_ROWS = 8
+
+
+def row_stable_matmul(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``rows @ weight`` -- ``(R, k) @ (k, n) -> (R, n)`` -- such that a row's
+    doubles depend on that row and the tile shape only: never on ``R``, on
+    the row's position, or on the rows around it.
+
+    BLAS picks its kernel (and with it the order partial sums are grouped in)
+    from the operand shapes, so a flat ``(R, k) @ (k, n)`` GEMM gives a row
+    different last bits for different ``R``.  Here BLAS only ever sees one
+    shape: the rows are copied into a C-contiguous buffer zero-padded to a
+    multiple of :data:`TILE_ROWS` and multiplied as a stack of ``(TILE_ROWS,
+    k) @ (k, n)`` tiles (numpy calls BLAS once per tile), then the pad is
+    sliced off.  The copy is unconditional -- whatever strides the caller's
+    array has, BLAS reads the same layout, so there is one path.
+
+    That a row of a fixed-shape GEMM does not see its tile neighbours is a
+    property of the BLAS at hand, not of the standard.  It is checked, not
+    assumed: ``tests/test_row_stable_matmul.py`` is the tripwire for a BLAS on
+    which it does not hold.  There is no runtime probe and no fallback path.
+    """
+    count, width = rows.shape
+    num_tiles = -(-count // TILE_ROWS)
+    tiles = np.zeros((num_tiles, TILE_ROWS, width))
+    tiles.reshape(-1, width)[:count] = rows
+    return np.matmul(tiles, weight).reshape(-1, weight.shape[1])[:count]
 
 
 @dataclass(frozen=True)
@@ -150,12 +185,11 @@ class Seq2SeqModel(Module):
         if ids.size == 0:
             ids = np.asarray([pad_id], dtype=np.int64)
         embedded = self.source_embedding.weight.data[ids]               # (T, d)
-        # One (1, d) matmul slice per token: per-token results are then
-        # independent of the sequence's length and of any batching, so
-        # :meth:`encode_numpy_batch` can reproduce them bit-for-bit.
+        # Row-stable: a token's projection is independent of the sequence's
+        # length and of any batching, so :meth:`encode_numpy_batch`
+        # reproduces it bit-for-bit.
         memory = np.tanh(
-            np.matmul(embedded[:, None, :],
-                      self.encoder_projection.weight.data)[:, 0, :]
+            row_stable_matmul(embedded, self.encoder_projection.weight.data)
             + self.encoder_projection.bias.data)                        # (T, h)
         pooled = memory.mean(axis=0)
         state = np.tanh(pooled @ self.state_init.weight.data + self.state_init.bias.data)
@@ -167,13 +201,13 @@ class Seq2SeqModel(Module):
 
         The embedding lookup and encoder projection run as one stacked matmul
         over every token of the padded batch (the expensive part), then each
-        item's memory is sliced back to its true length.  The stack presents
-        one ``(1, d)`` slice per token to BLAS -- the same shape
-        :meth:`encode_numpy` uses -- so each question encodes to *bit-identical*
-        doubles no matter which micro-batch it arrives in: routes, and
-        therefore caches and cross-shard merges, never depend on batch
-        composition.  Empty sequences encode as a single ``pad_id`` token,
-        exactly as in :meth:`encode_numpy`.
+        item's memory is sliced back to its true length.  The product is
+        :func:`row_stable_matmul`'s, as in :meth:`encode_numpy`, so each
+        question encodes to *bit-identical* doubles no matter which
+        micro-batch it arrives in: routes, and therefore caches and
+        cross-shard merges, never depend on batch composition.  Empty
+        sequences encode as a single ``pad_id`` token, exactly as in
+        :meth:`encode_numpy`.
         """
         if not source_ids_batch:
             return []
@@ -185,8 +219,8 @@ class Seq2SeqModel(Module):
             padded[row, : len(sequence)] = sequence
         embedded = self.source_embedding.weight.data[padded]            # (B, T, d)
         batch_size, length, dim = embedded.shape
-        projected = np.matmul(embedded.reshape(batch_size * length, 1, dim),
-                              self.encoder_projection.weight.data)
+        projected = row_stable_matmul(embedded.reshape(batch_size * length, dim),
+                                      self.encoder_projection.weight.data)
         memory = np.tanh(
             projected.reshape(batch_size, length, -1)
             + self.encoder_projection.bias.data)                        # (B, T, h)
@@ -239,11 +273,12 @@ class Seq2SeqModel(Module):
         micro-batch (the ``vectorized`` backend).  The contract dictates the
         numerics used here:
 
-        * the fixed-dimension projections run as stacked ``(R, 1, k) @ (k, n)``
-          matmuls -- BLAS sees one ``(1, k)`` slice per row, so per-row results
-          cannot depend on ``R`` (a flat ``(R, k) @ (k, n)`` GEMM does not have
-          that property: OpenBLAS picks different kernels for different row
-          counts);
+        * the fixed-dimension projections run through
+          :func:`row_stable_matmul` -- BLAS only ever sees ``(TILE_ROWS, k) @
+          (k, n)`` tiles, so a row's doubles depend on its own operands and
+          the tile shape, never on ``R``, its position or its neighbours (a
+          flat ``(R, k) @ (k, n)`` GEMM does not have that property: OpenBLAS
+          picks different kernels for different row counts);
         * contractions over the padded ``T`` axis use ``einsum`` forms whose
           reduction axis is *not* innermost (``rth,rh->rt`` / ``rt,rth->rh``),
           which accumulate ``t`` sequentially -- appending zero terms is then
@@ -272,9 +307,9 @@ class Seq2SeqModel(Module):
         :meth:`decode_step_numpy_batch` -- which is this plus the model's own
         head; :class:`DecodeKernel` puts other heads on the same trunk."""
         pre_activation = (
-            np.matmul(previous_embedded[:, None, :], self.input_projection.weight.data)
-            + np.matmul(states[:, None, :], self.recurrent_projection.weight.data)
-        )[:, 0, :] + self.recurrent_projection.bias.data
+            row_stable_matmul(previous_embedded, self.input_projection.weight.data)
+            + row_stable_matmul(states, self.recurrent_projection.weight.data)
+        ) + self.recurrent_projection.bias.data
         new_states = np.tanh(pre_activation)                                    # (R, h)
 
         scores = np.einsum("rth,rh->rt", memory, new_states)                    # (R, T)
@@ -289,8 +324,8 @@ class Seq2SeqModel(Module):
         context = pooled[:, :hidden] / pooled[:, hidden:]                       # (R, h)
 
         combined = np.tanh(
-            np.matmul(np.concatenate([new_states, context], axis=1)[:, None, :],
-                      self.combine_projection.weight.data)[:, 0, :]
+            row_stable_matmul(np.concatenate([new_states, context], axis=1),
+                              self.combine_projection.weight.data)
             + self.combine_projection.bias.data)
         return combined, new_states
 
@@ -362,11 +397,11 @@ def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                      row_stable: bool = True) -> np.ndarray:
     """``log_softmax(combined @ weight + bias)`` per row, ``(R, h) -> (R, V)``.
 
-    ``row_stable`` (the exact kernel) runs the projection as stacked
-    ``(R, 1, h) @ (h, V)`` matmuls, so a row's doubles do not depend on which
+    ``row_stable`` (the exact kernel) runs the projection through
+    :func:`row_stable_matmul`, so a row's doubles do not depend on which
     other rows share the call; the fast kernel's flat GEMM does not promise
     that."""
-    logits = (np.matmul(combined[:, None, :], weight)[:, 0, :] if row_stable
+    logits = (row_stable_matmul(combined, weight) if row_stable
               else combined @ weight) + bias
     logits = logits - logits.max(axis=1, keepdims=True)
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
@@ -513,6 +548,28 @@ class DecodeKernel:
     False (``"fast"``) steps through the flat GEMMs of
     :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast` under that backend's
     contract: scores may drift in the last ulps with batch composition.
+
+    Fixed tile, measured (PR 18; OpenBLAS 0.3.31 Haswell kernels, one thread;
+    q/s are ``route_batch`` in waves of 8 over 1 232 fixture questions,
+    alternating the variants wave by wave).  The exact trunk multiplies in
+    :func:`row_stable_matmul` tiles.  Tile heights 4, 8 and 16 were each
+    bit-identical per row over 12 000 random stackings (1-69 rows, any
+    position, any neighbours).  The four projections of a step at 8 / 21 / 32
+    rows cost 53 / 134 / 191 us as one-row GEMVs (the numerics until then),
+    28 / 63 / 78 at M = 4, 27 / 59 / 73 at M = 8, 41 / 72 / 70 at M = 16 and
+    19 / 42 / 54 as flat GEMMs; inside a decode M = 4 and 8 tie (762 vs 761
+    q/s) and 16 trails (748).  The exact search at M = 8 runs at 799 q/s
+    against 719 on one-row GEMVs and 832 with the same trunk on flat GEMMs:
+    row-stability now costs 4 %.  ``"fast"`` stays nonetheless.  Its lead
+    over the exact kernel fell from 1.19x to 1.12x on the 10-in-10 monolith,
+    to 1.13x on a 1x1 shard router and 1.09x on the 4-shard inproc wave
+    (``bench_decode_throughput``: 1.25 -> 1.15), still past the 10 % that
+    ROADMAP item 3 allows for retiring it -- and what is left of the lead is
+    not GEMM grouping (a 1x1 shard steps one tile): it is the fused input
+    table and an attention without the padding-exact forms.  Tabling the
+    input projection in the exact kernel too (equal doubles, by the tile
+    property) was tried and left out: +1-2 % on the monolith, -1 to -5 % on
+    the inproc wave, whose stacked table would be projected once per wave.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",

@@ -328,6 +328,11 @@ class RoutingService:
         snapshot is read far from the process that produced it."""
         snapshot = self.metrics.snapshot()
         snapshot["num_databases"] = len(self.router.graph.catalog.database_names)
+        # Constraint automaton states made so far: stands still once the
+        # catalog's automaton is grown, jumps when its bound regrows it.
+        constraint = self.router.constraint
+        snapshot["constraint_states"] = (constraint.constraint_states
+                                         if constraint is not None else 0)
         snapshot["cache"] = self.cache.stats() if self.cache is not None else None
         requests = snapshot["counters"].get("requests", 0)
         hits = snapshot["counters"].get("cache_hits", 0)

@@ -473,7 +473,8 @@ class TestRouterDifferential:
         (span,) = trace.find_spans("decode")
         assert span.attributes["backend"] == backend
         assert set(span.attributes) == {
-            "backend", "questions", "mask_cache_hits", "mask_cache_misses"
+            "backend", "questions", "mask_cache_hits", "mask_cache_misses",
+            "constraint_states"
         } | set(stats)
         trace.finish()
 
