@@ -31,7 +31,13 @@ It also records, ungated, the ``vectorized`` questions/sec of the two grid
 shapes deployments live on (``grid_1x1_questions_per_sec``: a cluster shard's
 budget, where the engine's per-step constant is most of the work;
 ``grid_10x10_questions_per_sec``: the paper's), so that constant is visible
-per commit.
+per commit -- plus ``grid_10x10_unconstrained_questions_per_sec``, the paper's
+grid with ``constrained_decoding=False`` (the Table 7 ablation): the only
+place the engine's numeric candidate path (a row nothing constrains ranks
+the ``top_n + (G - 1) * B`` best tokens of its kernel row) gets a number --
+and ``ranked_tokens_per_row``, the constrained 10x10 grid's candidate tokens
+gathered per kernel row (counted on its warm-up batch), to hold against the
+vocabulary size.
 """
 
 from __future__ import annotations
@@ -48,8 +54,13 @@ DECODE_BATCH = 8
 #: Timed passes per backend; speedup gates use the median of the per-round
 #: paired ratios and the table reports each backend's best pass.
 ROUNDS = 5
-#: (num_beams, beam_groups) of the grids recorded ungated beside the sweep.
-GRIDS = {"1x1": (1, 1), "10x10": (10, 10)}
+#: Config changes of the grids recorded ungated beside the sweep.
+GRIDS = {
+    "1x1": dict(num_beams=1, beam_groups=1),
+    "10x10": dict(num_beams=10, beam_groups=10),
+    "10x10_unconstrained": dict(num_beams=10, beam_groups=10,
+                                constrained_decoding=False),
+}
 #: ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke lanes.
 NUM_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "200"))
 
@@ -175,12 +186,16 @@ def test_decode_throughput(benchmark, spider_context, decode_backends):
             median_speedup("fast", "vectorized"), 2)
         summary["fast_top1_agreement_vs_vectorized"] = round(
             top1_agreement("fast", "vectorized"), 4)
-    for grid, (num_beams, beam_groups) in GRIDS.items():
+    for grid, changes in GRIDS.items():
         router = _clone(spider_context.copilot.router, decode_backend="vectorized",
-                        num_beams=num_beams, beam_groups=beam_groups)
-        router.route_batch(batches[0])
+                        **changes)
+        decode_stats: dict = {}
+        router.route_batch(batches[0], decode_stats=decode_stats)
         seconds = min(_one_pass(router, batches)[0] for _ in range(ROUNDS))
         summary[f"grid_{grid}_questions_per_sec"] = round(len(workload) / seconds, 1)
+        if grid == "10x10":
+            summary["ranked_tokens_per_row"] = round(
+                decode_stats["ranked_tokens"] / decode_stats["beam_rows"], 2)
     print("DECODE_SUMMARY " + json.dumps(summary, sort_keys=True))
 
     # Tier contracts (see the module docstring), gated on the *unrounded*

@@ -6,8 +6,10 @@ per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
 *one* decode: each (shard, pending-question) pair becomes a virtual
 question of a single :func:`repro.core.router.beam_search_wave` call over a
 :class:`repro.nn.seq2seq.DecodeKernel`, tagged with its shard index so
-per-shard constraint masks and vocabulary slices stay exactly as they are on
-the pool path.  The kernel steps in the numerics the fleet's
+per-shard constraints and vocabulary slices stay exactly as they are on the
+pool path (a row ranks the token ids its own shard's constraint allows, which
+index that shard's columns, so slices of different widths share a wave with
+no padding on the selection side).  The kernel steps in the numerics the fleet's
 ``RouterConfig.decode_backend`` promises: the exact kernel's by default (a
 question gets the same doubles in every wave, and from the pool path), flat
 GEMMs under ``"fast"``.  With sliced vocabularies the kernel decodes in
@@ -54,7 +56,8 @@ _UNIFORM_FIELDS = ("num_beams", "beam_groups", "diverse_beam",
                    "decode_backend")
 
 #: The engine counters a wave reports per shard (``stats["per_tag"]``).
-_DECODE_COUNTERS = ("steps", "beam_rows", "live_beams", "questions_compacted")
+_DECODE_COUNTERS = ("steps", "beam_rows", "live_beams", "ranked_tokens",
+                    "questions_compacted")
 
 
 class _WaveTier:
@@ -283,8 +286,9 @@ class ClusterWaveEngine:
                     entry[key] += counters.get(key, 0)
 
     def stats(self) -> dict:
-        """Decode-volume rollup: per-shard steps, kernel rows (``beam_rows``)
-        and the live beams they served, compactions."""
+        """Decode-volume rollup: per-shard steps, kernel rows (``beam_rows``),
+        the live beams they served, the candidate tokens selection ranked
+        (``ranked_tokens``), compactions."""
         with self._stats_lock:
             shards = [dict(entry) for entry in self._shard_counters]
             return {

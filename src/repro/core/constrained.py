@@ -12,21 +12,23 @@ prefix towards a *valid* serialized schema:
   complete identifier, and EOS only after at least one complete table.
 
 The constraint is exposed as a callable compatible with
-:func:`repro.nn.decoding.diverse_beam_search`, plus a vectorized face
-(:meth:`GraphConstrainedDecoding.allowed_mask`) returning cached boolean
-ndarrays over the vocabulary, which the batched decode engine applies with a
-single ``np.where`` instead of iterating Python sets.
+:func:`repro.nn.decoding.diverse_beam_search`, and resolves every interpreter
+state once into two cached faces of the same answer: the allowed token *ids*
+(an ascending tuple, typically one to a few tokens -- all the batched decode
+engine ever ranks) and a read-only boolean *mask* over the vocabulary (what
+the loop oracle and greedy decoding apply with ``np.where``).
 
-Two interpretation paths produce those masks:
+Two interpretation paths lead to those resolutions:
 
 * the *prefix-walk oracle*: :meth:`GraphConstrainedDecoding.interpret` re-parses
   a beam's full prefix (O(len) Python + trie lookups) -- the reference
-  semantics, used by the ``loop`` decode backend and the differential tests;
+  semantics, used by the ``loop`` decode backend and the differential tests
+  through :meth:`GraphConstrainedDecoding.allowed_mask`;
 * the *incremental path*: each beam carries a :class:`ConstraintState` through
   the search and pays O(1) per emitted token --
   :meth:`GraphConstrainedDecoding.advance` consumes one token via the trie
-  cursor API and :meth:`GraphConstrainedDecoding.allowed_mask_for_state`
-  resolves the state's mask without ever touching the prefix again.  The two
+  cursor API and :meth:`GraphConstrainedDecoding.allowed_ids_for_state`
+  hands out the state's ids without ever touching the prefix again.  The two
   paths are exactly equivalent by construction (``advance`` mirrors one loop
   iteration of ``interpret``), which ``tests/test_constrained_incremental.py``
   enforces differentially.  The states form an automaton that is a function
@@ -46,6 +48,7 @@ from repro.core.graph import SchemaGraph
 from repro.core.serialization import element_words
 from repro.core.trie import PrefixTrie
 from repro.nn.tokenizer import Vocabulary
+from repro.utils.memo import evict_oldest
 
 
 @dataclass
@@ -66,9 +69,12 @@ class ConstraintState:
     prefix, plus two private accelerators: ``node`` -- the trie cursor of the
     current element's walk in the *commit* trie (the database trie before a
     database is committed, the database's full table trie after), which makes
-    :meth:`GraphConstrainedDecoding.advance` O(1) per token -- and ``mask``,
-    a memoized reference to the state's allowed-token mask so repeated beams
-    resolve their constraint as one attribute read.
+    :meth:`GraphConstrainedDecoding.advance` O(1) per token -- and
+    ``allowed_ids``, a memoized reference to the state's allowed token ids
+    (ascending), so repeated beams resolve their constraint as one attribute
+    read.  The ids are the primary face: they are what the batched engine
+    gathers and ranks.  ``mask`` memoizes the boolean form the same way, for
+    the oracle-side consumers that still apply one.
 
     Instances are immutable from the search's point of view (``advance``
     returns a new state), so beams share them freely across groups,
@@ -83,7 +89,7 @@ class ConstraintState:
     """
 
     __slots__ = ("database", "tables", "current_words", "complete", "node",
-                 "mask", "transitions")
+                 "allowed_ids", "mask", "transitions")
 
     def __init__(self, database: str | None, tables: tuple[str, ...],
                  current_words: tuple[int, ...], complete: bool, node) -> None:
@@ -92,6 +98,7 @@ class ConstraintState:
         self.current_words = current_words
         self.complete = complete
         self.node = node
+        self.allowed_ids: tuple[int, ...] | None = None
         self.mask: np.ndarray | None = None
         self.transitions: dict[int, "ConstraintState"] | None = None
 
@@ -102,23 +109,26 @@ class ConstraintState:
 
 
 class _MaskEntry:
-    """One cached constraint resolution: the boolean mask + lazy token set.
+    """One cached constraint resolution: ids, boolean mask, lazy token set.
 
-    The token set is derived from the mask on first request (and only the
-    set-protocol face :meth:`GraphConstrainedDecoding.allowed_tokens` ever
-    asks for it), so mask-only consumers never pay for set construction and
-    set consumers pay for it once per interpreter state instead of per call.
+    ``ids`` -- the allowed token ids, ascending -- is the primary face, the
+    short list the batched engine ranks; ``mask`` says the same over the whole
+    vocabulary for the loop oracle and greedy decoding.  The token set is
+    derived from the ids on first request (only the set-protocol face
+    :meth:`GraphConstrainedDecoding.allowed_tokens` ever asks for it), so set
+    consumers pay for it once per interpreter state instead of per call.
     """
 
-    __slots__ = ("mask", "_tokens")
+    __slots__ = ("ids", "mask", "_tokens")
 
-    def __init__(self, mask: np.ndarray) -> None:
+    def __init__(self, ids: tuple[int, ...], mask: np.ndarray) -> None:
+        self.ids = ids
         self.mask = mask
         self._tokens: frozenset[int] | None = None
 
     def tokens(self) -> frozenset[int]:
         if self._tokens is None:
-            self._tokens = frozenset(np.flatnonzero(self.mask).tolist())
+            self._tokens = frozenset(self.ids)
         return self._tokens
 
 
@@ -136,15 +146,15 @@ class GraphConstrainedDecoding:
         # Per-database table tries are built lazily and cached.
         self._table_tries: dict[str, PrefixTrie] = {}
         self._table_word_ids: dict[tuple[str, str], tuple[int, ...]] = {}
-        # Allowed-token cache entries (boolean mask + lazily-derived token
-        # set), keyed by the interpreter state a prefix parses to.  Many
-        # prefixes collapse onto one state (every beam inside a database
-        # shares a handful of trie positions), so the cache turns the
-        # per-step constraint from trie walks + set building into one
-        # dictionary hit returning a read-only ndarray.  Distinct states are
-        # combinatorial in catalog size (ordered table tuples x word-prefix
-        # positions), so the cache is bounded: oldest entries are evicted
-        # first once ``max_cached_masks`` is reached.
+        # Allowed-token cache entries (ascending ids, boolean mask, lazily
+        # derived token set), keyed by the interpreter state a prefix parses
+        # to.  Many prefixes collapse onto one state (every beam inside a
+        # database shares a handful of trie positions), so the cache turns
+        # the per-step constraint from trie walks + set building into one
+        # dictionary hit returning a shared tuple or ndarray.  Distinct states
+        # are combinatorial in catalog size (ordered table tuples x
+        # word-prefix positions), so the cache is bounded: oldest entries are
+        # evicted first once ``max_cached_masks`` is reached.
         self._mask_cache: dict[tuple, _MaskEntry] = {}
         self.max_cached_masks = 4096
         # The incremental automaton: one persistent root (see
@@ -295,14 +305,27 @@ class GraphConstrainedDecoding:
         return self._new_state(state.database, tables, (), True,
                                self._table_trie(state.database).root())
 
-    def allowed_mask_for_state(self, state: ConstraintState) -> np.ndarray:
-        """The allowed-token mask of an incrementally-maintained state.
+    def allowed_ids_for_state(self, state: ConstraintState) -> tuple[int, ...]:
+        """The allowed token ids of an incrementally-maintained state, ascending.
 
-        Resolution order: the state's own memoized reference (one attribute
-        read -- the common case once a beam has been scored before), then the
-        shared per-key cache, then a fresh computation.  Identical to
-        ``allowed_mask(prefix)`` for the prefix the state was advanced over.
+        What the batched engine asks once per registered row.  Resolution
+        order: the state's own memoized reference (one attribute read -- the
+        common case once any beam has stood here before; counted as a mask
+        cache hit), then the shared per-key cache, then a fresh computation.
+        Identical to ``np.flatnonzero(allowed_mask(prefix))`` for the prefix
+        the state was advanced over; the tuple is shared, never copied.
         """
+        ids = state.allowed_ids
+        if ids is None:
+            ids = state.allowed_ids = self._mask_entry(state).ids
+        else:
+            self.mask_cache_hits += 1
+        return ids
+
+    def allowed_mask_for_state(self, state: ConstraintState) -> np.ndarray:
+        """The same resolution as a boolean mask: the oracle-side face of
+        :meth:`allowed_ids_for_state`, identical to ``allowed_mask(prefix)``
+        for the prefix the state was advanced over."""
         mask = state.mask
         if mask is None:
             mask = self._mask_entry(state).mask
@@ -316,9 +339,9 @@ class GraphConstrainedDecoding:
         """Token ids allowed after ``prefix`` (the Constraint protocol).
 
         Served from the same per-state cache as :meth:`allowed_mask`: the
-        token set is derived from the cached boolean mask once per interpreter
-        state, instead of rebuilding restricted tries and a fresh Python set
-        on every call.
+        token set is derived from the cached ids once per interpreter state,
+        instead of rebuilding restricted tries and a fresh Python set on
+        every call.
         """
         return self._mask_entry(self.interpret(prefix)).tokens()
 
@@ -338,16 +361,16 @@ class GraphConstrainedDecoding:
         if entry is None:
             self.mask_cache_misses += 1
             size = len(self.vocabulary)
-            mask = np.zeros(size, dtype=bool)
             # _allowed_for_state never returns an empty set (it falls back to
-            # {eos}), so the mask always has at least one bit set -- the same
-            # guarantee the set-based path in repro.nn.decoding gives.
-            allowed = self._allowed_for_state(state)
-            mask[[token for token in allowed if 0 <= token < size]] = True
+            # {eos}), so there is always at least one id and one bit set --
+            # the same guarantee the set-based path in repro.nn.decoding gives.
+            ids = tuple(sorted(token for token in self._allowed_for_state(state)
+                               if 0 <= token < size))
+            mask = np.zeros(size, dtype=bool)
+            mask[list(ids)] = True
             mask.setflags(write=False)
-            while len(self._mask_cache) >= self.max_cached_masks:
-                self._mask_cache.pop(next(iter(self._mask_cache)))
-            entry = _MaskEntry(mask)
+            evict_oldest(self._mask_cache, self.max_cached_masks)
+            entry = _MaskEntry(ids, mask)
             self._mask_cache[key] = entry
         else:
             self.mask_cache_hits += 1

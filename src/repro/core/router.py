@@ -40,7 +40,11 @@ from repro.nn.tokenizer import Vocabulary, WordTokenizer
 from repro.obs.trace import distinct_traces, stage_spans
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
 from repro.retrieval.base import CandidateSchema, RankedTable, RoutingPrediction
+from repro.utils.memo import evict_oldest
 from repro.utils.rng import SeededRng
+
+#: "Not in the parse memo": ``None`` is itself a cached verdict (unparsable).
+_UNPARSED = object()
 
 
 @dataclass(frozen=True)
@@ -221,12 +225,16 @@ def beam_search_wave(kernel: DecodeKernel | None,
     the beam budget and special token ids -- the cluster wave engine checks
     that -- so ``routers[0]`` configures the search.  Every context in
     ``traces`` gets a ``decode`` span annotated with the engine counters, the
-    constraints' mask-cache traffic and the automaton states they made
-    (``constraint_states``: 0 once the catalog's automaton is grown);
-    ``stats`` accumulates the engine counters (flat ``steps`` / ``beam_rows``
-    / ``live_beams`` / ``questions_compacted``: kernel rows are distinct live
-    prefixes, so ``beam_rows / live_beams`` is the sharing ratio; broken out
-    under ``"per_tag"`` only when tags were passed).  Returns one hypothesis
+    constraints' mask-cache traffic (one resolution per registered row: a hit
+    when the row's state already holds its allowed ids) and the automaton
+    states they made (``constraint_states``: 0 once the catalog's automaton
+    is grown); ``stats`` accumulates the engine counters (flat ``steps`` /
+    ``beam_rows`` / ``live_beams`` / ``ranked_tokens`` /
+    ``questions_compacted``: kernel rows are distinct live prefixes, so
+    ``beam_rows / live_beams`` is the sharing ratio, and selection ranks only
+    the ids the constraint allows, so ``ranked_tokens / beam_rows`` against
+    the vocabulary size is what sparsity buys; broken out under
+    ``"per_tag"`` only when tags were passed).  Returns one hypothesis
     list per row (possibly empty: callers fall back to
     :meth:`SchemaRouter.decode_fallback`).
     """
@@ -439,8 +447,8 @@ class SchemaRouter:
         contexts (``None`` entries allowed; repeats collapse): each distinct
         context gets ``encode`` / ``decode`` / ``parse`` spans, with decode
         spans annotated by engine counters (steps, kernel rows advanced, live
-        beams served, questions compacted, constraint mask-cache hits/misses,
-        constraint automaton states made).
+        beams served, candidate tokens ranked, questions compacted, constraint
+        mask-cache hits/misses, constraint automaton states made).
         ``decode_stats`` additionally accumulates the raw engine counters
         into a caller-owned dict.  Neither affects routing results.
         """
@@ -485,19 +493,13 @@ class SchemaRouter:
         order: list[str] = []
         for hypothesis in hypotheses:
             key = tuple(hypothesis.tokens)
-            if key in self._parse_cache:
-                parsed = self._parse_cache[key]
-            else:
+            # One read: a concurrent decode may evict the key between a
+            # membership test and a lookup (``None`` is a cached verdict).
+            parsed = self._parse_cache.get(key, _UNPARSED)
+            if parsed is _UNPARSED:
                 tokens = target_tokenizer.decode(hypothesis.tokens)
                 parsed = tokens_to_schema(tokens, self.graph)
-                while len(self._parse_cache) >= self.max_cached_parses:
-                    # Concurrent decodes (a multiplexed subprocess worker runs
-                    # several) may race the eviction; losing a memo is fine,
-                    # raising is not.
-                    try:
-                        self._parse_cache.pop(next(iter(self._parse_cache)), None)
-                    except (StopIteration, RuntimeError):
-                        break
+                evict_oldest(self._parse_cache, self.max_cached_parses)
                 self._parse_cache[key] = parsed
             if parsed is None:
                 continue

@@ -6,8 +6,8 @@ DBCopilot router plugs its graph-based prefix-trie constraint in here
 (paper §3.5); passing ``None`` decodes unconstrained.  Constraints may
 additionally expose an ``allowed_mask(prefix)`` method returning a boolean
 ndarray over the vocabulary (see
-:class:`repro.core.constrained.GraphConstrainedDecoding`); both searches
-prefer it, applying the constraint as one vectorized ``np.where``.
+:class:`repro.core.constrained.GraphConstrainedDecoding`), which greedy
+decoding and the loop oracle apply as one ``np.where``.
 
 Diverse beam search follows Vijayakumar et al. (2016), the algorithm the paper
 uses to obtain varied candidate schemata: beams are split into groups, groups
@@ -17,46 +17,45 @@ earlier group at the same step is penalised for later groups.
 It is implemented twice, an oracle and an engine:
 
 * :func:`diverse_beam_search_loop` -- the per-beam Python loop, one kernel
-  call per beam, constraints resolved by prefix walks
-  (``RouterConfig.decode_backend="loop"``).  Nothing is clever in it, which
-  is what makes it the reference the differential tests compare against.
+  call per beam, constraints resolved by prefix walks and applied as masks
+  over the vocabulary (``RouterConfig.decode_backend="loop"``).  Nothing is
+  clever in it, which is what makes it the reference the differential tests
+  compare against.
 * :func:`diverse_beam_search_batch` -- the one production engine: every
   distinct live ``(question, prefix)`` of a micro-batch -- or of a cluster
   wave's (shard, question) pairs: a monolith is a wave with one shard --
-  advances once, through one kernel call per step.  The ``(question, group,
-  slot)`` beam grid is bookkeeping: beams that share a prefix share a kernel
-  row, finished beams and empty slots own none.
+  advances once, through one kernel call per step.  A row is a state, a
+  previous token, its question's operands and its short candidate list: the
+  handful of token ids the constraint allows, which is all selection ever
+  gathers from the kernel's output or ranks.  The ``(question, group, slot)``
+  beam grid is bookkeeping: beams that share a prefix share a row, finished
+  beams and empty slots own none.  Constraints exposing the incremental-state
+  protocol (``initial_state`` / ``advance`` / ``allowed_ids_for_state``) ride
+  along as one O(1)-updatable interpreter state per row, so resolving a row's
+  constraint never re-walks a prefix and never touches the vocabulary axis.
 
 The engine's numerics are a property of the
 :class:`~repro.nn.seq2seq.DecodeKernel` it steps through, not of a second
 engine: the row-stable kernel (``decode_backend="vectorized"``) makes the
 search *bit-identical* to the oracle -- token-for-token the same sequences
 with double-for-double the same scores, whatever else shares the grid.  It
-multiplies in fixed tiles (:func:`~repro.nn.seq2seq.row_stable_matmul`): a
-row's doubles depend on the row and the tile shape, and the oracle, which
-steps the same kernel one row at a time, is derived on the same primitive.
+multiplies in fixed tiles (:func:`~repro.nn.seq2seq.row_stable_matmul`), and
+the oracle, stepping the same kernel one row at a time, shares the primitive.
 The flat-GEMM kernel (``"fast"``) trades bit-identity for throughput under
 tolerance-checked agreement.  On the search side both break score ties
-identically -- stable, lowest-token-id-first (``np.argsort(-scores,
-kind="stable")``), never the platform-dependent order an unstable descending
-sort would give -- so candidate selection, and therefore every downstream
-ranking and cross-process merge, is deterministic.
+identically -- stable, lowest-token-id-first (the oracle's
+``np.argsort(-scores, kind="stable")``; the engine's stable descending sort
+over token-ascending candidates), never the platform-dependent order an
+unstable descending sort would give -- so candidate selection, and therefore
+every downstream ranking and cross-process merge, is deterministic.
 
-Constraints exposing the incremental-state protocol (``initial_state`` /
-``advance`` / ``allowed_mask_for_state``) are threaded through the engine:
-each surviving beam carries an O(1)-updatable interpreter state (taken from
-its parent on selection), so per-step constraint resolution never re-walks a
-beam's prefix.  The states belong to the constraint, not to the search:
-``initial_state()`` hands every search the same root, so a transition or a
-mask any earlier search resolved is one dict hit or one attribute read.  The
-loop reference keeps the prefix-walk path, which is exactly what makes it the
-oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
 from typing import AbstractSet, Callable, Sequence
 
@@ -103,18 +102,19 @@ def _incremental_constraint(constraint: Constraint | None):
     """The constraint's incremental-state protocol, or ``None``.
 
     Constraints exposing ``initial_state()`` / ``advance(state, token)`` /
-    ``allowed_mask_for_state(state)`` (see
+    ``allowed_ids_for_state(state)`` (see
     :class:`repro.core.constrained.GraphConstrainedDecoding`) let the batched
-    engine thread an O(1)-updatable interpreter state through every
-    surviving beam instead of re-walking its prefix per step.  Returns the
-    bound ``(initial_state, advance, allowed_mask_for_state)`` triple.
+    engine thread an O(1)-updatable interpreter state through every row
+    instead of re-walking its prefix per step, and read each state's allowed
+    token ids (ascending) instead of a vocabulary-wide mask.  Returns the
+    bound ``(initial_state, advance, allowed_ids_for_state)`` triple.
     """
     if (constraint is not None
             and hasattr(constraint, "initial_state")
             and hasattr(constraint, "advance")
-            and hasattr(constraint, "allowed_mask_for_state")):
+            and hasattr(constraint, "allowed_ids_for_state")):
         return (constraint.initial_state, constraint.advance,
-                constraint.allowed_mask_for_state)
+                constraint.allowed_ids_for_state)
     return None
 
 
@@ -142,21 +142,6 @@ def _constraint_mask(constraint: Constraint | None, prefix: Sequence[int],
     return mask
 
 
-def _assign_state_mask(target: np.ndarray, mask: np.ndarray) -> None:
-    """Write a constraint mask into a resident mask row, padding-aware.
-
-    Wave decodes mix shards of different vocabulary widths into one grid
-    whose mask rows span the widest slice; a narrower shard's mask fills its
-    own columns and closes the pad columns (the kernel emits ``-inf`` there
-    anyway -- this keeps the mask grid self-consistent)."""
-    width = mask.shape[-1]
-    if width == target.shape[-1]:
-        target[...] = mask
-    else:
-        target[..., :width] = mask
-        target[..., width:] = False
-
-
 def _masked_log_probabilities(log_probabilities: np.ndarray, prefix: Sequence[int],
                               constraint: Constraint | None, eos_id: int) -> np.ndarray:
     """Apply the constraint by setting disallowed token log-probs to -inf."""
@@ -166,17 +151,33 @@ def _masked_log_probabilities(log_probabilities: np.ndarray, prefix: Sequence[in
     return np.where(mask, log_probabilities, -np.inf)
 
 
-def _finalize_groups(groups: "list[list[_Beam]]", eos_id: int,
-                     length_penalty: float, num_beams: int) -> list[BeamHypothesis]:
-    """Strip EOS, rank, and deduplicate the surviving beams of one question."""
+def _ranked(values: Sequence[float], tokens: Sequence[int],
+            keys: Sequence[float], top_n: int) -> list[tuple[float, float, int]]:
+    """A row's ``top_n`` best ``(key, value, token)`` by descending ``keys``.
+
+    ``tokens`` ascend and the sort is stable, so equal keys resolve
+    lowest-token-id-first: the loop oracle's ``np.argsort(-keys,
+    kind="stable")`` order.  ``-inf`` values (closed columns; they sort last
+    under any finite penalty) are dropped."""
+    ranking = sorted(zip(keys, values, tokens), key=_candidate_score,
+                     reverse=True)[:top_n]
+    while ranking and ranking[-1][1] == -math.inf:
+        ranking.pop()
+    return ranking
+
+
+def _finalize_groups(groups: "Sequence[Sequence[tuple[float, list[int], bool]]]",
+                     eos_id: int, length_penalty: float,
+                     num_beams: int) -> list[BeamHypothesis]:
+    """Strip EOS, rank, and deduplicate the surviving ``(score, tokens,
+    finished)`` beams of one question."""
     finished: list[BeamHypothesis] = []
     for group in groups:
-        for beam in group:
-            tokens = beam.tokens
+        for score, tokens, done in group:
             if tokens and tokens[-1] == eos_id:
                 tokens = tokens[:-1]
-            finished.append(BeamHypothesis(tokens=tokens, score=beam.score,
-                                           finished=beam.finished))
+            finished.append(BeamHypothesis(tokens=tokens, score=score,
+                                           finished=done))
     finished.sort(key=lambda hypothesis: hypothesis.normalized_score(length_penalty),
                   reverse=True)
     # Deduplicate identical token sequences, keeping the best-scored copy.
@@ -357,7 +358,9 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
         steps += 1
 
     _note_decode_stats(stats, steps=steps, beam_rows=beam_rows)
-    return _finalize_groups(groups, eos_id, length_penalty, num_beams)
+    return _finalize_groups(
+        [[(beam.score, beam.tokens, beam.finished) for beam in group]
+         for group in groups], eos_id, length_penalty, num_beams)
 
 
 def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
@@ -380,34 +383,48 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     row-stable kernel.
 
     * A row is a decoder state, a previous token, its question's encoder
-      operands and the prefix's constraint mask.  The ``(question, group,
-      slot)`` grid is bookkeeping over rows: a slot -> row index gathers the
-      kernel's ``(R, V)`` log-probabilities back to ``(Q, G, B, V)``.
-      Selection registers a continued beam's next row under ``(parent row,
-      token)``, so equal prefixes -- which a confident model hands most
-      groups, diversity penalty or not -- cost one row; beams ending on EOS,
-      finished beams passing through and slots never filled cost none.  By
-      the kernel's contract a row's doubles depend only on that row's
-      inputs, so sharing changes no result.
-    * Group-sequential Hamming diversity is preserved exactly: groups
-      *select* in order within a step, each later group scoring against its
-      question's ``(Q, V)`` tally of tokens the earlier groups chose, with one
-      stable descending argsort per group (ties lowest-token-id-first).
-      Scores and token lists are per-beam Python values, enumerated in the
-      loop oracle's order.
+      operands and its short candidate list: ``tokens``, the ids the
+      constraint allows after the row's prefix, ascending, and ``values``,
+      their log-probabilities -- read from the kernel's ``(R, V)`` output by
+      one gather per step over every row's ids; nothing after it is ``V``
+      wide.  The ``(question, group, slot)`` grid is bookkeeping: a slot
+      names the row its beam reads.  Selection registers a continued beam's
+      next row under ``(parent row, token)``, so equal prefixes -- which a
+      confident model hands most groups, diversity penalty or not -- cost one
+      row; beams ending on EOS, finished beams passing through and slots
+      never filled cost none.  A row's doubles depend only on its own inputs
+      (the kernel's contract), so sharing changes no result.
+    * Group-sequential Hamming diversity is preserved exactly: a question's
+      groups *select* in order within a step, against its ``{token: count}``
+      tally of what earlier groups chose.  A beam whose row holds no tallied
+      token (or one candidate) reads the row's ranking, computed once and
+      shared by every beam on the row; otherwise it ranks ``value - penalty *
+      count``, the oracle's own multiply-then-subtract.  Either is a stable
+      descending sort over the token-ascending list: ties resolve
+      lowest-token-id-first, ``-inf`` values are skipped, and candidates --
+      per-beam Python scores and token lists -- keep the loop oracle's order.
+    * A row nothing constrains takes as its ids the ``reach = top_n + (G - 1)
+      * B`` best tokens of its kernel row (one stable ``np.argsort`` over the
+      step's unconstrained rows), re-sorted ascending.  **Lemma:** no token
+      outside a row's unpenalised top ``reach`` enters any group's penalised
+      ``top_n``.  *Proof:* ``reach`` tokens precede it in the stable
+      unpenalised order and earlier groups chose at most ``(G - 1) * B``
+      distinct tokens, so ``top_n`` of those keep their keys while its own
+      can only fall: they still precede it, ties included.
     * Once every group of a question has finished, its beams are final and
       are banked; it owns no row any more, so the tail of a decode (a few
       stragglers of a large batch) pays kernel flops for the stragglers only.
 
     Constraints exposing the incremental-state protocol (``initial_state`` /
-    ``advance`` / ``allowed_mask_for_state``, see
+    ``advance`` / ``allowed_ids_for_state``, see
     :class:`repro.core.constrained.GraphConstrainedDecoding`) are threaded
     through the search: each row carries an O(1)-updatable interpreter state,
-    advanced (and its mask written) once, when the row is registered.  Every
-    question starts from its constraint's ``initial_state()``; a constraint
-    that returns one persistent root there shares its automaton across
-    questions, shards' questions and calls.  Other constraints fall back to
-    prefix walks with a per-step prefix->mask memo.
+    advanced (and its ids read) once, when the row is registered.  Every
+    question starts from its constraint's ``initial_state()``; one persistent
+    root there shares the automaton across questions, shards' questions and
+    calls.  Other constraints fall back to prefix walks with a per-step
+    prefix -> ids memo; a prefix they leave open (``None``) is ranked like an
+    unconstrained row.
 
     With a row-stable kernel, returns one hypothesis list per question,
     bit-identical to :func:`diverse_beam_search_loop` on the same inputs; the
@@ -415,15 +432,17 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     ulps.  ``stats``, when given, accumulates ``steps`` (kernel calls),
     ``beam_rows`` (rows the kernel advanced: distinct live prefixes),
     ``live_beams`` (live beams those rows served -- the loop oracle's
-    ``beam_rows``; ``beam_rows / live_beams`` is the sharing ratio) and
-    ``questions_compacted``.
+    ``beam_rows``; ``beam_rows / live_beams`` is the sharing ratio),
+    ``ranked_tokens`` (candidate tokens gathered; per row, against ``V``, what
+    the constraint spares selection) and ``questions_compacted``.
 
     The cluster wave form: ``constraint`` may be a *sequence* with exactly one
     entry per question (each ``None`` or incremental-protocol), and
     ``question_tags`` labels each question with an integer shard tag that its
     rows hand to the kernel each step (per-shard table rows and head columns)
     and that splits the counters into ``stats["per_tag"]``.  Rows never span
-    questions, hence never shards.
+    questions, hence never shards; a shard's ids index its own columns, so
+    shards of different vocabulary widths mix without padding.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     kernel = model if isinstance(model, DecodeKernel) else DecodeKernel([model])
@@ -431,29 +450,23 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     if num_questions == 0:
         return []
     vocab_size = kernel.config.target_vocab_size
-    slots = num_groups * beams_per_group
     input_table = kernel.input_table()
     resident = kernel.resident_memory(encoded_batch)
     # The kernel's rows, one per distinct live (question, prefix): decoder
     # state, previous token, owning question (by batch position, which is
-    # what ``resident`` and ``tags`` stay indexed by), that question's
-    # operands and, below, constraint interpreter state and mask.  A search
-    # starts with one row per question, shared by all its groups.
+    # what ``resident`` and ``tags`` stay indexed by), its operands and,
+    # below, constraint state and candidate ids.  A search starts with one
+    # row per question, shared by all its groups.
     states = np.stack([encoded.state for encoded in encoded_batch])    # (R, h)
     previous = [bos_id] * num_questions                                # (R,)
     row_questions = gathered_for = list(range(num_questions))          # (R,)
     operands = resident
-    # Per-step Hamming tallies: counts[q, v] = how many earlier groups chose
-    # token v for question q this step.  dp * count reproduces the loop
-    # oracle's penalty doubles bit-for-bit (both compute dp * n once).
-    counts = np.zeros((num_questions, vocab_size), dtype=np.float64)
 
     # Constraint plumbing.  The scalar form keeps both paths (incremental
     # protocol or prefix-walk fallback); the per-question sequence form (the
-    # wave path, each shard's own graph constraint) requires the incremental
-    # protocol.  Everything below works off per-question ``advance_fns`` /
-    # ``mask_fns`` lists (``None`` entries = unconstrained question), so the
-    # selection loop is shard-agnostic.
+    # wave path, each shard's own graph constraint) requires the protocol.
+    # Selection works off per-question ``advance_fns`` / ``ids_fns`` (``None``
+    # = unconstrained question), so it is shard-agnostic.
     prefix_constraint: Constraint | None = None
     if isinstance(constraint, (list, tuple)):
         if len(constraint) != num_questions:
@@ -466,7 +479,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                for protocol, entry in zip(protocols, constraint)):
             raise ValueError(
                 "per-question constraints must expose the incremental-state "
-                "protocol (initial_state/advance/allowed_mask_for_state)")
+                "protocol (initial_state/advance/allowed_ids_for_state)")
         row_constraints = [protocol and protocol[0]() for protocol in protocols]
     else:
         protocol = _incremental_constraint(constraint)
@@ -477,13 +490,16 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         # other -- of any question -- already took pay one dict hit.
         row_constraints = [protocol and protocol[0]()] * num_questions
     advance_fns = [protocol and protocol[1] for protocol in protocols]
-    mask_fns = [protocol and protocol[2] for protocol in protocols]
-    masked = prefix_constraint is not None or any(protocols)
+    ids_fns = [protocol and protocol[2] for protocol in protocols]
+    # A row's candidate ids, ascending; ``None`` (nothing constrains the row)
+    # until the step's kernel output ranks it.
+    row_tokens: list = [protocol and protocol[2](state)
+                        for protocol, state in zip(protocols, row_constraints)]
     # A beam is ``(score, tokens, finished)``; a group holds its alive beams
     # in slot order (one at the start, up to ``beams_per_group`` after the
     # first selection).  ``slot_rows`` is the slot -> row index beside it:
-    # the row a live beam reads its next log-probabilities from, -1 (some
-    # row, never read) for a finished beam or a slot never filled.
+    # the row a live beam reads its candidates from, -1 for a finished beam
+    # or a slot never filled.
     beams: list[list[list[tuple]]] = [
         [[(0.0, [], False)] for _ in range(num_groups)]
         for _ in range(num_questions)]
@@ -491,16 +507,6 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     slot_rows = [[[question] + dead_slots[1:] for _ in range(num_groups)]
                  for question in range(num_questions)]
     group_active = [[True] * num_groups for _ in range(num_questions)]
-    if masked:
-        # One mask per row (a prefix has one interpreter state), in a buffer
-        # as tall as the grid.  With an incremental constraint a row's mask
-        # is written when selection registers the row; prefix-walk
-        # constraints refill the live rows before each step.
-        row_masks = np.ones((num_questions * slots, vocab_size), dtype=bool)
-        for question, mask_for_state in enumerate(mask_fns):
-            if mask_for_state is not None:
-                _assign_state_mask(row_masks[question],
-                                   mask_for_state(row_constraints[question]))
 
     # Shard tags (the wave path): handed to the kernel per row each step, and
     # splitting the counters per tag in the final stats.
@@ -510,16 +516,14 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         if tags.shape != (num_questions,):
             raise ValueError("question_tags needs exactly one tag per question")
         num_tags = int(tags.max()) + 1
-        tag_steps = np.zeros(num_tags, dtype=np.int64)
-        tag_rows = np.zeros(num_tags, dtype=np.int64)
+        tag_steps, tag_rows, tag_ranked = np.zeros((3, num_tags), dtype=np.int64)
     row_tags = tags
 
-    # Clamped to the vocabulary: argsort slices truncate at V anyway (the
-    # loop backend's behavior), and the candidate loops must not read
-    # positions that do not exist when V < 2 * beams_per_group.
-    top_n = min(max(beams_per_group * 2, 2), vocab_size)
-    beam_index = np.arange(beams_per_group)[None, :, None]          # (1, B, 1)
-    question_index = np.arange(num_questions)[:, None, None]         # (Q, 1, 1)
+    # What one beam may propose (the oracle's slice of its argsort) and how
+    # deep into an unconstrained row any group can reach (the lemma).
+    top_n = max(beams_per_group * 2, 2)
+    reach = top_n + (num_groups - 1) * beams_per_group
+    tallying = diversity_penalty > 0.0
     # Finished questions are banked here, by original batch position.
     banked: list = [None] * num_questions
     question_ids = list(range(num_questions))
@@ -527,8 +531,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     #: Live beams served, per question: the loop oracle's kernel calls.
     served = [0] * num_questions
 
-    steps = 0
-    beam_rows = 0
+    steps = beam_rows = ranked_tokens = 0
     for _ in range(max_length):
         live = [any(flags) for flags in group_active]
         if not any(live):
@@ -540,34 +543,29 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                 if not alive:
                     banked[question_ids[question]] = beams[question]
                     compacted.append(question_ids[question])
-            question_ids, beams, slot_rows, group_active, advance_fns, mask_fns = (
+            question_ids, beams, slot_rows, group_active, advance_fns, ids_fns = (
                 [per_question[question] for question in kept]
                 for per_question in (question_ids, beams, slot_rows, group_active,
-                                     advance_fns, mask_fns))
+                                     advance_fns, ids_fns))
             num_questions = len(kept)
-            counts = counts[:num_questions]
-            question_index = question_index[:num_questions]
 
         if prefix_constraint is not None:
-            mask_memo: dict[tuple[int, ...], np.ndarray | None] = {}
+            ids_memo: dict[tuple[int, ...], list[int] | None] = {}
             for groups, rows_of_groups in zip(beams, slot_rows):
                 for group_beams, group_rows in zip(groups, rows_of_groups):
                     for (_, prefix, _), row in zip(group_beams, group_rows):
                         if row < 0:
                             continue
                         key = tuple(prefix)
-                        if key not in mask_memo:
-                            mask_memo[key] = _constraint_mask(
+                        if key not in ids_memo:
+                            mask = _constraint_mask(
                                 prefix_constraint, key, vocab_size, eos_id)
-                        mask = mask_memo[key]
-                        # None means "unconstrained at this prefix": the
-                        # buffer row may hold a stale restrictive mask and
-                        # must be reopened.
-                        row_masks[row] = True if mask is None else mask
+                            ids_memo[key] = (None if mask is None
+                                             else np.flatnonzero(mask).tolist())
+                        row_tokens[row] = ids_memo[key]
 
         # Per-row operands follow the row -> question map, re-gathered only
-        # on steps where it moved (with one beam per question: only when one
-        # finished).
+        # on steps where it moved (one beam per question: when one finished).
         if row_questions != gathered_for:
             gathered_for = row_questions
             index = np.asarray(row_questions, dtype=np.int64)
@@ -578,54 +576,58 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         # One kernel call: every distinct live prefix of every question.
         steps += 1
         beam_rows += len(previous)
+        log_probabilities, step_states = kernel.step(
+            states, np.asarray(previous, dtype=np.int64), input_table, operands,
+            tags=row_tags)
+        if None in row_tokens:
+            # Rows nothing constrains: the lemma's ``reach`` best, ascending.
+            open_rows = [row for row, tokens in enumerate(row_tokens)
+                         if tokens is None]
+            best = np.argsort(-log_probabilities[open_rows], axis=1,
+                              kind="stable")[:, :reach]
+            for row, tokens in zip(open_rows, np.sort(best, axis=1).tolist()):
+                row_tokens[row] = tokens
+        # One gather over every row's ids, split back per row and ranked
+        # once for every beam no penalty touches.  ``.tolist()`` preserves
+        # every bit: the Python floats compare and add exactly like the
+        # float64 array elements they came from.
+        widths = list(map(len, row_tokens))
+        flat_rows = np.repeat(np.arange(len(widths)), widths)
+        gathered = iter(log_probabilities[flat_rows, np.fromiter(
+            chain.from_iterable(row_tokens), np.int64, len(flat_rows))].tolist())
+        row_values = [list(islice(gathered, width)) for width in widths]
+        rankings = [_ranked(values, tokens, values, top_n)
+                    for values, tokens in zip(row_values, row_tokens)]
+        ranked_tokens += len(flat_rows)
         if tags is not None:
             tagged = np.bincount(row_tags, minlength=num_tags)
             tag_rows += tagged
             tag_steps += tagged > 0
-        log_probabilities, step_states = kernel.step(
-            states, np.asarray(previous, dtype=np.int64), input_table, operands,
-            tags=row_tags)
-        if masked:
-            log_probabilities = np.where(row_masks[:len(previous)],
-                                         log_probabilities, -np.inf)
-        # Back to the (Q, G, B, V) grid selection reads: beams sharing a
-        # prefix read the same row, dead slots read one nobody looks at.
-        log_probabilities = log_probabilities[np.asarray(slot_rows, dtype=np.int64)]
+            tag_ranked += np.bincount(row_tags[flat_rows], minlength=num_tags)
 
-        # Group-sequential selection.  A continued beam registers the row it
-        # advances through next step under (parent row, token), so equal
-        # prefixes -- whichever groups chose them -- resolve to one row; a
-        # row records its token, its parent's row and its question.
-        counts[:] = 0.0
-        any_chosen = False
+        # Group-sequential selection, question by question.  A continued beam
+        # registers the row it advances through next step under (parent row,
+        # token), so equal prefixes -- whichever groups chose them -- are one
+        # row: its token, parent row, question, constraint state and ids.
         child_rows: dict[int, int] = {}
         next_previous: list[int] = []
         next_parents: list[int] = []
         next_questions: list[int] = []
         next_constraints: list = []
-        for group in range(num_groups):
-            selecting = [question for question in range(num_questions)
-                         if group_active[question][group]]
-            if not selecting:
-                continue
-            block = log_probabilities[:, group]                    # (Q, B, V)
-            if diversity_penalty > 0.0 and any_chosen:
-                scored = block - (diversity_penalty * counts)[:, None, :]
-            else:
-                scored = block
-            # One stable descending argsort over the group's dense block:
-            # ties resolve lowest-token-id-first, identically to the loop
-            # oracle (dead slots are sorted too, and ignored below).
-            order = np.argsort(-scored, axis=2, kind="stable")[:, :, :top_n]
-            order_list = order.tolist()
-            # ``.tolist()`` preserves every bit: the Python floats compare and
-            # add exactly like the float64 array elements they came from.
-            # Direct fancy indexing beats take_along_axis at these shapes.
-            values_list = block[question_index, beam_index, order].tolist()
-            for question in selecting:
-                group_beams = beams[question][group]
-                group_rows = slot_rows[question][group]
-                original = question_ids[question]
+        next_tokens: list = []
+        for question in range(num_questions):
+            original = question_ids[question]
+            advance_state, ids_for_state = advance_fns[question], ids_fns[question]
+            question_beams, question_rows, active = (
+                beams[question], slot_rows[question], group_active[question])
+            #: token -> how many earlier groups of this question chose it this
+            #: step; ``penalty * count`` is the oracle's penalty double.
+            chosen: dict[int, int] = {}
+            chosen_tokens = chosen.keys()
+            for group in range(num_groups):
+                if not active[group]:
+                    continue
+                group_beams, group_rows = question_beams[group], question_rows[group]
                 # Candidates in the loop oracle's enumeration order, so the
                 # stable sort breaks ties identically: (score, token, parent
                 # slot), token -1 marking a finished beam passing through.
@@ -636,20 +638,28 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                         continue
                     served[original] += 1
                     parent_score = beam[0]
-                    for value, token in zip(values_list[question][slot],
-                                            order_list[question][slot]):
-                        if value == -math.inf:
-                            break  # descending: only masked tokens remain
+                    row = group_rows[slot]
+                    tokens = row_tokens[row]
+                    # A penalty re-ranks a row only when a tallied token
+                    # stands among several.
+                    if len(tokens) < 2 or chosen_tokens.isdisjoint(tokens):
+                        ranking = rankings[row]
+                    else:
+                        ranking = _ranked(
+                            row_values[row], tokens,
+                            [value - diversity_penalty * chosen.get(token, 0)
+                             for value, token in zip(row_values[row], tokens)],
+                            top_n)
+                    for _, value, token in ranking:
                         candidates.append((parent_score + value, token, slot))
                 if not candidates:
                     # No finite continuation now means none ever (same
                     # inputs, same outputs): where the oracle re-derives that
                     # every remaining step, the group rests as it stands.
-                    group_active[question][group] = False
-                    slot_rows[question][group] = dead_slots
+                    active[group] = False
+                    question_rows[group] = dead_slots
                     continue
                 candidates.sort(key=_candidate_score, reverse=True)
-                advance_state = advance_fns[question]
                 selected: list[tuple] = []
                 rows = list(dead_slots)
                 still_active = False
@@ -660,8 +670,8 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                         continue
                     if token != eos_id:
                         still_active = True
-                        counts[question, token] += 1.0
-                        any_chosen = True
+                        if tallying:
+                            chosen[token] = chosen.get(token, 0) + 1
                         parent_row = group_rows[parent]
                         key = parent_row * vocab_size + token
                         row = child_rows.get(key)
@@ -670,49 +680,39 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                             next_previous.append(token)
                             next_parents.append(parent_row)
                             next_questions.append(original)
-                            if advance_state is not None:
+                            if advance_state is None:
+                                next_constraints.append(None)
+                                next_tokens.append(None)
+                            else:
                                 constraint_state = advance_state(
                                     row_constraints[parent_row], token)
                                 next_constraints.append(constraint_state)
-                                _assign_state_mask(
-                                    row_masks[row],
-                                    mask_fns[question](constraint_state))
-                            else:
-                                next_constraints.append(None)
-                                if masked:
-                                    # The buffer row may last have held a
-                                    # constrained question's mask.
-                                    row_masks[row] = True
+                                next_tokens.append(ids_for_state(constraint_state))
                         rows[slot] = row
                     selected.append((score, group_beams[parent][1] + [token],
                                      token == eos_id))
-                beams[question][group] = selected
-                slot_rows[question][group] = rows
-                group_active[question][group] = still_active
+                question_beams[group] = selected
+                question_rows[group] = rows
+                active[group] = still_active
 
         # A child row starts from the state its parent's row stepped to.
         states = step_states[np.asarray(next_parents, dtype=np.int64)]
-        previous, row_questions, row_constraints = (
-            next_previous, next_questions, next_constraints)
+        previous, row_questions, row_constraints, row_tokens = (
+            next_previous, next_questions, next_constraints, next_tokens)
 
     _note_decode_stats(stats, steps=steps, beam_rows=beam_rows,
-                       live_beams=sum(served),
+                       live_beams=sum(served), ranked_tokens=ranked_tokens,
                        questions_compacted=len(compacted))
     if stats is not None and tags is not None:
         per_tag = stats.setdefault("per_tag", {})
-        tag_served = np.bincount(tags, weights=served, minlength=num_tags)
-        tag_compacted = np.bincount(tags[compacted], minlength=num_tags)
+        split = dict(
+            steps=tag_steps, beam_rows=tag_rows, ranked_tokens=tag_ranked,
+            live_beams=np.bincount(tags, weights=served, minlength=num_tags),
+            questions_compacted=np.bincount(tags[compacted], minlength=num_tags))
         for tag in range(num_tags):
-            _note_decode_stats(per_tag.setdefault(tag, {}),
-                               steps=int(tag_steps[tag]),
-                               beam_rows=int(tag_rows[tag]),
-                               live_beams=int(tag_served[tag]),
-                               questions_compacted=int(tag_compacted[tag]))
+            _note_decode_stats(per_tag.setdefault(tag, {}), **{
+                key: int(counts[tag]) for key, counts in split.items()})
     for question, original in enumerate(question_ids):
         banked[original] = beams[question]
-    return [
-        _finalize_groups(
-            [[_Beam(tokens=tokens, score=score, finished=finished)
-              for score, tokens, finished in group] for group in groups],
-            eos_id, length_penalty, num_beams)
-        for groups in banked]
+    return [_finalize_groups(groups, eos_id, length_penalty, num_beams)
+            for groups in banked]

@@ -1,5 +1,7 @@
-"""Shared utilities: seeded randomness, text normalisation, timing, tables."""
+"""Shared utilities: seeded randomness, text normalisation, timing, tables,
+bounded memos."""
 
+from repro.utils.memo import evict_oldest
 from repro.utils.rng import SeededRng, derive_seed
 from repro.utils.text import (
     camel_to_snake,
@@ -15,6 +17,7 @@ from repro.utils.tables import ResultTable
 __all__ = [
     "SeededRng",
     "derive_seed",
+    "evict_oldest",
     "camel_to_snake",
     "normalize_identifier",
     "normalize_whitespace",

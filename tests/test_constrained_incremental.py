@@ -3,9 +3,10 @@
 The contract under test is *exact equivalence*: for any prefix -- legal,
 junk, separator-riddled, or EOS-bearing -- the state reached by threading
 ``GraphConstrainedDecoding.advance`` token by token must parse identically to
-a fresh ``interpret`` of the whole prefix, and
+a fresh ``interpret`` of the whole prefix,
 ``allowed_mask_for_state(state)`` must equal ``allowed_mask(prefix)``
-bit-for-bit.  The vectorized decode backend's bit-identity with the loop
+bit-for-bit, and ``allowed_ids_for_state(state)`` -- what the batched engine
+ranks -- must be that mask's set bits, ascending.  The vectorized decode backend's bit-identity with the loop
 reference (``tests/test_decode_backends.py``) rides entirely on this
 equivalence, so it is exercised here directly: random catalogs, random
 walks, terminal/EOS paths, and mask-cache eviction.
@@ -48,6 +49,12 @@ def _assert_state_matches_oracle(constrained: GraphConstrainedDecoding,
     oracle_mask = constrained.allowed_mask(tuple(prefix))
     assert np.array_equal(incremental_mask, oracle_mask), \
         f"mask diverged from allowed_mask() at prefix {prefix}"
+    # The ids are the engine's face of the same resolution: ascending, equal
+    # to the oracle mask's set bits, and one shared tuple per state.
+    ids = constrained.allowed_ids_for_state(state)
+    assert ids == tuple(np.flatnonzero(oracle_mask).tolist()), \
+        f"ids diverged from allowed_mask() at prefix {prefix}"
+    assert constrained.allowed_ids_for_state(state) is ids
 
 
 def _random_walk(constrained: GraphConstrainedDecoding, rng, max_steps: int,
@@ -164,6 +171,20 @@ class TestMaskCache:
         rng = np.random.default_rng(37)
         _random_walk(constrained, rng, max_steps=10, junk_rate=0.0)
         assert constrained.allowed_mask_for_state(state) is mask
+
+    def test_states_keep_ids_across_eviction(self):
+        """Likewise the ids: the tuple a state handed out once is the tuple
+        it hands out after the shared cache forgot the entry."""
+        constrained = _build(37, 5)
+        constrained.max_cached_masks = 1
+        state = constrained.initial_state()
+        ids = constrained.allowed_ids_for_state(state)
+        _random_walk(constrained, np.random.default_rng(37), max_steps=10,
+                     junk_rate=0.0)
+        assert (state.database, state.tables, state.current_words,
+                state.complete) not in constrained._mask_cache
+        assert constrained.allowed_ids_for_state(state) is ids
+        assert ids == tuple(np.flatnonzero(constrained.allowed_mask(())).tolist())
 
     def test_allowed_tokens_reuses_cached_mask(self):
         """The set face derives from the cached mask entry -- one set build

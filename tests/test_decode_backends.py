@@ -454,7 +454,7 @@ class TestRouterDifferential:
     def test_decode_counters_are_flat_on_the_one_shard_path(self, trained_pair,
                                                             backend):
         """``route_batch`` reports the engine counters flat -- ``per_tag``
-        belongs to tagged waves -- with ``live_beams`` and
+        belongs to tagged waves -- with ``live_beams``, ``ranked_tokens`` and
         ``questions_compacted`` under every batched backend, and names its own
         backend on the decode span."""
         from repro.obs import Tracer
@@ -467,8 +467,8 @@ class TestRouterDifferential:
         stats: dict = {}
         trace = Tracer().start_trace("request")
         twin.route_batch(questions[:5], traces=[trace] * 5, decode_stats=stats)
-        batched = ({"live_beams", "questions_compacted"} if backend != "loop"
-                   else set())
+        batched = ({"live_beams", "ranked_tokens", "questions_compacted"}
+                   if backend != "loop" else set())
         assert set(stats) == {"steps", "beam_rows"} | batched
         (span,) = trace.find_spans("decode")
         assert span.attributes["backend"] == backend
