@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from repro.core.router import SchemaRoute, merge_route_lists
-from repro.obs.trace import maybe_span
+from repro.obs.trace import Span, maybe_span
+from repro.serving.cache import RouteCache
 
 #: A shard target: ``(questions, max_candidates) -> list of per-question routes``.
 ShardTarget = Callable[[Sequence[str], "int | None"], "list[list[SchemaRoute]]"]
@@ -79,6 +80,18 @@ class ClusterDispatcher:
     questions are exactly the low-confidence ones, so the cascade restores
     monolithic fidelity while paying wide-beam cost on a small fraction of
     traffic.
+
+    With an ``escalated_cache`` the cascade remembers what it decided: the
+    merged careful answer of every question it escalates, keyed like the
+    shard caches (normalised question + ``max_candidates``).  The fast tier
+    still answers every question and the gate is still judged on those
+    answers each wave -- so retuning the threshold needs no invalidation, and
+    ``escalations`` keeps counting *verdicts* -- but a needy question whose
+    careful answer is remembered (``escalations_remembered``) costs no second
+    scatter.  A merged answer is a function of the whole catalog, so whoever
+    owns the cache bumps its version on any shard's change, after the shards
+    themselves changed; an answer is remembered only if no bump landed since
+    before its wave's fast scatter, and never from a partial gather.
     """
 
     def __init__(self, targets: Sequence[ShardTarget],
@@ -88,7 +101,8 @@ class ClusterDispatcher:
                  max_workers: int | None = None,
                  careful_targets: Sequence[ShardTarget] | None = None,
                  escalation_threshold: float | None = None,
-                 wave_engine=None) -> None:
+                 wave_engine=None,
+                 escalated_cache: RouteCache | None = None) -> None:
         if not targets:
             raise ValueError("the dispatcher needs at least one shard target")
         if careful_targets is not None and len(careful_targets) != len(targets):
@@ -102,6 +116,9 @@ class ClusterDispatcher:
         #: set, both scatter tiers decode through one stacked kernel stream
         #: instead of one thread-pool call per shard.
         self.wave_engine = wave_engine
+        #: Merged careful-tier answers (tuples of routes) by question, or
+        #: None: every escalation then scatters to the careful tier.
+        self.escalated_cache = escalated_cache
         self.default_max_candidates = default_max_candidates
         self.shard_timeout_seconds = shard_timeout_seconds
         self.allow_partial = allow_partial
@@ -123,7 +140,10 @@ class ClusterDispatcher:
         #: too slow for its budget".
         self.shards_timed_out = 0
         self.partial_gathers = 0
+        #: Questions the gate judged needy, and of those, how many were
+        #: answered from ``escalated_cache`` instead of a careful scatter.
         self.escalations = 0
+        self.escalations_remembered = 0
 
     @property
     def num_shards(self) -> int:
@@ -160,80 +180,111 @@ class ClusterDispatcher:
 
         With a ``trace`` (a ``repro.obs`` context or scope), the dispatch
         records one ``scatter`` span per shard (the shard-layer spans nest
-        under it), a ``merge`` span, and -- when the cascade fires -- an
-        ``escalation`` span covering the careful re-scatter.
+        under it), a ``merge`` span (annotated ``escalations_remembered=n``
+        when the cascade answered ``n`` questions from memory), and -- only
+        when something is re-scattered -- an ``escalation`` span covering the
+        careful scatter.
         """
         if self._closed:
             raise RuntimeError("the dispatcher has been closed")
         if not questions:
             return []
         questions = list(questions)
-        if self.wave_engine is not None:
-            merged = self._wave_merge(questions, max_candidates, careful=False,
-                                      trace=trace)
-        else:
-            merged = self._scatter_merge(self.targets, questions, max_candidates,
-                                         trace=trace)
-        if self.careful_targets is not None and self.escalation_threshold is not None:
-            needy = [index for index, routes in enumerate(merged)
-                     if not routes or routes[0].score < self.escalation_threshold]
-            if needy:
-                with self._stats_lock:
-                    self.escalations += len(needy)
-                escalation_span = None
-                escalation_trace = trace
-                if trace is not None:
-                    escalation_span = trace.start_span("escalation",
-                                                       questions=len(needy))
-                    escalation_trace = trace.scoped(escalation_span)
-                try:
-                    needy_questions = [questions[index] for index in needy]
-                    if self.wave_engine is not None:
-                        careful = self._wave_merge(needy_questions, max_candidates,
-                                                   careful=True,
-                                                   trace=escalation_trace)
-                    else:
-                        careful = self._scatter_merge(
-                            self.careful_targets, needy_questions,
-                            max_candidates, trace=escalation_trace)
-                except BaseException as exc:
-                    if escalation_span is not None:
-                        escalation_span.end(status="error",
-                                            error=f"{type(exc).__name__}: {exc}")
-                    raise
-                if escalation_span is not None:
-                    escalation_span.end()
-                for index, routes in zip(needy, careful):
-                    merged[index] = routes
+        memo = self.escalated_cache
+        # Read before the fast scatter: a careful answer is remembered only
+        # if no catalog change landed between here and its ``put``.
+        version = memo.catalog_version if memo is not None else None
+        merged, merge_span = self._merge(
+            self._gather(questions, max_candidates, careful=False, trace=trace),
+            questions, max_candidates, trace)
+        if self.careful_targets is None or self.escalation_threshold is None:
+            return merged
+        needy = [index for index, routes in enumerate(merged)
+                 if not routes or routes[0].score < self.escalation_threshold]
+        if not needy:
+            return merged
+        remembered = 0
+        if memo is not None:
+            known = memo.get_many([questions[index] for index in needy],
+                                  variant=max_candidates)
+            unknown = []
+            for index, routes in zip(needy, known):
+                if routes is None:
+                    unknown.append(index)
+                else:
+                    merged[index] = list(routes)
+            remembered = len(needy) - len(unknown)
+            needy = unknown
+            if remembered and merge_span is not None:
+                merge_span.annotate(escalations_remembered=remembered)
+        with self._stats_lock:
+            self.escalations += len(needy) + remembered
+            self.escalations_remembered += remembered
+        if not needy:
+            return merged
+        escalation_span = None
+        escalation_trace = trace
+        if trace is not None:
+            escalation_span = trace.start_span("escalation", questions=len(needy))
+            escalation_trace = trace.scoped(escalation_span)
+        try:
+            needy_questions = [questions[index] for index in needy]
+            gathered = self._gather(needy_questions, max_candidates, careful=True,
+                                    trace=escalation_trace)
+            careful, _ = self._merge(gathered, needy_questions, max_candidates,
+                                     escalation_trace)
+        except BaseException as exc:
+            if escalation_span is not None:
+                escalation_span.end(status="error",
+                                    error=f"{type(exc).__name__}: {exc}")
+            raise
+        if escalation_span is not None:
+            escalation_span.end()
+        # A partial gather is an answer for now, not a fact about the catalog.
+        memorable = memo is not None and len(gathered) == self.num_shards
+        for index, routes in zip(needy, careful):
+            merged[index] = routes
+            if memorable:
+                memo.put(questions[index], tuple(routes), variant=max_candidates,
+                         version=version)
         return merged
 
-    def _wave_merge(self, questions: list[str], max_candidates: int | None,
-                    careful: bool, trace=None) -> list[list[SchemaRoute]]:
-        """One stacked decode for the whole fleet, then the usual merge.
+    def _gather(self, questions: list[str], max_candidates: int | None,
+                careful: bool, trace=None) -> list[list[list[SchemaRoute]]]:
+        """One tier's answers, ``[shard][question]``; a shard that a partial
+        gather dropped is absent from the outer list."""
+        if self.wave_engine is not None:
+            # No thread pool is involved: the wave engine's single kernel
+            # stream IS the scatter.  An engine failure is a whole-wave
+            # failure (there is no per-shard partial gather on this path).
+            try:
+                return self.wave_engine.route_wave(
+                    questions, max_candidates=max_candidates, careful=careful,
+                    trace=trace)
+            except Exception as error:
+                with self._stats_lock:
+                    self.shard_failures += 1
+                raise ClusterError("wave decode failed") from error
+        return self._scatter(self.careful_targets if careful else self.targets,
+                             questions, max_candidates, trace)
 
-        No thread pool is involved: the wave engine's single kernel stream
-        IS the scatter.  An engine failure is a whole-wave failure (there is
-        no per-shard partial gather on this path)."""
-        try:
-            per_shard = self.wave_engine.route_wave(
-                questions, max_candidates=max_candidates, careful=careful,
-                trace=trace)
-        except Exception as error:
-            with self._stats_lock:
-                self.shard_failures += 1
-            raise ClusterError("wave decode failed") from error
+    def _merge(self, gathered: list[list[list[SchemaRoute]]], questions: list[str],
+               max_candidates: int | None,
+               trace=None) -> "tuple[list[list[SchemaRoute]], Span | None]":
+        """Merged top-k per question, and the ``merge`` span that timed it."""
         limit = max_candidates if max_candidates is not None else self.default_max_candidates
-        with maybe_span(trace, "merge", shards=len(per_shard),
-                        questions=len(questions)):
-            return [
-                merge_route_lists((shard_answers[index] for shard_answers in per_shard),
+        with maybe_span(trace, "merge", shards=len(gathered),
+                        questions=len(questions)) as span:
+            merged = [
+                merge_route_lists((shard_answers[index] for shard_answers in gathered),
                                   max_candidates=limit)
                 for index in range(len(questions))
             ]
+        return merged, span
 
-    def _scatter_merge(self, targets: Sequence[ShardTarget], questions: list[str],
-                       max_candidates: int | None,
-                       trace=None) -> list[list[SchemaRoute]]:
+    def _scatter(self, targets: Sequence[ShardTarget], questions: list[str],
+                 max_candidates: int | None,
+                 trace=None) -> list[list[list[SchemaRoute]]]:
         futures = []
         spans = []
         for index, target in enumerate(targets):
@@ -277,14 +328,7 @@ class ClusterDispatcher:
                 raise ClusterError("shard dispatch failed") from first_error
             with self._stats_lock:
                 self.partial_gathers += 1
-        limit = max_candidates if max_candidates is not None else self.default_max_candidates
-        with maybe_span(trace, "merge", shards=len(gathered),
-                        questions=len(questions)):
-            return [
-                merge_route_lists((shard_answers[index] for shard_answers in gathered),
-                                  max_candidates=limit)
-                for index in range(len(questions))
-            ]
+        return gathered
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

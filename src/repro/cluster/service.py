@@ -39,6 +39,7 @@ from repro.obs.health import (
     error_rate_health,
     rollup,
 )
+from repro.serving.cache import RouteCache
 from repro.serving.metrics import (
     MetricsRegistry,
     QPS_WINDOW_SECONDS,
@@ -163,7 +164,16 @@ class ClusterConfig:
 
 
 class ClusterRoutingService:
-    """Serves schema routing over a partitioned catalog."""
+    """Serves schema routing over a partitioned catalog.
+
+    Beside the shards' own route caches the service gives its dispatcher one
+    more, for the cascade: the merged careful answer of every escalated
+    question (``stats()["escalated_cache"]``; sized and aged by
+    ``cache_size`` / ``cache_ttl_seconds``, absent under
+    ``enable_cache=False`` or without a careful tier).  Its validity is the
+    catalog's: :meth:`bump_catalog_version` -- the one hook every catalog
+    change already ends in -- forgets all of it.
+    """
 
     def __init__(self, shards: Sequence[ReplicaSet], assignment: ShardAssignment,
                  config: ClusterConfig | None = None,
@@ -201,6 +211,13 @@ class ClusterRoutingService:
                 for replica_set in self._shards
             ]
         self.wave_engine, self._wave_disabled_reason = self._build_wave_engine()
+        # The cascade's memory of merged careful answers: one more route
+        # cache, sized and aged like a shard's, staled by
+        # ``bump_catalog_version``.
+        escalated_cache = None
+        if careful_targets is not None and self.config.enable_cache:
+            escalated_cache = RouteCache(max_size=self.config.cache_size,
+                                         ttl_seconds=self.config.cache_ttl_seconds)
         self.dispatcher = ClusterDispatcher(
             [replica_set.route_batch for replica_set in self._shards],
             default_max_candidates=default_candidates,
@@ -211,6 +228,7 @@ class ClusterRoutingService:
             careful_targets=careful_targets,
             escalation_threshold=self.config.escalation_threshold,
             wave_engine=self.wave_engine,
+            escalated_cache=escalated_cache,
         )
         if self.config.shard_timeout_seconds is not None and self._max_replicas > 1:
             for replica_set in self._shards:
@@ -454,18 +472,29 @@ class ClusterRoutingService:
         return self._catalog_version
 
     def bump_catalog_version(self) -> int:
+        """Record a catalog change; call it *after* the affected shards have
+        been invalidated or re-projected.
+
+        Also forgets every escalated answer the dispatcher remembers: a
+        merged answer pools all shards, so any shard's change stales it.  A
+        wave whose fast scatter began before the bump cannot store its
+        careful answers after it, and one that begins after the bump sees
+        only changed shards."""
         self._catalog_version += 1
+        if self.dispatcher.escalated_cache is not None:
+            self.dispatcher.escalated_cache.bump_version()
         return self._catalog_version
 
     def notify_catalog_changed(self, database: str | None = None) -> None:
         """Invalidate route caches: one shard's when ``database`` is given
-        (only its owner is affected), every shard's otherwise."""
+        (only its owner is affected), every shard's otherwise.  Raises
+        ``KeyError``, with nothing invalidated and the catalog version where
+        it was, when no shard serves ``database``."""
+        affected = (self._shards if database is None
+                    else [self._shards[self.assignment.shard_of(database)]])
+        for replica_set in affected:
+            replica_set.notify_catalog_changed()
         self.bump_catalog_version()
-        if database is not None:
-            self._shards[self.assignment.shard_of(database)].notify_catalog_changed()
-        else:
-            for replica_set in self._shards:
-                replica_set.notify_catalog_changed()
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
@@ -539,7 +568,10 @@ class ClusterRoutingService:
             "shards_timed_out": self.dispatcher.shards_timed_out,
             "partial_gathers": self.dispatcher.partial_gathers,
             "escalations": self.dispatcher.escalations,
+            "escalations_remembered": self.dispatcher.escalations_remembered,
         }
+        if self.dispatcher.escalated_cache is not None:
+            snapshot["escalated_cache"] = self.dispatcher.escalated_cache.stats()
         # Which scatter path serves, and why: never a silent fallback.
         snapshot["wave"] = {"enabled": self.wave_engine is not None,
                             "reason": self._wave_disabled_reason}

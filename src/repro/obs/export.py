@@ -34,7 +34,8 @@ Sample = tuple[str, dict, float]
 _MONOTONIC_LEAVES = frozenset({
     "hits", "misses", "evictions", "expirations", "invalidations",
     "completed", "errors", "failovers", "successes", "failures",
-    "escalations", "shard_failures", "shards_timed_out", "partial_gathers",
+    "escalations", "escalations_remembered",
+    "shard_failures", "shards_timed_out", "partial_gathers",
     "requests_sent", "timeouts", "crashes", "respawns",
     "batches_dispatched", "requests_dispatched",
 })

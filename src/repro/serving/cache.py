@@ -131,12 +131,19 @@ class RouteCache:
                     values.append(entry.value)
         return values
 
-    def put(self, question: str, routes: object, variant: object = None) -> None:
+    def put(self, question: str, routes: object, variant: object = None,
+            version: int | None = None) -> None:
+        """Remember ``routes``.  With ``version`` (a ``catalog_version`` the
+        caller read before computing them) the entry is dropped instead when
+        the cache has since been bumped: an answer computed under an old
+        catalog must not be stamped with the new one."""
         key = self._key(question, variant)
         expires_at = None
         if self.ttl_seconds is not None:
             expires_at = self._clock() + self.ttl_seconds
         with self._lock:
+            if version is not None and version != self._version:
+                return
             self._entries[key] = _Entry(value=routes, expires_at=expires_at,
                                         version=self._version)
             self._entries.move_to_end(key)

@@ -4,7 +4,7 @@ rebalancing, and whole-cluster checkpoints."""
 from __future__ import annotations
 
 import json
-import time
+import threading
 
 import pytest
 
@@ -101,6 +101,16 @@ def master_router() -> SchemaRouter:
         epochs=10, embedding_dim=24, hidden_dim=40, num_beams=8, beam_groups=4, seed=23))
     router.fit(report.examples)
     return router
+
+
+@pytest.fixture()
+def release():
+    """An event slow-shard stand-ins wait on: set when the test is over, so
+    they outlast any shard timeout without a wall-clock sleep and leave no
+    thread sleeping behind them."""
+    event = threading.Event()
+    yield event
+    event.set()
 
 
 def _signature(routes) -> list[tuple[str, tuple[str, ...]]]:
@@ -256,9 +266,9 @@ class TestDispatcher:
         assert [_signature(routes) for routes in merged] == \
             [[("beta", ("t",)), ("alpha", ("t",))]] * 2
 
-    def test_shard_timeout_fails_the_request(self):
+    def test_shard_timeout_fails_the_request(self, release):
         def slow(questions, max_candidates):
-            time.sleep(0.5)
+            release.wait(timeout=30.0)
             return [[] for _ in questions]
 
         with ClusterDispatcher([self._fake_target("alpha", -1.0), slow],
@@ -281,11 +291,11 @@ class TestDispatcher:
             with pytest.raises(ClusterError):
                 dispatcher.route_batch(["q"])
 
-    def test_partial_gather_counts_dropped_timeouts(self):
+    def test_partial_gather_counts_dropped_timeouts(self, release):
         """A timed-out shard silently dropped from a partial gather must be
         visible in ``shards_timed_out`` (distinct from crash failures)."""
         def slow(questions, max_candidates):
-            time.sleep(0.5)
+            release.wait(timeout=30.0)
             return [[] for _ in questions]
 
         def broken(questions, max_candidates):
@@ -403,13 +413,13 @@ class TestReplicaSet:
         with pytest.raises(ValueError):
             ReplicaSet(0, [])
 
-    def test_timeout_classification_survives_the_replica_layer(self):
+    def test_timeout_classification_survives_the_replica_layer(self, release):
         """All replicas timing out must surface as ShardTimeoutError (so the
         dispatcher counts a shard *timeout*); a mix of crash + timeout is a
         plain ClusterError."""
         class Sleepy:
             def route_batch(self, questions, max_candidates=None, careful=False):
-                time.sleep(0.5)
+                release.wait(timeout=30.0)
                 return [[] for _ in questions]
 
         class Broken:
@@ -502,7 +512,8 @@ class TestClusterRoutingService:
         assert dispatcher["shards_timed_out"] == 0
         assert dispatcher["shard_failures"] == 0
         assert set(dispatcher) == {"shard_failures", "shards_timed_out",
-                                   "partial_gathers", "escalations"}
+                                   "partial_gathers", "escalations",
+                                   "escalations_remembered"}
         json.dumps(stats)  # the whole rollup stays JSON-serializable
 
     def test_escalation_tier_is_wired_and_counted(self, master_router, cluster):
