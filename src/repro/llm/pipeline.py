@@ -20,6 +20,7 @@ from repro.llm.client import SimulatedLLM
 from repro.llm.prompts import PromptStrategy
 from repro.retrieval.base import RoutingPrediction
 from repro.schema.catalog import Catalog
+from repro.sql.ast import SelectStatement
 from repro.sql.errors import SqlError
 from repro.sql.executor import SqlExecutor
 from repro.sql.parser import parse_sql
@@ -76,22 +77,30 @@ class SchemaAgnosticNL2SQL:
         self.num_candidates = num_candidates
 
     # -- execution and judgement -------------------------------------------------------
-    def _execute(self, database: str, sql: str) -> Relation | None:
+    def _execute(self, database: str, query: str | SelectStatement | None) -> Relation | None:
+        """Run SQL text, or a statement the caller already parsed (``None``: it
+        did not parse); any failure is ``None``."""
+        if query is None:
+            return None
         try:
-            instance = self.instances.instance(database)
-            return SqlExecutor(instance).execute_sql(sql)
+            executor = SqlExecutor(self.instances.instance(database))
+            if isinstance(query, str):
+                return executor.execute_sql(query)
+            return executor.execute(query)
         except (SqlError, KeyError):
             return None
 
     def _judge(self, example: Example, predicted_database: str,
-               sql: str) -> tuple[bool, str]:
-        """Execute ``sql`` and the gold query; returns (EX verdict, error note).
+               query: str | SelectStatement | None) -> tuple[bool, str]:
+        """Execute ``query`` and the gold query; returns (EX verdict, error note).
 
-        Each query is parsed once, inside ``execute_sql``: whether row order
-        counts is read off the gold *result* (``Relation.ordered``), not from
-        a second parse of the gold text.
+        Each query is parsed once -- text inside ``execute_sql``, the
+        multi-schema strategies' SQL by ``_database_of_sql``, whose statement
+        is what they pass here: whether row order counts is read off the gold
+        *result* (``Relation.ordered``), not from a second parse of the gold
+        text.
         """
-        predicted = self._execute(predicted_database, sql)
+        predicted = self._execute(predicted_database, query)
         gold = self._execute(example.database, example.sql)
         correct = results_equivalent(predicted, gold,
                                      order_sensitive=gold is not None and gold.ordered) \
@@ -126,31 +135,37 @@ class SchemaAgnosticNL2SQL:
                                     correct=False, cost=0.0, error="no candidate schema")
 
         cost_before = self.llm.total_cost
+        # ``query`` is what gets judged: the SQL text, or -- from the one strategy
+        # that has to parse it to attribute it -- the statement (``None``: malformed).
+        query: str | SelectStatement | None
         if gold_schema_selector or self.strategy is PromptStrategy.HUMAN_IN_THE_LOOP:
             chosen = self._human_in_the_loop_choice(example, candidates)
             database = self.catalog.database(chosen[0])
             sql, _ = self.llm.generate_sql(example.question, database, chosen[1])
+            query = sql
             predicted_database = chosen[0]
         elif self.strategy is PromptStrategy.BEST_SCHEMA:
             database_name, tables = candidates[0]
             database = self.catalog.database(database_name)
             sql, _ = self.llm.generate_sql(example.question, database, tables)
+            query = sql
             predicted_database = database_name
         elif self.strategy is PromptStrategy.MULTIPLE_SCHEMA:
             structured = [(self.catalog.database(name), tables) for name, tables in candidates]
             sql, _ = self.llm.generate_sql_multi(example.question, structured)
-            predicted_database = self._database_of_sql(structured, sql)
+            predicted_database, query = self._database_of_sql(structured, sql)
         elif self.strategy is PromptStrategy.MULTIPLE_SCHEMA_COT:
             structured = [(self.catalog.database(name), tables) for name, tables in candidates]
             chosen_index, _ = self.llm.select_schema(example.question, structured)
             database, tables = structured[chosen_index]
             sql, _ = self.llm.generate_sql(example.question, database, list(tables))
+            query = sql
             predicted_database = database.name
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown prompt strategy {self.strategy}")
         cost = self.llm.total_cost - cost_before
 
-        correct, error = self._judge(example, predicted_database, sql)
+        correct, error = self._judge(example, predicted_database, query)
         return GenerationResult(question=example.question, predicted_sql=sql,
                                 predicted_database=predicted_database,
                                 gold_database=example.database, correct=correct,
@@ -177,8 +192,8 @@ class SchemaAgnosticNL2SQL:
         cost_before = self.llm.total_cost
         sql, _ = self.llm.generate_sql_multi(example.question, structured)
         cost = self.llm.total_cost - cost_before
-        predicted_database = self._database_of_sql(structured, sql)
-        correct, error = self._judge(example, predicted_database, sql)
+        predicted_database, statement = self._database_of_sql(structured, sql)
+        correct, error = self._judge(example, predicted_database, statement)
         return GenerationResult(question=example.question, predicted_sql=sql,
                                 predicted_database=predicted_database,
                                 gold_database=example.database, correct=correct, cost=cost,
@@ -205,16 +220,23 @@ class SchemaAgnosticNL2SQL:
         return best
 
     @staticmethod
-    def _database_of_sql(structured: list[tuple[object, list[str]]], sql: str) -> str:
-        """Best-effort attribution of multi-schema SQL to one candidate database."""
+    def _database_of_sql(structured: list[tuple[object, list[str]]],
+                         sql: str) -> tuple[str, SelectStatement | None]:
+        """Best-effort attribution of multi-schema SQL to one candidate database.
+
+        Returns the database and the statement ``sql`` parsed to, for the
+        caller to execute (``None``, and the first candidate, if it did not
+        parse).
+        """
         try:
-            referenced = {ref.table for ref in parse_sql(sql).table_refs()}
+            statement = parse_sql(sql)
         except SqlError:
-            referenced = set()
+            return structured[0][0].name, None  # type: ignore[union-attr]
+        referenced = {ref.table for ref in statement.table_refs()}
         for database, tables in structured:
-            if referenced and referenced <= set(getattr(database, "table_names", tables)):
-                return database.name  # type: ignore[union-attr]
-        return structured[0][0].name  # type: ignore[union-attr]
+            if referenced <= set(getattr(database, "table_names", tables)):
+                return database.name, statement  # type: ignore[union-attr]
+        return structured[0][0].name, statement  # type: ignore[union-attr]
 
 
 def evaluate_nl2sql(pipeline: SchemaAgnosticNL2SQL, examples: Sequence[Example],

@@ -6,15 +6,37 @@ The parser is used in two places that matter for the reproduction:
   metadata; queries that fail to parse are excluded from the benchmark.
 * Execution-accuracy evaluation parses the SQL text produced by the simulated
   LLM before executing it; malformed output counts as an incorrect prediction.
+
+The lexing contract.  A statement is lexed once, by one ``findall`` over
+``_TOKEN_PATTERN``, into two parallel lists: ``kinds`` (the small integers
+``NUMBER`` / ``STRING`` / ``OPERATOR`` / ``WORD`` / ``KEYWORD`` / ``END``) and
+``texts``.  Keywords are recognised at lex time and their text is lowered
+there, so the grammar tests ``texts[i] == "from"`` and nothing else: no other
+kind can spell a lowered keyword or an operator (a string keeps its quotes, a
+``WORD`` is never a keyword), and an identifier is just ``kinds[i] == WORD``.
+Both lists end in two ``END`` sentinels (text ``""``), so the grammar reads
+``texts[i + 1]`` without a bounds check.  The pattern's last group is a
+catch-all ``\\S``: a character no token starts with is a match like any other,
+and the lexer -- which runs to completion before the grammar, as the tokenizer
+it replaced did -- reports the first one.
+
+The grammar methods take the cursor as an integer and return ``(node, next
+cursor)``.  No token carries a position, because a position is only ever
+needed for a :class:`SqlParseError` message: ``_fail`` turns the failing token
+*index* into a character offset (and the token's original spelling) with one
+``finditer`` over the same pattern, when an error is raised and not before.
+Offsets index the string ``parse_sql`` was given.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
+from typing import NoReturn
 
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
+    COMPARISON_OPERATORS,
     BinaryOp,
     ColumnRef,
     Expression,
@@ -31,172 +53,167 @@ from repro.sql.ast import (
 )
 from repro.sql.errors import SqlParseError
 
+#: One group per token kind, in ``findall``'s tuple order (words first: most
+#: tokens are words).  The kinds start with different characters, so their order
+#: decides nothing; the catch-all must be last.  White space is consumed in front
+#: of the token it precedes, so a token's offset is its *group's* start.
 _TOKEN_PATTERN = re.compile(
-    r"""
-    (?P<space>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<operator><>|!=|<=|>=|=|<|>|\(|\)|,|\.|\*)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    """,
+    r"""\s*(?:
+    ([A-Za-z_][A-Za-z0-9_]*)
+  | (<>|!=|<=|>=|[=<>(),.*])
+  | (\d+\.\d+|\d+)
+  | ('(?:[^']|'')*')
+  | (\S)
+    )""",
     re.VERBOSE,
 )
+_findall = _TOKEN_PATTERN.findall
+_finditer = _TOKEN_PATTERN.finditer
 
-_KEYWORDS = {
+NUMBER, STRING, OPERATOR, WORD, KEYWORD, END = range(6)
+
+_KEYWORDS = frozenset({
     "select", "distinct", "from", "join", "inner", "on", "where", "group", "by",
     "having", "order", "limit", "as", "and", "or", "in", "not", "asc", "desc",
     "null", "true", "false", "like",
-}
+})
+
+_COMPARISONS = frozenset(COMPARISON_OPERATORS)
 
 
-class _Token(NamedTuple):
-    kind: str  # "number" | "string" | "operator" | "word"
-    text: str
-    position: int
-    #: ``text`` lowercased once, here, for the keyword checks (words only;
-    #: for the other kinds it is ``text`` itself).
-    lowered: str
+def _fail(sql: str, index: int, message: str) -> NoReturn:
+    """Raise ``message`` at token ``index``; ``{!r}`` in it is the token as written."""
+    match = next(islice(_finditer(sql), index, None), None)
+    found, position = (match[match.lastindex], match.start(match.lastindex)) if match \
+        else ("end of input", len(sql))
+    raise SqlParseError(message.format(found), position)
 
 
-def _tokenize(sql: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    index = 0
-    while index < len(sql):
-        match = _TOKEN_PATTERN.match(sql, index)
-        if match is None:
-            raise SqlParseError(f"unexpected character {sql[index]!r}", position=index)
-        index = match.end()
-        kind = match.lastgroup or ""
-        if kind == "space":
-            continue
-        text = match.group()
-        tokens.append(_Token(kind, text, match.start(),
-                             text.lower() if kind == "word" else text))
-    return tokens
+def _lex(sql: str) -> tuple[list[int], list[str]]:
+    kinds: list[int] = []
+    texts: list[str] = []
+    for word, operator, number, string, _ in _findall(sql):
+        if word:
+            lowered = word.lower()
+            if lowered in _KEYWORDS:
+                kinds.append(KEYWORD)
+                texts.append(lowered)
+            else:
+                kinds.append(WORD)
+                texts.append(word)
+        elif operator:
+            kinds.append(OPERATOR)
+            texts.append(operator)
+        elif number:
+            kinds.append(NUMBER)
+            texts.append(number)
+        elif string:
+            kinds.append(STRING)
+            texts.append(string)
+        else:
+            _fail(sql, len(kinds), "unexpected character {!r}")
+    kinds += (END, END)
+    texts += ("", "")
+    return kinds, texts
 
 
 class _Parser:
-    """Stateful cursor over the token list."""
+    """The grammar over one statement's token lists."""
 
-    def __init__(self, tokens: list[_Token], sql: str) -> None:
-        self._tokens = tokens
+    def __init__(self, sql: str) -> None:
         self._sql = sql
-        self._index = 0
+        self._kinds, self._texts = _lex(sql)
 
-    # -- cursor primitives --------------------------------------------------
-    def _peek(self, offset: int = 0) -> _Token | None:
-        position = self._index + offset
-        if position < len(self._tokens):
-            return self._tokens[position]
-        return None
+    def _fail(self, index: int, message: str) -> NoReturn:
+        _fail(self._sql, index, message)
 
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise SqlParseError("unexpected end of input", position=len(self._sql))
-        self._index += 1
-        return token
+    def _expected(self, index: int, what: str) -> NoReturn:
+        self._fail(index, f"expected {what!r}, found {{!r}}")
 
-    def _check_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token is not None and token.kind == "word" and token.lowered in keywords
+    def _identifier(self, i: int) -> tuple[str, int]:
+        kind = self._kinds[i]
+        if kind == WORD:
+            return self._texts[i], i + 1
+        self._fail(i, "unexpected keyword {!r}" if kind == KEYWORD
+                   else "expected identifier, found {!r}")
 
-    def _match_keyword(self, *keywords: str) -> bool:
-        if self._check_keyword(*keywords):
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, keyword: str) -> None:
-        if not self._match_keyword(keyword):
-            token = self._peek()
-            found = token.text if token else "end of input"
-            position = token.position if token else len(self._sql)
-            raise SqlParseError(f"expected {keyword.upper()!r}, found {found!r}", position)
-
-    def _check_operator(self, *operators: str) -> bool:
-        token = self._peek()
-        return token is not None and token.kind == "operator" and token.text in operators
-
-    def _match_operator(self, *operators: str) -> bool:
-        if self._check_operator(*operators):
-            self._advance()
-            return True
-        return False
-
-    def _expect_operator(self, operator: str) -> None:
-        if not self._match_operator(operator):
-            token = self._peek()
-            found = token.text if token else "end of input"
-            position = token.position if token else len(self._sql)
-            raise SqlParseError(f"expected {operator!r}, found {found!r}", position)
-
-    def _identifier(self) -> str:
-        token = self._peek()
-        if token is None or token.kind != "word":
-            found = token.text if token else "end of input"
-            position = token.position if token else len(self._sql)
-            raise SqlParseError(f"expected identifier, found {found!r}", position)
-        if token.lowered in _KEYWORDS:
-            raise SqlParseError(f"unexpected keyword {token.text!r}", token.position)
-        self._advance()
-        return token.text
+    def _alias(self, i: int) -> tuple[str | None, int]:
+        """``AS name``, a bare name, or nothing."""
+        if self._texts[i] == "as":
+            return self._identifier(i + 1)
+        if self._kinds[i] == WORD:
+            return self._texts[i], i + 1
+        return None, i
 
     # -- grammar -------------------------------------------------------------
     def parse_statement(self) -> SelectStatement:
-        statement = self._select_statement()
-        # allow a trailing semicolon
-        self._match_operator(";")
-        if self._peek() is not None:
-            token = self._peek()
-            assert token is not None
-            raise SqlParseError(f"unexpected trailing input {token.text!r}", token.position)
+        statement, i = self._select_statement(0)
+        if self._kinds[i] != END:
+            self._fail(i, "unexpected trailing input {!r}")
         return statement
 
-    def _select_statement(self) -> SelectStatement:
-        self._expect_keyword("select")
-        distinct = self._match_keyword("distinct")
-        select_items = [self._select_item()]
-        while self._match_operator(","):
-            select_items.append(self._select_item())
-        self._expect_keyword("from")
-        from_table = self._table_ref()
+    def _select_statement(self, i: int) -> tuple[SelectStatement, int]:
+        texts = self._texts
+        if texts[i] != "select":
+            self._expected(i, "SELECT")
+        i += 1
+        distinct = texts[i] == "distinct"
+        if distinct:
+            i += 1
+        item, i = self._select_item(i)
+        select_items = [item]
+        while texts[i] == ",":
+            item, i = self._select_item(i + 1)
+            select_items.append(item)
+        if texts[i] != "from":
+            self._expected(i, "FROM")
+        from_table, i = self._table_ref(i + 1)
         joins: list[Join] = []
-        while self._check_keyword("join", "inner"):
-            self._match_keyword("inner")
-            self._expect_keyword("join")
-            table = self._table_ref()
-            self._expect_keyword("on")
-            condition = self._comparison()
+        while texts[i] == "join" or texts[i] == "inner":
+            if texts[i] == "inner":
+                i += 1
+                if texts[i] != "join":
+                    self._expected(i, "JOIN")
+            table, i = self._table_ref(i + 1)
+            if texts[i] != "on":
+                self._expected(i, "ON")
+            start = i + 1
+            condition, i = self._comparison(start)
             if not isinstance(condition, BinaryOp):
-                raise SqlParseError("JOIN condition must be a comparison")
-            joins.append(Join(table=table, condition=condition))
+                self._fail(start, "JOIN condition must be a comparison")
+            joins.append(Join(table, condition))
         where = None
-        if self._match_keyword("where"):
-            where = self._boolean_expression()
+        if texts[i] == "where":
+            where, i = self._boolean_expression(i + 1)
         group_by: list[ColumnRef] = []
-        if self._check_keyword("group"):
-            self._expect_keyword("group")
-            self._expect_keyword("by")
-            group_by.append(self._column_ref())
-            while self._match_operator(","):
-                group_by.append(self._column_ref())
+        if texts[i] == "group":
+            if texts[i + 1] != "by":
+                self._expected(i + 1, "BY")
+            column, i = self._column_ref(i + 2)
+            group_by.append(column)
+            while texts[i] == ",":
+                column, i = self._column_ref(i + 1)
+                group_by.append(column)
         having = None
-        if self._match_keyword("having"):
-            having = self._boolean_expression()
+        if texts[i] == "having":
+            having, i = self._boolean_expression(i + 1)
         order_by: list[OrderItem] = []
-        if self._check_keyword("order"):
-            self._expect_keyword("order")
-            self._expect_keyword("by")
-            order_by.append(self._order_item())
-            while self._match_operator(","):
-                order_by.append(self._order_item())
+        if texts[i] == "order":
+            if texts[i + 1] != "by":
+                self._expected(i + 1, "BY")
+            order, i = self._order_item(i + 2)
+            order_by.append(order)
+            while texts[i] == ",":
+                order, i = self._order_item(i + 1)
+                order_by.append(order)
         limit = None
-        if self._match_keyword("limit"):
-            token = self._advance()
-            if token.kind != "number":
-                raise SqlParseError(f"LIMIT expects a number, found {token.text!r}", token.position)
-            limit = int(float(token.text))
+        if texts[i] == "limit":
+            i += 1
+            if self._kinds[i] != NUMBER:
+                self._fail(i, "unexpected end of input" if self._kinds[i] == END
+                           else "LIMIT expects a number, found {!r}")
+            limit = int(float(texts[i]))
+            i += 1
         return SelectStatement(
             select_items=tuple(select_items),
             from_table=from_table,
@@ -207,162 +224,140 @@ class _Parser:
             order_by=tuple(order_by),
             limit=limit,
             distinct=distinct,
-        )
+        ), i
 
-    def _select_item(self) -> SelectItem:
-        expression = self._value_expression(allow_star=True)
-        alias = None
-        if self._match_keyword("as"):
-            alias = self._identifier()
-        elif self._peek() is not None and self._peek().kind == "word" \
-                and self._peek().lowered not in _KEYWORDS:
-            alias = self._identifier()
-        return SelectItem(expression=expression, alias=alias)
+    def _select_item(self, i: int) -> tuple[SelectItem, int]:
+        expression, i = self._value_expression(i, allow_star=True)
+        alias, i = self._alias(i)
+        return SelectItem(expression, alias), i
 
-    def _table_ref(self) -> TableRef:
-        first = self._identifier()
+    def _table_ref(self, i: int) -> tuple[TableRef, int]:
+        table, i = self._identifier(i)
         database = None
-        table = first
-        if self._match_operator("."):
-            database = first
-            table = self._identifier()
-        alias = None
-        if self._match_keyword("as"):
-            alias = self._identifier()
-        elif self._peek() is not None and self._peek().kind == "word" \
-                and self._peek().lowered not in _KEYWORDS:
-            alias = self._identifier()
-        return TableRef(table=table, database=database, alias=alias)
+        if self._texts[i] == ".":
+            database = table
+            table, i = self._identifier(i + 1)
+        alias, i = self._alias(i)
+        return TableRef(table, database, alias), i
 
-    def _order_item(self) -> OrderItem:
-        expression = self._value_expression(allow_star=False)
-        descending = False
-        if self._match_keyword("desc"):
-            descending = True
-        else:
-            self._match_keyword("asc")
-        return OrderItem(expression=expression, descending=descending)
+    def _order_item(self, i: int) -> tuple[OrderItem, int]:
+        expression, i = self._value_expression(i, allow_star=False)
+        descending = self._texts[i] == "desc"
+        if descending or self._texts[i] == "asc":
+            i += 1
+        return OrderItem(expression, descending), i
 
     # -- expressions -----------------------------------------------------------
-    def _boolean_expression(self) -> Expression:
-        left = self._boolean_term()
-        while self._check_keyword("or"):
-            self._advance()
-            right = self._boolean_term()
-            left = BinaryOp(operator="or", left=left, right=right)
-        return left
+    def _boolean_expression(self, i: int) -> tuple[Expression, int]:
+        left, i = self._boolean_term(i)
+        while self._texts[i] == "or":
+            right, i = self._boolean_term(i + 1)
+            left = BinaryOp("or", left, right)
+        return left, i
 
-    def _boolean_term(self) -> Expression:
-        left = self._boolean_factor()
-        while self._check_keyword("and"):
-            self._advance()
-            right = self._boolean_factor()
-            left = BinaryOp(operator="and", left=left, right=right)
-        return left
+    def _boolean_term(self, i: int) -> tuple[Expression, int]:
+        left, i = self._boolean_factor(i)
+        while self._texts[i] == "and":
+            right, i = self._boolean_factor(i + 1)
+            left = BinaryOp("and", left, right)
+        return left, i
 
-    def _boolean_factor(self) -> Expression:
-        if self._check_operator("(") and self._is_boolean_group():
-            self._expect_operator("(")
-            inner = self._boolean_expression()
-            self._expect_operator(")")
-            return inner
-        return self._comparison()
+    def _boolean_factor(self, i: int) -> tuple[Expression, int]:
+        texts = self._texts
+        # ``(expr AND ...)``; ``(SELECT ...)`` is a scalar sub-query, a value.
+        if texts[i] == "(" and texts[i + 1] != "select":
+            inner, i = self._boolean_expression(i + 1)
+            if texts[i] != ")":
+                self._expected(i, ")")
+            return inner, i + 1
+        return self._comparison(i)
 
-    def _is_boolean_group(self) -> bool:
-        """Disambiguate ``(expr AND ...)`` from ``(SELECT ...)`` scalar sub-queries."""
-        token = self._peek(1)
-        return not (token is not None and token.kind == "word" and token.lowered == "select")
+    def _comparison(self, i: int) -> tuple[Expression, int]:
+        left, i = self._value_expression(i, allow_star=False)
+        text = self._texts[i]
+        if text in _COMPARISONS:
+            right, i = self._value_expression(i + 1, allow_star=False)
+            return BinaryOp(text, left, right), i
+        negated = text == "not"
+        if negated:
+            i += 1
+            if self._texts[i] != "in":
+                self._expected(i, "IN")
+        elif text != "in":
+            self._fail(i, "expected a comparison operator")
+        subquery, i = self._parenthesised_select(i + 1)
+        return InSubquery(left, subquery, negated), i
 
-    def _comparison(self) -> Expression:
-        left = self._value_expression(allow_star=False)
-        if self._match_keyword("not"):
-            self._expect_keyword("in")
-            subquery = self._parenthesised_select()
-            return InSubquery(expression=left, subquery=subquery, negated=True)
-        if self._match_keyword("in"):
-            subquery = self._parenthesised_select()
-            return InSubquery(expression=left, subquery=subquery, negated=False)
-        if self._check_keyword("like"):
-            self._advance()
-            right = self._value_expression(allow_star=False)
-            return BinaryOp(operator="like", left=left, right=right)
-        token = self._peek()
-        if token is not None and token.kind == "operator" and token.text in ("=", "!=", "<>", "<", "<=", ">", ">="):
-            self._advance()
-            right = self._value_expression(allow_star=False)
-            return BinaryOp(operator=token.text, left=left, right=right)
-        raise SqlParseError(
-            "expected a comparison operator",
-            token.position if token else len(self._sql),
-        )
+    def _parenthesised_select(self, i: int) -> tuple[SelectStatement, int]:
+        if self._texts[i] != "(":
+            self._expected(i, "(")
+        statement, i = self._select_statement(i + 1)
+        if self._texts[i] != ")":
+            self._expected(i, ")")
+        return statement, i + 1
 
-    def _parenthesised_select(self) -> SelectStatement:
-        self._expect_operator("(")
-        statement = self._select_statement()
-        self._expect_operator(")")
-        return statement
-
-    def _value_expression(self, allow_star: bool) -> Expression:
-        token = self._peek()
-        if token is None:
-            raise SqlParseError("unexpected end of input", position=len(self._sql))
-        if token.kind == "operator" and token.text == "*":
+    def _value_expression(self, i: int, allow_star: bool) -> tuple[Expression, int]:
+        kind = self._kinds[i]
+        text = self._texts[i]
+        if kind == WORD:
+            if self._texts[i + 1] == "(" and text.lower() in AGGREGATE_FUNCTIONS:
+                return self._function_call(i)
+            return self._column_ref(i)
+        if kind == NUMBER:
+            return Literal(float(text) if "." in text else int(text)), i + 1
+        if kind == STRING:
+            return Literal(text[1:-1].replace("''", "'")), i + 1
+        if kind == KEYWORD:
+            if text == "null":
+                return Literal(None), i + 1
+            if text == "true" or text == "false":
+                return Literal(text == "true"), i + 1
+            self._fail(i, "unexpected keyword {!r}")
+        if text == "*":
             if not allow_star:
-                raise SqlParseError("'*' is not valid here", token.position)
-            self._advance()
-            return Star()
-        if token.kind == "operator" and token.text == "(":
-            # scalar sub-query
-            statement = self._parenthesised_select()
-            return ScalarSubquery(subquery=statement)
-        if token.kind == "number":
-            self._advance()
-            text = token.text
-            return Literal(float(text) if "." in text else int(text))
-        if token.kind == "string":
-            self._advance()
-            return Literal(token.text[1:-1].replace("''", "'"))
-        if token.kind == "word":
-            lowered = token.lowered
-            if lowered == "null":
-                self._advance()
-                return Literal(None)
-            if lowered in ("true", "false"):
-                self._advance()
-                return Literal(lowered == "true")
-            if lowered in AGGREGATE_FUNCTIONS and self._peek(1) is not None \
-                    and self._peek(1).kind == "operator" and self._peek(1).text == "(":
-                return self._function_call()
-            return self._column_ref()
-        raise SqlParseError(f"unexpected token {token.text!r}", token.position)
+                self._fail(i, "'*' is not valid here")
+            return Star(), i + 1
+        if text == "(":
+            statement, i = self._parenthesised_select(i)
+            return ScalarSubquery(statement), i
+        self._fail(i, "unexpected end of input" if kind == END
+                   else "unexpected token {!r}")
 
-    def _function_call(self) -> FuncCall:
-        name_token = self._advance()
-        self._expect_operator("(")
-        distinct = self._match_keyword("distinct")
-        if self._check_operator("*"):
-            self._advance()
-            argument: ColumnRef | Star = Star()
+    def _function_call(self, i: int) -> tuple[FuncCall, int]:
+        """An aggregate whose name is at ``i`` and whose ``(`` is at ``i + 1``."""
+        name = self._texts[i].lower()
+        i += 2
+        distinct = self._texts[i] == "distinct"
+        if distinct:
+            i += 1
+        argument: ColumnRef | Star
+        if self._texts[i] == "*":
+            argument, i = Star(), i + 1
         else:
-            argument = self._column_ref()
-        self._expect_operator(")")
-        return FuncCall(name=name_token.lowered, argument=argument, distinct=distinct)
+            argument, i = self._column_ref(i)
+        if self._texts[i] != ")":
+            self._expected(i, ")")
+        return FuncCall(name, argument, distinct), i + 1
 
-    def _column_ref(self) -> ColumnRef:
-        first = self._identifier()
-        if self._match_operator("."):
-            second = self._identifier()
-            return ColumnRef(name=second, table=first)
-        return ColumnRef(name=first)
+    def _column_ref(self, i: int) -> tuple[ColumnRef, int]:
+        first, i = self._identifier(i)
+        if self._texts[i] == ".":
+            second, i = self._identifier(i + 1)
+            return ColumnRef(second, first), i
+        return ColumnRef(first), i
 
 
 def parse_sql(sql: str) -> SelectStatement:
     """Parse a SQL string into a :class:`SelectStatement`.
 
-    Raises :class:`SqlParseError` for anything outside the supported dialect.
+    Accepted: one SELECT statement, white space around it, and one unbroken
+    run of ``;`` after it (``"SELECT a FROM t ;;  "``).  ``;`` is not a token: one
+    anywhere else is an unexpected character like any other.  Raises
+    :class:`SqlParseError` for anything outside the supported dialect; its
+    ``position`` indexes ``sql`` (leading white space is lexed over, not
+    stripped), and end of input is where the statement stops, before that run.
     """
-    if not sql or not sql.strip():
+    text = sql and sql.rstrip()
+    if not text:
         raise SqlParseError("empty SQL string")
-    text = sql.strip().rstrip(";")
-    tokens = _tokenize(text)
-    return _Parser(tokens, text).parse_statement()
+    return _Parser(text.rstrip(";")).parse_statement()

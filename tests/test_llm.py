@@ -210,18 +210,67 @@ class TestSimulatedLLMAndPipeline:
         assert result.predicted_database == "concert_singer"
         assert result.correct
 
-    def test_each_query_is_parsed_once_per_answer(self, environment, example, monkeypatch):
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Every SQL text handed to a parser, through either module's name for it."""
+        import repro.llm.pipeline as pipeline_module
         import repro.sql.executor as executor_module
 
-        parsed = []
-        parse = executor_module.parse_sql
-        monkeypatch.setattr(executor_module, "parse_sql",
-                            lambda sql: (parsed.append(sql), parse(sql))[1])
+        seen = []
+        for module in (pipeline_module, executor_module):
+            def counting(sql, parse=module.parse_sql):
+                seen.append(sql)
+                return parse(sql)
+            monkeypatch.setattr(module, "parse_sql", counting)
+        return seen
+
+    def test_each_query_is_parsed_once_per_answer(self, environment, example, parsed):
         catalog, instances, llm = environment
         pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
         result = pipeline.answer_with_schema(example, "concert_singer", ["singer"])
         assert result.correct
         assert parsed == [result.predicted_sql, example.sql]
+
+    @pytest.mark.parametrize("strategy", list(PromptStrategy))
+    def test_each_query_is_parsed_once_on_every_strategy(self, environment, example, parsed,
+                                                         strategy):
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm, strategy=strategy)
+        prediction = RoutingPrediction(
+            ranked_databases=["world", "concert_singer"],
+            candidate_schemas=[CandidateSchema("world", ("city",), 2.0),
+                               CandidateSchema("concert_singer", ("singer",), 1.0)],
+        )
+        result = pipeline.answer(example, prediction=prediction)
+        assert parsed == [result.predicted_sql, example.sql]
+        assert result.error == ""
+
+    def test_candidates_answer_parses_once_and_executes_the_statement(self, environment,
+                                                                      example, parsed):
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+        result = pipeline.answer_with_candidates(
+            example, [("world", ["city"]), ("concert_singer", ["singer"])])
+        assert parsed == [result.predicted_sql, example.sql]
+        assert result.predicted_database == "concert_singer" and result.correct
+
+    @pytest.mark.parametrize("malformed", ["SELECT name FROM", "SELECT name FROM singer WHERE -1"])
+    def test_malformed_multi_schema_sql_fails_on_the_first_candidate(
+            self, environment, example, parsed, monkeypatch, malformed):
+        catalog, instances, llm = environment
+        monkeypatch.setattr(llm, "generate_sql_multi", lambda *args: (malformed, None))
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm,
+                                        strategy=PromptStrategy.MULTIPLE_SCHEMA)
+        candidates = [("world", ["city"]), ("concert_singer", ["singer"])]
+        prediction = RoutingPrediction(
+            ranked_databases=[name for name, _ in candidates],
+            candidate_schemas=[CandidateSchema(name, tuple(tables), 1.0)
+                               for name, tables in candidates])
+        for result in (pipeline.answer(example, prediction=prediction),
+                       pipeline.answer_with_candidates(example, candidates)):
+            assert (result.predicted_database, result.correct, result.error) == \
+                ("world", False, "execution failed")
+        assert parsed == [malformed, example.sql] * 2
 
     def test_row_order_counts_when_the_gold_query_orders(self, environment, example):
         catalog, instances, llm = environment

@@ -65,6 +65,39 @@ class TestParser:
         with pytest.raises(SqlParseError):
             parse_sql(bad)
 
+    @pytest.mark.parametrize("lead", ["", "   ", "\n\t "])
+    @pytest.mark.parametrize("tail", ["", "  ", ";", " ;  ", ";;\n"])
+    @pytest.mark.parametrize("sql, message, offset", [
+        # With three leading spaces this said 26 and pointed at ' = '; it must say 29.
+        ("SELECT a FROM t WHERE b = -1", "unexpected character '-'", 26),
+        ("SELECT a FROM t WHERE WhErE b = 1", "unexpected keyword 'WhErE'", 22),
+        ("SELECT a FROM t JOIN u ON a IN (SELECT b FROM u)",
+         "JOIN condition must be a comparison", 26),
+        ("SELECT a FROM t WHERE b =", "unexpected end of input", None),
+    ])
+    def test_error_positions_index_the_callers_string(self, lead, tail, sql, message, offset):
+        text = lead + sql + tail
+        with pytest.raises(SqlParseError) as caught:
+            parse_sql(text)
+        position = caught.value.position
+        assert str(caught.value) == f"{message} (at position {position})"
+        if offset is None:
+            # End of input is where the statement stops: only the ignored tail follows.
+            assert position >= len(lead + sql) and text[position:].strip("; \n") == ""
+        else:
+            assert position == len(lead) + offset and text[position] == sql[offset]
+
+    @pytest.mark.parametrize("sql", ["SELECT a FROM t;", "SELECT a FROM t ;  ", "SELECT a FROM t;;"])
+    def test_trailing_semicolons_are_accepted(self, sql):
+        assert parse_sql(sql) == parse_sql("SELECT a FROM t")
+
+    @pytest.mark.parametrize("sql, position", [("SELECT a; FROM t", 8), ("SELECT a FROM t; ;", 15),
+                                               (";SELECT a FROM t", 0)])
+    def test_a_semicolon_anywhere_else_is_an_unexpected_character(self, sql, position):
+        with pytest.raises(SqlParseError, match="unexpected character ';'") as caught:
+            parse_sql(sql)
+        assert caught.value.position == position
+
     def test_keywords_match_in_any_case(self):
         statement = parse_sql("sElEcT DiStInCt Name fRoM Singer wHeRe Age Not In "
                               "(SELECT MAX(age) FROM singer) oRdEr By Name dEsC LiMiT 2")
