@@ -38,12 +38,11 @@ sub-packages can be used independently.
 
 from __future__ import annotations
 
-from typing import Any
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Mapping of re-exported names to the module that defines them.
-_EXPORTS = {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Catalog": "repro.schema",
     "Column": "repro.schema",
     "Database": "repro.schema",
@@ -58,23 +57,4 @@ _EXPORTS = {
     "ServingConfig": "repro.serving",
     "ClusterConfig": "repro.cluster",
     "ClusterRoutingService": "repro.cluster",
-}
-
-__all__ = ["__version__", *sorted(_EXPORTS)]
-
-
-def __getattr__(name: str) -> Any:
-    """Lazily resolve the re-exported public names."""
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+})

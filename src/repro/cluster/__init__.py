@@ -33,101 +33,47 @@ across the shards and merges the candidates into one deterministic top-k:
   lifecycle management (select with ``ClusterConfig(worker_backend="subprocess")``).
 """
 
-from repro.cluster.checkpoint import (
-    CLUSTER_FORMAT,
-    CLUSTER_VERSION,
-    load_cluster,
-    load_cluster_manifest,
-    save_cluster,
-)
-from repro.cluster.dispatcher import (
-    ClusterDispatcher,
-    ClusterError,
-    ShardTimeoutError,
-)
-from repro.cluster.partition import (
-    PARTITION_STRATEGIES,
-    ShardAssignment,
-    database_affinity,
-    partition_catalog,
-)
-from repro.cluster.rebalance import ClusterRebalancer, RebalanceError
-from repro.cluster.replica import ReplicaSet
-from repro.cluster.service import WORKER_BACKENDS, ClusterConfig, ClusterRoutingService
-from repro.cluster.shard import ShardWorker, project_router, slice_target_vocabulary
-from repro.cluster.transport import (
-    MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    TRACE_PROTOCOL_VERSION,
-    FrameReader,
-    FrameTooLargeError,
-    FrameWriter,
-    ProtocolError,
-    TransportTimeoutError,
-    TruncatedFrameError,
-    UnknownMessageError,
-    VersionMismatchError,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.cluster.wave import ClusterWaveEngine
+from repro.utils.lazy import lazy_exports
 
-# Lazy (PEP 562): the worker child process runs ``python -m
-# repro.cluster.procworker``, and an eager import here would mean runpy
-# re-executes a module that the package import already created (the
-# "found in sys.modules" RuntimeWarning on every spawn).
-_PROCWORKER_EXPORTS = ("ProcShardWorker", "WorkerCrashedError", "WorkerError")
-
-
-def __getattr__(name: str):
-    if name in _PROCWORKER_EXPORTS:
-        from repro.cluster import procworker
-
-        return getattr(procworker, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CLUSTER_FORMAT",
-    "CLUSTER_VERSION",
-    "load_cluster",
-    "load_cluster_manifest",
-    "save_cluster",
-    "ClusterDispatcher",
-    "ClusterError",
-    "ShardTimeoutError",
-    "PARTITION_STRATEGIES",
-    "ShardAssignment",
-    "database_affinity",
-    "partition_catalog",
-    "ClusterRebalancer",
-    "RebalanceError",
-    "ReplicaSet",
-    "ClusterConfig",
-    "ClusterRoutingService",
-    "ShardWorker",
-    "project_router",
-    "slice_target_vocabulary",
-    "ClusterWaveEngine",
-    "ProcShardWorker",
-    "WorkerCrashedError",
-    "WorkerError",
-    "WORKER_BACKENDS",
-    "MAX_FRAME_BYTES",
-    "MIN_PROTOCOL_VERSION",
-    "PROTOCOL_VERSION",
-    "TRACE_PROTOCOL_VERSION",
-    "FrameReader",
-    "FrameTooLargeError",
-    "FrameWriter",
-    "ProtocolError",
-    "TransportTimeoutError",
-    "TruncatedFrameError",
-    "UnknownMessageError",
-    "VersionMismatchError",
-    "encode_frame",
-    "read_frame",
-    "write_frame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CLUSTER_FORMAT": "repro.cluster.checkpoint",
+    "CLUSTER_VERSION": "repro.cluster.checkpoint",
+    "load_cluster": "repro.cluster.checkpoint",
+    "load_cluster_manifest": "repro.cluster.checkpoint",
+    "save_cluster": "repro.cluster.checkpoint",
+    "ClusterDispatcher": "repro.cluster.dispatcher",
+    "ClusterError": "repro.cluster.dispatcher",
+    "ShardTimeoutError": "repro.cluster.dispatcher",
+    "PARTITION_STRATEGIES": "repro.cluster.partition",
+    "ShardAssignment": "repro.cluster.partition",
+    "database_affinity": "repro.cluster.partition",
+    "partition_catalog": "repro.cluster.partition",
+    "ClusterRebalancer": "repro.cluster.rebalance",
+    "RebalanceError": "repro.cluster.rebalance",
+    "ReplicaSet": "repro.cluster.replica",
+    "ClusterConfig": "repro.cluster.service",
+    "ClusterRoutingService": "repro.cluster.service",
+    "ShardWorker": "repro.cluster.shard",
+    "project_router": "repro.cluster.shard",
+    "slice_target_vocabulary": "repro.cluster.shard",
+    "ClusterWaveEngine": "repro.cluster.wave",
+    "ProcShardWorker": "repro.cluster.procworker",
+    "WorkerCrashedError": "repro.cluster.procworker",
+    "WorkerError": "repro.cluster.procworker",
+    "WORKER_BACKENDS": "repro.cluster.service",
+    "MAX_FRAME_BYTES": "repro.cluster.transport",
+    "MIN_PROTOCOL_VERSION": "repro.cluster.transport",
+    "PROTOCOL_VERSION": "repro.cluster.transport",
+    "TRACE_PROTOCOL_VERSION": "repro.cluster.transport",
+    "FrameReader": "repro.cluster.transport",
+    "FrameTooLargeError": "repro.cluster.transport",
+    "FrameWriter": "repro.cluster.transport",
+    "ProtocolError": "repro.cluster.transport",
+    "TransportTimeoutError": "repro.cluster.transport",
+    "TruncatedFrameError": "repro.cluster.transport",
+    "UnknownMessageError": "repro.cluster.transport",
+    "VersionMismatchError": "repro.cluster.transport",
+    "encode_frame": "repro.cluster.transport",
+    "read_frame": "repro.cluster.transport",
+    "write_frame": "repro.cluster.transport",
+})

@@ -409,6 +409,9 @@ class ProcShardWorker:
         #: When the child last answered anything (set at handshake and on
         #: every reply) -- the heartbeat the health probe ages.
         self.last_reply_at: float | None = None
+        #: ``Popen`` -> ``hello_ack`` seconds of the live child on the injected
+        #: clock: what a boot (and so an ``auto_respawn``) holds a wave for.
+        self.spawn_seconds = 0.0
         #: Recent spawn timestamps, for the crash-loop (respawn-velocity)
         #: probe; bounded, since only the policy window ever matters.
         self._respawn_times: deque[float] = deque(maxlen=32)
@@ -469,6 +472,7 @@ class ProcShardWorker:
         self._generation += 1
         generation = self._generation
         self._stream_dead = False
+        spawn_started = self._clock()
         self._process = subprocess.Popen(
             self._command(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             env=environment)
@@ -494,7 +498,8 @@ class ProcShardWorker:
                                 "protocol": self.peer_protocol},
                                timeout_seconds=self.spawn_timeout_seconds)
             self.last_reply_at = self._clock()
-            self._respawn_times.append(self._clock())
+            self.spawn_seconds = self.last_reply_at - spawn_started
+            self._respawn_times.append(self.last_reply_at)
         except TransportTimeoutError as error:
             self._destroy()
             raise ShardTimeoutError(
@@ -850,7 +855,8 @@ class ProcShardWorker:
         report.details.update(pid=self.pid, respawns=self.respawns,
                               timeouts=self.timeouts, crashes=self.crashes,
                               peer_protocol=self.peer_protocol,
-                              in_flight=self.in_flight)
+                              in_flight=self.in_flight,
+                              spawn_seconds=self.spawn_seconds)
         if self._closed:
             report.degrade("failing", "worker proxy is closed")
             return report
@@ -899,6 +905,7 @@ class ProcShardWorker:
             "protocol": self.peer_protocol,
             "pipelined": self.pipeline,
             "respawns": self.respawns,
+            "spawn_seconds": self.spawn_seconds,
             "requests_sent": self.requests_sent,
             "timeouts": self.timeouts,
             "crashes": self.crashes,

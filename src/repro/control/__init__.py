@@ -15,22 +15,15 @@ makes it *react*:
   :class:`repro.cluster.ClusterRebalancer` under hysteresis.
 """
 
-from repro.control.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    AdmissionRejected,
-    REJECT_REASONS,
-)
-from repro.control.adaptive import AdaptiveEscalationConfig, AdaptiveEscalationGate
-from repro.control.controller import Controller, ControllerConfig
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionPolicy",
-    "AdmissionRejected",
-    "REJECT_REASONS",
-    "AdaptiveEscalationConfig",
-    "AdaptiveEscalationGate",
-    "Controller",
-    "ControllerConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AdmissionController": "repro.control.admission",
+    "AdmissionPolicy": "repro.control.admission",
+    "AdmissionRejected": "repro.control.admission",
+    "REJECT_REASONS": "repro.control.admission",
+    "AdaptiveEscalationConfig": "repro.control.adaptive",
+    "AdaptiveEscalationGate": "repro.control.adaptive",
+    "Controller": "repro.control.controller",
+    "ControllerConfig": "repro.control.controller",
+})

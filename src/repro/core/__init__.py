@@ -16,51 +16,31 @@ The copilot model routes a natural-language question to its SQL query schema
   synthesizes data, trains the router, and routes questions.
 """
 
-from repro.core.graph import NodeKind, SchemaGraph
-from repro.core.serialization import (
-    SerializedSchema,
-    basic_serialize,
-    dfs_serialize,
-    schema_to_tokens,
-    tokens_to_schema,
-)
-from repro.core.sampling import SchemaSampler, SamplerConfig
-from repro.core.questioner import NeuralQuestioner, SchemaQuestioner, TemplateQuestioner
-from repro.core.synthesis import SynthesisConfig, SyntheticExample, synthesize_training_data
-from repro.core.trie import PrefixTrie
-from repro.core.constrained import GraphConstrainedDecoding
-from repro.core.router import (
-    RouterConfig,
-    SchemaRoute,
-    SchemaRouter,
-    merge_route_lists,
-    normalize_route_scores,
-)
-from repro.core.dbcopilot import DBCopilot, DBCopilotConfig
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "NodeKind",
-    "SchemaGraph",
-    "SerializedSchema",
-    "basic_serialize",
-    "dfs_serialize",
-    "schema_to_tokens",
-    "tokens_to_schema",
-    "SchemaSampler",
-    "SamplerConfig",
-    "SchemaQuestioner",
-    "TemplateQuestioner",
-    "NeuralQuestioner",
-    "SynthesisConfig",
-    "SyntheticExample",
-    "synthesize_training_data",
-    "PrefixTrie",
-    "GraphConstrainedDecoding",
-    "RouterConfig",
-    "SchemaRoute",
-    "SchemaRouter",
-    "merge_route_lists",
-    "normalize_route_scores",
-    "DBCopilot",
-    "DBCopilotConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "NodeKind": "repro.core.graph",
+    "SchemaGraph": "repro.core.graph",
+    "SerializedSchema": "repro.core.serialization",
+    "basic_serialize": "repro.core.serialization",
+    "dfs_serialize": "repro.core.serialization",
+    "schema_to_tokens": "repro.core.serialization",
+    "tokens_to_schema": "repro.core.serialization",
+    "SchemaSampler": "repro.core.sampling",
+    "SamplerConfig": "repro.core.sampling",
+    "SchemaQuestioner": "repro.core.questioner",
+    "TemplateQuestioner": "repro.core.questioner",
+    "NeuralQuestioner": "repro.core.questioner",
+    "SynthesisConfig": "repro.core.synthesis",
+    "SyntheticExample": "repro.core.synthesis",
+    "synthesize_training_data": "repro.core.synthesis",
+    "PrefixTrie": "repro.core.trie",
+    "GraphConstrainedDecoding": "repro.core.constrained",
+    "RouterConfig": "repro.core.router",
+    "SchemaRoute": "repro.core.router",
+    "SchemaRouter": "repro.core.router",
+    "merge_route_lists": "repro.core.router",
+    "normalize_route_scores": "repro.core.router",
+    "DBCopilot": "repro.core.dbcopilot",
+    "DBCopilotConfig": "repro.core.dbcopilot",
+})

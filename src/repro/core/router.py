@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.constrained import GraphConstrainedDecoding
 from repro.core.graph import SchemaGraph
@@ -22,7 +22,6 @@ from repro.core.serialization import (
     schema_to_tokens,
     tokens_to_schema,
 )
-from repro.core.synthesis import SyntheticExample
 from repro.nn.decoding import (
     diverse_beam_search_batch,
     diverse_beam_search_loop,
@@ -38,10 +37,12 @@ from repro.nn.seq2seq import (
 )
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
 from repro.obs.trace import distinct_traces, stage_spans
-from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
-from repro.retrieval.base import CandidateSchema, RankedTable, RoutingPrediction
 from repro.utils.memo import evict_oldest
 from repro.utils.rng import SeededRng
+
+if TYPE_CHECKING:  # training / evaluation types: a serving process never loads them
+    from repro.core.synthesis import SyntheticExample
+    from repro.retrieval.base import RoutingPrediction
 
 #: "Not in the parse memo": ``None`` is itself a cached verdict (unparsable).
 _UNPARSED = object()
@@ -360,6 +361,8 @@ class SchemaRouter:
 
     def fit(self, examples: list[SyntheticExample]) -> list[float]:
         """Train the router on synthetic (question, schema) examples."""
+        from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
+
         if not examples:
             raise ValueError("no training examples supplied")
         self._parse_cache.clear()
@@ -584,6 +587,8 @@ class SchemaRouter:
         databases (graph neighbours of predicted tables first), so recall@k for
         larger k can be measured on the same footing as the retrieval baselines.
         """
+        from repro.retrieval.base import CandidateSchema, RankedTable, RoutingPrediction
+
         routes = self.route(question, max_candidates=max_candidates)
         ranked_databases = [route.database for route in routes]
         ranked_tables: list[RankedTable] = []

@@ -13,38 +13,26 @@ and the robustness transforms (:func:`make_synonym_variant`,
 :func:`make_realistic_variant`).
 """
 
-from repro.datasets.examples import BenchmarkDataset, Example
-from repro.datasets.vocabulary import DOMAINS, DomainSpec, EntitySpec, SYNONYM_LEXICON
-from repro.datasets.generator import DatabaseGenerator, GeneratorConfig
-from repro.datasets.workload import WorkloadGenerator, WorkloadConfig
-from repro.datasets.collections import (
-    CollectionConfig,
-    build_bird_like,
-    build_collection,
-    build_fiben_like,
-    build_spider_like,
-)
-from repro.datasets.robustness import make_realistic_variant, make_synonym_variant
-from repro.datasets.adaptation import adapt_examples, dataset_statistics
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkDataset",
-    "Example",
-    "DOMAINS",
-    "DomainSpec",
-    "EntitySpec",
-    "SYNONYM_LEXICON",
-    "DatabaseGenerator",
-    "GeneratorConfig",
-    "WorkloadGenerator",
-    "WorkloadConfig",
-    "CollectionConfig",
-    "build_spider_like",
-    "build_bird_like",
-    "build_fiben_like",
-    "build_collection",
-    "make_synonym_variant",
-    "make_realistic_variant",
-    "adapt_examples",
-    "dataset_statistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BenchmarkDataset": "repro.datasets.examples",
+    "Example": "repro.datasets.examples",
+    "DOMAINS": "repro.datasets.vocabulary",
+    "DomainSpec": "repro.datasets.vocabulary",
+    "EntitySpec": "repro.datasets.vocabulary",
+    "SYNONYM_LEXICON": "repro.datasets.vocabulary",
+    "DatabaseGenerator": "repro.datasets.generator",
+    "GeneratorConfig": "repro.datasets.generator",
+    "WorkloadGenerator": "repro.datasets.workload",
+    "WorkloadConfig": "repro.datasets.workload",
+    "CollectionConfig": "repro.datasets.collections",
+    "build_spider_like": "repro.datasets.collections",
+    "build_bird_like": "repro.datasets.collections",
+    "build_fiben_like": "repro.datasets.collections",
+    "build_collection": "repro.datasets.collections",
+    "make_synonym_variant": "repro.datasets.robustness",
+    "make_realistic_variant": "repro.datasets.robustness",
+    "adapt_examples": "repro.datasets.adaptation",
+    "dataset_statistics": "repro.datasets.adaptation",
+})

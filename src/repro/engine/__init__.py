@@ -9,18 +9,15 @@ the EX metric (order-insensitive multiset comparison unless the query orders
 its output).
 """
 
-from repro.engine.values import Value, coerce_value, compare_values
-from repro.engine.relation import Relation, Row
-from repro.engine.instance import DatabaseInstance, CatalogInstance
-from repro.engine.comparison import results_equivalent
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Value",
-    "coerce_value",
-    "compare_values",
-    "Relation",
-    "Row",
-    "DatabaseInstance",
-    "CatalogInstance",
-    "results_equivalent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Value": "repro.engine.values",
+    "coerce_value": "repro.engine.values",
+    "compare_values": "repro.engine.values",
+    "Relation": "repro.engine.relation",
+    "Row": "repro.engine.relation",
+    "DatabaseInstance": "repro.engine.instance",
+    "CatalogInstance": "repro.engine.instance",
+    "results_equivalent": "repro.engine.comparison",
+})

@@ -14,13 +14,12 @@ collections, baseline indexes, and the trained DBCopilot per collection so the
 benchmark scripts do not repeat expensive work.
 """
 
-from repro.experiments.configs import ExperimentConfig, default_config
-from repro.experiments.context import CollectionContext, get_context, clear_context_cache
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "default_config",
-    "CollectionContext",
-    "get_context",
-    "clear_context_cache",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ExperimentConfig": "repro.experiments.configs",
+    "default_config": "repro.experiments.configs",
+    "CollectionContext": "repro.experiments.context",
+    "get_context": "repro.experiments.context",
+    "clear_context_cache": "repro.experiments.context",
+})

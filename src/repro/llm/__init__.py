@@ -14,40 +14,23 @@ Everything else -- prompt construction, candidate-schema selection, the cost
 model, execution-accuracy evaluation -- is implemented as in the paper.
 """
 
-from repro.llm.cost import CostModel, count_tokens
-from repro.llm.prompts import (
-    PromptStrategy,
-    SchemaPrompt,
-    render_schema_block,
-    build_best_schema_prompt,
-    build_multiple_schema_prompt,
-    build_cot_selection_prompt,
-)
-from repro.llm.sqlgen import HeuristicSqlGenerator
-from repro.llm.client import LlmResponse, SimulatedLLM
-from repro.llm.pipeline import (
-    GenerationResult,
-    Nl2SqlEvaluation,
-    SchemaAgnosticNL2SQL,
-    evaluate_nl2sql,
-)
-from repro.llm.oracle import OracleSchemaProvider
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "count_tokens",
-    "PromptStrategy",
-    "SchemaPrompt",
-    "render_schema_block",
-    "build_best_schema_prompt",
-    "build_multiple_schema_prompt",
-    "build_cot_selection_prompt",
-    "HeuristicSqlGenerator",
-    "LlmResponse",
-    "SimulatedLLM",
-    "GenerationResult",
-    "Nl2SqlEvaluation",
-    "SchemaAgnosticNL2SQL",
-    "evaluate_nl2sql",
-    "OracleSchemaProvider",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CostModel": "repro.llm.cost",
+    "count_tokens": "repro.llm.cost",
+    "PromptStrategy": "repro.llm.prompts",
+    "SchemaPrompt": "repro.llm.prompts",
+    "render_schema_block": "repro.llm.prompts",
+    "build_best_schema_prompt": "repro.llm.prompts",
+    "build_multiple_schema_prompt": "repro.llm.prompts",
+    "build_cot_selection_prompt": "repro.llm.prompts",
+    "HeuristicSqlGenerator": "repro.llm.sqlgen",
+    "LlmResponse": "repro.llm.client",
+    "SimulatedLLM": "repro.llm.client",
+    "GenerationResult": "repro.llm.pipeline",
+    "Nl2SqlEvaluation": "repro.llm.pipeline",
+    "SchemaAgnosticNL2SQL": "repro.llm.pipeline",
+    "evaluate_nl2sql": "repro.llm.pipeline",
+    "OracleSchemaProvider": "repro.llm.oracle",
+})

@@ -16,43 +16,29 @@ them autoregressively under graph constraints, exactly as the paper's DSI
 does -- only smaller.
 """
 
-from repro.nn.autograd import Tensor
-from repro.nn.modules import Embedding, Linear, Module, Parameter
-from repro.nn.tokenizer import SpecialTokens, Vocabulary, WordTokenizer
-from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
-from repro.nn.optim import AdamW, LinearSchedule
-from repro.nn.data import Batch, pad_batch
-from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
-from repro.nn.decoding import (
-    BeamHypothesis,
-    beam_search,
-    diverse_beam_search,
-    diverse_beam_search_batch,
-    diverse_beam_search_loop,
-    greedy_decode,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "Embedding",
-    "Linear",
-    "Module",
-    "Parameter",
-    "SpecialTokens",
-    "Vocabulary",
-    "WordTokenizer",
-    "Seq2SeqConfig",
-    "Seq2SeqModel",
-    "AdamW",
-    "LinearSchedule",
-    "Batch",
-    "pad_batch",
-    "Seq2SeqTrainer",
-    "TrainerConfig",
-    "BeamHypothesis",
-    "beam_search",
-    "diverse_beam_search",
-    "diverse_beam_search_batch",
-    "diverse_beam_search_loop",
-    "greedy_decode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Tensor": "repro.nn.autograd",
+    "Embedding": "repro.nn.modules",
+    "Linear": "repro.nn.modules",
+    "Module": "repro.nn.modules",
+    "Parameter": "repro.nn.modules",
+    "SpecialTokens": "repro.nn.tokenizer",
+    "Vocabulary": "repro.nn.tokenizer",
+    "WordTokenizer": "repro.nn.tokenizer",
+    "Seq2SeqConfig": "repro.nn.seq2seq",
+    "Seq2SeqModel": "repro.nn.seq2seq",
+    "AdamW": "repro.nn.optim",
+    "LinearSchedule": "repro.nn.optim",
+    "Batch": "repro.nn.data",
+    "pad_batch": "repro.nn.data",
+    "Seq2SeqTrainer": "repro.nn.trainer",
+    "TrainerConfig": "repro.nn.trainer",
+    "BeamHypothesis": "repro.nn.decoding",
+    "beam_search": "repro.nn.decoding",
+    "diverse_beam_search": "repro.nn.decoding",
+    "diverse_beam_search_batch": "repro.nn.decoding",
+    "diverse_beam_search_loop": "repro.nn.decoding",
+    "greedy_decode": "repro.nn.decoding",
+})

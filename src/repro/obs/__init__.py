@@ -28,50 +28,20 @@ Span durations additionally feed per-stage
 individual traces have been dropped from the journal.
 """
 
-from repro.obs.health import HealthPolicy, HealthReport, worst_status
-from repro.obs.trace import (
-    ScopedTrace,
-    Span,
-    TraceContext,
-    TraceJournal,
-    Tracer,
-    distinct_traces,
-    maybe_span,
-    stage_spans,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "ScopedTrace",
-    "TraceContext",
-    "TraceJournal",
-    "Tracer",
-    "distinct_traces",
-    "maybe_span",
-    "stage_spans",
-    "HealthPolicy",
-    "HealthReport",
-    "worst_status",
-    "flatten_snapshot",
-    "parse_json_lines",
-    "parse_prometheus",
-    "to_json_lines",
-    "to_prometheus",
-    "AlertJournal",
-    "EwmaBaselineTracker",
-    "SloEngine",
-    "SloSpec",
-    "default_slo_specs",
-    "Monitor",
-    "OpsServer",
-]
-
-#: Exporter / SLO / monitor / httpd symbols resolve lazily (PEP 562) so
-#: importing :mod:`repro.obs` does not pre-import their modules --
-#: ``python -m repro.obs.export`` and ``python -m repro.obs.httpd`` would
-#: otherwise re-execute an already-loaded module and print a runpy
-#: ``RuntimeWarning`` on every CLI invocation.
-_LAZY_SYMBOLS = {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Span": "repro.obs.trace",
+    "ScopedTrace": "repro.obs.trace",
+    "TraceContext": "repro.obs.trace",
+    "TraceJournal": "repro.obs.trace",
+    "Tracer": "repro.obs.trace",
+    "distinct_traces": "repro.obs.trace",
+    "maybe_span": "repro.obs.trace",
+    "stage_spans": "repro.obs.trace",
+    "HealthPolicy": "repro.obs.health",
+    "HealthReport": "repro.obs.health",
+    "worst_status": "repro.obs.health",
     "flatten_snapshot": "repro.obs.export",
     "parse_json_lines": "repro.obs.export",
     "parse_prometheus": "repro.obs.export",
@@ -84,13 +54,4 @@ _LAZY_SYMBOLS = {
     "default_slo_specs": "repro.obs.slo",
     "Monitor": "repro.obs.monitor",
     "OpsServer": "repro.obs.httpd",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY_SYMBOLS.get(name)
-    if module_name is not None:
-        import importlib
-
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+})

@@ -8,37 +8,24 @@ the average score of their retrieved tables, and forms candidate schemata from
 the top database's retrieved tables -- exactly the protocol of §4.1.5.
 """
 
-from repro.retrieval.documents import TableDocument, build_table_documents
-from repro.retrieval.base import RankedTable, RoutingPrediction, SchemaRetriever
-from repro.retrieval.bm25 import BM25Retriever
-from repro.retrieval.dense import DenseRetriever, LsaEncoder
-from repro.retrieval.dtr import ContrastiveTableRetriever
-from repro.retrieval.crush import CrushRetriever, SchemaHallucinator
-from repro.retrieval.ranking import prediction_from_table_ranking
-from repro.retrieval.metrics import (
-    RoutingScores,
-    database_recall_at_k,
-    evaluate_routing,
-    mean_average_precision,
-    table_recall_at_k,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "TableDocument",
-    "build_table_documents",
-    "RankedTable",
-    "RoutingPrediction",
-    "SchemaRetriever",
-    "BM25Retriever",
-    "DenseRetriever",
-    "LsaEncoder",
-    "ContrastiveTableRetriever",
-    "CrushRetriever",
-    "SchemaHallucinator",
-    "prediction_from_table_ranking",
-    "RoutingScores",
-    "database_recall_at_k",
-    "evaluate_routing",
-    "mean_average_precision",
-    "table_recall_at_k",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "TableDocument": "repro.retrieval.documents",
+    "build_table_documents": "repro.retrieval.documents",
+    "RankedTable": "repro.retrieval.base",
+    "RoutingPrediction": "repro.retrieval.base",
+    "SchemaRetriever": "repro.retrieval.base",
+    "BM25Retriever": "repro.retrieval.bm25",
+    "DenseRetriever": "repro.retrieval.dense",
+    "LsaEncoder": "repro.retrieval.dense",
+    "ContrastiveTableRetriever": "repro.retrieval.dtr",
+    "CrushRetriever": "repro.retrieval.crush",
+    "SchemaHallucinator": "repro.retrieval.crush",
+    "prediction_from_table_ranking": "repro.retrieval.ranking",
+    "RoutingScores": "repro.retrieval.metrics",
+    "database_recall_at_k": "repro.retrieval.metrics",
+    "evaluate_routing": "repro.retrieval.metrics",
+    "mean_average_precision": "repro.retrieval.metrics",
+    "table_recall_at_k": "repro.retrieval.metrics",
+})

@@ -7,22 +7,17 @@ index table documents derived from it, and the SQL layer validates queries
 against it.
 """
 
-from repro.schema.column import Column, ColumnType
-from repro.schema.table import ForeignKey, Table
-from repro.schema.database import Database
-from repro.schema.catalog import Catalog
-from repro.schema.joinability import jaccard_similarity, joinable_table_pairs
-from repro.schema.statistics import CatalogStatistics, describe_catalog
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Column",
-    "ColumnType",
-    "ForeignKey",
-    "Table",
-    "Database",
-    "Catalog",
-    "jaccard_similarity",
-    "joinable_table_pairs",
-    "CatalogStatistics",
-    "describe_catalog",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Column": "repro.schema.column",
+    "ColumnType": "repro.schema.column",
+    "ForeignKey": "repro.schema.table",
+    "Table": "repro.schema.table",
+    "Database": "repro.schema.database",
+    "Catalog": "repro.schema.catalog",
+    "jaccard_similarity": "repro.schema.joinability",
+    "joinable_table_pairs": "repro.schema.joinability",
+    "CatalogStatistics": "repro.schema.statistics",
+    "describe_catalog": "repro.schema.statistics",
+})

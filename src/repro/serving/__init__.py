@@ -19,50 +19,29 @@ claim:
   used by ``benchmarks/bench_serving_throughput.py``.
 """
 
-from repro.serving.batcher import BatcherConfig, MicroBatcher
-from repro.serving.cache import RouteCache, normalize_question
-from repro.serving.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    load_manifest,
-    load_router,
-    save_router,
-)
-from repro.serving.loadgen import (
-    LoadGenerator,
-    LoadReport,
-    ScenarioConfig,
-    ScenarioDriver,
-    ScenarioPhase,
-    ScenarioReport,
-    WorkloadConfig,
-    named_scenario,
-)
-from repro.serving.metrics import LatencyRecorder, MetricsRegistry
-from repro.serving.service import RoutingService, ServingConfig
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BatcherConfig",
-    "MicroBatcher",
-    "RouteCache",
-    "normalize_question",
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
-    "load_manifest",
-    "load_router",
-    "save_router",
-    "LoadGenerator",
-    "LoadReport",
-    "ScenarioConfig",
-    "ScenarioDriver",
-    "ScenarioPhase",
-    "ScenarioReport",
-    "WorkloadConfig",
-    "named_scenario",
-    "LatencyRecorder",
-    "MetricsRegistry",
-    "RoutingService",
-    "ServingConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BatcherConfig": "repro.serving.batcher",
+    "MicroBatcher": "repro.serving.batcher",
+    "RouteCache": "repro.serving.cache",
+    "normalize_question": "repro.serving.cache",
+    "CHECKPOINT_FORMAT": "repro.serving.checkpoint",
+    "CHECKPOINT_VERSION": "repro.serving.checkpoint",
+    "CheckpointError": "repro.serving.checkpoint",
+    "load_manifest": "repro.serving.checkpoint",
+    "load_router": "repro.serving.checkpoint",
+    "save_router": "repro.serving.checkpoint",
+    "LoadGenerator": "repro.serving.loadgen",
+    "LoadReport": "repro.serving.loadgen",
+    "ScenarioConfig": "repro.serving.loadgen",
+    "ScenarioDriver": "repro.serving.loadgen",
+    "ScenarioPhase": "repro.serving.loadgen",
+    "ScenarioReport": "repro.serving.loadgen",
+    "WorkloadConfig": "repro.serving.loadgen",
+    "named_scenario": "repro.serving.loadgen",
+    "LatencyRecorder": "repro.serving.metrics",
+    "MetricsRegistry": "repro.serving.metrics",
+    "RoutingService": "repro.serving.service",
+    "ServingConfig": "repro.serving.service",
+})

@@ -10,45 +10,27 @@ extract its metadata (tables and columns) and forms the SQL query schema
 ``S = <D, T>`` from it; :func:`extract_metadata` provides that capability.
 """
 
-from repro.sql.ast import (
-    BinaryOp,
-    ColumnRef,
-    FuncCall,
-    InSubquery,
-    Join,
-    Literal,
-    OrderItem,
-    ScalarSubquery,
-    SelectItem,
-    SelectStatement,
-    Star,
-    TableRef,
-)
-from repro.sql.errors import SqlError, SqlExecutionError, SqlParseError
-from repro.sql.parser import parse_sql
-from repro.sql.printer import to_sql
-from repro.sql.executor import SqlExecutor
-from repro.sql.metadata import QueryMetadata, extract_metadata
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BinaryOp",
-    "ColumnRef",
-    "FuncCall",
-    "InSubquery",
-    "Join",
-    "Literal",
-    "OrderItem",
-    "ScalarSubquery",
-    "SelectItem",
-    "SelectStatement",
-    "Star",
-    "TableRef",
-    "SqlError",
-    "SqlExecutionError",
-    "SqlParseError",
-    "parse_sql",
-    "to_sql",
-    "SqlExecutor",
-    "QueryMetadata",
-    "extract_metadata",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BinaryOp": "repro.sql.ast",
+    "ColumnRef": "repro.sql.ast",
+    "FuncCall": "repro.sql.ast",
+    "InSubquery": "repro.sql.ast",
+    "Join": "repro.sql.ast",
+    "Literal": "repro.sql.ast",
+    "OrderItem": "repro.sql.ast",
+    "ScalarSubquery": "repro.sql.ast",
+    "SelectItem": "repro.sql.ast",
+    "SelectStatement": "repro.sql.ast",
+    "Star": "repro.sql.ast",
+    "TableRef": "repro.sql.ast",
+    "SqlError": "repro.sql.errors",
+    "SqlExecutionError": "repro.sql.errors",
+    "SqlParseError": "repro.sql.errors",
+    "parse_sql": "repro.sql.parser",
+    "to_sql": "repro.sql.printer",
+    "SqlExecutor": "repro.sql.executor",
+    "QueryMetadata": "repro.sql.metadata",
+    "extract_metadata": "repro.sql.metadata",
+})

@@ -1,29 +1,19 @@
 """Shared utilities: seeded randomness, text normalisation, timing, tables,
 bounded memos."""
 
-from repro.utils.memo import evict_oldest
-from repro.utils.rng import SeededRng, derive_seed
-from repro.utils.text import (
-    camel_to_snake,
-    normalize_identifier,
-    normalize_whitespace,
-    pluralize,
-    singularize,
-    tokenize_text,
-)
-from repro.utils.timing import Stopwatch
-from repro.utils.tables import ResultTable
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "SeededRng",
-    "derive_seed",
-    "evict_oldest",
-    "camel_to_snake",
-    "normalize_identifier",
-    "normalize_whitespace",
-    "pluralize",
-    "singularize",
-    "tokenize_text",
-    "Stopwatch",
-    "ResultTable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SeededRng": "repro.utils.rng",
+    "derive_seed": "repro.utils.rng",
+    "evict_oldest": "repro.utils.memo",
+    "camel_to_snake": "repro.utils.text",
+    "normalize_identifier": "repro.utils.text",
+    "normalize_whitespace": "repro.utils.text",
+    "pluralize": "repro.utils.text",
+    "singularize": "repro.utils.text",
+    "tokenize_text": "repro.utils.text",
+    "Stopwatch": "repro.utils.timing",
+    "ResultTable": "repro.utils.tables",
+    "lazy_exports": "repro.utils.lazy",
+})

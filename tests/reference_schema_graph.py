@@ -1,28 +1,22 @@
-"""Schema graph construction (paper §3.2, Algorithm 1).
+"""The parent commit's networkx-backed ``SchemaGraph``, kept verbatim as the
+oracle for ``tests/test_schema_graph_differential.py``.
 
-The schema graph is a three-tiered heterogeneous directed graph:
-
-* a single root node representing the database collection,
-* one node per database, connected from the root (inclusion relation),
-* one node per table, connected from its database (inclusion relation) and to
-  every related table (Primary-Foreign, Foreign-Foreign, and value-overlap
-  Joinable relations, added in both directions).
-
-Any valid single-database SQL query schema is a trail on this graph starting
-at the root, which is what makes relation-aware serialization, random-walk
-sampling, and graph-constrained decoding possible.
+``repro.core.graph`` now holds the graph on two plain dicts; this file is the
+module it replaced (``src/repro/core/graph.py`` at the commit before), body
+unchanged -- so it carries its own ``NodeKind`` (compare kinds by ``.value``)
+and builds the same node tuples.  Needs ``networkx`` (the ``dev`` extra);
+nothing under ``src/`` does.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
 
+import networkx as nx
+
+from repro.engine.instance import CatalogInstance
 from repro.schema.catalog import Catalog
 from repro.schema.joinability import DEFAULT_JACCARD_THRESHOLD, joinable_table_pairs
-
-if TYPE_CHECKING:  # only ``from_catalog`` callers hold instances; serving never does
-    from repro.engine.instance import CatalogInstance
 
 
 class NodeKind(str, Enum):
@@ -46,41 +40,11 @@ def table_node(database: str, table: str) -> tuple[str, str, str]:
 
 
 class SchemaGraph:
-    """The heterogeneous schema graph over a catalog.
+    """The heterogeneous schema graph over a catalog."""
 
-    Two plain dicts hold it: ``_kinds`` (node -> :class:`NodeKind`) and
-    ``_successors`` (node -> {successor -> relation}).  A node is its own
-    name (``node[-1]``).  Both dicts are insertion-ordered and that order is
-    the contract: every query method returns nodes and edges in the order
-    construction added them -- databases and tables in catalog order, a
-    table's joinable neighbours in :func:`joinable_table_pairs` (or the
-    checkpoint's edge-list) order -- which is what serialization, the
-    decoding constraint and checkpoints (``joinable_edges``) record.
-    Re-adding an edge keeps its first position.
-    """
-
-    def __init__(self, catalog: Catalog) -> None:
-        """The inclusion skeleton: root -> databases -> tables, no table edges."""
+    def __init__(self, catalog: Catalog, graph: nx.DiGraph) -> None:
         self.catalog = catalog
-        self._kinds: dict[tuple, NodeKind] = {ROOT_NODE: NodeKind.ROOT}
-        self._successors: dict[tuple, dict[tuple, str]] = {ROOT_NODE: {}}
-        for database in catalog:
-            db_node = database_node(database.name)
-            self._add_node(db_node, NodeKind.DATABASE, parent=ROOT_NODE)
-            for table in database.tables:
-                self._add_node(table_node(database.name, table.name), NodeKind.TABLE,
-                               parent=db_node)
-
-    def _add_node(self, node: tuple, kind: NodeKind, parent: tuple) -> None:
-        self._kinds[node] = kind
-        self._successors.setdefault(node, {})
-        self._successors[parent][node] = "includes"
-
-    def _add_joinable(self, database: str, left: str, right: str) -> None:
-        left_node = table_node(database, left)
-        right_node = table_node(database, right)
-        self._successors[left_node][right_node] = "joinable"
-        self._successors[right_node][left_node] = "joinable"
+        self.graph = graph
 
     # -- construction (Algorithm 1) -------------------------------------------
     @classmethod
@@ -92,16 +56,28 @@ class SchemaGraph:
         using the Jaccard heuristic (threshold 0.85 by default, §4.1.5);
         otherwise only declared foreign-key relationships produce table edges.
         """
-        graph = cls(catalog)
+        graph = nx.DiGraph()
+        graph.add_node(ROOT_NODE, kind=NodeKind.ROOT)
         for database in catalog:
+            db_node = database_node(database.name)
+            graph.add_node(db_node, kind=NodeKind.DATABASE, name=database.name)
+            graph.add_edge(ROOT_NODE, db_node, relation="includes")
+            for table in database.tables:
+                t_node = table_node(database.name, table.name)
+                graph.add_node(t_node, kind=NodeKind.TABLE, name=table.name,
+                               database=database.name)
+                graph.add_edge(db_node, t_node, relation="includes")
             column_values = None
             if instances is not None:
                 column_values = instances.instance(database.name).column_values()
             # Joinable covers Primary-Foreign and Foreign-Foreign relations.
             for left, right in joinable_table_pairs(database, column_values,
                                                     threshold=jaccard_threshold):
-                graph._add_joinable(database.name, left, right)
-        return graph
+                left_node = table_node(database.name, left)
+                right_node = table_node(database.name, right)
+                graph.add_edge(left_node, right_node, relation="joinable")
+                graph.add_edge(right_node, left_node, relation="joinable")
+        return cls(catalog=catalog, graph=graph)
 
     @classmethod
     def from_components(cls, catalog: Catalog,
@@ -113,16 +89,28 @@ class SchemaGraph:
         edge set is reproduced without re-running the Jaccard heuristic (which
         would need the original table instances).
         """
-        graph = cls(catalog)
+        graph = nx.DiGraph()
+        graph.add_node(ROOT_NODE, kind=NodeKind.ROOT)
+        for database in catalog:
+            db_node = database_node(database.name)
+            graph.add_node(db_node, kind=NodeKind.DATABASE, name=database.name)
+            graph.add_edge(ROOT_NODE, db_node, relation="includes")
+            for table in database.tables:
+                t_node = table_node(database.name, table.name)
+                graph.add_node(t_node, kind=NodeKind.TABLE, name=table.name,
+                               database=database.name)
+                graph.add_edge(db_node, t_node, relation="includes")
         for database_name, left, right in joinable_edges:
-            if not (graph.has_table(database_name, left)
-                    and graph.has_table(database_name, right)):
+            left_node = table_node(database_name, left)
+            right_node = table_node(database_name, right)
+            if left_node not in graph or right_node not in graph:
                 raise ValueError(
                     f"joinable edge references unknown table: {database_name}.{left}"
                     f" <-> {database_name}.{right}"
                 )
-            graph._add_joinable(database_name, left, right)
-        return graph
+            graph.add_edge(left_node, right_node, relation="joinable")
+            graph.add_edge(right_node, left_node, relation="joinable")
+        return cls(catalog=catalog, graph=graph)
 
     # -- queries ------------------------------------------------------------------
     @property
@@ -130,35 +118,44 @@ class SchemaGraph:
         return ROOT_NODE
 
     def databases(self) -> list[str]:
-        return [node[-1] for node in self._successors[ROOT_NODE]]
+        return [self.graph.nodes[node]["name"]
+                for node in self.graph.successors(ROOT_NODE)]
 
     def tables_of(self, database: str) -> list[str]:
         db_node = database_node(database)
-        if db_node not in self._kinds:
+        if db_node not in self.graph:
             raise KeyError(f"unknown database {database!r}")
-        return [node[-1] for node in self._successors[db_node]]
+        return [self.graph.nodes[node]["name"]
+                for node in self.graph.successors(db_node)
+                if self.graph.nodes[node]["kind"] is NodeKind.TABLE]
 
     def table_neighbors(self, database: str, table: str) -> list[str]:
         """Tables connected to ``table`` by a table relation (joinable edge)."""
         t_node = table_node(database, table)
-        if t_node not in self._kinds:
+        if t_node not in self.graph:
             raise KeyError(f"unknown table {database}.{table}")
-        return [node[-1] for node in self._successors[t_node]]
+        neighbors = []
+        for successor in self.graph.successors(t_node):
+            if self.graph.nodes[successor]["kind"] is NodeKind.TABLE:
+                neighbors.append(self.graph.nodes[successor]["name"])
+        return neighbors
 
     def has_database(self, database: str) -> bool:
-        return database_node(database) in self._kinds
+        return database_node(database) in self.graph
 
     def has_table(self, database: str, table: str) -> bool:
-        return table_node(database, table) in self._kinds
+        return table_node(database, table) in self.graph
 
     def successors(self, node: tuple) -> list[tuple]:
-        return list(self._successors[node])
+        return list(self.graph.successors(node))
 
     def node_name(self, node: tuple) -> str:
-        return "<root>" if self._kinds[node] is NodeKind.ROOT else node[-1]
+        if node == ROOT_NODE:
+            return "<root>"
+        return self.graph.nodes[node]["name"]
 
     def node_kind(self, node: tuple) -> NodeKind:
-        return self._kinds[node]
+        return self.graph.nodes[node]["kind"]
 
     # -- validity --------------------------------------------------------------------
     def is_valid_schema(self, database: str, tables: tuple[str, ...] | list[str],
@@ -203,20 +200,20 @@ class SchemaGraph:
         """Undirected joinable table pairs as ``(database, left, right)``, each once."""
         edges: list[tuple[str, str, str]] = []
         seen: set[tuple[str, frozenset[str]]] = set()
-        for source, targets in self._successors.items():
-            for target, relation in targets.items():
-                if relation != "joinable":
-                    continue
-                database = source[1]
-                key = (database, frozenset((source[2], target[2])))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((database, source[2], target[2]))
+        for source, target, data in self.graph.edges(data=True):
+            if data.get("relation") != "joinable":
+                continue
+            database = source[1]
+            key = (database, frozenset((source[2], target[2])))
+            if key in seen:
+                continue
+            seen.add(key)
+            edges.append((database, source[2], target[2]))
         return edges
 
     # -- statistics -----------------------------------------------------------------
     def num_nodes(self) -> int:
-        return len(self._kinds)
+        return self.graph.number_of_nodes()
 
     def num_edges(self) -> int:
-        return sum(len(targets) for targets in self._successors.values())
+        return self.graph.number_of_edges()

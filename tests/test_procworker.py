@@ -60,7 +60,7 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
-from repro.obs import Tracer
+from repro.obs import Tracer, to_prometheus
 from repro.serving.service import ServingConfig
 
 
@@ -103,6 +103,18 @@ def _reply_routes(reply):
     if "routes_binary" in reply:
         return route_lists_from_binary(reply["routes_binary"], reply[BINARY_KEY])
     return route_lists_from_payload(reply["routes"])
+
+
+class _SteppingClock:
+    """A clock that advances by ``step`` every time it is read."""
+
+    def __init__(self, step: float) -> None:
+        self.step = step
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
 
 
 def _wait_until(predicate, timeout_seconds: float = 10.0) -> bool:
@@ -180,6 +192,27 @@ class TestProcShardWorker:
             assert worker.pid != first_pid
             assert worker.respawns == 1
             assert _signature(again) == _signature(baseline)
+
+    def test_spawn_seconds_is_the_live_childs_boot_on_the_injected_clock(
+            self, cluster_checkpoint):
+        """``Popen`` -> ``hello_ack`` is two reads of the worker's clock: a
+        clock that steps per read makes it exactly one step, and a respawn
+        replaces the number with the new child's."""
+        clock = _SteppingClock(step=0.25)
+        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
+                             clock=clock) as worker:
+            assert worker.transport_stats()["spawn_seconds"] == 0.25
+            assert worker.health().details["spawn_seconds"] == 0.25
+            worker.crash()
+            clock.step = 0.5
+            worker.route_batch(list(QUESTIONS[:1]))  # auto-respawn
+            stats = worker.transport_stats()
+            assert stats["respawns"] == 1
+            assert stats["spawn_seconds"] == 0.5
+            assert worker.health().details["spawn_seconds"] == 0.5
+            text = to_prometheus({"transport": stats})
+            assert "# TYPE repro_transport_spawn_seconds gauge" in text
+            assert "# TYPE repro_transport_respawns counter" in text
 
     def test_crash_without_auto_respawn_surfaces(self, cluster_checkpoint):
         with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
