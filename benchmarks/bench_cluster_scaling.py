@@ -24,7 +24,7 @@ Asserted properties:
   checkpoint-booted, cache-enabled ``spider_cluster`` fixture);
 * **backend fidelity** -- with ``--backend subprocess``, the subprocess
   cluster's top-1 matches the inproc cluster's on >= 95% of the workload
-  (scores cross the wire as hex floats, so in practice it is exact);
+  (scores cross the wire as raw float64, so in practice it is exact);
 * **throughput** (recorded, never gated) -- on cache-disabled twins (so the
   decode path is what is measured), cluster routes/sec over single-shard
   routes/sec is ``speedup`` in the summary, for every backend and mode.  Both
@@ -42,19 +42,6 @@ Asserted properties:
   here).  It must report ``stats()["wave"]["enabled"]`` and hold >= 0.99
   top-1 agreement with the vectorized monolith.
 
-``--pipelined`` (with ``--backend subprocess``) adds a second benchmark,
-:func:`test_pipelined_transport`: concurrent Zipf waves through two
-subprocess clusters built from the same master -- the multiplexed protocol-3
-transport (binary score payloads, many frames in flight per worker) against
-its serial protocol-2 twin (``pipelined_transport=False``: hex-float JSON,
-one frame in flight, the faithful pre-multiplexing transport).  Both serve
-cache-hot, and the cascade answers every measured escalation from the
-dispatcher's memory of the warm-up (careful frames fly during warm-up only),
-so what is measured is the fast tier's wire under ten concurrent waves; the
-pipelined side is gated at >= 1.3x routes/sec at
-*bit-exact* top-1 agreement, and a ``TRANSPORT_SUMMARY {...}`` line records
-frames/sec, bytes/route, and the in-flight depth p95 for CI scraping.
-
 A one-line ``CLUSTER_SUMMARY {...}`` JSON is printed for CI scraping, like
 ``bench_serving_throughput``'s ``SERVING_SUMMARY``.
 """
@@ -63,8 +50,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.cluster import ClusterConfig, ClusterRoutingService, load_cluster, save_cluster
 from repro.core.router import SchemaRouter
@@ -223,203 +208,3 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
         # shard-sliced output heads: near-perfect fidelity is the gate.
         assert wave_agreement_rate >= 0.99, summary
 
-
-# -- pipelined vs serial transport ---------------------------------------------
-#: Concurrent waves in flight while the transport comparison measures, so
-#: every worker sees overlapping fast-tier frames -- the shape multiplexing
-#: exists for.  (Threshold 1.0 judges every question needy on every wave, but
-#: the dispatcher remembers the warm-up's merged careful answers: careful
-#: frames interleave with fast ones during the warm-up only, and
-#: ``escalations_remembered`` in the summary says so.)  Deeper than the
-#: scaling bench's wave concurrency: the serial twin caps at one frame per
-#: worker no matter how many waves push, so depth is what separates the twins.
-PIPELINE_CONCURRENCY = 10
-#: Wide waves so each route_response carries a meaningful score payload --
-#: the serialization difference between the binary and hex-float-JSON forms
-#: is where the single-core speedup comes from (on multi-core boxes the
-#: overlap itself adds to it).  Fatter frames also amortize the per-frame
-#: costs the twins share (framing, the executor hop), leaving the payload
-#: encoding -- the thing being compared -- as a larger fraction of each
-#: frame.
-PIPELINE_WAVE_SIZE = 100
-#: Candidates per question in the measured waves.  At the default (top-1)
-#: each shard reply carries a single route per question and the framing
-#: overhead -- identical on both sides -- swamps the payload encoding the
-#: comparison exists to measure.
-PIPELINE_MAX_CANDIDATES = 5
-#: The careful tier runs the master's full beam budget (the fast tier runs
-#: num_beams // num_shards): the warm-up's escalation pass is genuinely
-#: heavier, and the merged answers the measured rounds return are its.
-PIPELINE_CAREFUL_BEAMS = 10
-#: Dispatcher pool threads; sized above PIPELINE_CONCURRENCY * shards so
-#: scatter arms never queue on a pool slot and the transports see the full
-#: concurrent depth.
-PIPELINE_POOL = 12
-#: The transport comparison drives its own, longer workload (the module
-#: default is sized for the scaling fidelity gates): per-round noise on a
-#: shared smoke core shrinks with round length, and this bench gates a ratio.
-PIPELINE_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "400"))
-#: Interleaved best-of rounds for the transport ratio (more than the scaling
-#: bench's MEASURE_ROUNDS: the gate is a ratio of two measurements, so both
-#: minima must converge before the ratio settles -- each side gets extra
-#: shots at an undisturbed round).
-PIPELINE_ROUNDS = 7
-
-
-def _signature(route_lists):
-    return [[(route.database, route.tables, route.score) for route in routes]
-            for routes in route_lists]
-
-
-def _drive_waves(cluster, waves) -> float:
-    """Run ``waves`` through ``cluster`` concurrently; returns seconds taken."""
-    with ThreadPoolExecutor(max_workers=PIPELINE_CONCURRENCY) as pool:
-        started = time.perf_counter()
-        for future in [pool.submit(cluster.submit_many, wave,
-                                   max_candidates=PIPELINE_MAX_CANDIDATES)
-                       for wave in waves]:
-            future.result()
-        return time.perf_counter() - started
-
-
-def _worker_transports(cluster) -> list[dict]:
-    stats = cluster.stats()
-    return [worker["transport"]
-            for shard in stats["shards"] for worker in shard["workers"]]
-
-
-def _depth_p95(transports: list[dict]) -> int:
-    """p95 of the in-flight depth distribution, merged across workers."""
-    merged: dict[int, int] = {}
-    for transport in transports:
-        for depth, count in transport.get("in_flight_depths", {}).items():
-            merged[int(depth)] = merged.get(int(depth), 0) + count
-    total = sum(merged.values())
-    if total == 0:
-        return 0
-    cumulative = 0
-    for depth in sorted(merged):
-        cumulative += merged[depth]
-        if cumulative >= 0.95 * total:
-            return depth
-    return max(merged)
-
-
-def test_pipelined_transport(benchmark, spider_context, cluster_backend, pipelined):
-    """Multiplexed protocol-3 transport vs its serial protocol-2 twin.
-
-    Cache-hot twins under concurrent waves: per-request decode cost is a
-    dictionary lookup in the child and every escalation verdict is answered
-    from the dispatcher's memory, so routes/sec measures the fast tier's
-    transport itself -- framing, payload encoding, and how many frames a
-    worker carries at once.  The pipelined side must answer bit-identically
-    (same merged routes, same 64-bit scores) and >= 1.3x faster.
-    """
-    import pytest
-
-    if not pipelined:
-        pytest.skip("pass --pipelined to run the transport comparison")
-    if cluster_backend != "subprocess":
-        pytest.skip("the transport comparison needs --backend subprocess")
-
-    master = spider_context.copilot.router
-    questions = [example.question for example in spider_context.test_examples()[:40]]
-    workload = LoadGenerator(questions, WorkloadConfig(
-        num_requests=PIPELINE_REQUESTS, distribution="zipf",
-        skew=1.0, seed=29)).workload()
-    waves = [workload[index:index + PIPELINE_WAVE_SIZE]
-             for index in range(0, len(workload), PIPELINE_WAVE_SIZE)]
-    distinct = list(dict.fromkeys(workload))
-
-    def build(pipelined_transport: bool) -> ClusterRoutingService:
-        return ClusterRoutingService.from_router(master, ClusterConfig(
-            num_shards=2, strategy="size_balanced", worker_backend="subprocess",
-            # threshold 1.0 makes every question needy on every wave
-            # (merged top-1 softmax weight is always < 1): the warm-up sends
-            # each distinct question through the careful tier once, the
-            # measured waves get those merged answers from memory
-            escalation_threshold=1.0,
-            escalation_num_beams=PIPELINE_CAREFUL_BEAMS,
-            max_workers=PIPELINE_POOL,
-            cache_size=4096,
-            # Tracing off on both twins: span bookkeeping is identical on
-            # either side and only dilutes the wire fraction being compared.
-            enable_tracing=False,
-            pipelined_transport=pipelined_transport))
-
-    fast = build(True)
-    serial = build(False)
-    try:
-        protocols = {t["protocol"] for t in _worker_transports(fast)} \
-            | {t["pipelined"] for t in _worker_transports(fast)}
-        assert protocols == {3, True}, protocols
-        serial_protocols = {t["protocol"] for t in _worker_transports(serial)} \
-            | {t["pipelined"] for t in _worker_transports(serial)}
-        assert serial_protocols == {2, False}, serial_protocols
-
-        # Fidelity first (also warms every cache on both tiers of both
-        # clusters and the dispatchers' escalation memos: threshold 1.0
-        # escalates each distinct question once, and the warmup shares the
-        # measured waves' max_candidates so it warms the exact cache keys
-        # the measurement hits).
-        answers_fast = fast.submit_many(distinct,
-                                        max_candidates=PIPELINE_MAX_CANDIDATES)
-        answers_serial = serial.submit_many(distinct,
-                                            max_candidates=PIPELINE_MAX_CANDIDATES)
-        assert _signature(answers_fast) == _signature(answers_serial)
-        agreement = sum(
-            1 for ours, theirs in zip(answers_fast, answers_serial)
-            if ours and theirs and ours[0].database == theirs[0].database
-        ) / len(distinct)
-        assert agreement == 1.0
-
-        frames_before = sum(t["requests_sent"] for t in _worker_transports(fast))
-
-        # Interleaved best-of-N: same waves, alternating sides, best round
-        # each (minimum-time estimator; see PIPELINE_ROUNDS above).
-        fast_seconds = benchmark.pedantic(lambda: _drive_waves(fast, waves),
-                                          rounds=1, iterations=1)
-        fast_elapsed_total = fast_seconds
-        serial_seconds = _drive_waves(serial, waves)
-        for _ in range(PIPELINE_ROUNDS - 1):
-            round_seconds = _drive_waves(fast, waves)
-            fast_elapsed_total += round_seconds
-            fast_seconds = min(fast_seconds, round_seconds)
-            serial_seconds = min(serial_seconds, _drive_waves(serial, waves))
-
-        fast_rps = len(workload) / fast_seconds
-        serial_rps = len(workload) / serial_seconds
-        transports = _worker_transports(fast)
-        frames = sum(t["requests_sent"] for t in transports) - frames_before
-        wire_bytes = sum(t["bytes_sent"] + t["bytes_received"] for t in transports)
-        routes_served = len(workload) * PIPELINE_ROUNDS + len(distinct)
-        dispatcher_stats = fast.stats()["dispatcher"]
-        summary = {
-            "backend": "subprocess",
-            "workload_requests": len(workload),
-            "concurrency": PIPELINE_CONCURRENCY,
-            "pipelined_routes_per_sec": round(fast_rps, 1),
-            "serial_routes_per_sec": round(serial_rps, 1),
-            "speedup": round(fast_rps / serial_rps, 2),
-            "top1_agreement": agreement,
-            "frames_per_sec": round(frames / fast_elapsed_total, 1),
-            "bytes_per_route": round(wire_bytes / routes_served, 1),
-            "in_flight_p95": _depth_p95(transports),
-            "max_in_flight": max(t["max_in_flight"] for t in transports),
-            "pipelined_frames": sum(t["pipelined_frames"] for t in transports),
-            "binary_responses": sum(t["binary_responses"] for t in transports),
-            "escalations": dispatcher_stats["escalations"],
-            "escalations_remembered": dispatcher_stats["escalations_remembered"],
-        }
-        print()
-        print("TRANSPORT_SUMMARY " + json.dumps(summary, sort_keys=True))
-
-        # The multiplexed transport must actually carry overlapping frames...
-        assert summary["max_in_flight"] >= 2, summary
-        assert summary["pipelined_frames"] >= 1, summary
-        assert summary["binary_responses"] >= 1, summary
-        # ...and convert them into throughput against the faithful serial twin.
-        assert fast_rps >= 1.3 * serial_rps, summary
-    finally:
-        fast.close()
-        serial.close()

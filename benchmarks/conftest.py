@@ -29,12 +29,6 @@ def pytest_addoption(parser):
              "(inproc backend only); gates the wave's 1.5x speedup over the "
              "vectorized monolith")
     parser.addoption(
-        "--pipelined", action="store_true", default=False,
-        help="run bench_cluster_scaling's pipelined-transport comparison "
-             "(subprocess backend only): multiplexed protocol-3 workers vs "
-             "serial protocol-2 twins under concurrent waves with the "
-             "escalation cascade enabled; gates the 1.3x routes/sec win")
-    parser.addoption(
         "--decode-backends", action="store", default="loop,vectorized,fast",
         help="comma-separated decode backends bench_decode_throughput sweeps "
              "('loop' must be included: it is the reference the others are "
@@ -49,11 +43,6 @@ def cluster_backend(request) -> str:
 @pytest.fixture(scope="session")
 def wave_decode(request) -> bool:
     return request.config.getoption("--wave-decode")
-
-
-@pytest.fixture(scope="session")
-def pipelined(request) -> bool:
-    return request.config.getoption("--pipelined")
 
 
 @pytest.fixture(scope="session")

@@ -24,9 +24,9 @@ across the shards and merges the candidates into one deterministic top-k:
   mirroring the PR-1 ``RoutingService`` API plus cluster-wide metrics;
 * :mod:`repro.cluster.checkpoint` -- whole-cluster save/load (shard manifest
   + per-shard router checkpoints) for identical restarts;
-* :mod:`repro.cluster.transport` -- the length-prefixed, versioned JSON wire
-  protocol (``hello`` handshake, route/stats/shutdown/error frames) that lets
-  a shard live outside this process;
+* :mod:`repro.cluster.transport` -- the length-prefixed JSON wire protocol
+  (``hello`` version-equality handshake, route/stats/shutdown/error frames,
+  binary route segments) that lets a shard live outside this process;
 * :mod:`repro.cluster.procworker` -- multi-process shard workers: the
   ``python -m repro.cluster.procworker`` child loop and the
   :class:`ProcShardWorker` proxy with spawn / health-check / kill-and-respawn
@@ -62,9 +62,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "WorkerError": "repro.cluster.procworker",
     "WORKER_BACKENDS": "repro.cluster.service",
     "MAX_FRAME_BYTES": "repro.cluster.transport",
-    "MIN_PROTOCOL_VERSION": "repro.cluster.transport",
     "PROTOCOL_VERSION": "repro.cluster.transport",
-    "TRACE_PROTOCOL_VERSION": "repro.cluster.transport",
     "FrameReader": "repro.cluster.transport",
     "FrameTooLargeError": "repro.cluster.transport",
     "FrameWriter": "repro.cluster.transport",

@@ -48,7 +48,7 @@ CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
 #: them, and loading drops them.
-RETIRED_CONFIG_KEYS = frozenset({"wave_decode"})
+RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport"})
 
 
 def _shard_dir(shard_id: int) -> str:
@@ -137,8 +137,6 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
 
     jobs = [entry for entry in entries for _ in range(config.replicas)]
 
-    from repro.cluster.transport import PROTOCOL_VERSION, TRACE_PROTOCOL_VERSION
-
     def boot(entry: dict) -> "ProcShardWorker":
         return ProcShardWorker(
             entry["shard_id"], path / entry["dir"],
@@ -147,13 +145,6 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
             cache_size=config.cache_size,
             cache_ttl_seconds=config.cache_ttl_seconds,
             request_timeout_seconds=config.shard_timeout_seconds,
-            pipeline=config.pipelined_transport,
-            # The serial twin also speaks the old wire format: capping the
-            # handshake at protocol 2 keeps its payloads hex-float JSON, so
-            # pipelined_transport=False is a faithful pre-multiplexing
-            # baseline (and an emulation of old peers), not just a gate.
-            protocol_cap=PROTOCOL_VERSION if config.pipelined_transport
-            else TRACE_PROTOCOL_VERSION,
         )
 
     spawned: list[ProcShardWorker] = []

@@ -20,21 +20,19 @@ decode.  This module moves the worker across a process boundary:
   crash, and a graceful ``close()`` that drains in-flight requests before
   sending ``shutdown``.
 
-Since protocol 3 the connection is **multiplexed**: frame ids are real
-correlation ids, many requests ride the pipe concurrently, and responses
-return in whatever order they finish.  The child splits into a reader loop
-feeding a small bounded decode executor behind a write-lock-guarded writer,
-so a careful-tier escalation no longer blocks fast-tier traffic on the same
-worker; control frames (``ping`` / ``stats_request`` / ``invalidate_cache``)
+The connection is **multiplexed**: frame ids are correlation ids, many
+requests ride the pipe concurrently, and responses return in whatever order
+they finish.  The child splits into a reader loop feeding a small bounded
+decode executor behind a write-lock-guarded writer, so a careful-tier
+escalation does not block fast-tier traffic on the same worker; control
+frames (``ping`` / ``stats_request`` / ``invalidate_cache``)
 are answered inline on the reader loop, making the ping a genuinely
 out-of-band liveness signal even while every decode slot is busy.  The
 dispatcher side runs one receiver thread per child that demultiplexes
 responses into per-request events.  A request that misses its deadline still
 kills the process (a wedged decode cannot be cancelled politely) -- and with
 it fails *every* in-flight request; auto-respawn then boots a clean child for
-the next request.  ``ProcShardWorker(pipeline=False)`` restores the strictly
-serial one-frame-at-a-time discipline for old-peer emulation and A/B
-benchmarks.
+the next request.
 """
 
 from __future__ import annotations
@@ -54,24 +52,19 @@ from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
 from repro.cluster.transport import (
     BINARY_KEY,
-    BINARY_PROTOCOL_VERSION,
     FrameReader,
     FrameTooLargeError,
     FrameWriter,
     MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
-    TRACE_PROTOCOL_VERSION,
     TransportTimeoutError,
     check_protocol,
     error_message,
     hello_message,
     read_frame,
     route_lists_from_binary,
-    route_lists_from_payload,
     route_lists_to_binary,
-    route_lists_to_payload,
     write_frame,
 )
 from repro.core.router import SchemaRoute
@@ -102,19 +95,17 @@ class WorkerError(ClusterError):
 # -- child side ----------------------------------------------------------------
 def serve(worker: ShardWorker, reader, writer,
           *, max_frame_bytes: int = MAX_FRAME_BYTES,
-          max_concurrency: int = SERVE_CONCURRENCY,
           slow_careful_seconds: float = 0.0) -> None:
     """Handshake, then answer frames until ``shutdown`` or EOF.
 
     The loop reads frames on the calling thread and fans route requests out
     to a bounded executor; every reply goes through one write lock, so
-    responses interleave on the pipe in completion order and the negotiated
-    correlation id is what pairs them with their requests.  Control frames
-    are answered inline -- a ping is never stuck behind a decode.  Request-
-    scoped failures (a malformed batch, an unexpected exception in the
-    router) answer with an ``error`` frame and keep serving; stream-level
-    corruption is fatal -- once framing is lost there is nothing left to
-    trust.
+    responses interleave on the pipe in completion order and the correlation
+    id is what pairs them with their requests.  Control frames are answered
+    inline -- a ping is never stuck behind a decode.  Request-scoped failures
+    (a malformed batch, an unexpected exception in the router) answer with an
+    ``error`` frame and keep serving; stream-level corruption is fatal -- once
+    framing is lost there is nothing left to trust.
     """
     write_frame(writer, hello_message(worker.shard_id, worker.databases, os.getpid()),
                 max_frame_bytes=max_frame_bytes)
@@ -124,13 +115,6 @@ def serve(worker: ShardWorker, reader, writer,
     if ack.get("type") != "hello_ack":
         raise ProtocolError(f"expected hello_ack, got {ack.get('type')!r}")
     check_protocol(ack)
-    peer_protocol = int(ack["protocol"])
-    # Route payloads go binary only to peers that negotiated protocol 3;
-    # older dispatchers keep receiving the hex-float JSON form.
-    send_binary = peer_protocol >= BINARY_PROTOCOL_VERSION
-    # Pre-multiplexing dispatchers canonicalized every frame (sorted JSON
-    # keys); keep replies to them byte-faithful to that wire.
-    canonical = peer_protocol < BINARY_PROTOCOL_VERSION
     # Child-side tracer: spans recorded here feed the worker service's own
     # stage metrics AND travel back in ``route_response.spans`` to be
     # stitched into the dispatcher's trace.  The journal stays tiny -- the
@@ -141,7 +125,7 @@ def serve(worker: ShardWorker, reader, writer,
     def send(reply: dict, binary: bytes | None = None) -> None:
         with write_lock:
             try:
-                write_frame(writer, reply, binary=binary, canonical=canonical,
+                write_frame(writer, reply, binary=binary,
                             max_frame_bytes=max_frame_bytes)
             except FrameTooLargeError as error:
                 # An oversized *reply* is request-scoped too: answer with an
@@ -149,7 +133,6 @@ def serve(worker: ShardWorker, reader, writer,
                 # would retry the same lethal batch against every freshly-
                 # respawned replica.
                 write_frame(writer, error_message(reply.get("id"), error),
-                            canonical=canonical,
                             max_frame_bytes=max_frame_bytes)
 
     def handle_route(message: dict) -> None:
@@ -158,9 +141,7 @@ def serve(worker: ShardWorker, reader, writer,
             careful = bool(message.get("careful", False))
             if slow_careful_seconds > 0.0 and careful:
                 time.sleep(slow_careful_seconds)  # injected slow shard (tests)
-            questions = list(message["questions"]) \
-                if message.get("type") == "route_batch_request" \
-                else [message["question"]]
+            questions = list(message["questions"])
             wire_trace = message.get("trace")
             context = None
             if isinstance(wire_trace, dict) and wire_trace.get("trace_id"):
@@ -179,14 +160,9 @@ def serve(worker: ShardWorker, reader, writer,
                     context.finish(status="error",
                                    error=f"{type(error).__name__}: {error}")
                 raise
-            if send_binary:
-                descriptor, segment = route_lists_to_binary(routes)
-                reply = {"type": "route_response", "id": request_id,
-                         "routes_binary": descriptor}
-            else:
-                segment = None
-                reply = {"type": "route_response", "id": request_id,
-                         "routes": route_lists_to_payload(routes)}
+            descriptor, segment = route_lists_to_binary(routes)
+            reply = {"type": "route_response", "id": request_id,
+                     "routes_binary": descriptor}
             if context is not None:
                 context.finish()
                 reply["spans"] = context.span_dicts()
@@ -195,7 +171,7 @@ def serve(worker: ShardWorker, reader, writer,
             return
         send(reply, segment)
 
-    executor = ThreadPoolExecutor(max_workers=max(1, max_concurrency),
+    executor = ThreadPoolExecutor(max_workers=SERVE_CONCURRENCY,
                                   thread_name_prefix="repro-procworker-decode")
     try:
         while True:
@@ -204,7 +180,7 @@ def serve(worker: ShardWorker, reader, writer,
                 break  # dispatcher closed the pipe: treat as shutdown
             request_id = message.get("id")
             kind = message.get("type")
-            if kind in ("route_batch_request", "route_request"):
+            if kind == "route_batch_request":
                 executor.submit(handle_route, message)
                 continue
             try:
@@ -251,8 +227,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cache-size", type=int, default=2048)
     parser.add_argument("--cache-ttl-seconds", type=float, default=None)
     parser.add_argument("--max-frame-bytes", type=int, default=MAX_FRAME_BYTES)
-    parser.add_argument("--serve-concurrency", type=int, default=SERVE_CONCURRENCY,
-                        help="concurrent route decodes per worker process")
     arguments = parser.parse_args(argv)
 
     # The frame stream owns fd 1.  Re-point sys.stdout at stderr so a stray
@@ -280,7 +254,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     )
     try:
         serve(worker, reader, writer, max_frame_bytes=arguments.max_frame_bytes,
-              max_concurrency=arguments.serve_concurrency,
               slow_careful_seconds=slow_careful)
     except (BrokenPipeError, ProtocolError):
         return 1  # dispatcher vanished or the stream corrupted; nothing to save
@@ -326,8 +299,7 @@ class ProcShardWorker:
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a per-shard
       checkpoint directory, runs the version handshake, and starts a receiver
       thread that demultiplexes responses by correlation id into per-request
-      events -- many frames ride the pipe concurrently (``pipeline=False``
-      restores the serial one-frame discipline);
+      events -- many frames ride the pipe concurrently;
     * **timeout** -- a request that misses ``request_timeout_seconds`` kills
       the process (a wedged decode cannot be cancelled politely) and raises
       :class:`ShardTimeoutError`; every *other* in-flight request on the dead
@@ -355,15 +327,9 @@ class ProcShardWorker:
                  control_timeout_seconds: float = 10.0,
                  spawn_timeout_seconds: float = 60.0,
                  auto_respawn: bool = True,
-                 pipeline: bool = True,
-                 protocol_cap: int = PROTOCOL_VERSION,
                  python_executable: str | None = None,
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if not MIN_PROTOCOL_VERSION <= protocol_cap <= PROTOCOL_VERSION:
-            raise ValueError(
-                f"protocol_cap must be in [{MIN_PROTOCOL_VERSION}, "
-                f"{PROTOCOL_VERSION}], not {protocol_cap}")
         self.shard_id = shard_id
         self.checkpoint_dir = Path(checkpoint_dir)
         self.escalation_num_beams = escalation_num_beams
@@ -377,23 +343,9 @@ class ProcShardWorker:
         self.control_timeout_seconds = control_timeout_seconds
         self.spawn_timeout_seconds = spawn_timeout_seconds
         self.auto_respawn = auto_respawn
-        #: ``True`` multiplexes frames on the pipe (protocol 3); ``False``
-        #: serializes whole requests behind one gate -- the faithful old-
-        #: transport twin A/B benchmarks compare against.
-        self.pipeline = pipeline
-        #: Highest protocol this proxy acks, whatever the child offers.
-        #: Capping at 2 yields a protocol-2 connection (hex-float JSON
-        #: payloads, no binary frames) against an unmodified child -- the
-        #: interop knob tests and benchmarks use.
-        self.protocol_cap = protocol_cap
         self.python_executable = python_executable or sys.executable
         self.max_frame_bytes = max_frame_bytes
         self.databases: tuple[str, ...] = ()
-        #: What the connection speaks: ``min(child's hello, protocol_cap)``.
-        #: A respawn may change it, e.g. when an upgraded proxy drives an old
-        #: checkpointed worker image.  Trace/binary fields are only exchanged
-        #: with peers whose negotiated version understands them.
-        self.peer_protocol = 1
         self.respawns = -1  # first _spawn() brings it to 0
         self.requests_sent = 0
         self.timeouts = 0
@@ -403,8 +355,6 @@ class ProcShardWorker:
         self.pipelined_frames = 0
         #: Highest concurrent in-flight depth ever reached.
         self.max_in_flight = 0
-        #: Replies whose routes arrived in the kind-1 binary form.
-        self.binary_responses = 0
         self._clock = clock
         #: When the child last answered anything (set at handshake and on
         #: every reply) -- the heartbeat the health probe ages.
@@ -422,12 +372,8 @@ class ProcShardWorker:
         #: Demux-table lock; the *only* lock the receiver thread takes.
         self._pending_lock = threading.Lock()
         self._pending: dict[int, _PendingRequest] = {}
-        #: Depth histogram: in-flight depth at send time -> frame count
-        #: (the in-flight p95 in TRANSPORT_SUMMARY comes from this).
+        #: Depth histogram: in-flight depth at send time -> frame count.
         self._in_flight_depths: dict[int, int] = {}
-        #: Serial-mode gate: held across a whole request when pipelining is
-        #: off, restoring the one-frame-in-flight discipline.
-        self._serial_gate = threading.Lock()
         #: Bumped on every spawn/destroy; a receiver thread that wakes up to
         #: a different generation stands down silently.
         self._generation = 0
@@ -463,23 +409,27 @@ class ProcShardWorker:
             command += ["--cache-ttl-seconds", str(self.cache_ttl_seconds)]
         return command
 
-    def _spawn(self) -> None:
+    def _open_child(self) -> tuple[subprocess.Popen, FrameReader, FrameWriter]:
+        """Start the child process and wrap its pipes: the one place a
+        connection is made (tests override it to script both ends)."""
         environment = dict(os.environ)
         source_root = str(_repro_source_root())
         existing = environment.get("PYTHONPATH")
         environment["PYTHONPATH"] = source_root if not existing \
             else os.pathsep.join([source_root, existing])
+        process = subprocess.Popen(
+            self._command(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            env=environment)
+        return (process,
+                FrameReader(process.stdout, max_frame_bytes=self.max_frame_bytes),
+                FrameWriter(process.stdin, max_frame_bytes=self.max_frame_bytes))
+
+    def _spawn(self) -> None:
         self._generation += 1
         generation = self._generation
         self._stream_dead = False
         spawn_started = self._clock()
-        self._process = subprocess.Popen(
-            self._command(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            env=environment)
-        self._reader = FrameReader(self._process.stdout,
-                                   max_frame_bytes=self.max_frame_bytes)
-        self._writer = FrameWriter(self._process.stdin,
-                                   max_frame_bytes=self.max_frame_bytes)
+        self._process, self._reader, self._writer = self._open_child()
         self.respawns += 1
         try:
             hello = self._reader.read(timeout_seconds=self.spawn_timeout_seconds)
@@ -490,12 +440,9 @@ class ProcShardWorker:
             if hello.get("type") != "hello":
                 raise ProtocolError(f"expected hello, got {hello.get('type')!r}")
             check_protocol(hello)
-            # Negotiate downward: the connection speaks the smaller of what
-            # the child offers and what this proxy is willing to ack.
-            self.peer_protocol = min(int(hello["protocol"]), self.protocol_cap)
             self.databases = tuple(hello.get("databases", ()))
             self._writer.write({"type": "hello_ack",
-                                "protocol": self.peer_protocol},
+                                "protocol": PROTOCOL_VERSION},
                                timeout_seconds=self.spawn_timeout_seconds)
             self.last_reply_at = self._clock()
             self.spawn_seconds = self.last_reply_at - spawn_started
@@ -630,7 +577,6 @@ class ProcShardWorker:
             try:
                 self._writer.write(
                     {"type": "crash", "id": self._request_id},
-                    canonical=self.peer_protocol < BINARY_PROTOCOL_VERSION,
                     timeout_seconds=self.control_timeout_seconds)
             except (TransportTimeoutError, OSError):
                 return  # already dead / wedged; the receiver handles the rest
@@ -684,10 +630,7 @@ class ProcShardWorker:
             self._request_id += 1
             request_id = self._request_id
             message = dict(message, id=request_id)
-            # peer_protocol is read under the lock: _ensure_alive_locked may
-            # have just respawned a (differently-versioned) child.
-            if trace_context is not None \
-                    and self.peer_protocol >= TRACE_PROTOCOL_VERSION:
+            if trace_context is not None:
                 message["trace"] = trace_context()
             pending = _PendingRequest()
             with self._pending_lock:
@@ -701,10 +644,7 @@ class ProcShardWorker:
                     self._in_flight_depths.get(depth, 0) + 1
             self.requests_sent += 1
             try:
-                self._writer.write(
-                    message,
-                    canonical=self.peer_protocol < BINARY_PROTOCOL_VERSION,
-                    timeout_seconds=timeout_seconds)
+                self._writer.write(message, timeout_seconds=timeout_seconds)
             except TransportTimeoutError as error:
                 with self._pending_lock:
                     self._pending.pop(request_id, None)
@@ -756,60 +696,46 @@ class ProcShardWorker:
                 f"{reply.get('type')!r}")
         return reply
 
-    def _decode_routes(self, reply: dict) -> list[list[SchemaRoute]]:
-        descriptor = reply.get("routes_binary")
-        if descriptor is not None:
-            self.binary_responses += 1
-            return route_lists_from_binary(descriptor, reply.get(BINARY_KEY, b""))
-        return route_lists_from_payload(reply["routes"])
-
     def route_batch(self, questions: list[str], max_candidates: int | None = None,
                     careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
         """Route one scatter wave in the worker process.
 
         With a ``trace``, a ``wire`` span covers the whole round-trip and is
         tagged with the in-flight depth at send time; the propagation context
-        rides the request frame (only to trace-aware peers -- a protocol-1
-        worker never sees the field) and the worker's own spans come back in
-        the reply, rebased and stitched under the ``wire`` span."""
-        gate = None if self.pipeline else self._serial_gate
-        if gate is not None:
-            gate.acquire()
+        rides the request frame and the worker's own spans come back in the
+        reply, rebased and stitched under the ``wire`` span."""
+        span = trace.start_span("wire", shard=self.shard_id,
+                                questions=len(questions)) \
+            if trace is not None else None
         try:
-            span = trace.start_span("wire", shard=self.shard_id,
-                                    questions=len(questions)) \
-                if trace is not None else None
-            try:
-                message = {"type": "route_batch_request",
-                           "questions": list(questions),
-                           "max_candidates": max_candidates, "careful": careful}
-                request_id, pending, depth = self._begin_request(
-                    message, self.request_timeout_seconds,
-                    trace_context=(lambda: trace.wire_context(span))
-                    if span is not None else None)
-                if span is not None:
-                    span.annotate(in_flight=depth)
-                reply = self._await_reply(request_id, pending, "route_response",
-                                          self.request_timeout_seconds,
-                                          "route_batch_request")
-                routes = self._decode_routes(reply)
-                if len(routes) != len(questions):
-                    raise ProtocolError(
-                        f"worker answered {len(routes)} route lists "
-                        f"for {len(questions)} questions")
-            except BaseException as exc:
-                if span is not None:
-                    span.end(status="error", error=f"{type(exc).__name__}: {exc}")
-                raise
+            message = {"type": "route_batch_request",
+                       "questions": list(questions),
+                       "max_candidates": max_candidates, "careful": careful}
+            request_id, pending, depth = self._begin_request(
+                message, self.request_timeout_seconds,
+                trace_context=(lambda: trace.wire_context(span))
+                if span is not None else None)
             if span is not None:
-                span.end()
-                remote_spans = reply.get("spans")
-                if remote_spans:
-                    trace.add_remote_spans(remote_spans, anchor=span)
-            return routes
-        finally:
-            if gate is not None:
-                gate.release()
+                span.annotate(in_flight=depth)
+            reply = self._await_reply(request_id, pending, "route_response",
+                                      self.request_timeout_seconds,
+                                      "route_batch_request")
+            routes = route_lists_from_binary(reply.get("routes_binary"),
+                                             reply.get(BINARY_KEY, b""))
+            if len(routes) != len(questions):
+                raise ProtocolError(
+                    f"worker answered {len(routes)} route lists "
+                    f"for {len(questions)} questions")
+        except BaseException as exc:
+            if span is not None:
+                span.end(status="error", error=f"{type(exc).__name__}: {exc}")
+            raise
+        if span is not None:
+            span.end()
+            remote_spans = reply.get("spans")
+            if remote_spans:
+                trace.add_remote_spans(remote_spans, anchor=span)
+        return routes
 
     def ping(self, timeout_seconds: float | None = None,
              *, ensure: bool = True) -> float:
@@ -820,11 +746,11 @@ class ProcShardWorker:
         slot is busy.  ``ensure=False`` never boots a process as a side
         effect (the health probe's mode)."""
         timeout = timeout_seconds or self.control_timeout_seconds
-        started = time.monotonic()
+        started = self._clock()
         request_id, pending, _ = self._begin_request({"type": "ping"}, timeout,
                                                      ensure=ensure)
         self._await_reply(request_id, pending, "pong", timeout, "ping")
-        return time.monotonic() - started
+        return self._clock() - started
 
     def notify_catalog_changed(self) -> None:
         request_id, pending, _ = self._begin_request(
@@ -839,22 +765,19 @@ class ProcShardWorker:
 
     # -- introspection ---------------------------------------------------------
     def health(self, policy=None):
-        """Liveness, heartbeat age, respawn velocity, and protocol parity.
+        """Liveness, heartbeat age and respawn velocity.
 
         Like :meth:`stats`, this never boots a process as a side effect: a
         dead child reports ``failing`` and leaves respawning to the request
         path (or an operator).  A stale heartbeat is re-checked with one
-        *out-of-band* ping -- since the multiplexed transport answers pings on
-        the child's reader thread, this is a real liveness check even while
-        requests are in flight (the old transport had to assume a busy worker
-        was working, because its one request slot was occupied)."""
+        *out-of-band* ping -- the child answers pings on its reader thread, so
+        this is a real liveness check even while requests are in flight."""
         from repro.obs.health import HealthPolicy, HealthReport
 
         policy = policy or HealthPolicy()
         report = HealthReport(component=f"shard-{self.shard_id}-procworker")
         report.details.update(pid=self.pid, respawns=self.respawns,
                               timeouts=self.timeouts, crashes=self.crashes,
-                              peer_protocol=self.peer_protocol,
                               in_flight=self.in_flight,
                               spawn_seconds=self.spawn_seconds)
         if self._closed:
@@ -873,10 +796,6 @@ class ProcShardWorker:
             report.degrade("degraded",
                            f"{recent - 1} respawns in the last "
                            f"{policy.respawn_window_seconds:g}s (crash loop)")
-        if self.peer_protocol < TRACE_PROTOCOL_VERSION:
-            report.degrade("degraded",
-                           f"peer speaks protocol {self.peer_protocol} < "
-                           f"{TRACE_PROTOCOL_VERSION} (no trace propagation)")
         age = now - self.last_reply_at if self.last_reply_at is not None else None
         report.details["heartbeat_age_seconds"] = (
             round(age, 3) if age is not None else None)
@@ -902,8 +821,7 @@ class ProcShardWorker:
             "backend": "subprocess",
             "pid": self.pid,
             "alive": self.is_alive(),
-            "protocol": self.peer_protocol,
-            "pipelined": self.pipeline,
+            "protocol": PROTOCOL_VERSION,
             "respawns": self.respawns,
             "spawn_seconds": self.spawn_seconds,
             "requests_sent": self.requests_sent,
@@ -912,7 +830,6 @@ class ProcShardWorker:
             "in_flight": in_flight,
             "max_in_flight": self.max_in_flight,
             "pipelined_frames": self.pipelined_frames,
-            "binary_responses": self.binary_responses,
             "bytes_sent": self._bytes_sent_total
             + (writer.bytes_written if writer is not None else 0),
             "bytes_received": self._bytes_received_total
@@ -980,7 +897,6 @@ class ProcShardWorker:
                     self._pending[request_id] = pending
                 self._writer.write(
                     {"type": "shutdown", "id": request_id},
-                    canonical=self.peer_protocol < BINARY_PROTOCOL_VERSION,
                     timeout_seconds=shutdown_timeout_seconds)
             except (ClusterError, ProtocolError, OSError, AttributeError):
                 self._destroy()  # stream already gone: straight to the kill

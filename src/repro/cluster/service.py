@@ -90,12 +90,6 @@ class ClusterConfig:
     #: exact full-vocabulary rescoring so the cross-shard merge still
     #: compares like with like.
     sliced_vocabulary: bool = False
-    #: Drive subprocess workers as multiplexing, pipelined clients (wire
-    #: protocol 3: correlation-id demux, concurrent in-flight frames, binary
-    #: route payloads).  ``False`` forces the serial protocol-2 discipline --
-    #: one frame in flight per worker, hex-float JSON payloads -- kept for
-    #: old-peer emulation and A/B benchmarks.  Inproc workers ignore this.
-    pipelined_transport: bool = True
     #: Per-replica attempt timeout (None = wait forever).
     shard_timeout_seconds: float | None = None
     #: Merge whatever shards answered instead of failing the whole request.
@@ -512,8 +506,8 @@ class ClusterRoutingService:
         # fleets): how deep the multiplexed pipe runs and what it costs.
         transport_rollup = {"workers": 0, "requests_sent": 0, "in_flight": 0,
                             "max_in_flight": 0, "pipelined_frames": 0,
-                            "binary_responses": 0, "bytes_sent": 0,
-                            "bytes_received": 0, "timeouts": 0, "crashes": 0}
+                            "bytes_sent": 0, "bytes_received": 0,
+                            "timeouts": 0, "crashes": 0}
         for replica_set in self._shards:
             entry = replica_set.stats()
             entry["workers"] = [worker.stats() for worker in replica_set.workers]
@@ -527,8 +521,8 @@ class ClusterRoutingService:
                         transport_rollup["max_in_flight"],
                         transport.get("max_in_flight", 0))
                     for key in ("requests_sent", "in_flight", "pipelined_frames",
-                                "binary_responses", "bytes_sent",
-                                "bytes_received", "timeouts", "crashes"):
+                                "bytes_sent", "bytes_received", "timeouts",
+                                "crashes"):
                         transport_rollup[key] += transport.get(key, 0)
                 # Count both decode tiers: escalated traffic goes through the
                 # careful service, whose counters live under "careful".

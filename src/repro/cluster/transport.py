@@ -1,4 +1,4 @@
-"""The cluster wire protocol: length-prefixed, versioned JSON framing.
+"""The cluster wire protocol: length-prefixed JSON framing, one version.
 
 This is the boundary that lets a shard live in another process (or, later,
 another host): the dispatcher side and the worker side exchange *frames* over
@@ -12,35 +12,30 @@ socket tomorrow.  A frame is::
 
 ``magic`` (``b"RW"``) guards against a foreign stream, ``kind`` names the
 payload encoding, and the length prefix bounds the read.  Kind 0 is a bare
-JSON object.  Kind 1 (protocol 3) is a JSON header followed by one opaque
-binary segment::
+JSON object.  Kind 1 is a JSON header followed by one opaque binary segment::
 
     +----------------+--------------------+--------------------------+
     | JSON length    | JSON header bytes  | binary segment           |
     | 4 B big-endian |                    | payload minus the header |
     +----------------+--------------------+--------------------------+
 
-The *protocol version* is not in the header: it is negotiated once per
-connection by the ``hello``/``hello_ack`` handshake, so a version bump costs
-one frame instead of four bytes per message.
+The *protocol version* is not in the header: the ``hello``/``hello_ack``
+handshake states it once per connection, and the two ends must state the same
+one (:func:`check_protocol`).  Both ends are always spawned from one source
+tree, so there is nothing to negotiate.
 
 Messages are plain dicts with a ``"type"`` key (see :data:`MESSAGE_TYPES`):
-``route_request`` / ``route_batch_request`` -> ``route_response``,
-``stats_request`` -> ``stats_response``, ``ping`` -> ``pong``,
-``invalidate_cache`` -> ``ok``, ``shutdown`` -> ``shutdown_ack``, and
-``error`` for request-scoped failures.  Requests carry a caller-chosen
-``"id"`` that the response echoes; since protocol 3 the id is a real
+``route_batch_request`` -> ``route_response``, ``stats_request`` ->
+``stats_response``, ``ping`` -> ``pong``, ``invalidate_cache`` -> ``ok``,
+``shutdown`` -> ``shutdown_ack``, and ``error`` for request-scoped failures.
+Requests carry a caller-chosen ``"id"`` that the response echoes: a
 correlation id -- responses may return out of order and are demultiplexed by
-it (see :mod:`repro.cluster.procworker`).
+it (see :mod:`repro.cluster.procworker`).  JSON keys travel in insertion
+order; nothing reads a frame as raw bytes.
 
-Route lists cross the wire in one of two bit-exact forms.  Protocol <= 2
-peers exchange :meth:`repro.core.router.SchemaRoute.to_payload` dicts, whose
-scores are C99 hex floats.  Protocol 3 peers put the scores and identifier
-token sequences in the binary segment as raw little-endian float64 / int32
-arrays (:func:`route_lists_to_binary`) -- the ``np.tobytes`` round trip
-preserves every bit, same guarantee the hex floats bought, at a fraction of
-the encode/decode cost.  Either way
-:func:`repro.core.router.merge_route_lists` ranks identically whether the
+Route lists cross the wire in the binary segment of a kind-1 frame, scores as
+raw little-endian float64 (:func:`route_lists_to_binary`): every bit survives,
+so :func:`repro.core.router.merge_route_lists` ranks identically whether the
 candidates were decoded in-process or round-tripped through a worker.
 """
 
@@ -53,29 +48,11 @@ import struct
 import time
 from typing import BinaryIO, Callable
 
-import numpy as np
-
 from repro.cluster.dispatcher import ClusterError
 from repro.core.router import SchemaRoute
 
-#: Bump on message-shape changes; negotiated in the handshake.  Version 2
-#: added the optional ``trace`` field on route requests (and ``spans`` on
-#: their responses).  Version 3 made frame ids real correlation ids
-#: (responses may return out of order) and added the kind-1 binary payload
-#: segment for route scores.  Older peers are still accepted -- the optional
-#: fields and the binary form are simply never sent to (or expected from)
-#: them.
-PROTOCOL_VERSION = 3
-
-#: Oldest peer version this side still interoperates with.
-MIN_PROTOCOL_VERSION = 1
-
-#: First version that understands the ``trace`` / ``spans`` fields.
-TRACE_PROTOCOL_VERSION = 2
-
-#: First version that understands kind-1 frames (binary route payloads) and
-#: out-of-order responses.
-BINARY_PROTOCOL_VERSION = 3
+#: Bump on message-shape changes.  The handshake accepts exactly this version.
+PROTOCOL_VERSION = 4
 
 FRAME_MAGIC = b"RW"
 #: Payload encodings: bare JSON, or a JSON header + opaque binary segment.
@@ -90,17 +67,6 @@ BINARY_HEADER = struct.Struct(">I")
 #: the segment is framing, not part of the message.
 BINARY_KEY = "_binary"
 
-#: Message types whose JSON is encoded with sorted keys.  Handshake frames
-#: stay byte-deterministic (they get logged, diffed, and asserted on);
-#: hot-path route frames skip the sort -- it costs a per-key comparison pass
-#: on every frame and nothing reads route frames as raw bytes.  Protocol-2
-#: exchanges are the exception: the pre-multiplexing transport canonicalized
-#: *every* frame, so both sides pass ``canonical=True`` when the negotiated
-#: protocol predates :data:`BINARY_PROTOCOL_VERSION` -- a protocol-2
-#: conversation stays byte-identical to what the old implementation put on
-#: the wire.
-DETERMINISTIC_TYPES = frozenset({"hello", "hello_ack"})
-
 #: Frames larger than this are refused on both sides (a 16 MiB batch of
 #: routes is far beyond any real scatter wave; the cap bounds a corrupt or
 #: hostile length prefix).
@@ -109,7 +75,7 @@ MAX_FRAME_BYTES = 16 << 20
 #: Every message type either side may legitimately send.
 MESSAGE_TYPES = frozenset({
     "hello", "hello_ack",
-    "route_request", "route_batch_request", "route_response",
+    "route_batch_request", "route_response",
     "stats_request", "stats_response",
     "invalidate_cache", "ok",
     "ping", "pong",
@@ -146,43 +112,32 @@ class TransportTimeoutError(ClusterError):
 
 # -- encode --------------------------------------------------------------------
 def encode_frame(message: dict, *, binary: bytes | None = None,
-                 canonical: bool = False,
                  max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one message dict (plus an optional binary segment) into a
-    framed byte string.  A non-None ``binary`` produces a kind-1 frame; only
-    send those to peers that negotiated ``BINARY_PROTOCOL_VERSION``.
-    ``canonical=True`` sorts keys on every frame -- the legacy byte form
-    protocol-2 peers produced (see :data:`DETERMINISTIC_TYPES`)."""
+    framed byte string.  A non-None ``binary`` produces a kind-1 frame."""
     message_type = message.get("type")
     if message_type not in MESSAGE_TYPES:
         raise UnknownMessageError(f"cannot encode unknown message type {message_type!r}")
     if BINARY_KEY in message:
         raise ProtocolError(f"message key {BINARY_KEY!r} is reserved for "
                             "decoded binary segments; pass binary= instead")
-    header = json.dumps(message, separators=(",", ":"),
-                        sort_keys=canonical
-                        or message_type in DETERMINISTIC_TYPES).encode("utf-8")
-    if binary is None:
-        payload_length = len(header)
-        if payload_length > max_frame_bytes:
-            raise FrameTooLargeError(
-                f"{message_type} payload is {payload_length} bytes "
-                f"(cap {max_frame_bytes})")
-        return FRAME_HEADER.pack(FRAME_MAGIC, KIND_JSON, payload_length) + header
-    payload_length = BINARY_HEADER.size + len(header) + len(binary)
+    header = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload_length = len(header) if binary is None \
+        else BINARY_HEADER.size + len(header) + len(binary)
     if payload_length > max_frame_bytes:
         raise FrameTooLargeError(
             f"{message_type} payload is {payload_length} bytes "
             f"(cap {max_frame_bytes})")
+    if binary is None:
+        return FRAME_HEADER.pack(FRAME_MAGIC, KIND_JSON, payload_length) + header
     return b"".join((FRAME_HEADER.pack(FRAME_MAGIC, KIND_JSON_BINARY, payload_length),
                      BINARY_HEADER.pack(len(header)), header, binary))
 
 
 def write_frame(stream: BinaryIO, message: dict, *, binary: bytes | None = None,
-                canonical: bool = False,
                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
     """Frame ``message`` onto ``stream`` and flush it."""
-    stream.write(encode_frame(message, binary=binary, canonical=canonical,
+    stream.write(encode_frame(message, binary=binary,
                               max_frame_bytes=max_frame_bytes))
     stream.flush()
 
@@ -368,22 +323,21 @@ class FrameWriter:
         self._fd = stream.fileno()
         self._max_frame_bytes = max_frame_bytes
         self._clock = clock
-        #: Total frame bytes pushed onto the stream (transport accounting).
+        #: Frame bytes the fd accepted (transport accounting): a write that
+        #: times out or breaks mid-frame counts only what went out.
         self.bytes_written = 0
         os.set_blocking(self._fd, False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._fd, selectors.EVENT_WRITE)
 
     def write(self, message: dict, *, binary: bytes | None = None,
-              canonical: bool = False,
               timeout_seconds: float | None = None) -> None:
         """Frame ``message`` onto the fd, raising
         :class:`TransportTimeoutError` when the peer does not drain it within
         ``timeout_seconds`` (the frame may then be half-sent -- callers are
         expected to kill the peer after a timeout)."""
-        data = encode_frame(message, binary=binary, canonical=canonical,
+        data = encode_frame(message, binary=binary,
                             max_frame_bytes=self._max_frame_bytes)
-        self.bytes_written += len(data)
         deadline = None if timeout_seconds is None else self._clock() + timeout_seconds
         while data:
             if deadline is not None:
@@ -398,6 +352,7 @@ class FrameWriter:
                 sent = os.write(self._fd, data)
             except BlockingIOError:  # spurious wakeup
                 continue
+            self.bytes_written += sent
             data = data[sent:]
 
     def close(self) -> None:
@@ -417,39 +372,20 @@ def hello_message(shard_id: int, databases: tuple[str, ...] | list[str],
 
 
 def check_protocol(message: dict) -> None:
-    """Validate the negotiated version of a ``hello`` / ``hello_ack``.
-
-    Any version in ``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` is accepted:
-    newer dispatchers keep driving older workers by suppressing the optional
-    fields the old version does not know (see ``TRACE_PROTOCOL_VERSION``).
-    """
+    """Validate the version a ``hello`` / ``hello_ack`` states: it must be
+    exactly :data:`PROTOCOL_VERSION`."""
     spoken = message.get("protocol")
-    if not isinstance(spoken, int) or isinstance(spoken, bool) \
-            or not MIN_PROTOCOL_VERSION <= spoken <= PROTOCOL_VERSION:
+    if type(spoken) is not int or spoken != PROTOCOL_VERSION:
         raise VersionMismatchError(
             f"peer speaks protocol {spoken!r}, this side speaks "
-            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION}")
+            f"{PROTOCOL_VERSION}")
 
 
 # -- route payloads ------------------------------------------------------------
-def route_lists_to_payload(route_lists: list[list[SchemaRoute]]) -> list[list[dict]]:
-    """Per-question route lists -> JSON-safe payload (bit-exact scores)."""
-    return [[route.to_payload() for route in routes] for routes in route_lists]
-
-
-def route_lists_from_payload(payload: list[list[dict]]) -> list[list[SchemaRoute]]:
-    try:
-        return [[SchemaRoute.from_payload(entry) for entry in routes]
-                for routes in payload]
-    except (KeyError, TypeError, ValueError) as error:
-        raise ProtocolError(f"malformed route payload: {error}") from error
-
-
-# The protocol-3 binary route form.  Scores travel as raw little-endian IEEE
-# 754 doubles (``np.tobytes`` / ``np.frombuffer`` round-trips every bit, the
-# same guarantee the hex floats bought) and identifier names travel once, in
-# an interned string table, with each route a short int32 index sequence --
-# no per-route dicts, no float formatting, no hex parsing.
+# Scores travel as raw little-endian IEEE 754 doubles (``struct`` round-trips
+# every bit) and identifier names travel once, in an interned string table,
+# with each route a short int32 index sequence -- no per-route dicts, no float
+# formatting.
 #
 # Segment layout (all little-endian, in this order)::
 #
@@ -461,15 +397,6 @@ def route_lists_from_payload(payload: list[list[dict]]) -> list[list[SchemaRoute
 # The JSON side of the frame carries the descriptor: the three array lengths
 # plus the string table, so the segment size is fully determined before a
 # single byte of it is trusted.
-#
-# Segments at or below this many routes take a ``struct`` fast path on both
-# ends: ``struct.pack``/``unpack_from`` produce byte-identical little-endian
-# IEEE 754 output but skip numpy's fixed per-array overhead, which at the
-# typical reply size (a few dozen routes) costs more than the payload itself.
-# Larger segments amortize that overhead and go through numpy.
-SMALL_SEGMENT_ROUTES = 512
-
-
 def route_lists_to_binary(
         route_lists: list[list[SchemaRoute]]) -> tuple[dict, bytes]:
     """Per-question route lists -> ``(descriptor, binary segment)``."""
@@ -494,20 +421,12 @@ def route_lists_to_binary(
             seq_lens.append(1 + len(route.tables))
             tokens.append(intern(route.database))
             tokens.extend(intern(table) for table in route.tables)
-    if len(scores) <= SMALL_SEGMENT_ROUTES:
-        segment = b"".join((
-            struct.pack(f"<{len(counts)}i", *counts),
-            struct.pack(f"<{len(scores)}d", *scores),
-            struct.pack(f"<{len(seq_lens)}i", *seq_lens),
-            struct.pack(f"<{len(tokens)}i", *tokens),
-        ))
-    else:
-        segment = b"".join((
-            np.asarray(counts, dtype="<i4").tobytes(),
-            np.asarray(scores, dtype="<f8").tobytes(),
-            np.asarray(seq_lens, dtype="<i4").tobytes(),
-            np.asarray(tokens, dtype="<i4").tobytes(),
-        ))
+    segment = b"".join((
+        struct.pack(f"<{len(counts)}i", *counts),
+        struct.pack(f"<{len(scores)}d", *scores),
+        struct.pack(f"<{len(seq_lens)}i", *seq_lens),
+        struct.pack(f"<{len(tokens)}i", *tokens),
+    ))
     descriptor = {"questions": len(counts), "routes": len(scores),
                   "tokens": len(tokens), "strings": strings}
     return descriptor, segment
@@ -532,50 +451,22 @@ def route_lists_from_binary(descriptor: dict,
         raise ProtocolError(
             f"binary route segment is {len(segment)} bytes, descriptor "
             f"implies {expected}")
-    # Both branches end at the same plain-Python sequences: indexing numpy
-    # scalars is ~10x the cost of list indexing, and ``struct.unpack_from`` /
-    # ``.tolist()`` of a float64 buffer both yield the exact same 64-bit
-    # doubles (this loop is the decode hot path of every route_response
-    # frame).  Small segments skip numpy entirely -- its fixed per-array
-    # overhead dwarfs a few-dozen-route payload.
-    if routes <= SMALL_SEGMENT_ROUTES:
-        offset = 0
-        count_list = struct.unpack_from(f"<{questions}i", segment, offset)
-        offset += 4 * questions
-        score_list = struct.unpack_from(f"<{routes}d", segment, offset)
-        offset += 8 * routes
-        length_list = struct.unpack_from(f"<{routes}i", segment, offset)
-        offset += 4 * routes
-        token_list = struct.unpack_from(f"<{tokens}i", segment, offset)
-        if sum(count_list) != routes or (count_list and min(count_list) < 0):
-            raise ProtocolError("binary route counts do not sum to the route total")
-        if sum(length_list) != tokens or (length_list and min(length_list) < 1):
-            raise ProtocolError(
-                "binary route sequences do not sum to the token total")
-        if token_list and (min(token_list) < 0
-                           or max(token_list) >= len(strings)):
-            raise ProtocolError("binary route token outside the string table")
-    else:
-        offset = 0
-        counts = np.frombuffer(segment, dtype="<i4", count=questions, offset=offset)
-        offset += 4 * questions
-        scores = np.frombuffer(segment, dtype="<f8", count=routes, offset=offset)
-        offset += 8 * routes
-        seq_lens = np.frombuffer(segment, dtype="<i4", count=routes, offset=offset)
-        offset += 4 * routes
-        table_ids = np.frombuffer(segment, dtype="<i4", count=tokens, offset=offset)
-        if int(counts.sum()) != routes or (counts < 0).any():
-            raise ProtocolError("binary route counts do not sum to the route total")
-        if int(seq_lens.sum()) != tokens or (seq_lens < 1).any():
-            raise ProtocolError(
-                "binary route sequences do not sum to the token total")
-        if tokens and (int(table_ids.min()) < 0
-                       or int(table_ids.max()) >= len(strings)):
-            raise ProtocolError("binary route token outside the string table")
-        count_list = counts.tolist()
-        score_list = scores.tolist()
-        length_list = seq_lens.tolist()
-        token_list = table_ids.tolist()
+    offset = 0
+    count_list = struct.unpack_from(f"<{questions}i", segment, offset)
+    offset += 4 * questions
+    score_list = struct.unpack_from(f"<{routes}d", segment, offset)
+    offset += 8 * routes
+    length_list = struct.unpack_from(f"<{routes}i", segment, offset)
+    offset += 4 * routes
+    token_list = struct.unpack_from(f"<{tokens}i", segment, offset)
+    if sum(count_list) != routes or (count_list and min(count_list) < 0):
+        raise ProtocolError("binary route counts do not sum to the route total")
+    if sum(length_list) != tokens or (length_list and min(length_list) < 1):
+        raise ProtocolError(
+            "binary route sequences do not sum to the token total")
+    if token_list and (min(token_list) < 0
+                       or max(token_list) >= len(strings)):
+        raise ProtocolError("binary route token outside the string table")
     try:
         names = [str(name) for name in strings]
     except ValueError as error:  # pragma: no cover - str() rarely fails

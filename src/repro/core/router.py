@@ -104,25 +104,6 @@ class SchemaRoute:
     tables: tuple[str, ...]
     score: float
 
-    def to_payload(self) -> dict:
-        """A JSON-safe dict that round-trips this route *bit-exactly*.
-
-        ``score`` is included for readability, but ``score_hex`` (the C99 hex
-        representation) is authoritative on the way back: routes that cross a
-        process boundary must merge and rank exactly like local ones, so the
-        score may not lose a single bit to decimal formatting.
-        """
-        return {"database": self.database, "tables": list(self.tables),
-                "score": self.score, "score_hex": self.score.hex()}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SchemaRoute":
-        score_hex = payload.get("score_hex")
-        score = float.fromhex(score_hex) if score_hex is not None \
-            else float(payload["score"])
-        return cls(database=payload["database"], tables=tuple(payload["tables"]),
-                   score=score)
-
 
 def normalize_route_scores(routes: Sequence[SchemaRoute]) -> list[SchemaRoute]:
     """Softmax-normalize raw log-probability scores over a candidate pool.

@@ -101,10 +101,8 @@ class HealthPolicy:
     escalation_rate_ceiling: float = 0.75
     #: A subprocess worker that has not answered anything for this long is
     #: presumed wedged; the probe re-checks with one out-of-band ping before
-    #: judging.  The multiplexed transport answers pings on the child's
-    #: reader thread, so the check is a real liveness signal even while
-    #: route requests are in flight (the pre-multiplexing transport had to
-    #: assume a busy worker was working).
+    #: judging.  The child answers pings on its reader thread, so the check
+    #: is a real liveness signal even while route requests are in flight.
     heartbeat_max_age_seconds: float = 60.0
     #: Respawn velocity: more than ``max_respawns_in_window`` fresh boots
     #: inside ``respawn_window_seconds`` is a crash loop, not recovery.

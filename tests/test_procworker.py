@@ -5,7 +5,8 @@ subprocess workers boot exactly the artifact production would hand them.  The
 core contracts:
 
 * a subprocess worker answers **bit-identically** to an in-process worker
-  booted from the same shard checkpoint (scores cross the wire as hex floats);
+  booted from the same shard checkpoint (scores cross the wire as raw
+  float64);
 * the whole subprocess-backed cluster matches the inproc-backed cluster on a
   seeded workload (the >= 95%% acceptance bar -- deterministic decode actually
   makes it 100%%);
@@ -15,7 +16,7 @@ core contracts:
   as :class:`ShardTimeoutError`, counted in ``shards_timed_out``;
 * a traced request comes back as ONE stitched trace: the worker's spans ride
   the ``route_response`` frame and splice under the dispatcher's ``wire``
-  span, while protocol-1 peers keep exchanging exactly the old frames;
+  span;
 * crashed or abandoned shard requests close their spans with an error status
   instead of leaking open traces.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import threading
 import time
 
@@ -45,10 +47,10 @@ from repro.cluster.procworker import SLOW_CAREFUL_ENV, serve
 from repro.cluster.transport import (
     BINARY_KEY,
     PROTOCOL_VERSION,
+    VersionMismatchError,
     check_protocol,
     read_frame,
     route_lists_from_binary,
-    route_lists_from_payload,
     write_frame,
 )
 from repro.core import (
@@ -99,10 +101,7 @@ def _signature(route_lists):
 
 
 def _reply_routes(reply):
-    """Decode a ``route_response`` in either wire form (binary or JSON)."""
-    if "routes_binary" in reply:
-        return route_lists_from_binary(reply["routes_binary"], reply[BINARY_KEY])
-    return route_lists_from_payload(reply["routes"])
+    return route_lists_from_binary(reply["routes_binary"], reply[BINARY_KEY])
 
 
 class _SteppingClock:
@@ -225,6 +224,7 @@ class TestProcShardWorker:
         with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
                              request_timeout_seconds=0.001) as worker:
             victim = worker.process
+            os.kill(victim.pid, signal.SIGSTOP)  # wedged: cannot beat the clock
             with pytest.raises(ShardTimeoutError):
                 worker.route_batch(list(QUESTIONS))
             assert worker.timeouts == 1
@@ -285,7 +285,7 @@ class TestServeLoop:
                 os.fdopen(from_worker_read, "rb", buffering=0),
                 os.fdopen(from_worker_write, "wb", buffering=0))
 
-    def _start(self, cluster_checkpoint, protocol: int = PROTOCOL_VERSION,
+    def _start(self, cluster_checkpoint,
                escalation_num_beams: int | None = None, **serve_kwargs):
         worker = ShardWorker.from_checkpoint(
             0, _shard_dir(cluster_checkpoint),
@@ -298,7 +298,8 @@ class TestServeLoop:
         hello = read_frame(from_worker)
         assert hello["type"] == "hello"
         check_protocol(hello)
-        write_frame(to_worker, {"type": "hello_ack", "protocol": protocol})
+        write_frame(to_worker, {"type": "hello_ack",
+                                "protocol": PROTOCOL_VERSION})
         return worker, thread, to_worker, from_worker
 
     def _stop(self, worker, thread, to_worker, from_worker):
@@ -326,8 +327,21 @@ class TestServeLoop:
             reply = read_frame(from_worker)
             assert reply["type"] == "route_response" and reply["id"] == 3
             assert len(_reply_routes(reply)) == 1
+            assert "spans" not in reply  # a traceless request ships no spans
         finally:
             self._stop(worker, thread, to_worker, from_worker)
+
+    def test_serve_refuses_an_ack_at_another_version(self, cluster_checkpoint):
+        worker = ShardWorker.from_checkpoint(
+            0, _shard_dir(cluster_checkpoint),
+            serving_config=ServingConfig(enable_batching=False))
+        worker_in, to_worker, from_worker, worker_out = self._pipes()
+        write_frame(to_worker, {"type": "hello_ack",
+                                "protocol": PROTOCOL_VERSION - 1})
+        with pytest.raises(VersionMismatchError):
+            serve(worker, worker_in, worker_out)
+        assert read_frame(from_worker)["protocol"] == PROTOCOL_VERSION
+        worker.close()
 
     def test_closing_the_pipe_shuts_the_worker_down(self, cluster_checkpoint):
         worker, thread, to_worker, from_worker = self._start(cluster_checkpoint)
@@ -336,45 +350,6 @@ class TestServeLoop:
         assert not thread.is_alive()
         assert read_frame(from_worker) is None
         worker.close()
-
-    def test_traceless_requests_get_exactly_the_old_reply_shape(self, cluster_checkpoint):
-        """A protocol-1 dispatcher never sends the ``trace`` field; the reply
-        it gets back must not grow a ``spans`` key (or a binary segment) it
-        cannot know about."""
-        worker, thread, to_worker, from_worker = self._start(cluster_checkpoint,
-                                                             protocol=1)
-        try:
-            write_frame(to_worker, {"type": "route_batch_request", "id": 1,
-                                    "questions": [QUESTIONS[0]]})
-            reply = read_frame(from_worker)
-            assert reply["type"] == "route_response" and reply["id"] == 1
-            assert "spans" not in reply
-            assert "routes_binary" not in reply and BINARY_KEY not in reply
-            assert len(reply["routes"]) == 1  # plain hex-float JSON payload
-        finally:
-            self._stop(worker, thread, to_worker, from_worker)
-
-    def test_binary_payloads_match_protocol_2_json_bit_exactly(self, cluster_checkpoint):
-        """The v3 binary segment is an *encoding*, not a different answer:
-        decoding it must reproduce the protocol-2 hex-float JSON routes
-        bit-for-bit from the same worker checkpoint."""
-        v3 = self._start(cluster_checkpoint)
-        v2 = self._start(cluster_checkpoint, protocol=2)
-        try:
-            request = {"type": "route_batch_request", "id": 1,
-                       "questions": list(QUESTIONS[:3]), "max_candidates": 3}
-            write_frame(v3[2], dict(request))
-            write_frame(v2[2], dict(request))
-            reply3 = read_frame(v3[3])
-            reply2 = read_frame(v2[3])
-            assert "routes_binary" in reply3 and BINARY_KEY in reply3
-            assert isinstance(reply3[BINARY_KEY], bytes)
-            assert "routes" in reply2 and BINARY_KEY not in reply2
-            assert _signature(_reply_routes(reply3)) \
-                == _signature(_reply_routes(reply2))
-        finally:
-            self._stop(*v3)
-            self._stop(*v2)
 
     def test_responses_demux_out_of_order_by_correlation_id(self, cluster_checkpoint):
         """Multiplexing at the serve loop: a slow careful frame sent FIRST
@@ -486,7 +461,6 @@ class TestMultiplexedTransport:
             stats = worker.transport_stats()
             assert stats["max_in_flight"] >= 2
             assert stats["pipelined_frames"] >= 1
-            assert stats["binary_responses"] >= 2
 
     def test_ping_and_health_answer_out_of_band_while_busy(self, cluster_checkpoint,
                                                            monkeypatch):
@@ -582,47 +556,6 @@ class TestMultiplexedTransport:
             assert len(worker.route_batch([QUESTIONS[0]])) == 1
             assert worker.respawns >= 1
 
-    def test_protocol_2_peer_answers_bit_identically(self, cluster_checkpoint):
-        """Interop: capping the handshake at protocol 2 makes the same child
-        binary speak the old hex-float JSON frames -- and the answers must be
-        bit-identical to the v3 binary path on both tiers."""
-        questions = list(QUESTIONS[:6])
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4) as v3, \
-                ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                                escalation_num_beams=4, protocol_cap=2) as v2:
-            assert v3.peer_protocol == PROTOCOL_VERSION
-            assert v2.peer_protocol == 2
-            assert _signature(v2.route_batch(questions, max_candidates=3)) \
-                == _signature(v3.route_batch(questions, max_candidates=3))
-            assert _signature(v2.route_batch(questions, careful=True)) \
-                == _signature(v3.route_batch(questions, careful=True))
-            assert v3.transport_stats()["binary_responses"] >= 2
-            v2_stats = v2.transport_stats()
-            assert v2_stats["protocol"] == 2
-            assert v2_stats["binary_responses"] == 0
-
-    def test_serial_twin_keeps_one_frame_in_flight(self, cluster_checkpoint):
-        """``pipeline=False`` is the pre-multiplexing discipline: concurrent
-        callers serialize at the gate, so the wire never carries more than
-        one frame -- the faithful baseline the bench compares against."""
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             pipeline=False, protocol_cap=2) as worker:
-            threads = [threading.Thread(
-                target=lambda index=index: worker.route_batch(
-                    [QUESTIONS[index % len(QUESTIONS)]]),
-                daemon=True) for index in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not any(thread.is_alive() for thread in threads)
-            stats = worker.transport_stats()
-            assert stats["pipelined"] is False
-            assert stats["max_in_flight"] == 1
-            assert stats["pipelined_frames"] == 0
-
-
 # -- tracing across the process boundary ---------------------------------------
 class TestTracingOverTheWire:
     def test_single_request_produces_one_stitched_trace(self, cluster_checkpoint):
@@ -704,26 +637,6 @@ class TestTracingOverTheWire:
         finally:
             sub.close()
 
-    def test_trace_fields_are_withheld_from_protocol_1_peers(self, cluster_checkpoint):
-        """Interop: a dispatcher that traces must keep speaking old frames to
-        a protocol-1 worker -- no ``trace`` field on the wire, no remote spans
-        expected back, and the request itself still answers."""
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint)) as worker:
-            assert worker.peer_protocol == PROTOCOL_VERSION
-            worker.peer_protocol = 1  # as if an old worker image answered hello
-            tracer = Tracer()
-            trace = tracer.start_trace("request")
-            routes = worker.route_batch([QUESTIONS[0]], max_candidates=2,
-                                        trace=trace)
-            trace.finish()
-            assert len(routes) == 1 and routes[0]
-            (wire,) = trace.find_spans("wire")
-            assert wire.status == "ok"
-            # the suppressed field means the (actually trace-aware) child saw
-            # no trace and shipped no spans: nothing remote got stitched
-            assert not [span for span in trace.spans() if span.remote]
-            assert tracer.journal.open_trace_count() == 0
-
     def test_crashed_shard_request_closes_its_span_as_an_error(self, cluster_checkpoint):
         """The leak guard at the proxy: a worker that dies mid-request ends
         the ``wire`` span with an error status, and finishing the trace
@@ -770,7 +683,7 @@ class TestSubprocessCluster:
                 == sub_answers[question][0].database
             )
             assert agreements / len(workload) >= 0.95
-            # Scores travel as hex floats, so the match is in fact bit-exact
+            # Scores travel as raw float64, so the match is in fact bit-exact
             # -- between the inproc fleet's stacked wave decode and the
             # subprocess workers' pool scatter.
             assert {q: _signature([r]) for q, r in sub_answers.items()} \
@@ -790,7 +703,6 @@ class TestSubprocessCluster:
             assert rollup["workers"] == len(transports)
             # one batched scatter frame per worker (plus the stats poll)
             assert rollup["requests_sent"] >= len(transports)
-            assert rollup["binary_responses"] >= len(transports)
             assert rollup["bytes_sent"] > 0 and rollup["bytes_received"] > 0
             assert rollup["crashes"] == 0 and rollup["timeouts"] == 0
         finally:
@@ -837,31 +749,6 @@ class TestSubprocessCluster:
         finally:
             service.close()
         assert not owned.exists()  # the temp checkpoint is cleaned up
-
-    def test_pipelined_transport_off_is_a_faithful_protocol_2_cluster(
-            self, cluster_checkpoint):
-        """``pipelined_transport=False`` boots the serial twin fleet: every
-        worker handshakes at protocol 2 (hex-float JSON, one frame in
-        flight) and still answers bit-identically to the pipelined fleet."""
-        serial = load_cluster(cluster_checkpoint, config=ClusterConfig(
-            worker_backend="subprocess", pipelined_transport=False))
-        pipelined = load_cluster(cluster_checkpoint,
-                                 config=ClusterConfig(worker_backend="subprocess"))
-        try:
-            questions = list(QUESTIONS[:6])
-            assert _signature(serial.submit_many(questions)) \
-                == _signature(pipelined.submit_many(questions))
-            stats = serial.stats()
-            transports = [worker["transport"]
-                          for shard in stats["shards"]
-                          for worker in shard["workers"]]
-            assert all(t["protocol"] == 2 for t in transports)
-            assert all(t["pipelined"] is False for t in transports)
-            assert stats["transport"]["binary_responses"] == 0
-            assert stats["transport"]["max_in_flight"] <= 1
-        finally:
-            serial.close()
-            pipelined.close()
 
     def test_shard_timeouts_are_counted(self, cluster_checkpoint):
         from repro.cluster import ClusterError

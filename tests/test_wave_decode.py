@@ -15,7 +15,9 @@ timeout is configured.
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
 import sys
 import threading
 
@@ -30,6 +32,7 @@ from repro.cluster import (
     load_cluster,
     save_cluster,
 )
+from repro.cluster.transport import BINARY_KEY
 from repro.core import (
     RouterConfig,
     SchemaGraph,
@@ -312,6 +315,52 @@ class TestLoadedFleetSharesTheMasterTrunk:
             assert not hasattr(cluster.config, "wave_decode")
             assert cluster.stats()["wave"]["enabled"] is True
             assert cluster.submit(QUESTIONS[0])
+        manifest["config"]["warp_drive"] = 9
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="warp_drive"):
+            load_cluster(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("saved", [False, True])
+    def test_retired_pipelined_transport_key_boots_the_one_wire(
+            self, master_router, tmp_path, saved):
+        """A pre-PR-24 manifest says ``pipelined_transport``; whatever it
+        says, the subprocess fleet it boots is the multiplexed binary wire
+        and answers like the inproc fleet, bit for bit."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["pipelined_transport"] = saved
+        manifest_path.write_text(json.dumps(manifest))
+        questions = list(QUESTIONS)
+        with load_cluster(tmp_path / "ckpt") as inproc:
+            expected = _serve(inproc, questions)
+        with load_cluster(tmp_path / "ckpt", config=ClusterConfig(
+                worker_backend="subprocess")) as fleet:
+            assert not hasattr(fleet.config, "pipelined_transport")
+            answers = _serve(fleet, questions)
+            assert answers == expected
+            assert [score.hex() for score in _scores(answers)] \
+                == [score.hex() for score in _scores(expected)]
+            # Two frames on one pipe before either is awaited, with the child
+            # stopped so neither reply can land first: in-flight depth is 2
+            # by construction, and both replies come back as binary segments.
+            worker = fleet.shards[0].workers[0]
+            request = {"type": "route_batch_request", "questions": questions[:1],
+                       "max_candidates": None, "careful": False}
+            os.kill(worker.pid, signal.SIGSTOP)
+            try:
+                sent = [worker._begin_request(request, 30.0) for _ in range(2)]
+                assert worker.in_flight == 2
+            finally:
+                os.kill(worker.pid, signal.SIGCONT)
+            for request_id, pending, _ in sent:
+                reply = worker._await_reply(request_id, pending, "route_response",
+                                            30.0, "route_batch_request")
+                assert isinstance(reply[BINARY_KEY], bytes)
+                assert "routes" not in reply
+            assert fleet.stats()["transport"]["max_in_flight"] == 2
+        with pytest.raises(TypeError):
+            ClusterConfig(**{"pipelined_transport": saved})
         manifest["config"]["warp_drive"] = 9
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="warp_drive"):
