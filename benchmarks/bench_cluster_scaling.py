@@ -33,14 +33,8 @@ Asserted properties:
   cannot sink one side of the ratio.
 * **wave decode** -- every unreplicated inproc fleet decodes a scatter wave
   as one stacked kernel stream instead of one thread-pool call per shard, so
-  the default inproc run above already measures it, in the exact kernel's
-  numerics.  With ``--wave-decode`` (inproc only) the throughput cluster is
-  the throughput tier of that path: a ``decode_backend="fast"`` master (the
-  wave kernel then runs flat GEMMs, under that backend's tolerance
-  contract) over shard-sliced vocabularies, booted the way a deployment
-  boots (``save_cluster`` -> ``load_cluster``, like every other fleet
-  here).  It must report ``stats()["wave"]["enabled"]`` and hold >= 0.99
-  top-1 agreement with the vectorized monolith.
+  the default inproc run above already measures it.  Sliced-vocabulary wave
+  identity is a tier-1 test (``tests/test_wave_decode.py``).
 
 A one-line ``CLUSTER_SUMMARY {...}`` JSON is printed for CI scraping, like
 ``bench_serving_throughput``'s ``SERVING_SUMMARY``.
@@ -52,7 +46,6 @@ import json
 import os
 
 from repro.cluster import ClusterConfig, ClusterRoutingService, load_cluster, save_cluster
-from repro.core.router import SchemaRouter
 from repro.serving import LoadGenerator, RoutingService, ServingConfig, WorkloadConfig
 from repro.utils.tables import ResultTable
 
@@ -70,12 +63,7 @@ MEASURE_ROUNDS = 3
 
 
 def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_backend,
-                         wave_decode, tmp_path):
-    if wave_decode and cluster_backend != "inproc":
-        import pytest
-
-        pytest.skip("wave decode requires the inproc backend (subprocess "
-                    "workers scatter through the pool)")
+                         tmp_path):
     master = spider_cluster.master_router
     questions = [example.question for example in spider_context.test_examples()[:40]]
     generator = LoadGenerator(questions, WORKLOAD)
@@ -98,19 +86,10 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
     # decode every time on both sides and routes/sec measures routing itself.
     single = RoutingService(master, ServingConfig(enable_cache=False,
                                                   enable_batching=False))
-    fleet_master = master
-    if wave_decode:
-        # The same weights under the fast backend: shards inherit it, and
-        # the wave kernel of a "fast" fleet runs flat GEMMs.
-        fleet_master = SchemaRouter(
-            graph=master.graph, config=master.config.ablated(decode_backend="fast"))
-        fleet_master.restore(master.model, master.source_vocabulary,
-                             master.target_vocabulary, master.training_losses)
     cluster = ClusterRoutingService.from_router(
-        fleet_master, ClusterConfig(num_shards=4, strategy="size_balanced",
+        master, ClusterConfig(num_shards=4, strategy="size_balanced",
                               enable_cache=False,
-                              worker_backend=cluster_backend,
-                              sliced_vocabulary=wave_decode))
+                              worker_backend=cluster_backend))
     if cluster_backend == "inproc":
         # Measure the deployed path: subprocess fleets already boot from a
         # checkpoint inside from_router, inproc ones are rebooted from one.
@@ -118,19 +97,7 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
             save_cluster(cluster, tmp_path / "cluster-ckpt")
         cluster = load_cluster(tmp_path / "cluster-ckpt")
     backend_agreement_rate = None
-    wave_agreement_rate = None
     with single, cluster:
-        if wave_decode:
-            assert cluster.stats()["wave"]["enabled"], cluster.stats()["wave"]
-            # Wave fidelity: the wave cluster's merged top-1 vs the monolith.
-            wave_routes = dict(zip(distinct, cluster.submit_many(distinct,
-                                                                 max_candidates=1)))
-            wave_agreements = sum(
-                1 for question in workload
-                if monolithic[question] and wave_routes[question]
-                and monolithic[question][0].database == wave_routes[question][0].database
-            )
-            wave_agreement_rate = wave_agreements / len(workload)
         if cluster_backend == "subprocess":
             # Backend fidelity: the same questions through the wire protocol
             # must reproduce the inproc cluster's routing decisions.
@@ -167,16 +134,12 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
     table.add_row("single_shard", round(single_report.throughput_rps, 1),
                   single_report.latency["p95_ms"], "inproc")
     table.add_row("cluster_4_shards", round(cluster_report.throughput_rps, 1),
-                  cluster_report.latency["p95_ms"],
-                  cluster_backend + ("+wave" if wave_decode else ""))
+                  cluster_report.latency["p95_ms"], cluster_backend)
     print()
     print(table.render())
 
     summary = {
         "backend": cluster_backend,
-        "wave_decode": wave_decode,
-        "wave_top1_agreement": (round(wave_agreement_rate, 4)
-                                if wave_agreement_rate is not None else None),
         "workload_requests": cluster_report.num_requests,
         "distinct_questions": len(distinct),
         "num_shards": cluster_stats["num_shards"],
@@ -203,8 +166,4 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
     if cluster_backend == "subprocess":
         # Backend fidelity bar: the wire protocol must not change answers.
         assert backend_agreement_rate >= 0.95, summary
-    elif wave_decode:
-        # One stacked flat-GEMM kernel stream for the checkpoint-booted fleet,
-        # shard-sliced output heads: near-perfect fidelity is the gate.
-        assert wave_agreement_rate >= 0.99, summary
 

@@ -1,31 +1,21 @@
-"""Decode throughput: the three decode backends over the routing hot path.
+"""Decode throughput: the two decode backends over the routing hot path.
 
 Routes the same seeded workload through the same trained router once per
-backend -- ``loop`` (the per-beam reference search, the oracle) and the one
-batched engine (one kernel row per distinct live prefix) under its two kernel
-numerics, ``vectorized`` (row-stable, bit-exact) and ``fast`` (flat GEMMs) --
-in micro-batches of
-``DECODE_BATCH`` questions.  ``--decode-backends`` (see
-``benchmarks/conftest.py``) narrows the sweep; ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke
+backend -- ``loop`` (the per-beam reference search, the oracle) and
+``vectorized`` (the one batched engine: one kernel row per distinct live
+prefix, on the row-stable kernel) -- in micro-batches of ``DECODE_BATCH``
+questions.  ``--decode-backends`` (see ``benchmarks/conftest.py``) narrows
+the sweep; ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke
 lanes.  Each backend is timed as the best of ``ROUNDS`` full passes, with
 rounds *interleaved* across backends so noisy-neighbour windows on a shared
 runner bias every backend equally instead of whichever was on the clock.
 
 Besides the per-backend result table it prints a one-line ``DECODE_SUMMARY``
 JSON (questions/sec, speedup over loop, and top-1 agreement per backend) for
-the CI bench-smoke lane to scrape, and asserts the tier contracts:
-
-* ``vectorized`` must return *bit-identical* routes to ``loop`` (hex-float
-  score keys) at >= 2x its questions/sec;
-* ``fast`` must hold seeded top-1 agreement >= 0.99 against ``vectorized``.
-
-``fast_speedup_vs_vectorized`` is recorded, not gated: it was a ratio between
-twins (ROADMAP item 2c), and once the engine stopped advancing finished,
-unused and duplicate beam slots the kernel -- the only place the two differ --
-became the smaller share of a decode (~1.2x, was ~1.5x); since the exact
-kernel multiplies in fixed 8-row tiles it measures ~1.15x, which is the figure
-ROADMAP item 3 holds against its 10 % rule for retiring ``fast``.  The
-absolute figures live in the ``benchmarks/e2e`` rows.
+the CI bench-smoke lane to scrape, and asserts the engine contract:
+``vectorized`` must return *bit-identical* routes to ``loop`` (hex-float score
+keys) at >= 2x its questions/sec.  The absolute figures live in the
+``benchmarks/e2e`` rows.
 
 It also records, ungated, the ``vectorized`` questions/sec of the two grid
 shapes deployments live on (``grid_1x1_questions_per_sec``: a cluster shard's
@@ -181,11 +171,6 @@ def test_decode_throughput(benchmark, spider_context, decode_backends):
             for ours, theirs in zip(routes["vectorized"], reference)
         )
         summary["vectorized_bit_identical_to_loop"] = bit_identical
-    if "fast" in routes and "vectorized" in routes:
-        summary["fast_speedup_vs_vectorized"] = round(
-            median_speedup("fast", "vectorized"), 2)
-        summary["fast_top1_agreement_vs_vectorized"] = round(
-            top1_agreement("fast", "vectorized"), 4)
     for grid, changes in GRIDS.items():
         router = _clone(spider_context.copilot.router, decode_backend="vectorized",
                         **changes)
@@ -198,10 +183,8 @@ def test_decode_throughput(benchmark, spider_context, decode_backends):
                 decode_stats["ranked_tokens"] / decode_stats["beam_rows"], 2)
     print("DECODE_SUMMARY " + json.dumps(summary, sort_keys=True))
 
-    # Tier contracts (see the module docstring), gated on the *unrounded*
-    # median ratios (the summary values are rounded for display only).
+    # The engine contract (see the module docstring), gated on the *unrounded*
+    # median ratio (the summary values are rounded for display only).
     if "vectorized" in routes:
         assert summary["vectorized_bit_identical_to_loop"], summary
         assert median_speedup("vectorized", "loop") >= 2.0, summary
-    if "fast" in routes and "vectorized" in routes:
-        assert top1_agreement("fast", "vectorized") >= 0.99, summary

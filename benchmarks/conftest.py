@@ -23,13 +23,7 @@ def pytest_addoption(parser):
              "repro.cluster.procworker process per shard over the wire "
              "protocol)")
     parser.addoption(
-        "--wave-decode", action="store_true", default=False,
-        help="run bench_cluster_scaling's checkpoint-booted throughput "
-             "cluster as a fast-backend fleet over shard-sliced vocabularies "
-             "(inproc backend only); gates the wave's 1.5x speedup over the "
-             "vectorized monolith")
-    parser.addoption(
-        "--decode-backends", action="store", default="loop,vectorized,fast",
+        "--decode-backends", action="store", default="loop,vectorized",
         help="comma-separated decode backends bench_decode_throughput sweeps "
              "('loop' must be included: it is the reference the others are "
              "compared against)")
@@ -38,11 +32,6 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def cluster_backend(request) -> str:
     return request.config.getoption("--backend")
-
-
-@pytest.fixture(scope="session")
-def wave_decode(request) -> bool:
-    return request.config.getoption("--wave-decode")
 
 
 @pytest.fixture(scope="session")

@@ -9,15 +9,14 @@ question of a single :func:`repro.core.router.beam_search_wave` call over a
 per-shard constraints and vocabulary slices stay exactly as they are on the
 pool path (a row ranks the token ids its own shard's constraint allows, which
 index that shard's columns, so slices of different widths share a wave with
-no padding on the selection side).  The kernel steps in the numerics the fleet's
-``RouterConfig.decode_backend`` promises: the exact kernel's by default (a
-question gets the same doubles in every wave, and from the pool path), flat
-GEMMs under ``"fast"``.  With sliced vocabularies the kernel decodes in
-calibrated-head mode: one master-width output GEMM per step, log-softmax over
-the *master* vocabulary, each shard's kept columns gathered into its rows
--- so search prunes exactly as a master-head decode restricted to the
-slice would, and finished hypotheses already carry exact master-vocabulary
-scores (the pool path gets the same scores by post-hoc replay through
+no padding on the selection side).  The kernel is the one exact kernel, so a
+question gets the same doubles in every wave, and from the pool path.  With
+sliced vocabularies the kernel decodes in calibrated-head mode: one
+master-width output GEMM per step, log-softmax over the *master* vocabulary,
+each shard's kept columns gathered into its rows -- so search prunes exactly
+as a master-head decode restricted to the slice would, and finished
+hypotheses already carry exact master-vocabulary scores (the pool path gets
+them by post-hoc replay through the same trunk,
 :meth:`SchemaRouter.rescore_hypotheses`).
 
 The engine deliberately mirrors the per-shard ``RoutingService`` request
@@ -94,13 +93,10 @@ class _WaveTier:
         # Validates that every shard model shares the master trunk by
         # reference and that any vocabulary slices share one master head --
         # in which case the kernel decodes in calibrated-head mode and emits
-        # exact master-vocabulary scores with no post-hoc rescoring.  The
-        # routers' decode backend picks the numerics, as it does on the pool
-        # path: flat GEMMs only where ``"fast"`` already tolerates drift.
+        # exact master-vocabulary scores with no post-hoc rescoring.
         self.kernel = DecodeKernel(
             [router.model for router in self.routers],
-            [router.vocabulary_slice for router in self.routers],
-            row_stable=base.config.decode_backend != "fast")
+            [router.vocabulary_slice for router in self.routers])
         self.max_source_length = base.config.max_source_length
         self.pad_id = base.source_vocabulary.pad_id
         self.source_tokenizer = WordTokenizer(base.source_vocabulary)

@@ -72,23 +72,18 @@ class RouterConfig:
     serialization: str = "dfs"
     constrained_decoding: bool = True
     diverse_beam: bool = True
-    #: Decode tier.  "loop" is the per-beam reference search, the oracle.
-    #: "vectorized" (default) and "fast" decode every question of a batch
-    #: through the one batched grid engine
-    #: (:func:`repro.nn.decoding.diverse_beam_search_batch`) and differ only
-    #: in its kernel's numerics (:class:`repro.nn.seq2seq.DecodeKernel`):
-    #: row-stable, bit-identical to "loop" -- or flat GEMMs, trading
-    #: bit-identity for tolerance-checked agreement and the highest
-    #: throughput.  The knob round-trips through router and cluster
-    #: checkpoints, so serving fleets, shard workers and the inproc cluster's
-    #: stacked wave decode ride whichever tier the checkpoint was saved with.
+    #: Decode search.  "vectorized" (default) decodes every question of a
+    #: batch through the one batched grid engine
+    #: (:func:`repro.nn.decoding.diverse_beam_search_batch`); "loop" is the
+    #: per-beam reference search, the oracle.  Both step the one row-stable
+    #: kernel, so they return bit-identical routes.
     decode_backend: str = "vectorized"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.decode_backend not in ("vectorized", "loop", "fast"):
+        if self.decode_backend not in ("vectorized", "loop"):
             raise ValueError(
-                f"decode_backend must be 'vectorized', 'loop', or 'fast', "
+                f"decode_backend must be 'vectorized' or 'loop', "
                 f"got {self.decode_backend!r}")
 
     def ablated(self, **changes: object) -> "RouterConfig":
@@ -422,10 +417,6 @@ class SchemaRouter:
         decode step.  ``decode_backend="loop"`` decodes each question through the
         per-beam reference path instead; both backends -- and per-question
         :meth:`route` calls -- return bit-identical results.
-        ``decode_backend="fast"`` runs the batched engine over the flat-GEMM
-        kernel: same search semantics, highest throughput, scores allowed to
-        drift in the last ulps (tolerance-checked agreement instead of
-        bit-identity).
 
         ``traces`` is an optional per-question list of ``repro.obs`` trace
         contexts (``None`` entries allowed; repeats collapse): each distinct
@@ -452,9 +443,8 @@ class SchemaRouter:
                 pad_id=self.source_vocabulary.pad_id,
             )
         # A monolith is a wave with one shard: this router's model, no tags.
-        backend = self.config.decode_backend
-        kernel = None if backend == "loop" else DecodeKernel(
-            [self._model], row_stable=backend != "fast")
+        kernel = (None if self.config.decode_backend == "loop"
+                  else DecodeKernel([self._model]))
         hypotheses_batch = beam_search_wave(kernel, [self], None, encoded_batch,
                                             traces=contexts, stats=decode_stats)
         for index, hypotheses in enumerate(hypotheses_batch):

@@ -34,16 +34,14 @@ It is implemented twice, an oracle and an engine:
   along as one O(1)-updatable interpreter state per row, so resolving a row's
   constraint never re-walks a prefix and never touches the vocabulary axis.
 
-The engine's numerics are a property of the
-:class:`~repro.nn.seq2seq.DecodeKernel` it steps through, not of a second
-engine: the row-stable kernel (``decode_backend="vectorized"``) makes the
-search *bit-identical* to the oracle -- token-for-token the same sequences
-with double-for-double the same scores, whatever else shares the grid.  It
-multiplies in fixed tiles (:func:`~repro.nn.seq2seq.row_stable_matmul`), and
-the oracle, stepping the same kernel one row at a time, shares the primitive.
-The flat-GEMM kernel (``"fast"``) trades bit-identity for throughput under
-tolerance-checked agreement.  On the search side both break score ties
-identically -- stable, lowest-token-id-first (the oracle's
+The engine's numerics are those of the
+:class:`~repro.nn.seq2seq.DecodeKernel` it steps through, the one row-stable
+kernel: the search is *bit-identical* to the oracle -- token-for-token the
+same sequences with double-for-double the same scores, whatever else shares
+the grid.  It multiplies in fixed tiles
+(:func:`~repro.nn.seq2seq.row_stable_matmul`), and the oracle, stepping the
+same kernel one row at a time, shares the primitive.  On the search side both
+break score ties identically -- stable, lowest-token-id-first (the oracle's
 ``np.argsort(-scores, kind="stable")``; the engine's stable descending sort
 over token-ascending candidates), never the platform-dependent order an
 unstable descending sort would give -- so candidate selection, and therefore
@@ -377,10 +375,9 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
 
     The one batched engine: every distinct live ``(question, token prefix)``
     advances once per decode step, as one row of one :meth:`DecodeKernel.step
-    <repro.nn.seq2seq.DecodeKernel.step>` call.  ``model`` is that kernel --
-    its ``row_stable`` decides the numerics -- or a bare
-    :class:`~repro.nn.seq2seq.Seq2SeqModel`, decoded through its one-shard
-    row-stable kernel.
+    <repro.nn.seq2seq.DecodeKernel.step>` call.  ``model`` is that kernel or
+    a bare :class:`~repro.nn.seq2seq.Seq2SeqModel`, decoded through its
+    one-shard kernel.
 
     * A row is a decoder state, a previous token, its question's encoder
       operands and its short candidate list: ``tokens``, the ids the
@@ -426,11 +423,10 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     prefix -> ids memo; a prefix they leave open (``None``) is ranked like an
     unconstrained row.
 
-    With a row-stable kernel, returns one hypothesis list per question,
-    bit-identical to :func:`diverse_beam_search_loop` on the same inputs; the
-    flat-GEMM kernel keeps the search semantics and may drift in the last
-    ulps.  ``stats``, when given, accumulates ``steps`` (kernel calls),
-    ``beam_rows`` (rows the kernel advanced: distinct live prefixes),
+    Returns one hypothesis list per question, bit-identical to
+    :func:`diverse_beam_search_loop` on the same inputs.  ``stats``, when
+    given, accumulates ``steps`` (kernel calls), ``beam_rows`` (rows the
+    kernel advanced: distinct live prefixes),
     ``live_beams`` (live beams those rows served -- the loop oracle's
     ``beam_rows``; ``beam_rows / live_beams`` is the sharing ratio),
     ``ranked_tokens`` (candidate tokens gathered; per row, against ``V``, what

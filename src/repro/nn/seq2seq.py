@@ -22,11 +22,10 @@ what lets the vectorized and loop decode backends return identical routes.
 Every fixed-dimension projection of the encoder and of that kernel goes
 through :func:`row_stable_matmul`, a GEMM in fixed ``TILE_ROWS``-row tiles:
 row-stable like the one-row GEMVs it replaced, at nearly the speed of a flat
-GEMM.  :class:`DecodeKernel` is what the batched search engine steps through:
-the exact trunk above for any number of shard models of one trunk, or
-:meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast`, its throughput-first
-sibling (the ``fast`` decode tier): flat GEMMs, a fused input table and plain
-per-row attention, same math, no row-stability guarantee.
+GEMM.  The trunk exists once: :class:`DecodeKernel` (what the batched search
+engine steps through, for any number of shard models of one trunk) and
+:func:`rescore_token_sequences` (sliced-vocabulary calibration) both step
+:meth:`Seq2SeqModel.decode_trunk_numpy_batch`.
 """
 
 from __future__ import annotations
@@ -252,17 +251,13 @@ class Seq2SeqModel(Module):
         return log_probabilities[0], new_states[0]
 
     def decode_step_numpy_batch(self, memory: np.ndarray, memory_mask: np.ndarray,
-                                states: np.ndarray, previous_ids: np.ndarray,
-                                augmented_memory: np.ndarray | None = None
+                                states: np.ndarray, previous_ids: np.ndarray
                                 ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``R`` decoder beams with one stacked step.
 
         ``memory`` is ``(R, T, h)`` (zero-padded along ``T``), ``memory_mask``
         ``(R, T)`` bool (True at real source positions), ``states`` ``(R, h)``,
-        ``previous_ids`` ``(R,)``.  ``augmented_memory`` is an optional
-        precomputed ``(R, T, h+1)`` copy of ``memory`` with a ones column
-        appended (hot callers build it once per decode instead of per step);
-        built here when absent.  Returns (log-probabilities ``(R, V)``, new
+        ``previous_ids`` ``(R,)``.  Returns (log-probabilities ``(R, V)``, new
         states ``(R, h)``).
 
         Bit-exactness contract: row ``r`` of the result depends only on row
@@ -290,37 +285,35 @@ class Seq2SeqModel(Module):
         * per-row softmax reductions run over the vocabulary axis, whose
           length never varies with batching.
         """
+        augmented = np.concatenate([memory, np.ones(memory.shape[:2] + (1,))], axis=2)
         combined, new_states = self.decode_trunk_numpy_batch(
-            self.target_embedding.weight.data[previous_ids], memory, memory_mask,
-            states, augmented_memory)
+            self.target_embedding.weight.data[previous_ids], augmented, memory_mask,
+            states)
         return (head_log_softmax(combined, self.output_projection.weight.data,
                                  self.output_projection.bias.data), new_states)
 
     def decode_trunk_numpy_batch(self, previous_embedded: np.ndarray,
                                  memory: np.ndarray, memory_mask: np.ndarray,
-                                 states: np.ndarray,
-                                 augmented_memory: np.ndarray | None = None
-                                 ) -> tuple[np.ndarray, np.ndarray]:
+                                 states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exact kernel up to the output head: ``(R, d)`` previous-token
         embeddings in, (pre-head activations ``(R, h)``, new states ``(R, h)``)
         out, under the bit-exactness contract of
         :meth:`decode_step_numpy_batch` -- which is this plus the model's own
-        head; :class:`DecodeKernel` puts other heads on the same trunk."""
+        head; :class:`DecodeKernel` and :func:`rescore_token_sequences` put
+        other heads on the same trunk.  ``memory`` is the ``(R, T, h+1)``
+        ones-augmented layout of :func:`pad_encoder_memories`."""
         pre_activation = (
             row_stable_matmul(previous_embedded, self.input_projection.weight.data)
             + row_stable_matmul(states, self.recurrent_projection.weight.data)
         ) + self.recurrent_projection.bias.data
         new_states = np.tanh(pre_activation)                                    # (R, h)
 
-        scores = np.einsum("rth,rh->rt", memory, new_states)                    # (R, T)
+        hidden = new_states.shape[1]
+        scores = np.einsum("rth,rh->rt", memory[:, :, :hidden], new_states)     # (R, T)
         scores = np.where(memory_mask, scores, -np.inf)
         scores = scores - scores.max(axis=1, keepdims=True)
         attention = np.exp(scores)                                              # pads -> 0.0
-        rows, length, hidden = memory.shape
-        if augmented_memory is None:
-            augmented_memory = np.concatenate(
-                [memory, np.ones((rows, length, 1))], axis=2)                   # (R, T, h+1)
-        pooled = np.einsum("rt,rth->rh", attention, augmented_memory)           # (R, h+1)
+        pooled = np.einsum("rt,rth->rh", attention, memory)                     # (R, h+1)
         context = pooled[:, :hidden] / pooled[:, hidden:]                       # (R, h)
 
         combined = np.tanh(
@@ -329,95 +322,32 @@ class Seq2SeqModel(Module):
             + self.combine_projection.bias.data)
         return combined, new_states
 
-    def fast_input_table(self) -> np.ndarray:
-        """The fused ``(V, h)`` previous-token table for the fast kernel.
 
-        ``embedding @ W_in + b_hh`` precomputed for every vocabulary entry,
-        so each fast step replaces an embedding gather, a GEMM, and two bias
-        adds with a single table gather.  Computed fresh on each call (one
-        small ``(V, d) @ (d, h)`` GEMM) -- hot callers grab it once per
-        decode and pass it to every step, which keeps it trivially coherent
-        with the live weights.
-        """
-        return (self.target_embedding.weight.data
-                @ self.input_projection.weight.data
-                + self.recurrent_projection.bias.data)
-
-    def decode_trunk_numpy_batch_fast(self, previous_inputs: np.ndarray,
-                                      memory: np.ndarray, memory_mask: np.ndarray,
-                                      states: np.ndarray
-                                      ) -> tuple[np.ndarray, np.ndarray]:
-        """The throughput-first sibling of :meth:`decode_trunk_numpy_batch`,
-        up to the output head.
-
-        Advances ``R`` rows at once: ``previous_inputs`` is ``(R, h)`` gathered
-        :meth:`fast_input_table` rows, ``memory`` ``(R, T, h)`` each row's
-        encoder memory (zero-padded along ``T``), ``memory_mask`` ``(R, T)``
-        bool, ``states`` ``(R, h)``.  Returns (pre-head activations ``(R,
-        h)``, new states ``(R, h)``).  Same math as the exact trunk, but every
-        fixed-dimension projection runs as one true flat ``(R, k) @ (k, n)``
-        GEMM and attention contracts per row as ``(T, h) @ (h, 1)`` / ``(1,
-        T) @ (T, h)`` matmuls with an ordinary row-sum softmax normalizer --
-        no per-row ``(R, 1, k)`` slice stabilization, no padding-exact einsum
-        forms.
-
-        That freedom is exactly what breaks the exact kernel's bit-exactness
-        contract: BLAS picks different micro-kernels (different partial-sum
-        regroupings) for different row counts, so a beam's doubles may drift
-        in the last ulps with batch composition.  The ``fast`` decode backend
-        therefore trades bit-identity for *tolerance-checked* agreement
-        (seeded top-1 agreement gates in
-        ``benchmarks/bench_decode_throughput.py`` and CI); anything that must
-        be reproducible to the bit stays on :meth:`decode_trunk_numpy_batch`.
-        """
-        hidden = states.shape[1]
-        new_states = np.tanh(
-            previous_inputs + states @ self.recurrent_projection.weight.data)  # (R, h)
-        scores = np.matmul(memory, new_states[:, :, None])[:, :, 0]            # (R, T)
-        if not memory_mask.all():
-            scores = np.where(memory_mask, scores, -np.inf)
-        # Both attention operands are tanh outputs, so |score| <= hidden and
-        # the exp cannot overflow at ordinary widths -- the max-subtraction
-        # is only needed (and only paid) when hidden approaches the float64
-        # exp limit of ~709.
-        if hidden > 512:
-            scores = scores - scores.max(axis=1, keepdims=True)
-        attention = np.exp(scores)                                              # pads -> 0.0
-        attention /= attention.sum(axis=1, keepdims=True)
-        context = np.matmul(attention[:, None, :], memory)[:, 0, :]            # (R, h)
-
-        combined = np.tanh(
-            np.concatenate([new_states, context], axis=1)
-            @ self.combine_projection.weight.data
-            + self.combine_projection.bias.data)                                # (R, h)
-        return combined, new_states
-
-
-def head_log_softmax(combined: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                     row_stable: bool = True) -> np.ndarray:
+def head_log_softmax(combined: np.ndarray, weight: np.ndarray,
+                     bias: np.ndarray) -> np.ndarray:
     """``log_softmax(combined @ weight + bias)`` per row, ``(R, h) -> (R, V)``.
 
-    ``row_stable`` (the exact kernel) runs the projection through
-    :func:`row_stable_matmul`, so a row's doubles do not depend on which
-    other rows share the call; the fast kernel's flat GEMM does not promise
-    that."""
-    logits = (row_stable_matmul(combined, weight) if row_stable
-              else combined @ weight) + bias
+    The projection runs through :func:`row_stable_matmul`, so a row's doubles
+    do not depend on which other rows share the call."""
+    logits = row_stable_matmul(combined, weight) + bias
     logits = logits - logits.max(axis=1, keepdims=True)
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
 def pad_encoder_memories(encoded_batch: "Sequence[EncodedSource]"
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack encoder memories zero-padded along ``T``: ``(Q, T, h)`` memory
-    and its ``(Q, T)`` bool mask (True at real source positions)."""
+    """Stack encoder memories zero-padded along ``T`` as the exact trunk reads
+    them: the ``(Q, T, h+1)`` memory with a ones column appended (the plain
+    memory is its ``[:, :, :-1]`` view) and the ``(Q, T)`` bool mask (True at
+    real source positions)."""
     padded_length = max(encoded.memory.shape[0] for encoded in encoded_batch)
     hidden = encoded_batch[0].memory.shape[1]
-    memory = np.zeros((len(encoded_batch), padded_length, hidden))
+    memory = np.zeros((len(encoded_batch), padded_length, hidden + 1))
+    memory[:, :, hidden] = 1.0
     memory_mask = np.zeros((len(encoded_batch), padded_length), dtype=bool)
     for row, encoded in enumerate(encoded_batch):
         true_length = encoded.memory.shape[0]
-        memory[row, :true_length] = encoded.memory
+        memory[row, :true_length, :hidden] = encoded.memory
         memory_mask[row, :true_length] = np.asarray(encoded.mask) != 0.0
     return memory, memory_mask
 
@@ -459,58 +389,32 @@ def rescore_token_sequences(model: "Seq2SeqModel",
     output head and the sliced embedding rows are the master's kept rows, so
     the replayed trunk states match a master-vocabulary decode of the same
     path -- the returned score is the global score the master model would
-    have assigned, up to GEMM regrouping noise.
+    have assigned, to the bit.
 
-    Runs fast-kernel style: all rows advance together, one flat output GEMM
-    per step over the rows still inside their sequence.  Returns ``(R,)``
-    summed log-probabilities (zeros for empty sequences).
+    Every step is the exact trunk (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`)
+    and :func:`head_log_softmax` on the master head, over the rows still
+    inside their sequence.  Returns ``(R,)`` summed log-probabilities (zeros
+    for empty sequences).
     """
-    if not sequences:
-        return np.zeros(0)
     lengths = np.asarray([len(sequence) for sequence in sequences], dtype=np.int64)
-    max_length = int(lengths.max())
     scores = np.zeros(len(sequences))
-    if max_length == 0:
+    if not lengths.any():
         return scores
-    hidden = model.config.hidden_dim
-    rows = len(sequences)
     memory, memory_mask = pad_encoder_memories(encoded_list)
     states = np.stack([encoded.state for encoded in encoded_list])
-    memory_t = np.ascontiguousarray(memory.transpose(0, 2, 1))
-    targets = np.zeros((rows, max_length), dtype=np.int64)
+    targets = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
     for row, sequence in enumerate(sequences):
         targets[row, : len(sequence)] = sequence
-
-    input_table = model.fast_input_table()
-    recurrent_weight = model.recurrent_projection.weight.data
-    combine_weight = model.combine_projection.weight.data
-    combine_bias = model.combine_projection.bias.data
-    kept_ids = vocabulary_slice.kept_ids
-    head_weight = vocabulary_slice.output_weight
-    head_bias = vocabulary_slice.output_bias
-    all_visible = bool(memory_mask.all())
-
-    previous = np.full(rows, bos_id, dtype=np.int64)
-    for step in range(max_length):
+    previous = np.full(len(sequences), bos_id, dtype=np.int64)
+    for step in range(targets.shape[1]):
         active = np.nonzero(step < lengths)[0]
-        new_states = np.tanh(input_table[previous] + states @ recurrent_weight)
-        attention_scores = np.matmul(new_states[:, None, :], memory_t)[:, 0, :]
-        if not all_visible:
-            attention_scores = np.where(memory_mask, attention_scores, -np.inf)
-        if hidden > 512:
-            attention_scores = attention_scores - attention_scores.max(axis=1, keepdims=True)
-        attention = np.exp(attention_scores)
-        attention /= attention.sum(axis=1, keepdims=True)
-        context = np.matmul(attention[:, None, :], memory)[:, 0, :]
-        combined = np.tanh(
-            np.concatenate([new_states, context], axis=1) @ combine_weight + combine_bias)
-        logits = combined[active] @ head_weight + head_bias                     # (A, V_master)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        normalizers = np.log(np.exp(logits).sum(axis=1))
-        master_targets = kept_ids[targets[active, step]]
-        scores[active] += logits[np.arange(len(active)), master_targets] - normalizers
-        states = new_states
-        previous = np.where(step < lengths, targets[:, step], 0)
+        combined, states = model.decode_trunk_numpy_batch(
+            model.target_embedding.weight.data[previous], memory, memory_mask, states)
+        log_probabilities = head_log_softmax(combined[active], vocabulary_slice.output_weight,
+                                             vocabulary_slice.output_bias)
+        master_targets = vocabulary_slice.kept_ids[targets[active, step]]
+        scores[active] += log_probabilities[np.arange(len(active)), master_targets]
+        previous = targets[:, step]
     return scores
 
 
@@ -538,16 +442,12 @@ class DecodeKernel:
     master-vocabulary scores.  A monolith is a wave with one shard: one model,
     no tags, the model's own table and head.
 
-    ``row_stable`` picks the numerics, from ``RouterConfig.decode_backend``.
-    True (``"vectorized"``, the default) steps through the *exact* trunk
+    Every kernel steps the *exact* trunk
     (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a row decodes to the
     same doubles whatever else shares its call -- other prefixes, questions
     or shards, cache hits thinning the stack, longer neighbours padding ``T``
     -- and however many beams read it, so the search is bit-identical to the
     loop oracle and a cluster answers a question identically in every wave.
-    False (``"fast"``) steps through the flat GEMMs of
-    :meth:`Seq2SeqModel.decode_trunk_numpy_batch_fast` under that backend's
-    contract: scores may drift in the last ulps with batch composition.
 
     Fixed tile, measured (PR 18; OpenBLAS 0.3.31 Haswell kernels, one thread;
     q/s are ``route_batch`` in waves of 8 over 1 232 fixture questions,
@@ -560,16 +460,7 @@ class DecodeKernel:
     19 / 42 / 54 as flat GEMMs; inside a decode M = 4 and 8 tie (762 vs 761
     q/s) and 16 trails (748).  The exact search at M = 8 runs at 799 q/s
     against 719 on one-row GEMVs and 832 with the same trunk on flat GEMMs:
-    row-stability now costs 4 %.  ``"fast"`` stays nonetheless.  Its lead
-    over the exact kernel fell from 1.19x to 1.12x on the 10-in-10 monolith,
-    to 1.13x on a 1x1 shard router and 1.09x on the 4-shard inproc wave
-    (``bench_decode_throughput``: 1.25 -> 1.15), still past the 10 % that
-    ROADMAP item 3 allows for retiring it -- and what is left of the lead is
-    not GEMM grouping (a 1x1 shard steps one tile): it is the fused input
-    table and an attention without the padding-exact forms.  Tabling the
-    input projection in the exact kernel too (equal doubles, by the tile
-    property) was tried and left out: +1-2 % on the monolith, -1 to -5 % on
-    the inproc wave, whose stacked table would be projected once per wave.
+    row-stability costs 4 %.
     """
 
     _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
@@ -577,12 +468,11 @@ class DecodeKernel:
                       "combine_projection")
 
     def __init__(self, models: list[Seq2SeqModel] | tuple[Seq2SeqModel, ...],
-                 vocabulary_slices: Sequence[VocabularySlice | None] | None = None,
-                 row_stable: bool = True) -> None:
+                 vocabulary_slices: Sequence[VocabularySlice | None] | None = None
+                 ) -> None:
         if not models:
             raise ValueError("a decode kernel needs at least one model")
         self.models = list(models)
-        self.row_stable = row_stable
         base = self.models[0]
         for model in self.models[1:]:
             for attribute in self._TRUNK_MODULES:
@@ -616,17 +506,15 @@ class DecodeKernel:
                 "or all slice one shared master head")
 
     def input_table(self) -> np.ndarray:
-        """The previous-token table a search gathers from each step: target
-        embeddings when ``row_stable``, fused
-        :meth:`Seq2SeqModel.fast_input_table` rows otherwise.
+        """The previous-token table a search gathers from each step: the
+        target embeddings.
 
         One model hands out its own table.  Several are stacked ``(K * Vmax,
         ·)``: shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)`` and the
         gather offset is ``tag * Vmax + previous_id``; pad rows stay zero and
         are never gathered (a shard's previous ids are < ``V_k``).
         """
-        tables = [model.target_embedding.weight.data if self.row_stable
-                  else model.fast_input_table() for model in self.models]
+        tables = [model.target_embedding.weight.data for model in self.models]
         if len(tables) == 1:
             return tables[0]
         table = np.zeros((len(tables) * self.vocab_width, tables[0].shape[1]))
@@ -641,16 +529,9 @@ class DecodeKernel:
 
         Every operand leads with the question axis; the engine gathers one
         entry per row (``operand[row -> question]``) and hands that to
-        :meth:`step`.  The exact trunk reads the zero-padded ``(Q, T, h+1)``
-        ones-augmented memory (the plain memory is a view of it) and its
-        ``(Q, T)`` mask; the fast trunk the plain ``(Q, T, h)`` memory and
-        the mask.
+        :meth:`step`: the :func:`pad_encoder_memories` pair.
         """
-        memory, memory_mask = pad_encoder_memories(encoded_batch)
-        if self.row_stable:
-            memory = np.concatenate(
-                [memory, np.ones(memory.shape[:2] + (1,))], axis=2)
-        return memory, memory_mask
+        return pad_encoder_memories(encoded_batch)
 
     def step(self, states: np.ndarray, previous_ids: np.ndarray,
              input_table: np.ndarray, operands: tuple[np.ndarray, np.ndarray],
@@ -671,14 +552,9 @@ class DecodeKernel:
                              "per-row shard tags")
         previous_inputs = input_table[previous_ids]
         memory, memory_mask = operands
-        if self.row_stable:
-            combined, new_states = self.models[0].decode_trunk_numpy_batch(
-                previous_inputs, memory[:, :, :-1], memory_mask, states, memory)
-        else:
-            combined, new_states = self.models[0].decode_trunk_numpy_batch_fast(
-                previous_inputs, memory, memory_mask, states)
-        log_probabilities = head_log_softmax(combined, self.head_weight,
-                                             self.head_bias, self.row_stable)
+        combined, new_states = self.models[0].decode_trunk_numpy_batch(
+            previous_inputs, memory, memory_mask, states)
+        log_probabilities = head_log_softmax(combined, self.head_weight, self.head_bias)
         if self.calibrated_head:
             # Normalizing over the master vocabulary is the calibration; what
             # is left per shard is a kept-column gather.

@@ -208,13 +208,28 @@ def _checked_archive(path: Path, entry: dict, what: str) -> Path:
     return archive_path
 
 
+def _router_config(manifest: dict) -> RouterConfig:
+    """The manifest's :class:`RouterConfig`, as this build decodes it.
+
+    ``decode_backend="fast"`` (a retired flat-GEMM tier) loads as the default
+    ``"vectorized"``: same search, exact numerics.  An unknown key or a bad
+    value is a :class:`CheckpointError`, like every other manifest defect."""
+    payload = dict(manifest["router_config"])
+    if payload.get("decode_backend") == "fast":
+        payload["decode_backend"] = "vectorized"
+    try:
+        return RouterConfig(**payload)
+    except (TypeError, ValueError) as error:
+        raise CheckpointError(f"manifest router_config is invalid: {error}") from error
+
+
 def load_router(path: str | Path) -> SchemaRouter:
     """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory."""
     path = Path(path)
     manifest = load_manifest(path)
     weights_path = _checked_archive(path, manifest["weights"], "weight")
 
-    config = RouterConfig(**manifest["router_config"])
+    config = _router_config(manifest)
     catalog = catalog_from_payload(manifest["catalog"])
     graph = SchemaGraph.from_components(
         catalog, [tuple(edge) for edge in manifest["joinable_edges"]])
@@ -265,6 +280,7 @@ def verify_router_checkpoint(path: str | Path, router: SchemaRouter) -> None:
     """
     path = Path(path)
     manifest = load_manifest(path)
+    manifest["router_config"] = asdict(_router_config(manifest))
     for key, value in json.loads(json.dumps(_content_payload(router))).items():
         if manifest.get(key) != value:
             raise CheckpointError(f"checkpoint {path!s} has a different {key}")

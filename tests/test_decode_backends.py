@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from repro.nn.decoding import (
     diverse_beam_search_batch,
     diverse_beam_search_loop,
 )
-from repro.nn.seq2seq import DecodeKernel, Seq2SeqConfig, Seq2SeqModel
+from repro.nn.seq2seq import (
+    DecodeKernel,
+    Seq2SeqConfig,
+    Seq2SeqModel,
+    VocabularySlice,
+    head_log_softmax,
+    rescore_token_sequences,
+)
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
 from test_constrained_incremental import _build as _build_graph_constraint
@@ -140,8 +148,7 @@ class TestEngineDifferential:
             diverse_beam_search_batch(model, encoded, vocabulary.bos_id,
                                       vocabulary.eos_id, num_beams=5, num_groups=3)
 
-    @pytest.mark.parametrize("row_stable", [True, False])
-    def test_beam_budget_wider_than_vocabulary(self, toy_model, row_stable):
+    def test_beam_budget_wider_than_vocabulary(self, toy_model):
         """top_n clamps at V: a beam budget wider than the target vocabulary
         must decode (matching the loop backend's slice-truncation), not
         overrun the candidate rows."""
@@ -149,7 +156,7 @@ class TestEngineDifferential:
         vocab_size = model.config.target_vocab_size
         num_beams = vocab_size + 4  # top_n would exceed V unclamped
         batched = diverse_beam_search_batch(
-            DecodeKernel([model], row_stable=row_stable), encoded[:2],
+            DecodeKernel([model]), encoded[:2],
             vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=1, max_length=6)
         looped = [diverse_beam_search_loop(
@@ -157,10 +164,57 @@ class TestEngineDifferential:
             num_beams=num_beams, num_groups=1, max_length=6, encoded=item)
             for item in encoded[:2]]
         for one, reference in zip(batched, looped):
-            assert [h.tokens for h in one] == [h.tokens for h in reference]
-            if row_stable:
-                assert [_hypothesis_key(h) for h in one] == \
-                    [_hypothesis_key(h) for h in reference]
+            assert [_hypothesis_key(h) for h in one] == \
+                [_hypothesis_key(h) for h in reference]
+
+    @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
+    def test_constraint_left_open_after_the_first_step(self, toy_model, num_beams,
+                                                       num_groups, penalty):
+        """A constraint that restricts only the first step and answers
+        ``None`` ("unconstrained") afterwards: no restrictive mask outlives
+        its step in the engine's resident grid, so the search answers to the
+        bit like the loop oracle."""
+        model, vocabulary, encoded = toy_model
+
+        def constraint(prefix):
+            return {3, 5, vocabulary.eos_id} if not prefix else None
+
+        budget = dict(num_beams=num_beams, num_groups=num_groups,
+                      diversity_penalty=penalty, max_length=8)
+        looped, _ = _loop_reference(model, vocabulary, encoded,
+                                    constraint=constraint, **budget)
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            constraint=constraint, **budget)
+        assert [[_hypothesis_key(h) for h in one] for one in batched] == looped
+        assert {key[0][0] for one in looped for key in one if key[0]} \
+            <= {3, 5}
+        assert any(len(key[0]) > 1 for one in looped for key in one)
+
+    @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
+    def test_replay_reproduces_decode_scores_to_the_bit(self, toy_model, num_beams,
+                                                        num_groups, penalty):
+        """Teacher-forced replay (the sliced-vocabulary calibration) steps
+        the decode's own trunk: over an identity slice of the model's own
+        head it returns every hypothesis's decode score, ``float.hex``-equal,
+        whatever the other sequences sharing the replay."""
+        model, vocabulary, encoded = toy_model
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=num_beams, num_groups=num_groups,
+            diversity_penalty=penalty, max_length=8)
+        identity = VocabularySlice(
+            kept_ids=np.arange(model.config.target_vocab_size),
+            output_weight=model.output_projection.weight.data,
+            output_bias=model.output_projection.bias.data)
+        rows = [(item, h) for item, one in zip(encoded, batched) for h in one]
+        replayed = rescore_token_sequences(
+            model, [item for item, _ in rows],
+            [h.tokens + [vocabulary.eos_id] if h.finished else list(h.tokens)
+             for _, h in rows],
+            identity, bos_id=vocabulary.bos_id)
+        assert [float(score).hex() for score in replayed] == \
+            [h.score.hex() for _, h in rows]
 
     @pytest.mark.parametrize("num_beams,num_groups,penalty",
                              [(1, 1, 0.0), (4, 2, 2.0), (6, 6, 2.0)])
@@ -169,8 +223,7 @@ class TestEngineDifferential:
         """One long question among short ones: the short ones finish and are
         compacted out of the grid mid-search while the long one pads their
         memories along ``T`` -- the row-stable kernel still answers to the bit
-        like the loop oracle (which decodes each question alone), and the
-        flat-GEMM kernel ranks the same token sequences first."""
+        like the loop oracle (which decodes each question alone)."""
         model, vocabulary, encoded = toy_model
         short, long = encoded[1], encoded[3]
         assert long.memory.shape[0] > short.memory.shape[0]
@@ -182,16 +235,12 @@ class TestEngineDifferential:
             model, batch, vocabulary.bos_id, vocabulary.eos_id, stats=stats,
             **budget)
         assert stats["questions_compacted"] == 4  # all but the straggler
-        fast = diverse_beam_search_batch(
-            DecodeKernel([model], row_stable=False), batch, vocabulary.bos_id,
-            vocabulary.eos_id, **budget)
-        for item, one, fast_one in zip(batch, batched, fast):
+        for item, one in zip(batch, batched):
             looped = diverse_beam_search_loop(
                 model, (), vocabulary.bos_id, vocabulary.eos_id, encoded=item,
                 **budget)
             assert [_hypothesis_key(h) for h in one] == \
                 [_hypothesis_key(h) for h in looped]
-            assert fast_one[0].tokens == one[0].tokens
 
     def test_one_engine_is_not_a_knob(self):
         """One oracle, one batched engine; its numerics come in as a kernel
@@ -203,6 +252,16 @@ class TestEngineDifferential:
                     and value.__module__ == decoding.__name__
                     and "diverse_beam_search_" in name}
         assert searches == {"diverse_beam_search_loop", "diverse_beam_search_batch"}
+
+    def test_one_kernel_numerics_is_not_a_knob(self):
+        """The kernel and the head have one numerics: nothing selects
+        between an exact trunk and another one."""
+        assert list(inspect.signature(DecodeKernel).parameters) == \
+            ["models", "vocabulary_slices"]
+        assert list(inspect.signature(head_log_softmax).parameters) == \
+            ["combined", "weight", "bias"]
+        trunks = {name for name in vars(Seq2SeqModel) if "trunk" in name}
+        assert trunks == {"decode_trunk_numpy_batch"}
 
     def test_batch_composition_invariance(self, toy_model):
         """A question decodes identically alone, in pairs, and in the full
@@ -430,7 +489,8 @@ class TestRouterDifferential:
         looped = loop_router.route_batch(picked)
         assert [_route_key(r) for r in vectorized] == [_route_key(r) for r in looped]
 
-    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (4, 2), (6, 6), (8, 1)])
+    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (4, 2), (6, 3), (6, 6),
+                                                       (8, 1), (10, 5), (10, 10)])
     def test_backends_bit_identical_across_beam_budgets(self, trained_pair,
                                                         num_beams, beam_groups):
         router, _, questions = trained_pair
@@ -450,7 +510,7 @@ class TestRouterDifferential:
         assert [_route_key(r) for r in router.route_batch(picked)] == \
             [_route_key(r) for r in looped.route_batch(picked)]
 
-    @pytest.mark.parametrize("backend", ["vectorized", "fast", "loop"])
+    @pytest.mark.parametrize("backend", ["vectorized", "loop"])
     def test_decode_counters_are_flat_on_the_one_shard_path(self, trained_pair,
                                                             backend):
         """``route_batch`` reports the engine counters flat -- ``per_tag``
@@ -517,66 +577,93 @@ class TestRouterDifferential:
         assert [_route_key(r) for r in restored.route_batch(picked)] == \
             [_route_key(r) for r in router.route_batch(picked)]
 
+    @pytest.mark.parametrize("edit", [{"decode_backend": "turbo"}, {"beam_width": 4}])
+    def test_bad_manifest_router_config_is_a_checkpoint_error(self, trained_pair,
+                                                              tmp_path, edit):
+        """An unknown key or value in a router manifest is a CheckpointError
+        like every other manifest defect, not a bare TypeError / ValueError."""
+        from repro.serving.checkpoint import (CheckpointError, MANIFEST_FILE,
+                                              load_router, save_router)
+
+        router, _, _ = trained_pair
+        manifest_path = save_router(router, tmp_path / "ckpt") / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["router_config"].update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="router_config"):
+            load_router(tmp_path / "ckpt")
+
+    def test_retired_fast_checkpoint_routes_on_the_exact_kernel(self, trained_pair,
+                                                                tmp_path):
+        """A checkpoint saved with ``decode_backend="fast"`` boots as
+        ``"vectorized"`` and answers to the bit like the unedited one."""
+        from repro.serving.checkpoint import MANIFEST_FILE, load_router, save_router
+
+        router, _, questions = trained_pair
+        unedited = save_router(router, tmp_path / "unedited")
+        edited = save_router(router, tmp_path / "edited")
+        manifest = json.loads((edited / MANIFEST_FILE).read_text())
+        manifest["router_config"]["decode_backend"] = "fast"
+        (edited / MANIFEST_FILE).write_text(json.dumps(manifest))
+        restored = load_router(edited)
+        assert restored.config.decode_backend == "vectorized"
+        picked = questions[:6]
+        assert [_route_key(r) for r in restored.route_batch(picked)] == \
+            [_route_key(r) for r in load_router(unedited).route_batch(picked)]
+
+    def test_retired_fast_manifest_verifies_against_its_router(self, trained_pair,
+                                                               tmp_path):
+        """Content verification (what the inproc cluster loader runs) reads
+        the manifest's config as loading does: ``"fast"`` verifies against
+        the router it was saved from, an unknown value is a CheckpointError."""
+        from repro.serving.checkpoint import (CheckpointError, MANIFEST_FILE,
+                                              save_router, verify_router_checkpoint)
+
+        router, _, _ = trained_pair
+        path = save_router(router, tmp_path / "ckpt")
+        manifest = json.loads((path / MANIFEST_FILE).read_text())
+        manifest["router_config"]["decode_backend"] = "fast"
+        (path / MANIFEST_FILE).write_text(json.dumps(manifest))
+        verify_router_checkpoint(path, router)
+        manifest["router_config"]["decode_backend"] = "turbo"
+        (path / MANIFEST_FILE).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="router_config"):
+            verify_router_checkpoint(path, router)
+
+    def test_cluster_rides_loop_backend(self, trained_pair, tmp_path):
+        """The knob round-trips through cluster checkpoints: every projected
+        shard (and the escalation tier) of a ``"loop"`` master decodes on the
+        oracle, and the fleet answers like its vectorized twin to the bit."""
+        from repro.cluster import (
+            ClusterConfig,
+            ClusterRoutingService,
+            load_cluster,
+            save_cluster,
+        )
+
+        router, loop_router, questions = trained_pair
+        picked = questions[:6]
+        config = ClusterConfig(num_shards=2, replicas=1)
+        with ClusterRoutingService.from_router(router, config) as vectorized:
+            expected = [_route_key(r) for r in vectorized.submit_many(picked)]
+        with ClusterRoutingService.from_router(loop_router, config) as cluster:
+            for shard in cluster._shards:
+                worker = shard.workers[0]
+                assert worker.router.config.decode_backend == "loop"
+                if worker.careful_service is not None:
+                    careful = worker.careful_service.router
+                    assert careful.config.decode_backend == "loop"
+            checkpoint = save_cluster(cluster, tmp_path / "loop-cluster")
+        with load_cluster(checkpoint) as restored:
+            assert restored.master_router.config.decode_backend == "loop"
+            for shard in restored._shards:
+                assert shard.workers[0].router.config.decode_backend == "loop"
+            assert [_route_key(r) for r in restored.submit_many(picked)] == expected
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            RouterConfig(decode_backend="turbo")
-
-
-# ---------------------------------------------------------------------------
-# The fast tier: the same engine over the flat-GEMM kernel, tolerance-checked.
-# ---------------------------------------------------------------------------
-def _fast_twin(router: SchemaRouter) -> SchemaRouter:
-    twin = SchemaRouter(graph=router.graph,
-                        config=router.config.ablated(decode_backend="fast"))
-    twin.restore(router.model, router.source_vocabulary, router.target_vocabulary,
-                 router.training_losses)
-    return twin
-
-
-def _top1_key(routes):
-    return (routes[0].database, routes[0].tables) if routes else None
-
-
-class TestFastTier:
-    def test_fast_backend_accepted(self):
-        assert RouterConfig(decode_backend="fast").decode_backend == "fast"
-
-    def test_engine_fast_kernel_agrees_at_tolerance(self, toy_model):
-        """Same search over the fast kernel: same tokens, near-equal scores
-        (flat GEMMs may drift in the last ulps, never more)."""
-        model, vocabulary, encoded = toy_model
-        exact = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8)
-        fast = diverse_beam_search_batch(
-            DecodeKernel([model], row_stable=False), encoded,
-            vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8)
-        for exact_hyps, fast_hyps in zip(exact, fast):
-            assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
-            for a, b in zip(exact_hyps, fast_hyps):
-                assert a.score == pytest.approx(b.score, rel=1e-9, abs=1e-12)
-
-    def test_fast_honors_none_unconstrained_steps(self, toy_model):
-        """A constraint that only restricts early steps (returning None --
-        "unconstrained" -- afterwards) must not leave stale restrictive masks
-        in the fast tier's resident grid."""
-        model, vocabulary, encoded = toy_model
-
-        def constraint(prefix):
-            if len(prefix) == 0:
-                return {3, 5, vocabulary.eos_id}
-            return None
-
-        exact = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
-        fast = diverse_beam_search_batch(
-            DecodeKernel([model], row_stable=False), encoded,
-            vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=4, num_groups=2, max_length=8, constraint=constraint)
-        for exact_hyps, fast_hyps in zip(exact, fast):
-            assert [h.tokens for h in exact_hyps] == [h.tokens for h in fast_hyps]
+        for retired in ("turbo", "fast"):
+            with pytest.raises(ValueError):
+                RouterConfig(decode_backend=retired)
 
     def test_refit_clears_stale_parse_cache(self):
         """fit() must drop parse entries cached under the previous target
@@ -590,95 +677,3 @@ class TestFastTier:
                                           SynthesisConfig(num_samples=60))
         router.fit(report.examples)
         assert not router._parse_cache
-
-    @pytest.mark.parametrize("batch_size", [1, 3, 8, 13])
-    def test_fast_routes_agree_with_vectorized(self, trained_pair, batch_size):
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        rng = np.random.default_rng(100 + batch_size)
-        picked = [questions[int(i)] for i in
-                  rng.integers(0, len(questions), size=batch_size)]
-        agreement = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    router.route_batch(picked))
-        ) / batch_size
-        assert agreement >= 0.99
-
-    @pytest.mark.parametrize("num_beams,beam_groups", [(1, 1), (6, 3), (8, 1),
-                                                       (10, 5), (10, 10)])
-    def test_fast_agrees_across_beam_budgets(self, trained_pair,
-                                             num_beams, beam_groups):
-        """Both the one-beam-per-group and general selection shapes, and the
-        question-compaction tail, reproduce the exact kernel's decisions."""
-        router, _, questions = trained_pair
-        vec = SchemaRouter(graph=router.graph, config=router.config.ablated(
-            num_beams=num_beams, beam_groups=beam_groups))
-        vec.restore(router.model, router.source_vocabulary,
-                    router.target_vocabulary)
-        fast = _fast_twin(vec)
-        picked = questions[:10]
-        matches = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    vec.route_batch(picked)))
-        assert matches >= 9
-
-    def test_fast_unconstrained_and_plain_beam(self):
-        router, questions = _train_router(23, 4, constrained_decoding=False,
-                                          diverse_beam=False)
-        fast = _fast_twin(router)
-        picked = questions[:8]
-        matches = sum(
-            _top1_key(ours) == _top1_key(theirs)
-            for ours, theirs in zip(fast.route_batch(picked),
-                                    router.route_batch(picked)))
-        assert matches >= 7
-
-    def test_checkpoint_round_trips_fast_backend(self, trained_pair, tmp_path):
-        from repro.serving.checkpoint import load_router, save_router
-
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        save_router(fast, tmp_path / "fast-ckpt")
-        restored = load_router(tmp_path / "fast-ckpt")
-        assert restored.config.decode_backend == "fast"
-        picked = questions[:4]
-        # The restored fast router reproduces the fast router's own routes
-        # exactly: same weights, same kernel, same machine.
-        assert [_route_key(r) for r in restored.route_batch(picked)] == \
-            [_route_key(r) for r in fast.route_batch(picked)]
-
-    def test_cluster_rides_fast_backend(self, trained_pair, tmp_path):
-        """The knob round-trips through cluster checkpoints: every projected
-        shard (and the escalation tier) decodes on the fast tier."""
-        from repro.cluster import (
-            ClusterConfig,
-            ClusterRoutingService,
-            load_cluster,
-            save_cluster,
-        )
-
-        router, _, questions = trained_pair
-        fast = _fast_twin(router)
-        cluster = ClusterRoutingService.from_router(
-            fast, ClusterConfig(num_shards=2, replicas=1))
-        try:
-            for shard in cluster._shards:
-                worker = shard.workers[0]
-                assert worker.router.config.decode_backend == "fast"
-                if worker.careful_service is not None:
-                    careful = worker.careful_service.router
-                    assert careful.config.decode_backend == "fast"
-            checkpoint = save_cluster(cluster, tmp_path / "fast-cluster")
-        finally:
-            cluster.close()
-        restored = load_cluster(checkpoint)
-        try:
-            assert restored.master_router.config.decode_backend == "fast"
-            for shard in restored._shards:
-                assert shard.workers[0].router.config.decode_backend == "fast"
-            routes = restored.submit_many(questions[:4])
-        finally:
-            restored.close()
-        assert len(routes) == 4

@@ -166,7 +166,7 @@ class TestTraceContext:
         a = tracer.start_trace()
         b = tracer.start_trace()
         assert distinct_traces([a, a, None, b, a]) == [a, b]
-        with stage_spans([a, b], "decode", backend="fast") as spans:
+        with stage_spans([a, b], "decode", backend="vectorized") as spans:
             assert [span.name for span in spans] == ["decode", "decode"]
         assert all(span.ended is not None for span in spans)
         a.finish()

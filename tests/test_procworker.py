@@ -23,8 +23,10 @@ core contracts:
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import shutil
 import signal
 import threading
 import time
@@ -245,34 +247,34 @@ class TestProcShardWorker:
                 worker.set_databases(("world_atlas",), master_router)
 
 
-class TestFastBackendOverTheWire:
-    def test_subprocess_worker_rides_fast_decode_tier(self, master_router,
-                                                      tmp_path_factory):
-        """A cluster saved from a ``decode_backend="fast"`` master boots
-        subprocess workers that decode on the fast tier transparently -- the
-        knob rides the per-shard router checkpoints, no wire change."""
-        fast_master = SchemaRouter(
-            graph=master_router.graph,
-            config=master_router.config.ablated(decode_backend="fast"))
-        fast_master.restore(master_router.model, master_router.source_vocabulary,
-                            master_router.target_vocabulary,
-                            master_router.training_losses)
-        built = ClusterRoutingService.from_router(
-            fast_master, ClusterConfig(num_shards=2, strategy="size_balanced"))
-        path = save_cluster(built, tmp_path_factory.mktemp("fastproc") / "ckpt")
-        built.close()
-        local = ShardWorker.from_checkpoint(
-            0, path / "shard-00",
-            serving_config=ServingConfig(enable_batching=False))
-        assert local.router.config.decode_backend == "fast"
-        with ProcShardWorker(0, path / "shard-00") as worker:
-            questions = list(QUESTIONS[:6])
-            over_wire = worker.route_batch(questions, max_candidates=3)
-            in_process = local.route_batch(questions, max_candidates=3)
-            # Same checkpoint, same kernel, same machine: the wire must not
-            # change the fast tier's answers.
-            assert _signature(over_wire) == _signature(in_process)
-        local.close()
+class TestRetiredFastBackend:
+    def test_fast_manifests_boot_the_exact_kernel_in_both_backends(
+            self, cluster_checkpoint, tmp_path):
+        """A cluster saved before ``decode_backend="fast"`` was retired: its
+        master and shard manifests say ``"fast"``.  It boots inproc and as a
+        2-worker subprocess fleet, on the exact kernel, and both answer like
+        the unedited inproc fleet to the last bit of every score."""
+        edited = shutil.copytree(cluster_checkpoint, tmp_path / "fast-ckpt")
+        for manifest_path in edited.glob("*/manifest.json"):
+            manifest = json.loads(manifest_path.read_text())
+            manifest["router_config"]["decode_backend"] = "fast"
+            manifest_path.write_text(json.dumps(manifest))
+        questions = list(QUESTIONS)
+
+        def hex_signature(cluster):
+            return [[(route.database, route.tables, route.score.hex())
+                     for route in routes] for routes in cluster.submit_many(questions)]
+
+        with load_cluster(cluster_checkpoint) as unedited:
+            expected = hex_signature(unedited)
+        with load_cluster(edited) as inproc:
+            assert inproc.master_router.config.decode_backend == "vectorized"
+            assert inproc.stats()["wave"]["enabled"] is True
+            assert hex_signature(inproc) == expected
+        with load_cluster(edited, config=ClusterConfig(
+                worker_backend="subprocess")) as fleet:
+            assert len(fleet.shards) == 2
+            assert hex_signature(fleet) == expected
 
 
 # -- the serve loop, driven in-process ----------------------------------------

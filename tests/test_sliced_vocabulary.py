@@ -35,6 +35,9 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
+from repro.core.router import beam_search_wave
+from repro.nn.seq2seq import DecodeKernel
+from repro.nn.tokenizer import WordTokenizer
 from repro.serving.checkpoint import CheckpointError, load_router, save_router
 from test_cluster import QUESTIONS, _cluster_catalog
 
@@ -63,6 +66,18 @@ def workload(master_router) -> list[str]:
     report = synthesize_training_data(sampler, questioner,
                                       SynthesisConfig(num_samples=200))
     return [example.question for example in report.examples]
+
+
+def _decoded(router, questions) -> list[list]:
+    """``route_batch``'s hypotheses before parsing: one batched search, then
+    the router's calibration (a no-op unsliced)."""
+    tokenizer = WordTokenizer(router.source_vocabulary)
+    encoded = router.model.encode_numpy_batch(
+        [tokenizer.encode_text(question, max_length=router.config.max_source_length)
+         for question in questions], pad_id=router.source_vocabulary.pad_id)
+    hypotheses = beam_search_wave(DecodeKernel([router.model]), [router], None, encoded)
+    router.rescore_hypotheses(encoded, hypotheses)
+    return hypotheses
 
 
 def _shard_databases(master_router, shard: int = 0) -> tuple[str, ...]:
@@ -140,6 +155,30 @@ class TestCalibration:
                     matched += 1
         assert matched > 0
         assert len(kept_ids) < len(master_router.target_vocabulary)
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_calibrated_hypotheses_equal_unsliced_hypotheses_to_the_bit(
+            self, master_router, workload, shard):
+        """Hypothesis level: every sliced hypothesis whose master-id token path
+        (``kept_ids[tokens]``) the unsliced projection also decodes carries,
+        once calibrated, the unsliced score to the last bit -- the replay
+        steps the very trunk and head the unsliced decode stepped."""
+        databases = _shard_databases(master_router, shard)
+        plain = project_router(master_router, databases)
+        sliced = project_router(master_router, databases, sliced_vocabulary=True)
+        questions = list(QUESTIONS) + workload
+        kept_ids = sliced.vocabulary_slice.kept_ids
+        unsliced = [{(tuple(h.tokens), h.finished): h.score.hex() for h in one}
+                    for one in _decoded(plain, questions)]
+        compared = 0
+        for expected, one in zip(unsliced, _decoded(sliced, questions)):
+            for hypothesis in one:
+                key = (tuple(int(token) for token in kept_ids[hypothesis.tokens]),
+                       hypothesis.finished)
+                if key in expected:
+                    assert hypothesis.score.hex() == expected[key], key
+                    compared += 1
+        assert compared > len(questions)
 
     def test_uncalibrated_scores_are_inflated(self, master_router):
         """Without rescoring, per-step softmax over the slice systematically
