@@ -31,7 +31,7 @@ Asserted properties:
   sides are measured ``MEASURE_ROUNDS`` times, interleaved, and reported at
   their best round, so background interference on a shared smoke core
   cannot sink one side of the ratio.
-* **wave decode** -- every unreplicated inproc fleet decodes a scatter wave
+* **wave decode** -- every inproc fleet decodes a scatter wave
   as one stacked kernel stream instead of one thread-pool call per shard, so
   the default inproc run above already measures it.  Sliced-vocabulary wave
   identity is a tier-1 test (``tests/test_wave_decode.py``).

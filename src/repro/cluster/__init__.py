@@ -11,10 +11,11 @@ across the shards and merges the candidates into one deterministic top-k:
 * :mod:`repro.cluster.partition` -- deterministic catalog partitioners and the
   :class:`ShardAssignment` layout;
 * :mod:`repro.cluster.shard` -- router projection and the per-shard worker;
-* :mod:`repro.cluster.dispatcher` -- thread-pool scatter-gather with
-  per-shard timeouts and deterministic score-merged top-k;
-* :mod:`repro.cluster.replica` -- N-way replication, round-robin selection,
-  failover with quarantine;
+* :mod:`repro.cluster.dispatcher` -- scatter-gather (the wave engine for an
+  inproc fleet, a thread pool over subprocess workers) and deterministic
+  score-merged top-k;
+* :mod:`repro.cluster.replica` -- N-way replication of subprocess workers,
+  round-robin selection, failover with quarantine;
 * :mod:`repro.cluster.rebalance` -- live add/remove/move of databases with
   single-shard cache invalidation;
 * :mod:`repro.cluster.wave` -- dense wave decode: the whole inproc fleet's

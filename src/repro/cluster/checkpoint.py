@@ -127,7 +127,9 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     Each replica is its own ``repro.cluster.procworker`` process, booted from
     the shard directory and driven over the wire protocol; the shard
     checkpoint already carries the projected sub-catalog and beam budget, so
-    only serving knobs travel on the command line.  Spawning is fanned out on
+    only serving knobs travel on the command line.  ``shard_timeout_seconds``
+    is each worker's own request deadline, whatever the replica count: the
+    one timeout mechanism of a fleet.  Spawning is fanned out on
     a thread pool -- each child loads weights and handshakes on its own core,
     so an N-worker cluster boots in ~one worker's time, not N.  On *any*
     failure (spawn, handshake, manifest mismatch) every already-spawned
@@ -174,22 +176,16 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     replicas_of: dict[int, list[ProcShardWorker]] = {}
     for worker in spawned:
         replicas_of.setdefault(worker.shard_id, []).append(worker)
-    return [
-        ReplicaSet(
-            entry["shard_id"], replicas_of[entry["shard_id"]],
-            quarantine_seconds=config.quarantine_seconds,
-            attempt_timeout_seconds=config.shard_timeout_seconds
-            if config.replicas > 1 else None,
-        )
-        for entry in entries
-    ]
+    return [ReplicaSet(entry["shard_id"], replicas_of[entry["shard_id"]],
+                       quarantine_seconds=config.quarantine_seconds)
+            for entry in entries]
 
 
-def _project_inproc_workers(shard_path: Path, entry: dict, config: ClusterConfig,
-                            master: SchemaRouter) -> list[ShardWorker]:
-    """One shard's inproc replicas, projected from ``master``.
+def _project_inproc_worker(shard_path: Path, entry: dict, config: ClusterConfig,
+                           master: SchemaRouter) -> ShardWorker:
+    """One shard's inproc worker, projected from ``master``.
 
-    The workers serve the same objects ``from_router`` hands out -- the
+    The worker serves the same objects ``from_router`` hands out -- the
     master's trunk (and, unsliced, its head) by reference, a sliced head as a
     view of the master's own arrays -- so a loaded fleet decodes as one wave.
     The shard directory is not loaded but *verified*: its contents must equal
@@ -209,7 +205,7 @@ def _project_inproc_workers(shard_path: Path, entry: dict, config: ClusterConfig
         raise CheckpointError(f"shard {entry['shard_id']} checkpoint is not a "
                               f"projection of the master: {error}") from error
     verify_router_checkpoint(shard_path, worker.router)
-    return [worker] + [worker.replica() for _ in range(config.replicas - 1)]
+    return worker
 
 
 def _saved_config(payload: dict) -> ClusterConfig:
@@ -219,16 +215,20 @@ def _saved_config(payload: dict) -> ClusterConfig:
     if unknown:
         raise CheckpointError(f"cluster manifest config has unknown key(s) "
                               f"{', '.join(map(repr, unknown))}")
-    return ClusterConfig(**{key: value for key, value in payload.items()
-                            if key in known})
+    try:
+        return ClusterConfig(**{key: value for key, value in payload.items()
+                                if key in known})
+    except (TypeError, ValueError) as error:
+        raise CheckpointError(f"invalid cluster manifest config: {error}") from error
 
 
 def load_cluster(path: str | Path,
                  config: ClusterConfig | None = None) -> ClusterRoutingService:
     """Rebuild a :class:`ClusterRoutingService` from a checkpoint directory.
 
-    ``config`` overrides the saved *serving* knobs (cache sizes, timeouts,
-    replicas, partial gathers); everything that affects routing decisions --
+    ``config`` overrides the saved *serving* knobs (backend, cache sizes, and
+    for a subprocess fleet timeouts, replicas and partial gathers); everything
+    that affects routing decisions --
     assignment, shard/escalation beam budgets, the escalation threshold --
     always comes from the checkpoint so a restarted cluster routes
     identically.
@@ -258,13 +258,10 @@ def load_cluster(path: str | Path,
         shards = _spawn_proc_shards(path, entries, config, master)
     else:
         shards = [
-            ReplicaSet(
-                entry["shard_id"],
-                _project_inproc_workers(path / entry["dir"], entry, config, master),
-                quarantine_seconds=config.quarantine_seconds,
-                attempt_timeout_seconds=config.shard_timeout_seconds
-                if config.replicas > 1 else None,
-            )
+            ReplicaSet(entry["shard_id"],
+                       [_project_inproc_worker(path / entry["dir"], entry,
+                                               config, master)],
+                       quarantine_seconds=config.quarantine_seconds)
             for entry in entries
         ]
     if len(shards) != assignment.num_shards:

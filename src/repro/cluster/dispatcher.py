@@ -1,18 +1,22 @@
 """Scatter-gather dispatch across shard targets.
 
-The dispatcher fans one ``route_batch`` call out to every shard on a thread
-pool, gathers the per-shard candidate lists (optionally under a per-shard
-timeout), and merges them into one deterministic top-k per question with
-:func:`repro.core.router.merge_route_lists`.  Because every shard scores with
-the same underlying model, pooled softmax normalization keeps the merged
+The dispatcher scatters one wave to every shard, gathers the per-shard
+candidate lists, and merges them into one deterministic top-k per question
+with :func:`repro.core.router.merge_route_lists`.  Because every shard scores
+with the same underlying model, pooled softmax normalization keeps the merged
 ranking identical to what a monolithic router would prefer, and the
 ``(-score, database, tables)`` sort makes the result independent of shard
 gather order.
 
-Targets are plain callables (``route_batch(questions, max_candidates) ->
-per-question route lists``), so the dispatcher works equally over
-:class:`repro.cluster.shard.ShardWorker`, a
-:class:`repro.cluster.replica.ReplicaSet`, or a test stub.
+There is one scatter path per backend.  An inproc fleet's scatter *is* its
+:class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode, no thread
+pool.  Otherwise the dispatcher submits every shard target to a thread pool
+-- subprocess workers, where each target is a
+:class:`repro.cluster.replica.ReplicaSet` of
+:class:`repro.cluster.procworker.ProcShardWorker` proxies that own their
+request deadlines and raise :class:`ShardTimeoutError` themselves.  Targets
+are plain callables (``route_batch(questions, max_candidates) -> per-question
+route lists``), so a test stub serves as well.
 """
 
 from __future__ import annotations
@@ -35,38 +39,6 @@ class ClusterError(RuntimeError):
 
 class ShardTimeoutError(ClusterError):
     """A shard did not answer within its timeout."""
-
-
-def call_with_timeout(target: Callable, args: tuple, timeout_seconds: float | None,
-                      label: str = "shard", kwargs: dict | None = None):
-    """Run ``target(*args, **kwargs)``, raising :class:`ShardTimeoutError` on timeout.
-
-    With no timeout the call runs inline.  With one, it runs on a daemon
-    thread so a hung shard cannot wedge the caller; the abandoned thread is
-    left to finish (or leak) on its own -- acceptable for an in-process
-    cluster, and exactly what lets replica failover move on.
-    """
-    kwargs = kwargs or {}
-    if timeout_seconds is None:
-        return target(*args, **kwargs)
-    outcome: list = []
-    failure: list[BaseException] = []
-
-    def runner() -> None:
-        try:
-            outcome.append(target(*args, **kwargs))
-        except BaseException as error:  # propagated to the caller below
-            failure.append(error)
-
-    thread = threading.Thread(target=runner, daemon=True,
-                              name=f"repro-cluster-{label}")
-    thread.start()
-    thread.join(timeout_seconds)
-    if thread.is_alive():
-        raise ShardTimeoutError(f"{label} did not answer within {timeout_seconds}s")
-    if failure:
-        raise failure[0]
-    return outcome[0]
 
 
 class ClusterDispatcher:
@@ -96,7 +68,6 @@ class ClusterDispatcher:
 
     def __init__(self, targets: Sequence[ShardTarget],
                  default_max_candidates: int = 5,
-                 shard_timeout_seconds: float | None = None,
                  allow_partial: bool = False,
                  max_workers: int | None = None,
                  careful_targets: Sequence[ShardTarget] | None = None,
@@ -120,7 +91,6 @@ class ClusterDispatcher:
         #: None: every escalation then scatters to the careful tier.
         self.escalated_cache = escalated_cache
         self.default_max_candidates = default_max_candidates
-        self.shard_timeout_seconds = shard_timeout_seconds
         self.allow_partial = allow_partial
         # With a careful tier the pool holds one scatter arm per shard *per
         # tier*: multiplexed workers carry concurrent frames, so one wave's
@@ -164,11 +134,6 @@ class ClusterDispatcher:
         self.escalation_threshold = threshold
 
     # -- request path --------------------------------------------------------
-    def route(self, question: str, max_candidates: int | None = None,
-              trace=None) -> list[SchemaRoute]:
-        return self.route_batch([question], max_candidates=max_candidates,
-                                trace=trace)[0]
-
     def route_batch(self, questions: Sequence[str],
                     max_candidates: int | None = None,
                     trace=None) -> list[list[SchemaRoute]]:
@@ -289,23 +254,14 @@ class ClusterDispatcher:
         spans = []
         for index, target in enumerate(targets):
             span = None
-            kwargs = None
+            kwargs = {}
             if trace is not None:
                 span = trace.start_span("scatter", shard=index,
                                         questions=len(questions))
                 kwargs = {"trace": trace.scoped(span)}
             spans.append(span)
-            if self.shard_timeout_seconds is None:
-                # No timeout means no watchdog: submit the target itself, so
-                # the pool worker calls the shard directly instead of going
-                # through the call_with_timeout wrapper (whose timeout path
-                # would add a second thread hop per shard per wave).
-                futures.append(self._pool.submit(
-                    target, questions, max_candidates, **(kwargs or {})))
-            else:
-                futures.append(self._pool.submit(
-                    call_with_timeout, target, (questions, max_candidates),
-                    self.shard_timeout_seconds, f"shard-{index}", kwargs))
+            futures.append(self._pool.submit(target, questions, max_candidates,
+                                             **kwargs))
         gathered: list[list[list[SchemaRoute]]] = []
         first_error: BaseException | None = None
         for span, future in zip(spans, futures):

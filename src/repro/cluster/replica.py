@@ -1,13 +1,18 @@
 """N-way shard replication with round-robin selection and failover.
 
-A :class:`ReplicaSet` fronts several interchangeable :class:`ShardWorker`
-replicas of one shard.  Requests rotate round-robin across healthy replicas;
-when a replica raises or exceeds the per-attempt timeout it is quarantined for
-``quarantine_seconds`` and the request fails over to the next replica.
-Quarantined replicas are retried automatically once their quarantine expires
-(and, as a last resort, when every replica is quarantined the one whose
-quarantine expires soonest is tried anyway -- serving degraded beats serving
-nothing).
+A :class:`ReplicaSet` fronts the interchangeable workers of one shard.
+Replication is a subprocess-fleet property: there each replica is its own
+:class:`repro.cluster.procworker.ProcShardWorker` process, which enforces its
+own request deadline (killing a wedged child and raising
+:class:`ShardTimeoutError`).  An inproc shard is a set of one
+:class:`ShardWorker`, settled by the wave engine through :meth:`note_attempt`.
+
+Requests rotate round-robin across healthy replicas; when a replica raises
+(a timeout included) it is quarantined for ``quarantine_seconds`` and the
+request fails over to the next replica.  Quarantined replicas are retried
+automatically once their quarantine expires (and, as a last resort, when
+every replica is quarantined the one whose quarantine expires soonest is
+tried anyway -- serving degraded beats serving nothing).
 
 The clock is injectable so quarantine expiry is testable without sleeping.
 """
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.router import SchemaRoute
-from repro.cluster.dispatcher import ClusterError, ShardTimeoutError, call_with_timeout
+from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
 
 
@@ -42,7 +47,6 @@ class ReplicaSet:
 
     def __init__(self, shard_id: int, workers: Sequence[ShardWorker],
                  quarantine_seconds: float = 30.0,
-                 attempt_timeout_seconds: float | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if not workers:
             raise ValueError("a replica set needs at least one worker")
@@ -50,7 +54,6 @@ class ReplicaSet:
             raise ValueError("quarantine_seconds must be non-negative")
         self.shard_id = shard_id
         self.quarantine_seconds = quarantine_seconds
-        self.attempt_timeout_seconds = attempt_timeout_seconds
         self._clock = clock
         self._replicas = [_ReplicaState(worker=worker) for worker in workers]
         self._rotation = 0
@@ -96,17 +99,13 @@ class ReplicaSet:
                     trace=None) -> list[list[SchemaRoute]]:
         """Route through the first replica that answers; quarantine failures."""
         attempts = self._attempt_order()
+        kwargs = {"trace": trace} if trace is not None else {}
         last_error: BaseException | None = None
         all_timed_out = True
         for position, replica in enumerate(attempts):
             try:
-                result = call_with_timeout(
-                    replica.worker.route_batch,
-                    (list(questions), max_candidates, careful),
-                    self.attempt_timeout_seconds,
-                    f"shard-{self.shard_id}-replica",
-                    kwargs={"trace": trace} if trace is not None else None,
-                )
+                result = replica.worker.route_batch(list(questions), max_candidates,
+                                                    careful, **kwargs)
             except Exception as error:
                 last_error = error
                 all_timed_out = all_timed_out and isinstance(error, ShardTimeoutError)
@@ -135,8 +134,9 @@ class ReplicaSet:
                 replica.quarantined_until = self._clock() + self.quarantine_seconds
 
     def note_attempt(self, ok: bool) -> None:
-        """Settle an unreplicated set's counters and quarantine for a call
-        made outside :meth:`route_batch` (the wave engine's stacked decode)."""
+        """Settle an inproc (one-worker) set's counters and quarantine for a
+        call made outside :meth:`route_batch` (the wave engine's stacked
+        decode)."""
         self._settle(self._replicas[0], ok)
 
     # -- rebalance / lifecycle ----------------------------------------------

@@ -8,11 +8,15 @@ proportionally smaller beam budget, and keeps its own route cache and metrics;
 the dispatcher merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
-An unreplicated inproc fleet decodes each scatter wave as one stacked kernel
-stream (:mod:`repro.cluster.wave`); fleets whose shards must answer
-separately -- subprocess workers, replicas, shard timeouts, partial gathers --
-scatter through the dispatcher's thread pool, where subprocess workers add
-real cores.  ``stats()["wave"]`` says which path serves, and why.
+One scatter path per backend.  An inproc fleet decodes each scatter wave as
+one stacked kernel stream (:mod:`repro.cluster.wave`): its shards are rows of
+one kernel call under one GIL, so per-shard isolation means nothing there,
+and ``ClusterConfig`` rejects the isolation knobs (``replicas > 1``,
+``shard_timeout_seconds``, ``allow_partial``) on it.  A subprocess fleet
+scatters through the dispatcher's thread pool to worker processes on real
+cores; replication, per-request deadlines (owned by each
+:class:`repro.cluster.procworker.ProcShardWorker`) and partial gathers live
+there.
 """
 
 from __future__ import annotations
@@ -58,13 +62,14 @@ class ClusterConfig:
     num_shards: int = 4
     #: Partition strategy: "round_robin" | "size_balanced" | "joinability".
     strategy: str = "size_balanced"
-    #: Where shard workers live: "inproc" (threads sharing this interpreter)
-    #: or "subprocess" (one ``repro.cluster.procworker`` process per replica,
-    #: driven over the :mod:`repro.cluster.transport` wire protocol, so decode
-    #: runs on separate cores).  Subprocess workers boot from per-shard
-    #: checkpoint directories; ``from_router`` writes one automatically.
+    #: Where shard workers live: "inproc" (one worker per shard in this
+    #: interpreter, every wave one stacked decode) or "subprocess" (one
+    #: ``repro.cluster.procworker`` process per replica, driven over the
+    #: :mod:`repro.cluster.transport` wire protocol, so decode runs on
+    #: separate cores).  Subprocess workers boot from per-shard checkpoint
+    #: directories; ``from_router`` writes one automatically.
     worker_backend: str = "inproc"
-    #: Replicas per shard (1 = no replication).
+    #: Worker processes per shard (1 = no replication); subprocess only.
     replicas: int = 1
     #: Beam budget per shard on the fast tier.  None derives 1 when the
     #: escalation cascade is enabled (the careful tier covers ambiguity) and
@@ -90,9 +95,12 @@ class ClusterConfig:
     #: exact full-vocabulary rescoring so the cross-shard merge still
     #: compares like with like.
     sliced_vocabulary: bool = False
-    #: Per-replica attempt timeout (None = wait forever).
+    #: Per-request deadline of each worker process (None = wait forever); a
+    #: miss kills the wedged child and raises ``ShardTimeoutError``.
+    #: Subprocess only.
     shard_timeout_seconds: float | None = None
     #: Merge whatever shards answered instead of failing the whole request.
+    #: Subprocess only.
     allow_partial: bool = False
     quarantine_seconds: float = 30.0
     #: Default number of candidate schemata per answer (None = router default).
@@ -117,6 +125,16 @@ class ClusterConfig:
                              f"{sorted(WORKER_BACKENDS)}, not {self.worker_backend!r}")
         if self.replicas <= 0:
             raise ValueError("replicas must be positive")
+        if self.worker_backend == "inproc":
+            for name, isolating in (("replicas", self.replicas > 1),
+                                    ("shard_timeout_seconds",
+                                     self.shard_timeout_seconds is not None),
+                                    ("allow_partial", self.allow_partial)):
+                if isolating:
+                    raise ValueError(
+                        f"{name}={getattr(self, name)!r} needs "
+                        f"worker_backend='subprocess': an inproc fleet's "
+                        f"shards are rows of one stacked decode")
         if self.shard_num_beams is not None and self.shard_num_beams <= 0:
             raise ValueError("shard_num_beams must be positive (or None)")
         if self.escalation_threshold is not None \
@@ -187,12 +205,6 @@ class ClusterRoutingService:
                              max_slow_traces=self.config.trace_exemplars)
         self._shards = list(shards)
         self._catalog_version = catalog_version
-        # Judge replication by what the replica sets actually contain, not by
-        # config.replicas: with real replication the per-attempt timeout lives
-        # inside the ReplicaSet (so failover engages); without it the
-        # dispatcher enforces the timeout around the single worker.
-        self._max_replicas = max(replica_set.num_replicas
-                                 for replica_set in self._shards)
         default_candidates = 5
         if master_router is not None:
             default_candidates = master_router.config.max_candidate_schemas
@@ -204,7 +216,12 @@ class ClusterRoutingService:
                                  trace=trace))
                 for replica_set in self._shards
             ]
-        self.wave_engine, self._wave_disabled_reason = self._build_wave_engine()
+        # Inproc workers always decode as one wave; a fleet that cannot stack
+        # raises here rather than falling back to a second scatter path.
+        self.wave_engine = None
+        if all(isinstance(worker, ShardWorker)
+               for replica_set in self._shards for worker in replica_set.workers):
+            self.wave_engine = ClusterWaveEngine(self._shards)
         # The cascade's memory of merged careful answers: one more route
         # cache, sized and aged like a shard's, staled by
         # ``bump_catalog_version``.
@@ -215,8 +232,6 @@ class ClusterRoutingService:
         self.dispatcher = ClusterDispatcher(
             [replica_set.route_batch for replica_set in self._shards],
             default_max_candidates=default_candidates,
-            shard_timeout_seconds=None if self._max_replicas > 1
-            else self.config.shard_timeout_seconds,
             allow_partial=self.config.allow_partial,
             max_workers=self.config.max_workers,
             careful_targets=careful_targets,
@@ -224,10 +239,6 @@ class ClusterRoutingService:
             wave_engine=self.wave_engine,
             escalated_cache=escalated_cache,
         )
-        if self.config.shard_timeout_seconds is not None and self._max_replicas > 1:
-            for replica_set in self._shards:
-                if replica_set.attempt_timeout_seconds is None:
-                    replica_set.attempt_timeout_seconds = self.config.shard_timeout_seconds
         # Routed-load window: per-database counters of merged top-1 answers.
         # In a scatter-gather cluster every shard sees every question, so
         # request QPS is flat across shards by construction; which databases
@@ -240,36 +251,14 @@ class ClusterRoutingService:
         self._owned_checkpoint_dir: Path | None = None
         self._closed = False
 
-    def _build_wave_engine(self) -> "tuple[ClusterWaveEngine | None, str | None]":
-        """(engine, None) when the fleet can decode as one wave, else
-        (None, why the thread-pool scatter serves instead).
-
-        The one rule: a wave is a single in-process decode of every shard at
-        once, so it needs one inproc worker per shard and a caller who did
-        not ask for per-shard isolation (a shard timeout or partial gathers
-        only mean something when shards answer separately)."""
-        if self.config.shard_timeout_seconds is not None or self.config.allow_partial:
-            return None, ("per-shard isolation requested "
-                          "(shard_timeout_seconds / allow_partial)")
-        if self._max_replicas > 1:
-            return None, "replication enabled (failover needs the pool path)"
-        workers = [replica_set.workers[0] for replica_set in self._shards]
-        if not all(isinstance(worker, ShardWorker) for worker in workers):
-            return None, "shard workers are not inproc"
-        try:
-            return ClusterWaveEngine(workers, replica_sets=self._shards), None
-        except ValueError as error:
-            # Hand-assembled workers that are not projections of one master.
-            return None, str(error)
-
     # -- construction --------------------------------------------------------
     @classmethod
     def from_router(cls, master: SchemaRouter, config: ClusterConfig | None = None,
                     assignment: ShardAssignment | None = None,
                     checkpoint_dir: str | Path | None = None) -> "ClusterRoutingService":
-        """Partition the master router's catalog and project one worker
-        (times ``config.replicas``) per shard.  No training happens: every
-        shard shares the master's trained model.
+        """Partition the master router's catalog and project one worker per
+        shard.  No training happens: every shard shares the master's trained
+        model.
 
         With ``worker_backend="subprocess"`` the projected cluster is first
         written to ``checkpoint_dir`` (a temporary directory when omitted,
@@ -281,13 +270,14 @@ class ClusterRoutingService:
         if config.worker_backend == "subprocess":
             from repro.cluster.checkpoint import load_cluster, save_cluster
 
-            # The bootstrap twin exists only to be checkpointed, and
-            # save_cluster writes one checkpoint per shard regardless of
-            # replication -- so project a single replica per shard instead of
-            # config.replicas throwaway ones.
+            # The bootstrap twin exists only to be checkpointed (one
+            # checkpoint per shard, whatever the replication), so it is a
+            # plain inproc fleet without the subprocess-only knobs.
             inproc = cls.from_router(master,
                                      replace(config, worker_backend="inproc",
-                                             replicas=1),
+                                             replicas=1,
+                                             shard_timeout_seconds=None,
+                                             allow_partial=False),
                                      assignment=assignment)
             # The manifest should record the caller's intent (subprocess
             # backend, real replica count), not the bootstrap twin's shape:
@@ -316,21 +306,16 @@ class ClusterRoutingService:
             config = replace(config, num_shards=assignment.num_shards)
         beams, groups = config.shard_beams_for(master)
         escalation_beams = config.escalation_beams_for(master)
-        shards = []
-        for shard_id, databases in enumerate(assignment.shards):
-            workers = [ShardWorker.from_projection(
+        shards = [
+            ReplicaSet(shard_id, [ShardWorker.from_projection(
                 shard_id, databases, master,
                 serving_config=config.serving_config(),
                 num_beams=beams, beam_groups=groups,
                 escalation_num_beams=escalation_beams,
-                sliced_vocabulary=config.sliced_vocabulary)]
-            workers += [workers[0].replica() for _ in range(config.replicas - 1)]
-            shards.append(ReplicaSet(
-                shard_id, workers,
-                quarantine_seconds=config.quarantine_seconds,
-                attempt_timeout_seconds=config.shard_timeout_seconds
-                if config.replicas > 1 else None,
-            ))
+                sliced_vocabulary=config.sliced_vocabulary)],
+                quarantine_seconds=config.quarantine_seconds)
+            for shard_id, databases in enumerate(assignment.shards)
+        ]
         return cls(shards, assignment, config=config, master_router=master)
 
     @classmethod
@@ -345,43 +330,28 @@ class ClusterRoutingService:
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:
         """Route one question across all shards (blocking, thread-safe)."""
-        if self._closed:
-            raise RuntimeError("the cluster service has been closed")
-        started = time.monotonic()
-        self.metrics.increment("requests")
-        trace = self.tracer.start_trace("request", question_chars=len(question))
-        try:
-            routes = self.dispatcher.route(
-                question, max_candidates=max_candidates or self.config.max_candidates,
-                trace=trace)
-        except BaseException as exc:
-            self.metrics.increment("errors")
-            if trace is not None:
-                trace.finish(status="error", error=f"{type(exc).__name__}: {exc}")
-                trace = None
-            raise
-        finally:
-            if trace is not None:
-                trace.finish()
-        self.metrics.increment("routed")
-        self._note_routed([routes])
-        self.metrics.observe_latency(time.monotonic() - started)
-        return routes
+        return self._route([question], max_candidates, "request",
+                           question_chars=len(question))[0]
 
     def submit_many(self, questions: Sequence[str],
                     max_candidates: int | None = None) -> list[list[SchemaRoute]]:
         """Route a wave of questions as one scatter-gather dispatch."""
+        return self._route(list(questions), max_candidates, "request_wave",
+                           questions=len(questions))
+
+    def _route(self, questions: list[str], max_candidates: int | None,
+               trace_name: str, /, **attributes) -> list[list[SchemaRoute]]:
+        """Both entry points' one path: count, trace, dispatch, note load."""
         if self._closed:
             raise RuntimeError("the cluster service has been closed")
         if not questions:
             return []
         started = time.monotonic()
         self.metrics.increment("requests", len(questions))
-        trace = self.tracer.start_trace("request_wave", questions=len(questions))
+        trace = self.tracer.start_trace(trace_name, **attributes)
         try:
             results = self.dispatcher.route_batch(
-                list(questions),
-                max_candidates=max_candidates or self.config.max_candidates,
+                questions, max_candidates=max_candidates or self.config.max_candidates,
                 trace=trace)
         except BaseException as exc:
             self.metrics.increment("errors", len(questions))
@@ -545,7 +515,8 @@ class ClusterRoutingService:
         cache_rollup["hit_rate"] = (round(cache_rollup["hits"] / lookups, 4)
                                     if lookups else 0.0)
         snapshot["num_shards"] = self.num_shards
-        snapshot["replicas"] = self._max_replicas
+        snapshot["replicas"] = max(replica_set.num_replicas
+                                   for replica_set in self._shards)
         snapshot["worker_backend"] = self.config.worker_backend
         snapshot["strategy"] = self.assignment.strategy
         snapshot["assignment"] = [list(databases) for databases in self.assignment.shards]
@@ -566,9 +537,8 @@ class ClusterRoutingService:
         }
         if self.dispatcher.escalated_cache is not None:
             snapshot["escalated_cache"] = self.dispatcher.escalated_cache.stats()
-        # Which scatter path serves, and why: never a silent fallback.
-        snapshot["wave"] = {"enabled": self.wave_engine is not None,
-                            "reason": self._wave_disabled_reason}
+        # Which scatter path serves: the wave exactly when the fleet is inproc.
+        snapshot["wave"] = {"enabled": self.wave_engine is not None}
         if self.wave_engine is not None:
             snapshot["wave"].update(self.wave_engine.stats())
         snapshot["shards"] = shard_stats

@@ -175,31 +175,18 @@ class ShardWorker:
             self.careful_service = RoutingService(self._careful_router(router),
                                                   self.serving_config)
 
-    @staticmethod
-    def _rewrapped(router: SchemaRouter, config) -> SchemaRouter:
-        """``router``'s graph, model and vocabularies under ``config``, as a
-        router of its own (own constraint memos and tries)."""
-        twin = SchemaRouter(graph=router.graph, config=config)
-        twin.restore(router.model, router.source_vocabulary,
-                     router.target_vocabulary, router.training_losses)
+    def _careful_router(self, fast: SchemaRouter) -> SchemaRouter:
+        """The fast router's graph, model and vocabularies under the
+        escalation beam budget, as a router of its own (own constraint memos
+        and tries)."""
+        careful = SchemaRouter(graph=fast.graph, config=fast.config.ablated(
+            num_beams=self.escalation_num_beams, beam_groups=1))
+        careful.restore(fast.model, fast.source_vocabulary,
+                        fast.target_vocabulary, fast.training_losses)
         # A shared (possibly sliced) model needs the same calibration mapping
         # back to the master head.
-        twin.vocabulary_slice = router.vocabulary_slice
-        return twin
-
-    def _careful_router(self, fast: SchemaRouter) -> SchemaRouter:
-        """The fast router re-wrapped with the escalation beam budget."""
-        return self._rewrapped(fast, fast.config.ablated(
-            num_beams=self.escalation_num_beams, beam_groups=1))
-
-    def replica(self) -> "ShardWorker":
-        """Another worker of this shard on the same model: independent
-        routers, caches and metrics, no second copy of any weight."""
-        return ShardWorker(self.shard_id, self.databases,
-                           self._rewrapped(self.router, self.router.config),
-                           serving_config=self.serving_config,
-                           checkpoint_dir=self.checkpoint_dir,
-                           escalation_num_beams=self.escalation_num_beams)
+        careful.vocabulary_slice = fast.vocabulary_slice
+        return careful
 
     @classmethod
     def from_projection(cls, shard_id: int, databases: tuple[str, ...],

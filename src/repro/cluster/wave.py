@@ -1,38 +1,35 @@
 """Cluster-native dense wave decode: one kernel stream for the whole fleet.
 
-The pool-based scatter path hands each shard its own ``submit_many`` call, so
-an inproc fleet of K shards pays K separate decode loops (and K thread hops)
-per wave.  :class:`ClusterWaveEngine` instead stacks every shard's beams into
-*one* decode: each (shard, pending-question) pair becomes a virtual
+An inproc fleet's shards share one interpreter, so instead of K separate
+decode loops per wave, :class:`ClusterWaveEngine` stacks every shard's beams
+into *one* decode: each (shard, pending-question) pair becomes a virtual
 question of a single :func:`repro.core.router.beam_search_wave` call over a
 :class:`repro.nn.seq2seq.DecodeKernel`, tagged with its shard index so
-per-shard constraints and vocabulary slices stay exactly as they are on the
-pool path (a row ranks the token ids its own shard's constraint allows, which
-index that shard's columns, so slices of different widths share a wave with
-no padding on the selection side).  The kernel is the one exact kernel, so a
-question gets the same doubles in every wave, and from the pool path.  With
-sliced vocabularies the kernel decodes in calibrated-head mode: one
-master-width output GEMM per step, log-softmax over the *master* vocabulary,
-each shard's kept columns gathered into its rows -- so search prunes exactly
-as a master-head decode restricted to the slice would, and finished
-hypotheses already carry exact master-vocabulary scores (the pool path gets
-them by post-hoc replay through the same trunk,
+per-shard constraints and vocabulary slices stay exactly as they are in a
+shard's own ``RoutingService`` (a row ranks the token ids its own shard's
+constraint allows, which index that shard's columns, so slices of different
+widths share a wave with no padding on the selection side).  The kernel is
+the one exact kernel, so a question gets the same doubles in every wave, and
+from a shard's own decode.  With sliced vocabularies the kernel decodes in
+calibrated-head mode: one master-width output GEMM per step, log-softmax over
+the *master* vocabulary, each shard's kept columns gathered into its rows --
+so search prunes exactly as a master-head decode restricted to the slice
+would, and finished hypotheses already carry exact master-vocabulary scores
+(a shard's own decode gets them by post-hoc replay through the same trunk,
 :meth:`SchemaRouter.rescore_hypotheses`).
 
-The engine deliberately mirrors the per-shard ``RoutingService`` request
-path around the stacked decode: the same cache consult (``variant`` keying
-included), the same ``requests`` / ``cache_hits`` / ``routed`` counters, the
-same within-wave dedup.  Shard services therefore report identical stats
-whether a wave went through the pool or the wave engine, and a cache warmed
-by one path is hit by the other.  A wave holds the route lock of every shard
-of its tier from cache probe to cache put: concurrent callers take turns, and
-a rebalance swaps routers between waves, never under one.
+Around the stacked decode each shard's service runs its one request path,
+:meth:`~repro.serving.service.RoutingService.consult` then
+:meth:`~repro.serving.service.RoutingService.commit` -- the cache, counters
+and within-wave dedup of ``submit_many`` itself, so a cache warmed by either
+is hit by the other.  A wave holds the route lock of every shard of its tier
+from cache probe to cache put: concurrent callers take turns, and a rebalance
+swaps routers between waves, never under one.
 
-Every unreplicated inproc fleet qualifies, however it was booted: projection
+Every inproc fleet decodes this way, however it was booted: projection
 (``from_router``, ``load_cluster``, a rebalance) shares the master trunk by
-reference and gives every shard one beam budget.
-:class:`repro.cluster.service.ClusterRoutingService` decides which fleets
-scatter through the pool instead.
+reference and gives every shard one beam budget, and a fleet that cannot
+stack fails at construction.
 """
 
 from __future__ import annotations
@@ -105,13 +102,16 @@ class _WaveTier:
 class ClusterWaveEngine:
     """Decodes whole scatter waves through one stacked kernel stream."""
 
-    def __init__(self, workers: Sequence, replica_sets: Sequence = ()) -> None:
-        if not workers:
-            raise ValueError("a wave engine needs at least one shard worker")
-        self.workers = list(workers)
-        #: The workers' (single-replica) sets: a wave settles their success /
-        #: failure counters like one pool-path call per shard would.
+    def __init__(self, replica_sets: Sequence) -> None:
+        if not replica_sets:
+            raise ValueError("a wave engine needs at least one shard")
+        if any(replica_set.num_replicas != 1 for replica_set in replica_sets):
+            raise ValueError("an inproc shard is one worker: replicas are a "
+                             "subprocess-fleet knob")
+        #: A wave settles each set's success / failure counters like one
+        #: ``ReplicaSet.route_batch`` call per shard would.
         self.replica_sets = list(replica_sets)
+        self.workers = [replica_set.workers[0] for replica_set in self.replica_sets]
         self.has_careful_tier = all(worker.careful_service is not None
                                     for worker in self.workers)
         self._tiers: dict[bool, _WaveTier] = {}
@@ -133,10 +133,10 @@ class ClusterWaveEngine:
     def _locked_tier(self, careful: bool) -> Iterator[_WaveTier]:
         """The requested tier, with every shard's route lock held.
 
-        Locks are taken in shard order (the pool path and ``replace_router``
-        only ever hold one), so waves serialise per tier, and the tier --
-        rebuilt here if a rebalance swapped any router -- cannot go stale
-        before the block ends.
+        Locks are taken in shard order (a shard's own ``submit_many`` and
+        ``replace_router`` only ever hold one), so waves serialise per tier,
+        and the tier -- rebuilt here if a rebalance swapped any router --
+        cannot go stale before the block ends.
         """
         services = [(worker.careful_service if careful else worker.service)
                     for worker in self.workers]
@@ -157,80 +157,46 @@ class ClusterWaveEngine:
 
         ``careful=True`` decodes through the escalation tier when every
         worker carries one (falling back to the fast tier otherwise, like
-        :meth:`ShardWorker.route_batch`).  The per-shard route caches and
-        metrics are consulted and updated exactly as the pool path would.
+        :meth:`ShardWorker.route_batch`).  Each shard's service consults and
+        commits the wave exactly as its own ``submit_many`` would.
         """
         questions = list(questions)
-        count = len(questions)
         use_careful = careful and self.has_careful_tier
         stats: dict = {}
-        # Within one wave, identical questions decode once (per shard).
-        first_index: dict[str, int] = {}
-        for index, question in enumerate(questions):
-            first_index.setdefault(question, index)
-        started = time.monotonic()  # lock wait counts, as on the pool path
+        started = time.monotonic()  # lock wait counts, as in submit_many
         with self._locked_tier(use_careful) as tier:
-            # Per-shard cache consult, mirroring RoutingService.submit_many
-            # (same counters, same cache variant keying): one probe and one
-            # counter bump per shard, not per question.
-            results: list[list] = []
-            variants: list[int | None] = []
-            misses_per_shard: list[int] = []
-            pending_per_shard: list[list[int]] = []
-            for service in tier.services:
-                service.metrics.increment("requests", count)
-                variant = max_candidates or service.config.max_candidates
-                cached = (service.cache.get_many(questions, variant=variant)
-                          if service.cache is not None else [None] * count)
-                misses = [index for index, routes in enumerate(cached)
-                          if routes is None]
-                if len(misses) < count:
-                    service.metrics.increment("cache_hits", count - len(misses))
-                results.append(cached)
-                variants.append(variant)
-                misses_per_shard.append(len(misses))
-                pending_per_shard.append(
-                    [index for index in misses
-                     if first_index[questions[index]] == index])
+            consulted = [service.consult(questions, max_candidates)
+                         for service in tier.services]
             with maybe_span(trace, "wave_decode", shards=len(self.workers),
-                            questions=count, careful=use_careful) as span:
+                            questions=len(questions), careful=use_careful) as span:
                 try:
-                    self._decode_pending(
-                        tier, questions, pending_per_shard, variants, results,
+                    answers = self._decode_pending(
+                        tier, questions, [pending for _, pending in consulted],
+                        [max_candidates or service.config.max_candidates
+                         for service in tier.services],
                         stats, trace.scoped(span) if span is not None else None)
                 except BaseException:
-                    for service, missed in zip(tier.services, misses_per_shard):
-                        service.metrics.increment("errors", missed)
+                    for service, (results, _) in zip(tier.services, consulted):
+                        service.count_failed(results)
                     self._note_replicas(ok=False)
                     raise
-            for service, variant, shard_results, pending in zip(
-                    tier.services, variants, results, pending_per_shard):
-                if service.cache is not None:
-                    for index in pending:
-                        service.cache.put(questions[index], shard_results[index],
-                                          variant=variant)
-                if pending:
-                    service.metrics.increment("routed", len(pending))
-                for index, routes in enumerate(shard_results):
-                    if routes is None:
-                        shard_results[index] = \
-                            shard_results[first_index[questions[index]]]
-            elapsed = time.monotonic() - started
-            for service in tier.services:
-                service.metrics.observe_latency(elapsed / max(count, 1), count=count)
+            for service, (results, pending), shard_answers in zip(
+                    tier.services, consulted, answers):
+                service.commit(questions, results, pending, shard_answers,
+                               max_candidates, started)
         self._note_replicas(ok=True)
-        self._note_wave(stats, count, use_careful)
-        return results
+        self._note_wave(stats, len(questions), use_careful)
+        return [results for results, _ in consulted]
 
     def _decode_pending(self, tier: _WaveTier, questions: list[str],
                         pending_per_shard: list[list[int]],
-                        variants: list[int | None], results: list[list],
-                        stats: dict, trace) -> None:
-        """Decode every shard's pending indices into ``results``, stacked."""
+                        variants: list[int | None], stats: dict,
+                        trace) -> list[list[list[SchemaRoute]]]:
+        """Every shard's answers for its pending indices, decoded stacked."""
         needed = sorted({index for pending in pending_per_shard
                          for index in pending})
         if not needed:
-            return
+            return [[] for _ in pending_per_shard]
         # Encode each missing question once for the whole fleet: every shard
         # model shares the master encoder trunk by reference, so shard 0's
         # encoding is every shard's encoding.
@@ -259,10 +225,10 @@ class ClusterWaveEngine:
         # Each shard's local token ids are parsed with its own vocabulary.
         with maybe_span(trace, "parse"):
             rows = iter(hypotheses_batch)
-            for shard, pending in enumerate(pending_per_shard):
-                for index in pending:
-                    results[shard][index] = tier.routers[shard].combine_hypotheses(
+            return [[tier.routers[shard].combine_hypotheses(
                         next(rows), max_candidates=variants[shard])
+                     for _ in pending]
+                    for shard, pending in enumerate(pending_per_shard)]
 
     # -- introspection -------------------------------------------------------
     def _note_replicas(self, ok: bool) -> None:

@@ -7,7 +7,10 @@ serving object:
 * ``submit(question)`` -- route one question (cache first, then the
   micro-batcher, which coalesces concurrent callers into batched decodes);
 * ``submit_many(questions)`` -- route a list, answering repeats from cache and
-  batching the remainder;
+  batching the remainder: :meth:`RoutingService.consult` (cache verdict,
+  within-wave dedup), a decode, then :meth:`RoutingService.commit` (cache
+  fill, counters, latency) -- the one request path around a decode, which the
+  cluster wave engine also drives around its stacked decode;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
 
@@ -146,9 +149,10 @@ class RoutingService:
     def exclusive_router(self) -> Iterator[SchemaRouter]:
         """Hold the route lock and yield the current router.
 
-        For decode drivers that bypass :meth:`submit_many` (the cluster wave
-        engine): inside the block no other decode touches this router's
-        constraint memos and :meth:`replace_router` cannot land."""
+        For callers that run their own decode between :meth:`consult` and
+        :meth:`commit` (the cluster wave engine): inside the block no
+        other decode touches this router's constraint memos and
+        :meth:`replace_router` cannot land."""
         with self._route_lock:
             yield self.router
 
@@ -199,6 +203,58 @@ class RoutingService:
             if trace is not None:
                 trace.finish()
 
+    def consult(self, questions: Sequence[str], max_candidates: int | None = None
+                ) -> tuple[list, list[int]]:
+        """The route cache's verdict on a wave: ``(results, pending)``.
+
+        ``results`` holds each question's cached routes or None; ``pending``
+        is the first index of each missing question (a repeat decodes once).
+        ``requests`` and ``cache_hits`` move once per wave: per-question bumps
+        would dominate a cache-hot wave.  The decoder settles the wave with
+        :meth:`commit`, or :meth:`count_failed` if the decode raised."""
+        max_candidates = max_candidates or self.config.max_candidates
+        self.metrics.increment("requests", len(questions))
+        results: list = (self.cache.get_many(questions, variant=max_candidates)
+                         if self.cache is not None else [None] * len(questions))
+        first_index: dict[str, int] = {}
+        missed = 0
+        for index, routes in enumerate(results):
+            if routes is None:
+                missed += 1
+                first_index.setdefault(questions[index], index)
+        if missed < len(questions):
+            self.metrics.increment("cache_hits", len(questions) - missed)
+        return results, list(first_index.values())
+
+    def commit(self, questions: Sequence[str], results: list, pending: list[int],
+               answers: Sequence[list[SchemaRoute]],
+               max_candidates: int | None, started: float) -> None:
+        """Settle a consulted wave whose ``pending`` indices decoded to
+        ``answers``: fill and cache them, copy each into its within-wave
+        repeats, count every answered miss as ``routed`` (one bump per wave),
+        and observe the wave's per-question latency since ``started``."""
+        if pending:
+            max_candidates = max_candidates or self.config.max_candidates
+            answered = {}
+            for index, routes in zip(pending, answers):
+                results[index] = answered[questions[index]] = routes
+                if self.cache is not None:
+                    self.cache.put(questions[index], routes, variant=max_candidates)
+            repeats = 0
+            for index, routes in enumerate(results):
+                if routes is None:
+                    results[index] = answered[questions[index]]
+                    repeats += 1
+            self.metrics.increment("routed", len(pending) + repeats)
+        if questions:
+            self.metrics.observe_latency((time.monotonic() - started) / len(questions),
+                                         count=len(questions))
+
+    def count_failed(self, results: list) -> None:
+        """Count a consulted wave's misses as ``errors``: ``requests ==
+        cache_hits + routed + errors + admission_rejected`` whatever happens."""
+        self.metrics.increment("errors", results.count(None))
+
     def submit_many(self, questions: Sequence[str],
                     max_candidates: int | None = None,
                     trace=None) -> list[list[SchemaRoute]]:
@@ -214,39 +270,26 @@ class RoutingService:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
         max_candidates = max_candidates or self.config.max_candidates
-        self.metrics.increment("requests", len(questions))
-        results: list[list[SchemaRoute] | None]
-        if self.cache is not None:
-            # One lock acquisition for the whole wave's cache probes.
-            results = self.cache.get_many(questions, variant=max_candidates)
-            pending = [index for index, cached in enumerate(results)
-                       if cached is None]
-        else:
-            results = [None] * len(questions)
-            pending = list(range(len(questions)))
-        if len(pending) < len(questions):
-            # One counter bump for the whole wave: per-hit increments cost a
-            # lock acquisition each, which dominates a cache-hot wave.
-            self.metrics.increment("cache_hits", len(questions) - len(pending))
-        if pending:
+        results, pending = self.consult(questions, max_candidates)
+        missing = [question for question, routes in zip(questions, results)
+                   if routes is None] if pending else []
+        if missing:
             # One atomic decision for the wave: either the whole cache-missing
             # remainder is admitted or the wave fails fast as a unit (mixing
             # routed answers with per-question rejections in one return value
             # would push the shedding contract onto every caller).
-            self._admit(len(pending),
-                        question_chars=sum(len(questions[index])
-                                           for index in pending))
+            self._admit(len(missing), question_chars=sum(map(len, missing)))
         owned = None
         if pending and trace is None:
             trace = owned = self.tracer.start_trace("request_wave",
                                                     questions=len(questions))
         if trace is not None:
-            trace.annotate(cache_hits=len(questions) - len(pending))
+            trace.annotate(cache_hits=len(questions) - len(missing))
         try:
-            self._route_pending(questions, results, pending, max_candidates,
-                                trace)
+            answers = self._route_pending(questions, pending, max_candidates,
+                                          trace)
         except BaseException as exc:
-            self.metrics.increment("errors", len(pending))
+            self.count_failed(results)
             if owned is not None:
                 owned.finish(status="error", error=f"{type(exc).__name__}: {exc}")
                 owned = None
@@ -254,48 +297,23 @@ class RoutingService:
         finally:
             if owned is not None:
                 owned.finish()
-        elapsed = time.monotonic() - started
-        if questions:
-            self.metrics.observe_latency(elapsed / len(questions),
-                                         count=len(questions))
-        return results  # type: ignore[return-value]
+        self.commit(questions, results, pending, answers, max_candidates, started)
+        return results
 
-    def _route_pending(self, questions: Sequence[str], results: list,
-                       pending: list[int], max_candidates: int | None,
-                       trace) -> None:
-        """Decode the cache-missing ``pending`` indices into ``results``."""
-        # Within one call, identical pending questions are routed once.
-        first_index: dict[str, int] = {}
-        duplicates: list[tuple[int, int]] = []
-        unique_pending: list[int] = []
-        for index in pending:
-            question = questions[index]
-            if question in first_index:
-                duplicates.append((index, first_index[question]))
-            else:
-                first_index[question] = index
-                unique_pending.append(index)
-        if unique_pending:
-            if self._batcher is not None:
-                futures = [(index, self._batcher.submit(questions[index], max_candidates,
-                                                        trace=trace))
-                           for index in unique_pending]
-                for index, future in futures:
-                    results[index] = future.result()
-            else:
-                routed = self._route_batch_locked(
-                    [questions[index] for index in unique_pending], max_candidates,
-                    traces=([trace] * len(unique_pending)
-                            if trace is not None else None))
-                for index, routes in zip(unique_pending, routed):
-                    results[index] = routes
-            for index in unique_pending:
-                if self.cache is not None:
-                    self.cache.put(questions[index], results[index],
-                                   variant=max_candidates)
-                self.metrics.increment("routed")
-        for index, source in duplicates:
-            results[index] = results[source]
+    def _route_pending(self, questions: Sequence[str], pending: list[int],
+                       max_candidates: int | None,
+                       trace) -> list[list[SchemaRoute]]:
+        """Decode the questions at the ``pending`` indices, in order."""
+        if not pending:
+            return []
+        if self._batcher is not None:
+            futures = [self._batcher.submit(questions[index], max_candidates,
+                                            trace=trace)
+                       for index in pending]
+            return [future.result() for future in futures]
+        return self._route_batch_locked(
+            [questions[index] for index in pending], max_candidates,
+            traces=[trace] * len(pending) if trace is not None else None)
 
     # -- catalog change hook -------------------------------------------------
     def notify_catalog_changed(self) -> None:

@@ -4,7 +4,6 @@ rebalancing, and whole-cluster checkpoints."""
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -103,14 +102,10 @@ def master_router() -> SchemaRouter:
     return router
 
 
-@pytest.fixture()
-def release():
-    """An event slow-shard stand-ins wait on: set when the test is over, so
-    they outlast any shard timeout without a wall-clock sleep and leave no
-    thread sleeping behind them."""
-    event = threading.Event()
-    yield event
-    event.set()
+def _timed_out(questions, max_candidates=None, careful=False):
+    """A shard stand-in that missed its deadline: what a subprocess worker
+    raises after killing its wedged child."""
+    raise ShardTimeoutError("shard did not answer within its deadline")
 
 
 def _signature(routes) -> list[tuple[str, tuple[str, ...]]]:
@@ -266,16 +261,15 @@ class TestDispatcher:
         assert [_signature(routes) for routes in merged] == \
             [[("beta", ("t",)), ("alpha", ("t",))]] * 2
 
-    def test_shard_timeout_fails_the_request(self, release):
-        def slow(questions, max_candidates):
-            release.wait(timeout=30.0)
-            return [[] for _ in questions]
-
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), slow],
-                               shard_timeout_seconds=0.05) as dispatcher:
-            with pytest.raises(ClusterError):
+    def test_shard_timeout_fails_the_request(self):
+        with ClusterDispatcher([self._fake_target("alpha", -1.0),
+                                _timed_out]) as dispatcher:
+            with pytest.raises(ClusterError) as outcome:
                 dispatcher.route_batch(["q"])
+            assert isinstance(outcome.value.__cause__, ShardTimeoutError)
             assert dispatcher.shard_failures == 1
+            assert dispatcher.shards_timed_out == 1
+            assert dispatcher.partial_gathers == 0
 
     def test_allow_partial_serves_the_remaining_shards(self):
         def broken(questions, max_candidates):
@@ -291,19 +285,14 @@ class TestDispatcher:
             with pytest.raises(ClusterError):
                 dispatcher.route_batch(["q"])
 
-    def test_partial_gather_counts_dropped_timeouts(self, release):
+    def test_partial_gather_counts_dropped_timeouts(self):
         """A timed-out shard silently dropped from a partial gather must be
         visible in ``shards_timed_out`` (distinct from crash failures)."""
-        def slow(questions, max_candidates):
-            release.wait(timeout=30.0)
-            return [[] for _ in questions]
-
         def broken(questions, max_candidates):
             raise RuntimeError("shard down")
 
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), slow, broken],
-                               shard_timeout_seconds=0.05,
-                               allow_partial=True) as dispatcher:
+        with ClusterDispatcher([self._fake_target("alpha", -1.0), _timed_out,
+                                broken], allow_partial=True) as dispatcher:
             merged = dispatcher.route_batch(["q"])
             assert _signature(merged[0]) == [("alpha", ("t",))]
             assert dispatcher.shard_failures == 2   # slow + broken
@@ -413,28 +402,29 @@ class TestReplicaSet:
         with pytest.raises(ValueError):
             ReplicaSet(0, [])
 
-    def test_timeout_classification_survives_the_replica_layer(self, release):
+    def test_timeout_classification_survives_the_replica_layer(self):
         """All replicas timing out must surface as ShardTimeoutError (so the
         dispatcher counts a shard *timeout*); a mix of crash + timeout is a
         plain ClusterError."""
-        class Sleepy:
-            def route_batch(self, questions, max_candidates=None, careful=False):
-                release.wait(timeout=30.0)
-                return [[] for _ in questions]
+        class Late:
+            route_batch = staticmethod(_timed_out)
 
         class Broken:
             def route_batch(self, questions, max_candidates=None, careful=False):
                 raise RuntimeError("shard down")
 
-        all_slow = ReplicaSet(0, [Sleepy(), Sleepy()], quarantine_seconds=60.0,
-                              attempt_timeout_seconds=0.05)
+        all_late = ReplicaSet(0, [Late(), Late()], quarantine_seconds=60.0)
         with pytest.raises(ShardTimeoutError):
-            all_slow.route_batch(["q"])
-        mixed = ReplicaSet(0, [Sleepy(), Broken()], quarantine_seconds=60.0,
-                           attempt_timeout_seconds=0.05)
+            all_late.route_batch(["q"])
+        assert all_late.failovers == 1
+        mixed = ReplicaSet(0, [Late(), Broken()], quarantine_seconds=60.0)
         with pytest.raises(ClusterError) as outcome:
             mixed.route_batch(["q"])
         assert not isinstance(outcome.value, ShardTimeoutError)
+        with ClusterDispatcher([all_late.route_batch]) as dispatcher:
+            with pytest.raises(ClusterError):
+                dispatcher.route_batch(["q"])
+            assert dispatcher.shards_timed_out == 1
 
 
 # -- the cluster service -------------------------------------------------------
@@ -546,6 +536,8 @@ class TestClusterRoutingService:
             ClusterConfig(num_shards=0)
         with pytest.raises(ValueError):
             ClusterConfig(replicas=0)
+        with pytest.raises(ValueError, match="subprocess"):
+            ClusterConfig(replicas=2)
         with pytest.raises(ValueError):
             ClusterRoutingService([], partition_catalog(master_router.graph.catalog, 2))
 
@@ -666,7 +658,7 @@ class TestClusterCheckpoint:
         shard_router = SchemaRouter.from_checkpoint(path / "shard-00")
         assert tuple(shard_router.graph.catalog.database_names) == databases
 
-    def test_load_with_replica_override(self, master_router, tmp_path):
+    def test_load_with_serving_override(self, master_router, tmp_path):
         with ClusterRoutingService.from_router(
                 master_router, ClusterConfig(num_shards=2)) as cluster:
             expected = [_full_signature(cluster.submit(question))
@@ -674,14 +666,18 @@ class TestClusterCheckpoint:
             path = save_cluster(cluster, tmp_path / "cluster-ckpt")
         # The override may change serving knobs, but routing-affecting knobs
         # (escalation, beam budgets) always come from the checkpoint.
-        override = ClusterConfig(num_shards=2, replicas=2,
-                                 shard_timeout_seconds=5.0,
+        override = ClusterConfig(num_shards=2, cache_size=7,
+                                 quarantine_seconds=1.0,
                                  escalation_threshold=None, shard_num_beams=7)
-        with load_cluster(path, config=override) as replicated:
-            assert all(replica_set.num_replicas == 2
-                       for replica_set in replicated.shards)
-            assert replicated.config.escalation_threshold == 0.8
-            assert [_full_signature(replicated.submit(question))
+        with load_cluster(path, config=override) as reloaded:
+            assert (reloaded.config.cache_size,
+                    reloaded.config.quarantine_seconds) == (7, 1.0)
+            for replica_set in reloaded.shards:
+                assert replica_set.quarantine_seconds == 1.0
+                assert replica_set.workers[0].service.cache.max_size == 7
+            assert reloaded.config.escalation_threshold == 0.8
+            assert reloaded.config.shard_num_beams is None
+            assert [_full_signature(reloaded.submit(question))
                     for question in QUESTIONS[:3]] == expected
 
     def test_invalid_checkpoints_rejected(self, master_router, tmp_path):

@@ -4,8 +4,8 @@
 it escalates (``escalated_cache``), so a repeated low-confidence question
 costs one scatter, not two.  These tests pin what that memory may and may not
 do -- by counts and equality only: stub targets that count their calls where
-the dispatcher alone is under test, real fleets (inproc wave, inproc pool,
-subprocess workers) where the wiring is.
+the dispatcher alone is under test, real fleets (inproc wave, subprocess
+workers) where the wiring is.
 """
 
 from __future__ import annotations
@@ -274,7 +274,6 @@ class TestMemoOnStubs:
 #: whenever a second candidate exists, and both shards always offer one.
 FLEETS = {
     "inproc_wave": {},
-    "inproc_pool": {"replicas": 2},
     "subprocess": {"worker_backend": "subprocess"},
 }
 

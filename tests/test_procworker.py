@@ -692,8 +692,7 @@ class TestSubprocessCluster:
                 == {q: _signature([r]) for q, r in inproc_answers.items()}
             assert inproc.stats()["wave"]["enabled"] is True
             stats = sub.stats()
-            assert stats["wave"] == {"enabled": False,
-                                     "reason": "shard workers are not inproc"}
+            assert stats["wave"] == {"enabled": False}
             assert stats["worker_backend"] == "subprocess"
             assert stats["dispatcher"]["shard_failures"] == 0
             transports = [worker["transport"]

@@ -407,8 +407,11 @@ class TestRoutingService:
             results = service.submit_many(questions)
             assert len(results) == 4
             assert _route_signature(results[0]) == _route_signature(results[2])
-            # Only three distinct questions were actually decoded.
-            assert service.stats()["counters"]["routed"] == 3
+            # Only three distinct questions were actually decoded; all four
+            # misses were answered by routing.
+            stats = service.stats()
+            assert stats["batcher"]["requests_dispatched"] == 3
+            assert stats["counters"]["routed"] == 4
 
     def test_cache_does_not_alias_max_candidates(self, trained_router):
         # An ambiguous question ("name" exists in both databases) so the

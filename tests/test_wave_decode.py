@@ -1,19 +1,20 @@
 """Tests for cluster-native dense wave decode.
 
-Every unreplicated inproc fleet -- projected by ``from_router`` or booted by
+Every inproc fleet -- projected by ``from_router`` or booted by
 ``load_cluster`` -- decodes whole scatter waves through one stacked kernel
-stream (:class:`repro.cluster.wave.ClusterWaveEngine`) instead of one
-thread-pool call per shard.  These tests pin the seeded differential against
-the pool path (a twin pinned to it structurally, by a shard timeout), the
-content verification ``load_cluster`` does before sharing the master trunk,
-the one rule that decides which fleets scatter through the pool, the
-per-shard decode counters and trace shape, concurrent callers under a live
-rebalance, and the direct-submit fast path the dispatcher takes when no shard
-timeout is configured.
+stream (:class:`repro.cluster.wave.ClusterWaveEngine`); it has no other
+scatter path.  These tests pin the seeded differential against a pool twin
+the test builds (a ``ClusterDispatcher`` over a second fleet's per-shard
+``RoutingService`` path, the one a subprocess child runs), the content
+verification ``load_cluster`` does before sharing the master trunk, the
+isolation knobs only a subprocess fleet takes, the per-shard decode counters,
+their conservation and the trace shape, concurrent callers under a live
+rebalance, and the dispatcher's direct pool submit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -30,6 +31,7 @@ from repro.cluster import (
     ClusterRebalancer,
     ClusterRoutingService,
     load_cluster,
+    project_router,
     save_cluster,
 )
 from repro.cluster.transport import BINARY_KEY
@@ -42,11 +44,10 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
+from repro.serving import RoutingService, ServingConfig
+from repro.serving.cache import RouteCache
 from repro.serving.checkpoint import CheckpointError
 from test_cluster import QUESTIONS, _cluster_catalog
-
-#: What pins a fleet to the pool scatter without changing a routing decision.
-POOL_PIN = {"shard_timeout_seconds": 600.0}
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +87,33 @@ def _checkpoint(master_router, path, **config) -> None:
         save_cluster(cluster, path)
 
 
-def _serve(cluster, questions, wave_size: int = 8) -> list:
+def _waves(route_many, questions, wave_size: int = 8) -> list:
     return [routes for start in range(0, len(questions), wave_size)
-            for routes in cluster.submit_many(questions[start:start + wave_size])]
+            for routes in route_many(questions[start:start + wave_size])]
+
+
+def _serve(cluster, questions, wave_size: int = 8) -> list:
+    return _waves(cluster.submit_many, questions, wave_size)
+
+
+def _pool_twin(fleet) -> ClusterDispatcher:
+    """A thread-pool dispatcher over ``fleet``'s shards, configured like the
+    fleet's own: one ``ReplicaSet.route_batch`` -- ``ShardWorker.route_batch``
+    -> ``RoutingService.submit_many``, the per-shard path a subprocess child
+    runs -- per shard and tier, never the wave engine."""
+    config = fleet.config
+    careful = None
+    if config.escalation_threshold is not None:
+        careful = [functools.partial(replica_set.route_batch, careful=True)
+                   for replica_set in fleet.shards]
+    return ClusterDispatcher(
+        [replica_set.route_batch for replica_set in fleet.shards],
+        default_max_candidates=fleet.dispatcher.default_max_candidates,
+        careful_targets=careful,
+        escalation_threshold=config.escalation_threshold,
+        escalated_cache=RouteCache(max_size=config.cache_size,
+                                   ttl_seconds=config.cache_ttl_seconds)
+        if careful else None)
 
 
 def _scores(replies) -> list[float]:
@@ -110,15 +135,16 @@ def _shard_counters(cluster) -> list:
 
 class TestWaveAgainstPoolTwin:
     """The seeded differential: a default ``save_cluster`` -> ``load_cluster``
-    fleet against a checkpoint pinned to the pool scatter.
+    fleet against a pool twin the test builds (:func:`_pool_twin`).
 
-    The twin is always the *unsliced* checkpoint of the same layout.  For an
-    unsliced fleet that is its own checkpoint.  A sliced fleet's wave decodes
-    in calibrated-head mode -- master-vocabulary log-softmax, kept columns
-    gathered -- which is an unsliced decode to the bit, so it has to match
-    the same twin; its own pool twin prunes beams on slice-normalized scores
-    and only calibrates afterwards, so wide-beam tiers may rank the tail
-    differently there and only top-1 agreement is asserted against it.
+    The twin always scatters over the *unsliced* checkpoint of the same
+    layout.  For an unsliced fleet that is its own checkpoint.  A sliced
+    fleet's wave decodes in calibrated-head mode -- master-vocabulary
+    log-softmax, kept columns gathered -- which is an unsliced decode to the
+    bit, so it has to match the same twin; its own pool twin prunes beams on
+    slice-normalized scores and only calibrates afterwards, so wide-beam tiers
+    may rank the tail differently there and only top-1 agreement is asserted
+    against it.
     """
 
     @pytest.mark.parametrize("escalation_threshold", [0.8, None])
@@ -130,28 +156,29 @@ class TestWaveAgainstPoolTwin:
         _checkpoint(master_router, tmp_path / "unsliced",
                     escalation_threshold=escalation_threshold)
         with load_cluster(tmp_path / "ckpt") as wave, \
-                load_cluster(tmp_path / "unsliced",
-                             config=ClusterConfig(**POOL_PIN)) as pool:
+                load_cluster(tmp_path / "unsliced") as pool, \
+                _pool_twin(pool) as twin:
             assert wave.stats()["wave"]["enabled"] is True
-            assert pool.stats()["wave"]["enabled"] is False
             assert wave.wave_engine.has_careful_tier \
                 is (escalation_threshold is not None)
             kernel = wave.wave_engine._tiers[False].kernel
             assert kernel.calibrated_head is sliced
             wave_replies = _serve(wave, workload)
-            pool_replies = _serve(pool, workload)
-            # The wave decodes the very doubles the pool path does.
+            pool_replies = _waves(twin.route_batch, workload)
+            # The wave decodes the very doubles the per-shard path does.
             assert wave_replies == pool_replies
-            assert wave.dispatcher.escalations == pool.dispatcher.escalations
+            assert [score.hex() for score in _scores(wave_replies)] \
+                == [score.hex() for score in _scores(pool_replies)]
+            assert wave.dispatcher.escalations == twin.escalations
             if escalation_threshold is not None:
                 assert wave.dispatcher.escalations > 0
                 assert wave.stats()["wave"]["careful_waves"] > 0
             assert _shard_counters(wave) == _shard_counters(pool)
-            assert wave.stats()["counters"] == pool.stats()["counters"]
+            assert pool.stats()["wave"]["waves"] == 0
         if sliced:
-            with load_cluster(tmp_path / "ckpt",
-                              config=ClusterConfig(**POOL_PIN)) as sliced_pool:
-                sliced_replies = _serve(sliced_pool, workload)
+            with load_cluster(tmp_path / "ckpt") as sliced_pool, \
+                    _pool_twin(sliced_pool) as sliced_twin:
+                sliced_replies = _waves(sliced_twin.route_batch, workload)
             agree = sum(ours[0].database == theirs[0].database
                         for ours, theirs in zip(wave_replies, sliced_replies))
             assert agree >= round(0.99 * len(workload))
@@ -170,7 +197,8 @@ class TestWaveAgainstPoolTwin:
                 assert dict(zip(order, _serve(cluster, order, wave_size))) == alone
 
     def test_caches_interoperate_across_paths(self, master_router, tmp_path):
-        """A shard cache warmed through the pool path is hit by the wave."""
+        """A shard cache warmed through a shard's own ``submit_many`` is hit
+        by the wave."""
         _checkpoint(master_router, tmp_path / "ckpt", escalation_threshold=None)
         with load_cluster(tmp_path / "ckpt") as cluster:
             for replica_set in cluster.shards:
@@ -186,7 +214,7 @@ class TestLoadedFleetSharesTheMasterTrunk:
         _checkpoint(master_router, tmp_path / "ckpt")
         with load_cluster(tmp_path / "ckpt") as cluster:
             assert cluster.stats()["wave"]["enabled"] is True
-            assert cluster.stats()["wave"]["reason"] is None
+            assert "reason" not in cluster.stats()["wave"]
             master = cluster.master_router.model
             for replica_set in cluster.shards:
                 assert replica_set.workers[0].router.model is master
@@ -201,19 +229,6 @@ class TestLoadedFleetSharesTheMasterTrunk:
                     is cluster.master_router.model.recurrent_projection
                 assert router.vocabulary_slice.output_weight is head.weight.data
                 assert router.vocabulary_slice.output_bias is head.bias.data
-
-    def test_replicas_of_a_loaded_shard_share_one_sliced_twin(self, master_router,
-                                                              tmp_path):
-        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=True)
-        with load_cluster(tmp_path / "ckpt",
-                          config=ClusterConfig(replicas=2)) as cluster:
-            for replica_set in cluster.shards:
-                first, second = (worker.router for worker in replica_set.workers)
-                assert second is not first
-                assert second.model is first.model
-                assert second.vocabulary_slice is first.vocabulary_slice
-            assert cluster.submit_many(QUESTIONS[:4]) == \
-                cluster.submit_many(QUESTIONS[:4])      # one answer per replica
 
     @staticmethod
     def _retamper_weights(shard_dir, fix_checksum: bool) -> None:
@@ -288,6 +303,23 @@ class TestLoadedFleetSharesTheMasterTrunk:
         with pytest.raises(CheckpointError, match="warp_drive"):
             load_cluster(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_shards", 0),
+        ("worker_backend", "gpu"),
+        ("replicas", 2),                    # inproc: a subprocess-only knob
+    ])
+    def test_an_invalid_saved_config_is_a_checkpoint_error(
+            self, master_router, tmp_path, field, value):
+        _checkpoint(master_router, tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["config"]["worker_backend"] == "inproc"
+        manifest["config"][field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=field) as outcome:
+            load_cluster(tmp_path / "ckpt")
+        assert isinstance(outcome.value.__cause__, ValueError)
+
     @pytest.mark.parametrize("saved", [False, True])
     def test_retired_pipelined_transport_key_boots_the_one_wire(
             self, master_router, tmp_path, saved):
@@ -353,21 +385,28 @@ class TestLoadedFleetSharesTheMasterTrunk:
 
 
 class TestWhichFleetsScatterThroughThePool:
-    @pytest.mark.parametrize("override, reason", [
-        ({"replicas": 2}, "replication"),
-        ({"shard_timeout_seconds": 30.0}, "isolation"),
-        ({"allow_partial": True}, "isolation"),
+    @pytest.mark.parametrize("field, value", [
+        ("replicas", 2),
+        ("shard_timeout_seconds", 1.0),
+        ("allow_partial", True),
     ])
-    def test_structural_pins(self, master_router, override, reason):
-        config = ClusterConfig(num_shards=2, strategy="round_robin", **override)
+    def test_isolation_knobs_are_subprocess_only(self, field, value):
+        """An inproc fleet is one wave: the knobs that would send it off the
+        wave are refused there, and accepted for subprocess workers."""
+        with pytest.raises(ValueError, match=f"{field}.*subprocess"):
+            ClusterConfig(**{field: value})
+        config = ClusterConfig(worker_backend="subprocess", **{field: value})
+        assert getattr(config, field) == value
+
+    def test_a_fleet_that_cannot_stack_raises(self, master_router):
+        config = ClusterConfig(num_shards=2, strategy="round_robin")
         with ClusterRoutingService.from_router(master_router, config) as cluster:
-            assert cluster.wave_engine is None
-            assert cluster.submit(QUESTIONS[0])
-            stats = cluster.stats()
-        assert stats["wave"]["enabled"] is False
-        assert reason in stats["wave"]["reason"]
-        assert "scatter" in stats["stages"]
-        assert "wave_decode" not in stats["stages"]
+            first = cluster.shards[0].workers[0]
+            first.service.replace_router(project_router(
+                master_router, first.databases, num_beams=3, beam_groups=1))
+            with pytest.raises(ValueError, match="uniform shard decode"):
+                ClusterRoutingService(cluster.shards, cluster.assignment,
+                                      config=config)
 
     def test_wave_decode_is_not_a_knob(self):
         assert "wave_decode" not in ClusterConfig.__dataclass_fields__
@@ -426,10 +465,12 @@ class TestWaveBookkeeping:
             assert first[0] == first[1]
             assert cluster.submit_many([QUESTIONS[0]])[0] == first[0]
             stats = cluster.stats()
-        # Each shard decoded 2 unique questions once; the repeat was a hit.
+        # Each shard decoded 2 unique questions once and answered 3 misses
+        # (the within-wave repeat is routed, not a hit); the later repeat
+        # was a hit.
         for shard in stats["shards"]:
             assert shard["workers"][0]["counters"] == \
-                {"requests": 4, "routed": 2, "cache_hits": 1}
+                {"requests": 4, "routed": 3, "cache_hits": 1}
         assert stats["cache_hit_rate"] > 0.0
 
     def test_a_failed_wave_counts_errors_per_shard(self, master_router,
@@ -458,6 +499,64 @@ class TestWaveBookkeeping:
             for replica_set in cluster.shards:
                 (replica,) = replica_set.stats()["replicas"]
                 assert (replica["successes"], replica["quarantined"]) == (1, False)
+
+
+class TestCountersConserve:
+    """``requests == cache_hits + routed + errors`` per shard tier, however a
+    wave went: within-wave repeats of a miss, repeats of a hit, and a wave
+    whose decode raised."""
+
+    WAVES = [
+        QUESTIONS[:2] + QUESTIONS[:1],                 # a repeated miss
+        QUESTIONS[1:4] + QUESTIONS[3:4] * 2,           # a hit, a miss x3
+    ]
+    FAILED = QUESTIONS[4:6] + QUESTIONS[4:5]
+
+    def _drive(self, route_many, services, monkeypatch) -> list[dict]:
+        """Route the waves, checking conservation after each; returns every
+        service's final counters."""
+        def check() -> list[dict]:
+            tiers = [service.metrics.counters() for service in services]
+            for counters in tiers:
+                assert counters["requests"] == sum(
+                    counters.get(key, 0)
+                    for key in ("cache_hits", "routed", "errors")), counters
+            return tiers
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("boom")
+
+        for wave in self.WAVES:
+            route_many(wave)
+            check()
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.core.router.diverse_beam_search_batch", broken)
+            with pytest.raises(Exception):
+                route_many(self.FAILED)
+        check()
+        route_many(self.FAILED + QUESTIONS[:1])       # recovered, mixed
+        return check()
+
+    def test_on_the_wave(self, master_router, monkeypatch):
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               escalation_threshold=1.0)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            workers = [replica_set.workers[0] for replica_set in cluster.shards]
+            tiers = self._drive(
+                cluster.submit_many,
+                [service for worker in workers
+                 for service in (worker.service, worker.careful_service)],
+                monkeypatch)
+            assert [tier["errors"] for tier in tiers[::2]] == [len(self.FAILED)] * 2
+            assert cluster.stats()["wave"]["careful_waves"] > 0
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_on_submit_many(self, master_router, monkeypatch, batching):
+        with RoutingService(master_router,
+                            ServingConfig(enable_batching=batching)) as service:
+            (counters,) = self._drive(service.submit_many, [service], monkeypatch)
+            assert counters["errors"] == len(self.FAILED)
+            assert counters["routed"] > len(set(QUESTIONS[:6]))
 
 
 class TestConcurrentWaves:
@@ -523,28 +622,17 @@ class TestConcurrentWaves:
 
 
 class TestDirectSubmitWithoutTimeout:
-    """Satellite: with no shard timeout the dispatcher submits the target
-    itself to the pool -- no call_with_timeout wrapper, no watchdog thread."""
-
-    @staticmethod
-    def _record_thread(seen: list):
-        def target(questions, max_candidates, trace=None):
-            seen.append(threading.current_thread().name)
-            return [[] for _ in questions]
-        return target
+    """The dispatcher submits the target itself to the pool: a deadline is
+    the worker's own, so there is no wrapper and no watchdog thread."""
 
     def test_no_timeout_runs_on_the_dispatch_pool_thread(self):
         seen: list[str] = []
-        with ClusterDispatcher([self._record_thread(seen)],
-                               shard_timeout_seconds=None) as dispatcher:
+
+        def target(questions, max_candidates, trace=None):
+            seen.append(threading.current_thread().name)
+            return [[] for _ in questions]
+
+        with ClusterDispatcher([target]) as dispatcher:
             dispatcher.route_batch(["q"])
         assert len(seen) == 1
         assert seen[0].startswith("repro-cluster-dispatch")
-
-    def test_timeout_still_uses_the_watchdog_thread(self):
-        seen: list[str] = []
-        with ClusterDispatcher([self._record_thread(seen)],
-                               shard_timeout_seconds=5.0) as dispatcher:
-            dispatcher.route_batch(["q"])
-        assert len(seen) == 1
-        assert seen[0].startswith("repro-cluster-shard")
