@@ -19,8 +19,8 @@ across the shards and merges the candidates into one deterministic top-k:
 * :mod:`repro.cluster.rebalance` -- live add/remove/move of databases with
   single-shard cache invalidation;
 * :mod:`repro.cluster.wave` -- dense wave decode: the whole inproc fleet's
-  distinct live prefixes stacked into one kernel stream per step, with per-shard
-  vocabulary slices and constraint masks intact;
+  distinct live prefixes stacked into one kernel stream per step over the
+  master's one model, each row under its own shard's constraint;
 * :mod:`repro.cluster.service` -- :class:`ClusterRoutingService`, the façade
   mirroring the PR-1 ``RoutingService`` API plus cluster-wide metrics;
 * :mod:`repro.cluster.checkpoint` -- whole-cluster save/load (shard manifest
@@ -56,7 +56,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ClusterRoutingService": "repro.cluster.service",
     "ShardWorker": "repro.cluster.shard",
     "project_router": "repro.cluster.shard",
-    "slice_target_vocabulary": "repro.cluster.shard",
     "ClusterWaveEngine": "repro.cluster.wave",
     "ProcShardWorker": "repro.cluster.procworker",
     "WorkerCrashedError": "repro.cluster.procworker",

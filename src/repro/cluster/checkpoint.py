@@ -47,8 +47,9 @@ CLUSTER_VERSION = 1
 CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
-#: them, and loading drops them.
-RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport"})
+#: them, and loading drops them (``sliced_vocabulary`` only while false).
+RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
+                                 "sliced_vocabulary"})
 
 
 def _shard_dir(shard_id: int) -> str:
@@ -186,8 +187,8 @@ def _project_inproc_worker(shard_path: Path, entry: dict, config: ClusterConfig,
     """One shard's inproc worker, projected from ``master``.
 
     The worker serves the same objects ``from_router`` hands out -- the
-    master's trunk (and, unsliced, its head) by reference, a sliced head as a
-    view of the master's own arrays -- so a loaded fleet decodes as one wave.
+    master's model and vocabularies by reference -- so a loaded fleet decodes
+    as one wave.
     The shard directory is not loaded but *verified*: its contents must equal
     the projection it is replaced by.
     """
@@ -199,7 +200,6 @@ def _project_inproc_worker(shard_path: Path, entry: dict, config: ClusterConfig,
             num_beams=saved["router_config"]["num_beams"],
             beam_groups=saved["router_config"]["beam_groups"],
             escalation_num_beams=config.escalation_beams_for(master),
-            sliced_vocabulary="vocabulary_slice" in saved,
             checkpoint_dir=shard_path)
     except (KeyError, ValueError) as error:
         raise CheckpointError(f"shard {entry['shard_id']} checkpoint is not a "
@@ -209,7 +209,16 @@ def _project_inproc_worker(shard_path: Path, entry: dict, config: ClusterConfig,
 
 
 def _saved_config(payload: dict) -> ClusterConfig:
-    """The manifest's ``ClusterConfig``, tolerant of keys this build retired."""
+    """The manifest's ``ClusterConfig``, tolerant of keys this build retired.
+
+    A fleet saved with ``sliced_vocabulary`` on holds shard routers whose
+    scores are normalised over their own slice of the vocabulary: it is
+    refused here, before any worker spawns, never served uncalibrated."""
+    if payload.get("sliced_vocabulary"):
+        raise CheckpointError(
+            f"cluster manifest config has sliced_vocabulary=true, which this "
+            f"build no longer serves; re-save the cluster from its "
+            f"{MASTER_DIR}/ router")
     known = {field.name for field in fields(ClusterConfig)}
     unknown = sorted(set(payload) - known - RETIRED_CONFIG_KEYS)
     if unknown:
@@ -245,11 +254,7 @@ def load_cluster(path: str | Path,
                          shard_num_beams=saved_config.shard_num_beams,
                          shard_beam_groups=saved_config.shard_beam_groups,
                          escalation_threshold=saved_config.escalation_threshold,
-                         escalation_num_beams=saved_config.escalation_num_beams,
-                         # Slicing changes what each shard checkpoint contains
-                         # (sliced vocab + slice.npz), so it is pinned like the
-                         # beam budgets: the checkpoint decides.
-                         sliced_vocabulary=saved_config.sliced_vocabulary)
+                         escalation_num_beams=saved_config.escalation_num_beams)
     if config.num_shards != assignment.num_shards:
         config = replace(config, num_shards=assignment.num_shards)
     master = load_router(path / MASTER_DIR)

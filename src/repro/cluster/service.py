@@ -89,12 +89,6 @@ class ClusterConfig:
     #: Beam budget of the escalation tier; None derives
     #: ``max(2, num_beams // num_shards)`` from the master router.
     escalation_num_beams: int | None = None
-    #: Slice each shard's target vocabulary / output head to its own
-    #: sub-catalog tokens (see :func:`repro.cluster.shard.project_router`):
-    #: decode cost scales with the slice, and final scores are calibrated by
-    #: exact full-vocabulary rescoring so the cross-shard merge still
-    #: compares like with like.
-    sliced_vocabulary: bool = False
     #: Per-request deadline of each worker process (None = wait forever); a
     #: miss kills the wedged child and raises ``ShardTimeoutError``.
     #: Subprocess only.
@@ -311,8 +305,7 @@ class ClusterRoutingService:
                 shard_id, databases, master,
                 serving_config=config.serving_config(),
                 num_beams=beams, beam_groups=groups,
-                escalation_num_beams=escalation_beams,
-                sliced_vocabulary=config.sliced_vocabulary)],
+                escalation_num_beams=escalation_beams)],
                 quarantine_seconds=config.quarantine_seconds)
             for shard_id, databases in enumerate(assignment.shards)
         ]

@@ -20,99 +20,22 @@ where the cluster's single-core speedup comes from.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from repro.core.graph import SchemaGraph
 from repro.core.router import SchemaRoute, SchemaRouter
-from repro.core.serialization import ELEMENT_SEPARATOR
-from repro.nn.seq2seq import Seq2SeqModel, VocabularySlice
-from repro.nn.tokenizer import Vocabulary
 from repro.serving.service import RoutingService, ServingConfig
-
-#: Modules shared by reference between the master model and a sliced shard
-#: twin: everything except the target embedding and output head, whose rows /
-#: columns are the slice.
-_TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
-                  "input_projection", "recurrent_projection",
-                  "combine_projection")
-
-
-def slice_target_vocabulary(master: SchemaRouter,
-                            graph: SchemaGraph) -> tuple[np.ndarray, Vocabulary]:
-    """The master target-vocabulary rows a sub-catalog needs.
-
-    Returns ``(kept_ids, sliced_vocabulary)``: the ascending master token ids
-    of the special tokens, the element separator, and every word of the
-    sub-catalog's database and table names, plus the sliced
-    :class:`Vocabulary` over exactly those tokens (specials keep ids 0..4, so
-    BOS/EOS/PAD agree between master and slice).  Sliced id ``j`` corresponds
-    to master id ``kept_ids[j]``.
-    """
-    master_vocabulary = master.target_vocabulary
-    master_tokens = master_vocabulary.tokens()
-    needed = Vocabulary(specials=master_vocabulary.specials)
-    needed.add(ELEMENT_SEPARATOR)
-    for database in graph.databases():
-        needed.add_text(database)
-        for table in graph.tables_of(database):
-            needed.add_text(table)
-    wanted = set(needed.tokens())
-    num_specials = len(master_vocabulary.specials.as_tuple())
-    kept = [index for index, token in enumerate(master_tokens)
-            if index < num_specials or token in wanted]
-    sliced = Vocabulary([master_tokens[index] for index in kept[num_specials:]],
-                        specials=master_vocabulary.specials)
-    return np.asarray(kept, dtype=np.int64), sliced
-
-
-def _sliced_model(master_model: Seq2SeqModel, kept_ids: np.ndarray) -> Seq2SeqModel:
-    """A shard twin of ``master_model`` over ``kept_ids`` of the target vocab.
-
-    Shares every trunk module by reference (the module tree walk in
-    ``state_dict`` / ``parameters`` follows attributes, so the twin persists
-    and loads through the standard checkpoint machinery); only the target
-    embedding rows and output-head columns are copied, sliced to the kept
-    ids.  Inference through the twin is therefore the master's computation
-    restricted to the slice: per-step log-softmax normalizes over the slice
-    (scores need :func:`repro.nn.seq2seq.rescore_token_sequences` to compare
-    across shards), while argmax-within-constraint is unchanged.
-    """
-    sliced = Seq2SeqModel(replace(master_model.config,
-                                  target_vocab_size=int(kept_ids.shape[0])))
-    for attribute in _TRUNK_MODULES:
-        setattr(sliced, attribute, getattr(master_model, attribute))
-    sliced.target_embedding.weight.data = np.ascontiguousarray(
-        master_model.target_embedding.weight.data[kept_ids])
-    sliced.output_projection.weight.data = np.ascontiguousarray(
-        master_model.output_projection.weight.data[:, kept_ids])
-    sliced.output_projection.bias.data = np.ascontiguousarray(
-        master_model.output_projection.bias.data[kept_ids])
-    return sliced
 
 
 def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[str],
                    num_beams: int | None = None,
-                   beam_groups: int | None = None,
-                   sliced_vocabulary: bool = False) -> SchemaRouter:
+                   beam_groups: int | None = None) -> SchemaRouter:
     """Restrict a trained ``master`` router to ``database_names``.
 
     The projected router shares the master's model and vocabularies (no
     training, no copying of weights) but decodes under the sub-catalog's graph
     constraint, so it can only ever emit schemata of its own shard.  An empty
     ``database_names`` yields a router that routes every question to ``[]``.
-
-    ``sliced_vocabulary=True`` additionally slices the *target* vocabulary to
-    the shard's own sub-catalog tokens: the projected router decodes a model
-    twin whose target embedding and output head keep only the kept rows
-    (decode cost scales with the shard's slice, not the global vocabulary),
-    sharing the trunk with the master by reference.  Its
-    ``vocabulary_slice`` carries the mapping back to the master head, and
-    final scores are calibrated by exact full-vocabulary rescoring
-    (:meth:`repro.core.router.SchemaRouter.rescore_hypotheses`), so merged
-    rankings stay comparable across differently-sliced shards.
     """
     if not master.is_trained:
         raise ValueError("cannot project an untrained router")
@@ -131,18 +54,8 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
         config = config.ablated(num_beams=beams, beam_groups=groups)
     projected = SchemaRouter(graph=SchemaGraph.from_components(sub_catalog, edges),
                              config=config)
-    if not sliced_vocabulary:
-        projected.restore(master.model, master.source_vocabulary,
-                          master.target_vocabulary, master.training_losses)
-        return projected
-    kept_ids, sliced_vocab = slice_target_vocabulary(master, projected.graph)
-    projected.restore(_sliced_model(master.model, kept_ids),
-                      master.source_vocabulary, sliced_vocab,
-                      master.training_losses)
-    projected.vocabulary_slice = VocabularySlice(
-        kept_ids=kept_ids,
-        output_weight=master.model.output_projection.weight.data,
-        output_bias=master.model.output_projection.bias.data)
+    projected.restore(master.model, master.source_vocabulary,
+                      master.target_vocabulary, master.training_losses)
     return projected
 
 
@@ -183,9 +96,6 @@ class ShardWorker:
             num_beams=self.escalation_num_beams, beam_groups=1))
         careful.restore(fast.model, fast.source_vocabulary,
                         fast.target_vocabulary, fast.training_losses)
-        # A shared (possibly sliced) model needs the same calibration mapping
-        # back to the master head.
-        careful.vocabulary_slice = fast.vocabulary_slice
         return careful
 
     @classmethod
@@ -195,11 +105,9 @@ class ShardWorker:
                         num_beams: int | None = None,
                         beam_groups: int | None = None,
                         escalation_num_beams: int | None = None,
-                        sliced_vocabulary: bool = False,
                         checkpoint_dir: str | Path | None = None) -> "ShardWorker":
         router = project_router(master, databases, num_beams=num_beams,
-                                beam_groups=beam_groups,
-                                sliced_vocabulary=sliced_vocabulary)
+                                beam_groups=beam_groups)
         return cls(shard_id, databases, router, serving_config=serving_config,
                    checkpoint_dir=checkpoint_dir,
                    escalation_num_beams=escalation_num_beams)
@@ -244,9 +152,6 @@ class ShardWorker:
             master, databases,
             num_beams=self.router.config.num_beams,
             beam_groups=self.router.config.beam_groups,
-            # Preserve the slicing mode across rebalances (checkpoint-booted
-            # workers included: a sliced router always carries its slice).
-            sliced_vocabulary=self.router.vocabulary_slice is not None,
         )
         self.databases = tuple(databases)
         self.service.replace_router(router)

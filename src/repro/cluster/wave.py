@@ -1,22 +1,14 @@
 """Cluster-native dense wave decode: one kernel stream for the whole fleet.
 
-An inproc fleet's shards share one interpreter, so instead of K separate
-decode loops per wave, :class:`ClusterWaveEngine` stacks every shard's beams
-into *one* decode: each (shard, pending-question) pair becomes a virtual
-question of a single :func:`repro.core.router.beam_search_wave` call over a
-:class:`repro.nn.seq2seq.DecodeKernel`, tagged with its shard index so
-per-shard constraints and vocabulary slices stay exactly as they are in a
-shard's own ``RoutingService`` (a row ranks the token ids its own shard's
-constraint allows, which index that shard's columns, so slices of different
-widths share a wave with no padding on the selection side).  The kernel is
-the one exact kernel, so a question gets the same doubles in every wave, and
-from a shard's own decode.  With sliced vocabularies the kernel decodes in
-calibrated-head mode: one master-width output GEMM per step, log-softmax over
-the *master* vocabulary, each shard's kept columns gathered into its rows --
-so search prunes exactly as a master-head decode restricted to the slice
-would, and finished hypotheses already carry exact master-vocabulary scores
-(a shard's own decode gets them by post-hoc replay through the same trunk,
-:meth:`SchemaRouter.rescore_hypotheses`).
+An inproc fleet's shards share one interpreter and decode the master's one
+model object, so instead of K separate decode loops per wave,
+:class:`ClusterWaveEngine` stacks every shard's beams into *one* decode: each
+(shard, pending-question) pair becomes a virtual question of a single
+:func:`repro.core.router.beam_search_wave` call over
+``DecodeKernel(master model)``, tagged with its shard index so each row ranks
+exactly the token ids its own shard's constraint allows, as in a shard's own
+``RoutingService``.  The kernel is the one exact kernel, so a question gets
+the same doubles in every wave, and from a shard's own decode.
 
 Around the stacked decode each shard's service runs its one request path,
 :meth:`~repro.serving.service.RoutingService.consult` then
@@ -27,9 +19,9 @@ from cache probe to cache put: concurrent callers take turns, and a rebalance
 swaps routers between waves, never under one.
 
 Every inproc fleet decodes this way, however it was booted: projection
-(``from_router``, ``load_cluster``, a rebalance) shares the master trunk by
-reference and gives every shard one beam budget, and a fleet that cannot
-stack fails at construction.
+(``from_router``, ``load_cluster``, a rebalance) shares the master model and
+vocabularies by reference and gives every shard one beam budget, and a fleet
+that cannot stack fails at construction.
 """
 
 from __future__ import annotations
@@ -60,10 +52,10 @@ class _WaveTier:
     """One decode tier (fast or careful) of every shard, stacked.
 
     Holds the per-shard serving objects (for caches and counters), the
-    routers (for constraints, calibration, and parsing), and the
-    :class:`DecodeKernel` that decodes all of them at once.  Built
-    against a snapshot of each service's current router; the engine rebuilds
-    a tier whenever a rebalance swapped a router out from under it.
+    routers (for constraints and parsing), and the :class:`DecodeKernel` over
+    their one model that decodes all of them at once.  Built against a
+    snapshot of each service's current router; the engine rebuilds a tier
+    whenever a rebalance swapped a router out from under it.
     """
 
     def __init__(self, services: Sequence, routers: Sequence[SchemaRouter]) -> None:
@@ -77,23 +69,14 @@ class _WaveTier:
                         f"wave decode requires uniform shard decode configs: "
                         f"{field} differs ({getattr(router.config, field)!r} "
                         f"vs {getattr(base.config, field)!r})")
-            if router.source_vocabulary is not base.source_vocabulary and \
-                    router.source_vocabulary.tokens() \
-                    != base.source_vocabulary.tokens():
-                raise ValueError("wave decode requires one shared source "
-                                 "vocabulary across shards")
-            if (router.target_vocabulary.bos_id != base.target_vocabulary.bos_id
-                    or router.target_vocabulary.eos_id
-                    != base.target_vocabulary.eos_id):
-                raise ValueError("wave decode requires matching special "
-                                 "token ids across shards")
-        # Validates that every shard model shares the master trunk by
-        # reference and that any vocabulary slices share one master head --
-        # in which case the kernel decodes in calibrated-head mode and emits
-        # exact master-vocabulary scores with no post-hoc rescoring.
-        self.kernel = DecodeKernel(
-            [router.model for router in self.routers],
-            [router.vocabulary_slice for router in self.routers])
+            if router.model is not base.model:
+                raise ValueError("wave decode requires every shard to decode "
+                                 "one model object")
+            if router.source_vocabulary is not base.source_vocabulary \
+                    or router.target_vocabulary is not base.target_vocabulary:
+                raise ValueError("wave decode requires every shard to share "
+                                 "one pair of vocabulary objects")
+        self.kernel = DecodeKernel(base.model)
         self.max_source_length = base.config.max_source_length
         self.pad_id = base.source_vocabulary.pad_id
         self.source_tokenizer = WordTokenizer(base.source_vocabulary)
@@ -123,7 +106,7 @@ class ClusterWaveEngine:
             {"shard_id": worker.shard_id, **dict.fromkeys(_DECODE_COUNTERS, 0)}
             for worker in self.workers
         ]
-        # Build tiers eagerly so a fleet that cannot stack (unshared trunk,
+        # Build tiers eagerly so a fleet that cannot stack (another model,
         # mismatched beam budgets) fails at construction time.
         for careful in (False, True) if self.has_careful_tier else (False,):
             with self._locked_tier(careful):
@@ -198,8 +181,7 @@ class ClusterWaveEngine:
         if not needed:
             return [[] for _ in pending_per_shard]
         # Encode each missing question once for the whole fleet: every shard
-        # model shares the master encoder trunk by reference, so shard 0's
-        # encoding is every shard's encoding.
+        # decodes the one model, so shard 0's encoding is every shard's.
         with maybe_span(trace, "encode", questions=len(needed)):
             encoded_of = dict(zip(needed, tier.routers[0].model.encode_numpy_batch(
                 [tier.source_tokenizer.encode_text(
@@ -214,15 +196,10 @@ class ClusterWaveEngine:
         hypotheses_batch = beam_search_wave(
             tier.kernel, tier.routers, tags, encoded,
             traces=() if trace is None else (trace,), stats=stats)
-        # Sliced shards come out of the kernel's calibrated-head decode with
-        # exact master-vocabulary scores already, so rescore_hypotheses only
-        # replays the (rare) greedy fallbacks.
         for row, tag in enumerate(tags):
             if not hypotheses_batch[row]:
-                router = tier.routers[tag]
-                hypotheses_batch[row] = router.decode_fallback(encoded[row])
-                router.rescore_hypotheses([encoded[row]], [hypotheses_batch[row]])
-        # Each shard's local token ids are parsed with its own vocabulary.
+                hypotheses_batch[row] = tier.routers[tag].decode_fallback(encoded[row])
+        # Each shard parses against its own sub-catalog graph.
         with maybe_span(trace, "parse"):
             rows = iter(hypotheses_batch)
             return [[tier.routers[shard].combine_hypotheses(

@@ -27,14 +27,7 @@ from repro.nn.decoding import (
     diverse_beam_search_loop,
     greedy_decode,
 )
-from repro.nn.seq2seq import (
-    DecodeKernel,
-    EncodedSource,
-    Seq2SeqConfig,
-    Seq2SeqModel,
-    VocabularySlice,
-    rescore_token_sequences,
-)
+from repro.nn.seq2seq import DecodeKernel, EncodedSource, Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
 from repro.obs.trace import distinct_traces, stage_spans
 from repro.utils.memo import evict_oldest
@@ -191,16 +184,16 @@ def beam_search_wave(kernel: DecodeKernel | None,
                      encoded_batch: "Sequence[EncodedSource]",
                      traces: Sequence = (), stats: dict | None = None) -> list[list]:
     """One beam search for every row of a batch: a monolith's, or a cluster
-    wave's over several routers of one trunk.
+    wave's over several routers of one model.
 
     Row ``i`` decodes ``encoded_batch[i]`` under the constraint of
     ``routers[tags[i]]``, all rows advancing together through ``kernel`` (a
-    :class:`repro.nn.seq2seq.DecodeKernel` over the routers' models).  A
+    :class:`repro.nn.seq2seq.DecodeKernel` over the routers' one model).  A
     monolith is a wave with one shard: ``tags=None`` decodes every row under
     ``routers[0]``, and ``kernel=None`` sends each row through the loop
     oracle instead (``decode_backend="loop"``).  The routers must agree on
-    the beam budget and special token ids -- the cluster wave engine checks
-    that -- so ``routers[0]`` configures the search.  Every context in
+    the beam budget and share their vocabularies -- the cluster wave engine
+    checks that -- so ``routers[0]`` configures the search.  Every context in
     ``traces`` gets a ``decode`` span annotated with the engine counters, the
     constraints' mask-cache traffic (one resolution per registered row: a hit
     when the row's state already holds its allowed ids) and the automaton
@@ -272,12 +265,6 @@ class SchemaRouter:
         self._parse_cache: dict[tuple[int, ...], tuple[str, tuple[str, ...]] | None] = {}
         self.max_cached_parses = 4096
         self.training_losses: list[float] = []
-        #: Set when this router decodes over a sliced target vocabulary (a
-        #: cluster shard projected with ``sliced_vocabulary=True``): maps the
-        #: slice back to the master output head so decoded scores can be
-        #: calibrated to exact master-vocabulary log-probabilities.  ``None``
-        #: for ordinary (global-vocabulary) routers.
-        self.vocabulary_slice: VocabularySlice | None = None
 
     # -- vocabulary --------------------------------------------------------------
     def _build_vocabularies(self, examples: list[SyntheticExample]) -> None:
@@ -444,15 +431,12 @@ class SchemaRouter:
             )
         # A monolith is a wave with one shard: this router's model, no tags.
         kernel = (None if self.config.decode_backend == "loop"
-                  else DecodeKernel([self._model]))
+                  else DecodeKernel(self._model))
         hypotheses_batch = beam_search_wave(kernel, [self], None, encoded_batch,
                                             traces=contexts, stats=decode_stats)
         for index, hypotheses in enumerate(hypotheses_batch):
             if not hypotheses:
                 hypotheses_batch[index] = self.decode_fallback(encoded_batch[index])
-        if self.vocabulary_slice is not None:
-            with stage_spans(contexts, "calibrate", questions=len(questions)):
-                self.rescore_hypotheses(encoded_batch, hypotheses_batch)
         with stage_spans(contexts, "parse"):
             results: list[list[SchemaRoute]] = []
             for hypotheses in hypotheses_batch:
@@ -505,39 +489,6 @@ class SchemaRouter:
                               self.target_vocabulary.eos_id,
                               max_length=self.config.max_decode_length,
                               constraint=self.constraint, encoded=encoded)]
-
-    def rescore_hypotheses(self, encoded_batch: "Sequence[EncodedSource]",
-                           hypotheses_batch: "Sequence[list]") -> None:
-        """Calibrate sliced-vocabulary scores to master-vocabulary scores.
-
-        In-place, batched over every hypothesis of every question: each final
-        sequence is replayed teacher-forced through the trunk against the
-        full master head (see
-        :func:`repro.nn.seq2seq.rescore_token_sequences`), and its score
-        replaced by the exact global log-probability -- afterwards scores
-        from differently-sliced shards are directly comparable, exactly as
-        if every shard had decoded over the master vocabulary.  No-op for
-        unsliced routers.
-        """
-        if self.vocabulary_slice is None:
-            return
-        eos_id = self.target_vocabulary.eos_id
-        encoded_rows: list[EncodedSource] = []
-        sequences: list[list[int]] = []
-        rows: list[tuple[int, int]] = []
-        for question, hypotheses in enumerate(hypotheses_batch):
-            for position, hypothesis in enumerate(hypotheses):
-                encoded_rows.append(encoded_batch[question])
-                sequences.append(hypothesis.tokens + [eos_id]
-                                 if hypothesis.finished else list(hypothesis.tokens))
-                rows.append((question, position))
-        if not rows:
-            return
-        scores = rescore_token_sequences(self.model, encoded_rows, sequences,
-                                         self.vocabulary_slice,
-                                         bos_id=self.target_vocabulary.bos_id)
-        for (question, position), score in zip(rows, scores):
-            hypotheses_batch[question][position].score = float(score)
 
     def combine_hypotheses(self, hypotheses: list,
                            max_candidates: int | None = None) -> list[SchemaRoute]:

@@ -377,7 +377,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     advances once per decode step, as one row of one :meth:`DecodeKernel.step
     <repro.nn.seq2seq.DecodeKernel.step>` call.  ``model`` is that kernel or
     a bare :class:`~repro.nn.seq2seq.Seq2SeqModel`, decoded through its
-    one-shard kernel.
+    kernel.
 
     * A row is a decoder state, a previous token, its question's encoder
       operands and its short candidate list: ``tokens``, the ids the
@@ -434,14 +434,14 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
 
     The cluster wave form: ``constraint`` may be a *sequence* with exactly one
     entry per question (each ``None`` or incremental-protocol), and
-    ``question_tags`` labels each question with an integer shard tag that its
-    rows hand to the kernel each step (per-shard table rows and head columns)
-    and that splits the counters into ``stats["per_tag"]``.  Rows never span
-    questions, hence never shards; a shard's ids index its own columns, so
-    shards of different vocabulary widths mix without padding.
+    ``question_tags`` labels each question with an integer shard tag that
+    splits the counters into ``stats["per_tag"]``.  Every shard decodes the
+    one model, so the kernel never sees a tag; rows never span questions,
+    hence never shards, and each row ranks only what its own shard's
+    constraint allows.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
-    kernel = model if isinstance(model, DecodeKernel) else DecodeKernel([model])
+    kernel = model if isinstance(model, DecodeKernel) else DecodeKernel(model)
     num_questions = len(encoded_batch)
     if num_questions == 0:
         return []
@@ -504,8 +504,8 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                  for question in range(num_questions)]
     group_active = [[True] * num_groups for _ in range(num_questions)]
 
-    # Shard tags (the wave path): handed to the kernel per row each step, and
-    # splitting the counters per tag in the final stats.
+    # Shard tags (the wave path): splitting the counters per tag in the
+    # final stats.
     tags: np.ndarray | None = None
     if question_tags is not None:
         tags = np.asarray(list(question_tags), dtype=np.int64)
@@ -573,8 +573,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         steps += 1
         beam_rows += len(previous)
         log_probabilities, step_states = kernel.step(
-            states, np.asarray(previous, dtype=np.int64), input_table, operands,
-            tags=row_tags)
+            states, np.asarray(previous, dtype=np.int64), input_table, operands)
         if None in row_tokens:
             # Rows nothing constrains: the lemma's ``reach`` best, ascending.
             open_rows = [row for row, tokens in enumerate(row_tokens)

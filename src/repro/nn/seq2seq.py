@@ -23,14 +23,13 @@ Every fixed-dimension projection of the encoder and of that kernel goes
 through :func:`row_stable_matmul`, a GEMM in fixed ``TILE_ROWS``-row tiles:
 row-stable like the one-row GEMVs it replaced, at nearly the speed of a flat
 GEMM.  The trunk exists once: :class:`DecodeKernel` (what the batched search
-engine steps through, for any number of shard models of one trunk) and
-:func:`rescore_token_sequences` (sliced-vocabulary calibration) both step
-:meth:`Seq2SeqModel.decode_trunk_numpy_batch`.
+engine steps through, for a monolith or a whole cluster wave of one model)
+steps :meth:`Seq2SeqModel.decode_trunk_numpy_batch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +56,7 @@ def row_stable_matmul(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     shape: the rows are copied into a C-contiguous buffer zero-padded to a
     multiple of :data:`TILE_ROWS` and multiplied as a stack of ``(TILE_ROWS,
     k) @ (k, n)`` tiles (numpy calls BLAS once per tile), then the pad is
-    sliced off.  The copy is unconditional -- whatever strides the caller's
+    dropped.  The copy is unconditional -- whatever strides the caller's
     array has, BLAS reads the same layout, so there is one path.
 
     That a row of a fixed-shape GEMM does not see its tile neighbours is a
@@ -200,7 +199,7 @@ class Seq2SeqModel(Module):
 
         The embedding lookup and encoder projection run as one stacked matmul
         over every token of the padded batch (the expensive part), then each
-        item's memory is sliced back to its true length.  The product is
+        item's memory is cut back to its true length.  The product is
         :func:`row_stable_matmul`'s, as in :meth:`encode_numpy`, so each
         question encodes to *bit-identical* doubles no matter which
         micro-batch it arrives in: routes, and therefore caches and
@@ -299,9 +298,8 @@ class Seq2SeqModel(Module):
         embeddings in, (pre-head activations ``(R, h)``, new states ``(R, h)``)
         out, under the bit-exactness contract of
         :meth:`decode_step_numpy_batch` -- which is this plus the model's own
-        head; :class:`DecodeKernel` and :func:`rescore_token_sequences` put
-        other heads on the same trunk.  ``memory`` is the ``(R, T, h+1)``
-        ones-augmented layout of :func:`pad_encoder_memories`."""
+        head, as is :meth:`DecodeKernel.step`.  ``memory`` is the ``(R, T,
+        h+1)`` ones-augmented layout of :func:`pad_encoder_memories`."""
         pre_activation = (
             row_stable_matmul(previous_embedded, self.input_projection.weight.data)
             + row_stable_matmul(states, self.recurrent_projection.weight.data)
@@ -352,75 +350,9 @@ def pad_encoder_memories(encoded_batch: "Sequence[EncodedSource]"
     return memory, memory_mask
 
 
-@dataclass(frozen=True)
-class VocabularySlice:
-    """Mapping from a sliced target vocabulary back to the master output head.
-
-    A sliced shard model keeps only its sub-catalog's rows of the target
-    embedding and output projection, so its per-step log-softmax normalizes
-    over the *slice* -- scores inflate by exactly ``-log(slice probability
-    mass)`` per step relative to the master vocabulary, and the inflation is
-    largest precisely on shards the question does *not* belong to.  No
-    per-shard constant can undo that, so calibration is exact instead:
-    finished hypotheses are replayed teacher-forced through the shared trunk
-    with the full master head (:func:`rescore_token_sequences`), which
-    reproduces the global-vocabulary score.  This record carries what the
-    replay needs: the kept master row ids (ascending; the special tokens'
-    head is always kept, so special ids coincide between slice and master)
-    and the master head parameters.
-    """
-
-    kept_ids: np.ndarray       # (V_slice,) int64, ascending master row ids
-    output_weight: np.ndarray  # (h, V_master) master output projection weight
-    output_bias: np.ndarray    # (V_master,) master output projection bias
-
-
-def rescore_token_sequences(model: "Seq2SeqModel",
-                            encoded_list: list[EncodedSource],
-                            sequences: list[list[int]],
-                            vocabulary_slice: VocabularySlice,
-                            bos_id: int = 1) -> np.ndarray:
-    """Exact master-vocabulary log-probabilities of sliced decodes.
-
-    Replays each token sequence (sliced-vocabulary ids, *including* the
-    trailing EOS for finished hypotheses) teacher-forced through ``model``'s
-    trunk, scoring every step against the full master head carried by
-    ``vocabulary_slice``.  The decoder state recursion never touches the
-    output head and the sliced embedding rows are the master's kept rows, so
-    the replayed trunk states match a master-vocabulary decode of the same
-    path -- the returned score is the global score the master model would
-    have assigned, to the bit.
-
-    Every step is the exact trunk (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`)
-    and :func:`head_log_softmax` on the master head, over the rows still
-    inside their sequence.  Returns ``(R,)`` summed log-probabilities (zeros
-    for empty sequences).
-    """
-    lengths = np.asarray([len(sequence) for sequence in sequences], dtype=np.int64)
-    scores = np.zeros(len(sequences))
-    if not lengths.any():
-        return scores
-    memory, memory_mask = pad_encoder_memories(encoded_list)
-    states = np.stack([encoded.state for encoded in encoded_list])
-    targets = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
-    for row, sequence in enumerate(sequences):
-        targets[row, : len(sequence)] = sequence
-    previous = np.full(len(sequences), bos_id, dtype=np.int64)
-    for step in range(targets.shape[1]):
-        active = np.nonzero(step < lengths)[0]
-        combined, states = model.decode_trunk_numpy_batch(
-            model.target_embedding.weight.data[previous], memory, memory_mask, states)
-        log_probabilities = head_log_softmax(combined[active], vocabulary_slice.output_weight,
-                                             vocabulary_slice.output_bias)
-        master_targets = vocabulary_slice.kept_ids[targets[active, step]]
-        scores[active] += log_probabilities[np.arange(len(active)), master_targets]
-        previous = targets[:, step]
-    return scores
-
-
 class DecodeKernel:
     """What the batched beam search steps through: one decode stream over one
-    model, or over several shard models of one trunk (a cluster wave).
+    model -- a monolith's batch, or a whole cluster wave.
 
     The search engine (:func:`repro.nn.decoding.diverse_beam_search_batch`)
     keeps one flat row per distinct live ``(question, prefix)`` and asks the
@@ -429,18 +361,11 @@ class DecodeKernel:
     gathers per row whenever its row -> question map moves), and :meth:`step`
     once per decode step.
 
-    All shard models must share the trunk modules by reference (they do:
-    :func:`repro.cluster.shard.project_router` either reuses the master model
-    outright or shares its trunk into a sliced twin); only the target
-    embedding / output head may differ per shard.  Each row of a wave carries
-    its question's shard ``tag``; the previous-token gather indexes a stacked
-    per-shard table, and the output head is the master's: shared outright by
-    unsliced shards, or -- calibrated-head mode, every shard a slice of one
-    master head -- normalized over the *master* vocabulary with each shard's
-    kept columns gathered into a ``-inf``-padded common-width grid, so the
-    engine's top-k machinery is untouched and emitted scores are exact
-    master-vocabulary scores.  A monolith is a wave with one shard: one model,
-    no tags, the model's own table and head.
+    Every shard router of a fleet decodes the master's own model object
+    (:func:`repro.cluster.shard.project_router` shares it), so a cluster wave
+    steps the same kernel as a monolith: shards differ only in their
+    constraints, which the engine applies per row by its question's shard tag
+    -- the kernel never sees a tag.
 
     Every kernel steps the *exact* trunk
     (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a row decodes to the
@@ -463,65 +388,14 @@ class DecodeKernel:
     row-stability costs 4 %.
     """
 
-    _TRUNK_MODULES = ("source_embedding", "encoder_projection", "state_init",
-                      "input_projection", "recurrent_projection",
-                      "combine_projection")
-
-    def __init__(self, models: list[Seq2SeqModel] | tuple[Seq2SeqModel, ...],
-                 vocabulary_slices: Sequence[VocabularySlice | None] | None = None
-                 ) -> None:
-        if not models:
-            raise ValueError("a decode kernel needs at least one model")
-        self.models = list(models)
-        base = self.models[0]
-        for model in self.models[1:]:
-            for attribute in self._TRUNK_MODULES:
-                if getattr(model, attribute) is not getattr(base, attribute):
-                    raise ValueError(
-                        f"wave decode requires shard models sharing one trunk; "
-                        f"{attribute!r} differs")
-        self.vocab_width = max(model.config.target_vocab_size for model in self.models)
-        self.config = replace(base.config, target_vocab_size=self.vocab_width)
-        slices = list(vocabulary_slices or [None] * len(self.models))
-        if len(slices) != len(self.models):
-            raise ValueError("one vocabulary slice (or None) per shard model")
-        # Calibrated-head mode: every shard is a slice of one master head.
-        self.calibrated_head = all(
-            vocabulary_slice is not None
-            and vocabulary_slice.output_weight is slices[0].output_weight
-            and vocabulary_slice.output_bias is slices[0].output_bias
-            for vocabulary_slice in slices)
-        if self.calibrated_head:
-            self.head_weight, self.head_bias = (slices[0].output_weight,
-                                                slices[0].output_bias)
-            self.kept_ids = [vocabulary_slice.kept_ids for vocabulary_slice in slices]
-        elif not any(slices) and all(
-                model.output_projection is base.output_projection
-                for model in self.models):
-            self.head_weight = base.output_projection.weight.data
-            self.head_bias = base.output_projection.bias.data
-        else:
-            raise ValueError(
-                "wave decode requires shards that all decode the master head "
-                "or all slice one shared master head")
+    def __init__(self, model: Seq2SeqModel) -> None:
+        self.model = model
+        self.config = model.config
 
     def input_table(self) -> np.ndarray:
         """The previous-token table a search gathers from each step: the
-        target embeddings.
-
-        One model hands out its own table.  Several are stacked ``(K * Vmax,
-        ·)``: shard ``k``'s rows occupy ``[k * Vmax, k * Vmax + V_k)`` and the
-        gather offset is ``tag * Vmax + previous_id``; pad rows stay zero and
-        are never gathered (a shard's previous ids are < ``V_k``).
-        """
-        tables = [model.target_embedding.weight.data for model in self.models]
-        if len(tables) == 1:
-            return tables[0]
-        table = np.zeros((len(tables) * self.vocab_width, tables[0].shape[1]))
-        for shard, shard_table in enumerate(tables):
-            start = shard * self.vocab_width
-            table[start : start + shard_table.shape[0]] = shard_table
-        return table
+        model's target embedding."""
+        return self.model.target_embedding.weight.data
 
     def resident_memory(self, encoded_batch: Sequence[EncodedSource]
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -534,35 +408,14 @@ class DecodeKernel:
         return pad_encoder_memories(encoded_batch)
 
     def step(self, states: np.ndarray, previous_ids: np.ndarray,
-             input_table: np.ndarray, operands: tuple[np.ndarray, np.ndarray],
-             tags: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+             input_table: np.ndarray, operands: tuple[np.ndarray, np.ndarray]
+             ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``R`` rows one token: ``states`` ``(R, h)``,
         ``previous_ids`` ``(R,)``, ``operands`` the :meth:`resident_memory`
-        entries of each row's question, ``tags`` ``(R,)`` the shard index of
-        each row (``None``: one shard).  Returns (log-probabilities ``(R,
-        V)``, new states ``(R, h)``).
-
-        Columns ``>= V_k`` of a shard's rows come back ``-inf``, so padded
-        vocabulary slots can never win a top-k.
-        """
-        if tags is not None:
-            previous_ids = previous_ids + tags * self.vocab_width
-        elif len(self.models) > 1 or self.calibrated_head:
-            raise ValueError("a multi-shard or calibrated-head kernel needs "
-                             "per-row shard tags")
-        previous_inputs = input_table[previous_ids]
+        entries of each row's question.  Returns (log-probabilities ``(R,
+        V)``, new states ``(R, h)``)."""
         memory, memory_mask = operands
-        combined, new_states = self.models[0].decode_trunk_numpy_batch(
-            previous_inputs, memory, memory_mask, states)
-        log_probabilities = head_log_softmax(combined, self.head_weight, self.head_bias)
-        if self.calibrated_head:
-            # Normalizing over the master vocabulary is the calibration; what
-            # is left per shard is a kept-column gather.
-            master_log_probabilities = log_probabilities
-            log_probabilities = np.full((len(states), self.vocab_width), -np.inf)
-            for shard, kept_ids in enumerate(self.kept_ids):
-                rows = np.nonzero(tags == shard)[0]
-                if rows.size:
-                    log_probabilities[rows, : len(kept_ids)] = \
-                        master_log_probabilities[rows][:, kept_ids]
-        return log_probabilities, new_states
+        combined, new_states = self.model.decode_trunk_numpy_batch(
+            input_table[previous_ids], memory, memory_mask, states)
+        head = self.model.output_projection
+        return head_log_softmax(combined, head.weight.data, head.bias.data), new_states

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.graph import SchemaGraph
 from repro.core.router import RouterConfig, SchemaRouter
-from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel, VocabularySlice
+from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import Vocabulary
 from repro.schema.catalog import Catalog
 from repro.schema.column import Column, ColumnType
@@ -37,11 +37,10 @@ CHECKPOINT_VERSION = 1
 
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.npz"
-#: Present only for sliced-vocabulary shard routers: the kept master ids and
-#: the master output head, so a checkpoint-booted shard can still calibrate
-#: its scores to master-vocabulary log-probabilities.  Old checkpoints simply
-#: lack the manifest key (the format version is unchanged).
-SLICE_FILE = "slice.npz"
+#: The manifest key of a retired sliced-vocabulary shard router.  Its scores
+#: are normalised over a slice of the master vocabulary, so it is refused
+#: rather than served next to master-vocabulary shards.
+RETIRED_SLICE_KEY = "vocabulary_slice"
 
 
 class CheckpointError(RuntimeError):
@@ -143,12 +142,6 @@ def _content_payload(router: SchemaRouter) -> dict:
     }
 
 
-def _slice_arrays(vocabulary_slice: VocabularySlice) -> dict[str, np.ndarray]:
-    return {"kept_ids": vocabulary_slice.kept_ids,
-            "output_weight": vocabulary_slice.output_weight,
-            "output_bias": vocabulary_slice.output_bias}
-
-
 def save_router(router: SchemaRouter, path: str | Path) -> Path:
     """Write ``router`` (which must be trained) to a checkpoint directory."""
     if not router.is_trained:
@@ -166,13 +159,6 @@ def save_router(router: SchemaRouter, path: str | Path) -> Path:
             "num_parameters": router.num_parameters(),
         },
     }
-    if router.vocabulary_slice is not None:
-        slice_path = path / SLICE_FILE
-        np.savez(slice_path, **_slice_arrays(router.vocabulary_slice))
-        manifest["vocabulary_slice"] = {
-            "file": SLICE_FILE,
-            "sha256": _sha256_of(slice_path),
-        }
     manifest_path = path / MANIFEST_FILE
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
@@ -194,17 +180,23 @@ def load_manifest(path: str | Path) -> dict:
             f"unsupported checkpoint version {manifest.get('version')!r}"
             f" (this build reads version {CHECKPOINT_VERSION})"
         )
+    if RETIRED_SLICE_KEY in manifest:
+        raise CheckpointError(
+            f"{Path(path)!s} is a retired sliced-vocabulary shard router "
+            f"({RETIRED_SLICE_KEY!r}); re-save its cluster from the master "
+            f"router")
     return manifest
 
 
-def _checked_archive(path: Path, entry: dict, what: str) -> Path:
-    """The archive a manifest ``entry`` names, once it passes its checksum."""
+def _checked_weights(path: Path, entry: dict) -> Path:
+    """The weight archive a manifest ``entry`` names, once it passes its
+    checksum."""
     archive_path = path / entry["file"]
     if not archive_path.is_file():
-        raise CheckpointError(f"missing {what} archive {archive_path!s}")
+        raise CheckpointError(f"missing weight archive {archive_path!s}")
     recorded = entry.get("sha256")
     if recorded and _sha256_of(archive_path) != recorded:
-        raise CheckpointError(f"{what} archive {archive_path!s} fails its checksum")
+        raise CheckpointError(f"weight archive {archive_path!s} fails its checksum")
     return archive_path
 
 
@@ -227,7 +219,7 @@ def load_router(path: str | Path) -> SchemaRouter:
     """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory."""
     path = Path(path)
     manifest = load_manifest(path)
-    weights_path = _checked_archive(path, manifest["weights"], "weight")
+    weights_path = _checked_weights(path, manifest["weights"])
 
     config = _router_config(manifest)
     catalog = catalog_from_payload(manifest["catalog"])
@@ -250,33 +242,16 @@ def load_router(path: str | Path) -> SchemaRouter:
     router = SchemaRouter(graph=graph, config=config)
     router.restore(model, source_vocabulary, target_vocabulary,
                    training_losses=manifest.get("training_losses"))
-    slice_entry = manifest.get("vocabulary_slice")
-    if slice_entry is not None:
-        with np.load(_checked_archive(path, slice_entry,
-                                      "vocabulary-slice")) as archive:
-            router.vocabulary_slice = VocabularySlice(
-                kept_ids=archive["kept_ids"],
-                output_weight=archive["output_weight"],
-                output_bias=archive["output_bias"])
     return router
-
-
-def _verify_arrays(path: Path, entry: dict, what: str,
-                   arrays: dict[str, np.ndarray]) -> None:
-    with np.load(_checked_archive(path, entry, what)) as archive:
-        if sorted(archive.files) != sorted(arrays) or not all(
-                np.array_equal(archive[name], array)
-                for name, array in arrays.items()):
-            raise CheckpointError(f"checkpoint {path!s} has different {what} arrays")
 
 
 def verify_router_checkpoint(path: str | Path, router: SchemaRouter) -> None:
     """Raise :class:`CheckpointError` unless ``path`` holds exactly ``router``.
 
     Compared by content -- configuration, vocabularies, catalog, joinable
-    edges, every weight array and the vocabulary slice -- never by object
-    identity, so a caller may serve ``router`` (say, a projection that shares
-    its master's weights) in place of a copy loaded from ``path``.
+    edges and every weight array -- never by object identity, so a caller
+    may serve ``router`` (say, a projection that shares its master's
+    weights) in place of a copy loaded from ``path``.
     """
     path = Path(path)
     manifest = load_manifest(path)
@@ -284,12 +259,10 @@ def verify_router_checkpoint(path: str | Path, router: SchemaRouter) -> None:
     for key, value in json.loads(json.dumps(_content_payload(router))).items():
         if manifest.get(key) != value:
             raise CheckpointError(f"checkpoint {path!s} has a different {key}")
-    _verify_arrays(path, manifest["weights"], "weight",
-                   {name: parameter.data
-                    for name, parameter in router.model.named_parameters()})
-    slice_entry = manifest.get("vocabulary_slice")
-    if (slice_entry is None) != (router.vocabulary_slice is None):
-        raise CheckpointError(f"checkpoint {path!s} has a different vocabulary slicing")
-    if slice_entry is not None:
-        _verify_arrays(path, slice_entry, "vocabulary-slice",
-                       _slice_arrays(router.vocabulary_slice))
+    arrays = {name: parameter.data
+              for name, parameter in router.model.named_parameters()}
+    with np.load(_checked_weights(path, manifest["weights"])) as archive:
+        if sorted(archive.files) != sorted(arrays) or not all(
+                np.array_equal(archive[name], array)
+                for name, array in arrays.items()):
+            raise CheckpointError(f"checkpoint {path!s} has different weight arrays")

@@ -25,12 +25,7 @@ BUCKET_BOUNDS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 
 
 class LatencyRecorder:
-    """Bounded reservoir of latency observations with percentile queries.
-
-    ``count`` / ``total_seconds`` / ``max_seconds`` are exposed as
-    lock-guarded properties; :meth:`totals` reads all three under one lock
-    acquisition when a caller needs them mutually consistent.
-    """
+    """Bounded reservoir of latency observations with percentile queries."""
 
     def __init__(self, max_samples: int = 8192) -> None:
         if max_samples <= 0:
@@ -59,28 +54,6 @@ class LatencyRecorder:
                 self._max_seconds = seconds
             self._bucket_counts[bisect.bisect_left(BUCKET_BOUNDS, seconds)] += count
 
-    # -- locked accessors ----------------------------------------------------
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def total_seconds(self) -> float:
-        with self._lock:
-            return self._total_seconds
-
-    @property
-    def max_seconds(self) -> float:
-        with self._lock:
-            return self._max_seconds
-
-    def totals(self) -> tuple[int, float, float]:
-        """One consistent ``(count, total_seconds, max_seconds)`` read —
-        unlike three property reads, no :meth:`record` can land in between."""
-        with self._lock:
-            return self._count, self._total_seconds, self._max_seconds
-
     @staticmethod
     def _percentile_of(samples: list[float], percent: float) -> float:
         """Nearest-rank percentile of pre-sorted ``samples``; 0.0 when empty."""
@@ -94,11 +67,6 @@ class LatencyRecorder:
         with self._lock:
             samples = sorted(self._samples)
         return self._percentile_of(samples, percent)
-
-    @property
-    def mean_seconds(self) -> float:
-        count, total_seconds, _ = self.totals()
-        return total_seconds / count if count else 0.0
 
     def summary(self) -> dict:
         """A consistent snapshot: all fields reflect one point in time.
@@ -143,11 +111,11 @@ QPS_WINDOW_SECONDS = 60
 class WindowedCounter:
     """A counter summed over a trailing window (per-second buckets).
 
-    The sliding-QPS bookkeeping inside :class:`MetricsRegistry`, factored
-    out so other layers can maintain their own load windows — the cluster
-    service keeps one per database to know which catalogs are winning the
-    routed traffic *right now* (the controller's hot-shard signal), where a
-    cumulative counter would forever remember last hour's hot set.
+    :class:`MetricsRegistry` keeps one for its sliding QPS, and other layers
+    keep their own load windows — the cluster service keeps one per database
+    to know which catalogs are winning the routed traffic *right now* (the
+    controller's hot-shard signal), where a cumulative counter would forever
+    remember last hour's hot set.
     """
 
     def __init__(self, window_seconds: int = QPS_WINDOW_SECONDS,
@@ -189,26 +157,14 @@ class MetricsRegistry:
         self.latency = LatencyRecorder()
         self._batch_sizes: dict[int, int] = {}
         self._stages: dict[str, LatencyRecorder] = {}
-        # Sliding QPS window: (second-bucket, count) pairs, newest last.
-        self._request_buckets: deque[list[int]] = deque()
+        self._request_window = WindowedCounter(QPS_WINDOW_SECONDS, clock)
 
     # -- recording -----------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-            if name == "requests":
-                self._note_requests_locked(amount)
-
-    def _note_requests_locked(self, amount: int) -> None:
-        second = int(self._clock())
-        buckets = self._request_buckets
-        if buckets and buckets[-1][0] == second:
-            buckets[-1][1] += amount
-        else:
-            buckets.append([second, amount])
-        cutoff = second - QPS_WINDOW_SECONDS
-        while buckets and buckets[0][0] <= cutoff:
-            buckets.popleft()
+        if name == "requests":
+            self._request_window.note(amount)
 
     def observe_latency(self, seconds: float, count: int = 1) -> None:
         self.latency.record(seconds, count)
@@ -241,47 +197,22 @@ class MetricsRegistry:
     def uptime_seconds(self) -> float:
         return max(self._clock() - self._started, 1e-9)
 
-    def qps(self) -> float:
-        """Completed requests per second over the registry's lifetime.
-
-        Misleading on a long-idle service (the denominator never stops
-        growing); prefer :meth:`window_qps` for a load-responsive reading."""
-        return self.counter("requests") / self.uptime_seconds()
-
     def window_qps(self) -> float:
         """Requests per second over the trailing :data:`QPS_WINDOW_SECONDS`.
 
-        Unlike :meth:`qps`, this recovers immediately when fresh load hits a
-        service that sat idle: only the last window's buckets count, and the
-        denominator is capped at the window width (and floored at one second
-        so a brand-new registry is not wildly extrapolated)."""
-        now = int(self._clock())
-        cutoff = now - QPS_WINDOW_SECONDS
-        with self._lock:
-            requests = sum(count for second, count in self._request_buckets
-                           if second > cutoff)
+        Unlike the snapshot's lifetime ``qps``, this recovers immediately
+        when fresh load hits a service that sat idle: only the last window's
+        buckets count, and the denominator is capped at the window width
+        (and floored at one second so a brand-new registry is not wildly
+        extrapolated)."""
         horizon = max(min(self.uptime_seconds(), float(QPS_WINDOW_SECONDS)), 1.0)
-        return requests / horizon
+        return self._request_window.total() / horizon
 
     def stage_summaries(self) -> dict[str, dict]:
         """Per-stage latency summaries, keyed by stage name (sorted)."""
         with self._lock:
             stages = sorted(self._stages.items())
         return {name: recorder.summary() for name, recorder in stages}
-
-    def batch_size_histogram(self) -> dict[str, int]:
-        """Batch-size -> count, with *string* keys: the same shape
-        :meth:`snapshot` publishes (and the wire protocol carries), so the
-        two views of the histogram always compare equal."""
-        with self._lock:
-            return {str(size): count
-                    for size, count in sorted(self._batch_sizes.items())}
-
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            total = sum(size * count for size, count in self._batch_sizes.items())
-            batches = sum(self._batch_sizes.values())
-        return total / batches if batches else 0.0
 
     def snapshot(self) -> dict:
         """A consistent snapshot: counters and batch accounting are read under

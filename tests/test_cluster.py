@@ -204,6 +204,26 @@ class TestProjection:
         assert shard.model is master_router.model
         assert shard.config.num_beams == 2
 
+    @pytest.mark.parametrize("strategy", ["round_robin", "size_balanced", "joinability"])
+    def test_every_fleet_router_decodes_the_master_objects(self, master_router,
+                                                           strategy):
+        """Whatever the partition, every shard router of a fleet -- fast and
+        careful tier alike -- decodes the master's model over the master's
+        vocabulary objects, and only its constraint is its shard's own: what
+        lets one kernel step a whole wave."""
+        config = ClusterConfig(num_shards=2, strategy=strategy,
+                               escalation_threshold=0.8)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            for replica_set in cluster.shards:
+                worker = replica_set.workers[0]
+                assert worker.careful_service is not None
+                for router in (worker.router, worker.careful_service.router):
+                    assert router.model is master_router.model
+                    assert router.source_vocabulary is master_router.source_vocabulary
+                    assert router.target_vocabulary is master_router.target_vocabulary
+                    assert sorted(router.graph.catalog.database_names) \
+                        == sorted(worker.databases)
+
     def test_empty_projection_routes_nowhere(self, master_router):
         shard = project_router(master_router, ())
         assert shard.route(QUESTIONS[0]) == []

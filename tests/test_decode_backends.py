@@ -34,9 +34,7 @@ from repro.nn.seq2seq import (
     DecodeKernel,
     Seq2SeqConfig,
     Seq2SeqModel,
-    VocabularySlice,
     head_log_softmax,
-    rescore_token_sequences,
 )
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
@@ -156,7 +154,7 @@ class TestEngineDifferential:
         vocab_size = model.config.target_vocab_size
         num_beams = vocab_size + 4  # top_n would exceed V unclamped
         batched = diverse_beam_search_batch(
-            DecodeKernel([model]), encoded[:2],
+            DecodeKernel(model), encoded[:2],
             vocabulary.bos_id, vocabulary.eos_id,
             num_beams=num_beams, num_groups=1, max_length=6)
         looped = [diverse_beam_search_loop(
@@ -191,31 +189,6 @@ class TestEngineDifferential:
             <= {3, 5}
         assert any(len(key[0]) > 1 for one in looped for key in one)
 
-    @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
-    def test_replay_reproduces_decode_scores_to_the_bit(self, toy_model, num_beams,
-                                                        num_groups, penalty):
-        """Teacher-forced replay (the sliced-vocabulary calibration) steps
-        the decode's own trunk: over an identity slice of the model's own
-        head it returns every hypothesis's decode score, ``float.hex``-equal,
-        whatever the other sequences sharing the replay."""
-        model, vocabulary, encoded = toy_model
-        batched = diverse_beam_search_batch(
-            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            num_beams=num_beams, num_groups=num_groups,
-            diversity_penalty=penalty, max_length=8)
-        identity = VocabularySlice(
-            kept_ids=np.arange(model.config.target_vocab_size),
-            output_weight=model.output_projection.weight.data,
-            output_bias=model.output_projection.bias.data)
-        rows = [(item, h) for item, one in zip(encoded, batched) for h in one]
-        replayed = rescore_token_sequences(
-            model, [item for item, _ in rows],
-            [h.tokens + [vocabulary.eos_id] if h.finished else list(h.tokens)
-             for _, h in rows],
-            identity, bos_id=vocabulary.bos_id)
-        assert [float(score).hex() for score in replayed] == \
-            [h.score.hex() for _, h in rows]
-
     @pytest.mark.parametrize("num_beams,num_groups,penalty",
                              [(1, 1, 0.0), (4, 2, 2.0), (6, 6, 2.0)])
     def test_straggler_compacts_mid_search_and_pads(self, toy_model, num_beams,
@@ -242,6 +215,65 @@ class TestEngineDifferential:
             assert [_hypothesis_key(h) for h in one] == \
                 [_hypothesis_key(h) for h in looped]
 
+    @pytest.mark.parametrize("num_beams,num_groups,penalty", BUDGETS)
+    def test_replay_reproduces_decode_scores_to_the_bit(self, toy_model, num_beams,
+                                                        num_groups, penalty):
+        """A hypothesis's score is its sequence's log-probability under the
+        model, whatever the diversity penalty did to the ranking:
+        teacher-forced replay of every hypothesis (with its trailing EOS when
+        finished) through one ``DecodeKernel`` step per token sums to the
+        decode score, ``float.hex``-equal, whatever the other sequences
+        sharing the replay."""
+        model, vocabulary, encoded = toy_model
+        batched = diverse_beam_search_batch(
+            model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=num_beams, num_groups=num_groups,
+            diversity_penalty=penalty, max_length=8)
+        rows = [(item, h) for item, one in zip(encoded, batched) for h in one]
+        sequences = [h.tokens + [vocabulary.eos_id] if h.finished else list(h.tokens)
+                     for _, h in rows]
+        kernel = DecodeKernel(model)
+        operands = kernel.resident_memory([item for item, _ in rows])
+        states = np.stack([item.state for item, _ in rows])
+        previous = np.full(len(rows), vocabulary.bos_id, dtype=np.int64)
+        replayed = np.zeros(len(rows))
+        for step in range(max(len(sequence) for sequence in sequences)):
+            log_probabilities, states = kernel.step(states, previous,
+                                                    kernel.input_table(), operands)
+            active = np.asarray([step < len(sequence) for sequence in sequences])
+            targets = np.asarray([sequence[step] if step < len(sequence)
+                                  else vocabulary.pad_id for sequence in sequences],
+                                 dtype=np.int64)
+            replayed[active] += log_probabilities[np.arange(len(rows)), targets][active]
+            previous = targets
+        assert [float(score).hex() for score in replayed] == \
+            [h.score.hex() for _, h in rows]
+
+    def test_kernel_steps_its_one_model(self, toy_model):
+        """``DecodeKernel(model)`` gathers from the model's own target
+        embedding and steps any stacking of rows to the doubles of the
+        model's batched step, and each row to those of the loop oracle's
+        one-beam step over its unpadded memory."""
+        model, _, encoded = toy_model
+        kernel = DecodeKernel(model)
+        assert kernel.input_table() is model.target_embedding.weight.data
+        rng = np.random.default_rng(7)
+        rows = [encoded[int(index)] for index in rng.integers(0, len(encoded), size=11)]
+        memory, memory_mask = kernel.resident_memory(rows)
+        states = np.stack([item.state for item in rows])
+        previous = rng.integers(0, model.config.target_vocab_size, size=len(rows))
+        log_probabilities, new_states = kernel.step(
+            states, previous, kernel.input_table(), (memory, memory_mask))
+        expected_log_probabilities, expected_states = model.decode_step_numpy_batch(
+            memory[:, :, :-1], memory_mask, states, previous)
+        np.testing.assert_array_equal(log_probabilities, expected_log_probabilities)
+        np.testing.assert_array_equal(new_states, expected_states)
+        for row, item in enumerate(rows):
+            alone_log_probabilities, alone_state = model.decode_step_numpy(
+                item, states[row], int(previous[row]))
+            np.testing.assert_array_equal(log_probabilities[row], alone_log_probabilities)
+            np.testing.assert_array_equal(new_states[row], alone_state)
+
     def test_one_engine_is_not_a_knob(self):
         """One oracle, one batched engine; its numerics come in as a kernel
         object, never as a string selecting between engines."""
@@ -256,8 +288,8 @@ class TestEngineDifferential:
     def test_one_kernel_numerics_is_not_a_knob(self):
         """The kernel and the head have one numerics: nothing selects
         between an exact trunk and another one."""
-        assert list(inspect.signature(DecodeKernel).parameters) == \
-            ["models", "vocabulary_slices"]
+        assert list(inspect.signature(DecodeKernel).parameters) == ["model"]
+        assert "tags" not in inspect.signature(DecodeKernel.step).parameters
         assert list(inspect.signature(head_log_softmax).parameters) == \
             ["combined", "weight", "bias"]
         trunks = {name for name in vars(Seq2SeqModel) if "trunk" in name}
@@ -345,8 +377,9 @@ class TestPrefixSharedRows:
         assert stats["steps"] <= stats["beam_rows"] <= stats["live_beams"]
 
     def test_tagged_rows_never_span_shards(self, toy_model):
-        """The same questions under two shard tags: every (shard, question)
-        keeps its own rows, and the per-tag counters split the flat ones."""
+        """The same questions under two shard tags of one model: every
+        (shard, question) keeps its own rows, and the per-tag counters split
+        the flat ones."""
         model, vocabulary, encoded = toy_model
         budget = dict(num_beams=6, num_groups=3, diversity_penalty=0.0,
                       max_length=8)
@@ -357,7 +390,7 @@ class TestPrefixSharedRows:
         stats: dict = {}
         tags = [0] * len(encoded) + [1] * len(encoded)
         waved = diverse_beam_search_batch(
-            DecodeKernel([model, model]), encoded + encoded, vocabulary.bos_id,
+            DecodeKernel(model), encoded + encoded, vocabulary.bos_id,
             vocabulary.eos_id, constraint=[None] * len(tags),
             question_tags=tags, stats=stats, **budget)
         keys = [[_hypothesis_key(h) for h in one] for one in expected]

@@ -342,8 +342,21 @@ class TestWindowQps:
         metrics.increment("requests", amount=30)
         clock.advance(QPS_WINDOW_SECONDS + 1.0)
         metrics.increment("requests")  # triggers the prune
-        assert len(metrics._request_buckets) == 1
+        # The window forgets the old burst; the lifetime counter does not.
         assert metrics.window_qps() == pytest.approx(1 / 60.0, abs=1e-6)
+        assert metrics.counter("requests") == 31
+
+    def test_only_requests_feed_the_window(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        clock.advance(QPS_WINDOW_SECONDS)
+        metrics.increment("cache_hits", amount=50)
+        metrics.increment("errors")
+        assert metrics.window_qps() == 0.0
+        metrics.increment("requests", amount=6)
+        metrics.increment("requests")
+        assert metrics.window_qps() == pytest.approx(7 / QPS_WINDOW_SECONDS)
+        assert metrics.counters() == {"cache_hits": 50, "errors": 1, "requests": 7}
 
 
 # -- the exporters -------------------------------------------------------------

@@ -375,6 +375,41 @@ class TestMetrics:
         assert snapshot["mean_batch_size"] == pytest.approx(10 / 3, rel=1e-2)
         assert snapshot["qps"] > 0
 
+    def test_weighted_record_counts_every_item(self):
+        """``record(seconds, count)`` lands ``count`` observations in every
+        field of the summary; a non-positive count records nothing."""
+        recorder = LatencyRecorder()
+        recorder.record(0.004, count=3)
+        recorder.record(0.020)
+        recorder.record(0.5, count=0)
+        summary = recorder.summary()
+        assert summary["count"] == 4
+        assert summary["total_seconds"] == pytest.approx(0.032)
+        assert summary["mean_ms"] == pytest.approx(8.0)
+        assert summary["p50_ms"] == pytest.approx(4.0)
+        assert summary["p99_ms"] == summary["max_ms"] == pytest.approx(20.0)
+        assert summary["buckets"]["0.0025"] == 0
+        assert summary["buckets"]["0.005"] == 3
+        assert summary["buckets"]["0.025"] == summary["buckets"]["+Inf"] == 4
+
+    def test_snapshot_shape_survives_the_wire(self):
+        """The snapshot crosses the cluster wire as JSON: its keys are fixed
+        and it round-trips unchanged."""
+        registry = MetricsRegistry()
+        registry.increment("requests", 3)
+        registry.observe_batch(3)
+        registry.observe_latency(0.01, count=3)
+        registry.observe_stage("decode", 0.004)
+        snapshot = registry.snapshot()
+        assert set(snapshot) == {"uptime_seconds", "counters", "qps", "qps_window",
+                                 "qps_window_seconds", "latency",
+                                 "batch_size_histogram", "mean_batch_size", "stages"}
+        assert set(snapshot["stages"]) == {"decode"}
+        assert set(snapshot["latency"]) == set(snapshot["stages"]["decode"]) == {
+            "count", "total_seconds", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
+            "max_ms", "buckets"}
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
 
 # -- the service façade --------------------------------------------------------
 class TestRoutingService:

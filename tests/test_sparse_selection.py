@@ -12,7 +12,7 @@ that rewrite could silently break, by equality and counts only:
 * the ``reach`` lemma behind unconstrained rows (the ``top_n + (G - 1) * B``
   best tokens of a row are all any group can select from), over a sweep of
   budgets with quantised -- hence constantly tying -- random tables;
-* a wave mixing shards of different sliced vocabulary widths against each
+* a wave mixing shards of different allowed-vocabulary widths against each
   shard decoded alone;
 * with every row constrained, no ``np.argsort`` / ``np.where`` outside the
   kernel, and ``ranked_tokens`` equal to the visited states' id counts.
@@ -80,7 +80,7 @@ class TableKernel(DecodeKernel):
     def resident_memory(self, encoded_batch):
         return (np.zeros((len(encoded_batch), 1)),)
 
-    def step(self, states, previous_ids, input_table, operands, tags=None):
+    def step(self, states, previous_ids, input_table, operands):
         rows = [self.model.decode_step_numpy(None, state, int(previous))
                 for state, previous in zip(states, previous_ids)]
         return (np.stack([row for row, _ in rows]),
@@ -305,26 +305,27 @@ def trained():
 
 
 def test_wave_of_mixed_vocabulary_widths_equals_each_shard_alone(trained):
-    """Two sliced shards of different widths in one wave: a row's ids index
-    its own shard's columns, so nothing needs padding -- every (shard,
-    question) decodes exactly as in a wave of its shard alone."""
+    """Two shard projections whose constraints allow different vocabulary
+    widths, in one ``DecodeKernel(router.model)`` wave: a row ranks only
+    what its own shard allows, so every (shard, question) decodes exactly as
+    in a wave of its shard alone."""
     router, encoded = trained
     databases = list(router.graph.catalog.database_names)
-    shards = [project_router(router, split, sliced_vocabulary=True)
+    shards = [project_router(router, split)
               for split in (databases[:1], databases[1:])]
-    widths = [len(shard.target_vocabulary) for shard in shards]
-    assert widths[0] < widths[1] < len(router.target_vocabulary)
+    assert all(shard.model is router.model for shard in shards)
+    widths = [len(shard.constraint.allowed_ids_for_state(
+        shard.constraint.initial_state())) for shard in shards]
+    assert widths[0] < widths[1]
 
     def keys(hypotheses_batch):
         return [[_hypothesis_key(h) for h in one] for one in hypotheses_batch]
 
+    kernel = DecodeKernel(router.model)
     alone = []
     for shard in shards:
-        kernel = DecodeKernel([shard.model], [shard.vocabulary_slice])
         alone += keys(beam_search_wave(kernel, [shard], [0] * len(encoded),
                                        encoded))
-    kernel = DecodeKernel([shard.model for shard in shards],
-                          [shard.vocabulary_slice for shard in shards])
     stats: dict = {}
     tags = [0] * len(encoded) + [1] * len(encoded)
     mixed = keys(beam_search_wave(kernel, shards, tags, encoded + encoded,

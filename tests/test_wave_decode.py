@@ -6,15 +6,19 @@ stream (:class:`repro.cluster.wave.ClusterWaveEngine`); it has no other
 scatter path.  These tests pin the seeded differential against a pool twin
 the test builds (a ``ClusterDispatcher`` over a second fleet's per-shard
 ``RoutingService`` path, the one a subprocess child runs), the content
-verification ``load_cluster`` does before sharing the master trunk, the
-isolation knobs only a subprocess fleet takes, the per-shard decode counters,
+verification ``load_cluster`` does before sharing the master model, the
+refusal of retired sliced-vocabulary checkpoints, the one model object a
+wave steps, the isolation knobs only a subprocess fleet takes, the per-shard
+decode counters,
 their conservation and the trace shape, concurrent callers under a live
 rebalance, and the dispatcher's direct pool submit.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import inspect
 import json
 import os
 import random
@@ -46,7 +50,11 @@ from repro.core import (
 )
 from repro.serving import RoutingService, ServingConfig
 from repro.serving.cache import RouteCache
-from repro.serving.checkpoint import CheckpointError
+from repro.serving.checkpoint import (
+    CheckpointError,
+    load_router,
+    verify_router_checkpoint,
+)
 from test_cluster import QUESTIONS, _cluster_catalog
 
 
@@ -135,34 +143,22 @@ def _shard_counters(cluster) -> list:
 
 class TestWaveAgainstPoolTwin:
     """The seeded differential: a default ``save_cluster`` -> ``load_cluster``
-    fleet against a pool twin the test builds (:func:`_pool_twin`).
-
-    The twin always scatters over the *unsliced* checkpoint of the same
-    layout.  For an unsliced fleet that is its own checkpoint.  A sliced
-    fleet's wave decodes in calibrated-head mode -- master-vocabulary
-    log-softmax, kept columns gathered -- which is an unsliced decode to the
-    bit, so it has to match the same twin; its own pool twin prunes beams on
-    slice-normalized scores and only calibrates afterwards, so wide-beam tiers
-    may rank the tail differently there and only top-1 agreement is asserted
-    against it.
-    """
+    fleet against a pool twin the test builds (:func:`_pool_twin`) over a
+    second load of the same checkpoint."""
 
     @pytest.mark.parametrize("escalation_threshold", [0.8, None])
-    @pytest.mark.parametrize("sliced", [False, True])
     def test_loaded_fleet_answers_like_its_pool_twin(
-            self, master_router, workload, tmp_path, sliced, escalation_threshold):
-        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=sliced,
-                    escalation_threshold=escalation_threshold)
-        _checkpoint(master_router, tmp_path / "unsliced",
+            self, master_router, workload, tmp_path, escalation_threshold):
+        _checkpoint(master_router, tmp_path / "ckpt",
                     escalation_threshold=escalation_threshold)
         with load_cluster(tmp_path / "ckpt") as wave, \
-                load_cluster(tmp_path / "unsliced") as pool, \
+                load_cluster(tmp_path / "ckpt") as pool, \
                 _pool_twin(pool) as twin:
             assert wave.stats()["wave"]["enabled"] is True
             assert wave.wave_engine.has_careful_tier \
                 is (escalation_threshold is not None)
             kernel = wave.wave_engine._tiers[False].kernel
-            assert kernel.calibrated_head is sliced
+            assert kernel.model is wave.master_router.model
             wave_replies = _serve(wave, workload)
             pool_replies = _waves(twin.route_batch, workload)
             # The wave decodes the very doubles the per-shard path does.
@@ -175,13 +171,6 @@ class TestWaveAgainstPoolTwin:
                 assert wave.stats()["wave"]["careful_waves"] > 0
             assert _shard_counters(wave) == _shard_counters(pool)
             assert pool.stats()["wave"]["waves"] == 0
-        if sliced:
-            with load_cluster(tmp_path / "ckpt") as sliced_pool, \
-                    _pool_twin(sliced_pool) as sliced_twin:
-                sliced_replies = _waves(sliced_twin.route_batch, workload)
-            agree = sum(ours[0].database == theirs[0].database
-                        for ours, theirs in zip(wave_replies, sliced_replies))
-            assert agree >= round(0.99 * len(workload))
 
     def test_a_question_decodes_the_same_in_any_wave(self, master_router,
                                                      workload, tmp_path):
@@ -219,17 +208,6 @@ class TestLoadedFleetSharesTheMasterTrunk:
             for replica_set in cluster.shards:
                 assert replica_set.workers[0].router.model is master
 
-    def test_sliced_load_reattaches_the_master_head(self, master_router, tmp_path):
-        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=True)
-        with load_cluster(tmp_path / "ckpt") as cluster:
-            head = cluster.master_router.model.output_projection
-            for replica_set in cluster.shards:
-                router = replica_set.workers[0].router
-                assert router.model.recurrent_projection \
-                    is cluster.master_router.model.recurrent_projection
-                assert router.vocabulary_slice.output_weight is head.weight.data
-                assert router.vocabulary_slice.output_bias is head.bias.data
-
     @staticmethod
     def _retamper_weights(shard_dir, fix_checksum: bool) -> None:
         """Nudge one weight of a shard archive (optionally re-signing it)."""
@@ -246,10 +224,8 @@ class TestLoadedFleetSharesTheMasterTrunk:
             manifest["weights"]["sha256"] = _sha256_of(shard_dir / "weights.npz")
             (shard_dir / "manifest.json").write_text(json.dumps(manifest))
 
-    @pytest.mark.parametrize("sliced", [False, True])
-    def test_tampered_shard_weights_are_rejected(self, master_router, tmp_path,
-                                                 sliced):
-        _checkpoint(master_router, tmp_path / "ckpt", sliced_vocabulary=sliced)
+    def test_tampered_shard_weights_are_rejected(self, master_router, tmp_path):
+        _checkpoint(master_router, tmp_path / "ckpt")
         self._retamper_weights(tmp_path / "ckpt" / "shard-01", fix_checksum=False)
         with pytest.raises(CheckpointError, match="checksum"):
             load_cluster(tmp_path / "ckpt")
@@ -366,10 +342,9 @@ class TestLoadedFleetSharesTheMasterTrunk:
         with pytest.raises(CheckpointError, match="warp_drive"):
             load_cluster(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("sliced", [False, True])
     def test_rebalance_round_trip_keeps_the_engine(self, master_router, workload,
-                                                   tmp_path, sliced):
-        _checkpoint(master_router, tmp_path / "first", sliced_vocabulary=sliced)
+                                                   tmp_path):
+        _checkpoint(master_router, tmp_path / "first")
         questions = workload[:48]
         with load_cluster(tmp_path / "first") as cluster:
             moved = cluster.assignment.shards[0][0]
@@ -382,6 +357,98 @@ class TestLoadedFleetSharesTheMasterTrunk:
             assert restored.stats()["wave"]["enabled"] is True
             assert restored.shard_of(moved) == 1
             assert _serve(restored, questions) == expected
+
+
+class TestRetiredSlicedCheckpoints:
+    """A checkpoint of the retired sliced target vocabulary is refused: its
+    shard scores are normalised over a slice of the vocabulary, and serving
+    them next to master-vocabulary scores would skew every merge."""
+
+    @pytest.mark.parametrize("reader", ["load_router", "verify_router_checkpoint",
+                                        "inproc", "subprocess"])
+    def test_a_sliced_router_manifest_is_refused(self, master_router, tmp_path,
+                                                 reader):
+        """The manifest an older build wrote for a sliced shard: a
+        ``vocabulary_slice`` entry and its checksummed archive.  Every reader
+        refuses it; a subprocess worker refuses to boot on it, so the fleet
+        never loads."""
+        from repro.cluster.procworker import WorkerCrashedError
+        from repro.serving.checkpoint import _sha256_of
+
+        _checkpoint(master_router, tmp_path / "ckpt")
+        shard_dir = tmp_path / "ckpt" / "shard-00"
+        router = load_router(shard_dir)
+        head = master_router.model.output_projection
+        np.savez(shard_dir / "slice.npz",
+                 kept_ids=np.arange(len(master_router.target_vocabulary)),
+                 output_weight=head.weight.data, output_bias=head.bias.data)
+        manifest_path = shard_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["vocabulary_slice"] = {
+            "file": "slice.npz", "sha256": _sha256_of(shard_dir / "slice.npz")}
+        manifest_path.write_text(json.dumps(manifest))
+        if reader == "load_router":
+            with pytest.raises(CheckpointError, match="vocabulary_slice"):
+                load_router(shard_dir)
+        elif reader == "verify_router_checkpoint":
+            with pytest.raises(CheckpointError, match="vocabulary_slice"):
+                verify_router_checkpoint(shard_dir, router)
+        elif reader == "inproc":
+            with pytest.raises(CheckpointError, match="vocabulary_slice"):
+                load_cluster(tmp_path / "ckpt")
+        else:
+            with pytest.raises(WorkerCrashedError, match="during startup"):
+                load_cluster(tmp_path / "ckpt",
+                             config=ClusterConfig(worker_backend="subprocess"))
+
+    def test_a_saved_fleet_carries_no_slice(self, master_router, tmp_path):
+        """What this build saves never holds the retired keys or archive, so
+        every checkpoint it writes loads back."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        cluster_manifest = json.loads((tmp_path / "ckpt" / "cluster.json").read_text())
+        assert "sliced_vocabulary" not in cluster_manifest["config"]
+        directories = ["master"] + [entry["dir"] for entry in cluster_manifest["shards"]]
+        assert len(directories) == 3
+        for directory in directories:
+            router_dir = tmp_path / "ckpt" / directory
+            assert not (router_dir / "slice.npz").exists()
+            manifest = json.loads((router_dir / "manifest.json").read_text())
+            assert "vocabulary_slice" not in manifest
+            load_router(router_dir)
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_a_sliced_cluster_manifest(self, master_router, tmp_path,
+                                       monkeypatch, backend, sliced):
+        """``sliced_vocabulary: false`` is a retired key that loads;
+        ``true`` is refused before any worker spawns."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        with load_cluster(tmp_path / "ckpt") as original:
+            expected = _serve(original, QUESTIONS)
+        manifest_path = tmp_path / "ckpt" / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["sliced_vocabulary"] = sliced
+        manifest_path.write_text(json.dumps(manifest))
+        override = (None if backend == "inproc"
+                    else ClusterConfig(worker_backend="subprocess"))
+        with pytest.raises(TypeError):
+            ClusterConfig(**{"sliced_vocabulary": sliced})
+        if sliced:
+            def spawn(*args, **kwargs):
+                raise AssertionError("a worker spawned for a refused manifest")
+
+            monkeypatch.setattr("repro.cluster.procworker.ProcShardWorker", spawn)
+            with pytest.raises(CheckpointError,
+                               match="sliced_vocabulary.*master/"):
+                load_cluster(tmp_path / "ckpt", config=override)
+            return
+        with load_cluster(tmp_path / "ckpt", config=override) as cluster:
+            assert cluster.config.worker_backend == backend
+            assert not hasattr(cluster.config, "sliced_vocabulary")
+            answers = _serve(cluster, QUESTIONS)
+        assert answers == expected
+        assert [score.hex() for score in _scores(answers)] \
+            == [score.hex() for score in _scores(expected)]
 
 
 class TestWhichFleetsScatterThroughThePool:
@@ -408,10 +475,64 @@ class TestWhichFleetsScatterThroughThePool:
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
 
+    def test_a_shard_decoding_another_model_object_cannot_stack(self,
+                                                                master_router):
+        """Equal weights are not enough: the wave steps one model, so a shard
+        router restored onto a copy of it is refused at construction."""
+        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            first = cluster.shards[0].workers[0]
+            stranger = project_router(master_router, first.databases,
+                                      num_beams=first.router.config.num_beams,
+                                      beam_groups=first.router.config.beam_groups)
+            stranger.restore(copy.deepcopy(master_router.model),
+                             master_router.source_vocabulary,
+                             master_router.target_vocabulary)
+            first.service.replace_router(stranger)
+            with pytest.raises(ValueError, match="one model object"):
+                ClusterRoutingService(cluster.shards, cluster.assignment,
+                                      config=config)
+
+    @pytest.mark.parametrize("copied", ["source_vocabulary", "target_vocabulary"])
+    def test_a_shard_with_a_copied_vocabulary_cannot_stack(self, master_router,
+                                                           copied):
+        """The wave tokenizes and parses a whole wave with one pair of
+        vocabularies, so a shard router restored onto an equal copy of
+        either is refused at construction too."""
+        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            first = cluster.shards[0].workers[0]
+            stranger = project_router(master_router, first.databases,
+                                      num_beams=first.router.config.num_beams,
+                                      beam_groups=first.router.config.beam_groups)
+            vocabularies = {"source_vocabulary": master_router.source_vocabulary,
+                            "target_vocabulary": master_router.target_vocabulary}
+            vocabularies[copied] = copy.deepcopy(vocabularies[copied])
+            stranger.restore(master_router.model, vocabularies["source_vocabulary"],
+                             vocabularies["target_vocabulary"])
+            first.service.replace_router(stranger)
+            with pytest.raises(ValueError, match="one pair of vocabulary objects"):
+                ClusterRoutingService(cluster.shards, cluster.assignment,
+                                      config=config)
+
     def test_wave_decode_is_not_a_knob(self):
         assert "wave_decode" not in ClusterConfig.__dataclass_fields__
         with pytest.raises(TypeError):
             ClusterConfig(**{"wave_decode": True})
+
+    def test_sliced_vocabulary_is_not_a_knob(self, master_router):
+        """One target vocabulary: no config field, projection argument or
+        router attribute selects a slice of it."""
+        import repro.cluster
+
+        assert "sliced_vocabulary" not in ClusterConfig.__dataclass_fields__
+        assert len(ClusterConfig.__dataclass_fields__) == 18
+        for function in (project_router, repro.cluster.ShardWorker.from_projection):
+            assert "sliced_vocabulary" not in inspect.signature(function).parameters
+        assert not hasattr(repro.cluster, "slice_target_vocabulary")
+        shard = project_router(master_router, master_router.graph.catalog.database_names[:2])
+        for retired in ("vocabulary_slice", "rescore_hypotheses"):
+            assert not hasattr(shard, retired)
 
 
 class TestWaveBookkeeping:
