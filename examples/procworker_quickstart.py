@@ -2,9 +2,10 @@
 
 Run with ``python examples/procworker_quickstart.py``.  This is the
 process-isolation half of the cluster story: a trained router is partitioned
-and saved as a cluster checkpoint, then booted with
-``ClusterConfig(worker_backend="subprocess")`` so each shard decodes in its
-own ``repro.cluster.procworker`` process, driven over the length-prefixed
+and saved as a cluster checkpoint (``cluster.json`` plus the ``master/``
+router), then booted with ``ClusterConfig(worker_backend="subprocess")`` so
+each shard decodes in its own ``repro.cluster.procworker`` process -- which
+loads the master and projects its shard -- driven over the length-prefixed
 wire protocol.  A seeded Zipf workload flows through, one worker is killed
 mid-run to show kill-and-respawn, and the cluster shuts down gracefully.
 """
@@ -39,8 +40,10 @@ def main() -> None:
             router, ClusterConfig(num_shards=2, strategy="size_balanced"))
         checkpoint = save_cluster(built, Path(scratch) / "cluster-ckpt")
         built.close()
+        # Two artifacts: cluster.json (config, assignment) and the master
+        # router; every worker loads master/ and projects its own shard.
         for artifact in sorted(checkpoint.iterdir()):
-            print(f"   {artifact.name}/")
+            print(f"   {artifact.name}{'/' if artifact.is_dir() else ''}")
 
         print("\n3. Spawn: booting the checkpoint on subprocess workers ...")
         config = ClusterConfig(num_shards=2, worker_backend="subprocess")

@@ -23,8 +23,9 @@ across the shards and merges the candidates into one deterministic top-k:
   master's one model, each row under its own shard's constraint;
 * :mod:`repro.cluster.service` -- :class:`ClusterRoutingService`, the façade
   mirroring the PR-1 ``RoutingService`` API plus cluster-wide metrics;
-* :mod:`repro.cluster.checkpoint` -- whole-cluster save/load (shard manifest
-  + per-shard router checkpoints) for identical restarts;
+* :mod:`repro.cluster.checkpoint` -- whole-cluster save/load (the master
+  router + ``cluster.json``, every shard projected from it) for identical
+  restarts;
 * :mod:`repro.cluster.transport` -- the length-prefixed JSON wire protocol
   (``hello`` version-equality handshake, route/stats/shutdown/error frames,
   binary route segments) that lets a shard live outside this process;

@@ -1,104 +1,79 @@
-"""Whole-cluster checkpoints: shard manifest + per-shard router checkpoints.
+"""Whole-cluster checkpoints: the master router plus the shard layout.
 
 A cluster checkpoint is a directory::
 
     cluster-ckpt/
-      cluster.json     # format/version, ClusterConfig, the shard assignment
-      master/          # full router checkpoint (rebalancing universe)
-      shard-00/        # per-shard projected-router checkpoints
-      shard-01/
-      ...
+      cluster.json     # format/version, ClusterConfig, the shard assignment,
+                       # the catalog version
+      master/          # full router checkpoint (repro.serving.checkpoint)
 
-Each shard directory is an ordinary :mod:`repro.serving.checkpoint` router
-checkpoint of that shard's *projected* router (sub-catalog, shard beam
-budget), so a shard can also be booted standalone with
-``SchemaRouter.from_checkpoint`` -- which is what subprocess workers do.
-Loading the whole directory reproduces the cluster identically: same
-assignment, same per-shard configs, bit-identical weights, hence identical
-routes.  An inproc fleet reads the master once and re-projects its shards from
-it (trunk shared by reference, exactly as ``from_router`` builds them) after
-verifying that every shard directory holds that same projection by content.
+No shard is saved: a shard is the master projected onto its databases at
+the beam budgets ``ClusterConfig`` derives
+(:meth:`~repro.cluster.shard.ShardWorker.from_projection`), so both backends
+boot every shard from the same bytes the same way.  An inproc fleet projects
+from the master it loaded, sharing its model by reference, exactly as
+``from_router`` does; a subprocess worker is handed the ``master/`` directory,
+its databases and its beam budgets on its command line, and loads and
+projects for itself.  Loading reproduces the cluster identically: same
+assignment, same per-shard configs, same weights, hence identical routes.
+
+Version 1 checkpoints also held a projected router copy per shard
+(``shard-NN/``, named by a ``shards`` manifest entry); they load through the
+same path, and those copies are never read.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from repro.cluster.partition import ShardAssignment
 from repro.cluster.replica import ReplicaSet
-from repro.cluster.service import ClusterConfig, ClusterRoutingService
-from repro.cluster.shard import ShardWorker
+from repro.cluster.service import ClusterConfig, ClusterRoutingService, project_shards
 from repro.core.router import SchemaRouter
-from repro.serving.checkpoint import (
-    CheckpointError,
-    load_manifest,
-    load_router,
-    save_router,
-    verify_router_checkpoint,
-)
+from repro.serving.checkpoint import CheckpointError, load_router, save_router
 
 CLUSTER_FORMAT = "repro-cluster-checkpoint"
-CLUSTER_VERSION = 1
+CLUSTER_VERSION = 2
+#: Every version this build loads: version 1 differs only by the per-shard
+#: copies it carries, which are not read.
+READABLE_VERSIONS = (1, CLUSTER_VERSION)
 
 CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
-#: them, and loading drops them (``sliced_vocabulary`` only while false).
+#: them, and loading drops them.
 RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
                                  "sliced_vocabulary"})
 
 
-def _shard_dir(shard_id: int) -> str:
-    return f"shard-{shard_id:02d}"
-
-
-def save_cluster(cluster: ClusterRoutingService, path: str | Path) -> Path:
-    """Write ``cluster`` (layout + routers) to a checkpoint directory."""
-    if cluster.master_router is None:
-        raise CheckpointError("cannot checkpoint a cluster without its master router")
+def write_cluster(path: str | Path, master: SchemaRouter, config: ClusterConfig,
+                  assignment: ShardAssignment, catalog_version: int = 0) -> Path:
+    """Write a cluster checkpoint: ``master/`` and ``cluster.json``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    save_router(cluster.master_router, path / MASTER_DIR)
-    shard_entries = []
-    for replica_set in cluster.shards:
-        shard_id = replica_set.shard_id
-        directory = _shard_dir(shard_id)
-        # Replicas are interchangeable projections of the same model; one
-        # checkpoint per shard reproduces all of them.
-        worker = replica_set.workers[0]
-        if hasattr(worker, "router"):
-            save_router(worker.router, path / directory)
-        else:
-            # Subprocess workers have no in-memory router: their projected
-            # router already lives in the checkpoint directory they were
-            # booted from, so saving is a directory copy.
-            if worker.checkpoint_dir is None:
-                raise CheckpointError(
-                    f"shard {shard_id} worker has no checkpoint directory to copy")
-            source = Path(worker.checkpoint_dir).resolve()
-            target = (path / directory).resolve()
-            if source != target:
-                shutil.copytree(source, target, dirs_exist_ok=True)
-        shard_entries.append({
-            "shard_id": shard_id,
-            "databases": list(replica_set.databases),
-            "dir": directory,
-        })
+    save_router(master, path / MASTER_DIR)
     manifest = {
         "format": CLUSTER_FORMAT,
         "version": CLUSTER_VERSION,
-        "config": asdict(cluster.config),
-        "assignment": cluster.assignment.to_payload(),
-        "catalog_version": cluster.catalog_version,
-        "shards": shard_entries,
+        "config": asdict(config),
+        "assignment": assignment.to_payload(),
+        "catalog_version": catalog_version,
     }
     (path / CLUSTER_MANIFEST_FILE).write_text(json.dumps(manifest, indent=2,
                                                          sort_keys=True))
     return path
+
+
+def save_cluster(cluster: ClusterRoutingService, path: str | Path) -> Path:
+    """Write ``cluster`` (its master router and layout) to a checkpoint
+    directory."""
+    if cluster.master_router is None:
+        raise CheckpointError("cannot checkpoint a cluster without its master router")
+    return write_cluster(path, cluster.master_router, cluster.config,
+                         cluster.assignment, cluster.catalog_version)
 
 
 def load_cluster_manifest(path: str | Path) -> dict:
@@ -113,37 +88,42 @@ def load_cluster_manifest(path: str | Path) -> dict:
                               f"{error}") from error
     if manifest.get("format") != CLUSTER_FORMAT:
         raise CheckpointError(f"not a cluster checkpoint: {manifest.get('format')!r}")
-    if manifest.get("version") != CLUSTER_VERSION:
+    if manifest.get("version") not in READABLE_VERSIONS:
         raise CheckpointError(
             f"unsupported cluster checkpoint version {manifest.get('version')!r}"
-            f" (this build reads version {CLUSTER_VERSION})"
+            f" (this build reads versions {', '.join(map(str, READABLE_VERSIONS))})"
         )
     return manifest
 
 
-def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
-                       master: SchemaRouter) -> list[ReplicaSet]:
+def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
+                       config: ClusterConfig, master: SchemaRouter) -> list[ReplicaSet]:
     """Boot every subprocess replica of every shard, concurrently.
 
-    Each replica is its own ``repro.cluster.procworker`` process, booted from
-    the shard directory and driven over the wire protocol; the shard
-    checkpoint already carries the projected sub-catalog and beam budget, so
-    only serving knobs travel on the command line.  ``shard_timeout_seconds``
-    is each worker's own request deadline, whatever the replica count: the
-    one timeout mechanism of a fleet.  Spawning is fanned out on
-    a thread pool -- each child loads weights and handshakes on its own core,
-    so an N-worker cluster boots in ~one worker's time, not N.  On *any*
-    failure (spawn, handshake, manifest mismatch) every already-spawned
-    worker is closed: a failed load must not leak orphan processes.
+    Each replica is its own ``repro.cluster.procworker`` process: it loads
+    ``master_dir`` and projects its shard with the databases and beam budgets
+    passed on its command line, then is driven over the wire protocol.
+    ``shard_timeout_seconds`` is each worker's own request deadline, whatever
+    the replica count: the one timeout mechanism of a fleet.  Spawning is
+    fanned out on a thread pool -- each child loads weights and handshakes on
+    its own core, so an N-worker cluster boots in ~one worker's time, not N.
+    On *any* failure (spawn, handshake, announced databases) every
+    already-spawned worker is closed: a failed load must not leak orphan
+    processes.
     """
     from repro.cluster.procworker import ProcShardWorker
 
-    jobs = [entry for entry in entries for _ in range(config.replicas)]
+    beams, groups = config.shard_beams_for(master)
+    escalation_beams = config.escalation_beams_for(master)
+    jobs = [(shard_id, databases) for shard_id, databases in enumerate(assignment.shards)
+            for _ in range(config.replicas)]
 
-    def boot(entry: dict) -> "ProcShardWorker":
+    def boot(job: tuple[int, tuple[str, ...]]) -> "ProcShardWorker":
+        shard_id, databases = job
         return ProcShardWorker(
-            entry["shard_id"], path / entry["dir"],
-            escalation_num_beams=config.escalation_beams_for(master),
+            shard_id, master_dir, databases,
+            num_beams=beams, beam_groups=groups,
+            escalation_num_beams=escalation_beams,
             enable_cache=config.enable_cache,
             cache_size=config.cache_size,
             cache_ttl_seconds=config.cache_ttl_seconds,
@@ -154,7 +134,7 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     failure: BaseException | None = None
     with ThreadPoolExecutor(max_workers=min(len(jobs), 8),
                             thread_name_prefix="repro-cluster-spawn") as pool:
-        for future in [pool.submit(boot, entry) for entry in jobs]:
+        for future in [pool.submit(boot, job) for job in jobs]:
             try:
                 spawned.append(future.result())
             except BaseException as error:  # noqa: BLE001 - cleanup then re-raise
@@ -163,12 +143,12 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     try:
         if failure is not None:
             raise failure
-        for worker, entry in zip(spawned, jobs):
-            if sorted(worker.databases) != sorted(entry["databases"]):
+        for worker, (shard_id, databases) in zip(spawned, jobs):
+            if sorted(worker.databases) != sorted(databases):
                 raise CheckpointError(
-                    f"shard {entry['shard_id']} worker announced "
+                    f"shard {shard_id} worker announced "
                     f"{sorted(worker.databases)} but the manifest assigns "
-                    f"{entry['databases']}"
+                    f"{list(databases)}"
                 )
     except BaseException:
         for worker in spawned:
@@ -177,48 +157,13 @@ def _spawn_proc_shards(path: Path, entries: list[dict], config: ClusterConfig,
     replicas_of: dict[int, list[ProcShardWorker]] = {}
     for worker in spawned:
         replicas_of.setdefault(worker.shard_id, []).append(worker)
-    return [ReplicaSet(entry["shard_id"], replicas_of[entry["shard_id"]],
+    return [ReplicaSet(shard_id, replicas_of[shard_id],
                        quarantine_seconds=config.quarantine_seconds)
-            for entry in entries]
-
-
-def _project_inproc_worker(shard_path: Path, entry: dict, config: ClusterConfig,
-                           master: SchemaRouter) -> ShardWorker:
-    """One shard's inproc worker, projected from ``master``.
-
-    The worker serves the same objects ``from_router`` hands out -- the
-    master's model and vocabularies by reference -- so a loaded fleet decodes
-    as one wave.
-    The shard directory is not loaded but *verified*: its contents must equal
-    the projection it is replaced by.
-    """
-    saved = load_manifest(shard_path)
-    try:
-        worker = ShardWorker.from_projection(
-            entry["shard_id"], tuple(entry["databases"]), master,
-            serving_config=config.serving_config(),
-            num_beams=saved["router_config"]["num_beams"],
-            beam_groups=saved["router_config"]["beam_groups"],
-            escalation_num_beams=config.escalation_beams_for(master),
-            checkpoint_dir=shard_path)
-    except (KeyError, ValueError) as error:
-        raise CheckpointError(f"shard {entry['shard_id']} checkpoint is not a "
-                              f"projection of the master: {error}") from error
-    verify_router_checkpoint(shard_path, worker.router)
-    return worker
+            for shard_id in range(assignment.num_shards)]
 
 
 def _saved_config(payload: dict) -> ClusterConfig:
-    """The manifest's ``ClusterConfig``, tolerant of keys this build retired.
-
-    A fleet saved with ``sliced_vocabulary`` on holds shard routers whose
-    scores are normalised over their own slice of the vocabulary: it is
-    refused here, before any worker spawns, never served uncalibrated."""
-    if payload.get("sliced_vocabulary"):
-        raise CheckpointError(
-            f"cluster manifest config has sliced_vocabulary=true, which this "
-            f"build no longer serves; re-save the cluster from its "
-            f"{MASTER_DIR}/ router")
+    """The manifest's ``ClusterConfig``, tolerant of keys this build retired."""
     known = {field.name for field in fields(ClusterConfig)}
     unknown = sorted(set(payload) - known - RETIRED_CONFIG_KEYS)
     if unknown:
@@ -258,20 +203,15 @@ def load_cluster(path: str | Path,
     if config.num_shards != assignment.num_shards:
         config = replace(config, num_shards=assignment.num_shards)
     master = load_router(path / MASTER_DIR)
-    entries = sorted(manifest["shards"], key=lambda item: item["shard_id"])
+    unknown = sorted(set(assignment.database_names)
+                     - set(master.graph.catalog.database_names))
+    if unknown:
+        raise CheckpointError(f"the assignment names database(s) {unknown} "
+                              f"that the {MASTER_DIR}/ router lacks")
     if config.worker_backend == "subprocess":
-        shards = _spawn_proc_shards(path, entries, config, master)
+        shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config, master)
     else:
-        shards = [
-            ReplicaSet(entry["shard_id"],
-                       [_project_inproc_worker(path / entry["dir"], entry,
-                                               config, master)],
-                       quarantine_seconds=config.quarantine_seconds)
-            for entry in entries
-        ]
-    if len(shards) != assignment.num_shards:
-        raise CheckpointError(f"cluster manifest lists {len(shards)} shards but "
-                              f"the assignment has {assignment.num_shards}")
+        shards = project_shards(master, assignment, config)
     return ClusterRoutingService(shards, assignment, config=config,
                                  master_router=master,
                                  catalog_version=manifest.get("catalog_version", 0))

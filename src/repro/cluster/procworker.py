@@ -5,17 +5,19 @@ every other shard, so scatter-gather only overlaps the numpy portions of the
 decode.  This module moves the worker across a process boundary:
 
 * :func:`worker_main` is the child side -- ``python -m repro.cluster.procworker
-  --checkpoint DIR``.  It boots a :class:`ShardWorker` from a per-shard router
-  checkpoint (the directories ``save_cluster`` writes), performs the
-  ``hello``/``hello_ack`` version handshake on its stdin/stdout pipes, and
-  serves :mod:`repro.cluster.transport` frames until a ``shutdown`` frame or
-  EOF.
+  --master DIR --databases NAME ...``.  It loads the master router of a
+  cluster checkpoint (the ``master/`` directory ``save_cluster`` writes) and
+  projects its shard with :meth:`ShardWorker.from_projection` -- the very call
+  an inproc fleet makes -- at the beam budgets on its command line, performs
+  the ``hello``/``hello_ack`` version handshake on its stdin/stdout pipes,
+  and serves :mod:`repro.cluster.transport` frames until a ``shutdown`` frame
+  or EOF.
 
 * :class:`ProcShardWorker` is the dispatcher side -- a proxy with the same
   ``route_batch(questions, max_candidates, careful)`` surface as
   ``ShardWorker``, so :class:`~repro.cluster.replica.ReplicaSet` and
   :class:`~repro.cluster.dispatcher.ClusterDispatcher` work unchanged over the
-  wire.  It owns the worker's lifecycle: spawn from a checkpoint directory,
+  wire.  It owns the worker's lifecycle: spawn from a master directory,
   health-check pings, kill on request timeout, automatic respawn after a
   crash, and a graceful ``close()`` that drains in-flight requests before
   sending ``shutdown``.
@@ -46,7 +48,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
@@ -67,7 +69,7 @@ from repro.cluster.transport import (
     route_lists_to_binary,
     write_frame,
 )
-from repro.core.router import SchemaRoute
+from repro.core.router import SchemaRoute, SchemaRouter
 from repro.obs import Tracer
 from repro.serving.service import ServingConfig
 
@@ -217,9 +219,13 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.cluster.procworker",
         description="Serve one cluster shard over stdin/stdout frames.")
-    parser.add_argument("--checkpoint", required=True,
-                        help="per-shard router checkpoint directory")
+    parser.add_argument("--master", required=True,
+                        help="the master router checkpoint directory")
+    parser.add_argument("--databases", nargs="*", required=True,
+                        help="the databases this shard projects the master onto")
     parser.add_argument("--shard-id", type=int, default=0)
+    parser.add_argument("--num-beams", type=int, default=None)
+    parser.add_argument("--beam-groups", type=int, default=None)
     parser.add_argument("--escalation-num-beams", type=int, default=None,
                         help="enable the careful decode tier at this beam budget")
     parser.add_argument("--no-cache", action="store_true",
@@ -240,8 +246,9 @@ def worker_main(argv: list[str] | None = None) -> int:
     except ValueError:
         slow_careful = 0.0
 
-    worker = ShardWorker.from_checkpoint(
-        arguments.shard_id, Path(arguments.checkpoint),
+    worker = ShardWorker.from_projection(
+        arguments.shard_id, tuple(arguments.databases),
+        SchemaRouter.from_checkpoint(arguments.master),
         serving_config=ServingConfig(enable_batching=False,
                                      enable_cache=not arguments.no_cache,
                                      cache_size=arguments.cache_size,
@@ -250,6 +257,8 @@ def worker_main(argv: list[str] | None = None) -> int:
                                      # serve()); the shard service must not
                                      # start its own per-wave traces on top.
                                      enable_tracing=False),
+        num_beams=arguments.num_beams,
+        beam_groups=arguments.beam_groups,
         escalation_num_beams=arguments.escalation_num_beams,
     )
     try:
@@ -296,8 +305,9 @@ class ProcShardWorker:
     (``route_batch`` / ``stats`` / ``notify_catalog_changed`` / ``close`` /
     ``databases``), plus process lifecycle:
 
-    * **spawn** -- boots ``python -m repro.cluster.procworker`` on a per-shard
-      checkpoint directory, runs the version handshake, and starts a receiver
+    * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
+      router directory, told which ``databases`` to project it onto at which
+      beam budgets; runs the version handshake, and starts a receiver
       thread that demultiplexes responses by correlation id into per-request
       events -- many frames ride the pipe concurrently;
     * **timeout** -- a request that misses ``request_timeout_seconds`` kills
@@ -307,7 +317,7 @@ class ProcShardWorker:
       both and fails over;
     * **crash** -- EOF with requests in flight fails them all as
       :class:`WorkerCrashedError`; with ``auto_respawn`` the next request
-      transparently boots a fresh process from the same checkpoint (counted
+      transparently boots a fresh process from the same master (counted
       in ``respawns``);
     * **close** -- waits for in-flight requests to drain, sends ``shutdown``,
       and escalates to ``kill`` only if the worker does not exit in time.
@@ -318,7 +328,10 @@ class ProcShardWorker:
     transitions can always join it without deadlock.
     """
 
-    def __init__(self, shard_id: int, checkpoint_dir: str | Path, *,
+    def __init__(self, shard_id: int, master_dir: str | Path,
+                 databases: Sequence[str], *,
+                 num_beams: int | None = None,
+                 beam_groups: int | None = None,
                  escalation_num_beams: int | None = None,
                  enable_cache: bool = True,
                  cache_size: int = 2048,
@@ -331,7 +344,12 @@ class ProcShardWorker:
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.shard_id = shard_id
-        self.checkpoint_dir = Path(checkpoint_dir)
+        #: What the child projects: ``master_dir`` onto these databases at
+        #: these beam budgets (``databases`` is what the child announces).
+        self.master_dir = Path(master_dir)
+        self.projected_databases = tuple(databases)
+        self.num_beams = num_beams
+        self.beam_groups = beam_groups
         self.escalation_num_beams = escalation_num_beams
         self.enable_cache = enable_cache
         self.cache_size = cache_size
@@ -350,11 +368,6 @@ class ProcShardWorker:
         self.requests_sent = 0
         self.timeouts = 0
         self.crashes = 0
-        #: Frames sent while at least one other frame was already in flight
-        #: (the multiplexing win, observable).
-        self.pipelined_frames = 0
-        #: Highest concurrent in-flight depth ever reached.
-        self.max_in_flight = 0
         self._clock = clock
         #: When the child last answered anything (set at handshake and on
         #: every reply) -- the heartbeat the health probe ages.
@@ -372,7 +385,8 @@ class ProcShardWorker:
         #: Demux-table lock; the *only* lock the receiver thread takes.
         self._pending_lock = threading.Lock()
         self._pending: dict[int, _PendingRequest] = {}
-        #: Depth histogram: in-flight depth at send time -> frame count.
+        #: Depth histogram: in-flight depth at send time -> frame count (the
+        #: multiplexing win, observable through ``transport_stats()``).
         self._in_flight_depths: dict[int, int] = {}
         #: Bumped on every spawn/destroy; a receiver thread that wakes up to
         #: a different generation stands down silently.
@@ -397,12 +411,16 @@ class ProcShardWorker:
     # -- lifecycle -------------------------------------------------------------
     def _command(self) -> list[str]:
         command = [self.python_executable, "-m", "repro.cluster.procworker",
-                   "--checkpoint", str(self.checkpoint_dir),
+                   "--master", str(self.master_dir),
+                   "--databases", *self.projected_databases,
                    "--shard-id", str(self.shard_id),
                    "--cache-size", str(self.cache_size),
                    "--max-frame-bytes", str(self.max_frame_bytes)]
-        if self.escalation_num_beams is not None:
-            command += ["--escalation-num-beams", str(self.escalation_num_beams)]
+        for flag, value in (("--num-beams", self.num_beams),
+                            ("--beam-groups", self.beam_groups),
+                            ("--escalation-num-beams", self.escalation_num_beams)):
+            if value is not None:
+                command += [flag, str(value)]
         if not self.enable_cache:
             command.append("--no-cache")
         if self.cache_ttl_seconds is not None:
@@ -593,7 +611,7 @@ class ProcShardWorker:
             receiver.join(timeout=self.control_timeout_seconds)
 
     def respawn(self) -> None:
-        """Kill (if needed) and boot a fresh process from the checkpoint."""
+        """Kill (if needed) and boot a fresh process from the master."""
         with self._lifecycle:
             self._destroy()
             self._spawn()
@@ -636,10 +654,6 @@ class ProcShardWorker:
             with self._pending_lock:
                 depth = len(self._pending) + 1
                 self._pending[request_id] = pending
-                if depth > 1:
-                    self.pipelined_frames += 1
-                if depth > self.max_in_flight:
-                    self.max_in_flight = depth
                 self._in_flight_depths[depth] = \
                     self._in_flight_depths.get(depth, 0) + 1
             self.requests_sent += 1
@@ -828,8 +842,11 @@ class ProcShardWorker:
             "timeouts": self.timeouts,
             "crashes": self.crashes,
             "in_flight": in_flight,
-            "max_in_flight": self.max_in_flight,
-            "pipelined_frames": self.pipelined_frames,
+            # Highest in-flight depth reached, and frames sent while another
+            # was already in flight.
+            "max_in_flight": max(depths, default=0),
+            "pipelined_frames": sum(count for depth, count in depths.items()
+                                    if depth > 1),
             "bytes_sent": self._bytes_sent_total
             + (writer.bytes_written if writer is not None else 0),
             "bytes_received": self._bytes_received_total
@@ -881,13 +898,14 @@ class ProcShardWorker:
             self._destroy()
             return
         # Drain: give requests already on the pipe until the deadline to come
-        # home before the shutdown frame jumps the (multiplexed) queue.
+        # home before the shutdown frame jumps the (multiplexed) queue.  No
+        # frame registers once ``_closed`` is set, so waiting on each
+        # in-flight entry's own event is the whole drain.
         deadline = time.monotonic() + shutdown_timeout_seconds
-        while time.monotonic() < deadline:
-            with self._pending_lock:
-                if not self._pending:
-                    break
-            time.sleep(0.005)
+        with self._pending_lock:
+            in_flight = list(self._pending.values())
+        for entry in in_flight:
+            entry.event.wait(max(0.0, deadline - time.monotonic()))
         pending = _PendingRequest()
         with self._lifecycle:
             try:
@@ -918,7 +936,7 @@ class ProcShardWorker:
     def __repr__(self) -> str:
         state = "alive" if self.is_alive() else "dead"
         return (f"ProcShardWorker(shard_id={self.shard_id}, pid={self.pid}, "
-                f"{state}, checkpoint={str(self.checkpoint_dir)!r})")
+                f"{state}, master={str(self.master_dir)!r})")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

@@ -66,8 +66,8 @@ class ClusterConfig:
     #: interpreter, every wave one stacked decode) or "subprocess" (one
     #: ``repro.cluster.procworker`` process per replica, driven over the
     #: :mod:`repro.cluster.transport` wire protocol, so decode runs on
-    #: separate cores).  Subprocess workers boot from per-shard checkpoint
-    #: directories; ``from_router`` writes one automatically.
+    #: separate cores).  Subprocess workers load the master router of a
+    #: cluster checkpoint; ``from_router`` writes one automatically.
     worker_backend: str = "inproc"
     #: Worker processes per shard (1 = no replication); subprocess only.
     replicas: int = 1
@@ -169,6 +169,23 @@ class ClusterConfig:
                                                 // self.num_shards)
 
 
+def project_shards(master: SchemaRouter, assignment: ShardAssignment,
+                   config: ClusterConfig) -> list[ReplicaSet]:
+    """One inproc worker per shard of ``assignment``: ``master`` projected
+    onto the shard's databases at the beam budgets ``config`` derives."""
+    beams, groups = config.shard_beams_for(master)
+    escalation_beams = config.escalation_beams_for(master)
+    return [
+        ReplicaSet(shard_id, [ShardWorker.from_projection(
+            shard_id, databases, master,
+            serving_config=config.serving_config(),
+            num_beams=beams, beam_groups=groups,
+            escalation_num_beams=escalation_beams)],
+            quarantine_seconds=config.quarantine_seconds)
+        for shard_id, databases in enumerate(assignment.shards)
+    ]
+
+
 class ClusterRoutingService:
     """Serves schema routing over a partitioned catalog.
 
@@ -254,62 +271,36 @@ class ClusterRoutingService:
         shard.  No training happens: every shard shares the master's trained
         model.
 
-        With ``worker_backend="subprocess"`` the projected cluster is first
-        written to ``checkpoint_dir`` (a temporary directory when omitted,
-        removed again on ``close()``) and then booted from it, because
-        subprocess workers load their shard from disk rather than inheriting
-        in-memory weights.
+        With ``worker_backend="subprocess"`` the master and the layout are
+        first written to ``checkpoint_dir`` as a cluster checkpoint (a
+        temporary directory when omitted, removed again on ``close()``) and
+        booted with ``load_cluster``, because each worker process loads the
+        master from disk rather than inheriting in-memory weights.
         """
         config = config or ClusterConfig()
-        if config.worker_backend == "subprocess":
-            from repro.cluster.checkpoint import load_cluster, save_cluster
-
-            # The bootstrap twin exists only to be checkpointed (one
-            # checkpoint per shard, whatever the replication), so it is a
-            # plain inproc fleet without the subprocess-only knobs.
-            inproc = cls.from_router(master,
-                                     replace(config, worker_backend="inproc",
-                                             replicas=1,
-                                             shard_timeout_seconds=None,
-                                             allow_partial=False),
-                                     assignment=assignment)
-            # The manifest should record the caller's intent (subprocess
-            # backend, real replica count), not the bootstrap twin's shape:
-            # a bare load_cluster(path) must reproduce what was built here.
-            inproc.config = config
-            owned_dir: Path | None = None
-            if checkpoint_dir is None:
-                owned_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
-                checkpoint_dir = owned_dir
-            try:
-                save_cluster(inproc, checkpoint_dir)
-                service = load_cluster(checkpoint_dir, config=config)
-            except BaseException:
-                # A failed boot must not leave router weights behind in /tmp.
-                if owned_dir is not None:
-                    shutil.rmtree(owned_dir, ignore_errors=True)
-                raise
-            finally:
-                inproc.close()
-            service._owned_checkpoint_dir = owned_dir
-            return service
         if assignment is None:
             assignment = partition_catalog(master.graph.catalog, config.num_shards,
                                            strategy=config.strategy)
         elif assignment.num_shards != config.num_shards:
             config = replace(config, num_shards=assignment.num_shards)
-        beams, groups = config.shard_beams_for(master)
-        escalation_beams = config.escalation_beams_for(master)
-        shards = [
-            ReplicaSet(shard_id, [ShardWorker.from_projection(
-                shard_id, databases, master,
-                serving_config=config.serving_config(),
-                num_beams=beams, beam_groups=groups,
-                escalation_num_beams=escalation_beams)],
-                quarantine_seconds=config.quarantine_seconds)
-            for shard_id, databases in enumerate(assignment.shards)
-        ]
-        return cls(shards, assignment, config=config, master_router=master)
+        if config.worker_backend == "inproc":
+            return cls(project_shards(master, assignment, config), assignment,
+                       config=config, master_router=master)
+        from repro.cluster.checkpoint import load_cluster, write_cluster
+
+        owned_dir: Path | None = None
+        if checkpoint_dir is None:
+            owned_dir = checkpoint_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-"))
+        try:
+            write_cluster(checkpoint_dir, master, config, assignment)
+            service = load_cluster(checkpoint_dir, config=config)
+        except BaseException:
+            # A failed boot must not leave router weights behind in /tmp.
+            if owned_dir is not None:
+                shutil.rmtree(owned_dir, ignore_errors=True)
+            raise
+        service._owned_checkpoint_dir = owned_dir
+        return service
 
     @classmethod
     def from_checkpoint(cls, path: str | Path,

@@ -2,8 +2,11 @@
 
 A :class:`ShardWorker` owns everything one shard needs to serve its slice of
 the catalog: a *projected* router (the trained model restricted to the shard's
-sub-graph), a :class:`repro.serving.RoutingService` with its own route cache
-and metrics, and optionally the checkpoint directory it was booted from.
+sub-graph) and a :class:`repro.serving.RoutingService` with its own route
+cache and metrics.  :meth:`ShardWorker.from_projection` is the one way a shard
+is built -- by ``ClusterRoutingService.from_router``, by ``load_cluster`` for
+an inproc fleet, and by each subprocess worker from the master router it
+loads -- so a shard is the same object whichever backend serves it.
 
 Projection shares the master model and vocabularies (decoding stays
 bit-identical for sequences inside the shard) while the graph constraint and
@@ -19,8 +22,6 @@ where the cluster's single-core speedup comes from.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.core.graph import SchemaGraph
 from repro.core.router import SchemaRoute, SchemaRouter
@@ -72,11 +73,9 @@ class ShardWorker:
 
     def __init__(self, shard_id: int, databases: tuple[str, ...], router: SchemaRouter,
                  serving_config: ServingConfig | None = None,
-                 checkpoint_dir: str | Path | None = None,
                  escalation_num_beams: int | None = None) -> None:
         self.shard_id = shard_id
         self.databases = tuple(databases)
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         # The dispatcher already batches whole scatter waves into one
         # ``submit_many`` call per shard, so the per-shard micro-batcher (and
         # its worker thread) is off by default; the route cache stays on.
@@ -104,22 +103,12 @@ class ShardWorker:
                         serving_config: ServingConfig | None = None,
                         num_beams: int | None = None,
                         beam_groups: int | None = None,
-                        escalation_num_beams: int | None = None,
-                        checkpoint_dir: str | Path | None = None) -> "ShardWorker":
+                        escalation_num_beams: int | None = None) -> "ShardWorker":
+        """``master`` projected onto ``databases`` at the given beam budgets
+        (``escalation_num_beams`` adds the careful tier)."""
         router = project_router(master, databases, num_beams=num_beams,
                                 beam_groups=beam_groups)
         return cls(shard_id, databases, router, serving_config=serving_config,
-                   checkpoint_dir=checkpoint_dir,
-                   escalation_num_beams=escalation_num_beams)
-
-    @classmethod
-    def from_checkpoint(cls, shard_id: int, path: str | Path,
-                        serving_config: ServingConfig | None = None,
-                        escalation_num_beams: int | None = None) -> "ShardWorker":
-        """Boot a worker from a per-shard router checkpoint directory."""
-        router = SchemaRouter.from_checkpoint(path)
-        return cls(shard_id, tuple(router.graph.catalog.database_names), router,
-                   serving_config=serving_config, checkpoint_dir=path,
                    escalation_num_beams=escalation_num_beams)
 
     # -- request path --------------------------------------------------------
@@ -131,13 +120,14 @@ class ShardWorker:
                     careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
         """Route one scatter wave (cache-aware, deduplicated within the wave).
 
-        ``careful=True`` decodes through the escalation tier (wide beams);
-        it falls back to the fast tier when no escalation tier is configured.
-        A caller-provided ``trace`` scope threads through to the service so
+        ``careful=True`` decodes through the escalation tier (wide beams)
+        and raises ``ValueError`` on a worker built without one.  A
+        caller-provided ``trace`` scope threads through to the service so
         encode/decode/parse spans nest under the dispatcher's scatter span.
         """
-        service = self.careful_service if careful and self.careful_service is not None \
-            else self.service
+        if careful and self.careful_service is None:
+            raise ValueError(f"shard {self.shard_id} has no careful tier")
+        service = self.careful_service if careful else self.service
         return service.submit_many(questions, max_candidates=max_candidates,
                                    trace=trace)
 

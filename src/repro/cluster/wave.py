@@ -138,20 +138,21 @@ class ClusterWaveEngine:
                    trace=None) -> list[list[list[SchemaRoute]]]:
         """Route one wave across every shard; returns ``[shard][question]``.
 
-        ``careful=True`` decodes through the escalation tier when every
-        worker carries one (falling back to the fast tier otherwise, like
-        :meth:`ShardWorker.route_batch`).  Each shard's service consults and
+        ``careful=True`` decodes through the escalation tier and raises
+        ``ValueError`` on a fleet without one, like
+        :meth:`ShardWorker.route_batch`.  Each shard's service consults and
         commits the wave exactly as its own ``submit_many`` would.
         """
+        if careful and not self.has_careful_tier:
+            raise ValueError("the fleet has no careful tier")
         questions = list(questions)
-        use_careful = careful and self.has_careful_tier
         stats: dict = {}
         started = time.monotonic()  # lock wait counts, as in submit_many
-        with self._locked_tier(use_careful) as tier:
+        with self._locked_tier(careful) as tier:
             consulted = [service.consult(questions, max_candidates)
                          for service in tier.services]
             with maybe_span(trace, "wave_decode", shards=len(self.workers),
-                            questions=len(questions), careful=use_careful) as span:
+                            questions=len(questions), careful=careful) as span:
                 try:
                     answers = self._decode_pending(
                         tier, questions, [pending for _, pending in consulted],
@@ -168,7 +169,7 @@ class ClusterWaveEngine:
                 service.commit(questions, results, pending, shard_answers,
                                max_candidates, started)
         self._note_replicas(ok=True)
-        self._note_wave(stats, len(questions), use_careful)
+        self._note_wave(stats, len(questions), careful)
         return [results for results, _ in consulted]
 
     def _decode_pending(self, tier: _WaveTier, questions: list[str],

@@ -68,7 +68,6 @@ class MicroBatcher:
         self._closed = False
         self.batches_dispatched = 0
         self.requests_dispatched = 0
-        self.batch_sizes: dict[int, int] = {}
         self._worker = threading.Thread(target=self._run, name="repro-serving-batcher",
                                         daemon=True)
         self._worker.start()
@@ -146,7 +145,6 @@ class MicroBatcher:
     def _dispatch(self, batch: list[_Request]) -> None:
         self.batches_dispatched += 1
         self.requests_dispatched += len(batch)
-        self.batch_sizes[len(batch)] = self.batch_sizes.get(len(batch), 0) + 1
         if self._on_batch is not None:
             self._on_batch(len(batch))
         for request in batch:

@@ -20,8 +20,6 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.graph import SchemaGraph
 from repro.core.router import RouterConfig, SchemaRouter
 from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
@@ -130,18 +128,6 @@ def _sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _content_payload(router: SchemaRouter) -> dict:
-    """The manifest entries that describe ``router`` itself (not its files)."""
-    return {
-        "router_config": asdict(router.config),
-        "source_vocabulary": router.source_vocabulary.to_payload(),
-        "target_vocabulary": router.target_vocabulary.to_payload(),
-        "catalog": catalog_to_payload(router.graph.catalog),
-        "joinable_edges": [list(edge) for edge in router.graph.joinable_edges()],
-        "training_losses": list(router.training_losses),
-    }
-
-
 def save_router(router: SchemaRouter, path: str | Path) -> Path:
     """Write ``router`` (which must be trained) to a checkpoint directory."""
     if not router.is_trained:
@@ -152,7 +138,12 @@ def save_router(router: SchemaRouter, path: str | Path) -> Path:
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        **_content_payload(router),
+        "router_config": asdict(router.config),
+        "source_vocabulary": router.source_vocabulary.to_payload(),
+        "target_vocabulary": router.target_vocabulary.to_payload(),
+        "catalog": catalog_to_payload(router.graph.catalog),
+        "joinable_edges": [list(edge) for edge in router.graph.joinable_edges()],
+        "training_losses": list(router.training_losses),
         "weights": {
             "file": WEIGHTS_FILE,
             "sha256": _sha256_of(weights_path),
@@ -244,25 +235,3 @@ def load_router(path: str | Path) -> SchemaRouter:
                    training_losses=manifest.get("training_losses"))
     return router
 
-
-def verify_router_checkpoint(path: str | Path, router: SchemaRouter) -> None:
-    """Raise :class:`CheckpointError` unless ``path`` holds exactly ``router``.
-
-    Compared by content -- configuration, vocabularies, catalog, joinable
-    edges and every weight array -- never by object identity, so a caller
-    may serve ``router`` (say, a projection that shares its master's
-    weights) in place of a copy loaded from ``path``.
-    """
-    path = Path(path)
-    manifest = load_manifest(path)
-    manifest["router_config"] = asdict(_router_config(manifest))
-    for key, value in json.loads(json.dumps(_content_payload(router))).items():
-        if manifest.get(key) != value:
-            raise CheckpointError(f"checkpoint {path!s} has a different {key}")
-    arrays = {name: parameter.data
-              for name, parameter in router.model.named_parameters()}
-    with np.load(_checked_weights(path, manifest["weights"])) as archive:
-        if sorted(archive.files) != sorted(arrays) or not all(
-                np.array_equal(archive[name], array)
-                for name, array in arrays.items()):
-            raise CheckpointError(f"checkpoint {path!s} has different weight arrays")

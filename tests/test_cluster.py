@@ -662,21 +662,14 @@ class TestClusterCheckpoint:
         with ClusterRoutingService.from_router(
                 master_router, ClusterConfig(num_shards=2)) as cluster:
             path = save_cluster(cluster, tmp_path / "cluster-ckpt")
+            assignment = cluster.assignment
         manifest = load_cluster_manifest(path)
         assert manifest["format"] == "repro-cluster-checkpoint"
-        assert manifest["version"] == 1
-        assert len(manifest["shards"]) == 2
+        assert manifest["version"] == 2
+        assert set(manifest) == {"format", "version", "config", "assignment",
+                                 "catalog_version"}
+        assert ShardAssignment.from_payload(manifest["assignment"]) == assignment
         assert (path / "master" / "manifest.json").is_file()
-        for entry in manifest["shards"]:
-            assert (path / entry["dir"] / "weights.npz").is_file()
-
-    def test_shard_checkpoint_boots_standalone(self, master_router, tmp_path):
-        with ClusterRoutingService.from_router(
-                master_router, ClusterConfig(num_shards=2)) as cluster:
-            databases = cluster.assignment.shards[0]
-            path = save_cluster(cluster, tmp_path / "cluster-ckpt")
-        shard_router = SchemaRouter.from_checkpoint(path / "shard-00")
-        assert tuple(shard_router.graph.catalog.database_names) == databases
 
     def test_load_with_serving_override(self, master_router, tmp_path):
         with ClusterRoutingService.from_router(

@@ -644,24 +644,23 @@ class TestRouterDifferential:
         assert [_route_key(r) for r in restored.route_batch(picked)] == \
             [_route_key(r) for r in load_router(unedited).route_batch(picked)]
 
-    def test_retired_fast_manifest_verifies_against_its_router(self, trained_pair,
-                                                               tmp_path):
-        """Content verification (what the inproc cluster loader runs) reads
-        the manifest's config as loading does: ``"fast"`` verifies against
-        the router it was saved from, an unknown value is a CheckpointError."""
-        from repro.serving.checkpoint import (CheckpointError, MANIFEST_FILE,
-                                              save_router, verify_router_checkpoint)
+    def test_retired_fast_manifest_resaves_as_vectorized(self, trained_pair,
+                                                         tmp_path):
+        """A router loaded from a ``"fast"`` manifest saves the config of
+        the router it is -- ``"vectorized"``, equal to a fresh save's -- so
+        re-saving a checkpoint retires the value for good."""
+        from repro.serving.checkpoint import MANIFEST_FILE, load_router, save_router
 
         router, _, _ = trained_pair
         path = save_router(router, tmp_path / "ckpt")
         manifest = json.loads((path / MANIFEST_FILE).read_text())
         manifest["router_config"]["decode_backend"] = "fast"
         (path / MANIFEST_FILE).write_text(json.dumps(manifest))
-        verify_router_checkpoint(path, router)
-        manifest["router_config"]["decode_backend"] = "turbo"
-        (path / MANIFEST_FILE).write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="router_config"):
-            verify_router_checkpoint(path, router)
+        resaved = save_router(load_router(path), tmp_path / "resaved")
+        config = json.loads((resaved / MANIFEST_FILE).read_text())["router_config"]
+        assert config["decode_backend"] == "vectorized"
+        fresh = save_router(router, tmp_path / "fresh") / MANIFEST_FILE
+        assert config == json.loads(fresh.read_text())["router_config"]
 
     def test_cluster_rides_loop_backend(self, trained_pair, tmp_path):
         """The knob round-trips through cluster checkpoints: every projected

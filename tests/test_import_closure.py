@@ -97,7 +97,8 @@ sys.exit(procworker.worker_main(sys.argv[1:]))
 
 
 @pytest.fixture(scope="module")
-def shard_checkpoint(tmp_path_factory) -> Path:
+def shard(tmp_path_factory) -> tuple[Path, tuple[str, ...]]:
+    """A saved cluster's master directory and shard 0's databases."""
     catalog = _cluster_catalog()
     graph = SchemaGraph.from_catalog(catalog)
     report = synthesize_training_data(SchemaSampler(graph, seed=23),
@@ -109,10 +110,11 @@ def shard_checkpoint(tmp_path_factory) -> Path:
     with ClusterRoutingService.from_router(
             router, ClusterConfig(num_shards=2, strategy="size_balanced")) as built:
         path = save_cluster(built, tmp_path_factory.mktemp("closure") / "ckpt")
-    return path / "shard-00"
+        databases = built.assignment.shards[0]
+    return path / "master", databases
 
 
-def test_a_served_session_imports_nothing(shard_checkpoint, tmp_path):
+def test_a_served_session_imports_nothing(shard, tmp_path):
     report_path = tmp_path / "modules.json"
 
     class SpiedWorker(ProcShardWorker):
@@ -120,7 +122,7 @@ def test_a_served_session_imports_nothing(shard_checkpoint, tmp_path):
             return [self.python_executable, "-c", _SPY_WORKER, str(report_path),
                     *super()._command()[3:]]
 
-    with SpiedWorker(0, shard_checkpoint, escalation_num_beams=4) as worker:
+    with SpiedWorker(0, *shard, escalation_num_beams=4) as worker:
         assert all(worker.route_batch(list(QUESTIONS[:4])))          # a fast wave
         assert all(worker.route_batch(list(QUESTIONS[:4]), careful=True))
         assert worker.stats()["counters"]["requests"] >= 4

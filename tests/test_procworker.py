@@ -1,12 +1,12 @@
 """Multi-process shard workers: spawn, serve, crash, respawn, agree.
 
 Uses a real 2-shard cluster checkpoint (trained once per module) so the
-subprocess workers boot exactly the artifact production would hand them.  The
-core contracts:
+subprocess workers boot exactly the artifact production would hand them: its
+``master/`` router, projected onto one shard's databases.  The core
+contracts:
 
 * a subprocess worker answers **bit-identically** to an in-process worker
-  booted from the same shard checkpoint (scores cross the wire as raw
-  float64);
+  projected from the same master (scores cross the wire as raw float64);
 * the whole subprocess-backed cluster matches the inproc-backed cluster on a
   seeded workload (the >= 95%% acceptance bar -- deterministic decode actually
   makes it 100%%);
@@ -30,10 +30,12 @@ import shutil
 import signal
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from test_cluster import QUESTIONS, _cluster_catalog
+from test_wire_lifecycle import FRAMES, Caller, ScriptedWorker
 
 from repro.cluster import (
     ClusterConfig,
@@ -43,8 +45,10 @@ from repro.cluster import (
     ShardWorker,
     WorkerCrashedError,
     load_cluster,
+    load_cluster_manifest,
     save_cluster,
 )
+import repro.cluster.procworker as procworker
 from repro.cluster.procworker import SLOW_CAREFUL_ENV, serve
 from repro.cluster.transport import (
     BINARY_KEY,
@@ -65,6 +69,7 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.obs import Tracer, to_prometheus
+from repro.serving.checkpoint import load_router
 from repro.serving.service import ServingConfig
 
 
@@ -93,8 +98,29 @@ def cluster_checkpoint(master_router, tmp_path_factory):
     return path
 
 
-def _shard_dir(cluster_checkpoint, shard_id: int = 0):
-    return cluster_checkpoint / f"shard-{shard_id:02d}"
+#: The fast tier's beam budget ``ClusterConfig.shard_beams_for`` derives
+#: under the default escalation cascade: what the fixture fleet's shards run.
+SHARD_BEAMS = {"num_beams": 1, "beam_groups": 1}
+
+
+def _databases(cluster_checkpoint, shard_id: int = 0) -> tuple[str, ...]:
+    manifest = load_cluster_manifest(cluster_checkpoint)
+    return tuple(manifest["assignment"]["shards"][shard_id])
+
+
+def _proc_worker(cluster_checkpoint, **kwargs) -> ProcShardWorker:
+    """Shard 0 of the saved cluster in a worker process."""
+    return ProcShardWorker(0, cluster_checkpoint / "master",
+                           _databases(cluster_checkpoint), **SHARD_BEAMS, **kwargs)
+
+
+def _local_worker(cluster_checkpoint,
+                  escalation_num_beams: int | None = None) -> ShardWorker:
+    """The same shard projected in this process."""
+    return ShardWorker.from_projection(
+        0, _databases(cluster_checkpoint), load_router(cluster_checkpoint / "master"),
+        serving_config=ServingConfig(enable_batching=False),
+        escalation_num_beams=escalation_num_beams, **SHARD_BEAMS)
 
 
 def _signature(route_lists):
@@ -130,23 +156,15 @@ def _wait_until(predicate, timeout_seconds: float = 10.0) -> bool:
 # -- one worker over the wire --------------------------------------------------
 class TestProcShardWorker:
     def test_handshake_announces_the_shard(self, cluster_checkpoint):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint)) as worker:
+        with _proc_worker(cluster_checkpoint) as worker:
             assert worker.is_alive()
             assert worker.pid is not None and worker.pid != os.getpid()
             assert len(worker.databases) > 0
-            local = ShardWorker.from_checkpoint(
-                0, _shard_dir(cluster_checkpoint),
-                serving_config=ServingConfig(enable_batching=False))
-            assert set(worker.databases) == set(local.databases)
-            local.close()
+            assert worker.databases == _databases(cluster_checkpoint)
 
     def test_routes_bit_identical_to_inproc_worker(self, cluster_checkpoint):
-        local = ShardWorker.from_checkpoint(
-            0, _shard_dir(cluster_checkpoint),
-            serving_config=ServingConfig(enable_batching=False),
-            escalation_num_beams=4)
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4) as worker:
+        local = _local_worker(cluster_checkpoint, escalation_num_beams=4)
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             questions = list(QUESTIONS)
             assert _signature(worker.route_batch(questions, max_candidates=3)) \
                 == _signature(local.route_batch(questions, max_candidates=3))
@@ -156,7 +174,7 @@ class TestProcShardWorker:
         local.close()
 
     def test_ping_stats_and_cache_invalidation(self, cluster_checkpoint):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint)) as worker:
+        with _proc_worker(cluster_checkpoint) as worker:
             assert worker.ping() < 30.0
             worker.route_batch(list(QUESTIONS[:2]))
             worker.route_batch(list(QUESTIONS[:2]))  # second wave hits the cache
@@ -171,7 +189,7 @@ class TestProcShardWorker:
             assert worker.stats()["cache"]["size"] >= 1
 
     def test_graceful_close_stops_the_process(self, cluster_checkpoint):
-        worker = ProcShardWorker(0, _shard_dir(cluster_checkpoint))
+        worker = _proc_worker(cluster_checkpoint)
         process = worker.process
         worker.close()
         assert process.poll() is not None  # actually exited, not just orphaned
@@ -180,7 +198,7 @@ class TestProcShardWorker:
             worker.route_batch(["anything"])
 
     def test_crash_mid_request_raises_and_respawn_recovers(self, cluster_checkpoint):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint)) as worker:
+        with _proc_worker(cluster_checkpoint) as worker:
             first_pid = worker.pid
             baseline = worker.route_batch(list(QUESTIONS[:2]))
             worker.crash()
@@ -200,8 +218,7 @@ class TestProcShardWorker:
         clock that steps per read makes it exactly one step, and a respawn
         replaces the number with the new child's."""
         clock = _SteppingClock(step=0.25)
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             clock=clock) as worker:
+        with _proc_worker(cluster_checkpoint, clock=clock) as worker:
             assert worker.transport_stats()["spawn_seconds"] == 0.25
             assert worker.health().details["spawn_seconds"] == 0.25
             worker.crash()
@@ -216,15 +233,13 @@ class TestProcShardWorker:
             assert "# TYPE repro_transport_respawns counter" in text
 
     def test_crash_without_auto_respawn_surfaces(self, cluster_checkpoint):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             auto_respawn=False) as worker:
+        with _proc_worker(cluster_checkpoint, auto_respawn=False) as worker:
             worker.crash()
             with pytest.raises(WorkerCrashedError):
                 worker.route_batch(list(QUESTIONS[:1]))
 
     def test_request_timeout_kills_the_wedged_process(self, cluster_checkpoint):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             request_timeout_seconds=0.001) as worker:
+        with _proc_worker(cluster_checkpoint, request_timeout_seconds=0.001) as worker:
             victim = worker.process
             os.kill(victim.pid, signal.SIGSTOP)  # wedged: cannot beat the clock
             with pytest.raises(ShardTimeoutError):
@@ -237,12 +252,30 @@ class TestProcShardWorker:
 
     def test_missing_checkpoint_fails_spawn(self, tmp_path):
         with pytest.raises(WorkerCrashedError):
-            ProcShardWorker(0, tmp_path / "no-such-checkpoint",
+            ProcShardWorker(0, tmp_path / "no-such-checkpoint", ("world_atlas",),
                             spawn_timeout_seconds=30.0)
+
+    def test_close_drains_on_the_frames_own_events(self, monkeypatch):
+        """The drain's deadline edge: ``close()`` waits for in-flight frames
+        on their own events, never in a sleep-and-poll loop.  Nobody answers
+        the scripted child's three frames, so the drain runs to its deadline
+        and the stop escalates to a kill that fails every one of them."""
+        def no_sleep(seconds: float) -> None:
+            raise AssertionError(f"close() polled with time.sleep({seconds})")
+
+        worker = ScriptedWorker()
+        callers = [Caller(worker, f"question-{frame}") for frame in FRAMES]
+        monkeypatch.setattr(procworker, "time", SimpleNamespace(
+            monotonic=time.monotonic, sleep=no_sleep))
+        worker.close(shutdown_timeout_seconds=0.2)
+        assert all(isinstance(caller.settle(), WorkerCrashedError)
+                   for caller in callers)
+        assert worker.in_flight == 0
+        assert worker.children[0].process.kills == 1
 
     def test_set_databases_is_refused_over_the_wire(self, cluster_checkpoint,
                                                     master_router):
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint)) as worker:
+        with _proc_worker(cluster_checkpoint) as worker:
             with pytest.raises(Exception, match="re-projected"):
                 worker.set_databases(("world_atlas",), master_router)
 
@@ -251,7 +284,7 @@ class TestRetiredFastBackend:
     def test_fast_manifests_boot_the_exact_kernel_in_both_backends(
             self, cluster_checkpoint, tmp_path):
         """A cluster saved before ``decode_backend="fast"`` was retired: its
-        master and shard manifests say ``"fast"``.  It boots inproc and as a
+        master manifest says ``"fast"``.  It boots inproc and as a
         2-worker subprocess fleet, on the exact kernel, and both answer like
         the unedited inproc fleet to the last bit of every score."""
         edited = shutil.copytree(cluster_checkpoint, tmp_path / "fast-ckpt")
@@ -289,10 +322,7 @@ class TestServeLoop:
 
     def _start(self, cluster_checkpoint,
                escalation_num_beams: int | None = None, **serve_kwargs):
-        worker = ShardWorker.from_checkpoint(
-            0, _shard_dir(cluster_checkpoint),
-            serving_config=ServingConfig(enable_batching=False),
-            escalation_num_beams=escalation_num_beams)
+        worker = _local_worker(cluster_checkpoint, escalation_num_beams)
         worker_in, to_worker, from_worker, worker_out = self._pipes()
         thread = threading.Thread(target=serve, args=(worker, worker_in, worker_out),
                                   kwargs=serve_kwargs, daemon=True)
@@ -334,9 +364,7 @@ class TestServeLoop:
             self._stop(worker, thread, to_worker, from_worker)
 
     def test_serve_refuses_an_ack_at_another_version(self, cluster_checkpoint):
-        worker = ShardWorker.from_checkpoint(
-            0, _shard_dir(cluster_checkpoint),
-            serving_config=ServingConfig(enable_batching=False))
+        worker = _local_worker(cluster_checkpoint)
         worker_in, to_worker, from_worker, worker_out = self._pipes()
         write_frame(to_worker, {"type": "hello_ack",
                                 "protocol": PROTOCOL_VERSION - 1})
@@ -439,8 +467,7 @@ class TestMultiplexedTransport:
         still answer -- the wire carries both frames concurrently instead of
         queueing the fast tier behind the slow one."""
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "2.0")
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4) as worker:
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             careful_routes = []
 
             def run_careful():
@@ -472,8 +499,7 @@ class TestMultiplexedTransport:
         from repro.obs.health import HealthPolicy
 
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "3.0")
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4) as worker:
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             worker.ping()  # establish a heartbeat before wedging the worker
             thread = threading.Thread(
                 target=lambda: worker.route_batch([QUESTIONS[0]], careful=True),
@@ -493,8 +519,7 @@ class TestMultiplexedTransport:
     def test_crash_mid_wave_fails_all_in_flight_then_respawns_clean(
             self, cluster_checkpoint, monkeypatch):
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "5.0")
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4) as worker:
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             errors = []
 
             def run_careful():
@@ -525,9 +550,8 @@ class TestMultiplexedTransport:
     def test_timeout_mid_wave_kills_the_worker_and_fails_peers(
             self, cluster_checkpoint, monkeypatch):
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "5.0")
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             escalation_num_beams=4,
-                             request_timeout_seconds=0.5) as worker:
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4,
+                          request_timeout_seconds=0.5) as worker:
             victim = worker.process
             errors = []
 
@@ -644,8 +668,7 @@ class TestTracingOverTheWire:
         the ``wire`` span with an error status, and finishing the trace
         leaves nothing open in the journal."""
         tracer = Tracer()
-        with ProcShardWorker(0, _shard_dir(cluster_checkpoint),
-                             auto_respawn=False) as worker:
+        with _proc_worker(cluster_checkpoint, auto_respawn=False) as worker:
             worker.crash()
             trace = tracer.start_trace("request")
             with pytest.raises(WorkerCrashedError):

@@ -283,8 +283,10 @@ class TestMicroBatcher:
             return [f"routed:{question}" for question in questions]
 
         barrier = threading.Barrier(4)
+        registry = MetricsRegistry()
         with MicroBatcher(route_batch, BatcherConfig(max_batch_size=4,
-                                                     max_wait_seconds=0.2)) as batcher:
+                                                     max_wait_seconds=0.2),
+                          on_batch=registry.observe_batch) as batcher:
             futures: dict[str, object] = {}
             lock = threading.Lock()
 
@@ -303,7 +305,9 @@ class TestMicroBatcher:
         assert futures == {f"q{index}": f"routed:q{index}" for index in range(4)}
         assert batcher.requests_dispatched == 4
         assert max(len(call) for call in calls) > 1  # coalescing happened
-        assert sum(batcher.batch_sizes.values()) == batcher.batches_dispatched
+        histogram = registry.snapshot()["batch_size_histogram"]
+        assert sum(histogram.values()) == batcher.batches_dispatched
+        assert sum(int(size) * count for size, count in histogram.items()) == 4
 
     def test_respects_max_batch_size(self):
         def route_batch(questions, max_candidates):

@@ -5,13 +5,13 @@ Every inproc fleet -- projected by ``from_router`` or booted by
 stream (:class:`repro.cluster.wave.ClusterWaveEngine`); it has no other
 scatter path.  These tests pin the seeded differential against a pool twin
 the test builds (a ``ClusterDispatcher`` over a second fleet's per-shard
-``RoutingService`` path, the one a subprocess child runs), the content
-verification ``load_cluster`` does before sharing the master model, the
-refusal of retired sliced-vocabulary checkpoints, the one model object a
-wave steps, the isolation knobs only a subprocess fleet takes, the per-shard
-decode counters,
-their conservation and the trace shape, concurrent callers under a live
-rebalance, and the dispatcher's direct pool submit.
+``RoutingService`` path, the one a subprocess child runs), the one boot path
+of a shard on both backends (a checkpoint is its master router plus
+``cluster.json``; a version-1 checkpoint's per-shard copies are not read),
+the refusal of a retired sliced master router, the one model object a wave
+steps, the isolation knobs only a subprocess fleet takes, the per-shard
+decode counters, their conservation and the trace shape, concurrent callers
+under a live rebalance, and the dispatcher's direct pool submit.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import inspect
 import json
 import os
 import random
+import shutil
 import signal
 import sys
 import threading
@@ -50,11 +51,7 @@ from repro.core import (
 )
 from repro.serving import RoutingService, ServingConfig
 from repro.serving.cache import RouteCache
-from repro.serving.checkpoint import (
-    CheckpointError,
-    load_router,
-    verify_router_checkpoint,
-)
+from repro.serving.checkpoint import CheckpointError, load_router, save_router
 from test_cluster import QUESTIONS, _cluster_catalog
 
 
@@ -126,6 +123,37 @@ def _pool_twin(fleet) -> ClusterDispatcher:
 
 def _scores(replies) -> list[float]:
     return [route.score for routes in replies for route in routes]
+
+
+def _hex(replies) -> list:
+    return [[(route.database, route.tables, route.score.hex()) for route in routes]
+            for routes in replies]
+
+
+def _rewrite(path, edit) -> dict:
+    """Apply ``edit`` to the JSON file at ``path``; returns the new content."""
+    content = json.loads(path.read_text())
+    edit(content)
+    path.write_text(json.dumps(content))
+    return content
+
+
+def _mark_sliced(router_dir, master_router) -> None:
+    """Make ``router_dir`` what an older build saved for a sliced router: a
+    ``vocabulary_slice`` manifest entry and its checksummed archive."""
+    from repro.serving.checkpoint import _sha256_of
+
+    head = master_router.model.output_projection
+    np.savez(router_dir / "slice.npz",
+             kept_ids=np.arange(len(master_router.target_vocabulary)),
+             output_weight=head.weight.data, output_bias=head.bias.data)
+    _rewrite(router_dir / "manifest.json", lambda manifest: manifest.update(
+        vocabulary_slice={"file": "slice.npz",
+                          "sha256": _sha256_of(router_dir / "slice.npz")}))
+
+
+def _no_spawn(*args, **kwargs):
+    raise AssertionError("a worker spawned for a refused checkpoint")
 
 
 def _shard_counters(cluster) -> list:
@@ -207,62 +235,6 @@ class TestLoadedFleetSharesTheMasterTrunk:
             master = cluster.master_router.model
             for replica_set in cluster.shards:
                 assert replica_set.workers[0].router.model is master
-
-    @staticmethod
-    def _retamper_weights(shard_dir, fix_checksum: bool) -> None:
-        """Nudge one weight of a shard archive (optionally re-signing it)."""
-        from repro.serving.checkpoint import _sha256_of
-
-        with np.load(shard_dir / "weights.npz") as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        name = sorted(arrays)[0]
-        arrays[name] = arrays[name].copy()
-        arrays[name].flat[0] += 1e-9
-        np.savez_compressed(shard_dir / "weights.npz", **arrays)
-        if fix_checksum:
-            manifest = json.loads((shard_dir / "manifest.json").read_text())
-            manifest["weights"]["sha256"] = _sha256_of(shard_dir / "weights.npz")
-            (shard_dir / "manifest.json").write_text(json.dumps(manifest))
-
-    def test_tampered_shard_weights_are_rejected(self, master_router, tmp_path):
-        _checkpoint(master_router, tmp_path / "ckpt")
-        self._retamper_weights(tmp_path / "ckpt" / "shard-01", fix_checksum=False)
-        with pytest.raises(CheckpointError, match="checksum"):
-            load_cluster(tmp_path / "ckpt")
-        # Re-signing the archive does not help: the arrays are compared.
-        self._retamper_weights(tmp_path / "ckpt" / "shard-01", fix_checksum=True)
-        with pytest.raises(CheckpointError, match="different weight arrays"):
-            load_cluster(tmp_path / "ckpt")
-
-    def test_mismatched_database_list_is_rejected(self, master_router, tmp_path):
-        _checkpoint(master_router, tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "cluster.json"
-        manifest = json.loads(manifest_path.read_text())
-        first, second = manifest["shards"][0], manifest["shards"][1]
-        first["databases"], second["databases"] = \
-            second["databases"], first["databases"]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="shard-00.*different catalog"):
-            load_cluster(tmp_path / "ckpt")
-
-    def test_foreign_shard_directory_is_rejected(self, master_router, tmp_path):
-        """A shard saved with another beam budget's config, or naming a
-        database the master never saw, is no projection of this master."""
-        _checkpoint(master_router, tmp_path / "ckpt")
-        shard_manifest = tmp_path / "ckpt" / "shard-00" / "manifest.json"
-        original = shard_manifest.read_text()
-        edited = json.loads(original)
-        edited["router_config"]["max_decode_length"] += 1
-        shard_manifest.write_text(json.dumps(edited))
-        with pytest.raises(CheckpointError, match="different router_config"):
-            load_cluster(tmp_path / "ckpt")
-        shard_manifest.write_text(original)
-        manifest_path = tmp_path / "ckpt" / "cluster.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["shards"][0]["databases"].append("atlantis")
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="atlantis"):
-            load_cluster(tmp_path / "ckpt")
 
     def test_retired_and_unknown_config_keys(self, master_router, tmp_path):
         _checkpoint(master_router, tmp_path / "ckpt")
@@ -359,96 +331,144 @@ class TestLoadedFleetSharesTheMasterTrunk:
             assert _serve(restored, questions) == expected
 
 
-class TestRetiredSlicedCheckpoints:
-    """A checkpoint of the retired sliced target vocabulary is refused: its
-    shard scores are normalised over a slice of the vocabulary, and serving
-    them next to master-vocabulary scores would skew every merge."""
+class TestOneBootPath:
+    """A cluster checkpoint is its master router plus ``cluster.json``, and
+    every shard on either backend is ``ShardWorker.from_projection`` of that
+    master at the beam budgets ``ClusterConfig`` derives."""
 
-    @pytest.mark.parametrize("reader", ["load_router", "verify_router_checkpoint",
-                                        "inproc", "subprocess"])
-    def test_a_sliced_router_manifest_is_refused(self, master_router, tmp_path,
-                                                 reader):
-        """The manifest an older build wrote for a sliced shard: a
-        ``vocabulary_slice`` entry and its checksummed archive.  Every reader
-        refuses it; a subprocess worker refuses to boot on it, so the fleet
-        never loads."""
-        from repro.cluster.procworker import WorkerCrashedError
-        from repro.serving.checkpoint import _sha256_of
+    def test_a_checkpoint_is_its_master_and_manifest(self, master_router, tmp_path):
+        """``save_cluster`` of an inproc or a subprocess fleet, and the
+        checkpoint a subprocess ``from_router`` writes for itself, hold
+        exactly ``cluster.json`` and ``master/``."""
+        def listing(path) -> list[str]:
+            return sorted(entry.name for entry in path.iterdir())
 
+        _checkpoint(master_router, tmp_path / "inproc")
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               worker_backend="subprocess")
+        with ClusterRoutingService.from_router(
+                master_router, config, checkpoint_dir=tmp_path / "own") as fleet:
+            save_cluster(fleet, tmp_path / "resaved")
+        for name in ("inproc", "own", "resaved"):
+            assert listing(tmp_path / name) == ["cluster.json", "master"]
+            assert listing(tmp_path / name / "master") == ["manifest.json",
+                                                           "weights.npz"]
+            manifest = json.loads((tmp_path / name / "cluster.json").read_text())
+            assert "shards" not in manifest
+            assert "sliced_vocabulary" not in manifest["config"]
+            assert "vocabulary_slice" not in json.loads(
+                (tmp_path / name / "master" / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("era", ["unsliced", "sliced"])
+    def test_a_version_1_checkpoint_loads_on_both_backends(
+            self, master_router, workload, tmp_path, era):
+        """The layout of earlier builds: ``cluster.json`` version 1 with a
+        ``shards`` entry per shard naming its projected router copy
+        (``shard-NN/``).  The copies are not read: both backends serve the
+        master's projections, ``float.hex``-equal to the version-2 layout --
+        also for a fleet saved with ``sliced_vocabulary: true``, whose sliced
+        copies this build would refuse to load."""
+        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        _checkpoint(master_router, tmp_path / "v2")
+        old = shutil.copytree(tmp_path / "v2", tmp_path / "v1")
+        beams, groups = config.shard_beams_for(master_router)
+        entries = []
+        for shard_id, databases in enumerate(
+                json.loads((old / "cluster.json").read_text())["assignment"]["shards"]):
+            directory = f"shard-{shard_id:02d}"
+            save_router(project_router(master_router, databases, num_beams=beams,
+                                       beam_groups=groups), old / directory)
+            if era == "sliced":
+                _mark_sliced(old / directory, master_router)
+            entries.append({"shard_id": shard_id, "databases": databases,
+                            "dir": directory})
+
+        def downgrade(manifest: dict) -> None:
+            manifest.update(version=1, shards=entries)
+            if era == "sliced":
+                manifest["config"]["sliced_vocabulary"] = True
+
+        _rewrite(old / "cluster.json", downgrade)
+        questions = workload[:24]
+        with load_cluster(tmp_path / "v2") as fleet:
+            expected = _hex(_serve(fleet, questions))
+        for backend in ("inproc", "subprocess"):
+            with load_cluster(old, config=ClusterConfig(
+                    worker_backend=backend)) as fleet:
+                assert [replica_set.num_replicas
+                        for replica_set in fleet.shards] == [1, 1]
+                assert _hex(_serve(fleet, questions)) == expected
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_an_unknown_assigned_database_is_refused_before_any_spawn(
+            self, master_router, tmp_path, monkeypatch, backend):
         _checkpoint(master_router, tmp_path / "ckpt")
-        shard_dir = tmp_path / "ckpt" / "shard-00"
-        router = load_router(shard_dir)
-        head = master_router.model.output_projection
-        np.savez(shard_dir / "slice.npz",
-                 kept_ids=np.arange(len(master_router.target_vocabulary)),
-                 output_weight=head.weight.data, output_bias=head.bias.data)
-        manifest_path = shard_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["vocabulary_slice"] = {
-            "file": "slice.npz", "sha256": _sha256_of(shard_dir / "slice.npz")}
-        manifest_path.write_text(json.dumps(manifest))
-        if reader == "load_router":
-            with pytest.raises(CheckpointError, match="vocabulary_slice"):
-                load_router(shard_dir)
-        elif reader == "verify_router_checkpoint":
-            with pytest.raises(CheckpointError, match="vocabulary_slice"):
-                verify_router_checkpoint(shard_dir, router)
-        elif reader == "inproc":
-            with pytest.raises(CheckpointError, match="vocabulary_slice"):
-                load_cluster(tmp_path / "ckpt")
-        else:
-            with pytest.raises(WorkerCrashedError, match="during startup"):
+        _rewrite(tmp_path / "ckpt" / "cluster.json", lambda manifest:
+                 manifest["assignment"]["shards"][0].append("atlantis"))
+        monkeypatch.setattr("repro.cluster.procworker.ProcShardWorker", _no_spawn)
+        with pytest.raises(CheckpointError, match="atlantis.*master/"):
+            load_cluster(tmp_path / "ckpt",
+                         config=ClusterConfig(worker_backend=backend))
+
+    @pytest.mark.parametrize("reader", ["load_router", "inproc", "subprocess"])
+    def test_a_sliced_master_is_refused(self, master_router, tmp_path,
+                                        monkeypatch, reader):
+        """A ``master/`` saved as a retired sliced-vocabulary router: its
+        scores are normalised over a slice of the vocabulary, so every reader
+        refuses it, the parent before any worker spawns."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        _mark_sliced(tmp_path / "ckpt" / "master", master_router)
+        monkeypatch.setattr("repro.cluster.procworker.ProcShardWorker", _no_spawn)
+        with pytest.raises(CheckpointError, match="vocabulary_slice"):
+            if reader == "load_router":
+                load_router(tmp_path / "ckpt" / "master")
+            else:
                 load_cluster(tmp_path / "ckpt",
-                             config=ClusterConfig(worker_backend="subprocess"))
-
-    def test_a_saved_fleet_carries_no_slice(self, master_router, tmp_path):
-        """What this build saves never holds the retired keys or archive, so
-        every checkpoint it writes loads back."""
-        _checkpoint(master_router, tmp_path / "ckpt")
-        cluster_manifest = json.loads((tmp_path / "ckpt" / "cluster.json").read_text())
-        assert "sliced_vocabulary" not in cluster_manifest["config"]
-        directories = ["master"] + [entry["dir"] for entry in cluster_manifest["shards"]]
-        assert len(directories) == 3
-        for directory in directories:
-            router_dir = tmp_path / "ckpt" / directory
-            assert not (router_dir / "slice.npz").exists()
-            manifest = json.loads((router_dir / "manifest.json").read_text())
-            assert "vocabulary_slice" not in manifest
-            load_router(router_dir)
+                             config=ClusterConfig(worker_backend=reader))
 
     @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
     @pytest.mark.parametrize("sliced", [False, True])
-    def test_a_sliced_cluster_manifest(self, master_router, tmp_path,
-                                       monkeypatch, backend, sliced):
-        """``sliced_vocabulary: false`` is a retired key that loads;
-        ``true`` is refused before any worker spawns."""
+    def test_a_sliced_cluster_manifest_serves_its_master(
+            self, master_router, tmp_path, backend, sliced):
+        """``sliced_vocabulary`` is a retired key whatever it says: a
+        manifest carrying it serves its master's projections."""
         _checkpoint(master_router, tmp_path / "ckpt")
         with load_cluster(tmp_path / "ckpt") as original:
             expected = _serve(original, QUESTIONS)
-        manifest_path = tmp_path / "ckpt" / "cluster.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["sliced_vocabulary"] = sliced
-        manifest_path.write_text(json.dumps(manifest))
-        override = (None if backend == "inproc"
-                    else ClusterConfig(worker_backend="subprocess"))
+        _rewrite(tmp_path / "ckpt" / "cluster.json", lambda manifest:
+                 manifest["config"].update(sliced_vocabulary=sliced))
         with pytest.raises(TypeError):
             ClusterConfig(**{"sliced_vocabulary": sliced})
-        if sliced:
-            def spawn(*args, **kwargs):
-                raise AssertionError("a worker spawned for a refused manifest")
-
-            monkeypatch.setattr("repro.cluster.procworker.ProcShardWorker", spawn)
-            with pytest.raises(CheckpointError,
-                               match="sliced_vocabulary.*master/"):
-                load_cluster(tmp_path / "ckpt", config=override)
-            return
-        with load_cluster(tmp_path / "ckpt", config=override) as cluster:
+        with load_cluster(tmp_path / "ckpt", config=ClusterConfig(
+                worker_backend=backend)) as cluster:
             assert cluster.config.worker_backend == backend
             assert not hasattr(cluster.config, "sliced_vocabulary")
             answers = _serve(cluster, QUESTIONS)
-        assert answers == expected
-        assert [score.hex() for score in _scores(answers)] \
-            == [score.hex() for score in _scores(expected)]
+        assert _hex(answers) == _hex(expected)
+
+    def test_a_careful_shard_call_needs_a_careful_tier(self, master_router):
+        """No silent fallback: with the cascade off there is no careful tier,
+        and asking a shard for one is a ``ValueError``, not a fast decode."""
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               escalation_threshold=None)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            worker = cluster.shards[0].workers[0]
+            assert worker.careful_service is None
+            with pytest.raises(ValueError, match="no careful tier"):
+                worker.route_batch(QUESTIONS[:2], careful=True)
+            assert worker.service.metrics.counters() == {}
+            assert all(worker.route_batch(QUESTIONS[:2]))
+
+    def test_a_careful_wave_needs_a_careful_tier(self, master_router):
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               escalation_threshold=None)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            engine = cluster.wave_engine
+            assert engine.has_careful_tier is False
+            with pytest.raises(ValueError, match="no careful tier"):
+                engine.route_wave(QUESTIONS[:2], careful=True)
+            assert engine.stats()["waves"] == 0
+            assert all(cluster.submit_many(QUESTIONS[:2]))
 
 
 class TestWhichFleetsScatterThroughThePool:

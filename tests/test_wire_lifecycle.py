@@ -249,7 +249,7 @@ class ScriptedWorker(ProcShardWorker):
     def __init__(self) -> None:
         self.children: list[FakeChild] = []
         self.sent: queue.SimpleQueue = queue.SimpleQueue()
-        super().__init__(0, "no-checkpoint-needed")
+        super().__init__(0, "no-master-needed", ("db",))
 
     def _open_child(self):
         child = FakeChild(1000 + len(self.children), self.sent)
@@ -303,7 +303,7 @@ def run_schedule(schedule: tuple) -> None:
     callers = [Caller(worker, f"question-{frame}") for frame in FRAMES]
     ids = [caller.request_id for caller in callers]
     assert ids == sorted(set(ids)), ids
-    assert worker.in_flight == len(FRAMES) == worker.max_in_flight
+    assert worker.in_flight == len(FRAMES) == worker.transport_stats()["max_in_flight"]
     closer = None
 
     for event, *target in schedule:
