@@ -185,10 +185,10 @@ def build_fiben_like(seed: int = 19, scale: float = 1.0) -> BenchmarkDataset:
             merged.add_foreign_key(foreign_key)
         per_domain.append((generated, domain))
 
-    merged_instance = DatabaseInstance(schema=merged)
-    for generated, _ in per_domain:
-        for table_name, rows in generated.instance.tables.items():
-            merged_instance.tables[table_name].extend(rows)
+    merged_instance = DatabaseInstance(schema=merged, tables={
+        table_name: list(rows)
+        for generated, _ in per_domain
+        for table_name, rows in generated.instance.tables.items()})
 
     catalog = Catalog(name=config.name, databases=[merged])
     instances = CatalogInstance(catalog=catalog, instances={merged.name: merged_instance})

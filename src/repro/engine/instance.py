@@ -20,10 +20,19 @@ from repro.utils.text import lookup_identifier, normalize_identifier
 
 @dataclass
 class DatabaseInstance:
-    """Rows for every table of one database."""
+    """Rows for every table of one database.
+
+    ``version`` counts content changes: :meth:`insert` (and so
+    :meth:`insert_many`) bumps it, reads never do.  Whoever remembers a result
+    computed over these rows keeps the version it read and recomputes when it
+    moved.  It is not part of equality or ``repr``: two instances holding the
+    same rows are equal however they were filled.  Rows are changed through
+    :meth:`insert`; an edit of ``tables`` in place is not counted.
+    """
 
     schema: Database
     tables: dict[str, list[Row]] = field(default_factory=dict)
+    version: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, rows in self.tables.items():
@@ -52,6 +61,7 @@ class DatabaseInstance:
             for value, column in zip(values, table.columns)
         )
         self.tables[table.name].append(row)
+        self.version += 1
 
     def insert_many(self, table_name: str, rows: Iterable[Sequence[object]]) -> None:
         for row in rows:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from repro.datasets.examples import Example
 from repro.engine.comparison import results_equivalent
-from repro.engine.instance import CatalogInstance
+from repro.engine.instance import CatalogInstance, DatabaseInstance
 from repro.engine.relation import Relation
 from repro.llm.client import SimulatedLLM
 from repro.llm.prompts import PromptStrategy
@@ -24,9 +24,15 @@ from repro.sql.ast import SelectStatement
 from repro.sql.errors import SqlError
 from repro.sql.executor import SqlExecutor
 from repro.sql.parser import parse_sql
+from repro.utils.memo import evict_oldest
 
 #: A routing function maps a question to a RoutingPrediction.
 Router = Callable[[str], RoutingPrediction]
+
+#: Gold results a pipeline remembers, oldest evicted first.  A test set holds
+#: far fewer distinct ``(database, gold SQL)`` pairs than examples: the 900
+#: examples of the benchmark fixture hold 260.
+MAX_GOLD_RESULTS = 4096
 
 
 @dataclass
@@ -75,6 +81,10 @@ class SchemaAgnosticNL2SQL:
         self.router = router
         self.strategy = strategy
         self.num_candidates = num_candidates
+        #: (database, gold SQL) -> (instance, its version then, gold result or
+        #: ``None`` if the gold query failed); see :meth:`_gold`.
+        self._gold_results: dict[tuple[str, str],
+                                 tuple[DatabaseInstance, int, Relation | None]] = {}
 
     # -- execution and judgement -------------------------------------------------------
     def _execute(self, database: str, query: str | SelectStatement | None) -> Relation | None:
@@ -90,18 +100,43 @@ class SchemaAgnosticNL2SQL:
         except (SqlError, KeyError):
             return None
 
+    def _gold(self, example: Example) -> Relation | None:
+        """The gold query's result (``None``: it failed), executed once per
+        database version.
+
+        The memo entry keeps the instance object and the ``version`` it was
+        computed at; a replaced instance or an insert since then recomputes
+        it, so a changed database is never judged against a stale result.  An
+        unknown gold database is not remembered.
+        """
+        try:
+            instance = self.instances.instance(example.database)
+        except KeyError:
+            return None
+        key = (example.database, example.sql)
+        # One read, as in the router's parse memo; a failed gold query is
+        # remembered as the entry's ``None`` result, so a missing entry is a miss.
+        entry = self._gold_results.get(key)
+        if entry is None or entry[0] is not instance or entry[1] != instance.version:
+            entry = (instance, instance.version, self._execute(example.database, example.sql))
+            evict_oldest(self._gold_results, MAX_GOLD_RESULTS)
+            self._gold_results[key] = entry
+        return entry[2]
+
     def _judge(self, example: Example, predicted_database: str,
                query: str | SelectStatement | None) -> tuple[bool, str]:
-        """Execute ``query`` and the gold query; returns (EX verdict, error note).
+        """Execute ``query`` and compare it with the gold result; returns (EX
+        verdict, error note).
 
-        Each query is parsed once -- text inside ``execute_sql``, the
-        multi-schema strategies' SQL by ``_database_of_sql``, whose statement
-        is what they pass here: whether row order counts is read off the gold
-        *result* (``Relation.ordered``), not from a second parse of the gold
-        text.
+        The predicted query -- the system under test -- is executed on every
+        call: text parsed inside ``execute_sql``, or the statement the
+        multi-schema strategies' ``_database_of_sql`` already parsed.  The gold
+        query is parsed and executed once per database version
+        (:meth:`_gold`), and whether row order counts is read off its *result*
+        (``Relation.ordered``), not from another parse of the gold text.
         """
         predicted = self._execute(predicted_database, query)
-        gold = self._execute(example.database, example.sql)
+        gold = self._gold(example)
         correct = results_equivalent(predicted, gold,
                                      order_sensitive=gold is not None and gold.ordered) \
             and predicted_database == example.database

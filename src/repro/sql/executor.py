@@ -44,10 +44,16 @@ accuracy is defined by which statements run and what they return:
   first row that evaluates it and the rows are kept until the outer statement
   returns.  An outer relation with no rows never runs it.  Nothing outlives
   ``execute``: there is no cache keyed by SQL text, statement or result, and
-  executing a statement twice binds and runs it twice.
+  executing a statement twice binds and runs it twice.  The one memo on this
+  path is the NL2SQL judge's (``repro.llm.pipeline``): it keeps each gold
+  query's *result* per database version, above this executor, and never
+  serves a predicted query, which is the system under test.
 
-Measured on the ``nl2sql_e2e`` benchmark row (two statements per question,
-tables of ~25 rows; traced, at reference speed): the interpreter spent 0.73 ms
+Measured on the ``nl2sql_e2e`` benchmark row (tables of ~25 rows; traced, at
+reference speed), when the judge still executed two statements per question,
+the predicted and the gold one -- it now runs each of the 260 distinct gold
+queries of the row's 900 questions once, so a pass executes 1 160 statements,
+not 1 800: the interpreter spent 0.73 ms
 of a question's 1.0 here -- a third of it resolving names per row per
 expression through a list scan, most of the rest re-running sub-queries once
 per outer row (9 240 ``execute`` calls for 1 800 statements) -- and this

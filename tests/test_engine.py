@@ -128,6 +128,25 @@ class TestDatabaseInstance:
         values = concert_instance.column_values()
         assert values["singer"]["name"] == ["Alice", "Bob", "Carol"]
 
+    def test_version_moves_on_inserts_only(self, concert_database):
+        instance = DatabaseInstance(schema=concert_database)
+        assert instance.version == 0
+        instance.insert("singer", (1, "Alice", "France", 30))
+        assert instance.version == 1
+        instance.insert_many("concert", [(1, "Grand Arena", 2022), (2, "Hall", 2014)])
+        assert instance.version == 3
+        instance.insert_many("concert", [])
+        instance.scan("singer")
+        instance.row_count("concert")
+        instance.column_values()
+        assert instance.version == 3
+        # the same rows are equal, and print alike, however they were filled
+        rebuilt = DatabaseInstance(schema=concert_database,
+                                   tables={name: list(rows)
+                                           for name, rows in instance.tables.items()})
+        assert rebuilt.version == 0
+        assert rebuilt == instance and repr(rebuilt) == repr(instance)
+
 
 class TestResultComparison:
     def test_order_insensitive_by_default(self):

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from repro.datasets.examples import Example
-from repro.engine.instance import CatalogInstance
+from repro.engine.instance import CatalogInstance, DatabaseInstance
 from repro.llm import (
     CostModel,
     OracleSchemaProvider,
@@ -140,8 +140,6 @@ class TestHeuristicGenerator:
 class TestSimulatedLLMAndPipeline:
     @pytest.fixture
     def environment(self, small_catalog, concert_instance, world_database):
-        from repro.engine.instance import DatabaseInstance
-
         instances = CatalogInstance(catalog=small_catalog, instances={
             "concert_singer": concert_instance,
             "world": DatabaseInstance(schema=world_database),
@@ -270,7 +268,101 @@ class TestSimulatedLLMAndPipeline:
                        pipeline.answer_with_candidates(example, candidates)):
             assert (result.predicted_database, result.correct, result.error) == \
                 ("world", False, "execution failed")
-        assert parsed == [malformed, example.sql] * 2
+        # the gold query was run by the first answer and is remembered
+        assert parsed == [malformed, example.sql, malformed]
+
+    @pytest.fixture
+    def executions(self, monkeypatch):
+        """How many statements ``SqlExecutor.execute`` ran."""
+        counts = [0]
+        execute = SqlExecutor.execute
+
+        def counting(executor, statement):
+            counts[0] += 1
+            return execute(executor, statement)
+        monkeypatch.setattr(SqlExecutor, "execute", counting)
+        return counts
+
+    def test_gold_query_runs_once_across_answers(self, environment, example, parsed,
+                                                 executions):
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+        paraphrase = example.with_question("Which singer comes from Japan?")
+        results = [pipeline.answer_with_schema(example, "concert_singer", ["singer"]),
+                   pipeline.answer_with_schema(example, "concert_singer", ["singer"]),
+                   pipeline.answer_with_schema(paraphrase, "concert_singer", ["singer"])]
+        assert parsed == [results[0].predicted_sql, example.sql,
+                          results[1].predicted_sql, results[2].predicted_sql]
+        # every predicted query runs, the gold query once
+        assert executions[0] == len(results) + 1
+        assert results[0] == results[1] and results[0].correct
+
+    def test_an_insert_reruns_the_gold_query(self, environment, example, parsed, monkeypatch):
+        catalog, instances, llm = environment
+        predicted = "SELECT name FROM singer WHERE name = 'Bob'"
+        monkeypatch.setattr(llm, "generate_sql", lambda *args: (predicted, None))
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+
+        def verdict():
+            return pipeline.answer_with_schema(example, "concert_singer", ["singer"]).correct
+
+        assert verdict() and verdict()
+        assert parsed == [predicted, example.sql, predicted]
+        # a second singer from Japan: the gold result grows, the prediction does not
+        instances.instance("concert_singer").insert("singer", (4, "Dora", "Japan", 22))
+        assert not verdict()
+        assert parsed[3:] == [predicted, example.sql]
+        # an instance replaced by another object at the same version is not trusted
+        original = instances.instance("concert_singer")
+        replacement = DatabaseInstance(schema=original.schema, tables={
+            "singer": [(2, "Bob", "Japan", 40)]})
+        replacement.version = original.version
+        instances.instances["concert_singer"] = replacement
+        assert verdict()
+        assert parsed[5:] == [predicted, example.sql]
+
+    def test_a_failing_gold_query_is_remembered_and_never_matches(self, environment,
+                                                                  example, parsed):
+        catalog, instances, llm = environment
+        pipeline = SchemaAgnosticNL2SQL(catalog, instances, llm)
+        broken = Example(question=example.question, database=example.database,
+                         tables=example.tables, sql="SELECT nonsense")
+        results = [pipeline.answer_with_schema(broken, "concert_singer", ["singer"])
+                   for _ in range(3)]
+        assert [(result.correct, result.error) for result in results] == [(False, "")] * 3
+        assert parsed.count("SELECT nonsense") == 1
+        assert len(parsed) == 4
+
+    @pytest.mark.parametrize("strategy", list(PromptStrategy))
+    def test_remembered_gold_judges_like_a_fresh_pipeline(self, tiny_dataset, strategy):
+        """Each test example answered twice by one pipeline gets the result a
+        new pipeline gives it, on routes that put the gold database first,
+        second or nowhere."""
+        catalog, instances = tiny_dataset.catalog, tiny_dataset.instances
+        names = catalog.database_names
+
+        def prediction(index, example):
+            others = [name for name in names if name != example.database]
+            other = others[index % len(others)]
+            ranked = ([example.database, other], [other, example.database],
+                      others[:2])[index % 3]
+            return RoutingPrediction(
+                ranked_databases=ranked,
+                candidate_schemas=[CandidateSchema(name, tuple(example.tables), 1.0)
+                                   for name in ranked])
+
+        def fresh():
+            return SchemaAgnosticNL2SQL(catalog, instances, SimulatedLLM(catalog=catalog),
+                                        strategy=strategy)
+
+        pipeline = fresh()
+        examples = tiny_dataset.test_examples
+        for index, example in enumerate(examples * 2):
+            routes = prediction(index % len(examples), example)
+            # per-answer billing, so that cost does not depend on earlier calls
+            pipeline.llm.reset_usage()
+            assert pipeline.answer(example, prediction=routes) == \
+                fresh().answer(example, prediction=routes)
 
     def test_row_order_counts_when_the_gold_query_orders(self, environment, example):
         catalog, instances, llm = environment

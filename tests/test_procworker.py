@@ -312,18 +312,28 @@ class TestRetiredFastBackend:
 
 # -- the serve loop, driven in-process ----------------------------------------
 class TestServeLoop:
+    @pytest.fixture(autouse=True)
+    def _close_pipes(self):
+        """Every pipe end a test opened is closed after it, pass or fail."""
+        self._files = []
+        yield
+        for pipe in self._files:
+            pipe.close()
+
     def _pipes(self):
         to_worker_read, to_worker_write = os.pipe()
         from_worker_read, from_worker_write = os.pipe()
-        return (os.fdopen(to_worker_read, "rb", buffering=0),
-                os.fdopen(to_worker_write, "wb", buffering=0),
-                os.fdopen(from_worker_read, "rb", buffering=0),
-                os.fdopen(from_worker_write, "wb", buffering=0))
+        self._files = [os.fdopen(to_worker_read, "rb", buffering=0),
+                       os.fdopen(to_worker_write, "wb", buffering=0),
+                       os.fdopen(from_worker_read, "rb", buffering=0),
+                       os.fdopen(from_worker_write, "wb", buffering=0)]
+        return tuple(self._files)
 
     def _start(self, cluster_checkpoint,
                escalation_num_beams: int | None = None, **serve_kwargs):
         worker = _local_worker(cluster_checkpoint, escalation_num_beams)
         worker_in, to_worker, from_worker, worker_out = self._pipes()
+        self._worker_ends = (worker_in, worker_out)
         thread = threading.Thread(target=serve, args=(worker, worker_in, worker_out),
                                   kwargs=serve_kwargs, daemon=True)
         thread.start()
@@ -378,6 +388,9 @@ class TestServeLoop:
         to_worker.close()  # dispatcher vanishes; EOF is treated as shutdown
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+        # a worker process exits here, which closes its ends of the pipes
+        for end in self._worker_ends:
+            end.close()
         assert read_frame(from_worker) is None
         worker.close()
 
