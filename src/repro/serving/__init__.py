@@ -10,7 +10,8 @@ claim:
 * :mod:`repro.serving.cache` -- a thread-safe LRU route cache with TTL and
   catalog-version invalidation;
 * :mod:`repro.serving.batcher` -- a micro-batcher coalescing concurrent
-  requests into batched decodes;
+  ``submit`` callers into batched decodes (a ``submit_many`` wave is already
+  a batch and decodes on its caller's thread);
 * :mod:`repro.serving.metrics` -- QPS, latency percentiles, batch-size
   histogram;
 * :mod:`repro.serving.service` -- :class:`RoutingService`, the façade wiring

@@ -55,6 +55,11 @@ class _Request:
 RouteBatchFn = Callable[[Sequence[str], "int | None"], "list"]
 
 
+class BatchResultCountError(RuntimeError):
+    """A ``RouteBatchFn`` returned a different number of results than it was
+    given questions, so no result can be matched to its request."""
+
+
 class MicroBatcher:
     """Coalesces queued routing requests into batched ``route_batch`` calls."""
 
@@ -165,6 +170,10 @@ class MicroBatcher:
                 else:
                     results = self._route_batch(
                         [request.question for request in requests], max_candidates)
+                if len(results) != len(requests):
+                    raise BatchResultCountError(
+                        f"route_batch returned {len(results)} results for "
+                        f"{len(requests)} questions")
             except BaseException as error:  # propagate to every waiter
                 for request in requests:
                     request.future.set_exception(error)

@@ -5,17 +5,20 @@ process or loaded from a checkpoint directory) into a long-lived, concurrent
 serving object:
 
 * ``submit(question)`` -- route one question (cache first, then the
-  micro-batcher, which coalesces concurrent callers into batched decodes);
+  micro-batcher, which coalesces concurrent ``submit`` callers into batched
+  decodes);
 * ``submit_many(questions)`` -- route a list, answering repeats from cache and
-  batching the remainder: :meth:`RoutingService.consult` (cache verdict,
-  within-wave dedup), a decode, then :meth:`RoutingService.commit` (cache
-  fill, counters, latency) -- the one request path around a decode, which the
-  cluster wave engine also drives around its stacked decode;
+  decoding the remainder as one batch on the calling thread (no micro-batcher
+  hop): :meth:`RoutingService.consult` (cache verdict, within-wave dedup), a
+  decode, then :meth:`RoutingService.commit` (cache fill, counters, latency)
+  -- the one request path around a decode, which the cluster wave engine also
+  drives around its stacked decode;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
 
 The service serializes access to the router (numpy decode shares lazily-built
-constraint tries), so any number of client threads may call ``submit``.
+constraint tries), so any number of client threads may call ``submit`` and
+``submit_many``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class ServingConfig:
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
+    #: Micro-batch concurrent ``submit`` callers (a ``submit_many`` wave is
+    #: already a batch and always decodes on its caller's thread); the two
+    #: knobs below govern only that coalescing.
     enable_batching: bool = True
     max_batch_size: int = 8
     max_wait_seconds: float = 0.002
@@ -259,7 +265,8 @@ class RoutingService:
                     max_candidates: int | None = None,
                     trace=None) -> list[list[SchemaRoute]]:
         """Route several questions; repeats are answered from cache, the rest
-        go through the batcher as one coalesced wave.
+        decode as one batch on the calling thread (concurrent callers take
+        turns on the route lock; the micro-batcher is for ``submit`` only).
 
         A caller-provided ``trace`` (e.g. a cluster dispatcher's scatter scope)
         is used for the wave's spans but never finished here; without one, the
@@ -303,14 +310,10 @@ class RoutingService:
     def _route_pending(self, questions: Sequence[str], pending: list[int],
                        max_candidates: int | None,
                        trace) -> list[list[SchemaRoute]]:
-        """Decode the questions at the ``pending`` indices, in order."""
+        """Decode the questions at the ``pending`` indices, in order: one
+        ``route_batch`` call on the caller's thread, under the route lock."""
         if not pending:
             return []
-        if self._batcher is not None:
-            futures = [self._batcher.submit(questions[index], max_candidates,
-                                            trace=trace)
-                       for index in pending]
-            return [future.result() for future in futures]
         return self._route_batch_locked(
             [questions[index] for index in pending], max_candidates,
             traces=[trace] * len(pending) if trace is not None else None)

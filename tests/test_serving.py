@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -32,6 +33,7 @@ from repro.serving import (
     normalize_question,
     save_router,
 )
+from repro.serving.batcher import BatchResultCountError
 from repro.serving.checkpoint import catalog_from_payload, catalog_to_payload
 from repro.serving.metrics import LatencyRecorder, MetricsRegistry
 
@@ -93,6 +95,19 @@ def trained_router() -> SchemaRouter:
 
 def _route_signature(routes) -> list[tuple[str, tuple[str, ...], float]]:
     return [(route.database, route.tables, route.score) for route in routes]
+
+
+def _spy_route_batch(monkeypatch, router) -> list[tuple[int, list[str]]]:
+    """Record ``(thread id, questions)`` for every ``router.route_batch`` call."""
+    calls: list[tuple[int, list[str]]] = []
+    route_batch = router.route_batch
+
+    def spy(questions, *args, **kwargs):
+        calls.append((threading.get_ident(), list(questions)))
+        return route_batch(questions, *args, **kwargs)
+
+    monkeypatch.setattr(router, "route_batch", spy)
+    return calls
 
 
 # -- checkpoint ----------------------------------------------------------------
@@ -335,6 +350,19 @@ class TestMicroBatcher:
         with pytest.raises(RuntimeError):
             batcher.submit("question")
 
+    def test_too_few_results_fail_every_future(self):
+        """A ``route_batch`` that answers fewer results than questions settles
+        every future of the group with a typed error instead of leaving the
+        unmatched ones pending (their callers would wait forever)."""
+        batcher = MicroBatcher(lambda questions, mc: [],
+                               BatcherConfig(max_batch_size=4, max_wait_seconds=0))
+        futures = [batcher.submit(f"q{index}") for index in range(3)]
+        batcher.close()  # drains the queue before the worker exits
+        assert all(future.done() for future in futures)
+        for future in futures:
+            with pytest.raises(BatchResultCountError, match="0 results for"):
+                future.result(timeout=0)
+
 
 # -- metrics -------------------------------------------------------------------
 class TestMetrics:
@@ -440,17 +468,87 @@ class TestRoutingService:
             assert stats["counters"]["routed"] == 1
             assert stats["cache_hit_rate"] == pytest.approx(0.5)
 
-    def test_submit_many_and_duplicates(self, trained_router):
+    def test_submit_many_and_duplicates(self, trained_router, monkeypatch):
+        calls = _spy_route_batch(monkeypatch, trained_router)
         with RoutingService(trained_router) as service:
             questions = [QUESTIONS[0], QUESTIONS[1], QUESTIONS[0], QUESTIONS[2]]
             results = service.submit_many(questions)
             assert len(results) == 4
             assert _route_signature(results[0]) == _route_signature(results[2])
-            # Only three distinct questions were actually decoded; all four
-            # misses were answered by routing.
+            # Only three distinct questions were actually decoded, in one
+            # call; all four misses were answered by routing.
+            assert [decoded for _, decoded in calls] == [QUESTIONS[:3]]
+            assert service.stats()["counters"]["routed"] == 4
+
+    def test_a_wave_decodes_once_on_the_calling_thread(self, trained_router,
+                                                        monkeypatch):
+        """A wave larger than ``max_batch_size`` is one ``route_batch`` call on
+        the caller's thread: it is never cut into micro-batches nor parked
+        for ``max_wait_seconds`` in the batcher's queue."""
+        wave = [f"{QUESTIONS[index % len(QUESTIONS)]} number {index}"
+                for index in range(11)]
+        expected = [_route_signature(routes)
+                    for routes in trained_router.route_batch(wave)]
+        calls = _spy_route_batch(monkeypatch, trained_router)
+        config = ServingConfig(max_batch_size=8, max_wait_seconds=30.0)
+        with RoutingService(trained_router, config) as service:
+            results = service.submit_many(wave)
+            assert calls == [(threading.get_ident(), wave)]
+            assert [_route_signature(routes) for routes in results] == expected
             stats = service.stats()
-            assert stats["batcher"]["requests_dispatched"] == 3
-            assert stats["counters"]["routed"] == 4
+            assert stats["batcher"]["batches_dispatched"] == 0
+            assert stats["counters"]["routed"] == len(wave)
+
+    def test_a_traced_wave_has_no_queue_wait(self, trained_router):
+        """The wave's trace holds the decode stages and no ``queue_wait``; a
+        single ``submit`` still waits in the micro-batcher and records it."""
+        with RoutingService(trained_router) as service:
+            service.submit_many(QUESTIONS[:3])
+            service.submit(QUESTIONS[3])
+            stages = {record["name"]: {span["name"] for span in record["spans"]}
+                      for record in service.tracer.journal.slowest()}
+        assert {"encode", "decode", "parse"} <= stages["request_wave"]
+        assert "queue_wait" not in stages["request_wave"]
+        assert {"queue_wait", "encode", "decode", "parse"} <= stages["request"]
+
+    def test_concurrent_waves_and_submits_take_turns(self, trained_router):
+        """Wave callers decoding on their own threads and ``submit`` callers
+        served by the batcher share one router: every answer equals the
+        router's own and every request is counted once."""
+        expected = {question: _route_signature(trained_router.route(question))
+                    for question in QUESTIONS}
+        config = ServingConfig(enable_cache=False, max_wait_seconds=0.001)
+        failures: list[BaseException] = []
+
+        def caller(service: RoutingService, slot: int) -> None:
+            try:
+                for turn in range(5):
+                    if slot % 2:
+                        answers = zip(QUESTIONS, service.submit_many(QUESTIONS))
+                    else:
+                        question = QUESTIONS[(slot + turn) % len(QUESTIONS)]
+                        answers = [(question, service.submit(question))]
+                    for question, routes in answers:
+                        assert _route_signature(routes) == expected[question]
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the callers finely
+        try:
+            with RoutingService(trained_router, config) as service:
+                threads = [threading.Thread(target=caller, args=(service, slot))
+                           for slot in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                counters = service.metrics.counters()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert counters["requests"] == counters["routed"] == 3 * 5 * (len(QUESTIONS) + 1)
 
     def test_cache_does_not_alias_max_candidates(self, trained_router):
         # An ambiguous question ("name" exists in both databases) so the
