@@ -84,8 +84,7 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
 
     # Throughput: identical Zipf waves through cache-free twins, so repeats
     # decode every time on both sides and routes/sec measures routing itself.
-    single = RoutingService(master, ServingConfig(enable_cache=False,
-                                                  enable_batching=False))
+    single = RoutingService(master, ServingConfig(enable_cache=False))
     cluster = ClusterRoutingService.from_router(
         master, ClusterConfig(num_shards=4, strategy="size_balanced",
                               enable_cache=False,

@@ -59,8 +59,7 @@ def test_overload_sheds_not_collapses(spider_context):
     router = spider_context.copilot.router
     questions = [example.question
                  for example in spider_context.test_examples()[:40]]
-    config = ServingConfig(enable_cache=False, enable_batching=False,
-                           enable_tracing=False)
+    config = ServingConfig(enable_cache=False, enable_tracing=False)
 
     # Closed-loop saturation: how fast can uncached decodes actually go?
     with RoutingService(router, config=config) as probe:

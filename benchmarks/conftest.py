@@ -74,8 +74,8 @@ def spider_serving(spider_context, tmp_path_factory):
     """
     checkpoint = save_router(spider_context.copilot.router,
                              tmp_path_factory.mktemp("serving") / "router-ckpt")
-    service = RoutingService.from_checkpoint(checkpoint, ServingConfig(
-        max_batch_size=8, max_wait_seconds=0.002, cache_size=4096))
+    service = RoutingService.from_checkpoint(checkpoint,
+                                             ServingConfig(cache_size=4096))
     yield service
     service.close()
 

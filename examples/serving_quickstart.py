@@ -3,7 +3,8 @@
 Run with ``python examples/serving_quickstart.py``.  This is the deployment
 half of the paper's pitch: the schema router is a *compact* model, so it can
 be trained once, checkpointed, and then served persistently — with a route
-cache and micro-batched decoding — instead of being rebuilt per process.
+cache, and concurrent misses sharing decodes — instead of being rebuilt per
+process.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def main() -> None:
 
         print("\n3. Load + serve: booting a RoutingService from the checkpoint "
               "(no retraining) ...")
-        config = ServingConfig(max_batch_size=8, max_wait_seconds=0.002,
-                               cache_size=4096)
+        config = ServingConfig(cache_size=4096)
         with RoutingService.from_checkpoint(checkpoint, config) as service:
             question = dataset.test_examples[0].question
             print(f"   Q: {question}")

@@ -26,7 +26,7 @@ every substrate it depends on, from scratch:
 * :mod:`repro.experiments` -- harnesses that regenerate every table and figure
   of the paper's evaluation section.
 * :mod:`repro.serving` -- deployment: versioned router checkpoints, a
-  thread-safe route cache, micro-batched inference, metrics, and a load
+  thread-safe route cache, batched inference, metrics, and a load
   generator behind the :class:`RoutingService` façade.
 * :mod:`repro.cluster` -- scale-out: partitioned catalogs served by shard
   workers behind a scatter-gather dispatcher with replication, rebalancing,

@@ -1,6 +1,6 @@
 """Cluster subsystem: sharded scatter-gather routing over partitioned catalogs.
 
-PR 1 made the router a persistent, cached, micro-batched *service*; this
+:mod:`repro.serving` makes the router a persistent, cached *service*; this
 package makes it a *cluster*.  The catalog is partitioned into shards
 (round-robin, size-balanced, or joinability-aware grouping); each shard runs a
 projection of the trained router -- same model, sub-graph constraint, reduced

@@ -46,7 +46,8 @@ MASTER_DIR = "master"
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
 #: them, and loading drops them.
 RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
-                                 "sliced_vocabulary"})
+                                 "sliced_vocabulary", "max_workers",
+                                 "trace_exemplars"})
 
 
 def write_cluster(path: str | Path, master: SchemaRouter, config: ClusterConfig,

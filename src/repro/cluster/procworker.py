@@ -249,8 +249,7 @@ def worker_main(argv: list[str] | None = None) -> int:
     worker = ShardWorker.from_projection(
         arguments.shard_id, tuple(arguments.databases),
         SchemaRouter.from_checkpoint(arguments.master),
-        serving_config=ServingConfig(enable_batching=False,
-                                     enable_cache=not arguments.no_cache,
+        serving_config=ServingConfig(enable_cache=not arguments.no_cache,
                                      cache_size=arguments.cache_size,
                                      cache_ttl_seconds=arguments.cache_ttl_seconds,
                                      # Traces are adopted from the wire (see

@@ -103,13 +103,10 @@ class ClusterConfig:
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
-    max_workers: int | None = None
     #: Record per-request traces at the cluster entry point.  Shard-level
     #: services never start their own traces (the cluster's context threads
     #: through to them), so this is the only tracing switch of a cluster.
     enable_tracing: bool = True
-    #: How many slowest complete traces the journal retains as exemplars.
-    trace_exemplars: int = 8
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
@@ -142,7 +139,6 @@ class ClusterConfig:
         return ServingConfig(enable_cache=self.enable_cache,
                              cache_size=self.cache_size,
                              cache_ttl_seconds=self.cache_ttl_seconds,
-                             enable_batching=False,
                              # The cluster owns the trace; shard services
                              # record spans into it rather than starting
                              # their own per-wave traces.
@@ -212,8 +208,7 @@ class ClusterRoutingService:
         self.master_router = master_router
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics,
-                             enabled=self.config.enable_tracing,
-                             max_slow_traces=self.config.trace_exemplars)
+                             enabled=self.config.enable_tracing)
         self._shards = list(shards)
         self._catalog_version = catalog_version
         default_candidates = 5
@@ -244,7 +239,6 @@ class ClusterRoutingService:
             [replica_set.route_batch for replica_set in self._shards],
             default_max_candidates=default_candidates,
             allow_partial=self.config.allow_partial,
-            max_workers=self.config.max_workers,
             careful_targets=careful_targets,
             escalation_threshold=self.config.escalation_threshold,
             wave_engine=self.wave_engine,

@@ -76,11 +76,7 @@ class ShardWorker:
                  escalation_num_beams: int | None = None) -> None:
         self.shard_id = shard_id
         self.databases = tuple(databases)
-        # The dispatcher sends a shard whole waves (``submit_many``, which
-        # decodes on the calling thread), never single ``submit`` callers to
-        # coalesce, so the micro-batcher and its worker thread are off by
-        # default; the route cache stays on.
-        self.serving_config = serving_config or ServingConfig(enable_batching=False)
+        self.serving_config = serving_config or ServingConfig()
         self.escalation_num_beams = escalation_num_beams
         self.service = RoutingService(router, self.serving_config)
         self.careful_service: RoutingService | None = None

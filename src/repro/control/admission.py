@@ -10,11 +10,11 @@ retry against ``retry_after_seconds``.
 
 Three gates, all optional, judged in cheapest-first order:
 
-1. **Queue depth** — the micro-batcher backlog relative to its batch
-   capacity.  A backlog several batches deep means admitted work would sit
-   in line anyway; rejecting it keeps the queue (and therefore admitted
-   latency) bounded.  This is the PR-7 queue-depth health signal acting
-   instead of merely reporting.
+1. **Queue depth** — the questions queued behind the service's running
+   decode.  A deep backlog means admitted work would sit in line anyway;
+   rejecting it keeps the queue (and therefore admitted latency) bounded.
+   This is the queue-depth health signal acting instead of merely
+   reporting.
 2. **Burn-rate shedding** — the controller (or any monitor observer) feeds
    SLO fast-window burn via :meth:`observe_burn`.  At ``shed_burn`` the
    controller enters *shedding mode* and admits only every
@@ -66,11 +66,11 @@ class AdmissionPolicy:
     #: Bucket capacity in requests — how deep a burst may draw ahead of the
     #: refill rate before rejections start.
     burst_requests: float = 16.0
-    #: Shed when the batcher backlog reaches this multiple of the batch
-    #: capacity; None disables the queue gate.  Sits between the health
-    #: policy's degraded (2x) and failing (8x) ratios: shedding should start
-    #: after "degraded" is visible but before the backlog is hopeless.
-    queue_shed_ratio: float | None = 4.0
+    #: Shed when this many questions are queued behind the running decode;
+    #: None disables the queue gate.  Sits between the health policy's
+    #: degraded (16) and failing (64) depths: shedding should start after
+    #: "degraded" is visible but before the backlog is hopeless.
+    queue_shed_depth: int | None = 32
     #: Enter shedding mode when the observed SLO fast burn reaches this.
     shed_burn: float = 2.0
     #: Leave shedding mode only once the burn drops below this...
@@ -86,8 +86,8 @@ class AdmissionPolicy:
             raise ValueError("max_qps must be positive (or None)")
         if self.burst_requests < 1:
             raise ValueError("burst_requests must be >= 1")
-        if self.queue_shed_ratio is not None and self.queue_shed_ratio <= 0:
-            raise ValueError("queue_shed_ratio must be positive (or None)")
+        if self.queue_shed_depth is not None and self.queue_shed_depth <= 0:
+            raise ValueError("queue_shed_depth must be positive (or None)")
         if self.recover_burn > self.shed_burn:
             raise ValueError("need recover_burn <= shed_burn (hysteresis band)")
         if self.recover_burn <= 0:
@@ -118,25 +118,25 @@ class AdmissionController:
         self._rejected_by_reason = {reason: 0 for reason in REJECT_REASONS}
 
     # -- the decision --------------------------------------------------------
-    def admit(self, weight: int = 1, queue_depth: int | None = None,
-              queue_capacity: int | None = None) -> None:
+    def admit(self, weight: int = 1, queue_depth: int | None = None) -> None:
         """Admit ``weight`` requests or raise :class:`AdmissionRejected`.
 
         ``weight`` lets a wave (``submit_many``) be admitted atomically: the
         whole wave costs its cache-missing request count against the bucket.
+        ``queue_depth`` is the questions already queued behind the running
+        decode (None: not measured, no queue gate).
         """
         if weight <= 0:
             raise ValueError("weight must be positive")
         policy = self.policy
         with self._lock:
-            if (policy.queue_shed_ratio is not None
-                    and queue_depth is not None and queue_capacity):
-                if queue_depth / queue_capacity >= policy.queue_shed_ratio:
-                    self._reject_locked(
-                        "queue_depth",
-                        f"batcher backlog {queue_depth} >= "
-                        f"{policy.queue_shed_ratio:g}x capacity {queue_capacity}",
-                        weight)
+            if (policy.queue_shed_depth is not None and queue_depth is not None
+                    and queue_depth >= policy.queue_shed_depth):
+                self._reject_locked(
+                    "queue_depth",
+                    f"decode backlog {queue_depth} >= "
+                    f"{policy.queue_shed_depth} questions",
+                    weight)
             if self._shedding:
                 self._shed_counter += 1
                 if self._shed_counter % policy.shed_admit_every != 0:

@@ -1,6 +1,6 @@
 """Observability: request-scoped tracing, stage metrics, and exporters.
 
-The serving stack records *where a request's time went* -- batcher queue,
+The serving stack records *where a request's time went* -- queue wait,
 encode, decode steps, constraint masking, scatter fan-out, wire round-trips,
 merge, escalation -- as a tree of spans per request:
 

@@ -37,7 +37,6 @@ _MONOTONIC_LEAVES = frozenset({
     "escalations", "escalations_remembered",
     "shard_failures", "shards_timed_out", "partial_gathers",
     "requests_sent", "timeouts", "crashes", "respawns",
-    "batches_dispatched", "requests_dispatched",
 })
 
 

@@ -90,10 +90,11 @@ class HealthPolicy:
     #: Version churn: invalidations per lookup above this ratio means the
     #: catalog version is being bumped faster than the cache can pay off.
     cache_churn_ratio: float = 0.5
-    #: Batcher backlog as a multiple of ``max_batch_size``: one full batch
-    #: queued is normal bursting, several is sustained overload.
-    queue_depth_degraded_ratio: float = 2.0
-    queue_depth_failing_ratio: float = 8.0
+    #: Questions queued behind a running decode: a burst of concurrent
+    #: callers sharing the next decode is normal, a backlog this deep is
+    #: sustained overload.
+    queue_depth_degraded: int = 16
+    queue_depth_failing: int = 64
     #: Dispatcher per-request rate ceilings (shard timeouts / escalations,
     #: both judged against the request counter, after ``min_requests``).
     timeout_rate_degraded: float = 0.02
@@ -114,9 +115,9 @@ class HealthPolicy:
             raise ValueError("need 0 <= error_rate_degraded <= error_rate_failing")
         if not 0.0 <= self.timeout_rate_degraded <= self.timeout_rate_failing:
             raise ValueError("need 0 <= timeout_rate_degraded <= timeout_rate_failing")
-        if self.queue_depth_degraded_ratio > self.queue_depth_failing_ratio:
-            raise ValueError("queue_depth_degraded_ratio must not exceed "
-                             "queue_depth_failing_ratio")
+        if self.queue_depth_degraded > self.queue_depth_failing:
+            raise ValueError("queue_depth_degraded must not exceed "
+                             "queue_depth_failing")
         if self.min_requests < 0 or self.cache_min_lookups < 0:
             raise ValueError("min_requests / cache_min_lookups must be >= 0")
         if self.respawn_window_seconds <= 0:
@@ -205,22 +206,17 @@ def cache_health(stats: dict | None, policy: HealthPolicy | None = None,
     return report
 
 
-def queue_health(report: HealthReport, queue_depth: int, capacity: int,
+def queue_health(report: HealthReport, queue_depth: int,
                  policy: HealthPolicy) -> None:
-    """Judge a batcher backlog (depth vs. ``max_batch_size``) into ``report``."""
+    """Judge a decode backlog (questions queued behind a running decode)
+    into ``report``."""
     report.details["queue_depth"] = queue_depth
-    report.details["batch_capacity"] = capacity
-    if capacity <= 0:
-        return
-    ratio = queue_depth / capacity
-    if ratio >= policy.queue_depth_failing_ratio:
-        report.degrade("failing",
-                       f"batcher backlog {queue_depth} >= "
-                       f"{policy.queue_depth_failing_ratio:g}x batch capacity")
-    elif ratio >= policy.queue_depth_degraded_ratio:
-        report.degrade("degraded",
-                       f"batcher backlog {queue_depth} >= "
-                       f"{policy.queue_depth_degraded_ratio:g}x batch capacity")
+    if queue_depth >= policy.queue_depth_failing:
+        report.degrade("failing", f"decode backlog {queue_depth} >= "
+                                  f"{policy.queue_depth_failing} questions")
+    elif queue_depth >= policy.queue_depth_degraded:
+        report.degrade("degraded", f"decode backlog {queue_depth} >= "
+                                   f"{policy.queue_depth_degraded} questions")
 
 
 def admission_health(report: HealthReport, stats: dict | None) -> None:

@@ -120,7 +120,7 @@ class Span:
 class TraceContext:
     """The spans of one request; hand out via :meth:`Tracer.start_trace`.
 
-    Thread-safe: scatter arms and batcher workers open and close spans
+    Thread-safe: scatter arms and decode leaders open and close spans
     concurrently.  The context is *finished* exactly once (by whoever created
     it); spans started by threads that outlive the finish become detached
     no-ops instead of corrupting the completed record.
@@ -472,7 +472,7 @@ def distinct_traces(traces: Iterable | None) -> list:
     """The distinct non-``None`` contexts of a per-question trace list.
 
     A batched ``route_batch`` call may serve several requests that coalesced
-    in the micro-batcher -- each stage should open one span per *request*,
+    into one decode -- each stage should open one span per *request*,
     not per question, so repeated contexts collapse (by identity)."""
     if not traces:
         return []

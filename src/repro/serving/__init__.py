@@ -9,13 +9,12 @@ claim:
   (JSON manifest + npz weights) so a service boots without retraining;
 * :mod:`repro.serving.cache` -- a thread-safe LRU route cache with TTL and
   catalog-version invalidation;
-* :mod:`repro.serving.batcher` -- a micro-batcher coalescing concurrent
-  ``submit`` callers into batched decodes (a ``submit_many`` wave is already
-  a batch and decodes on its caller's thread);
 * :mod:`repro.serving.metrics` -- QPS, latency percentiles, batch-size
   histogram;
 * :mod:`repro.serving.service` -- :class:`RoutingService`, the façade wiring
-  all of the above behind ``submit`` / ``submit_many`` / ``stats``;
+  all of the above behind ``submit`` / ``submit_many`` / ``stats``; its
+  concurrent callers coalesce into shared decodes by group commit, on the
+  callers' own threads;
 * :mod:`repro.serving.loadgen` -- a seeded closed-loop/QPS load generator
   used by ``benchmarks/bench_serving_throughput.py``.
 """
@@ -23,8 +22,6 @@ claim:
 from repro.utils.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "BatcherConfig": "repro.serving.batcher",
-    "MicroBatcher": "repro.serving.batcher",
     "RouteCache": "repro.serving.cache",
     "normalize_question": "repro.serving.cache",
     "CHECKPOINT_FORMAT": "repro.serving.checkpoint",

@@ -75,35 +75,16 @@ class RouteCache:
 
     def get(self, question: str, variant: object = None) -> object | None:
         """Cached routes for ``question``, or ``None`` on miss/stale entry."""
-        key = self._key(question, variant)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.version != self._version:
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            if entry.expires_at is not None and self._clock() >= entry.expires_at:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry.value
+        return self.get_many([question], variant)[0]
 
     def get_many(self, questions: Sequence[str],
                  variant: object = None) -> list[object | None]:
-        """Batched :meth:`get`: one lock acquisition for a whole wave.
+        """Cached routes per question (``None`` on miss/stale entry), under
+        one lock acquisition for a whole wave.
 
-        Returns one entry per question (``None`` on miss), with identical
-        hit/miss/TTL/version accounting to per-question ``get`` calls.  On a
-        cache-hot wave the per-question lock handshake costs more than the
-        lookups themselves, which matters to shard workers whose every
-        scatter frame begins with a wave of cache probes.
+        On a cache-hot wave a per-question lock handshake would cost more
+        than the lookups themselves, which matters to shard workers whose
+        every scatter frame begins with a wave of cache probes.
         """
         keys = [self._key(question, variant) for question in questions]
         now = self._clock() if self.ttl_seconds is not None else None

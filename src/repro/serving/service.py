@@ -1,24 +1,25 @@
-"""The routing service façade: checkpoint + cache + batcher + metrics.
+"""The routing service façade: checkpoint + cache + group commit + metrics.
 
 :class:`RoutingService` turns a trained :class:`SchemaRouter` (built in
 process or loaded from a checkpoint directory) into a long-lived, concurrent
 serving object:
 
-* ``submit(question)`` -- route one question (cache first, then the
-  micro-batcher, which coalesces concurrent ``submit`` callers into batched
-  decodes);
-* ``submit_many(questions)`` -- route a list, answering repeats from cache and
-  decoding the remainder as one batch on the calling thread (no micro-batcher
-  hop): :meth:`RoutingService.consult` (cache verdict, within-wave dedup), a
-  decode, then :meth:`RoutingService.commit` (cache fill, counters, latency)
-  -- the one request path around a decode, which the cluster wave engine also
-  drives around its stacked decode;
+* ``submit_many(questions)`` -- route a list: :meth:`RoutingService.consult`
+  (cache verdict, within-wave dedup), admission, a decode, then
+  :meth:`RoutingService.commit` (cache fill, counters, latency) -- the one
+  request path around a decode, which the cluster wave engine also drives
+  around its stacked decode;
+* ``submit(question)`` -- the same path for a wave of one;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
 
-The service serializes access to the router (numpy decode shares lazily-built
-constraint tries), so any number of client threads may call ``submit`` and
-``submit_many``.
+Concurrent callers coalesce by group commit on the service's own lock.  A
+caller's cache misses become a ticket.  If no decode is running, the caller
+leads: it takes every queued ticket and decodes them on its own thread, one
+``route_batch`` per ``max_candidates``, under the route lock.  Callers that
+arrive while a decode runs queue their tickets and share the next one.
+There is no thread, no timer and no batch cap, so a lone caller is never
+held back.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.obs.health import (
     queue_health,
     rollup,
 )
-from repro.serving.batcher import BatcherConfig, MicroBatcher
 from repro.serving.cache import RouteCache
 from repro.serving.metrics import MetricsRegistry
 
@@ -60,20 +60,34 @@ class ServingConfig:
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
-    #: Micro-batch concurrent ``submit`` callers (a ``submit_many`` wave is
-    #: already a batch and always decodes on its caller's thread); the two
-    #: knobs below govern only that coalescing.
-    enable_batching: bool = True
-    max_batch_size: int = 8
-    max_wait_seconds: float = 0.002
     #: Record a per-request trace (queue/encode/decode/parse spans).
     enable_tracing: bool = True
-    #: How many slowest complete traces the journal retains as exemplars.
-    trace_exemplars: int = 8
     #: Admission control at the service front (None = admit everything).
     #: Only cache *misses* are gated: a hit costs microseconds and shedding
     #: it would hurt the caller without protecting the decode path.
     admission: AdmissionPolicy | None = None
+
+
+class BatchResultCountError(RuntimeError):
+    """A decode returned a different number of results than it was given
+    questions, so no result can be matched to its request."""
+
+
+@dataclass
+class _Ticket:
+    """One caller's cache misses, waiting for a decode."""
+
+    questions: list[str]
+    max_candidates: int | None
+    trace: object | None
+    #: Open while the ticket waits behind a running decode.
+    queue_span: object | None = None
+    answers: list | None = None
+    error: BaseException | None = None
+
+    @property
+    def settled(self) -> bool:
+        return self.answers is not None or self.error is not None
 
 
 class RoutingService:
@@ -93,21 +107,17 @@ class RoutingService:
             self.admission = AdmissionController(self.config.admission)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics,
-                             enabled=self.config.enable_tracing,
-                             max_slow_traces=self.config.trace_exemplars)
+                             enabled=self.config.enable_tracing)
         self.cache: RouteCache | None = None
         if self.config.enable_cache:
             self.cache = RouteCache(max_size=self.config.cache_size,
                                     ttl_seconds=self.config.cache_ttl_seconds)
         self._route_lock = threading.Lock()
-        self._batcher: MicroBatcher | None = None
-        if self.config.enable_batching:
-            self._batcher = MicroBatcher(
-                self._route_batch_locked,
-                BatcherConfig(max_batch_size=self.config.max_batch_size,
-                              max_wait_seconds=self.config.max_wait_seconds),
-                on_batch=self.metrics.observe_batch,
-            )
+        #: Group commit: tickets queued behind the running decode, and
+        #: whether some caller is leading one.
+        self._turn = threading.Condition()
+        self._tickets: list[_Ticket] = []
+        self._leading = False
         self._closed = False
 
     # -- construction --------------------------------------------------------
@@ -129,11 +139,8 @@ class RoutingService:
         """
         if self.admission is None:
             return
-        queue_depth = (self._batcher.queue_depth()
-                       if self._batcher is not None else None)
         try:
-            self.admission.admit(weight=weight, queue_depth=queue_depth,
-                                 queue_capacity=self.config.max_batch_size)
+            self.admission.admit(weight=weight, queue_depth=self.queue_depth())
         except AdmissionRejected as rejection:
             self.metrics.increment("admission_rejected", weight)
             trace = self.tracer.start_trace("request",
@@ -165,49 +172,7 @@ class RoutingService:
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:
         """Route one question (blocking); safe to call from many threads."""
-        if self._closed:
-            raise RuntimeError("the service has been closed")
-        started = time.monotonic()
-        max_candidates = max_candidates or self.config.max_candidates
-        self.metrics.increment("requests")
-        if self.cache is not None:
-            cached = self.cache.get(question, variant=max_candidates)
-            if cached is not None:
-                self.metrics.increment("cache_hits")
-                self.metrics.observe_latency(time.monotonic() - started)
-                return cached
-        # Admission happens after the cache and before any queueing: a shed
-        # request costs one counter bump and a typed exception, never a
-        # batcher slot or a decode.
-        self._admit(1, question_chars=len(question))
-        # The trace starts only on a cache miss: a hit has no stages worth
-        # recording, and the hit path is a microsecond-scale dict lookup that
-        # a per-request trace allocation would dominate (the tracing layer's
-        # overhead budget is <= 5% of serving throughput).  Cache
-        # effectiveness is observable through the counters instead.
-        trace = self.tracer.start_trace("request", question_chars=len(question))
-        try:
-            if self._batcher is not None:
-                routes = self._batcher.submit(question, max_candidates,
-                                              trace=trace).result()
-            else:
-                routes = self._route_batch_locked(
-                    [question], max_candidates,
-                    traces=[trace] if trace is not None else None)[0]
-            if self.cache is not None:
-                self.cache.put(question, routes, variant=max_candidates)
-            self.metrics.increment("routed")
-            self.metrics.observe_latency(time.monotonic() - started)
-            return routes
-        except BaseException as exc:
-            self.metrics.increment("errors")
-            if trace is not None:
-                trace.finish(status="error", error=f"{type(exc).__name__}: {exc}")
-                trace = None
-            raise
-        finally:
-            if trace is not None:
-                trace.finish()
+        return self.submit_many([question], max_candidates)[0]
 
     def consult(self, questions: Sequence[str], max_candidates: int | None = None
                 ) -> tuple[list, list[int]]:
@@ -265,14 +230,15 @@ class RoutingService:
                     max_candidates: int | None = None,
                     trace=None) -> list[list[SchemaRoute]]:
         """Route several questions; repeats are answered from cache, the rest
-        decode as one batch on the calling thread (concurrent callers take
-        turns on the route lock; the micro-batcher is for ``submit`` only).
+        decode by group commit (see the module docstring).
 
         A caller-provided ``trace`` (e.g. a cluster dispatcher's scatter scope)
         is used for the wave's spans but never finished here; without one, the
         service starts and finishes its own ``request_wave`` trace -- but only
-        when the wave actually decodes something (see ``submit()``: fully
-        cached waves stay trace-free)."""
+        when the wave actually decodes something: a cache hit has no stages
+        worth recording, and a per-request trace allocation would dominate
+        its microsecond-scale dict lookup (cache effectiveness is observable
+        through the counters instead)."""
         if self._closed:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
@@ -310,13 +276,72 @@ class RoutingService:
     def _route_pending(self, questions: Sequence[str], pending: list[int],
                        max_candidates: int | None,
                        trace) -> list[list[SchemaRoute]]:
-        """Decode the questions at the ``pending`` indices, in order: one
-        ``route_batch`` call on the caller's thread, under the route lock."""
+        """Decode the questions at the ``pending`` indices, in order: lead
+        the next decode if none is running, else wait to share it."""
         if not pending:
             return []
-        return self._route_batch_locked(
-            [questions[index] for index in pending], max_candidates,
-            traces=[trace] * len(pending) if trace is not None else None)
+        ticket = _Ticket([questions[index] for index in pending],
+                         max_candidates, trace)
+        with self._turn:
+            self._tickets.append(ticket)
+            if self._leading and trace is not None:
+                ticket.queue_span = trace.start_span("queue_wait")
+            while self._leading and not ticket.settled:
+                self._turn.wait()
+            batch = None
+            if not ticket.settled:
+                self._leading = True
+                batch, self._tickets = self._tickets, []
+        if batch is not None:
+            self._lead(batch)
+        if ticket.error is not None:
+            raise ticket.error
+        return ticket.answers
+
+    def _lead(self, batch: list[_Ticket]) -> None:
+        """Decode every ticket of ``batch`` on this thread, one
+        ``route_batch`` per ``max_candidates``, then settle each ticket with
+        its answers or its group's error and wake the waiters."""
+        groups: dict[int | None, list[_Ticket]] = {}
+        for ticket in batch:
+            if ticket.queue_span is not None:
+                ticket.queue_span.end()
+            groups.setdefault(ticket.max_candidates, []).append(ticket)
+        try:
+            for max_candidates, tickets in groups.items():
+                questions = [question for ticket in tickets
+                             for question in ticket.questions]
+                traces = [ticket.trace for ticket in tickets
+                          for _ in ticket.questions]
+                try:
+                    answers = self._route_batch_locked(questions, max_candidates,
+                                                       traces)
+                    if len(answers) != len(questions):
+                        raise BatchResultCountError(
+                            f"route_batch returned {len(answers)} results for "
+                            f"{len(questions)} questions")
+                except Exception as error:  # settles every ticket of the group
+                    for ticket in tickets:
+                        ticket.error = error
+                    continue
+                self.metrics.observe_batch(len(questions))
+                start = 0
+                for ticket in tickets:
+                    ticket.answers = answers[start:start + len(ticket.questions)]
+                    start += len(ticket.questions)
+        finally:
+            with self._turn:
+                for ticket in batch:
+                    if not ticket.settled:  # an interrupt is unwinding the leader
+                        ticket.error = RuntimeError("the leading decode was interrupted")
+                self._leading = False
+                self._turn.notify_all()
+
+    def queue_depth(self) -> int:
+        """Questions queued behind the running decode: the backlog that
+        health and admission judge."""
+        with self._turn:
+            return sum(len(ticket.questions) for ticket in self._tickets)
 
     # -- catalog change hook -------------------------------------------------
     def notify_catalog_changed(self) -> None:
@@ -343,10 +368,10 @@ class RoutingService:
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
         """A JSON-round-trip-safe snapshot (it may cross the cluster wire
-        protocol verbatim): counters, QPS, latency percentiles, cache and
-        batcher accounting, plus the size of the catalog slice this service
-        decodes over -- which is what identifies a shard worker when the
-        snapshot is read far from the process that produced it."""
+        protocol verbatim): counters, QPS, latency percentiles, cache
+        accounting, plus the size of the catalog slice this service decodes
+        over -- which is what identifies a shard worker when the snapshot is
+        read far from the process that produced it."""
         snapshot = self.metrics.snapshot()
         snapshot["num_databases"] = len(self.router.graph.catalog.database_names)
         # Constraint automaton states made so far: stands still once the
@@ -358,20 +383,13 @@ class RoutingService:
         requests = snapshot["counters"].get("requests", 0)
         hits = snapshot["counters"].get("cache_hits", 0)
         snapshot["cache_hit_rate"] = round(hits / requests, 4) if requests else 0.0
-        if self._batcher is not None:
-            snapshot["batcher"] = {
-                "batches_dispatched": self._batcher.batches_dispatched,
-                "requests_dispatched": self._batcher.requests_dispatched,
-            }
-        else:
-            snapshot["batcher"] = None
         snapshot["traces"] = self.tracer.journal.stats()
         snapshot["admission"] = (self.admission.stats()
                                  if self.admission is not None else None)
         return snapshot
 
     def health(self, policy: HealthPolicy | None = None) -> HealthReport:
-        """This service's verdict: error rate, batcher backlog, route cache.
+        """This service's verdict: error rate, decode backlog, route cache.
 
         The report nests one ``route_cache`` child (when caching is on);
         child verdicts follow the rollup precedence in
@@ -382,9 +400,7 @@ class RoutingService:
             own.degrade("failing", "service is closed")
             return own
         error_rate_health(own, self.metrics.counters(), policy)
-        if self._batcher is not None:
-            queue_health(own, self._batcher.queue_depth(),
-                         self.config.max_batch_size, policy)
+        queue_health(own, self.queue_depth(), policy)
         if self.admission is not None:
             admission_health(own, self.admission.stats())
         children = []
@@ -394,11 +410,9 @@ class RoutingService:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
+        """Refuse new requests; a decode already running settles its
+        tickets as usual."""
         self._closed = True
-        if self._batcher is not None:
-            self._batcher.close()
 
     def __enter__(self) -> "RoutingService":
         return self

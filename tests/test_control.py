@@ -94,7 +94,7 @@ class TestAdmissionPolicy:
         with pytest.raises(ValueError):
             AdmissionPolicy(shed_admit_every=0)
         with pytest.raises(ValueError):
-            AdmissionPolicy(queue_shed_ratio=-1.0)
+            AdmissionPolicy(queue_shed_depth=0)
 
 
 class TestTokenBucket:
@@ -129,15 +129,18 @@ class TestTokenBucket:
 class TestQueueGate:
     def test_backlog_rejects_and_recovers(self):
         controller = AdmissionController(
-            AdmissionPolicy(queue_shed_ratio=4.0), clock=FakeClock())
+            AdmissionPolicy(queue_shed_depth=32), clock=FakeClock())
         with pytest.raises(AdmissionRejected) as excinfo:
-            controller.admit(queue_depth=32, queue_capacity=8)
+            controller.admit(queue_depth=32)
         assert excinfo.value.reason == "queue_depth"
-        controller.admit(queue_depth=31, queue_capacity=8)
+        assert "32 questions" in str(excinfo.value)
+        controller.admit(queue_depth=31)
 
     def test_no_capacity_means_no_gate(self):
-        controller = AdmissionController(clock=FakeClock())
-        controller.admit(queue_depth=10_000, queue_capacity=None)
+        controller = AdmissionController(AdmissionPolicy(queue_shed_depth=None),
+                                         clock=FakeClock())
+        controller.admit(queue_depth=10_000)
+        AdmissionController(clock=FakeClock()).admit(queue_depth=None)
 
 
 class TestBurnShedding:
@@ -189,7 +192,7 @@ class TestServiceAdmission:
         controller = AdmissionController(
             AdmissionPolicy(min_shed_seconds=5.0, shed_admit_every=2),
             clock=clock)
-        config = ServingConfig(enable_cache=False, enable_batching=False)
+        config = ServingConfig(enable_cache=False)
         return RoutingService(router, config=config, admission=controller)
 
     def test_steady_state_never_interferes(self, trained_router):
@@ -237,7 +240,7 @@ class TestServiceAdmission:
         clock = FakeClock()
         controller = AdmissionController(
             AdmissionPolicy(max_qps=1.0, burst_requests=2.0), clock=clock)
-        config = ServingConfig(enable_cache=False, enable_batching=False)
+        config = ServingConfig(enable_cache=False)
         with RoutingService(trained_router, config=config,
                             admission=controller) as service:
             questions = ["How many singers are there?",
@@ -252,7 +255,7 @@ class TestServiceAdmission:
         clock = FakeClock()
         controller = AdmissionController(
             AdmissionPolicy(max_qps=1.0, burst_requests=1.0), clock=clock)
-        config = ServingConfig(enable_cache=True, enable_batching=False)
+        config = ServingConfig(enable_cache=True)
         with RoutingService(trained_router, config=config,
                             admission=controller) as service:
             service.submit("How many singers are there?")  # miss: takes the token

@@ -182,17 +182,23 @@ class TestProbes:
         assert report.status == "ok"
         assert report.details == {"enabled": False}
 
-    def test_queue_depth_ratios(self):
+    def test_queue_depth_thresholds(self):
+        """The backlog is counted in questions: 16 queued is degraded, 64
+        failing."""
         policy = HealthPolicy()
         ok = HealthReport(component="svc")
-        queue_health(ok, 8, 8, policy)
+        queue_health(ok, 15, policy)
         assert ok.status == "ok"
+        assert ok.details == {"queue_depth": 15}
         degraded = HealthReport(component="svc")
-        queue_health(degraded, 16, 8, policy)
+        queue_health(degraded, 16, policy)
         assert degraded.status == "degraded"
+        assert degraded.reasons == ["decode backlog 16 >= 16 questions"]
         failing = HealthReport(component="svc")
-        queue_health(failing, 64, 8, policy)
+        queue_health(failing, 64, policy)
         assert failing.status == "failing"
+        with pytest.raises(ValueError, match="queue_depth_degraded"):
+            HealthPolicy(queue_depth_degraded=65)
 
     def test_dispatcher_timeout_and_escalation_rates(self):
         policy = HealthPolicy()
@@ -209,7 +215,7 @@ class TestServiceHealth:
     @pytest.fixture()
     def service(self, trained_router):
         service = RoutingService(trained_router,
-                                 config=ServingConfig(enable_batching=False))
+                                 config=ServingConfig())
         yield service
         service.close()
 
@@ -220,7 +226,7 @@ class TestServiceHealth:
 
     def test_closed_service_is_failing(self, trained_router):
         service = RoutingService(trained_router,
-                                 config=ServingConfig(enable_batching=False))
+                                 config=ServingConfig())
         service.close()
         report = service.health()
         assert report.status == "failing"
@@ -578,7 +584,7 @@ class TestOpsEndpoint:
     @pytest.fixture()
     def stack(self, trained_router):
         service = RoutingService(trained_router,
-                                 config=ServingConfig(enable_batching=False))
+                                 config=ServingConfig())
         monitor = Monitor(service, interval_seconds=60.0)
         server = OpsServer(monitor).start()
         yield service, monitor, server

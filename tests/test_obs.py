@@ -455,7 +455,7 @@ class TestExporters:
         from repro.serving import RoutingService, ServingConfig
 
         service = RoutingService(trained_router,
-                                 config=ServingConfig(enable_batching=False))
+                                 config=ServingConfig())
         try:
             service.submit("Which databases mention concerts?")
             text = to_prometheus(service.stats())
@@ -481,7 +481,7 @@ class TestExporters:
         from repro.serving import RoutingService, ServingConfig
 
         service = RoutingService(trained_router,
-                                 config=ServingConfig(enable_batching=False))
+                                 config=ServingConfig())
         try:
             service.submit("Which databases mention concerts?")
             snapshot = service.stats()

@@ -119,7 +119,7 @@ def _local_worker(cluster_checkpoint,
     """The same shard projected in this process."""
     return ShardWorker.from_projection(
         0, _databases(cluster_checkpoint), load_router(cluster_checkpoint / "master"),
-        serving_config=ServingConfig(enable_batching=False),
+        serving_config=ServingConfig(),
         escalation_num_beams=escalation_num_beams, **SHARD_BEAMS)
 
 

@@ -1,13 +1,19 @@
-"""Tests for the serving subsystem: checkpoints, cache, batcher, service, loadgen."""
+"""Tests for the serving subsystem: checkpoints, cache, service, loadgen."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import sys
 import threading
+import time
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
+from repro.control import AdmissionController, AdmissionPolicy, AdmissionRejected
 from repro.core import (
     RouterConfig,
     SchemaGraph,
@@ -18,12 +24,11 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.nn.tokenizer import Vocabulary
+from repro.obs.health import HealthPolicy
 from repro.schema import Catalog, Column, ColumnType, Database, ForeignKey, Table
 from repro.serving import (
     CheckpointError,
     LoadGenerator,
-    MicroBatcher,
-    BatcherConfig,
     RouteCache,
     RoutingService,
     ServingConfig,
@@ -33,9 +38,9 @@ from repro.serving import (
     normalize_question,
     save_router,
 )
-from repro.serving.batcher import BatchResultCountError
 from repro.serving.checkpoint import catalog_from_payload, catalog_to_payload
 from repro.serving.metrics import LatencyRecorder, MetricsRegistry
+from repro.serving.service import BatchResultCountError
 
 
 def _serving_catalog() -> Catalog:
@@ -108,6 +113,48 @@ def _spy_route_batch(monkeypatch, router) -> list[tuple[int, list[str]]]:
 
     monkeypatch.setattr(router, "route_batch", spy)
     return calls
+
+
+def _wait_until(predicate, seconds: float = 30.0) -> None:
+    """Spin (no sleep) until ``predicate()`` holds; fail after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+
+
+@contextmanager
+def _contended(service: RoutingService, calls):
+    """Run each one-question call on its own thread, with the route lock
+    held: the first leads a decode and blocks on the lock, every later one
+    queues its ticket behind it, in order.  The block runs with all of them
+    queued; leaving it releases the lock.  Yields ``outcomes`` (call index
+    -> result or raised exception), complete once the block has exited."""
+    outcomes: dict[int, object] = {}
+
+    def run(index: int, call) -> None:
+        try:
+            outcomes[index] = call()
+        except BaseException as error:  # noqa: BLE001 - inspected by the test
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=run, args=(index, call))
+               for index, call in enumerate(calls)]
+    with service.exclusive_router():
+        threads[0].start()
+        _wait_until(lambda: service._leading)
+        for queued, thread in enumerate(threads[1:], start=1):
+            thread.start()
+            _wait_until(lambda: service.queue_depth() == queued)
+        yield outcomes
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _numbered(count: int) -> list[str]:
+    """``count`` distinct questions (no two share a cache entry)."""
+    return [f"{QUESTIONS[index % len(QUESTIONS)]} number {index}"
+            for index in range(count)]
 
 
 # -- checkpoint ----------------------------------------------------------------
@@ -288,82 +335,6 @@ class TestRouteCache:
         assert cache.get_many(["question"], variant=5) == [None]
 
 
-# -- micro-batcher -------------------------------------------------------------
-class TestMicroBatcher:
-    def test_coalesces_concurrent_requests(self):
-        calls: list[list[str]] = []
-
-        def route_batch(questions, max_candidates):
-            calls.append(list(questions))
-            return [f"routed:{question}" for question in questions]
-
-        barrier = threading.Barrier(4)
-        registry = MetricsRegistry()
-        with MicroBatcher(route_batch, BatcherConfig(max_batch_size=4,
-                                                     max_wait_seconds=0.2),
-                          on_batch=registry.observe_batch) as batcher:
-            futures: dict[str, object] = {}
-            lock = threading.Lock()
-
-            def client(question: str) -> None:
-                barrier.wait()
-                future = batcher.submit(question)
-                with lock:
-                    futures[question] = future.result()
-
-            threads = [threading.Thread(target=client, args=(f"q{index}",))
-                       for index in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert futures == {f"q{index}": f"routed:q{index}" for index in range(4)}
-        assert batcher.requests_dispatched == 4
-        assert max(len(call) for call in calls) > 1  # coalescing happened
-        histogram = registry.snapshot()["batch_size_histogram"]
-        assert sum(histogram.values()) == batcher.batches_dispatched
-        assert sum(int(size) * count for size, count in histogram.items()) == 4
-
-    def test_respects_max_batch_size(self):
-        def route_batch(questions, max_candidates):
-            assert len(questions) <= 2
-            return list(questions)
-
-        with MicroBatcher(route_batch, BatcherConfig(max_batch_size=2,
-                                                     max_wait_seconds=0.01)) as batcher:
-            futures = [batcher.submit(f"q{index}") for index in range(7)]
-            assert [future.result() for future in futures] == [f"q{index}"
-                                                               for index in range(7)]
-
-    def test_error_propagates_to_futures(self):
-        def route_batch(questions, max_candidates):
-            raise ValueError("decode exploded")
-
-        with MicroBatcher(route_batch) as batcher:
-            future = batcher.submit("question")
-            with pytest.raises(ValueError, match="decode exploded"):
-                future.result(timeout=5)
-
-    def test_submit_after_close_rejected(self):
-        batcher = MicroBatcher(lambda questions, mc: list(questions))
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit("question")
-
-    def test_too_few_results_fail_every_future(self):
-        """A ``route_batch`` that answers fewer results than questions settles
-        every future of the group with a typed error instead of leaving the
-        unmatched ones pending (their callers would wait forever)."""
-        batcher = MicroBatcher(lambda questions, mc: [],
-                               BatcherConfig(max_batch_size=4, max_wait_seconds=0))
-        futures = [batcher.submit(f"q{index}") for index in range(3)]
-        batcher.close()  # drains the queue before the worker exits
-        assert all(future.done() for future in futures)
-        for future in futures:
-            with pytest.raises(BatchResultCountError, match="0 results for"):
-                future.result(timeout=0)
-
-
 # -- metrics -------------------------------------------------------------------
 class TestMetrics:
     def test_latency_percentiles(self):
@@ -482,42 +453,190 @@ class TestRoutingService:
 
     def test_a_wave_decodes_once_on_the_calling_thread(self, trained_router,
                                                         monkeypatch):
-        """A wave larger than ``max_batch_size`` is one ``route_batch`` call on
-        the caller's thread: it is never cut into micro-batches nor parked
-        for ``max_wait_seconds`` in the batcher's queue."""
-        wave = [f"{QUESTIONS[index % len(QUESTIONS)]} number {index}"
-                for index in range(11)]
+        """An uncontended wave is one ``route_batch`` call on the caller's
+        thread, however large: there is no batch cap and no wait."""
+        wave = _numbered(11)
         expected = [_route_signature(routes)
                     for routes in trained_router.route_batch(wave)]
         calls = _spy_route_batch(monkeypatch, trained_router)
-        config = ServingConfig(max_batch_size=8, max_wait_seconds=30.0)
-        with RoutingService(trained_router, config) as service:
+        with RoutingService(trained_router) as service:
             results = service.submit_many(wave)
             assert calls == [(threading.get_ident(), wave)]
             assert [_route_signature(routes) for routes in results] == expected
             stats = service.stats()
-            assert stats["batcher"]["batches_dispatched"] == 0
+            assert "batcher" not in stats
+            assert stats["batch_size_histogram"] == {"11": 1}
             assert stats["counters"]["routed"] == len(wave)
 
+    def test_construction_starts_no_thread(self, trained_router):
+        before = set(threading.enumerate())
+        with RoutingService(trained_router) as service:
+            assert set(threading.enumerate()) <= before
+            service.submit(QUESTIONS[0])
+            service.submit_many(QUESTIONS[1:3])
+            assert set(threading.enumerate()) <= before
+
     def test_a_traced_wave_has_no_queue_wait(self, trained_router):
-        """The wave's trace holds the decode stages and no ``queue_wait``; a
-        single ``submit`` still waits in the micro-batcher and records it."""
+        """An uncontended wave or ``submit`` leads its own decode: its trace
+        holds the decode stages and no ``queue_wait``."""
         with RoutingService(trained_router) as service:
             service.submit_many(QUESTIONS[:3])
             service.submit(QUESTIONS[3])
-            stages = {record["name"]: {span["name"] for span in record["spans"]}
-                      for record in service.tracer.journal.slowest()}
-        assert {"encode", "decode", "parse"} <= stages["request_wave"]
-        assert "queue_wait" not in stages["request_wave"]
-        assert {"queue_wait", "encode", "decode", "parse"} <= stages["request"]
+            records = service.tracer.journal.slowest()
+            assert "queue_wait" not in service.stats()["stages"]
+        assert len(records) == 2
+        for record in records:
+            stages = {span["name"] for span in record["spans"]}
+            assert {"encode", "decode", "parse"} <= stages
+            assert "queue_wait" not in stages
+
+    def test_concurrent_submits_coalesce(self, trained_router, monkeypatch):
+        """Callers that arrive while a decode runs share the next one: with
+        the route lock held, one ``submit`` leads (and blocks) and five queue
+        behind it; on release the router sees ``[q0]`` then ``[q1..q5]``, and
+        only the five waiters recorded a ``queue_wait``."""
+        questions = _numbered(6)
+        expected = [_route_signature(routes)
+                    for routes in trained_router.route_batch(questions)]
+        calls = _spy_route_batch(monkeypatch, trained_router)
+        config = ServingConfig(enable_cache=False)
+        with RoutingService(trained_router, config) as service:
+            with _contended(service, [functools.partial(service.submit, question)
+                                      for question in questions]) as outcomes:
+                assert service.queue_depth() == 5
+                assert calls == []
+            assert [decoded for _, decoded in calls] == [questions[:1], questions[1:]]
+            assert [_route_signature(outcomes[index])
+                    for index in range(len(questions))] == expected
+            stats = service.stats()
+            records = service.tracer.journal.slowest()
+        assert stats["batch_size_histogram"] == {"1": 1, "5": 1}
+        assert stats["stages"]["queue_wait"]["count"] == 5
+        waited = sorted("queue_wait" in {span["name"] for span in record["spans"]}
+                        for record in records)
+        assert waited == [False] + [True] * 5
+        assert stats["counters"]["requests"] == stats["counters"]["routed"] == 6
+
+    def test_coalesced_tickets_decode_once_per_max_candidates(self, trained_router,
+                                                              monkeypatch):
+        """Tickets sharing a decode are grouped by ``max_candidates``: one
+        ``route_batch`` per group, in arrival order, and every caller gets
+        the answer it asked for."""
+        questions = _numbered(4)
+        limits = [None, 1, None, 1]
+        expected = [_route_signature(trained_router.route(question, max_candidates=limit))
+                    for question, limit in zip(questions, limits)]
+        calls: list[tuple[list[str], int | None]] = []
+        route_batch = trained_router.route_batch
+
+        def spy(batch, max_candidates=None, **kwargs):
+            calls.append((list(batch), max_candidates))
+            return route_batch(batch, max_candidates, **kwargs)
+
+        monkeypatch.setattr(trained_router, "route_batch", spy)
+        with RoutingService(trained_router, ServingConfig(enable_cache=False)) as service:
+            with _contended(service, [functools.partial(service.submit, question, limit)
+                                      for question, limit in zip(questions, limits)]
+                            ) as outcomes:
+                pass
+        assert calls == [([questions[0]], None),
+                         ([questions[1], questions[3]], 1),
+                         ([questions[2]], None)]
+        assert [_route_signature(outcomes[index])
+                for index in range(len(questions))] == expected
+
+    @pytest.mark.parametrize("failure", ["too_few_results", "raises", "interrupted"])
+    def test_a_failed_decode_fails_every_waiter(self, trained_router, monkeypatch,
+                                                failure):
+        """A decode that answers too few results (or raises) settles every
+        ticket of its group with the error; an interrupt unwinds its leader
+        and settles the leader's waiters with a ``RuntimeError``.  No caller
+        is left waiting, the counters conserve, and the next caller leads a
+        fresh decode."""
+        def broken(questions, *args, **kwargs):
+            if failure == "raises":
+                raise ValueError("decode exploded")
+            if failure == "interrupted":
+                raise KeyboardInterrupt
+            return []
+
+        monkeypatch.setattr(trained_router, "route_batch", broken)
+        errors = {"too_few_results": [BatchResultCountError] * 6,
+                  "raises": [ValueError] * 6,
+                  # q0 leads alone, then one of the five waiters leads them
+                  "interrupted": [KeyboardInterrupt] * 2 + [RuntimeError] * 4}[failure]
+        questions = _numbered(6)
+        with RoutingService(trained_router, ServingConfig(enable_cache=False)) as service:
+            with _contended(service, [functools.partial(service.submit, question)
+                                      for question in questions]) as outcomes:
+                pass
+            assert sorted(outcomes) == list(range(len(questions)))
+            assert type(outcomes[0]) is errors[0]
+            assert sorted(type(outcome).__name__ for outcome in outcomes.values()) \
+                == sorted(error.__name__ for error in errors)
+            if failure == "too_few_results":
+                assert "0 results for 5 questions" in str(outcomes[5])
+            counters = service.metrics.counters()
+            assert counters["requests"] == counters["errors"] == len(questions)
+            assert counters.get("cache_hits", 0) + counters.get("routed", 0) == 0
+            assert service.queue_depth() == 0
+            monkeypatch.undo()
+            assert service.submit(questions[0])
+            assert service.metrics.counter("routed") == 1
+
+    def test_the_backlog_feeds_health_and_admission(self, trained_router):
+        """The backlog is the questions queued behind the running decode:
+        ``health()`` judges it and the admission gate sheds on it."""
+        policy = HealthPolicy(queue_depth_degraded=2, queue_depth_failing=4)
+        admission = AdmissionController(AdmissionPolicy(queue_shed_depth=3))
+        config = ServingConfig(enable_cache=False)
+        with RoutingService(trained_router, config, admission=admission) as service:
+            with _contended(service, [functools.partial(service.submit, question)
+                                      for question in _numbered(4)]) as outcomes:
+                report = service.health(policy)
+                assert report.status == "degraded"
+                assert report.details["queue_depth"] == 3
+                with pytest.raises(AdmissionRejected) as excinfo:
+                    service.submit("one question too many")
+                assert excinfo.value.reason == "queue_depth"
+            assert all(isinstance(outcome, list) for outcome in outcomes.values())
+            assert service.health(policy).status == "ok"
+            assert service.metrics.counter("admission_rejected") == 1
+
+    def test_submit_after_close_rejected(self, trained_router):
+        service = RoutingService(trained_router)
+        service.close()
+        service.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit(QUESTIONS[0])
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit_many(QUESTIONS[:2])
+
+    def test_a_closed_service_is_freed_by_reference_counting(self, trained_router):
+        """Nothing a service owns points back at it: closed and dropped, the
+        service and its router are freed without the cycle collector."""
+        router = SchemaRouter(graph=trained_router.graph, config=trained_router.config)
+        router.restore(trained_router.model, trained_router.source_vocabulary,
+                       trained_router.target_vocabulary)
+        service = RoutingService(router)
+        service.submit(QUESTIONS[0])
+        service.submit_many(QUESTIONS[:3])
+        service.close()
+        references = [weakref.ref(service), weakref.ref(router)]
+        gc.disable()
+        try:
+            del service, router
+            assert [reference() for reference in references] == [None, None]
+        finally:
+            gc.enable()
 
     def test_concurrent_waves_and_submits_take_turns(self, trained_router):
-        """Wave callers decoding on their own threads and ``submit`` callers
-        served by the batcher share one router: every answer equals the
-        router's own and every request is counted once."""
+        """Wave and ``submit`` callers on many threads share one router and
+        coalesce into each other's decodes: every answer equals the router's
+        own and every request is counted once."""
         expected = {question: _route_signature(trained_router.route(question))
                     for question in QUESTIONS}
-        config = ServingConfig(enable_cache=False, max_wait_seconds=0.001)
+        config = ServingConfig(enable_cache=False)
         failures: list[BaseException] = []
 
         def caller(service: RoutingService, slot: int) -> None:
@@ -571,13 +690,13 @@ class TestRoutingService:
             assert stats["counters"].get("cache_hits", 0) == 0
             assert stats["cache"]["invalidations"] == 1
 
-    def test_unbatched_uncached_mode(self, trained_router):
-        config = ServingConfig(enable_cache=False, enable_batching=False)
+    def test_uncached_mode(self, trained_router):
+        config = ServingConfig(enable_cache=False)
         with RoutingService(trained_router, config) as service:
             routes = service.submit(QUESTIONS[0])
             assert _route_signature(routes) == _route_signature(trained_router.route(QUESTIONS[0]))
             stats = service.stats()
-            assert stats["cache"] is None and stats["batcher"] is None
+            assert stats["cache"] is None and "batcher" not in stats
 
     def test_untrained_router_rejected(self, trained_router):
         with pytest.raises(ValueError, match="trained"):
@@ -596,32 +715,6 @@ class TestRoutingService:
             assert service.cache.catalog_version == 1
             with pytest.raises(ValueError, match="trained"):
                 service.replace_router(SchemaRouter(graph=trained_router.graph))
-
-    def test_concurrent_submits_coalesce(self, trained_router):
-        config = ServingConfig(enable_cache=False, max_batch_size=8,
-                               max_wait_seconds=0.05)
-        with RoutingService(trained_router, config) as service:
-            barrier = threading.Barrier(6)
-            results: dict[int, object] = {}
-            lock = threading.Lock()
-
-            def client(index: int) -> None:
-                barrier.wait()
-                routes = service.submit(QUESTIONS[index % len(QUESTIONS)])
-                with lock:
-                    results[index] = routes
-
-            threads = [threading.Thread(target=client, args=(index,)) for index in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            for index, routes in results.items():
-                expected = trained_router.route(QUESTIONS[index % len(QUESTIONS)])
-                assert _route_signature(routes) == _route_signature(expected)
-            histogram = service.stats()["batch_size_histogram"]
-            # at least one multi-request batch formed
-            assert max(int(size) for size in histogram) > 1
 
 
 # -- load generation -----------------------------------------------------------

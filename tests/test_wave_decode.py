@@ -49,7 +49,7 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
-from repro.serving import RoutingService, ServingConfig
+from repro.serving import RoutingService
 from repro.serving.cache import RouteCache
 from repro.serving.checkpoint import CheckpointError, load_router, save_router
 from test_cluster import QUESTIONS, _cluster_catalog
@@ -446,6 +446,21 @@ class TestOneBootPath:
             answers = _serve(cluster, QUESTIONS)
         assert _hex(answers) == _hex(expected)
 
+    def test_retired_pool_and_exemplar_keys_load(self, master_router, tmp_path):
+        """``max_workers`` and ``trace_exemplars`` are retired: no field takes
+        them, and a manifest carrying both loads and serves as before."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        with load_cluster(tmp_path / "ckpt") as original:
+            expected = _serve(original, QUESTIONS)
+        _rewrite(tmp_path / "ckpt" / "cluster.json", lambda manifest:
+                 manifest["config"].update(max_workers=2, trace_exemplars=3))
+        for retired in ("max_workers", "trace_exemplars"):
+            with pytest.raises(TypeError):
+                ClusterConfig(**{retired: 2})
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            assert cluster.tracer.journal.max_slow_traces == 8
+            assert _hex(_serve(cluster, QUESTIONS)) == _hex(expected)
+
     def test_a_careful_shard_call_needs_a_careful_tier(self, master_router):
         """No silent fallback: with the cascade off there is no careful tier,
         and asking a shard for one is a ``ValueError``, not a fast decode."""
@@ -546,7 +561,7 @@ class TestWhichFleetsScatterThroughThePool:
         import repro.cluster
 
         assert "sliced_vocabulary" not in ClusterConfig.__dataclass_fields__
-        assert len(ClusterConfig.__dataclass_fields__) == 18
+        assert len(ClusterConfig.__dataclass_fields__) == 16
         for function in (project_router, repro.cluster.ShardWorker.from_projection):
             assert "sliced_vocabulary" not in inspect.signature(function).parameters
         assert not hasattr(repro.cluster, "slice_target_vocabulary")
@@ -691,10 +706,8 @@ class TestCountersConserve:
             assert [tier["errors"] for tier in tiers[::2]] == [len(self.FAILED)] * 2
             assert cluster.stats()["wave"]["careful_waves"] > 0
 
-    @pytest.mark.parametrize("batching", [False, True])
-    def test_on_submit_many(self, master_router, monkeypatch, batching):
-        with RoutingService(master_router,
-                            ServingConfig(enable_batching=batching)) as service:
+    def test_on_submit_many(self, master_router, monkeypatch):
+        with RoutingService(master_router) as service:
             (counters,) = self._drive(service.submit_many, [service], monkeypatch)
             assert counters["errors"] == len(self.FAILED)
             assert counters["routed"] > len(set(QUESTIONS[:6]))
