@@ -22,26 +22,11 @@ def pytest_addoption(parser):
              "(threads in this interpreter) or 'subprocess' (one "
              "repro.cluster.procworker process per shard over the wire "
              "protocol)")
-    parser.addoption(
-        "--decode-backends", action="store", default="loop,vectorized",
-        help="comma-separated decode backends bench_decode_throughput sweeps "
-             "('loop' must be included: it is the reference the others are "
-             "compared against)")
 
 
 @pytest.fixture(scope="session")
 def cluster_backend(request) -> str:
     return request.config.getoption("--backend")
-
-
-@pytest.fixture(scope="session")
-def decode_backends(request) -> list[str]:
-    backends = [name.strip()
-                for name in request.config.getoption("--decode-backends").split(",")
-                if name.strip()]
-    if "loop" not in backends:
-        backends.insert(0, "loop")
-    return backends
 
 
 @pytest.fixture(scope="session")

@@ -209,6 +209,10 @@ def load_cluster(path: str | Path,
     if unknown:
         raise CheckpointError(f"the assignment names database(s) {unknown} "
                               f"that the {MASTER_DIR}/ router lacks")
+    try:
+        config.shard_beams_for(master)
+    except ValueError as error:
+        raise CheckpointError(f"invalid cluster manifest config: {error}") from error
     if config.worker_backend == "subprocess":
         shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config, master)
     else:

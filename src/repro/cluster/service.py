@@ -80,7 +80,8 @@ class ClusterConfig:
     #: Beam groups per shard; None means 1 (standard, non-diverse beam search).
     #: Diversity exists to spread a monolithic beam across many databases;
     #: inside a shard the partition already did that, and penalty-free search
-    #: ranks the shard's own candidates more faithfully.
+    #: ranks the shard's own candidates more faithfully.  An explicit value
+    #: must divide the shard beam budget, or the fleet refuses to boot.
     shard_beam_groups: int | None = None
     #: Confidence-gated escalation: a question whose merged top-1 softmax
     #: weight falls below this threshold is re-scattered to a wide-beam tier.
@@ -128,6 +129,10 @@ class ClusterConfig:
                         f"shards are rows of one stacked decode")
         if self.shard_num_beams is not None and self.shard_num_beams <= 0:
             raise ValueError("shard_num_beams must be positive (or None)")
+        if self.shard_beam_groups is not None and self.shard_beam_groups <= 0:
+            raise ValueError("shard_beam_groups must be positive (or None)")
+        if self.shard_num_beams is not None:
+            self._check_shard_beam_groups(self.shard_num_beams)
         if self.escalation_threshold is not None \
                 and not 0.0 < self.escalation_threshold <= 1.0:
             raise ValueError("escalation_threshold must be in (0, 1] (or None)")
@@ -145,17 +150,24 @@ class ClusterConfig:
                              enable_tracing=False)
 
     def shard_beams_for(self, master: SchemaRouter) -> tuple[int, int]:
-        """(num_beams, beam_groups) of the fast tier for shards of ``master``."""
+        """(num_beams, beam_groups) of the fast tier for shards of ``master``.
+
+        Raises ``ValueError`` when an explicit ``shard_beam_groups`` does not
+        divide the beam budget derived here."""
         if self.shard_num_beams is not None:
             beams = self.shard_num_beams
         elif self.escalation_threshold is not None:
             beams = 1
         else:
             beams = max(1, master.config.num_beams // self.num_shards)
-        groups = self.shard_beam_groups or 1
-        if beams % groups != 0:
-            groups = beams
-        return beams, groups
+        self._check_shard_beam_groups(beams)
+        return beams, self.shard_beam_groups or 1
+
+    def _check_shard_beam_groups(self, beams: int) -> None:
+        if self.shard_beam_groups is not None and beams % self.shard_beam_groups:
+            raise ValueError(
+                f"shard_beam_groups={self.shard_beam_groups} does not divide "
+                f"the shard beam budget of {beams}")
 
     def escalation_beams_for(self, master: SchemaRouter) -> int | None:
         """Beam budget of the careful tier (None when the cascade is off)."""
@@ -277,6 +289,7 @@ class ClusterRoutingService:
                                            strategy=config.strategy)
         elif assignment.num_shards != config.num_shards:
             config = replace(config, num_shards=assignment.num_shards)
+        config.shard_beams_for(master)  # refuse a bad budget before any boot
         if config.worker_backend == "inproc":
             return cls(project_shards(master, assignment, config), assignment,
                        config=config, master_router=master)

@@ -37,6 +37,8 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
     training, no copying of weights) but decodes under the sub-catalog's graph
     constraint, so it can only ever emit schemata of its own shard.  An empty
     ``database_names`` yields a router that routes every question to ``[]``.
+    An explicit ``beam_groups`` must divide the beam budget (``ValueError``);
+    derived from the master's, the groups become the beams when they do not.
     """
     if not master.is_trained:
         raise ValueError("cannot project an untrained router")
@@ -51,6 +53,9 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
         beams = num_beams if num_beams is not None else config.num_beams
         groups = beam_groups if beam_groups is not None else min(config.beam_groups, beams)
         if beams % groups != 0:
+            if beam_groups is not None:
+                raise ValueError(f"beam_groups={beam_groups} does not divide "
+                                 f"the beam budget of {beams}")
             groups = beams  # keep the diverse-beam invariant: groups | beams
         config = config.ablated(num_beams=beams, beam_groups=groups)
     projected = SchemaRouter(graph=SchemaGraph.from_components(sub_catalog, edges),

@@ -4,7 +4,7 @@ An inproc fleet's shards share one interpreter and decode the master's one
 model object, so instead of K separate decode loops per wave,
 :class:`ClusterWaveEngine` stacks every shard's beams into *one* decode: each
 (shard, pending-question) pair becomes a virtual question of a single
-:func:`repro.core.router.beam_search_wave` call over
+:func:`repro.core.router.decode_wave` call over
 ``DecodeKernel(master model)``, tagged with its shard index so each row ranks
 exactly the token ids its own shard's constraint allows, as in a shard's own
 ``RoutingService``.  The kernel is the one exact kernel, so a question gets
@@ -31,7 +31,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from typing import Iterator, Sequence
 
-from repro.core.router import SchemaRoute, SchemaRouter, beam_search_wave
+from repro.core.router import SchemaRoute, SchemaRouter, decode_wave
 from repro.nn.seq2seq import DecodeKernel
 from repro.nn.tokenizer import WordTokenizer
 from repro.obs import maybe_span
@@ -194,7 +194,7 @@ class ClusterWaveEngine:
                 for _ in pending]
         encoded = [encoded_of[index] for pending in pending_per_shard
                    for index in pending]
-        hypotheses_batch = beam_search_wave(
+        hypotheses_batch = decode_wave(
             tier.kernel, tier.routers, tags, encoded,
             traces=() if trace is None else (trace,), stats=stats)
         for row, tag in enumerate(tags):

@@ -178,11 +178,11 @@ def _constraint_counts(constraints: Iterable) -> tuple[int, int, int]:
             sum(constraint.constraint_states for constraint in live))
 
 
-def beam_search_wave(kernel: DecodeKernel | None,
-                     routers: "Sequence[SchemaRouter]",
-                     tags: Sequence[int] | None,
-                     encoded_batch: "Sequence[EncodedSource]",
-                     traces: Sequence = (), stats: dict | None = None) -> list[list]:
+def decode_wave(kernel: DecodeKernel | None,
+                routers: "Sequence[SchemaRouter]",
+                tags: Sequence[int] | None,
+                encoded_batch: "Sequence[EncodedSource]",
+                traces: Sequence = (), stats: dict | None = None) -> list[list]:
     """One beam search for every row of a batch: a monolith's, or a cluster
     wave's over several routers of one model.
 
@@ -432,8 +432,8 @@ class SchemaRouter:
         # A monolith is a wave with one shard: this router's model, no tags.
         kernel = (None if self.config.decode_backend == "loop"
                   else DecodeKernel(self._model))
-        hypotheses_batch = beam_search_wave(kernel, [self], None, encoded_batch,
-                                            traces=contexts, stats=decode_stats)
+        hypotheses_batch = decode_wave(kernel, [self], None, encoded_batch,
+                                       traces=contexts, stats=decode_stats)
         for index, hypotheses in enumerate(hypotheses_batch):
             if not hypotheses:
                 hypotheses_batch[index] = self.decode_fallback(encoded_batch[index])

@@ -6,20 +6,17 @@ the word-id decomposition of each accessible identifier to the identifier, so
 that at every decoding step the set of allowed next tokens is the set of trie
 children under the already-decoded word prefix.
 
-Two query styles share the same nodes:
-
-* prefix walks (:meth:`PrefixTrie.node_at` and friends), which re-descend from
-  the root for every query -- the reference-oracle shape;
-* a cursor API (:meth:`PrefixTrie.root` / :meth:`PrefixTrie.child` plus the
-  node-level accessors), which lets incremental callers carry the current
-  node through the search and pay O(1) per consumed token instead of O(len)
-  root re-walks per step.
+The constraint automaton carries a cursor through the search
+(:meth:`PrefixTrie.root` / :meth:`PrefixTrie.child` /
+:meth:`PrefixTrie.node_identifiers`), paying O(1) per consumed token; it
+resolves a state's allowed ids once with the prefix queries
+(:meth:`PrefixTrie.allowed_next` / :meth:`PrefixTrie.is_terminal`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -44,10 +41,6 @@ class PrefixTrie:
         node.terminals.append(identifier)
         self._size += 1
 
-    def extend(self, items: Iterable[tuple[Sequence[int], str]]) -> None:
-        for token_ids, identifier in items:
-            self.insert(token_ids, identifier)
-
     def __len__(self) -> int:
         return self._size
 
@@ -62,16 +55,6 @@ class PrefixTrie:
         if node is None:
             return None
         return node.children.get(int(token_id))
-
-    @staticmethod
-    def node_children(node: _TrieNode | None) -> set[int]:
-        """Token ids that extend the cursor (``allowed_next`` at the node)."""
-        return set(node.children.keys()) if node is not None else set()
-
-    @staticmethod
-    def node_is_terminal(node: _TrieNode | None) -> bool:
-        """Whether the cursor spells a complete identifier."""
-        return bool(node and node.terminals)
 
     @staticmethod
     def node_identifiers(node: _TrieNode | None) -> list[str]:
@@ -98,7 +81,3 @@ class PrefixTrie:
         """Whether ``prefix`` spells a complete identifier."""
         node = self.node_at(prefix)
         return bool(node and node.terminals)
-
-    def identifiers_at(self, prefix: Sequence[int]) -> list[str]:
-        node = self.node_at(prefix)
-        return list(node.terminals) if node else []

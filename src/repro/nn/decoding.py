@@ -1,13 +1,12 @@
-"""Decoding strategies: greedy, beam search, and diverse beam search.
+"""Decoding strategies: greedy and diverse beam search.
 
-All strategies accept an optional *constraint* callback mapping the decoded
-prefix (token ids, excluding BOS) to the set of token ids allowed next.  The
-DBCopilot router plugs its graph-based prefix-trie constraint in here
-(paper §3.5); passing ``None`` decodes unconstrained.  Constraints may
-additionally expose an ``allowed_mask(prefix)`` method returning a boolean
-ndarray over the vocabulary (see
-:class:`repro.core.constrained.GraphConstrainedDecoding`), which greedy
-decoding and the loop oracle apply as one ``np.where``.
+Every strategy accepts an optional *constraint*: an automaton over emitted
+tokens (:class:`Constraint` -- ``initial_state()`` / ``advance(state,
+token)`` / ``allowed_ids_for_state(state)``).  Each beam carries one state,
+advanced once per token it emits, and may emit only its state's allowed ids.
+The DBCopilot router plugs its graph-based prefix-trie constraint in here
+(paper §3.5, :class:`repro.core.constrained.GraphConstrainedDecoding`);
+passing ``None`` decodes unconstrained.
 
 Diverse beam search follows Vijayakumar et al. (2016), the algorithm the paper
 uses to obtain varied candidate schemata: beams are split into groups, groups
@@ -17,10 +16,10 @@ earlier group at the same step is penalised for later groups.
 It is implemented twice, an oracle and an engine:
 
 * :func:`diverse_beam_search_loop` -- the per-beam Python loop, one kernel
-  call per beam, constraints resolved by prefix walks and applied as masks
-  over the vocabulary (``RouterConfig.decode_backend="loop"``).  Nothing is
-  clever in it, which is what makes it the reference the differential tests
-  compare against.
+  call per beam, every token outside the beam's allowed ids set to ``-inf``
+  over the whole vocabulary (``RouterConfig.decode_backend="loop"``).
+  Nothing is clever in it, which is what makes it the reference the
+  differential tests compare against.
 * :func:`diverse_beam_search_batch` -- the one production engine: every
   distinct live ``(question, prefix)`` of a micro-batch -- or of a cluster
   wave's (shard, question) pairs: a monolith is a wave with one shard --
@@ -29,10 +28,9 @@ It is implemented twice, an oracle and an engine:
   handful of token ids the constraint allows, which is all selection ever
   gathers from the kernel's output or ranks.  The ``(question, group, slot)``
   beam grid is bookkeeping: beams that share a prefix share a row, finished
-  beams and empty slots own none.  Constraints exposing the incremental-state
-  protocol (``initial_state`` / ``advance`` / ``allowed_ids_for_state``) ride
-  along as one O(1)-updatable interpreter state per row, so resolving a row's
-  constraint never re-walks a prefix and never touches the vocabulary axis.
+  beams and empty slots own none.  The constraint rides along as one state
+  per row, so resolving a row's constraint never touches the vocabulary
+  axis.
 
 The engine's numerics are those of the
 :class:`~repro.nn.seq2seq.DecodeKernel` it steps through, the one row-stable
@@ -55,17 +53,26 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import itemgetter
-from typing import AbstractSet, Callable, Sequence
+from typing import Any, Protocol, Sequence
 
 import numpy as np
 
 from repro.nn.seq2seq import DecodeKernel, EncodedSource, Seq2SeqModel
 
-#: A constraint maps the decoded prefix to the allowed next token ids -- any
-#: set-like collection, shared and possibly immutable, so callers must not
-#: mutate it (an empty collection means "only EOS is allowed"; None means
-#: "unconstrained at this prefix").
-Constraint = Callable[[Sequence[int]], AbstractSet[int] | None]
+
+class Constraint(Protocol):
+    """The one constraint protocol: an automaton over emitted tokens.
+
+    ``allowed_ids_for_state`` answers the ids a beam in ``state`` may emit
+    next, ascending -- shared, so callers must not mutate them; empty closes
+    the beam, and ``None`` leaves it unconstrained."""
+
+    def initial_state(self) -> Any: ...
+
+    def advance(self, state: Any, token: int) -> Any: ...
+
+    def allowed_ids_for_state(self, state: Any) -> Sequence[int] | None: ...
+
 
 #: Candidate tuples rank by their first field (the accumulated score); the
 #: C-implemented getter keeps the hot selection sorts free of Python frames.
@@ -94,59 +101,20 @@ class _Beam:
     score: float = 0.0
     state: np.ndarray | None = None
     finished: bool = False
+    #: The constraint state of ``tokens`` (None when decoding unconstrained).
+    constraint: Any = None
 
 
-def _incremental_constraint(constraint: Constraint | None):
-    """The constraint's incremental-state protocol, or ``None``.
-
-    Constraints exposing ``initial_state()`` / ``advance(state, token)`` /
-    ``allowed_ids_for_state(state)`` (see
-    :class:`repro.core.constrained.GraphConstrainedDecoding`) let the batched
-    engine thread an O(1)-updatable interpreter state through every row
-    instead of re-walking its prefix per step, and read each state's allowed
-    token ids (ascending) instead of a vocabulary-wide mask.  Returns the
-    bound ``(initial_state, advance, allowed_ids_for_state)`` triple.
-    """
-    if (constraint is not None
-            and hasattr(constraint, "initial_state")
-            and hasattr(constraint, "advance")
-            and hasattr(constraint, "allowed_ids_for_state")):
-        return (constraint.initial_state, constraint.advance,
-                constraint.allowed_ids_for_state)
-    return None
-
-
-def _constraint_mask(constraint: Constraint | None, prefix: Sequence[int],
-                     vocab_size: int, eos_id: int) -> np.ndarray | None:
-    """The allowed-token boolean mask for ``prefix`` (None = unconstrained).
-
-    Uses the constraint's cached ``allowed_mask`` when it has one; otherwise
-    falls back to calling it as a set-returning callable and building the mask
-    (an empty set means "only EOS").
-    """
-    if constraint is None:
-        return None
-    mask_fn = getattr(constraint, "allowed_mask", None)
-    if mask_fn is not None:
-        return mask_fn(prefix)
-    allowed = constraint(prefix)
+def _restricted(log_probabilities: np.ndarray,
+                allowed: Sequence[int] | None) -> np.ndarray:
+    """``log_probabilities`` with every token outside ``allowed`` at ``-inf``
+    (``allowed is None``: unconstrained, returned as is)."""
     if allowed is None:
-        return None
-    allowed_ids = {int(token) for token in allowed}
-    if not allowed_ids:
-        allowed_ids = {eos_id}
-    mask = np.zeros(vocab_size, dtype=bool)
-    mask[[token for token in allowed_ids if 0 <= token < vocab_size]] = True
-    return mask
-
-
-def _masked_log_probabilities(log_probabilities: np.ndarray, prefix: Sequence[int],
-                              constraint: Constraint | None, eos_id: int) -> np.ndarray:
-    """Apply the constraint by setting disallowed token log-probs to -inf."""
-    mask = _constraint_mask(constraint, prefix, log_probabilities.shape[0], eos_id)
-    if mask is None:
         return log_probabilities
-    return np.where(mask, log_probabilities, -np.inf)
+    index = list(allowed)
+    restricted = np.full_like(log_probabilities, -np.inf)
+    restricted[index] = log_probabilities[index]
+    return restricted
 
 
 def _ranked(values: Sequence[float], tokens: Sequence[int],
@@ -201,30 +169,23 @@ def greedy_decode(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: int, e
     if encoded is None:
         encoded = model.encode_numpy(list(source_ids))
     state = encoded.state
+    constraint_state = None if constraint is None else constraint.initial_state()
     previous = bos_id
     tokens: list[int] = []
     score = 0.0
     for _ in range(max_length):
         log_probabilities, state = model.decode_step_numpy(encoded, state, previous)
-        log_probabilities = _masked_log_probabilities(log_probabilities, tokens, constraint, eos_id)
+        if constraint is not None:
+            log_probabilities = _restricted(
+                log_probabilities, constraint.allowed_ids_for_state(constraint_state))
         previous = int(np.argmax(log_probabilities))
         score += float(log_probabilities[previous])
         if previous == eos_id:
             return BeamHypothesis(tokens=tokens, score=score, finished=True)
         tokens.append(previous)
+        if constraint is not None:
+            constraint_state = constraint.advance(constraint_state, previous)
     return BeamHypothesis(tokens=tokens, score=score, finished=False)
-
-
-def beam_search(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: int, eos_id: int,
-                beam_size: int = 5, max_length: int = 48,
-                constraint: Constraint | None = None,
-                length_penalty: float = 0.0) -> list[BeamHypothesis]:
-    """Standard beam search; returns up to ``beam_size`` finished hypotheses."""
-    return diverse_beam_search(
-        model, source_ids, bos_id, eos_id,
-        num_beams=beam_size, num_groups=1, diversity_penalty=0.0,
-        max_length=max_length, constraint=constraint, length_penalty=length_penalty,
-    )
 
 
 def _validate_beam_budget(num_beams: int, num_groups: int) -> int:
@@ -233,32 +194,6 @@ def _validate_beam_budget(num_beams: int, num_groups: int) -> int:
     if num_groups <= 0 or num_beams % num_groups != 0:
         raise ValueError("num_beams must be a positive multiple of num_groups")
     return num_beams // num_groups
-
-
-def diverse_beam_search(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: int, eos_id: int,
-                        num_beams: int = 10, num_groups: int = 10,
-                        diversity_penalty: float = 2.0, max_length: int = 48,
-                        constraint: Constraint | None = None,
-                        length_penalty: float = 0.0,
-                        encoded: EncodedSource | None = None) -> list[BeamHypothesis]:
-    """Diverse (group) beam search for one question (a thin wrapper).
-
-    ``num_beams`` must be divisible by ``num_groups``; the paper uses 10 beams
-    in 10 groups with a diversity penalty of 2.0 (§4.1.5).  ``encoded`` lets
-    callers reuse a precomputed encoder output instead of re-encoding
-    ``source_ids``.  Runs the single question through the batched engine
-    (:func:`diverse_beam_search_batch`); the per-beam reference implementation
-    is :func:`diverse_beam_search_loop`.
-    """
-    _validate_beam_budget(num_beams, num_groups)
-    if encoded is None:
-        encoded = model.encode_numpy(list(source_ids))
-    return diverse_beam_search_batch(
-        model, [encoded], bos_id, eos_id,
-        num_beams=num_beams, num_groups=num_groups,
-        diversity_penalty=diversity_penalty, max_length=max_length,
-        constraint=constraint, length_penalty=length_penalty,
-    )[0]
 
 
 def _note_decode_stats(stats: dict | None, **counts: int) -> None:
@@ -285,15 +220,18 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
     Semantically and bit-for-bit identical to running the question through
     :func:`diverse_beam_search_batch`, but advances one beam per kernel call
     in plain Python -- the shape the differential tests compare the batched
-    engine against.  ``stats``, when given, accumulates ``steps`` (decode
-    steps with at least one active beam) and ``beam_rows`` (kernel calls).
+    engine against.  Each beam carries its constraint state, advanced when
+    the beam is selected.  ``stats``, when given, accumulates ``steps``
+    (decode steps with at least one active beam) and ``beam_rows`` (kernel
+    calls).
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
 
     if encoded is None:
         encoded = model.encode_numpy(list(source_ids))
+    root = None if constraint is None else constraint.initial_state()
     groups: list[list[_Beam]] = [
-        [_Beam(state=encoded.state.copy())] for _ in range(num_groups)
+        [_Beam(state=encoded.state.copy(), constraint=root)] for _ in range(num_groups)
     ]
 
     steps = 0
@@ -312,8 +250,10 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                 previous = beam.tokens[-1] if beam.tokens else bos_id
                 log_probabilities, new_state = model.decode_step_numpy(
                     encoded, beam.state, previous)
-                log_probabilities = _masked_log_probabilities(
-                    log_probabilities, beam.tokens, constraint, eos_id)
+                if constraint is not None:
+                    log_probabilities = _restricted(
+                        log_probabilities,
+                        constraint.allowed_ids_for_state(beam.constraint))
                 # Hamming diversity: penalise tokens already emitted by earlier
                 # groups at this time step.
                 if diversity_penalty > 0.0 and tokens_chosen_this_step:
@@ -337,6 +277,7 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                         score=beam.score + float(log_probabilities[token]),
                         state=new_state,
                         finished=(token == eos_id),
+                        constraint=beam.constraint,
                     )
                     candidates.append(candidate)
             if not candidates:
@@ -350,6 +291,9 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
                 if not candidate.finished and candidate.tokens:
                     token = candidate.tokens[-1]
                     tokens_chosen_this_step[token] = tokens_chosen_this_step.get(token, 0) + 1
+                    if constraint is not None:
+                        candidate.constraint = constraint.advance(
+                            candidate.constraint, token)
             groups[group_index] = selected
         if not any_active:
             break
@@ -412,16 +356,13 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
       are banked; it owns no row any more, so the tail of a decode (a few
       stragglers of a large batch) pays kernel flops for the stragglers only.
 
-    Constraints exposing the incremental-state protocol (``initial_state`` /
-    ``advance`` / ``allowed_ids_for_state``, see
-    :class:`repro.core.constrained.GraphConstrainedDecoding`) are threaded
-    through the search: each row carries an O(1)-updatable interpreter state,
-    advanced (and its ids read) once, when the row is registered.  Every
-    question starts from its constraint's ``initial_state()``; one persistent
-    root there shares the automaton across questions, shards' questions and
-    calls.  Other constraints fall back to prefix walks with a per-step
-    prefix -> ids memo; a prefix they leave open (``None``) is ranked like an
-    unconstrained row.
+    The constraint is threaded through the search: each row carries a
+    constraint state, advanced (and its ids read) once, when the row is
+    registered.  Every question starts from its constraint's
+    ``initial_state()``; one persistent root there
+    (:class:`repro.core.constrained.GraphConstrainedDecoding`) shares the
+    automaton across questions, shards' questions and calls.  A state whose
+    ids are ``None`` is ranked like an unconstrained row.
 
     Returns one hypothesis list per question, bit-identical to
     :func:`diverse_beam_search_loop` on the same inputs.  ``stats``, when
@@ -433,7 +374,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     the constraint spares selection) and ``questions_compacted``.
 
     The cluster wave form: ``constraint`` may be a *sequence* with exactly one
-    entry per question (each ``None`` or incremental-protocol), and
+    entry per question (each ``None`` or a constraint), and
     ``question_tags`` labels each question with an integer shard tag that
     splits the counters into ``stats["per_tag"]``.  Every shard decodes the
     one model, so the kernel never sees a tag; rows never span questions,
@@ -458,39 +399,27 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     row_questions = gathered_for = list(range(num_questions))          # (R,)
     operands = resident
 
-    # Constraint plumbing.  The scalar form keeps both paths (incremental
-    # protocol or prefix-walk fallback); the per-question sequence form (the
-    # wave path, each shard's own graph constraint) requires the protocol.
-    # Selection works off per-question ``advance_fns`` / ``ids_fns`` (``None``
-    # = unconstrained question), so it is shard-agnostic.
-    prefix_constraint: Constraint | None = None
+    # Constraint plumbing: one constraint per question (the wave path gives
+    # each shard's own graph constraint).  Selection works off per-question
+    # ``advance_fns`` / ``ids_fns`` (``None`` = unconstrained question), so
+    # it is shard-agnostic.
     if isinstance(constraint, (list, tuple)):
         if len(constraint) != num_questions:
             raise ValueError(
                 f"per-question constraints need exactly one entry per question "
                 f"({len(constraint)} != {num_questions})")
-        protocols = [None if entry is None else _incremental_constraint(entry)
-                     for entry in constraint]
-        if any(protocol is None and entry is not None
-               for protocol, entry in zip(protocols, constraint)):
-            raise ValueError(
-                "per-question constraints must expose the incremental-state "
-                "protocol (initial_state/advance/allowed_ids_for_state)")
-        row_constraints = [protocol and protocol[0]() for protocol in protocols]
+        constraints = list(constraint)
     else:
-        protocol = _incremental_constraint(constraint)
-        if protocol is None:
-            prefix_constraint = constraint
-        protocols = [protocol] * num_questions
-        # One shared empty-prefix state: rows taking a transition any
-        # other -- of any question -- already took pay one dict hit.
-        row_constraints = [protocol and protocol[0]()] * num_questions
-    advance_fns = [protocol and protocol[1] for protocol in protocols]
-    ids_fns = [protocol and protocol[2] for protocol in protocols]
+        constraints = [constraint] * num_questions
+    advance_fns = [None if entry is None else entry.advance for entry in constraints]
+    ids_fns = [None if entry is None else entry.allowed_ids_for_state
+               for entry in constraints]
+    row_constraints = [None if entry is None else entry.initial_state()
+                       for entry in constraints]
     # A row's candidate ids, ascending; ``None`` (nothing constrains the row)
     # until the step's kernel output ranks it.
-    row_tokens: list = [protocol and protocol[2](state)
-                        for protocol, state in zip(protocols, row_constraints)]
+    row_tokens: list = [None if ids_for_state is None else ids_for_state(state)
+                        for ids_for_state, state in zip(ids_fns, row_constraints)]
     # A beam is ``(score, tokens, finished)``; a group holds its alive beams
     # in slot order (one at the start, up to ``beams_per_group`` after the
     # first selection).  ``slot_rows`` is the slot -> row index beside it:
@@ -544,21 +473,6 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                 for per_question in (question_ids, beams, slot_rows, group_active,
                                      advance_fns, ids_fns))
             num_questions = len(kept)
-
-        if prefix_constraint is not None:
-            ids_memo: dict[tuple[int, ...], list[int] | None] = {}
-            for groups, rows_of_groups in zip(beams, slot_rows):
-                for group_beams, group_rows in zip(groups, rows_of_groups):
-                    for (_, prefix, _), row in zip(group_beams, group_rows):
-                        if row < 0:
-                            continue
-                        key = tuple(prefix)
-                        if key not in ids_memo:
-                            mask = _constraint_mask(
-                                prefix_constraint, key, vocab_size, eos_id)
-                            ids_memo[key] = (None if mask is None
-                                             else np.flatnonzero(mask).tolist())
-                        row_tokens[row] = ids_memo[key]
 
         # Per-row operands follow the row -> question map, re-gathered only
         # on steps where it moved (one beam per question: when one finished).

@@ -1,7 +1,7 @@
 """Bounded memos must not raise under concurrent decodes.
 
 A subprocess worker runs up to four ``route_batch`` calls on one router, so
-the router's parse memo and the constraint's mask cache are read, filled and
+the router's parse memo and the constraint's id cache are read, filled and
 evicted by peers between any two operations of a decode.  The interleavings
 are simulated deterministically -- dict subclasses whose ``__iter__`` /
 ``pop`` / ``__getitem__`` behave as if a peer had just run -- with no threads
@@ -10,10 +10,10 @@ and no sleeps.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.utils import evict_oldest
+from reference_constraint import PrefixWalkConstraint
 from test_constrained_incremental import _build
 from test_decode_backends import _route_key, _train_router
 
@@ -63,21 +63,21 @@ class TestEvictOldest:
         assert cache[99] == 99
 
 
-class TestMaskCacheUnderEviction:
+class TestIdCacheUnderEviction:
     @pytest.mark.parametrize("racing", [PeerPopsFirst, PeerEmptiesIt,
                                         PeerResizesIt])
-    def test_mask_entry_survives_a_racing_eviction(self, racing):
-        """``_mask_entry`` used to evict with ``pop(next(iter(cache)))`` --
-        no default, no guard: a peer's eviction was a ``KeyError``."""
+    def test_id_resolution_survives_a_racing_eviction(self, racing):
+        """The constraint cache used to evict with ``pop(next(iter(cache)))``
+        -- no default, no guard: a peer's eviction was a ``KeyError``."""
         constrained = _build(31, 4)
+        reference = PrefixWalkConstraint(constrained)
         constrained.max_cached_masks = 2
-        constrained._mask_cache = racing()
+        constrained._id_cache = racing()
         state = constrained.initial_state()
         prefix: list[int] = []
         for _ in range(12):
             ids = constrained.allowed_ids_for_state(state)
-            assert ids == tuple(np.flatnonzero(
-                constrained.allowed_mask(tuple(prefix))).tolist())
+            assert ids == tuple(sorted(reference.allowed_tokens(prefix)))
             prefix.append(ids[0])
             state = constrained.advance(state, ids[0])
 

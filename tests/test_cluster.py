@@ -234,6 +234,80 @@ class TestProjection:
         with pytest.raises(ValueError, match="not in the master catalog"):
             project_router(master_router, ("mystery_db",))
 
+    def test_explicit_beam_groups_must_divide_the_beams(self, master_router):
+        """Explicit groups that do not divide the beams are refused; groups
+        derived from the master's (4 of 8) still become the beams."""
+        with pytest.raises(ValueError, match="beam_groups=3"):
+            project_router(master_router, ("concert_hall",), num_beams=4,
+                           beam_groups=3)
+        derived = project_router(master_router, ("concert_hall",), num_beams=6)
+        assert (derived.config.num_beams, derived.config.beam_groups) == (6, 6)
+
+
+# -- explicit shard beam groups ------------------------------------------------
+def _forbid_workers(monkeypatch) -> None:
+    """From here on, building any shard worker -- inproc or subprocess --
+    fails the test."""
+    from repro.cluster.procworker import ProcShardWorker
+
+    def built(*args, **kwargs):
+        raise AssertionError("a shard worker was built")
+
+    monkeypatch.setattr(ShardWorker, "from_projection", built)
+    monkeypatch.setattr(ProcShardWorker, "__init__", built)
+
+
+class TestShardBeamGroups:
+    def test_groups_must_divide_explicit_beams_at_construction(self):
+        with pytest.raises(ValueError, match="shard_beam_groups=3"):
+            ClusterConfig(shard_num_beams=4, shard_beam_groups=3)
+        with pytest.raises(ValueError, match="shard_beam_groups"):
+            ClusterConfig(shard_beam_groups=0)
+        assert ClusterConfig(shard_num_beams=4, shard_beam_groups=2).shard_beam_groups == 2
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_groups_must_divide_derived_beams_before_any_boot(
+            self, master_router, backend, tmp_path, monkeypatch):
+        """The fast tier derives 1 beam under the cascade: 2 groups cannot
+        divide it, and ``from_router`` says so before building a shard or
+        writing a checkpoint."""
+        _forbid_workers(monkeypatch)
+        config = ClusterConfig(num_shards=2, worker_backend=backend,
+                               shard_beam_groups=2)
+        with pytest.raises(ValueError, match="shard_beam_groups=2"):
+            ClusterRoutingService.from_router(master_router, config,
+                                              checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_dividing_groups_reach_every_shard(self, master_router):
+        config = ClusterConfig(num_shards=2, escalation_threshold=None,
+                               shard_beam_groups=2)
+        assert config.shard_beams_for(master_router) == (4, 2)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            for replica_set in cluster.shards:
+                shard_config = replica_set.workers[0].router.config
+                assert (shard_config.num_beams, shard_config.beam_groups) == (4, 2)
+            assert cluster.submit(QUESTIONS[0])
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_load_refuses_groups_that_do_not_divide(self, master_router, backend,
+                                                    tmp_path, monkeypatch):
+        """A manifest whose groups (3) do not divide the derived shard beams
+        (8 // 2 = 4) is a ``CheckpointError`` on either backend, raised
+        before any worker spawns."""
+        with ClusterRoutingService.from_router(
+                master_router, ClusterConfig(num_shards=2,
+                                             escalation_threshold=None)) as cluster:
+            path = save_cluster(cluster, tmp_path / "cluster-ckpt")
+        manifest_path = path / "cluster.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["shard_beam_groups"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        _forbid_workers(monkeypatch)
+        with pytest.raises(CheckpointError, match="shard_beam_groups=3"):
+            load_cluster(path, config=ClusterConfig(num_shards=2,
+                                                    worker_backend=backend))
+
 
 # -- score merging (core helpers) ----------------------------------------------
 class TestMerge:

@@ -1,15 +1,16 @@
-"""Differential tests: incremental constraint states vs the prefix-walk oracle.
+"""Differential tests: the constraint automaton vs the prefix-walk oracle.
 
 The contract under test is *exact equivalence*: for any prefix -- legal,
 junk, separator-riddled, or EOS-bearing -- the state reached by threading
-``GraphConstrainedDecoding.advance`` token by token must parse identically to
-a fresh ``interpret`` of the whole prefix,
-``allowed_mask_for_state(state)`` must equal ``allowed_mask(prefix)``
-bit-for-bit, and ``allowed_ids_for_state(state)`` -- what the batched engine
-ranks -- must be that mask's set bits, ascending.  The vectorized decode backend's bit-identity with the loop
-reference (``tests/test_decode_backends.py``) rides entirely on this
-equivalence, so it is exercised here directly: random catalogs, random
-walks, terminal/EOS paths, and mask-cache eviction.
+``GraphConstrainedDecoding.advance`` token by token must stand for the same
+interpretation as a fresh ``interpret`` of the whole prefix by the prefix-walk
+interpreter kept in ``tests/reference_constraint.py``, and
+``allowed_ids_for_state(state)`` -- what every decoder reads -- must be that
+oracle's ``allowed_tokens(prefix)``, ascending.  The decoders' bit-identity
+with each other (``tests/test_decode_backends.py``) and with a decode through
+the oracle (``tests/test_oracle_independence.py``) rides on this equivalence,
+so it is exercised here directly: random catalogs, random walks,
+terminal/EOS paths, and id-cache eviction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.graph import SchemaGraph
 from repro.core.serialization import ELEMENT_SEPARATOR
 from repro.datasets import CollectionConfig, build_collection
 from repro.nn.tokenizer import Vocabulary
+from reference_constraint import PrefixWalkConstraint
 
 
 def _build(seed: int, num_databases: int) -> GraphConstrainedDecoding:
@@ -41,32 +43,36 @@ def _build(seed: int, num_databases: int) -> GraphConstrainedDecoding:
 def _assert_state_matches_oracle(constrained: GraphConstrainedDecoding,
                                  state: ConstraintState,
                                  prefix: list[int]) -> None:
-    oracle = constrained.interpret(prefix)
+    reference = PrefixWalkConstraint(constrained)
+    oracle = reference.interpret(prefix)
     assert (state.database, state.tables, state.current_words, state.complete) \
         == (oracle.database, oracle.tables, oracle.current_words, oracle.complete), \
         f"state diverged from interpret() at prefix {prefix}"
-    incremental_mask = constrained.allowed_mask_for_state(state)
-    oracle_mask = constrained.allowed_mask(tuple(prefix))
-    assert np.array_equal(incremental_mask, oracle_mask), \
-        f"mask diverged from allowed_mask() at prefix {prefix}"
-    # The ids are the engine's face of the same resolution: ascending, equal
-    # to the oracle mask's set bits, and one shared tuple per state.
+    # The ids are ascending, the oracle's allowed set, and one shared tuple
+    # per state.
     ids = constrained.allowed_ids_for_state(state)
-    assert ids == tuple(np.flatnonzero(oracle_mask).tolist()), \
-        f"ids diverged from allowed_mask() at prefix {prefix}"
+    assert ids == tuple(sorted(reference.allowed_tokens(prefix))), \
+        f"ids diverged from allowed_tokens() at prefix {prefix}"
     assert constrained.allowed_ids_for_state(state) is ids
+
+
+def _walk(constrained: GraphConstrainedDecoding, prefix) -> ConstraintState:
+    state = constrained.initial_state()
+    for token in prefix:
+        state = constrained.advance(state, token)
+    return state
 
 
 def _random_walk(constrained: GraphConstrainedDecoding, rng, max_steps: int,
                  junk_rate: float) -> None:
     """Walk random (mostly legal) prefixes, asserting equivalence per token."""
+    reference = PrefixWalkConstraint(constrained)
     size = len(constrained.vocabulary)
     prefix: list[int] = []
     state = constrained.initial_state()
     for _ in range(max_steps):
-        mask = constrained.allowed_mask(tuple(prefix))
-        allowed = np.flatnonzero(mask)
-        if rng.random() >= junk_rate and allowed.size:
+        allowed = sorted(reference.allowed_tokens(prefix))
+        if rng.random() >= junk_rate and allowed:
             token = int(rng.choice(allowed))
         else:
             token = int(rng.integers(0, size))
@@ -103,10 +109,8 @@ class TestAdvanceMatchesInterpret:
                        words + [separator],
                        [separator] + words + [separator, separator],
                        words + [separator] + words):
-            state = constrained.initial_state()
-            for token in prefix:
-                state = constrained.advance(state, token)
-            _assert_state_matches_oracle(constrained, state, list(prefix))
+            _assert_state_matches_oracle(constrained, _walk(constrained, prefix),
+                                         list(prefix))
 
     def test_eos_and_terminal_paths(self):
         """EOS rides through advance() as an ordinary element token, and a
@@ -119,21 +123,40 @@ class TestAdvanceMatchesInterpret:
         table = next(iter(constrained.graph.tables_of(database)))
         prefix = (list(constrained._word_ids(database)) + [separator]
                   + list(constrained._word_ids(table)) + [separator])
-        state = constrained.initial_state()
-        for token in prefix:
-            state = constrained.advance(state, token)
+        state = _walk(constrained, prefix)
         _assert_state_matches_oracle(constrained, state, list(prefix))
         # A complete schema may stop: EOS must be allowed here.
-        assert constrained.allowed_mask_for_state(state)[eos]
+        assert eos in constrained.allowed_ids_for_state(state)
         # Advancing over EOS itself still matches the oracle (it becomes part
         # of the current element, exactly as interpret() treats it).
         state = constrained.advance(state, eos)
         _assert_state_matches_oracle(constrained, state, list(prefix) + [eos])
 
+    def test_tables_after_the_first_are_its_graph_neighbours(self):
+        """Past the first table, the next table's first words are those of
+        the decoded tables' graph neighbours (and EOS), never a table
+        already decoded -- on the automaton and on the oracle alike."""
+        constrained = _build(3, 4)
+        graph, separator = constrained.graph, constrained.vocabulary.sep_id
+        checked = 0
+        for database in graph.databases():
+            for table in graph.tables_of(database):
+                prefix = (list(constrained._word_ids(database)) + [separator]
+                          + list(constrained._word_ids(table)) + [separator])
+                state = _walk(constrained, prefix)
+                _assert_state_matches_oracle(constrained, state, prefix)
+                firsts = {constrained._word_ids(neighbor)[0]
+                          for neighbor in graph.table_neighbors(database, table)
+                          if neighbor != table}
+                assert set(constrained.allowed_ids_for_state(state)) \
+                    == firsts | {constrained.vocabulary.eos_id}
+                checked += bool(firsts)
+        assert checked
+
     def test_advance_transitions_are_memoized(self):
         constrained = _build(19, 4)
         state = constrained.initial_state()
-        token = int(np.flatnonzero(constrained.allowed_mask(()))[0])
+        token = constrained.allowed_ids_for_state(state)[0]
         first = constrained.advance(state, token)
         assert constrained.advance(state, token) is first
 
@@ -143,38 +166,25 @@ class TestAdvanceMatchesInterpret:
         state = constrained.initial_state()
         snapshot = (state.database, state.tables, state.current_words,
                     state.complete)
-        token = int(np.flatnonzero(constrained.allowed_mask(()))[0])
-        constrained.advance(state, token)
+        constrained.advance(state, constrained.allowed_ids_for_state(state)[0])
         assert (state.database, state.tables, state.current_words,
                 state.complete) == snapshot
 
 
-class TestMaskCache:
-    def test_eviction_keeps_masks_correct(self):
-        """With a tiny mask-cache bound, eviction churns constantly and the
-        incremental masks must still match fresh oracle masks."""
+class TestIdCache:
+    def test_eviction_keeps_ids_correct(self):
+        """With a tiny id-cache bound, eviction churns constantly and the
+        automaton's ids must still match the oracle's."""
         constrained = _build(31, 6)
         constrained.max_cached_masks = 2
         rng = np.random.default_rng(31)
         for _ in range(20):
             _random_walk(constrained, rng, max_steps=12, junk_rate=0.1)
-        assert len(constrained._mask_cache) <= 2
-
-    def test_states_keep_masks_across_eviction(self):
-        """A state's memoized mask survives cache eviction (the shared cache
-        bounds memory; live beams keep their own reference)."""
-        constrained = _build(37, 5)
-        constrained.max_cached_masks = 1
-        state = constrained.initial_state()
-        mask = constrained.allowed_mask_for_state(state)
-        # Flood the cache with other states' masks.
-        rng = np.random.default_rng(37)
-        _random_walk(constrained, rng, max_steps=10, junk_rate=0.0)
-        assert constrained.allowed_mask_for_state(state) is mask
+        assert len(constrained._id_cache) <= 2
 
     def test_states_keep_ids_across_eviction(self):
-        """Likewise the ids: the tuple a state handed out once is the tuple
-        it hands out after the shared cache forgot the entry."""
+        """The tuple a state handed out once is the tuple it hands out after
+        the shared cache forgot the entry."""
         constrained = _build(37, 5)
         constrained.max_cached_masks = 1
         state = constrained.initial_state()
@@ -182,24 +192,21 @@ class TestMaskCache:
         _random_walk(constrained, np.random.default_rng(37), max_steps=10,
                      junk_rate=0.0)
         assert (state.database, state.tables, state.current_words,
-                state.complete) not in constrained._mask_cache
+                state.complete) not in constrained._id_cache
         assert constrained.allowed_ids_for_state(state) is ids
-        assert ids == tuple(np.flatnonzero(constrained.allowed_mask(())).tolist())
+        assert ids == tuple(sorted(PrefixWalkConstraint(constrained).allowed_tokens(())))
 
-    def test_allowed_tokens_reuses_cached_mask(self):
-        """The set face derives from the cached mask entry -- one set build
-        per interpreter state, identical content to the mask."""
+    def test_a_regrown_tree_resolves_from_the_id_cache(self):
+        """Equal interpretations share one tuple: a state of a regrown tree
+        (a new object) reads its ids from the cache -- a hit, not a miss."""
         constrained = _build(41, 5)
         database = next(iter(constrained.graph.databases()))
-        prefix = tuple(constrained._word_ids(database))
-        tokens_first = constrained.allowed_tokens(prefix)
-        tokens_second = constrained.allowed_tokens(prefix)
-        assert tokens_first is tokens_second  # cached, not rebuilt
-        mask = constrained.allowed_mask(prefix)
-        assert tokens_first == frozenset(np.flatnonzero(mask).tolist())
-
-    def test_masks_are_read_only(self):
-        constrained = _build(43, 4)
-        mask = constrained.allowed_mask_for_state(constrained.initial_state())
-        with pytest.raises(ValueError):
-            mask[0] = True
+        prefix = list(constrained._word_ids(database))
+        first_state = _walk(constrained, prefix)
+        ids = constrained.allowed_ids_for_state(first_state)
+        misses = constrained.mask_cache_misses
+        constrained._root = None  # what the bound does when it bites
+        regrown = _walk(constrained, prefix)
+        assert regrown is not first_state
+        assert constrained.allowed_ids_for_state(regrown) is ids
+        assert constrained.mask_cache_misses == misses

@@ -1,12 +1,14 @@
 """The constraint automaton belongs to the constraint, pinned by counts.
 
 ``GraphConstrainedDecoding.initial_state()`` returns one persistent root, so
-the interpreter states a search walks (their ``transitions`` and ``mask``
-memos) outlive the search: they are shared by every question, group,
-(shard, question) pair and request, and bounded by ``max_cached_masks``.
+the interpreter states a search walks (their ``transitions`` and
+``allowed_ids`` memos) outlive the search: they are shared by every question,
+group, (shard, question) pair and request, and bounded by
+``max_cached_masks``.
 Nothing here reads a clock.  The mechanism is pinned by counting
 ``ConstraintState`` constructions, the bound by counting live instances, and
-the answers by comparing with the loop oracle, which never touches a state.
+the answers by comparing with the loop oracle on an unbounded automaton of
+its own.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import gc
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRoutingService
-from repro.core.constrained import ConstraintState
+from repro.core.constrained import ConstraintState, GraphConstrainedDecoding
 from repro.core.router import SchemaRouter
+from repro.nn.decoding import diverse_beam_search_loop
+from repro.nn.tokenizer import WordTokenizer
 from repro.obs import Tracer
 from repro.serving import RoutingService, ServingConfig
 from test_decode_backends import _route_key, _train_router
@@ -54,7 +58,7 @@ def constructions(monkeypatch) -> list:
 
 
 def _live_states() -> int:
-    gc.collect()  # a separator after an empty element makes a state its own successor
+    gc.collect()
     return sum(type(candidate) is ConstraintState for candidate in gc.get_objects())
 
 
@@ -150,7 +154,7 @@ class TestBound:
     def test_search_in_flight_survives_a_dropped_root(self, trained):
         """The root is dropped *during* every search (bound 1: each new state
         resets the tree); beams finish on the states they hold and the result
-        is the loop oracle's, which never touches a state."""
+        is the loop oracle's, on an unbounded automaton of its own."""
         router, questions = trained
         bounded = _fresh_twin(router)
         bounded.constraint.max_cached_masks = 1
@@ -163,6 +167,37 @@ class TestBound:
             assert bounded.constraint.initial_state() is not root
             assert [_route_key(r) for r in routes] \
                 == [_route_key(r) for r in oracle.route_batch(wave)]
+
+    def test_a_dropped_automaton_is_freed_by_reference_counting(self, trained):
+        """Transitions point only at the states they made -- a skipped
+        separator and an unknown database's commit are not memoized -- so
+        the tree has no cycle and goes with its constraint, collector or
+        not."""
+        router, questions = trained
+        gc.collect()
+        baseline = _live_states()
+        gc.disable()
+        try:
+            constraint = GraphConstrainedDecoding(router.graph, router.target_vocabulary)
+            vocabulary = constraint.vocabulary
+            root = constraint.initial_state()
+            assert constraint.advance(root, vocabulary.sep_id) is root
+            junk = constraint.advance(root, vocabulary.eos_id)
+            assert constraint.advance(junk, vocabulary.sep_id) is root
+            tokenizer = WordTokenizer(router.source_vocabulary)
+            for question in questions[:6]:
+                diverse_beam_search_loop(
+                    router.model, tokenizer.encode_text(question), vocabulary.bos_id,
+                    vocabulary.eos_id, num_beams=4, num_groups=2,
+                    max_length=router.config.max_decode_length, constraint=constraint)
+            made = constraint.constraint_states
+            assert sum(type(candidate) is ConstraintState
+                       for candidate in gc.get_objects()) == baseline + made > baseline + 2
+            del constraint, root, junk
+            assert sum(type(candidate) is ConstraintState
+                       for candidate in gc.get_objects()) == baseline
+        finally:
+            gc.enable()
 
     def test_reset_is_whole(self, trained):
         """Past the bound the tree is dropped whole and regrown: the next

@@ -3,7 +3,6 @@ synthesis, constrained decoding, and the schema router."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +28,7 @@ from repro.core import (
 from repro.core.serialization import ELEMENT_SEPARATOR, tokens_to_elements
 from repro.nn.tokenizer import Vocabulary
 from repro.utils.rng import SeededRng
+from reference_constraint import PrefixWalkConstraint
 
 
 @pytest.fixture
@@ -165,24 +165,24 @@ class TestTrieAndConstrainedDecoding:
         assert trie.allowed_next([1]) == {2, 3}
         assert trie.is_terminal([1, 2])
         assert not trie.is_terminal([1])
-        assert trie.identifiers_at([1, 3]) == ["ac"]
+        assert PrefixTrie.node_identifiers(trie.node_at([1, 3])) == ["ac"]
         assert trie.allowed_next([9]) == set()
         assert len(trie) == 2
 
     def test_prefix_trie_cursor_api_matches_prefix_walks(self):
-        """The O(1) cursor accessors agree with the root re-walk queries at
-        every position, including dead (off-trie) cursors."""
+        """The O(1) cursor lands on the node the root re-walk finds at every
+        position, including dead (off-trie) cursors."""
         trie = PrefixTrie()
         trie.insert([1, 2], "ab")
         trie.insert([1, 3], "ac")
         trie.insert([4], "d")
+        expected = {(1, 2): ["ab"], (1, 3): ["ac"], (4,): ["d"]}
         for prefix in ([], [1], [1, 2], [1, 3], [4], [9], [1, 9], [1, 2, 9]):
             node = trie.root()
             for token in prefix:
                 node = PrefixTrie.child(node, token)
-            assert PrefixTrie.node_children(node) == trie.allowed_next(prefix)
-            assert PrefixTrie.node_is_terminal(node) == trie.is_terminal(prefix)
-            assert PrefixTrie.node_identifiers(node) == trie.identifiers_at(prefix)
+            assert node is trie.node_at(prefix)
+            assert PrefixTrie.node_identifiers(node) == expected.get(tuple(prefix), [])
 
     @pytest.fixture
     def constrained(self, graph):
@@ -194,9 +194,19 @@ class TestTrieAndConstrainedDecoding:
                 vocabulary.add_text(table)
         return GraphConstrainedDecoding(graph, vocabulary), vocabulary
 
+    @staticmethod
+    def _state(decoder, prefix):
+        state = decoder.initial_state()
+        for token in prefix:
+            state = decoder.advance(state, token)
+        return state
+
+    def _allowed(self, decoder, prefix) -> set[int]:
+        return set(decoder.allowed_ids_for_state(self._state(decoder, prefix)))
+
     def test_first_tokens_are_database_words(self, constrained, graph):
         decoder, vocabulary = constrained
-        allowed = decoder([])
+        allowed = self._allowed(decoder, [])
         first_words = {vocabulary.token_of(token) for token in allowed}
         assert first_words == {"concert", "world"}
 
@@ -204,16 +214,16 @@ class TestTrieAndConstrainedDecoding:
         decoder, vocabulary = constrained
         concert = vocabulary.id_of("concert")
         singer = vocabulary.id_of("singer")
-        allowed_after_concert = decoder([concert])
+        allowed_after_concert = self._allowed(decoder, [concert])
         assert vocabulary.sep_id not in allowed_after_concert  # "concert" alone is not a database
-        allowed_full = decoder([concert, singer])
+        allowed_full = self._allowed(decoder, [concert, singer])
         assert vocabulary.sep_id in allowed_full
 
     def test_tables_restricted_to_neighbors(self, constrained, graph):
         decoder, vocabulary = constrained
         prefix = [vocabulary.id_of("world"), vocabulary.sep_id, vocabulary.id_of("city"),
                   vocabulary.sep_id]
-        allowed = decoder(prefix)
+        allowed = self._allowed(decoder, prefix)
         words = {vocabulary.token_of(token) for token in allowed}
         # After decoding "city", only its neighbour "country" (or EOS) may follow.
         assert "country" in words
@@ -224,44 +234,29 @@ class TestTrieAndConstrainedDecoding:
         decoder, vocabulary = constrained
         prefix = [vocabulary.id_of("world"), vocabulary.sep_id,
                   vocabulary.id_of("country"), vocabulary.sep_id]
-        state = decoder.interpret(prefix)
+        state = self._state(decoder, prefix)
         assert state.database == "world"
         assert state.tables == ("country",)
 
-    def test_allowed_mask_matches_allowed_tokens(self, constrained):
-        decoder, vocabulary = constrained
-        prefixes = [
-            [],
-            [vocabulary.id_of("world")],
-            [vocabulary.id_of("world"), vocabulary.sep_id],
-            [vocabulary.id_of("world"), vocabulary.sep_id,
-             vocabulary.id_of("city"), vocabulary.sep_id],
-        ]
-        for prefix in prefixes:
-            mask = decoder.allowed_mask(prefix)
-            assert mask.dtype == np.bool_
-            assert mask.shape == (len(vocabulary),)
-            assert set(np.flatnonzero(mask).tolist()) == decoder.allowed_tokens(prefix)
-
-    def test_allowed_mask_cached_per_interpreter_state(self, constrained):
+    def test_ids_cached_per_interpreter_state(self, constrained):
         decoder, vocabulary = constrained
         prefix = [vocabulary.id_of("world"), vocabulary.sep_id]
-        first = decoder.allowed_mask(prefix)
-        again = decoder.allowed_mask(list(prefix))
-        assert first is again  # served from the per-state cache
-        with pytest.raises(ValueError):
-            first[0] = True  # cached masks are shared and read-only
+        first = decoder.allowed_ids_for_state(self._state(decoder, prefix))
+        decoder._root = None  # a regrown tree: new states, same interpretations
+        again = decoder.allowed_ids_for_state(self._state(decoder, prefix))
+        assert first is again  # served from the per-interpretation id cache
+        assert first == tuple(sorted(first))
 
-    def test_allowed_mask_cache_is_bounded(self, constrained):
+    def test_id_cache_is_bounded(self, constrained):
         decoder, vocabulary = constrained
         decoder.max_cached_masks = 1
-        decoder._mask_cache.clear()
+        decoder._id_cache.clear()
+        reference = PrefixWalkConstraint(decoder)
         prefixes = [[], [vocabulary.id_of("world")],
                     [vocabulary.id_of("world"), vocabulary.sep_id]]
         for prefix in prefixes:  # evictions never change the answers
-            mask = decoder.allowed_mask(prefix)
-            assert set(np.flatnonzero(mask).tolist()) == decoder.allowed_tokens(prefix)
-        assert len(decoder._mask_cache) == 1
+            assert self._allowed(decoder, prefix) == reference.allowed_tokens(prefix)
+        assert len(decoder._id_cache) == 1
 
 
 class TestSchemaRouter:

@@ -25,11 +25,7 @@ from repro.core.sampling import SchemaSampler
 from repro.core.synthesis import SynthesisConfig, synthesize_training_data
 from repro.datasets import CollectionConfig, build_collection
 import repro.nn.decoding as decoding
-from repro.nn.decoding import (
-    diverse_beam_search,
-    diverse_beam_search_batch,
-    diverse_beam_search_loop,
-)
+from repro.nn.decoding import diverse_beam_search_batch, diverse_beam_search_loop
 from repro.nn.seq2seq import (
     DecodeKernel,
     Seq2SeqConfig,
@@ -38,6 +34,7 @@ from repro.nn.seq2seq import (
 )
 from repro.nn.tokenizer import WordTokenizer, build_vocabulary
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
+from reference_constraint import PrefixConstraint
 from test_constrained_incremental import _build as _build_graph_constraint
 
 
@@ -106,6 +103,7 @@ class TestEngineDifferential:
         model, vocabulary, encoded = toy_model
         size = model.config.target_vocab_size
 
+        @PrefixConstraint
         def constraint(prefix):
             parity = len(prefix) % 2
             return {token for token in range(size) if token % 2 == parity} \
@@ -123,17 +121,6 @@ class TestEngineDifferential:
                 constraint=constraint, encoded=item)
             assert [_hypothesis_key(h) for h in one] == \
                 [_hypothesis_key(h) for h in looped]
-
-    def test_wrapper_routes_through_batch_engine(self, toy_model):
-        model, vocabulary, encoded = toy_model
-        direct = diverse_beam_search(model, (), vocabulary.bos_id, vocabulary.eos_id,
-                                     num_beams=4, num_groups=2, max_length=8,
-                                     encoded=encoded[0])
-        batched = diverse_beam_search_batch(model, [encoded[0]], vocabulary.bos_id,
-                                            vocabulary.eos_id, num_beams=4,
-                                            num_groups=2, max_length=8)[0]
-        assert [_hypothesis_key(h) for h in direct] == \
-            [_hypothesis_key(h) for h in batched]
 
     def test_empty_batch(self, toy_model):
         model, vocabulary, _ = toy_model
@@ -174,6 +161,7 @@ class TestEngineDifferential:
         bit like the loop oracle."""
         model, vocabulary, encoded = toy_model
 
+        @PrefixConstraint
         def constraint(prefix):
             return {3, 5, vocabulary.eos_id} if not prefix else None
 
@@ -411,23 +399,17 @@ class TestPrefixSharedRows:
         model, vocabulary, encoded = toy_model
         size = model.config.target_vocab_size
 
-        class DeadEnds:
-            def __call__(self, prefix):
-                raise AssertionError("the mask form is preferred")
-
-            def allowed_mask(self, prefix):
-                mask = np.ones(size, dtype=bool)
-                if len(prefix) >= 2 and prefix[0] % 2 == 0:
-                    mask[:] = False
-                return mask
+        @PrefixConstraint
+        def dead_ends(prefix):
+            return () if len(prefix) >= 2 and prefix[0] % 2 == 0 else range(size)
 
         budget = dict(num_beams=num_beams, num_groups=num_groups,
                       diversity_penalty=penalty, max_length=8)
         looped, _ = _loop_reference(model, vocabulary, encoded,
-                                    constraint=DeadEnds(), **budget)
+                                    constraint=dead_ends, **budget)
         batched = diverse_beam_search_batch(
             model, encoded, vocabulary.bos_id, vocabulary.eos_id,
-            constraint=DeadEnds(), **budget)
+            constraint=dead_ends, **budget)
         assert [[_hypothesis_key(h) for h in one] for one in batched] == looped
         assert any(not key[2] and len(key[0]) == 2
                    for one in looped for key in one)

@@ -15,8 +15,7 @@ from repro.nn import (
     Tensor,
     Vocabulary,
     WordTokenizer,
-    beam_search,
-    diverse_beam_search,
+    diverse_beam_search_batch,
     greedy_decode,
     pad_batch,
 )
@@ -24,6 +23,7 @@ from repro.nn.modules import Embedding, Linear
 from repro.nn.optim import LinearSchedule, clip_gradients
 from repro.nn.tokenizer import build_vocabulary
 from repro.utils.rng import SeededRng
+from reference_constraint import PrefixConstraint
 
 
 def numeric_gradient(function, array, epsilon=1e-6):
@@ -250,15 +250,18 @@ class TestSeq2SeqAndDecoding:
         vocabulary = target_tokenizer.vocabulary
         source = source_tokenizer.encode_text(data[0][0])
         greedy = greedy_decode(model, source, vocabulary.bos_id, vocabulary.eos_id)
-        beams = beam_search(model, source, vocabulary.bos_id, vocabulary.eos_id, beam_size=4)
+        (beams,) = diverse_beam_search_batch(
+            model, [model.encode_numpy(source)], vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=1, diversity_penalty=0.0)
         assert greedy.tokens in [hypothesis.tokens for hypothesis in beams]
 
     def test_diverse_beam_produces_distinct_hypotheses(self, toy_setup):
         model, source_tokenizer, target_tokenizer, data, _ = toy_setup
         vocabulary = target_tokenizer.vocabulary
-        hypotheses = diverse_beam_search(model, source_tokenizer.encode_text(data[0][0]),
-                                         vocabulary.bos_id, vocabulary.eos_id,
-                                         num_beams=4, num_groups=2, diversity_penalty=2.0)
+        (hypotheses,) = diverse_beam_search_batch(
+            model, [model.encode_numpy(source_tokenizer.encode_text(data[0][0]))],
+            vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=4, num_groups=2, diversity_penalty=2.0)
         sequences = [tuple(hypothesis.tokens) for hypothesis in hypotheses]
         assert len(sequences) == len(set(sequences))
 
@@ -266,19 +269,16 @@ class TestSeq2SeqAndDecoding:
         model, source_tokenizer, target_tokenizer, data, _ = toy_setup
         vocabulary = target_tokenizer.vocabulary
         allowed_id = vocabulary.id_of("two")
-
-        def constraint(prefix):
-            return {allowed_id}
-
         hypothesis = greedy_decode(model, source_tokenizer.encode_text(data[0][0]),
-                                   vocabulary.bos_id, vocabulary.eos_id,
-                                   max_length=3, constraint=constraint)
+                                   vocabulary.bos_id, vocabulary.eos_id, max_length=3,
+                                   constraint=PrefixConstraint(lambda prefix: {allowed_id}))
         assert set(hypothesis.tokens) <= {allowed_id}
 
     def test_invalid_beam_configuration(self, toy_setup):
         model, source_tokenizer, _, data, _ = toy_setup
         with pytest.raises(ValueError):
-            diverse_beam_search(model, [1], 1, 2, num_beams=5, num_groups=3)
+            diverse_beam_search_batch(model, [model.encode_numpy([1])], 1, 2,
+                                      num_beams=5, num_groups=3)
 
     def test_batch_kernel_row_and_padding_invariance(self, toy_setup):
         """The bit-exactness contract of ``decode_step_numpy_batch``: each row

@@ -28,10 +28,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import project_router
-from repro.core.router import beam_search_wave
+from repro.core.router import decode_wave
 from repro.nn.decoding import diverse_beam_search_batch, diverse_beam_search_loop
 from repro.nn.seq2seq import DecodeKernel, EncodedSource
 from repro.nn.tokenizer import WordTokenizer
+from reference_constraint import PrefixConstraint
 from test_decode_backends import _hypothesis_key, _train_router
 
 BOS, EOS = 0, 1
@@ -87,33 +88,9 @@ class TableKernel(DecodeKernel):
                 np.stack([state for _, state in rows]))
 
 
-class TableConstraint:
-    """``allowed(prefix) -> ids`` behind both faces: the set-returning
-    callable the loop oracle walks prefixes with, and the incremental
-    protocol the engine threads (its states are the prefixes themselves --
-    the root is a *falsy* ``()``, which the engine must not mind)."""
-
-    def __init__(self, allowed) -> None:
-        self.allowed = allowed
-
-    def __call__(self, prefix):
-        return set(self.allowed(tuple(prefix)))
-
-    def initial_state(self):
-        return ()
-
-    def advance(self, state, token):
-        return state + (token,)
-
-    def allowed_ids_for_state(self, state):
-        return tuple(sorted(self.allowed(state)))
-
-
-def _constraint_forms(allowed):
-    """None, and ``allowed`` as a prefix-walk callable and as a protocol."""
-    if allowed is None:
-        return [None]
-    return [lambda prefix: set(allowed(tuple(prefix))), TableConstraint(allowed)]
+def _constraint(allowed):
+    """``allowed(prefix) -> ids`` behind the state protocol (None: none)."""
+    return None if allowed is None else PrefixConstraint(allowed)
 
 
 def _assert_engine_matches_loop(model: TableModel, questions, constraint=None,
@@ -159,10 +136,9 @@ class TestExactTies:
         propose two: 4, then the tie goes to the lower id -- the penalised 2,
         whose unpenalised score then wins the group.  Both groups say 2."""
         model = TableModel(8, _root_table({2: -1.0, 3: -3.0, 4: -2.5}))
-        for constraint in _constraint_forms(allowed):
-            (hypotheses,) = _assert_engine_matches_loop(
-                model, [0], constraint, **self.BUDGET)
-            assert [tokens for tokens, _, _ in hypotheses] == [(2,)]
+        (hypotheses,) = _assert_engine_matches_loop(
+            model, [0], _constraint(allowed), **self.BUDGET)
+        assert [tokens for tokens, _, _ in hypotheses] == [(2,)]
 
     @pytest.mark.parametrize("allowed", [None, lambda prefix: range(1, 8),
                                          lambda prefix: (1, 3, 4, 5)],
@@ -171,10 +147,9 @@ class TestExactTies:
         """Mirror image: the chosen token is 5, so the tie at -3.0 goes to
         the unpenalised 3, group 1 proposes {4, 3} and takes 4."""
         model = TableModel(8, _root_table({5: -1.0, 3: -3.0, 4: -2.5}))
-        for constraint in _constraint_forms(allowed):
-            (hypotheses,) = _assert_engine_matches_loop(
-                model, [0], constraint, **self.BUDGET)
-            assert [tokens for tokens, _, _ in hypotheses] == [(5,), (4,)]
+        (hypotheses,) = _assert_engine_matches_loop(
+            model, [0], _constraint(allowed), **self.BUDGET)
+        assert [tokens for tokens, _, _ in hypotheses] == [(5,), (4,)]
 
     @pytest.mark.parametrize("num_beams,num_groups,penalty",
                              [(1, 1, 0.0), (3, 1, 0.0), (4, 2, 1.0), (6, 3, 2.0),
@@ -185,10 +160,9 @@ class TestExactTies:
         """Every token of every row at the same value: nothing but the
         lowest-token-id-first rule decides, at every step."""
         model = TableModel(6, lambda question, prefix: [-1.5] * 6)
-        for constraint in _constraint_forms(allowed):
-            _assert_engine_matches_loop(
-                model, [0, 1], constraint, num_beams=num_beams,
-                num_groups=num_groups, diversity_penalty=penalty, max_length=4)
+        _assert_engine_matches_loop(
+            model, [0, 1], _constraint(allowed), num_beams=num_beams,
+            num_groups=num_groups, diversity_penalty=penalty, max_length=4)
 
     @pytest.mark.parametrize("num_beams,num_groups,penalty",
                              [(2, 1, 0.0), (4, 2, 2.0), (6, 2, 1.0)])
@@ -201,11 +175,10 @@ class TestExactTies:
 
         model = TableModel(6, lambda question, prefix:
                            [-3.0, -1.0, -2.0, -0.5, -1.0, -0.125])
-        for constraint in _constraint_forms(allowed):
-            looped = _assert_engine_matches_loop(
-                model, [0, 1], constraint, num_beams=num_beams,
-                num_groups=num_groups, diversity_penalty=penalty, max_length=4)
-            assert all(tokens[0] == 3 for one in looped for tokens, _, _ in one)
+        looped = _assert_engine_matches_loop(
+            model, [0, 1], _constraint(allowed), num_beams=num_beams,
+            num_groups=num_groups, diversity_penalty=penalty, max_length=4)
+        assert all(tokens[0] == 3 for one in looped for tokens, _, _ in one)
 
     @pytest.mark.parametrize("num_beams,num_groups,penalty",
                              [(1, 1, 0.0), (4, 2, 2.0), (6, 3, 1.0)])
@@ -221,12 +194,11 @@ class TestExactTies:
             return [-5.0, -1.0, -0.5, -math.inf, -0.75, -math.inf]
 
         model = TableModel(6, table)
-        for constraint in _constraint_forms(allowed):
-            looped = _assert_engine_matches_loop(
-                model, [0], constraint, num_beams=num_beams,
-                num_groups=num_groups, diversity_penalty=penalty, max_length=3)
-            assert not any(3 in tokens or 5 in tokens
-                           for one in looped for tokens, _, _ in one)
+        looped = _assert_engine_matches_loop(
+            model, [0], _constraint(allowed), num_beams=num_beams,
+            num_groups=num_groups, diversity_penalty=penalty, max_length=3)
+        assert not any(3 in tokens or 5 in tokens
+                       for one in looped for tokens, _, _ in one)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +241,7 @@ def test_reach_lemma_sweep(seed, vocab_size, constrained, num_groups,
     """Unconstrained, and mixed constrained / unconstrained batches (the
     per-question wave form): ranking a row's ``reach`` best loses nothing."""
     model = TableModel(vocab_size, _random_table(seed, vocab_size))
-    constraint = TableConstraint(_random_allowed(seed, vocab_size))
+    constraint = PrefixConstraint(_random_allowed(seed, vocab_size))
     constraints = [constraint if flag else None for flag in constrained]
     _assert_engine_matches_loop(
         model, list(range(len(constrained))),
@@ -278,14 +250,14 @@ def test_reach_lemma_sweep(seed, vocab_size, constrained, num_groups,
         diversity_penalty=penalty, max_length=max_length)
 
 
-def test_prefix_constraint_may_leave_prefixes_open():
-    """A prefix-walk constraint returning ``None`` ("unconstrained here")
-    for some prefixes: those rows take the numeric path, step by step."""
+def test_a_constraint_may_leave_states_open():
+    """A constraint answering ``None`` ("unconstrained here") for some
+    states: those rows take the numeric path, step by step."""
     allowed = _random_allowed(5, 9)
     model = TableModel(9, _random_table(5, 9))
     _assert_engine_matches_loop(
         model, [0, 1, 2],
-        lambda prefix: None if len(prefix) % 2 else set(allowed(tuple(prefix))),
+        PrefixConstraint(lambda prefix: None if len(prefix) % 2 else allowed(prefix)),
         num_beams=6, num_groups=3, diversity_penalty=1.0, max_length=5)
 
 
@@ -324,12 +296,12 @@ def test_wave_of_mixed_vocabulary_widths_equals_each_shard_alone(trained):
     kernel = DecodeKernel(router.model)
     alone = []
     for shard in shards:
-        alone += keys(beam_search_wave(kernel, [shard], [0] * len(encoded),
-                                       encoded))
+        alone += keys(decode_wave(kernel, [shard], [0] * len(encoded),
+                                  encoded))
     stats: dict = {}
     tags = [0] * len(encoded) + [1] * len(encoded)
-    mixed = keys(beam_search_wave(kernel, shards, tags, encoded + encoded,
-                                  stats=stats))
+    mixed = keys(decode_wave(kernel, shards, tags, encoded + encoded,
+                             stats=stats))
     assert mixed == alone
     assert all(one for one in mixed)
     per_tag = stats["per_tag"]
