@@ -73,19 +73,6 @@ def adapt_examples(examples: list[Example]) -> tuple[list[Example], AdaptationRe
     return kept, report
 
 
-def adapt_dataset(dataset: BenchmarkDataset) -> BenchmarkDataset:
-    """Adapt both splits of ``dataset`` in place-preserving style."""
-    train, _ = adapt_examples(dataset.train_examples)
-    test, _ = adapt_examples(dataset.test_examples)
-    return BenchmarkDataset(
-        name=dataset.name,
-        catalog=dataset.catalog,
-        instances=dataset.instances,
-        train_examples=train,
-        test_examples=test,
-    )
-
-
 def dataset_statistics(dataset: BenchmarkDataset) -> dict[str, object]:
     """The row this dataset contributes to the Table 2 reproduction."""
     stats = describe_catalog(dataset.catalog)

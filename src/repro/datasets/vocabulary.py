@@ -13,7 +13,7 @@ questioner and the Spider-syn analogue both draw from this lexicon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.schema.column import ColumnType
 
@@ -191,11 +191,6 @@ SYNONYM_LEXICON: dict[str, tuple[str, ...]] = {
     "sector": ("industry", "segment"),
     "profit": ("net income", "gain"),
 }
-
-
-def synonyms_for(word: str) -> tuple[str, ...]:
-    """Paraphrases for a schema word ('' tuple when none are known)."""
-    return SYNONYM_LEXICON.get(word, ())
 
 
 # --------------------------------------------------------------------------

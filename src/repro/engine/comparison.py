@@ -10,7 +10,6 @@ columns in a fixed order), row order matters only when the query has an
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
 
 from repro.engine.relation import Relation
 from repro.engine.values import canonical
@@ -40,12 +39,3 @@ def results_equivalent(
     if order_sensitive:
         return predicted_rows == gold_rows
     return Counter(predicted_rows) == Counter(gold_rows)
-
-
-def rows_as_sorted_tuples(relation: Relation) -> list[tuple[object, ...]]:
-    """Deterministic row listing used in example scripts and debugging."""
-    return sorted(_canonical_rows(relation), key=_sort_key)
-
-
-def _sort_key(row: Sequence[object]) -> tuple[str, ...]:
-    return tuple(f"{type(value).__name__}:{value}" for value in row)

@@ -9,7 +9,7 @@ and the joinability heuristic something to measure value overlap on.  A
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.engine.relation import Relation, Row
 from repro.engine.values import Value, coerce_value
@@ -116,18 +116,3 @@ class CatalogInstance:
 
     def __iter__(self):
         return iter(self.instances.values())
-
-    def total_rows(self) -> int:
-        return sum(
-            sum(len(rows) for rows in instance.tables.values()) for instance in self
-        )
-
-
-def instance_from_mapping(
-    schema: Database, data: Mapping[str, Iterable[Sequence[object]]]
-) -> DatabaseInstance:
-    """Convenience constructor: build an instance from ``{table: rows}``."""
-    instance = DatabaseInstance(schema=schema)
-    for table_name, rows in data.items():
-        instance.insert_many(table_name, rows)
-    return instance

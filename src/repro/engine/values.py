@@ -43,10 +43,6 @@ def coerce_value(raw: object, column_type: ColumnType) -> Value:
     return str(raw)
 
 
-def is_null(value: Value) -> bool:
-    return value is None
-
-
 def compare_values(left: Value, right: Value) -> int:
     """Three-way comparison with SQL-ish NULL ordering (NULLs sort first).
 

@@ -246,15 +246,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(grad: Array) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad * (self.data > 0.0))
-
-        return Tensor._make(out_data, (self,), backward)
-
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exp = np.exp(shifted)

@@ -22,11 +22,6 @@ class ColumnType(str, Enum):
     def is_numeric(self) -> bool:
         return self in (ColumnType.INTEGER, ColumnType.REAL)
 
-    @property
-    def is_orderable(self) -> bool:
-        """Whether ``ORDER BY`` / comparisons are meaningful for the type."""
-        return self is not ColumnType.BOOLEAN
-
 
 @dataclass(frozen=True)
 class Column:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.schema.table import ForeignKey, Table, validate_foreign_keys
 from repro.utils.text import lookup_identifier, normalize_identifier, tokenize_text
@@ -110,8 +109,3 @@ class Database:
     def schema_text(self, include_types: bool = False) -> str:
         """Multi-line ``table(columns)`` description used in prompts."""
         return "\n".join(table.schema_line(include_types) for table in self.tables)
-
-    def iter_columns(self) -> Iterable[tuple[Table, "object"]]:
-        for table in self.tables:
-            for column in table.columns:
-                yield table, column

@@ -86,9 +86,6 @@ class Table:
                 return column
         return None
 
-    def numeric_columns(self) -> list[Column]:
-        return [c for c in self.columns if c.column_type.is_numeric and not c.is_primary_key]
-
     def text_columns(self) -> list[Column]:
         return [c for c in self.columns if c.column_type is ColumnType.TEXT and not c.is_primary_key]
 

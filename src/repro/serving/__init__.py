@@ -15,8 +15,11 @@ claim:
   all of the above behind ``submit`` / ``submit_many`` / ``stats``; its
   concurrent callers coalesce into shared decodes by group commit, on the
   callers' own threads;
-* :mod:`repro.serving.loadgen` -- a seeded closed-loop/QPS load generator
-  used by ``benchmarks/bench_serving_throughput.py``.
+* :mod:`repro.serving.loadgen` -- seeded request streams, one closed-loop
+  driver (:class:`LoadGenerator`: clients back to back, or waves) and one
+  open-loop driver (:class:`ScenarioDriver`: phases released on a schedule,
+  lag measured from the scheduled release), both reporting a
+  :class:`LoadReport` that counts shed apart from errors.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -35,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ScenarioConfig": "repro.serving.loadgen",
     "ScenarioDriver": "repro.serving.loadgen",
     "ScenarioPhase": "repro.serving.loadgen",
-    "ScenarioReport": "repro.serving.loadgen",
     "WorkloadConfig": "repro.serving.loadgen",
     "named_scenario": "repro.serving.loadgen",
     "LatencyRecorder": "repro.serving.metrics",

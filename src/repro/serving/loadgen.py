@@ -1,25 +1,24 @@
-"""Seeded workload generation and load driving for the routing service.
+"""Seeded request streams and the two drivers that play them.
 
-Modeled on QPS-driven workload drivers (pyrqg's ``WorkloadConfig``): a
-:class:`LoadGenerator` first materializes a deterministic request stream from
-a question pool — with Zipf-like repetition so cache behavior is realistic —
-then drives any ``submit``-style callable either closed-loop (optionally with
-several client threads) or paced at a target QPS, and reports throughput and
-latency percentiles.
+Modeled on QPS-driven workload drivers (pyrqg's ``WorkloadConfig``).  One
+planner, :func:`draw_questions`, draws a deterministic question stream from a
+pool -- head-truncated or true-Zipf, so cache behavior is realistic -- and
+two drivers play such streams against any ``submit``-style callable:
 
-On top of the single-envelope generator sits the scenario driver: a
-:class:`ScenarioDriver` plays a sequence of :class:`ScenarioPhase` segments —
-each with its own QPS, distribution, and hot set — against a service, with
-two properties the control-plane benchmarks need:
+* :class:`LoadGenerator` is the closed loop: back-to-back ``submit`` calls
+  from one or more client threads, or ``submit_many`` waves.  A request is
+  released when its client issues it, so its lag is its service time.
+* :class:`ScenarioDriver` is the open loop: a :class:`ScenarioConfig` of
+  phases, each with its own QPS and traffic shape, released on a
+  deterministic schedule.  Latency is completion minus *scheduled*
+  release, so a service falling behind cannot hide the backlog in
+  between-request gaps (the coordinated-omission mistake); collapse shows
+  up as unbounded lag.
 
-* **schedule-relative latency**: every request has a deterministic release
-  time, and its recorded latency is *completion minus scheduled release*.
-  A service falling behind cannot hide the backlog in between-request gaps
-  (the coordinated-omission mistake); collapse shows up as unbounded lag.
-* **shed accounting**: a fast, typed
-  :class:`repro.control.admission.AdmissionRejected` counts as *shed*, not
-  as an error, and per-phase shed fractions are reported — the bench's
-  "degrades instead of collapses" evidence.
+Both return a :class:`LoadReport`.  A fast, typed
+:class:`repro.control.admission.AdmissionRejected` counts as *shed*, not as
+an error, and shed fractions are reported per phase -- the control-plane
+bench's "degrades instead of collapses" evidence.
 """
 
 from __future__ import annotations
@@ -34,9 +33,32 @@ from repro.serving.metrics import LatencyRecorder
 from repro.utils.rng import SeededRng
 
 
+def _check_mix(distribution: str, skew: float, unique_fraction: float) -> None:
+    if distribution not in ("head", "zipf"):
+        raise ValueError(f"unknown distribution {distribution!r}")
+    if skew < 0:
+        raise ValueError("skew must be non-negative")
+    if not 0.0 < unique_fraction <= 1.0:
+        raise ValueError("unique_fraction must be in (0, 1]")
+
+
+def draw_questions(rng: SeededRng, questions: Sequence[str], count: int,
+                   distribution: str, skew: float,
+                   unique_fraction: float) -> list[str]:
+    """Draw ``count`` questions rank-weighted (``P(rank) ~ 1 / rank^skew``):
+    "head" from the first ``count * unique_fraction`` questions only, "zipf"
+    from the whole pool.  Same ``rng`` seed + arguments => same list."""
+    pool = questions
+    if distribution == "head":
+        pool = questions[:max(1, min(len(questions),
+                                     round(count * unique_fraction)))]
+    weights = [1.0 / (rank + 1) ** skew for rank in range(len(pool))]
+    return [rng.weighted_choice(pool, weights) for _ in range(count)]
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Shape of the generated request stream."""
+    """Shape of a closed-loop request stream."""
 
     num_requests: int = 200
     #: Fraction of ``num_requests`` drawn as *distinct* questions; the rest
@@ -46,78 +68,128 @@ class WorkloadConfig:
     skew: float = 1.0
     #: "head" draws from a truncated pool of ``num_requests * unique_fraction``
     #: distinct questions; "zipf" draws rank-weighted from the *whole* question
-    #: pool (``P(rank) ~ 1 / rank^skew``), the shape cluster benchmarks use to
-    #: model hot-shard traffic without capping the distinct-question tail.
+    #: pool, the shape cluster benchmarks use to model hot-shard traffic
+    #: without capping the distinct-question tail.
     distribution: str = "head"
     seed: int = 0
-    #: "closed" (back-to-back), "paced" (open loop at ``target_qps``), or
-    #: "burst" (paced with an overload spike window -- the reproducible
-    #: SLO-violation scenario).
-    mode: str = "closed"
-    target_qps: float = 0.0
-    #: Client threads for closed-loop mode.
+    #: Client threads for :meth:`LoadGenerator.run`.
     concurrency: int = 1
-    #: Burst mode: the spike window's QPS (must exceed ``target_qps``)...
-    burst_qps: float = 0.0
-    #: ...covering the requests from ``burst_start_fraction`` of the stream
-    #: to ``burst_start_fraction + burst_fraction`` (by request index, so the
-    #: envelope is deterministic for a given config).
-    burst_start_fraction: float = 0.4
-    burst_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.num_requests <= 0:
             raise ValueError("num_requests must be positive")
-        if not 0.0 < self.unique_fraction <= 1.0:
-            raise ValueError("unique_fraction must be in (0, 1]")
-        if self.distribution not in ("head", "zipf"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.skew < 0:
-            raise ValueError("skew must be non-negative")
-        if self.mode not in ("closed", "paced", "burst"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode in ("paced", "burst") and self.target_qps <= 0:
-            raise ValueError(f"{self.mode} mode requires a positive target_qps")
+        _check_mix(self.distribution, self.skew, self.unique_fraction)
         if self.concurrency <= 0:
             raise ValueError("concurrency must be positive")
-        if self.mode == "burst":
-            if self.burst_qps <= self.target_qps:
-                raise ValueError("burst mode requires burst_qps > target_qps")
-            if not 0.0 <= self.burst_start_fraction < 1.0:
-                raise ValueError("burst_start_fraction must be in [0, 1)")
-            if not 0.0 < self.burst_fraction <= 1.0 - self.burst_start_fraction:
-                raise ValueError("burst_fraction must fit inside the stream "
-                                 "after burst_start_fraction")
 
 
 @dataclass
 class LoadReport:
-    """Outcome of one load-generation run."""
+    """Outcome of one run, closed or open loop."""
 
+    scenario: str = "closed"
     num_requests: int = 0
+    admitted: int = 0
+    shed: int = 0
     errors: int = 0
     duration_seconds: float = 0.0
+    #: Answered (admitted) requests per second.
     throughput_rps: float = 0.0
+    #: Lag of *admitted* requests: completion minus release, where an open
+    #: loop releases on its schedule and a closed loop when it issues.
     latency: dict = field(default_factory=dict)
-    #: Burst mode only: per-phase ("steady" / "burst") latency summaries.
+    #: Worst lag observed across every request, admitted or not.
+    max_lag_seconds: float = 0.0
+    #: Phase name -> {requests, admitted, shed, errors, shed_fraction,
+    #: latency} in phase order; a closed-loop run is one phase.
     phases: dict = field(default_factory=dict)
 
+    @property
+    def shed_fraction(self) -> float:
+        return self.shed / self.num_requests if self.num_requests else 0.0
+
     def to_json(self) -> dict:
-        report = {
+        return {
+            "scenario": self.scenario,
             "num_requests": self.num_requests,
+            "admitted": self.admitted,
+            "shed": self.shed,
+            "shed_fraction": round(self.shed_fraction, 4),
             "errors": self.errors,
             "duration_seconds": round(self.duration_seconds, 4),
             "throughput_rps": round(self.throughput_rps, 2),
+            "max_lag_seconds": round(self.max_lag_seconds, 4),
             "latency": dict(self.latency),
+            "phases": {name: dict(summary)
+                       for name, summary in self.phases.items()},
         }
-        if self.phases:
-            report["phases"] = {name: dict(summary)
-                                for name, summary in self.phases.items()}
-        return report
+
+
+class _Tally:
+    """Counts and lags of one run, overall and per phase (thread-safe)."""
+
+    def __init__(self, phase_names: Sequence[str], capacity: int) -> None:
+        self._lock = threading.Lock()
+        self._latency = LatencyRecorder(max_samples=capacity)
+        self._phases = {name: {"requests": 0, "admitted": 0, "shed": 0,
+                               "errors": 0,
+                               "latency": LatencyRecorder(max_samples=capacity)}
+                        for name in phase_names}
+        self._max_lag = 0.0
+        self.started = time.monotonic()
+
+    def call(self, phase: str, submit: Callable[[object], object],
+             payload: object, release: float, size: int = 1) -> None:
+        """``submit(payload)`` -- ``size`` requests released at ``release``
+        -- and count its outcome."""
+        try:
+            submit(payload)
+        except AdmissionRejected:
+            outcome = "shed"
+        except Exception:
+            outcome = "errors"
+        else:
+            outcome = "admitted"
+        lag = time.monotonic() - release
+        stats = self._phases[phase]
+        with self._lock:
+            stats["requests"] += size
+            stats[outcome] += size
+            self._max_lag = max(self._max_lag, lag)
+        if outcome == "admitted":
+            self._latency.record(lag, size)
+            stats["latency"].record(lag, size)
+
+    def report(self, scenario: str) -> LoadReport:
+        duration = max(time.monotonic() - self.started, 1e-9)
+        phases = {name: {
+            "requests": stats["requests"],
+            "admitted": stats["admitted"],
+            "shed": stats["shed"],
+            "errors": stats["errors"],
+            "shed_fraction": (round(stats["shed"] / stats["requests"], 4)
+                              if stats["requests"] else 0.0),
+            "latency": stats["latency"].summary(),
+        } for name, stats in self._phases.items()}
+        totals = {key: sum(stats[key] for stats in phases.values())
+                  for key in ("requests", "admitted", "shed", "errors")}
+        return LoadReport(
+            scenario=scenario,
+            num_requests=totals["requests"],
+            admitted=totals["admitted"],
+            shed=totals["shed"],
+            errors=totals["errors"],
+            duration_seconds=duration,
+            throughput_rps=totals["admitted"] / duration,
+            latency=self._latency.summary(),
+            max_lag_seconds=self._max_lag,
+            phases=phases,
+        )
 
 
 class LoadGenerator:
-    """Generates a deterministic workload over a question pool and drives it."""
+    """The closed-loop driver: a deterministic stream over a question pool,
+    played back to back or in waves."""
 
     def __init__(self, questions: Sequence[str], config: WorkloadConfig | None = None) -> None:
         if not questions:
@@ -125,88 +197,40 @@ class LoadGenerator:
         self.questions = list(questions)
         self.config = config or WorkloadConfig()
 
-    # -- workload materialization -------------------------------------------
     def workload(self) -> list[str]:
         """The request stream: same config + pool => same list, always."""
         config = self.config
-        rng = SeededRng(config.seed).child("workload")
-        if config.distribution == "zipf":
-            pool = self.questions
-        else:
-            pool_size = max(1, min(len(self.questions),
-                                   round(config.num_requests * config.unique_fraction)))
-            pool = self.questions[:pool_size]
-        weights = [1.0 / (rank + 1) ** config.skew for rank in range(len(pool))]
-        return [rng.weighted_choice(pool, weights) for _ in range(config.num_requests)]
+        return draw_questions(SeededRng(config.seed).child("workload"),
+                              self.questions, config.num_requests,
+                              config.distribution, config.skew,
+                              config.unique_fraction)
 
-    def phase_of(self, index: int) -> str:
-        """Which pacing phase request ``index`` belongs to (burst mode)."""
-        config = self.config
-        if config.mode != "burst":
-            return "steady"
-        start = int(config.num_requests * config.burst_start_fraction)
-        end = start + max(1, int(config.num_requests * config.burst_fraction))
-        return "burst" if start <= index < end else "steady"
-
-    def schedule(self) -> list[float]:
-        """Release offsets (seconds from start) for paced / burst modes.
-
-        Deterministic for a given config: steady requests are spaced at
-        ``1 / target_qps``, burst-phase requests at ``1 / burst_qps`` -- a
-        QPS envelope with a spike window, so an overload scenario replays
-        identically run after run."""
-        offsets: list[float] = []
-        at = 0.0
-        for index in range(self.config.num_requests):
-            offsets.append(at)
-            qps = self.config.burst_qps if self.phase_of(index) == "burst" \
-                else self.config.target_qps
-            at += 1.0 / qps
-        return offsets
-
-    # -- driving -------------------------------------------------------------
     def run(self, submit: Callable[[str], object]) -> LoadReport:
-        """Drive ``submit`` with the workload and measure it."""
+        """Drive ``submit`` with the workload from ``concurrency`` clients,
+        each issuing its next request as soon as the last one returns."""
         requests = self.workload()
-        if self.config.mode in ("paced", "burst"):
-            return self._run_paced(submit, requests)
-        return self._run_closed(submit, requests)
-
-    def _run_closed(self, submit: Callable[[str], object],
-                    requests: list[str]) -> LoadReport:
-        recorder = LatencyRecorder(max_samples=len(requests))
-        errors = [0]
-        cursor = [0]
+        tally = _Tally(["closed"], len(requests))
+        pending = iter(requests)
         lock = threading.Lock()
 
-        def worker() -> None:
+        def client() -> None:
             while True:
                 with lock:
-                    position = cursor[0]
-                    if position >= len(requests):
-                        return
-                    cursor[0] = position + 1
-                question = requests[position]
-                started = time.monotonic()
-                try:
-                    submit(question)
-                except Exception:
-                    with lock:
-                        errors[0] += 1
-                recorder.record(time.monotonic() - started)
+                    question = next(pending, None)
+                if question is None:
+                    return
+                tally.call("closed", submit, question, time.monotonic())
 
-        started = time.monotonic()
         if self.config.concurrency == 1:
-            worker()
+            client()
         else:
-            threads = [threading.Thread(target=worker, name=f"loadgen-{index}")
+            threads = [threading.Thread(target=client, name=f"loadgen-{index}")
                        for index in range(self.config.concurrency)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        duration = max(time.monotonic() - started, 1e-9)
-        return self._report(requests, errors[0], duration, recorder)
+        return tally.report("closed")
 
     def run_batched(self, submit_many: Callable[[Sequence[str]], object],
                     batch_size: int = 16) -> LoadReport:
@@ -214,68 +238,19 @@ class LoadGenerator:
         the workload cut into waves of ``batch_size`` requests.
 
         Scatter-gather services route a whole batch in one dispatch, so the
-        natural load unit is a wave rather than a single call; the recorded
-        latency is the per-request share of each wave.
+        natural load unit is a wave rather than a single call.  Every
+        request of a wave is released when the wave is sent and answered
+        when it returns, so its lag is the wave's.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         requests = self.workload()
-        recorder = LatencyRecorder(max_samples=len(requests))
-        errors = 0
-        started = time.monotonic()
+        tally = _Tally(["waves"], len(requests))
         for offset in range(0, len(requests), batch_size):
             wave = requests[offset:offset + batch_size]
-            wave_started = time.monotonic()
-            try:
-                submit_many(wave)
-            except Exception:
-                errors += len(wave)
-            per_request = (time.monotonic() - wave_started) / len(wave)
-            for _ in wave:
-                recorder.record(per_request)
-        duration = max(time.monotonic() - started, 1e-9)
-        return self._report(requests, errors, duration, recorder)
-
-    def _run_paced(self, submit: Callable[[str], object],
-                   requests: list[str]) -> LoadReport:
-        recorder = LatencyRecorder(max_samples=len(requests))
-        phase_recorders: dict[str, LatencyRecorder] = {}
-        errors = 0
-        offsets = self.schedule()
-        started = time.monotonic()
-        for index, question in enumerate(requests):
-            delay = started + offsets[index] - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            request_started = time.monotonic()
-            try:
-                submit(question)
-            except Exception:
-                errors += 1
-            elapsed = time.monotonic() - request_started
-            recorder.record(elapsed)
-            if self.config.mode == "burst":
-                phase = self.phase_of(index)
-                phase_recorder = phase_recorders.get(phase)
-                if phase_recorder is None:
-                    phase_recorder = phase_recorders[phase] = \
-                        LatencyRecorder(max_samples=len(requests))
-                phase_recorder.record(elapsed)
-        duration = max(time.monotonic() - started, 1e-9)
-        report = self._report(requests, errors, duration, recorder)
-        report.phases = {phase: phase_recorder.summary()
-                         for phase, phase_recorder in sorted(phase_recorders.items())}
-        return report
-
-    def _report(self, requests: list[str], errors: int, duration: float,
-                recorder: LatencyRecorder) -> LoadReport:
-        return LoadReport(
-            num_requests=len(requests),
-            errors=errors,
-            duration_seconds=duration,
-            throughput_rps=len(requests) / duration,
-            latency=recorder.summary(),
-        )
+            tally.call("waves", submit_many, wave, time.monotonic(),
+                       size=len(wave))
+        return tally.report("waves")
 
 
 # -- scenario driver -----------------------------------------------------------
@@ -307,12 +282,7 @@ class ScenarioPhase:
             raise ValueError("fraction must be in (0, 1]")
         if self.qps <= 0:
             raise ValueError("qps must be positive")
-        if self.distribution not in ("head", "zipf"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.skew < 0:
-            raise ValueError("skew must be non-negative")
-        if not 0.0 < self.unique_fraction <= 1.0:
-            raise ValueError("unique_fraction must be in (0, 1]")
+        _check_mix(self.distribution, self.skew, self.unique_fraction)
         if self.hot_offset < 0:
             raise ValueError("hot_offset must be non-negative")
 
@@ -329,6 +299,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.phases:
             raise ValueError("a scenario needs at least one phase")
+        names = [phase.name for phase in self.phases]
+        if len(set(names)) != len(names):
+            raise ValueError(f"phase names must be distinct, not {names}")
         if self.num_requests < len(self.phases):
             raise ValueError("need at least one request per phase")
         total = sum(phase.fraction for phase in self.phases)
@@ -376,54 +349,20 @@ def named_scenario(name: str, num_requests: int = 300, qps: float = 50.0,
                           seed=seed, name=name)
 
 
-@dataclass
-class ScenarioReport:
-    """Outcome of one scenario run."""
-
-    scenario: str = "scenario"
-    num_requests: int = 0
-    admitted: int = 0
-    shed: int = 0
-    errors: int = 0
-    duration_seconds: float = 0.0
-    throughput_rps: float = 0.0
-    #: Schedule-relative latency of *admitted* requests (completion minus
-    #: scheduled release — backlog is latency, not a hidden gap).
-    latency: dict = field(default_factory=dict)
-    #: Worst schedule lag observed across every request, admitted or not.
-    max_lag_seconds: float = 0.0
-    #: Per-phase name -> {requests, admitted, shed, errors, shed_fraction,
-    #: latency} in phase order.
-    phases: dict = field(default_factory=dict)
-
-    @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.num_requests if self.num_requests else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "num_requests": self.num_requests,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_fraction": round(self.shed_fraction, 4),
-            "errors": self.errors,
-            "duration_seconds": round(self.duration_seconds, 4),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "max_lag_seconds": round(self.max_lag_seconds, 4),
-            "latency": dict(self.latency),
-            "phases": {name: dict(summary)
-                       for name, summary in self.phases.items()},
-        }
-
-
 class ScenarioDriver:
-    """Plays a :class:`ScenarioConfig` against a ``submit`` callable."""
+    """The open-loop driver: plays a :class:`ScenarioConfig` against a
+    ``submit`` callable on its schedule."""
 
     def __init__(self, questions: Sequence[str],
                  config: ScenarioConfig) -> None:
         if not questions:
             raise ValueError("the question pool must not be empty")
+        for phase in config.phases:
+            if phase.hot_offset and phase.hot_offset % len(questions) == 0:
+                raise ValueError(
+                    f"phase {phase.name!r}: hot_offset {phase.hot_offset} is a "
+                    f"multiple of the {len(questions)}-question pool, so it "
+                    "does not shift the hot set")
         self.questions = list(questions)
         self.config = config
 
@@ -437,16 +376,9 @@ class ScenarioDriver:
             rng = SeededRng(self.config.seed).child(f"phase:{index}:{phase.name}")
             offset = phase.hot_offset % len(self.questions)
             rotated = self.questions[offset:] + self.questions[:offset]
-            if phase.distribution == "zipf":
-                pool = rotated
-            else:
-                pool_size = max(1, min(len(rotated),
-                                       round(length * phase.unique_fraction)))
-                pool = rotated[:pool_size]
-            weights = [1.0 / (rank + 1) ** phase.skew
-                       for rank in range(len(pool))]
-            stream.extend((phase.name, rng.weighted_choice(pool, weights))
-                          for _ in range(length))
+            stream.extend((phase.name, question) for question in draw_questions(
+                rng, rotated, length, phase.distribution, phase.skew,
+                phase.unique_fraction))
         return stream
 
     def schedule(self) -> list[float]:
@@ -463,73 +395,15 @@ class ScenarioDriver:
         return offsets
 
     # -- driving -------------------------------------------------------------
-    def run(self, submit: Callable[[str], object],
-            on_progress: Callable[[int, int], None] | None = None,
-            progress_every: int = 100) -> ScenarioReport:
-        """Open-loop paced run: release per :meth:`schedule`, record
-        schedule-relative latency, count :class:`AdmissionRejected` as shed."""
-        if progress_every <= 0:
-            raise ValueError("progress_every must be positive")
-        stream = self.plan()
-        offsets = self.schedule()
-        recorder = LatencyRecorder(max_samples=len(stream))
-        phase_stats: dict[str, dict] = {}
-        for phase in self.config.phases:
-            phase_stats.setdefault(phase.name, {
-                "requests": 0, "admitted": 0, "shed": 0, "errors": 0,
-                "recorder": LatencyRecorder(max_samples=len(stream)),
-            })
-        admitted = shed = errors = 0
-        max_lag = 0.0
-        started = time.monotonic()
-        for index, (phase_name, question) in enumerate(stream):
-            release = started + offsets[index]
+    def run(self, submit: Callable[[str], object]) -> LoadReport:
+        """Release each request at its :meth:`schedule` offset and measure
+        its lag from that release, not from when the call began."""
+        stream, offsets = self.plan(), self.schedule()
+        tally = _Tally([phase.name for phase in self.config.phases], len(stream))
+        for (phase_name, question), offset in zip(stream, offsets):
+            release = tally.started + offset
             delay = release - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            stats = phase_stats[phase_name]
-            stats["requests"] += 1
-            try:
-                submit(question)
-            except AdmissionRejected:
-                shed += 1
-                stats["shed"] += 1
-            except Exception:
-                errors += 1
-                stats["errors"] += 1
-            else:
-                admitted += 1
-                stats["admitted"] += 1
-                lag = time.monotonic() - release
-                recorder.record(lag)
-                stats["recorder"].record(lag)
-            max_lag = max(max_lag, time.monotonic() - release)
-            if on_progress is not None and (index + 1) % progress_every == 0:
-                on_progress(index + 1, len(stream))
-        duration = max(time.monotonic() - started, 1e-9)
-        phases = {}
-        for phase in self.config.phases:
-            stats = phase_stats[phase.name]
-            if phase.name in phases:
-                continue
-            phases[phase.name] = {
-                "requests": stats["requests"],
-                "admitted": stats["admitted"],
-                "shed": stats["shed"],
-                "errors": stats["errors"],
-                "shed_fraction": (round(stats["shed"] / stats["requests"], 4)
-                                  if stats["requests"] else 0.0),
-                "latency": stats["recorder"].summary(),
-            }
-        return ScenarioReport(
-            scenario=self.config.name,
-            num_requests=len(stream),
-            admitted=admitted,
-            shed=shed,
-            errors=errors,
-            duration_seconds=duration,
-            throughput_rps=admitted / duration,
-            latency=recorder.summary(),
-            max_lag_seconds=max_lag,
-            phases=phases,
-        )
+            tally.call(phase_name, submit, question, release)
+        return tally.report(self.config.name)

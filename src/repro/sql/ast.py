@@ -169,9 +169,6 @@ class SelectStatement:
             exprs.append(self.having)
         return any(_contains_aggregate(expr) for expr in exprs)
 
-    def is_ordered(self) -> bool:
-        return bool(self.order_by)
-
 
 def _contains_aggregate(expression: Expression) -> bool:
     if isinstance(expression, FuncCall):

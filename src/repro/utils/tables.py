@@ -8,7 +8,7 @@ formatting helper keeps that output consistent and easy to diff against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -56,13 +56,3 @@ def format_cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def format_percent(value: float) -> str:
-    """Format a 0..1 ratio as a percentage with two decimals."""
-    return f"{100.0 * value:.2f}"
-
-
-def render_grouped_tables(tables: Iterable[ResultTable]) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(table.render() for table in tables)

@@ -374,7 +374,17 @@ class TestScenarioDriver:
         plan = ScenarioDriver(self.QUESTIONS, config).plan()
         first = {question for name, question in plan if name == "hot_a"}
         second = {question for name, question in plan if name == "hot_b"}
-        assert first != second
+        # each phase draws from a ten-question head: q0-q9, then q64-q73
+        assert not first & second
+        assert first <= set(self.QUESTIONS[:10])
+        assert second <= set(self.QUESTIONS[64:74])
+
+    @pytest.mark.parametrize("pool_size", [32, 64])
+    def test_shift_hot_set_refuses_an_offset_that_wraps(self, pool_size):
+        # hot_offset=64 wraps to 0 on these pools: hot_b would replay hot_a's head
+        config = named_scenario("shift_hot_set", num_requests=80, qps=1000.0)
+        with pytest.raises(ValueError, match="'hot_b'"):
+            ScenarioDriver(self.QUESTIONS[:pool_size], config)
 
     def test_shed_counts_apart_from_errors(self):
         config = named_scenario("steady", num_requests=12, qps=5000.0)
@@ -397,15 +407,6 @@ class TestScenarioDriver:
         payload = report.to_json()
         assert payload["phases"]["steady"]["shed"] == 4
 
-    def test_progress_hook_fires(self):
-        config = named_scenario("steady", num_requests=10, qps=5000.0)
-        driver = ScenarioDriver(self.QUESTIONS, config)
-        seen = []
-        driver.run(lambda question: None,
-                   on_progress=lambda done, total: seen.append((done, total)),
-                   progress_every=5)
-        assert seen == [(5, 10), (10, 10)]
-
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             named_scenario("quiet-sunday")
@@ -414,6 +415,11 @@ class TestScenarioDriver:
         with pytest.raises(ValueError):
             ScenarioConfig(phases=(ScenarioPhase("a", 0.5, 10.0),
                                    ScenarioPhase("b", 0.4, 10.0)))
+
+    def test_phase_names_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ScenarioConfig(phases=(ScenarioPhase("a", 0.5, 10.0),
+                                   ScenarioPhase("a", 0.5, 20.0)))
 
 
 # -- the controller ------------------------------------------------------------

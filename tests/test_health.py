@@ -24,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from test_serving import _serving_catalog
+from test_serving import SteppedTime, _serving_catalog
 
 from repro.core import (
     RouterConfig,
@@ -57,10 +57,11 @@ from repro.obs.slo import (
 )
 from repro.obs.export import parse_prometheus
 from repro.serving import (
-    LoadGenerator,
     RoutingService,
+    ScenarioDriver,
     ServingConfig,
-    WorkloadConfig,
+    loadgen,
+    named_scenario,
 )
 
 
@@ -418,30 +419,30 @@ class TestAlertJournal:
 
 
 class TestOverloadDrivesSloAlert:
-    def test_burst_overload_fires_and_resolves_a_latency_slo(self):
-        """The acceptance scenario end to end: a seeded burst workload
-        overloads a backend, the measured spike latency burns a latency SLO
-        until it fires, and the post-spike steady phase resolves it."""
-        import time as _time
-
-        config = WorkloadConfig(num_requests=40, mode="burst", target_qps=2000.0,
-                                burst_qps=20000.0, burst_start_fraction=0.4,
-                                burst_fraction=0.3, seed=5)
-        generator = LoadGenerator([f"question {index}" for index in range(10)],
-                                  config)
-        cursor = [0]
+    def test_burst_overload_fires_and_resolves_a_latency_slo(self, monkeypatch):
+        """The acceptance scenario end to end, off the wall clock: a seeded
+        burst scenario overloads a backend, the spike's schedule-relative
+        latency burns a latency SLO until it fires, and the steady latency
+        the backend returns to resolves it."""
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        driver = ScenarioDriver([f"question {index}" for index in range(10)],
+                                named_scenario("burst", num_requests=40,
+                                               qps=20.0, seed=5))
+        phases = iter([phase for phase, _ in driver.plan()])
 
         def overloadable_backend(question: str) -> list:
             # Saturated during the spike window: 25ms vs 0.2ms service time.
-            phase = generator.phase_of(cursor[0])
-            cursor[0] += 1
-            _time.sleep(0.025 if phase == "burst" else 0.0002)
+            clock.advance(0.025 if next(phases) == "burst" else 0.0002)
             return []
 
-        report = generator.run(overloadable_backend)
-        steady_p95 = report.phases["steady"]["p95_ms"]
-        burst_p95 = report.phases["burst"]["p95_ms"]
+        report = driver.run(overloadable_backend)
+        steady_p95 = report.phases["warmup"]["latency"]["p95_ms"]
+        burst_p95 = report.phases["burst"]["latency"]["p95_ms"]
+        assert steady_p95 == pytest.approx(0.2)
         assert burst_p95 > 5 * steady_p95  # the spike really overloaded it
+        # the backlog drains early in the recovery phase
+        assert report.phases["recover"]["latency"]["p50_ms"] == pytest.approx(0.2)
 
         # Replay the measured phases as monitor observations: steady
         # baseline, the overload window, then steady again.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import json
 import sys
 import threading
@@ -31,13 +32,16 @@ from repro.serving import (
     LoadGenerator,
     RouteCache,
     RoutingService,
+    ScenarioDriver,
     ServingConfig,
     WorkloadConfig,
+    named_scenario,
     load_manifest,
     load_router,
     normalize_question,
     save_router,
 )
+from repro.serving import loadgen
 from repro.serving.checkpoint import catalog_from_payload, catalog_to_payload
 from repro.serving.metrics import LatencyRecorder, MetricsRegistry
 from repro.serving.service import BatchResultCountError
@@ -718,6 +722,63 @@ class TestRoutingService:
 
 
 # -- load generation -----------------------------------------------------------
+class SteppedTime:
+    """Stands in for a module's ``time``: ``monotonic`` reads a counter that
+    only ``sleep`` and ``advance`` move, so a load driver runs off the wall
+    clock."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+    advance = sleep
+
+
+def _digest(items) -> str:
+    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
+
+
+class TestStreamsArePinned:
+    """Every seed draws the stream it drew before the two drivers shared one
+    planner, so benches, examples and tests keep their questions."""
+
+    BENCH_POOL = [f"question {index}" for index in range(40)]
+    EXAMPLE_POOL = [f"question {index}" for index in range(30)]
+
+    @pytest.mark.parametrize("pool, config, digest", [
+        # bench_serving_throughput
+        (BENCH_POOL, WorkloadConfig(num_requests=150, unique_fraction=0.1,
+                                    skew=1.0, seed=17, concurrency=4),
+         "909a336699d68dfd"),
+        # bench_cluster_scaling, test_procworker
+        (BENCH_POOL, WorkloadConfig(num_requests=200, distribution="zipf",
+                                    skew=1.0, seed=29), "da8898e5ab799214"),
+        # examples/serving_quickstart.py
+        (EXAMPLE_POOL, WorkloadConfig(num_requests=120, unique_fraction=0.15,
+                                      seed=7, concurrency=4), "a8608e91e768d889"),
+        # examples/cluster_quickstart.py, examples/procworker_quickstart.py
+        (EXAMPLE_POOL, WorkloadConfig(num_requests=120, distribution="zipf",
+                                      skew=1.0, seed=7), "a04ea1d25a25fdf9"),
+    ], ids=["serving_bench", "zipf_seed_29", "serving_quickstart", "zipf_seed_7"])
+    def test_workload_stream(self, pool, config, digest):
+        assert _digest(LoadGenerator(pool, config).workload()) == digest
+
+    @pytest.mark.parametrize("name, digest", [
+        ("steady", "433c4b3be9fa2ce4"),
+        ("burst", "0140e68ef8564830"),
+        ("shift_hot_set", "526dcf4bb6d436dd"),
+    ])
+    def test_scenario_plan(self, name, digest):
+        pool = [f"question {index}" for index in range(128)]
+        plan = ScenarioDriver(pool, named_scenario(name, seed=23)).plan()
+        assert _digest(f"{phase}\t{question}" for phase, question in plan) == digest
+
+
 class TestLoadGenerator:
     def test_workload_is_deterministic(self):
         config = WorkloadConfig(num_requests=50, unique_fraction=0.2, seed=9)
@@ -769,45 +830,76 @@ class TestLoadGenerator:
         assert report.errors == 0
         assert report.latency["count"] == 20
 
-    def test_burst_schedule_is_a_deterministic_qps_envelope(self):
-        config = WorkloadConfig(num_requests=20, mode="burst", target_qps=100.0,
-                                burst_qps=1000.0, burst_start_fraction=0.5,
-                                burst_fraction=0.25, seed=2)
-        generator = LoadGenerator(QUESTIONS, config)
-        offsets = generator.schedule()
-        assert offsets == LoadGenerator(QUESTIONS, config).schedule()
-        assert offsets[0] == 0.0
-        assert offsets == sorted(offsets)
-        # Spike window: requests 10..14 released at burst spacing (1ms), the
-        # steady phases at 10ms.
-        gaps = [second - first for first, second in zip(offsets, offsets[1:])]
-        assert gaps[4] == pytest.approx(0.010)
-        assert gaps[10] == pytest.approx(0.001)
-        assert [generator.phase_of(index) for index in range(20)].count("burst") == 5
+    def test_closed_loop_counts_shed_apart_from_errors(self, monkeypatch):
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        calls = [0]
 
-    def test_burst_run_reports_per_phase_latency(self):
-        config = WorkloadConfig(num_requests=30, mode="burst", target_qps=500.0,
-                                burst_qps=5000.0, burst_start_fraction=0.4,
-                                burst_fraction=0.2, seed=7)
-        report = LoadGenerator(QUESTIONS, config).run(lambda question: [])
-        assert report.num_requests == 30
-        assert set(report.phases) == {"burst", "steady"}
-        burst_count = report.phases["burst"]["count"]
-        assert burst_count == 6
-        assert report.phases["steady"]["count"] == 24
-        assert "phases" in report.to_json()
-        # Paced mode keeps the flat report shape.
-        paced = LoadGenerator(QUESTIONS, WorkloadConfig(
-            num_requests=5, mode="paced", target_qps=1000.0, seed=7)).run(
-                lambda question: [])
-        assert paced.phases == {}
-        assert "phases" not in paced.to_json()
+        def submit(question):
+            calls[0] += 1
+            clock.advance(0.002)
+            if calls[0] % 3 == 0:
+                raise AdmissionRejected("rate_limit", "shed")
+            if calls[0] % 4 == 0:
+                raise RuntimeError("boom")
+
+        report = LoadGenerator(QUESTIONS, WorkloadConfig(
+            num_requests=12, seed=2)).run(submit)
+        assert (report.admitted, report.shed, report.errors) == (6, 4, 2)
+        # answered requests per second, each lagging its own service time
+        assert report.duration_seconds == pytest.approx(0.024)
+        assert report.throughput_rps == pytest.approx(6 / 0.024)
+        assert report.latency["count"] == 6
+        assert report.latency["p99_ms"] == pytest.approx(2.0)
+        assert list(report.phases) == ["closed"]
+        assert report.phases["closed"]["shed"] == 4
+
+    def test_concurrent_clients_lose_no_count(self):
+        # more clients than cores, switching often: a lost update in the
+        # shared tally breaks the totals
+        config = WorkloadConfig(num_requests=2000, seed=8, concurrency=8)
+        generator = LoadGenerator(QUESTIONS, config)
+        shed_question = generator.workload()[0]
+
+        def submit(question):
+            if question == shed_question:
+                raise AdmissionRejected("rate_limit", "shed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = generator.run(submit)
+        finally:
+            sys.setswitchinterval(interval)
+        expected_shed = generator.workload().count(shed_question)
+        assert (report.num_requests, report.shed, report.errors) == \
+            (2000, expected_shed, 0)
+        assert report.admitted == report.latency["count"] == 2000 - expected_shed
+
+    def test_a_wave_request_lags_its_whole_wave(self, monkeypatch):
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        waves = [0]
+
+        def submit_many(questions):
+            waves[0] += 1
+            clock.advance(0.010)
+            if waves[0] == 2:
+                raise AdmissionRejected("rate_limit", "shed")
+
+        report = LoadGenerator(QUESTIONS, WorkloadConfig(
+            num_requests=20, seed=6)).run_batched(submit_many, batch_size=8)
+        assert (report.admitted, report.shed, report.errors) == (12, 8, 0)
+        assert report.latency["count"] == 12
+        assert report.latency["p50_ms"] == pytest.approx(10.0)
+        assert report.max_lag_seconds == pytest.approx(0.010)
+        assert report.throughput_rps == pytest.approx(12 / 0.030)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             WorkloadConfig(num_requests=0)
         with pytest.raises(ValueError):
-            WorkloadConfig(mode="paced", target_qps=0.0)
+            WorkloadConfig(concurrency=0)
         with pytest.raises(ValueError):
             WorkloadConfig(distribution="bursty")
         with pytest.raises(ValueError):
@@ -816,15 +908,3 @@ class TestLoadGenerator:
             LoadGenerator([], WorkloadConfig())
         with pytest.raises(ValueError):
             LoadGenerator(QUESTIONS).run_batched(lambda wave: wave, batch_size=0)
-
-    def test_invalid_burst_configs_rejected(self):
-        with pytest.raises(ValueError):  # burst needs a positive steady rate
-            WorkloadConfig(mode="burst", burst_qps=100.0)
-        with pytest.raises(ValueError):  # the spike must exceed the steady rate
-            WorkloadConfig(mode="burst", target_qps=100.0, burst_qps=50.0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(mode="burst", target_qps=10.0, burst_qps=100.0,
-                           burst_start_fraction=1.0)
-        with pytest.raises(ValueError):  # spike must fit inside the stream
-            WorkloadConfig(mode="burst", target_qps=10.0, burst_qps=100.0,
-                           burst_start_fraction=0.8, burst_fraction=0.5)
