@@ -32,7 +32,7 @@ Asserted properties:
   their best round, so background interference on a shared smoke core
   cannot sink one side of the ratio.
 * **wave decode** -- every inproc fleet decodes a scatter wave
-  as one stacked kernel stream instead of one thread-pool call per shard, so
+  as one stacked kernel stream instead of one call per shard, so
   the default inproc run above already measures it.  Sliced-vocabulary wave
   identity is a tier-1 test (``tests/test_wave_decode.py``).
 

@@ -12,8 +12,8 @@ across the shards and merges the candidates into one deterministic top-k:
   :class:`ShardAssignment` layout;
 * :mod:`repro.cluster.shard` -- router projection and the per-shard worker;
 * :mod:`repro.cluster.dispatcher` -- scatter-gather (the wave engine for an
-  inproc fleet, a thread pool over subprocess workers) and deterministic
-  score-merged top-k;
+  inproc fleet; over subprocess workers, every frame sent and every reply
+  awaited on the calling thread) and deterministic score-merged top-k;
 * :mod:`repro.cluster.replica` -- N-way replication of subprocess workers,
   round-robin selection, failover with quarantine;
 * :mod:`repro.cluster.rebalance` -- live add/remove/move of databases with

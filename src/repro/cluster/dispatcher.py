@@ -9,28 +9,27 @@ ranking identical to what a monolithic router would prefer, and the
 gather order.
 
 There is one scatter path per backend.  An inproc fleet's scatter *is* its
-:class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode, no thread
-pool.  Otherwise the dispatcher submits every shard target to a thread pool
--- subprocess workers, where each target is a
-:class:`repro.cluster.replica.ReplicaSet` of
+:class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode.  Otherwise
+the calling thread sends every shard's frame, then waits on each reply in
+shard order itself, with no thread pool -- subprocess workers, where each
+target is the ``send`` of a :class:`repro.cluster.replica.ReplicaSet` of
 :class:`repro.cluster.procworker.ProcShardWorker` proxies that own their
 request deadlines and raise :class:`ShardTimeoutError` themselves.  Targets
-are plain callables (``route_batch(questions, max_candidates) -> per-question
-route lists``), so a test stub serves as well.
+are senders (``target(questions, max_candidates) -> wait``, and ``wait()``
+returns per-question route lists), so a stub answering at send serves too.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from repro.core.router import SchemaRoute, merge_route_lists
 from repro.obs.trace import Span, maybe_span
 from repro.serving.cache import RouteCache
 
-#: A shard target: ``(questions, max_candidates) -> list of per-question routes``.
-ShardTarget = Callable[[Sequence[str], "int | None"], "list[list[SchemaRoute]]"]
+#: A shard target: ``(questions, max_candidates, trace=None) -> wait``.
+ShardTarget = Callable[..., Callable[[], "list[list[SchemaRoute]]"]]
 
 
 class ClusterError(RuntimeError):
@@ -69,7 +68,6 @@ class ClusterDispatcher:
     def __init__(self, targets: Sequence[ShardTarget],
                  default_max_candidates: int = 5,
                  allow_partial: bool = False,
-                 max_workers: int | None = None,
                  careful_targets: Sequence[ShardTarget] | None = None,
                  escalation_threshold: float | None = None,
                  wave_engine=None,
@@ -85,22 +83,13 @@ class ClusterDispatcher:
         self.escalation_threshold = escalation_threshold
         #: A :class:`repro.cluster.wave.ClusterWaveEngine` (or None): when
         #: set, both scatter tiers decode through one stacked kernel stream
-        #: instead of one thread-pool call per shard.
+        #: instead of one send per shard.
         self.wave_engine = wave_engine
         #: Merged careful-tier answers (tuples of routes) by question, or
         #: None: every escalation then scatters to the careful tier.
         self.escalated_cache = escalated_cache
         self.default_max_candidates = default_max_candidates
         self.allow_partial = allow_partial
-        # With a careful tier the pool holds one scatter arm per shard *per
-        # tier*: multiplexed workers carry concurrent frames, so one wave's
-        # escalation can be in flight while another wave's fast tier scatters
-        # to the same workers instead of queueing behind a pool slot.
-        tiers = 2 if careful_targets else 1
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or len(self.targets) * tiers,
-            thread_name_prefix="repro-cluster-dispatch",
-        )
         self._closed = False
         self._stats_lock = threading.Lock()
         self.shard_failures = 0
@@ -219,9 +208,9 @@ class ClusterDispatcher:
         """One tier's answers, ``[shard][question]``; a shard that a partial
         gather dropped is absent from the outer list."""
         if self.wave_engine is not None:
-            # No thread pool is involved: the wave engine's single kernel
-            # stream IS the scatter.  An engine failure is a whole-wave
-            # failure (there is no per-shard partial gather on this path).
+            # The wave engine's single kernel stream IS the scatter.  An
+            # engine failure is a whole-wave failure (there is no per-shard
+            # partial gather on this path).
             try:
                 return self.wave_engine.route_wave(
                     questions, max_candidates=max_candidates, careful=careful,
@@ -250,8 +239,9 @@ class ClusterDispatcher:
     def _scatter(self, targets: Sequence[ShardTarget], questions: list[str],
                  max_candidates: int | None,
                  trace=None) -> list[list[list[SchemaRoute]]]:
-        futures = []
-        spans = []
+        # Every frame goes out before any reply is awaited (the workers decode
+        # in parallel), and every sent frame is awaited before a failure is raised.
+        legs = []
         for index, target in enumerate(targets):
             span = None
             kwargs = {}
@@ -259,14 +249,17 @@ class ClusterDispatcher:
                 span = trace.start_span("scatter", shard=index,
                                         questions=len(questions))
                 kwargs = {"trace": trace.scoped(span)}
-            spans.append(span)
-            futures.append(self._pool.submit(target, questions, max_candidates,
-                                             **kwargs))
+            try:
+                wait = target(questions, max_candidates, **kwargs)
+            except Exception as error:
+                def wait(error=error):  # the send failed: the gather counts it
+                    raise error
+            legs.append((span, wait))
         gathered: list[list[list[SchemaRoute]]] = []
         first_error: BaseException | None = None
-        for span, future in zip(spans, futures):
+        for span, wait in legs:
             try:
-                gathered.append(future.result())
+                gathered.append(wait())
             except Exception as error:
                 if span is not None:
                     span.end(status="error", error=f"{type(error).__name__}: {error}")
@@ -288,10 +281,7 @@ class ClusterDispatcher:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "ClusterDispatcher":
         return self

@@ -14,8 +14,8 @@ decode.  This module moves the worker across a process boundary:
   or EOF.
 
 * :class:`ProcShardWorker` is the dispatcher side -- a proxy with the same
-  ``route_batch(questions, max_candidates, careful)`` surface as
-  ``ShardWorker``, so :class:`~repro.cluster.replica.ReplicaSet` and
+  ``send_route_batch`` / ``route_batch`` surface as ``ShardWorker``, so
+  :class:`~repro.cluster.replica.ReplicaSet` and
   :class:`~repro.cluster.dispatcher.ClusterDispatcher` work unchanged over the
   wire.  It owns the worker's lifecycle: spawn from a master directory,
   health-check pings, kill on request timeout, automatic respawn after a
@@ -301,8 +301,8 @@ class ProcShardWorker:
     """A shard worker living in a subprocess, driven over the wire protocol.
 
     Quacks like :class:`ShardWorker` for the replica/dispatch layers
-    (``route_batch`` / ``stats`` / ``notify_catalog_changed`` / ``close`` /
-    ``databases``), plus process lifecycle:
+    (``send_route_batch`` / ``stats`` / ``notify_catalog_changed`` /
+    ``close`` / ``databases``), plus process lifecycle:
 
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
       router directory, told which ``databases`` to project it onto at which
@@ -678,13 +678,17 @@ class ProcShardWorker:
 
     def _await_reply(self, request_id: int, pending: _PendingRequest,
                      expected: str, timeout_seconds: float | None,
-                     label: str) -> dict:
+                     label: str, sent_at: float | None = None) -> dict:
         """Wait for the receiver to demux this request's reply.
 
-        A deadline miss kills the process (failing every other in-flight
-        frame with it) and raises :class:`ShardTimeoutError`.
+        A deadline miss -- counted from ``sent_at`` when given -- kills the
+        process (failing every other in-flight frame with it) and raises
+        :class:`ShardTimeoutError`.
         """
-        if not pending.event.wait(timeout_seconds):
+        wait_seconds = timeout_seconds
+        if sent_at is not None and timeout_seconds is not None:
+            wait_seconds = max(0.0, sent_at + timeout_seconds - self._clock())
+        if not pending.event.wait(wait_seconds):
             with self._lifecycle:
                 # Re-check under the lock: the reply may have just landed.
                 if not pending.event.is_set():
@@ -709,14 +713,15 @@ class ProcShardWorker:
                 f"{reply.get('type')!r}")
         return reply
 
-    def route_batch(self, questions: list[str], max_candidates: int | None = None,
-                    careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
-        """Route one scatter wave in the worker process.
+    def send_route_batch(self, questions: list[str], max_candidates: int | None = None,
+                         careful: bool = False, trace=None) -> Callable[[], list]:
+        """Write one scatter wave's frame; its ``wait`` returns the route
+        lists, with ``request_timeout_seconds`` counted from the send.
 
-        With a ``trace``, a ``wire`` span covers the whole round-trip and is
-        tagged with the in-flight depth at send time; the propagation context
-        rides the request frame and the worker's own spans come back in the
-        reply, rebased and stitched under the ``wire`` span."""
+        With a ``trace``, a ``wire`` span covers send to reply and is tagged
+        with the in-flight depth at send time; the propagation context rides
+        the request frame and the worker's own spans come back in the reply,
+        rebased and stitched under the ``wire`` span."""
         span = trace.start_span("wire", shard=self.shard_id,
                                 questions=len(questions)) \
             if trace is not None else None
@@ -728,27 +733,42 @@ class ProcShardWorker:
                 message, self.request_timeout_seconds,
                 trace_context=(lambda: trace.wire_context(span))
                 if span is not None else None)
-            if span is not None:
-                span.annotate(in_flight=depth)
-            reply = self._await_reply(request_id, pending, "route_response",
-                                      self.request_timeout_seconds,
-                                      "route_batch_request")
-            routes = route_lists_from_binary(reply.get("routes_binary"),
-                                             reply.get(BINARY_KEY, b""))
-            if len(routes) != len(questions):
-                raise ProtocolError(
-                    f"worker answered {len(routes)} route lists "
-                    f"for {len(questions)} questions")
+            sent_at = self._clock()  # after any respawn: the frame is written
         except BaseException as exc:
             if span is not None:
                 span.end(status="error", error=f"{type(exc).__name__}: {exc}")
             raise
         if span is not None:
-            span.end()
-            remote_spans = reply.get("spans")
-            if remote_spans:
-                trace.add_remote_spans(remote_spans, anchor=span)
-        return routes
+            span.annotate(in_flight=depth)
+
+        def wait() -> list[list[SchemaRoute]]:
+            try:
+                reply = self._await_reply(request_id, pending, "route_response",
+                                          self.request_timeout_seconds,
+                                          "route_batch_request", sent_at=sent_at)
+                routes = route_lists_from_binary(reply.get("routes_binary"),
+                                                 reply.get(BINARY_KEY, b""))
+                if len(routes) != len(questions):
+                    raise ProtocolError(
+                        f"worker answered {len(routes)} route lists "
+                        f"for {len(questions)} questions")
+            except BaseException as exc:
+                if span is not None:
+                    span.end(status="error", error=f"{type(exc).__name__}: {exc}")
+                raise
+            if span is not None:
+                span.end()
+                remote_spans = reply.get("spans")
+                if remote_spans:
+                    trace.add_remote_spans(remote_spans, anchor=span)
+            return routes
+
+        return wait
+
+    def route_batch(self, questions: list[str], max_candidates: int | None = None,
+                    careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
+        """Route one scatter wave in the worker process: send, then wait."""
+        return self.send_route_batch(questions, max_candidates, careful, trace)()
 
     def ping(self, timeout_seconds: float | None = None,
              *, ensure: bool = True) -> float:

@@ -93,36 +93,52 @@ class ReplicaSet:
         return healthy + quarantined
 
     # -- request path --------------------------------------------------------
+    def send(self, questions: Sequence[str], max_candidates: int | None = None,
+             careful: bool = False, trace=None) -> Callable[[], list]:
+        """Send to the first replica in attempt order only; the returned ``wait``
+        awaits it and fails over through the rest, each sent and awaited in turn."""
+        attempts = self._attempt_order()
+        args = (list(questions), max_candidates, careful)
+        kwargs = {"trace": trace} if trace is not None else {}
+        try:
+            first = attempts[0].worker.send_route_batch(*args, **kwargs)
+        except Exception as error:
+            def first(error=error):  # the first attempt failed at its send
+                raise error
+
+        def wait() -> list[list[SchemaRoute]]:
+            last_error: BaseException | None = None
+            all_timed_out = True
+            for position, replica in enumerate(attempts):
+                try:
+                    result = (first if position == 0 else
+                              replica.worker.send_route_batch(*args, **kwargs))()
+                except Exception as error:
+                    last_error = error
+                    all_timed_out = all_timed_out and isinstance(error, ShardTimeoutError)
+                    self._settle(replica, ok=False)
+                    if position + 1 < len(attempts):
+                        with self._lock:
+                            self.failovers += 1
+                    continue
+                self._settle(replica, ok=True)
+                return result
+            # Preserve the failure class through the replica layer: when every
+            # replica timed out the dispatcher should count a shard *timeout*
+            # (``shards_timed_out``), not a generic failure.
+            error_class = ShardTimeoutError if all_timed_out else ClusterError
+            raise error_class(
+                f"all {len(attempts)} replicas of shard {self.shard_id} failed"
+            ) from last_error
+
+        return wait
+
     def route_batch(self, questions: Sequence[str],
                     max_candidates: int | None = None,
                     careful: bool = False,
                     trace=None) -> list[list[SchemaRoute]]:
         """Route through the first replica that answers; quarantine failures."""
-        attempts = self._attempt_order()
-        kwargs = {"trace": trace} if trace is not None else {}
-        last_error: BaseException | None = None
-        all_timed_out = True
-        for position, replica in enumerate(attempts):
-            try:
-                result = replica.worker.route_batch(list(questions), max_candidates,
-                                                    careful, **kwargs)
-            except Exception as error:
-                last_error = error
-                all_timed_out = all_timed_out and isinstance(error, ShardTimeoutError)
-                self._settle(replica, ok=False)
-                if position + 1 < len(attempts):
-                    with self._lock:
-                        self.failovers += 1
-                continue
-            self._settle(replica, ok=True)
-            return result
-        # Preserve the failure class through the replica layer: when every
-        # replica timed out the dispatcher should count a shard *timeout*
-        # (``shards_timed_out``), not a generic failure.
-        error_class = ShardTimeoutError if all_timed_out else ClusterError
-        raise error_class(
-            f"all {len(attempts)} replicas of shard {self.shard_id} failed"
-        ) from last_error
+        return self.send(questions, max_candidates, careful, trace)()
 
     def _settle(self, replica: _ReplicaState, ok: bool) -> None:
         with self._lock:

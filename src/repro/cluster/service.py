@@ -13,14 +13,16 @@ one stacked kernel stream (:mod:`repro.cluster.wave`): its shards are rows of
 one kernel call under one GIL, so per-shard isolation means nothing there,
 and ``ClusterConfig`` rejects the isolation knobs (``replicas > 1``,
 ``shard_timeout_seconds``, ``allow_partial``) on it.  A subprocess fleet
-scatters through the dispatcher's thread pool to worker processes on real
-cores; replication, per-request deadlines (owned by each
+scatters from the calling thread -- every shard's frame sent, then each
+reply awaited -- to worker processes on real cores; replication,
+per-request deadlines (owned by each
 :class:`repro.cluster.procworker.ProcShardWorker`) and partial gathers live
 there.
 """
 
 from __future__ import annotations
 
+import functools
 import shutil
 import tempfile
 import threading
@@ -228,12 +230,8 @@ class ClusterRoutingService:
             default_candidates = master_router.config.max_candidate_schemas
         careful_targets = None
         if self.config.escalation_threshold is not None:
-            careful_targets = [
-                (lambda questions, max_candidates, trace=None, _rs=replica_set:
-                 _rs.route_batch(questions, max_candidates, careful=True,
-                                 trace=trace))
-                for replica_set in self._shards
-            ]
+            careful_targets = [functools.partial(replica_set.send, careful=True)
+                               for replica_set in self._shards]
         # Inproc workers always decode as one wave; a fleet that cannot stack
         # raises here rather than falling back to a second scatter path.
         self.wave_engine = None
@@ -248,7 +246,7 @@ class ClusterRoutingService:
             escalated_cache = RouteCache(max_size=self.config.cache_size,
                                          ttl_seconds=self.config.cache_ttl_seconds)
         self.dispatcher = ClusterDispatcher(
-            [replica_set.route_batch for replica_set in self._shards],
+            [replica_set.send for replica_set in self._shards],
             default_max_candidates=default_candidates,
             allow_partial=self.config.allow_partial,
             careful_targets=careful_targets,

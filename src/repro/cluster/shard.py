@@ -133,6 +133,12 @@ class ShardWorker:
         return service.submit_many(questions, max_candidates=max_candidates,
                                    trace=trace)
 
+    def send_route_batch(self, questions: list[str], max_candidates: int | None = None,
+                         careful: bool = False, trace=None):
+        """:meth:`route_batch`, answered inside the send; ``wait`` returns it."""
+        routes = self.route_batch(questions, max_candidates, careful, trace=trace)
+        return lambda: routes
+
     # -- rebalance hook ------------------------------------------------------
     def set_databases(self, databases: tuple[str, ...], master: SchemaRouter) -> None:
         """Re-project this shard onto a new database set (rebalancing).

@@ -108,6 +108,15 @@ def _timed_out(questions, max_candidates=None, careful=False):
     raise ShardTimeoutError("shard did not answer within its deadline")
 
 
+def sender(route_batch):
+    """A blocking stub as a dispatcher target or replica: it answers (or
+    raises) inside the send, and the returned ``wait`` hands the answer back."""
+    def send(*args, **kwargs):
+        answer = route_batch(*args, **kwargs)
+        return lambda: answer
+    return send
+
+
 def _signature(routes) -> list[tuple[str, tuple[str, ...]]]:
     return [(route.database, route.tables) for route in routes]
 
@@ -343,7 +352,7 @@ class TestDispatcher:
     def _fake_target(database: str, score: float):
         def route_batch(questions, max_candidates):
             return [[SchemaRoute(database, ("t",), score)] for _ in questions]
-        return route_batch
+        return sender(route_batch)
 
     def test_scatter_gather_merges_shard_answers(self):
         dispatcher = ClusterDispatcher([
@@ -357,7 +366,7 @@ class TestDispatcher:
 
     def test_shard_timeout_fails_the_request(self):
         with ClusterDispatcher([self._fake_target("alpha", -1.0),
-                                _timed_out]) as dispatcher:
+                                sender(_timed_out)]) as dispatcher:
             with pytest.raises(ClusterError) as outcome:
                 dispatcher.route_batch(["q"])
             assert isinstance(outcome.value.__cause__, ShardTimeoutError)
@@ -369,13 +378,13 @@ class TestDispatcher:
         def broken(questions, max_candidates):
             raise RuntimeError("shard down")
 
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), broken],
+        with ClusterDispatcher([self._fake_target("alpha", -1.0), sender(broken)],
                                allow_partial=True) as dispatcher:
             merged = dispatcher.route_batch(["q"])
             assert _signature(merged[0]) == [("alpha", ("t",))]
             assert dispatcher.partial_gathers == 1
         # ... unless every shard failed.
-        with ClusterDispatcher([broken], allow_partial=True) as dispatcher:
+        with ClusterDispatcher([sender(broken)], allow_partial=True) as dispatcher:
             with pytest.raises(ClusterError):
                 dispatcher.route_batch(["q"])
 
@@ -385,8 +394,8 @@ class TestDispatcher:
         def broken(questions, max_candidates):
             raise RuntimeError("shard down")
 
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), _timed_out,
-                                broken], allow_partial=True) as dispatcher:
+        with ClusterDispatcher([self._fake_target("alpha", -1.0), sender(_timed_out),
+                                sender(broken)], allow_partial=True) as dispatcher:
             merged = dispatcher.route_batch(["q"])
             assert _signature(merged[0]) == [("alpha", ("t",))]
             assert dispatcher.shard_failures == 2   # slow + broken
@@ -407,7 +416,7 @@ class TestDispatcher:
             careful_calls.append(list(questions))
             return [[SchemaRoute("beta", ("t", "u"), -0.5)] for _ in questions]
 
-        with ClusterDispatcher([fast], careful_targets=[careful],
+        with ClusterDispatcher([sender(fast)], careful_targets=[sender(careful)],
                                escalation_threshold=0.9) as dispatcher:
             merged = dispatcher.route_batch(["easy", "ambiguous"])
         assert careful_calls == [["ambiguous"]]  # only the near-tie escalated
@@ -432,6 +441,10 @@ class TestDispatcher:
             dispatcher.route_batch(["q"])
         with pytest.raises(ValueError):
             ClusterDispatcher([])
+
+    def test_there_is_no_pool_to_size(self):
+        with pytest.raises(TypeError):
+            ClusterDispatcher([self._fake_target("alpha", -1.0)], max_workers=4)
 
 
 # -- replication ---------------------------------------------------------------
@@ -470,7 +483,7 @@ class TestReplicaSet:
         calls: list[int] = []
         originals = [worker.route_batch for worker in workers]
 
-        def failing_once(questions, max_candidates=None, careful=False):
+        def failing_once(questions, max_candidates=None, careful=False, trace=None):
             calls.append(0)
             raise RuntimeError("transient")
 
@@ -501,10 +514,10 @@ class TestReplicaSet:
         dispatcher counts a shard *timeout*); a mix of crash + timeout is a
         plain ClusterError."""
         class Late:
-            route_batch = staticmethod(_timed_out)
+            send_route_batch = staticmethod(sender(_timed_out))
 
         class Broken:
-            def route_batch(self, questions, max_candidates=None, careful=False):
+            def send_route_batch(self, questions, max_candidates=None, careful=False):
                 raise RuntimeError("shard down")
 
         all_late = ReplicaSet(0, [Late(), Late()], quarantine_seconds=60.0)
@@ -515,7 +528,7 @@ class TestReplicaSet:
         with pytest.raises(ClusterError) as outcome:
             mixed.route_batch(["q"])
         assert not isinstance(outcome.value, ShardTimeoutError)
-        with ClusterDispatcher([all_late.route_batch]) as dispatcher:
+        with ClusterDispatcher([all_late.send]) as dispatcher:
             with pytest.raises(ClusterError):
                 dispatcher.route_batch(["q"])
             assert dispatcher.shards_timed_out == 1

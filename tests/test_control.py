@@ -308,7 +308,7 @@ class TestAdaptiveGate:
 
 class TestDispatcherThreshold:
     def _target(self, questions, max_candidates, trace=None):
-        return [[] for _ in questions]
+        return lambda: [[] for _ in questions]
 
     def test_set_escalation_threshold(self):
         dispatcher = ClusterDispatcher([self._target],

@@ -24,7 +24,7 @@ from repro.cluster import (
 from repro.core import SchemaRoute
 from repro.obs import Tracer
 from repro.serving.cache import RouteCache
-from test_cluster import QUESTIONS, master_router  # noqa: F401  (module fixture)
+from test_cluster import QUESTIONS, master_router, sender  # noqa: F401  (module fixture)
 
 
 def _hex_signature(route_lists):
@@ -53,12 +53,11 @@ NEAR_TIE = [SchemaRoute("alpha", ("t",), -1.0), SchemaRoute("beta", ("t",), -1.1
 CAREFUL = [SchemaRoute("beta", ("t", "u"), -0.5), SchemaRoute("alpha", ("t",), -2.5)]
 
 
-def _cascade(memo=None, fast=None, careful=None, **kwargs):
+def _cascade(memo=None, fast=None, careful=None):
     fast = fast or _Tier(NEAR_TIE)
     careful = careful or _Tier(CAREFUL)
-    dispatcher = ClusterDispatcher([fast], careful_targets=[careful],
-                                   escalation_threshold=0.9,
-                                   escalated_cache=memo, **kwargs)
+    dispatcher = ClusterDispatcher([sender(fast)], careful_targets=[sender(careful)],
+                                   escalation_threshold=0.9, escalated_cache=memo)
     return dispatcher, fast, careful
 
 
@@ -149,8 +148,8 @@ class TestMemoOnStubs:
                 raise RuntimeError("shard down")
             return [[SchemaRoute("gamma", ("v",), -0.1)] for _ in questions]
 
-        with ClusterDispatcher([_Tier(NEAR_TIE), _Tier(NEAR_TIE[:1])],
-                               careful_targets=[healthy, flaky],
+        with ClusterDispatcher([sender(_Tier(NEAR_TIE)), sender(_Tier(NEAR_TIE[:1]))],
+                               careful_targets=[sender(healthy), sender(flaky)],
                                escalation_threshold=0.9, allow_partial=True,
                                escalated_cache=memo) as dispatcher:
             partial = dispatcher.route_batch(["q"])
@@ -208,7 +207,7 @@ class TestMemoOnStubs:
         verdict is either remembered or sent to the careful tier, and no
         caller ever sees anything but the careful answer."""
         memo = RouteCache()
-        dispatcher, _, careful = _cascade(memo, max_workers=16)
+        dispatcher, _, careful = _cascade(memo)
         questions = [f"q{index}" for index in range(6)]
         expected = None
         wrong: list = []

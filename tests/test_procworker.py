@@ -39,6 +39,7 @@ from test_wire_lifecycle import FRAMES, Caller, ScriptedWorker
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterError,
     ClusterRoutingService,
     ProcShardWorker,
     ShardTimeoutError,
@@ -66,6 +67,7 @@ from repro.core import (
     SchemaSampler,
     SynthesisConfig,
     TemplateQuestioner,
+    merge_route_lists,
     synthesize_training_data,
 )
 from repro.obs import Tracer, to_prometheus
@@ -142,15 +144,6 @@ class _SteppingClock:
     def __call__(self) -> float:
         self.now += self.step
         return self.now
-
-
-def _wait_until(predicate, timeout_seconds: float = 10.0) -> bool:
-    deadline = time.monotonic() + timeout_seconds
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
 
 
 # -- one worker over the wire --------------------------------------------------
@@ -481,25 +474,15 @@ class TestMultiplexedTransport:
         queueing the fast tier behind the slow one."""
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "2.0")
         with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
-            careful_routes = []
-
-            def run_careful():
-                careful_routes.append(
-                    worker.route_batch([QUESTIONS[0]], careful=True))
-
-            thread = threading.Thread(target=run_careful, daemon=True)
-            started = time.monotonic()
-            thread.start()
-            assert _wait_until(lambda: worker.in_flight >= 1)
+            careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
+            assert worker.in_flight == 1
             fast = worker.route_batch(list(QUESTIONS[:2]))
-            fast_elapsed = time.monotonic() - started
-            # the fast wave finished while the careful frame was still in
-            # flight: wall-clock proof the tiers overlapped on one worker
-            assert thread.is_alive()
-            assert fast_elapsed < 2.0
+            # the fast wave came back while the careful frame was still in
+            # flight: the tiers overlapped on one worker
+            assert worker.in_flight == 1
             assert len(fast) == 2 and all(fast)
-            thread.join(timeout=30.0)
-            assert not thread.is_alive() and careful_routes[0][0]
+            assert careful()[0]
+            assert worker.in_flight == 0
             stats = worker.transport_stats()
             assert stats["max_in_flight"] >= 2
             assert stats["pipelined_frames"] >= 1
@@ -514,11 +497,8 @@ class TestMultiplexedTransport:
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "3.0")
         with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             worker.ping()  # establish a heartbeat before wedging the worker
-            thread = threading.Thread(
-                target=lambda: worker.route_batch([QUESTIONS[0]], careful=True),
-                daemon=True)
-            thread.start()
-            assert _wait_until(lambda: worker.in_flight >= 1)
+            careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
+            assert worker.in_flight == 1
             assert worker.ping() < 1.0  # out-of-band: not behind the stall
             # force the stale-heartbeat branch: the probe must re-check with
             # a real ping instead of assuming, and report what it measured
@@ -526,33 +506,20 @@ class TestMultiplexedTransport:
             assert report.status == "ok"
             assert report.details["in_flight"] >= 1
             assert report.details["heartbeat_check"].startswith("ping answered")
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
+            assert careful()[0]
 
     def test_crash_mid_wave_fails_all_in_flight_then_respawns_clean(
             self, cluster_checkpoint, monkeypatch):
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "5.0")
         with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
-            errors = []
-
-            def run_careful():
-                try:
-                    worker.route_batch([QUESTIONS[0]], careful=True)
-                except Exception as error:  # noqa: BLE001 - collected for asserts
-                    errors.append(error)
-
-            threads = [threading.Thread(target=run_careful, daemon=True)
-                       for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            assert _wait_until(lambda: worker.in_flight >= 3)
+            waits = [worker.send_route_batch([QUESTIONS[0]], careful=True)
+                     for _ in range(3)]
+            assert worker.in_flight == 3
             worker.crash()
-            for thread in threads:
-                thread.join(timeout=10.0)
-            assert not any(thread.is_alive() for thread in threads)
             # every in-flight frame failed loudly -- none hung, none vanished
-            assert len(errors) == 3
-            assert all(isinstance(error, WorkerCrashedError) for error in errors)
+            for wait in waits:
+                with pytest.raises(WorkerCrashedError):
+                    wait()
             assert worker.crashes == 1
             assert worker.in_flight == 0
             # the respawned child must not inherit the stall
@@ -723,7 +690,7 @@ class TestSubprocessCluster:
             assert agreements / len(workload) >= 0.95
             # Scores travel as raw float64, so the match is in fact bit-exact
             # -- between the inproc fleet's stacked wave decode and the
-            # subprocess workers' pool scatter.
+            # subprocess workers' per-shard scatter.
             assert {q: _signature([r]) for q, r in sub_answers.items()} \
                 == {q: _signature([r]) for q, r in inproc_answers.items()}
             assert inproc.stats()["wave"]["enabled"] is True
@@ -774,6 +741,44 @@ class TestSubprocessCluster:
             assert stats["traces"]["completed"] >= 5
         finally:
             sub.close()
+
+    @pytest.mark.parametrize("allow_partial", [False, True])
+    def test_a_failed_send_still_settles_every_sent_frame(self, cluster_checkpoint,
+                                                          allow_partial):
+        """Shard 1's send raises (a dead worker that may not respawn) after
+        shard 0's frame is on the pipe: the scatter still awaits shard 0's
+        reply before it fails or merges, counts exactly one failure, and
+        leaves no frame in flight and no span open."""
+        with load_cluster(cluster_checkpoint, config=ClusterConfig(
+                worker_backend="subprocess", allow_partial=allow_partial)) as sub:
+            alive, dead = (replica_set.workers[0] for replica_set in sub.shards)
+            dead.auto_respawn = False
+            dead.kill()
+            sub.dispatcher.escalation_threshold = None  # one scatter per wave
+            trace = Tracer().start_trace("request_wave")
+            if allow_partial:
+                merged = sub.dispatcher.route_batch(list(QUESTIONS), trace=trace)
+                assert sub.dispatcher.partial_gathers == 1
+            else:
+                with pytest.raises(ClusterError) as outcome:
+                    sub.dispatcher.route_batch(list(QUESTIONS), trace=trace)
+                assert isinstance(outcome.value.__cause__.__cause__, WorkerCrashedError)
+            trace.finish()
+            assert sub.dispatcher.shard_failures == 1
+            assert [alive.in_flight, dead.in_flight] == [0, 0]
+            wires = {span.attributes["shard"]: span for span in trace.find_spans("wire")}
+            scatters = {span.attributes["shard"]: span
+                        for span in trace.find_spans("scatter")}
+            for spans in (wires, scatters):
+                assert all(span.ended is not None for span in spans.values())
+                assert [spans[0].status, spans[1].status] == ["ok", "error"]
+            if allow_partial:
+                # shard 0's answer alone, merged: shard 1 only dropped out
+                limit = sub.dispatcher.default_max_candidates
+                alone = alive.route_batch(list(QUESTIONS))
+                assert [_signature([routes]) for routes in merged] == \
+                    [_signature([merge_route_lists([routes], max_candidates=limit)])
+                     for routes in alone]
 
     def test_from_router_builds_and_owns_a_temp_checkpoint(self, master_router):
         service = ClusterRoutingService.from_router(

@@ -11,7 +11,7 @@ of a shard on both backends (a checkpoint is its master router plus
 the refusal of a retired sliced master router, the one model object a wave
 steps, the isolation knobs only a subprocess fleet takes, the per-shard
 decode counters, their conservation and the trace shape, concurrent callers
-under a live rebalance, and the dispatcher's direct pool submit.
+under a live rebalance, and the dispatcher's scatter on the calling thread.
 """
 
 from __future__ import annotations
@@ -102,17 +102,17 @@ def _serve(cluster, questions, wave_size: int = 8) -> list:
 
 
 def _pool_twin(fleet) -> ClusterDispatcher:
-    """A thread-pool dispatcher over ``fleet``'s shards, configured like the
-    fleet's own: one ``ReplicaSet.route_batch`` -- ``ShardWorker.route_batch``
-    -> ``RoutingService.submit_many``, the per-shard path a subprocess child
+    """A per-shard dispatcher over ``fleet``'s shards, configured like the
+    fleet's own: one ``ReplicaSet.send`` -- ``ShardWorker.route_batch`` ->
+    ``RoutingService.submit_many``, the per-shard path a subprocess child
     runs -- per shard and tier, never the wave engine."""
     config = fleet.config
     careful = None
     if config.escalation_threshold is not None:
-        careful = [functools.partial(replica_set.route_batch, careful=True)
+        careful = [functools.partial(replica_set.send, careful=True)
                    for replica_set in fleet.shards]
     return ClusterDispatcher(
-        [replica_set.route_batch for replica_set in fleet.shards],
+        [replica_set.send for replica_set in fleet.shards],
         default_max_candidates=fleet.dispatcher.default_max_candidates,
         careful_targets=careful,
         escalation_threshold=config.escalation_threshold,
@@ -776,17 +776,36 @@ class TestConcurrentWaves:
 
 
 class TestDirectSubmitWithoutTimeout:
-    """The dispatcher submits the target itself to the pool: a deadline is
-    the worker's own, so there is no wrapper and no watchdog thread."""
+    """The dispatcher sends to every target, then waits on each, on the
+    calling thread: a deadline is the worker's own, so there is no pool, no
+    wrapper and no watchdog thread."""
 
-    def test_no_timeout_runs_on_the_dispatch_pool_thread(self):
-        seen: list[str] = []
+    def test_a_scatter_sends_on_the_calling_thread(self, master_router, tmp_path):
+        seen: list[tuple[str, int, str]] = []
 
-        def target(questions, max_candidates, trace=None):
-            seen.append(threading.current_thread().name)
-            return [[] for _ in questions]
+        def target_for(shard: int):
+            def send(questions, max_candidates, trace=None):
+                seen.append(("send", shard, threading.current_thread().name))
 
-        with ClusterDispatcher([target]) as dispatcher:
+                def wait():
+                    seen.append(("wait", shard, threading.current_thread().name))
+                    return [[] for _ in questions]
+                return wait
+            return send
+
+        with ClusterDispatcher([target_for(0), target_for(1)]) as dispatcher:
             dispatcher.route_batch(["q"])
-        assert len(seen) == 1
-        assert seen[0].startswith("repro-cluster-dispatch")
+        caller = threading.current_thread().name
+        assert seen == [("send", 0, caller), ("send", 1, caller),
+                        ("wait", 0, caller), ("wait", 1, caller)]
+        # A subprocess fleet's only parent threads are its receivers.
+        _checkpoint(master_router, tmp_path / "ckpt")
+        before = set(threading.enumerate())
+        with load_cluster(tmp_path / "ckpt", config=ClusterConfig(
+                worker_backend="subprocess")) as fleet:
+            fleet.submit_many(QUESTIONS)
+            serving = set(threading.enumerate())
+            assert not any(thread.name.startswith("repro-cluster-dispatch")
+                           for thread in serving)
+            assert sorted(thread.name for thread in serving - before) == \
+                ["repro-procworker-recv-0", "repro-procworker-recv-1"]

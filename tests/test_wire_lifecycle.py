@@ -15,10 +15,12 @@ must agree, for three in-flight ``route_batch`` frames and
   drain the outstanding replies beat,
 * a late reply for every id that has already settled.
 
-Nothing here sleeps or reads a clock: every wait is a blocking hand-off with
-the thread that produces the awaited thing.  (The deadline edge -- a reply
-that never comes -- is ``test_timeout_mid_wave_kills_the_worker_and_fails_
-peers`` in ``test_procworker.py``, against a real stopped child.)
+Nothing here sleeps or reads the wall clock: every wait is a blocking
+hand-off with the thread that produces the awaited thing.  The deadline
+edge -- a reply that never comes -- is checked twice: here on a hand-stepped
+clock (a deadline counts from the send, not from the wait), and in
+``test_timeout_mid_wave_kills_the_worker_and_fails_peers`` in
+``test_procworker.py``, against a real stopped child.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from itertools import permutations
 
 import pytest
 
+from repro.cluster.dispatcher import ShardTimeoutError
 from repro.cluster.procworker import ProcShardWorker, WorkerCrashedError
 from repro.cluster.transport import (
     BINARY_KEY,
@@ -246,10 +249,10 @@ class FakeChild:
 
 
 class ScriptedWorker(ProcShardWorker):
-    def __init__(self) -> None:
+    def __init__(self, shard_id: int = 0, **options) -> None:
         self.children: list[FakeChild] = []
         self.sent: queue.SimpleQueue = queue.SimpleQueue()
-        super().__init__(0, "no-master-needed", ("db",))
+        super().__init__(shard_id, "no-master-needed", ("db",), **options)
 
     def _open_child(self):
         child = FakeChild(1000 + len(self.children), self.sent)
@@ -414,3 +417,33 @@ def test_every_table_row_is_taken():
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=_name)
 def test_schedule(schedule):
     run_schedule(schedule)
+
+
+def test_the_deadline_counts_from_the_send():
+    """A scatter sends to both shards, then waits on each in turn: shard 1's
+    wait gets what is left of the deadline it started at its send, never a
+    fresh one.  The clock is stepped by hand; shard 0 answers only after it
+    has passed shard 1's deadline, and shard 1 never answers."""
+    now = [0.0]
+    shards = [ScriptedWorker(shard_id, request_timeout_seconds=5.0, clock=lambda: now[0])
+              for shard_id in (0, 1)]
+    waits = [worker.send_route_batch([f"question-{shard_id}"])
+             for shard_id, worker in enumerate(shards)]
+    ids = [worker.children[0].frames[-1]["id"] for worker in shards]
+    (pending,) = shards[1]._pending.values()
+    waited: list = []
+    event_wait = pending.event.wait
+    pending.event.wait = lambda timeout=None: waited.append(timeout) or event_wait(timeout)
+    now[0] = 6.0  # shard 1 was sent at 0 with a 5 s budget
+    shards[0].children[0].reply(ids[0])
+    shards[0].ping()  # its pong queues behind the reply: the reply is demuxed
+    assert _signature(waits[0]()) == _signature(_routes_for(ids[0]))
+    victim = shards[1].children[0].process
+    with pytest.raises(ShardTimeoutError):
+        waits[1]()
+    assert waited == [0.0]  # nothing left to wait for, not another 5 s
+    assert shards[1].timeouts == 1
+    assert victim.kills == 1 and shards[1].process is None
+    assert [worker.in_flight for worker in shards] == [0, 0]
+    for worker in shards:
+        worker.close(shutdown_timeout_seconds=WAIT)
