@@ -19,22 +19,19 @@ decode.  This module moves the worker across a process boundary:
   :class:`~repro.cluster.dispatcher.ClusterDispatcher` work unchanged over the
   wire.  It owns the worker's lifecycle: spawn from a master directory,
   health-check pings, kill on request timeout, automatic respawn after a
-  crash, and a graceful ``close()`` that drains in-flight requests before
-  sending ``shutdown``.
+  crash, and a graceful ``close()`` that sends ``shutdown`` and waits for
+  its ack, which follows every earlier reply.
 
-The connection is **multiplexed**: frame ids are correlation ids, many
-requests ride the pipe concurrently, and responses return in whatever order
-they finish.  The child splits into a reader loop feeding a small bounded
-decode executor behind a write-lock-guarded writer, so a careful-tier
-escalation does not block fast-tier traffic on the same worker; control
-frames (``ping`` / ``stats_request`` / ``invalidate_cache``)
-are answered inline on the reader loop, making the ping a genuinely
-out-of-band liveness signal even while every decode slot is busy.  The
-dispatcher side runs one receiver thread per child that demultiplexes
-responses into per-request events.  A request that misses its deadline still
-kills the process (a wedged decode cannot be cancelled politely) -- and with
-it fails *every* in-flight request; auto-respawn then boots a clean child for
-the next request.
+The connection is **multiplexed**: frame ids are correlation ids, and many
+requests ride the pipe at once.  The child is one thread: it reads a frame,
+answers it, and reads the next, so replies leave in arrival order -- a
+careful-tier frame decodes before the fast-tier frames queued behind it, and
+a ``ping`` is answered after the frames ahead of it.  The dispatcher side
+runs one receiver thread per child that demultiplexes replies by correlation
+id into per-request events.  A request that misses its deadline kills the
+process (a wedged decode cannot be cancelled politely) -- and with it fails
+*every* in-flight request; auto-respawn then boots a clean child for the
+next request.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -73,16 +69,12 @@ from repro.core.router import SchemaRoute, SchemaRouter
 from repro.obs import Tracer
 from repro.serving.service import ServingConfig
 
-#: Decode slots of one child's serve loop: how many route requests it works
-#: on concurrently.  Small and bounded -- the executor exists to overlap the
-#: careful tier with fast-tier frames (and numpy kernels release the GIL),
-#: not to oversubscribe a core with dozens of decodes.
-SERVE_CONCURRENCY = 4
-
 #: Env var (seconds, float) that makes the child sleep before serving any
-#: *careful* route request -- the injectable slow shard the overlap and
-#: chaos tests drive.  An env var rather than an argument so tests reach the
-#: children spawned deep inside checkpoint boot paths.
+#: *careful* route request -- the injectable slow shard the ordering, health
+#: and chaos tests drive.  The sleep runs on the serve loop, so every frame
+#: queued behind a careful frame waits for it too.  An env var rather than
+#: an argument so tests reach the children spawned deep inside checkpoint
+#: boot paths.
 SLOW_CAREFUL_ENV = "REPRO_PROCWORKER_TEST_SLOW_CAREFUL"
 
 
@@ -100,14 +92,15 @@ def serve(worker: ShardWorker, reader, writer,
           slow_careful_seconds: float = 0.0) -> None:
     """Handshake, then answer frames until ``shutdown`` or EOF.
 
-    The loop reads frames on the calling thread and fans route requests out
-    to a bounded executor; every reply goes through one write lock, so
-    responses interleave on the pipe in completion order and the correlation
-    id is what pairs them with their requests.  Control frames are answered
-    inline -- a ping is never stuck behind a decode.  Request-scoped failures
-    (a malformed batch, an unexpected exception in the router) answer with an
-    ``error`` frame and keep serving; stream-level corruption is fatal -- once
-    framing is lost there is nothing left to trust.
+    One loop on the calling thread: read a frame, answer it, read the next.
+    Replies leave in arrival order (the parent still pairs them with their
+    requests by correlation id), a careful frame decodes before the frames
+    queued behind it, and a ``ping`` is answered after the frames ahead of
+    it -- so a ``shutdown`` is read only once every earlier frame has been
+    answered, and its ack is the last reply.  Request-scoped failures (a
+    malformed batch, an unexpected exception in the router) answer with an
+    ``error`` frame and keep serving; stream-level corruption is fatal --
+    once framing is lost there is nothing left to trust.
     """
     write_frame(writer, hello_message(worker.shard_id, worker.databases, os.getpid()),
                 max_frame_bytes=max_frame_bytes)
@@ -122,97 +115,76 @@ def serve(worker: ShardWorker, reader, writer,
     # stitched into the dispatcher's trace.  The journal stays tiny -- the
     # parent side retains the interesting exemplars.
     tracer = Tracer(metrics=worker.service.metrics, max_slow_traces=4)
-    write_lock = threading.Lock()
 
-    def send(reply: dict, binary: bytes | None = None) -> None:
-        with write_lock:
-            try:
-                write_frame(writer, reply, binary=binary,
-                            max_frame_bytes=max_frame_bytes)
-            except FrameTooLargeError as error:
-                # An oversized *reply* is request-scoped too: answer with an
-                # error frame instead of dying -- otherwise the dispatcher
-                # would retry the same lethal batch against every freshly-
-                # respawned replica.
-                write_frame(writer, error_message(reply.get("id"), error),
-                            max_frame_bytes=max_frame_bytes)
-
-    def handle_route(message: dict) -> None:
-        request_id = message.get("id")
+    def route(message: dict) -> tuple[dict, bytes]:
+        careful = bool(message.get("careful", False))
+        if slow_careful_seconds > 0.0 and careful:
+            time.sleep(slow_careful_seconds)  # injected slow shard (tests)
+        questions = list(message["questions"])
+        wire_trace = message.get("trace")
+        context = None
+        if isinstance(wire_trace, dict) and wire_trace.get("trace_id"):
+            context = tracer.adopt(
+                str(wire_trace["trace_id"]),
+                wire_trace.get("parent_span_id"),
+                name="worker", shard=worker.shard_id, pid=os.getpid())
         try:
-            careful = bool(message.get("careful", False))
-            if slow_careful_seconds > 0.0 and careful:
-                time.sleep(slow_careful_seconds)  # injected slow shard (tests)
-            questions = list(message["questions"])
-            wire_trace = message.get("trace")
-            context = None
-            if isinstance(wire_trace, dict) and wire_trace.get("trace_id"):
-                context = tracer.adopt(
-                    str(wire_trace["trace_id"]),
-                    wire_trace.get("parent_span_id"),
-                    name="worker", shard=worker.shard_id, pid=os.getpid())
-            try:
-                routes = worker.route_batch(
-                    questions,
-                    max_candidates=message.get("max_candidates"),
-                    careful=careful,
-                    trace=context)
-            except Exception as error:
-                if context is not None:
-                    context.finish(status="error",
-                                   error=f"{type(error).__name__}: {error}")
-                raise
-            descriptor, segment = route_lists_to_binary(routes)
-            reply = {"type": "route_response", "id": request_id,
-                     "routes_binary": descriptor}
+            routes = worker.route_batch(
+                questions,
+                max_candidates=message.get("max_candidates"),
+                careful=careful,
+                trace=context)
+        except Exception as error:
             if context is not None:
-                context.finish()
-                reply["spans"] = context.span_dicts()
-        except Exception as error:  # request-scoped: report, keep serving
-            send(error_message(request_id, error))
-            return
-        send(reply, segment)
+                context.finish(status="error",
+                               error=f"{type(error).__name__}: {error}")
+            raise
+        descriptor, segment = route_lists_to_binary(routes)
+        reply = {"type": "route_response", "id": message.get("id"),
+                 "routes_binary": descriptor}
+        if context is not None:
+            context.finish()
+            reply["spans"] = context.span_dicts()
+        return reply, segment
 
-    executor = ThreadPoolExecutor(max_workers=SERVE_CONCURRENCY,
-                                  thread_name_prefix="repro-procworker-decode")
-    try:
-        while True:
-            message = read_frame(reader, max_frame_bytes=max_frame_bytes)
-            if message is None:
-                break  # dispatcher closed the pipe: treat as shutdown
-            request_id = message.get("id")
-            kind = message.get("type")
+    while True:
+        message = read_frame(reader, max_frame_bytes=max_frame_bytes)
+        if message is None:
+            return  # dispatcher closed the pipe: treat as shutdown
+        request_id = message.get("id")
+        kind = message.get("type")
+        segment = None
+        try:
             if kind == "route_batch_request":
-                executor.submit(handle_route, message)
-                continue
-            try:
-                if kind == "stats_request":
-                    reply = {"type": "stats_response", "id": request_id,
-                             "stats": worker.stats()}
-                elif kind == "invalidate_cache":
-                    worker.notify_catalog_changed()
-                    reply = {"type": "ok", "id": request_id}
-                elif kind == "ping":
-                    # Answered inline on the reader thread: out-of-band
-                    # liveness, even with every decode slot busy.
-                    reply = {"type": "pong", "id": request_id, "pid": os.getpid()}
-                elif kind == "shutdown":
-                    # Graceful drain: finish every in-flight decode (their
-                    # replies hit the pipe first), then ack and stop.
-                    executor.shutdown(wait=True)
-                    send({"type": "shutdown_ack", "id": request_id})
-                    return
-                elif kind == "crash":
-                    os._exit(70)  # test hook: die without replying
-                else:
-                    reply = error_message(
-                        request_id,
-                        ProtocolError(f"worker cannot handle message type {kind!r}"))
-            except Exception as error:  # request-scoped: report, keep serving
-                reply = error_message(request_id, error)
-            send(reply)
-    finally:
-        executor.shutdown(wait=True)
+                reply, segment = route(message)
+            elif kind == "stats_request":
+                reply = {"type": "stats_response", "id": request_id,
+                         "stats": worker.stats()}
+            elif kind == "invalidate_cache":
+                worker.notify_catalog_changed()
+                reply = {"type": "ok", "id": request_id}
+            elif kind == "ping":
+                reply = {"type": "pong", "id": request_id, "pid": os.getpid()}
+            elif kind == "shutdown":
+                write_frame(writer, {"type": "shutdown_ack", "id": request_id},
+                            max_frame_bytes=max_frame_bytes)
+                return
+            else:
+                reply = error_message(
+                    request_id,
+                    ProtocolError(f"worker cannot handle message type {kind!r}"))
+        except Exception as error:  # request-scoped: report, keep serving
+            reply = error_message(request_id, error)
+        try:
+            write_frame(writer, reply, binary=segment,
+                        max_frame_bytes=max_frame_bytes)
+        except FrameTooLargeError as error:
+            # An oversized *reply* is request-scoped too: answer with an
+            # error frame instead of dying -- otherwise the dispatcher would
+            # retry the same lethal batch against every freshly-respawned
+            # replica.
+            write_frame(writer, error_message(request_id, error),
+                        max_frame_bytes=max_frame_bytes)
 
 
 def worker_main(argv: list[str] | None = None) -> int:
@@ -307,8 +279,9 @@ class ProcShardWorker:
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
       router directory, told which ``databases`` to project it onto at which
       beam budgets; runs the version handshake, and starts a receiver
-      thread that demultiplexes responses by correlation id into per-request
-      events -- many frames ride the pipe concurrently;
+      thread that demultiplexes replies by correlation id into per-request
+      events -- many frames ride the pipe at once, and the child answers
+      them one at a time, in arrival order;
     * **timeout** -- a request that misses ``request_timeout_seconds`` kills
       the process (a wedged decode cannot be cancelled politely) and raises
       :class:`ShardTimeoutError`; every *other* in-flight request on the dead
@@ -318,8 +291,10 @@ class ProcShardWorker:
       :class:`WorkerCrashedError`; with ``auto_respawn`` the next request
       transparently boots a fresh process from the same master (counted
       in ``respawns``);
-    * **close** -- waits for in-flight requests to drain, sends ``shutdown``,
-      and escalates to ``kill`` only if the worker does not exit in time.
+    * **close** -- sends ``shutdown`` at once: the child reads it only after
+      answering every earlier frame, so its ack follows every in-flight
+      reply.  Escalates to ``kill`` only if the worker does not exit in
+      time.
 
     Locking: ``_lifecycle`` (an RLock) guards spawn/destroy/close and the
     writer; ``_pending_lock`` guards only the demux table and its counters.
@@ -394,9 +369,6 @@ class ProcShardWorker:
         #: Set by the receiver when the pipe died under it: the child may
         #: still be mid-exit (``poll()`` racy), but the connection is gone.
         self._stream_dead = False
-        #: Set during graceful close so the receiver does not count the
-        #: worker's own clean exit as a crash.
-        self._draining = False
         #: Byte counters accumulated across respawns (live halves come from
         #: the current reader/writer).
         self._bytes_sent_total = 0
@@ -404,6 +376,8 @@ class ProcShardWorker:
         self._process: subprocess.Popen | None = None
         self._reader: FrameReader | None = None
         self._writer: FrameWriter | None = None
+        #: Set by ``close()``; the receiver then takes the worker's own clean
+        #: exit for the shutdown it is, not a crash.
         self._closed = False
         self._spawn()
 
@@ -499,7 +473,7 @@ class ProcShardWorker:
                 # else: a reply that lost the race with its own timeout --
                 # the process is being killed anyway; drop it.
         except BaseException as error:
-            if generation != self._generation or self._draining or self._closed:
+            if generation != self._generation or self._closed:
                 return  # deliberate teardown, not a crash
             self._stream_dead = True
             exit_code = None
@@ -583,26 +557,20 @@ class ProcShardWorker:
         self._destroy()
 
     def crash(self) -> None:
-        """Chaos hook: make the worker die (it receives a ``crash`` frame and
-        exits without replying), exercising exactly the path a segfaulting or
-        OOM-killed worker would take -- including failing whatever other
-        frames are in flight at that moment."""
+        """Chaos hook: SIGKILL the child, as an OOM kill would, without
+        telling the proxy -- the receiver meets the EOF exactly as it would
+        after a segfault, counts the crash and fails whatever frames are in
+        flight at that moment.  (A frame asking the child to die would
+        queue behind its decodes.)"""
         with self._lifecycle:
             if not self.is_alive():
                 return
-            self._request_id += 1
-            try:
-                self._writer.write(
-                    {"type": "crash", "id": self._request_id},
-                    timeout_seconds=self.control_timeout_seconds)
-            except (TransportTimeoutError, OSError):
-                return  # already dead / wedged; the receiver handles the rest
             process = self._process
-        if process is not None:
-            try:
-                process.wait(timeout=self.control_timeout_seconds)
-            except subprocess.TimeoutExpired:  # pragma: no cover - exit is immediate
-                pass
+            process.kill()
+        try:
+            process.wait(timeout=self.control_timeout_seconds)
+        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL is final
+            pass
         # Let the receiver notice the EOF (it counts the crash and fails the
         # in-flight requests) before the caller inspects the counters.
         receiver = self._receiver
@@ -774,10 +742,10 @@ class ProcShardWorker:
              *, ensure: bool = True) -> float:
         """Heartbeat: round-trip one ``ping`` frame, returning seconds taken.
 
-        Out-of-band on a multiplexed connection: the child answers pings on
-        its reader thread, so this measures liveness even while every decode
-        slot is busy.  ``ensure=False`` never boots a process as a side
-        effect (the health probe's mode)."""
+        The child answers frames in arrival order, so the pong comes after
+        every frame already on the pipe: the round trip includes their
+        decodes.  ``ensure=False`` never boots a process as a side effect
+        (the health probe's mode)."""
         timeout = timeout_seconds or self.control_timeout_seconds
         started = self._clock()
         request_id, pending, _ = self._begin_request({"type": "ping"}, timeout,
@@ -802,9 +770,12 @@ class ProcShardWorker:
 
         Like :meth:`stats`, this never boots a process as a side effect: a
         dead child reports ``failing`` and leaves respawning to the request
-        path (or an operator).  A stale heartbeat is re-checked with one
-        *out-of-band* ping -- the child answers pings on its reader thread, so
-        this is a real liveness check even while requests are in flight."""
+        path (or an operator).  A heartbeat older than
+        ``policy.heartbeat_max_age_seconds`` is re-checked with one ping.
+        The pong queues behind every frame already on the pipe, so a worker
+        that has answered nothing for that long and then misses the ping's
+        ``control_timeout_seconds`` is reported ``failing`` -- and killed by
+        the ping's deadline, like any unanswered request."""
         from repro.obs.health import HealthPolicy, HealthReport
 
         policy = policy or HealthPolicy()
@@ -905,26 +876,17 @@ class ProcShardWorker:
 
     # -- shutdown --------------------------------------------------------------
     def close(self, shutdown_timeout_seconds: float = 10.0) -> None:
-        """Graceful stop: drain in-flight frames, ``shutdown``, wait, then
-        escalate to a hard kill only if the worker does not exit in time."""
+        """Graceful stop: ``shutdown``, wait for its ack -- which the child
+        sends after every earlier reply -- then escalate to a hard kill only
+        if the worker does not exit in time."""
         with self._lifecycle:
             if self._closed:
                 return
             self._closed = True
-            self._draining = True
             process = self._process
         if process is None or process.poll() is not None or self._stream_dead:
             self._destroy()
             return
-        # Drain: give requests already on the pipe until the deadline to come
-        # home before the shutdown frame jumps the (multiplexed) queue.  No
-        # frame registers once ``_closed`` is set, so waiting on each
-        # in-flight entry's own event is the whole drain.
-        deadline = time.monotonic() + shutdown_timeout_seconds
-        with self._pending_lock:
-            in_flight = list(self._pending.values())
-        for entry in in_flight:
-            entry.event.wait(max(0.0, deadline - time.monotonic()))
         pending = _PendingRequest()
         with self._lifecycle:
             try:
@@ -938,7 +900,8 @@ class ProcShardWorker:
             except (ClusterError, ProtocolError, OSError, AttributeError):
                 self._destroy()  # stream already gone: straight to the kill
                 return
-        # The child acks only after its decode executor fully drains.
+        # The child reads the shutdown only after answering every frame sent
+        # before it, so the ack means every in-flight request has its reply.
         pending.event.wait(shutdown_timeout_seconds)
         try:
             process.wait(timeout=shutdown_timeout_seconds)

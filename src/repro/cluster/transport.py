@@ -81,8 +81,6 @@ MESSAGE_TYPES = frozenset({
     "ping", "pong",
     "shutdown", "shutdown_ack",
     "error",
-    # Test-only: makes the worker die without replying (crash-path testing).
-    "crash",
 })
 
 

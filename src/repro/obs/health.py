@@ -101,9 +101,10 @@ class HealthPolicy:
     timeout_rate_failing: float = 0.25
     escalation_rate_ceiling: float = 0.75
     #: A subprocess worker that has not answered anything for this long is
-    #: presumed wedged; the probe re-checks with one out-of-band ping before
-    #: judging.  The child answers pings on its reader thread, so the check
-    #: is a real liveness signal even while route requests are in flight.
+    #: presumed wedged; the probe re-checks with one ping before judging.
+    #: The child answers frames in arrival order, so the pong waits behind
+    #: every frame already on the pipe: a worker that misses the ping's
+    #: deadline is reported ``failing`` (and killed by that deadline).
     heartbeat_max_age_seconds: float = 60.0
     #: Respawn velocity: more than ``max_respawns_in_window`` fresh boots
     #: inside ``respawn_window_seconds`` is a crash loop, not recovery.

@@ -248,11 +248,12 @@ class TestProcShardWorker:
             ProcShardWorker(0, tmp_path / "no-such-checkpoint", ("world_atlas",),
                             spawn_timeout_seconds=30.0)
 
-    def test_close_drains_on_the_frames_own_events(self, monkeypatch):
-        """The drain's deadline edge: ``close()`` waits for in-flight frames
-        on their own events, never in a sleep-and-poll loop.  Nobody answers
-        the scripted child's three frames, so the drain runs to its deadline
-        and the stop escalates to a kill that fails every one of them."""
+    def test_close_waits_on_the_shutdown_acks_own_event(self, monkeypatch):
+        """The ack's deadline edge: ``close()`` sends ``shutdown`` behind the
+        in-flight frames at once and waits for the ack on its own event,
+        never in a sleep-and-poll loop.  Nobody answers the scripted child's
+        three frames, so no ack comes, the wait runs to its deadline and the
+        stop escalates to a kill that fails every one of them."""
         def no_sleep(seconds: float) -> None:
             raise AssertionError(f"close() polled with time.sleep({seconds})")
 
@@ -261,6 +262,8 @@ class TestProcShardWorker:
         monkeypatch.setattr(procworker, "time", SimpleNamespace(
             monotonic=time.monotonic, sleep=no_sleep))
         worker.close(shutdown_timeout_seconds=0.2)
+        assert [frame["type"] for frame in worker.children[0].frames[-4:]] \
+            == ["route_batch_request"] * 3 + ["shutdown"]
         assert all(isinstance(caller.settle(), WorkerCrashedError)
                    for caller in callers)
         assert worker.in_flight == 0
@@ -387,16 +390,17 @@ class TestServeLoop:
         assert read_frame(from_worker) is None
         worker.close()
 
-    def test_responses_demux_out_of_order_by_correlation_id(self, cluster_checkpoint):
-        """Multiplexing at the serve loop: a slow careful frame sent FIRST
-        must not block the fast frames pipelined behind it -- replies come
-        back in completion order and the correlation ids pair them up."""
+    def test_replies_leave_in_arrival_order(self, cluster_checkpoint):
+        """One serve loop answers frames in the order they arrive: a slow
+        careful frame sent first answers first, the fast frames pipelined
+        behind it follow in send order, and a ``ping`` behind them all is
+        answered last.  The correlation ids still name every reply."""
         worker, thread, to_worker, from_worker = self._start(
             cluster_checkpoint, escalation_num_beams=4,
-            slow_careful_seconds=1.0)
+            slow_careful_seconds=0.2)
         try:
             rng = random.Random(7)
-            for _ in range(2):
+            for round_ in range(2):
                 ids = rng.sample(range(10, 100), 5)
                 careful_id, fast_ids = ids[0], ids[1:]
                 write_frame(to_worker, {"type": "route_batch_request",
@@ -406,20 +410,56 @@ class TestServeLoop:
                     write_frame(to_worker, {
                         "type": "route_batch_request", "id": fast_id,
                         "questions": [QUESTIONS[fast_id % len(QUESTIONS)]]})
-                replies = [read_frame(from_worker) for _ in ids]
-                assert all(reply["type"] == "route_response" for reply in replies)
-                # every id answered exactly once, whatever the arrival order
-                assert sorted(reply["id"] for reply in replies) == sorted(ids)
-                assert all(len(_reply_routes(reply)) == 1 for reply in replies)
-                # the slow careful frame went out first but answers last:
-                # responses genuinely overtake each other on the pipe
-                assert replies[-1]["id"] == careful_id
+                write_frame(to_worker, {"type": "ping", "id": round_})
+                replies = [read_frame(from_worker) for _ in range(len(ids) + 1)]
+                assert [(reply["type"], reply["id"]) for reply in replies] == \
+                    [("route_response", request_id) for request_id in ids] \
+                    + [("pong", round_)]
+                assert all(len(_reply_routes(reply)) == 1 for reply in replies[:-1])
         finally:
             self._stop(worker, thread, to_worker, from_worker)
 
+    def test_serve_runs_on_one_thread(self, cluster_checkpoint):
+        """The loop decodes on the thread that read the frame: every decode,
+        fast and careful, runs on the serve thread, serving starts no other
+        thread, and a ``shutdown`` sent right behind three route frames is
+        acked after all three replies."""
+        before = set(threading.enumerate())
+        worker, thread, to_worker, from_worker = self._start(
+            cluster_checkpoint, escalation_num_beams=4)
+        decoded_on = []
+        route_batch = worker.route_batch
+        release = threading.Event()
+
+        def spy(*args, **kwargs):
+            decoded_on.append(threading.current_thread())
+            if len(decoded_on) == 3:
+                assert release.wait(10.0)  # hold the loop mid-serve
+            return route_batch(*args, **kwargs)
+
+        worker.route_batch = spy
+        for request_id, careful in ((1, True), (2, False), (3, True)):
+            write_frame(to_worker, {"type": "route_batch_request", "id": request_id,
+                                    "careful": careful,
+                                    "questions": [QUESTIONS[request_id]]})
+        write_frame(to_worker, {"type": "shutdown", "id": 4})
+        replies = [read_frame(from_worker) for _ in range(2)]
+        # the loop is serving (held in the third decode): one thread, its own
+        assert set(threading.enumerate()) - before == {thread}
+        assert threading.active_count() == len(before) + 1
+        release.set()
+        replies += [read_frame(from_worker) for _ in range(2)]
+        assert [(reply["type"], reply["id"]) for reply in replies] == [
+            ("route_response", 1), ("route_response", 2), ("route_response", 3),
+            ("shutdown_ack", 4)]
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert decoded_on == [thread] * 3
+        worker.close()
+
     def test_shutdown_drains_in_flight_decodes_first(self, cluster_checkpoint):
-        """Graceful drain: a shutdown pipelined behind a slow request must
-        let the in-flight decode answer before the ack."""
+        """Graceful drain: a shutdown pipelined behind a slow request is read
+        only after that decode has answered, so the ack comes second."""
         worker, thread, to_worker, from_worker = self._start(
             cluster_checkpoint, escalation_num_beams=4,
             slow_careful_seconds=0.5)
@@ -466,47 +506,49 @@ class TestServeLoop:
 
 # -- the multiplexing client, end to end ----------------------------------------
 class TestMultiplexedTransport:
-    def test_careful_escalation_overlaps_fast_tier(self, cluster_checkpoint,
-                                                   monkeypatch):
-        """The acceptance path for pipelining: with a careful request wedged
-        in the worker (injected 2s stall), fast requests on the SAME worker
-        still answer -- the wire carries both frames concurrently instead of
-        queueing the fast tier behind the slow one."""
-        monkeypatch.setenv(SLOW_CAREFUL_ENV, "2.0")
+    def test_frames_pipeline_on_the_wire_and_decode_in_order(self, cluster_checkpoint,
+                                                              monkeypatch):
+        """The parent still pipelines: a fast frame goes out while a careful
+        one (injected 1 s stall) is in flight on the same worker.  The
+        child decodes them in arrival order, so the careful reply lands
+        first -- by the time the fast wave returns, nothing is in flight."""
+        monkeypatch.setenv(SLOW_CAREFUL_ENV, "1.0")
         with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
             careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
-            assert worker.in_flight == 1
-            fast = worker.route_batch(list(QUESTIONS[:2]))
-            # the fast wave came back while the careful frame was still in
-            # flight: the tiers overlapped on one worker
-            assert worker.in_flight == 1
-            assert len(fast) == 2 and all(fast)
-            assert careful()[0]
+            fast = worker.send_route_batch(list(QUESTIONS[:2]))
+            assert worker.in_flight == 2
+            fast_routes = fast()
+            # the receiver demuxes in arrival order: the careful reply was
+            # settled before the fast one
             assert worker.in_flight == 0
+            assert len(fast_routes) == 2 and all(fast_routes)
+            assert careful()[0]
             stats = worker.transport_stats()
             assert stats["max_in_flight"] >= 2
             assert stats["pipelined_frames"] >= 1
 
-    def test_ping_and_health_answer_out_of_band_while_busy(self, cluster_checkpoint,
-                                                           monkeypatch):
-        """PR-7's health probe had to assume a lock-busy worker was working;
-        now the probe's ping is answered on the child's reader thread even
-        with a decode wedged, so 'busy' and 'alive' are separable."""
+    def test_health_fails_a_worker_wedged_past_the_ping_deadline(
+            self, cluster_checkpoint, monkeypatch):
+        """The probe's ping queues behind the frames ahead of it: with a
+        careful decode wedged for 3 s and a 0.5 s control deadline, a stale
+        heartbeat's ping goes unanswered, so the worker is reported
+        ``failing`` and killed by the ping's deadline; the careful caller
+        fails with it and the next request boots a fresh child."""
         from repro.obs.health import HealthPolicy
 
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "3.0")
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
-            worker.ping()  # establish a heartbeat before wedging the worker
+        with _proc_worker(cluster_checkpoint, escalation_num_beams=4,
+                          control_timeout_seconds=0.5) as worker:
             careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
-            assert worker.in_flight == 1
-            assert worker.ping() < 1.0  # out-of-band: not behind the stall
-            # force the stale-heartbeat branch: the probe must re-check with
-            # a real ping instead of assuming, and report what it measured
             report = worker.health(HealthPolicy(heartbeat_max_age_seconds=0.0))
-            assert report.status == "ok"
-            assert report.details["in_flight"] >= 1
-            assert report.details["heartbeat_check"].startswith("ping answered")
-            assert careful()[0]
+            assert report.status == "failing"
+            assert report.details["in_flight"] == 1
+            assert worker.timeouts == 1
+            with pytest.raises(WorkerCrashedError):
+                careful()
+            monkeypatch.delenv(SLOW_CAREFUL_ENV)
+            assert len(worker.route_batch([QUESTIONS[0]])) == 1
+            assert worker.respawns == 1
 
     def test_crash_mid_wave_fails_all_in_flight_then_respawns_clean(
             self, cluster_checkpoint, monkeypatch):

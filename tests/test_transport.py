@@ -437,20 +437,36 @@ class TestFrameReader:
             reader_file.close()
 
     def test_slow_writer_still_completes_within_deadline(self):
-        reader_file, writer_file = self._pipe()
-        reader = FrameReader(reader_file)
+        """A frame that arrives one byte per ``os.read`` still reads whole
+        within one deadline.  The reader reads its clock once for the
+        deadline and once before each wait for bytes; the writer sends the
+        next byte only after such a read, so no two bytes share a read."""
         frame = _frame_of({"type": "stats_request", "id": 11})
+        clock_reads = threading.Semaphore(0)
+        now = [0.0]
+
+        def stepped_clock() -> float:
+            now[0] += 0.001
+            clock_reads.release()
+            return now[0]
+
+        reader_file, writer_file = self._pipe()
+        reader = FrameReader(reader_file, clock=stepped_clock)
 
         def dribble():
+            assert clock_reads.acquire(timeout=10.0)  # the deadline's read
             for byte in frame:
+                assert clock_reads.acquire(timeout=10.0)  # the reader waits
                 writer_file.write(bytes([byte]))
-                time.sleep(0.001)
 
         thread = threading.Thread(target=dribble, daemon=True)
         try:
             thread.start()
             assert reader.read(timeout_seconds=10.0) == {"type": "stats_request",
                                                          "id": 11}
+            # one clock read per byte, plus the deadline's: one byte per read
+            assert now[0] == pytest.approx(0.001 * (len(frame) + 1))
+            assert reader.bytes_read == len(frame)
         finally:
             thread.join()
             reader.close()
@@ -519,5 +535,5 @@ class TestFrameWriter:
 def test_message_type_registry_is_closed():
     """Every sample message used above is registered, and the registry has no
     types the tests never exercise (keeps protocol and tests in lockstep)."""
-    exercised = {m["type"] for m in TestFraming.SAMPLE_MESSAGES} | {"crash"}
+    exercised = {m["type"] for m in TestFraming.SAMPLE_MESSAGES}
     assert exercised == set(MESSAGE_TYPES)

@@ -12,7 +12,7 @@ must agree, for three in-flight ``route_batch`` frames and
 * every permutation of their replies,
 * a crash (EOF, or a reply stream that stops mid-frame) after every prefix,
 * ``kill()`` and ``close()`` after every prefix, and a ``close()`` whose
-  drain the outstanding replies beat,
+  ``shutdown`` is acked after the outstanding replies,
 * a late reply for every id that has already settled.
 
 Nothing here sleeps or reads the wall clock: every wait is a blocking
@@ -206,9 +206,12 @@ class FakeProcess:
 
 
 class FakeChild:
-    """One scripted child: greets like a worker, answers control frames
-    inline (as the real child's reader thread does), acks a ``shutdown`` only
-    once nothing is left to answer, and otherwise says what the test feeds."""
+    """One scripted child: greets like a worker, answers control frames at
+    once, acks a ``shutdown`` after the last route frame sent before it has
+    its reply (the real child reads a shutdown only after answering every
+    earlier frame), and otherwise says what the test feeds -- route replies
+    in any order the test picks, more orders than the real child, which
+    answers in arrival order, produces: the parent demuxes by id alone."""
 
     def __init__(self, pid: int, sent: queue.SimpleQueue) -> None:
         self.reader = ScriptedReader()
@@ -216,6 +219,7 @@ class FakeChild:
         self.writer = self
         self.frames: list[dict] = []
         self.unanswered: set[int] = set()
+        self.shutdown_id: int | None = None
         self.bytes_written = 0
         self._sent = sent
         self.reader.feed({"type": "hello", "protocol": PROTOCOL_VERSION,
@@ -235,9 +239,9 @@ class FakeChild:
         elif kind == "stats_request":
             self.reader.feed({"type": "stats_response", "id": message["id"],
                               "stats": {"shard_id": 0, "counters": {"requests": 0}}})
-        elif kind == "shutdown" and not self.unanswered:
-            self.reader.feed({"type": "shutdown_ack", "id": message["id"]})
-            self.process.exit(0)
+        elif kind == "shutdown":
+            self.shutdown_id = message["id"]
+            self._ack_shutdown()
         self._sent.put(message)
 
     def close(self) -> None:
@@ -246,6 +250,13 @@ class FakeChild:
     def reply(self, request_id: int, tag: str = "db") -> None:
         self.unanswered.discard(request_id)
         self.reader.feed(_route_reply(request_id, tag))
+        self._ack_shutdown()
+
+    def _ack_shutdown(self) -> None:
+        if self.shutdown_id is not None and not self.unanswered:
+            self.reader.feed({"type": "shutdown_ack", "id": self.shutdown_id})
+            self.shutdown_id = None
+            self.process.exit(0)
 
 
 class ScriptedWorker(ProcShardWorker):
