@@ -24,12 +24,15 @@ from __future__ import annotations
 import threading
 from typing import Callable, Sequence
 
-from repro.core.router import SchemaRoute, merge_route_lists
+from repro.core.router import RouteRow, SchemaRoute, merge_route_lists
 from repro.obs.trace import Span, maybe_span
 from repro.serving.cache import RouteCache
 
-#: A shard target: ``(questions, max_candidates, trace=None) -> wait``.
-ShardTarget = Callable[..., Callable[[], "list[list[SchemaRoute]]"]]
+#: A shard target: ``(questions, max_candidates, trace=None) -> wait``;
+#: ``wait()`` returns per-question lists of routes or, from a subprocess
+#: worker, of the reply's ``(score, database, tables)`` rows, which stay rows
+#: until the merge.
+ShardTarget = Callable[..., Callable[[], "list[list[SchemaRoute | RouteRow]]"]]
 
 
 class ClusterError(RuntimeError):
@@ -204,7 +207,7 @@ class ClusterDispatcher:
         return merged
 
     def _gather(self, questions: list[str], max_candidates: int | None,
-                careful: bool, trace=None) -> list[list[list[SchemaRoute]]]:
+                careful: bool, trace=None) -> "list[list[list[SchemaRoute | RouteRow]]]":
         """One tier's answers, ``[shard][question]``; a shard that a partial
         gather dropped is absent from the outer list."""
         if self.wave_engine is not None:
@@ -222,7 +225,8 @@ class ClusterDispatcher:
         return self._scatter(self.careful_targets if careful else self.targets,
                              questions, max_candidates, trace)
 
-    def _merge(self, gathered: list[list[list[SchemaRoute]]], questions: list[str],
+    def _merge(self, gathered: "list[list[list[SchemaRoute | RouteRow]]]",
+               questions: list[str],
                max_candidates: int | None,
                trace=None) -> "tuple[list[list[SchemaRoute]], Span | None]":
         """Merged top-k per question, and the ``merge`` span that timed it."""
@@ -238,7 +242,7 @@ class ClusterDispatcher:
 
     def _scatter(self, targets: Sequence[ShardTarget], questions: list[str],
                  max_candidates: int | None,
-                 trace=None) -> list[list[list[SchemaRoute]]]:
+                 trace=None) -> "list[list[list[SchemaRoute | RouteRow]]]":
         # Every frame goes out before any reply is awaited (the workers decode
         # in parallel), and every sent frame is awaited before a failure is raised.
         legs = []
@@ -255,7 +259,7 @@ class ClusterDispatcher:
                 def wait(error=error):  # the send failed: the gather counts it
                     raise error
             legs.append((span, wait))
-        gathered: list[list[list[SchemaRoute]]] = []
+        gathered = []
         first_error: BaseException | None = None
         for span, wait in legs:
             try:

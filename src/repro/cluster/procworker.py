@@ -61,11 +61,11 @@ from repro.cluster.transport import (
     error_message,
     hello_message,
     read_frame,
-    route_lists_from_binary,
     route_lists_to_binary,
+    route_rows_from_binary,
     write_frame,
 )
-from repro.core.router import SchemaRoute, SchemaRouter
+from repro.core.router import RouteRow, SchemaRoute, SchemaRouter, schema_routes
 from repro.obs import Tracer
 from repro.serving.service import ServingConfig
 
@@ -683,8 +683,10 @@ class ProcShardWorker:
 
     def send_route_batch(self, questions: list[str], max_candidates: int | None = None,
                          careful: bool = False, trace=None) -> Callable[[], list]:
-        """Write one scatter wave's frame; its ``wait`` returns the route
-        lists, with ``request_timeout_seconds`` counted from the send.
+        """Write one scatter wave's frame; its ``wait`` returns the reply's
+        ``(score, database, tables)`` rows per question (they stay rows until
+        the dispatcher's merge), with ``request_timeout_seconds`` counted
+        from the send.
 
         With a ``trace``, a ``wire`` span covers send to reply and is tagged
         with the in-flight depth at send time; the propagation context rides
@@ -709,13 +711,13 @@ class ProcShardWorker:
         if span is not None:
             span.annotate(in_flight=depth)
 
-        def wait() -> list[list[SchemaRoute]]:
+        def wait() -> list[list[RouteRow]]:
             try:
                 reply = self._await_reply(request_id, pending, "route_response",
                                           self.request_timeout_seconds,
                                           "route_batch_request", sent_at=sent_at)
-                routes = route_lists_from_binary(reply.get("routes_binary"),
-                                                 reply.get(BINARY_KEY, b""))
+                routes = route_rows_from_binary(reply.get("routes_binary"),
+                                                reply.get(BINARY_KEY, b""))
                 if len(routes) != len(questions):
                     raise ProtocolError(
                         f"worker answered {len(routes)} route lists "
@@ -736,7 +738,8 @@ class ProcShardWorker:
     def route_batch(self, questions: list[str], max_candidates: int | None = None,
                     careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
         """Route one scatter wave in the worker process: send, then wait."""
-        return self.send_route_batch(questions, max_candidates, careful, trace)()
+        return schema_routes(
+            self.send_route_batch(questions, max_candidates, careful, trace)())
 
     def ping(self, timeout_seconds: float | None = None,
              *, ensure: bool = True) -> float:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.router import SchemaRoute
+from repro.core.router import RouteRow, SchemaRoute, schema_routes
 from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
 
@@ -96,7 +96,8 @@ class ReplicaSet:
     def send(self, questions: Sequence[str], max_candidates: int | None = None,
              careful: bool = False, trace=None) -> Callable[[], list]:
         """Send to the first replica in attempt order only; the returned ``wait``
-        awaits it and fails over through the rest, each sent and awaited in turn."""
+        awaits it and fails over through the rest, each sent and awaited in turn.
+        ``wait`` returns what the worker's does: rows from a subprocess worker."""
         attempts = self._attempt_order()
         args = (list(questions), max_candidates, careful)
         kwargs = {"trace": trace} if trace is not None else {}
@@ -106,7 +107,7 @@ class ReplicaSet:
             def first(error=error):  # the first attempt failed at its send
                 raise error
 
-        def wait() -> list[list[SchemaRoute]]:
+        def wait() -> "list[list[SchemaRoute | RouteRow]]":
             last_error: BaseException | None = None
             all_timed_out = True
             for position, replica in enumerate(attempts):
@@ -138,7 +139,7 @@ class ReplicaSet:
                     careful: bool = False,
                     trace=None) -> list[list[SchemaRoute]]:
         """Route through the first replica that answers; quarantine failures."""
-        return self.send(questions, max_candidates, careful, trace)()
+        return schema_routes(self.send(questions, max_candidates, careful, trace)())
 
     def _settle(self, replica: _ReplicaState, ok: bool) -> None:
         with self._lock:

@@ -36,7 +36,11 @@ order; nothing reads a frame as raw bytes.
 Route lists cross the wire in the binary segment of a kind-1 frame, scores as
 raw little-endian float64 (:func:`route_lists_to_binary`): every bit survives,
 so :func:`repro.core.router.merge_route_lists` ranks identically whether the
-candidates were decoded in-process or round-tripped through a worker.
+candidates were decoded in-process or round-tripped through a worker.  A reply
+stays rows until the merge: :func:`route_rows_from_binary`, the one decoder,
+returns ``(score, database, tables)`` tuples, which the merge pools as they
+are; :func:`route_lists_from_binary` wraps it for callers that want
+:class:`~repro.core.router.SchemaRoute` lists.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import time
 from typing import BinaryIO, Callable
 
 from repro.cluster.dispatcher import ClusterError
-from repro.core.router import SchemaRoute
+from repro.core.router import RouteRow, SchemaRoute, schema_routes
 
 #: Bump on message-shape changes.  The handshake accepts exactly this version.
 PROTOCOL_VERSION = 4
@@ -430,10 +434,10 @@ def route_lists_to_binary(
     return descriptor, segment
 
 
-def route_lists_from_binary(descriptor: dict,
-                            segment: bytes) -> list[list[SchemaRoute]]:
-    """Decode the binary route form; :class:`ProtocolError` on any mismatch
-    between the descriptor and the segment (sizes, counts, table indices)."""
+def route_rows_from_binary(descriptor: dict, segment: bytes) -> list[list[RouteRow]]:
+    """Decode the binary route form into ``(score, database, tables)`` rows
+    per question; :class:`ProtocolError` on any mismatch between the
+    descriptor and the segment (sizes, counts, table indices)."""
     try:
         questions = int(descriptor["questions"])
         routes = int(descriptor["routes"])
@@ -469,22 +473,25 @@ def route_lists_from_binary(descriptor: dict,
         names = [str(name) for name in strings]
     except ValueError as error:  # pragma: no cover - str() rarely fails
         raise ProtocolError(f"malformed string table: {error}") from error
-    route_lists: list[list[SchemaRoute]] = []
-    cursor = 0
+    rows = []
     token_cursor = 0
+    for index, length in enumerate(length_list):
+        sequence = token_list[token_cursor:token_cursor + length]
+        token_cursor += length
+        rows.append((score_list[index], names[sequence[0]],
+                     tuple([names[token] for token in sequence[1:]])))
+    row_lists: list[list[RouteRow]] = []
+    cursor = 0
     for count in count_list:
-        decoded = []
-        for index in range(cursor, cursor + count):
-            length = length_list[index]
-            sequence = token_list[token_cursor:token_cursor + length]
-            token_cursor += length
-            decoded.append(SchemaRoute(
-                database=names[sequence[0]],
-                tables=tuple(names[token] for token in sequence[1:]),
-                score=score_list[index]))
+        row_lists.append(rows[cursor:cursor + count])
         cursor += count
-        route_lists.append(decoded)
-    return route_lists
+    return row_lists
+
+
+def route_lists_from_binary(descriptor: dict,
+                            segment: bytes) -> list[list[SchemaRoute]]:
+    """:func:`route_rows_from_binary` as :class:`SchemaRoute` lists."""
+    return schema_routes(route_rows_from_binary(descriptor, segment))
 
 
 def error_message(request_id: object, error: BaseException) -> dict:

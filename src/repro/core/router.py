@@ -93,6 +93,10 @@ class SchemaRoute:
     score: float
 
 
+#: One candidate as a shard reply carries it: ``(score, database, tables)``.
+RouteRow = tuple[float, str, tuple[str, ...]]
+
+
 def normalize_route_scores(routes: Sequence[SchemaRoute]) -> list[SchemaRoute]:
     """Softmax-normalize raw log-probability scores over a candidate pool.
 
@@ -118,55 +122,52 @@ def normalize_route_scores(routes: Sequence[SchemaRoute]) -> list[SchemaRoute]:
             for route, weight in zip(routes, weights)]
 
 
-def merge_route_lists(route_lists: Iterable[Sequence[SchemaRoute]],
-                      max_candidates: int | None = None,
-                      normalize: bool = True) -> list[SchemaRoute]:
+def schema_routes(route_lists: Iterable[Sequence["SchemaRoute | RouteRow"]]
+                  ) -> list[list[SchemaRoute]]:
+    """Per-question lists of reply rows (or routes) as :class:`SchemaRoute` lists."""
+    return [[route if isinstance(route, SchemaRoute)
+             else SchemaRoute(database=route[1], tables=route[2], score=route[0])
+             for route in routes] for routes in route_lists]
+
+
+def merge_route_lists(route_lists: Iterable[Sequence["SchemaRoute | RouteRow"]],
+                      max_candidates: int | None = None) -> list[SchemaRoute]:
     """Deterministically merge per-shard candidate lists into one ranking.
 
     The result is independent of the order of ``route_lists`` (scatter-gather
-    may collect shards in any order): candidates are pooled, optionally
-    normalized with :func:`normalize_route_scores`, sorted by
-    ``(-score, database, tables)``, and deduplicated per database keeping the
-    best-scored entry.  With disjoint shard catalogs the dedup is a no-op; it
-    guards against overlapping assignments.
+    may collect shards in any order): candidates -- reply rows or
+    :class:`SchemaRoute` objects, mixed freely -- are pooled as
+    ``(score, database, tables)``, weighted by the pooled softmax of
+    :func:`normalize_route_scores`, sorted by ``(-weight, database, tables)``,
+    and deduplicated per database keeping the best-weighted entry.  With
+    disjoint shard catalogs the dedup is a no-op; it guards against
+    overlapping assignments.  This runs per question on every cluster gather,
+    so a ``SchemaRoute`` is built only for each of the first
+    ``max_candidates`` survivors (``0`` merges to ``[]``).
     """
-    pooled = [route for routes in route_lists for route in routes]
-    if not pooled:
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(f"max_candidates must be >= 0, got {max_candidates}")
+    pooled = [(route.score, route.database, route.tables)
+              if isinstance(route, SchemaRoute) else route
+              for routes in route_lists for route in routes]
+    if not pooled or max_candidates == 0:
         return []
+    peak = max([score for score, _, _ in pooled])
+    ranked = sorted([(-math.exp(score - peak), database, tables)
+                     for score, database, tables in pooled])
+    # fsum is exactly rounded, so the normalizer is identical no matter what
+    # order shards answer in (and negating every weight negates it exactly).
+    total = -math.fsum([negative for negative, _, _ in ranked])
     merged: list[SchemaRoute] = []
     seen: set[str] = set()
-    if normalize:
-        # Inlined softmax (see normalize_route_scores): the weight order is
-        # the normalized-score order, so candidates are ranked on raw weights
-        # and the normalized SchemaRoute is constructed only for the ones
-        # that survive dedup + truncation.  This merge runs twice per
-        # question per wave (fast tier + escalation) -- it is the parent-side
-        # hot path of every cluster gather.
-        peak = max(route.score for route in pooled)
-        weights = [math.exp(route.score - peak) for route in pooled]
-        total = math.fsum(weights)
-        order = sorted(range(len(pooled)),
-                       key=lambda index: (-weights[index],
-                                          pooled[index].database,
-                                          pooled[index].tables))
-        for index in order:
-            route = pooled[index]
-            if route.database in seen:
-                continue
-            seen.add(route.database)
-            merged.append(SchemaRoute(database=route.database,
-                                      tables=route.tables,
-                                      score=weights[index] / total))
-            if max_candidates is not None and len(merged) >= max_candidates:
+    for negative, database, tables in ranked:
+        if database not in seen:
+            seen.add(database)
+            merged.append(SchemaRoute(database=database, tables=tables,
+                                      score=-negative / total))
+            if len(merged) == max_candidates:
                 break
-        return merged
-    pooled.sort(key=lambda route: (-route.score, route.database, route.tables))
-    for route in pooled:
-        if route.database in seen:
-            continue
-        seen.add(route.database)
-        merged.append(route)
-    return merged[:max_candidates] if max_candidates is not None else merged
+    return merged
 
 
 def _constraint_counts(constraints: Iterable) -> tuple[int, int, int]:

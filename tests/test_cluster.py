@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
     ClusterConfig,
@@ -38,6 +39,7 @@ from repro.core import (
 )
 from repro.schema import Catalog, Column, ColumnType, Database, ForeignKey, Table
 from repro.serving.checkpoint import CheckpointError
+from reference_merge import merge_route_lists as reference_merge_route_lists
 
 
 def _database(name: str, tables: dict[str, list[str]],
@@ -344,6 +346,53 @@ class TestMerge:
             [SchemaRoute("a", ("t", "u"), -1.0)],
         ])
         assert _signature(merged) == [("a", ("t", "u"))]
+
+    def test_zero_candidates_merge_to_nothing(self):
+        shards = [[SchemaRoute("a", ("t",), -1.0)], [(-2.0, "b", ("t",))]]
+        assert merge_route_lists(shards, max_candidates=0) == []
+
+    def test_negative_candidate_budget_is_refused(self):
+        with pytest.raises(ValueError, match="max_candidates"):
+            merge_route_lists([[SchemaRoute("a", ("t",), -1.0)]], max_candidates=-1)
+
+
+#: Pools for the merge differential: few names, so shards overlap on databases
+#: and routes tie; scores from a short list, so weights tie exactly (-800
+#: underflows to weight 0 beside a peak near 0).
+_ROUTE = st.tuples(st.sampled_from([-0.5, -1.0, -2.0, -800.0])
+                   | st.floats(-60.0, 0.0, allow_nan=False),
+                   st.sampled_from("abcde"),
+                   st.lists(st.sampled_from(["t", "u", "v"]), max_size=2).map(tuple),
+                   st.booleans())
+_POOLS = st.lists(st.lists(_ROUTE, max_size=4), max_size=4)
+
+
+def _as_input(shard, *, rows: bool = True):
+    """A shard list of the drawn routes: each a row or a :class:`SchemaRoute`
+    as drawn (``rows=False`` makes every one a route, for the reference)."""
+    return [(score, database, tables) if rows and as_row
+            else SchemaRoute(database, tables, score)
+            for score, database, tables, as_row in shard]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools=_POOLS, max_candidates=st.sampled_from([None, 0, 1, 5]))
+@example(pools=[[(-1.0, "a", ("t",), True), (-1.0, "b", (), False)],
+                [], [(-1.0, "a", ("u",), False), (-2.0, "c", ("t",), True)]],
+         max_candidates=5)
+@example(pools=[[], []], max_candidates=None)
+def test_merge_equals_the_reference_merge(pools, max_candidates):
+    """The row-pooling merge ranks, dedups and scores exactly as the merge it
+    replaced (``tests/reference_merge.py``), to the last bit of every score.
+    The reference returns one candidate at ``max_candidates=0``; the merge
+    returns none, so the reference is cut to the budget."""
+    merged = merge_route_lists([_as_input(shard) for shard in pools],
+                               max_candidates=max_candidates)
+    expected = reference_merge_route_lists(
+        [_as_input(shard, rows=False) for shard in pools],
+        max_candidates=max_candidates)[:max_candidates]
+    assert [(route.database, route.tables, route.score.hex()) for route in merged] \
+        == [(route.database, route.tables, route.score.hex()) for route in expected]
 
 
 # -- dispatcher ----------------------------------------------------------------

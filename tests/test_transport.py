@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import threading
 import time
 
@@ -40,6 +41,7 @@ from repro.cluster.transport import (
     read_frame,
     route_lists_from_binary,
     route_lists_to_binary,
+    route_rows_from_binary,
     write_frame,
 )
 from repro.core.router import SchemaRoute, merge_route_lists
@@ -241,26 +243,81 @@ class TestRoutePayloads:
                                   max_candidates=3)
         assert wired == local
 
-    def test_malformed_route_payload_raises(self):
-        with pytest.raises(ProtocolError):  # a reply with no descriptor at all
-            route_lists_from_binary(None, b"")
-        with pytest.raises(ProtocolError):  # no strings / tokens
-            route_lists_from_binary({"questions": 1, "routes": 1}, b"")
-        with pytest.raises(ProtocolError):  # a count that is not a number
-            route_lists_from_binary({"questions": "not-a-count", "routes": 0,
-                                     "tokens": 0, "strings": []}, b"")
+    def test_rows_round_trip_bit_exactly(self):
+        """The one decoder's rows, read off a real frame, equal the
+        in-process routes as ``(score, database, tables)`` to the last bit."""
+        route_lists = _sample_route_lists()
+        descriptor, segment = route_lists_to_binary(route_lists)
+        back = _read_back(encode_frame({"type": "route_response", "id": 1,
+                                        "routes_binary": descriptor},
+                                       binary=segment))
+        rows = route_rows_from_binary(back["routes_binary"], back[BINARY_KEY])
+        local = [[(route.score, route.database, route.tables) for route in routes]
+                 for routes in route_lists]
+        assert rows == local
+        assert [[(score.hex(), type(tables)) for score, _, tables in row_list]
+                for row_list in rows] \
+            == [[(score.hex(), tuple) for score, _, _ in row_list] for row_list in local]
+
+
+def _sample_route_lists():
+    scores = AWKWARD_SCORES
+    return [
+        [SchemaRoute("concert_hall", ("stadium", "singer"), scores[0]),
+         SchemaRoute("world_atlas", ("city",), scores[1])],
+        [],  # a question with no routes still takes a slot
+        [SchemaRoute("concert_hall", (), scores[index])
+         for index in range(2, len(scores))],
+    ]
+
+
+def _lie_in_segment(segment: bytes, offset: int, delta: int) -> bytes:
+    """``segment`` with the int32 at ``offset`` moved by ``delta``: a count
+    that lies while the segment keeps the size its descriptor implies."""
+    lying = bytearray(segment)
+    (value,) = struct.unpack_from("<i", lying, offset)
+    struct.pack_into("<i", lying, offset, value + delta)
+    return bytes(lying)
+
+
+#: Every way a route reply can lie, as ``(descriptor, segment) -> (descriptor,
+#: segment)`` over a well-formed sample.  The seq_lens array starts after
+#: three question counts and seven float64 scores.
+MALFORMED_ROUTE_PAYLOADS = {
+    "no descriptor": lambda descriptor, segment: (None, b""),
+    "missing fields": lambda descriptor, segment: ({"questions": 1, "routes": 1}, b""),
+    "count not a number": lambda descriptor, segment: (
+        {"questions": "not-a-count", "routes": 0, "tokens": 0, "strings": []}, b""),
+    "truncated": lambda descriptor, segment: (descriptor, segment[:-1]),
+    "padded": lambda descriptor, segment: (descriptor, segment + b"\x00"),
+    "lying route total": lambda descriptor, segment: (
+        dict(descriptor, routes=descriptor["routes"] + 1), segment),
+    "lying question count": lambda descriptor, segment: (
+        descriptor, _lie_in_segment(segment, 0, 1)),
+    "lying sequence length": lambda descriptor, segment: (
+        descriptor, _lie_in_segment(segment, 4 * 3 + 8 * 7, 1)),
+    "token out of range": lambda descriptor, segment: (
+        dict(descriptor, strings=descriptor["strings"][:-1]), segment),
+    "string table not a list": lambda descriptor, segment: (
+        dict(descriptor, strings="concert_hall"), segment),
+}
+
+
+@pytest.mark.parametrize("decoder", [route_rows_from_binary, route_lists_from_binary],
+                         ids=["rows", "routes"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROUTE_PAYLOADS))
+def test_malformed_route_payload_raises_through_either_decoder(decoder, case):
+    """The adapter adds no check and skips none: each malformed payload is a
+    :class:`ProtocolError` from the row decoder and from the adapter."""
+    descriptor, segment = route_lists_to_binary(_sample_route_lists())
+    assert route_rows_from_binary(descriptor, segment)  # the sample is well formed
+    with pytest.raises(ProtocolError):
+        decoder(*MALFORMED_ROUTE_PAYLOADS[case](descriptor, segment))
 
 
 class TestBinaryRoutePayloads:
     def _route_lists(self):
-        scores = AWKWARD_SCORES
-        return [
-            [SchemaRoute("concert_hall", ("stadium", "singer"), scores[0]),
-             SchemaRoute("world_atlas", ("city",), scores[1])],
-            [],  # a question with no routes still takes a slot
-            [SchemaRoute("concert_hall", (), scores[index])
-             for index in range(2, len(scores))],
-        ]
+        return _sample_route_lists()
 
     def test_binary_segment_round_trips_bit_exactly(self):
         route_lists = self._route_lists()
@@ -339,22 +396,6 @@ class TestBinaryRoutePayloads:
         for routes, back in zip(route_lists, restored):
             for original, decoded in zip(routes, back):
                 assert decoded.score.hex() == original.score.hex()
-
-    def test_segment_descriptor_mismatches_raise(self):
-        descriptor, segment = route_lists_to_binary(self._route_lists())
-        with pytest.raises(ProtocolError):  # short segment
-            route_lists_from_binary(descriptor, segment[:-1])
-        with pytest.raises(ProtocolError):  # long segment
-            route_lists_from_binary(descriptor, segment + b"\x00")
-        with pytest.raises(ProtocolError):  # missing fields
-            route_lists_from_binary({"questions": 1}, b"")
-        lying = dict(descriptor, routes=descriptor["routes"] + 1)
-        with pytest.raises(ProtocolError):
-            route_lists_from_binary(lying, segment)
-        # a token index outside the string table must be caught, not crash
-        no_strings = dict(descriptor, strings=[])
-        with pytest.raises(ProtocolError):
-            route_lists_from_binary(no_strings, segment)
 
 
 class TestHotPathEncoding:
