@@ -22,16 +22,16 @@ decode.  This module moves the worker across a process boundary:
   crash, and a graceful ``close()`` that sends ``shutdown`` and waits for
   its ack, which follows every earlier reply.
 
-The connection is **multiplexed**: frame ids are correlation ids, and many
-requests ride the pipe at once.  The child is one thread: it reads a frame,
-answers it, and reads the next, so replies leave in arrival order -- a
-careful-tier frame decodes before the fast-tier frames queued behind it, and
-a ``ping`` is answered after the frames ahead of it.  The dispatcher side
-runs one receiver thread per child that demultiplexes replies by correlation
-id into per-request events.  A request that misses its deadline kills the
-process (a wedged decode cannot be cancelled politely) -- and with it fails
-*every* in-flight request; auto-respawn then boots a clean child for the
-next request.
+Replies come back **in order**: many frames ride the pipe at once, and the
+child is one thread -- it reads a frame, answers it, and reads the next, so
+a careful-tier frame decodes before the fast-tier frames queued behind it,
+and a ``ping`` is answered after the frames ahead of it.  The dispatcher
+side runs no thread: the caller that waits reads the pipe itself, settling
+the oldest frame in flight with each reply it reads, until its own frame is
+answered.  A reply for any other frame breaks the stream like a truncated
+frame.  A request that misses its deadline kills the process (a wedged
+decode cannot be cancelled politely) -- and with it fails *every* in-flight
+request; auto-respawn then boots a clean child for the next request.
 """
 
 from __future__ import annotations
@@ -93,14 +93,14 @@ def serve(worker: ShardWorker, reader, writer,
     """Handshake, then answer frames until ``shutdown`` or EOF.
 
     One loop on the calling thread: read a frame, answer it, read the next.
-    Replies leave in arrival order (the parent still pairs them with their
-    requests by correlation id), a careful frame decodes before the frames
-    queued behind it, and a ``ping`` is answered after the frames ahead of
-    it -- so a ``shutdown`` is read only once every earlier frame has been
-    answered, and its ack is the last reply.  Request-scoped failures (a
-    malformed batch, an unexpected exception in the router) answer with an
-    ``error`` frame and keep serving; stream-level corruption is fatal --
-    once framing is lost there is nothing left to trust.
+    Replies leave in arrival order (the parent checks each reply's id
+    against its oldest frame in flight), a careful frame decodes before the
+    frames queued behind it, and a ``ping`` is answered after the frames
+    ahead of it -- so a ``shutdown`` is read only once every earlier frame
+    has been answered, and its ack is the last reply.  Request-scoped
+    failures (a malformed batch, an unexpected exception in the router)
+    answer with an ``error`` frame and keep serving; stream-level corruption
+    is fatal -- once framing is lost there is nothing left to trust.
     """
     write_frame(writer, hello_message(worker.shard_id, worker.databases, os.getpid()),
                 max_frame_bytes=max_frame_bytes)
@@ -251,22 +251,15 @@ def _repro_source_root() -> Path:
 
 
 class _PendingRequest:
-    """One in-flight frame on the receiver thread's demux table."""
+    """One in-flight frame: its id, its deadline, and how it settled."""
 
-    __slots__ = ("event", "reply", "error")
+    __slots__ = ("request_id", "deadline", "reply", "error")
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
+    def __init__(self, request_id: int) -> None:
+        self.request_id = request_id
+        self.deadline: float | None = None
         self.reply: dict | None = None
         self.error: BaseException | None = None
-
-    def complete(self, reply: dict) -> None:
-        self.reply = reply
-        self.event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.event.set()
 
 
 class ProcShardWorker:
@@ -278,28 +271,28 @@ class ProcShardWorker:
 
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
       router directory, told which ``databases`` to project it onto at which
-      beam budgets; runs the version handshake, and starts a receiver
-      thread that demultiplexes replies by correlation id into per-request
-      events -- many frames ride the pipe at once, and the child answers
-      them one at a time, in arrival order;
+      beam budgets, and runs the version handshake;
     * **timeout** -- a request that misses ``request_timeout_seconds`` kills
       the process (a wedged decode cannot be cancelled politely) and raises
       :class:`ShardTimeoutError`; every *other* in-flight request on the dead
       pipe fails as :class:`WorkerCrashedError`.  The replica layer counts
       both and fails over;
-    * **crash** -- EOF with requests in flight fails them all as
-      :class:`WorkerCrashedError`; with ``auto_respawn`` the next request
-      transparently boots a fresh process from the same master (counted
-      in ``respawns``);
+    * **crash** -- EOF, a truncated frame or a reply out of order fails every
+      request in flight as :class:`WorkerCrashedError`, and is counted once,
+      by whoever meets it first: the reading caller, or the next request.
+      With ``auto_respawn`` the next request transparently boots a fresh
+      process from the same master (counted in ``respawns``);
     * **close** -- sends ``shutdown`` at once: the child reads it only after
       answering every earlier frame, so its ack follows every in-flight
       reply.  Escalates to ``kill`` only if the worker does not exit in
       time.
 
-    Locking: ``_lifecycle`` (an RLock) guards spawn/destroy/close and the
-    writer; ``_pending_lock`` guards only the demux table and its counters.
-    The receiver thread takes *only* ``_pending_lock``, so lifecycle
-    transitions can always join it without deadlock.
+    Many frames ride the pipe at once and no thread serves it: the callers
+    that wait take turns reading (:meth:`_await`).  Locking: ``_lifecycle``
+    (an RLock) guards spawn/destroy/close and the writer; ``_settled`` (a
+    Condition) guards the in-flight queue, its counters and the reading
+    role.  The reader never takes ``_lifecycle``, so ``_destroy`` can kill
+    the child (EOF wakes the reader) and wait for it to step down.
     """
 
     def __init__(self, shard_id: int, master_dir: str | Path,
@@ -356,18 +349,16 @@ class ProcShardWorker:
         #: Lifecycle lock: spawn / destroy / close / the writer.  Reentrant
         #: so the request path can destroy-and-respawn under it.
         self._lifecycle = threading.RLock()
-        #: Demux-table lock; the *only* lock the receiver thread takes.
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, _PendingRequest] = {}
-        #: Depth histogram: in-flight depth at send time -> frame count (the
-        #: multiplexing win, observable through ``transport_stats()``).
-        self._in_flight_depths: dict[int, int] = {}
-        #: Bumped on every spawn/destroy; a receiver thread that wakes up to
-        #: a different generation stands down silently.
-        self._generation = 0
-        self._receiver: threading.Thread | None = None
-        #: Set by the receiver when the pipe died under it: the child may
-        #: still be mid-exit (``poll()`` racy), but the connection is gone.
+        #: Guards the in-flight queue, its counters and the reading role; its
+        #: waiters are the callers whose frames have not settled.
+        self._settled = threading.Condition(threading.Lock())
+        #: Frames in flight, oldest first: the next reply answers the head.
+        self._in_flight: deque[_PendingRequest] = deque()
+        self._reading = False
+        self._max_in_flight = 0
+        self._pipelined_frames = 0
+        #: Nobody may read this connection any more: it failed (the crash is
+        #: counted), missed a deadline or is being torn down.
         self._stream_dead = False
         #: Byte counters accumulated across respawns (live halves come from
         #: the current reader/writer).
@@ -376,8 +367,7 @@ class ProcShardWorker:
         self._process: subprocess.Popen | None = None
         self._reader: FrameReader | None = None
         self._writer: FrameWriter | None = None
-        #: Set by ``close()``; the receiver then takes the worker's own clean
-        #: exit for the shutdown it is, not a crash.
+        #: Set by ``close()``: no new request may be sent.
         self._closed = False
         self._spawn()
 
@@ -416,9 +406,6 @@ class ProcShardWorker:
                 FrameWriter(process.stdin, max_frame_bytes=self.max_frame_bytes))
 
     def _spawn(self) -> None:
-        self._generation += 1
-        generation = self._generation
-        self._stream_dead = False
         spawn_started = self._clock()
         self._process, self._reader, self._writer = self._open_child()
         self.respawns += 1
@@ -446,68 +433,38 @@ class ProcShardWorker:
         except Exception:
             self._destroy()
             raise
-        self._receiver = threading.Thread(
-            target=self._receive_loop, args=(self._reader, generation),
-            name=f"repro-procworker-recv-{self.shard_id}", daemon=True)
-        self._receiver.start()
+        self._stream_dead = False
 
-    def _receive_loop(self, reader: FrameReader, generation: int) -> None:
-        """Demultiplex replies into their pending events until the pipe dies.
+    def _fail_in_flight_locked(self, make_error: Callable[[], BaseException]) -> None:
+        """Fail every frame in flight (each gets its own exception instance,
+        since they are raised on different caller threads).  The caller
+        holds ``_settled``."""
+        while self._in_flight:
+            self._in_flight.popleft().error = make_error()
+        self._settled.notify_all()
 
-        Takes only ``_pending_lock``, never ``_lifecycle``: destroy paths
-        hold the lifecycle lock while joining this thread.
-        """
-        try:
-            while True:
-                reply = reader.read(timeout_seconds=None)
-                if generation != self._generation:
-                    return  # a destroy superseded this connection
-                if reply is None:
-                    raise WorkerCrashedError(
-                        f"shard {self.shard_id} worker closed its pipe")
-                self.last_reply_at = self._clock()
-                with self._pending_lock:
-                    pending = self._pending.pop(reply.get("id"), None)
-                if pending is not None:
-                    pending.complete(reply)
-                # else: a reply that lost the race with its own timeout --
-                # the process is being killed anyway; drop it.
-        except BaseException as error:
-            if generation != self._generation or self._closed:
-                return  # deliberate teardown, not a crash
-            self._stream_dead = True
-            exit_code = None
-            process = self._process
-            if process is not None:
-                exit_code = process.poll()
-            self.crashes += 1
-            description = (f"shard {self.shard_id} worker died mid-request "
-                           f"(exit code {exit_code})"
-                           if isinstance(error, WorkerCrashedError)
-                           else f"shard {self.shard_id} worker reply stream "
-                                f"failed ({type(error).__name__}: {error})")
-            self._fail_in_flight(lambda: WorkerCrashedError(description))
-
-    def _fail_in_flight(self, make_error: Callable[[], BaseException]) -> int:
-        """Fail every pending request (each gets its own exception instance,
-        since they are raised on different caller threads)."""
-        with self._pending_lock:
-            pending, self._pending = list(self._pending.values()), {}
-        for entry in pending:
-            entry.fail(make_error())
-        return len(pending)
+    def _fail_stream_locked(self, description: str) -> None:
+        """The connection broke: count the crash and fail every frame in
+        flight -- unless the stream is dead already (counted, timed out or
+        torn down on purpose).  The caller holds ``_settled``."""
+        if self._stream_dead:
+            return
+        self._stream_dead = True
+        self.crashes += 1
+        self._fail_in_flight_locked(lambda: WorkerCrashedError(description))
 
     def _destroy(self) -> None:
         """Hard-stop the child, fail anything in flight, release its pipes."""
         with self._lifecycle:
-            self._generation += 1  # stand down the current receiver
+            with self._settled:
+                # A deliberate stop: the EOF the kill causes is no crash.
+                self._stream_dead = True
+                self._fail_in_flight_locked(lambda: WorkerCrashedError(
+                    f"shard {self.shard_id} worker was stopped with requests "
+                    f"in flight"))
             process, self._process = self._process, None
             reader, self._reader = self._reader, None
             writer, self._writer = self._writer, None
-            receiver, self._receiver = self._receiver, None
-            self._fail_in_flight(lambda: WorkerCrashedError(
-                f"shard {self.shard_id} worker was stopped with requests "
-                f"in flight"))
             if process is not None:
                 if process.poll() is None:
                     process.kill()
@@ -515,10 +472,10 @@ class ProcShardWorker:
                     process.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:  # pragma: no cover - kill is final
                     pass
-            # The kill closed the child's end: EOF wakes a blocked receiver,
-            # which sees the bumped generation and stands down.
-            if receiver is not None and receiver is not threading.current_thread():
-                receiver.join(timeout=5.0)
+            # The kill closed the child's end: EOF wakes an active reader,
+            # which steps down before its FrameReader is closed.
+            with self._settled:
+                self._settled.wait_for(lambda: not self._reading, timeout=5.0)
             if reader is not None:
                 self._bytes_received_total += reader.bytes_read
                 reader.close()
@@ -549,8 +506,7 @@ class ProcShardWorker:
     @property
     def in_flight(self) -> int:
         """How many requests ride the pipe right now."""
-        with self._pending_lock:
-            return len(self._pending)
+        return len(self._in_flight)
 
     def kill(self) -> None:
         """Hard-kill the child (the crash-injection path used by tests)."""
@@ -558,24 +514,19 @@ class ProcShardWorker:
 
     def crash(self) -> None:
         """Chaos hook: SIGKILL the child, as an OOM kill would, without
-        telling the proxy -- the receiver meets the EOF exactly as it would
-        after a segfault, counts the crash and fails whatever frames are in
-        flight at that moment.  (A frame asking the child to die would
-        queue behind its decodes.)"""
+        telling the proxy -- whoever reads the stream next (a waiting
+        caller, or the next request) meets the EOF, counts the crash and
+        fails whatever frames are in flight.  (A frame asking the child to
+        die would queue behind its decodes.)"""
         with self._lifecycle:
-            if not self.is_alive():
-                return
             process = self._process
+            if process is None or process.poll() is not None:
+                return
             process.kill()
         try:
             process.wait(timeout=self.control_timeout_seconds)
         except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL is final
             pass
-        # Let the receiver notice the EOF (it counts the crash and fails the
-        # in-flight requests) before the caller inspects the counters.
-        receiver = self._receiver
-        if receiver is not None:
-            receiver.join(timeout=self.control_timeout_seconds)
 
     def respawn(self) -> None:
         """Kill (if needed) and boot a fresh process from the master."""
@@ -588,6 +539,11 @@ class ProcShardWorker:
             raise RuntimeError("the worker proxy has been closed")
         if self.is_alive() and not self._stream_dead:
             return
+        if self._process is not None:
+            with self._settled:  # it died with nothing in flight to read
+                self._fail_stream_locked(
+                    f"shard {self.shard_id} worker died between requests "
+                    f"(exit code {self._process.poll()})")
         if not self.auto_respawn:
             raise WorkerCrashedError(f"shard {self.shard_id} worker is not running")
         self._destroy()
@@ -597,12 +553,12 @@ class ProcShardWorker:
     def _begin_request(self, message: dict, timeout_seconds: float | None,
                        *, ensure: bool = True,
                        trace_context: Callable[[], dict] | None = None,
-                       ) -> tuple[int, _PendingRequest, int]:
-        """Register a pending entry and write the frame.
+                       ) -> tuple[_PendingRequest, int]:
+        """Queue a pending entry and write the frame.
 
-        Returns ``(request id, pending entry, in-flight depth at send)``.
-        The pending entry is registered *before* the write, so a reply can
-        never race past its own bookkeeping.
+        Returns ``(pending entry, in-flight depth at send)``; the entry's
+        deadline counts from the send.  The entry is queued *before* the
+        write, so a reply can never race past its own bookkeeping.
         """
         with self._lifecycle:
             if self._closed:
@@ -613,71 +569,115 @@ class ProcShardWorker:
                 raise WorkerCrashedError(
                     f"shard {self.shard_id} worker is not running")
             self._request_id += 1
-            request_id = self._request_id
-            message = dict(message, id=request_id)
+            pending = _PendingRequest(self._request_id)
+            message = dict(message, id=pending.request_id)
             if trace_context is not None:
                 message["trace"] = trace_context()
-            pending = _PendingRequest()
-            with self._pending_lock:
-                depth = len(self._pending) + 1
-                self._pending[request_id] = pending
-                self._in_flight_depths[depth] = \
-                    self._in_flight_depths.get(depth, 0) + 1
+            with self._settled:
+                self._in_flight.append(pending)
+                depth = len(self._in_flight)
+                self._max_in_flight = max(self._max_in_flight, depth)
+                self._pipelined_frames += depth > 1
             self.requests_sent += 1
             try:
                 self._writer.write(message, timeout_seconds=timeout_seconds)
             except TransportTimeoutError as error:
-                with self._pending_lock:
-                    self._pending.pop(request_id, None)
                 self.timeouts += 1
                 self._destroy()  # a wedged pipe cannot be drained politely
                 raise ShardTimeoutError(
                     f"shard {self.shard_id} worker did not drain "
                     f"{message['type']} within {timeout_seconds}s") from error
-            except (BrokenPipeError, OSError) as error:
-                with self._pending_lock:
-                    self._pending.pop(request_id, None)
-                self.crashes += 1
+            except OSError as error:  # a broken pipe
+                description = f"shard {self.shard_id} worker pipe broke mid-request"
+                with self._settled:
+                    self._fail_stream_locked(description)
                 self._destroy()
-                raise WorkerCrashedError(
-                    f"shard {self.shard_id} worker pipe broke mid-request"
-                ) from error
-        return request_id, pending, depth
+                raise WorkerCrashedError(description) from error
+        if timeout_seconds is not None:
+            pending.deadline = self._clock() + timeout_seconds
+        return pending, depth
 
-    def _await_reply(self, request_id: int, pending: _PendingRequest,
-                     expected: str, timeout_seconds: float | None,
-                     label: str, sent_at: float | None = None) -> dict:
-        """Wait for the receiver to demux this request's reply.
+    def _await(self, pending: _PendingRequest) -> bool:
+        """Wait until ``pending`` settles; ``False`` if its deadline passes
+        first.  A group commit: while nobody reads, the waiter reads, one
+        frame at a time within its own deadline, each settling the oldest
+        frame in flight, until its own settles; the others sleep until
+        theirs settles, the reader steps down or their deadline passes.  A
+        missed deadline leaves the stream dead -- a frame may be half read --
+        for the caller to kill."""
+        with self._settled:
+            while pending.reply is None and pending.error is None:
+                remaining = None if pending.deadline is None \
+                    else max(0.0, pending.deadline - self._clock())
+                if not (self._reading or self._stream_dead):
+                    if not self._read_reply_locked(remaining):
+                        self._stream_dead = True
+                        return False
+                elif remaining == 0.0:
+                    self._stream_dead = True
+                    return False
+                else:
+                    self._settled.wait(remaining)
+            return True
 
-        A deadline miss -- counted from ``sent_at`` when given -- kills the
-        process (failing every other in-flight frame with it) and raises
+    def _read_reply_locked(self, remaining: float | None) -> bool:
+        """Read one reply outside the lock and settle the oldest frame in
+        flight with it; ``False`` if none came within ``remaining`` seconds.
+        A reply for any other frame (a settled one included) breaks the
+        stream like EOF.  The caller holds ``_settled``."""
+        self._reading, reader = True, self._reader
+        self._settled.release()
+        try:
+            reply = reader.read(timeout_seconds=remaining)
+        except TransportTimeoutError:
+            return False
+        except ProtocolError as error:  # a truncated or corrupt frame
+            reply = error
+        finally:
+            self._settled.acquire()
+            self._reading = False
+            self._settled.notify_all()
+        head = self._in_flight[0] if self._in_flight else None
+        if isinstance(reply, dict) and head is not None \
+                and reply.get("id") == head.request_id:
+            self._in_flight.popleft()
+            head.reply = reply
+            self.last_reply_at = self._clock()
+            return True
+        if isinstance(reply, dict):
+            reply = ProtocolError(f"reply for request {reply.get('id')!r} is "
+                                  f"not for the oldest request in flight")
+        self._fail_stream_locked(
+            f"shard {self.shard_id} worker died mid-request" if reply is None
+            else f"shard {self.shard_id} worker reply stream failed "
+                 f"({type(reply).__name__}: {reply})")
+        return True
+
+    def _await_reply(self, pending: _PendingRequest, expected: str,
+                     timeout_seconds: float | None, label: str) -> dict:
+        """Wait for this request's reply, reading the pipe if nobody else is.
+
+        A deadline miss -- counted from the send -- kills the process
+        (failing every other in-flight frame with it) and raises
         :class:`ShardTimeoutError`.
         """
-        wait_seconds = timeout_seconds
-        if sent_at is not None and timeout_seconds is not None:
-            wait_seconds = max(0.0, sent_at + timeout_seconds - self._clock())
-        if not pending.event.wait(wait_seconds):
+        if not self._await(pending):
             with self._lifecycle:
-                # Re-check under the lock: the reply may have just landed.
-                if not pending.event.is_set():
-                    with self._pending_lock:
-                        self._pending.pop(request_id, None)
-                    self.timeouts += 1
-                    self._destroy()
-                    raise ShardTimeoutError(
-                        f"shard {self.shard_id} worker did not answer "
-                        f"{label} within {timeout_seconds}s")
+                self.timeouts += 1
+                self._destroy()
+            raise ShardTimeoutError(
+                f"shard {self.shard_id} worker did not answer "
+                f"{label} within {timeout_seconds}s")
         if pending.error is not None:
             raise pending.error
         reply = pending.reply
-        assert reply is not None
         if reply.get("type") == "error":
             raise WorkerError(f"shard {self.shard_id} worker: "
                               f"{reply.get('error')}: {reply.get('message')}")
         if reply.get("type") != expected:
             self._destroy()  # correlation broke: cannot trust the stream
             raise ProtocolError(
-                f"expected {expected} for request {request_id}, got "
+                f"expected {expected} for request {pending.request_id}, got "
                 f"{reply.get('type')!r}")
         return reply
 
@@ -699,11 +699,10 @@ class ProcShardWorker:
             message = {"type": "route_batch_request",
                        "questions": list(questions),
                        "max_candidates": max_candidates, "careful": careful}
-            request_id, pending, depth = self._begin_request(
+            pending, depth = self._begin_request(
                 message, self.request_timeout_seconds,
                 trace_context=(lambda: trace.wire_context(span))
                 if span is not None else None)
-            sent_at = self._clock()  # after any respawn: the frame is written
         except BaseException as exc:
             if span is not None:
                 span.end(status="error", error=f"{type(exc).__name__}: {exc}")
@@ -713,9 +712,9 @@ class ProcShardWorker:
 
         def wait() -> list[list[RouteRow]]:
             try:
-                reply = self._await_reply(request_id, pending, "route_response",
+                reply = self._await_reply(pending, "route_response",
                                           self.request_timeout_seconds,
-                                          "route_batch_request", sent_at=sent_at)
+                                          "route_batch_request")
                 routes = route_rows_from_binary(reply.get("routes_binary"),
                                                 reply.get(BINARY_KEY, b""))
                 if len(routes) != len(questions):
@@ -751,15 +750,14 @@ class ProcShardWorker:
         (the health probe's mode)."""
         timeout = timeout_seconds or self.control_timeout_seconds
         started = self._clock()
-        request_id, pending, _ = self._begin_request({"type": "ping"}, timeout,
-                                                     ensure=ensure)
-        self._await_reply(request_id, pending, "pong", timeout, "ping")
+        pending, _ = self._begin_request({"type": "ping"}, timeout, ensure=ensure)
+        self._await_reply(pending, "pong", timeout, "ping")
         return self._clock() - started
 
     def notify_catalog_changed(self) -> None:
-        request_id, pending, _ = self._begin_request(
+        pending, _ = self._begin_request(
             {"type": "invalidate_cache"}, self.control_timeout_seconds)
-        self._await_reply(request_id, pending, "ok",
+        self._await_reply(pending, "ok",
                           self.control_timeout_seconds, "invalidate_cache")
 
     def set_databases(self, databases: tuple[str, ...], master) -> None:
@@ -821,9 +819,6 @@ class ProcShardWorker:
     def transport_stats(self) -> dict:
         reader = self._reader  # snapshots: a concurrent destroy may None them
         writer = self._writer
-        with self._pending_lock:
-            in_flight = len(self._pending)
-            depths = dict(self._in_flight_depths)
         return {
             "backend": "subprocess",
             "pid": self.pid,
@@ -834,18 +829,15 @@ class ProcShardWorker:
             "requests_sent": self.requests_sent,
             "timeouts": self.timeouts,
             "crashes": self.crashes,
-            "in_flight": in_flight,
+            "in_flight": self.in_flight,
             # Highest in-flight depth reached, and frames sent while another
             # was already in flight.
-            "max_in_flight": max(depths, default=0),
-            "pipelined_frames": sum(count for depth, count in depths.items()
-                                    if depth > 1),
+            "max_in_flight": self._max_in_flight,
+            "pipelined_frames": self._pipelined_frames,
             "bytes_sent": self._bytes_sent_total
             + (writer.bytes_written if writer is not None else 0),
             "bytes_received": self._bytes_received_total
             + (reader.bytes_read if reader is not None else 0),
-            "in_flight_depths": {str(depth): count
-                                 for depth, count in sorted(depths.items())},
         }
 
     def _shell_stats(self) -> dict:
@@ -865,10 +857,10 @@ class ProcShardWorker:
         if self._closed or self._stream_dead or not self.is_alive():
             return self._shell_stats()
         try:
-            request_id, pending, _ = self._begin_request(
+            pending, _ = self._begin_request(
                 {"type": "stats_request"}, self.control_timeout_seconds,
                 ensure=False)
-            reply = self._await_reply(request_id, pending, "stats_response",
+            reply = self._await_reply(pending, "stats_response",
                                       self.control_timeout_seconds,
                                       "stats_request")
         except (ClusterError, ProtocolError, RuntimeError):
@@ -887,25 +879,23 @@ class ProcShardWorker:
                 return
             self._closed = True
             process = self._process
-        if process is None or process.poll() is not None or self._stream_dead:
-            self._destroy()
-            return
-        pending = _PendingRequest()
-        with self._lifecycle:
+            if process is None or process.poll() is not None or self._stream_dead:
+                self._destroy()
+                return
+            self._request_id += 1
+            pending = _PendingRequest(self._request_id)
+            with self._settled:
+                self._in_flight.append(pending)
             try:
-                self._request_id += 1
-                request_id = self._request_id
-                with self._pending_lock:
-                    self._pending[request_id] = pending
-                self._writer.write(
-                    {"type": "shutdown", "id": request_id},
-                    timeout_seconds=shutdown_timeout_seconds)
-            except (ClusterError, ProtocolError, OSError, AttributeError):
+                self._writer.write({"type": "shutdown", "id": pending.request_id},
+                                   timeout_seconds=shutdown_timeout_seconds)
+            except (ClusterError, OSError):
                 self._destroy()  # stream already gone: straight to the kill
                 return
+        pending.deadline = self._clock() + shutdown_timeout_seconds
         # The child reads the shutdown only after answering every frame sent
         # before it, so the ack means every in-flight request has its reply.
-        pending.event.wait(shutdown_timeout_seconds)
+        self._await(pending)
         try:
             process.wait(timeout=shutdown_timeout_seconds)
         except subprocess.TimeoutExpired:

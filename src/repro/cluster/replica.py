@@ -187,9 +187,7 @@ class ReplicaSet:
             own.degrade("degraded",
                         f"{quarantined} of {len(self._replicas)} replicas "
                         f"quarantined")
-        children = [replica.worker.health(policy)
-                    for replica in self._replicas
-                    if hasattr(replica.worker, "health")]
+        children = [replica.worker.health(policy) for replica in self._replicas]
         return rollup(f"shard-{self.shard_id}", children, own=own)
 
     def stats(self) -> dict:

@@ -462,7 +462,7 @@ class ClusterRoutingService:
         cache_rollup = {"size": 0, "hits": 0, "misses": 0, "evictions": 0,
                         "expirations": 0, "invalidations": 0}
         # Wire-level rollup across subprocess workers (absent for pure inproc
-        # fleets): how deep the multiplexed pipe runs and what it costs.
+        # fleets): how deep the pipelined wire runs and what it costs.
         transport_rollup = {"workers": 0, "requests_sent": 0, "in_flight": 0,
                             "max_in_flight": 0, "pipelined_frames": 0,
                             "bytes_sent": 0, "bytes_received": 0,

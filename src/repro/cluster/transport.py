@@ -28,9 +28,9 @@ Messages are plain dicts with a ``"type"`` key (see :data:`MESSAGE_TYPES`):
 ``route_batch_request`` -> ``route_response``, ``stats_request`` ->
 ``stats_response``, ``ping`` -> ``pong``, ``invalidate_cache`` -> ``ok``,
 ``shutdown`` -> ``shutdown_ack``, and ``error`` for request-scoped failures.
-Requests carry a caller-chosen ``"id"`` that the response echoes: a
-correlation id -- responses may return out of order and are demultiplexed by
-it (see :mod:`repro.cluster.procworker`).  JSON keys travel in insertion
+Requests carry a caller-chosen ``"id"`` that the response echoes.  Responses
+come back in request order, and a response whose id is not the oldest
+request in flight breaks the stream (see :mod:`repro.cluster.procworker`).  JSON keys travel in insertion
 order; nothing reads a frame as raw bytes.
 
 Route lists cross the wire in the binary segment of a kind-1 frame, scores as
@@ -261,7 +261,8 @@ class FrameReader:
 
         Raises :class:`TransportTimeoutError` when a complete frame has not
         arrived within ``timeout_seconds`` (the partial bytes stay buffered,
-        but callers are expected to kill the peer after a timeout).
+        but callers are expected to kill the peer after a timeout).  A
+        deadline already passed still takes a frame that has arrived.
         """
         deadline = None if timeout_seconds is None else self._clock() + timeout_seconds
         header = self._take(FRAME_HEADER.size, deadline, allow_eof=True)
@@ -280,8 +281,7 @@ class FrameReader:
                 raise TruncatedFrameError(
                     f"stream ended after {len(self._buffer)} of {count} expected bytes")
             if deadline is not None:
-                remaining = deadline - self._clock()
-                if remaining <= 0 or not self._selector.select(remaining):
+                if not self._selector.select(max(0.0, deadline - self._clock())):
                     raise TransportTimeoutError(
                         f"no complete frame within the deadline "
                         f"({len(self._buffer)} of {count} bytes buffered)")

@@ -196,10 +196,15 @@ class TestProcShardWorker:
             baseline = worker.route_batch(list(QUESTIONS[:2]))
             worker.crash()
             assert not worker.is_alive()
-            assert worker.crashes == 1
-            # auto-respawn: the next request boots a fresh process from the
-            # same checkpoint and answers identically.
+            # Nothing was in flight, so nobody read the EOF: the polls in
+            # between see a dead worker but count nothing ...
+            assert worker.health().status == "failing"
+            assert worker.stats()["counters"] == {}
+            assert worker.crashes == 0
+            # ... and the next request counts the crash once, then respawns:
+            # a fresh process from the same checkpoint answers identically.
             again = worker.route_batch(list(QUESTIONS[:2]))
+            assert worker.crashes == 1
             assert worker.is_alive()
             assert worker.pid != first_pid
             assert worker.respawns == 1
@@ -248,17 +253,18 @@ class TestProcShardWorker:
             ProcShardWorker(0, tmp_path / "no-such-checkpoint", ("world_atlas",),
                             spawn_timeout_seconds=30.0)
 
-    def test_close_waits_on_the_shutdown_acks_own_event(self, monkeypatch):
+    def test_close_waits_for_the_shutdown_ack_without_polling(self, monkeypatch):
         """The ack's deadline edge: ``close()`` sends ``shutdown`` behind the
-        in-flight frames at once and waits for the ack on its own event,
-        never in a sleep-and-poll loop.  Nobody answers the scripted child's
+        in-flight frames at once and waits for the ack like any caller --
+        reading or sleeping on the worker's condition, never in a
+        sleep-and-poll loop.  Nobody answers the scripted child's
         three frames, so no ack comes, the wait runs to its deadline and the
         stop escalates to a kill that fails every one of them."""
         def no_sleep(seconds: float) -> None:
             raise AssertionError(f"close() polled with time.sleep({seconds})")
 
         worker = ScriptedWorker()
-        callers = [Caller(worker, f"question-{frame}") for frame in FRAMES]
+        callers = [Caller(worker, "route", f"question-{frame}") for frame in FRAMES]
         monkeypatch.setattr(procworker, "time", SimpleNamespace(
             monotonic=time.monotonic, sleep=no_sleep))
         worker.close(shutdown_timeout_seconds=0.2)

@@ -446,6 +446,19 @@ class TestFrameReader:
             reader_file.close()
             writer_file.close()
 
+    def test_a_passed_deadline_still_takes_a_frame_that_arrived(self):
+        reader_file, writer_file = self._pipe()
+        reader = FrameReader(reader_file)
+        try:
+            writer_file.write(_frame_of({"type": "pong", "id": 3}))
+            assert reader.read(timeout_seconds=0.0) == {"type": "pong", "id": 3}
+            with pytest.raises(TransportTimeoutError):
+                reader.read(timeout_seconds=0.0)
+        finally:
+            reader.close()
+            reader_file.close()
+            writer_file.close()
+
     def test_partial_frame_survives_a_timeout_then_completes(self):
         """A timeout must not lose buffered bytes: once the rest arrives the
         frame reads whole (callers usually kill the peer, but the reader

@@ -7,13 +7,16 @@ and Constraints* (arXiv 2307.03685).  The two tables below are the net; the
 model interprets a schedule on them, the harness replays the same schedule
 on the real :class:`ProcShardWorker` -- over a scripted reader, a recording
 writer and a fake process, the seam ``_open_child`` exists for -- and the two
-must agree, for three in-flight ``route_batch`` frames and
+must agree, for three frames in flight answered in send order, as the
+real child answers them -- three ``route_batch`` frames, or two and a
+``ping`` or a ``stats`` poll at any place in the queue (the tables do not
+depend on a frame's kind; only what its caller gets back does) -- and
 
-* every permutation of their replies,
-* a crash (EOF, or a reply stream that stops mid-frame) after every prefix,
+* a stream fault after every prefix of the replies: EOF, a reply stream
+  that stops mid-frame, or a reply for a frame that is not the oldest in
+  flight (one still queued behind it, or one already settled),
 * ``kill()`` and ``close()`` after every prefix, and a ``close()`` whose
-  ``shutdown`` is acked after the outstanding replies,
-* a late reply for every id that has already settled.
+  ``shutdown`` is acked after the outstanding replies.
 
 Nothing here sleeps or reads the wall clock: every wait is a blocking
 hand-off with the thread that produces the awaited thing.  The deadline
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import queue
 import subprocess
+import sys
 import threading
-from itertools import permutations
+from collections import deque
 
 import pytest
 
@@ -37,10 +41,12 @@ from repro.cluster.procworker import ProcShardWorker, WorkerCrashedError
 from repro.cluster.transport import (
     BINARY_KEY,
     PROTOCOL_VERSION,
+    TransportTimeoutError,
     TruncatedFrameError,
     route_lists_to_binary,
 )
 from repro.core.router import SchemaRoute
+from repro.obs.health import HealthPolicy
 
 # -- the net -------------------------------------------------------------------
 #: (frame state, event) -> frame state.  ``settled`` is the only final state.
@@ -49,19 +55,19 @@ FRAME_TABLE = {
     ("sent", "reply"): "replied",
     ("sent", "eof"): "crashed",
     ("sent", "truncated"): "crashed",
+    ("sent", "misordered"): "crashed",
     ("sent", "kill"): "drained",
     ("sent", "close"): "drained",
     ("replied", "return"): "settled",
     ("crashed", "raise"): "settled",
     ("drained", "raise"): "settled",
-    ("settled", "late"): "settled",
 }
 #: (worker state, event) -> worker state.
 WORKER_TABLE = {
     ("up", "reply"): "up",
-    ("up", "late"): "up",
     ("up", "eof"): "dead",
     ("up", "truncated"): "dead",
+    ("up", "misordered"): "dead",
     ("up", "kill"): "dead",
     ("up", "close"): "closed",
     ("up", "drain"): "draining",
@@ -76,33 +82,37 @@ WORKER_TABLE = {
     ("dead", "request"): "respawning",
     ("respawning", "hello"): "up",
 }
-#: Faults the receiver counts as a crash (the others are deliberate stops).
-CRASHES = ("eof", "truncated")
+#: Stream faults, counted as a crash (the others are deliberate stops).
+CRASHES = ("eof", "truncated", "misordered")
 FAULTS = CRASHES + ("kill", "close")
 FRAMES = (0, 1, 2)
+#: The replies, in the one order the child sends them.
+REPLIES = tuple(("reply", frame) for frame in FRAMES)
+#: What each caller asks, and the frame it writes: the request path and the
+#: two monitoring polls that share its pipe.
+KINDS = {"route": "route_batch_request", "ping": "ping", "stats": "stats_request"}
+#: The kinds of the frames in flight: all routes, or one ``ping`` / ``stats``
+#: poll at each place in the queue.
+MIXES = [("route",) * len(FRAMES)] + [
+    tuple(kind if frame == place else "route" for frame in FRAMES)
+    for place in FRAMES for kind in KINDS if kind != "route"]
 
 
 def schedules() -> list[tuple]:
     """Every schedule, in one fixed order."""
-    found = []
-    for order in permutations(FRAMES):
-        replies = tuple(("reply", frame) for frame in order)
-        found.append(replies)
-        for cut in range(len(order) + 1):
-            for fault in FAULTS:
-                found.append(replies[:cut] + ((fault,),))
-            if cut < len(order):
-                found.append(replies[:cut] + (("drain",),) + replies[cut:])
-        for cut in range(1, len(order) + 1):
-            for late in order[:cut]:
-                found.append(replies[:cut] + (("late", late),) + replies[cut:])
-    return list(dict.fromkeys(found))
+    found = [REPLIES]
+    for cut in range(len(FRAMES) + 1):
+        for fault in FAULTS:
+            found.append(REPLIES[:cut] + ((fault,),))
+        if cut < len(FRAMES):
+            found.append(REPLIES[:cut] + (("drain",),) + REPLIES[cut:])
+    return found
 
 
 def model(schedule: tuple) -> dict:
     """Interpret ``schedule`` on the tables: how each frame settles, what the
     worker ends as and becomes on the next request, how many crashes the
-    receiver counted -- and which table rows it took to say so."""
+    worker counted -- and which table rows it took to say so."""
     rows = {"frame": {("registered", "write")}, "worker": set()}
     states = dict.fromkeys(FRAMES, FRAME_TABLE["registered", "write"])
     outcomes = {}
@@ -122,8 +132,6 @@ def model(schedule: tuple) -> dict:
         if event == "reply":
             outcomes[target[0]] = frame_step(target[0], "reply")
             frame_step(target[0], "return")
-        elif event == "late":
-            frame_step(target[0], "late")
         elif event in FAULTS:
             crashes += event in CRASHES
             for frame in FRAMES:
@@ -159,7 +167,8 @@ def _route_reply(request_id: int, tag: str = "db") -> dict:
 
 class ScriptedReader:
     """What the child says, fed by the test: a frame, ``None`` for EOF, or an
-    exception to raise."""
+    exception to raise.  A read given a deadline times out when nothing was
+    fed within it."""
 
     def __init__(self) -> None:
         self._items: queue.SimpleQueue = queue.SimpleQueue()
@@ -169,7 +178,10 @@ class ScriptedReader:
         self._items.put(item)
 
     def read(self, timeout_seconds=None):
-        item = self._items.get()
+        try:
+            item = self._items.get(timeout=timeout_seconds)
+        except queue.Empty:
+            raise TransportTimeoutError("nothing fed within the deadline") from None
         if isinstance(item, BaseException):
             raise item
         return item
@@ -206,20 +218,21 @@ class FakeProcess:
 
 
 class FakeChild:
-    """One scripted child: greets like a worker, answers control frames at
-    once, acks a ``shutdown`` after the last route frame sent before it has
-    its reply (the real child reads a shutdown only after answering every
-    earlier frame), and otherwise says what the test feeds -- route replies
-    in any order the test picks, more orders than the real child, which
-    answers in arrival order, produces: the parent demuxes by id alone."""
+    """One scripted child: greets like a worker, then answers frames in
+    arrival order, as the real child does -- a route frame, or one written
+    while :attr:`hold` is set, when the test says :meth:`reply`; any other
+    frame as soon as every frame ahead of it is answered.  A ``shutdown`` is
+    acked last, and the child then exits."""
 
     def __init__(self, pid: int, sent: queue.SimpleQueue) -> None:
         self.reader = ScriptedReader()
         self.process = FakeProcess(pid, self.reader)
         self.writer = self
         self.frames: list[dict] = []
-        self.unanswered: set[int] = set()
-        self.shutdown_id: int | None = None
+        self.unanswered: deque[dict] = deque()
+        #: While set, every frame written waits for :meth:`reply`.
+        self.hold = False
+        self.held: set[int] = set()
         self.bytes_written = 0
         self._sent = sent
         self.reader.feed({"type": "hello", "protocol": PROTOCOL_VERSION,
@@ -230,32 +243,42 @@ class FakeChild:
         if self.process.returncode is not None:
             raise BrokenPipeError("fake child is gone")
         self.frames.append(message)
-        kind = message["type"]
-        if kind == "route_batch_request":
-            self.unanswered.add(message["id"])
-        elif kind == "ping":
-            self.reader.feed({"type": "pong", "id": message["id"],
-                              "pid": self.process.pid})
-        elif kind == "stats_request":
-            self.reader.feed({"type": "stats_response", "id": message["id"],
-                              "stats": {"shard_id": 0, "counters": {"requests": 0}}})
-        elif kind == "shutdown":
-            self.shutdown_id = message["id"]
-            self._ack_shutdown()
+        if message["type"] != "hello_ack":
+            if self.hold:
+                self.held.add(message["id"])
+            self.unanswered.append(message)
+            self._answer_control_frames()
         self._sent.put(message)
 
     def close(self) -> None:
         pass
 
-    def reply(self, request_id: int, tag: str = "db") -> None:
-        self.unanswered.discard(request_id)
-        self.reader.feed(_route_reply(request_id, tag))
-        self._ack_shutdown()
+    def reply(self) -> int:
+        """Answer the oldest unanswered frame; returns its id."""
+        message = self.unanswered.popleft()
+        self._answer(message)
+        self._answer_control_frames()
+        return message["id"]
 
-    def _ack_shutdown(self) -> None:
-        if self.shutdown_id is not None and not self.unanswered:
-            self.reader.feed({"type": "shutdown_ack", "id": self.shutdown_id})
-            self.shutdown_id = None
+    def _answer_control_frames(self) -> None:
+        while self.unanswered \
+                and self.unanswered[0]["type"] != "route_batch_request" \
+                and self.unanswered[0]["id"] not in self.held:
+            self._answer(self.unanswered.popleft())
+
+    def _answer(self, message: dict) -> None:
+        kind, request_id = message["type"], message["id"]
+        if kind == "route_batch_request":
+            self.reader.feed(_route_reply(request_id))
+        elif kind == "ping":
+            self.reader.feed({"type": "pong", "id": request_id,
+                              "pid": self.process.pid})
+        elif kind == "stats_request":
+            self.reader.feed({"type": "stats_response", "id": request_id,
+                              "stats": {"shard_id": 0,
+                                        "counters": {"requests": 0}}})
+        elif kind == "shutdown":
+            self.reader.feed({"type": "shutdown_ack", "id": request_id})
             self.process.exit(0)
 
 
@@ -277,24 +300,27 @@ class ScriptedWorker(ProcShardWorker):
 
 
 class Caller:
-    """One ``route_batch`` on its own thread; ``outcomes`` must end up with
-    exactly one entry."""
+    """One ``route_batch`` -- or ``ping`` / ``stats`` poll, by ``kind`` -- on
+    its own thread; ``outcomes`` must end up with exactly one entry."""
 
-    def __init__(self, worker: ScriptedWorker, name: str) -> None:
+    def __init__(self, worker: ScriptedWorker, kind: str, name: str) -> None:
         self.outcomes: list = []
-        self._thread = threading.Thread(target=self._run, args=(worker, name),
+        call = {"route": lambda: worker.route_batch([name]),
+                "ping": worker.ping, "stats": worker.stats}[kind]
+        self._thread = threading.Thread(target=self._run, args=(call,),
                                         daemon=True)
         self._thread.start()
         # The frame is on the wire before the next caller starts: ids and
         # depths are the same in every run.
         frame = worker.sent.get(timeout=WAIT)
-        while frame.get("questions") != [name]:
+        while frame["type"] != KINDS[kind] \
+                or (kind == "route" and frame["questions"] != [name]):
             frame = worker.sent.get(timeout=WAIT)
         self.request_id = frame["id"]
 
-    def _run(self, worker: ScriptedWorker, name: str) -> None:
+    def _run(self, call) -> None:
         try:
-            self.outcomes.append(worker.route_batch([name]))
+            self.outcomes.append(call())
         except BaseException as error:  # noqa: BLE001 - the outcome under test
             self.outcomes.append(error)
 
@@ -310,27 +336,33 @@ def _signature(route_lists):
             for routes in route_lists]
 
 
-def run_schedule(schedule: tuple) -> None:
+def run_schedule(schedule: tuple, mix: tuple = MIXES[0]) -> None:
     expected = model(schedule)
     worker = ScriptedWorker()
     child = worker.children[0]
-    callers = [Caller(worker, f"question-{frame}") for frame in FRAMES]
+    child.hold = True  # the schedule answers every frame in flight
+    callers = [Caller(worker, kind, f"question-{frame}")
+               for frame, kind in zip(FRAMES, mix)]
+    child.hold = False
     ids = [caller.request_id for caller in callers]
     assert ids == sorted(set(ids)), ids
     assert worker.in_flight == len(FRAMES) == worker.transport_stats()["max_in_flight"]
-    closer = None
+    closer, replied = None, 0
 
     for event, *target in schedule:
         if event == "reply":
-            child.reply(ids[target[0]])
+            assert child.reply() == ids[target[0]]
             callers[target[0]].settle()
-        elif event == "late":
-            child.reply(ids[target[0]], tag="stale")
-            worker.ping()  # the pong queues behind the duplicate: it is dropped by now
+            replied += 1
         elif event == "eof":
             child.process.exit(70)
         elif event == "truncated":
             child.reader.feed(TruncatedFrameError("stream ended mid-frame"))
+        elif event == "misordered":
+            # a reply for the frame queued behind the oldest in flight --
+            # or, with none behind it, for one already settled
+            stray = ids[(replied + 1) % len(FRAMES)]
+            child.reader.feed(_route_reply(stray, tag="stray"))
         elif event == "kill":
             worker.kill()
         elif event == "close":
@@ -343,16 +375,22 @@ def run_schedule(schedule: tuple) -> None:
         assert not closer.is_alive(), "close() never returned"
 
     # every caller got exactly one outcome, and the one the tables predict
-    for frame, caller in enumerate(callers):
+    for frame, (caller, kind) in enumerate(zip(callers, mix)):
         outcome = caller.settle()
-        if expected["outcomes"][frame] == "replied":
-            assert _signature(outcome) == _signature(_routes_for(ids[frame]))
-        else:
+        replied = expected["outcomes"][frame] == "replied"
+        if kind == "stats":  # the monitoring path never raises: a shell
+            assert outcome["counters"] == ({"requests": 0} if replied else {})
+        elif not replied:
             assert isinstance(outcome, WorkerCrashedError), outcome  # a ClusterError
-    if expected["crashes"]:
-        worker._receiver.join(WAIT)  # the crash is counted before it exits
+        elif kind == "ping":
+            assert isinstance(outcome, float), outcome
+        else:
+            assert _signature(outcome) == _signature(_routes_for(ids[frame]))
+    # a crash is counted once, by whoever meets the dead stream first: a
+    # waiting caller here, else the stats poll or the next request below
+    met = "crashed" in expected["outcomes"].values()
     assert worker.in_flight == 0
-    assert worker.crashes == expected["crashes"]
+    assert worker.crashes == (expected["crashes"] if met else 0)
     assert worker.timeouts == 0
     assert worker.requests_sent == len(worker.request_frames())
     if expected["worker"] == "closed":
@@ -360,8 +398,9 @@ def run_schedule(schedule: tuple) -> None:
         graceful = set(expected["outcomes"].values()) == {"replied"}
         assert child.process.kills == (0 if graceful else 1)
 
-    # the monitoring paths never boot a process
-    health, stats = worker.health(), worker.stats()
+    # the monitoring paths never boot a process (the stats poll reads the
+    # stream, so it meets a fault nobody was waiting to read)
+    stats, health = worker.stats(), worker.health()
     assert worker.respawns == 0 and len(worker.children) == 1
     if expected["worker"] == "up":
         assert health.status == "ok" and stats["counters"] == {"requests": 0}
@@ -375,14 +414,16 @@ def run_schedule(schedule: tuple) -> None:
         with pytest.raises(RuntimeError):
             worker.route_batch(["after"])
         assert worker.respawns == 0 and len(worker.children) == 1
+        assert worker.crashes == 0
         return
-    after = Caller(worker, "after")
+    after = Caller(worker, "route", "after")
     respawned = expected["worker"] == "dead"
     assert worker.respawns == int(respawned)
     assert len(worker.children) == 1 + respawned
     assert after.request_id > max(ids)
+    assert worker.crashes == expected["crashes"]
     live = worker.children[-1]
-    live.reply(after.request_id)
+    assert live.reply() == after.request_id
     assert _signature(after.settle()) == _signature(_routes_for(after.request_id))
     assert worker.in_flight == 0
     assert worker.requests_sent == len(worker.request_frames())
@@ -397,22 +438,31 @@ def _name(schedule: tuple) -> str:
     return "-".join(event[0] + "".join(map(str, event[1:])) for event in schedule)
 
 
+def _mix_name(mix: tuple) -> str:
+    return "-".join(f"{kind}@{frame}" for frame, kind in enumerate(mix)
+                    if kind != "route") or "routes"
+
+
 def test_the_enumeration_is_complete_and_ordered():
     assert schedules() == SCHEDULES  # same schedules, same order, every run
     assert len(SCHEDULES) == len(set(SCHEDULES))
-    prefixes = {order[:cut] for order in permutations(FRAMES)
-                for cut in range(len(FRAMES) + 1)}
-    for fault in FAULTS:  # each fault after each ordered prefix of replies
-        assert {tuple(frame for _, frame in schedule[:-1])
-                for schedule in SCHEDULES if schedule[-1] == (fault,)} == prefixes
-    def count(event: str) -> int:
-        return sum(1 for schedule in SCHEDULES
-                   if any(step[0] == event for step in schedule))
-
-    assert (count("late"), count("drain")) == (36, 18)
-    assert sum(1 for schedule in SCHEDULES
-               if {step[0] for step in schedule} == {"reply"}) == 6
-    assert len(SCHEDULES) == 6 + len(FAULTS) * len(prefixes) + 36 + 18
+    for schedule in SCHEDULES:  # replies only ever come in send order
+        replies = tuple(step for step in schedule if step[0] == "reply")
+        assert replies == REPLIES[:len(replies)]
+    prefixes = {REPLIES[:cut] for cut in range(len(FRAMES) + 1)}
+    for fault in FAULTS:  # each fault after each prefix of replies
+        assert {schedule[:-1] for schedule in SCHEDULES
+                if schedule[-1] == (fault,)} == prefixes
+    drains = [schedule for schedule in SCHEDULES
+              if any(step[0] == "drain" for step in schedule)]
+    assert len(drains) == len(FRAMES)  # one with each frame still outstanding
+    assert len(SCHEDULES) == 1 + len(FAULTS) * len(prefixes) + len(drains) == 24
+    # every frame in flight is a route, or one of them is a poll
+    assert len(MIXES) == len(set(MIXES)) == 1 + len(FRAMES) * (len(KINDS) - 1) == 7
+    assert all(set(mix) <= set(KINDS) and sum(kind != "route" for kind in mix) <= 1
+               for mix in MIXES)
+    assert {(frame, kind) for mix in MIXES for frame, kind in enumerate(mix)} \
+        == {(frame, kind) for frame in FRAMES for kind in KINDS}
 
 
 def test_every_table_row_is_taken():
@@ -425,14 +475,15 @@ def test_every_table_row_is_taken():
     assert taken == {"frame": set(FRAME_TABLE), "worker": set(WORKER_TABLE)}
 
 
+@pytest.mark.parametrize("mix", MIXES, ids=_mix_name)
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=_name)
-def test_schedule(schedule):
-    run_schedule(schedule)
+def test_schedule(schedule, mix):
+    run_schedule(schedule, mix)
 
 
 def test_the_deadline_counts_from_the_send():
     """A scatter sends to both shards, then waits on each in turn: shard 1's
-    wait gets what is left of the deadline it started at its send, never a
+    read gets what is left of the deadline it started at its send, never a
     fresh one.  The clock is stepped by hand; shard 0 answers only after it
     has passed shard 1's deadline, and shard 1 never answers."""
     now = [0.0]
@@ -441,13 +492,14 @@ def test_the_deadline_counts_from_the_send():
     waits = [worker.send_route_batch([f"question-{shard_id}"])
              for shard_id, worker in enumerate(shards)]
     ids = [worker.children[0].frames[-1]["id"] for worker in shards]
-    (pending,) = shards[1]._pending.values()
+    reader = shards[1].children[0].reader
     waited: list = []
-    event_wait = pending.event.wait
-    pending.event.wait = lambda timeout=None: waited.append(timeout) or event_wait(timeout)
+    read = reader.read
+    reader.read = lambda timeout_seconds=None: \
+        waited.append(timeout_seconds) or read(timeout_seconds)
     now[0] = 6.0  # shard 1 was sent at 0 with a 5 s budget
-    shards[0].children[0].reply(ids[0])
-    shards[0].ping()  # its pong queues behind the reply: the reply is demuxed
+    assert shards[0].children[0].reply() == ids[0]
+    shards[0].ping()  # its pong queues behind the reply: the ping reads both
     assert waits[0]() == [[(route.score, route.database, route.tables)  # rows
                            for route in routes] for routes in _routes_for(ids[0])]
     victim = shards[1].children[0].process
@@ -459,3 +511,116 @@ def test_the_deadline_counts_from_the_send():
     assert [worker.in_flight for worker in shards] == [0, 0]
     for worker in shards:
         worker.close(shutdown_timeout_seconds=WAIT)
+
+
+def test_a_reply_that_arrived_is_taken_after_its_deadline():
+    """A scatter's later shard is waited on only after the earlier one
+    answered: its reply, already on the pipe, is read even though the
+    deadline has passed meanwhile -- with what is left of it, ``0.0``."""
+    now = [0.0]
+    worker = ScriptedWorker(request_timeout_seconds=5.0, clock=lambda: now[0])
+    wait = worker.send_route_batch(["question"])
+    request_id = worker.children[0].reply()
+    now[0] = 6.0
+    assert wait() == [[(route.score, route.database, route.tables)
+                       for route in routes] for routes in _routes_for(request_id)]
+    assert worker.timeouts == 0 and worker.children[0].process.kills == 0
+    worker.close(shutdown_timeout_seconds=WAIT)
+
+
+class EchoChild(FakeChild):
+    """Answers every frame in arrival order on a thread of its own, like the
+    real child's serve loop; a route's database names the question asked."""
+
+    def __init__(self, pid: int, sent: queue.SimpleQueue) -> None:
+        super().__init__(pid, sent)
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def write(self, message, *, binary=None, timeout_seconds=None) -> None:
+        self.frames.append(message)
+        if message["type"] != "hello_ack":
+            self.inbox.put(message)
+
+    def _serve(self) -> None:
+        while True:
+            message = self.inbox.get()
+            if message["type"] == "route_batch_request":
+                routes = [[SchemaRoute(message["questions"][0], ("t",),
+                                       -float(message["id"]))]]
+                descriptor, segment = route_lists_to_binary(routes)
+                self.reader.feed({"type": "route_response", "id": message["id"],
+                                  "routes_binary": descriptor, BINARY_KEY: segment})
+                continue
+            self.unanswered.append(message)
+            self._answer_control_frames()
+            if message["type"] == "shutdown":
+                return
+
+
+def test_concurrent_callers_each_read_their_own_reply():
+    """More callers than cores share one pipe with a health poller, the
+    interpreter switching threads every microsecond: each caller gets the
+    reply to its own frame, nothing stays in flight and nothing is counted
+    as a crash or a timeout -- whichever caller happened to read."""
+    class EchoWorker(ScriptedWorker):
+        def _open_child(self):
+            child = EchoChild(1000 + len(self.children), self.sent)
+            self.children.append(child)
+            return child.process, child.reader, child.writer
+
+    worker = EchoWorker()
+    wrong: list = []
+
+    def caller(slot: int) -> None:
+        for turn in range(50):
+            question = f"question-{slot}-{turn}"
+            (routes,) = worker.route_batch([question])
+            if routes[0].database != question:
+                wrong.append((question, routes[0].database))
+
+    def poller() -> None:
+        for _ in range(50):
+            worker.ping()
+            worker.stats()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(slot,), daemon=True)
+                   for slot in range(6)]
+        threads.append(threading.Thread(target=poller, daemon=True))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WAIT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert worker.in_flight == 0
+    assert worker.crashes == worker.timeouts == worker.respawns == 0
+    assert worker.requests_sent == len(worker.request_frames()) == 6 * 50 + 2 * 50
+    worker.close(shutdown_timeout_seconds=WAIT)
+    worker.children[0].thread.join(WAIT)
+    assert not worker.children[0].thread.is_alive()
+
+
+def test_a_health_ping_behind_a_route_frame_settles_both_in_order():
+    """The probe's ping reads the route reply ahead of its pong: it settles
+    the route frame first, then its own, and the route caller's ``wait``
+    finds its rows without reading the pipe."""
+    worker = ScriptedWorker()
+    child = worker.children[0]
+    wait = worker.send_route_batch(["question"])
+    request_id = child.reply()
+    report = worker.health(HealthPolicy(heartbeat_max_age_seconds=0.0))
+    assert report.status == "ok" and "heartbeat_check" in report.details
+    assert worker.in_flight == 0
+    assert [frame["type"] for frame in child.frames[1:]] == \
+        ["route_batch_request", "ping"]
+    assert wait() == [[(route.score, route.database, route.tables)
+                       for route in routes] for routes in _routes_for(request_id)]
+    assert worker.crashes == worker.timeouts == 0
+    worker.close(shutdown_timeout_seconds=WAIT)
