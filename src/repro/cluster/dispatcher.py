@@ -6,7 +6,9 @@ with :func:`repro.core.router.merge_route_lists`.  Because every shard scores
 with the same underlying model, pooled softmax normalization keeps the merged
 ranking identical to what a monolithic router would prefer, and the
 ``(-score, database, tables)`` sort makes the result independent of shard
-gather order.
+gather order.  A wave asks each shard each question once: within-wave
+repeats collapse before the scatter, and the merged answer fans back out as
+one fresh list per asked question.
 
 There is one scatter path per backend.  An inproc fleet's scatter *is* its
 :class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode.  Otherwise
@@ -22,6 +24,7 @@ returns per-question route lists), so a stub answering at send serves too.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Callable, Sequence
 
 from repro.core.router import RouteRow, SchemaRoute, merge_route_lists
@@ -129,53 +132,74 @@ class ClusterDispatcher:
     def route_batch(self, questions: Sequence[str],
                     max_candidates: int | None = None,
                     trace=None) -> list[list[SchemaRoute]]:
-        """Scatter ``questions`` to every shard and merge the answers.
+        """Scatter the wave's distinct ``questions`` to every shard and merge.
+
+        A wave asks each shard each question once: repeats (exact strings,
+        not the caches' normalised keys) collapse before the scatter, so the
+        gather, the merge, the gate, the memo and the careful scatter see
+        each distinct question once, in first-seen order.  The return has
+        one fresh list per *asked* question, in asked order.  ``escalations``
+        and ``escalations_remembered`` count asked questions too: a needy
+        question asked three times is three verdicts.
 
         Raises :class:`ClusterError` when a shard fails (or, with
         ``allow_partial``, only when *every* shard fails); a partial gather
         merges whatever answered and counts the miss in ``shard_failures``.
 
         With a ``trace`` (a ``repro.obs`` context or scope), the dispatch
-        records one ``scatter`` span per shard (the shard-layer spans nest
-        under it), a ``merge`` span (annotated ``escalations_remembered=n``
-        when the cascade answered ``n`` questions from memory), and -- only
-        when something is re-scattered -- an ``escalation`` span covering the
-        careful scatter.
+        annotates the trace's root with ``distinct_questions`` and records
+        one ``scatter`` span per shard (the shard-layer spans nest under it),
+        a ``merge`` span (annotated ``escalations_remembered=n`` when the
+        cascade answered ``n`` asked questions from memory), and -- only when
+        something is re-scattered -- an ``escalation`` span covering the
+        careful scatter; these spans count the distinct questions sent.
         """
         if self._closed:
             raise RuntimeError("the dispatcher has been closed")
         if not questions:
             return []
-        questions = list(questions)
+        distinct = list(dict.fromkeys(questions))
+        if trace is not None:
+            trace.annotate(distinct_questions=len(distinct))
+        answer_of = dict(zip(distinct, self._route_distinct(
+            distinct, questions, max_candidates, trace)))
+        return [list(answer_of[question]) for question in questions]
+
+    def _route_distinct(self, distinct: list[str], asked: Sequence[str],
+                        max_candidates: int | None,
+                        trace) -> "list[Sequence[SchemaRoute]]":
+        """The cascade over ``distinct`` questions; ``asked`` (the wave with
+        its repeats) weighs the escalation counters."""
         memo = self.escalated_cache
         # Read before the fast scatter: a careful answer is remembered only
         # if no catalog change landed between here and its ``put``.
         version = memo.catalog_version if memo is not None else None
         merged, merge_span = self._merge(
-            self._gather(questions, max_candidates, careful=False, trace=trace),
-            questions, max_candidates, trace)
+            self._gather(distinct, max_candidates, careful=False, trace=trace),
+            distinct, max_candidates, trace)
         if self.careful_targets is None or self.escalation_threshold is None:
             return merged
         needy = [index for index, routes in enumerate(merged)
                  if not routes or routes[0].score < self.escalation_threshold]
         if not needy:
             return merged
-        remembered = 0
+        copies = Counter(asked)
+        verdicts = sum(copies[distinct[index]] for index in needy)
         if memo is not None:
-            known = memo.get_many([questions[index] for index in needy],
+            known = memo.get_many([distinct[index] for index in needy],
                                   variant=max_candidates)
             unknown = []
             for index, routes in zip(needy, known):
                 if routes is None:
                     unknown.append(index)
                 else:
-                    merged[index] = list(routes)
-            remembered = len(needy) - len(unknown)
+                    merged[index] = routes
             needy = unknown
-            if remembered and merge_span is not None:
-                merge_span.annotate(escalations_remembered=remembered)
+        remembered = verdicts - sum(copies[distinct[index]] for index in needy)
+        if remembered and merge_span is not None:
+            merge_span.annotate(escalations_remembered=remembered)
         with self._stats_lock:
-            self.escalations += len(needy) + remembered
+            self.escalations += verdicts
             self.escalations_remembered += remembered
         if not needy:
             return merged
@@ -185,7 +209,7 @@ class ClusterDispatcher:
             escalation_span = trace.start_span("escalation", questions=len(needy))
             escalation_trace = trace.scoped(escalation_span)
         try:
-            needy_questions = [questions[index] for index in needy]
+            needy_questions = [distinct[index] for index in needy]
             gathered = self._gather(needy_questions, max_candidates, careful=True,
                                     trace=escalation_trace)
             careful, _ = self._merge(gathered, needy_questions, max_candidates,
@@ -202,7 +226,7 @@ class ClusterDispatcher:
         for index, routes in zip(needy, careful):
             merged[index] = routes
             if memorable:
-                memo.put(questions[index], tuple(routes), variant=max_candidates,
+                memo.put(distinct[index], tuple(routes), variant=max_candidates,
                          version=version)
         return merged
 

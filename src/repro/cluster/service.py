@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.router import SchemaRoute, SchemaRouter
+from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.partition import ShardAssignment, partition_catalog
 from repro.cluster.replica import ReplicaSet
@@ -333,6 +333,7 @@ class ClusterRoutingService:
         """Both entry points' one path: count, trace, dispatch, note load."""
         if self._closed:
             raise RuntimeError("the cluster service has been closed")
+        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
         if not questions:
             return []
         started = time.monotonic()
@@ -340,8 +341,7 @@ class ClusterRoutingService:
         trace = self.tracer.start_trace(trace_name, **attributes)
         try:
             results = self.dispatcher.route_batch(
-                questions, max_candidates=max_candidates or self.config.max_candidates,
-                trace=trace)
+                questions, max_candidates=max_candidates, trace=trace)
         except BaseException as exc:
             self.metrics.increment("errors", len(questions))
             if trace is not None:
@@ -451,7 +451,11 @@ class ClusterRoutingService:
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
-        """Cluster-wide rollup plus per-shard detail."""
+        """Cluster-wide rollup plus per-shard detail.
+
+        The cluster's ``counters`` and ``escalations`` count asked questions;
+        a shard tier sees each distinct question once per wave, so its
+        counters (and ``cache_hit_rate``) count distinct questions."""
         snapshot = self.metrics.snapshot()
         shard_stats = []
         total_requests = 0

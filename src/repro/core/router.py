@@ -130,6 +130,16 @@ def schema_routes(route_lists: Iterable[Sequence["SchemaRoute | RouteRow"]]
              for route in routes] for routes in route_lists]
 
 
+def candidate_budget(max_candidates: int | None, default: int | None) -> int | None:
+    """``max_candidates``, or ``default`` when it is None; a budget below 1
+    is a ``ValueError`` (``0`` is not "the default")."""
+    if max_candidates is None:
+        max_candidates = default
+    if max_candidates is not None and max_candidates < 1:
+        raise ValueError(f"max_candidates must be >= 1 (or None), got {max_candidates}")
+    return max_candidates
+
+
 def merge_route_lists(route_lists: Iterable[Sequence["SchemaRoute | RouteRow"]],
                       max_candidates: int | None = None) -> list[SchemaRoute]:
     """Deterministically merge per-shard candidate lists into one ranking.
@@ -417,10 +427,11 @@ class SchemaRouter:
         """
         if self._model is None:
             raise RuntimeError("the router has not been trained yet")
+        max_candidates = candidate_budget(max_candidates,
+                                          self.config.max_candidate_schemas)
         if not questions:
             return []
         contexts = distinct_traces(traces)
-        max_candidates = max_candidates or self.config.max_candidate_schemas
         source_tokenizer = WordTokenizer(self.source_vocabulary)
         target_tokenizer = WordTokenizer(self.target_vocabulary)
         with stage_spans(contexts, "encode", questions=len(questions)):
@@ -500,7 +511,7 @@ class SchemaRouter:
         (the cluster wave engine) hand decoded hypotheses straight here."""
         return self._combine_hypotheses(
             hypotheses, WordTokenizer(self.target_vocabulary),
-            max_candidates or self.config.max_candidate_schemas)
+            candidate_budget(max_candidates, self.config.max_candidate_schemas))
 
     def predict(self, question: str, max_candidates: int | None = None) -> RoutingPrediction:
         """Route and convert to the shared :class:`RoutingPrediction` format.

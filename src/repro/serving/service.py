@@ -36,7 +36,7 @@ from repro.control.admission import (
     AdmissionPolicy,
     AdmissionRejected,
 )
-from repro.core.router import SchemaRoute, SchemaRouter
+from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget
 from repro.obs import Tracer
 from repro.obs.health import (
     HealthPolicy,
@@ -183,7 +183,7 @@ class RoutingService:
         ``requests`` and ``cache_hits`` move once per wave: per-question bumps
         would dominate a cache-hot wave.  The decoder settles the wave with
         :meth:`commit`, or :meth:`count_failed` if the decode raised."""
-        max_candidates = max_candidates or self.config.max_candidates
+        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
         self.metrics.increment("requests", len(questions))
         results: list = (self.cache.get_many(questions, variant=max_candidates)
                          if self.cache is not None else [None] * len(questions))
@@ -205,7 +205,7 @@ class RoutingService:
         repeats, count every answered miss as ``routed`` (one bump per wave),
         and observe the wave's per-question latency since ``started``."""
         if pending:
-            max_candidates = max_candidates or self.config.max_candidates
+            max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
             answered = {}
             for index, routes in zip(pending, answers):
                 results[index] = answered[questions[index]] = routes
@@ -242,7 +242,7 @@ class RoutingService:
         if self._closed:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
-        max_candidates = max_candidates or self.config.max_candidates
+        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
         results, pending = self.consult(questions, max_candidates)
         missing = [question for question, routes in zip(questions, results)
                    if routes is None] if pending else []

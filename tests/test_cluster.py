@@ -123,6 +123,11 @@ def _signature(routes) -> list[tuple[str, tuple[str, ...]]]:
     return [(route.database, route.tables) for route in routes]
 
 
+def _hex_signatures(route_lists) -> list[list[tuple[str, tuple[str, ...], str]]]:
+    return [[(route.database, route.tables, route.score.hex()) for route in routes]
+            for routes in route_lists]
+
+
 def _full_signature(routes) -> list[tuple[str, tuple[str, ...], float]]:
     return [(route.database, route.tables, route.score) for route in routes]
 
@@ -473,6 +478,40 @@ class TestDispatcher:
         assert merged[0][0].database == "alpha"       # fast answer kept
         assert _signature(merged[1]) == [("beta", ("t", "u"))]  # careful answer
 
+    def test_a_wave_asks_each_shard_each_question_once(self):
+        """``[a, b, a, c, a]`` sends ``[a, b, c]`` to every fast target and
+        only the distinct needy ``[a, b]`` to every careful target; each
+        asked question gets its own list, equal to routing it alone."""
+        calls: dict[str, list[list[str]]] = {}
+
+        def shard(name, score_of):
+            calls[name] = []
+
+            def route_batch(questions, max_candidates):
+                calls[name].append(list(questions))
+                return [[SchemaRoute(name, (question,), score_of(question))]
+                        for question in questions]
+            return sender(route_batch)
+
+        fast = [shard("alpha", lambda question: -1.0),  # "c" is the clear one
+                shard("beta", lambda question: -9.0 if question == "c" else -1.1)]
+        careful = [shard("gamma", lambda question: -0.5),
+                   shard("delta", lambda question: -2.0)]
+        wave = ["a", "b", "a", "c", "a"]
+        with ClusterDispatcher(fast, careful_targets=careful,
+                               escalation_threshold=0.9) as dispatcher:
+            answers = dispatcher.route_batch(wave)
+            assert dispatcher.escalations == 4  # verdicts count asked questions
+        assert calls == {"alpha": [["a", "b", "c"]], "beta": [["a", "b", "c"]],
+                         "gamma": [["a", "b"]], "delta": [["a", "b"]]}
+        with ClusterDispatcher(fast, careful_targets=careful,
+                               escalation_threshold=0.9) as alone:
+            expected = [alone.route_batch([question])[0] for question in wave]
+        assert _hex_signatures(answers) == _hex_signatures(expected)
+        assert [routes[0].database for routes in answers] == \
+            ["gamma", "gamma", "gamma", "alpha", "gamma"]
+        assert len({id(routes) for routes in answers}) == len(wave)
+
     def test_cascade_configuration_validated(self):
         target = self._fake_target("alpha", -1.0)
         with pytest.raises(ValueError, match="pair up"):
@@ -696,6 +735,84 @@ class TestClusterRoutingService:
             ClusterConfig(replicas=2)
         with pytest.raises(ValueError):
             ClusterRoutingService([], partition_catalog(master_router.graph.catalog, 2))
+
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_a_budget_below_one_is_refused_before_any_frame(self, master_router,
+                                                            backend):
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               worker_backend=backend)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            cluster.submit(QUESTIONS[0])
+            tiers = _tier_state(cluster)
+            frames = _bytes_sent(cluster)
+            for budget in (0, -1):
+                with pytest.raises(ValueError, match="max_candidates"):
+                    cluster.submit(QUESTIONS[1], max_candidates=budget)
+                with pytest.raises(ValueError, match="max_candidates"):
+                    cluster.submit_many(QUESTIONS[:2], max_candidates=budget)
+            assert _bytes_sent(cluster) == frames
+            assert cluster.metrics.counters() == {"requests": 1, "routed": 1}
+            assert _tier_state(cluster) == tiers
+            assert len(cluster.submit(QUESTIONS[1], max_candidates=None)) >= 1
+
+
+def _tier_state(cluster) -> list[tuple[dict, dict]]:
+    """Every shard tier's counters and cache stats, fleet-wide."""
+    return [(tier["counters"], tier["cache"])
+            for shard in cluster.stats()["shards"] for worker in shard["workers"]
+            for tier in (worker, worker.get("careful")) if tier is not None]
+
+
+def _bytes_sent(cluster) -> int:
+    """Bytes written to every worker's pipe (0 for an inproc fleet); read
+    locally, so reading it sends no frame."""
+    return sum(worker.transport_stats()["bytes_sent"]
+               for replica_set in cluster.shards for worker in replica_set.workers
+               if hasattr(worker, "transport_stats"))
+
+
+class TestWithinWaveRepeats:
+    """The dispatcher collapses a wave's repeats before the scatter."""
+
+    def test_a_wave_with_repeats_answers_like_its_distinct_wave(self, master_router):
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               enable_cache=False)
+        with ClusterRoutingService.from_router(master_router, config) as repeated, \
+                ClusterRoutingService.from_router(master_router, config) as distinct:
+            @settings(max_examples=25, deadline=None)
+            @given(st.lists(st.sampled_from(QUESTIONS), min_size=1, max_size=10))
+            @example([QUESTIONS[0]] * 3 + QUESTIONS[1:3] + [QUESTIONS[0]])
+            def check(wave):
+                unique = list(dict.fromkeys(wave))
+                answer_of = dict(zip(unique, distinct.submit_many(unique)))
+                answers = repeated.submit_many(wave)
+                assert _hex_signatures(answers) == \
+                    _hex_signatures([answer_of[question] for question in wave])
+                assert len({id(routes) for routes in answers}) == len(wave)
+
+            check()
+            # Both fleets' shard tiers were asked the same distinct questions.
+            assert _tier_state(repeated) == _tier_state(distinct)
+            assert repeated.metrics.counters()["requests"] > \
+                distinct.metrics.counters()["requests"]
+
+    def test_a_subprocess_wave_sends_each_question_once(self, master_router):
+        config = ClusterConfig(num_shards=2, strategy="round_robin",
+                               worker_backend="subprocess", escalation_threshold=None)
+        wave = [QUESTIONS[0], QUESTIONS[1], QUESTIONS[0], QUESTIONS[0]]
+        # Trailing spaces tokenise away but keep the strings distinct.
+        spelled = [question + " " * index for index, question in enumerate(wave)]
+        with ClusterRoutingService.from_router(master_router, config) as fleet:
+            start = _bytes_sent(fleet)
+            answers = fleet.submit_many(wave)
+            middle = _bytes_sent(fleet)
+            spelled_answers = fleet.submit_many(spelled)
+            end = _bytes_sent(fleet)
+        # Each worker's spelled frame carries the two copies of ``wave[0]``
+        # that the repeated wave's frame does not.
+        assert (end - middle) - (middle - start) > 2 * len(wave[0]) * 2
+        assert _hex_signatures(answers) == _hex_signatures(spelled_answers)
 
 
 # -- rebalancing ---------------------------------------------------------------

@@ -78,6 +78,42 @@ class TestMemoOnStubs:
             assert careful.calls == [["q1", "q2"], ["new"]]
             assert (dispatcher.escalations, dispatcher.escalations_remembered) == (7, 4)
 
+    def test_repeats_in_a_wave_are_verdicts_but_one_put(self, monkeypatch):
+        """A needy question asked three times in a wave is three verdicts
+        (and three remembered ones once memoised), one careful scatter and
+        one ``memo.put``."""
+        memo = RouteCache()
+        puts: list[str] = []
+        put = memo.put
+
+        def spy(question, *args, **kwargs):
+            puts.append(question)
+            return put(question, *args, **kwargs)
+
+        monkeypatch.setattr(memo, "put", spy)
+        dispatcher, fast, careful = _cascade(memo)
+        tracer = Tracer()
+        with dispatcher:
+            first = dispatcher.route_batch(["a", "b", "a", "a"])
+            assert fast.calls == careful.calls == [["a", "b"]]
+            assert puts == ["a", "b"]
+            assert (dispatcher.escalations, dispatcher.escalations_remembered) == (4, 0)
+            trace = tracer.start_trace("request_wave", questions=3)
+            again = dispatcher.route_batch(["a", "a", "a"], trace=trace)
+            trace.finish()
+            assert careful.calls == [["a", "b"]] and puts == ["a", "b"]
+            assert (dispatcher.escalations, dispatcher.escalations_remembered) == (7, 3)
+            assert trace.root.attributes == {"questions": 3, "distinct_questions": 1}
+            (merge,) = trace.find_spans("merge")
+            assert merge.attributes["escalations_remembered"] == 3
+            assert _hex_signature(again) == _hex_signature(first[:1]) * 3
+            assert len({id(routes) for routes in first + again}) == 7
+        forgetful, _, careful = _cascade(memo=None)
+        with forgetful:
+            forgetful.route_batch(["a", "a", "a"])
+            assert careful.calls == [["a"]]
+            assert (forgetful.escalations, forgetful.escalations_remembered) == (3, 0)
+
     def test_answers_handed_out_do_not_alias_the_memory(self):
         dispatcher, _, careful = _cascade(RouteCache())
         with dispatcher:

@@ -257,6 +257,22 @@ class TestRouteBatch:
     def test_empty_batch(self, trained_router):
         assert trained_router.route_batch([]) == []
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_budget_below_one_is_refused_before_any_decode(self, trained_router,
+                                                             budget, monkeypatch):
+        def decode(*args, **kwargs):
+            raise AssertionError("decoded a refused wave")
+
+        parses = len(trained_router._parse_cache)
+        monkeypatch.setattr("repro.core.router.decode_wave", decode)
+        with pytest.raises(ValueError, match="max_candidates"):
+            trained_router.route_batch(QUESTIONS[:2], max_candidates=budget)
+        with pytest.raises(ValueError, match="max_candidates"):
+            trained_router.route(QUESTIONS[0], max_candidates=budget)
+        with pytest.raises(ValueError, match="max_candidates"):
+            trained_router.combine_hypotheses([], max_candidates=budget)
+        assert len(trained_router._parse_cache) == parses
+
     def test_untrained_raises(self, trained_router):
         router = SchemaRouter(graph=trained_router.graph)
         with pytest.raises(RuntimeError):
@@ -684,6 +700,22 @@ class TestRoutingService:
             # The truncated answer must not be served for the default request.
             assert len(service.submit(question)) == len(full)
             assert len(service.submit(question, max_candidates=1)) == 1
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_budget_below_one_is_refused_before_the_cache(self, trained_router,
+                                                            budget, monkeypatch):
+        with RoutingService(trained_router) as service:
+            default = service.submit(QUESTIONS[0])
+            counters, cache = service.metrics.counters(), service.cache.stats()
+            calls = _spy_route_batch(monkeypatch, trained_router)
+            with pytest.raises(ValueError, match="max_candidates"):
+                service.submit(QUESTIONS[0], max_candidates=budget)
+            with pytest.raises(ValueError, match="max_candidates"):
+                service.submit_many(QUESTIONS[:2], max_candidates=budget)
+            assert calls == []
+            assert service.metrics.counters() == counters
+            assert service.cache.stats() == cache
+            assert service.submit(QUESTIONS[0], max_candidates=None) == default
 
     def test_catalog_change_invalidates_cache(self, trained_router):
         with RoutingService(trained_router) as service:

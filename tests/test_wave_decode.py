@@ -621,12 +621,12 @@ class TestWaveBookkeeping:
             assert first[0] == first[1]
             assert cluster.submit_many([QUESTIONS[0]])[0] == first[0]
             stats = cluster.stats()
-        # Each shard decoded 2 unique questions once and answered 3 misses
-        # (the within-wave repeat is routed, not a hit); the later repeat
-        # was a hit.
+        # The dispatcher collapses the within-wave repeat, so each shard was
+        # asked 2 distinct questions and decoded both; the later repeat was
+        # a hit.
         for shard in stats["shards"]:
             assert shard["workers"][0]["counters"] == \
-                {"requests": 4, "routed": 3, "cache_hits": 1}
+                {"requests": 3, "routed": 2, "cache_hits": 1}
         assert stats["cache_hit_rate"] > 0.0
 
     def test_a_failed_wave_counts_errors_per_shard(self, master_router,
@@ -641,14 +641,15 @@ class TestWaveBookkeeping:
                                                config) as cluster:
             monkeypatch.setattr("repro.core.router.diverse_beam_search_batch",
                                 broken)
-            # Errors count every cache miss, within-wave repeats included,
-            # and the failure lands on the replica like a failed pool call.
+            # Errors count every cache miss a shard was asked (the dispatcher
+            # collapsed the within-wave repeat), and the failure lands on the
+            # replica like a failed pool call.
             with pytest.raises(Exception, match="wave decode failed"):
                 cluster.submit_many(QUESTIONS[:3] + QUESTIONS[:1])
             monkeypatch.undo()
             for replica_set in cluster.shards:
                 counters = replica_set.workers[0].service.metrics.counters()
-                assert counters == {"requests": 4, "errors": 4}
+                assert counters == {"requests": 3, "errors": 3}
                 (replica,) = replica_set.stats()["replicas"]
                 assert (replica["successes"], replica["failures"]) == (0, 1)
             assert cluster.submit_many(QUESTIONS[:3])
@@ -703,7 +704,9 @@ class TestCountersConserve:
                 [service for worker in workers
                  for service in (worker.service, worker.careful_service)],
                 monkeypatch)
-            assert [tier["errors"] for tier in tiers[::2]] == [len(self.FAILED)] * 2
+            # The dispatcher collapses the failed wave's repeat: a shard tier
+            # counts each distinct question it was asked.
+            assert [tier["errors"] for tier in tiers[::2]] == [len(set(self.FAILED))] * 2
             assert cluster.stats()["wave"]["careful_waves"] > 0
 
     def test_on_submit_many(self, master_router, monkeypatch):
