@@ -144,8 +144,7 @@ def test_hot_shard_split_without_flapping(spider_context):
         cluster, rebalancer=ClusterRebalancer(cluster),
         config=ControllerConfig(hysteresis_seconds=hysteresis,
                                 database_cooldown_seconds=1e9,
-                                min_window_qps=0.5,
-                                adaptive_escalation=False),
+                                min_window_qps=0.5),
         clock=clock)
     try:
         # Probe round: find which database wins the most questions, then

@@ -43,11 +43,15 @@ READABLE_VERSIONS = (1, CLUSTER_VERSION)
 
 CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
+#: Retired overrides of the derived beam budgets.  Every manifest written
+#: with defaults holds them as null; any other value set a budget this build
+#: no longer honours, so it is refused rather than dropped.
+_BEAM_OVERRIDES = ("shard_num_beams", "shard_beam_groups", "escalation_num_beams")
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
 #: them, and loading drops them.
 RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
                                  "sliced_vocabulary", "max_workers",
-                                 "trace_exemplars"})
+                                 "trace_exemplars", *_BEAM_OVERRIDES})
 
 
 def write_cluster(path: str | Path, master: SchemaRouter, config: ClusterConfig,
@@ -114,7 +118,7 @@ def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
     """
     from repro.cluster.procworker import ProcShardWorker
 
-    beams, groups = config.shard_beams_for(master)
+    beams = config.shard_beams_for(master)
     escalation_beams = config.escalation_beams_for(master)
     jobs = [(shard_id, databases) for shard_id, databases in enumerate(assignment.shards)
             for _ in range(config.replicas)]
@@ -123,8 +127,7 @@ def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
         shard_id, databases = job
         return ProcShardWorker(
             shard_id, master_dir, databases,
-            num_beams=beams, beam_groups=groups,
-            escalation_num_beams=escalation_beams,
+            num_beams=beams, escalation_num_beams=escalation_beams,
             enable_cache=config.enable_cache,
             cache_size=config.cache_size,
             cache_ttl_seconds=config.cache_ttl_seconds,
@@ -170,6 +173,12 @@ def _saved_config(payload: dict) -> ClusterConfig:
     if unknown:
         raise CheckpointError(f"cluster manifest config has unknown key(s) "
                               f"{', '.join(map(repr, unknown))}")
+    for key in _BEAM_OVERRIDES:
+        if payload.get(key) is not None:
+            raise CheckpointError(
+                f"cluster manifest config sets the retired {key}="
+                f"{payload[key]!r}: this build derives every beam budget "
+                f"from the master router and the shard count")
     try:
         return ClusterConfig(**{key: value for key, value in payload.items()
                                 if key in known})
@@ -183,9 +192,9 @@ def load_cluster(path: str | Path,
 
     ``config`` overrides the saved *serving* knobs (backend, cache sizes, and
     for a subprocess fleet timeouts, replicas and partial gathers); everything
-    that affects routing decisions --
-    assignment, shard/escalation beam budgets, the escalation threshold --
-    always comes from the checkpoint so a restarted cluster routes
+    that affects routing decisions -- the assignment, the partition strategy,
+    the escalation threshold, and through them and the master the beam
+    budgets -- always comes from the checkpoint so a restarted cluster routes
     identically.
     """
     path = Path(path)
@@ -195,12 +204,8 @@ def load_cluster(path: str | Path,
     if config is None:
         config = saved_config
     else:
-        config = replace(config,
-                         strategy=saved_config.strategy,
-                         shard_num_beams=saved_config.shard_num_beams,
-                         shard_beam_groups=saved_config.shard_beam_groups,
-                         escalation_threshold=saved_config.escalation_threshold,
-                         escalation_num_beams=saved_config.escalation_num_beams)
+        config = replace(config, strategy=saved_config.strategy,
+                         escalation_threshold=saved_config.escalation_threshold)
     if config.num_shards != assignment.num_shards:
         config = replace(config, num_shards=assignment.num_shards)
     master = load_router(path / MASTER_DIR)
@@ -209,10 +214,6 @@ def load_cluster(path: str | Path,
     if unknown:
         raise CheckpointError(f"the assignment names database(s) {unknown} "
                               f"that the {MASTER_DIR}/ router lacks")
-    try:
-        config.shard_beams_for(master)
-    except ValueError as error:
-        raise CheckpointError(f"invalid cluster manifest config: {error}") from error
     if config.worker_backend == "subprocess":
         shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config, master)
     else:

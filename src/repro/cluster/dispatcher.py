@@ -62,13 +62,13 @@ class ClusterDispatcher:
     merged careful answer of every question it escalates, keyed like the
     shard caches (normalised question + ``max_candidates``).  The fast tier
     still answers every question and the gate is still judged on those
-    answers each wave -- so retuning the threshold needs no invalidation, and
-    ``escalations`` keeps counting *verdicts* -- but a needy question whose
-    careful answer is remembered (``escalations_remembered``) costs no second
-    scatter.  A merged answer is a function of the whole catalog, so whoever
-    owns the cache bumps its version on any shard's change, after the shards
-    themselves changed; an answer is remembered only if no bump landed since
-    before its wave's fast scatter, and never from a partial gather.
+    answers each wave -- so ``escalations`` keeps counting *verdicts* -- but
+    a needy question whose careful answer is remembered
+    (``escalations_remembered``) costs no second scatter.  A merged answer
+    is a function of the whole catalog, so whoever owns the cache bumps its
+    version on any shard's change, after the shards themselves changed; an
+    answer is remembered only if no bump landed since before its wave's fast
+    scatter, and never from a partial gather.
     """
 
     def __init__(self, targets: Sequence[ShardTarget],
@@ -113,20 +113,6 @@ class ClusterDispatcher:
     @property
     def num_shards(self) -> int:
         return len(self.targets)
-
-    def set_escalation_threshold(self, threshold: float) -> None:
-        """Retune the confidence gate of a live cascade.
-
-        The control plane's adaptive gate calls this between waves; the new
-        threshold applies to the next ``route_batch``.  Raises when the
-        cascade is disabled (no careful tier to escalate to) -- retuning a
-        gate that gates nothing would silently do nothing.
-        """
-        if self.careful_targets is None:
-            raise ValueError("no careful tier: the escalation cascade is disabled")
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("escalation_threshold must be in (0, 1]")
-        self.escalation_threshold = threshold
 
     # -- request path --------------------------------------------------------
     def route_batch(self, questions: Sequence[str],

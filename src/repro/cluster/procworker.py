@@ -197,7 +197,6 @@ def worker_main(argv: list[str] | None = None) -> int:
                         help="the databases this shard projects the master onto")
     parser.add_argument("--shard-id", type=int, default=0)
     parser.add_argument("--num-beams", type=int, default=None)
-    parser.add_argument("--beam-groups", type=int, default=None)
     parser.add_argument("--escalation-num-beams", type=int, default=None,
                         help="enable the careful decode tier at this beam budget")
     parser.add_argument("--no-cache", action="store_true",
@@ -229,7 +228,6 @@ def worker_main(argv: list[str] | None = None) -> int:
                                      # start its own per-wave traces on top.
                                      enable_tracing=False),
         num_beams=arguments.num_beams,
-        beam_groups=arguments.beam_groups,
         escalation_num_beams=arguments.escalation_num_beams,
     )
     try:
@@ -298,7 +296,6 @@ class ProcShardWorker:
     def __init__(self, shard_id: int, master_dir: str | Path,
                  databases: Sequence[str], *,
                  num_beams: int | None = None,
-                 beam_groups: int | None = None,
                  escalation_num_beams: int | None = None,
                  enable_cache: bool = True,
                  cache_size: int = 2048,
@@ -316,7 +313,6 @@ class ProcShardWorker:
         self.master_dir = Path(master_dir)
         self.projected_databases = tuple(databases)
         self.num_beams = num_beams
-        self.beam_groups = beam_groups
         self.escalation_num_beams = escalation_num_beams
         self.enable_cache = enable_cache
         self.cache_size = cache_size
@@ -380,7 +376,6 @@ class ProcShardWorker:
                    "--cache-size", str(self.cache_size),
                    "--max-frame-bytes", str(self.max_frame_bytes)]
         for flag, value in (("--num-beams", self.num_beams),
-                            ("--beam-groups", self.beam_groups),
                             ("--escalation-num-beams", self.escalation_num_beams)):
             if value is not None:
                 command += [flag, str(value)]

@@ -3,8 +3,9 @@
 :class:`ClusterRoutingService` mirrors the PR-1 :class:`RoutingService` API
 (``submit`` / ``submit_many`` / ``stats`` / ``close``, context manager) but
 serves the catalog from a set of shard workers behind a scatter-gather
-dispatcher.  Each shard owns a disjoint slice of the databases, decodes with a
-proportionally smaller beam budget, and keeps its own route cache and metrics;
+dispatcher.  Each shard owns a disjoint slice of the databases, decodes at a
+beam budget derived from the master's and the shard count (never set by a
+knob), and keeps its own route cache and metrics;
 the dispatcher merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
@@ -59,7 +60,12 @@ WORKER_BACKENDS = frozenset({"inproc", "subprocess"})
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs of one cluster instance."""
+    """Knobs of one cluster instance.
+
+    None of them sets a shard's beam budget: both tiers' budgets are derived
+    from the master router, ``num_shards`` and whether the cascade is on
+    (:meth:`shard_beams_for`, :meth:`escalation_beams_for`).
+    """
 
     num_shards: int = 4
     #: Partition strategy: "round_robin" | "size_balanced" | "joinability".
@@ -73,25 +79,10 @@ class ClusterConfig:
     worker_backend: str = "inproc"
     #: Worker processes per shard (1 = no replication); subprocess only.
     replicas: int = 1
-    #: Beam budget per shard on the fast tier.  None derives 1 when the
-    #: escalation cascade is enabled (the careful tier covers ambiguity) and
-    #: ``max(1, num_beams // num_shards)`` otherwise -- the shard only has to
-    #: surface its own best candidates, the cross-shard merge recovers the
-    #: global top-k.
-    shard_num_beams: int | None = None
-    #: Beam groups per shard; None means 1 (standard, non-diverse beam search).
-    #: Diversity exists to spread a monolithic beam across many databases;
-    #: inside a shard the partition already did that, and penalty-free search
-    #: ranks the shard's own candidates more faithfully.  An explicit value
-    #: must divide the shard beam budget, or the fleet refuses to boot.
-    shard_beam_groups: int | None = None
     #: Confidence-gated escalation: a question whose merged top-1 softmax
     #: weight falls below this threshold is re-scattered to a wide-beam tier.
-    #: None disables the cascade (single-pass at ``shard_num_beams``).
+    #: None disables the cascade.  Fixed for the fleet's lifetime.
     escalation_threshold: float | None = 0.8
-    #: Beam budget of the escalation tier; None derives
-    #: ``max(2, num_beams // num_shards)`` from the master router.
-    escalation_num_beams: int | None = None
     #: Per-request deadline of each worker process (None = wait forever); a
     #: miss kills the wedged child and raises ``ShardTimeoutError``.
     #: Subprocess only.
@@ -129,17 +120,9 @@ class ClusterConfig:
                         f"{name}={getattr(self, name)!r} needs "
                         f"worker_backend='subprocess': an inproc fleet's "
                         f"shards are rows of one stacked decode")
-        if self.shard_num_beams is not None and self.shard_num_beams <= 0:
-            raise ValueError("shard_num_beams must be positive (or None)")
-        if self.shard_beam_groups is not None and self.shard_beam_groups <= 0:
-            raise ValueError("shard_beam_groups must be positive (or None)")
-        if self.shard_num_beams is not None:
-            self._check_shard_beam_groups(self.shard_num_beams)
         if self.escalation_threshold is not None \
                 and not 0.0 < self.escalation_threshold <= 1.0:
             raise ValueError("escalation_threshold must be in (0, 1] (or None)")
-        if self.escalation_num_beams is not None and self.escalation_num_beams <= 0:
-            raise ValueError("escalation_num_beams must be positive (or None)")
 
     def serving_config(self) -> ServingConfig:
         """The per-shard RoutingService configuration this cluster implies."""
@@ -151,46 +134,35 @@ class ClusterConfig:
                              # their own per-wave traces.
                              enable_tracing=False)
 
-    def shard_beams_for(self, master: SchemaRouter) -> tuple[int, int]:
-        """(num_beams, beam_groups) of the fast tier for shards of ``master``.
-
-        Raises ``ValueError`` when an explicit ``shard_beam_groups`` does not
-        divide the beam budget derived here."""
-        if self.shard_num_beams is not None:
-            beams = self.shard_num_beams
-        elif self.escalation_threshold is not None:
-            beams = 1
-        else:
-            beams = max(1, master.config.num_beams // self.num_shards)
-        self._check_shard_beam_groups(beams)
-        return beams, self.shard_beam_groups or 1
-
-    def _check_shard_beam_groups(self, beams: int) -> None:
-        if self.shard_beam_groups is not None and beams % self.shard_beam_groups:
-            raise ValueError(
-                f"shard_beam_groups={self.shard_beam_groups} does not divide "
-                f"the shard beam budget of {beams}")
+    def shard_beams_for(self, master: SchemaRouter) -> int:
+        """Beam budget of the fast tier for shards of ``master``: 1 under the
+        cascade (the careful tier covers ambiguity), otherwise
+        ``max(1, num_beams // num_shards)`` -- a shard only has to surface
+        its own best candidates, the cross-shard merge recovers the global
+        top-k.  Shards decode plain beams (one group): diversity spreads a
+        monolithic beam across databases, which the partition already did."""
+        if self.escalation_threshold is not None:
+            return 1
+        return max(1, master.config.num_beams // self.num_shards)
 
     def escalation_beams_for(self, master: SchemaRouter) -> int | None:
         """Beam budget of the careful tier (None when the cascade is off)."""
         if self.escalation_threshold is None:
             return None
-        return self.escalation_num_beams or max(2, master.config.num_beams
-                                                // self.num_shards)
+        return max(2, master.config.num_beams // self.num_shards)
 
 
 def project_shards(master: SchemaRouter, assignment: ShardAssignment,
                    config: ClusterConfig) -> list[ReplicaSet]:
     """One inproc worker per shard of ``assignment``: ``master`` projected
     onto the shard's databases at the beam budgets ``config`` derives."""
-    beams, groups = config.shard_beams_for(master)
+    beams = config.shard_beams_for(master)
     escalation_beams = config.escalation_beams_for(master)
     return [
         ReplicaSet(shard_id, [ShardWorker.from_projection(
             shard_id, databases, master,
             serving_config=config.serving_config(),
-            num_beams=beams, beam_groups=groups,
-            escalation_num_beams=escalation_beams)],
+            num_beams=beams, escalation_num_beams=escalation_beams)],
             quarantine_seconds=config.quarantine_seconds)
         for shard_id, databases in enumerate(assignment.shards)
     ]
@@ -287,7 +259,6 @@ class ClusterRoutingService:
                                            strategy=config.strategy)
         elif assignment.num_shards != config.num_shards:
             config = replace(config, num_shards=assignment.num_shards)
-        config.shard_beams_for(master)  # refuse a bad budget before any boot
         if config.worker_backend == "inproc":
             return cls(project_shards(master, assignment, config), assignment,
                        config=config, master_router=master)

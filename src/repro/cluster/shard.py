@@ -13,12 +13,14 @@ bit-identical for sequences inside the shard) while the graph constraint and
 hypothesis parsing only admit the shard's databases.  Because every shard
 scores with the same model, raw scores are directly comparable across shards
 -- the property the dispatcher's merge relies on.  Projected routers also run
-with a reduced beam budget: under the default escalation cascade the fast
-tier decodes with a single beam and the careful tier with
-``num_beams // num_shards``; with the cascade disabled the single pass uses
-``num_beams // num_shards`` (see :meth:`ClusterConfig.shard_beams_for`).  A
-shard only has to surface the best candidates of its own partition, which is
-where the cluster's single-core speedup comes from.
+with a reduced beam budget of plain (one-group) beams, derived from the
+master's and the shard count, never configured: under the default escalation
+cascade the fast tier decodes with a single beam and the careful tier with
+``max(2, num_beams // num_shards)``; with the cascade disabled the single
+pass uses ``max(1, num_beams // num_shards)`` (see
+:meth:`ClusterConfig.shard_beams_for`).  A shard only has to surface the best
+candidates of its own partition, which is where the cluster's single-core
+speedup comes from.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ from repro.serving.service import RoutingService, ServingConfig
 
 
 def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[str],
-                   num_beams: int | None = None,
-                   beam_groups: int | None = None) -> SchemaRouter:
+                   num_beams: int | None = None) -> SchemaRouter:
     """Restrict a trained ``master`` router to ``database_names``.
 
     The projected router shares the master's model and vocabularies (no
     training, no copying of weights) but decodes under the sub-catalog's graph
     constraint, so it can only ever emit schemata of its own shard.  An empty
     ``database_names`` yields a router that routes every question to ``[]``.
-    An explicit ``beam_groups`` must divide the beam budget (``ValueError``);
-    derived from the master's, the groups become the beams when they do not.
+    With a ``num_beams`` budget the projection decodes that many plain beams
+    (one group); without one it keeps the master's search.
     """
     if not master.is_trained:
         raise ValueError("cannot project an untrained router")
@@ -49,15 +50,8 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
     sub_catalog = master.graph.catalog.subset(database_names)
     edges = [edge for edge in master.graph.joinable_edges() if edge[0] in wanted]
     config = master.config
-    if num_beams is not None or beam_groups is not None:
-        beams = num_beams if num_beams is not None else config.num_beams
-        groups = beam_groups if beam_groups is not None else min(config.beam_groups, beams)
-        if beams % groups != 0:
-            if beam_groups is not None:
-                raise ValueError(f"beam_groups={beam_groups} does not divide "
-                                 f"the beam budget of {beams}")
-            groups = beams  # keep the diverse-beam invariant: groups | beams
-        config = config.ablated(num_beams=beams, beam_groups=groups)
+    if num_beams is not None:
+        config = config.ablated(num_beams=num_beams, beam_groups=1)
     projected = SchemaRouter(graph=SchemaGraph.from_components(sub_catalog, edges),
                              config=config)
     projected.restore(master.model, master.source_vocabulary,
@@ -104,12 +98,10 @@ class ShardWorker:
                         master: SchemaRouter,
                         serving_config: ServingConfig | None = None,
                         num_beams: int | None = None,
-                        beam_groups: int | None = None,
                         escalation_num_beams: int | None = None) -> "ShardWorker":
         """``master`` projected onto ``databases`` at the given beam budgets
         (``escalation_num_beams`` adds the careful tier)."""
-        router = project_router(master, databases, num_beams=num_beams,
-                                beam_groups=beam_groups)
+        router = project_router(master, databases, num_beams=num_beams)
         return cls(shard_id, databases, router, serving_config=serving_config,
                    escalation_num_beams=escalation_num_beams)
 
@@ -146,11 +138,8 @@ class ShardWorker:
         Swaps the routers under each service's route lock and bumps *this*
         shard's cache versions; other shards' caches are untouched.
         """
-        router = project_router(
-            master, databases,
-            num_beams=self.router.config.num_beams,
-            beam_groups=self.router.config.beam_groups,
-        )
+        router = project_router(master, databases,
+                                num_beams=self.router.config.num_beams)
         self.databases = tuple(databases)
         self.service.replace_router(router)
         if self.careful_service is not None:

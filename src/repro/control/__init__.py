@@ -1,4 +1,4 @@
-"""The workload-adaptive control plane (ROADMAP item 3).
+"""The workload-adaptive control plane.
 
 PR 6 made the system observable, PR 7 made it judge itself; this package
 makes it *react*:
@@ -6,13 +6,10 @@ makes it *react*:
 * :mod:`repro.control.admission` — token-bucket + queue-depth/burn-gated
   admission at the serving front, so overload degrades to bounded-latency
   shedding (a typed, fast :class:`AdmissionRejected`) instead of collapse;
-* :mod:`repro.control.adaptive` — the escalation confidence gate learned
-  from routed traffic (EWMA rate control inside frozen bounds) instead of
-  the fixed 0.8;
 * :mod:`repro.control.controller` — the :class:`Controller` closing the
-  loop each monitor tick: SLO burn into admission, escalation counters into
-  the adaptive gate, and the per-database routed-load window into
-  :class:`repro.cluster.ClusterRebalancer` under hysteresis.
+  loop each monitor tick: SLO burn into admission, and the per-database
+  routed-load window into :class:`repro.cluster.ClusterRebalancer` under
+  hysteresis.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -22,8 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AdmissionPolicy": "repro.control.admission",
     "AdmissionRejected": "repro.control.admission",
     "REJECT_REASONS": "repro.control.admission",
-    "AdaptiveEscalationConfig": "repro.control.adaptive",
-    "AdaptiveEscalationGate": "repro.control.adaptive",
     "Controller": "repro.control.controller",
     "ControllerConfig": "repro.control.controller",
 })

@@ -1,16 +1,13 @@
 """The feedback controller: observed load in, corrective actions out.
 
-:class:`Controller` closes ROADMAP item 3's loop over the PR-6/PR-7
+:class:`Controller` closes the loop over the serving and cluster
 instrumentation.  Each :meth:`tick` reads one cluster ``stats()`` snapshot
 (plus, when riding a :class:`repro.obs.Monitor`, the SLO engine's burn-rate
-status) and drives three actuators:
+status) and drives two actuators:
 
 * **admission feedback** — the max fast-window SLO burn is fed to the
   serving front's :class:`~repro.control.admission.AdmissionController`,
   which enters or leaves shedding mode under its own hysteresis;
-* **adaptive escalation** — cumulative request/escalation counters feed the
-  :class:`~repro.control.adaptive.AdaptiveEscalationGate`, and the learned
-  threshold is applied to the cluster dispatcher;
 * **rebalancer feedback** — the per-database routed-load window (which
   databases are *winning* questions right now) decides shard moves executed
   through :class:`repro.cluster.ClusterRebalancer`.
@@ -32,10 +29,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.control.adaptive import AdaptiveEscalationConfig, AdaptiveEscalationGate
 from repro.control.admission import AdmissionController
 
 
@@ -56,11 +52,6 @@ class ControllerConfig:
     #: has no load worth moving.
     min_window_qps: float = 1.0
     enable_rebalance: bool = True
-    #: Run the adaptive escalation gate (requires a cluster with a careful
-    #: tier; silently inert otherwise).
-    adaptive_escalation: bool = True
-    escalation: AdaptiveEscalationConfig = field(
-        default_factory=AdaptiveEscalationConfig)
     #: SLO severities whose fast burn feeds admission shedding.
     burn_severities: tuple[str, ...] = ("page",)
     #: Bound of the retained action journal.
@@ -102,13 +93,6 @@ class Controller:
         self.config = config or ControllerConfig()
         self._clock = clock
         self._lock = threading.Lock()
-        self.gate: AdaptiveEscalationGate | None = None
-        if self.config.adaptive_escalation:
-            dispatcher = getattr(cluster, "dispatcher", None)
-            current = getattr(dispatcher, "escalation_threshold", None)
-            if current is not None:
-                self.gate = AdaptiveEscalationGate(self.config.escalation,
-                                                   initial_threshold=current)
         self.ticks = 0
         self.tick_errors = 0
         self.last_error: str | None = None
@@ -133,15 +117,14 @@ class Controller:
              slo_status: list | None = None) -> dict:
         """Observe once, act at most once; never raises.
 
-        Returns what it did: the burn fed to admission, the escalation
-        threshold in force, and any rebalance action taken.
+        Returns what it did: the burn fed to admission and any rebalance
+        action taken.
         """
-        outcome = {"burn": None, "escalation_threshold": None, "action": None}
+        outcome = {"burn": None, "action": None}
         try:
             if snapshot is None:
                 snapshot = self.cluster.stats()
             outcome["burn"] = self._feed_admission(slo_status)
-            outcome["escalation_threshold"] = self._adapt_escalation(snapshot)
             if self.config.enable_rebalance and self.rebalancer is not None:
                 outcome["action"] = self._rebalance(snapshot)
         except Exception as error:
@@ -165,20 +148,6 @@ class Controller:
         with self._lock:
             self._last_burn = burn
         return burn
-
-    # -- actuator: adaptive escalation ---------------------------------------
-    def _adapt_escalation(self, snapshot: dict) -> float | None:
-        if self.gate is None:
-            return None
-        requests = int((snapshot.get("counters") or {}).get("requests", 0))
-        escalations = int((snapshot.get("dispatcher") or {}).get("escalations", 0))
-        threshold = self.gate.observe_cumulative(requests, escalations)
-        if threshold is None:
-            return self.gate.threshold
-        dispatcher = self.cluster.dispatcher
-        if abs(threshold - dispatcher.escalation_threshold) > 1e-12:
-            dispatcher.set_escalation_threshold(threshold)
-        return threshold
 
     # -- actuator: rebalancer feedback ---------------------------------------
     def _rebalance(self, snapshot: dict) -> dict | None:
@@ -300,7 +269,6 @@ class Controller:
             "merges": sum(1 for action in actions
                           if action["kind"] == "merge" and action["status"] == "ok"),
             "last_burn": round(burn, 4),
-            "escalation": self.gate.stats() if self.gate is not None else None,
             "admission": (self.admission.stats()
                           if self.admission is not None else None),
         }

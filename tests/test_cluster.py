@@ -4,6 +4,7 @@ rebalancing, and whole-cluster checkpoints."""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -250,17 +251,16 @@ class TestProjection:
         with pytest.raises(ValueError, match="not in the master catalog"):
             project_router(master_router, ("mystery_db",))
 
-    def test_explicit_beam_groups_must_divide_the_beams(self, master_router):
-        """Explicit groups that do not divide the beams are refused; groups
-        derived from the master's (4 of 8) still become the beams."""
-        with pytest.raises(ValueError, match="beam_groups=3"):
-            project_router(master_router, ("concert_hall",), num_beams=4,
-                           beam_groups=3)
-        derived = project_router(master_router, ("concert_hall",), num_beams=6)
-        assert (derived.config.num_beams, derived.config.beam_groups) == (6, 6)
+    def test_a_beam_budget_projects_plain_beams(self, master_router):
+        """A budget decodes that many beams in one group; without one the
+        projection keeps the master's search (8 beams in 4 groups)."""
+        plain = project_router(master_router, ("concert_hall",), num_beams=6)
+        assert (plain.config.num_beams, plain.config.beam_groups) == (6, 1)
+        kept = project_router(master_router, ("concert_hall",))
+        assert (kept.config.num_beams, kept.config.beam_groups) == (8, 4)
 
 
-# -- explicit shard beam groups ------------------------------------------------
+# -- derived beam budgets ------------------------------------------------------
 def _forbid_workers(monkeypatch) -> None:
     """From here on, building any shard worker -- inproc or subprocess --
     fails the test."""
@@ -273,54 +273,68 @@ def _forbid_workers(monkeypatch) -> None:
     monkeypatch.setattr(ProcShardWorker, "__init__", built)
 
 
-class TestShardBeamGroups:
-    def test_groups_must_divide_explicit_beams_at_construction(self):
-        with pytest.raises(ValueError, match="shard_beam_groups=3"):
-            ClusterConfig(shard_num_beams=4, shard_beam_groups=3)
-        with pytest.raises(ValueError, match="shard_beam_groups"):
-            ClusterConfig(shard_beam_groups=0)
-        assert ClusterConfig(shard_num_beams=4, shard_beam_groups=2).shard_beam_groups == 2
+class TestDerivedBeamBudgets:
+    def test_the_config_fields_are_pinned(self):
+        """A new knob must show up here as a reviewed diff."""
+        assert {field.name for field in fields(ClusterConfig)} == {
+            "num_shards", "strategy", "worker_backend", "replicas",
+            "escalation_threshold", "shard_timeout_seconds", "allow_partial",
+            "quarantine_seconds", "max_candidates", "enable_cache",
+            "cache_size", "cache_ttl_seconds", "enable_tracing"}
 
-    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
-    def test_groups_must_divide_derived_beams_before_any_boot(
-            self, master_router, backend, tmp_path, monkeypatch):
-        """The fast tier derives 1 beam under the cascade: 2 groups cannot
-        divide it, and ``from_router`` says so before building a shard or
-        writing a checkpoint."""
-        _forbid_workers(monkeypatch)
-        config = ClusterConfig(num_shards=2, worker_backend=backend,
-                               shard_beam_groups=2)
-        with pytest.raises(ValueError, match="shard_beam_groups=2"):
-            ClusterRoutingService.from_router(master_router, config,
-                                              checkpoint_dir=tmp_path / "ckpt")
-        assert not (tmp_path / "ckpt").exists()
-
-    def test_dividing_groups_reach_every_shard(self, master_router):
-        config = ClusterConfig(num_shards=2, escalation_threshold=None,
-                               shard_beam_groups=2)
-        assert config.shard_beams_for(master_router) == (4, 2)
+    @pytest.mark.parametrize("threshold, fast, careful",
+                             [(0.8, 1, 4), (None, 4, None)])
+    def test_derived_budgets_reach_every_shard(self, master_router, threshold,
+                                               fast, careful):
+        """8 master beams over 2 shards: 1 fast and 4 careful beams under the
+        cascade, 4 without it, always in one group."""
+        config = ClusterConfig(num_shards=2, escalation_threshold=threshold)
+        assert config.shard_beams_for(master_router) == fast
+        assert config.escalation_beams_for(master_router) == careful
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             for replica_set in cluster.shards:
-                shard_config = replica_set.workers[0].router.config
-                assert (shard_config.num_beams, shard_config.beam_groups) == (4, 2)
+                worker = replica_set.workers[0]
+                searches = [(service.router.config.num_beams,
+                             service.router.config.beam_groups)
+                            for service in (worker.service, worker.careful_service)
+                            if service is not None]
+                assert searches == [(beams, 1) for beams in (fast, careful)
+                                    if beams is not None]
             assert cluster.submit(QUESTIONS[0])
 
-    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
-    def test_load_refuses_groups_that_do_not_divide(self, master_router, backend,
-                                                    tmp_path, monkeypatch):
-        """A manifest whose groups (3) do not divide the derived shard beams
-        (8 // 2 = 4) is a ``CheckpointError`` on either backend, raised
-        before any worker spawns."""
+    def _saved(self, master_router, tmp_path):
         with ClusterRoutingService.from_router(
-                master_router, ClusterConfig(num_shards=2,
-                                             escalation_threshold=None)) as cluster:
-            path = save_cluster(cluster, tmp_path / "cluster-ckpt")
-        manifest_path = path / "cluster.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["shard_beam_groups"] = 3
-        manifest_path.write_text(json.dumps(manifest))
+                master_router, ClusterConfig(num_shards=2)) as cluster:
+            return save_cluster(cluster, tmp_path / "cluster-ckpt")
+
+    def test_null_retired_overrides_load_unchanged(self, master_router,
+                                                   tmp_path):
+        """Every manifest written with defaults holds the retired beam
+        overrides as null: it loads and routes ``float.hex``-equal."""
+        path = self._saved(master_router, tmp_path)
+        with load_cluster(path) as fleet:
+            expected = _hex_signatures(fleet.submit_many(QUESTIONS))
+        manifest = json.loads((path / "cluster.json").read_text())
+        manifest["config"].update(shard_num_beams=None, shard_beam_groups=None,
+                                  escalation_num_beams=None)
+        (path / "cluster.json").write_text(json.dumps(manifest))
+        with load_cluster(path) as fleet:
+            assert _hex_signatures(fleet.submit_many(QUESTIONS)) == expected
+
+    @pytest.mark.parametrize("key", ["shard_num_beams", "shard_beam_groups",
+                                     "escalation_num_beams"])
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_a_set_retired_override_is_refused(self, master_router, tmp_path,
+                                               monkeypatch, key, backend):
+        """Dropping a set override would change the beam budget, so the
+        manifest is a ``CheckpointError`` naming the key on either backend,
+        raised before any worker is built."""
+        path = self._saved(master_router, tmp_path)
+        manifest = json.loads((path / "cluster.json").read_text())
+        manifest["config"][key] = 2
+        (path / "cluster.json").write_text(json.dumps(manifest))
         _forbid_workers(monkeypatch)
-        with pytest.raises(CheckpointError, match="shard_beam_groups=3"):
+        with pytest.raises(CheckpointError, match=f"retired {key}=2"):
             load_cluster(path, config=ClusterConfig(num_shards=2,
                                                     worker_backend=backend))
 
@@ -931,18 +945,19 @@ class TestClusterCheckpoint:
                         for question in QUESTIONS[:3]]
             path = save_cluster(cluster, tmp_path / "cluster-ckpt")
         # The override may change serving knobs, but routing-affecting knobs
-        # (escalation, beam budgets) always come from the checkpoint.
+        # (the partition, the escalation threshold) always come from the
+        # checkpoint.
         override = ClusterConfig(num_shards=2, cache_size=7,
-                                 quarantine_seconds=1.0,
-                                 escalation_threshold=None, shard_num_beams=7)
+                                 quarantine_seconds=1.0, strategy="round_robin",
+                                 escalation_threshold=None)
         with load_cluster(path, config=override) as reloaded:
             assert (reloaded.config.cache_size,
                     reloaded.config.quarantine_seconds) == (7, 1.0)
             for replica_set in reloaded.shards:
                 assert replica_set.quarantine_seconds == 1.0
                 assert replica_set.workers[0].service.cache.max_size == 7
-            assert reloaded.config.escalation_threshold == 0.8
-            assert reloaded.config.shard_num_beams is None
+            assert (reloaded.config.strategy,
+                    reloaded.config.escalation_threshold) == ("size_balanced", 0.8)
             assert [_full_signature(reloaded.submit(question))
                     for question in QUESTIONS[:3]] == expected
 

@@ -1,4 +1,4 @@
-"""The control plane: admission, the adaptive gate, and the controller loop.
+"""The control plane: admission and the controller loop.
 
 The contracts:
 
@@ -9,8 +9,6 @@ The contracts:
   a typed, fast :class:`AdmissionRejected`, surfaces the rejections in
   ``stats()`` / ``health()`` / the trace journal, and never interferes with
   steady-state traffic;
-* the adaptive escalation gate converges on its target rate, respects its
-  frozen bounds, and re-anchors on counter resets;
 * the controller splits hot shards and merges cold ones under hysteresis
   and per-database cooldown — and a tick never raises;
 * the monitor's observer hook feeds every successful tick to subscribers
@@ -18,6 +16,8 @@ The contracts:
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
@@ -33,10 +33,7 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.cluster import ClusterConfig, ClusterRoutingService
-from repro.cluster.dispatcher import ClusterDispatcher
 from repro.control import (
-    AdaptiveEscalationConfig,
-    AdaptiveEscalationGate,
     AdmissionController,
     AdmissionPolicy,
     AdmissionRejected,
@@ -264,69 +261,6 @@ class TestServiceAdmission:
             assert service.stats()["admission"]["admitted"] == 1
 
 
-# -- the adaptive escalation gate ----------------------------------------------
-class TestAdaptiveGate:
-    def test_rate_above_target_lowers_threshold(self):
-        gate = AdaptiveEscalationGate(AdaptiveEscalationConfig(min_requests=10),
-                                      initial_threshold=0.8)
-        threshold = gate.observe_cumulative(100, 50)
-        assert threshold is not None and threshold < 0.8
-
-    def test_rate_below_target_raises_threshold(self):
-        gate = AdaptiveEscalationGate(AdaptiveEscalationConfig(min_requests=10),
-                                      initial_threshold=0.8)
-        threshold = gate.observe_cumulative(100, 0)
-        assert threshold is not None and threshold > 0.8
-
-    def test_threshold_never_leaves_frozen_bounds(self):
-        config = AdaptiveEscalationConfig(min_requests=1, max_step=0.2)
-        gate = AdaptiveEscalationGate(config, initial_threshold=0.8)
-        for round_index in range(1, 50):
-            gate.observe_cumulative(round_index * 10, round_index * 10)
-        assert gate.threshold == pytest.approx(config.min_threshold)
-        for round_index in range(50, 120):
-            gate.observe_cumulative(round_index * 10, 500)
-        assert gate.threshold == pytest.approx(config.max_threshold)
-
-    def test_accumulates_until_min_requests(self):
-        gate = AdaptiveEscalationGate(AdaptiveEscalationConfig(min_requests=16))
-        assert gate.observe_cumulative(10, 5) is None
-        assert gate.observe_cumulative(15, 7) is None
-        assert gate.observe_cumulative(16, 8) is not None
-
-    def test_counter_reset_reanchors(self):
-        gate = AdaptiveEscalationGate(AdaptiveEscalationConfig(min_requests=10))
-        gate.observe_cumulative(100, 10)
-        assert gate.observe_cumulative(5, 0) is None  # restarted service
-        threshold = gate.observe_cumulative(25, 20)
-        assert threshold is not None  # 20 new requests since the re-anchor
-
-    def test_initial_threshold_clamped(self):
-        gate = AdaptiveEscalationGate(AdaptiveEscalationConfig(), 0.2)
-        assert gate.threshold == pytest.approx(0.5)
-
-
-class TestDispatcherThreshold:
-    def _target(self, questions, max_candidates, trace=None):
-        return lambda: [[] for _ in questions]
-
-    def test_set_escalation_threshold(self):
-        dispatcher = ClusterDispatcher([self._target],
-                                       careful_targets=[self._target],
-                                       escalation_threshold=0.8)
-        dispatcher.set_escalation_threshold(0.5)
-        assert dispatcher.escalation_threshold == 0.5
-        with pytest.raises(ValueError):
-            dispatcher.set_escalation_threshold(0.0)
-        dispatcher.close()
-
-    def test_rejected_without_careful_tier(self):
-        dispatcher = ClusterDispatcher([self._target])
-        with pytest.raises(ValueError):
-            dispatcher.set_escalation_threshold(0.5)
-        dispatcher.close()
-
-
 # -- the windowed counter ------------------------------------------------------
 class TestWindowedCounter:
     def test_expires_outside_the_window(self):
@@ -423,16 +357,6 @@ class TestScenarioDriver:
 
 
 # -- the controller ------------------------------------------------------------
-class _StubDispatcher:
-    def __init__(self, threshold: float = 0.8) -> None:
-        self.escalation_threshold = threshold
-        self.calls: list[float] = []
-
-    def set_escalation_threshold(self, threshold: float) -> None:
-        self.escalation_threshold = threshold
-        self.calls.append(threshold)
-
-
 class _StubRebalancer:
     def __init__(self) -> None:
         self.moves: list[tuple[str, int]] = []
@@ -443,18 +367,14 @@ class _StubRebalancer:
 
 class _StubCluster:
     def __init__(self) -> None:
-        self.dispatcher = _StubDispatcher()
         self.snapshot: dict = {}
 
     def stats(self) -> dict:
         return self.snapshot
 
 
-def _snapshot(assignment, per_database, requests=1000, escalations=0,
-              qps_window=50.0) -> dict:
+def _snapshot(assignment, per_database, qps_window=50.0) -> dict:
     return {
-        "counters": {"requests": requests},
-        "dispatcher": {"escalations": escalations},
         "qps_window": qps_window,
         "assignment": [list(shard) for shard in assignment],
         "routing_load": {"window_seconds": 60,
@@ -463,6 +383,29 @@ def _snapshot(assignment, per_database, requests=1000, escalations=0,
                          "per_shard": []},
         "stages": {},
     }
+
+
+class TestControllerConfig:
+    def test_the_config_fields_are_pinned(self):
+        """The escalation threshold is a boot-time constant: no controller
+        knob retunes it, and a new knob must show up here as a reviewed diff."""
+        assert {field.name for field in fields(ControllerConfig)} == {
+            "hysteresis_seconds", "database_cooldown_seconds", "hot_factor",
+            "cold_factor", "min_window_qps", "enable_rebalance",
+            "burn_severities", "max_actions"}
+        assert "escalation" not in Controller(_StubCluster()).stats()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hysteresis_seconds": 0.0}, "hysteresis_seconds"),
+        ({"database_cooldown_seconds": -1.0}, "database_cooldown_seconds"),
+        ({"cold_factor": 2.0}, "deadband"),
+        ({"cold_factor": 0.0}, "cold_factor must be positive"),
+        ({"min_window_qps": -1.0}, "min_window_qps"),
+        ({"max_actions": 0}, "max_actions"),
+    ])
+    def test_invalid_dynamics_are_refused(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ControllerConfig(**overrides)
 
 
 class TestController:
@@ -537,16 +480,6 @@ class TestController:
         assert controller.tick(snapshot=snapshot)["action"] is None
         assert rebalancer.moves == []
 
-    def test_escalation_threshold_is_adapted_and_applied(self):
-        clock = FakeClock()
-        controller, cluster, _ = self._controller(clock)
-        snapshot = _snapshot([["a"], ["c"]], {}, requests=100, escalations=50,
-                             qps_window=0.0)
-        outcome = controller.tick(snapshot=snapshot)
-        assert outcome["escalation_threshold"] < 0.8
-        assert cluster.dispatcher.escalation_threshold == \
-            outcome["escalation_threshold"]
-
     def test_burn_feeds_admission_for_page_severity_only(self):
         clock = FakeClock()
         admission = AdmissionController(AdmissionPolicy(), clock=clock)
@@ -563,8 +496,6 @@ class TestController:
         clock = FakeClock()
 
         class ExplodingCluster:
-            dispatcher = None
-
             def stats(self):
                 raise RuntimeError("boom")
 
@@ -583,7 +514,6 @@ class TestController:
         assert stats["ticks"] == 1
         assert stats["splits"] == 1 and stats["merges"] == 0
         assert stats["actions"][0]["status"] == "ok"
-        assert stats["escalation"]["bounds"] == [0.5, 0.95]
         import json
         json.dumps(stats)  # JSON-safe
 

@@ -161,19 +161,6 @@ class TestMemoOnStubs:
             dispatcher.route_batch(["q1"])  # the evicted one scatters again
             assert careful.calls[-1] == ["q1"] and len(careful.calls) == 4
 
-    def test_the_gate_stays_live(self):
-        dispatcher, _, careful = _cascade(RouteCache())
-        with dispatcher:
-            remembered = _hex_signature(dispatcher.route_batch(["q"]))
-            dispatcher.set_escalation_threshold(0.1)  # no longer needy
-            confident = dispatcher.route_batch(["q"])
-            assert [route.database for route in confident[0]] == ["alpha", "beta"]
-            assert dispatcher.escalations == 1  # the verdict was "confident"
-            dispatcher.set_escalation_threshold(0.9)
-            assert _hex_signature(dispatcher.route_batch(["q"])) == remembered
-            assert (dispatcher.escalations, dispatcher.escalations_remembered) == (2, 1)
-            assert len(careful.calls) == 1
-
     def test_a_partial_gather_is_returned_but_not_remembered(self):
         memo = RouteCache()
         healthy = _Tier(CAREFUL)

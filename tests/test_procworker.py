@@ -102,7 +102,7 @@ def cluster_checkpoint(master_router, tmp_path_factory):
 
 #: The fast tier's beam budget ``ClusterConfig.shard_beams_for`` derives
 #: under the default escalation cascade: what the fixture fleet's shards run.
-SHARD_BEAMS = {"num_beams": 1, "beam_groups": 1}
+SHARD_BEAMS = {"num_beams": 1}
 
 
 def _databases(cluster_checkpoint, shard_id: int = 0) -> tuple[str, ...]:
@@ -846,17 +846,18 @@ class TestSubprocessCluster:
         sub = load_cluster(cluster_checkpoint, config=ClusterConfig(
             worker_backend="subprocess", allow_partial=True,
             shard_timeout_seconds=1e-6))
+        children = [worker.process for replica_set in sub.shards
+                    for worker in replica_set.workers]
         try:
-            # No reply can land within 1 us of its send (a fast shard's decode
-            # meets 1 ms), so every shard misses; the misses must be *counted
-            # as timeouts*, never silently folded into the gather.
-            try:
+            # Both children stopped: no reply is on any pipe at the deadline,
+            # so every shard misses, and each miss must be *counted as a
+            # timeout*, never silently folded into the gather.
+            for child in children:
+                os.kill(child.pid, signal.SIGSTOP)
+            with pytest.raises(ClusterError):
                 sub.submit_many(list(QUESTIONS))
-            except ClusterError:
-                pass  # every shard missed the budget: the request itself fails
-            stats = sub.stats()
-            assert stats["dispatcher"]["shards_timed_out"] >= 1
-            assert stats["dispatcher"]["shards_timed_out"] \
-                <= stats["dispatcher"]["shard_failures"]
+            dispatcher = sub.stats()["dispatcher"]
+            assert dispatcher["shards_timed_out"] == dispatcher["shard_failures"] == 2
         finally:
             sub.close()
+        assert all(child.returncode is not None for child in children)

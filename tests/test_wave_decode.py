@@ -371,13 +371,13 @@ class TestOneBootPath:
         config = ClusterConfig(num_shards=2, strategy="round_robin")
         _checkpoint(master_router, tmp_path / "v2")
         old = shutil.copytree(tmp_path / "v2", tmp_path / "v1")
-        beams, groups = config.shard_beams_for(master_router)
+        beams = config.shard_beams_for(master_router)
         entries = []
         for shard_id, databases in enumerate(
                 json.loads((old / "cluster.json").read_text())["assignment"]["shards"]):
             directory = f"shard-{shard_id:02d}"
-            save_router(project_router(master_router, databases, num_beams=beams,
-                                       beam_groups=groups), old / directory)
+            save_router(project_router(master_router, databases, num_beams=beams),
+                        old / directory)
             if era == "sliced":
                 _mark_sliced(old / directory, master_router)
             entries.append({"shard_id": shard_id, "databases": databases,
@@ -505,7 +505,7 @@ class TestWhichFleetsScatterThroughThePool:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             first.service.replace_router(project_router(
-                master_router, first.databases, num_beams=3, beam_groups=1))
+                master_router, first.databases, num_beams=3))
             with pytest.raises(ValueError, match="uniform shard decode"):
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
@@ -518,8 +518,7 @@ class TestWhichFleetsScatterThroughThePool:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
-                                      num_beams=first.router.config.num_beams,
-                                      beam_groups=first.router.config.beam_groups)
+                                      num_beams=first.router.config.num_beams)
             stranger.restore(copy.deepcopy(master_router.model),
                              master_router.source_vocabulary,
                              master_router.target_vocabulary)
@@ -538,8 +537,7 @@ class TestWhichFleetsScatterThroughThePool:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
-                                      num_beams=first.router.config.num_beams,
-                                      beam_groups=first.router.config.beam_groups)
+                                      num_beams=first.router.config.num_beams)
             vocabularies = {"source_vocabulary": master_router.source_vocabulary,
                             "target_vocabulary": master_router.target_vocabulary}
             vocabularies[copied] = copy.deepcopy(vocabularies[copied])
@@ -561,7 +559,6 @@ class TestWhichFleetsScatterThroughThePool:
         import repro.cluster
 
         assert "sliced_vocabulary" not in ClusterConfig.__dataclass_fields__
-        assert len(ClusterConfig.__dataclass_fields__) == 16
         for function in (project_router, repro.cluster.ShardWorker.from_projection):
             assert "sliced_vocabulary" not in inspect.signature(function).parameters
         assert not hasattr(repro.cluster, "slice_target_vocabulary")
