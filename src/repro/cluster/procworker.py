@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
@@ -68,6 +67,12 @@ from repro.cluster.transport import (
 from repro.core.router import RouteRow, SchemaRoute, SchemaRouter, schema_routes
 from repro.obs import Tracer
 from repro.serving.service import ServingConfig
+
+if TYPE_CHECKING:
+    # Only the parent spawns and reaps a child (``_open_child``,
+    # ``_wait_for_exit``), which import ``subprocess`` where they run: a
+    # worker never loads it.
+    import subprocess
 
 #: Env var (seconds, float) that makes the child sleep before serving any
 #: *careful* route request -- the injectable slow shard the ordering, health
@@ -248,6 +253,16 @@ def _repro_source_root() -> Path:
     return Path(repro.__file__).resolve().parents[1]
 
 
+def _wait_for_exit(process: subprocess.Popen, timeout_seconds: float) -> None:
+    """Wait up to ``timeout_seconds`` for ``process`` to exit, and no longer."""
+    import subprocess
+
+    try:
+        process.wait(timeout=timeout_seconds)
+    except subprocess.TimeoutExpired:
+        pass
+
+
 class _PendingRequest:
     """One in-flight frame: its id, its deadline, and how it settled."""
 
@@ -388,6 +403,8 @@ class ProcShardWorker:
     def _open_child(self) -> tuple[subprocess.Popen, FrameReader, FrameWriter]:
         """Start the child process and wrap its pipes: the one place a
         connection is made (tests override it to script both ends)."""
+        import subprocess
+
         environment = dict(os.environ)
         source_root = str(_repro_source_root())
         existing = environment.get("PYTHONPATH")
@@ -463,10 +480,7 @@ class ProcShardWorker:
             if process is not None:
                 if process.poll() is None:
                     process.kill()
-                try:
-                    process.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - kill is final
-                    pass
+                _wait_for_exit(process, 5.0)
             # The kill closed the child's end: EOF wakes an active reader,
             # which steps down before its FrameReader is closed.
             with self._settled:
@@ -518,10 +532,7 @@ class ProcShardWorker:
             if process is None or process.poll() is not None:
                 return
             process.kill()
-        try:
-            process.wait(timeout=self.control_timeout_seconds)
-        except subprocess.TimeoutExpired:  # pragma: no cover - SIGKILL is final
-            pass
+        _wait_for_exit(process, self.control_timeout_seconds)
 
     def respawn(self) -> None:
         """Kill (if needed) and boot a fresh process from the master."""
@@ -891,10 +902,7 @@ class ProcShardWorker:
         # The child reads the shutdown only after answering every frame sent
         # before it, so the ack means every in-flight request has its reply.
         self._await(pending)
-        try:
-            process.wait(timeout=shutdown_timeout_seconds)
-        except subprocess.TimeoutExpired:
-            pass  # fall through to the hard stop
+        _wait_for_exit(process, shutdown_timeout_seconds)  # else the hard stop
         self._destroy()
 
     def __enter__(self) -> "ProcShardWorker":

@@ -44,19 +44,6 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: parameter.data.copy() for name, parameter in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        parameters = dict(self.named_parameters())
-        missing = set(parameters) - set(state)
-        unexpected = set(state) - set(parameters)
-        if missing or unexpected:
-            raise ValueError(f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
-        for name, parameter in parameters.items():
-            if parameter.data.shape != state[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: {parameter.data.shape} vs {state[name].shape}"
-                )
-            parameter.data = state[name].copy()
-
     def save_state_npz(self, path: str | Path) -> Path:
         """Write the state dict to a compressed ``.npz`` archive.
 
@@ -69,11 +56,6 @@ class Module:
         path.parent.mkdir(parents=True, exist_ok=True)
         np.savez_compressed(path, **self.state_dict())
         return path
-
-    def load_state_npz(self, path: str | Path) -> None:
-        """Load parameters saved with :meth:`save_state_npz` (strict)."""
-        with np.load(Path(path)) as archive:
-            self.load_state_dict({name: archive[name] for name in archive.files})
 
 
 def _parameters_of(value: object, seen: set[int]) -> Iterator[Parameter]:
@@ -124,11 +106,21 @@ class Linear(Module):
 
     def __init__(self, in_features: int, out_features: int, rng: SeededRng,
                  bias: bool = True, name: str = "linear") -> None:
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(_glorot(rng, in_features, out_features,
-                                        (in_features, out_features)), name=f"{name}.weight")
-        self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias") if bias else None
+        self._hold(_glorot(rng, in_features, out_features, (in_features, out_features)),
+                   np.zeros(out_features) if bias else None, name)
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray, bias: np.ndarray | None,
+                    name: str = "linear") -> "Linear":
+        """A layer holding ``weight`` and ``bias`` themselves: no init is drawn."""
+        layer = cls.__new__(cls)
+        layer._hold(weight, bias, name)
+        return layer
+
+    def _hold(self, weight: np.ndarray, bias: np.ndarray | None, name: str) -> None:
+        self.in_features, self.out_features = weight.shape
+        self.weight = Parameter(weight, name=f"{name}.weight")
+        self.bias = Parameter(bias, name=f"{name}.bias") if bias is not None else None
 
     def __call__(self, inputs: Tensor) -> Tensor:
         flattened = inputs
@@ -148,10 +140,18 @@ class Embedding(Module):
 
     def __init__(self, num_embeddings: int, embedding_dim: int, rng: SeededRng,
                  name: str = "embedding") -> None:
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.normal((num_embeddings, embedding_dim), scale=0.1),
-                                name=f"{name}.weight")
+        self._hold(rng.normal((num_embeddings, embedding_dim), scale=0.1), name)
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray, name: str = "embedding") -> "Embedding":
+        """A table holding ``weight`` itself: no init is drawn."""
+        table = cls.__new__(cls)
+        table._hold(weight, name)
+        return table
+
+    def _hold(self, weight: np.ndarray, name: str) -> None:
+        self.num_embeddings, self.embedding_dim = weight.shape
+        self.weight = Parameter(weight, name=f"{name}.weight")
 
     def __call__(self, indices: np.ndarray) -> Tensor:
         return self.weight.embedding_lookup(np.asarray(indices, dtype=np.int64))

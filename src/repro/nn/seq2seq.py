@@ -91,27 +91,74 @@ class EncodedSource:
     state: np.ndarray   # (hidden,)
 
 
+def _layers(config: Seq2SeqConfig) -> tuple[tuple[str, str, tuple[int, int], str], ...]:
+    """Every layer of the model, in parameter order: its attribute, the label
+    of its init stream, its weight's shape, and its kind -- an ``embedding``
+    table, a ``linear`` map, or an ``unbiased`` linear map."""
+    dim, hidden = config.embedding_dim, config.hidden_dim
+    return (
+        ("source_embedding", "src_emb", (config.source_vocab_size, dim), "embedding"),
+        ("encoder_projection", "enc_proj", (dim, hidden), "linear"),
+        ("state_init", "state_init", (hidden, hidden), "linear"),
+        ("target_embedding", "tgt_emb", (config.target_vocab_size, dim), "embedding"),
+        ("input_projection", "w_in", (dim, hidden), "unbiased"),
+        ("recurrent_projection", "w_hh", (hidden, hidden), "linear"),
+        ("combine_projection", "combine", (2 * hidden, hidden), "linear"),
+        ("output_projection", "out", (hidden, config.target_vocab_size), "linear"),
+    )
+
+
 class Seq2SeqModel(Module):
-    """Encoder-decoder with attention; see the module docstring."""
+    """Encoder-decoder with attention; see the module docstring.
+
+    ``Seq2SeqModel(config)`` draws the seeded training init;
+    :meth:`from_state_dict` builds a trained model from its arrays and draws
+    nothing."""
+
+    source_embedding: Embedding
+    encoder_projection: Linear
+    state_init: Linear
+    target_embedding: Embedding
+    input_projection: Linear
+    recurrent_projection: Linear
+    combine_projection: Linear
+    output_projection: Linear
 
     def __init__(self, config: Seq2SeqConfig) -> None:
         self.config = config
         rng = SeededRng(config.seed)
-        dim, hidden = config.embedding_dim, config.hidden_dim
-        self.source_embedding = Embedding(config.source_vocab_size, dim, rng.child("src_emb"),
-                                          name="source_embedding")
-        self.encoder_projection = Linear(dim, hidden, rng.child("enc_proj"), name="encoder_projection")
-        self.state_init = Linear(hidden, hidden, rng.child("state_init"), name="state_init")
-        self.target_embedding = Embedding(config.target_vocab_size, dim, rng.child("tgt_emb"),
-                                          name="target_embedding")
-        self.input_projection = Linear(dim, hidden, rng.child("w_in"), bias=False,
-                                       name="input_projection")
-        self.recurrent_projection = Linear(hidden, hidden, rng.child("w_hh"),
-                                           name="recurrent_projection")
-        self.combine_projection = Linear(2 * hidden, hidden, rng.child("combine"),
-                                         name="combine_projection")
-        self.output_projection = Linear(hidden, config.target_vocab_size, rng.child("out"),
-                                        name="output_projection")
+        for attribute, label, shape, kind in _layers(config):
+            setattr(self, attribute,
+                    Embedding(*shape, rng.child(label), name=attribute) if kind == "embedding"
+                    else Linear(*shape, rng.child(label), bias=kind == "linear", name=attribute))
+
+    @classmethod
+    def from_state_dict(cls, config: Seq2SeqConfig,
+                        state: dict[str, np.ndarray]) -> "Seq2SeqModel":
+        """The model whose parameters are ``state``'s arrays, held as given --
+        no init stream is seeded or drawn.  Strict: ``ValueError`` unless
+        ``state`` holds exactly the parameters ``config`` implies, each in
+        its shape."""
+        expected = {}
+        for attribute, _, shape, kind in _layers(config):
+            expected[f"{attribute}.weight"] = shape
+            if kind == "linear":
+                expected[f"{attribute}.bias"] = shape[1:]
+        missing, unexpected = set(expected) - set(state), set(state) - set(expected)
+        if missing or unexpected:
+            raise ValueError(
+                f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
+        for name, shape in expected.items():
+            if state[name].shape != shape:
+                raise ValueError(f"shape mismatch for {name}: {shape} vs {state[name].shape}")
+        model = cls.__new__(cls)
+        model.config = config
+        for attribute, _, _, kind in _layers(config):
+            weight = state[f"{attribute}.weight"]
+            setattr(model, attribute,
+                    Embedding.from_arrays(weight, name=attribute) if kind == "embedding"
+                    else Linear.from_arrays(weight, state.get(f"{attribute}.bias"), name=attribute))
+        return model
 
     # ------------------------------------------------------------------
     # Training path (autograd)

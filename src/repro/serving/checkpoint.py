@@ -20,6 +20,8 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.graph import SchemaGraph
 from repro.core.router import RouterConfig, SchemaRouter
 from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
@@ -207,7 +209,11 @@ def _router_config(manifest: dict) -> RouterConfig:
 
 
 def load_router(path: str | Path) -> SchemaRouter:
-    """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory."""
+    """Rebuild a trained :class:`SchemaRouter` from a checkpoint directory.
+
+    The model is built from the weight archive's arrays
+    (:meth:`Seq2SeqModel.from_state_dict`): loading never seeds or draws the
+    training init."""
     path = Path(path)
     manifest = load_manifest(path)
     weights_path = _checked_weights(path, manifest["weights"])
@@ -218,15 +224,17 @@ def load_router(path: str | Path) -> SchemaRouter:
         catalog, [tuple(edge) for edge in manifest["joinable_edges"]])
     source_vocabulary = Vocabulary.from_payload(manifest["source_vocabulary"])
     target_vocabulary = Vocabulary.from_payload(manifest["target_vocabulary"])
-    model = Seq2SeqModel(Seq2SeqConfig(
+    model_config = Seq2SeqConfig(
         source_vocab_size=len(source_vocabulary),
         target_vocab_size=len(target_vocabulary),
         embedding_dim=config.embedding_dim,
         hidden_dim=config.hidden_dim,
         seed=config.seed,
-    ))
+    )
     try:
-        model.load_state_npz(weights_path)
+        with np.load(weights_path) as archive:
+            model = Seq2SeqModel.from_state_dict(
+                model_config, {name: archive[name] for name in archive.files})
     except ValueError as error:
         raise CheckpointError(f"weight archive does not match the model: {error}") from error
 

@@ -44,10 +44,12 @@ NOT_FOR_SERVING = (
     "repro.core.dbcopilot", "repro.control.controller", "repro.serving.loadgen",
     "repro.obs.httpd",
 )
-#: A shard worker is additionally not a dispatcher.
+#: A shard worker is additionally not a dispatcher, draws no training init
+#: (a checkpoint loads its arrays) and spawns no process.
 NOT_FOR_A_WORKER = NOT_FOR_SERVING + (
     "repro.cluster.service", "repro.cluster.wave", "repro.cluster.checkpoint",
     "repro.cluster.rebalance", "repro.cluster.partition",
+    "numpy.random", "subprocess",
 )
 
 
@@ -132,6 +134,29 @@ def test_a_served_session_imports_nothing(shard, tmp_path):
     report = json.loads(report_path.read_text())
     assert report["imported_while_serving"] == []
     assert _loaded(report["loaded"], NOT_FOR_A_WORKER) == []
+
+
+#: A monolith boots from its checkpoint and answers one wave, then reports
+#: everything it loaded.
+_MONOLITH_SESSION = """
+import json, sys
+from repro.serving import RoutingService, load_router
+with RoutingService(load_router(sys.argv[1])) as service:
+    assert all(service.submit_many(json.loads(sys.argv[2])))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_monolith_session_draws_no_init(shard):
+    """The load, not the import, is what would pull ``numpy.random`` in, so
+    the import-only closures above cannot see it: run the session."""
+    master, _ = shard
+    output = subprocess.run(
+        [sys.executable, "-c", _MONOLITH_SESSION, str(master), json.dumps(QUESTIONS[:4])],
+        env=_environment(), check=True, capture_output=True, text=True).stdout
+    modules = json.loads(output)
+    assert "repro.serving.service" in modules
+    assert _loaded(modules, NOT_FOR_SERVING + ("numpy.random",)) == []
 
 
 # -- every declared name resolves ----------------------------------------------

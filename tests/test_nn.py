@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,16 +145,29 @@ class TestModulesAndOptim:
     def test_state_dict_roundtrip(self):
         model = Seq2SeqModel(Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=6))
         state = model.state_dict()
-        other = Seq2SeqModel(Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=6, seed=99))
-        other.load_state_dict(state)
+        other = Seq2SeqModel.from_state_dict(
+            Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=6, seed=99), state)
+        assert [name for name, _ in other.named_parameters()] == list(state)
         for name, parameter in other.named_parameters():
-            assert np.allclose(parameter.data, state[name])
+            assert parameter.data is state[name]  # held as given, not copied
 
     def test_state_dict_shape_mismatch(self):
         model = Seq2SeqModel(Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=6))
-        other = Seq2SeqModel(Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=8))
-        with pytest.raises(ValueError):
-            other.load_state_dict(model.state_dict())
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Seq2SeqModel.from_state_dict(
+                Seq2SeqConfig(10, 10, embedding_dim=4, hidden_dim=8), model.state_dict())
+
+    def test_training_init_is_pinned(self):
+        """The seeded init a training run starts from, digested at the
+        parameter level: a changed init would retrain every router."""
+        model = Seq2SeqModel(Seq2SeqConfig(11, 13, embedding_dim=4, hidden_dim=6, seed=7))
+        digest = hashlib.sha256()
+        for name, parameter in model.named_parameters():
+            digest.update(name.encode())
+            digest.update(str(parameter.data.shape).encode())
+            digest.update(parameter.data.tobytes())
+        assert digest.hexdigest() == \
+            "ecabb44160d95aeb33e0e02d241afbc2371c5d82ac3784c7a5eb191fad6b39c7"
 
     def test_adamw_reduces_quadratic(self):
         from repro.nn.modules import Parameter

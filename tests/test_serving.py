@@ -12,6 +12,7 @@ import time
 import weakref
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.control import AdmissionController, AdmissionPolicy, AdmissionRejected
@@ -212,6 +213,51 @@ class TestCheckpoint:
         original = weights.read_bytes()
         weights.write_bytes(bytes([original[0] ^ 0xFF]) + original[1:])
         with pytest.raises(CheckpointError, match="checksum"):
+            load_router(path)
+
+    def test_loading_builds_the_model_from_the_archive_alone(self, trained_router,
+                                                             tmp_path, monkeypatch):
+        """Every loaded parameter is the archive's array, bit for bit, and no
+        init stream is seeded on the way: ``default_rng`` raises throughout."""
+        path = save_router(trained_router, tmp_path / "ckpt")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_router seeded an init stream")
+
+        monkeypatch.setattr(np.random, "default_rng", no_init)
+        reloaded = load_router(path)
+        monkeypatch.undo()
+        with np.load(path / "weights.npz") as archive:
+            parameters = dict(reloaded.model.named_parameters())
+            assert sorted(parameters) == sorted(archive.files)
+            for name in archive.files:
+                stored, loaded = archive[name], parameters[name].data
+                assert loaded.dtype == stored.dtype and loaded.shape == stored.shape
+                assert loaded.tobytes() == stored.tobytes(), name
+
+    @pytest.mark.parametrize("defect", ["missing", "extra", "wrong shape"])
+    def test_archive_not_matching_the_model_is_refused(self, trained_router, tmp_path,
+                                                       defect):
+        """A checksummed archive whose arrays are not the model's is a
+        :class:`CheckpointError`, before any router is built."""
+        path = save_router(trained_router, tmp_path / "ckpt")
+        weights = path / "weights.npz"
+        with np.load(weights) as archive:
+            state = {name: archive[name] for name in archive.files}
+        if defect == "missing":
+            del state["state_init.bias"]
+        elif defect == "extra":
+            state["state_init.scale"] = np.ones(3)
+        else:
+            state["output_projection.bias"] = state["output_projection.bias"][:-1]
+        np.savez_compressed(weights, **state)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["weights"]["sha256"] = hashlib.sha256(weights.read_bytes()).hexdigest()
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        match = {"missing": r"missing=\['state_init.bias'\]",
+                 "extra": r"unexpected=\['state_init.scale'\]",
+                 "wrong shape": "shape mismatch for output_projection.bias"}[defect]
+        with pytest.raises(CheckpointError, match=match):
             load_router(path)
 
     def test_missing_and_invalid_checkpoints(self, tmp_path):
