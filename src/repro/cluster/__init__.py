@@ -21,8 +21,9 @@ across the shards and merges the candidates into one deterministic top-k:
 * :mod:`repro.cluster.wave` -- dense wave decode: the whole inproc fleet's
   distinct live prefixes stacked into one kernel stream per step over the
   master's one model, each row under its own shard's constraint;
-* :mod:`repro.cluster.service` -- :class:`ClusterRoutingService`, the façade
-  mirroring the PR-1 ``RoutingService`` API plus cluster-wide metrics;
+* :mod:`repro.cluster.service` -- :class:`ClusterRoutingService`: a
+  ``RoutingService`` front whose decoder is the dispatcher, plus cluster-wide
+  metrics;
 * :mod:`repro.cluster.checkpoint` -- whole-cluster save/load (the master
   router + ``cluster.json``, every shard projected from it) for identical
   restarts;

@@ -16,8 +16,8 @@ universe without retraining:
 Every operation re-projects only the affected shard's replicas (which
 invalidates only that shard's route cache -- the other shards keep serving
 from cache untouched) and then bumps the cluster catalog version, which
-forgets the dispatcher's remembered escalations: those are merged across all
-shards, so any shard's change stales them.
+stales the front's cached answers: those are merged across all shards, so
+any shard's change stales them.
 """
 
 from __future__ import annotations

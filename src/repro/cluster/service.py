@@ -1,12 +1,13 @@
 """The cluster routing service: partition + shards + replicas + dispatch.
 
-:class:`ClusterRoutingService` mirrors the PR-1 :class:`RoutingService` API
-(``submit`` / ``submit_many`` / ``stats`` / ``close``, context manager) but
-serves the catalog from a set of shard workers behind a scatter-gather
-dispatcher.  Each shard owns a disjoint slice of the databases, decodes at a
-beam budget derived from the master's and the shard count (never set by a
-knob), and keeps its own route cache and metrics;
-the dispatcher merges per-shard candidates into one deterministic top-k whose
+:class:`ClusterRoutingService` serves the catalog from a set of shard workers
+behind a scatter-gather dispatcher, and through the monolith's front: a
+:class:`RoutingService` whose decoder is the dispatcher, so a fleet has the
+same ``submit`` / ``submit_many`` request path, route cache, counters and
+group commit as a monolith.  Each shard owns a disjoint slice of the
+databases, decodes at a beam budget derived from the master's and the shard
+count (never set by a knob), and keeps its own route cache and metrics; the
+dispatcher merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
 One scatter path per backend.  An inproc fleet decodes each scatter wave as
@@ -27,32 +28,24 @@ import functools
 import shutil
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget
+from repro.core.router import SchemaRoute, SchemaRouter
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.partition import ShardAssignment, partition_catalog
 from repro.cluster.replica import ReplicaSet
 from repro.cluster.shard import ShardWorker
 from repro.cluster.wave import ClusterWaveEngine
-from repro.obs import Tracer
 from repro.obs.health import (
     HealthPolicy,
     HealthReport,
     dispatcher_health,
-    error_rate_health,
     rollup,
 )
-from repro.serving.cache import RouteCache
-from repro.serving.metrics import (
-    MetricsRegistry,
-    QPS_WINDOW_SECONDS,
-    WindowedCounter,
-)
-from repro.serving.service import ServingConfig
+from repro.serving.metrics import QPS_WINDOW_SECONDS, WindowedCounter
+from repro.serving.service import RoutingService, ServingConfig
 
 #: Supported shard-worker backends.
 WORKER_BACKENDS = frozenset({"inproc", "subprocess"})
@@ -93,12 +86,13 @@ class ClusterConfig:
     quarantine_seconds: float = 30.0
     #: Default number of candidate schemata per answer (None = router default).
     max_candidates: int | None = None
-    #: Per-shard route cache settings (each shard owns an independent cache).
+    #: Route cache settings of the front (merged answers) and of every shard
+    #: tier (each its own cache).
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
-    #: Record per-request traces at the cluster entry point.  Shard-level
-    #: services never start their own traces (the cluster's context threads
+    #: Record per-request traces at the cluster's front.  Shard-level
+    #: services never start their own traces (the front's context threads
     #: through to them), so this is the only tracing switch of a cluster.
     enable_tracing: bool = True
 
@@ -171,13 +165,13 @@ def project_shards(master: SchemaRouter, assignment: ShardAssignment,
 class ClusterRoutingService:
     """Serves schema routing over a partitioned catalog.
 
-    Beside the shards' own route caches the service gives its dispatcher one
-    more, for the cascade: the merged careful answer of every escalated
-    question (``stats()["escalated_cache"]``; sized and aged by
-    ``cache_size`` / ``cache_ttl_seconds``, absent under
-    ``enable_cache=False`` or without a careful tier).  Its validity is the
-    catalog's: :meth:`bump_catalog_version` -- the one hook every catalog
-    change already ends in -- forgets all of it.
+    Every request enters through :attr:`front`, a :class:`RoutingService`
+    over the dispatcher (admission off): its route cache holds merged
+    answers (``stats()["front_cache"]``; sized and aged by ``cache_size`` /
+    ``cache_ttl_seconds``), so a repeated question -- a needy one included
+    -- costs no scatter of either tier.  Its validity is the catalog's:
+    :meth:`bump_catalog_version` -- the one hook every catalog change
+    already ends in -- stales all of it.
     """
 
     def __init__(self, shards: Sequence[ReplicaSet], assignment: ShardAssignment,
@@ -192,9 +186,6 @@ class ClusterRoutingService:
         self.config = config or ClusterConfig(num_shards=len(shards))
         self.assignment = assignment
         self.master_router = master_router
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(metrics=self.metrics,
-                             enabled=self.config.enable_tracing)
         self._shards = list(shards)
         self._catalog_version = catalog_version
         default_candidates = 5
@@ -210,13 +201,6 @@ class ClusterRoutingService:
         if all(isinstance(worker, ShardWorker)
                for replica_set in self._shards for worker in replica_set.workers):
             self.wave_engine = ClusterWaveEngine(self._shards)
-        # The cascade's memory of merged careful answers: one more route
-        # cache, sized and aged like a shard's, staled by
-        # ``bump_catalog_version``.
-        escalated_cache = None
-        if careful_targets is not None and self.config.enable_cache:
-            escalated_cache = RouteCache(max_size=self.config.cache_size,
-                                         ttl_seconds=self.config.cache_ttl_seconds)
         self.dispatcher = ClusterDispatcher(
             [replica_set.send for replica_set in self._shards],
             default_max_candidates=default_candidates,
@@ -224,8 +208,11 @@ class ClusterRoutingService:
             careful_targets=careful_targets,
             escalation_threshold=self.config.escalation_threshold,
             wave_engine=self.wave_engine,
-            escalated_cache=escalated_cache,
         )
+        self.front = RoutingService(self.dispatcher, replace(
+            self.config.serving_config(), max_candidates=self.config.max_candidates,
+            enable_tracing=self.config.enable_tracing))
+        self.metrics, self.tracer = self.front.metrics, self.front.tracer
         # Routed-load window: per-database counters of merged top-1 answers.
         # In a scatter-gather cluster every shard sees every question, so
         # request QPS is flat across shards by construction; which databases
@@ -290,43 +277,15 @@ class ClusterRoutingService:
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:
         """Route one question across all shards (blocking, thread-safe)."""
-        return self._route([question], max_candidates, "request",
-                           question_chars=len(question))[0]
+        return self.submit_many([question], max_candidates)[0]
 
     def submit_many(self, questions: Sequence[str],
                     max_candidates: int | None = None) -> list[list[SchemaRoute]]:
-        """Route a wave of questions as one scatter-gather dispatch."""
-        return self._route(list(questions), max_candidates, "request_wave",
-                           questions=len(questions))
-
-    def _route(self, questions: list[str], max_candidates: int | None,
-               trace_name: str, /, **attributes) -> list[list[SchemaRoute]]:
-        """Both entry points' one path: count, trace, dispatch, note load."""
-        if self._closed:
-            raise RuntimeError("the cluster service has been closed")
-        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
-        if not questions:
-            return []
-        started = time.monotonic()
-        self.metrics.increment("requests", len(questions))
-        trace = self.tracer.start_trace(trace_name, **attributes)
-        try:
-            results = self.dispatcher.route_batch(
-                questions, max_candidates=max_candidates, trace=trace)
-        except BaseException as exc:
-            self.metrics.increment("errors", len(questions))
-            if trace is not None:
-                trace.finish(status="error", error=f"{type(exc).__name__}: {exc}")
-                trace = None
-            raise
-        finally:
-            if trace is not None:
-                trace.finish()
-        self.metrics.increment("routed", len(questions))
+        """Route a wave through the front: its cache answers what it can,
+        and the misses -- shared with concurrent callers' -- scatter as one
+        dispatch.  Every answered question counts in :meth:`routing_load`."""
+        results = self.front.submit_many(questions, max_candidates)
         self._note_routed(results)
-        elapsed = time.monotonic() - started
-        self.metrics.observe_latency(elapsed / len(questions),
-                                     count=len(questions))
         return results
 
     def _note_routed(self, results: Sequence[list[SchemaRoute]]) -> None:
@@ -399,14 +358,12 @@ class ClusterRoutingService:
         """Record a catalog change; call it *after* the affected shards have
         been invalidated or re-projected.
 
-        Also forgets every escalated answer the dispatcher remembers: a
-        merged answer pools all shards, so any shard's change stales it.  A
-        wave whose fast scatter began before the bump cannot store its
-        careful answers after it, and one that begins after the bump sees
-        only changed shards."""
+        Also stales the front cache: a merged answer pools all shards, so
+        any shard's change stales it.  A wave that consulted the front
+        before the bump caches nothing after it, and one that consults after
+        the bump sees only changed shards."""
         self._catalog_version += 1
-        if self.dispatcher.escalated_cache is not None:
-            self.dispatcher.escalated_cache.bump_version()
+        self.front.notify_catalog_changed()
         return self._catalog_version
 
     def notify_catalog_changed(self, database: str | None = None) -> None:
@@ -424,13 +381,14 @@ class ClusterRoutingService:
     def stats(self) -> dict:
         """Cluster-wide rollup plus per-shard detail.
 
-        The cluster's ``counters`` and ``escalations`` count asked questions;
-        a shard tier sees each distinct question once per wave, so its
-        counters (and ``cache_hit_rate``) count distinct questions."""
-        snapshot = self.metrics.snapshot()
+        Starts from the front's snapshot (``counters`` count asked
+        questions); its route cache moves to ``front_cache``, and ``cache``
+        and ``cache_hit_rate`` roll up the shard tiers, which see only the
+        front's misses, each distinct question once per wave;
+        ``dispatcher`` counts what reached the dispatcher."""
+        snapshot = self.front.stats()
+        snapshot["front_cache"] = snapshot["cache"]
         shard_stats = []
-        total_requests = 0
-        total_hits = 0
         # Route-cache effectiveness rolled up across every worker of every
         # tier: without this, cache behavior is only visible per worker, deep
         # inside the per-shard detail.
@@ -445,8 +403,16 @@ class ClusterRoutingService:
         for replica_set in self._shards:
             entry = replica_set.stats()
             entry["workers"] = [worker.stats() for worker in replica_set.workers]
-            qps = 0.0
-            window_qps = 0.0
+            # Both decode tiers: escalated traffic goes through the careful
+            # service, whose stats live under "careful".
+            tiers = [tier for worker_stats in entry["workers"]
+                     for tier in (worker_stats, worker_stats.get("careful")) if tier]
+            entry["qps"] = round(sum(tier["qps"] for tier in tiers), 2)
+            entry["qps_window"] = round(sum(tier.get("qps_window", 0.0)
+                                            for tier in tiers), 2)
+            for tier in tiers:
+                for key in cache_rollup:
+                    cache_rollup[key] += (tier.get("cache") or {}).get(key, 0)
             for worker_stats in entry["workers"]:
                 transport = worker_stats.get("transport")
                 if transport and transport.get("backend") == "subprocess":
@@ -458,22 +424,6 @@ class ClusterRoutingService:
                                 "bytes_sent", "bytes_received", "timeouts",
                                 "crashes"):
                         transport_rollup[key] += transport.get(key, 0)
-                # Count both decode tiers: escalated traffic goes through the
-                # careful service, whose counters live under "careful".
-                for tier in (worker_stats, worker_stats.get("careful")):
-                    if tier is None:
-                        continue
-                    counters = tier["counters"]
-                    total_requests += counters.get("requests", 0)
-                    total_hits += counters.get("cache_hits", 0)
-                    qps += tier["qps"]
-                    window_qps += tier.get("qps_window", 0.0)
-                    tier_cache = tier.get("cache")
-                    if tier_cache:
-                        for key in cache_rollup:
-                            cache_rollup[key] += tier_cache.get(key, 0)
-            entry["qps"] = round(qps, 2)
-            entry["qps_window"] = round(window_qps, 2)
             shard_stats.append(entry)
         lookups = cache_rollup["hits"] + cache_rollup["misses"]
         cache_rollup["hit_rate"] = (round(cache_rollup["hits"] / lookups, 4)
@@ -485,22 +435,12 @@ class ClusterRoutingService:
         snapshot["strategy"] = self.assignment.strategy
         snapshot["assignment"] = [list(databases) for databases in self.assignment.shards]
         snapshot["catalog_version"] = self._catalog_version
-        snapshot["cache_hit_rate"] = (round(total_hits / total_requests, 4)
-                                      if total_requests else 0.0)
+        snapshot["cache_hit_rate"] = cache_rollup["hit_rate"]
         snapshot["cache"] = cache_rollup
         if transport_rollup["workers"]:
             snapshot["transport"] = transport_rollup
-        snapshot["traces"] = self.tracer.journal.stats()
         snapshot["routing_load"] = self.routing_load()
-        snapshot["dispatcher"] = {
-            "shard_failures": self.dispatcher.shard_failures,
-            "shards_timed_out": self.dispatcher.shards_timed_out,
-            "partial_gathers": self.dispatcher.partial_gathers,
-            "escalations": self.dispatcher.escalations,
-            "escalations_remembered": self.dispatcher.escalations_remembered,
-        }
-        if self.dispatcher.escalated_cache is not None:
-            snapshot["escalated_cache"] = self.dispatcher.escalated_cache.stats()
+        snapshot["dispatcher"] = self.dispatcher.stats()
         # Which scatter path serves: the wave exactly when the fleet is inproc.
         snapshot["wave"] = {"enabled": self.wave_engine is not None}
         if self.wave_engine is not None:
@@ -511,25 +451,22 @@ class ClusterRoutingService:
     def health(self, policy: HealthPolicy | None = None) -> HealthReport:
         """One cluster verdict, rolled up bottom-up.
 
-        Children are the replica sets (which nest their workers, which nest
-        their decode tiers); the cluster's own probes judge its error rate
-        and the dispatcher's shard-timeout / escalation rates.  Per the
-        rollup precedence, one ``failing`` shard degrades the cluster
-        verdict, and only every shard failing fails it outright.
+        The cluster's own probes are its front's -- error rate, decode
+        backlog and the front route cache (kept as the last child) -- plus
+        the dispatcher's shard-timeout / escalation rates.  The other
+        children are the replica sets (which nest their workers, which nest
+        their decode tiers).  Per the rollup precedence, one ``failing``
+        shard degrades the cluster verdict, and only every shard failing
+        fails it outright.
         """
         policy = policy or HealthPolicy()
-        own = HealthReport(component="cluster")
         if self._closed:
+            own = HealthReport(component="cluster")
             own.degrade("failing", "cluster service is closed")
             return own
-        counters = self.metrics.counters()
-        error_rate_health(own, counters, policy)
-        dispatcher_health(
-            own,
-            {"shard_failures": self.dispatcher.shard_failures,
-             "shards_timed_out": self.dispatcher.shards_timed_out,
-             "escalations": self.dispatcher.escalations},
-            counters.get("requests", 0), policy)
+        own = self.front.health(policy)
+        dispatcher = self.dispatcher.stats()  # rates over what reached it
+        dispatcher_health(own, dispatcher, dispatcher["questions"], policy)
         own.details["num_shards"] = self.num_shards
         own.details["worker_backend"] = self.config.worker_backend
         children = [replica_set.health(policy) for replica_set in self._shards]
@@ -540,7 +477,7 @@ class ClusterRoutingService:
         if self._closed:
             return
         self._closed = True
-        self.dispatcher.close()
+        self.front.close()
         for replica_set in self._shards:
             replica_set.close()
         if self._owned_checkpoint_dir is not None:

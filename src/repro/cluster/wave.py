@@ -155,22 +155,20 @@ class ClusterWaveEngine:
                             questions=len(questions), careful=careful) as span:
                 try:
                     answers = self._decode_pending(
-                        tier, questions, [pending for _, pending in consulted],
+                        tier, questions, [pending for _, pending, _ in consulted],
                         [candidate_budget(max_candidates, service.config.max_candidates)
                          for service in tier.services],
                         stats, trace.scoped(span) if span is not None else None)
                 except BaseException:
-                    for service, (results, _) in zip(tier.services, consulted):
-                        service.count_failed(results)
+                    for service, verdict in zip(tier.services, consulted):
+                        service.count_failed(verdict)
                     self._note_replicas(ok=False)
                     raise
-            for service, (results, pending), shard_answers in zip(
-                    tier.services, consulted, answers):
-                service.commit(questions, results, pending, shard_answers,
-                               max_candidates, started)
+            for service, verdict, shard_answers in zip(tier.services, consulted, answers):
+                service.commit(questions, verdict, shard_answers, max_candidates, started)
         self._note_replicas(ok=True)
         self._note_wave(stats, len(questions), careful)
-        return [results for results, _ in consulted]
+        return [results for results, _, _ in consulted]
 
     def _decode_pending(self, tier: _WaveTier, questions: list[str],
                         pending_per_shard: list[list[int]],

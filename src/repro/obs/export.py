@@ -34,7 +34,7 @@ Sample = tuple[str, dict, float]
 _MONOTONIC_LEAVES = frozenset({
     "hits", "misses", "evictions", "expirations", "invalidations",
     "completed", "errors", "failovers", "successes", "failures",
-    "escalations", "escalations_remembered",
+    "escalations", "questions",
     "shard_failures", "shards_timed_out", "partial_gathers",
     "requests_sent", "timeouts", "crashes", "respawns",
 })

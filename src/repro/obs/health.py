@@ -95,8 +95,9 @@ class HealthPolicy:
     #: sustained overload.
     queue_depth_degraded: int = 16
     queue_depth_failing: int = 64
-    #: Dispatcher per-request rate ceilings (shard timeouts / escalations,
-    #: both judged against the request counter, after ``min_requests``).
+    #: Dispatcher per-question rate ceilings (shard timeouts / escalations,
+    #: both judged against the questions that reached the dispatcher, after
+    #: ``min_requests`` of them).
     timeout_rate_degraded: float = 0.02
     timeout_rate_failing: float = 0.25
     escalation_rate_ceiling: float = 0.75
@@ -130,12 +131,13 @@ def rollup(component: str, children: list[HealthReport],
     """Combine child reports under one parent verdict.
 
     ``own`` carries the parent's self-probe results (status, reasons,
-    details); child verdicts can only raise it, per the precedence in the
-    module docstring.
+    details, and any children those probes already judged, which stay after
+    ``children``); child verdicts can only raise it, per the precedence in
+    the module docstring.
     """
     report = own if own is not None else HealthReport(component=component)
     report.component = component
-    report.children = list(children)
+    report.children = list(children) + report.children
     if children:
         failing = sum(1 for child in children if child.status == "failing")
         degraded = sum(1 for child in children if child.status == "degraded")
@@ -242,7 +244,9 @@ def admission_health(report: HealthReport, stats: dict | None) -> None:
 
 def dispatcher_health(report: HealthReport, dispatcher: dict, requests: int,
                       policy: HealthPolicy) -> None:
-    """Judge dispatcher timeout / escalation counters into ``report``."""
+    """Judge dispatcher timeout / escalation counters into ``report``, as
+    rates over ``requests``: the questions that reached the dispatcher (a
+    front cache hit never does)."""
     timed_out = dispatcher.get("shards_timed_out", 0)
     failures = dispatcher.get("shard_failures", 0)
     escalations = dispatcher.get("escalations", 0)

@@ -125,6 +125,9 @@ class _Point:
     cache_hits: int
     cache_misses: int
     escalations: int
+    #: Questions that reached a cluster's dispatcher: the escalation
+    #: rate's denominator (front cache hits never reach the gate).
+    dispatched: int
     p95_ms: float
     p99_ms: float
 
@@ -229,6 +232,7 @@ class SloEngine:
             cache_hits=int(cache.get("hits", counters.get("cache_hits", 0))),
             cache_misses=int(cache.get("misses", 0)),
             escalations=int(dispatcher.get("escalations", 0)),
+            dispatched=int(dispatcher.get("questions", 0)),
             p95_ms=float(latency.get("p95_ms", 0.0)),
             p99_ms=float(latency.get("p99_ms", 0.0)),
         )
@@ -300,9 +304,10 @@ class SloEngine:
                 return None
             return (current.errors - base.errors) / requests
         if spec.metric == "escalation_rate":
-            if requests <= 0:
+            dispatched = current.dispatched - base.dispatched
+            if dispatched <= 0:
                 return None
-            return (current.escalations - base.escalations) / requests
+            return (current.escalations - base.escalations) / dispatched
         # cache_hit_rate
         lookups = (current.cache_hits - base.cache_hits) \
             + (current.cache_misses - base.cache_misses)

@@ -1,8 +1,8 @@
-"""The routing service façade: checkpoint + cache + group commit + metrics.
+"""The routing service façade: decoder + cache + group commit + metrics.
 
-:class:`RoutingService` turns a trained :class:`SchemaRouter` (built in
-process or loaded from a checkpoint directory) into a long-lived, concurrent
-serving object:
+:class:`RoutingService` turns a decoder -- a trained :class:`SchemaRouter`,
+or a cluster's dispatcher: anything with their ``route_batch`` -- into a
+long-lived, concurrent serving object:
 
 * ``submit_many(questions)`` -- route a list: :meth:`RoutingService.consult`
   (cache verdict, within-wave dedup), admission, a decode, then
@@ -12,6 +12,11 @@ serving object:
 * ``submit(question)`` -- the same path for a wave of one;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
+
+The cache holds tuples and every asked question gets a list of its own.  An
+answer is cached under the catalog version read before its wave's probe, so
+one decoded across a catalog change or a ``replace_router`` is served but not
+cached; so is a :class:`Provisional` one.
 
 Concurrent callers coalesce by group commit on the service's own lock.  A
 caller's cache misses become a ticket.  If no decode is running, the caller
@@ -90,12 +95,17 @@ class _Ticket:
         return self.answers is not None or self.error is not None
 
 
-class RoutingService:
-    """Serves schema-routing requests from a trained router."""
+class Provisional(list):
+    """A decoded answer served but never cached: an answer for now, not a
+    fact about the catalog (e.g. merged from a cluster's partial gather)."""
 
-    def __init__(self, router: SchemaRouter, config: ServingConfig | None = None,
+
+class RoutingService:
+    """Serves schema-routing requests from a decoder, ``router``."""
+
+    def __init__(self, router, config: ServingConfig | None = None,
                  admission: AdmissionController | None = None) -> None:
-        if not router.is_trained:
+        if not getattr(router, "is_trained", True):
             raise ValueError("RoutingService requires a trained router "
                              "(train with fit() or load a checkpoint)")
         self.router = router
@@ -175,16 +185,18 @@ class RoutingService:
         return self.submit_many([question], max_candidates)[0]
 
     def consult(self, questions: Sequence[str], max_candidates: int | None = None
-                ) -> tuple[list, list[int]]:
-        """The route cache's verdict on a wave: ``(results, pending)``.
+                ) -> tuple[list, list[int], int | None]:
+        """The route cache's verdict on a wave: ``(results, pending, version)``.
 
-        ``results`` holds each question's cached routes or None; ``pending``
-        is the first index of each missing question (a repeat decodes once).
-        ``requests`` and ``cache_hits`` move once per wave: per-question bumps
-        would dominate a cache-hot wave.  The decoder settles the wave with
-        :meth:`commit`, or :meth:`count_failed` if the decode raised."""
+        ``results`` holds each question's cached routes (its own list) or None;
+        ``pending`` is the first index of each missing question (a repeat
+        decodes once); ``version`` is the cache's catalog version before the
+        probe.  ``requests`` and ``cache_hits`` move once per wave: per-question
+        bumps would dominate a cache-hot wave.  The decoder settles the wave
+        with :meth:`commit`, or :meth:`count_failed` if the decode raised."""
         max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
         self.metrics.increment("requests", len(questions))
+        version = self.cache.catalog_version if self.cache is not None else None
         results: list = (self.cache.get_many(questions, variant=max_candidates)
                          if self.cache is not None else [None] * len(questions))
         first_index: dict[str, int] = {}
@@ -193,38 +205,43 @@ class RoutingService:
             if routes is None:
                 missed += 1
                 first_index.setdefault(questions[index], index)
+            else:
+                results[index] = list(routes)
         if missed < len(questions):
             self.metrics.increment("cache_hits", len(questions) - missed)
-        return results, list(first_index.values())
+        return results, list(first_index.values()), version
 
-    def commit(self, questions: Sequence[str], results: list, pending: list[int],
+    def commit(self, questions: Sequence[str], consulted: tuple,
                answers: Sequence[list[SchemaRoute]],
                max_candidates: int | None, started: float) -> None:
-        """Settle a consulted wave whose ``pending`` indices decoded to
-        ``answers``: fill and cache them, copy each into its within-wave
+        """Settle a consulted wave whose pending indices decoded to
+        ``answers``: fill and cache them (as tuples under the consulted
+        version, unless :class:`Provisional`), copy each into its within-wave
         repeats, count every answered miss as ``routed`` (one bump per wave),
         and observe the wave's per-question latency since ``started``."""
+        results, pending, version = consulted
         if pending:
             max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
             answered = {}
             for index, routes in zip(pending, answers):
                 results[index] = answered[questions[index]] = routes
-                if self.cache is not None:
-                    self.cache.put(questions[index], routes, variant=max_candidates)
+                if self.cache is not None and not isinstance(routes, Provisional):
+                    self.cache.put(questions[index], tuple(routes),
+                                   variant=max_candidates, version=version)
             repeats = 0
             for index, routes in enumerate(results):
                 if routes is None:
-                    results[index] = answered[questions[index]]
+                    results[index] = list(answered[questions[index]])
                     repeats += 1
             self.metrics.increment("routed", len(pending) + repeats)
         if questions:
             self.metrics.observe_latency((time.monotonic() - started) / len(questions),
                                          count=len(questions))
 
-    def count_failed(self, results: list) -> None:
+    def count_failed(self, consulted: tuple) -> None:
         """Count a consulted wave's misses as ``errors``: ``requests ==
         cache_hits + routed + errors + admission_rejected`` whatever happens."""
-        self.metrics.increment("errors", results.count(None))
+        self.metrics.increment("errors", consulted[0].count(None))
 
     def submit_many(self, questions: Sequence[str],
                     max_candidates: int | None = None,
@@ -243,7 +260,8 @@ class RoutingService:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
         max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
-        results, pending = self.consult(questions, max_candidates)
+        consulted = self.consult(questions, max_candidates)
+        results, pending, _ = consulted
         missing = [question for question, routes in zip(questions, results)
                    if routes is None] if pending else []
         if missing:
@@ -262,7 +280,7 @@ class RoutingService:
             answers = self._route_pending(questions, pending, max_candidates,
                                           trace)
         except BaseException as exc:
-            self.count_failed(results)
+            self.count_failed(consulted)
             if owned is not None:
                 owned.finish(status="error", error=f"{type(exc).__name__}: {exc}")
                 owned = None
@@ -270,7 +288,7 @@ class RoutingService:
         finally:
             if owned is not None:
                 owned.finish()
-        self.commit(questions, results, pending, answers, max_candidates, started)
+        self.commit(questions, consulted, answers, max_candidates, started)
         return results
 
     def _route_pending(self, questions: Sequence[str], pending: list[int],
@@ -369,16 +387,17 @@ class RoutingService:
     def stats(self) -> dict:
         """A JSON-round-trip-safe snapshot (it may cross the cluster wire
         protocol verbatim): counters, QPS, latency percentiles, cache
-        accounting, plus the size of the catalog slice this service decodes
-        over -- which is what identifies a shard worker when the snapshot is
-        read far from the process that produced it."""
+        accounting, plus (for a router decoder) the size of the catalog slice
+        this service decodes over -- which is what identifies a shard worker
+        when the snapshot is read far from the process that produced it."""
         snapshot = self.metrics.snapshot()
-        snapshot["num_databases"] = len(self.router.graph.catalog.database_names)
-        # Constraint automaton states made so far: stands still once the
-        # catalog's automaton is grown, jumps when its bound regrows it.
-        constraint = self.router.constraint
-        snapshot["constraint_states"] = (constraint.constraint_states
-                                         if constraint is not None else 0)
+        if isinstance(self.router, SchemaRouter):
+            snapshot["num_databases"] = len(self.router.graph.catalog.database_names)
+            # Constraint automaton states made so far: stands still once the
+            # catalog's automaton is grown, jumps when its bound regrows it.
+            constraint = self.router.constraint
+            snapshot["constraint_states"] = (constraint.constraint_states
+                                             if constraint is not None else 0)
         snapshot["cache"] = self.cache.stats() if self.cache is not None else None
         requests = snapshot["counters"].get("requests", 0)
         hits = snapshot["counters"].get("cache_hits", 0)

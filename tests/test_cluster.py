@@ -39,6 +39,7 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.schema import Catalog, Column, ColumnType, Database, ForeignKey, Table
+from repro.serving import RoutingService, ServingConfig
 from repro.serving.checkpoint import CheckpointError
 from reference_merge import merge_route_lists as reference_merge_route_lists
 
@@ -427,34 +428,32 @@ class TestDispatcher:
             self._fake_target("alpha", -2.0),
             self._fake_target("beta", -1.0),
         ])
-        with dispatcher:
-            merged = dispatcher.route_batch(["q1", "q2"])
+        merged = dispatcher.route_batch(["q1", "q2"])
         assert [_signature(routes) for routes in merged] == \
             [[("beta", ("t",)), ("alpha", ("t",))]] * 2
 
     def test_shard_timeout_fails_the_request(self):
-        with ClusterDispatcher([self._fake_target("alpha", -1.0),
-                                sender(_timed_out)]) as dispatcher:
-            with pytest.raises(ClusterError) as outcome:
-                dispatcher.route_batch(["q"])
-            assert isinstance(outcome.value.__cause__, ShardTimeoutError)
-            assert dispatcher.shard_failures == 1
-            assert dispatcher.shards_timed_out == 1
-            assert dispatcher.partial_gathers == 0
+        dispatcher = ClusterDispatcher([self._fake_target("alpha", -1.0),
+                                        sender(_timed_out)])
+        with pytest.raises(ClusterError) as outcome:
+            dispatcher.route_batch(["q"])
+        assert isinstance(outcome.value.__cause__, ShardTimeoutError)
+        assert dispatcher.shard_failures == 1
+        assert dispatcher.shards_timed_out == 1
+        assert dispatcher.partial_gathers == 0
 
     def test_allow_partial_serves_the_remaining_shards(self):
         def broken(questions, max_candidates):
             raise RuntimeError("shard down")
 
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), sender(broken)],
-                               allow_partial=True) as dispatcher:
-            merged = dispatcher.route_batch(["q"])
-            assert _signature(merged[0]) == [("alpha", ("t",))]
-            assert dispatcher.partial_gathers == 1
+        dispatcher = ClusterDispatcher([self._fake_target("alpha", -1.0), sender(broken)],
+                                       allow_partial=True)
+        merged = dispatcher.route_batch(["q"])
+        assert _signature(merged[0]) == [("alpha", ("t",))]
+        assert dispatcher.partial_gathers == 1
         # ... unless every shard failed.
-        with ClusterDispatcher([sender(broken)], allow_partial=True) as dispatcher:
-            with pytest.raises(ClusterError):
-                dispatcher.route_batch(["q"])
+        with pytest.raises(ClusterError):
+            ClusterDispatcher([sender(broken)], allow_partial=True).route_batch(["q"])
 
     def test_partial_gather_counts_dropped_timeouts(self):
         """A timed-out shard silently dropped from a partial gather must be
@@ -462,13 +461,14 @@ class TestDispatcher:
         def broken(questions, max_candidates):
             raise RuntimeError("shard down")
 
-        with ClusterDispatcher([self._fake_target("alpha", -1.0), sender(_timed_out),
-                                sender(broken)], allow_partial=True) as dispatcher:
-            merged = dispatcher.route_batch(["q"])
-            assert _signature(merged[0]) == [("alpha", ("t",))]
-            assert dispatcher.shard_failures == 2   # slow + broken
-            assert dispatcher.shards_timed_out == 1  # only slow was a timeout
-            assert dispatcher.partial_gathers == 1
+        dispatcher = ClusterDispatcher([self._fake_target("alpha", -1.0),
+                                        sender(_timed_out), sender(broken)],
+                                       allow_partial=True)
+        merged = dispatcher.route_batch(["q"])
+        assert _signature(merged[0]) == [("alpha", ("t",))]
+        assert dispatcher.shard_failures == 2   # slow + broken
+        assert dispatcher.shards_timed_out == 1  # only slow was a timeout
+        assert dispatcher.partial_gathers == 1
 
     def test_cascade_escalates_only_low_confidence_questions(self):
         # Fast tier: near-tie for "ambiguous", clear winner for "easy".
@@ -484,24 +484,25 @@ class TestDispatcher:
             careful_calls.append(list(questions))
             return [[SchemaRoute("beta", ("t", "u"), -0.5)] for _ in questions]
 
-        with ClusterDispatcher([sender(fast)], careful_targets=[sender(careful)],
-                               escalation_threshold=0.9) as dispatcher:
-            merged = dispatcher.route_batch(["easy", "ambiguous"])
+        dispatcher = ClusterDispatcher([sender(fast)], careful_targets=[sender(careful)],
+                                       escalation_threshold=0.9)
+        merged = dispatcher.route_batch(["easy", "ambiguous"])
         assert careful_calls == [["ambiguous"]]  # only the near-tie escalated
         assert dispatcher.escalations == 1
         assert merged[0][0].database == "alpha"       # fast answer kept
         assert _signature(merged[1]) == [("beta", ("t", "u"))]  # careful answer
 
-    def test_a_wave_asks_each_shard_each_question_once(self):
-        """``[a, b, a, c, a]`` sends ``[a, b, c]`` to every fast target and
-        only the distinct needy ``[a, b]`` to every careful target; each
-        asked question gets its own list, equal to routing it alone."""
+    def test_a_front_wave_asks_each_shard_each_question_once(self):
+        """Through a front, ``[a, b, a, c, a]`` sends ``[a, b, c]`` to every
+        fast target and only the distinct needy ``[a, b]`` to every careful
+        target; each asked question gets its own list, equal to routing it
+        alone."""
         calls: dict[str, list[list[str]]] = {}
 
         def shard(name, score_of):
             calls[name] = []
 
-            def route_batch(questions, max_candidates):
+            def route_batch(questions, max_candidates, trace=None):
                 calls[name].append(list(questions))
                 return [[SchemaRoute(name, (question,), score_of(question))]
                         for question in questions]
@@ -512,15 +513,17 @@ class TestDispatcher:
         careful = [shard("gamma", lambda question: -0.5),
                    shard("delta", lambda question: -2.0)]
         wave = ["a", "b", "a", "c", "a"]
-        with ClusterDispatcher(fast, careful_targets=careful,
-                               escalation_threshold=0.9) as dispatcher:
-            answers = dispatcher.route_batch(wave)
-            assert dispatcher.escalations == 4  # verdicts count asked questions
+        dispatcher = ClusterDispatcher(fast, careful_targets=careful,
+                                       escalation_threshold=0.9)
+        with RoutingService(dispatcher, ServingConfig(enable_cache=False)) as front:
+            answers = front.submit_many(wave)
+            # The front's consult collapsed the wave: the dispatcher was asked
+            # each distinct question once, and judged two of them needy.
+            assert (dispatcher.questions, dispatcher.escalations) == (3, 2)
         assert calls == {"alpha": [["a", "b", "c"]], "beta": [["a", "b", "c"]],
                          "gamma": [["a", "b"]], "delta": [["a", "b"]]}
-        with ClusterDispatcher(fast, careful_targets=careful,
-                               escalation_threshold=0.9) as alone:
-            expected = [alone.route_batch([question])[0] for question in wave]
+        alone = ClusterDispatcher(fast, careful_targets=careful, escalation_threshold=0.9)
+        expected = [alone.route_batch([question])[0] for question in wave]
         assert _hex_signatures(answers) == _hex_signatures(expected)
         assert [routes[0].database for routes in answers] == \
             ["gamma", "gamma", "gamma", "alpha", "gamma"]
@@ -535,12 +538,9 @@ class TestDispatcher:
             ClusterDispatcher([target], careful_targets=[target],
                               escalation_threshold=1.5)
 
-    def test_empty_batch_and_closed_dispatcher(self):
+    def test_empty_batch_and_no_targets(self):
         dispatcher = ClusterDispatcher([self._fake_target("alpha", -1.0)])
         assert dispatcher.route_batch([]) == []
-        dispatcher.close()
-        with pytest.raises(RuntimeError):
-            dispatcher.route_batch(["q"])
         with pytest.raises(ValueError):
             ClusterDispatcher([])
 
@@ -630,10 +630,10 @@ class TestReplicaSet:
         with pytest.raises(ClusterError) as outcome:
             mixed.route_batch(["q"])
         assert not isinstance(outcome.value, ShardTimeoutError)
-        with ClusterDispatcher([all_late.send]) as dispatcher:
-            with pytest.raises(ClusterError):
-                dispatcher.route_batch(["q"])
-            assert dispatcher.shards_timed_out == 1
+        dispatcher = ClusterDispatcher([all_late.send])
+        with pytest.raises(ClusterError):
+            dispatcher.route_batch(["q"])
+        assert dispatcher.shards_timed_out == 1
 
 
 # -- the cluster service -------------------------------------------------------
@@ -679,12 +679,14 @@ class TestClusterRoutingService:
             assert _full_signature(routes) == _full_signature(cluster.submit(question))
         assert cluster.submit_many([]) == []
 
-    def test_per_shard_caches_absorb_repeats(self, cluster):
+    def test_the_front_cache_absorbs_repeats(self, cluster):
         cluster.submit(QUESTIONS[0])
         cluster.submit(QUESTIONS[0])
         stats = cluster.stats()
-        assert stats["cache_hit_rate"] > 0.0
-        assert stats["counters"]["requests"] == 2
+        assert stats["counters"] == {"requests": 2, "routed": 1, "cache_hits": 1}
+        assert stats["front_cache"]["hits"] == 1
+        assert stats["dispatcher"]["questions"] == 1
+        assert stats["cache"]["hits"] == 0  # the shard tiers saw one miss
         assert stats["num_shards"] == 2
         assert len(stats["shards"]) == 2
         assert json.loads(json.dumps(stats)) == stats
@@ -710,9 +712,8 @@ class TestClusterRoutingService:
         # blind spot: the counter exists even when everything is healthy.
         assert dispatcher["shards_timed_out"] == 0
         assert dispatcher["shard_failures"] == 0
-        assert set(dispatcher) == {"shard_failures", "shards_timed_out",
-                                   "partial_gathers", "escalations",
-                                   "escalations_remembered"}
+        assert set(dispatcher) == {"questions", "shard_failures", "shards_timed_out",
+                                   "partial_gathers", "escalations"}
         json.dumps(stats)  # the whole rollup stays JSON-serializable
 
     def test_escalation_tier_is_wired_and_counted(self, master_router, cluster):
@@ -787,7 +788,7 @@ def _bytes_sent(cluster) -> int:
 
 
 class TestWithinWaveRepeats:
-    """The dispatcher collapses a wave's repeats before the scatter."""
+    """The front's consult collapses a wave's repeats before the scatter."""
 
     def test_a_wave_with_repeats_answers_like_its_distinct_wave(self, master_router):
         config = ClusterConfig(num_shards=2, strategy="round_robin",
@@ -808,12 +809,14 @@ class TestWithinWaveRepeats:
             check()
             # Both fleets' shard tiers were asked the same distinct questions.
             assert _tier_state(repeated) == _tier_state(distinct)
+            assert repeated.dispatcher.questions == distinct.dispatcher.questions
             assert repeated.metrics.counters()["requests"] > \
                 distinct.metrics.counters()["requests"]
 
     def test_a_subprocess_wave_sends_each_question_once(self, master_router):
         config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               worker_backend="subprocess", escalation_threshold=None)
+                               worker_backend="subprocess", escalation_threshold=None,
+                               enable_cache=False)
         wave = [QUESTIONS[0], QUESTIONS[1], QUESTIONS[0], QUESTIONS[0]]
         # Trailing spaces tokenise away but keep the strings distinct.
         spelled = [question + " " * index for index, question in enumerate(wave)]

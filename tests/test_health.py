@@ -259,7 +259,9 @@ class TestClusterHealth:
     def test_healthy_cluster_rolls_up_ok(self, cluster):
         report = cluster.health()
         assert report.status == "ok"
-        assert len(report.children) == 2
+        assert [child.component for child in report.children] == \
+            ["shard-0", "shard-1", "route_cache"]
+        assert report.details["queue_depth"] == 0
         worker = report.children[0].children[0]
         assert worker.children[0].component == "fast_tier"
 

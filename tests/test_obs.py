@@ -422,8 +422,8 @@ class TestExporters:
         snapshot = {
             "counters": {"requests": 40, "errors": 2},
             "cache": {"hits": 5, "misses": 2, "hit_rate": 0.71},
-            "dispatcher": {"escalations": 7, "escalations_remembered": 5},
-            "escalated_cache": {"hits": 5, "misses": 2, "size": 2},
+            "dispatcher": {"escalations": 7, "questions": 12},
+            "front_cache": {"hits": 5, "misses": 2, "size": 2},
             "latency": {"count": 2, "total_seconds": 0.3, "p95_ms": 200.0,
                         "buckets": {"0.1": 1, "0.25": 2, "+Inf": 2}},
         }
@@ -434,9 +434,9 @@ class TestExporters:
         assert "# TYPE repro_cache_hits counter" in lines
         assert "# TYPE repro_cache_hit_rate gauge" in lines
         assert "# TYPE repro_dispatcher_escalations counter" in lines
-        assert "# TYPE repro_dispatcher_escalations_remembered counter" in lines
-        assert "# TYPE repro_escalated_cache_hits counter" in lines
-        assert "# TYPE repro_escalated_cache_size gauge" in lines
+        assert "# TYPE repro_dispatcher_questions counter" in lines
+        assert "# TYPE repro_front_cache_hits counter" in lines
+        assert "# TYPE repro_front_cache_size gauge" in lines
         # the recorder summary yields one histogram family, typed once...
         assert lines.count("# TYPE repro_latency_seconds histogram") == 1
         assert not any(line.startswith("# TYPE repro_latency_seconds_bucket")

@@ -639,7 +639,7 @@ class TestTracingOverTheWire:
             for span in spans:
                 by_name.setdefault(span["name"], []).append(span)
 
-            (root,) = by_name["request"]
+            (root,) = by_name["request_wave"]
             (escalation,) = by_name["escalation"]
             # each tier merges its own gather: one under the root, one under
             # the escalation span
@@ -679,7 +679,7 @@ class TestTracingOverTheWire:
             # locally-recorded spans feed the cluster's stage breakdown;
             # the journal summary rides the stats snapshot
             stats = sub.stats()
-            assert {"request", "scatter", "wire", "merge", "escalation"} \
+            assert {"request_wave", "scatter", "wire", "merge", "escalation"} \
                 <= set(stats["stages"])
             assert stats["traces"]["completed"] == 1
             assert stats["traces"]["slowest"][0]["trace_id"] == record["trace_id"]
@@ -765,8 +765,10 @@ class TestSubprocessCluster:
         """The crash-respawn acceptance path: kill one worker mid-batch; the
         replica set fails over (no failed requests), and the killed worker is
         respawned from its checkpoint on the next attempt."""
+        # No route cache: every wave must reach the workers.
         sub = load_cluster(cluster_checkpoint, config=ClusterConfig(
-            worker_backend="subprocess", replicas=2, quarantine_seconds=0.0))
+            worker_backend="subprocess", replicas=2, quarantine_seconds=0.0,
+            enable_cache=False))
         try:
             baseline = sub.submit_many(list(QUESTIONS))
             victim = sub.shards[0].workers[0]
@@ -805,11 +807,11 @@ class TestSubprocessCluster:
             sub.dispatcher.escalation_threshold = None  # one scatter per wave
             trace = Tracer().start_trace("request_wave")
             if allow_partial:
-                merged = sub.dispatcher.route_batch(list(QUESTIONS), trace=trace)
+                merged = sub.dispatcher.route_batch(list(QUESTIONS), traces=[trace])
                 assert sub.dispatcher.partial_gathers == 1
             else:
                 with pytest.raises(ClusterError) as outcome:
-                    sub.dispatcher.route_batch(list(QUESTIONS), trace=trace)
+                    sub.dispatcher.route_batch(list(QUESTIONS), traces=[trace])
                 assert isinstance(outcome.value.__cause__.__cause__, WorkerCrashedError)
             trace.finish()
             assert sub.dispatcher.shard_failures == 1

@@ -772,6 +772,48 @@ class TestRoutingService:
             assert stats["counters"].get("cache_hits", 0) == 0
             assert stats["cache"]["invalidations"] == 1
 
+    @pytest.mark.parametrize("change", ["notify_catalog_changed", "replace_router"])
+    def test_an_answer_decoded_across_a_catalog_change_is_not_cached(
+            self, trained_router, monkeypatch, change):
+        """The catalog changes (or the router is swapped) after a wave's
+        decode and before its commit: the answer is served, but the next
+        caller decodes again instead of hitting it."""
+        with RoutingService(trained_router) as service:
+            decode = service._route_batch_locked
+            decoded: list[list[str]] = []
+
+            def decode_then_change(questions, *args, **kwargs):
+                answers = decode(questions, *args, **kwargs)
+                decoded.append(list(questions))
+                if len(decoded) == 1:
+                    if change == "replace_router":
+                        service.replace_router(trained_router)
+                    else:
+                        service.notify_catalog_changed()
+                return answers
+
+            monkeypatch.setattr(service, "_route_batch_locked", decode_then_change)
+            first = service.submit(QUESTIONS[0])
+            second = service.submit(QUESTIONS[0])
+            assert decoded == [QUESTIONS[:1]] * 2
+            assert _route_signature(service.submit(QUESTIONS[0])) == \
+                _route_signature(second) == _route_signature(first)
+            assert len(decoded) == 2
+
+    def test_served_lists_are_the_callers_own(self, trained_router):
+        """Neither a within-wave repeat nor a cache hit shares a list with
+        another caller or with the cache."""
+        with RoutingService(trained_router) as service:
+            first, repeat = service.submit_many(QUESTIONS[:1] * 2)
+            assert first is not repeat and first == repeat
+            expected = list(first)
+            first.clear()
+            repeat.clear()
+            hit = service.submit(QUESTIONS[0])
+            assert hit == expected
+            hit.clear()
+            assert service.submit(QUESTIONS[0]) == expected
+
     def test_uncached_mode(self, trained_router):
         config = ServingConfig(enable_cache=False)
         with RoutingService(trained_router, config) as service:

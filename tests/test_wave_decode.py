@@ -50,7 +50,6 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.serving import RoutingService
-from repro.serving.cache import RouteCache
 from repro.serving.checkpoint import CheckpointError, load_router, save_router
 from test_cluster import QUESTIONS, _cluster_catalog
 
@@ -101,24 +100,21 @@ def _serve(cluster, questions, wave_size: int = 8) -> list:
     return _waves(cluster.submit_many, questions, wave_size)
 
 
-def _pool_twin(fleet) -> ClusterDispatcher:
-    """A per-shard dispatcher over ``fleet``'s shards, configured like the
-    fleet's own: one ``ReplicaSet.send`` -- ``ShardWorker.route_batch`` ->
-    ``RoutingService.submit_many``, the per-shard path a subprocess child
+def _pool_twin(fleet) -> RoutingService:
+    """A front like the fleet's own over a per-shard dispatcher over
+    ``fleet``'s shards: one ``ReplicaSet.send`` -- ``ShardWorker.route_batch``
+    -> ``RoutingService.submit_many``, the per-shard path a subprocess child
     runs -- per shard and tier, never the wave engine."""
     config = fleet.config
     careful = None
     if config.escalation_threshold is not None:
         careful = [functools.partial(replica_set.send, careful=True)
                    for replica_set in fleet.shards]
-    return ClusterDispatcher(
+    return RoutingService(ClusterDispatcher(
         [replica_set.send for replica_set in fleet.shards],
         default_max_candidates=fleet.dispatcher.default_max_candidates,
         careful_targets=careful,
-        escalation_threshold=config.escalation_threshold,
-        escalated_cache=RouteCache(max_size=config.cache_size,
-                                   ttl_seconds=config.cache_ttl_seconds)
-        if careful else None)
+        escalation_threshold=config.escalation_threshold), fleet.front.config)
 
 
 def _scores(replies) -> list[float]:
@@ -188,12 +184,12 @@ class TestWaveAgainstPoolTwin:
             kernel = wave.wave_engine._tiers[False].kernel
             assert kernel.model is wave.master_router.model
             wave_replies = _serve(wave, workload)
-            pool_replies = _waves(twin.route_batch, workload)
+            pool_replies = _waves(twin.submit_many, workload)
             # The wave decodes the very doubles the per-shard path does.
             assert wave_replies == pool_replies
             assert [score.hex() for score in _scores(wave_replies)] \
                 == [score.hex() for score in _scores(pool_replies)]
-            assert wave.dispatcher.escalations == twin.escalations
+            assert wave.dispatcher.escalations == twin.router.escalations
             if escalation_threshold is not None:
                 assert wave.dispatcher.escalations > 0
                 assert wave.stats()["wave"]["careful_waves"] > 0
@@ -618,13 +614,12 @@ class TestWaveBookkeeping:
             assert first[0] == first[1]
             assert cluster.submit_many([QUESTIONS[0]])[0] == first[0]
             stats = cluster.stats()
-        # The dispatcher collapses the within-wave repeat, so each shard was
-        # asked 2 distinct questions and decoded both; the later repeat was
-        # a hit.
+        # The front collapses the within-wave repeat, so each shard was asked
+        # 2 distinct questions and decoded both; the later repeat was a front
+        # hit that no shard saw.
         for shard in stats["shards"]:
-            assert shard["workers"][0]["counters"] == \
-                {"requests": 3, "routed": 2, "cache_hits": 1}
-        assert stats["cache_hit_rate"] > 0.0
+            assert shard["workers"][0]["counters"] == {"requests": 2, "routed": 2}
+        assert stats["counters"] == {"requests": 4, "routed": 3, "cache_hits": 1}
 
     def test_a_failed_wave_counts_errors_per_shard(self, master_router,
                                                    monkeypatch):
@@ -638,7 +633,7 @@ class TestWaveBookkeeping:
                                                config) as cluster:
             monkeypatch.setattr("repro.core.router.diverse_beam_search_batch",
                                 broken)
-            # Errors count every cache miss a shard was asked (the dispatcher
+            # Errors count every cache miss a shard was asked (the front
             # collapsed the within-wave repeat), and the failure lands on the
             # replica like a failed pool call.
             with pytest.raises(Exception, match="wave decode failed"):
@@ -656,8 +651,8 @@ class TestWaveBookkeeping:
 
 
 class TestCountersConserve:
-    """``requests == cache_hits + routed + errors`` per shard tier, however a
-    wave went: within-wave repeats of a miss, repeats of a hit, and a wave
+    """``requests == cache_hits + routed + errors`` per shard tier and at a
+    fleet's front, however a wave went: within-wave repeats of a miss, repeats of a hit, and a wave
     whose decode raised."""
 
     WAVES = [
@@ -696,13 +691,15 @@ class TestCountersConserve:
                                escalation_threshold=1.0)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             workers = [replica_set.workers[0] for replica_set in cluster.shards]
-            tiers = self._drive(
+            front, *tiers = self._drive(
                 cluster.submit_many,
-                [service for worker in workers
-                 for service in (worker.service, worker.careful_service)],
+                [cluster.front] + [service for worker in workers
+                                   for service in (worker.service,
+                                                   worker.careful_service)],
                 monkeypatch)
-            # The dispatcher collapses the failed wave's repeat: a shard tier
-            # counts each distinct question it was asked.
+            # The front collapses the failed wave's repeat: it counts every
+            # asked miss, a shard tier each distinct question it was asked.
+            assert front["errors"] == len(self.FAILED)
             assert [tier["errors"] for tier in tiers[::2]] == [len(set(self.FAILED))] * 2
             assert cluster.stats()["wave"]["careful_waves"] > 0
 
@@ -793,8 +790,7 @@ class TestDirectSubmitWithoutTimeout:
                 return wait
             return send
 
-        with ClusterDispatcher([target_for(0), target_for(1)]) as dispatcher:
-            dispatcher.route_batch(["q"])
+        ClusterDispatcher([target_for(0), target_for(1)]).route_batch(["q"])
         caller = threading.current_thread().name
         assert seen == [("send", 0, caller), ("send", 1, caller),
                         ("wait", 0, caller), ("wait", 1, caller)]
