@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import shutil
 import tempfile
-import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -213,13 +213,13 @@ class ClusterRoutingService:
             self.config.serving_config(), max_candidates=self.config.max_candidates,
             enable_tracing=self.config.enable_tracing))
         self.metrics, self.tracer = self.front.metrics, self.front.tracer
-        # Routed-load window: per-database counters of merged top-1 answers.
-        # In a scatter-gather cluster every shard sees every question, so
-        # request QPS is flat across shards by construction; which databases
-        # *win* the questions is the only load signal that distinguishes a
-        # hot shard, and the control plane's rebalancer feeds on it.
-        self._load_lock = threading.Lock()
-        self._routed_windows: dict[str, WindowedCounter] = {}
+        # Routed-load window: merged top-1 answers per second, labelled by
+        # database, on the front's metrics clock.  In a scatter-gather
+        # cluster every shard sees every question, so request QPS is flat
+        # across shards by construction; which databases *win* the questions
+        # is the only load signal that distinguishes a hot shard, and the
+        # control plane's rebalancer feeds on it.
+        self._routed = WindowedCounter(QPS_WINDOW_SECONDS, self.metrics.clock)
         #: A temp checkpoint directory this service wrote for its own
         #: subprocess workers (removed on close); None when the caller owns it.
         self._owned_checkpoint_dir: Path | None = None
@@ -289,37 +289,22 @@ class ClusterRoutingService:
         return results
 
     def _note_routed(self, results: Sequence[list[SchemaRoute]]) -> None:
-        """Record each question's merged top-1 database in its load window."""
-        # Tally per database first so a whole wave costs one lock acquisition
-        # per database, not two per question.
-        tally: dict[str, int] = {}
-        for routes in results:
-            if routes:
-                database = routes[0].database
-                tally[database] = tally.get(database, 0) + 1
-        for database, count in tally.items():
-            with self._load_lock:
-                window = self._routed_windows.get(database)
-                if window is None:
-                    window = self._routed_windows[database] = WindowedCounter()
-            window.note(count)
+        """Tally the wave's merged top-1 databases and record the tally in
+        the routed-load window: one ``Counter``, one lock, per wave."""
+        tally = Counter([routes[0].database for routes in results if routes])
+        self._routed.note(sum(tally.values()), tally)
 
     def routing_load(self) -> dict:
-        """Who is winning the traffic: trailing-window routed-answer counts.
+        """Who is winning the traffic: trailing-window routed-answer counts,
+        read from the one routed-load window :meth:`_note_routed` feeds.
 
         ``per_database`` maps database name to how many questions it answered
         (as merged top-1) inside the window; ``per_shard`` sums those counts
         under the current assignment, which is the rebalancer's hot/cold
-        signal.  Databases whose window has fully expired are dropped, so a
+        signal.  Databases whose buckets have all expired are absent, so a
         yesterday's-hot-set database does not linger at zero forever.
         """
-        with self._load_lock:
-            windows = list(self._routed_windows.items())
-        per_database = {}
-        for name, window in sorted(windows):
-            count = window.total()
-            if count:
-                per_database[name] = count
+        per_database = dict(sorted(self._routed.label_totals().items()))
         per_shard = [0] * self.num_shards
         for name, count in per_database.items():
             try:

@@ -11,6 +11,11 @@ Invalidation happens two ways:
 * **catalog version** -- every entry records the cache's catalog version at
   insert time; :meth:`RouteCache.bump_version` (called when the underlying
   catalog changes) makes all older entries stale in O(1).
+
+An entry is a plain ``(value, version, expires_at)`` tuple, and a wave is one
+pass under the lock: the variant suffix is built once, and hits and misses
+are added to the counters once per wave, so a cache-hot wave costs a dict
+probe and an LRU touch per question.
 """
 
 from __future__ import annotations
@@ -18,18 +23,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 from repro.utils.text import tokenize_text
-
-
-@dataclass
-class _Entry:
-    value: object
-    expires_at: float | None
-    version: int
 
 
 @lru_cache(maxsize=8192)
@@ -55,7 +52,8 @@ class RouteCache:
         self.max_size = max_size
         self.ttl_seconds = ttl_seconds
         self._clock = clock
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        #: key -> (value, version, expires_at); expires_at is None without a TTL.
+        self._entries: OrderedDict[str, tuple[object, int, float | None]] = OrderedDict()
         self._lock = threading.Lock()
         self._version = 0
         self.hits = 0
@@ -66,12 +64,11 @@ class RouteCache:
 
     # -- core operations -----------------------------------------------------
     @staticmethod
-    def _key(question: str, variant: object = None) -> str:
-        """Cache key: the normalized question, qualified by an optional request
-        variant (e.g. ``max_candidates``) so differently-shaped answers to the
-        same question never alias."""
-        key = normalize_question(question)
-        return key if variant is None else f"{key}\x00{variant}"
+    def _suffix(variant: object) -> str:
+        """Cache keys are the normalized question plus this suffix, which
+        qualifies it by an optional request variant (e.g. ``max_candidates``)
+        so differently-shaped answers to the same question never alias."""
+        return "" if variant is None else f"\x00{variant}"
 
     def get(self, question: str, variant: object = None) -> object | None:
         """Cached routes for ``question``, or ``None`` on miss/stale entry."""
@@ -79,37 +76,38 @@ class RouteCache:
 
     def get_many(self, questions: Sequence[str],
                  variant: object = None) -> list[object | None]:
-        """Cached routes per question (``None`` on miss/stale entry), under
-        one lock acquisition for a whole wave.
+        """Cached routes per question (``None`` on miss/stale entry), in one
+        pass under one lock acquisition for a whole wave.
 
-        On a cache-hot wave a per-question lock handshake would cost more
-        than the lookups themselves, which matters to shard workers whose
-        every scatter frame begins with a wave of cache probes.
+        On a cache-hot wave a per-question lock handshake, key call or counter
+        bump would cost more than the lookups themselves, which matters to
+        the front, whose hot waves are answered here and nowhere else.
         """
-        keys = [self._key(question, variant) for question in questions]
+        suffix = self._suffix(variant)
+        keys = [normalize_question(question) + suffix for question in questions]
         now = self._clock() if self.ttl_seconds is not None else None
+        entries = self._entries
         values: list[object | None] = []
+        hits = 0
         with self._lock:
+            version = self._version
             for key in keys:
-                entry = self._entries.get(key)
-                if entry is None:
-                    self.misses += 1
-                    values.append(None)
-                elif entry.version != self._version:
-                    del self._entries[key]
-                    self.invalidations += 1
-                    self.misses += 1
-                    values.append(None)
-                elif entry.expires_at is not None and now is not None \
-                        and now >= entry.expires_at:
-                    del self._entries[key]
-                    self.expirations += 1
-                    self.misses += 1
-                    values.append(None)
-                else:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    values.append(entry.value)
+                entry = entries.get(key)
+                if entry is not None:
+                    if entry[1] != version:
+                        del entries[key]
+                        self.invalidations += 1
+                    elif now is not None and now >= entry[2]:
+                        del entries[key]
+                        self.expirations += 1
+                    else:
+                        entries.move_to_end(key)
+                        hits += 1
+                        values.append(entry[0])
+                        continue
+                values.append(None)
+            self.hits += hits
+            self.misses += len(keys) - hits
         return values
 
     def put(self, question: str, routes: object, variant: object = None,
@@ -118,15 +116,14 @@ class RouteCache:
         caller read before computing them) the entry is dropped instead when
         the cache has since been bumped: an answer computed under an old
         catalog must not be stamped with the new one."""
-        key = self._key(question, variant)
+        key = normalize_question(question) + self._suffix(variant)
         expires_at = None
         if self.ttl_seconds is not None:
             expires_at = self._clock() + self.ttl_seconds
         with self._lock:
             if version is not None and version != self._version:
                 return
-            self._entries[key] = _Entry(value=routes, expires_at=expires_at,
-                                        version=self._version)
+            self._entries[key] = (routes, self._version, expires_at)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
@@ -157,22 +154,22 @@ class RouteCache:
         with self._lock:
             return list(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
+        """A consistent snapshot: every counter, the size and the version are
+        read under one lock acquisition, so ``hit_rate`` always agrees with
+        the ``hits`` and ``misses`` beside it."""
         with self._lock:
-            size = len(self._entries)
+            size, hits, misses = len(self._entries), self.hits, self.misses
+            evictions, expirations = self.evictions, self.expirations
+            invalidations, version = self.invalidations, self._version
         return {
             "size": size,
             "max_size": self.max_size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "invalidations": self.invalidations,
-            "catalog_version": self._version,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+            "evictions": evictions,
+            "expirations": expirations,
+            "invalidations": invalidations,
+            "catalog_version": version,
         }

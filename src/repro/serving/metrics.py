@@ -12,8 +12,8 @@ import bisect
 import math
 import threading
 import time
-from collections import deque
-from typing import Callable
+from collections import Counter, deque
+from typing import Callable, Mapping
 
 #: Histogram bucket upper bounds in seconds (log-spaced, Prometheus-style).
 #: Observations above the last bound land only in the implicit ``+Inf``
@@ -109,13 +109,14 @@ QPS_WINDOW_SECONDS = 60
 
 
 class WindowedCounter:
-    """A counter summed over a trailing window (per-second buckets).
+    """A counter summed over a trailing window of per-second buckets, each
+    optionally split by label.
 
-    :class:`MetricsRegistry` keeps one for its sliding QPS, and other layers
-    keep their own load windows — the cluster service keeps one per database
-    to know which catalogs are winning the routed traffic *right now* (the
-    controller's hot-shard signal), where a cumulative counter would forever
-    remember last hour's hot set.
+    :class:`MetricsRegistry` keeps one for its sliding QPS; the cluster
+    service keeps one whose labels are databases, fed once per wave with the
+    wave's merged top-1 tally, to know which catalogs are winning the routed
+    traffic *right now* (the controller's hot-shard signal), where a
+    cumulative counter would forever remember last hour's hot set.
     """
 
     def __init__(self, window_seconds: int = QPS_WINDOW_SECONDS,
@@ -125,15 +126,21 @@ class WindowedCounter:
         self.window_seconds = window_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        self._buckets: deque[list[int]] = deque()
+        #: [second, count, per-label counts of that second]
+        self._buckets: deque[list] = deque()
 
-    def note(self, amount: int = 1) -> None:
+    def note(self, amount: int = 1, labels: Mapping[str, int] | None = None) -> None:
+        """Add ``amount`` events, and ``labels``' counts, to this second."""
         second = int(self._clock())
         with self._lock:
             if self._buckets and self._buckets[-1][0] == second:
-                self._buckets[-1][1] += amount
+                bucket = self._buckets[-1]
+                bucket[1] += amount
             else:
-                self._buckets.append([second, amount])
+                bucket = [second, amount, Counter()]
+                self._buckets.append(bucket)
+            if labels:
+                bucket[2].update(labels)
             cutoff = second - self.window_seconds
             while self._buckets and self._buckets[0][0] <= cutoff:
                 self._buckets.popleft()
@@ -142,15 +149,27 @@ class WindowedCounter:
         """Events inside the trailing window (expired buckets dropped)."""
         cutoff = int(self._clock()) - self.window_seconds
         with self._lock:
-            return sum(count for second, count in self._buckets
+            return sum(count for second, count, _ in self._buckets
                        if second > cutoff)
+
+    def label_totals(self) -> Counter:
+        """Per-label counts inside the trailing window; a label whose buckets
+        all expired is absent."""
+        cutoff = int(self._clock()) - self.window_seconds
+        totals: Counter = Counter()
+        with self._lock:
+            for second, _, labels in self._buckets:
+                if second > cutoff:
+                    totals.update(labels)
+        return totals
 
 
 class MetricsRegistry:
     """Counters + latency + batch-size + per-stage accounting for one service."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
+        #: The registry's time source; windows kept beside it read it too.
+        self.clock = clock
         self._started = clock()
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
@@ -161,10 +180,15 @@ class MetricsRegistry:
 
     # -- recording -----------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
+        self.increment_many({name: amount})
+
+    def increment_many(self, amounts: Mapping[str, int]) -> None:
+        """Move several counters under one lock acquisition (one wave's)."""
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-        if name == "requests":
-            self._request_window.note(amount)
+            for name, amount in amounts.items():
+                self._counters[name] = self._counters.get(name, 0) + amount
+        if "requests" in amounts:
+            self._request_window.note(amounts["requests"])
 
     def observe_latency(self, seconds: float, count: int = 1) -> None:
         self.latency.record(seconds, count)
@@ -195,7 +219,7 @@ class MetricsRegistry:
             return dict(self._counters)
 
     def uptime_seconds(self) -> float:
-        return max(self._clock() - self._started, 1e-9)
+        return max(self.clock() - self._started, 1e-9)
 
     def window_qps(self) -> float:
         """Requests per second over the trailing :data:`QPS_WINDOW_SECONDS`.

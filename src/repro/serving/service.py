@@ -191,11 +191,11 @@ class RoutingService:
         ``results`` holds each question's cached routes (its own list) or None;
         ``pending`` is the first index of each missing question (a repeat
         decodes once); ``version`` is the cache's catalog version before the
-        probe.  ``requests`` and ``cache_hits`` move once per wave: per-question
-        bumps would dominate a cache-hot wave.  The decoder settles the wave
-        with :meth:`commit`, or :meth:`count_failed` if the decode raised."""
+        probe.  ``requests`` and ``cache_hits`` move together under one
+        registry lock per wave: per-question bumps would dominate a cache-hot
+        wave.  The decoder settles the wave with :meth:`commit`, or
+        :meth:`count_failed` if the decode raised."""
         max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
-        self.metrics.increment("requests", len(questions))
         version = self.cache.catalog_version if self.cache is not None else None
         results: list = (self.cache.get_many(questions, variant=max_candidates)
                          if self.cache is not None else [None] * len(questions))
@@ -207,8 +207,10 @@ class RoutingService:
                 first_index.setdefault(questions[index], index)
             else:
                 results[index] = list(routes)
+        moves = {"requests": len(questions)}
         if missed < len(questions):
-            self.metrics.increment("cache_hits", len(questions) - missed)
+            moves["cache_hits"] = len(questions) - missed
+        self.metrics.increment_many(moves)
         return results, list(first_index.values()), version
 
     def commit(self, questions: Sequence[str], consulted: tuple,

@@ -17,6 +17,7 @@ The contracts:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields
 
 import pytest
@@ -50,7 +51,7 @@ from repro.serving import (
     ServingConfig,
     named_scenario,
 )
-from repro.serving.metrics import WindowedCounter
+from repro.serving.metrics import QPS_WINDOW_SECONDS, MetricsRegistry, WindowedCounter
 
 
 class FakeClock:
@@ -584,3 +585,25 @@ class TestClusterRoutingLoad:
                 assert "qps_window" in entry
             policy = HealthPolicy()
             assert cluster.health(policy).status in ("ok", "degraded")
+
+    def test_front_hits_count_and_the_window_expires(self, trained_router,
+                                                      monkeypatch):
+        # The routed-load window reads the front's metrics clock.
+        clock = FakeClock()
+        monkeypatch.setattr("repro.serving.service.MetricsRegistry",
+                            functools.partial(MetricsRegistry, clock=clock))
+        wave = ["How many singers are there?", "List the names of all cities.",
+                "How many concerts are there?", "How many singers are there?"]
+        config = ClusterConfig(num_shards=2, enable_tracing=False)
+        with ClusterRoutingService.from_router(trained_router, config) as cluster:
+            assert all(cluster.submit_many(wave))
+            clock.advance(1.0)
+            cluster.submit_many(wave)  # answered by front hits
+            assert cluster.stats()["counters"]["cache_hits"] == len(wave)
+            load = cluster.routing_load()
+            assert load["total"] == sum(load["per_shard"]) == 2 * len(wave)
+            clock.advance(QPS_WINDOW_SECONDS - 1.0)  # the first wave's second leaves
+            assert cluster.routing_load()["total"] == len(wave)
+            clock.advance(1.0)
+            load = cluster.routing_load()
+            assert load["per_database"] == {} and sum(load["per_shard"]) == 0

@@ -394,6 +394,45 @@ class TestRouteCache:
         # LRU order was refreshed by the batched probe, like get() would
         assert cache.keys()[-1] == normalize_question("ALPHA Question")
 
+    def test_stats_is_one_snapshot_under_concurrent_probes(self):
+        class YieldingCache(RouteCache):
+            """Gives up the GIL on every ``hits`` / ``misses`` read, so a read
+            made outside the lock is overtaken by the probers."""
+
+            def _read(self, name):
+                time.sleep(0)
+                return self.__dict__[name]
+
+            hits = property(lambda self: self._read("_hits"),
+                            lambda self, value: self.__dict__.update(_hits=value))
+            misses = property(lambda self: self._read("_misses"),
+                              lambda self, value: self.__dict__.update(_misses=value))
+
+        cache = YieldingCache(max_size=8)
+        cache.put("hot question", "routes")
+        wave = ["hot question", "cold question", "hot question"]
+        stop = threading.Event()
+
+        def probe():
+            while not stop.is_set():
+                cache.get_many(wave)
+
+        probers = [threading.Thread(target=probe) for _ in range(3)]
+        for thread in probers:
+            thread.start()
+        try:
+            snapshots = [cache.stats() for _ in range(300)]
+        finally:
+            stop.set()
+            for thread in probers:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in probers)
+        assert snapshots[-1]["hits"] > 0 and snapshots[-1]["misses"] > 0
+        for stats in snapshots:
+            lookups = stats["hits"] + stats["misses"]
+            assert stats["hit_rate"] == (round(stats["hits"] / lookups, 4)
+                                         if lookups else 0.0), stats
+
     def test_get_many_respects_the_variant_qualifier(self):
         cache = RouteCache(max_size=4)
         cache.put("question", "top1", variant=1)
