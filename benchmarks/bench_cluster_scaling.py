@@ -8,14 +8,15 @@ the batched decode engine erased that advantage twice over -- the monolith
 advances a whole wave in stacked kernel calls (PR 4), and only the distinct
 live prefixes of its wide beam, so most of the budget the shards save is
 budget the monolith no longer pays for.  On a single core the cluster's
-throughput against the monolith is therefore a *recorded* ratio between twins
-(ROADMAP item 2c), not a gate; the absolute figures for both live in the
+throughput against the monolith is therefore a *recorded* ratio between
+twins, not a gate; the absolute figures for both live in the
 ``benchmarks/e2e`` rows, and the scaling story is real cores via the
 subprocess backend.
 
 ``--backend subprocess`` (a pytest option from ``benchmarks/conftest.py``)
 runs the throughput cluster on multi-process shard workers driven over the
-:mod:`repro.cluster.transport` wire protocol instead of in-process threads;
+:mod:`repro.cluster.transport` wire protocol instead of inproc shards (which
+decode as one stacked wave in this interpreter);
 ``REPRO_BENCH_REQUESTS`` shrinks the seeded workload for smoke lanes.
 Asserted properties:
 
@@ -33,8 +34,8 @@ Asserted properties:
   cannot sink one side of the ratio.
 * **wave decode** -- every inproc fleet decodes a scatter wave
   as one stacked kernel stream instead of one call per shard, so
-  the default inproc run above already measures it.  Sliced-vocabulary wave
-  identity is a tier-1 test (``tests/test_wave_decode.py``).
+  the default inproc run above already measures it.  Wave identity is a
+  tier-1 test (``tests/test_wave_decode.py``).
 
 A one-line ``CLUSTER_SUMMARY {...}`` JSON is printed for CI scraping, like
 ``bench_serving_throughput``'s ``SERVING_SUMMARY``.
@@ -86,8 +87,7 @@ def test_cluster_scaling(benchmark, spider_context, spider_cluster, cluster_back
     # decode every time on both sides and routes/sec measures routing itself.
     single = RoutingService(master, ServingConfig(enable_cache=False))
     cluster = ClusterRoutingService.from_router(
-        master, ClusterConfig(num_shards=4, strategy="size_balanced",
-                              enable_cache=False,
+        master, ClusterConfig(num_shards=4, enable_cache=False,
                               worker_backend=cluster_backend))
     if cluster_backend == "inproc":
         # Measure the deployed path: subprocess fleets already boot from a

@@ -19,9 +19,9 @@ def pytest_addoption(parser):
         "--backend", action="store", default="inproc",
         choices=("inproc", "subprocess"),
         help="cluster worker backend for bench_cluster_scaling: 'inproc' "
-             "(threads in this interpreter) or 'subprocess' (one "
-             "repro.cluster.procworker process per shard over the wire "
-             "protocol)")
+             "(every shard in this interpreter, decoding as one stacked "
+             "wave) or 'subprocess' (one repro.cluster.procworker process "
+             "per shard over the wire protocol)")
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +75,7 @@ def spider_cluster(spider_context, tmp_path_factory):
     """
     built = ClusterRoutingService.from_router(
         spider_context.copilot.router,
-        ClusterConfig(num_shards=4, strategy="size_balanced", cache_size=4096),
+        ClusterConfig(num_shards=4, cache_size=4096),
     )
     checkpoint = save_cluster(built,
                               tmp_path_factory.mktemp("cluster") / "cluster-ckpt")

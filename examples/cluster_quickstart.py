@@ -40,7 +40,7 @@ def main() -> None:
           f"{dataset.num_databases} databases / {dataset.num_tables} tables")
 
     print("\n2. Partition + serve: a 4-shard scatter-gather cluster ...")
-    config = ClusterConfig(num_shards=4, strategy="size_balanced")
+    config = ClusterConfig(num_shards=4)
     with ClusterRoutingService.from_router(router, config) as cluster:
         for shard_id, databases in enumerate(cluster.assignment.shards):
             print(f"   shard {shard_id}: {len(databases)} databases "

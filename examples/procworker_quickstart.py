@@ -37,7 +37,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         print("\n2. Checkpoint: partitioning into 2 shards and saving ...")
         built = ClusterRoutingService.from_router(
-            router, ClusterConfig(num_shards=2, strategy="size_balanced"))
+            router, ClusterConfig(num_shards=2))
         checkpoint = save_cluster(built, Path(scratch) / "cluster-ckpt")
         built.close()
         # Two artifacts: cluster.json (config, assignment) and the master

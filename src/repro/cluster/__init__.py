@@ -1,15 +1,14 @@
 """Cluster subsystem: sharded scatter-gather routing over partitioned catalogs.
 
 :mod:`repro.serving` makes the router a persistent, cached *service*; this
-package makes it a *cluster*.  The catalog is partitioned into shards
-(round-robin, size-balanced, or joinability-aware grouping); each shard runs a
-projection of the trained router -- same model, sub-graph constraint, reduced
-beam budget -- behind its own :class:`repro.serving.RoutingService` with an
+package makes it a *cluster*.  The catalog is partitioned into shards (packed
+by table count); each shard runs a projection of the trained router -- same
+model, sub-graph constraint, reduced beam budget -- behind its own :class:`repro.serving.RoutingService` with an
 independent cache and metrics; a dispatcher scatter-gathers every request
 across the shards and merges the candidates into one deterministic top-k:
 
-* :mod:`repro.cluster.partition` -- deterministic catalog partitioners and the
-  :class:`ShardAssignment` layout;
+* :mod:`repro.cluster.partition` -- the deterministic size-balanced catalog
+  partitioner and the :class:`ShardAssignment` layout;
 * :mod:`repro.cluster.shard` -- router projection and the per-shard worker;
 * :mod:`repro.cluster.dispatcher` -- scatter-gather (the wave engine for an
   inproc fleet; over subprocess workers, every frame sent and every reply
@@ -47,9 +46,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ClusterDispatcher": "repro.cluster.dispatcher",
     "ClusterError": "repro.cluster.dispatcher",
     "ShardTimeoutError": "repro.cluster.dispatcher",
-    "PARTITION_STRATEGIES": "repro.cluster.partition",
     "ShardAssignment": "repro.cluster.partition",
-    "database_affinity": "repro.cluster.partition",
     "partition_catalog": "repro.cluster.partition",
     "ClusterRebalancer": "repro.cluster.rebalance",
     "RebalanceError": "repro.cluster.rebalance",

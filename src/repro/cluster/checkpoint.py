@@ -43,15 +43,18 @@ READABLE_VERSIONS = (1, CLUSTER_VERSION)
 
 CLUSTER_MANIFEST_FILE = "cluster.json"
 MASTER_DIR = "master"
-#: Retired overrides of the derived beam budgets.  Every manifest written
-#: with defaults holds them as null; any other value set a budget this build
-#: no longer honours, so it is refused rather than dropped.
-_BEAM_OVERRIDES = ("shard_num_beams", "shard_beam_groups", "escalation_num_beams")
+#: Retired settings that shaped answers: the overrides of the derived beam
+#: budgets and the default answer size.  Every manifest written with
+#: defaults holds them as null; any other value set a budget this build no
+#: longer honours, so it is refused rather than dropped.
+_ANSWER_OVERRIDES = ("shard_num_beams", "shard_beam_groups", "escalation_num_beams",
+                     "max_candidates")
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
-#: them, and loading drops them.
+#: them, and loading drops them (``strategy`` named the partitioner of the
+#: saved assignment, which loads as written).
 RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
                                  "sliced_vocabulary", "max_workers",
-                                 "trace_exemplars", *_BEAM_OVERRIDES})
+                                 "trace_exemplars", "strategy", *_ANSWER_OVERRIDES})
 
 
 def write_cluster(path: str | Path, master: SchemaRouter, config: ClusterConfig,
@@ -173,12 +176,12 @@ def _saved_config(payload: dict) -> ClusterConfig:
     if unknown:
         raise CheckpointError(f"cluster manifest config has unknown key(s) "
                               f"{', '.join(map(repr, unknown))}")
-    for key in _BEAM_OVERRIDES:
+    for key in _ANSWER_OVERRIDES:
         if payload.get(key) is not None:
             raise CheckpointError(
                 f"cluster manifest config sets the retired {key}="
-                f"{payload[key]!r}: this build derives every beam budget "
-                f"from the master router and the shard count")
+                f"{payload[key]!r}: this build derives it from the master "
+                f"router and the shard count")
     try:
         return ClusterConfig(**{key: value for key, value in payload.items()
                                 if key in known})
@@ -192,10 +195,9 @@ def load_cluster(path: str | Path,
 
     ``config`` overrides the saved *serving* knobs (backend, cache sizes, and
     for a subprocess fleet timeouts, replicas and partial gathers); everything
-    that affects routing decisions -- the assignment, the partition strategy,
-    the escalation threshold, and through them and the master the beam
-    budgets -- always comes from the checkpoint so a restarted cluster routes
-    identically.
+    that affects routing decisions -- the assignment, the escalation
+    threshold, and through them and the master the beam budgets -- always
+    comes from the checkpoint so a restarted cluster routes identically.
     """
     path = Path(path)
     manifest = load_cluster_manifest(path)
@@ -204,8 +206,7 @@ def load_cluster(path: str | Path,
     if config is None:
         config = saved_config
     else:
-        config = replace(config, strategy=saved_config.strategy,
-                         escalation_threshold=saved_config.escalation_threshold)
+        config = replace(config, escalation_threshold=saved_config.escalation_threshold)
     if config.num_shards != assignment.num_shards:
         config = replace(config, num_shards=assignment.num_shards)
     master = load_router(path / MASTER_DIR)

@@ -1,20 +1,14 @@
-"""Deterministic catalog partitioners.
+"""The deterministic catalog partitioner.
 
 A cluster serves a catalog split into shards, each shard owning a disjoint
-subset of the databases.  Three strategies are provided:
+subset of the databases.  :func:`partition_catalog` packs databases by table
+count (greedy longest-processing-time bin packing), so shard decode and cache
+load stay even when database sizes vary widely.
 
-* ``round_robin`` -- databases in catalog order, dealt card-style;
-* ``size_balanced`` -- greedy bin packing by table count, so shard decode and
-  cache load stay even when database sizes vary widely;
-* ``joinability`` -- agglomerative grouping by schema affinity (Jaccard
-  similarity of identifier-word signatures, reusing
-  :func:`repro.schema.joinability.jaccard_similarity`), so databases that
-  describe the same entities -- and therefore compete for the same questions --
-  live on one shard and are ranked by one beam search.
-
-Every strategy is a pure function of the catalog, so the same catalog always
-produces the same :class:`ShardAssignment` (cluster restarts and replicas
-agree without coordination).
+It is a pure function of the catalog, so the same catalog always produces
+the same :class:`ShardAssignment` (cluster restarts and replicas agree without
+coordination).  A saved assignment is loaded exactly as written, whatever
+packed it.
 """
 
 from __future__ import annotations
@@ -22,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.schema.catalog import Catalog
-from repro.schema.database import Database
-from repro.schema.joinability import jaccard_similarity
-from repro.utils.text import tokenize_text
-
-PARTITION_STRATEGIES = ("round_robin", "size_balanced", "joinability")
 
 
 @dataclass(frozen=True)
@@ -34,7 +23,6 @@ class ShardAssignment:
     """An immutable mapping of shard index -> owned database names."""
 
     shards: tuple[tuple[str, ...], ...]
-    strategy: str = "round_robin"
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -63,48 +51,27 @@ class ShardAssignment:
         """A copy with one shard's database set swapped (rebalancing)."""
         shards = list(self.shards)
         shards[shard_id] = tuple(databases)
-        return ShardAssignment(shards=tuple(shards), strategy=self.strategy)
+        return ShardAssignment(shards=tuple(shards))
 
     # -- persistence ---------------------------------------------------------
     def to_payload(self) -> dict:
-        return {"strategy": self.strategy,
-                "shards": [list(databases) for databases in self.shards]}
+        return {"shards": [list(databases) for databases in self.shards]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ShardAssignment":
-        return cls(shards=tuple(tuple(databases) for databases in payload["shards"]),
-                   strategy=payload.get("strategy", "round_robin"))
+        """The saved layout, exactly as written (an earlier build's
+        ``strategy`` key is ignored)."""
+        return cls(shards=tuple(tuple(databases) for databases in payload["shards"]))
 
 
-def partition_catalog(catalog: Catalog, num_shards: int,
-                      strategy: str = "size_balanced") -> ShardAssignment:
-    """Partition ``catalog`` into ``num_shards`` disjoint database groups."""
+def partition_catalog(catalog: Catalog, num_shards: int) -> ShardAssignment:
+    """Partition ``catalog`` into ``num_shards`` disjoint database groups by
+    greedy longest-processing-time packing on table count."""
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
     if num_shards > len(catalog):
         raise ValueError(f"cannot split {len(catalog)} databases into "
                          f"{num_shards} non-empty shards")
-    if strategy == "round_robin":
-        shards = _round_robin(catalog, num_shards)
-    elif strategy == "size_balanced":
-        shards = _size_balanced(catalog, num_shards)
-    elif strategy == "joinability":
-        shards = _joinability_grouped(catalog, num_shards)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"options: {', '.join(PARTITION_STRATEGIES)}")
-    return ShardAssignment(shards=shards, strategy=strategy)
-
-
-def _round_robin(catalog: Catalog, num_shards: int) -> tuple[tuple[str, ...], ...]:
-    shards: list[list[str]] = [[] for _ in range(num_shards)]
-    for index, database in enumerate(catalog):
-        shards[index % num_shards].append(database.name)
-    return tuple(tuple(databases) for databases in shards)
-
-
-def _size_balanced(catalog: Catalog, num_shards: int) -> tuple[tuple[str, ...], ...]:
-    """Greedy longest-processing-time packing by table count."""
     ordered = sorted(catalog, key=lambda db: (-db.num_tables, db.name))
     shards: list[list[str]] = [[] for _ in range(num_shards)]
     loads = [0] * num_shards
@@ -118,84 +85,4 @@ def _size_balanced(catalog: Catalog, num_shards: int) -> tuple[tuple[str, ...], 
     order = {db.name: position for position, db in enumerate(catalog)}
     for databases in shards:
         databases.sort(key=order.__getitem__)
-    return tuple(tuple(databases) for databases in shards)
-
-
-def database_signature(database: Database) -> set[str]:
-    """The identifier-word signature used for cross-database affinity."""
-    words: set[str] = set()
-    for table in database.tables:
-        words.update(tokenize_text(table.name.replace("_", " ")))
-        for column in table.columns:
-            words.update(tokenize_text(column.name.replace("_", " ")))
-    return words
-
-
-def database_affinity(left: Database, right: Database) -> float:
-    """Schema-level joinability proxy: Jaccard overlap of identifier words.
-
-    Two databases generated from the same domain (or describing the same
-    entities) share most of their table/column vocabulary, which is exactly
-    when their tables are likely to be value-joinable and their questions
-    ambiguous between them.
-    """
-    return jaccard_similarity(database_signature(left), database_signature(right))
-
-
-def _joinability_grouped(catalog: Catalog, num_shards: int) -> tuple[tuple[str, ...], ...]:
-    """Agglomerative single-linkage grouping: merge the most-affine group pair.
-
-    Groups are capped at ``ceil(len(catalog) / num_shards)`` databases so the
-    result stays balanced; merging continues until exactly ``num_shards``
-    groups remain (falling back to merging the smallest groups when no
-    affine pair fits under the cap).  Group affinities are maintained
-    incrementally -- merging groups ``a`` and ``b`` sets
-    ``affinity(a+b, k) = max(affinity(a, k), affinity(b, k))`` -- so each
-    merge costs O(groups) instead of re-scanning every member pair.
-    """
-    databases = list(catalog)
-    cap = -(-len(databases) // num_shards)
-    groups: dict[int, list[str]] = {index: [database.name]
-                                    for index, database in enumerate(databases)}
-    # One signature per database (each tokenizes the full schema), jaccard'd
-    # per pair -- not database_affinity(), which would rebuild both signatures
-    # for every one of the O(n^2) pairs.
-    signatures = [database_signature(database) for database in databases]
-    affinity: dict[tuple[int, int], float] = {
-        (i, j): jaccard_similarity(signatures[i], signatures[j])
-        for i in range(len(databases))
-        for j in range(i + 1, len(databases))
-    }
-
-    def aff(a: int, b: int) -> float:
-        return affinity[(a, b) if a < b else (b, a)]
-
-    while len(groups) > num_shards:
-        ids = sorted(groups)
-        best: tuple[float, str, str] | None = None
-        best_pair: tuple[int, int] | None = None
-        for position, a in enumerate(ids):
-            for b in ids[position + 1:]:
-                if len(groups[a]) + len(groups[b]) > cap:
-                    continue
-                key = (-aff(a, b), groups[a][0], groups[b][0])
-                if best is None or key < best:
-                    best, best_pair = key, (a, b)
-        if best_pair is None:
-            # No pair fits under the cap: merge the two smallest groups.
-            ranked = sorted(ids, key=lambda group: (len(groups[group]),
-                                                    groups[group][0]))
-            best_pair = (min(ranked[:2]), max(ranked[:2]))
-        a, b = best_pair
-        for k in ids:
-            if k not in (a, b):
-                affinity[(a, k) if a < k else (k, a)] = max(aff(a, k), aff(b, k))
-        groups[a].extend(groups[b])
-        del groups[b]
-
-    order = {database.name: position for position, database in enumerate(catalog)}
-    merged = list(groups.values())
-    for group in merged:
-        group.sort(key=order.__getitem__)
-    merged.sort(key=lambda group: order[group[0]])
-    return tuple(tuple(group) for group in merged)
+    return ShardAssignment(shards=tuple(tuple(databases) for databases in shards))

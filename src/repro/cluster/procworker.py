@@ -65,7 +65,6 @@ from repro.cluster.transport import (
     write_frame,
 )
 from repro.core.router import RouteRow, SchemaRoute, SchemaRouter, schema_routes
-from repro.obs import Tracer
 from repro.serving.service import ServingConfig
 
 if TYPE_CHECKING:
@@ -115,11 +114,12 @@ def serve(worker: ShardWorker, reader, writer,
     if ack.get("type") != "hello_ack":
         raise ProtocolError(f"expected hello_ack, got {ack.get('type')!r}")
     check_protocol(ack)
-    # Child-side tracer: spans recorded here feed the worker service's own
-    # stage metrics AND travel back in ``route_response.spans`` to be
-    # stitched into the dispatcher's trace.  The journal stays tiny -- the
-    # parent side retains the interesting exemplars.
-    tracer = Tracer(metrics=worker.service.metrics, max_slow_traces=4)
+    # The worker's one tracer: adopted spans feed its service's stage
+    # metrics and journal (``stats()["traces"]``) AND travel back in
+    # ``route_response.spans`` to be stitched into the dispatcher's trace.
+    # ``adopt`` ignores the service's disabled flag: a frame carrying a
+    # trace id is the instruction to trace.
+    tracer = worker.service.tracer
 
     def route(message: dict) -> tuple[dict, bytes]:
         careful = bool(message.get("careful", False))

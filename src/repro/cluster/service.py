@@ -61,8 +61,6 @@ class ClusterConfig:
     """
 
     num_shards: int = 4
-    #: Partition strategy: "round_robin" | "size_balanced" | "joinability".
-    strategy: str = "size_balanced"
     #: Where shard workers live: "inproc" (one worker per shard in this
     #: interpreter, every wave one stacked decode) or "subprocess" (one
     #: ``repro.cluster.procworker`` process per replica, driven over the
@@ -84,8 +82,6 @@ class ClusterConfig:
     #: Subprocess only.
     allow_partial: bool = False
     quarantine_seconds: float = 30.0
-    #: Default number of candidate schemata per answer (None = router default).
-    max_candidates: int | None = None
     #: Route cache settings of the front (merged answers) and of every shard
     #: tier (each its own cache).
     enable_cache: bool = True
@@ -190,7 +186,7 @@ class ClusterRoutingService:
         self._catalog_version = catalog_version
         default_candidates = 5
         if master_router is not None:
-            default_candidates = master_router.config.max_candidate_schemas
+            default_candidates = master_router.default_max_candidates
         careful_targets = None
         if self.config.escalation_threshold is not None:
             careful_targets = [functools.partial(replica_set.send, careful=True)
@@ -210,8 +206,7 @@ class ClusterRoutingService:
             wave_engine=self.wave_engine,
         )
         self.front = RoutingService(self.dispatcher, replace(
-            self.config.serving_config(), max_candidates=self.config.max_candidates,
-            enable_tracing=self.config.enable_tracing))
+            self.config.serving_config(), enable_tracing=self.config.enable_tracing))
         self.metrics, self.tracer = self.front.metrics, self.front.tracer
         # Routed-load window: merged top-1 answers per second, labelled by
         # database, on the front's metrics clock.  In a scatter-gather
@@ -242,8 +237,7 @@ class ClusterRoutingService:
         """
         config = config or ClusterConfig()
         if assignment is None:
-            assignment = partition_catalog(master.graph.catalog, config.num_shards,
-                                           strategy=config.strategy)
+            assignment = partition_catalog(master.graph.catalog, config.num_shards)
         elif assignment.num_shards != config.num_shards:
             config = replace(config, num_shards=assignment.num_shards)
         if config.worker_backend == "inproc":
@@ -417,7 +411,6 @@ class ClusterRoutingService:
         snapshot["replicas"] = max(replica_set.num_replicas
                                    for replica_set in self._shards)
         snapshot["worker_backend"] = self.config.worker_backend
-        snapshot["strategy"] = self.assignment.strategy
         snapshot["assignment"] = [list(databases) for databases in self.assignment.shards]
         snapshot["catalog_version"] = self._catalog_version
         snapshot["cache_hit_rate"] = cache_rollup["hit_rate"]

@@ -31,7 +31,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from typing import Iterator, Sequence
 
-from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget, decode_wave
+from repro.core.router import SchemaRoute, SchemaRouter, decode_wave
 from repro.nn.seq2seq import DecodeKernel
 from repro.nn.tokenizer import WordTokenizer
 from repro.obs import maybe_span
@@ -156,8 +156,7 @@ class ClusterWaveEngine:
                 try:
                     answers = self._decode_pending(
                         tier, questions, [pending for _, pending, _ in consulted],
-                        [candidate_budget(max_candidates, service.config.max_candidates)
-                         for service in tier.services],
+                        [service.variant(max_candidates) for service in tier.services],
                         stats, trace.scoped(span) if span is not None else None)
                 except BaseException:
                     for service, verdict in zip(tier.services, consulted):

@@ -51,7 +51,6 @@ class ControllerConfig:
     #: No rebalancing below this cluster-wide window QPS: an idle cluster
     #: has no load worth moving.
     min_window_qps: float = 1.0
-    enable_rebalance: bool = True
     #: SLO severities whose fast burn feeds admission shedding.
     burn_severities: tuple[str, ...] = ("page",)
     #: Bound of the retained action journal.
@@ -125,7 +124,7 @@ class Controller:
             if snapshot is None:
                 snapshot = self.cluster.stats()
             outcome["burn"] = self._feed_admission(slo_status)
-            if self.config.enable_rebalance and self.rebalancer is not None:
+            if self.rebalancer is not None:
                 outcome["action"] = self._rebalance(snapshot)
         except Exception as error:
             with self._lock:

@@ -296,6 +296,12 @@ class SchemaRouter:
         return self._model is not None
 
     @property
+    def default_max_candidates(self) -> int:
+        """The answer size of a request that names none
+        (``config.max_candidate_schemas``)."""
+        return self.config.max_candidate_schemas
+
+    @property
     def source_vocabulary(self) -> Vocabulary:
         if self._source_vocabulary is None:
             raise RuntimeError("the router has not been trained yet")
@@ -427,8 +433,7 @@ class SchemaRouter:
         """
         if self._model is None:
             raise RuntimeError("the router has not been trained yet")
-        max_candidates = candidate_budget(max_candidates,
-                                          self.config.max_candidate_schemas)
+        max_candidates = candidate_budget(max_candidates, self.default_max_candidates)
         if not questions:
             return []
         contexts = distinct_traces(traces)
@@ -511,7 +516,7 @@ class SchemaRouter:
         (the cluster wave engine) hand decoded hypotheses straight here."""
         return self._combine_hypotheses(
             hypotheses, WordTokenizer(self.target_vocabulary),
-            candidate_budget(max_candidates, self.config.max_candidate_schemas))
+            candidate_budget(max_candidates, self.default_max_candidates))
 
     def predict(self, question: str, max_candidates: int | None = None) -> RoutingPrediction:
         """Route and convert to the shared :class:`RoutingPrediction` format.

@@ -60,8 +60,6 @@ from repro.serving.metrics import MetricsRegistry
 class ServingConfig:
     """Knobs of one service instance."""
 
-    #: Default number of candidate schemata per answer (None = router default).
-    max_candidates: int | None = None
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
@@ -184,6 +182,16 @@ class RoutingService:
         """Route one question (blocking); safe to call from many threads."""
         return self.submit_many([question], max_candidates)[0]
 
+    def variant(self, max_candidates: int | None) -> int | None:
+        """The cache variant and decode group of a request's answer size:
+        None for no value *and* for the decoder's own default, so both share
+        one cache entry, one empty key suffix and one decode; a budget below
+        1 is a ``ValueError``."""
+        max_candidates = candidate_budget(max_candidates, None)
+        if max_candidates == self.router.default_max_candidates:
+            return None
+        return max_candidates
+
     def consult(self, questions: Sequence[str], max_candidates: int | None = None
                 ) -> tuple[list, list[int], int | None]:
         """The route cache's verdict on a wave: ``(results, pending, version)``.
@@ -195,7 +203,7 @@ class RoutingService:
         registry lock per wave: per-question bumps would dominate a cache-hot
         wave.  The decoder settles the wave with :meth:`commit`, or
         :meth:`count_failed` if the decode raised."""
-        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
+        max_candidates = self.variant(max_candidates)
         version = self.cache.catalog_version if self.cache is not None else None
         results: list = (self.cache.get_many(questions, variant=max_candidates)
                          if self.cache is not None else [None] * len(questions))
@@ -223,7 +231,7 @@ class RoutingService:
         and observe the wave's per-question latency since ``started``."""
         results, pending, version = consulted
         if pending:
-            max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
+            max_candidates = self.variant(max_candidates)
             answered = {}
             for index, routes in zip(pending, answers):
                 results[index] = answered[questions[index]] = routes
@@ -261,7 +269,7 @@ class RoutingService:
         if self._closed:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
-        max_candidates = candidate_budget(max_candidates, self.config.max_candidates)
+        max_candidates = self.variant(max_candidates)
         consulted = self.consult(questions, max_candidates)
         results, pending, _ = consulted
         missing = [question for question, routes in zip(questions, results)

@@ -136,11 +136,6 @@ def _full_signature(routes) -> list[tuple[str, tuple[str, ...], float]]:
 
 # -- partitioning --------------------------------------------------------------
 class TestPartition:
-    def test_round_robin_deals_in_catalog_order(self):
-        assignment = partition_catalog(_cluster_catalog(), 2, strategy="round_robin")
-        assert assignment.shards == (("concert_hall", "book_library"),
-                                     ("world_atlas", "grocery_shop"))
-
     def test_size_balanced_levels_table_counts(self):
         catalog = Catalog(name="lopsided", databases=[
             _database("big", {f"t{i}": ["id", "x"] for i in range(6)}),
@@ -148,43 +143,17 @@ class TestPartition:
             _database("small_a", {"t0": ["id", "x"]}),
             _database("small_b", {"t0": ["id", "x"]}),
         ])
-        assignment = partition_catalog(catalog, 2, strategy="size_balanced")
+        assignment = partition_catalog(catalog, 2)
         loads = [sum(catalog.database(name).num_tables for name in shard)
                  for shard in assignment.shards]
         assert sorted(loads) == [5, 6]  # big | mid + the two small ones
 
-    def test_joinability_groups_affine_databases(self):
-        # Two near-identical schemas (flight networks) plus two unrelated ones:
-        # the affine pair must land on the same shard.
-        catalog = Catalog(name="affine", databases=[
-            _database("airline_east", {
-                "flight": ["flight_id", "origin_airport", "destination_airport"],
-                "airport": ["airport_id", "airport_code"],
-            }),
-            _database("book_library", {
-                "author": ["author_id", "author_name"],
-                "book": ["book_id", "title", "author_id"],
-            }),
-            _database("airline_west", {
-                "flight": ["flight_id", "origin_airport", "destination_airport"],
-                "airport": ["airport_id", "airport_code"],
-            }),
-            _database("grocery_shop", {
-                "product": ["product_id", "price"],
-                "purchase": ["purchase_id", "product_id"],
-            }),
-        ])
-        assignment = partition_catalog(catalog, 2, strategy="joinability")
-        assert assignment.shard_of("airline_east") == assignment.shard_of("airline_west")
-
-    def test_every_strategy_is_a_deterministic_cover(self):
+    def test_the_partition_is_a_deterministic_cover(self):
         catalog = _cluster_catalog()
-        for strategy in ("round_robin", "size_balanced", "joinability"):
-            first = partition_catalog(catalog, 2, strategy=strategy)
-            second = partition_catalog(catalog, 2, strategy=strategy)
-            assert first == second
-            assert sorted(first.database_names) == sorted(catalog.database_names)
-            assert all(first.shards)  # no empty shards
+        first = partition_catalog(catalog, 2)
+        assert first == partition_catalog(catalog, 2)
+        assert sorted(first.database_names) == sorted(catalog.database_names)
+        assert all(first.shards)  # no empty shards
 
     def test_invalid_requests_rejected(self):
         catalog = _cluster_catalog()
@@ -192,8 +161,6 @@ class TestPartition:
             partition_catalog(catalog, 0)
         with pytest.raises(ValueError, match="non-empty"):
             partition_catalog(catalog, 99)
-        with pytest.raises(ValueError, match="strategy"):
-            partition_catalog(catalog, 2, strategy="alphabetical")
         with pytest.raises(ValueError, match="multiple shards"):
             ShardAssignment(shards=(("a", "b"), ("b",)))
 
@@ -222,15 +189,12 @@ class TestProjection:
         assert shard.model is master_router.model
         assert shard.config.num_beams == 2
 
-    @pytest.mark.parametrize("strategy", ["round_robin", "size_balanced", "joinability"])
-    def test_every_fleet_router_decodes_the_master_objects(self, master_router,
-                                                           strategy):
-        """Whatever the partition, every shard router of a fleet -- fast and
-        careful tier alike -- decodes the master's model over the master's
-        vocabulary objects, and only its constraint is its shard's own: what
-        lets one kernel step a whole wave."""
-        config = ClusterConfig(num_shards=2, strategy=strategy,
-                               escalation_threshold=0.8)
+    def test_every_fleet_router_decodes_the_master_objects(self, master_router):
+        """Every shard router of a fleet -- fast and careful tier alike --
+        decodes the master's model over the master's vocabulary objects, and
+        only its constraint is its shard's own: what lets one kernel step a
+        whole wave."""
+        config = ClusterConfig(num_shards=2, escalation_threshold=0.8)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             for replica_set in cluster.shards:
                 worker = replica_set.workers[0]
@@ -278,9 +242,9 @@ class TestDerivedBeamBudgets:
     def test_the_config_fields_are_pinned(self):
         """A new knob must show up here as a reviewed diff."""
         assert {field.name for field in fields(ClusterConfig)} == {
-            "num_shards", "strategy", "worker_backend", "replicas",
+            "num_shards", "worker_backend", "replicas",
             "escalation_threshold", "shard_timeout_seconds", "allow_partial",
-            "quarantine_seconds", "max_candidates", "enable_cache",
+            "quarantine_seconds", "enable_cache",
             "cache_size", "cache_ttl_seconds", "enable_tracing"}
 
     @pytest.mark.parametrize("threshold, fast, careful",
@@ -323,13 +287,13 @@ class TestDerivedBeamBudgets:
             assert _hex_signatures(fleet.submit_many(QUESTIONS)) == expected
 
     @pytest.mark.parametrize("key", ["shard_num_beams", "shard_beam_groups",
-                                     "escalation_num_beams"])
+                                     "escalation_num_beams", "max_candidates"])
     @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
     def test_a_set_retired_override_is_refused(self, master_router, tmp_path,
                                                monkeypatch, key, backend):
-        """Dropping a set override would change the beam budget, so the
-        manifest is a ``CheckpointError`` naming the key on either backend,
-        raised before any worker is built."""
+        """Dropping a set override would change a beam budget or how long
+        answers are, so the manifest is a ``CheckpointError`` naming the key
+        on either backend, raised before any worker is built."""
         path = self._saved(master_router, tmp_path)
         manifest = json.loads((path / "cluster.json").read_text())
         manifest["config"][key] = 2
@@ -338,6 +302,38 @@ class TestDerivedBeamBudgets:
         with pytest.raises(CheckpointError, match=f"retired {key}=2"):
             load_cluster(path, config=ClusterConfig(num_shards=2,
                                                     worker_backend=backend))
+
+
+#: The layout an earlier build's ``round_robin`` partitioner dealt for
+#: ``_cluster_catalog()`` over two shards (databases in catalog order).
+ROUND_ROBIN = (("concert_hall", "book_library"), ("world_atlas", "grocery_shop"))
+
+
+class TestRetiredPartitionKeys:
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_an_old_round_robin_manifest_boots_its_assignment(self, master_router,
+                                                              tmp_path, backend):
+        """A manifest written as an older build would -- ``"strategy":
+        "round_robin"`` in the config and the assignment, the layout it
+        dealt, ``"max_candidates": null`` -- boots that exact layout and
+        routes ``float.hex``-equal to a fleet built from it."""
+        assignment = ShardAssignment(shards=ROUND_ROBIN)
+        assert assignment != partition_catalog(master_router.graph.catalog, 2)
+        with ClusterRoutingService.from_router(
+                master_router, ClusterConfig(num_shards=2),
+                assignment=assignment) as built:
+            expected = _hex_signatures(built.submit_many(QUESTIONS))
+            path = save_cluster(built, tmp_path / "old-ckpt")
+        manifest = json.loads((path / "cluster.json").read_text())
+        manifest["config"].update(strategy="round_robin", max_candidates=None)
+        manifest["assignment"]["strategy"] = "round_robin"
+        (path / "cluster.json").write_text(json.dumps(manifest))
+        with load_cluster(path, config=ClusterConfig(
+                num_shards=2, worker_backend=backend)) as fleet:
+            assert fleet.assignment.shards == ROUND_ROBIN
+            assert [tuple(replica_set.workers[0].databases)
+                    for replica_set in fleet.shards] == list(ROUND_ROBIN)
+            assert _hex_signatures(fleet.submit_many(QUESTIONS)) == expected
 
 
 # -- score merging (core helpers) ----------------------------------------------
@@ -640,7 +636,7 @@ class TestReplicaSet:
 class TestClusterRoutingService:
     @pytest.fixture()
     def cluster(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as service:
             yield service
 
@@ -661,11 +657,9 @@ class TestClusterRoutingService:
         assert routes == sorted(routes, key=lambda route: -route.score)
 
     def test_top_k_identical_across_runs_and_shard_orderings(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
-        assignment = partition_catalog(master_router.graph.catalog, 2,
-                                       strategy="round_robin")
-        reversed_assignment = ShardAssignment(shards=assignment.shards[::-1],
-                                              strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
+        assignment = partition_catalog(master_router.graph.catalog, 2)
+        reversed_assignment = ShardAssignment(shards=assignment.shards[::-1])
         with ClusterRoutingService.from_router(master_router, config) as forward, \
                 ClusterRoutingService.from_router(master_router, config,
                                                   assignment=reversed_assignment) as backward:
@@ -690,6 +684,18 @@ class TestClusterRoutingService:
         assert stats["num_shards"] == 2
         assert len(stats["shards"]) == 2
         assert json.loads(json.dumps(stats)) == stats
+
+    def test_the_default_answer_size_asked_for_is_a_front_hit(self, cluster):
+        """The dispatcher's default answer size, named, is the answer a
+        request without one gets: one front entry, one scatter."""
+        default = cluster.submit(QUESTIONS[0])
+        explicit = cluster.submit(QUESTIONS[0],
+                                  max_candidates=cluster.dispatcher.default_max_candidates)
+        assert _full_signature(explicit) == _full_signature(default)
+        stats = cluster.stats()
+        assert stats["counters"] == {"requests": 2, "routed": 1, "cache_hits": 1}
+        assert stats["front_cache"]["size"] == 1
+        assert stats["dispatcher"]["questions"] == 1
 
     def test_targeted_invalidation_only_touches_the_owner_shard(self, cluster):
         cluster.submit(QUESTIONS[0])
@@ -755,8 +761,7 @@ class TestClusterRoutingService:
     @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
     def test_a_budget_below_one_is_refused_before_any_frame(self, master_router,
                                                             backend):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               worker_backend=backend)
+        config = ClusterConfig(num_shards=2, worker_backend=backend)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             cluster.submit(QUESTIONS[0])
             tiers = _tier_state(cluster)
@@ -791,8 +796,7 @@ class TestWithinWaveRepeats:
     """The front's consult collapses a wave's repeats before the scatter."""
 
     def test_a_wave_with_repeats_answers_like_its_distinct_wave(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               enable_cache=False)
+        config = ClusterConfig(num_shards=2, enable_cache=False)
         with ClusterRoutingService.from_router(master_router, config) as repeated, \
                 ClusterRoutingService.from_router(master_router, config) as distinct:
             @settings(max_examples=25, deadline=None)
@@ -814,7 +818,7 @@ class TestWithinWaveRepeats:
                 distinct.metrics.counters()["requests"]
 
     def test_a_subprocess_wave_sends_each_question_once(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
+        config = ClusterConfig(num_shards=2,
                                worker_backend="subprocess", escalation_threshold=None,
                                enable_cache=False)
         wave = [QUESTIONS[0], QUESTIONS[1], QUESTIONS[0], QUESTIONS[0]]
@@ -836,7 +840,7 @@ class TestWithinWaveRepeats:
 class TestRebalance:
     @pytest.fixture()
     def cluster(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as service:
             yield service
 
@@ -913,7 +917,7 @@ class TestRebalance:
 # -- cluster checkpoints -------------------------------------------------------
 class TestClusterCheckpoint:
     def test_round_trip_reproduces_identical_routes(self, master_router, tmp_path):
-        config = ClusterConfig(num_shards=2, strategy="size_balanced")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as original:
             expected = [_full_signature(original.submit(question))
                         for question in QUESTIONS]
@@ -921,8 +925,7 @@ class TestClusterCheckpoint:
             path = save_cluster(original, tmp_path / "cluster-ckpt")
         with load_cluster(path) as reloaded:
             assert reloaded.assignment == \
-                partition_catalog(master_router.graph.catalog, 2,
-                                  strategy="size_balanced")
+                partition_catalog(master_router.graph.catalog, 2)
             assert reloaded.catalog_version == 1  # survives the restart
             actual = [_full_signature(reloaded.submit(question))
                       for question in QUESTIONS]
@@ -951,7 +954,7 @@ class TestClusterCheckpoint:
         # (the partition, the escalation threshold) always come from the
         # checkpoint.
         override = ClusterConfig(num_shards=2, cache_size=7,
-                                 quarantine_seconds=1.0, strategy="round_robin",
+                                 quarantine_seconds=1.0,
                                  escalation_threshold=None)
         with load_cluster(path, config=override) as reloaded:
             assert (reloaded.config.cache_size,
@@ -959,8 +962,7 @@ class TestClusterCheckpoint:
             for replica_set in reloaded.shards:
                 assert replica_set.quarantine_seconds == 1.0
                 assert replica_set.workers[0].service.cache.max_size == 7
-            assert (reloaded.config.strategy,
-                    reloaded.config.escalation_threshold) == ("size_balanced", 0.8)
+            assert reloaded.config.escalation_threshold == 0.8
             assert [_full_signature(reloaded.submit(question))
                     for question in QUESTIONS[:3]] == expected
 

@@ -238,8 +238,7 @@ FLEETS = {
 
 def _fleet(master_router, **overrides) -> ClusterRoutingService:
     return ClusterRoutingService.from_router(master_router, ClusterConfig(
-        num_shards=2, strategy="round_robin", escalation_threshold=1.0,
-        **overrides))
+        num_shards=2, escalation_threshold=1.0, **overrides))
 
 
 def _tier_requests(cluster, tier: str) -> int:
@@ -343,7 +342,8 @@ class TestFrontOnFleets:
         count = len(QUESTIONS)
         with _fleet(master_router) as cluster:
             cluster.submit_many(QUESTIONS)
-            ClusterRebalancer(cluster).move_database("world_atlas", 0)
+            ClusterRebalancer(cluster).move_database(
+                "world_atlas", 1 - cluster.shard_of("world_atlas"))
             moved = cluster.submit_many(QUESTIONS)
             assert cluster.dispatcher.escalations == 2 * count
             # What a fleet that never knew the old assignment answers.

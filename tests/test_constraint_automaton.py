@@ -92,8 +92,7 @@ class TestOneRoot:
         """No route cache, so the second wave decodes every (shard, question)
         pair again -- on the states the first one left behind."""
         router, questions = trained
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               enable_cache=False)
+        config = ClusterConfig(num_shards=2, enable_cache=False)
         with ClusterRoutingService.from_router(router, config) as cluster:
             engine = cluster.wave_engine
             assert engine is not None and engine.has_careful_tier
@@ -245,8 +244,7 @@ class TestVisible:
 
     def test_cluster_stats_report_states_per_shard_tier(self, trained):
         router, questions = trained
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               enable_cache=False)
+        config = ClusterConfig(num_shards=2, enable_cache=False)
         with ClusterRoutingService.from_router(router, config) as cluster:
             cluster.submit_many(questions[:8])
             workers = [worker for shard in cluster.stats()["shards"]

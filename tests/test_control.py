@@ -392,8 +392,7 @@ class TestControllerConfig:
         knob retunes it, and a new knob must show up here as a reviewed diff."""
         assert {field.name for field in fields(ControllerConfig)} == {
             "hysteresis_seconds", "database_cooldown_seconds", "hot_factor",
-            "cold_factor", "min_window_qps", "enable_rebalance",
-            "burn_severities", "max_actions"}
+            "cold_factor", "min_window_qps", "burn_severities", "max_actions"}
         assert "escalation" not in Controller(_StubCluster()).stats()
 
     @pytest.mark.parametrize("overrides, message", [
@@ -427,6 +426,13 @@ class TestController:
         outcome = controller.tick(snapshot=snapshot)
         assert outcome["action"]["kind"] == "split"
         assert rebalancer.moves == [("b", 1)]
+
+    def test_without_a_rebalancer_a_hot_shard_is_not_split(self):
+        """``rebalancer=None`` is the one rebalance off switch."""
+        controller = Controller(_StubCluster(), clock=FakeClock())
+        snapshot = _snapshot([["a", "b"], ["c"]], {"a": 90, "b": 10})
+        assert controller.tick(snapshot=snapshot) == {"burn": None, "action": None}
+        assert controller.tick_errors == 0
 
     def test_hysteresis_blocks_back_to_back_actions(self):
         clock = FakeClock()

@@ -252,7 +252,7 @@ class TestClusterHealth:
     @pytest.fixture(scope="class")
     def cluster(self, trained_router):
         service = ClusterRoutingService.from_router(
-            trained_router, ClusterConfig(num_shards=2, strategy="size_balanced"))
+            trained_router, ClusterConfig(num_shards=2))
         yield service
         service.close()
 

@@ -110,7 +110,7 @@ def shard(tmp_path_factory) -> tuple[Path, tuple[str, ...]]:
         epochs=3, embedding_dim=16, hidden_dim=24, num_beams=4, beam_groups=2, seed=23))
     router.fit(report.examples)
     with ClusterRoutingService.from_router(
-            router, ClusterConfig(num_shards=2, strategy="size_balanced")) as built:
+            router, ClusterConfig(num_shards=2)) as built:
         path = save_cluster(built, tmp_path_factory.mktemp("closure") / "ckpt")
         databases = built.assignment.shards[0]
     return path / "master", databases

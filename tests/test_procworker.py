@@ -94,7 +94,7 @@ def master_router() -> SchemaRouter:
 def cluster_checkpoint(master_router, tmp_path_factory):
     """A saved 2-shard cluster both backends boot from."""
     built = ClusterRoutingService.from_router(
-        master_router, ClusterConfig(num_shards=2, strategy="size_balanced"))
+        master_router, ClusterConfig(num_shards=2))
     path = save_cluster(built, tmp_path_factory.mktemp("procworker") / "cluster-ckpt")
     built.close()
     return path
@@ -690,6 +690,20 @@ class TestTracingOverTheWire:
             assert worker_stats["stages"]["decode"]["count"] >= 1
         finally:
             sub.close()
+
+    def test_an_adopted_trace_lands_in_the_workers_journal(self, cluster_checkpoint):
+        """The worker adopts a wire trace through its service's one tracer,
+        so the journal ``stats()["traces"]`` reports is the one that saw it."""
+        tracer = Tracer()
+        with _proc_worker(cluster_checkpoint) as worker:
+            assert worker.stats()["traces"]["completed"] == 0
+            trace = tracer.start_trace("request")
+            worker.route_batch([QUESTIONS[0]], trace=trace)
+            trace.finish()
+            traces = worker.stats()["traces"]
+        assert traces["completed"] == 1
+        assert traces["open_traces"] == 0
+        assert traces["slowest"][0]["trace_id"] == trace.trace_id
 
     def test_crashed_shard_request_closes_its_span_as_an_error(self, cluster_checkpoint):
         """The leak guard at the proxy: a worker that dies mid-request ends

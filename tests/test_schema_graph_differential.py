@@ -218,7 +218,7 @@ def test_router_checkpoints_cross_over(twin_routers, tmp_path, monkeypatch):
 
 def test_cluster_checkpoints_cross_over(twin_routers, tmp_path, monkeypatch):
     new, old = twin_routers
-    config = ClusterConfig(num_shards=2, strategy="size_balanced")
+    config = ClusterConfig(num_shards=2)
     with ClusterRoutingService.from_router(new, config) as built:
         from_new = save_cluster(built, tmp_path / "from-new")
     with monkeypatch.context() as patched:  # shard projections on the old graph

@@ -11,6 +11,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -785,6 +786,30 @@ class TestRoutingService:
             # The truncated answer must not be served for the default request.
             assert len(service.submit(question)) == len(full)
             assert len(service.submit(question, max_candidates=1)) == 1
+
+    def test_the_default_answer_size_asked_for_is_a_cache_hit(self, trained_router,
+                                                              monkeypatch):
+        """Naming the router's own default answer size asks for the answer a
+        request without one gets: one cache entry under the bare question,
+        one decode, and the explicit request is a hit either way round."""
+        default_size = trained_router.default_max_candidates
+        calls = _spy_route_batch(monkeypatch, trained_router)
+        with RoutingService(trained_router) as service:
+            default = service.submit(QUESTIONS[0])
+            assert service.submit(QUESTIONS[0], max_candidates=default_size) == default
+            explicit = service.submit(QUESTIONS[1], max_candidates=default_size)
+            assert service.submit(QUESTIONS[1]) == explicit
+            assert service.metrics.counters() == {
+                "requests": 4, "routed": 2, "cache_hits": 2}
+            assert service.cache.keys() == [normalize_question(question)
+                                            for question in QUESTIONS[:2]]
+        assert len(calls) == 2
+
+    def test_the_config_fields_are_pinned(self):
+        """A new knob must show up here as a reviewed diff."""
+        assert {field.name for field in fields(ServingConfig)} == {
+            "enable_cache", "cache_size", "cache_ttl_seconds", "enable_tracing",
+            "admission"}
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_a_budget_below_one_is_refused_before_the_cache(self, trained_router,

@@ -86,7 +86,7 @@ def workload(master_router) -> list[str]:
 
 
 def _checkpoint(master_router, path, **config) -> None:
-    config = ClusterConfig(num_shards=2, strategy="round_robin", **config)
+    config = ClusterConfig(num_shards=2, **config)
     with ClusterRoutingService.from_router(master_router, config) as cluster:
         save_cluster(cluster, path)
 
@@ -340,8 +340,7 @@ class TestOneBootPath:
             return sorted(entry.name for entry in path.iterdir())
 
         _checkpoint(master_router, tmp_path / "inproc")
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               worker_backend="subprocess")
+        config = ClusterConfig(num_shards=2, worker_backend="subprocess")
         with ClusterRoutingService.from_router(
                 master_router, config, checkpoint_dir=tmp_path / "own") as fleet:
             save_cluster(fleet, tmp_path / "resaved")
@@ -364,7 +363,7 @@ class TestOneBootPath:
         master's projections, ``float.hex``-equal to the version-2 layout --
         also for a fleet saved with ``sliced_vocabulary: true``, whose sliced
         copies this build would refuse to load."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         _checkpoint(master_router, tmp_path / "v2")
         old = shutil.copytree(tmp_path / "v2", tmp_path / "v1")
         beams = config.shard_beams_for(master_router)
@@ -460,8 +459,7 @@ class TestOneBootPath:
     def test_a_careful_shard_call_needs_a_careful_tier(self, master_router):
         """No silent fallback: with the cascade off there is no careful tier,
         and asking a shard for one is a ``ValueError``, not a fast decode."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               escalation_threshold=None)
+        config = ClusterConfig(num_shards=2, escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             worker = cluster.shards[0].workers[0]
             assert worker.careful_service is None
@@ -471,8 +469,7 @@ class TestOneBootPath:
             assert all(worker.route_batch(QUESTIONS[:2]))
 
     def test_a_careful_wave_needs_a_careful_tier(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               escalation_threshold=None)
+        config = ClusterConfig(num_shards=2, escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             engine = cluster.wave_engine
             assert engine.has_careful_tier is False
@@ -497,7 +494,7 @@ class TestWhichFleetsScatterThroughThePool:
         assert getattr(config, field) == value
 
     def test_a_fleet_that_cannot_stack_raises(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             first.service.replace_router(project_router(
@@ -510,7 +507,7 @@ class TestWhichFleetsScatterThroughThePool:
                                                                 master_router):
         """Equal weights are not enough: the wave steps one model, so a shard
         router restored onto a copy of it is refused at construction."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
@@ -529,7 +526,7 @@ class TestWhichFleetsScatterThroughThePool:
         """The wave tokenizes and parses a whole wave with one pair of
         vocabularies, so a shard router restored onto an equal copy of
         either is refused at construction too."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
@@ -565,7 +562,7 @@ class TestWhichFleetsScatterThroughThePool:
 
 class TestWaveBookkeeping:
     def test_wave_counters_roll_up_into_stats_and_traces(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
             cluster.submit_many(QUESTIONS)
@@ -606,8 +603,7 @@ class TestWaveBookkeeping:
         assert decode["mask_cache_hits"] + decode["mask_cache_misses"] > 0
 
     def test_wave_deduplicates_and_caches_within_the_fleet(self, master_router):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               escalation_threshold=None)
+        config = ClusterConfig(num_shards=2, escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
             first = cluster.submit_many([QUESTIONS[0], QUESTIONS[0], QUESTIONS[1]])
@@ -623,8 +619,7 @@ class TestWaveBookkeeping:
 
     def test_a_failed_wave_counts_errors_per_shard(self, master_router,
                                                    monkeypatch):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               escalation_threshold=None)
+        config = ClusterConfig(num_shards=2, escalation_threshold=None)
 
         def broken(*args, **kwargs):
             raise FloatingPointError("boom")
@@ -687,8 +682,7 @@ class TestCountersConserve:
         return check()
 
     def test_on_the_wave(self, master_router, monkeypatch):
-        config = ClusterConfig(num_shards=2, strategy="round_robin",
-                               escalation_threshold=1.0)
+        config = ClusterConfig(num_shards=2, escalation_threshold=1.0)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             workers = [replica_set.workers[0] for replica_set in cluster.shards]
             front, *tiers = self._drive(
@@ -716,7 +710,7 @@ class TestConcurrentWaves:
         every call settles, a pass made after the move answers exactly like
         a serial run on an identically rebalanced fleet, and nothing is left
         running at ``close()``."""
-        config = ClusterConfig(num_shards=2, strategy="round_robin")
+        config = ClusterConfig(num_shards=2)
         distinct = list(dict.fromkeys(workload))
         chunks = [distinct[slot::8][:16] for slot in range(8)]
         with ClusterRoutingService.from_router(master_router, config) as serial:
