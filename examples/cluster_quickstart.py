@@ -71,7 +71,7 @@ def main() -> None:
         rebalancer.move_database(database, 1)
         print(f"   {database}: shard 0 -> shard {cluster.shard_of(database)} "
               f"(catalog version {cluster.catalog_version}; only the touched "
-              "shards' caches were invalidated)")
+              "shards were re-projected, and the front's cached answers staled)")
         routes = cluster.submit(question, max_candidates=1)
         print(f"   Q routes unchanged: <{routes[0].database}, {routes[0].tables}>")
 

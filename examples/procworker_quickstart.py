@@ -71,20 +71,30 @@ def main() -> None:
 
             print("\n5. Kill-and-respawn: losing a worker is survivable ...")
             victim = workers[0]
-            before = cluster.submit(question, max_candidates=1)
+            before = cluster.submit(question, max_candidates=1)  # a front hit
+            dead_pid = victim.pid
             victim.kill()
             print(f"   killed shard {victim.shard_id} (pid was not asked nicely)")
+            # The front answers repeats without a scatter, so stale its cache
+            # (a version bump: no worker is touched) to make the next ask
+            # reach the dead worker, which respawns on that request.
+            cluster.notify_catalog_changed()
             after = cluster.submit(question, max_candidates=1)
             print(f"   same answer after respawn: {after == before} "
                   f"(new pid {victim.pid}, respawns {victim.respawns})")
+            assert after == before
+            assert victim.respawns == 1 and victim.pid not in (None, dead_pid)
 
             stats = cluster.stats()
             print(f"\n6. Stats: backend={stats['worker_backend']}, "
+                  f"front cache hit rate {stats['cache_hit_rate']}, "
                   f"dispatcher={stats['dispatcher']}")
             for shard in stats["shards"]:
-                transport = shard["workers"][0]["transport"]
-                print(f"   shard {shard['shard_id']}: pid {transport['pid']}, "
-                      f"requests {transport['requests_sent']}, "
+                worker = shard["workers"][0]
+                transport = worker["transport"]
+                print(f"   shard {shard['shard_id']}: {len(worker['databases'])} "
+                      f"databases, pid {transport['pid']}, "
+                      f"frames {transport['requests_sent']}, "
                       f"respawns {transport['respawns']}")
         print("\n7. Closed: shutdown frames drained and every worker exited.")
 

@@ -3,9 +3,10 @@
 :mod:`repro.serving` makes the router a persistent, cached *service*; this
 package makes it a *cluster*.  The catalog is partitioned into shards (packed
 by table count); each shard runs a projection of the trained router -- same
-model, sub-graph constraint, reduced beam budget -- behind its own :class:`repro.serving.RoutingService` with an
-independent cache and metrics; a dispatcher scatter-gathers every request
-across the shards and merges the candidates into one deterministic top-k:
+model, sub-graph constraint, reduced beam budget; a dispatcher
+scatter-gathers every request across the shards and merges the candidates
+into one deterministic top-k, and a :class:`repro.serving.RoutingService`
+front over the dispatcher holds the fleet's one route cache:
 
 * :mod:`repro.cluster.partition` -- the deterministic size-balanced catalog
   partitioner and the :class:`ShardAssignment` layout;
@@ -15,8 +16,8 @@ across the shards and merges the candidates into one deterministic top-k:
   awaited on the calling thread) and deterministic score-merged top-k;
 * :mod:`repro.cluster.replica` -- N-way replication of subprocess workers,
   round-robin selection, failover with quarantine;
-* :mod:`repro.cluster.rebalance` -- live add/remove/move of databases with
-  single-shard cache invalidation;
+* :mod:`repro.cluster.rebalance` -- live add/remove/move of databases, each
+  re-projecting only the shards it touches;
 * :mod:`repro.cluster.wave` -- dense wave decode: the whole inproc fleet's
   distinct live prefixes stacked into one kernel stream per step over the
   master's one model, each row under its own shard's constraint;

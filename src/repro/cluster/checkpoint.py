@@ -131,9 +131,6 @@ def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
         return ProcShardWorker(
             shard_id, master_dir, databases,
             num_beams=beams, escalation_num_beams=escalation_beams,
-            enable_cache=config.enable_cache,
-            cache_size=config.cache_size,
-            cache_ttl_seconds=config.cache_ttl_seconds,
             request_timeout_seconds=config.shard_timeout_seconds,
         )
 
@@ -193,7 +190,7 @@ def load_cluster(path: str | Path,
                  config: ClusterConfig | None = None) -> ClusterRoutingService:
     """Rebuild a :class:`ClusterRoutingService` from a checkpoint directory.
 
-    ``config`` overrides the saved *serving* knobs (backend, cache sizes, and
+    ``config`` overrides the saved *serving* knobs (backend, front cache, and
     for a subprocess fleet timeouts, replicas and partial gathers); everything
     that affects routing decisions -- the assignment, the escalation
     threshold, and through them and the master the beam budgets -- always

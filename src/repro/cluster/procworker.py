@@ -65,7 +65,7 @@ from repro.cluster.transport import (
     write_frame,
 )
 from repro.core.router import RouteRow, SchemaRoute, SchemaRouter, schema_routes
-from repro.serving.service import ServingConfig
+from repro.obs import Tracer
 
 if TYPE_CHECKING:
     # Only the parent spawns and reaps a child (``_open_child``,
@@ -114,12 +114,12 @@ def serve(worker: ShardWorker, reader, writer,
     if ack.get("type") != "hello_ack":
         raise ProtocolError(f"expected hello_ack, got {ack.get('type')!r}")
     check_protocol(ack)
-    # The worker's one tracer: adopted spans feed its service's stage
-    # metrics and journal (``stats()["traces"]``) AND travel back in
-    # ``route_response.spans`` to be stitched into the dispatcher's trace.
-    # ``adopt`` ignores the service's disabled flag: a frame carrying a
-    # trace id is the instruction to trace.
-    tracer = worker.service.tracer
+    # The worker's one tracer: adopted spans land in its journal
+    # (``stats()["traces"]``) AND travel back in ``route_response.spans`` to
+    # be stitched into the dispatcher's trace.  It starts no trace of its
+    # own; ``adopt`` ignores the disabled flag: a frame carrying a trace id
+    # is the instruction to trace.
+    tracer = Tracer(enabled=False)
 
     def route(message: dict) -> tuple[dict, bytes]:
         careful = bool(message.get("careful", False))
@@ -164,10 +164,8 @@ def serve(worker: ShardWorker, reader, writer,
                 reply, segment = route(message)
             elif kind == "stats_request":
                 reply = {"type": "stats_response", "id": request_id,
-                         "stats": worker.stats()}
-            elif kind == "invalidate_cache":
-                worker.notify_catalog_changed()
-                reply = {"type": "ok", "id": request_id}
+                         "stats": {**worker.stats(),
+                                   "traces": tracer.journal.stats()}}
             elif kind == "ping":
                 reply = {"type": "pong", "id": request_id, "pid": os.getpid()}
             elif kind == "shutdown":
@@ -204,10 +202,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--num-beams", type=int, default=None)
     parser.add_argument("--escalation-num-beams", type=int, default=None,
                         help="enable the careful decode tier at this beam budget")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the shard's route cache")
-    parser.add_argument("--cache-size", type=int, default=2048)
-    parser.add_argument("--cache-ttl-seconds", type=float, default=None)
     parser.add_argument("--max-frame-bytes", type=int, default=MAX_FRAME_BYTES)
     arguments = parser.parse_args(argv)
 
@@ -225,13 +219,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     worker = ShardWorker.from_projection(
         arguments.shard_id, tuple(arguments.databases),
         SchemaRouter.from_checkpoint(arguments.master),
-        serving_config=ServingConfig(enable_cache=not arguments.no_cache,
-                                     cache_size=arguments.cache_size,
-                                     cache_ttl_seconds=arguments.cache_ttl_seconds,
-                                     # Traces are adopted from the wire (see
-                                     # serve()); the shard service must not
-                                     # start its own per-wave traces on top.
-                                     enable_tracing=False),
         num_beams=arguments.num_beams,
         escalation_num_beams=arguments.escalation_num_beams,
     )
@@ -240,8 +227,6 @@ def worker_main(argv: list[str] | None = None) -> int:
               slow_careful_seconds=slow_careful)
     except (BrokenPipeError, ProtocolError):
         return 1  # dispatcher vanished or the stream corrupted; nothing to save
-    finally:
-        worker.close()
     return 0
 
 
@@ -279,8 +264,8 @@ class ProcShardWorker:
     """A shard worker living in a subprocess, driven over the wire protocol.
 
     Quacks like :class:`ShardWorker` for the replica/dispatch layers
-    (``send_route_batch`` / ``stats`` / ``notify_catalog_changed`` /
-    ``close`` / ``databases``), plus process lifecycle:
+    (``send_route_batch`` / ``stats`` / ``close`` / ``databases``), plus
+    process lifecycle:
 
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
       router directory, told which ``databases`` to project it onto at which
@@ -312,9 +297,6 @@ class ProcShardWorker:
                  databases: Sequence[str], *,
                  num_beams: int | None = None,
                  escalation_num_beams: int | None = None,
-                 enable_cache: bool = True,
-                 cache_size: int = 2048,
-                 cache_ttl_seconds: float | None = None,
                  request_timeout_seconds: float | None = None,
                  control_timeout_seconds: float = 10.0,
                  spawn_timeout_seconds: float = 60.0,
@@ -329,11 +311,8 @@ class ProcShardWorker:
         self.projected_databases = tuple(databases)
         self.num_beams = num_beams
         self.escalation_num_beams = escalation_num_beams
-        self.enable_cache = enable_cache
-        self.cache_size = cache_size
-        self.cache_ttl_seconds = cache_ttl_seconds
         self.request_timeout_seconds = request_timeout_seconds
-        #: Control-plane frames (stats / ping / invalidate / shutdown) answer
+        #: Control-plane frames (stats / ping / shutdown) answer
         #: without decoding, so they get their own, generous deadline -- a
         #: tight data-path timeout must not kill a worker mid-stats-poll.
         self.control_timeout_seconds = control_timeout_seconds
@@ -388,16 +367,11 @@ class ProcShardWorker:
                    "--master", str(self.master_dir),
                    "--databases", *self.projected_databases,
                    "--shard-id", str(self.shard_id),
-                   "--cache-size", str(self.cache_size),
                    "--max-frame-bytes", str(self.max_frame_bytes)]
         for flag, value in (("--num-beams", self.num_beams),
                             ("--escalation-num-beams", self.escalation_num_beams)):
             if value is not None:
                 command += [flag, str(value)]
-        if not self.enable_cache:
-            command.append("--no-cache")
-        if self.cache_ttl_seconds is not None:
-            command += ["--cache-ttl-seconds", str(self.cache_ttl_seconds)]
         return command
 
     def _open_child(self) -> tuple[subprocess.Popen, FrameReader, FrameWriter]:
@@ -760,12 +734,6 @@ class ProcShardWorker:
         self._await_reply(pending, "pong", timeout, "ping")
         return self._clock() - started
 
-    def notify_catalog_changed(self) -> None:
-        pending, _ = self._begin_request(
-            {"type": "invalidate_cache"}, self.control_timeout_seconds)
-        self._await_reply(pending, "ok",
-                          self.control_timeout_seconds, "invalidate_cache")
-
     def set_databases(self, databases: tuple[str, ...], master) -> None:
         raise ClusterError(
             "subprocess shard workers cannot be re-projected live; rebalance "
@@ -847,12 +815,13 @@ class ProcShardWorker:
         }
 
     def _shell_stats(self) -> dict:
-        """What a dead/unreachable worker reports: zeroes + transport truth."""
+        """What a dead/unreachable worker reports: its shard + transport truth."""
         return {"shard_id": self.shard_id, "databases": list(self.databases),
-                "counters": {}, "qps": 0.0, "transport": self.transport_stats()}
+                "transport": self.transport_stats()}
 
     def stats(self) -> dict:
-        """The worker's own service stats plus transport-level accounting.
+        """The worker's own stats (its shard and its trace journal) plus
+        transport-level accounting.
 
         A dead worker -- including one that dies *during* the poll -- reports
         an empty shell (zero counters) instead of respawning or raising:

@@ -13,11 +13,11 @@ universe without retraining:
 * :meth:`ClusterRebalancer.move_database` relocates a database to a specific
   shard (manual hot-shard mitigation).
 
-Every operation re-projects only the affected shard's replicas (which
-invalidates only that shard's route cache -- the other shards keep serving
-from cache untouched) and then bumps the cluster catalog version, which
-stales the front's cached answers: those are merged across all shards, so
-any shard's change stales them.
+Every operation re-projects only the affected shard's replicas -- its fast
+and careful routers swapped in one assignment, the other shards untouched --
+and then bumps the cluster catalog version, which stales the front's cached
+answers (the fleet's only cache): those are merged across all shards, so any
+shard's change stales them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class ClusterRebalancer:
                                  "router's catalog; retrain to add truly new data")
 
     def _reassign_shard(self, shard_id: int, databases: tuple[str, ...]) -> None:
-        """Re-project one shard's replicas and invalidate only its cache;
-        the version moves last, once the shard answers for the new catalog."""
+        """Re-project one shard's replicas; the version moves last, once the
+        shard answers for the new catalog."""
         cluster = self.cluster
         cluster.assignment = cluster.assignment.replace_shard(shard_id, databases)
         cluster.shards[shard_id].set_databases(databases, cluster.master_router)

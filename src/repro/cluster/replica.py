@@ -162,10 +162,6 @@ class ReplicaSet:
         for replica in self._replicas:
             replica.worker.set_databases(databases, master)
 
-    def notify_catalog_changed(self) -> None:
-        for replica in self._replicas:
-            replica.worker.notify_catalog_changed()
-
     def health(self, policy=None):
         """Quarantine fraction plus every replica worker's own verdict.
 

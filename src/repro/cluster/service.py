@@ -4,10 +4,10 @@
 behind a scatter-gather dispatcher, and through the monolith's front: a
 :class:`RoutingService` whose decoder is the dispatcher, so a fleet has the
 same ``submit`` / ``submit_many`` request path, route cache, counters and
-group commit as a monolith.  Each shard owns a disjoint slice of the
-databases, decodes at a beam budget derived from the master's and the shard
-count (never set by a knob), and keeps its own route cache and metrics; the
-dispatcher merges per-shard candidates into one deterministic top-k whose
+group commit as a monolith -- the fleet's one route cache.  Each shard owns
+a disjoint slice of the databases and decodes at a beam budget derived from
+the master's and the shard count (never set by a knob); the dispatcher
+merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
 One scatter path per backend.  An inproc fleet decodes each scatter wave as
@@ -82,14 +82,14 @@ class ClusterConfig:
     #: Subprocess only.
     allow_partial: bool = False
     quarantine_seconds: float = 30.0
-    #: Route cache settings of the front (merged answers) and of every shard
-    #: tier (each its own cache).
+    #: Route cache settings of the front, the fleet's one cache (merged
+    #: answers).
     enable_cache: bool = True
     cache_size: int = 2048
     cache_ttl_seconds: float | None = None
-    #: Record per-request traces at the cluster's front.  Shard-level
-    #: services never start their own traces (the front's context threads
-    #: through to them), so this is the only tracing switch of a cluster.
+    #: Record per-request traces at the cluster's front.  Shards never start
+    #: their own traces (the front's context threads through to them), so
+    #: this is the only tracing switch of a cluster.
     enable_tracing: bool = True
 
     def __post_init__(self) -> None:
@@ -113,16 +113,6 @@ class ClusterConfig:
         if self.escalation_threshold is not None \
                 and not 0.0 < self.escalation_threshold <= 1.0:
             raise ValueError("escalation_threshold must be in (0, 1] (or None)")
-
-    def serving_config(self) -> ServingConfig:
-        """The per-shard RoutingService configuration this cluster implies."""
-        return ServingConfig(enable_cache=self.enable_cache,
-                             cache_size=self.cache_size,
-                             cache_ttl_seconds=self.cache_ttl_seconds,
-                             # The cluster owns the trace; shard services
-                             # record spans into it rather than starting
-                             # their own per-wave traces.
-                             enable_tracing=False)
 
     def shard_beams_for(self, master: SchemaRouter) -> int:
         """Beam budget of the fast tier for shards of ``master``: 1 under the
@@ -151,7 +141,6 @@ def project_shards(master: SchemaRouter, assignment: ShardAssignment,
     return [
         ReplicaSet(shard_id, [ShardWorker.from_projection(
             shard_id, databases, master,
-            serving_config=config.serving_config(),
             num_beams=beams, escalation_num_beams=escalation_beams)],
             quarantine_seconds=config.quarantine_seconds)
         for shard_id, databases in enumerate(assignment.shards)
@@ -162,12 +151,12 @@ class ClusterRoutingService:
     """Serves schema routing over a partitioned catalog.
 
     Every request enters through :attr:`front`, a :class:`RoutingService`
-    over the dispatcher (admission off): its route cache holds merged
-    answers (``stats()["front_cache"]``; sized and aged by ``cache_size`` /
-    ``cache_ttl_seconds``), so a repeated question -- a needy one included
-    -- costs no scatter of either tier.  Its validity is the catalog's:
-    :meth:`bump_catalog_version` -- the one hook every catalog change
-    already ends in -- stales all of it.
+    over the dispatcher (admission off): its route cache, the fleet's only
+    one, holds merged answers (``stats()["cache"]``; sized and aged by
+    ``cache_size`` / ``cache_ttl_seconds``), so a repeated question -- a
+    needy one included -- costs no scatter of either tier.  Its validity is
+    the catalog's: :meth:`bump_catalog_version` -- the one hook every
+    catalog change already ends in -- stales all of it.
     """
 
     def __init__(self, shards: Sequence[ReplicaSet], assignment: ShardAssignment,
@@ -205,8 +194,11 @@ class ClusterRoutingService:
             escalation_threshold=self.config.escalation_threshold,
             wave_engine=self.wave_engine,
         )
-        self.front = RoutingService(self.dispatcher, replace(
-            self.config.serving_config(), enable_tracing=self.config.enable_tracing))
+        self.front = RoutingService(self.dispatcher, ServingConfig(
+            enable_cache=self.config.enable_cache,
+            cache_size=self.config.cache_size,
+            cache_ttl_seconds=self.config.cache_ttl_seconds,
+            enable_tracing=self.config.enable_tracing))
         self.metrics, self.tracer = self.front.metrics, self.front.tracer
         # Routed-load window: merged top-1 answers per second, labelled by
         # database, on the front's metrics clock.  In a scatter-gather
@@ -334,45 +326,37 @@ class ClusterRoutingService:
         return self._catalog_version
 
     def bump_catalog_version(self) -> int:
-        """Record a catalog change; call it *after* the affected shards have
-        been invalidated or re-projected.
+        """Record a catalog change; call it *after* any affected shard has
+        been re-projected.
 
-        Also stales the front cache: a merged answer pools all shards, so
-        any shard's change stales it.  A wave that consulted the front
-        before the bump caches nothing after it, and one that consults after
-        the bump sees only changed shards."""
+        Stales the front cache: a merged answer pools all shards, so any
+        shard's change stales it.  A wave that consulted the front before
+        the bump caches nothing after it, and one that consults after the
+        bump sees only changed shards."""
         self._catalog_version += 1
         self.front.notify_catalog_changed()
         return self._catalog_version
 
     def notify_catalog_changed(self, database: str | None = None) -> None:
-        """Invalidate route caches: one shard's when ``database`` is given
-        (only its owner is affected), every shard's otherwise.  Raises
-        ``KeyError``, with nothing invalidated and the catalog version where
-        it was, when no shard serves ``database``."""
-        affected = (self._shards if database is None
-                    else [self._shards[self.assignment.shard_of(database)]])
-        for replica_set in affected:
-            replica_set.notify_catalog_changed()
+        """Stale every cached answer, for a change to ``database`` or to the
+        whole catalog: the front's cache is the fleet's only one, so this
+        bumps the catalog version and touches no worker.  Raises
+        ``KeyError``, with the catalog version where it was, when no shard
+        serves ``database``."""
+        if database is not None:
+            self.assignment.shard_of(database)
         self.bump_catalog_version()
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
         """Cluster-wide rollup plus per-shard detail.
 
-        Starts from the front's snapshot (``counters`` count asked
-        questions); its route cache moves to ``front_cache``, and ``cache``
-        and ``cache_hit_rate`` roll up the shard tiers, which see only the
-        front's misses, each distinct question once per wave;
-        ``dispatcher`` counts what reached the dispatcher."""
+        Starts from the front's snapshot: ``counters`` count asked
+        questions, and ``cache`` / ``cache_hit_rate`` are the front's route
+        cache, the fleet's only one; ``dispatcher`` counts what reached the
+        dispatcher."""
         snapshot = self.front.stats()
-        snapshot["front_cache"] = snapshot["cache"]
         shard_stats = []
-        # Route-cache effectiveness rolled up across every worker of every
-        # tier: without this, cache behavior is only visible per worker, deep
-        # inside the per-shard detail.
-        cache_rollup = {"size": 0, "hits": 0, "misses": 0, "evictions": 0,
-                        "expirations": 0, "invalidations": 0}
         # Wire-level rollup across subprocess workers (absent for pure inproc
         # fleets): how deep the pipelined wire runs and what it costs.
         transport_rollup = {"workers": 0, "requests_sent": 0, "in_flight": 0,
@@ -382,16 +366,6 @@ class ClusterRoutingService:
         for replica_set in self._shards:
             entry = replica_set.stats()
             entry["workers"] = [worker.stats() for worker in replica_set.workers]
-            # Both decode tiers: escalated traffic goes through the careful
-            # service, whose stats live under "careful".
-            tiers = [tier for worker_stats in entry["workers"]
-                     for tier in (worker_stats, worker_stats.get("careful")) if tier]
-            entry["qps"] = round(sum(tier["qps"] for tier in tiers), 2)
-            entry["qps_window"] = round(sum(tier.get("qps_window", 0.0)
-                                            for tier in tiers), 2)
-            for tier in tiers:
-                for key in cache_rollup:
-                    cache_rollup[key] += (tier.get("cache") or {}).get(key, 0)
             for worker_stats in entry["workers"]:
                 transport = worker_stats.get("transport")
                 if transport and transport.get("backend") == "subprocess":
@@ -404,17 +378,12 @@ class ClusterRoutingService:
                                 "crashes"):
                         transport_rollup[key] += transport.get(key, 0)
             shard_stats.append(entry)
-        lookups = cache_rollup["hits"] + cache_rollup["misses"]
-        cache_rollup["hit_rate"] = (round(cache_rollup["hits"] / lookups, 4)
-                                    if lookups else 0.0)
         snapshot["num_shards"] = self.num_shards
         snapshot["replicas"] = max(replica_set.num_replicas
                                    for replica_set in self._shards)
         snapshot["worker_backend"] = self.config.worker_backend
         snapshot["assignment"] = [list(databases) for databases in self.assignment.shards]
         snapshot["catalog_version"] = self._catalog_version
-        snapshot["cache_hit_rate"] = cache_rollup["hit_rate"]
-        snapshot["cache"] = cache_rollup
         if transport_rollup["workers"]:
             snapshot["transport"] = transport_rollup
         snapshot["routing_load"] = self.routing_load()
@@ -432,10 +401,9 @@ class ClusterRoutingService:
         The cluster's own probes are its front's -- error rate, decode
         backlog and the front route cache (kept as the last child) -- plus
         the dispatcher's shard-timeout / escalation rates.  The other
-        children are the replica sets (which nest their workers, which nest
-        their decode tiers).  Per the rollup precedence, one ``failing``
-        shard degrades the cluster verdict, and only every shard failing
-        fails it outright.
+        children are the replica sets (which nest their workers).  Per the
+        rollup precedence, one ``failing`` shard degrades the cluster
+        verdict, and only every shard failing fails it outright.
         """
         policy = policy or HealthPolicy()
         if self._closed:

@@ -1,10 +1,11 @@
-"""Shard workers: one routing service per catalog partition.
+"""Shard workers: one projected router per catalog partition.
 
-A :class:`ShardWorker` owns everything one shard needs to serve its slice of
-the catalog: a *projected* router (the trained model restricted to the shard's
-sub-graph) and a :class:`repro.serving.RoutingService` with its own route
-cache and metrics.  :meth:`ShardWorker.from_projection` is the one way a shard
-is built -- by ``ClusterRoutingService.from_router``, by ``load_cluster`` for
+A :class:`ShardWorker` is what one shard needs to serve its slice of the
+catalog: a *projected* router (the trained model restricted to the shard's
+sub-graph) and, under the escalation cascade, a careful twin at a wider beam
+budget -- no cache, counters or lock: the cluster's front owns the fleet's
+one route cache.  :meth:`ShardWorker.from_projection` is the one way a shard
+is built -- by the cluster's ``from_router``, by ``load_cluster`` for
 an inproc fleet, and by each subprocess worker from the master router it
 loads -- so a shard is the same object whichever backend serves it.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from repro.core.graph import SchemaGraph
 from repro.core.router import SchemaRoute, SchemaRouter
-from repro.serving.service import RoutingService, ServingConfig
 
 
 def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[str],
@@ -60,33 +60,36 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
 
 
 class ShardWorker:
-    """One shard of the cluster: a projected router behind a RoutingService.
+    """One shard of the cluster: a projected router and, optionally, a
+    careful one.
 
-    A worker optionally carries a second, *careful* decode tier: the same
-    model and sub-graph re-wrapped with a wider beam budget
-    (``escalation_num_beams``).  The dispatcher routes every question through
-    the fast tier first and re-asks the careful tier only when the merged
-    answer's confidence is low, so the wide beams are paid for exactly where
-    they matter.
+    The careful tier is the same model and sub-graph re-wrapped with a wider
+    beam budget (``escalation_num_beams``).  The dispatcher routes every
+    question through the fast tier first and re-asks the careful tier only
+    when the merged answer's confidence is low, so the wide beams are paid
+    for exactly where they matter.
+
+    A shard holds no cache, counters or lock: every fleet request enters
+    through the cluster's front, whose route cache answers repeats and whose
+    group commit runs one dispatch at a time, so a shard only ever sees the
+    front's distinct misses.  :attr:`routers` is the ``(fast, careful)``
+    pair, replaced in one assignment by a rebalance, so a reader that takes
+    it once never pairs a new fast tier with an old careful tier.
     """
 
     def __init__(self, shard_id: int, databases: tuple[str, ...], router: SchemaRouter,
-                 serving_config: ServingConfig | None = None,
                  escalation_num_beams: int | None = None) -> None:
         self.shard_id = shard_id
         self.databases = tuple(databases)
-        self.serving_config = serving_config or ServingConfig()
         self.escalation_num_beams = escalation_num_beams
-        self.service = RoutingService(router, self.serving_config)
-        self.careful_service: RoutingService | None = None
-        if escalation_num_beams is not None:
-            self.careful_service = RoutingService(self._careful_router(router),
-                                                  self.serving_config)
+        self.routers = (router, self._careful_router(router))
 
-    def _careful_router(self, fast: SchemaRouter) -> SchemaRouter:
+    def _careful_router(self, fast: SchemaRouter) -> SchemaRouter | None:
         """The fast router's graph, model and vocabularies under the
         escalation beam budget, as a router of its own (own constraint memos
-        and tries)."""
+        and tries); None without a careful tier."""
+        if self.escalation_num_beams is None:
+            return None
         careful = SchemaRouter(graph=fast.graph, config=fast.config.ablated(
             num_beams=self.escalation_num_beams, beam_groups=1))
         careful.restore(fast.model, fast.source_vocabulary,
@@ -96,34 +99,36 @@ class ShardWorker:
     @classmethod
     def from_projection(cls, shard_id: int, databases: tuple[str, ...],
                         master: SchemaRouter,
-                        serving_config: ServingConfig | None = None,
                         num_beams: int | None = None,
                         escalation_num_beams: int | None = None) -> "ShardWorker":
         """``master`` projected onto ``databases`` at the given beam budgets
         (``escalation_num_beams`` adds the careful tier)."""
         router = project_router(master, databases, num_beams=num_beams)
-        return cls(shard_id, databases, router, serving_config=serving_config,
+        return cls(shard_id, databases, router,
                    escalation_num_beams=escalation_num_beams)
 
     # -- request path --------------------------------------------------------
     @property
     def router(self) -> SchemaRouter:
-        return self.service.router
+        return self.routers[0]
+
+    @property
+    def careful_router(self) -> SchemaRouter | None:
+        return self.routers[1]
 
     def route_batch(self, questions: list[str], max_candidates: int | None = None,
                     careful: bool = False, trace=None) -> list[list[SchemaRoute]]:
-        """Route one scatter wave (cache-aware, deduplicated within the wave).
+        """Decode one scatter wave, one answer per question.
 
         ``careful=True`` decodes through the escalation tier (wide beams)
         and raises ``ValueError`` on a worker built without one.  A
-        caller-provided ``trace`` scope threads through to the service so
-        encode/decode/parse spans nest under the dispatcher's scatter span.
+        caller-provided ``trace`` scope gets the encode/decode/parse spans,
+        so they nest under the dispatcher's scatter span.
         """
-        if careful and self.careful_service is None:
+        router = self.routers[careful]
+        if router is None:
             raise ValueError(f"shard {self.shard_id} has no careful tier")
-        service = self.careful_service if careful else self.service
-        return service.submit_many(questions, max_candidates=max_candidates,
-                                   trace=trace)
+        return router.route_batch(list(questions), max_candidates, traces=(trace,))
 
     def send_route_batch(self, questions: list[str], max_candidates: int | None = None,
                          careful: bool = False, trace=None):
@@ -133,51 +138,33 @@ class ShardWorker:
 
     # -- rebalance hook ------------------------------------------------------
     def set_databases(self, databases: tuple[str, ...], master: SchemaRouter) -> None:
-        """Re-project this shard onto a new database set (rebalancing).
-
-        Swaps the routers under each service's route lock and bumps *this*
-        shard's cache versions; other shards' caches are untouched.
-        """
+        """Re-project this shard onto a new database set (rebalancing): both
+        tiers are rebuilt first and swapped in by one assignment."""
         router = project_router(master, databases,
                                 num_beams=self.router.config.num_beams)
         self.databases = tuple(databases)
-        self.service.replace_router(router)
-        if self.careful_service is not None:
-            self.careful_service.replace_router(self._careful_router(router))
-
-    def notify_catalog_changed(self) -> None:
-        self.service.notify_catalog_changed()
-        if self.careful_service is not None:
-            self.careful_service.notify_catalog_changed()
+        self.routers = (router, self._careful_router(router))
 
     # -- introspection / lifecycle ------------------------------------------
     def health(self, policy=None):
-        """Both decode tiers' verdicts rolled up under one worker report."""
-        from repro.obs.health import rollup
+        """A projected router has nothing to probe: the shard's verdict is
+        its replica set's quarantine state."""
+        from repro.obs.health import HealthReport
 
-        fast = self.service.health(policy)
-        fast.component = "fast_tier"
-        children = [fast]
-        if self.careful_service is not None:
-            careful = self.careful_service.health(policy)
-            careful.component = "careful_tier"
-            children.append(careful)
-        report = rollup(f"shard-{self.shard_id}-worker", children)
+        report = HealthReport(component=f"shard-{self.shard_id}-worker")
         report.details["databases"] = len(self.databases)
         return report
 
     def stats(self) -> dict:
-        stats = self.service.stats()
-        stats["shard_id"] = self.shard_id
-        stats["databases"] = list(self.databases)
-        if self.careful_service is not None:
-            stats["careful"] = self.careful_service.stats()
-        return stats
+        """The shard's catalog slice, and the constraint automaton states
+        both tiers have made so far (they stand still once grown)."""
+        return {"shard_id": self.shard_id, "databases": list(self.databases),
+                "constraint_states": sum(
+                    router.constraint.constraint_states for router in self.routers
+                    if router is not None and router.constraint is not None)}
 
     def close(self) -> None:
-        self.service.close()
-        if self.careful_service is not None:
-            self.careful_service.close()
+        """Nothing to release: a projected router holds no thread or file."""
 
     def __repr__(self) -> str:
         return f"ShardWorker(shard_id={self.shard_id}, databases={list(self.databases)})"

@@ -26,8 +26,8 @@ tree, so there is nothing to negotiate.
 
 Messages are plain dicts with a ``"type"`` key (see :data:`MESSAGE_TYPES`):
 ``route_batch_request`` -> ``route_response``, ``stats_request`` ->
-``stats_response``, ``ping`` -> ``pong``, ``invalidate_cache`` -> ``ok``,
-``shutdown`` -> ``shutdown_ack``, and ``error`` for request-scoped failures.
+``stats_response``, ``ping`` -> ``pong``, ``shutdown`` -> ``shutdown_ack``,
+and ``error`` for request-scoped failures.
 Requests carry a caller-chosen ``"id"`` that the response echoes.  Responses
 come back in request order, and a response whose id is not the oldest
 request in flight breaks the stream (see :mod:`repro.cluster.procworker`).  JSON keys travel in insertion
@@ -56,7 +56,7 @@ from repro.cluster.dispatcher import ClusterError
 from repro.core.router import RouteRow, SchemaRoute, schema_routes
 
 #: Bump on message-shape changes.  The handshake accepts exactly this version.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 FRAME_MAGIC = b"RW"
 #: Payload encodings: bare JSON, or a JSON header + opaque binary segment.
@@ -81,7 +81,6 @@ MESSAGE_TYPES = frozenset({
     "hello", "hello_ack",
     "route_batch_request", "route_response",
     "stats_request", "stats_response",
-    "invalidate_cache", "ok",
     "ping", "pong",
     "shutdown", "shutdown_ack",
     "error",

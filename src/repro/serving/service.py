@@ -4,19 +4,18 @@
 or a cluster's dispatcher: anything with their ``route_batch`` -- into a
 long-lived, concurrent serving object:
 
-* ``submit_many(questions)`` -- route a list: :meth:`RoutingService.consult`
-  (cache verdict, within-wave dedup), admission, a decode, then
-  :meth:`RoutingService.commit` (cache fill, counters, latency) -- the one
-  request path around a decode, which the cluster wave engine also drives
-  around its stacked decode;
+* ``submit_many(questions)`` -- route a list: the cache's verdict and the
+  within-wave dedup, admission, a decode, then the cache fill, counters and
+  latency -- the one request path around a decode, a cluster's front
+  included;
 * ``submit(question)`` -- the same path for a wave of one;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
 
 The cache holds tuples and every asked question gets a list of its own.  An
 answer is cached under the catalog version read before its wave's probe, so
-one decoded across a catalog change or a ``replace_router`` is served but not
-cached; so is a :class:`Provisional` one.
+one decoded across a catalog change is served but not cached; so is a
+:class:`Provisional` one.
 
 Concurrent callers coalesce by group commit on the service's own lock.  A
 caller's cache misses become a ticket.  If no decode is running, the caller
@@ -31,10 +30,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.control.admission import (
     AdmissionController,
@@ -166,17 +164,6 @@ class RoutingService:
                                            max_candidates=max_candidates,
                                            traces=traces)
 
-    @contextmanager
-    def exclusive_router(self) -> Iterator[SchemaRouter]:
-        """Hold the route lock and yield the current router.
-
-        For callers that run their own decode between :meth:`consult` and
-        :meth:`commit` (the cluster wave engine): inside the block no
-        other decode touches this router's constraint memos and
-        :meth:`replace_router` cannot land."""
-        with self._route_lock:
-            yield self.router
-
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:
         """Route one question (blocking); safe to call from many threads."""
@@ -192,7 +179,7 @@ class RoutingService:
             return None
         return max_candidates
 
-    def consult(self, questions: Sequence[str], max_candidates: int | None = None
+    def _consult(self, questions: Sequence[str], max_candidates: int | None = None
                 ) -> tuple[list, list[int], int | None]:
         """The route cache's verdict on a wave: ``(results, pending, version)``.
 
@@ -201,8 +188,8 @@ class RoutingService:
         decodes once); ``version`` is the cache's catalog version before the
         probe.  ``requests`` and ``cache_hits`` move together under one
         registry lock per wave: per-question bumps would dominate a cache-hot
-        wave.  The decoder settles the wave with :meth:`commit`, or
-        :meth:`count_failed` if the decode raised."""
+        wave.  The decoder settles the wave with :meth:`_commit`, or
+        :meth:`_count_failed` if the decode raised."""
         max_candidates = self.variant(max_candidates)
         version = self.cache.catalog_version if self.cache is not None else None
         results: list = (self.cache.get_many(questions, variant=max_candidates)
@@ -221,7 +208,7 @@ class RoutingService:
         self.metrics.increment_many(moves)
         return results, list(first_index.values()), version
 
-    def commit(self, questions: Sequence[str], consulted: tuple,
+    def _commit(self, questions: Sequence[str], consulted: tuple,
                answers: Sequence[list[SchemaRoute]],
                max_candidates: int | None, started: float) -> None:
         """Settle a consulted wave whose pending indices decoded to
@@ -248,7 +235,7 @@ class RoutingService:
             self.metrics.observe_latency((time.monotonic() - started) / len(questions),
                                          count=len(questions))
 
-    def count_failed(self, consulted: tuple) -> None:
+    def _count_failed(self, consulted: tuple) -> None:
         """Count a consulted wave's misses as ``errors``: ``requests ==
         cache_hits + routed + errors + admission_rejected`` whatever happens."""
         self.metrics.increment("errors", consulted[0].count(None))
@@ -270,7 +257,7 @@ class RoutingService:
             raise RuntimeError("the service has been closed")
         started = time.monotonic()
         max_candidates = self.variant(max_candidates)
-        consulted = self.consult(questions, max_candidates)
+        consulted = self._consult(questions, max_candidates)
         results, pending, _ = consulted
         missing = [question for question, routes in zip(questions, results)
                    if routes is None] if pending else []
@@ -290,7 +277,7 @@ class RoutingService:
             answers = self._route_pending(questions, pending, max_candidates,
                                           trace)
         except BaseException as exc:
-            self.count_failed(consulted)
+            self._count_failed(consulted)
             if owned is not None:
                 owned.finish(status="error", error=f"{type(exc).__name__}: {exc}")
                 owned = None
@@ -298,7 +285,7 @@ class RoutingService:
         finally:
             if owned is not None:
                 owned.finish()
-        self.commit(questions, consulted, answers, max_candidates, started)
+        self._commit(questions, consulted, answers, max_candidates, started)
         return results
 
     def _route_pending(self, questions: Sequence[str], pending: list[int],
@@ -376,22 +363,6 @@ class RoutingService:
         """Invalidate cached routes after the underlying catalog changes."""
         if self.cache is not None:
             self.cache.bump_version()
-
-    def replace_router(self, router: SchemaRouter,
-                       invalidate_cache: bool = True) -> None:
-        """Swap in a new trained router (e.g. after a shard rebalance).
-
-        The swap happens under the route lock, so in-flight batches finish on
-        the old router and every later request decodes with the new one.  By
-        default the route cache is version-bumped, since answers cached for the
-        old catalog may no longer be valid.
-        """
-        if not router.is_trained:
-            raise ValueError("replace_router requires a trained router")
-        with self._route_lock:
-            self.router = router
-        if invalidate_cache:
-            self.notify_catalog_changed()
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:

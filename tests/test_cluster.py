@@ -198,8 +198,8 @@ class TestProjection:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             for replica_set in cluster.shards:
                 worker = replica_set.workers[0]
-                assert worker.careful_service is not None
-                for router in (worker.router, worker.careful_service.router):
+                assert worker.careful_router is not None
+                for router in worker.routers:
                     assert router.model is master_router.model
                     assert router.source_vocabulary is master_router.source_vocabulary
                     assert router.target_vocabulary is master_router.target_vocabulary
@@ -259,10 +259,8 @@ class TestDerivedBeamBudgets:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             for replica_set in cluster.shards:
                 worker = replica_set.workers[0]
-                searches = [(service.router.config.num_beams,
-                             service.router.config.beam_groups)
-                            for service in (worker.service, worker.careful_service)
-                            if service is not None]
+                searches = [(router.config.num_beams, router.config.beam_groups)
+                            for router in worker.routers if router is not None]
                 assert searches == [(beams, 1) for beams in (fast, careful)
                                     if beams is not None]
             assert cluster.submit(QUESTIONS[0])
@@ -554,15 +552,21 @@ class TestReplicaSet:
             for _ in range(count)
         ]
 
+    @staticmethod
+    def _kill(worker: ShardWorker) -> None:
+        """A dead replica: every request it is sent raises."""
+        def dead(questions, max_candidates=None, careful=False, trace=None):
+            raise RuntimeError("replica is down")
+
+        worker.route_batch = dead  # type: ignore[method-assign]
+
     def test_killing_one_replica_leaves_answers_unchanged(self, master_router):
         workers = self._workers(master_router)
         replica_set = ReplicaSet(0, workers, quarantine_seconds=60.0)
         healthy = [replica_set.route_batch([question])[0] for question in QUESTIONS]
-        workers[0].service.close()  # "kill" one replica: submits now raise
-        workers[1].service.close()
         replicas = self._workers(master_router)
         replica_set = ReplicaSet(0, replicas, quarantine_seconds=60.0)
-        replicas[0].service.close()
+        self._kill(replicas[0])
         after = [replica_set.route_batch([question])[0] for question in QUESTIONS]
         assert [_full_signature(routes) for routes in after] == \
             [_full_signature(routes) for routes in healthy]
@@ -601,7 +605,7 @@ class TestReplicaSet:
         workers = self._workers(master_router)
         replica_set = ReplicaSet(0, workers, quarantine_seconds=60.0)
         for worker in workers:
-            worker.service.close()
+            self._kill(worker)
         with pytest.raises(ClusterError, match="all 2 replicas"):
             replica_set.route_batch(["q"])
         with pytest.raises(ValueError):
@@ -678,9 +682,8 @@ class TestClusterRoutingService:
         cluster.submit(QUESTIONS[0])
         stats = cluster.stats()
         assert stats["counters"] == {"requests": 2, "routed": 1, "cache_hits": 1}
-        assert stats["front_cache"]["hits"] == 1
+        assert stats["cache"]["hits"] == 1
         assert stats["dispatcher"]["questions"] == 1
-        assert stats["cache"]["hits"] == 0  # the shard tiers saw one miss
         assert stats["num_shards"] == 2
         assert len(stats["shards"]) == 2
         assert json.loads(json.dumps(stats)) == stats
@@ -694,17 +697,22 @@ class TestClusterRoutingService:
         assert _full_signature(explicit) == _full_signature(default)
         stats = cluster.stats()
         assert stats["counters"] == {"requests": 2, "routed": 1, "cache_hits": 1}
-        assert stats["front_cache"]["size"] == 1
+        assert stats["cache"]["size"] == 1
         assert stats["dispatcher"]["questions"] == 1
 
-    def test_targeted_invalidation_only_touches_the_owner_shard(self, cluster):
+    def test_a_targeted_change_stales_the_front(self, cluster):
+        """Naming a database stales every merged answer (each pools all
+        shards); naming no served database changes nothing."""
         cluster.submit(QUESTIONS[0])
-        database = cluster.assignment.shards[0][0]
-        cluster.notify_catalog_changed(database)
-        caches = [replica_set.workers[0].service.cache for replica_set in cluster.shards]
-        assert caches[0].catalog_version == 1
-        assert caches[1].catalog_version == 0
+        cluster.notify_catalog_changed(cluster.assignment.shards[0][0])
         assert cluster.catalog_version == 1
+        cluster.submit(QUESTIONS[0])
+        assert cluster.dispatcher.questions == 2
+        with pytest.raises(KeyError):
+            cluster.notify_catalog_changed("mystery_db")
+        assert cluster.catalog_version == 1
+        cluster.submit(QUESTIONS[0])
+        assert cluster.dispatcher.questions == 2
 
     def test_max_candidates_bounds_the_merged_answer(self, cluster):
         assert len(cluster.submit(QUESTIONS[0], max_candidates=1)) == 1
@@ -723,7 +731,7 @@ class TestClusterRoutingService:
         json.dumps(stats)  # the whole rollup stays JSON-serializable
 
     def test_escalation_tier_is_wired_and_counted(self, master_router, cluster):
-        assert all(worker.careful_service is not None
+        assert all(worker.careful_router is not None
                    for replica_set in cluster.shards
                    for worker in replica_set.workers)
         cluster.submit_many(QUESTIONS)
@@ -733,7 +741,7 @@ class TestClusterRoutingService:
         config = ClusterConfig(num_shards=2, escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router, config) as single_pass:
             worker = single_pass.shards[0].workers[0]
-            assert worker.careful_service is None
+            assert worker.careful_router is None
             assert worker.router.config.num_beams == \
                 master_router.config.num_beams // 2
             assert single_pass.submit(QUESTIONS[0])
@@ -764,7 +772,6 @@ class TestClusterRoutingService:
         config = ClusterConfig(num_shards=2, worker_backend=backend)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             cluster.submit(QUESTIONS[0])
-            tiers = _tier_state(cluster)
             frames = _bytes_sent(cluster)
             for budget in (0, -1):
                 with pytest.raises(ValueError, match="max_candidates"):
@@ -773,15 +780,7 @@ class TestClusterRoutingService:
                     cluster.submit_many(QUESTIONS[:2], max_candidates=budget)
             assert _bytes_sent(cluster) == frames
             assert cluster.metrics.counters() == {"requests": 1, "routed": 1}
-            assert _tier_state(cluster) == tiers
             assert len(cluster.submit(QUESTIONS[1], max_candidates=None)) >= 1
-
-
-def _tier_state(cluster) -> list[tuple[dict, dict]]:
-    """Every shard tier's counters and cache stats, fleet-wide."""
-    return [(tier["counters"], tier["cache"])
-            for shard in cluster.stats()["shards"] for worker in shard["workers"]
-            for tier in (worker, worker.get("careful")) if tier is not None]
 
 
 def _bytes_sent(cluster) -> int:
@@ -811,8 +810,8 @@ class TestWithinWaveRepeats:
                 assert len({id(routes) for routes in answers}) == len(wave)
 
             check()
-            # Both fleets' shard tiers were asked the same distinct questions.
-            assert _tier_state(repeated) == _tier_state(distinct)
+            # Both fleets' shards decoded the same distinct questions.
+            assert repeated.stats()["wave"] == distinct.stats()["wave"]
             assert repeated.dispatcher.questions == distinct.dispatcher.questions
             assert repeated.metrics.counters()["requests"] > \
                 distinct.metrics.counters()["requests"]
@@ -857,23 +856,22 @@ class TestRebalance:
         after = [_signature(cluster.submit(question)) for question in QUESTIONS]
         assert after == before
 
-    def test_rebalance_invalidates_only_the_affected_shard_cache(self, cluster):
-        # Warm both shard caches, then move a database out of shard 0.
+    def test_a_rebalance_reprojects_only_the_affected_shard(self, cluster):
+        """Shard 0 gets both tiers anew, in one assignment; shard 1 keeps
+        its routers; the front's cached answers are staled."""
         cluster.submit_many(QUESTIONS)
-        caches = [replica_set.workers[0].service.cache for replica_set in cluster.shards]
-        assert all(len(cache) > 0 for cache in caches)
-        rebalancer = ClusterRebalancer(cluster)
+        workers = [replica_set.workers[0] for replica_set in cluster.shards]
+        before = [worker.routers for worker in workers]
         victim = cluster.assignment.shards[0][0]
-        rebalancer.remove_database(victim)
-        # Shard 0's cache entries are stale (version-bumped, emptied on next
-        # access); shard 1's survive verbatim.
-        assert caches[0].catalog_version == 1
-        assert caches[1].catalog_version == 0
-        untouched = len(caches[1])
+        ClusterRebalancer(cluster).remove_database(victim)
+        assert workers[1].routers is before[1]
+        assert all(new is not old for new, old in zip(workers[0].routers, before[0]))
+        assert all(sorted(router.graph.catalog.database_names)
+                   == sorted(workers[0].databases) for router in workers[0].routers)
+        assert victim not in workers[0].databases
+        asked = cluster.dispatcher.questions
         cluster.submit_many(QUESTIONS)
-        assert caches[1].stats()["invalidations"] == 0
-        assert len(caches[1]) == untouched
-        assert caches[0].stats()["invalidations"] > 0
+        assert cluster.dispatcher.questions == asked + len(QUESTIONS)
 
     def test_catalog_version_counts_rebalances(self, cluster):
         rebalancer = ClusterRebalancer(cluster)
@@ -961,7 +959,7 @@ class TestClusterCheckpoint:
                     reloaded.config.quarantine_seconds) == (7, 1.0)
             for replica_set in reloaded.shards:
                 assert replica_set.quarantine_seconds == 1.0
-                assert replica_set.workers[0].service.cache.max_size == 7
+            assert reloaded.front.cache.max_size == 7
             assert reloaded.config.escalation_threshold == 0.8
             assert [_full_signature(reloaded.submit(question))
                     for question in QUESTIONS[:3]] == expected

@@ -664,8 +664,8 @@ class TestRouterDifferential:
             for shard in cluster._shards:
                 worker = shard.workers[0]
                 assert worker.router.config.decode_backend == "loop"
-                if worker.careful_service is not None:
-                    careful = worker.careful_service.router
+                if worker.careful_router is not None:
+                    careful = worker.careful_router
                     assert careful.config.decode_backend == "loop"
             checkpoint = save_cluster(cluster, tmp_path / "loop-cluster")
         with load_cluster(checkpoint) as restored:

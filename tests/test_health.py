@@ -263,7 +263,7 @@ class TestClusterHealth:
             ["shard-0", "shard-1", "route_cache"]
         assert report.details["queue_depth"] == 0
         worker = report.children[0].children[0]
-        assert worker.children[0].component == "fast_tier"
+        assert (worker.component, worker.children) == ("shard-0-worker", [])
 
     def test_one_failing_shard_degrades_the_cluster_verdict(self, cluster):
         replica_set = cluster.shards[0]

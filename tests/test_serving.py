@@ -145,7 +145,7 @@ def _contended(service: RoutingService, calls):
 
     threads = [threading.Thread(target=run, args=(index, call))
                for index, call in enumerate(calls)]
-    with service.exclusive_router():
+    with service._route_lock:
         threads[0].start()
         _wait_until(lambda: service._leading)
         for queued, thread in enumerate(threads[1:], start=1):
@@ -836,12 +836,11 @@ class TestRoutingService:
             assert stats["counters"].get("cache_hits", 0) == 0
             assert stats["cache"]["invalidations"] == 1
 
-    @pytest.mark.parametrize("change", ["notify_catalog_changed", "replace_router"])
     def test_an_answer_decoded_across_a_catalog_change_is_not_cached(
-            self, trained_router, monkeypatch, change):
-        """The catalog changes (or the router is swapped) after a wave's
-        decode and before its commit: the answer is served, but the next
-        caller decodes again instead of hitting it."""
+            self, trained_router, monkeypatch):
+        """The catalog changes after a wave's decode and before its commit:
+        the answer is served, but the next caller decodes again instead of
+        hitting it."""
         with RoutingService(trained_router) as service:
             decode = service._route_batch_locked
             decoded: list[list[str]] = []
@@ -850,10 +849,7 @@ class TestRoutingService:
                 answers = decode(questions, *args, **kwargs)
                 decoded.append(list(questions))
                 if len(decoded) == 1:
-                    if change == "replace_router":
-                        service.replace_router(trained_router)
-                    else:
-                        service.notify_catalog_changed()
+                    service.notify_catalog_changed()
                 return answers
 
             monkeypatch.setattr(service, "_route_batch_locked", decode_then_change)
@@ -889,20 +885,6 @@ class TestRoutingService:
     def test_untrained_router_rejected(self, trained_router):
         with pytest.raises(ValueError, match="trained"):
             RoutingService(SchemaRouter(graph=trained_router.graph))
-
-    def test_replace_router_swaps_and_invalidates(self, trained_router):
-        with RoutingService(trained_router) as service:
-            service.submit(QUESTIONS[0])
-            replacement = SchemaRouter(graph=trained_router.graph,
-                                       config=trained_router.config)
-            replacement.restore(trained_router.model,
-                                trained_router.source_vocabulary,
-                                trained_router.target_vocabulary)
-            service.replace_router(replacement)
-            assert service.router is replacement
-            assert service.cache.catalog_version == 1
-            with pytest.raises(ValueError, match="trained"):
-                service.replace_router(SchemaRouter(graph=trained_router.graph))
 
 
 # -- load generation -----------------------------------------------------------

@@ -68,8 +68,6 @@ class TestFraming:
                            "strings": []}},
         {"type": "stats_request", "id": 3},
         {"type": "stats_response", "id": 3, "stats": {"counters": {"requests": 7}}},
-        {"type": "invalidate_cache", "id": 4},
-        {"type": "ok", "id": 4},
         {"type": "ping", "id": 5},
         {"type": "pong", "id": 5, "pid": 42},
         {"type": "shutdown", "id": 6},
@@ -167,6 +165,12 @@ class TestMalformedStreams:
     def test_unknown_message_type_refused_on_encode(self):
         with pytest.raises(UnknownMessageError):
             encode_frame({"type": "teleport"})
+
+    @pytest.mark.parametrize("retired", ["invalidate_cache", "ok"])
+    def test_the_retired_cache_frames_are_unknown(self, retired):
+        """No worker holds a route cache, so no frame invalidates one."""
+        with pytest.raises(UnknownMessageError):
+            encode_frame({"type": retired, "id": 4})
 
     def test_every_prefix_of_every_sample_fails_loudly_or_cleanly(self):
         """Property: any prefix of a valid frame either reads as clean EOF

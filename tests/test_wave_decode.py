@@ -5,7 +5,8 @@ Every inproc fleet -- projected by ``from_router`` or booted by
 stream (:class:`repro.cluster.wave.ClusterWaveEngine`); it has no other
 scatter path.  These tests pin the seeded differential against a pool twin
 the test builds (a ``ClusterDispatcher`` over a second fleet's per-shard
-``RoutingService`` path, the one a subprocess child runs), the one boot path
+``ShardWorker.route_batch`` path, the one a subprocess child runs), the one
+boot path
 of a shard on both backends (a checkpoint is its master router plus
 ``cluster.json``; a version-1 checkpoint's per-shard copies are not read),
 the refusal of a retired sliced master router, the one model object a wave
@@ -102,9 +103,9 @@ def _serve(cluster, questions, wave_size: int = 8) -> list:
 
 def _pool_twin(fleet) -> RoutingService:
     """A front like the fleet's own over a per-shard dispatcher over
-    ``fleet``'s shards: one ``ReplicaSet.send`` -- ``ShardWorker.route_batch``
-    -> ``RoutingService.submit_many``, the per-shard path a subprocess child
-    runs -- per shard and tier, never the wave engine."""
+    ``fleet``'s shards: one ``ReplicaSet.send`` -- ``ShardWorker.route_batch``,
+    the per-shard path a subprocess child runs -- per shard and tier, never
+    the wave engine."""
     config = fleet.config
     careful = None
     if config.escalation_threshold is not None:
@@ -153,16 +154,8 @@ def _no_spawn(*args, **kwargs):
 
 
 def _shard_counters(cluster) -> list:
-    """Per shard: the replica tallies and, per tier, the service counters and
-    the cache's own tallies."""
-    return [
-        (shard["replicas"],
-         [(tier["counters"], {key: tier["cache"][key]
-                              for key in ("size", "hits", "misses", "invalidations")})
-          for worker in shard["workers"]
-          for tier in (worker, worker.get("careful")) if tier is not None])
-        for shard in cluster.stats()["shards"]
-    ]
+    """Per shard: the replica tallies."""
+    return [shard["replicas"] for shard in cluster.stats()["shards"]]
 
 
 class TestWaveAgainstPoolTwin:
@@ -208,18 +201,6 @@ class TestWaveAgainstPoolTwin:
                 order = list(distinct)
                 random.Random(seed).shuffle(order)
                 assert dict(zip(order, _serve(cluster, order, wave_size))) == alone
-
-    def test_caches_interoperate_across_paths(self, master_router, tmp_path):
-        """A shard cache warmed through a shard's own ``submit_many`` is hit
-        by the wave."""
-        _checkpoint(master_router, tmp_path / "ckpt", escalation_threshold=None)
-        with load_cluster(tmp_path / "ckpt") as cluster:
-            for replica_set in cluster.shards:
-                replica_set.route_batch(QUESTIONS[:4])           # the pool's call
-            cluster.submit_many(QUESTIONS[:6])                   # the wave
-            for shard in cluster.stats()["shards"]:
-                counters = shard["workers"][0]["counters"]
-                assert counters == {"requests": 10, "cache_hits": 4, "routed": 6}
 
 
 class TestLoadedFleetSharesTheMasterTrunk:
@@ -462,10 +443,9 @@ class TestOneBootPath:
         config = ClusterConfig(num_shards=2, escalation_threshold=None)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             worker = cluster.shards[0].workers[0]
-            assert worker.careful_service is None
+            assert worker.careful_router is None
             with pytest.raises(ValueError, match="no careful tier"):
                 worker.route_batch(QUESTIONS[:2], careful=True)
-            assert worker.service.metrics.counters() == {}
             assert all(worker.route_batch(QUESTIONS[:2]))
 
     def test_a_careful_wave_needs_a_careful_tier(self, master_router):
@@ -497,8 +477,8 @@ class TestWhichFleetsScatterThroughThePool:
         config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
-            first.service.replace_router(project_router(
-                master_router, first.databases, num_beams=3))
+            first.routers = (project_router(master_router, first.databases,
+                                            num_beams=3), first.careful_router)
             with pytest.raises(ValueError, match="uniform shard decode"):
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
@@ -515,7 +495,7 @@ class TestWhichFleetsScatterThroughThePool:
             stranger.restore(copy.deepcopy(master_router.model),
                              master_router.source_vocabulary,
                              master_router.target_vocabulary)
-            first.service.replace_router(stranger)
+            first.routers = (stranger, first.careful_router)
             with pytest.raises(ValueError, match="one model object"):
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
@@ -536,7 +516,7 @@ class TestWhichFleetsScatterThroughThePool:
             vocabularies[copied] = copy.deepcopy(vocabularies[copied])
             stranger.restore(master_router.model, vocabularies["source_vocabulary"],
                              vocabularies["target_vocabulary"])
-            first.service.replace_router(stranger)
+            first.routers = (stranger, first.careful_router)
             with pytest.raises(ValueError, match="one pair of vocabulary objects"):
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
@@ -602,23 +582,8 @@ class TestWaveBookkeeping:
         assert decode["live_beams"] >= decode["beam_rows"] > 0
         assert decode["mask_cache_hits"] + decode["mask_cache_misses"] > 0
 
-    def test_wave_deduplicates_and_caches_within_the_fleet(self, master_router):
-        config = ClusterConfig(num_shards=2, escalation_threshold=None)
-        with ClusterRoutingService.from_router(master_router,
-                                               config) as cluster:
-            first = cluster.submit_many([QUESTIONS[0], QUESTIONS[0], QUESTIONS[1]])
-            assert first[0] == first[1]
-            assert cluster.submit_many([QUESTIONS[0]])[0] == first[0]
-            stats = cluster.stats()
-        # The front collapses the within-wave repeat, so each shard was asked
-        # 2 distinct questions and decoded both; the later repeat was a front
-        # hit that no shard saw.
-        for shard in stats["shards"]:
-            assert shard["workers"][0]["counters"] == {"requests": 2, "routed": 2}
-        assert stats["counters"] == {"requests": 4, "routed": 3, "cache_hits": 1}
-
-    def test_a_failed_wave_counts_errors_per_shard(self, master_router,
-                                                   monkeypatch):
+    def test_a_failed_wave_fails_every_replica_once(self, master_router,
+                                                    monkeypatch):
         config = ClusterConfig(num_shards=2, escalation_threshold=None)
 
         def broken(*args, **kwargs):
@@ -628,15 +593,12 @@ class TestWaveBookkeeping:
                                                config) as cluster:
             monkeypatch.setattr("repro.core.router.diverse_beam_search_batch",
                                 broken)
-            # Errors count every cache miss a shard was asked (the front
-            # collapsed the within-wave repeat), and the failure lands on the
-            # replica like a failed pool call.
+            # The failure lands on every replica like a failed pool call.
             with pytest.raises(Exception, match="wave decode failed"):
                 cluster.submit_many(QUESTIONS[:3] + QUESTIONS[:1])
             monkeypatch.undo()
+            assert cluster.metrics.counters() == {"requests": 4, "errors": 4}
             for replica_set in cluster.shards:
-                counters = replica_set.workers[0].service.metrics.counters()
-                assert counters == {"requests": 3, "errors": 3}
                 (replica,) = replica_set.stats()["replicas"]
                 assert (replica["successes"], replica["failures"]) == (0, 1)
             assert cluster.submit_many(QUESTIONS[:3])
@@ -646,9 +608,9 @@ class TestWaveBookkeeping:
 
 
 class TestCountersConserve:
-    """``requests == cache_hits + routed + errors`` per shard tier and at a
-    fleet's front, however a wave went: within-wave repeats of a miss, repeats of a hit, and a wave
-    whose decode raised."""
+    """``requests == cache_hits + routed + errors`` at a fleet's front and a
+    monolith, however a wave went: within-wave repeats of a miss, repeats of
+    a hit, and a wave whose decode raised."""
 
     WAVES = [
         QUESTIONS[:2] + QUESTIONS[:1],                 # a repeated miss
@@ -684,17 +646,10 @@ class TestCountersConserve:
     def test_on_the_wave(self, master_router, monkeypatch):
         config = ClusterConfig(num_shards=2, escalation_threshold=1.0)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
-            workers = [replica_set.workers[0] for replica_set in cluster.shards]
-            front, *tiers = self._drive(
-                cluster.submit_many,
-                [cluster.front] + [service for worker in workers
-                                   for service in (worker.service,
-                                                   worker.careful_service)],
-                monkeypatch)
-            # The front collapses the failed wave's repeat: it counts every
-            # asked miss, a shard tier each distinct question it was asked.
+            (front,) = self._drive(cluster.submit_many, [cluster.front],
+                                   monkeypatch)
+            # The front counts every asked miss of the failed wave.
             assert front["errors"] == len(self.FAILED)
-            assert [tier["errors"] for tier in tiers[::2]] == [len(set(self.FAILED))] * 2
             assert cluster.stats()["wave"]["careful_waves"] > 0
 
     def test_on_submit_many(self, master_router, monkeypatch):

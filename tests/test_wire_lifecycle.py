@@ -276,7 +276,7 @@ class FakeChild:
         elif kind == "stats_request":
             self.reader.feed({"type": "stats_response", "id": request_id,
                               "stats": {"shard_id": 0,
-                                        "counters": {"requests": 0}}})
+                                        "traces": {"completed": 0}}})
         elif kind == "shutdown":
             self.reader.feed({"type": "shutdown_ack", "id": request_id})
             self.process.exit(0)
@@ -379,7 +379,7 @@ def run_schedule(schedule: tuple, mix: tuple = MIXES[0]) -> None:
         outcome = caller.settle()
         replied = expected["outcomes"][frame] == "replied"
         if kind == "stats":  # the monitoring path never raises: a shell
-            assert outcome["counters"] == ({"requests": 0} if replied else {})
+            assert outcome.get("traces") == ({"completed": 0} if replied else None)
         elif not replied:
             assert isinstance(outcome, WorkerCrashedError), outcome  # a ClusterError
         elif kind == "ping":
@@ -403,9 +403,9 @@ def run_schedule(schedule: tuple, mix: tuple = MIXES[0]) -> None:
     stats, health = worker.stats(), worker.health()
     assert worker.respawns == 0 and len(worker.children) == 1
     if expected["worker"] == "up":
-        assert health.status == "ok" and stats["counters"] == {"requests": 0}
+        assert health.status == "ok" and stats["traces"] == {"completed": 0}
     else:
-        assert health.status == "failing" and stats["counters"] == {}
+        assert health.status == "failing" and "traces" not in stats
     assert worker.requests_sent == len(worker.request_frames())
 
     # the next request: a dead worker respawns exactly once, a closed one
