@@ -151,8 +151,8 @@ class ClusterRoutingService:
     """Serves schema routing over a partitioned catalog.
 
     Every request enters through :attr:`front`, a :class:`RoutingService`
-    over the dispatcher (admission off): its route cache, the fleet's only
-    one, holds merged answers (``stats()["cache"]``; sized and aged by
+    over the dispatcher: its route cache, the fleet's only one, holds
+    merged answers (``stats()["cache"]``; sized and aged by
     ``cache_size`` / ``cache_ttl_seconds``), so a repeated question -- a
     needy one included -- costs no scatter of either tier.  Its validity is
     the catalog's: :meth:`bump_catalog_version` -- the one hook every
@@ -204,8 +204,8 @@ class ClusterRoutingService:
         # database, on the front's metrics clock.  In a scatter-gather
         # cluster every shard sees every question, so request QPS is flat
         # across shards by construction; which databases *win* the questions
-        # is the only load signal that distinguishes a hot shard, and the
-        # control plane's rebalancer feeds on it.
+        # is the only load signal that distinguishes a hot shard
+        # (``routing_load()``, on ``/stats`` and ``/metrics``).
         self._routed = WindowedCounter(QPS_WINDOW_SECONDS, self.metrics.clock)
         #: A temp checkpoint directory this service wrote for its own
         #: subprocess workers (removed on close); None when the caller owns it.
@@ -286,9 +286,10 @@ class ClusterRoutingService:
 
         ``per_database`` maps database name to how many questions it answered
         (as merged top-1) inside the window; ``per_shard`` sums those counts
-        under the current assignment, which is the rebalancer's hot/cold
-        signal.  Databases whose buckets have all expired are absent, so a
-        yesterday's-hot-set database does not linger at zero forever.
+        under the current assignment: the hot/cold signal an operator reads
+        before a manual rebalance.  Databases whose buckets have all expired
+        are absent, so a yesterday's-hot-set database does not linger at zero
+        forever.
         """
         per_database = dict(sorted(self._routed.label_totals().items()))
         per_shard = [0] * self.num_shards

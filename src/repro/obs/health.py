@@ -222,26 +222,6 @@ def queue_health(report: HealthReport, queue_depth: int,
                                    f"{policy.queue_depth_degraded} questions")
 
 
-def admission_health(report: HealthReport, stats: dict | None) -> None:
-    """Judge an admission controller's stats into ``report``.
-
-    Burn-triggered shedding is a *deliberate* degradation — the service is
-    refusing work to keep admitted latency bounded — so it reads as
-    ``degraded``, never ``failing`` (admitted traffic is still served).
-    Plain token-bucket / queue rejections are the policy working as
-    configured and only show up in the details.
-    """
-    if not stats:
-        return
-    report.details["admission_rejected"] = stats.get("rejected", 0)
-    report.details["admission_shedding"] = bool(stats.get("shedding"))
-    if stats.get("shedding"):
-        report.degrade(
-            "degraded",
-            f"admission control shedding load (SLO burn {stats.get('burn')}, "
-            f"{stats.get('rejected', 0)} rejected)")
-
-
 def dispatcher_health(report: HealthReport, dispatcher: dict, requests: int,
                       policy: HealthPolicy) -> None:
     """Judge dispatcher timeout / escalation counters into ``report``, as

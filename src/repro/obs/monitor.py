@@ -58,37 +58,11 @@ class Monitor:
             EwmaBaselineTracker() if track_baselines else None)
         self.ticks = 0
         self.tick_errors = 0
-        self.observer_errors = 0
         self.last_error: str | None = None
         self._lock = threading.Lock()
         self._latest: dict | None = None
-        self._observers: list[Callable[[dict], None]] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-
-    # -- observers -----------------------------------------------------------
-    def add_observer(self, observer: Callable[[dict], None]) -> None:
-        """Subscribe ``observer(latest)`` to every successful tick.
-
-        This is how the control plane rides the monitor: a
-        :class:`repro.control.Controller` attaches here and turns each
-        evaluation (snapshot + SLO status) into corrective action.  An
-        observer that raises is counted in ``observer_errors`` and never
-        breaks the tick — the monitor's first duty is still observing.
-        """
-        with self._lock:
-            self._observers.append(observer)
-
-    def _notify_observers(self, latest: dict) -> None:
-        with self._lock:
-            observers = list(self._observers)
-        for observer in observers:
-            try:
-                observer(latest)
-            except Exception as error:
-                with self._lock:
-                    self.observer_errors += 1
-                    self.last_error = f"{type(error).__name__}: {error}"
 
     # -- evaluation ----------------------------------------------------------
     def tick(self) -> dict | None:
@@ -115,7 +89,6 @@ class Monitor:
         with self._lock:
             self.ticks += 1
             self._latest = latest
-        self._notify_observers(latest)
         return latest
 
     def _observe_baselines(self, stages: dict) -> list[dict]:
@@ -160,16 +133,12 @@ class Monitor:
             latest_at = self._latest["at"] if self._latest else None
             ticks = self.ticks
             tick_errors = self.tick_errors
-            observer_errors = self.observer_errors
-            observers = len(self._observers)
             last_error = self.last_error
         return {
             "running": self.is_running(),
             "interval_seconds": self.interval_seconds,
             "ticks": ticks,
             "tick_errors": tick_errors,
-            "observers": observers,
-            "observer_errors": observer_errors,
             "last_error": last_error,
             "last_tick_at": latest_at,
             "alerts": self.journal.stats(),

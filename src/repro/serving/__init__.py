@@ -19,7 +19,7 @@ claim:
   driver (:class:`LoadGenerator`: clients back to back, or waves) and one
   open-loop driver (:class:`ScenarioDriver`: phases released on a schedule,
   lag measured from the scheduled release), both reporting a
-  :class:`LoadReport` that counts shed apart from errors.
+  :class:`LoadReport` that counts errors apart from answered requests.
 """
 
 from repro.utils.lazy import lazy_exports

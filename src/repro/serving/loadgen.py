@@ -15,10 +15,8 @@ two drivers play such streams against any ``submit``-style callable:
   between-request gaps (the coordinated-omission mistake); collapse shows
   up as unbounded lag.
 
-Both return a :class:`LoadReport`.  A fast, typed
-:class:`repro.control.admission.AdmissionRejected` counts as *shed*, not as
-an error, and shed fractions are reported per phase -- the control-plane
-bench's "degrades instead of collapses" evidence.
+Both return a :class:`LoadReport`: a request that returns is *answered*, one
+that raises is an *error*, counted overall and per phase.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.control.admission import AdmissionRejected
 from repro.serving.metrics import LatencyRecorder
 from repro.utils.rng import SeededRng
 
@@ -89,32 +86,25 @@ class LoadReport:
 
     scenario: str = "closed"
     num_requests: int = 0
-    admitted: int = 0
-    shed: int = 0
+    answered: int = 0
     errors: int = 0
     duration_seconds: float = 0.0
-    #: Answered (admitted) requests per second.
+    #: Answered requests per second.
     throughput_rps: float = 0.0
-    #: Lag of *admitted* requests: completion minus release, where an open
+    #: Lag of *answered* requests: completion minus release, where an open
     #: loop releases on its schedule and a closed loop when it issues.
     latency: dict = field(default_factory=dict)
-    #: Worst lag observed across every request, admitted or not.
+    #: Worst lag observed across every request, answered or not.
     max_lag_seconds: float = 0.0
-    #: Phase name -> {requests, admitted, shed, errors, shed_fraction,
-    #: latency} in phase order; a closed-loop run is one phase.
+    #: Phase name -> {requests, answered, errors, latency} in phase order; a
+    #: closed-loop run is one phase.
     phases: dict = field(default_factory=dict)
-
-    @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.num_requests if self.num_requests else 0.0
 
     def to_json(self) -> dict:
         return {
             "scenario": self.scenario,
             "num_requests": self.num_requests,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_fraction": round(self.shed_fraction, 4),
+            "answered": self.answered,
             "errors": self.errors,
             "duration_seconds": round(self.duration_seconds, 4),
             "throughput_rps": round(self.throughput_rps, 2),
@@ -131,8 +121,7 @@ class _Tally:
     def __init__(self, phase_names: Sequence[str], capacity: int) -> None:
         self._lock = threading.Lock()
         self._latency = LatencyRecorder(max_samples=capacity)
-        self._phases = {name: {"requests": 0, "admitted": 0, "shed": 0,
-                               "errors": 0,
+        self._phases = {name: {"requests": 0, "answered": 0, "errors": 0,
                                "latency": LatencyRecorder(max_samples=capacity)}
                         for name in phase_names}
         self._max_lag = 0.0
@@ -144,19 +133,17 @@ class _Tally:
         -- and count its outcome."""
         try:
             submit(payload)
-        except AdmissionRejected:
-            outcome = "shed"
         except Exception:
             outcome = "errors"
         else:
-            outcome = "admitted"
+            outcome = "answered"
         lag = time.monotonic() - release
         stats = self._phases[phase]
         with self._lock:
             stats["requests"] += size
             stats[outcome] += size
             self._max_lag = max(self._max_lag, lag)
-        if outcome == "admitted":
+        if outcome == "answered":
             self._latency.record(lag, size)
             stats["latency"].record(lag, size)
 
@@ -164,23 +151,19 @@ class _Tally:
         duration = max(time.monotonic() - self.started, 1e-9)
         phases = {name: {
             "requests": stats["requests"],
-            "admitted": stats["admitted"],
-            "shed": stats["shed"],
+            "answered": stats["answered"],
             "errors": stats["errors"],
-            "shed_fraction": (round(stats["shed"] / stats["requests"], 4)
-                              if stats["requests"] else 0.0),
             "latency": stats["latency"].summary(),
         } for name, stats in self._phases.items()}
         totals = {key: sum(stats[key] for stats in phases.values())
-                  for key in ("requests", "admitted", "shed", "errors")}
+                  for key in ("requests", "answered", "errors")}
         return LoadReport(
             scenario=scenario,
             num_requests=totals["requests"],
-            admitted=totals["admitted"],
-            shed=totals["shed"],
+            answered=totals["answered"],
             errors=totals["errors"],
             duration_seconds=duration,
-            throughput_rps=totals["admitted"] / duration,
+            throughput_rps=totals["answered"] / duration,
             latency=self._latency.summary(),
             max_lag_seconds=self._max_lag,
             phases=phases,
@@ -323,9 +306,9 @@ def named_scenario(name: str, num_requests: int = 300, qps: float = 50.0,
 
     * ``steady`` — one flat phase at ``qps``;
     * ``burst`` — steady, then a ``burst_factor`` x overload spike, then
-      steady again (the shed-then-recover scenario);
+      steady again (lag grows, then drains);
     * ``shift_hot_set`` — flat QPS whose hot question set rotates mid-run
-      (the rebalancer's split-then-settle scenario).
+      (the per-database routed load moves with it).
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")

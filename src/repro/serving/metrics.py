@@ -115,8 +115,8 @@ class WindowedCounter:
     :class:`MetricsRegistry` keeps one for its sliding QPS; the cluster
     service keeps one whose labels are databases, fed once per wave with the
     wave's merged top-1 tally, to know which catalogs are winning the routed
-    traffic *right now* (the controller's hot-shard signal), where a
-    cumulative counter would forever remember last hour's hot set.
+    traffic *right now* (the hot-shard signal), where a cumulative counter
+    would forever remember last hour's hot set.
     """
 
     def __init__(self, window_seconds: int = QPS_WINDOW_SECONDS,

@@ -5,9 +5,8 @@ or a cluster's dispatcher: anything with their ``route_batch`` -- into a
 long-lived, concurrent serving object:
 
 * ``submit_many(questions)`` -- route a list: the cache's verdict and the
-  within-wave dedup, admission, a decode, then the cache fill, counters and
-  latency -- the one request path around a decode, a cluster's front
-  included;
+  within-wave dedup, a decode, then the cache fill, counters and latency --
+  the one request path around a decode, a cluster's front included;
 * ``submit(question)`` -- the same path for a wave of one;
 * ``stats()`` -- a JSON-friendly snapshot of QPS, latency percentiles, cache
   hit rate, and the batch-size histogram.
@@ -20,10 +19,10 @@ one decoded across a catalog change is served but not cached; so is a
 Concurrent callers coalesce by group commit on the service's own lock.  A
 caller's cache misses become a ticket.  If no decode is running, the caller
 leads: it takes every queued ticket and decodes them on its own thread, one
-``route_batch`` per ``max_candidates``, under the route lock.  Callers that
-arrive while a decode runs queue their tickets and share the next one.
-There is no thread, no timer and no batch cap, so a lone caller is never
-held back.
+``route_batch`` per ``max_candidates``.  Callers that arrive while a decode
+runs queue their tickets and share the next one, so one decode runs at a
+time.  There is no thread, no timer and no batch cap, so a lone caller is
+never held back.
 """
 
 from __future__ import annotations
@@ -34,17 +33,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.control.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    AdmissionRejected,
-)
 from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget
 from repro.obs import Tracer
 from repro.obs.health import (
     HealthPolicy,
     HealthReport,
-    admission_health,
     cache_health,
     error_rate_health,
     queue_health,
@@ -63,10 +56,6 @@ class ServingConfig:
     cache_ttl_seconds: float | None = None
     #: Record a per-request trace (queue/encode/decode/parse spans).
     enable_tracing: bool = True
-    #: Admission control at the service front (None = admit everything).
-    #: Only cache *misses* are gated: a hit costs microseconds and shedding
-    #: it would hurt the caller without protecting the decode path.
-    admission: AdmissionPolicy | None = None
 
 
 class BatchResultCountError(RuntimeError):
@@ -99,18 +88,12 @@ class Provisional(list):
 class RoutingService:
     """Serves schema-routing requests from a decoder, ``router``."""
 
-    def __init__(self, router, config: ServingConfig | None = None,
-                 admission: AdmissionController | None = None) -> None:
+    def __init__(self, router, config: ServingConfig | None = None) -> None:
         if not getattr(router, "is_trained", True):
             raise ValueError("RoutingService requires a trained router "
                              "(train with fit() or load a checkpoint)")
         self.router = router
         self.config = config or ServingConfig()
-        #: A caller-built controller wins (tests inject clocks through it);
-        #: otherwise the config's policy builds one; otherwise admission off.
-        self.admission = admission
-        if self.admission is None and self.config.admission is not None:
-            self.admission = AdmissionController(self.config.admission)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(metrics=self.metrics,
                              enabled=self.config.enable_tracing)
@@ -118,9 +101,8 @@ class RoutingService:
         if self.config.enable_cache:
             self.cache = RouteCache(max_size=self.config.cache_size,
                                     ttl_seconds=self.config.cache_ttl_seconds)
-        self._route_lock = threading.Lock()
         #: Group commit: tickets queued behind the running decode, and
-        #: whether some caller is leading one.
+        #: whether some caller is leading one (at most one at a time).
         self._turn = threading.Condition()
         self._tickets: list[_Ticket] = []
         self._leading = False
@@ -134,36 +116,6 @@ class RoutingService:
         return cls(SchemaRouter.from_checkpoint(path), config=config)
 
     # -- request path --------------------------------------------------------
-    def _admit(self, weight: int, question_chars: int) -> None:
-        """Pass ``weight`` cache-missing requests through admission control.
-
-        A rejection is counted (``admission_rejected``), journaled as a
-        zero-stage trace with the machine-readable reason (so shed traffic
-        is visible in the trace journal, not just as a counter), and
-        re-raised — the typed :class:`AdmissionRejected` is the bounded-
-        latency degradation contract with the caller.
-        """
-        if self.admission is None:
-            return
-        try:
-            self.admission.admit(weight=weight, queue_depth=self.queue_depth())
-        except AdmissionRejected as rejection:
-            self.metrics.increment("admission_rejected", weight)
-            trace = self.tracer.start_trace("request",
-                                            question_chars=question_chars,
-                                            admission=rejection.reason)
-            if trace is not None:
-                trace.finish(status="rejected", error=str(rejection))
-            raise
-
-    def _route_batch_locked(self, questions: Sequence[str],
-                            max_candidates: int | None,
-                            traces: Sequence | None = None) -> list[list[SchemaRoute]]:
-        with self._route_lock:
-            return self.router.route_batch(list(questions),
-                                           max_candidates=max_candidates,
-                                           traces=traces)
-
     def submit(self, question: str,
                max_candidates: int | None = None) -> list[SchemaRoute]:
         """Route one question (blocking); safe to call from many threads."""
@@ -237,7 +189,7 @@ class RoutingService:
 
     def _count_failed(self, consulted: tuple) -> None:
         """Count a consulted wave's misses as ``errors``: ``requests ==
-        cache_hits + routed + errors + admission_rejected`` whatever happens."""
+        cache_hits + routed + errors`` whatever happens."""
         self.metrics.increment("errors", consulted[0].count(None))
 
     def submit_many(self, questions: Sequence[str],
@@ -259,20 +211,12 @@ class RoutingService:
         max_candidates = self.variant(max_candidates)
         consulted = self._consult(questions, max_candidates)
         results, pending, _ = consulted
-        missing = [question for question, routes in zip(questions, results)
-                   if routes is None] if pending else []
-        if missing:
-            # One atomic decision for the wave: either the whole cache-missing
-            # remainder is admitted or the wave fails fast as a unit (mixing
-            # routed answers with per-question rejections in one return value
-            # would push the shedding contract onto every caller).
-            self._admit(len(missing), question_chars=sum(map(len, missing)))
         owned = None
         if pending and trace is None:
             trace = owned = self.tracer.start_trace("request_wave",
                                                     questions=len(questions))
         if trace is not None:
-            trace.annotate(cache_hits=len(questions) - len(missing))
+            trace.annotate(cache_hits=len(questions) - results.count(None))
         try:
             answers = self._route_pending(questions, pending, max_candidates,
                                           trace)
@@ -329,8 +273,8 @@ class RoutingService:
                 traces = [ticket.trace for ticket in tickets
                           for _ in ticket.questions]
                 try:
-                    answers = self._route_batch_locked(questions, max_candidates,
-                                                       traces)
+                    answers = self.router.route_batch(
+                        questions, max_candidates=max_candidates, traces=traces)
                     if len(answers) != len(questions):
                         raise BatchResultCountError(
                             f"route_batch returned {len(answers)} results for "
@@ -354,7 +298,7 @@ class RoutingService:
 
     def queue_depth(self) -> int:
         """Questions queued behind the running decode: the backlog that
-        health and admission judge."""
+        health judges."""
         with self._turn:
             return sum(len(ticket.questions) for ticket in self._tickets)
 
@@ -384,8 +328,6 @@ class RoutingService:
         hits = snapshot["counters"].get("cache_hits", 0)
         snapshot["cache_hit_rate"] = round(hits / requests, 4) if requests else 0.0
         snapshot["traces"] = self.tracer.journal.stats()
-        snapshot["admission"] = (self.admission.stats()
-                                 if self.admission is not None else None)
         return snapshot
 
     def health(self, policy: HealthPolicy | None = None) -> HealthReport:
@@ -401,8 +343,6 @@ class RoutingService:
             return own
         error_rate_health(own, self.metrics.counters(), policy)
         queue_health(own, self.queue_depth(), policy)
-        if self.admission is not None:
-            admission_health(own, self.admission.stats())
         children = []
         if self.cache is not None:
             children.append(cache_health(self.cache.stats(), policy))

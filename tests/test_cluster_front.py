@@ -12,6 +12,7 @@ real fleets (inproc wave, subprocess workers) where the wiring is.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 
@@ -25,11 +26,13 @@ from repro.cluster import (
     ClusterRoutingService,
 )
 from repro.core import SchemaRoute
+from repro.obs.health import HealthPolicy
 from repro.obs.slo import SloEngine, SloSpec
 from repro.serving import RoutingService, ServingConfig
 from repro.serving.cache import RouteCache
+from repro.serving.metrics import QPS_WINDOW_SECONDS, MetricsRegistry
 from test_cluster import QUESTIONS, master_router, sender  # noqa: F401  (module fixture)
-from test_serving import _contended
+from test_serving import SteppedTime, _contended
 
 
 def _hex_signature(route_lists):
@@ -255,7 +258,7 @@ def _scattered(cluster) -> list[int]:
 def _conserves(counters: dict) -> bool:
     return counters.get("requests", 0) == sum(
         counters.get(key, 0)
-        for key in ("cache_hits", "routed", "errors", "admission_rejected"))
+        for key in ("cache_hits", "routed", "errors"))
 
 
 class TestFrontOnFleets:
@@ -413,8 +416,7 @@ class TestFrontOnFleets:
             self, master_router, fleet):
         """More callers than cores, a catalog that keeps changing: every wave
         answers what a serial run of it on a fresh fleet answers, and the
-        front keeps ``requests == cache_hits + routed + errors +
-        admission_rejected``."""
+        front keeps ``requests == cache_hits + routed + errors``."""
         questions = [f"{question} number {index}" for index in range(2)
                      for question in QUESTIONS]
         answered: list[tuple[tuple[str, ...], list]] = []
@@ -483,3 +485,109 @@ class TestFrontOnFleets:
         assert any("escalation rate" in reason for reason in report.reasons)
         (status,) = engine.evaluate()
         assert status["fast_value"] == 1.0
+
+
+class _InFlight:
+    """Wraps a decoder's ``route_batch``: counts the calls in flight and
+    keeps the most ever seen at once."""
+
+    def __init__(self, route_batch) -> None:
+        self.route_batch = route_batch
+        self.lock = threading.Lock()
+        self.now = self.most = self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        with self.lock:
+            self.now += 1
+            self.calls += 1
+            self.most = max(self.most, self.now)
+        try:
+            return self.route_batch(*args, **kwargs)
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+class TestOneDecodeAtATime:
+    @pytest.mark.parametrize("front", ["monolith", "subprocess"])
+    def test_concurrent_callers_never_overlap_two_decodes(self, master_router,
+                                                         monkeypatch, front):
+        """Six callers mixing ``submit`` and ``submit_many``, switching every
+        microsecond, cache off: the group commit alone keeps the decoder's
+        ``route_batch`` calls one at a time, and the front conserves."""
+        if front == "monolith":
+            service = RoutingService(master_router, ServingConfig(enable_cache=False))
+            route_many = service.submit_many
+        else:
+            cluster = ClusterRoutingService.from_router(master_router, ClusterConfig(
+                num_shards=2, worker_backend="subprocess", enable_cache=False))
+            service, route_many = cluster.front, cluster.submit_many
+        in_flight = _InFlight(service.router.route_batch)
+        monkeypatch.setattr(service.router, "route_batch", in_flight)
+        failures: list[BaseException] = []
+
+        def caller(slot: int) -> None:
+            try:
+                for turn in range(5):
+                    if slot % 2:
+                        assert all(route_many(QUESTIONS))
+                    else:
+                        assert all(route_many([QUESTIONS[(slot + turn) % len(QUESTIONS)]]))
+            except BaseException as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            (service if front == "monolith" else cluster).close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert in_flight.calls > 0 and in_flight.most == 1
+        counters = service.metrics.counters()
+        assert counters["requests"] == 3 * 5 * (len(QUESTIONS) + 1)
+        assert _conserves(counters)
+
+
+# -- routed-load windows on a live fleet ----------------------------------------
+class TestClusterRoutingLoad:
+    def test_routing_load_and_window_qps_in_stats(self, master_router):
+        config = ClusterConfig(num_shards=2, enable_cache=False,
+                               enable_tracing=False)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            cluster.submit(QUESTIONS[0])
+            cluster.submit_many(QUESTIONS[1:3])
+            stats = cluster.stats()
+            load = stats["routing_load"]
+            assert load["total"] == 3
+            assert sum(load["per_database"].values()) == 3
+            assert len(load["per_shard"]) == 2
+            assert sum(load["per_shard"]) == 3
+            assert cluster.health(HealthPolicy()).status in ("ok", "degraded")
+
+    def test_front_hits_count_and_the_window_expires(self, master_router,
+                                                      monkeypatch):
+        # The routed-load window reads the front's metrics clock.
+        clock = SteppedTime()
+        monkeypatch.setattr("repro.serving.service.MetricsRegistry",
+                            functools.partial(MetricsRegistry, clock=clock.monotonic))
+        wave = QUESTIONS[:3] + QUESTIONS[:1]
+        config = ClusterConfig(num_shards=2, enable_tracing=False)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            assert all(cluster.submit_many(wave))
+            clock.advance(1.0)
+            cluster.submit_many(wave)  # answered by front hits
+            assert cluster.stats()["counters"]["cache_hits"] == len(wave)
+            load = cluster.routing_load()
+            assert load["total"] == sum(load["per_shard"]) == 2 * len(wave)
+            clock.advance(QPS_WINDOW_SECONDS - 1.0)  # the first wave's second leaves
+            assert cluster.routing_load()["total"] == len(wave)
+            clock.advance(1.0)
+            load = cluster.routing_load()
+            assert load["per_database"] == {} and sum(load["per_shard"]) == 0

@@ -201,6 +201,19 @@ class TestProbes:
         with pytest.raises(ValueError, match="queue_depth_degraded"):
             HealthPolicy(queue_depth_degraded=65)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"error_rate_degraded": 0.2, "error_rate_failing": 0.1}, "error_rate"),
+        ({"error_rate_degraded": -0.01}, "error_rate"),
+        ({"timeout_rate_degraded": 0.5, "timeout_rate_failing": 0.25},
+         "timeout_rate"),
+        ({"min_requests": -1}, "min_requests"),
+        ({"cache_min_lookups": -1}, "cache_min_lookups"),
+        ({"respawn_window_seconds": 0.0}, "respawn_window_seconds"),
+    ])
+    def test_an_inconsistent_policy_is_refused(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            HealthPolicy(**overrides)
+
     def test_dispatcher_timeout_and_escalation_rates(self):
         policy = HealthPolicy()
         report = HealthReport(component="cluster")
@@ -237,7 +250,7 @@ class TestServiceHealth:
         def explode(*args, **kwargs):
             raise RuntimeError("decode broke")
 
-        monkeypatch.setattr(service, "_route_batch_locked", explode)
+        monkeypatch.setattr(service.router, "route_batch", explode)
         with pytest.raises(RuntimeError):
             service.submit("never seen before question")
         assert service.metrics.counter("errors") == 1
@@ -560,6 +573,32 @@ class TestMonitor:
                 break
         assert resolved
         assert not monitor.journal.is_active("baseline:decode")
+
+    def test_the_summary_shape_is_pinned(self):
+        monitor = Monitor(_StubService(), specs=[], clock=FakeClock(),
+                          track_baselines=False)
+        before = monitor.summary()
+        assert set(before) == {"running", "interval_seconds", "ticks",
+                               "tick_errors", "last_error", "last_tick_at",
+                               "alerts"}
+        assert (before["ticks"], before["last_tick_at"]) == (0, None)
+        monitor.tick()
+        assert monitor.summary()["last_tick_at"] == FakeClock().now
+        assert json.loads(json.dumps(monitor.summary())) == monitor.summary()
+
+    @pytest.mark.parametrize("interval_seconds", [0.0, -1.0])
+    def test_a_non_positive_interval_is_refused(self, interval_seconds):
+        with pytest.raises(ValueError, match="interval_seconds"):
+            Monitor(_StubService(), interval_seconds=interval_seconds)
+
+    def test_check_now_reads_a_fresh_verdict_not_the_last_tick(self):
+        stub = _StubService()
+        monitor = Monitor(stub, specs=[], clock=FakeClock(),
+                          track_baselines=False)
+        monitor.tick()
+        stub.report = HealthReport(component="stub", status="failing")
+        assert monitor.check_now().status == "failing"
+        assert monitor.latest()["health"]["status"] == "ok"
 
     def test_shutdown_leaves_no_live_threads(self):
         stub = _StubService()

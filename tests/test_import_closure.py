@@ -41,8 +41,7 @@ NOT_FOR_SERVING = (
     "networkx", "repro.datasets", "repro.sql", "repro.engine", "repro.llm",
     "repro.experiments", "repro.nn.trainer", "repro.nn.optim", "repro.nn.data",
     "repro.core.synthesis", "repro.core.questioner", "repro.core.sampling",
-    "repro.core.dbcopilot", "repro.control.controller", "repro.serving.loadgen",
-    "repro.obs.httpd",
+    "repro.core.dbcopilot", "repro.serving.loadgen", "repro.obs.httpd",
 )
 #: A shard worker is additionally not a dispatcher, draws no training init
 #: (a checkpoint loads its arrays) and spawns no process.

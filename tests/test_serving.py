@@ -16,7 +16,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.control import AdmissionController, AdmissionPolicy, AdmissionRejected
 from repro.core import (
     RouterConfig,
     SchemaGraph,
@@ -34,7 +33,9 @@ from repro.serving import (
     LoadGenerator,
     RouteCache,
     RoutingService,
+    ScenarioConfig,
     ScenarioDriver,
+    ScenarioPhase,
     ServingConfig,
     WorkloadConfig,
     named_scenario,
@@ -45,7 +46,7 @@ from repro.serving import (
 )
 from repro.serving import loadgen
 from repro.serving.checkpoint import catalog_from_payload, catalog_to_payload
-from repro.serving.metrics import LatencyRecorder, MetricsRegistry
+from repro.serving.metrics import LatencyRecorder, MetricsRegistry, WindowedCounter
 from repro.serving.service import BatchResultCountError
 
 
@@ -128,12 +129,28 @@ def _wait_until(predicate, seconds: float = 30.0) -> None:
         assert time.monotonic() < deadline, "timed out waiting"
 
 
+class _HeldDecoder:
+    """Stands in for a service's decoder: every ``route_batch`` waits for
+    ``release`` before it decodes, so a running decode stays running."""
+
+    def __init__(self, decoder) -> None:
+        self.decoder = decoder
+        self.release = threading.Event()
+
+    def route_batch(self, *args, **kwargs):
+        self.release.wait()
+        return self.decoder.route_batch(*args, **kwargs)
+
+    def __getattr__(self, name: str):
+        return getattr(self.decoder, name)
+
+
 @contextmanager
 def _contended(service: RoutingService, calls):
-    """Run each one-question call on its own thread, with the route lock
-    held: the first leads a decode and blocks on the lock, every later one
+    """Run each one-question call on its own thread, with the decode held:
+    the first leads a decode that waits inside the decoder, every later one
     queues its ticket behind it, in order.  The block runs with all of them
-    queued; leaving it releases the lock.  Yields ``outcomes`` (call index
+    queued; leaving it releases the decode.  Yields ``outcomes`` (call index
     -> result or raised exception), complete once the block has exited."""
     outcomes: dict[int, object] = {}
 
@@ -145,15 +162,19 @@ def _contended(service: RoutingService, calls):
 
     threads = [threading.Thread(target=run, args=(index, call))
                for index, call in enumerate(calls)]
-    with service._route_lock:
+    held = service.router = _HeldDecoder(service.router)
+    try:
         threads[0].start()
         _wait_until(lambda: service._leading)
         for queued, thread in enumerate(threads[1:], start=1):
             thread.start()
             _wait_until(lambda: service.queue_depth() == queued)
         yield outcomes
-    for thread in threads:
-        thread.join(timeout=60)
+    finally:
+        held.release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        service.router = held.decoder
     assert not any(thread.is_alive() for thread in threads)
 
 
@@ -519,6 +540,47 @@ class TestMetrics:
             "max_ms", "buckets"}
         assert json.loads(json.dumps(snapshot)) == snapshot
 
+    @pytest.mark.parametrize("seconds, bucket", [
+        (0.001, "0.001"),       # a bound is inclusive: le="0.001"
+        (0.0010001, "0.0025"),
+        (10.0, "10.0"),
+        (10.5, "+Inf"),         # above the last bound: only the implicit one
+    ])
+    def test_an_observation_lands_in_the_first_bucket_that_holds_it(
+            self, seconds, bucket):
+        recorder = LatencyRecorder()
+        recorder.record(seconds)
+        buckets = recorder.summary()["buckets"]
+        names = list(buckets)
+        first = names.index(bucket)
+        assert all(buckets[name] == 0 for name in names[:first])
+        assert all(buckets[name] == 1 for name in names[first:])
+
+    def test_the_reservoir_keeps_the_latest_samples_and_counts_them_all(self):
+        recorder = LatencyRecorder(max_samples=3)
+        for value in (0.9, 0.8, 0.001, 0.002, 0.003):
+            recorder.record(value)
+        summary = recorder.summary()
+        # percentiles read the three latest samples; count, max and the
+        # buckets remember every observation
+        assert summary["p99_ms"] == pytest.approx(3.0)
+        assert summary["p50_ms"] == pytest.approx(2.0)
+        assert summary["count"] == summary["buckets"]["+Inf"] == 5
+        assert summary["max_ms"] == pytest.approx(900.0)
+
+    def test_an_empty_reservoir_is_refused(self):
+        with pytest.raises(ValueError, match="max_samples"):
+            LatencyRecorder(max_samples=0)
+
+    def test_increment_many_moves_every_counter_in_one_call(self):
+        clock = SteppedTime()
+        registry = MetricsRegistry(clock=clock.monotonic)
+        registry.increment_many({"requests": 4, "cache_hits": 3})
+        registry.increment_many({"routed": 1})
+        assert registry.counters() == {"requests": 4, "cache_hits": 3, "routed": 1}
+        # a young registry's window divides by its one-second floor
+        assert registry.window_qps() == pytest.approx(4.0)
+
 
 # -- the service façade --------------------------------------------------------
 class TestRoutingService:
@@ -598,7 +660,7 @@ class TestRoutingService:
 
     def test_concurrent_submits_coalesce(self, trained_router, monkeypatch):
         """Callers that arrive while a decode runs share the next one: with
-        the route lock held, one ``submit`` leads (and blocks) and five queue
+        the decode held, one ``submit`` leads (and blocks) and five queue
         behind it; on release the router sees ``[q0]`` then ``[q1..q5]``, and
         only the five waiters recorded a ``queue_wait``."""
         questions = _numbered(6)
@@ -690,24 +752,19 @@ class TestRoutingService:
             assert service.submit(questions[0])
             assert service.metrics.counter("routed") == 1
 
-    def test_the_backlog_feeds_health_and_admission(self, trained_router):
-        """The backlog is the questions queued behind the running decode:
-        ``health()`` judges it and the admission gate sheds on it."""
+    def test_the_backlog_feeds_health(self, trained_router):
+        """The backlog is the questions queued behind the running decode,
+        and ``health()`` judges it."""
         policy = HealthPolicy(queue_depth_degraded=2, queue_depth_failing=4)
-        admission = AdmissionController(AdmissionPolicy(queue_shed_depth=3))
         config = ServingConfig(enable_cache=False)
-        with RoutingService(trained_router, config, admission=admission) as service:
+        with RoutingService(trained_router, config) as service:
             with _contended(service, [functools.partial(service.submit, question)
                                       for question in _numbered(4)]) as outcomes:
                 report = service.health(policy)
                 assert report.status == "degraded"
                 assert report.details["queue_depth"] == 3
-                with pytest.raises(AdmissionRejected) as excinfo:
-                    service.submit("one question too many")
-                assert excinfo.value.reason == "queue_depth"
             assert all(isinstance(outcome, list) for outcome in outcomes.values())
             assert service.health(policy).status == "ok"
-            assert service.metrics.counter("admission_rejected") == 1
 
     def test_submit_after_close_rejected(self, trained_router):
         service = RoutingService(trained_router)
@@ -808,8 +865,7 @@ class TestRoutingService:
     def test_the_config_fields_are_pinned(self):
         """A new knob must show up here as a reviewed diff."""
         assert {field.name for field in fields(ServingConfig)} == {
-            "enable_cache", "cache_size", "cache_ttl_seconds", "enable_tracing",
-            "admission"}
+            "enable_cache", "cache_size", "cache_ttl_seconds", "enable_tracing"}
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_a_budget_below_one_is_refused_before_the_cache(self, trained_router,
@@ -842,7 +898,7 @@ class TestRoutingService:
         the answer is served, but the next caller decodes again instead of
         hitting it."""
         with RoutingService(trained_router) as service:
-            decode = service._route_batch_locked
+            decode = trained_router.route_batch
             decoded: list[list[str]] = []
 
             def decode_then_change(questions, *args, **kwargs):
@@ -852,7 +908,7 @@ class TestRoutingService:
                     service.notify_catalog_changed()
                 return answers
 
-            monkeypatch.setattr(service, "_route_batch_locked", decode_then_change)
+            monkeypatch.setattr(trained_router, "route_batch", decode_then_change)
             first = service.submit(QUESTIONS[0])
             second = service.submit(QUESTIONS[0])
             assert decoded == [QUESTIONS[:1]] * 2
@@ -996,7 +1052,7 @@ class TestLoadGenerator:
         assert report.errors == 0
         assert report.latency["count"] == 20
 
-    def test_closed_loop_counts_shed_apart_from_errors(self, monkeypatch):
+    def test_closed_loop_counts_errors_apart_from_answers(self, monkeypatch):
         clock = SteppedTime()
         monkeypatch.setattr(loadgen, "time", clock)
         calls = [0]
@@ -1005,31 +1061,30 @@ class TestLoadGenerator:
             calls[0] += 1
             clock.advance(0.002)
             if calls[0] % 3 == 0:
-                raise AdmissionRejected("rate_limit", "shed")
-            if calls[0] % 4 == 0:
                 raise RuntimeError("boom")
 
         report = LoadGenerator(QUESTIONS, WorkloadConfig(
             num_requests=12, seed=2)).run(submit)
-        assert (report.admitted, report.shed, report.errors) == (6, 4, 2)
+        assert (report.answered, report.errors) == (8, 4)
         # answered requests per second, each lagging its own service time
         assert report.duration_seconds == pytest.approx(0.024)
-        assert report.throughput_rps == pytest.approx(6 / 0.024)
-        assert report.latency["count"] == 6
+        assert report.throughput_rps == pytest.approx(8 / 0.024)
+        assert report.latency["count"] == 8
         assert report.latency["p99_ms"] == pytest.approx(2.0)
         assert list(report.phases) == ["closed"]
-        assert report.phases["closed"]["shed"] == 4
+        assert report.phases["closed"]["errors"] == 4
+        assert report.to_json()["answered"] == 8
 
     def test_concurrent_clients_lose_no_count(self):
         # more clients than cores, switching often: a lost update in the
         # shared tally breaks the totals
         config = WorkloadConfig(num_requests=2000, seed=8, concurrency=8)
         generator = LoadGenerator(QUESTIONS, config)
-        shed_question = generator.workload()[0]
+        failing_question = generator.workload()[0]
 
         def submit(question):
-            if question == shed_question:
-                raise AdmissionRejected("rate_limit", "shed")
+            if question == failing_question:
+                raise RuntimeError("boom")
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1037,10 +1092,9 @@ class TestLoadGenerator:
             report = generator.run(submit)
         finally:
             sys.setswitchinterval(interval)
-        expected_shed = generator.workload().count(shed_question)
-        assert (report.num_requests, report.shed, report.errors) == \
-            (2000, expected_shed, 0)
-        assert report.admitted == report.latency["count"] == 2000 - expected_shed
+        expected_errors = generator.workload().count(failing_question)
+        assert (report.num_requests, report.errors) == (2000, expected_errors)
+        assert report.answered == report.latency["count"] == 2000 - expected_errors
 
     def test_a_wave_request_lags_its_whole_wave(self, monkeypatch):
         clock = SteppedTime()
@@ -1051,11 +1105,11 @@ class TestLoadGenerator:
             waves[0] += 1
             clock.advance(0.010)
             if waves[0] == 2:
-                raise AdmissionRejected("rate_limit", "shed")
+                raise RuntimeError("boom")
 
         report = LoadGenerator(QUESTIONS, WorkloadConfig(
             num_requests=20, seed=6)).run_batched(submit_many, batch_size=8)
-        assert (report.admitted, report.shed, report.errors) == (12, 8, 0)
+        assert (report.answered, report.errors) == (12, 8)
         assert report.latency["count"] == 12
         assert report.latency["p50_ms"] == pytest.approx(10.0)
         assert report.max_lag_seconds == pytest.approx(0.010)
@@ -1074,3 +1128,257 @@ class TestLoadGenerator:
             LoadGenerator([], WorkloadConfig())
         with pytest.raises(ValueError):
             LoadGenerator(QUESTIONS).run_batched(lambda wave: wave, batch_size=0)
+
+    @pytest.mark.parametrize("unique_fraction", [0.0, -0.25, 1.5])
+    def test_a_unique_fraction_outside_the_unit_interval_is_refused(
+            self, unique_fraction):
+        with pytest.raises(ValueError, match="unique_fraction"):
+            WorkloadConfig(unique_fraction=unique_fraction)
+
+    def test_the_report_shape_is_pinned(self):
+        report = LoadGenerator(QUESTIONS, WorkloadConfig(
+            num_requests=4, seed=1)).run(lambda question: [])
+        payload = report.to_json()
+        assert set(payload) == {"scenario", "num_requests", "answered", "errors",
+                                "duration_seconds", "throughput_rps",
+                                "max_lag_seconds", "latency", "phases"}
+        assert set(payload["phases"]["closed"]) == {"requests", "answered",
+                                                   "errors", "latency"}
+        assert (payload["num_requests"], payload["answered"]) == (4, 4)
+
+    def test_the_report_agrees_with_the_service_counters(self, trained_router):
+        config = ServingConfig(enable_cache=False)
+        with RoutingService(trained_router, config=config) as service:
+            generator = LoadGenerator(QUESTIONS, WorkloadConfig(
+                num_requests=24, unique_fraction=0.25, seed=12, concurrency=3))
+            report = generator.run(service.submit)
+            counters = service.stats()["counters"]
+        assert (report.num_requests, report.answered, report.errors) == (24, 24, 0)
+        assert counters["requests"] == counters["routed"] == 24
+        assert counters.get("errors", 0) == 0
+
+
+class TestWindowedCounter:
+    def test_expires_outside_the_window(self):
+        clock = SteppedTime()
+        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
+        counter.note(5)
+        clock.advance(30)
+        counter.note(2)
+        assert counter.total() == 7
+        clock.advance(31)  # the first bucket is now 61s old
+        assert counter.total() == 2
+        clock.advance(61)
+        assert counter.total() == 0
+
+    def test_rejects_bad_window(self):
+        with pytest.raises(ValueError):
+            WindowedCounter(window_seconds=0)
+
+    def test_a_bucket_leaves_exactly_one_window_after_its_second(self):
+        clock = SteppedTime()
+        clock.advance(100.0)
+        counter = WindowedCounter(window_seconds=10, clock=clock.monotonic)
+        counter.note(3)
+        clock.advance(9.5)
+        assert counter.total() == 3
+        clock.advance(0.5)  # second 110: the second-100 bucket is 10s old
+        assert counter.total() == 0
+
+    def test_notes_within_one_second_share_a_bucket(self):
+        clock = SteppedTime()
+        counter = WindowedCounter(window_seconds=2, clock=clock.monotonic)
+        counter.note(1)
+        clock.advance(0.4)
+        counter.note(2, labels={"a": 2})
+        clock.advance(0.5)
+        counter.note(4, labels={"a": 1, "b": 3})
+        assert counter.total() == 7
+        assert counter.label_totals() == {"a": 3, "b": 3}
+        clock.advance(1.1)  # second 2: the one bucket of second 0 expires whole
+        assert counter.total() == 0
+        assert counter.label_totals() == {}
+
+    def test_a_label_leaves_with_its_last_bucket(self):
+        clock = SteppedTime()
+        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
+        counter.note(2, labels={"concert_singer": 2})
+        clock.advance(30)
+        counter.note(3, labels={"concert_singer": 1, "world": 2})
+        assert counter.label_totals() == {"concert_singer": 3, "world": 2}
+        clock.advance(31)
+        assert counter.label_totals() == {"concert_singer": 1, "world": 2}
+        clock.advance(30)
+        assert "world" not in counter.label_totals()
+        assert counter.label_totals() == {}
+
+    def test_labels_count_apart_from_the_amount(self):
+        clock = SteppedTime()
+        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
+        counter.note(0, labels={"world": 5})
+        counter.note(2)
+        assert counter.total() == 2
+        assert counter.label_totals() == {"world": 5}
+
+
+class TestScenarioDriver:
+    QUESTIONS = [f"question {index}" for index in range(128)]
+
+    def test_plan_and_schedule_are_deterministic(self):
+        config = named_scenario("burst", num_requests=60, qps=100.0, seed=7)
+        driver = ScenarioDriver(self.QUESTIONS, config)
+        assert driver.plan() == driver.plan()
+        assert driver.schedule() == driver.schedule()
+        assert len(driver.plan()) == 60
+
+    def test_phase_lengths_cover_the_budget(self):
+        config = named_scenario("burst", num_requests=100, qps=50.0)
+        assert sum(config.phase_lengths()) == 100
+        assert [phase.name for phase in config.phases] == \
+            ["warmup", "burst", "recover"]
+
+    def test_schedule_spacing_follows_phase_qps(self):
+        config = ScenarioConfig(phases=(ScenarioPhase("steady", 1.0, 2.0),),
+                                num_requests=4)
+        offsets = ScenarioDriver(self.QUESTIONS, config).schedule()
+        assert offsets == [0.0, 0.5, 1.0, 1.5]
+
+    def test_shift_hot_set_changes_the_head(self):
+        config = named_scenario("shift_hot_set", num_requests=80, qps=1000.0)
+        plan = ScenarioDriver(self.QUESTIONS, config).plan()
+        first = {question for name, question in plan if name == "hot_a"}
+        second = {question for name, question in plan if name == "hot_b"}
+        # each phase draws from a ten-question head: q0-q9, then q64-q73
+        assert not first & second
+        assert first <= set(self.QUESTIONS[:10])
+        assert second <= set(self.QUESTIONS[64:74])
+
+    @pytest.mark.parametrize("pool_size", [32, 64])
+    def test_shift_hot_set_refuses_an_offset_that_wraps(self, pool_size):
+        # hot_offset=64 wraps to 0 on these pools: hot_b would replay hot_a's head
+        config = named_scenario("shift_hot_set", num_requests=80, qps=1000.0)
+        with pytest.raises(ValueError, match="'hot_b'"):
+            ScenarioDriver(self.QUESTIONS[:pool_size], config)
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError):
+            named_scenario("quiet-sunday")
+
+    def test_fractions_must_sum_to_one(self):
+        with pytest.raises(ValueError):
+            ScenarioConfig(phases=(ScenarioPhase("a", 0.5, 10.0),
+                                   ScenarioPhase("b", 0.4, 10.0)))
+
+    def test_phase_names_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ScenarioConfig(phases=(ScenarioPhase("a", 0.5, 10.0),
+                                   ScenarioPhase("a", 0.5, 20.0)))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"name": ""}, "name"),
+        ({"fraction": 0.0}, "fraction"),
+        ({"fraction": 1.5}, "fraction"),
+        ({"qps": 0.0}, "qps"),
+        ({"qps": -5.0}, "qps"),
+        ({"hot_offset": -1}, "hot_offset"),
+        ({"distribution": "bursty"}, "distribution"),
+        ({"unique_fraction": 0.0}, "unique_fraction"),
+    ])
+    def test_an_invalid_phase_is_refused(self, overrides, message):
+        arguments = {"name": "steady", "fraction": 1.0, "qps": 10.0, **overrides}
+        with pytest.raises(ValueError, match=message):
+            ScenarioPhase(**arguments)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"num_requests": 0}, "num_requests"),
+        ({"qps": 0.0}, "qps"),
+        ({"burst_factor": 1.0}, "burst_factor"),
+    ])
+    def test_a_named_scenario_refuses_a_bad_envelope(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            named_scenario("burst", **overrides)
+
+    def test_a_scenario_needs_a_phase_and_a_request_per_phase(self):
+        with pytest.raises(ValueError, match="at least one phase"):
+            ScenarioConfig(phases=())
+        with pytest.raises(ValueError, match="one request per phase"):
+            ScenarioConfig(phases=(ScenarioPhase("a", 0.5, 10.0),
+                                   ScenarioPhase("b", 0.5, 10.0)),
+                           num_requests=1)
+
+    def test_an_empty_pool_is_refused(self):
+        with pytest.raises(ValueError, match="empty"):
+            ScenarioDriver([], named_scenario("steady"))
+
+    @pytest.mark.parametrize("name", loadgen.SCENARIO_NAMES)
+    def test_every_stock_scenario_plays_exactly_its_budget(self, name):
+        for num_requests in (3, 7, 100, 301):
+            config = named_scenario(name, num_requests=num_requests, qps=20.0)
+            lengths = config.phase_lengths()
+            assert sum(lengths) == num_requests
+            assert min(lengths) >= 1
+            driver = ScenarioDriver(self.QUESTIONS, config)
+            plan = driver.plan()
+            assert len(plan) == len(driver.schedule()) == num_requests
+            assert [phase for phase, _ in plan] == [
+                phase.name for phase, length in zip(config.phases, lengths)
+                for _ in range(length)]
+
+    def test_the_burst_phase_is_spaced_by_the_burst_factor(self):
+        config = named_scenario("burst", num_requests=10, qps=10.0,
+                                burst_factor=4.0)
+        assert config.phase_lengths() == [3, 4, 3]
+        offsets = ScenarioDriver(self.QUESTIONS, config).schedule()
+        assert offsets == pytest.approx([0.0, 0.1, 0.2,
+                                         0.3, 0.325, 0.35, 0.375,
+                                         0.4, 0.5, 0.6])
+
+    def test_an_open_loop_releases_each_request_on_its_schedule(self, monkeypatch):
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        releases = []
+        config = ScenarioConfig(phases=(ScenarioPhase("steady", 1.0, 4.0),),
+                                num_requests=4)
+        report = ScenarioDriver(self.QUESTIONS, config).run(
+            lambda question: releases.append(clock.now))
+        assert releases == [0.0, 0.25, 0.5, 0.75]
+        assert (report.answered, report.errors) == (4, 0)
+        assert report.max_lag_seconds == 0.0
+        assert report.duration_seconds == pytest.approx(0.75)
+
+    def test_lag_is_measured_from_the_scheduled_release(self, monkeypatch):
+        """A service slower than the schedule builds a backlog, and each
+        request's lag carries it: the open loop does not hide the wait."""
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        config = ScenarioConfig(phases=(ScenarioPhase("steady", 1.0, 100.0),),
+                                num_requests=5)
+        report = ScenarioDriver(self.QUESTIONS, config).run(
+            lambda question: clock.advance(0.05))
+        # request k is released at 0.01k and answered at 0.05(k + 1)
+        assert report.max_lag_seconds == pytest.approx(0.21)
+        assert report.latency["count"] == 5
+        assert report.latency["p50_ms"] == pytest.approx(130.0)
+        assert report.latency["max_ms"] == pytest.approx(210.0)
+        assert report.throughput_rps == pytest.approx(5 / 0.25)
+
+    def test_errors_are_counted_apart_from_answers_per_phase(self, monkeypatch):
+        clock = SteppedTime()
+        monkeypatch.setattr(loadgen, "time", clock)
+        config = named_scenario("burst", num_requests=20, qps=1000.0)
+        assert config.phase_lengths() == [6, 8, 6]
+        calls = [0]
+
+        def submit(question):
+            calls[0] += 1
+            if 6 < calls[0] <= 14:  # every request of the burst phase
+                raise RuntimeError("boom")
+
+        report = ScenarioDriver(self.QUESTIONS, config).run(submit)
+        assert (report.num_requests, report.answered, report.errors) == (20, 12, 8)
+        assert report.latency["count"] == 12
+        assert {name: (phase["requests"], phase["answered"], phase["errors"])
+                for name, phase in report.phases.items()} == {
+            "warmup": (6, 6, 0), "burst": (8, 0, 8), "recover": (6, 6, 0)}
+        assert report.phases["burst"]["latency"]["count"] == 0
+        assert report.to_json()["phases"]["recover"]["answered"] == 6
