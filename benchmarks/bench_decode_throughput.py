@@ -19,8 +19,8 @@ budget, where the engine's per-step constant is most of the work;
 engine's numeric candidate path (a row nothing constrains ranks the ``top_n +
 (G - 1) * B`` best tokens of its kernel row) gets a number -- and
 ``ranked_tokens_per_row``, the constrained 10x10 grid's candidate tokens
-gathered per kernel row (counted on its warm-up batch), to hold against the
-vocabulary size.
+gathered per kernel row (read off its traced warm-up batch's ``decode``
+span), to hold against the vocabulary size.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import os
 import time
 
 from repro.core.router import SchemaRouter
+from repro.obs import Tracer
 
 #: Micro-batch size under test.
 DECODE_BATCH = 8
@@ -89,13 +90,15 @@ def test_decode_throughput(benchmark, spider_context):
     }
     for grid, changes in GRIDS.items():
         router = _clone(master, decode_backend="vectorized", **changes)
-        decode_stats: dict = {}
-        router.route_batch(batches[0], decode_stats=decode_stats)
+        trace = Tracer().start_trace("warm-up")
+        router.route_batch(batches[0], traces=[trace] * len(batches[0]))
+        (decode,) = trace.find_spans("decode")
+        trace.finish()
         seconds = min(_one_pass(router, batches)[0] for _ in range(ROUNDS))
         summary[f"grid_{grid}_questions_per_sec"] = round(len(workload) / seconds, 1)
         if grid == "10x10":
             summary["ranked_tokens_per_row"] = round(
-                decode_stats["ranked_tokens"] / decode_stats["beam_rows"], 2)
+                decode.attributes["ranked_tokens"] / decode.attributes["beam_rows"], 2)
     print("DECODE_SUMMARY " + json.dumps(summary, sort_keys=True))
 
     # The engine contract (see the module docstring).

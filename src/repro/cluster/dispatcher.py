@@ -9,7 +9,9 @@ ranking identical to what a monolithic router would prefer, and the
 gather order.
 
 There is one scatter path per backend.  An inproc fleet's scatter *is* its
-:class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode.  Otherwise
+:class:`repro.cluster.wave.ClusterWaveEngine`: one stacked decode, through
+the monolith's own decode path (:func:`repro.core.router.route_wave`) over
+every shard's router.  Otherwise
 the calling thread sends every shard's frame, then waits on each reply in
 shard order itself, with no thread pool -- subprocess workers, where each
 target is the ``send`` of a :class:`repro.cluster.replica.ReplicaSet` of

@@ -11,8 +11,9 @@ merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
 One scatter path per backend.  An inproc fleet decodes each scatter wave as
-one stacked kernel stream (:mod:`repro.cluster.wave`): its shards are rows of
-one kernel call under one GIL, so per-shard isolation means nothing there,
+one stacked kernel stream (:mod:`repro.cluster.wave`), the monolith's
+decode path over every shard's router: its shards are rows of one kernel
+call under one GIL, so per-shard isolation means nothing there,
 and ``ClusterConfig`` rejects the isolation knobs (``replicas > 1``,
 ``shard_timeout_seconds``, ``allow_partial``) on it.  A subprocess fleet
 scatters from the calling thread -- every shard's frame sent, then each
@@ -389,10 +390,6 @@ class ClusterRoutingService:
             snapshot["transport"] = transport_rollup
         snapshot["routing_load"] = self.routing_load()
         snapshot["dispatcher"] = self.dispatcher.stats()
-        # Which scatter path serves: the wave exactly when the fleet is inproc.
-        snapshot["wave"] = {"enabled": self.wave_engine is not None}
-        if self.wave_engine is not None:
-            snapshot["wave"].update(self.wave_engine.stats())
         snapshot["shards"] = shard_stats
         return snapshot
 

@@ -191,33 +191,31 @@ def _constraint_counts(constraints: Iterable) -> tuple[int, int, int]:
 
 def decode_wave(kernel: DecodeKernel | None,
                 routers: "Sequence[SchemaRouter]",
-                tags: Sequence[int] | None,
+                tags: Sequence[int],
                 encoded_batch: "Sequence[EncodedSource]",
-                traces: Sequence = (), stats: dict | None = None) -> list[list]:
-    """One beam search for every row of a batch: a monolith's, or a cluster
-    wave's over several routers of one model.
+                traces: Sequence = ()) -> list[list]:
+    """One beam search for every row of a wave over routers of one model.
 
     Row ``i`` decodes ``encoded_batch[i]`` under the constraint of
     ``routers[tags[i]]``, all rows advancing together through ``kernel`` (a
-    :class:`repro.nn.seq2seq.DecodeKernel` over the routers' one model).  A
-    monolith is a wave with one shard: ``tags=None`` decodes every row under
-    ``routers[0]``, and ``kernel=None`` sends each row through the loop
-    oracle instead (``decode_backend="loop"``).  The routers must agree on
-    the beam budget and share their vocabularies -- the cluster wave engine
-    checks that -- so ``routers[0]`` configures the search.  Every context in
-    ``traces`` gets a ``decode`` span annotated with the engine counters, the
-    constraints' mask-cache traffic (one resolution per registered row: a hit
-    when the row's state already holds its allowed ids) and the automaton
-    states they made (``constraint_states``: 0 once the catalog's automaton
-    is grown); ``stats`` accumulates the engine counters (flat ``steps`` /
-    ``beam_rows`` / ``live_beams`` / ``ranked_tokens`` /
+    :class:`repro.nn.seq2seq.DecodeKernel` over the routers' one model), or,
+    with ``kernel=None``, each row alone through the loop oracle
+    (``decode_backend="loop"``).  The routers must agree on the beam budget
+    and share their vocabularies (the cluster wave engine checks that), so
+    ``routers[0]`` configures the search.
+
+    Every context in ``traces`` gets a ``decode`` span -- the one place
+    decode counters are reported -- annotated with the engine counters
+    (``steps`` / ``beam_rows`` / ``live_beams`` / ``ranked_tokens`` /
     ``questions_compacted``: kernel rows are distinct live prefixes, so
-    ``beam_rows / live_beams`` is the sharing ratio, and selection ranks only
-    the ids the constraint allows, so ``ranked_tokens / beam_rows`` against
-    the vocabulary size is what sparsity buys; broken out under
-    ``"per_tag"`` only when tags were passed).  Returns one hypothesis
-    list per row (possibly empty: callers fall back to
-    :meth:`SchemaRouter.decode_fallback`).
+    ``beam_rows / live_beams`` is the sharing ratio, and selection ranks
+    only the ids the constraint allows, so ``ranked_tokens / beam_rows``
+    against the vocabulary size is what sparsity buys), the constraints'
+    mask-cache traffic (one resolution per registered row: a hit when the
+    row's state already holds its allowed ids) and the automaton states they
+    made (``constraint_states``: 0 once the catalog's automaton is grown).
+    Returns one hypothesis list per row (possibly empty: :func:`route_wave`
+    falls back to greedy decoding).
     """
     config = routers[0].config
     vocabulary = routers[0].target_vocabulary
@@ -227,34 +225,84 @@ def decode_wave(kernel: DecodeKernel | None,
         search.update(num_groups=config.beam_groups,
                       diversity_penalty=config.diversity_penalty)
     constraints = [router.constraint for router in routers]
-    stats = stats if stats is not None else {}
+    row_constraints = [constraints[tag] for tag in tags]
+    stats: dict = {}
     counts_before = _constraint_counts(constraints)
-    with stage_spans(traces, "decode",
-                     backend=config.decode_backend if tags is None else "wave",
+    with stage_spans(traces, "decode", backend=config.decode_backend,
                      questions=len(encoded_batch)) as spans:
         if kernel is None:
             hypotheses_batch = [
                 diverse_beam_search_loop(
                     routers[0].model, (), vocabulary.bos_id, vocabulary.eos_id,
-                    constraint=constraints[0], encoded=encoded, stats=stats,
-                    **search)
-                for encoded in encoded_batch]
+                    constraint=constraint, encoded=encoded, stats=stats, **search)
+                for encoded, constraint in zip(encoded_batch, row_constraints)]
         else:
             hypotheses_batch = diverse_beam_search_batch(
                 kernel, list(encoded_batch), vocabulary.bos_id, vocabulary.eos_id,
-                constraint=(constraints[0] if tags is None
-                            else [constraints[tag] for tag in tags]),
-                stats=stats, question_tags=tags, **search)
+                constraint=row_constraints, stats=stats, **search)
         if spans:
             hits, misses, states = _constraint_counts(constraints)
-            counters = {key: value for key, value in stats.items()
-                        if key != "per_tag"}
             for span in spans:
                 span.annotate(mask_cache_hits=hits - counts_before[0],
                               mask_cache_misses=misses - counts_before[1],
                               constraint_states=states - counts_before[2],
-                              **counters)
+                              **stats)
     return hypotheses_batch
+
+
+def route_wave(routers: "Sequence[SchemaRouter]", questions: Sequence[str],
+               max_candidates: int | None = None,
+               traces: "Sequence | None" = None) -> list[list[list[SchemaRoute]]]:
+    """Route ``questions`` through every router of one model: the one decode
+    path.  Returns ``[router][question]``.
+
+    A monolith's :meth:`SchemaRouter.route_batch` is a wave of one router;
+    an inproc fleet's wave is a wave of every shard's router
+    (:class:`repro.cluster.wave.ClusterWaveEngine`).  Every question is
+    encoded once, by ``routers[0]``: the routers decode one model and share
+    its vocabularies.  One :func:`decode_wave` then decodes every (router,
+    question) row, router-major, through the kernel ``routers[0].config``'s
+    ``decode_backend`` names.  Each row falls back (greedy decoding, when the
+    beam search returned nothing) and parses with its own router: its
+    constraint, its sub-catalog graph and parse memo, its default
+    ``max_candidates``.
+
+    ``traces`` is an optional per-question list of ``repro.obs`` trace
+    contexts (``None`` entries allowed; repeats collapse): each distinct
+    context gets ``encode`` / ``decode`` / ``parse`` spans, the decode span
+    carrying the decode counters (:func:`decode_wave`).  Tracing does not
+    affect routing results.
+    """
+    base = routers[0]
+    model = base.model
+    budgets = [candidate_budget(max_candidates, router.default_max_candidates)
+               for router in routers]
+    if not questions:
+        return [[] for _ in routers]
+    contexts = distinct_traces(traces)
+    source_tokenizer = WordTokenizer(base.source_vocabulary)
+    with stage_spans(contexts, "encode", questions=len(questions)):
+        encoded = model.encode_numpy_batch(
+            [source_tokenizer.encode_text(question,
+                                          max_length=base.config.max_source_length)
+             for question in questions],
+            pad_id=base.source_vocabulary.pad_id)
+    tags = [tag for tag in range(len(routers)) for _ in questions]
+    stacked = [encoding for _ in routers for encoding in encoded]
+    kernel = None if base.config.decode_backend == "loop" else DecodeKernel(model)
+    hypotheses_batch = decode_wave(kernel, routers, tags, stacked, traces=contexts)
+    for row, hypotheses in enumerate(hypotheses_batch):
+        if not hypotheses:
+            router = routers[tags[row]]
+            vocabulary = router.target_vocabulary
+            hypotheses_batch[row] = [greedy_decode(
+                router.model, (), vocabulary.bos_id, vocabulary.eos_id,
+                max_length=router.config.max_decode_length,
+                constraint=router.constraint, encoded=stacked[row])]
+    with stage_spans(contexts, "parse"):
+        rows = iter(hypotheses_batch)
+        return [[router._combine_hypotheses(next(rows), budget) for _ in questions]
+                for router, budget in zip(routers, budgets)]
 
 
 @dataclass
@@ -321,11 +369,8 @@ class SchemaRouter:
 
     @property
     def constraint(self) -> GraphConstrainedDecoding | None:
-        """The active decoding constraint (None when decoding unconstrained).
-
-        Public so external decode drivers (the cluster wave engine) can run
-        this router's search under exactly the constraint ``route_batch``
-        would use."""
+        """The active decoding constraint (None when decoding unconstrained):
+        what :func:`route_wave` decodes this router's rows under."""
         return self._constraint if self.config.constrained_decoding else None
 
     def num_parameters(self) -> int:
@@ -410,59 +455,21 @@ class SchemaRouter:
 
     def route_batch(self, questions: list[str],
                     max_candidates: int | None = None, *,
-                    traces: "Sequence | None" = None,
-                    decode_stats: dict | None = None) -> list[list[SchemaRoute]]:
-        """Route several questions, decoding them as one batch.
+                    traces: "Sequence | None" = None) -> list[list[SchemaRoute]]:
+        """Route several questions as one batch: a wave of this one router
+        (:func:`route_wave`, whose ``traces`` these are).
 
-        The source encoding runs once for the whole batch, the tokenizers and
-        decoding constraint are set up once instead of per question, and (with
-        the default ``decode_backend="vectorized"``) every distinct live
-        prefix of every question advances through one stacked kernel call per
-        decode step.  ``decode_backend="loop"`` decodes each question through the
-        per-beam reference path instead; both backends -- and per-question
-        :meth:`route` calls -- return bit-identical results.
-
-        ``traces`` is an optional per-question list of ``repro.obs`` trace
-        contexts (``None`` entries allowed; repeats collapse): each distinct
-        context gets ``encode`` / ``decode`` / ``parse`` spans, with decode
-        spans annotated by engine counters (steps, kernel rows advanced, live
-        beams served, candidate tokens ranked, questions compacted, constraint
-        mask-cache hits/misses, constraint automaton states made).
-        ``decode_stats`` additionally accumulates the raw engine counters
-        into a caller-owned dict.  Neither affects routing results.
+        The source encoding runs once for the whole batch, and (with the
+        default ``decode_backend="vectorized"``) every distinct live prefix
+        of every question advances through one stacked kernel call per
+        decode step.  ``decode_backend="loop"`` decodes each question through
+        the per-beam reference path instead; both backends -- and
+        per-question :meth:`route` calls -- return bit-identical results.
         """
-        if self._model is None:
-            raise RuntimeError("the router has not been trained yet")
-        max_candidates = candidate_budget(max_candidates, self.default_max_candidates)
-        if not questions:
-            return []
-        contexts = distinct_traces(traces)
-        source_tokenizer = WordTokenizer(self.source_vocabulary)
-        target_tokenizer = WordTokenizer(self.target_vocabulary)
-        with stage_spans(contexts, "encode", questions=len(questions)):
-            encoded_batch = self._model.encode_numpy_batch(
-                [source_tokenizer.encode_text(question,
-                                              max_length=self.config.max_source_length)
-                 for question in questions],
-                pad_id=self.source_vocabulary.pad_id,
-            )
-        # A monolith is a wave with one shard: this router's model, no tags.
-        kernel = (None if self.config.decode_backend == "loop"
-                  else DecodeKernel(self._model))
-        hypotheses_batch = decode_wave(kernel, [self], None, encoded_batch,
-                                       traces=contexts, stats=decode_stats)
-        for index, hypotheses in enumerate(hypotheses_batch):
-            if not hypotheses:
-                hypotheses_batch[index] = self.decode_fallback(encoded_batch[index])
-        with stage_spans(contexts, "parse"):
-            results: list[list[SchemaRoute]] = []
-            for hypotheses in hypotheses_batch:
-                results.append(self._combine_hypotheses(hypotheses, target_tokenizer,
-                                                        max_candidates))
-        return results
+        return route_wave([self], questions, max_candidates, traces)[0]
 
-    def _combine_hypotheses(self, hypotheses: list, target_tokenizer: WordTokenizer,
-                            max_candidates: int) -> list[SchemaRoute]:
+    def _combine_hypotheses(self, hypotheses: list,
+                            max_candidates: int | None) -> list[SchemaRoute]:
         """Parse hypotheses to schemata and combine those sharing a database."""
         combined: dict[str, SchemaRoute] = {}
         order: list[str] = []
@@ -472,7 +479,7 @@ class SchemaRouter:
             # membership test and a lookup (``None`` is a cached verdict).
             parsed = self._parse_cache.get(key, _UNPARSED)
             if parsed is _UNPARSED:
-                tokens = target_tokenizer.decode(hypothesis.tokens)
+                tokens = WordTokenizer(self.target_vocabulary).decode(hypothesis.tokens)
                 parsed = tokens_to_schema(tokens, self.graph)
                 evict_oldest(self._parse_cache, self.max_cached_parses)
                 self._parse_cache[key] = parsed
@@ -495,28 +502,6 @@ class SchemaRouter:
         routes = [combined[database] for database in order]
         routes.sort(key=lambda route: route.score, reverse=True)
         return routes[:max_candidates]
-
-    def decode_fallback(self, encoded: EncodedSource) -> list:
-        """The greedy fallback used when beam search returns no hypotheses.
-
-        Public so external decode drivers (the cluster wave engine) fall back
-        exactly as :meth:`route_batch` does."""
-        return [greedy_decode(self.model, (),
-                              self.target_vocabulary.bos_id,
-                              self.target_vocabulary.eos_id,
-                              max_length=self.config.max_decode_length,
-                              constraint=self.constraint, encoded=encoded)]
-
-    def combine_hypotheses(self, hypotheses: list,
-                           max_candidates: int | None = None) -> list[SchemaRoute]:
-        """Parse decoded hypotheses into ranked routes (the public parse API).
-
-        The same parse-and-combine step :meth:`route_batch` ends with,
-        reusing this router's bounded parse cache; external decode drivers
-        (the cluster wave engine) hand decoded hypotheses straight here."""
-        return self._combine_hypotheses(
-            hypotheses, WordTokenizer(self.target_vocabulary),
-            candidate_budget(max_candidates, self.default_max_candidates))
 
     def predict(self, question: str, max_candidates: int | None = None) -> RoutingPrediction:
         """Route and convert to the shared :class:`RoutingPrediction` format.

@@ -196,7 +196,7 @@ def _validate_beam_budget(num_beams: int, num_groups: int) -> int:
     return num_beams // num_groups
 
 
-def _note_decode_stats(stats: dict | None, **counts: int) -> None:
+def _note_counters(stats: dict | None, **counts: int) -> None:
     """Accumulate observability counters into a caller-provided dict.
 
     Pure bookkeeping on plain ints, written once per engine call after the
@@ -299,7 +299,7 @@ def diverse_beam_search_loop(model: Seq2SeqModel, source_ids: Sequence[int],
             break
         steps += 1
 
-    _note_decode_stats(stats, steps=steps, beam_rows=beam_rows)
+    _note_counters(stats, steps=steps, beam_rows=beam_rows)
     return _finalize_groups(
         [[(beam.score, beam.tokens, beam.finished) for beam in group]
          for group in groups], eos_id, length_penalty, num_beams)
@@ -312,8 +312,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                               diversity_penalty: float = 2.0, max_length: int = 48,
                               constraint: "Constraint | Sequence[Constraint | None] | None" = None,
                               length_penalty: float = 0.0,
-                              stats: dict | None = None,
-                              question_tags: Sequence[int] | None = None
+                              stats: dict | None = None
                               ) -> list[list[BeamHypothesis]]:
     """Diverse beam search over a whole micro-batch of questions at once.
 
@@ -373,13 +372,12 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     ``ranked_tokens`` (candidate tokens gathered; per row, against ``V``, what
     the constraint spares selection) and ``questions_compacted``.
 
-    The cluster wave form: ``constraint`` may be a *sequence* with exactly one
-    entry per question (each ``None`` or a constraint), and
-    ``question_tags`` labels each question with an integer shard tag that
-    splits the counters into ``stats["per_tag"]``.  Every shard decodes the
-    one model, so the kernel never sees a tag; rows never span questions,
-    hence never shards, and each row ranks only what its own shard's
-    constraint allows.
+    The wave form: ``constraint`` may be a *sequence* with exactly one entry
+    per question (each ``None`` or a constraint) -- a cluster wave gives each
+    (shard, question) its own shard's constraint.  Every shard decodes the
+    one model, so the kernel never sees a shard; rows never span questions,
+    hence never shards, and each row ranks only what its own constraint
+    allows.
     """
     beams_per_group = _validate_beam_budget(num_beams, num_groups)
     kernel = model if isinstance(model, DecodeKernel) else DecodeKernel(model)
@@ -391,9 +389,9 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     resident = kernel.resident_memory(encoded_batch)
     # The kernel's rows, one per distinct live (question, prefix): decoder
     # state, previous token, owning question (by batch position, which is
-    # what ``resident`` and ``tags`` stay indexed by), its operands and,
-    # below, constraint state and candidate ids.  A search starts with one
-    # row per question, shared by all its groups.
+    # what ``resident`` stays indexed by), its operands and, below,
+    # constraint state and candidate ids.  A search starts with one row per
+    # question, shared by all its groups.
     states = np.stack([encoded.state for encoded in encoded_batch])    # (R, h)
     previous = [bos_id] * num_questions                                # (R,)
     row_questions = gathered_for = list(range(num_questions))          # (R,)
@@ -433,17 +431,6 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                  for question in range(num_questions)]
     group_active = [[True] * num_groups for _ in range(num_questions)]
 
-    # Shard tags (the wave path): splitting the counters per tag in the
-    # final stats.
-    tags: np.ndarray | None = None
-    if question_tags is not None:
-        tags = np.asarray(list(question_tags), dtype=np.int64)
-        if tags.shape != (num_questions,):
-            raise ValueError("question_tags needs exactly one tag per question")
-        num_tags = int(tags.max()) + 1
-        tag_steps, tag_rows, tag_ranked = np.zeros((3, num_tags), dtype=np.int64)
-    row_tags = tags
-
     # What one beam may propose (the oracle's slice of its argsort) and how
     # deep into an unconstrained row any group can reach (the lemma).
     top_n = max(beams_per_group * 2, 2)
@@ -480,8 +467,6 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
             gathered_for = row_questions
             index = np.asarray(row_questions, dtype=np.int64)
             operands = tuple(operand[index] for operand in resident)
-            if tags is not None:
-                row_tags = tags[index]
 
         # One kernel call: every distinct live prefix of every question.
         steps += 1
@@ -508,11 +493,6 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         rankings = [_ranked(values, tokens, values, top_n)
                     for values, tokens in zip(row_values, row_tokens)]
         ranked_tokens += len(flat_rows)
-        if tags is not None:
-            tagged = np.bincount(row_tags, minlength=num_tags)
-            tag_rows += tagged
-            tag_steps += tagged > 0
-            tag_ranked += np.bincount(row_tags[flat_rows], minlength=num_tags)
 
         # Group-sequential selection, question by question.  A continued beam
         # registers the row it advances through next step under (parent row,
@@ -609,18 +589,9 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
         previous, row_questions, row_constraints, row_tokens = (
             next_previous, next_questions, next_constraints, next_tokens)
 
-    _note_decode_stats(stats, steps=steps, beam_rows=beam_rows,
-                       live_beams=sum(served), ranked_tokens=ranked_tokens,
-                       questions_compacted=len(compacted))
-    if stats is not None and tags is not None:
-        per_tag = stats.setdefault("per_tag", {})
-        split = dict(
-            steps=tag_steps, beam_rows=tag_rows, ranked_tokens=tag_ranked,
-            live_beams=np.bincount(tags, weights=served, minlength=num_tags),
-            questions_compacted=np.bincount(tags[compacted], minlength=num_tags))
-        for tag in range(num_tags):
-            _note_decode_stats(per_tag.setdefault(tag, {}), **{
-                key: int(counts[tag]) for key, counts in split.items()})
+    _note_counters(stats, steps=steps, beam_rows=beam_rows,
+                   live_beams=sum(served), ranked_tokens=ranked_tokens,
+                   questions_compacted=len(compacted))
     for question, original in enumerate(question_ids):
         banked[original] = beams[question]
     return [_finalize_groups(groups, eos_id, length_penalty, num_beams)

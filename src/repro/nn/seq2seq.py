@@ -411,8 +411,8 @@ class DecodeKernel:
     Every shard router of a fleet decodes the master's own model object
     (:func:`repro.cluster.shard.project_router` shares it), so a cluster wave
     steps the same kernel as a monolith: shards differ only in their
-    constraints, which the engine applies per row by its question's shard tag
-    -- the kernel never sees a tag.
+    constraints, which the engine applies per row -- the kernel never sees a
+    shard.
 
     Every kernel steps the *exact* trunk
     (:meth:`Seq2SeqModel.decode_trunk_numpy_batch`): a row decodes to the

@@ -246,11 +246,11 @@ def _fleet(master_router, **overrides) -> ClusterRoutingService:
 
 
 def _scattered(cluster) -> list[int]:
-    """What the shards were asked, read without sending a frame: the wave's
-    question tally inproc, every proxy's frames sent on the subprocess
-    backend."""
+    """What the shards were asked, read without sending a frame: the
+    dispatcher's question tally inproc, every proxy's frames sent on the
+    subprocess backend."""
     if cluster.wave_engine is not None:
-        return [cluster.wave_engine.stats()["questions"]]
+        return [cluster.dispatcher.questions]
     return [worker.requests_sent for replica_set in cluster.shards
             for worker in replica_set.workers]
 
@@ -267,7 +267,7 @@ class TestFrontOnFleets:
         count = len(QUESTIONS)
         with _fleet(master_router, **FLEETS[fleet]) as cluster, \
                 _fleet(master_router, enable_cache=False, **FLEETS[fleet]) as forgetful:
-            assert cluster.stats()["wave"]["enabled"] == (fleet == "inproc_wave")
+            assert (cluster.wave_engine is not None) == (fleet == "inproc_wave")
             first = cluster.submit_many(QUESTIONS)
             assert cluster.dispatcher.escalations == count
             scattered = _scattered(cluster)

@@ -97,12 +97,19 @@ class TestOneRoot:
             engine = cluster.wave_engine
             assert engine is not None and engine.has_careful_tier
             wave = questions[:8]
-            first = engine.route_wave(wave, careful=careful)
+
+            def route():
+                """The wave's answers and its decode span's kernel rows."""
+                trace = Tracer().start_trace("wave")
+                answers = engine.route_wave(wave, careful=careful, trace=trace)
+                (decode,) = trace.find_spans("decode")
+                trace.finish()
+                return answers, decode.attributes["beam_rows"]
+
+            first, rows = route()
             grown = len(constructions)
             assert grown > 2  # at least a root per shard, and what hangs off it
-            rows_before = engine.stats()["beam_rows"]
-            assert engine.route_wave(wave, careful=careful) == first
-            assert engine.stats()["beam_rows"] == 2 * rows_before
+            assert route() == (first, rows)
             assert len(constructions) == grown
 
     def test_mask_counters_keep_their_meaning(self, trained):

@@ -365,9 +365,9 @@ class TestPrefixSharedRows:
         assert stats["steps"] <= stats["beam_rows"] <= stats["live_beams"]
 
     def test_tagged_rows_never_span_shards(self, toy_model):
-        """The same questions under two shard tags of one model: every
-        (shard, question) keeps its own rows, and the per-tag counters split
-        the flat ones."""
+        """The same questions as two shards' rows of one model, each with its
+        own constraint entry: every (shard, question) keeps its own rows, so
+        the wave's flat counters are the sum over each shard decoded alone."""
         model, vocabulary, encoded = toy_model
         budget = dict(num_beams=6, num_groups=3, diversity_penalty=0.0,
                       max_length=8)
@@ -376,16 +376,14 @@ class TestPrefixSharedRows:
             model, encoded, vocabulary.bos_id, vocabulary.eos_id, stats=alone,
             **budget)
         stats: dict = {}
-        tags = [0] * len(encoded) + [1] * len(encoded)
         waved = diverse_beam_search_batch(
             DecodeKernel(model), encoded + encoded, vocabulary.bos_id,
-            vocabulary.eos_id, constraint=[None] * len(tags),
-            question_tags=tags, stats=stats, **budget)
+            vocabulary.eos_id, constraint=[None] * (2 * len(encoded)),
+            stats=stats, **budget)
         keys = [[_hypothesis_key(h) for h in one] for one in expected]
         assert [[_hypothesis_key(h) for h in one] for one in waved] == keys + keys
-        for counter in ("beam_rows", "live_beams", "questions_compacted"):
-            assert stats["per_tag"][0][counter] == stats["per_tag"][1][counter] \
-                == alone[counter]
+        for counter in ("beam_rows", "live_beams", "ranked_tokens",
+                        "questions_compacted"):
             assert stats[counter] == 2 * alone[counter]
         assert stats["steps"] == alone["steps"]
 
@@ -528,10 +526,9 @@ class TestRouterDifferential:
     @pytest.mark.parametrize("backend", ["vectorized", "loop"])
     def test_decode_counters_are_flat_on_the_one_shard_path(self, trained_pair,
                                                             backend):
-        """``route_batch`` reports the engine counters flat -- ``per_tag``
-        belongs to tagged waves -- with ``live_beams``, ``ranked_tokens`` and
-        ``questions_compacted`` under every batched backend, and names its own
-        backend on the decode span."""
+        """``route_batch``'s decode span carries the engine counters flat,
+        with ``live_beams``, ``ranked_tokens`` and ``questions_compacted``
+        under every batched backend, and names its own backend."""
         from repro.obs import Tracer
 
         router, _, questions = trained_pair
@@ -539,18 +536,16 @@ class TestRouterDifferential:
                             config=router.config.ablated(decode_backend=backend))
         twin.restore(router.model, router.source_vocabulary,
                      router.target_vocabulary)
-        stats: dict = {}
         trace = Tracer().start_trace("request")
-        twin.route_batch(questions[:5], traces=[trace] * 5, decode_stats=stats)
+        twin.route_batch(questions[:5], traces=[trace] * 5)
         batched = ({"live_beams", "ranked_tokens", "questions_compacted"}
                    if backend != "loop" else set())
-        assert set(stats) == {"steps", "beam_rows"} | batched
         (span,) = trace.find_spans("decode")
         assert span.attributes["backend"] == backend
         assert set(span.attributes) == {
             "backend", "questions", "mask_cache_hits", "mask_cache_misses",
-            "constraint_states"
-        } | set(stats)
+            "constraint_states", "steps", "beam_rows"
+        } | batched
         trace.finish()
 
     def test_route_matches_route_batch(self, trained_pair):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.router import SchemaRouter
+from repro.nn.decoding import greedy_decode
 from repro.nn.tokenizer import WordTokenizer
 from reference_constraint import PrefixConstraint, PrefixWalkConstraint
 from test_decode_backends import _hypothesis_key, _route_key, _train_router
@@ -56,17 +57,24 @@ def test_routes_on_the_automaton_equal_routes_on_the_prefix_walk(trained, backen
 
 
 def test_greedy_fallback_on_the_automaton_equals_the_prefix_walk(trained):
-    """``SchemaRouter.decode_fallback`` -- greedy decoding, one state per
+    """The router's greedy fallback -- ``greedy_decode``, one state per
     step -- answers the same hypothesis under either constraint."""
     router, questions = trained
     automaton, reference = _twins(router, "loop")
     tokenizer = WordTokenizer(router.source_vocabulary)
+    vocabulary = router.target_vocabulary
     encoded = router.model.encode_numpy_batch(
         [tokenizer.encode_text(question, max_length=router.config.max_source_length)
          for question in questions[:12]],
         pad_id=router.source_vocabulary.pad_id)
+
+    def fallback(twin, item):
+        return greedy_decode(twin.model, (), vocabulary.bos_id, vocabulary.eos_id,
+                             max_length=twin.config.max_decode_length,
+                             constraint=twin.constraint, encoded=item)
+
     for item in encoded:
-        (expected,) = reference.decode_fallback(item)
-        (hypothesis,) = automaton.decode_fallback(item)
+        expected = fallback(reference, item)
+        hypothesis = fallback(automaton, item)
         assert expected.tokens
         assert _hypothesis_key(hypothesis) == _hypothesis_key(expected)

@@ -299,7 +299,7 @@ class TestRetiredFastBackend:
             expected = hex_signature(unedited)
         with load_cluster(edited) as inproc:
             assert inproc.master_router.config.decode_backend == "vectorized"
-            assert inproc.stats()["wave"]["enabled"] is True
+            assert inproc.wave_engine is not None
             assert hex_signature(inproc) == expected
         with load_cluster(edited, config=ClusterConfig(
                 worker_backend="subprocess")) as fleet:
@@ -757,9 +757,9 @@ class TestSubprocessCluster:
             # subprocess workers' per-shard scatter.
             assert {q: _signature([r]) for q, r in sub_answers.items()} \
                 == {q: _signature([r]) for q, r in inproc_answers.items()}
-            assert inproc.stats()["wave"]["enabled"] is True
+            assert inproc.wave_engine is not None
+            assert sub.wave_engine is None
             stats = sub.stats()
-            assert stats["wave"] == {"enabled": False}
             assert stats["worker_backend"] == "subprocess"
             assert stats["dispatcher"]["shard_failures"] == 0
             transports = [worker["transport"]

@@ -337,8 +337,6 @@ class TestRouteBatch:
             trained_router.route_batch(QUESTIONS[:2], max_candidates=budget)
         with pytest.raises(ValueError, match="max_candidates"):
             trained_router.route(QUESTIONS[0], max_candidates=budget)
-        with pytest.raises(ValueError, match="max_candidates"):
-            trained_router.combine_hypotheses([], max_candidates=budget)
         assert len(trained_router._parse_cache) == parses
 
     def test_untrained_raises(self, trained_router):

@@ -32,6 +32,7 @@ from repro.core.router import decode_wave
 from repro.nn.decoding import diverse_beam_search_batch, diverse_beam_search_loop
 from repro.nn.seq2seq import DecodeKernel, EncodedSource
 from repro.nn.tokenizer import WordTokenizer
+from repro.obs import Tracer
 from reference_constraint import PrefixConstraint
 from test_decode_backends import _hypothesis_key, _train_router
 
@@ -290,23 +291,32 @@ def test_wave_of_mixed_vocabulary_widths_equals_each_shard_alone(trained):
         shard.constraint.initial_state())) for shard in shards]
     assert widths[0] < widths[1]
 
-    def keys(hypotheses_batch):
-        return [[_hypothesis_key(h) for h in one] for one in hypotheses_batch]
+    def decode(routers, tags, batch):
+        """Hypothesis keys and the decode span's counters of one wave."""
+        trace = Tracer().start_trace("wave")
+        decoded = decode_wave(kernel, routers, tags, batch, traces=[trace])
+        (span,) = trace.find_spans("decode")
+        trace.finish()
+        return ([[_hypothesis_key(h) for h in one] for one in decoded],
+                span.attributes)
 
     kernel = DecodeKernel(router.model)
-    alone = []
+    alone, counters = [], []
     for shard in shards:
-        alone += keys(decode_wave(kernel, [shard], [0] * len(encoded),
-                                  encoded))
-    stats: dict = {}
+        keys, attributes = decode([shard], [0] * len(encoded), encoded)
+        alone += keys
+        counters.append(attributes)
     tags = [0] * len(encoded) + [1] * len(encoded)
-    mixed = keys(decode_wave(kernel, shards, tags, encoded + encoded,
-                             stats=stats))
+    mixed, attributes = decode(shards, tags, encoded + encoded)
     assert mixed == alone
     assert all(one for one in mixed)
-    per_tag = stats["per_tag"]
-    assert stats["ranked_tokens"] == sum(entry["ranked_tokens"]
-                                         for entry in per_tag.values()) > 0
+    for counter in ("beam_rows", "live_beams", "ranked_tokens"):
+        assert attributes[counter] == sum(entry[counter] for entry in counters)
+    assert attributes["ranked_tokens"] > 0
+    # A question finishing with the last of its shard's batch is compacted
+    # only when the other shard's rows outlive it.
+    assert attributes["questions_compacted"] >= sum(
+        entry["questions_compacted"] for entry in counters)
 
 
 def test_constrained_decode_never_sorts_or_masks_the_vocabulary(trained,

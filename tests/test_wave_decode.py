@@ -10,9 +10,11 @@ boot path
 of a shard on both backends (a checkpoint is its master router plus
 ``cluster.json``; a version-1 checkpoint's per-shard copies are not read),
 the refusal of a retired sliced master router, the one model object a wave
-steps, the isolation knobs only a subprocess fleet takes, the per-shard
-decode counters, their conservation and the trace shape, concurrent callers
-under a live rebalance, and the dispatcher's scatter on the calling thread.
+steps (at construction and on every wave), the one ``decode_backend`` a
+fleet decodes through, the isolation knobs only a subprocess fleet takes,
+the decode counters on the ``decode`` span, counter conservation and the
+trace shape, concurrent callers under a live rebalance, and the
+dispatcher's scatter on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterDispatcher,
+    ClusterError,
     ClusterRebalancer,
     ClusterRoutingService,
     load_cluster,
@@ -171,11 +174,10 @@ class TestWaveAgainstPoolTwin:
         with load_cluster(tmp_path / "ckpt") as wave, \
                 load_cluster(tmp_path / "ckpt") as pool, \
                 _pool_twin(pool) as twin:
-            assert wave.stats()["wave"]["enabled"] is True
             assert wave.wave_engine.has_careful_tier \
                 is (escalation_threshold is not None)
-            kernel = wave.wave_engine._tiers[False].kernel
-            assert kernel.model is wave.master_router.model
+            assert all(worker.router.model is wave.master_router.model
+                       for worker in wave.wave_engine.workers)
             wave_replies = _serve(wave, workload)
             pool_replies = _waves(twin.submit_many, workload)
             # The wave decodes the very doubles the per-shard path does.
@@ -185,9 +187,9 @@ class TestWaveAgainstPoolTwin:
             assert wave.dispatcher.escalations == twin.router.escalations
             if escalation_threshold is not None:
                 assert wave.dispatcher.escalations > 0
-                assert wave.stats()["wave"]["careful_waves"] > 0
             assert _shard_counters(wave) == _shard_counters(pool)
-            assert pool.stats()["wave"]["waves"] == 0
+            # The twin asked the pool fleet's shards, never its dispatcher.
+            assert pool.dispatcher.questions == 0
 
     def test_a_question_decodes_the_same_in_any_wave(self, master_router,
                                                      workload, tmp_path):
@@ -207,8 +209,7 @@ class TestLoadedFleetSharesTheMasterTrunk:
     def test_bare_load_engages_the_wave_engine(self, master_router, tmp_path):
         _checkpoint(master_router, tmp_path / "ckpt")
         with load_cluster(tmp_path / "ckpt") as cluster:
-            assert cluster.stats()["wave"]["enabled"] is True
-            assert "reason" not in cluster.stats()["wave"]
+            assert cluster.wave_engine is not None
             master = cluster.master_router.model
             for replica_set in cluster.shards:
                 assert replica_set.workers[0].router.model is master
@@ -221,7 +222,7 @@ class TestLoadedFleetSharesTheMasterTrunk:
         manifest_path.write_text(json.dumps(manifest))
         with load_cluster(tmp_path / "ckpt") as cluster:
             assert not hasattr(cluster.config, "wave_decode")
-            assert cluster.stats()["wave"]["enabled"] is True
+            assert cluster.wave_engine is not None
             assert cluster.submit(QUESTIONS[0])
         manifest["config"]["warp_drive"] = 9
         manifest_path.write_text(json.dumps(manifest))
@@ -300,10 +301,10 @@ class TestLoadedFleetSharesTheMasterTrunk:
             ClusterRebalancer(cluster).move_database(moved, 1)
             assert cluster.shard_of(moved) == 1
             expected = _serve(cluster, questions)
-            assert cluster.stats()["wave"]["enabled"] is True
+            assert cluster.wave_engine is not None
             save_cluster(cluster, tmp_path / "second")
         with load_cluster(tmp_path / "second") as restored:
-            assert restored.stats()["wave"]["enabled"] is True
+            assert restored.wave_engine is not None
             assert restored.shard_of(moved) == 1
             assert _serve(restored, questions) == expected
 
@@ -455,7 +456,8 @@ class TestOneBootPath:
             assert engine.has_careful_tier is False
             with pytest.raises(ValueError, match="no careful tier"):
                 engine.route_wave(QUESTIONS[:2], careful=True)
-            assert engine.stats()["waves"] == 0
+            assert _shard_counters(cluster) == [[{
+                "successes": 0, "failures": 0, "quarantined": False}]] * 2
             assert all(cluster.submit_many(QUESTIONS[:2]))
 
 
@@ -500,6 +502,53 @@ class TestWhichFleetsScatterThroughThePool:
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
 
+    def test_a_swapped_shard_that_cannot_stack_fails_its_next_wave(
+            self, master_router):
+        """The stacking check runs on every wave's routers: a shard swapped
+        onto a copy of the model fails the next wave -- every asked miss
+        counted as an error -- and the restored fleet answers as before."""
+        config = ClusterConfig(num_shards=2, enable_cache=False)
+        with ClusterRoutingService.from_router(master_router, config) as cluster:
+            expected = _hex(cluster.submit_many(QUESTIONS))
+            first = cluster.shards[0].workers[0]
+            routers = first.routers
+            stranger = project_router(master_router, first.databases,
+                                      num_beams=first.router.config.num_beams)
+            stranger.restore(copy.deepcopy(master_router.model),
+                             master_router.source_vocabulary,
+                             master_router.target_vocabulary)
+            first.routers = (stranger, first.careful_router)
+            errors = cluster.metrics.counters().get("errors", 0)
+            with pytest.raises(ClusterError) as raised:
+                cluster.submit_many(QUESTIONS)
+            assert isinstance(raised.value.__cause__, ValueError)
+            assert "one model object" in str(raised.value.__cause__)
+            assert cluster.metrics.counters()["errors"] - errors \
+                == len(set(QUESTIONS))
+            first.routers = routers
+            assert _hex(cluster.submit_many(QUESTIONS)) == expected
+
+    def test_a_loop_master_fleet_never_enters_the_batched_engine(
+            self, master_router, monkeypatch):
+        """``decode_backend`` means the same for a wave as for a monolith: a
+        fleet of a ``"loop"`` master decodes through the loop oracle, and
+        answers exactly like the default fleet."""
+        config = ClusterConfig(num_shards=2)
+        with ClusterRoutingService.from_router(master_router, config) as fleet:
+            expected = _hex(fleet.submit_many(QUESTIONS))
+        looped = SchemaRouter(graph=master_router.graph,
+                              config=master_router.config.ablated(
+                                  decode_backend="loop"))
+        looped.restore(master_router.model, master_router.source_vocabulary,
+                       master_router.target_vocabulary)
+
+        def batched(*args, **kwargs):
+            raise AssertionError("a loop fleet entered the batched engine")
+
+        monkeypatch.setattr("repro.core.router.diverse_beam_search_batch", batched)
+        with ClusterRoutingService.from_router(looped, config) as fleet:
+            assert _hex(fleet.submit_many(QUESTIONS)) == expected
+
     @pytest.mark.parametrize("copied", ["source_vocabulary", "target_vocabulary"])
     def test_a_shard_with_a_copied_vocabulary_cannot_stack(self, master_router,
                                                            copied):
@@ -541,7 +590,9 @@ class TestWhichFleetsScatterThroughThePool:
 
 
 class TestWaveBookkeeping:
-    def test_wave_counters_roll_up_into_stats_and_traces(self, master_router):
+    def test_wave_counters_ride_the_decode_span(self, master_router):
+        """Decode counters have one channel: the wave's ``decode`` span, one
+        row per (shard, question); ``stats()`` keeps no wave rollup."""
         config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router,
                                                config) as cluster:
@@ -549,21 +600,9 @@ class TestWaveBookkeeping:
             stats = cluster.stats()
             (trace,) = [record for record in cluster.tracer.journal.slowest()
                         if record["name"] == "request_wave"]
-        wave = stats["wave"]
-        assert wave["enabled"] is True
-        assert wave["waves"] >= 1
-        assert wave["questions"] == len(QUESTIONS)
-        assert wave["steps"] > 0
-        assert wave["live_beams"] >= wave["beam_rows"] > 0
-        assert len(wave["shards"]) == 2
-        for shard_id, entry in enumerate(wave["shards"]):
-            assert entry["shard_id"] == shard_id
-            assert entry["steps"] > 0
-            assert entry["live_beams"] >= entry["beam_rows"] > 0
-            assert entry["questions_compacted"] >= 0
-        for counter in ("beam_rows", "live_beams"):
-            assert wave[counter] == sum(entry[counter]
-                                        for entry in wave["shards"])
+        assert "wave" not in stats
+        asked = stats["dispatcher"]["questions"]
+        assert asked == len(set(QUESTIONS))
         # The decode rode the single-stream span, not per-shard scatters ...
         assert "wave_decode" in stats["stages"]
         assert "scatter" not in stats["stages"]
@@ -578,8 +617,12 @@ class TestWaveBookkeeping:
         assert set(stages) == {"encode", "decode", "parse"}
         assert spans[fast_wave["parent_id"]]["name"] == "request_wave"
         decode = stages["decode"]["attributes"]
+        assert decode["backend"] == master_router.config.decode_backend
+        assert decode["questions"] == 2 * asked
         assert decode["steps"] > 0
         assert decode["live_beams"] >= decode["beam_rows"] > 0
+        assert decode["ranked_tokens"] > 0
+        assert decode["questions_compacted"] >= 0
         assert decode["mask_cache_hits"] + decode["mask_cache_misses"] > 0
 
     def test_a_failed_wave_fails_every_replica_once(self, master_router,
@@ -650,7 +693,7 @@ class TestCountersConserve:
                                    monkeypatch)
             # The front counts every asked miss of the failed wave.
             assert front["errors"] == len(self.FAILED)
-            assert cluster.stats()["wave"]["careful_waves"] > 0
+            assert cluster.dispatcher.escalations > 0
 
     def test_on_submit_many(self, master_router, monkeypatch):
         with RoutingService(master_router) as service:
@@ -715,7 +758,7 @@ class TestConcurrentWaves:
             sys.setswitchinterval(switch_interval)
         assert not any(thread.is_alive() for thread in callers)
         assert not failures, failures
-        assert cluster.stats()["wave"]["enabled"] is True
+        assert cluster.wave_engine is not None
         cluster.close()
         assert finals == expected
         assert set(threading.enumerate()) <= threads_before
