@@ -3,14 +3,15 @@
 :mod:`repro.serving` makes the router a persistent, cached *service*; this
 package makes it a *cluster*.  The catalog is partitioned into shards (packed
 by table count); each shard runs a projection of the trained router -- same
-model, sub-graph constraint, reduced beam budget; a dispatcher
+model, sub-graph constraint, a search derived from the master's; a dispatcher
 scatter-gathers every request across the shards and merges the candidates
 into one deterministic top-k, and a :class:`repro.serving.RoutingService`
 front over the dispatcher holds the fleet's one route cache:
 
 * :mod:`repro.cluster.partition` -- the deterministic size-balanced catalog
   partitioner and the :class:`ShardAssignment` layout;
-* :mod:`repro.cluster.shard` -- router projection and the per-shard worker;
+* :mod:`repro.cluster.shard` -- router projection, the one rule of a shard's
+  search (:func:`~repro.cluster.shard.shard_search`) and the per-shard worker;
 * :mod:`repro.cluster.dispatcher` -- scatter-gather (the wave engine for an
   inproc fleet; over subprocess workers, every frame sent and every reply
   awaited on the calling thread) and deterministic score-merged top-k;

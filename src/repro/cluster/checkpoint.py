@@ -7,15 +7,16 @@ A cluster checkpoint is a directory::
                        # the catalog version
       master/          # full router checkpoint (repro.serving.checkpoint)
 
-No shard is saved: a shard is the master projected onto its databases at
-the beam budgets ``ClusterConfig`` derives
-(:meth:`~repro.cluster.shard.ShardWorker.from_projection`), so both backends
-boot every shard from the same bytes the same way.  An inproc fleet projects
+No shard is saved: a shard is the master projected onto its databases
+(:class:`~repro.cluster.shard.ShardWorker`, at the searches
+:func:`~repro.cluster.shard.shard_search` gives), so both backends boot
+every shard from the same bytes the same way.  An inproc fleet projects
 from the master it loaded, sharing its model by reference, exactly as
 ``from_router`` does; a subprocess worker is handed the ``master/`` directory,
-its databases and its beam budgets on its command line, and loads and
-projects for itself.  Loading reproduces the cluster identically: same
-assignment, same per-shard configs, same weights, hence identical routes.
+its databases, the shard count and whether the fleet has a careful tier on
+its command line, and loads and projects for itself.  Loading reproduces the
+cluster identically: same assignment, same per-shard configs, same weights,
+hence identical routes.
 
 Version 1 checkpoints also held a projected router copy per shard
 (``shard-NN/``, named by a ``shards`` manifest entry); they load through the
@@ -105,12 +106,12 @@ def load_cluster_manifest(path: str | Path) -> dict:
 
 
 def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
-                       config: ClusterConfig, master: SchemaRouter) -> list[ReplicaSet]:
+                       config: ClusterConfig) -> list[ReplicaSet]:
     """Boot every subprocess replica of every shard, concurrently.
 
     Each replica is its own ``repro.cluster.procworker`` process: it loads
-    ``master_dir`` and projects its shard with the databases and beam budgets
-    passed on its command line, then is driven over the wire protocol.
+    ``master_dir`` and projects its shard as its command line says, then is
+    driven over the wire protocol.
     ``shard_timeout_seconds`` is each worker's own request deadline, whatever
     the replica count: the one timeout mechanism of a fleet.  Spawning is
     fanned out on a thread pool -- each child loads weights and handshakes on
@@ -121,16 +122,14 @@ def _spawn_proc_shards(master_dir: Path, assignment: ShardAssignment,
     """
     from repro.cluster.procworker import ProcShardWorker
 
-    beams = config.shard_beams_for(master)
-    escalation_beams = config.escalation_beams_for(master)
     jobs = [(shard_id, databases) for shard_id, databases in enumerate(assignment.shards)
             for _ in range(config.replicas)]
 
     def boot(job: tuple[int, tuple[str, ...]]) -> "ProcShardWorker":
         shard_id, databases = job
         return ProcShardWorker(
-            shard_id, master_dir, databases,
-            num_beams=beams, escalation_num_beams=escalation_beams,
+            shard_id, master_dir, databases, num_shards=assignment.num_shards,
+            careful_tier=config.escalation_threshold is not None,
             request_timeout_seconds=config.shard_timeout_seconds,
         )
 
@@ -193,7 +192,7 @@ def load_cluster(path: str | Path,
     ``config`` overrides the saved *serving* knobs (backend, front cache, and
     for a subprocess fleet timeouts, replicas and partial gathers); everything
     that affects routing decisions -- the assignment, the escalation
-    threshold, and through them and the master the beam budgets -- always
+    threshold, and through them and the master the shards' searches -- always
     comes from the checkpoint so a restarted cluster routes identically.
     """
     path = Path(path)
@@ -213,7 +212,7 @@ def load_cluster(path: str | Path,
         raise CheckpointError(f"the assignment names database(s) {unknown} "
                               f"that the {MASTER_DIR}/ router lacks")
     if config.worker_backend == "subprocess":
-        shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config, master)
+        shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config)
     else:
         shards = project_shards(master, assignment, config)
     return ClusterRoutingService(shards, assignment, config=config,

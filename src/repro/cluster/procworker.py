@@ -7,8 +7,10 @@ decode.  This module moves the worker across a process boundary:
 * :func:`worker_main` is the child side -- ``python -m repro.cluster.procworker
   --master DIR --databases NAME ...``.  It loads the master router of a
   cluster checkpoint (the ``master/`` directory ``save_cluster`` writes) and
-  projects its shard with :meth:`ShardWorker.from_projection` -- the very call
-  an inproc fleet makes -- at the beam budgets on its command line, performs
+  projects its shard as a :class:`ShardWorker` -- the very construction an
+  inproc fleet makes, from the rule's inputs on its command line (the shard
+  count and whether the fleet has a careful tier), so its searches are
+  :func:`~repro.cluster.shard.shard_search`'s -- performs
   the ``hello``/``hello_ack`` version handshake on its stdin/stdout pipes,
   and serves :mod:`repro.cluster.transport` frames until a ``shutdown`` frame
   or EOF.
@@ -199,9 +201,10 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--databases", nargs="*", required=True,
                         help="the databases this shard projects the master onto")
     parser.add_argument("--shard-id", type=int, default=0)
-    parser.add_argument("--num-beams", type=int, default=None)
-    parser.add_argument("--escalation-num-beams", type=int, default=None,
-                        help="enable the careful decode tier at this beam budget")
+    parser.add_argument("--num-shards", type=int, default=1,
+                        help="how many shards the fleet has")
+    parser.add_argument("--careful-tier", action="store_true",
+                        help="the fleet runs the escalation cascade")
     parser.add_argument("--max-frame-bytes", type=int, default=MAX_FRAME_BYTES)
     arguments = parser.parse_args(argv)
 
@@ -216,12 +219,9 @@ def worker_main(argv: list[str] | None = None) -> int:
     except ValueError:
         slow_careful = 0.0
 
-    worker = ShardWorker.from_projection(
-        arguments.shard_id, tuple(arguments.databases),
-        SchemaRouter.from_checkpoint(arguments.master),
-        num_beams=arguments.num_beams,
-        escalation_num_beams=arguments.escalation_num_beams,
-    )
+    worker = ShardWorker(arguments.shard_id, tuple(arguments.databases),
+                         SchemaRouter.from_checkpoint(arguments.master),
+                         arguments.num_shards, arguments.careful_tier)
     try:
         serve(worker, reader, writer, max_frame_bytes=arguments.max_frame_bytes,
               slow_careful_seconds=slow_careful)
@@ -268,8 +268,9 @@ class ProcShardWorker:
     process lifecycle:
 
     * **spawn** -- boots ``python -m repro.cluster.procworker`` on a master
-      router directory, told which ``databases`` to project it onto at which
-      beam budgets, and runs the version handshake;
+      router directory, told which ``databases`` to project it onto for one
+      shard of ``num_shards`` (with a careful tier or not), and runs the
+      version handshake;
     * **timeout** -- a request that misses ``request_timeout_seconds`` kills
       the process (a wedged decode cannot be cancelled politely) and raises
       :class:`ShardTimeoutError`; every *other* in-flight request on the dead
@@ -295,8 +296,8 @@ class ProcShardWorker:
 
     def __init__(self, shard_id: int, master_dir: str | Path,
                  databases: Sequence[str], *,
-                 num_beams: int | None = None,
-                 escalation_num_beams: int | None = None,
+                 num_shards: int = 1,
+                 careful_tier: bool = False,
                  request_timeout_seconds: float | None = None,
                  control_timeout_seconds: float = 10.0,
                  spawn_timeout_seconds: float = 60.0,
@@ -305,12 +306,13 @@ class ProcShardWorker:
                  max_frame_bytes: int = MAX_FRAME_BYTES,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.shard_id = shard_id
-        #: What the child projects: ``master_dir`` onto these databases at
-        #: these beam budgets (``databases`` is what the child announces).
+        #: What the child projects: ``master_dir`` onto these databases as
+        #: one shard of ``num_shards`` (``databases`` is what the child
+        #: announces).
         self.master_dir = Path(master_dir)
         self.projected_databases = tuple(databases)
-        self.num_beams = num_beams
-        self.escalation_num_beams = escalation_num_beams
+        self.num_shards = num_shards
+        self.careful_tier = careful_tier
         self.request_timeout_seconds = request_timeout_seconds
         #: Control-plane frames (stats / ping / shutdown) answer
         #: without decoding, so they get their own, generous deadline -- a
@@ -367,11 +369,10 @@ class ProcShardWorker:
                    "--master", str(self.master_dir),
                    "--databases", *self.projected_databases,
                    "--shard-id", str(self.shard_id),
+                   "--num-shards", str(self.num_shards),
                    "--max-frame-bytes", str(self.max_frame_bytes)]
-        for flag, value in (("--num-beams", self.num_beams),
-                            ("--escalation-num-beams", self.escalation_num_beams)):
-            if value is not None:
-                command += [flag, str(value)]
+        if self.careful_tier:
+            command.append("--careful-tier")
         return command
 
     def _open_child(self) -> tuple[subprocess.Popen, FrameReader, FrameWriter]:

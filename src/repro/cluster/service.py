@@ -5,8 +5,8 @@ behind a scatter-gather dispatcher, and through the monolith's front: a
 :class:`RoutingService` whose decoder is the dispatcher, so a fleet has the
 same ``submit`` / ``submit_many`` request path, route cache, counters and
 group commit as a monolith -- the fleet's one route cache.  Each shard owns
-a disjoint slice of the databases and decodes at a beam budget derived from
-the master's and the shard count (never set by a knob); the dispatcher
+a disjoint slice of the databases and decodes a search derived from the
+master's and the shard count (never set by a knob); the dispatcher
 merges per-shard candidates into one deterministic top-k whose
 scores are pooled softmax weights (see :func:`repro.core.router.merge_route_lists`).
 
@@ -56,9 +56,9 @@ WORKER_BACKENDS = frozenset({"inproc", "subprocess"})
 class ClusterConfig:
     """Knobs of one cluster instance.
 
-    None of them sets a shard's beam budget: both tiers' budgets are derived
-    from the master router, ``num_shards`` and whether the cascade is on
-    (:meth:`shard_beams_for`, :meth:`escalation_beams_for`).
+    None of them sets a shard's search: both tiers' searches are one rule of
+    the master router's, ``num_shards`` and whether the cascade is on
+    (:func:`repro.cluster.shard.shard_search`).
     """
 
     num_shards: int = 4
@@ -115,34 +115,15 @@ class ClusterConfig:
                 and not 0.0 < self.escalation_threshold <= 1.0:
             raise ValueError("escalation_threshold must be in (0, 1] (or None)")
 
-    def shard_beams_for(self, master: SchemaRouter) -> int:
-        """Beam budget of the fast tier for shards of ``master``: 1 under the
-        cascade (the careful tier covers ambiguity), otherwise
-        ``max(1, num_beams // num_shards)`` -- a shard only has to surface
-        its own best candidates, the cross-shard merge recovers the global
-        top-k.  Shards decode plain beams (one group): diversity spreads a
-        monolithic beam across databases, which the partition already did."""
-        if self.escalation_threshold is not None:
-            return 1
-        return max(1, master.config.num_beams // self.num_shards)
-
-    def escalation_beams_for(self, master: SchemaRouter) -> int | None:
-        """Beam budget of the careful tier (None when the cascade is off)."""
-        if self.escalation_threshold is None:
-            return None
-        return max(2, master.config.num_beams // self.num_shards)
-
 
 def project_shards(master: SchemaRouter, assignment: ShardAssignment,
                    config: ClusterConfig) -> list[ReplicaSet]:
     """One inproc worker per shard of ``assignment``: ``master`` projected
-    onto the shard's databases at the beam budgets ``config`` derives."""
-    beams = config.shard_beams_for(master)
-    escalation_beams = config.escalation_beams_for(master)
+    onto the shard's databases."""
     return [
-        ReplicaSet(shard_id, [ShardWorker.from_projection(
-            shard_id, databases, master,
-            num_beams=beams, escalation_num_beams=escalation_beams)],
+        ReplicaSet(shard_id, [ShardWorker(
+            shard_id, databases, master, assignment.num_shards,
+            careful_tier=config.escalation_threshold is not None)],
             quarantine_seconds=config.quarantine_seconds)
         for shard_id, databases in enumerate(assignment.shards)
     ]
@@ -251,14 +232,6 @@ class ClusterRoutingService:
             raise
         service._owned_checkpoint_dir = owned_dir
         return service
-
-    @classmethod
-    def from_checkpoint(cls, path: str | Path,
-                        config: ClusterConfig | None = None) -> "ClusterRoutingService":
-        """Boot a cluster from a directory written by ``save_cluster``."""
-        from repro.cluster.checkpoint import load_cluster
-
-        return load_cluster(path, config=config)
 
     # -- request path --------------------------------------------------------
     def submit(self, question: str,

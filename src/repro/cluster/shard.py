@@ -2,44 +2,72 @@
 
 A :class:`ShardWorker` is what one shard needs to serve its slice of the
 catalog: a *projected* router (the trained model restricted to the shard's
-sub-graph) and, under the escalation cascade, a careful twin at a wider beam
-budget -- no cache, counters or lock: the cluster's front owns the fleet's
-one route cache.  :meth:`ShardWorker.from_projection` is the one way a shard
-is built -- by the cluster's ``from_router``, by ``load_cluster`` for
-an inproc fleet, and by each subprocess worker from the master router it
-loads -- so a shard is the same object whichever backend serves it.
+sub-graph) and, under the escalation cascade, a careful twin -- no cache,
+counters or lock: the cluster's front owns the fleet's one route cache.
+Constructing a :class:`ShardWorker` is the one way a shard is built -- by the
+cluster's ``from_router``, by ``load_cluster`` for an inproc fleet, and by
+each subprocess worker from the master router it loads -- so a shard is the
+same object whichever backend serves it.
 
 Projection shares the master model and vocabularies (decoding stays
 bit-identical for sequences inside the shard) while the graph constraint and
 hypothesis parsing only admit the shard's databases.  Because every shard
 scores with the same model, raw scores are directly comparable across shards
--- the property the dispatcher's merge relies on.  Projected routers also run
-with a reduced beam budget of plain (one-group) beams, derived from the
-master's and the shard count, never configured: under the default escalation
-cascade the fast tier decodes with a single beam and the careful tier with
-``max(2, num_beams // num_shards)``; with the cascade disabled the single
-pass uses ``max(1, num_beams // num_shards)`` (see
-:meth:`ClusterConfig.shard_beams_for`).  A shard only has to surface the best
-candidates of its own partition, which is where the cluster's single-core
-speedup comes from.
+-- the property the dispatcher's merge relies on.  What each tier searches
+is one rule of the master's search, the shard count and whether the fleet
+has a careful tier, never configured: :func:`shard_search`.  A fleet of one
+shard decodes the master's own search, so it answers as the merged monolith.
 """
 
 from __future__ import annotations
 
 from repro.core.graph import SchemaGraph
-from repro.core.router import SchemaRoute, SchemaRouter
+from repro.core.router import RouterConfig, SchemaRoute, SchemaRouter
+
+
+def shard_search(master: RouterConfig, num_shards: int,
+                 careful_tier: bool) -> tuple[RouterConfig, RouterConfig | None]:
+    """The ``(fast, careful)`` searches of every shard of a ``num_shards``
+    fleet cut from a router searching with ``master``; ``careful`` is None
+    for a fleet without the cascade.
+
+    One shard is the master itself: its single pass, or its careful tier,
+    decodes the master's own (diverse) search.  Over more shards a shard
+    decodes plain beams in one group -- diversity spreads a monolithic beam
+    across databases, which the partition already did -- and only has to
+    surface its own best candidates, the cross-shard merge recovering the
+    global top-k: ``max(1, num_beams // num_shards)`` beams without the
+    cascade, ``max(2, num_beams // num_shards)`` in the careful tier.  The
+    cascade's fast tier decodes one beam at every shard count.
+    """
+    def plain(num_beams: int) -> RouterConfig:
+        return master.ablated(num_beams=num_beams, beam_groups=1)
+
+    share = master.num_beams // num_shards
+    if careful_tier:
+        return plain(1), master if num_shards == 1 else plain(max(2, share))
+    return master if num_shards == 1 else plain(max(1, share)), None
+
+
+def _restored(source: SchemaRouter, graph: SchemaGraph,
+              config: RouterConfig) -> SchemaRouter:
+    """``source``'s model and vocabularies under ``graph`` and ``config``, as
+    a router of its own (own constraint memos and tries)."""
+    router = SchemaRouter(graph=graph, config=config)
+    router.restore(source.model, source.source_vocabulary,
+                   source.target_vocabulary, source.training_losses)
+    return router
 
 
 def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[str],
-                   num_beams: int | None = None) -> SchemaRouter:
+                   config: RouterConfig) -> SchemaRouter:
     """Restrict a trained ``master`` router to ``database_names``.
 
     The projected router shares the master's model and vocabularies (no
     training, no copying of weights) but decodes under the sub-catalog's graph
     constraint, so it can only ever emit schemata of its own shard.  An empty
     ``database_names`` yields a router that routes every question to ``[]``.
-    With a ``num_beams`` budget the projection decodes that many plain beams
-    (one group); without one it keeps the master's search.
+    It searches with ``config``.
     """
     if not master.is_trained:
         raise ValueError("cannot project an untrained router")
@@ -49,25 +77,20 @@ def project_router(master: SchemaRouter, database_names: tuple[str, ...] | list[
         raise ValueError(f"databases not in the master catalog: {sorted(unknown)}")
     sub_catalog = master.graph.catalog.subset(database_names)
     edges = [edge for edge in master.graph.joinable_edges() if edge[0] in wanted]
-    config = master.config
-    if num_beams is not None:
-        config = config.ablated(num_beams=num_beams, beam_groups=1)
-    projected = SchemaRouter(graph=SchemaGraph.from_components(sub_catalog, edges),
-                             config=config)
-    projected.restore(master.model, master.source_vocabulary,
-                      master.target_vocabulary, master.training_losses)
-    return projected
+    return _restored(master, SchemaGraph.from_components(sub_catalog, edges), config)
 
 
 class ShardWorker:
     """One shard of the cluster: a projected router and, optionally, a
     careful one.
 
-    The careful tier is the same model and sub-graph re-wrapped with a wider
-    beam budget (``escalation_num_beams``).  The dispatcher routes every
-    question through the fast tier first and re-asks the careful tier only
-    when the merged answer's confidence is low, so the wide beams are paid
-    for exactly where they matter.
+    ``master`` projected onto ``databases`` at the searches
+    :func:`shard_search` gives one shard of ``num_shards`` (``careful_tier``
+    adds the careful router, the fast one's model and sub-graph re-wrapped
+    with the wider search).  The dispatcher routes every question through the
+    fast tier first and re-asks the careful tier only when the merged
+    answer's confidence is low, so the wide beams are paid for exactly where
+    they matter.
 
     A shard holds no cache, counters or lock: every fleet request enters
     through the cluster's front, whose route cache answers repeats and whose
@@ -77,35 +100,14 @@ class ShardWorker:
     it once never pairs a new fast tier with an old careful tier.
     """
 
-    def __init__(self, shard_id: int, databases: tuple[str, ...], router: SchemaRouter,
-                 escalation_num_beams: int | None = None) -> None:
+    def __init__(self, shard_id: int, databases: tuple[str, ...], master: SchemaRouter,
+                 num_shards: int = 1, careful_tier: bool = False) -> None:
         self.shard_id = shard_id
-        self.databases = tuple(databases)
-        self.escalation_num_beams = escalation_num_beams
-        self.routers = (router, self._careful_router(router))
-
-    def _careful_router(self, fast: SchemaRouter) -> SchemaRouter | None:
-        """The fast router's graph, model and vocabularies under the
-        escalation beam budget, as a router of its own (own constraint memos
-        and tries); None without a careful tier."""
-        if self.escalation_num_beams is None:
-            return None
-        careful = SchemaRouter(graph=fast.graph, config=fast.config.ablated(
-            num_beams=self.escalation_num_beams, beam_groups=1))
-        careful.restore(fast.model, fast.source_vocabulary,
-                        fast.target_vocabulary, fast.training_losses)
-        return careful
-
-    @classmethod
-    def from_projection(cls, shard_id: int, databases: tuple[str, ...],
-                        master: SchemaRouter,
-                        num_beams: int | None = None,
-                        escalation_num_beams: int | None = None) -> "ShardWorker":
-        """``master`` projected onto ``databases`` at the given beam budgets
-        (``escalation_num_beams`` adds the careful tier)."""
-        router = project_router(master, databases, num_beams=num_beams)
-        return cls(shard_id, databases, router,
-                   escalation_num_beams=escalation_num_beams)
+        #: The rule's inputs besides the master: every projection, at boot
+        #: and on a rebalance, derives both tiers' searches from them.
+        self.num_shards = num_shards
+        self.careful_tier = careful_tier
+        self.set_databases(databases, master)
 
     # -- request path --------------------------------------------------------
     @property
@@ -138,12 +140,14 @@ class ShardWorker:
 
     # -- rebalance hook ------------------------------------------------------
     def set_databases(self, databases: tuple[str, ...], master: SchemaRouter) -> None:
-        """Re-project this shard onto a new database set (rebalancing): both
-        tiers are rebuilt first and swapped in by one assignment."""
-        router = project_router(master, databases,
-                                num_beams=self.router.config.num_beams)
+        """Project ``master`` onto ``databases`` (at boot, and on a
+        rebalance): both tiers are built first and swapped in by one
+        assignment."""
+        fast, careful = shard_search(master.config, self.num_shards, self.careful_tier)
+        router = project_router(master, databases, fast)
         self.databases = tuple(databases)
-        self.routers = (router, self._careful_router(router))
+        self.routers = (router, None if careful is None
+                        else _restored(router, router.graph, careful))
 
     # -- introspection / lifecycle ------------------------------------------
     def health(self, policy=None):

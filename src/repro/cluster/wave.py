@@ -16,8 +16,9 @@ swaps them lands between waves for this engine, never inside one.
 
 Every inproc fleet decodes this way, however it was booted: projection
 (``from_router``, ``load_cluster``, a rebalance) shares the master model and
-vocabularies by reference and gives every shard one beam budget; a fleet
-that cannot stack fails at construction, or at its next wave after a swap.
+vocabularies by reference and gives every shard one search; a fleet that
+cannot stack fails at construction, or fails its next wave after a swap --
+a failure every replica set counts.
 """
 
 from __future__ import annotations
@@ -92,12 +93,13 @@ class ClusterWaveEngine:
         """
         if careful and not self.has_careful_tier:
             raise ValueError("the fleet has no careful tier")
-        routers = self._routers(careful)
-        with maybe_span(trace, "wave_decode", shards=len(routers),
+        with maybe_span(trace, "wave_decode", shards=len(self.workers),
                         questions=len(questions), careful=careful) as span:
             try:
+                # A shard swapped onto routers that cannot stack fails the
+                # wave like a failed decode: every replica set counts it.
                 answers = route_wave(
-                    routers, questions, max_candidates,
+                    self._routers(careful), questions, max_candidates,
                     traces=None if span is None else [trace.scoped(span)])
             except BaseException:
                 self._note_replicas(ok=False)

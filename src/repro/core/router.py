@@ -86,7 +86,12 @@ class RouterConfig:
 
 @dataclass(frozen=True)
 class SchemaRoute:
-    """One candidate schema produced by the router."""
+    """One candidate schema produced by the router.
+
+    A router's ``score`` is the hypothesis's raw log-probability; a fleet's
+    merged answer carries a pooled softmax weight instead
+    (:func:`merge_route_lists`), so the two compare only through that merge.
+    """
 
     database: str
     tables: tuple[str, ...]
@@ -151,7 +156,9 @@ def merge_route_lists(route_lists: Iterable[Sequence["SchemaRoute | RouteRow"]],
     :func:`normalize_route_scores`, sorted by ``(-weight, database, tables)``,
     and deduplicated per database keeping the best-weighted entry.  With
     disjoint shard catalogs the dedup is a no-op; it guards against
-    overlapping assignments.  This runs per question on every cluster gather,
+    overlapping assignments.  The merged routes score pooled weights, not the
+    log-probabilities they were read with, so a monolith's answers compare to
+    a fleet's as ``merge_route_lists([routes])``.  This runs per question on every cluster gather,
     so a ``SchemaRoute`` is built only for each of the first
     ``max_candidates`` survivors (``0`` merges to ``[]``).
     """

@@ -184,9 +184,9 @@ def main(argv: list[str] | None = None) -> int:
 
         service = RoutingService.from_checkpoint(args.checkpoint)
     else:
-        from repro.cluster import ClusterRoutingService
+        from repro.cluster import load_cluster
 
-        service = ClusterRoutingService.from_checkpoint(args.cluster_checkpoint)
+        service = load_cluster(args.cluster_checkpoint)
     monitor = Monitor(service, specs=_load_specs(args.slo),
                       interval_seconds=args.interval)
     server = OpsServer(monitor, host=args.host, port=args.port,

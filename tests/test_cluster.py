@@ -26,6 +26,7 @@ from repro.cluster import (
     project_router,
     save_cluster,
 )
+from repro.cluster.shard import shard_search
 from repro.core import (
     RouterConfig,
     SchemaGraph,
@@ -179,13 +180,15 @@ class TestPartition:
 # -- projection ----------------------------------------------------------------
 class TestProjection:
     def test_projected_router_stays_inside_its_shard(self, master_router):
-        shard = project_router(master_router, ("world_atlas", "book_library"))
+        shard = project_router(master_router, ("world_atlas", "book_library"),
+                               master_router.config)
         for question in QUESTIONS:
             for route in shard.route(question):
                 assert route.database in ("world_atlas", "book_library")
 
     def test_projection_shares_the_master_model(self, master_router):
-        shard = project_router(master_router, ("concert_hall",), num_beams=2)
+        search = master_router.config.ablated(num_beams=2, beam_groups=1)
+        shard = project_router(master_router, ("concert_hall",), search)
         assert shard.model is master_router.model
         assert shard.config.num_beams == 2
 
@@ -207,21 +210,23 @@ class TestProjection:
                         == sorted(worker.databases)
 
     def test_empty_projection_routes_nowhere(self, master_router):
-        shard = project_router(master_router, ())
+        shard = project_router(master_router, (), master_router.config)
         assert shard.route(QUESTIONS[0]) == []
 
     def test_projection_errors(self, master_router):
         with pytest.raises(ValueError, match="untrained"):
-            project_router(SchemaRouter(graph=master_router.graph), ("world_atlas",))
+            project_router(SchemaRouter(graph=master_router.graph), ("world_atlas",),
+                           master_router.config)
         with pytest.raises(ValueError, match="not in the master catalog"):
-            project_router(master_router, ("mystery_db",))
+            project_router(master_router, ("mystery_db",), master_router.config)
 
     def test_a_beam_budget_projects_plain_beams(self, master_router):
-        """A budget decodes that many beams in one group; without one the
-        projection keeps the master's search (8 beams in 4 groups)."""
-        plain = project_router(master_router, ("concert_hall",), num_beams=6)
+        """A projection decodes the search it is given: 6 plain beams in one
+        group, or the master's own 8 beams in 4 groups."""
+        search = master_router.config.ablated(num_beams=6, beam_groups=1)
+        plain = project_router(master_router, ("concert_hall",), search)
         assert (plain.config.num_beams, plain.config.beam_groups) == (6, 1)
-        kept = project_router(master_router, ("concert_hall",))
+        kept = project_router(master_router, ("concert_hall",), master_router.config)
         assert (kept.config.num_beams, kept.config.beam_groups) == (8, 4)
 
 
@@ -234,7 +239,7 @@ def _forbid_workers(monkeypatch) -> None:
     def built(*args, **kwargs):
         raise AssertionError("a shard worker was built")
 
-    monkeypatch.setattr(ShardWorker, "from_projection", built)
+    monkeypatch.setattr(ShardWorker, "__init__", built)
     monkeypatch.setattr(ProcShardWorker, "__init__", built)
 
 
@@ -247,23 +252,43 @@ class TestDerivedBeamBudgets:
             "quarantine_seconds", "enable_cache",
             "cache_size", "cache_ttl_seconds", "enable_tracing"}
 
-    @pytest.mark.parametrize("threshold, fast, careful",
-                             [(0.8, 1, 4), (None, 4, None)])
-    def test_derived_budgets_reach_every_shard(self, master_router, threshold,
-                                               fast, careful):
-        """8 master beams over 2 shards: 1 fast and 4 careful beams under the
-        cascade, 4 without it, always in one group."""
-        config = ClusterConfig(num_shards=2, escalation_threshold=threshold)
-        assert config.shard_beams_for(master_router) == fast
-        assert config.escalation_beams_for(master_router) == careful
+    @pytest.mark.parametrize("num_shards, threshold, searches", [
+        (1, 0.8, [(1, 1), (8, 4)]), (1, None, [(8, 4)]),
+        (2, 0.8, [(1, 1), (4, 1)]), (2, None, [(4, 1)]),
+        (4, 0.8, [(1, 1), (2, 1)]), (4, None, [(2, 1)]),
+    ])
+    def test_derived_budgets_reach_every_shard(self, master_router, num_shards,
+                                               threshold, searches):
+        """The master searches 8 beams in 4 groups.  One shard decodes that
+        very search in its single pass or its careful tier; over more shards
+        a shard decodes plain beams -- 1 fast and ``max(2, 8 // n)`` careful
+        under the cascade, ``max(1, 8 // n)`` without it."""
+        config = ClusterConfig(num_shards=num_shards, escalation_threshold=threshold)
+        fast, careful = shard_search(master_router.config, num_shards,
+                                     careful_tier=threshold is not None)
+        assert [(search.num_beams, search.beam_groups) for search in (fast, careful)
+                if search is not None] == searches
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             for replica_set in cluster.shards:
                 worker = replica_set.workers[0]
-                searches = [(router.config.num_beams, router.config.beam_groups)
-                            for router in worker.routers if router is not None]
-                assert searches == [(beams, 1) for beams in (fast, careful)
-                                    if beams is not None]
+                assert worker.router.config == fast
+                assert (None if worker.careful_router is None
+                        else worker.careful_router.config) == careful
             assert cluster.submit(QUESTIONS[0])
+
+    @pytest.mark.parametrize("backend", ["inproc", "subprocess"])
+    def test_a_one_shard_fleet_is_the_merged_monolith(self, master_router, backend):
+        """A fleet of one shard without the cascade decodes the master's own
+        diverse search: its answers are the master's, merged --
+        ``float.hex``-equal, score for score."""
+        expected = [merge_route_lists(
+            [routes], max_candidates=master_router.default_max_candidates)
+            for routes in master_router.route_batch(QUESTIONS)]
+        config = ClusterConfig(num_shards=1, escalation_threshold=None,
+                               worker_backend=backend)
+        with ClusterRoutingService.from_router(master_router, config) as fleet:
+            assert _hex_signatures(fleet.submit_many(QUESTIONS)) \
+                == _hex_signatures(expected)
 
     def _saved(self, master_router, tmp_path):
         with ClusterRoutingService.from_router(
@@ -547,8 +572,8 @@ class TestDispatcher:
 class TestReplicaSet:
     def _workers(self, master_router, count: int = 2) -> list[ShardWorker]:
         return [
-            ShardWorker.from_projection(0, ("concert_hall", "world_atlas"),
-                                        master_router, num_beams=2)
+            ShardWorker(0, ("concert_hall", "world_atlas"), master_router,
+                        num_shards=4)
             for _ in range(count)
         ]
 

@@ -123,7 +123,7 @@ def test_a_served_session_imports_nothing(shard, tmp_path):
             return [self.python_executable, "-c", _SPY_WORKER, str(report_path),
                     *super()._command()[3:]]
 
-    with SpiedWorker(0, *shard, escalation_num_beams=4) as worker:
+    with SpiedWorker(0, *shard, num_shards=2, careful_tier=True) as worker:
         assert all(worker.route_batch(list(QUESTIONS[:4])))          # a fast wave
         assert all(worker.route_batch(list(QUESTIONS[:4]), careful=True))
         assert worker.stats()["shard_id"] == 0                       # stats_request

@@ -99,11 +99,6 @@ def cluster_checkpoint(master_router, tmp_path_factory):
     return path
 
 
-#: The fast tier's beam budget ``ClusterConfig.shard_beams_for`` derives
-#: under the default escalation cascade: what the fixture fleet's shards run.
-SHARD_BEAMS = {"num_beams": 1}
-
-
 def _databases(cluster_checkpoint, shard_id: int = 0) -> tuple[str, ...]:
     manifest = load_cluster_manifest(cluster_checkpoint)
     return tuple(manifest["assignment"]["shards"][shard_id])
@@ -112,15 +107,13 @@ def _databases(cluster_checkpoint, shard_id: int = 0) -> tuple[str, ...]:
 def _proc_worker(cluster_checkpoint, **kwargs) -> ProcShardWorker:
     """Shard 0 of the saved cluster in a worker process."""
     return ProcShardWorker(0, cluster_checkpoint / "master",
-                           _databases(cluster_checkpoint), **SHARD_BEAMS, **kwargs)
+                           _databases(cluster_checkpoint), num_shards=2, **kwargs)
 
 
-def _local_worker(cluster_checkpoint,
-                  escalation_num_beams: int | None = None) -> ShardWorker:
+def _local_worker(cluster_checkpoint, careful_tier: bool = False) -> ShardWorker:
     """The same shard projected in this process."""
-    return ShardWorker.from_projection(
-        0, _databases(cluster_checkpoint), load_router(cluster_checkpoint / "master"),
-        escalation_num_beams=escalation_num_beams, **SHARD_BEAMS)
+    return ShardWorker(0, _databases(cluster_checkpoint),
+                       load_router(cluster_checkpoint / "master"), 2, careful_tier)
 
 
 def _signature(route_lists):
@@ -154,8 +147,8 @@ class TestProcShardWorker:
             assert worker.databases == _databases(cluster_checkpoint)
 
     def test_routes_bit_identical_to_inproc_worker(self, cluster_checkpoint):
-        local = _local_worker(cluster_checkpoint, escalation_num_beams=4)
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
+        local = _local_worker(cluster_checkpoint, careful_tier=True)
+        with _proc_worker(cluster_checkpoint, careful_tier=True) as worker:
             questions = list(QUESTIONS)
             assert _signature(worker.route_batch(questions, max_candidates=3)) \
                 == _signature(local.route_batch(questions, max_candidates=3))
@@ -308,10 +301,13 @@ class TestRetiredFastBackend:
 
 
 @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-size", "7"],
-                                  ["--cache-ttl-seconds", "1.0"]])
+                                  ["--cache-ttl-seconds", "1.0"],
+                                  ["--num-beams", "2"],
+                                  ["--escalation-num-beams", "2"]])
 def test_a_worker_takes_no_cache_flag(tmp_path, flag):
-    """A worker holds no route cache, so its command line sizes none: the
-    retired flags are a usage error before anything loads."""
+    """A worker holds no route cache, so its command line sizes none, and
+    takes the rule's inputs, never a beam budget: the retired flags are a
+    usage error before anything loads."""
     with pytest.raises(SystemExit) as exit_info:
         worker_main(["--master", str(tmp_path), "--databases", "a", *flag])
     assert exit_info.value.code == 2
@@ -336,9 +332,8 @@ class TestServeLoop:
                        os.fdopen(from_worker_write, "wb", buffering=0)]
         return tuple(self._files)
 
-    def _start(self, cluster_checkpoint,
-               escalation_num_beams: int | None = None, **serve_kwargs):
-        worker = _local_worker(cluster_checkpoint, escalation_num_beams)
+    def _start(self, cluster_checkpoint, careful_tier: bool = False, **serve_kwargs):
+        worker = _local_worker(cluster_checkpoint, careful_tier)
         worker_in, to_worker, from_worker, worker_out = self._pipes()
         self._worker_ends = (worker_in, worker_out)
         thread = threading.Thread(target=serve, args=(worker, worker_in, worker_out),
@@ -407,7 +402,7 @@ class TestServeLoop:
         behind it follow in send order, and a ``ping`` behind them all is
         answered last.  The correlation ids still name every reply."""
         worker, thread, to_worker, from_worker = self._start(
-            cluster_checkpoint, escalation_num_beams=4,
+            cluster_checkpoint, careful_tier=True,
             slow_careful_seconds=0.2)
         try:
             rng = random.Random(7)
@@ -437,7 +432,7 @@ class TestServeLoop:
         acked after all three replies."""
         before = set(threading.enumerate())
         worker, thread, to_worker, from_worker = self._start(
-            cluster_checkpoint, escalation_num_beams=4)
+            cluster_checkpoint, careful_tier=True)
         decoded_on = []
         route_batch = worker.route_batch
         release = threading.Event()
@@ -472,7 +467,7 @@ class TestServeLoop:
         """Graceful drain: a shutdown pipelined behind a slow request is read
         only after that decode has answered, so the ack comes second."""
         worker, thread, to_worker, from_worker = self._start(
-            cluster_checkpoint, escalation_num_beams=4,
+            cluster_checkpoint, careful_tier=True,
             slow_careful_seconds=0.5)
         write_frame(to_worker, {"type": "route_batch_request", "id": 5,
                                 "careful": True, "questions": [QUESTIONS[0]]})
@@ -524,7 +519,7 @@ class TestMultiplexedTransport:
         child decodes them in arrival order, so the careful reply lands
         first -- by the time the fast wave returns, nothing is in flight."""
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "1.0")
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
+        with _proc_worker(cluster_checkpoint, careful_tier=True) as worker:
             careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
             fast = worker.send_route_batch(list(QUESTIONS[:2]))
             assert worker.in_flight == 2
@@ -548,7 +543,7 @@ class TestMultiplexedTransport:
         from repro.obs.health import HealthPolicy
 
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "3.0")
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4,
+        with _proc_worker(cluster_checkpoint, careful_tier=True,
                           control_timeout_seconds=0.5) as worker:
             careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
             report = worker.health(HealthPolicy(heartbeat_max_age_seconds=0.0))
@@ -564,7 +559,7 @@ class TestMultiplexedTransport:
     def test_crash_mid_wave_fails_all_in_flight_then_respawns_clean(
             self, cluster_checkpoint, monkeypatch):
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "5.0")
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4) as worker:
+        with _proc_worker(cluster_checkpoint, careful_tier=True) as worker:
             waits = [worker.send_route_batch([QUESTIONS[0]], careful=True)
                      for _ in range(3)]
             assert worker.in_flight == 3
@@ -583,7 +578,7 @@ class TestMultiplexedTransport:
     def test_timeout_mid_wave_kills_the_worker_and_fails_peers(
             self, cluster_checkpoint, monkeypatch):
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "5.0")
-        with _proc_worker(cluster_checkpoint, escalation_num_beams=4,
+        with _proc_worker(cluster_checkpoint, careful_tier=True,
                           request_timeout_seconds=0.5) as worker:
             victim = worker.process
             errors = []

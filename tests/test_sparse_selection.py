@@ -284,7 +284,7 @@ def test_wave_of_mixed_vocabulary_widths_equals_each_shard_alone(trained):
     in a wave of its shard alone."""
     router, encoded = trained
     databases = list(router.graph.catalog.database_names)
-    shards = [project_router(router, split)
+    shards = [project_router(router, split, router.config)
               for split in (databases[:1], databases[1:])]
     assert all(shard.model is router.model for shard in shards)
     widths = [len(shard.constraint.allowed_ids_for_state(

@@ -43,6 +43,7 @@ from repro.cluster import (
     project_router,
     save_cluster,
 )
+from repro.cluster.shard import shard_search
 from repro.cluster.transport import BINARY_KEY
 from repro.core import (
     RouterConfig,
@@ -311,8 +312,8 @@ class TestLoadedFleetSharesTheMasterTrunk:
 
 class TestOneBootPath:
     """A cluster checkpoint is its master router plus ``cluster.json``, and
-    every shard on either backend is ``ShardWorker.from_projection`` of that
-    master at the beam budgets ``ClusterConfig`` derives."""
+    every shard on either backend is a ``ShardWorker`` projected from that
+    master at the searches of the one rule, ``shard_search``."""
 
     def test_a_checkpoint_is_its_master_and_manifest(self, master_router, tmp_path):
         """``save_cluster`` of an inproc or a subprocess fleet, and the
@@ -348,12 +349,13 @@ class TestOneBootPath:
         config = ClusterConfig(num_shards=2)
         _checkpoint(master_router, tmp_path / "v2")
         old = shutil.copytree(tmp_path / "v2", tmp_path / "v1")
-        beams = config.shard_beams_for(master_router)
+        fast, _ = shard_search(master_router.config, config.num_shards,
+                               careful_tier=True)
         entries = []
         for shard_id, databases in enumerate(
                 json.loads((old / "cluster.json").read_text())["assignment"]["shards"]):
             directory = f"shard-{shard_id:02d}"
-            save_router(project_router(master_router, databases, num_beams=beams),
+            save_router(project_router(master_router, databases, fast),
                         old / directory)
             if era == "sliced":
                 _mark_sliced(old / directory, master_router)
@@ -479,8 +481,10 @@ class TestWhichFleetsScatterThroughThePool:
         config = ClusterConfig(num_shards=2)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
-            first.routers = (project_router(master_router, first.databases,
-                                            num_beams=3), first.careful_router)
+            first.routers = (project_router(
+                master_router, first.databases,
+                master_router.config.ablated(num_beams=3, beam_groups=1)),
+                first.careful_router)
             with pytest.raises(ValueError, match="uniform shard decode"):
                 ClusterRoutingService(cluster.shards, cluster.assignment,
                                       config=config)
@@ -493,7 +497,7 @@ class TestWhichFleetsScatterThroughThePool:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
-                                      num_beams=first.router.config.num_beams)
+                                      first.router.config)
             stranger.restore(copy.deepcopy(master_router.model),
                              master_router.source_vocabulary,
                              master_router.target_vocabulary)
@@ -506,14 +510,16 @@ class TestWhichFleetsScatterThroughThePool:
             self, master_router):
         """The stacking check runs on every wave's routers: a shard swapped
         onto a copy of the model fails the next wave -- every asked miss
-        counted as an error -- and the restored fleet answers as before."""
+        counted as an error, and the wave counted as a failure on every
+        replica set, so no shard reports ``ok`` -- and the restored fleet
+        answers as before."""
         config = ClusterConfig(num_shards=2, enable_cache=False)
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             expected = _hex(cluster.submit_many(QUESTIONS))
             first = cluster.shards[0].workers[0]
             routers = first.routers
             stranger = project_router(master_router, first.databases,
-                                      num_beams=first.router.config.num_beams)
+                                      first.router.config)
             stranger.restore(copy.deepcopy(master_router.model),
                              master_router.source_vocabulary,
                              master_router.target_vocabulary)
@@ -525,6 +531,11 @@ class TestWhichFleetsScatterThroughThePool:
             assert "one model object" in str(raised.value.__cause__)
             assert cluster.metrics.counters()["errors"] - errors \
                 == len(set(QUESTIONS))
+            assert [replica_set.stats()["replicas"][0]["failures"]
+                    for replica_set in cluster.shards] == [1, 1]
+            shards = cluster.health().children[:cluster.num_shards]
+            assert [shard.component for shard in shards] == ["shard-0", "shard-1"]
+            assert not any(shard.is_ok for shard in shards)
             first.routers = routers
             assert _hex(cluster.submit_many(QUESTIONS)) == expected
 
@@ -559,7 +570,7 @@ class TestWhichFleetsScatterThroughThePool:
         with ClusterRoutingService.from_router(master_router, config) as cluster:
             first = cluster.shards[0].workers[0]
             stranger = project_router(master_router, first.databases,
-                                      num_beams=first.router.config.num_beams)
+                                      first.router.config)
             vocabularies = {"source_vocabulary": master_router.source_vocabulary,
                             "target_vocabulary": master_router.target_vocabulary}
             vocabularies[copied] = copy.deepcopy(vocabularies[copied])
@@ -581,10 +592,11 @@ class TestWhichFleetsScatterThroughThePool:
         import repro.cluster
 
         assert "sliced_vocabulary" not in ClusterConfig.__dataclass_fields__
-        for function in (project_router, repro.cluster.ShardWorker.from_projection):
+        for function in (project_router, repro.cluster.ShardWorker):
             assert "sliced_vocabulary" not in inspect.signature(function).parameters
         assert not hasattr(repro.cluster, "slice_target_vocabulary")
-        shard = project_router(master_router, master_router.graph.catalog.database_names[:2])
+        shard = project_router(master_router, master_router.graph.catalog.database_names[:2],
+                               master_router.config)
         for retired in ("vocabulary_slice", "rescore_hypotheses"):
             assert not hasattr(shard, retired)
 
