@@ -153,14 +153,16 @@ class ClusterDispatcher:
         if self.wave_engine is not None:
             # The wave engine's single kernel stream IS the scatter.  An
             # engine failure is a whole-wave failure (there is no per-shard
-            # partial gather on this path).
+            # partial gather on this path), so it fails every shard's leg --
+            # one failure per shard, as ``_scatter`` and the replica sets
+            # count it.
             try:
                 return self.wave_engine.route_wave(
                     questions, max_candidates=max_candidates, careful=careful,
                     trace=trace)
             except Exception as error:
                 with self._stats_lock:
-                    self.shard_failures += 1
+                    self.shard_failures += self.num_shards
                 raise ClusterError("wave decode failed") from error
         return self._scatter(self.careful_targets if careful else self.targets,
                              questions, max_candidates, trace)

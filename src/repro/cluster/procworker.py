@@ -117,10 +117,11 @@ def serve(worker: ShardWorker, reader, writer,
         raise ProtocolError(f"expected hello_ack, got {ack.get('type')!r}")
     check_protocol(ack)
     # The worker's one tracer: adopted spans land in its journal
-    # (``stats()["traces"]``) AND travel back in ``route_response.spans`` to
-    # be stitched into the dispatcher's trace.  It starts no trace of its
-    # own; ``adopt`` ignores the disabled flag: a frame carrying a trace id
-    # is the instruction to trace.
+    # (``stats()["traces"]``) AND travel back in ``route_response.spans`` as
+    # positional rows (``TraceContext.span_rows``), to be stitched into the
+    # dispatcher's trace.  It starts no trace of its own; ``adopt`` ignores
+    # the disabled flag: a frame carrying a trace id is the instruction to
+    # trace.
     tracer = Tracer(enabled=False)
 
     def route(message: dict) -> tuple[dict, bytes]:
@@ -151,7 +152,7 @@ def serve(worker: ShardWorker, reader, writer,
                  "routes_binary": descriptor}
         if context is not None:
             context.finish()
-            reply["spans"] = context.span_dicts()
+            reply["spans"] = context.span_rows()
         return reply, segment
 
     while True:
@@ -671,8 +672,9 @@ class ProcShardWorker:
 
         With a ``trace``, a ``wire`` span covers send to reply and is tagged
         with the in-flight depth at send time; the propagation context rides
-        the request frame and the worker's own spans come back in the reply,
-        rebased and stitched under the ``wire`` span."""
+        the request frame and the worker's own spans come back in the reply
+        as positional rows, kept under the ``wire`` span and rebased into it
+        when the trace is read."""
         span = trace.start_span("wire", shard=self.shard_id,
                                 questions=len(questions)) \
             if trace is not None else None

@@ -90,7 +90,10 @@ class ClusterConfig:
     cache_ttl_seconds: float | None = None
     #: Record per-request traces at the cluster's front.  Shards never start
     #: their own traces (the front's context threads through to them), so
-    #: this is the only tracing switch of a cluster.
+    #: this is the only tracing switch of a cluster.  On by default: on a
+    #: subprocess fleet a worker ships its spans back as compact rows that
+    #: the front stitches only when the trace is read (``repro.obs.trace``,
+    #: "Cheap when on", measures a traced ``proc_cold`` wave).
     enable_tracing: bool = True
 
     def __post_init__(self) -> None:

@@ -41,6 +41,16 @@ stays rows until the merge: :func:`route_rows_from_binary`, the one decoder,
 returns ``(score, database, tables)`` tuples, which the merge pools as they
 are; :func:`route_lists_from_binary` wraps it for callers that want
 :class:`~repro.core.router.SchemaRoute` lists.
+
+Protocol 6 ships a traced reply's spans as compact positional rows in the
+``route_response``'s ``spans`` field, one per span, parents first::
+
+    [parent row | null, name, started ns, ended ns, status, error, attributes]
+
+(:meth:`repro.obs.trace.TraceContext.span_rows`; times are integer
+nanoseconds since the worker's root span started).  Protocol 5's span dicts
+-- with a trace id, span ids, a duration and a remote flag on every span --
+are gone: the parent knows the trace id, mints span ids and derives the rest.
 """
 
 from __future__ import annotations
@@ -55,8 +65,9 @@ from typing import BinaryIO, Callable
 from repro.cluster.dispatcher import ClusterError
 from repro.core.router import RouteRow, SchemaRoute, schema_routes
 
-#: Bump on message-shape changes.  The handshake accepts exactly this version.
-PROTOCOL_VERSION = 5
+#: Bump on message-shape changes.  The handshake accepts exactly this version
+#: (6: worker spans travel as positional rows).
+PROTOCOL_VERSION = 6
 
 FRAME_MAGIC = b"RW"
 #: Payload encodings: bare JSON, or a JSON header + opaque binary segment.
@@ -75,6 +86,10 @@ BINARY_KEY = "_binary"
 #: routes is far beyond any real scatter wave; the cap bounds a corrupt or
 #: hostile length prefix).
 MAX_FRAME_BYTES = 16 << 20
+
+#: The compact JSON encoder, built once: ``json.dumps`` with non-default
+#: separators builds a fresh encoder on every call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Every message type either side may legitimately send.
 MESSAGE_TYPES = frozenset({
@@ -122,7 +137,7 @@ def encode_frame(message: dict, *, binary: bytes | None = None,
     if BINARY_KEY in message:
         raise ProtocolError(f"message key {BINARY_KEY!r} is reserved for "
                             "decoded binary segments; pass binary= instead")
-    header = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    header = _encode_json(message).encode("utf-8")
     payload_length = len(header) if binary is None \
         else BINARY_HEADER.size + len(header) + len(binary)
     if payload_length > max_frame_bytes:
@@ -188,8 +203,9 @@ def decode_payload(header: bytes, payload: bytes,
         binary = payload[BINARY_HEADER.size + json_length:]
         payload = payload[BINARY_HEADER.size:BINARY_HEADER.size + json_length]
     try:
-        # json.loads accepts UTF-8 bytes directly: no intermediate str copy.
-        message = json.loads(payload)
+        # Frames are UTF-8 by construction: decoding here spares json.loads
+        # its encoding sniff.
+        message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:
         raise ProtocolError(f"frame payload is not valid JSON: {error}") from error
     if not isinstance(message, dict):

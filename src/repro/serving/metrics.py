@@ -13,7 +13,7 @@ import math
 import threading
 import time
 from collections import Counter, deque
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 #: Histogram bucket upper bounds in seconds (log-spaced, Prometheus-style).
 #: Observations above the last bound land only in the implicit ``+Inf``
@@ -53,6 +53,17 @@ class LatencyRecorder:
             if seconds > self._max_seconds:
                 self._max_seconds = seconds
             self._bucket_counts[bisect.bisect_left(BUCKET_BOUNDS, seconds)] += count
+
+    def record_many(self, samples: list[float]) -> None:
+        """Record each of ``samples`` once, under one lock acquisition."""
+        with self._lock:
+            self._samples.extend(samples)
+            self._count += len(samples)
+            self._total_seconds += sum(samples)
+            self._max_seconds = max(self._max_seconds, *samples)
+            buckets = self._bucket_counts
+            for seconds in samples:
+                buckets[bisect.bisect_left(BUCKET_BOUNDS, seconds)] += 1
 
     @staticmethod
     def _percentile_of(samples: list[float], percent: float) -> float:
@@ -103,6 +114,10 @@ class LatencyRecorder:
             "buckets": buckets,
         }
 
+
+#: Stage observations a registry holds before it files them into their
+#: reservoirs (a read files them at once): bounds the backlog's memory.
+STAGE_BACKLOG = 1024
 
 #: Width of the sliding QPS window, in seconds.
 QPS_WINDOW_SECONDS = 60
@@ -176,6 +191,8 @@ class MetricsRegistry:
         self.latency = LatencyRecorder()
         self._batch_sizes: dict[int, int] = {}
         self._stages: dict[str, LatencyRecorder] = {}
+        #: Stage observations not yet in ``_stages``.
+        self._stage_backlog: list[tuple[str, float]] = []
         self._request_window = WindowedCounter(QPS_WINDOW_SECONDS, clock)
 
     # -- recording -----------------------------------------------------------
@@ -194,15 +211,38 @@ class MetricsRegistry:
         self.latency.record(seconds, count)
 
     def observe_stage(self, name: str, seconds: float) -> None:
-        """Record one duration against a named pipeline stage.
+        """Record one duration against a named pipeline stage."""
+        self.observe_stages(((name, seconds),))
 
-        Stage reservoirs are smaller than the end-to-end one (2048 samples)
-        because a single request contributes to many stages."""
+    def observe_stages(self, observations: Iterable[tuple[str, float]]) -> None:
+        """Record ``(stage name, seconds)`` pairs -- a finished trace's spans.
+
+        They join a backlog under one lock acquisition and reach the stage
+        reservoirs in bulk, once :data:`STAGE_BACKLOG` pairs wait or when the
+        stages are read, so a trace pays one lock and one ``extend``.  Stage
+        reservoirs are smaller than the end-to-end one (2048 samples) because
+        a single request contributes to many stages."""
         with self._lock:
+            self._stage_backlog.extend(observations)
+            if len(self._stage_backlog) >= STAGE_BACKLOG:
+                self._fold_stages_locked()
+
+    def _fold_stages_locked(self) -> None:
+        """Move the backlog into the per-stage reservoirs, each stage's
+        samples in arrival order.  The caller holds ``_lock``."""
+        by_stage: dict[str, list[float]] = {}
+        for name, seconds in self._stage_backlog:
+            samples = by_stage.get(name)
+            if samples is None:
+                by_stage[name] = [seconds]
+            else:
+                samples.append(seconds)
+        self._stage_backlog = []
+        for name, samples in by_stage.items():
             recorder = self._stages.get(name)
             if recorder is None:
                 recorder = self._stages[name] = LatencyRecorder(max_samples=2048)
-        recorder.record(seconds)
+            recorder.record_many(samples)
 
     def observe_batch(self, size: int) -> None:
         with self._lock:
@@ -235,6 +275,7 @@ class MetricsRegistry:
     def stage_summaries(self) -> dict[str, dict]:
         """Per-stage latency summaries, keyed by stage name (sorted)."""
         with self._lock:
+            self._fold_stages_locked()
             stages = sorted(self._stages.items())
         return {name: recorder.summary() for name, recorder in stages}
 

@@ -4,10 +4,10 @@ Everything here runs on injectable fake clocks -- no sleeps, no wall-clock
 flakiness.  The contracts:
 
 * spans nest under the trace root (or an explicit parent), close exactly
-  once, and feed per-stage metrics as they close;
+  once, and feed per-stage metrics when their trace finishes;
 * ``finish()`` force-closes abandoned child spans with an error status, so
   the journal never leaks open traces (the kill-mid-batch guarantee);
-* remote span payloads rebase onto the ``wire`` anchor span and stitch in
+* remote span rows rebase onto the ``wire`` anchor span and stitch in
   under the parent trace id;
 * the journal retains only the N slowest traces, slowest first;
 * ``window_qps`` recovers when fresh load hits a long-idle service while
@@ -18,7 +18,9 @@ flakiness.  The contracts:
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -46,7 +48,8 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.export import main as export_main
-from repro.serving.metrics import QPS_WINDOW_SECONDS, MetricsRegistry
+from repro.obs.trace import stitch_span_rows
+from repro.serving.metrics import QPS_WINDOW_SECONDS, STAGE_BACKLOG, MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,24 @@ class TestTraceContext:
         assert late not in trace.spans()
         assert trace.open_span_count() == 0
 
+    def test_a_finished_trace_is_freed_without_the_cycle_collector(self):
+        """``finish()`` releases each span's hold on its context, so a trace
+        nobody keeps is freed by reference counting: no span <-> context
+        cycle is left for the cyclic collector."""
+        tracer = Tracer(clock=FakeClock(), max_slow_traces=0)
+        trace = tracer.start_trace()
+        with trace.span("encode"):
+            pass
+        trace.start_span("scatter")  # abandoned: force-closed by the finish
+        trace.finish()
+        freed = weakref.ref(trace)
+        gc.disable()
+        try:
+            del trace
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_scoped_view_parents_spans_under_its_anchor(self):
         trace = Tracer(clock=FakeClock()).start_trace()
         with trace.span("escalation") as anchor:
@@ -184,20 +205,17 @@ class TestRemoteStitching:
         clock.advance(4.0)
         wire.end()
 
-        # the worker's clock started near zero: epochs share nothing
-        worker_payloads = [
-            {"trace_id": trace.trace_id, "span_id": "w" * 16, "parent_id": None,
-             "name": "worker", "started": 7.0, "ended": 9.0, "status": "ok",
-             "error": None, "attributes": {"shard": 0}, "remote": False},
-            {"trace_id": trace.trace_id, "span_id": "d" * 16,
-             "parent_id": "w" * 16, "name": "decode", "started": 7.5,
-             "ended": 8.5, "status": "ok", "error": None,
-             "attributes": {"steps": 12}, "remote": False},
+        # the worker's clock shares no epoch with ours.  Rows are [parent
+        # row, name, started, ended, status, error, attributes], times in
+        # integer nanoseconds since the worker's root started.
+        worker_rows = [
+            [None, "worker", 0, 2_000_000_000, "ok", None, {"shard": 0}],
+            [0, "decode", 500_000_000, 1_500_000_000, "ok", None, {"steps": 12}],
         ]
-        added = trace.add_remote_spans(worker_payloads, anchor=wire)
+        assert trace.add_remote_spans(worker_rows, anchor=wire) is None
         trace.finish()
 
-        worker, decode = added
+        worker, decode = added = trace.spans()[-2:]
         assert all(span.remote for span in added)
         assert worker.parent_id == wire.span_id  # parentless hangs off anchor
         assert decode.parent_id == worker.span_id
@@ -206,7 +224,48 @@ class TestRemoteStitching:
         assert worker.duration_seconds == pytest.approx(2.0)  # layout kept
         assert decode.started - worker.started == pytest.approx(0.5)
         assert decode.attributes == {"steps": 12}
+        assert decode.status == "ok" and decode.error is None
         assert {span.trace_id for span in trace.spans()} == {trace.trace_id}
+        assert trace.spans()[-2:] == added  # built once, on the first read
+        # the journal record carries the derived fields the rows left out
+        (record,) = tracer.journal.slowest()
+        by_name = {span["name"]: span for span in record["spans"]}
+        assert by_name["decode"]["remote"] is True
+        assert by_name["decode"]["duration_ms"] == pytest.approx(1000.0)
+        assert by_name["decode"]["parent_id"] == by_name["worker"]["span_id"]
+
+    def test_span_rows_round_trip_a_tree(self):
+        """What a worker ships is what the parent stitches: the tree, names,
+        statuses, errors and attributes of the adopted trace survive
+        ``span_rows`` -> JSON -> ``add_remote_spans``."""
+        clock = FakeClock(start=5.0)
+        child = Tracer(enabled=False, clock=clock).adopt(
+            "t" * 16, "p" * 16, name="worker", shard=1)
+        with child.span("encode", questions=2) as encode:
+            clock.advance(0.25)
+        failed = child.start_span("decode", parent=encode)
+        clock.advance(0.5)
+        failed.end(status="error", error="ValueError: boom")
+        child.finish()
+        rows = json.loads(json.dumps(child.span_rows()))
+        assert rows[0][0] is None  # the adopted root: parent not in the trace
+        assert [row[2:4] for row in rows] == [
+            [0, 750_000_000], [0, 250_000_000], [250_000_000, 750_000_000]]
+        assert [row[1] for row in rows] == ["worker", "encode", "decode"]
+
+        trace = Tracer(clock=FakeClock()).start_trace()
+        wire = trace.start_span("wire")
+        wire.end()
+        trace.add_remote_spans(rows, anchor=wire)
+        worker, stitched_encode, decode = trace.spans()[2:]
+        assert worker.parent_id == wire.span_id
+        assert stitched_encode.parent_id == worker.span_id
+        assert decode.parent_id == stitched_encode.span_id
+        assert worker.attributes == {"shard": 1}
+        assert stitched_encode.attributes == {"questions": 2}
+        assert (decode.status, decode.error) == ("error", "ValueError: boom")
+        assert decode.duration_seconds == pytest.approx(0.5)
+        trace.finish()
 
     def test_adopt_joins_a_trace_even_when_disabled(self):
         """A wire frame carrying a trace id *is* the instruction to trace --
@@ -219,12 +278,35 @@ class TestRemoteStitching:
         assert tracer.journal.completed == 1
 
     def test_garbage_remote_payloads_are_ignored(self):
+        """Rows of any other shape are dropped whole, without raising --
+        including the span dicts protocol 5 shipped -- and a trace holding
+        them reads as if they never came."""
         trace = Tracer(clock=FakeClock()).start_trace()
         wire = trace.start_span("wire")
         wire.end()
-        assert trace.add_remote_spans([], anchor=wire) == []
-        assert trace.add_remote_spans([None, "junk"], anchor=wire) == []
+        garbage = (
+            [],
+            [None, "junk"],
+            [[None, "worker", 0, 2, "ok", None, {}], [None, "short"]],
+            [[1, "worker", 0, 2, "ok", None, {}]],  # a parent row not earlier
+            [{"span_id": "w" * 16, "parent_id": None, "name": "worker",
+              "started": 7.0, "ended": 9.0, "status": "ok", "error": None,
+              "attributes": {}}],
+        )
+        for rows in garbage:
+            assert stitch_span_rows(rows, wire, wire.ended) == []
+            trace.add_remote_spans(rows, anchor=wire)
         trace.finish()
+        assert [span.name for span in trace.spans()] == ["request", "wire"]
+
+    def test_rows_arriving_after_the_finish_are_dropped(self):
+        tracer = Tracer(clock=FakeClock())
+        trace = tracer.start_trace()
+        wire = trace.start_span("wire")
+        trace.finish()
+        trace.add_remote_spans([[None, "worker", 0, 1, "ok", None, {}]],
+                               anchor=wire)
+        assert [span.name for span in trace.spans()] == ["request", "wire"]
 
 
 class TestTraceJournal:
@@ -294,6 +376,21 @@ class TestStageMetrics:
         assert stages["decode"]["p50_ms"] == pytest.approx(40.0)
         assert stages["request"]["p50_ms"] == pytest.approx(50.0)
 
+    def test_stage_observations_are_filed_in_bulk_and_on_read(self):
+        """A finished trace's stages wait in a bounded backlog: a full
+        backlog is filed without any read, and a read files the rest, so the
+        counts are exact either way."""
+        metrics = MetricsRegistry(clock=FakeClock())
+        metrics.observe_stages([("wire", 0.001)] * (STAGE_BACKLOG - 1))
+        assert len(metrics._stage_backlog) == STAGE_BACKLOG - 1
+        metrics.observe_stages([("merge", 0.002), ("wire", 0.001)])
+        assert metrics._stage_backlog == []  # filed at the bound
+        metrics.observe_stage("merge", 0.004)
+        stages = metrics.stage_summaries()
+        assert {name: stage["count"] for name, stage in stages.items()} \
+            == {"wire": STAGE_BACKLOG, "merge": 2}
+        assert stages["merge"]["max_ms"] == pytest.approx(4.0)
+
     def test_remote_spans_do_not_feed_local_stage_metrics(self):
         """The worker already recorded its stages against its own registry;
         double-counting them here would skew the parent's percentiles."""
@@ -304,7 +401,7 @@ class TestStageMetrics:
         clock.advance(1.0)
         wire.end()
         trace.add_remote_spans(
-            [{"name": "decode", "started": 1.0, "ended": 2.0}], anchor=wire)
+            [[None, "decode", 0, 1_000_000_000, "ok", None, {}]], anchor=wire)
         trace.finish()
         assert "decode" not in metrics.stage_summaries()
         assert "wire" in metrics.stage_summaries()

@@ -483,7 +483,9 @@ class TestServeLoop:
     def test_trace_field_comes_back_as_adopted_spans(self, cluster_checkpoint):
         """The child-side wire contract: a ``trace`` payload on the request
         frame makes the worker adopt that trace id and ship its span tree
-        back in ``route_response.spans``."""
+        back in ``route_response.spans`` as positional rows -- ``[parent
+        row, name, started, ended, status, error, attributes]``, no ids, no
+        trace id, no duration, no remote flag."""
         worker, thread, to_worker, from_worker = self._start(cluster_checkpoint)
         try:
             write_frame(to_worker, {
@@ -493,16 +495,19 @@ class TestServeLoop:
             })
             reply = read_frame(from_worker)
             assert reply["type"] == "route_response"
-            spans = reply["spans"]
-            assert {span["trace_id"] for span in spans} == {"t" * 16}
-            by_name = {span["name"]: span for span in spans}
-            assert by_name["worker"]["parent_id"] == "p" * 16
-            assert by_name["worker"]["attributes"]["shard"] == 0
-            worker_id = by_name["worker"]["span_id"]
-            for stage in ("encode", "decode", "parse"):
-                assert by_name[stage]["parent_id"] == worker_id
-                assert by_name[stage]["status"] == "ok"
-            assert by_name["decode"]["attributes"]["steps"] >= 1
+            rows = reply["spans"]
+            assert all(isinstance(row, list) and len(row) == 7 for row in rows)
+            names = [row[1] for row in rows]
+            assert names == ["worker", "encode", "decode", "parse"]
+            worker_row, *stages = rows
+            # the adopted root's parent is the wire span: not in these rows
+            assert worker_row[0] is None
+            assert worker_row[6]["shard"] == 0
+            for parent, name, started, ended, status, error, _ in stages:
+                assert parent == 0  # under the worker row
+                assert (status, error) == ("ok", None)
+                assert worker_row[2] <= started <= ended <= worker_row[3]
+            assert rows[2][6]["steps"] >= 1
         finally:
             write_frame(to_worker, {"type": "shutdown", "id": 99})
             assert read_frame(from_worker)["type"] == "shutdown_ack"
@@ -687,6 +692,113 @@ class TestTracingOverTheWire:
             assert "decode" not in stats["stages"]
         finally:
             sub.close()
+
+    #: The tree of one traced cold wave with every question escalated: each
+    #: span as (its names from the root, remote) -> how many.  Pinned from
+    #: the protocol-5 span dicts; the rows must rebuild exactly this.
+    GOLDEN_TREE = {
+        **{(prefix, False): count for prefix, count in (
+            (("request_wave",), 1),
+            (("request_wave", "merge"), 1),
+            (("request_wave", "escalation"), 1),
+            (("request_wave", "escalation", "merge"), 1))},
+        **{(tier + leg, False): 2 for tier in (
+            ("request_wave",), ("request_wave", "escalation"))
+           for leg in (("scatter",), ("scatter", "wire"))},
+        **{(tier + ("scatter", "wire", "worker") + stage, True): 2
+           for tier in (("request_wave",), ("request_wave", "escalation"))
+           for stage in ((), ("encode",), ("decode",), ("parse",))},
+    }
+    #: What the ``decode`` span of a worker reports.
+    DECODE_KEYS = {"backend", "questions", "mask_cache_hits", "mask_cache_misses",
+                   "constraint_states", "steps", "beam_rows", "live_beams",
+                   "ranked_tokens", "questions_compacted"}
+
+    @staticmethod
+    def _tree(spans: list[dict]) -> dict:
+        by_id = {span["span_id"]: span for span in spans}
+
+        def path(span):
+            parent = by_id.get(span["parent_id"])
+            return (path(parent) if parent is not None else ()) + (span["name"],)
+
+        tree: dict = {}
+        for span in spans:
+            key = (path(span), span["remote"])
+            tree[key] = tree.get(key, 0) + 1
+        return tree
+
+    def test_a_traced_cold_wave_keeps_its_tree(self, cluster_checkpoint):
+        """Golden: the names, parent links, remote flags and decode counters
+        of a traced subprocess wave, every remote window inside its wire."""
+        sub = load_cluster(cluster_checkpoint,
+                           config=ClusterConfig(worker_backend="subprocess"))
+        try:
+            sub.dispatcher.escalation_threshold = 1.0
+            sub.submit_many(QUESTIONS)
+            (record,) = sub.tracer.journal.slowest()
+        finally:
+            sub.close()
+        spans = record["spans"]
+        assert self._tree(spans) == self.GOLDEN_TREE
+        assert {span["trace_id"] for span in spans} == {record["trace_id"]}
+        assert all(span["status"] == "ok" and span["error"] is None
+                   for span in spans)
+        for span in spans:
+            if span["name"] == "decode":
+                assert set(span["attributes"]) == self.DECODE_KEYS
+                assert span["attributes"]["questions"] == len(QUESTIONS)
+        by_id = {span["span_id"]: span for span in spans}
+        for span in spans:
+            if not span["remote"]:
+                continue
+            wire = span
+            while wire["name"] != "wire":
+                wire = by_id[wire["parent_id"]]
+            assert wire["started"] <= span["started"] <= span["ended"] \
+                <= wire["ended"]
+
+    def test_tracing_does_not_move_an_answer(self, cluster_checkpoint):
+        """The same questions answer ``float.hex``-identically traced and
+        untraced, through the same workers."""
+        sub = load_cluster(cluster_checkpoint, config=ClusterConfig(
+            worker_backend="subprocess", enable_cache=False))
+        try:
+            answers = {}
+            for enabled in (True, False, True):
+                sub.tracer.enabled = enabled
+                answers.setdefault(enabled, []).append(
+                    [[(route.database, route.tables, route.score.hex())
+                      for route in routes] for routes in sub.submit_many(QUESTIONS)])
+            assert sub.tracer.journal.completed == 2
+        finally:
+            sub.close()
+        assert answers[True][0] == answers[False][0] == answers[True][1]
+
+    def test_stage_metrics_count_every_local_span_once(self, cluster_checkpoint):
+        """Conservation: each stage's count is the number of *local* spans of
+        that name over the finished traces; remote spans count toward none."""
+        sub = load_cluster(cluster_checkpoint, config=ClusterConfig(
+            worker_backend="subprocess", enable_cache=False))
+        try:
+            sub.tracer.journal.max_slow_traces = 64  # retain every trace
+            for start in range(0, len(QUESTIONS), 3):
+                sub.submit_many(QUESTIONS[start:start + 3])
+            records = sub.tracer.journal.slowest()
+            stages = sub.stats()["stages"]
+        finally:
+            sub.close()
+        assert len(records) == 3
+        local: dict[str, int] = {}
+        remote: set[str] = set()
+        for record in records:
+            for span in record["spans"]:
+                if span["remote"]:
+                    remote.add(span["name"])
+                else:
+                    local[span["name"]] = local.get(span["name"], 0) + 1
+        assert remote == {"worker", "encode", "decode", "parse"}
+        assert {name: stage["count"] for name, stage in stages.items()} == local
 
     def test_an_adopted_trace_lands_in_the_workers_journal(self, cluster_checkpoint):
         """The worker adopts a wire trace through its service's one tracer,

@@ -66,6 +66,16 @@ class TestFraming:
         {"type": "route_response", "id": 2,
          "routes_binary": {"questions": 2, "routes": 0, "tokens": 0,
                            "strings": []}},
+        # a traced reply: the worker's spans as positional rows -- [parent
+        # row, name, started ns, ended ns, status, error, attributes]
+        {"type": "route_response", "id": 4,
+         "routes_binary": {"questions": 1, "routes": 0, "tokens": 0,
+                           "strings": []},
+         "spans": [[None, "worker", 0, 81980, "ok", None, {"shard": 0}],
+                   [0, "encode", 14026, 18061, "ok", None, {"questions": 1}],
+                   [0, "decode", 56991, 69226, "error", "ValueError: boom",
+                    {"backend": "vectorized", "steps": 9}],
+                   [0, "parse", 75841, 79182, "ok", None, {}]]},
         {"type": "stats_request", "id": 3},
         {"type": "stats_response", "id": 3, "stats": {"counters": {"requests": 7}}},
         {"type": "ping", "id": 5},
@@ -76,7 +86,8 @@ class TestFraming:
     ]
 
     @pytest.mark.parametrize("message", SAMPLE_MESSAGES,
-                             ids=[m["type"] for m in SAMPLE_MESSAGES])
+                             ids=[m["type"] + ("-spans" if "spans" in m else "")
+                                  for m in SAMPLE_MESSAGES])
     def test_every_message_type_round_trips(self, message):
         assert _read_back(_frame_of(message)) == message
 

@@ -533,6 +533,9 @@ class TestWhichFleetsScatterThroughThePool:
                 == len(set(QUESTIONS))
             assert [replica_set.stats()["replicas"][0]["failures"]
                     for replica_set in cluster.shards] == [1, 1]
+            # ``shard_failures`` means the same on both backends: one failed
+            # wave fails every shard's leg, as the replica sets count it
+            assert cluster.dispatcher.shard_failures == 2
             shards = cluster.health().children[:cluster.num_shards]
             assert [shard.component for shard in shards] == ["shard-0", "shard-1"]
             assert not any(shard.is_ok for shard in shards)
