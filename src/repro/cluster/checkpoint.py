@@ -52,10 +52,12 @@ _ANSWER_OVERRIDES = ("shard_num_beams", "shard_beam_groups", "escalation_num_bea
                      "max_candidates")
 #: ``ClusterConfig`` fields of earlier builds: an old manifest may still carry
 #: them, and loading drops them (``strategy`` named the partitioner of the
-#: saved assignment, which loads as written).
+#: saved assignment, which loads as written; ``cache_ttl_seconds`` aged front
+#: cache entries, which never shaped an answer).
 RETIRED_CONFIG_KEYS = frozenset({"wave_decode", "pipelined_transport",
                                  "sliced_vocabulary", "max_workers",
-                                 "trace_exemplars", "strategy", *_ANSWER_OVERRIDES})
+                                 "trace_exemplars", "strategy", "cache_ttl_seconds",
+                                 *_ANSWER_OVERRIDES})
 
 
 def write_cluster(path: str | Path, master: SchemaRouter, config: ClusterConfig,

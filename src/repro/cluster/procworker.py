@@ -335,8 +335,9 @@ class ProcShardWorker:
         #: ``Popen`` -> ``hello_ack`` seconds of the live child on the injected
         #: clock: what a boot (and so an ``auto_respawn``) holds a wave for.
         self.spawn_seconds = 0.0
-        #: Recent spawn timestamps, for the crash-loop (respawn-velocity)
-        #: probe; bounded, since only the policy window ever matters.
+        #: Recent respawn timestamps (the boot is not one), for the
+        #: crash-loop (respawn-velocity) probe; bounded, since only the
+        #: probe's window ever matters.
         self._respawn_times: deque[float] = deque(maxlen=32)
         self._request_id = 0
         #: Lifecycle lock: spawn / destroy / close / the writer.  Reentrant
@@ -412,7 +413,8 @@ class ProcShardWorker:
                                timeout_seconds=self.spawn_timeout_seconds)
             self.last_reply_at = self._clock()
             self.spawn_seconds = self.last_reply_at - spawn_started
-            self._respawn_times.append(self.last_reply_at)
+            if self.respawns:
+                self._respawn_times.append(self.last_reply_at)
         except TransportTimeoutError as error:
             self._destroy()
             raise ShardTimeoutError(
@@ -743,20 +745,25 @@ class ProcShardWorker:
             "the cluster checkpoint and respawn the worker instead")
 
     # -- introspection ---------------------------------------------------------
-    def health(self, policy=None):
+    def health(self):
         """Liveness, heartbeat age and respawn velocity.
 
         Like :meth:`stats`, this never boots a process as a side effect: a
         dead child reports ``failing`` and leaves respawning to the request
         path (or an operator).  A heartbeat older than
-        ``policy.heartbeat_max_age_seconds`` is re-checked with one ping.
-        The pong queues behind every frame already on the pipe, so a worker
-        that has answered nothing for that long and then misses the ping's
+        ``HEARTBEAT_MAX_AGE_SECONDS`` is re-checked with one ping.  The pong
+        queues behind every frame already on the pipe, so a worker that has
+        answered nothing for that long and then misses the ping's
         ``control_timeout_seconds`` is reported ``failing`` -- and killed by
-        the ping's deadline, like any unanswered request."""
-        from repro.obs.health import HealthPolicy, HealthReport
+        the ping's deadline, like any unanswered request.  The crash-loop
+        budget counts respawns only, never the boot."""
+        from repro.obs.health import (
+            HEARTBEAT_MAX_AGE_SECONDS,
+            MAX_RESPAWNS_IN_WINDOW,
+            RESPAWN_WINDOW_SECONDS,
+            HealthReport,
+        )
 
-        policy = policy or HealthPolicy()
         report = HealthReport(component=f"shard-{self.shard_id}-procworker")
         report.details.update(pid=self.pid, respawns=self.respawns,
                               timeouts=self.timeouts, crashes=self.crashes,
@@ -770,18 +777,16 @@ class ProcShardWorker:
             return report
         now = self._clock()
         recent = sum(1 for at in self._respawn_times
-                     if now - at <= policy.respawn_window_seconds)
+                     if now - at <= RESPAWN_WINDOW_SECONDS)
         report.details["recent_respawns"] = recent
-        # The boot spawn is expected; only respawns *beyond* the first count
-        # against the crash-loop budget.
-        if recent - 1 > policy.max_respawns_in_window:
+        if recent > MAX_RESPAWNS_IN_WINDOW:
             report.degrade("degraded",
-                           f"{recent - 1} respawns in the last "
-                           f"{policy.respawn_window_seconds:g}s (crash loop)")
+                           f"{recent} respawns in the last "
+                           f"{RESPAWN_WINDOW_SECONDS:g}s (crash loop)")
         age = now - self.last_reply_at if self.last_reply_at is not None else None
         report.details["heartbeat_age_seconds"] = (
             round(age, 3) if age is not None else None)
-        if age is not None and age > policy.heartbeat_max_age_seconds:
+        if age is not None and age > HEARTBEAT_MAX_AGE_SECONDS:
             try:
                 seconds = self.ping(self.control_timeout_seconds, ensure=False)
             except (ClusterError, ProtocolError, RuntimeError):

@@ -162,7 +162,7 @@ class ReplicaSet:
         for replica in self._replicas:
             replica.worker.set_databases(databases, master)
 
-    def health(self, policy=None):
+    def health(self):
         """Quarantine fraction plus every replica worker's own verdict.
 
         Some replicas quarantined means the shard serves with reduced
@@ -183,7 +183,7 @@ class ReplicaSet:
             own.degrade("degraded",
                         f"{quarantined} of {len(self._replicas)} replicas "
                         f"quarantined")
-        children = [replica.worker.health(policy) for replica in self._replicas]
+        children = [replica.worker.health() for replica in self._replicas]
         return rollup(f"shard-{self.shard_id}", children, own=own)
 
     def stats(self) -> dict:

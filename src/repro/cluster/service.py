@@ -39,12 +39,7 @@ from repro.cluster.partition import ShardAssignment, partition_catalog
 from repro.cluster.replica import ReplicaSet
 from repro.cluster.shard import ShardWorker
 from repro.cluster.wave import ClusterWaveEngine
-from repro.obs.health import (
-    HealthPolicy,
-    HealthReport,
-    dispatcher_health,
-    rollup,
-)
+from repro.obs.health import HealthReport, dispatcher_health, rollup
 from repro.serving.metrics import QPS_WINDOW_SECONDS, WindowedCounter
 from repro.serving.service import RoutingService, ServingConfig
 
@@ -87,7 +82,6 @@ class ClusterConfig:
     #: answers).
     enable_cache: bool = True
     cache_size: int = 2048
-    cache_ttl_seconds: float | None = None
     #: Record per-request traces at the cluster's front.  Shards never start
     #: their own traces (the front's context threads through to them), so
     #: this is the only tracing switch of a cluster.  On by default: on a
@@ -137,11 +131,11 @@ class ClusterRoutingService:
 
     Every request enters through :attr:`front`, a :class:`RoutingService`
     over the dispatcher: its route cache, the fleet's only one, holds
-    merged answers (``stats()["cache"]``; sized and aged by
-    ``cache_size`` / ``cache_ttl_seconds``), so a repeated question -- a
-    needy one included -- costs no scatter of either tier.  Its validity is
-    the catalog's: :meth:`bump_catalog_version` -- the one hook every
-    catalog change already ends in -- stales all of it.
+    merged answers (``stats()["cache"]``; sized by ``cache_size``), so a
+    repeated question -- a needy one included -- costs no scatter of either
+    tier.  Its validity is the catalog's alone: :meth:`bump_catalog_version`
+    -- the one hook every catalog change already ends in -- stales all of
+    it, and an entry never ages.
     """
 
     def __init__(self, shards: Sequence[ReplicaSet], assignment: ShardAssignment,
@@ -182,7 +176,6 @@ class ClusterRoutingService:
         self.front = RoutingService(self.dispatcher, ServingConfig(
             enable_cache=self.config.enable_cache,
             cache_size=self.config.cache_size,
-            cache_ttl_seconds=self.config.cache_ttl_seconds,
             enable_tracing=self.config.enable_tracing))
         self.metrics, self.tracer = self.front.metrics, self.front.tracer
         # Routed-load window: merged top-1 answers per second, labelled by
@@ -369,7 +362,7 @@ class ClusterRoutingService:
         snapshot["shards"] = shard_stats
         return snapshot
 
-    def health(self, policy: HealthPolicy | None = None) -> HealthReport:
+    def health(self) -> HealthReport:
         """One cluster verdict, rolled up bottom-up.
 
         The cluster's own probes are its front's -- error rate, decode
@@ -379,17 +372,16 @@ class ClusterRoutingService:
         rollup precedence, one ``failing`` shard degrades the cluster
         verdict, and only every shard failing fails it outright.
         """
-        policy = policy or HealthPolicy()
         if self._closed:
             own = HealthReport(component="cluster")
             own.degrade("failing", "cluster service is closed")
             return own
-        own = self.front.health(policy)
+        own = self.front.health()
         dispatcher = self.dispatcher.stats()  # rates over what reached it
-        dispatcher_health(own, dispatcher, dispatcher["questions"], policy)
+        dispatcher_health(own, dispatcher, dispatcher["questions"])
         own.details["num_shards"] = self.num_shards
         own.details["worker_backend"] = self.config.worker_backend
-        children = [replica_set.health(policy) for replica_set in self._shards]
+        children = [replica_set.health() for replica_set in self._shards]
         return rollup("cluster", children, own=own)
 
     # -- lifecycle -----------------------------------------------------------

@@ -150,7 +150,7 @@ class ShardWorker:
                         else _restored(router, router.graph, careful))
 
     # -- introspection / lifecycle ------------------------------------------
-    def health(self, policy=None):
+    def health(self):
         """A projected router has nothing to probe: the shard's verdict is
         its replica set's quarantine state."""
         from repro.obs.health import HealthReport

@@ -10,9 +10,9 @@ merge, escalation -- as a tree of spans per request:
 * :mod:`repro.obs.export` -- zero-dependency renderers turning any
   ``stats()`` snapshot into Prometheus text format or JSON lines, plus the
   ``python -m repro.obs.export`` CLI;
-* :mod:`repro.obs.health` -- :class:`HealthReport` /
-  :class:`HealthPolicy` and the stats-dict probes behind every layer's
-  ``health()``, rolled up bottom-up into one verdict;
+* :mod:`repro.obs.health` -- :class:`HealthReport`, the threshold
+  constants and the stats-dict probes behind every layer's ``health()``,
+  rolled up bottom-up into one verdict;
 * :mod:`repro.obs.slo` -- declarative :class:`SloSpec`s, the multi-window
   burn-rate :class:`SloEngine`, the deduplicating :class:`AlertJournal`,
   and EWMA stage-latency baselines;
@@ -39,7 +39,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "distinct_traces": "repro.obs.trace",
     "maybe_span": "repro.obs.trace",
     "stage_spans": "repro.obs.trace",
-    "HealthPolicy": "repro.obs.health",
     "HealthReport": "repro.obs.health",
     "worst_status": "repro.obs.health",
     "flatten_snapshot": "repro.obs.export",

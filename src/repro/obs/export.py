@@ -32,7 +32,7 @@ Sample = tuple[str, dict, float]
 #: these — or living under a ``counters`` dict — are typed ``counter`` in
 #: the Prometheus rendering; everything else stays a ``gauge``.
 _MONOTONIC_LEAVES = frozenset({
-    "hits", "misses", "evictions", "expirations", "invalidations",
+    "hits", "misses", "evictions", "invalidations",
     "completed", "errors", "failovers", "successes", "failures",
     "escalations", "questions",
     "shard_failures", "shards_timed_out", "partial_gathers",

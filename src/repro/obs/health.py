@@ -13,10 +13,11 @@ verdict follows a fixed precedence (:func:`rollup`):
 * the parent's own probes can always raise the verdict further, never lower
   it.
 
-Thresholds live in one frozen :class:`HealthPolicy` so operators tune a
-single object instead of per-layer magic numbers.  The probes themselves
-judge plain ``stats()`` dicts — this module imports nothing from the serving
-or cluster layers, so those layers can import it freely.
+Thresholds are one set of module constants that every layer's probes read
+(no layer has numbers of its own, and nothing tunes them per call).  The
+probes themselves judge plain ``stats()`` dicts — this module imports
+nothing from the serving or cluster layers, so those layers can import it
+freely.
 """
 
 from __future__ import annotations
@@ -73,57 +74,42 @@ class HealthReport:
         }
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds the probes judge against — one object, all layers."""
-
-    #: Error-rate (errors / requests) bands; below ``min_requests`` the rate
-    #: is not judged at all (a cold service with one failed request is not
-    #: 100% broken, it is unmeasured).
-    error_rate_degraded: float = 0.01
-    error_rate_failing: float = 0.10
-    min_requests: int = 20
-    #: Route-cache hit-rate floor, judged only after ``cache_min_lookups``
-    #: lookups so a cold cache is never flagged.
-    cache_hit_rate_floor: float = 0.05
-    cache_min_lookups: int = 50
-    #: Version churn: invalidations per lookup above this ratio means the
-    #: catalog version is being bumped faster than the cache can pay off.
-    cache_churn_ratio: float = 0.5
-    #: Questions queued behind a running decode: a burst of concurrent
-    #: callers sharing the next decode is normal, a backlog this deep is
-    #: sustained overload.
-    queue_depth_degraded: int = 16
-    queue_depth_failing: int = 64
-    #: Dispatcher per-question rate ceilings (shard timeouts / escalations,
-    #: both judged against the questions that reached the dispatcher, after
-    #: ``min_requests`` of them).
-    timeout_rate_degraded: float = 0.02
-    timeout_rate_failing: float = 0.25
-    escalation_rate_ceiling: float = 0.75
-    #: A subprocess worker that has not answered anything for this long is
-    #: presumed wedged; the probe re-checks with one ping before judging.
-    #: The child answers frames in arrival order, so the pong waits behind
-    #: every frame already on the pipe: a worker that misses the ping's
-    #: deadline is reported ``failing`` (and killed by that deadline).
-    heartbeat_max_age_seconds: float = 60.0
-    #: Respawn velocity: more than ``max_respawns_in_window`` fresh boots
-    #: inside ``respawn_window_seconds`` is a crash loop, not recovery.
-    respawn_window_seconds: float = 300.0
-    max_respawns_in_window: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.error_rate_degraded <= self.error_rate_failing:
-            raise ValueError("need 0 <= error_rate_degraded <= error_rate_failing")
-        if not 0.0 <= self.timeout_rate_degraded <= self.timeout_rate_failing:
-            raise ValueError("need 0 <= timeout_rate_degraded <= timeout_rate_failing")
-        if self.queue_depth_degraded > self.queue_depth_failing:
-            raise ValueError("queue_depth_degraded must not exceed "
-                             "queue_depth_failing")
-        if self.min_requests < 0 or self.cache_min_lookups < 0:
-            raise ValueError("min_requests / cache_min_lookups must be >= 0")
-        if self.respawn_window_seconds <= 0:
-            raise ValueError("respawn_window_seconds must be positive")
+# -- thresholds: one set, all layers --------------------------------------------
+#: Error-rate (errors / requests) bands; below :data:`MIN_REQUESTS` the rate
+#: is not judged at all (a cold service with one failed request is not 100%
+#: broken, it is unmeasured).
+ERROR_RATE_DEGRADED = 0.01
+ERROR_RATE_FAILING = 0.10
+MIN_REQUESTS = 20
+#: Route-cache hit-rate floor, judged only after :data:`CACHE_MIN_LOOKUPS`
+#: lookups so a cold cache is never flagged.
+CACHE_HIT_RATE_FLOOR = 0.05
+CACHE_MIN_LOOKUPS = 50
+#: Version churn: invalidations per lookup above this ratio means the catalog
+#: version is being bumped faster than the cache can pay off.
+CACHE_CHURN_RATIO = 0.5
+#: Questions queued behind a running decode: a burst of concurrent callers
+#: sharing the next decode is normal, a backlog this deep is sustained
+#: overload.
+QUEUE_DEPTH_DEGRADED = 16
+QUEUE_DEPTH_FAILING = 64
+#: Dispatcher per-question rate ceilings (shard timeouts / escalations, both
+#: judged against the questions that reached the dispatcher, after
+#: :data:`MIN_REQUESTS` of them).
+TIMEOUT_RATE_DEGRADED = 0.02
+TIMEOUT_RATE_FAILING = 0.25
+ESCALATION_RATE_CEILING = 0.75
+#: A subprocess worker that has not answered anything for this long is
+#: presumed wedged; the probe re-checks with one ping before judging.  The
+#: child answers frames in arrival order, so the pong waits behind every
+#: frame already on the pipe: a worker that misses the ping's deadline is
+#: reported ``failing`` (and killed by that deadline).
+HEARTBEAT_MAX_AGE_SECONDS = 60.0
+#: Respawn velocity: more than :data:`MAX_RESPAWNS_IN_WINDOW` respawns (the
+#: boot is not one) inside :data:`RESPAWN_WINDOW_SECONDS` is a crash loop,
+#: not recovery.
+RESPAWN_WINDOW_SECONDS = 300.0
+MAX_RESPAWNS_IN_WINDOW = 3
 
 
 def rollup(component: str, children: list[HealthReport],
@@ -159,30 +145,25 @@ def rollup(component: str, children: list[HealthReport],
 
 
 # -- stats-dict probes ---------------------------------------------------------
-def error_rate_health(report: HealthReport, counters: dict,
-                      policy: HealthPolicy) -> None:
+def error_rate_health(report: HealthReport, counters: dict) -> None:
     """Judge the ``errors`` / ``requests`` counters into ``report``."""
     requests = counters.get("requests", 0)
     errors = counters.get("errors", 0)
     report.details["requests"] = requests
     report.details["errors"] = errors
-    if requests < policy.min_requests:
+    if requests < MIN_REQUESTS:
         return
     rate = errors / requests
     report.details["error_rate"] = round(rate, 4)
-    if rate >= policy.error_rate_failing:
-        report.degrade("failing",
-                       f"error rate {rate:.1%} >= {policy.error_rate_failing:.1%}")
-    elif rate >= policy.error_rate_degraded:
-        report.degrade("degraded",
-                       f"error rate {rate:.1%} >= {policy.error_rate_degraded:.1%}")
+    if rate >= ERROR_RATE_FAILING:
+        report.degrade("failing", f"error rate {rate:.1%} >= {ERROR_RATE_FAILING:.1%}")
+    elif rate >= ERROR_RATE_DEGRADED:
+        report.degrade("degraded", f"error rate {rate:.1%} >= {ERROR_RATE_DEGRADED:.1%}")
 
 
-def cache_health(stats: dict | None, policy: HealthPolicy | None = None,
-                 component: str = "route_cache") -> HealthReport:
+def cache_health(stats: dict | None) -> HealthReport:
     """Judge a :meth:`repro.serving.cache.RouteCache.stats` dict."""
-    policy = policy or HealthPolicy()
-    report = HealthReport(component=component)
+    report = HealthReport(component="route_cache")
     if not stats:
         report.details["enabled"] = False
         return report
@@ -194,36 +175,34 @@ def cache_health(stats: dict | None, policy: HealthPolicy | None = None,
                           hit_rate=stats.get("hit_rate", 0.0),
                           invalidations=invalidations,
                           catalog_version=stats.get("catalog_version", 0))
-    if lookups < policy.cache_min_lookups:
+    if lookups < CACHE_MIN_LOOKUPS:
         return report  # cold cache: unmeasured, not unhealthy
     hit_rate = hits / lookups
-    if hit_rate < policy.cache_hit_rate_floor:
+    if hit_rate < CACHE_HIT_RATE_FLOOR:
         report.degrade("degraded",
                        f"cache hit rate {hit_rate:.1%} below floor "
-                       f"{policy.cache_hit_rate_floor:.1%}")
+                       f"{CACHE_HIT_RATE_FLOOR:.1%}")
     churn = invalidations / lookups
-    if churn > policy.cache_churn_ratio:
+    if churn > CACHE_CHURN_RATIO:
         report.degrade("degraded",
                        f"catalog version churn: {invalidations} invalidations "
                        f"over {lookups} lookups")
     return report
 
 
-def queue_health(report: HealthReport, queue_depth: int,
-                 policy: HealthPolicy) -> None:
+def queue_health(report: HealthReport, queue_depth: int) -> None:
     """Judge a decode backlog (questions queued behind a running decode)
     into ``report``."""
     report.details["queue_depth"] = queue_depth
-    if queue_depth >= policy.queue_depth_failing:
+    if queue_depth >= QUEUE_DEPTH_FAILING:
         report.degrade("failing", f"decode backlog {queue_depth} >= "
-                                  f"{policy.queue_depth_failing} questions")
-    elif queue_depth >= policy.queue_depth_degraded:
+                                  f"{QUEUE_DEPTH_FAILING} questions")
+    elif queue_depth >= QUEUE_DEPTH_DEGRADED:
         report.degrade("degraded", f"decode backlog {queue_depth} >= "
-                                   f"{policy.queue_depth_degraded} questions")
+                                   f"{QUEUE_DEPTH_DEGRADED} questions")
 
 
-def dispatcher_health(report: HealthReport, dispatcher: dict, requests: int,
-                      policy: HealthPolicy) -> None:
+def dispatcher_health(report: HealthReport, dispatcher: dict, requests: int) -> None:
     """Judge dispatcher timeout / escalation counters into ``report``, as
     rates over ``requests``: the questions that reached the dispatcher (a
     front cache hit never does)."""
@@ -232,22 +211,22 @@ def dispatcher_health(report: HealthReport, dispatcher: dict, requests: int,
     escalations = dispatcher.get("escalations", 0)
     report.details.update(shards_timed_out=timed_out, shard_failures=failures,
                           escalations=escalations)
-    if requests < policy.min_requests:
+    if requests < MIN_REQUESTS:
         return
     timeout_rate = timed_out / requests
     report.details["timeout_rate"] = round(timeout_rate, 4)
-    if timeout_rate >= policy.timeout_rate_failing:
+    if timeout_rate >= TIMEOUT_RATE_FAILING:
         report.degrade("failing",
                        f"shard timeout rate {timeout_rate:.1%} >= "
-                       f"{policy.timeout_rate_failing:.1%}")
-    elif timeout_rate >= policy.timeout_rate_degraded:
+                       f"{TIMEOUT_RATE_FAILING:.1%}")
+    elif timeout_rate >= TIMEOUT_RATE_DEGRADED:
         report.degrade("degraded",
                        f"shard timeout rate {timeout_rate:.1%} >= "
-                       f"{policy.timeout_rate_degraded:.1%}")
+                       f"{TIMEOUT_RATE_DEGRADED:.1%}")
     escalation_rate = escalations / requests
     report.details["escalation_rate"] = round(escalation_rate, 4)
-    if escalation_rate > policy.escalation_rate_ceiling:
+    if escalation_rate > ESCALATION_RATE_CEILING:
         report.degrade("degraded",
                        f"escalation rate {escalation_rate:.1%} above ceiling "
-                       f"{policy.escalation_rate_ceiling:.1%} (fast tier "
+                       f"{ESCALATION_RATE_CEILING:.1%} (fast tier "
                        f"confidence has collapsed)")

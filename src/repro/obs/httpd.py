@@ -117,9 +117,10 @@ def _make_handler(monitor: Monitor, prefix: str):
                     self._send_json(200, {"specs": monitor.engine.status(),
                                           "monitor": monitor.summary()})
                 elif path == "/alerts":
-                    self._send_json(200, {"active": monitor.journal.active(),
-                                          "events": monitor.journal.events(),
-                                          "stats": monitor.journal.stats()})
+                    journal = monitor.engine.journal
+                    self._send_json(200, {"active": journal.active(),
+                                          "events": journal.events(),
+                                          "stats": journal.stats()})
                 elif path == "/traces":
                     journal = monitor.service.tracer.journal
                     self._send_json(200, {"stats": journal.stats(),

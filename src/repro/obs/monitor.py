@@ -7,9 +7,13 @@
 1. takes a ``stats()`` snapshot,
 2. computes the bottom-up :class:`~repro.obs.health.HealthReport`,
 3. feeds the snapshot to the :class:`~repro.obs.slo.SloEngine`
-   (fires / resolves burn-rate alerts in the shared journal),
-4. runs the per-stage EWMA baseline tracker and journals any regressions
-   as auto-resolving ``warn`` alerts named ``baseline:<stage>``.
+   (fires / resolves burn-rate alerts in the engine's journal),
+4. runs the per-stage EWMA baseline tracker and files any regressions in
+   the same journal as auto-resolving ``warn`` alerts named
+   ``baseline:<stage>``.
+
+Its settings are the ones the ops daemon sets: the SLO specs (``--slo``)
+and the interval (``--interval``); the clock is injectable for tests.
 
 The loop runs on one daemon thread started with :meth:`start` and stopped
 with a clean, joining :meth:`close`; :meth:`tick` is public so tests (and
@@ -24,14 +28,8 @@ import threading
 import time
 from typing import Callable, Sequence
 
-from repro.obs.health import HealthPolicy, HealthReport
-from repro.obs.slo import (
-    AlertJournal,
-    EwmaBaselineTracker,
-    SloEngine,
-    SloSpec,
-    default_slo_specs,
-)
+from repro.obs.health import HealthReport
+from repro.obs.slo import EwmaBaselineTracker, SloEngine, SloSpec, default_slo_specs
 
 
 class Monitor:
@@ -39,23 +37,15 @@ class Monitor:
 
     def __init__(self, service, specs: Sequence[SloSpec] | None = None,
                  interval_seconds: float = 5.0,
-                 policy: HealthPolicy | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 journal: AlertJournal | None = None,
-                 baseline: EwmaBaselineTracker | None = None,
-                 track_baselines: bool = True) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         if interval_seconds <= 0:
             raise ValueError("interval_seconds must be positive")
         self.service = service
         self.interval_seconds = interval_seconds
-        self.policy = policy or HealthPolicy()
         self._clock = clock
-        self.journal = journal if journal is not None else AlertJournal(clock=clock)
         self.engine = SloEngine(
-            default_slo_specs() if specs is None else list(specs),
-            clock=clock, journal=self.journal)
-        self.baseline = baseline if baseline is not None else (
-            EwmaBaselineTracker() if track_baselines else None)
+            default_slo_specs() if specs is None else specs, clock)
+        self.baseline = EwmaBaselineTracker()
         self.ticks = 0
         self.tick_errors = 0
         self.last_error: str | None = None
@@ -69,10 +59,9 @@ class Monitor:
         """One snapshot → evaluate → journal pass; returns what it stored."""
         try:
             snapshot = self.service.stats()
-            health = self.service.health(self.policy)
+            health = self.service.health()
             events = self.engine.observe(snapshot)
-            if self.baseline is not None:
-                events += self._observe_baselines(snapshot.get("stages") or {})
+            events += self._observe_baselines(snapshot.get("stages") or {})
             latest = {
                 "at": self._clock(),
                 "health": health.to_dict(),
@@ -93,11 +82,12 @@ class Monitor:
 
     def _observe_baselines(self, stages: dict) -> list[dict]:
         """Journal EWMA regressions; resolve the ones that went quiet."""
+        journal = self.engine.journal
         regressions = self.baseline.observe(stages)
         flagged = {f"baseline:{entry['stage']}" for entry in regressions}
         events = []
         for entry in regressions:
-            event = self.journal.fire(
+            event = journal.fire(
                 f"baseline:{entry['stage']}", severity="warn",
                 message=f"stage {entry['stage']} p95 {entry['p95_ms']}ms "
                         f"above EWMA baseline {entry['baseline_ms']}ms "
@@ -105,10 +95,10 @@ class Monitor:
                 value=entry["p95_ms"], target=entry["threshold_ms"])
             if event is not None:
                 events.append(event)
-        for active in self.journal.active():
+        for active in journal.active():
             name = active["name"]
             if name.startswith("baseline:") and name not in flagged:
-                event = self.journal.resolve(
+                event = journal.resolve(
                     name, message="stage p95 back under its baseline threshold")
                 if event is not None:
                     events.append(event)
@@ -118,7 +108,7 @@ class Monitor:
     def check_now(self) -> HealthReport:
         """A fresh health verdict right now — not the last tick's cached one,
         so ``/healthz`` sees a just-killed shard immediately."""
-        return self.service.health(self.policy)
+        return self.service.health()
 
     def service_stats(self) -> dict:
         return self.service.stats()
@@ -141,7 +131,7 @@ class Monitor:
             "tick_errors": tick_errors,
             "last_error": last_error,
             "last_tick_at": latest_at,
-            "alerts": self.journal.stats(),
+            "alerts": self.engine.journal.stats(),
         }
 
     # -- lifecycle -----------------------------------------------------------

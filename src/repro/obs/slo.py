@@ -5,11 +5,11 @@ instrumentation already carries — latency percentiles, the error / request
 counters, route-cache effectiveness, the dispatcher's escalation counter.
 The :class:`SloEngine` is fed ``stats()`` snapshots (by the monitor thread,
 or by hand in tests) and keeps a bounded history of *points*: cumulative
-counter readings plus the latency percentiles at each observation.  From
-those it derives **windowed** rates — counter deltas between now and the
-youngest point at least ``window`` seconds old, latency readings averaged
-over the window — and judges each spec with classic multi-window burn-rate
-logic:
+counter readings plus the latency percentiles at each observation
+(:data:`MAX_POINTS` of them).  From those it derives **windowed** rates —
+counter deltas between now and the youngest point at least ``window``
+seconds old, latency readings averaged over the window — and judges each
+spec with classic multi-window burn-rate logic:
 
 * **fire** when both the fast window (default 60 s) and the slow window
   (default 300 s) burn above their thresholds — the fast window makes the
@@ -21,14 +21,16 @@ Burn is ``value / target`` for upper-bounded objectives (latency, error
 rate, escalation rate) and ``target / value`` for lower-bounded ones (cache
 hit rate), so ``burn >= 1`` always means "out of objective".
 
-Fires and resolves land in a bounded :class:`AlertJournal` that deduplicates
-while an alert is active (repeat fires update the burn and bump a
-``suppressed`` counter instead of appending events).
+Fires and resolves land in the engine's own bounded :class:`AlertJournal`
+(:data:`MAX_EVENTS` events), which deduplicates while an alert is active
+(repeat fires update the burn and bump a ``suppressed`` counter instead of
+appending events).
 
 :class:`EwmaBaselineTracker` covers the signals nobody wrote an SLO for:
 it learns an exponentially-weighted mean/variance per stage-latency p95 and
 flags readings far above their own baseline, producing ``warn``-severity
-regressions the monitor journals like any other alert.
+regressions the monitor files in the engine's journal like any other
+alert.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ SLO_METRICS = {
 #: Cap for the burn of a lower-bounded objective whose observed value is 0
 #: (infinite burn is real but JSON is not the place for ``inf``).
 MAX_BURN = 1e6
+#: Fire / resolve events an :class:`AlertJournal` keeps (oldest dropped).
+MAX_EVENTS = 256
+#: Snapshots an :class:`SloEngine` keeps: at the ops daemon's 5 s interval,
+#: over 40 minutes of history, far past the 300 s slow window.
+MAX_POINTS = 512
+#: :class:`EwmaBaselineTracker`'s smoothing weight, readings before it
+#: judges, and the margin a regression clears: standard deviations above
+#: the mean, and a multiple of it.
+EWMA_ALPHA = 0.2
+EWMA_WARMUP = 5
+EWMA_SIGMA = 3.0
+EWMA_MIN_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -135,13 +149,10 @@ class _Point:
 class AlertJournal:
     """Bounded fire/resolve event log with active-alert deduplication."""
 
-    def __init__(self, max_events: int = 256,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if max_events <= 0:
-            raise ValueError("max_events must be positive")
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
-        self._events: deque[dict] = deque(maxlen=max_events)
+        self._events: deque[dict] = deque(maxlen=MAX_EVENTS)
         self._active: dict[str, dict] = {}
         self.fired = 0
         self.resolved = 0
@@ -207,16 +218,15 @@ class AlertJournal:
 
 
 class SloEngine:
-    """Evaluates :class:`SloSpec`s over a bounded history of snapshots."""
+    """Evaluates :class:`SloSpec`s over a bounded history of snapshots,
+    filing fires and resolves in its own :attr:`journal`."""
 
     def __init__(self, specs: Sequence[SloSpec],
-                 clock: Callable[[], float] = time.monotonic,
-                 max_points: int = 512,
-                 journal: AlertJournal | None = None) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.specs = list(specs)
         self._clock = clock
-        self._points: deque[_Point] = deque(maxlen=max_points)
-        self.journal = journal if journal is not None else AlertJournal(clock=clock)
+        self._points: deque[_Point] = deque(maxlen=MAX_POINTS)
+        self.journal = AlertJournal(clock)
 
     # -- feeding -------------------------------------------------------------
     @staticmethod
@@ -361,23 +371,16 @@ class EwmaBaselineTracker:
     """Flags stage-latency regressions against learned EWMA baselines.
 
     Per stage, an exponentially-weighted mean and variance of the p95
-    reading; a reading is a regression when it exceeds the baseline by both
-    ``sigma`` standard deviations and a ``min_ratio`` multiple (the ratio
-    guard keeps microsecond-scale stages from paging on scheduler noise).
-    The baseline only absorbs the reading *after* judging it, so a step
-    change is flagged before the tracker learns the new normal.
+    reading (weight :data:`EWMA_ALPHA`, judging once :data:`EWMA_WARMUP`
+    readings are in); a reading is a regression when it exceeds the
+    baseline by both :data:`EWMA_SIGMA` standard deviations and an
+    :data:`EWMA_MIN_RATIO` multiple (the ratio guard keeps microsecond-scale
+    stages from paging on scheduler noise).  The baseline
+    only absorbs the reading *after* judging it, so a step change is flagged
+    before the tracker learns the new normal.
     """
 
-    def __init__(self, alpha: float = 0.2, warmup: int = 5,
-                 sigma: float = 3.0, min_ratio: float = 2.0) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        self.alpha = alpha
-        self.warmup = warmup
-        self.sigma = sigma
-        self.min_ratio = min_ratio
+    def __init__(self) -> None:
         self._stages: dict[str, list[float]] = {}  # name -> [mean, var, n]
 
     def observe(self, stage_summaries: dict) -> list[dict]:
@@ -390,9 +393,9 @@ class EwmaBaselineTracker:
                 self._stages[name] = [value, 0.0, 1]
                 continue
             mean, variance, seen = state
-            if seen >= self.warmup:
-                threshold = mean + self.sigma * math.sqrt(variance)
-                if value > threshold and value > mean * self.min_ratio:
+            if seen >= EWMA_WARMUP:
+                threshold = mean + EWMA_SIGMA * math.sqrt(variance)
+                if value > threshold and value > mean * EWMA_MIN_RATIO:
                     regressions.append({
                         "stage": name,
                         "p95_ms": round(value, 3),
@@ -400,8 +403,8 @@ class EwmaBaselineTracker:
                         "threshold_ms": round(threshold, 3),
                     })
             delta = value - mean
-            mean += self.alpha * delta
-            variance = (1 - self.alpha) * (variance + self.alpha * delta * delta)
+            mean += EWMA_ALPHA * delta
+            variance = (1 - EWMA_ALPHA) * (variance + EWMA_ALPHA * delta * delta)
             self._stages[name] = [mean, variance, seen + 1]
         return regressions
 

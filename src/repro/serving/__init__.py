@@ -7,8 +7,8 @@ claim:
 
 * :mod:`repro.serving.checkpoint` -- versioned on-disk router checkpoints
   (JSON manifest + npz weights) so a service boots without retraining;
-* :mod:`repro.serving.cache` -- a thread-safe LRU route cache with TTL and
-  catalog-version invalidation;
+* :mod:`repro.serving.cache` -- a thread-safe LRU route cache whose only
+  invalidation is the catalog version;
 * :mod:`repro.serving.metrics` -- QPS, latency percentiles, batch-size
   histogram;
 * :mod:`repro.serving.service` -- :class:`RoutingService`, the façade wiring

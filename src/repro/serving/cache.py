@@ -1,30 +1,28 @@
-"""Thread-safe LRU route cache with TTL and catalog-version invalidation.
+"""Thread-safe LRU route cache with catalog-version invalidation.
 
 Routing is deterministic given a trained router, so identical questions can be
 served from memory.  Keys are the *normalized* question text (the router's own
 word tokenization), which folds case, punctuation, and whitespace variants of
 the same question onto one entry.
 
-Invalidation happens two ways:
+An entry's validity is the catalog's and nothing else: every entry records
+the cache's catalog version at insert time, and :meth:`RouteCache.bump_version`
+(called when the underlying catalog changes) makes all older entries stale in
+O(1).  An answer never ages -- the router that produced it is deterministic --
+so the cache keeps no clock.
 
-* **TTL** -- entries older than ``ttl_seconds`` are dropped on access;
-* **catalog version** -- every entry records the cache's catalog version at
-  insert time; :meth:`RouteCache.bump_version` (called when the underlying
-  catalog changes) makes all older entries stale in O(1).
-
-An entry is a plain ``(value, version, expires_at)`` tuple, and a wave is one
-pass under the lock: the variant suffix is built once, and hits and misses
-are added to the counters once per wave, so a cache-hot wave costs a dict
-probe and an LRU touch per question.
+An entry is a plain ``(value, version)`` tuple, and a wave is one pass under
+the lock: the variant suffix is built once, and hits and misses are added to
+the counters once per wave, so a cache-hot wave costs a dict probe and an LRU
+touch per question.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.utils.text import tokenize_text
 
@@ -43,23 +41,17 @@ def normalize_question(question: str) -> str:
 class RouteCache:
     """LRU mapping ``normalized question -> routes`` with full hit accounting."""
 
-    def __init__(self, max_size: int = 2048, ttl_seconds: float | None = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, max_size: int = 2048) -> None:
         if max_size <= 0:
             raise ValueError("max_size must be positive")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None to disable)")
         self.max_size = max_size
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
-        #: key -> (value, version, expires_at); expires_at is None without a TTL.
-        self._entries: OrderedDict[str, tuple[object, int, float | None]] = OrderedDict()
+        #: key -> (value, catalog version at insert).
+        self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
         self._lock = threading.Lock()
         self._version = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
         self.invalidations = 0
 
     # -- core operations -----------------------------------------------------
@@ -85,7 +77,6 @@ class RouteCache:
         """
         suffix = self._suffix(variant)
         keys = [normalize_question(question) + suffix for question in questions]
-        now = self._clock() if self.ttl_seconds is not None else None
         entries = self._entries
         values: list[object | None] = []
         hits = 0
@@ -94,17 +85,13 @@ class RouteCache:
             for key in keys:
                 entry = entries.get(key)
                 if entry is not None:
-                    if entry[1] != version:
-                        del entries[key]
-                        self.invalidations += 1
-                    elif now is not None and now >= entry[2]:
-                        del entries[key]
-                        self.expirations += 1
-                    else:
+                    if entry[1] == version:
                         entries.move_to_end(key)
                         hits += 1
                         values.append(entry[0])
                         continue
+                    del entries[key]
+                    self.invalidations += 1
                 values.append(None)
             self.hits += hits
             self.misses += len(keys) - hits
@@ -117,13 +104,10 @@ class RouteCache:
         the cache has since been bumped: an answer computed under an old
         catalog must not be stamped with the new one."""
         key = normalize_question(question) + self._suffix(variant)
-        expires_at = None
-        if self.ttl_seconds is not None:
-            expires_at = self._clock() + self.ttl_seconds
         with self._lock:
             if version is not None and version != self._version:
                 return
-            self._entries[key] = (routes, self._version, expires_at)
+            self._entries[key] = (routes, self._version)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
@@ -160,8 +144,8 @@ class RouteCache:
         the ``hits`` and ``misses`` beside it."""
         with self._lock:
             size, hits, misses = len(self._entries), self.hits, self.misses
-            evictions, expirations = self.evictions, self.expirations
-            invalidations, version = self.invalidations, self._version
+            evictions, invalidations = self.evictions, self.invalidations
+            version = self._version
         return {
             "size": size,
             "max_size": self.max_size,
@@ -169,7 +153,6 @@ class RouteCache:
             "misses": misses,
             "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
             "evictions": evictions,
-            "expirations": expirations,
             "invalidations": invalidations,
             "catalog_version": version,
         }

@@ -210,10 +210,6 @@ class MetricsRegistry:
     def observe_latency(self, seconds: float, count: int = 1) -> None:
         self.latency.record(seconds, count)
 
-    def observe_stage(self, name: str, seconds: float) -> None:
-        """Record one duration against a named pipeline stage."""
-        self.observe_stages(((name, seconds),))
-
     def observe_stages(self, observations: Iterable[tuple[str, float]]) -> None:
         """Record ``(stage name, seconds)`` pairs -- a finished trace's spans.
 

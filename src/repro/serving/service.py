@@ -36,7 +36,6 @@ from typing import Sequence
 from repro.core.router import SchemaRoute, SchemaRouter, candidate_budget
 from repro.obs import Tracer
 from repro.obs.health import (
-    HealthPolicy,
     HealthReport,
     cache_health,
     error_rate_health,
@@ -53,7 +52,6 @@ class ServingConfig:
 
     enable_cache: bool = True
     cache_size: int = 2048
-    cache_ttl_seconds: float | None = None
     #: Record a per-request trace (queue/encode/decode/parse spans).  On by
     #: default: a traced wave's spans cost a few microseconds each, created
     #: and closed, and nothing else (``repro.obs.trace``, "Cheap when on").
@@ -101,8 +99,7 @@ class RoutingService:
                              enabled=self.config.enable_tracing)
         self.cache: RouteCache | None = None
         if self.config.enable_cache:
-            self.cache = RouteCache(max_size=self.config.cache_size,
-                                    ttl_seconds=self.config.cache_ttl_seconds)
+            self.cache = RouteCache(max_size=self.config.cache_size)
         #: Group commit: tickets queued behind the running decode, and
         #: whether some caller is leading one (at most one at a time).
         self._turn = threading.Condition()
@@ -332,22 +329,21 @@ class RoutingService:
         snapshot["traces"] = self.tracer.journal.stats()
         return snapshot
 
-    def health(self, policy: HealthPolicy | None = None) -> HealthReport:
+    def health(self) -> HealthReport:
         """This service's verdict: error rate, decode backlog, route cache.
 
         The report nests one ``route_cache`` child (when caching is on);
         child verdicts follow the rollup precedence in
         :mod:`repro.obs.health`."""
-        policy = policy or HealthPolicy()
         own = HealthReport(component="routing_service")
         if self._closed:
             own.degrade("failing", "service is closed")
             return own
-        error_rate_health(own, self.metrics.counters(), policy)
-        queue_health(own, self.queue_depth(), policy)
+        error_rate_health(own, self.metrics.counters())
+        queue_health(own, self.queue_depth())
         children = []
         if self.cache is not None:
-            children.append(cache_health(self.cache.stats(), policy))
+            children.append(cache_health(self.cache.stats()))
         return rollup("routing_service", children, own=own)
 
     # -- lifecycle -----------------------------------------------------------

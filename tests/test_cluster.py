@@ -250,7 +250,7 @@ class TestDerivedBeamBudgets:
             "num_shards", "worker_backend", "replicas",
             "escalation_threshold", "shard_timeout_seconds", "allow_partial",
             "quarantine_seconds", "enable_cache",
-            "cache_size", "cache_ttl_seconds", "enable_tracing"}
+            "cache_size", "enable_tracing"}
 
     @pytest.mark.parametrize("num_shards, threshold, searches", [
         (1, 0.8, [(1, 1), (8, 4)]), (1, None, [(8, 4)]),

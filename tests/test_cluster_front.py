@@ -26,10 +26,8 @@ from repro.cluster import (
     ClusterRoutingService,
 )
 from repro.core import SchemaRoute
-from repro.obs.health import HealthPolicy
 from repro.obs.slo import SloEngine, SloSpec
 from repro.serving import RoutingService, ServingConfig
-from repro.serving.cache import RouteCache
 from repro.serving.metrics import QPS_WINDOW_SECONDS, MetricsRegistry
 from test_cluster import QUESTIONS, master_router, sender  # noqa: F401  (module fixture)
 from test_serving import SteppedTime, _contended
@@ -127,20 +125,6 @@ class TestFrontOnStubs:
             second[0].clear()  # ... and a cached one
             assert _hex_signature(front.submit_many(["q"])) == expected
             assert len(careful.calls) == 1
-
-    def test_ttl_expiry_under_an_injected_clock(self):
-        now = [0.0]
-        front, _, careful = _cascade()
-        front.cache = RouteCache(ttl_seconds=10.0, clock=lambda: now[0])
-        with front:
-            front.submit_many(["q"])
-            now[0] = 9.0
-            front.submit_many(["q"])
-            assert len(careful.calls) == 1
-            now[0] = 10.0
-            front.submit_many(["q"])
-            assert len(careful.calls) == 2
-            assert front.cache.expirations == 1
 
     def test_lru_bound(self):
         front, _, careful = _cascade(cache_size=2)
@@ -287,10 +271,10 @@ class TestFrontOnFleets:
                     _hex_signature(first)
             assert forgetful.dispatcher.escalations == 2 * count
 
-    def test_cluster_cache_settings_size_and_age_the_front(self, master_router):
-        with _fleet(master_router, cache_size=3, cache_ttl_seconds=60.0) as cluster:
+    def test_cluster_cache_size_sizes_the_front(self, master_router):
+        with _fleet(master_router, cache_size=3) as cluster:
             cache = cluster.front.cache
-            assert (cache.max_size, cache.ttl_seconds) == (3, 60.0)
+            assert cache.max_size == 3
             cluster.submit_many(QUESTIONS)
             assert len(cache) == 3
 
@@ -569,7 +553,7 @@ class TestClusterRoutingLoad:
             assert sum(load["per_database"].values()) == 3
             assert len(load["per_shard"]) == 2
             assert sum(load["per_shard"]) == 3
-            assert cluster.health(HealthPolicy()).status in ("ok", "degraded")
+            assert cluster.health().status in ("ok", "degraded")
 
     def test_front_hits_count_and_the_window_expires(self, master_router,
                                                       monkeypatch):

@@ -36,8 +36,8 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.cluster import ClusterConfig, ClusterRoutingService
+from repro.obs import health
 from repro.obs.health import (
-    HealthPolicy,
     HealthReport,
     cache_health,
     dispatcher_health,
@@ -49,6 +49,7 @@ from repro.obs.health import (
 from repro.obs.httpd import OpsServer
 from repro.obs.monitor import Monitor
 from repro.obs.slo import (
+    MAX_EVENTS,
     AlertJournal,
     EwmaBaselineTracker,
     SloEngine,
@@ -151,16 +152,15 @@ class TestRollupPrecedence:
 class TestProbes:
     def test_error_rate_unjudged_below_min_requests(self):
         report = HealthReport(component="svc")
-        error_rate_health(report, {"requests": 5, "errors": 5}, HealthPolicy())
+        error_rate_health(report, {"requests": 5, "errors": 5})
         assert report.status == "ok"
 
     def test_error_rate_bands(self):
-        policy = HealthPolicy()
         degraded = HealthReport(component="svc")
-        error_rate_health(degraded, {"requests": 100, "errors": 2}, policy)
+        error_rate_health(degraded, {"requests": 100, "errors": 2})
         assert degraded.status == "degraded"
         failing = HealthReport(component="svc")
-        error_rate_health(failing, {"requests": 100, "errors": 20}, policy)
+        error_rate_health(failing, {"requests": 100, "errors": 20})
         assert failing.status == "failing"
 
     def test_cache_cold_is_unmeasured_not_unhealthy(self):
@@ -186,39 +186,32 @@ class TestProbes:
     def test_queue_depth_thresholds(self):
         """The backlog is counted in questions: 16 queued is degraded, 64
         failing."""
-        policy = HealthPolicy()
         ok = HealthReport(component="svc")
-        queue_health(ok, 15, policy)
+        queue_health(ok, 15)
         assert ok.status == "ok"
         assert ok.details == {"queue_depth": 15}
         degraded = HealthReport(component="svc")
-        queue_health(degraded, 16, policy)
+        queue_health(degraded, 16)
         assert degraded.status == "degraded"
         assert degraded.reasons == ["decode backlog 16 >= 16 questions"]
         failing = HealthReport(component="svc")
-        queue_health(failing, 64, policy)
+        queue_health(failing, 64)
         assert failing.status == "failing"
-        with pytest.raises(ValueError, match="queue_depth_degraded"):
-            HealthPolicy(queue_depth_degraded=65)
 
-    @pytest.mark.parametrize("overrides, message", [
-        ({"error_rate_degraded": 0.2, "error_rate_failing": 0.1}, "error_rate"),
-        ({"error_rate_degraded": -0.01}, "error_rate"),
-        ({"timeout_rate_degraded": 0.5, "timeout_rate_failing": 0.25},
-         "timeout_rate"),
-        ({"min_requests": -1}, "min_requests"),
-        ({"cache_min_lookups": -1}, "cache_min_lookups"),
-        ({"respawn_window_seconds": 0.0}, "respawn_window_seconds"),
-    ])
-    def test_an_inconsistent_policy_is_refused(self, overrides, message):
-        with pytest.raises(ValueError, match=message):
-            HealthPolicy(**overrides)
+    def test_the_thresholds_keep_their_invariants(self):
+        """The probes rely on ordered bands, non-negative floors and a
+        respawn window that is a window; an edited constant must keep
+        them."""
+        assert 0.0 <= health.ERROR_RATE_DEGRADED <= health.ERROR_RATE_FAILING
+        assert 0.0 <= health.TIMEOUT_RATE_DEGRADED <= health.TIMEOUT_RATE_FAILING
+        assert health.QUEUE_DEPTH_DEGRADED <= health.QUEUE_DEPTH_FAILING
+        assert health.MIN_REQUESTS >= 0 and health.CACHE_MIN_LOOKUPS >= 0
+        assert health.RESPAWN_WINDOW_SECONDS > 0
 
     def test_dispatcher_timeout_and_escalation_rates(self):
-        policy = HealthPolicy()
         report = HealthReport(component="cluster")
         dispatcher_health(report, {"shards_timed_out": 5, "escalations": 90},
-                          100, policy)
+                          100)
         assert report.status == "degraded"
         assert any("timeout" in reason for reason in report.reasons)
         assert any("escalation" in reason for reason in report.reasons)
@@ -415,14 +408,15 @@ class TestSloEngine:
 class TestAlertJournal:
     def test_dedupe_and_bounds(self):
         clock = FakeClock()
-        journal = AlertJournal(max_events=4, clock=clock)
+        journal = AlertJournal(clock=clock)
         assert journal.fire("a") is not None
         assert journal.fire("a") is None  # active -> suppressed
         assert journal.stats()["suppressed"] == 1
         assert journal.resolve("missing") is None
-        for name in ("b", "c", "d", "e"):
-            journal.fire(name)
-        assert journal.stats()["events"] == 4  # bounded deque
+        for index in range(MAX_EVENTS):
+            journal.fire(f"alert-{index}")
+        assert journal.stats()["events"] == MAX_EVENTS  # bounded deque
+        assert journal.events()[0]["name"] == "alert-0"  # "a" was dropped
 
     def test_resolve_records_active_duration(self):
         clock = FakeClock()
@@ -495,7 +489,7 @@ class TestOverloadDrivesSloAlert:
 
 class TestEwmaBaseline:
     def test_flags_step_change_after_warmup(self):
-        tracker = EwmaBaselineTracker(warmup=5)
+        tracker = EwmaBaselineTracker()
         for _ in range(8):
             assert tracker.observe({"decode": {"p95_ms": 10.0}}) == []
         regressions = tracker.observe({"decode": {"p95_ms": 500.0}})
@@ -503,7 +497,7 @@ class TestEwmaBaseline:
         assert regressions[0]["baseline_ms"] == pytest.approx(10.0, abs=1.0)
 
     def test_quiet_during_warmup_and_on_noise(self):
-        tracker = EwmaBaselineTracker(warmup=5)
+        tracker = EwmaBaselineTracker()
         values = [10.0, 11.0, 9.5, 10.5, 10.0, 10.2, 9.8, 10.1]
         for value in values:
             assert tracker.observe({"encode": {"p95_ms": value}}) == []
@@ -524,7 +518,7 @@ class _StubService:
             raise RuntimeError("stats broke")
         return self.snapshot
 
-    def health(self, policy=None):
+    def health(self):
         return self.report
 
 
@@ -532,7 +526,7 @@ class TestMonitor:
     def test_tick_stores_latest_and_counts(self):
         clock = FakeClock()
         stub = _StubService()
-        monitor = Monitor(stub, specs=[], clock=clock, track_baselines=False)
+        monitor = Monitor(stub, specs=[], clock=clock)
         assert monitor.latest() is None
         latest = monitor.tick()
         assert latest["health"]["status"] == "ok"
@@ -553,8 +547,7 @@ class TestMonitor:
     def test_baseline_regressions_fire_and_resolve_as_warn_alerts(self):
         clock = FakeClock()
         stub = _StubService()
-        monitor = Monitor(stub, specs=[], clock=clock,
-                          baseline=EwmaBaselineTracker(warmup=3))
+        monitor = Monitor(stub, specs=[], clock=clock)
         for _ in range(6):
             stub.snapshot = dict(_snapshot(100), stages={"decode": {"p95_ms": 10.0}})
             monitor.tick()
@@ -572,11 +565,10 @@ class TestMonitor:
                 resolved = True
                 break
         assert resolved
-        assert not monitor.journal.is_active("baseline:decode")
+        assert not monitor.engine.journal.is_active("baseline:decode")
 
     def test_the_summary_shape_is_pinned(self):
-        monitor = Monitor(_StubService(), specs=[], clock=FakeClock(),
-                          track_baselines=False)
+        monitor = Monitor(_StubService(), specs=[], clock=FakeClock())
         before = monitor.summary()
         assert set(before) == {"running", "interval_seconds", "ticks",
                                "tick_errors", "last_error", "last_tick_at",
@@ -586,6 +578,23 @@ class TestMonitor:
         assert monitor.summary()["last_tick_at"] == FakeClock().now
         assert json.loads(json.dumps(monitor.summary())) == monitor.summary()
 
+    def test_the_monitor_takes_only_what_the_ops_daemon_sets(self):
+        """Specs, interval and clock are the monitor's settings; the
+        thresholds, journal, history and baseline knobs are constants, and
+        no shim takes the old arguments."""
+        for knobs in ({"policy": None}, {"journal": None}, {"baseline": None},
+                      {"track_baselines": False}):
+            with pytest.raises(TypeError):
+                Monitor(_StubService(), **knobs)
+        with pytest.raises(TypeError):
+            AlertJournal(max_events=4)
+        with pytest.raises(TypeError):
+            SloEngine([], max_points=4)
+        with pytest.raises(TypeError):
+            EwmaBaselineTracker(warmup=3)
+        with pytest.raises(ImportError):
+            from repro.obs.health import HealthPolicy  # noqa: F401
+
     @pytest.mark.parametrize("interval_seconds", [0.0, -1.0])
     def test_a_non_positive_interval_is_refused(self, interval_seconds):
         with pytest.raises(ValueError, match="interval_seconds"):
@@ -593,8 +602,7 @@ class TestMonitor:
 
     def test_check_now_reads_a_fresh_verdict_not_the_last_tick(self):
         stub = _StubService()
-        monitor = Monitor(stub, specs=[], clock=FakeClock(),
-                          track_baselines=False)
+        monitor = Monitor(stub, specs=[], clock=FakeClock())
         monitor.tick()
         stub.report = HealthReport(component="stub", status="failing")
         assert monitor.check_now().status == "failing"

@@ -385,7 +385,7 @@ class TestStageMetrics:
         assert len(metrics._stage_backlog) == STAGE_BACKLOG - 1
         metrics.observe_stages([("merge", 0.002), ("wire", 0.001)])
         assert metrics._stage_backlog == []  # filed at the bound
-        metrics.observe_stage("merge", 0.004)
+        metrics.observe_stages([("merge", 0.004)])
         stages = metrics.stage_summaries()
         assert {name: stage["count"] for name, stage in stages.items()} \
             == {"wire": STAGE_BACKLOG, "merge": 2}

@@ -71,6 +71,7 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.obs import Tracer, to_prometheus
+from repro.obs.health import HEARTBEAT_MAX_AGE_SECONDS
 from repro.serving.checkpoint import load_router
 
 
@@ -545,13 +546,14 @@ class TestMultiplexedTransport:
         heartbeat's ping goes unanswered, so the worker is reported
         ``failing`` and killed by the ping's deadline; the careful caller
         fails with it and the next request boots a fresh child."""
-        from repro.obs.health import HealthPolicy
-
+        now = [0.0]
         monkeypatch.setenv(SLOW_CAREFUL_ENV, "3.0")
         with _proc_worker(cluster_checkpoint, careful_tier=True,
-                          control_timeout_seconds=0.5) as worker:
+                          control_timeout_seconds=0.5,
+                          clock=lambda: now[0]) as worker:
             careful = worker.send_route_batch([QUESTIONS[0]], careful=True)
-            report = worker.health(HealthPolicy(heartbeat_max_age_seconds=0.0))
+            now[0] = HEARTBEAT_MAX_AGE_SECONDS + 1.0  # the heartbeat is stale
+            report = worker.health()
             assert report.status == "failing"
             assert report.details["in_flight"] == 1
             assert worker.timeouts == 1

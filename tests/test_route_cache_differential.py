@@ -1,11 +1,10 @@
 """``RouteCache`` against a plain reference model, step by step.
 
-The model is an ``OrderedDict`` of ``key -> (value, version, stamped_at)``
-plus a catalog version and a TTL read on the same injected clock.  Random
-sequences of ``put`` (with and without ``version=``), ``get``, ``get_many``
-(repeats and variants), ``bump_version`` and clock advances past the TTL
-drive both; after every step the returned values, the ``keys()`` order and
-all five counters must agree.
+The model is an ``OrderedDict`` of ``key -> (value, version)`` plus a
+catalog version.  Random sequences of ``put`` (with and without
+``version=``), ``get``, ``get_many`` (repeats and variants) and
+``bump_version`` drive both; after every step the returned values, the
+``keys()`` order and all four counters must agree.
 """
 
 from __future__ import annotations
@@ -16,17 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.serving.cache import RouteCache, normalize_question
 
-TTL = 10.0
 MAX_SIZE = 4
 
 
 class ReferenceCache:
     """What a route cache means, with nothing done for speed."""
 
-    def __init__(self, clock) -> None:
-        self.clock, self.version, self.entries = clock, 0, OrderedDict()
+    def __init__(self) -> None:
+        self.version, self.entries = 0, OrderedDict()
         self.counters = dict.fromkeys(
-            ("hits", "misses", "evictions", "expirations", "invalidations"), 0)
+            ("hits", "misses", "evictions", "invalidations"), 0)
 
     @staticmethod
     def key(question, variant):
@@ -36,15 +34,13 @@ class ReferenceCache:
     def get(self, question, variant=None):
         key = self.key(question, variant)
         if key in self.entries:
-            value, version, stamped_at = self.entries[key]
-            stale = ("invalidations" if version != self.version else
-                     "expirations" if self.clock() >= stamped_at + TTL else None)
-            if stale is None:
+            value, version = self.entries[key]
+            if version == self.version:
                 self.entries.move_to_end(key)
                 self.counters["hits"] += 1
                 return value
             del self.entries[key]
-            self.counters[stale] += 1
+            self.counters["invalidations"] += 1
         self.counters["misses"] += 1
         return None
 
@@ -52,19 +48,11 @@ class ReferenceCache:
         if version is not None and version != self.version:
             return
         key = self.key(question, variant)
-        self.entries[key] = (value, self.version, self.clock())
+        self.entries[key] = (value, self.version)
         self.entries.move_to_end(key)
         while len(self.entries) > MAX_SIZE:
             self.entries.popitem(last=False)
             self.counters["evictions"] += 1
-
-
-class Clock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 QUESTIONS = ["How many singers?", "how many SINGERS", "List all cities.",
@@ -77,7 +65,6 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("get"), question, variant),
     st.tuples(st.just("get_many"), st.lists(question, max_size=8), variant),
     st.tuples(st.just("bump"),),
-    st.tuples(st.just("advance"), st.sampled_from([1.0, TTL, TTL + 0.5])),
 ), max_size=40)
 
 
@@ -86,14 +73,11 @@ steps = st.lists(st.one_of(
 # A probe refreshes LRU order; a stale entry is a miss inside a wave too.
 @example([("put", "List all cities.", 1, None, None), ("put", "Count the concerts", 2, None, None),
           ("get", "list all CITIES", None), ("put", "How many singers?", 3, None, None)])
-@example([("put", "List all cities.", 1, 5, None), ("advance", TTL),
-          ("get_many", ["List all cities.", "List all cities."], 5)])
 @example([("put", "List all cities.", 1, 5, "current"), ("bump",),
           ("get_many", ["List all cities.", "List all cities."], 5)])
 def test_route_cache_matches_the_reference_model(steps):
-    clock = Clock()
-    cache = RouteCache(max_size=MAX_SIZE, ttl_seconds=TTL, clock=clock)
-    model = ReferenceCache(clock)
+    cache = RouteCache(max_size=MAX_SIZE)
+    model = ReferenceCache()
     for step in steps:
         kind = step[0]
         if kind == "put":
@@ -107,11 +91,9 @@ def test_route_cache_matches_the_reference_model(steps):
         elif kind == "get_many":
             expected = [model.get(asked, step[2]) for asked in step[1]]
             assert cache.get_many(step[1], step[2]) == expected
-        elif kind == "bump":
+        else:
             model.version += 1
             assert cache.bump_version() == model.version
-        else:
-            clock.now += step[1]
         assert cache.keys() == list(model.entries)
         stats = cache.stats()
         assert {name: stats[name] for name in model.counters} == model.counters

@@ -26,7 +26,7 @@ from repro.core import (
     synthesize_training_data,
 )
 from repro.nn.tokenizer import Vocabulary
-from repro.obs.health import HealthPolicy
+from repro.obs.health import QUEUE_DEPTH_DEGRADED, QUEUE_DEPTH_FAILING
 from repro.schema import Catalog, Column, ColumnType, Database, ForeignKey, Table
 from repro.serving import (
     CheckpointError,
@@ -364,16 +364,6 @@ class TestRouteCache:
         assert cache.get("how   many cities") == "routes"
         assert normalize_question("How many Cities?") == "how many cities"
 
-    def test_ttl_expiration(self):
-        now = [0.0]
-        cache = RouteCache(max_size=4, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("question", "routes")
-        now[0] = 9.9
-        assert cache.get("question") == "routes"
-        now[0] = 10.1
-        assert cache.get("question") is None
-        assert cache.expirations == 1
-
     def test_catalog_version_invalidation(self):
         cache = RouteCache(max_size=4)
         cache.put("question", "routes")
@@ -396,13 +386,10 @@ class TestRouteCache:
 
     def test_get_many_matches_per_question_gets(self):
         """The batched probe returns the same values, with the same hit/miss
-        and TTL accounting, as one ``get`` per question."""
-        now = [0.0]
-        cache = RouteCache(max_size=8, ttl_seconds=10.0, clock=lambda: now[0])
-        cache.put("alpha question", "a")
-        cache.put("beta question", "b")
+        and invalidation accounting, as one ``get`` per question."""
+        cache = RouteCache(max_size=8)
         cache.put("stale question", "old")
-        now[0] = 10.5  # "stale question" is past its TTL; re-insert the rest
+        cache.bump_version()  # "stale question" is stale; insert the rest
         cache.put("alpha question", "a")
         cache.put("beta question", "b")
         values = cache.get_many(["alpha question", "missing question",
@@ -410,7 +397,7 @@ class TestRouteCache:
                                  "ALPHA   Question"])
         assert values == ["a", None, None, "b", "a"]
         assert cache.hits == 3 and cache.misses == 2
-        assert cache.expirations == 1
+        assert cache.invalidations == 1
         # LRU order was refreshed by the batched probe, like get() would
         assert cache.keys()[-1] == normalize_question("ALPHA Question")
 
@@ -527,7 +514,7 @@ class TestMetrics:
         registry.increment("requests", 3)
         registry.observe_batch(3)
         registry.observe_latency(0.01, count=3)
-        registry.observe_stage("decode", 0.004)
+        registry.observe_stages([("decode", 0.004)])
         snapshot = registry.snapshot()
         assert set(snapshot) == {"uptime_seconds", "counters", "qps", "qps_window",
                                  "qps_window_seconds", "latency",
@@ -752,17 +739,20 @@ class TestRoutingService:
 
     def test_the_backlog_feeds_health(self, trained_router):
         """The backlog is the questions queued behind the running decode,
-        and ``health()`` judges it."""
-        policy = HealthPolicy(queue_depth_degraded=2, queue_depth_failing=4)
+        and ``health()`` judges it: 16 queued is degraded, 64 failing."""
         config = ServingConfig(enable_cache=False)
         with RoutingService(trained_router, config) as service:
-            with _contended(service, [functools.partial(service.submit, question)
-                                      for question in _numbered(4)]) as outcomes:
-                report = service.health(policy)
-                assert report.status == "degraded"
-                assert report.details["queue_depth"] == 3
-            assert all(isinstance(outcome, list) for outcome in outcomes.values())
-            assert service.health(policy).status == "ok"
+            for queued, status in ((QUEUE_DEPTH_DEGRADED, "degraded"),
+                                   (QUEUE_DEPTH_FAILING, "failing")):
+                calls = [functools.partial(service.submit, question)
+                         for question in _numbered(1 + queued)]
+                with _contended(service, calls) as outcomes:
+                    report = service.health()
+                    assert report.status == status
+                    assert report.details["queue_depth"] == queued
+                assert all(isinstance(outcome, list)
+                           for outcome in outcomes.values())
+                assert service.health().status == "ok"
 
     def test_submit_after_close_rejected(self, trained_router):
         service = RoutingService(trained_router)
@@ -863,7 +853,7 @@ class TestRoutingService:
     def test_the_config_fields_are_pinned(self):
         """A new knob must show up here as a reviewed diff."""
         assert {field.name for field in fields(ServingConfig)} == {
-            "enable_cache", "cache_size", "cache_ttl_seconds", "enable_tracing"}
+            "enable_cache", "cache_size", "enable_tracing"}
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_a_budget_below_one_is_refused_before_the_cache(self, trained_router,

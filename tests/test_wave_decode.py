@@ -54,7 +54,7 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
-from repro.serving import RoutingService
+from repro.serving import RoutingService, ServingConfig
 from repro.serving.checkpoint import CheckpointError, load_router, save_router
 from test_cluster import QUESTIONS, _cluster_catalog
 
@@ -439,6 +439,24 @@ class TestOneBootPath:
         with load_cluster(tmp_path / "ckpt") as cluster:
             assert cluster.tracer.journal.max_slow_traces == 8
             assert _hex(_serve(cluster, QUESTIONS)) == _hex(expected)
+
+    def test_a_retired_cache_ttl_key_loads_and_never_expires(self, master_router,
+                                                             tmp_path):
+        """``cache_ttl_seconds`` is retired: no config takes it, a manifest
+        carrying it loads, and the front it boots ages no entry -- a second
+        pass is answered from the cache in full."""
+        _checkpoint(master_router, tmp_path / "ckpt")
+        _rewrite(tmp_path / "ckpt" / "cluster.json", lambda manifest:
+                 manifest["config"].update(cache_ttl_seconds=60.0))
+        for config in (ClusterConfig, ServingConfig):
+            with pytest.raises(TypeError):
+                config(cache_ttl_seconds=60.0)
+        with load_cluster(tmp_path / "ckpt") as cluster:
+            first = _serve(cluster, QUESTIONS)
+            assert _serve(cluster, QUESTIONS) == first
+            cache = cluster.stats()["cache"]
+            assert cache["hits"] == len(set(QUESTIONS))
+            assert "expirations" not in cache
 
     def test_a_careful_shard_call_needs_a_careful_tier(self, master_router):
         """No silent fallback: with the cascade off there is no careful tier,

@@ -46,7 +46,11 @@ from repro.cluster.transport import (
     route_lists_to_binary,
 )
 from repro.core.router import SchemaRoute
-from repro.obs.health import HealthPolicy
+from repro.obs.health import (
+    HEARTBEAT_MAX_AGE_SECONDS,
+    MAX_RESPAWNS_IN_WINDOW,
+    RESPAWN_WINDOW_SECONDS,
+)
 
 # -- the net -------------------------------------------------------------------
 #: (frame state, event) -> frame state.  ``settled`` is the only final state.
@@ -611,11 +615,13 @@ def test_a_health_ping_behind_a_route_frame_settles_both_in_order():
     """The probe's ping reads the route reply ahead of its pong: it settles
     the route frame first, then its own, and the route caller's ``wait``
     finds its rows without reading the pipe."""
-    worker = ScriptedWorker()
+    now = [0.0]
+    worker = ScriptedWorker(clock=lambda: now[0])
     child = worker.children[0]
     wait = worker.send_route_batch(["question"])
     request_id = child.reply()
-    report = worker.health(HealthPolicy(heartbeat_max_age_seconds=0.0))
+    now[0] = HEARTBEAT_MAX_AGE_SECONDS + 1.0  # the heartbeat is stale
+    report = worker.health()
     assert report.status == "ok" and "heartbeat_check" in report.details
     assert worker.in_flight == 0
     assert [frame["type"] for frame in child.frames[1:]] == \
@@ -623,4 +629,40 @@ def test_a_health_ping_behind_a_route_frame_settles_both_in_order():
     assert wait() == [[(route.score, route.database, route.tables)
                        for route in routes] for routes in _routes_for(request_id)]
     assert worker.crashes == worker.timeouts == 0
+    worker.close(shutdown_timeout_seconds=WAIT)
+
+
+# -- the crash-loop probe -------------------------------------------------------
+@pytest.mark.parametrize("booted_at", [0.0, 1000.0])
+@pytest.mark.parametrize("respawns", [MAX_RESPAWNS_IN_WINDOW, MAX_RESPAWNS_IN_WINDOW + 1])
+def test_a_respawn_burst_is_judged_the_same_however_long_ago_the_boot(
+        booted_at, respawns):
+    """Respawns, never the boot, count against the crash-loop budget: a
+    burst just past it is ``degraded`` whether the worker booted a second
+    or an age before it, and a burst at the budget is ``ok``."""
+    now = [0.0]
+    worker = ScriptedWorker(clock=lambda: now[0])
+    for step in range(1, respawns + 1):
+        now[0] = booted_at + step
+        worker.respawn()
+    now[0] += 1.0
+    report = worker.health()
+    assert report.details["recent_respawns"] == respawns
+    assert report.status == ("degraded" if respawns > MAX_RESPAWNS_IN_WINDOW
+                             else "ok")
+    worker.close(shutdown_timeout_seconds=WAIT)
+
+
+def test_a_fresh_worker_has_no_recent_respawns_and_a_burst_ages_out():
+    now = [0.0]
+    worker = ScriptedWorker(clock=lambda: now[0])
+    assert worker.health().details["recent_respawns"] == 0
+    for step in range(1, MAX_RESPAWNS_IN_WINDOW + 2):
+        now[0] = step
+        worker.respawn()
+    assert worker.health().status == "degraded"
+    now[0] += RESPAWN_WINDOW_SECONDS + 1.0  # the whole burst is out of the window
+    report = worker.health()
+    assert report.details["recent_respawns"] == 0
+    assert report.status == "ok"
     worker.close(shutdown_timeout_seconds=WAIT)
