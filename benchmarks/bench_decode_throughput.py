@@ -11,8 +11,9 @@ the seeded workload for smoke lanes.
 No speed is gated: the figures a deployment runs are the ``benchmarks/e2e``
 rows.  It prints, ungated, a one-line ``DECODE_SUMMARY`` JSON with the
 engine's questions/sec (best of ``ROUNDS`` passes) on the grid shapes
-deployments live on (``grid_1x1_questions_per_sec``: a cluster shard's
-budget, where the engine's per-step constant is most of the work;
+deployments live on (``grid_1x1_questions_per_sec``: the cascade's fast
+tier on every shard, which measures the engine's one-beam selection -- one
+array argmax per row and step over the step's gather;
 ``grid_10x10_questions_per_sec``: the paper's), plus
 ``grid_10x10_unconstrained_questions_per_sec``, the paper's grid with
 ``constrained_decoding=False`` (the Table 7 ablation): the only place the

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.datasets.vocabulary import SYNONYM_LEXICON
 from repro.nn.data import Batch  # noqa: F401  (re-exported for typing convenience)
-from repro.nn.decoding import greedy_decode
+from repro.nn.decoding import diverse_beam_search_batch
 from repro.nn.seq2seq import Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
 from repro.nn.trainer import Seq2SeqTrainer, TrainerConfig
@@ -232,9 +232,10 @@ class NeuralQuestioner(SchemaQuestioner):
         source_tokenizer = WordTokenizer(self._source_vocabulary)
         target_tokenizer = WordTokenizer(self._target_vocabulary)
         source_ids = source_tokenizer.encode_text(self.schema_text(database, tables))
-        hypothesis = greedy_decode(self._model, source_ids,
-                                   self._target_vocabulary.bos_id,
-                                   self._target_vocabulary.eos_id, max_length=24)
+        ((hypothesis,),) = diverse_beam_search_batch(
+            self._model, [self._model.encode_numpy(source_ids)],
+            self._target_vocabulary.bos_id, self._target_vocabulary.eos_id,
+            num_beams=1, num_groups=1, max_length=24)
         words = target_tokenizer.decode(hypothesis.tokens)
         if len(words) < 3:
             return self._fallback.question_for(database, tables)

@@ -22,11 +22,7 @@ from repro.core.serialization import (
     schema_to_tokens,
     tokens_to_schema,
 )
-from repro.nn.decoding import (
-    diverse_beam_search_batch,
-    diverse_beam_search_loop,
-    greedy_decode,
-)
+from repro.nn.decoding import diverse_beam_search_batch, diverse_beam_search_loop
 from repro.nn.seq2seq import DecodeKernel, EncodedSource, Seq2SeqConfig, Seq2SeqModel
 from repro.nn.tokenizer import Vocabulary, WordTokenizer
 from repro.obs.trace import distinct_traces, stage_spans
@@ -221,8 +217,9 @@ def decode_wave(kernel: DecodeKernel | None,
     mask-cache traffic (one resolution per registered row: a hit when the
     row's state already holds its allowed ids) and the automaton states they
     made (``constraint_states``: 0 once the catalog's automaton is grown).
-    Returns one hypothesis list per row (possibly empty: :func:`route_wave`
-    falls back to greedy decoding).
+    Returns one hypothesis list per row, never empty: every group keeps at
+    least its initial beam, so a row whose root allows nothing comes back as
+    the empty, unfinished hypothesis (which parses to no route).
     """
     config = routers[0].config
     vocabulary = routers[0].target_vocabulary
@@ -269,10 +266,11 @@ def route_wave(routers: "Sequence[SchemaRouter]", questions: Sequence[str],
     encoded once, by ``routers[0]``: the routers decode one model and share
     its vocabularies.  One :func:`decode_wave` then decodes every (router,
     question) row, router-major, through the kernel ``routers[0].config``'s
-    ``decode_backend`` names.  Each row falls back (greedy decoding, when the
-    beam search returned nothing) and parses with its own router: its
+    ``decode_backend`` names.  Each row parses with its own router: its
     constraint, its sub-catalog graph and parse memo, its default
-    ``max_candidates``.
+    ``max_candidates``.  A row whose constraint allows nothing at the root (a
+    router projected onto no databases) keeps its empty hypothesis and
+    routes to ``[]``.
 
     ``traces`` is an optional per-question list of ``repro.obs`` trace
     contexts (``None`` entries allowed; repeats collapse): each distinct
@@ -298,14 +296,6 @@ def route_wave(routers: "Sequence[SchemaRouter]", questions: Sequence[str],
     stacked = [encoding for _ in routers for encoding in encoded]
     kernel = None if base.config.decode_backend == "loop" else DecodeKernel(model)
     hypotheses_batch = decode_wave(kernel, routers, tags, stacked, traces=contexts)
-    for row, hypotheses in enumerate(hypotheses_batch):
-        if not hypotheses:
-            router = routers[tags[row]]
-            vocabulary = router.target_vocabulary
-            hypotheses_batch[row] = [greedy_decode(
-                router.model, (), vocabulary.bos_id, vocabulary.eos_id,
-                max_length=router.config.max_decode_length,
-                constraint=router.constraint, encoded=stacked[row])]
     with stage_spans(contexts, "parse"):
         rows = iter(hypotheses_batch)
         return [[router._combine_hypotheses(next(rows), budget) for _ in questions]

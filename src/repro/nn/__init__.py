@@ -7,7 +7,7 @@ small reverse-mode autodiff engine over numpy arrays (:mod:`repro.nn.autograd`),
 basic modules (:mod:`repro.nn.modules`), an attention-based encoder-decoder
 (:mod:`repro.nn.seq2seq`), AdamW with a linear schedule (:mod:`repro.nn.optim`),
 a word-level tokenizer (:mod:`repro.nn.tokenizer`), batching utilities, a
-trainer, and greedy / diverse-beam decoding with pluggable constraints
+trainer, and diverse beam search with pluggable constraints
 (:mod:`repro.nn.decoding`).
 
 The substitution preserves what matters for the reproduction: the router is a
@@ -38,5 +38,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BeamHypothesis": "repro.nn.decoding",
     "diverse_beam_search_batch": "repro.nn.decoding",
     "diverse_beam_search_loop": "repro.nn.decoding",
-    "greedy_decode": "repro.nn.decoding",
 })

@@ -1,4 +1,4 @@
-"""Decoding strategies: greedy and diverse beam search.
+"""Decoding: diverse beam search, and greedy decoding as its one-beam case.
 
 Every strategy accepts an optional *constraint*: an automaton over emitted
 tokens (:class:`Constraint` -- ``initial_state()`` / ``advance(state,
@@ -45,13 +45,23 @@ over token-ascending candidates), never the platform-dependent order an
 unstable descending sort would give -- so candidate selection, and therefore
 every downstream ranking and cross-process merge, is deterministic.
 
+A one-beam search (greedy decoding: the cascade's fast tier on every shard,
+the neural questioner) keeps one candidate per row, so the engine picks it
+with array ops: ``np.maximum.reduceat`` over the step's flat gather gives
+each row's best value, the first gathered entry equal to it the token --
+lowest id on ties, the oracle's order -- and a per-row Python loop only adds
+the score and registers the child row.  Multi-beam selection stays per
+``(question, group, beam)`` in Python: array-op selection over every
+question's candidates (one stable ``np.lexsort`` per step) is bit-identical
+but slower at the shard and monolith grids this repository serves.
+
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from typing import Any, Protocol, Sequence
 
@@ -158,34 +168,27 @@ def _finalize_groups(groups: "Sequence[Sequence[tuple[float, list[int], bool]]]"
     return unique[:num_beams]
 
 
-def greedy_decode(model: Seq2SeqModel, source_ids: Sequence[int], bos_id: int, eos_id: int,
-                  max_length: int = 48, constraint: Constraint | None = None,
-                  encoded: EncodedSource | None = None) -> BeamHypothesis:
-    """Greedy decoding; returns a single hypothesis (without BOS/EOS tokens).
+def _first_maxima(gathered: np.ndarray, row_tokens: Sequence[Sequence[int]],
+                  widths: Sequence[int]) -> list:
+    """Each row's best ``(value, token)`` from one flat gather of every row's
+    candidates (``row_tokens``, ascending, ``widths`` their lengths), or
+    ``None`` where the row has no finite candidate.
 
-    ``encoded`` lets callers reuse a precomputed encoder output (batched
-    serving encodes many questions in one matmul and decodes each separately).
-    """
-    if encoded is None:
-        encoded = model.encode_numpy(list(source_ids))
-    state = encoded.state
-    constraint_state = None if constraint is None else constraint.initial_state()
-    previous = bos_id
-    tokens: list[int] = []
-    score = 0.0
-    for _ in range(max_length):
-        log_probabilities, state = model.decode_step_numpy(encoded, state, previous)
-        if constraint is not None:
-            log_probabilities = _restricted(
-                log_probabilities, constraint.allowed_ids_for_state(constraint_state))
-        previous = int(np.argmax(log_probabilities))
-        score += float(log_probabilities[previous])
-        if previous == eos_id:
-            return BeamHypothesis(tokens=tokens, score=score, finished=True)
-        tokens.append(previous)
-        if constraint is not None:
-            constraint_state = constraint.advance(constraint_state, previous)
-    return BeamHypothesis(tokens=tokens, score=score, finished=False)
+    ``np.maximum.reduceat`` over the row segments gives the maxima, and the
+    first gathered entry equal to a row's maximum its token: the lowest id on
+    ties, the loop oracle's stable-argsort order."""
+    best: list = [None] * len(widths)
+    offsets = list(accumulate(widths, initial=0))
+    # Empty rows leave: ``reduceat`` misreads an empty segment.
+    rows = [row for row, width in enumerate(widths) if width]
+    starts = [offsets[row] for row in rows]
+    values = gathered.tolist()
+    for row, start, maximum in zip(rows, starts, np.maximum.reduceat(
+            gathered, starts).tolist()):
+        if maximum != -math.inf:
+            index = values.index(maximum, start)
+            best[row] = (values[index], row_tokens[row][index - start])
+    return best
 
 
 def _validate_beam_budget(num_beams: int, num_groups: int) -> int:
@@ -351,6 +354,8 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
       unpenalised order and earlier groups chose at most ``(G - 1) * B``
       distinct tokens, so ``top_n`` of those keep their keys while its own
       can only fall: they still precede it, ties included.
+    * At one beam a row's one candidate is its first maximum
+      (:func:`_first_maxima`, array ops over the step's gather).
     * Once every group of a question has finished, its beams are final and
       are banked; it owns no row any more, so the tail of a decode (a few
       stragglers of a large batch) pays kernel flops for the stragglers only.
@@ -435,7 +440,7 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
     # deep into an unconstrained row any group can reach (the lemma).
     top_n = max(beams_per_group * 2, 2)
     reach = top_n + (num_groups - 1) * beams_per_group
-    tallying = diversity_penalty > 0.0
+    tallying = diversity_penalty > 0.0 and num_groups > 1
     # Finished questions are banked here, by original batch position.
     banked: list = [None] * num_questions
     question_ids = list(range(num_questions))
@@ -481,108 +486,140 @@ def diverse_beam_search_batch(model: "DecodeKernel | Seq2SeqModel",
                               kind="stable")[:, :reach]
             for row, tokens in zip(open_rows, np.sort(best, axis=1).tolist()):
                 row_tokens[row] = tokens
-        # One gather over every row's ids, split back per row and ranked
-        # once for every beam no penalty touches.  ``.tolist()`` preserves
-        # every bit: the Python floats compare and add exactly like the
-        # float64 array elements they came from.
+        # One gather over every row's ids.  ``.tolist()`` preserves every
+        # bit: the Python floats compare and add exactly like the float64
+        # array elements they came from.
         widths = list(map(len, row_tokens))
         flat_rows = np.repeat(np.arange(len(widths)), widths)
-        gathered = iter(log_probabilities[flat_rows, np.fromiter(
-            chain.from_iterable(row_tokens), np.int64, len(flat_rows))].tolist())
-        row_values = [list(islice(gathered, width)) for width in widths]
-        rankings = [_ranked(values, tokens, values, top_n)
-                    for values, tokens in zip(row_values, row_tokens)]
+        gathered = log_probabilities[flat_rows, np.fromiter(
+            chain.from_iterable(row_tokens), np.int64, len(flat_rows))]
         ranked_tokens += len(flat_rows)
 
-        # Group-sequential selection, question by question.  A continued beam
-        # registers the row it advances through next step under (parent row,
-        # token), so equal prefixes -- whichever groups chose them -- are one
-        # row: its token, parent row, question, constraint state and ids.
-        child_rows: dict[int, int] = {}
+        # A continued beam registers the row it advances through next step:
+        # its token, parent row, question, constraint state and ids.
         next_previous: list[int] = []
         next_parents: list[int] = []
         next_questions: list[int] = []
         next_constraints: list = []
         next_tokens: list = []
-        for question in range(num_questions):
-            original = question_ids[question]
-            advance_state, ids_for_state = advance_fns[question], ids_fns[question]
-            question_beams, question_rows, active = (
-                beams[question], slot_rows[question], group_active[question])
-            #: token -> how many earlier groups of this question chose it this
-            #: step; ``penalty * count`` is the oracle's penalty double.
-            chosen: dict[int, int] = {}
-            chosen_tokens = chosen.keys()
-            for group in range(num_groups):
-                if not active[group]:
+        if num_beams == 1:
+            # One beam in one group: compaction left live questions only,
+            # each one beam on one row -- row i is question i -- whose one
+            # candidate is the row's first maximum.  (``slot_rows`` is left
+            # as it is: it is read by multi-beam selection only.)
+            picks = _first_maxima(gathered, row_tokens, widths)
+            for row, pick in enumerate(picks):
+                original = question_ids[row]
+                served[original] += 1
+                group_beams = beams[row]
+                ((score, tokens, _),) = group_beams[0]
+                if pick is not None:
+                    value, token = pick
+                    group_beams[0] = [(score + value, tokens + [token],
+                                       token == eos_id)]
+                if pick is None or token == eos_id:
+                    group_active[row][0] = False
                     continue
-                group_beams, group_rows = question_beams[group], question_rows[group]
-                # Candidates in the loop oracle's enumeration order, so the
-                # stable sort breaks ties identically: (score, token, parent
-                # slot), token -1 marking a finished beam passing through.
-                candidates: list[tuple[float, int, int]] = []
-                for slot, beam in enumerate(group_beams):
-                    if beam[2]:
-                        candidates.append((beam[0], -1, slot))
+                next_previous.append(token)
+                next_parents.append(row)
+                next_questions.append(original)
+                advance_state = advance_fns[row]
+                constraint_state = (None if advance_state is None else
+                                    advance_state(row_constraints[row], token))
+                next_constraints.append(constraint_state)
+                next_tokens.append(None if advance_state is None
+                                   else ids_fns[row](constraint_state))
+        else:
+            # Split back per row and ranked once for every beam no penalty
+            # touches.
+            flat_values = iter(gathered.tolist())
+            row_values = [list(islice(flat_values, width)) for width in widths]
+            rankings = [_ranked(values, tokens, values, top_n)
+                        for values, tokens in zip(row_values, row_tokens)]
+
+            # Group-sequential selection, question by question.  Continued beams
+            # register under (parent row, token), so equal prefixes -- whichever
+            # groups chose them -- are one row.
+            child_rows: dict[int, int] = {}
+            for question in range(num_questions):
+                original = question_ids[question]
+                advance_state, ids_for_state = advance_fns[question], ids_fns[question]
+                question_beams, question_rows, active = (
+                    beams[question], slot_rows[question], group_active[question])
+                #: token -> how many earlier groups of this question chose it this
+                #: step; ``penalty * count`` is the oracle's penalty double.
+                chosen: dict[int, int] = {}
+                chosen_tokens = chosen.keys()
+                for group in range(num_groups):
+                    if not active[group]:
                         continue
-                    served[original] += 1
-                    parent_score = beam[0]
-                    row = group_rows[slot]
-                    tokens = row_tokens[row]
-                    # A penalty re-ranks a row only when a tallied token
-                    # stands among several.
-                    if len(tokens) < 2 or chosen_tokens.isdisjoint(tokens):
-                        ranking = rankings[row]
-                    else:
-                        ranking = _ranked(
-                            row_values[row], tokens,
-                            [value - diversity_penalty * chosen.get(token, 0)
-                             for value, token in zip(row_values[row], tokens)],
-                            top_n)
-                    for _, value, token in ranking:
-                        candidates.append((parent_score + value, token, slot))
-                if not candidates:
-                    # No finite continuation now means none ever (same
-                    # inputs, same outputs): where the oracle re-derives that
-                    # every remaining step, the group rests as it stands.
-                    active[group] = False
-                    question_rows[group] = dead_slots
-                    continue
-                candidates.sort(key=_candidate_score, reverse=True)
-                selected: list[tuple] = []
-                rows = list(dead_slots)
-                still_active = False
-                for slot, (score, token, parent) in enumerate(
-                        candidates[:beams_per_group]):
-                    if token < 0:
-                        selected.append(group_beams[parent])
+                    group_beams, group_rows = question_beams[group], question_rows[group]
+                    # Candidates in the loop oracle's enumeration order, so the
+                    # stable sort breaks ties identically: (score, token, parent
+                    # slot), token -1 marking a finished beam passing through.
+                    candidates: list[tuple[float, int, int]] = []
+                    for slot, beam in enumerate(group_beams):
+                        if beam[2]:
+                            candidates.append((beam[0], -1, slot))
+                            continue
+                        served[original] += 1
+                        parent_score = beam[0]
+                        row = group_rows[slot]
+                        tokens = row_tokens[row]
+                        # A penalty re-ranks a row only when a tallied token
+                        # stands among several.
+                        if len(tokens) < 2 or chosen_tokens.isdisjoint(tokens):
+                            ranking = rankings[row]
+                        else:
+                            ranking = _ranked(
+                                row_values[row], tokens,
+                                [value - diversity_penalty * chosen.get(token, 0)
+                                 for value, token in zip(row_values[row], tokens)],
+                                top_n)
+                        for _, value, token in ranking:
+                            candidates.append((parent_score + value, token, slot))
+                    if not candidates:
+                        # No finite continuation now means none ever (same
+                        # inputs, same outputs): where the oracle re-derives that
+                        # every remaining step, the group rests as it stands.
+                        active[group] = False
+                        question_rows[group] = dead_slots
                         continue
-                    if token != eos_id:
-                        still_active = True
-                        if tallying:
-                            chosen[token] = chosen.get(token, 0) + 1
-                        parent_row = group_rows[parent]
-                        key = parent_row * vocab_size + token
-                        row = child_rows.get(key)
-                        if row is None:
-                            row = child_rows[key] = len(next_previous)
-                            next_previous.append(token)
-                            next_parents.append(parent_row)
-                            next_questions.append(original)
-                            if advance_state is None:
-                                next_constraints.append(None)
-                                next_tokens.append(None)
-                            else:
-                                constraint_state = advance_state(
-                                    row_constraints[parent_row], token)
-                                next_constraints.append(constraint_state)
-                                next_tokens.append(ids_for_state(constraint_state))
-                        rows[slot] = row
-                    selected.append((score, group_beams[parent][1] + [token],
-                                     token == eos_id))
-                question_beams[group] = selected
-                question_rows[group] = rows
-                active[group] = still_active
+                    candidates.sort(key=_candidate_score, reverse=True)
+                    selected: list[tuple] = []
+                    rows = list(dead_slots)
+                    still_active = False
+                    for slot, (score, token, parent) in enumerate(
+                            candidates[:beams_per_group]):
+                        if token < 0:
+                            selected.append(group_beams[parent])
+                            continue
+                        if token != eos_id:
+                            still_active = True
+                            if tallying:
+                                chosen[token] = chosen.get(token, 0) + 1
+                            parent_row = group_rows[parent]
+                            key = parent_row * vocab_size + token
+                            row = child_rows.get(key)
+                            if row is None:
+                                row = child_rows[key] = len(next_previous)
+                                next_previous.append(token)
+                                next_parents.append(parent_row)
+                                next_questions.append(original)
+                                if advance_state is None:
+                                    next_constraints.append(None)
+                                    next_tokens.append(None)
+                                else:
+                                    constraint_state = advance_state(
+                                        row_constraints[parent_row], token)
+                                    next_constraints.append(constraint_state)
+                                    next_tokens.append(ids_for_state(constraint_state))
+                            rows[slot] = row
+                        selected.append((score, group_beams[parent][1] + [token],
+                                         token == eos_id))
+                    question_beams[group] = selected
+                    question_rows[group] = rows
+                    active[group] = still_active
 
         # A child row starts from the state its parent's row stepped to.
         states = step_states[np.asarray(next_parents, dtype=np.int64)]

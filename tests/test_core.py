@@ -147,6 +147,20 @@ class TestSamplerAndSynthesis:
         assert losses[-1] < losses[0]
         assert isinstance(questioner.question_for("world", ("city",)), str)
 
+    def test_neural_questioner_output_is_pinned(self, small_catalog):
+        """The toy setup above decodes greedily -- the one engine at one
+        beam -- to the words ``greedy_decode``, the per-question loop it
+        replaced, produced."""
+        questioner = NeuralQuestioner(small_catalog, embedding_dim=12, hidden_dim=16)
+        questioner.fit([("world", ("city",), "how many cities are there"),
+                        ("world", ("country",), "list the countries"),
+                        ("concert_singer", ("singer",), "who are the singers")],
+                       epochs=25)
+        for database, tables in [("world", ("city",)), ("world", ("country",)),
+                                 ("concert_singer", ("singer",)),
+                                 ("world", ("city", "country"))]:
+            assert questioner.question_for(database, tables) == "list the the?"
+
     def test_synthesis_covers_catalog(self, graph, small_catalog):
         sampler = SchemaSampler(graph, seed=4)
         questioner = TemplateQuestioner(catalog=small_catalog, seed=4)

@@ -18,7 +18,6 @@ from repro.nn import (
     Vocabulary,
     WordTokenizer,
     diverse_beam_search_batch,
-    greedy_decode,
     pad_batch,
 )
 from repro.nn.modules import Embedding, Linear
@@ -230,6 +229,14 @@ class TestTokenizerAndData:
             pad_batch([], pad_id=0)
 
 
+def _greedy(model, source, vocabulary, **search):
+    """Greedy decoding: the one engine at one beam in one group."""
+    ((hypothesis,),) = diverse_beam_search_batch(
+        model, [model.encode_numpy(source)], vocabulary.bos_id, vocabulary.eos_id,
+        num_beams=1, num_groups=1, **search)
+    return hypothesis
+
+
 class TestSeq2SeqAndDecoding:
     @pytest.fixture(scope="class")
     def toy_setup(self):
@@ -256,15 +263,15 @@ class TestSeq2SeqAndDecoding:
         model, source_tokenizer, target_tokenizer, data, _ = toy_setup
         vocabulary = target_tokenizer.vocabulary
         for question, target in data:
-            hypothesis = greedy_decode(model, source_tokenizer.encode_text(question),
-                                       vocabulary.bos_id, vocabulary.eos_id)
+            hypothesis = _greedy(model, source_tokenizer.encode_text(question),
+                                 vocabulary)
             assert target_tokenizer.decode(hypothesis.tokens) == target
 
     def test_beam_contains_greedy(self, toy_setup):
         model, source_tokenizer, target_tokenizer, data, _ = toy_setup
         vocabulary = target_tokenizer.vocabulary
         source = source_tokenizer.encode_text(data[0][0])
-        greedy = greedy_decode(model, source, vocabulary.bos_id, vocabulary.eos_id)
+        greedy = _greedy(model, source, vocabulary)
         (beams,) = diverse_beam_search_batch(
             model, [model.encode_numpy(source)], vocabulary.bos_id, vocabulary.eos_id,
             num_beams=4, num_groups=1, diversity_penalty=0.0)
@@ -284,9 +291,9 @@ class TestSeq2SeqAndDecoding:
         model, source_tokenizer, target_tokenizer, data, _ = toy_setup
         vocabulary = target_tokenizer.vocabulary
         allowed_id = vocabulary.id_of("two")
-        hypothesis = greedy_decode(model, source_tokenizer.encode_text(data[0][0]),
-                                   vocabulary.bos_id, vocabulary.eos_id, max_length=3,
-                                   constraint=PrefixConstraint(lambda prefix: {allowed_id}))
+        hypothesis = _greedy(model, source_tokenizer.encode_text(data[0][0]),
+                             vocabulary, max_length=3,
+                             constraint=PrefixConstraint(lambda prefix: {allowed_id}))
         assert set(hypothesis.tokens) <= {allowed_id}
 
     def test_invalid_beam_configuration(self, toy_setup):

@@ -1,12 +1,11 @@
 """The loop oracle stays independent of the automaton it checks.
 
 Every decoder walks ``GraphConstrainedDecoding``'s automaton -- the loop
-oracle and greedy decoding included -- so a wrong ``advance`` would move the
-oracle and the engine together, and ``tests/test_decode_backends.py`` would
-not see it.  Here the same trained routers decode twice: once on their own
+oracle included -- so a wrong ``advance`` would move the oracle and the
+engine together, and ``tests/test_decode_backends.py`` would not see it.  Here the same trained routers decode twice: once on their own
 automaton, once on the prefix-walk interpreter of
 ``tests/reference_constraint.py`` behind the state protocol, which never
-touches an automaton state.  Routes and fallback hypotheses must match,
+touches an automaton state.  Routes and one-beam hypotheses must match,
 ``float.hex`` for ``float.hex``.
 """
 
@@ -15,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.router import SchemaRouter
-from repro.nn.decoding import greedy_decode
+from repro.nn.decoding import diverse_beam_search_batch
 from repro.nn.tokenizer import WordTokenizer
 from reference_constraint import PrefixConstraint, PrefixWalkConstraint
 from test_decode_backends import _hypothesis_key, _route_key, _train_router
@@ -56,11 +55,12 @@ def test_routes_on_the_automaton_equal_routes_on_the_prefix_walk(trained, backen
     assert automaton.constraint.constraint_states > 1
 
 
-def test_greedy_fallback_on_the_automaton_equals_the_prefix_walk(trained):
-    """The router's greedy fallback -- ``greedy_decode``, one state per
-    step -- answers the same hypothesis under either constraint."""
+def test_one_beam_engine_on_the_automaton_equals_the_prefix_walk(trained):
+    """Greedy decoding -- the engine at one beam, one state per row and
+    step, its pick the row's first maximum -- answers the same hypotheses
+    under either constraint."""
     router, questions = trained
-    automaton, reference = _twins(router, "loop")
+    automaton, reference = _twins(router, "vectorized")
     tokenizer = WordTokenizer(router.source_vocabulary)
     vocabulary = router.target_vocabulary
     encoded = router.model.encode_numpy_batch(
@@ -68,13 +68,12 @@ def test_greedy_fallback_on_the_automaton_equals_the_prefix_walk(trained):
          for question in questions[:12]],
         pad_id=router.source_vocabulary.pad_id)
 
-    def fallback(twin, item):
-        return greedy_decode(twin.model, (), vocabulary.bos_id, vocabulary.eos_id,
-                             max_length=twin.config.max_decode_length,
-                             constraint=twin.constraint, encoded=item)
+    def greedy(twin):
+        return [_hypothesis_key(hypothesis) for (hypothesis,) in diverse_beam_search_batch(
+            twin.model, encoded, vocabulary.bos_id, vocabulary.eos_id,
+            num_beams=1, num_groups=1, max_length=twin.config.max_decode_length,
+            constraint=twin.constraint)]
 
-    for item in encoded:
-        expected = fallback(reference, item)
-        hypothesis = fallback(automaton, item)
-        assert expected.tokens
-        assert _hypothesis_key(hypothesis) == _hypothesis_key(expected)
+    expected = greedy(reference)
+    assert all(tokens for tokens, _, _ in expected)
+    assert greedy(automaton) == expected
