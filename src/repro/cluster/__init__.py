@@ -30,7 +30,7 @@ front over the dispatcher holds the fleet's one route cache:
   restarts;
 * :mod:`repro.cluster.transport` -- the length-prefixed JSON wire protocol
   (``hello`` version-equality handshake, route/stats/shutdown/error frames,
-  binary route segments) that lets a shard live outside this process;
+  routes as JSON rows) that lets a shard live outside this process;
 * :mod:`repro.cluster.procworker` -- multi-process shard workers: the
   ``python -m repro.cluster.procworker`` child loop and the
   :class:`ProcShardWorker` proxy with spawn / health-check / kill-and-respawn

@@ -50,11 +50,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.cluster.dispatcher import ClusterError, ShardTimeoutError
 from repro.cluster.shard import ShardWorker
 from repro.cluster.transport import (
-    BINARY_KEY,
     FrameReader,
     FrameTooLargeError,
     FrameWriter,
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     TransportTimeoutError,
@@ -62,8 +60,8 @@ from repro.cluster.transport import (
     error_message,
     hello_message,
     read_frame,
-    route_lists_to_binary,
-    route_rows_from_binary,
+    route_response,
+    route_rows,
     write_frame,
 )
 from repro.core.router import RouteRow, SchemaRoute, SchemaRouter, schema_routes
@@ -94,8 +92,7 @@ class WorkerError(ClusterError):
 
 # -- child side ----------------------------------------------------------------
 def serve(worker: ShardWorker, reader, writer,
-          *, max_frame_bytes: int = MAX_FRAME_BYTES,
-          slow_careful_seconds: float = 0.0) -> None:
+          *, slow_careful_seconds: float = 0.0) -> None:
     """Handshake, then answer frames until ``shutdown`` or EOF.
 
     One loop on the calling thread: read a frame, answer it, read the next.
@@ -108,9 +105,8 @@ def serve(worker: ShardWorker, reader, writer,
     answer with an ``error`` frame and keep serving; stream-level corruption
     is fatal -- once framing is lost there is nothing left to trust.
     """
-    write_frame(writer, hello_message(worker.shard_id, worker.databases, os.getpid()),
-                max_frame_bytes=max_frame_bytes)
-    ack = read_frame(reader, max_frame_bytes=max_frame_bytes)
+    write_frame(writer, hello_message(worker.shard_id, worker.databases, os.getpid()))
+    ack = read_frame(reader)
     if ack is None:
         return  # dispatcher went away before acking; nothing to serve
     if ack.get("type") != "hello_ack":
@@ -124,7 +120,7 @@ def serve(worker: ShardWorker, reader, writer,
     # trace.
     tracer = Tracer(enabled=False)
 
-    def route(message: dict) -> tuple[dict, bytes]:
+    def route(message: dict) -> dict:
         careful = bool(message.get("careful", False))
         if slow_careful_seconds > 0.0 and careful:
             time.sleep(slow_careful_seconds)  # injected slow shard (tests)
@@ -147,24 +143,21 @@ def serve(worker: ShardWorker, reader, writer,
                 context.finish(status="error",
                                error=f"{type(error).__name__}: {error}")
             raise
-        descriptor, segment = route_lists_to_binary(routes)
-        reply = {"type": "route_response", "id": message.get("id"),
-                 "routes_binary": descriptor}
+        reply = route_response(message.get("id"), routes)
         if context is not None:
             context.finish()
             reply["spans"] = context.span_rows()
-        return reply, segment
+        return reply
 
     while True:
-        message = read_frame(reader, max_frame_bytes=max_frame_bytes)
+        message = read_frame(reader)
         if message is None:
             return  # dispatcher closed the pipe: treat as shutdown
         request_id = message.get("id")
         kind = message.get("type")
-        segment = None
         try:
             if kind == "route_batch_request":
-                reply, segment = route(message)
+                reply = route(message)
             elif kind == "stats_request":
                 reply = {"type": "stats_response", "id": request_id,
                          "stats": {**worker.stats(),
@@ -172,8 +165,7 @@ def serve(worker: ShardWorker, reader, writer,
             elif kind == "ping":
                 reply = {"type": "pong", "id": request_id, "pid": os.getpid()}
             elif kind == "shutdown":
-                write_frame(writer, {"type": "shutdown_ack", "id": request_id},
-                            max_frame_bytes=max_frame_bytes)
+                write_frame(writer, {"type": "shutdown_ack", "id": request_id})
                 return
             else:
                 reply = error_message(
@@ -182,15 +174,13 @@ def serve(worker: ShardWorker, reader, writer,
         except Exception as error:  # request-scoped: report, keep serving
             reply = error_message(request_id, error)
         try:
-            write_frame(writer, reply, binary=segment,
-                        max_frame_bytes=max_frame_bytes)
+            write_frame(writer, reply)
         except FrameTooLargeError as error:
             # An oversized *reply* is request-scoped too: answer with an
             # error frame instead of dying -- otherwise the dispatcher would
             # retry the same lethal batch against every freshly-respawned
             # replica.
-            write_frame(writer, error_message(request_id, error),
-                        max_frame_bytes=max_frame_bytes)
+            write_frame(writer, error_message(request_id, error))
 
 
 def worker_main(argv: list[str] | None = None) -> int:
@@ -206,7 +196,6 @@ def worker_main(argv: list[str] | None = None) -> int:
                         help="how many shards the fleet has")
     parser.add_argument("--careful-tier", action="store_true",
                         help="the fleet runs the escalation cascade")
-    parser.add_argument("--max-frame-bytes", type=int, default=MAX_FRAME_BYTES)
     arguments = parser.parse_args(argv)
 
     # The frame stream owns fd 1.  Re-point sys.stdout at stderr so a stray
@@ -224,8 +213,7 @@ def worker_main(argv: list[str] | None = None) -> int:
                          SchemaRouter.from_checkpoint(arguments.master),
                          arguments.num_shards, arguments.careful_tier)
     try:
-        serve(worker, reader, writer, max_frame_bytes=arguments.max_frame_bytes,
-              slow_careful_seconds=slow_careful)
+        serve(worker, reader, writer, slow_careful_seconds=slow_careful)
     except (BrokenPipeError, ProtocolError):
         return 1  # dispatcher vanished or the stream corrupted; nothing to save
     return 0
@@ -304,7 +292,6 @@ class ProcShardWorker:
                  spawn_timeout_seconds: float = 60.0,
                  auto_respawn: bool = True,
                  python_executable: str | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.shard_id = shard_id
         #: What the child projects: ``master_dir`` onto these databases as
@@ -322,7 +309,6 @@ class ProcShardWorker:
         self.spawn_timeout_seconds = spawn_timeout_seconds
         self.auto_respawn = auto_respawn
         self.python_executable = python_executable or sys.executable
-        self.max_frame_bytes = max_frame_bytes
         self.databases: tuple[str, ...] = ()
         self.respawns = -1  # first _spawn() brings it to 0
         self.requests_sent = 0
@@ -371,8 +357,7 @@ class ProcShardWorker:
                    "--master", str(self.master_dir),
                    "--databases", *self.projected_databases,
                    "--shard-id", str(self.shard_id),
-                   "--num-shards", str(self.num_shards),
-                   "--max-frame-bytes", str(self.max_frame_bytes)]
+                   "--num-shards", str(self.num_shards)]
         if self.careful_tier:
             command.append("--careful-tier")
         return command
@@ -390,9 +375,7 @@ class ProcShardWorker:
         process = subprocess.Popen(
             self._command(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             env=environment)
-        return (process,
-                FrameReader(process.stdout, max_frame_bytes=self.max_frame_bytes),
-                FrameWriter(process.stdin, max_frame_bytes=self.max_frame_bytes))
+        return process, FrameReader(process.stdout), FrameWriter(process.stdin)
 
     def _spawn(self) -> None:
         spawn_started = self._clock()
@@ -700,8 +683,7 @@ class ProcShardWorker:
                 reply = self._await_reply(pending, "route_response",
                                           self.request_timeout_seconds,
                                           "route_batch_request")
-                routes = route_rows_from_binary(reply.get("routes_binary"),
-                                                reply.get(BINARY_KEY, b""))
+                routes = route_rows(reply)
                 if len(routes) != len(questions):
                     raise ProtocolError(
                         f"worker answered {len(routes)} route lists "

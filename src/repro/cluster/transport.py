@@ -5,19 +5,14 @@ another host): the dispatcher side and the worker side exchange *frames* over
 any pair of byte streams -- a subprocess's stdin/stdout pipes today, a TCP
 socket tomorrow.  A frame is::
 
-    +-------+------+----------------+---------------------------+
-    | magic | kind | payload length | payload (`length` bytes)  |
-    | 2 B   | 1 B  | 4 B big-endian |                           |
-    +-------+------+----------------+---------------------------+
+    +-------+----------------+----------------------------------------+
+    | magic | payload length | payload: one JSON object (`length` B)  |
+    | 2 B   | 4 B big-endian |                                        |
+    +-------+----------------+----------------------------------------+
 
-``magic`` (``b"RW"``) guards against a foreign stream, ``kind`` names the
-payload encoding, and the length prefix bounds the read.  Kind 0 is a bare
-JSON object.  Kind 1 is a JSON header followed by one opaque binary segment::
-
-    +----------------+--------------------+--------------------------+
-    | JSON length    | JSON header bytes  | binary segment           |
-    | 4 B big-endian |                    | payload minus the header |
-    +----------------+--------------------+--------------------------+
+``magic`` (``b"RW"``) guards against a foreign stream and the length prefix
+bounds the read; every message, route replies included, is one UTF-8 JSON
+object.
 
 The *protocol version* is not in the header: the ``hello``/``hello_ack``
 handshake states it once per connection, and the two ends must state the same
@@ -33,16 +28,17 @@ come back in request order, and a response whose id is not the oldest
 request in flight breaks the stream (see :mod:`repro.cluster.procworker`).  JSON keys travel in insertion
 order; nothing reads a frame as raw bytes.
 
-Route lists cross the wire in the binary segment of a kind-1 frame, scores as
-raw little-endian float64 (:func:`route_lists_to_binary`): every bit survives,
-so :func:`repro.core.router.merge_route_lists` ranks identically whether the
-candidates were decoded in-process or round-tripped through a worker.  A reply
-stays rows until the merge: :func:`route_rows_from_binary`, the one decoder,
-returns ``(score, database, tables)`` tuples, which the merge pools as they
-are; :func:`route_lists_from_binary` wraps it for callers that want
-:class:`~repro.core.router.SchemaRoute` lists.
+A ``route_response`` carries its answers as plain JSON rows, one list per
+question and one ``[score, database, *tables]`` row per candidate
+(:func:`route_response`).  ``json`` writes a float as its ``repr`` and reads
+it back correctly rounded, so every finite score crosses bit for bit and
+:func:`repro.core.router.merge_route_lists` ranks identically whether the
+candidates were decoded in-process or round-tripped through a worker.  A
+reply stays rows until the merge: :func:`route_rows`, the one decoder,
+validates the rows and returns ``(score, database, tables)`` tuples, which
+the merge pools as they are.
 
-Protocol 6 ships a traced reply's spans as compact positional rows in the
+A traced reply ships its spans as compact positional rows in the
 ``route_response``'s ``spans`` field, one per span, parents first::
 
     [parent row | null, name, started ns, ended ns, status, error, attributes]
@@ -63,28 +59,18 @@ import time
 from typing import BinaryIO, Callable
 
 from repro.cluster.dispatcher import ClusterError
-from repro.core.router import RouteRow, SchemaRoute, schema_routes
+from repro.core.router import RouteRow, SchemaRoute
 
 #: Bump on message-shape changes.  The handshake accepts exactly this version
-#: (6: worker spans travel as positional rows).
-PROTOCOL_VERSION = 6
+#: (7: one payload kind, route replies as JSON rows).
+PROTOCOL_VERSION = 7
 
 FRAME_MAGIC = b"RW"
-#: Payload encodings: bare JSON, or a JSON header + opaque binary segment.
-KIND_JSON = 0
-KIND_JSON_BINARY = 1
-FRAME_HEADER = struct.Struct(">2sBI")
-#: The kind-1 intra-payload prefix: length of the JSON header.
-BINARY_HEADER = struct.Struct(">I")
-
-#: Key under which a decoded frame carries its binary segment (and senders
-#: may attach one).  Underscored so it can never collide with a JSON field:
-#: the segment is framing, not part of the message.
-BINARY_KEY = "_binary"
+FRAME_HEADER = struct.Struct(">2sI")
 
 #: Frames larger than this are refused on both sides (a 16 MiB batch of
 #: routes is far beyond any real scatter wave; the cap bounds a corrupt or
-#: hostile length prefix).
+#: hostile length prefix).  Read at call time, so a test may patch it.
 MAX_FRAME_BYTES = 16 << 20
 
 #: The compact JSON encoder, built once: ``json.dumps`` with non-default
@@ -127,81 +113,44 @@ class TransportTimeoutError(ClusterError):
 
 
 # -- encode --------------------------------------------------------------------
-def encode_frame(message: dict, *, binary: bytes | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one message dict (plus an optional binary segment) into a
-    framed byte string.  A non-None ``binary`` produces a kind-1 frame."""
+def encode_frame(message: dict) -> bytes:
+    """Serialize one message dict into a framed byte string."""
     message_type = message.get("type")
     if message_type not in MESSAGE_TYPES:
         raise UnknownMessageError(f"cannot encode unknown message type {message_type!r}")
-    if BINARY_KEY in message:
-        raise ProtocolError(f"message key {BINARY_KEY!r} is reserved for "
-                            "decoded binary segments; pass binary= instead")
-    header = _encode_json(message).encode("utf-8")
-    payload_length = len(header) if binary is None \
-        else BINARY_HEADER.size + len(header) + len(binary)
-    if payload_length > max_frame_bytes:
+    payload = _encode_json(message).encode("utf-8")
+    if len(payload) > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
-            f"{message_type} payload is {payload_length} bytes "
-            f"(cap {max_frame_bytes})")
-    if binary is None:
-        return FRAME_HEADER.pack(FRAME_MAGIC, KIND_JSON, payload_length) + header
-    return b"".join((FRAME_HEADER.pack(FRAME_MAGIC, KIND_JSON_BINARY, payload_length),
-                     BINARY_HEADER.pack(len(header)), header, binary))
+            f"{message_type} payload is {len(payload)} bytes "
+            f"(cap {MAX_FRAME_BYTES})")
+    return FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
 
 
-def write_frame(stream: BinaryIO, message: dict, *, binary: bytes | None = None,
-                max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+def write_frame(stream: BinaryIO, message: dict) -> None:
     """Frame ``message`` onto ``stream`` and flush it."""
-    stream.write(encode_frame(message, binary=binary,
-                              max_frame_bytes=max_frame_bytes))
+    stream.write(encode_frame(message))
     stream.flush()
 
 
 # -- decode --------------------------------------------------------------------
-def validate_header(header: bytes, max_frame_bytes: int) -> tuple[int, int]:
-    """Unpack + validate a frame header; returns ``(kind, payload length)``.
+def validate_header(header: bytes) -> int:
+    """Unpack + validate a frame header; returns the payload length.
 
-    The single authority on header well-formedness -- both readers and
-    :func:`decode_payload` go through it, so a protocol change (say, a second
-    payload kind) lands in exactly one place.
+    The single authority on header well-formedness: both readers go
+    through it.
     """
-    magic, kind, length = FRAME_HEADER.unpack(header)
+    magic, length = FRAME_HEADER.unpack(header)
     if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r} (stream is not the "
                             "cluster wire protocol)")
-    if kind not in (KIND_JSON, KIND_JSON_BINARY):
-        raise ProtocolError(f"unsupported payload kind {kind}")
-    if length > max_frame_bytes:
+    if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError(f"frame announces {length} payload bytes "
-                                 f"(cap {max_frame_bytes})")
-    return kind, length
+                                 f"(cap {MAX_FRAME_BYTES})")
+    return length
 
 
-def decode_payload(header: bytes, payload: bytes,
-                   *, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict:
-    """Decode a frame given its full header + payload.
-
-    A kind-1 frame's binary segment is attached to the returned message
-    under :data:`BINARY_KEY`; a kind-0 frame never carries that key.
-    """
-    kind, length = validate_header(header, max_frame_bytes)
-    if length != len(payload):
-        raise TruncatedFrameError(f"frame announced {length} payload bytes but "
-                                  f"carries {len(payload)}")
-    binary = None
-    if kind == KIND_JSON_BINARY:
-        if length < BINARY_HEADER.size:
-            raise TruncatedFrameError(
-                f"kind-1 frame of {length} bytes cannot hold its JSON-length "
-                f"prefix ({BINARY_HEADER.size} bytes)")
-        (json_length,) = BINARY_HEADER.unpack_from(payload)
-        if BINARY_HEADER.size + json_length > length:
-            raise TruncatedFrameError(
-                f"kind-1 frame announces a {json_length}-byte JSON header but "
-                f"only carries {length - BINARY_HEADER.size} payload bytes")
-        binary = payload[BINARY_HEADER.size + json_length:]
-        payload = payload[BINARY_HEADER.size:BINARY_HEADER.size + json_length]
+def decode_payload(payload: bytes) -> dict:
+    """Decode a frame's payload: one JSON object of a known message type."""
     try:
         # Frames are UTF-8 by construction: decoding here spares json.loads
         # its encoding sniff.
@@ -212,13 +161,10 @@ def decode_payload(header: bytes, payload: bytes,
         raise ProtocolError("frame payload must be a JSON object")
     if message.get("type") not in MESSAGE_TYPES:
         raise UnknownMessageError(f"unknown message type {message.get('type')!r}")
-    if binary is not None:
-        message[BINARY_KEY] = binary
     return message
 
 
-def read_frame(stream: BinaryIO,
-               *, max_frame_bytes: int = MAX_FRAME_BYTES) -> dict | None:
+def read_frame(stream: BinaryIO) -> dict | None:
     """Read one frame from a blocking ``stream``.
 
     Returns ``None`` on a clean EOF *at a frame boundary* (the peer closed the
@@ -228,9 +174,8 @@ def read_frame(stream: BinaryIO,
     header = _read_exact(stream, FRAME_HEADER.size, allow_eof=True)
     if header is None:
         return None
-    _, length = validate_header(header, max_frame_bytes)
-    payload = _read_exact(stream, length, allow_eof=False) if length else b""
-    return decode_payload(header, payload, max_frame_bytes=max_frame_bytes)
+    length = validate_header(header)
+    return decode_payload(_read_exact(stream, length, allow_eof=False))
 
 
 def _read_exact(stream: BinaryIO, count: int, *, allow_eof: bool) -> bytes | None:
@@ -257,10 +202,9 @@ class FrameReader:
     than wait for its dispatcher.)
     """
 
-    def __init__(self, stream: BinaryIO, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+    def __init__(self, stream: BinaryIO, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._fd = stream.fileno()
-        self._max_frame_bytes = max_frame_bytes
         self._clock = clock
         self._buffer = b""
         self._eof = False
@@ -283,9 +227,8 @@ class FrameReader:
         header = self._take(FRAME_HEADER.size, deadline, allow_eof=True)
         if header is None:
             return None
-        _, length = validate_header(header, self._max_frame_bytes)
-        payload = self._take(length, deadline, allow_eof=False) if length else b""
-        return decode_payload(header, payload, max_frame_bytes=self._max_frame_bytes)
+        length = validate_header(header)
+        return decode_payload(self._take(length, deadline, allow_eof=False))
 
     def _take(self, count: int, deadline: float | None,
               *, allow_eof: bool) -> bytes | None:
@@ -335,10 +278,9 @@ class FrameWriter:
     selector, so the per-request deadline covers the write half too.
     """
 
-    def __init__(self, stream: BinaryIO, *, max_frame_bytes: int = MAX_FRAME_BYTES,
+    def __init__(self, stream: BinaryIO, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._fd = stream.fileno()
-        self._max_frame_bytes = max_frame_bytes
         self._clock = clock
         #: Frame bytes the fd accepted (transport accounting): a write that
         #: times out or breaks mid-frame counts only what went out.
@@ -347,14 +289,12 @@ class FrameWriter:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._fd, selectors.EVENT_WRITE)
 
-    def write(self, message: dict, *, binary: bytes | None = None,
-              timeout_seconds: float | None = None) -> None:
+    def write(self, message: dict, *, timeout_seconds: float | None = None) -> None:
         """Frame ``message`` onto the fd, raising
         :class:`TransportTimeoutError` when the peer does not drain it within
         ``timeout_seconds`` (the frame may then be half-sent -- callers are
         expected to kill the peer after a timeout)."""
-        data = encode_frame(message, binary=binary,
-                            max_frame_bytes=self._max_frame_bytes)
+        data = encode_frame(message)
         deadline = None if timeout_seconds is None else self._clock() + timeout_seconds
         while data:
             if deadline is not None:
@@ -399,114 +339,40 @@ def check_protocol(message: dict) -> None:
 
 
 # -- route payloads ------------------------------------------------------------
-# Scores travel as raw little-endian IEEE 754 doubles (``struct`` round-trips
-# every bit) and identifier names travel once, in an interned string table,
-# with each route a short int32 index sequence -- no per-route dicts, no float
-# formatting.
-#
-# Segment layout (all little-endian, in this order)::
-#
-#     counts   : int32[questions]   routes per question
-#     scores   : float64[routes]    raw route scores
-#     seq_lens : int32[routes]      identifiers per route (1 + len(tables))
-#     tokens   : int32[total]       string-table indices: database, tables...
-#
-# The JSON side of the frame carries the descriptor: the three array lengths
-# plus the string table, so the segment size is fully determined before a
-# single byte of it is trusted.
-def route_lists_to_binary(
-        route_lists: list[list[SchemaRoute]]) -> tuple[dict, bytes]:
-    """Per-question route lists -> ``(descriptor, binary segment)``."""
-    strings: list[str] = []
-    interned: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        slot = interned.get(name)
-        if slot is None:
-            slot = interned[name] = len(strings)
-            strings.append(name)
-        return slot
-
-    counts = []
-    scores = []
-    seq_lens = []
-    tokens = []
-    for routes in route_lists:
-        counts.append(len(routes))
-        for route in routes:
-            scores.append(route.score)
-            seq_lens.append(1 + len(route.tables))
-            tokens.append(intern(route.database))
-            tokens.extend(intern(table) for table in route.tables)
-    segment = b"".join((
-        struct.pack(f"<{len(counts)}i", *counts),
-        struct.pack(f"<{len(scores)}d", *scores),
-        struct.pack(f"<{len(seq_lens)}i", *seq_lens),
-        struct.pack(f"<{len(tokens)}i", *tokens),
-    ))
-    descriptor = {"questions": len(counts), "routes": len(scores),
-                  "tokens": len(tokens), "strings": strings}
-    return descriptor, segment
+def route_response(request_id: object,
+                   route_lists: list[list[SchemaRoute]]) -> dict:
+    """The ``route_response`` answering ``request_id``: per question, one
+    ``[score, database, *tables]`` row per candidate."""
+    return {"type": "route_response", "id": request_id,
+            "routes": [[[route.score, route.database, *route.tables]
+                        for route in routes] for routes in route_lists]}
 
 
-def route_rows_from_binary(descriptor: dict, segment: bytes) -> list[list[RouteRow]]:
-    """Decode the binary route form into ``(score, database, tables)`` rows
-    per question; :class:`ProtocolError` on any mismatch between the
-    descriptor and the segment (sizes, counts, table indices)."""
-    try:
-        questions = int(descriptor["questions"])
-        routes = int(descriptor["routes"])
-        tokens = int(descriptor["tokens"])
-        strings = descriptor["strings"]
-    except (KeyError, TypeError, ValueError) as error:
-        raise ProtocolError(f"malformed binary route descriptor: {error}") from error
-    if not isinstance(strings, list) \
-            or min(questions, routes, tokens, 0) < 0:
-        raise ProtocolError("malformed binary route descriptor")
-    expected = 4 * questions + 8 * routes + 4 * routes + 4 * tokens
-    if len(segment) != expected:
-        raise ProtocolError(
-            f"binary route segment is {len(segment)} bytes, descriptor "
-            f"implies {expected}")
-    offset = 0
-    count_list = struct.unpack_from(f"<{questions}i", segment, offset)
-    offset += 4 * questions
-    score_list = struct.unpack_from(f"<{routes}d", segment, offset)
-    offset += 8 * routes
-    length_list = struct.unpack_from(f"<{routes}i", segment, offset)
-    offset += 4 * routes
-    token_list = struct.unpack_from(f"<{tokens}i", segment, offset)
-    if sum(count_list) != routes or (count_list and min(count_list) < 0):
-        raise ProtocolError("binary route counts do not sum to the route total")
-    if sum(length_list) != tokens or (length_list and min(length_list) < 1):
-        raise ProtocolError(
-            "binary route sequences do not sum to the token total")
-    if token_list and (min(token_list) < 0
-                       or max(token_list) >= len(strings)):
-        raise ProtocolError("binary route token outside the string table")
-    try:
-        names = [str(name) for name in strings]
-    except ValueError as error:  # pragma: no cover - str() rarely fails
-        raise ProtocolError(f"malformed string table: {error}") from error
-    rows = []
-    token_cursor = 0
-    for index, length in enumerate(length_list):
-        sequence = token_list[token_cursor:token_cursor + length]
-        token_cursor += length
-        rows.append((score_list[index], names[sequence[0]],
-                     tuple([names[token] for token in sequence[1:]])))
+def route_rows(reply: dict) -> list[list[RouteRow]]:
+    """A ``route_response``'s answers as ``(score, database, tables)`` rows
+    per question; :class:`ProtocolError` unless ``routes`` is a list of lists
+    of ``[float, str, *str]`` rows (an int, bool or null score is refused:
+    ``json`` reads every float the encoder wrote as a float)."""
+    answers = reply.get("routes")
+    if type(answers) is not list:
+        raise ProtocolError(f"route_response routes is a "
+                            f"{type(answers).__name__}, not a list")
     row_lists: list[list[RouteRow]] = []
-    cursor = 0
-    for count in count_list:
-        row_lists.append(rows[cursor:cursor + count])
-        cursor += count
+    for answer in answers:
+        if type(answer) is not list:
+            raise ProtocolError(f"route_response answer is a "
+                                f"{type(answer).__name__}, not a list")
+        rows = []
+        for row in answer:
+            if type(row) is not list or len(row) < 2 or type(row[0]) is not float:
+                raise ProtocolError("route row is not [score, database, *tables]")
+            for name in row[1:]:
+                if type(name) is not str:
+                    raise ProtocolError(f"route row names a "
+                                        f"{type(name).__name__}, not a string")
+            rows.append((row[0], row[1], tuple(row[2:])))
+        row_lists.append(rows)
     return row_lists
-
-
-def route_lists_from_binary(descriptor: dict,
-                            segment: bytes) -> list[list[SchemaRoute]]:
-    """:func:`route_rows_from_binary` as :class:`SchemaRoute` lists."""
-    return schema_routes(route_rows_from_binary(descriptor, segment))
 
 
 def error_message(request_id: object, error: BaseException) -> dict:

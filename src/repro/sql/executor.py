@@ -183,7 +183,7 @@ class SqlExecutor:
             except SqlExecutionError as error:
                 return _raiser(error)
         if isinstance(expression, BinaryOp):
-            return _bind_binary(expression, self._bind_row(expression.left, columns),
+            return _bind_binop(expression, self._bind_row(expression.left, columns),
                                 self._bind_row(expression.right, columns))
         if isinstance(expression, InSubquery):
             return _membership(self._bind_row(expression.expression, columns),
@@ -209,7 +209,7 @@ class SqlExecutor:
         if isinstance(expression, FuncCall):
             return self._bind_aggregate(expression, columns)
         if isinstance(expression, BinaryOp):
-            return _bind_binary(expression, self._bind_group(expression.left, columns),
+            return _bind_binop(expression, self._bind_group(expression.left, columns),
                                 self._bind_group(expression.right, columns))
         if isinstance(expression, (Literal, ScalarSubquery, InSubquery)):
             # Row expressions see the group's first row (all NULLs when the
@@ -351,7 +351,7 @@ _ACCEPTED_ORDERINGS = {
 }
 
 
-def _bind_binary(expression: BinaryOp, left: Bound, right: Bound) -> Bound:
+def _bind_binop(expression: BinaryOp, left: Bound, right: Bound) -> Bound:
     """A connective or comparison over two bound operands.  Both operands are
     always evaluated, left first."""
     operator = expression.operator

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import select
 import shutil
 import signal
 import threading
@@ -50,14 +51,14 @@ from repro.cluster import (
     save_cluster,
 )
 import repro.cluster.procworker as procworker
+from repro.cluster import transport
 from repro.cluster.procworker import SLOW_CAREFUL_ENV, serve, worker_main
 from repro.cluster.transport import (
-    BINARY_KEY,
     PROTOCOL_VERSION,
     VersionMismatchError,
     check_protocol,
     read_frame,
-    route_lists_from_binary,
+    route_rows,
     write_frame,
 )
 from repro.core import (
@@ -120,10 +121,6 @@ def _local_worker(cluster_checkpoint, careful_tier: bool = False) -> ShardWorker
 def _signature(route_lists):
     return [[(route.database, route.tables, route.score) for route in routes]
             for routes in route_lists]
-
-
-def _reply_routes(reply):
-    return route_lists_from_binary(reply["routes_binary"], reply[BINARY_KEY])
 
 
 class _SteppingClock:
@@ -371,10 +368,30 @@ class TestServeLoop:
                                     "questions": [QUESTIONS[0]]})
             reply = read_frame(from_worker)
             assert reply["type"] == "route_response" and reply["id"] == 3
-            assert len(_reply_routes(reply)) == 1
+            assert len(route_rows(reply)) == 1
             assert "spans" not in reply  # a traceless request ships no spans
         finally:
             self._stop(worker, thread, to_worker, from_worker)
+
+    def test_an_oversized_reply_is_a_request_scoped_error(self, cluster_checkpoint,
+                                                          monkeypatch):
+        """A reply above ``MAX_FRAME_BYTES`` is answered with an error frame,
+        not a dead worker: the dispatcher must not retry a lethal batch on
+        every respawned replica."""
+        worker, thread, to_worker, from_worker = self._start(cluster_checkpoint)
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 512)
+        write_frame(to_worker, {"type": "route_batch_request", "id": 1,
+                                "questions": list(QUESTIONS[:8])})
+        # a serve loop that died on the reply writes nothing: bound the wait
+        assert select.select([from_worker], [], [], 10.0)[0]
+        reply = read_frame(from_worker)
+        assert (reply["type"], reply["id"], reply["error"]) \
+            == ("error", 1, "FrameTooLargeError")
+        monkeypatch.undo()
+        write_frame(to_worker, {"type": "route_batch_request", "id": 2,
+                                "questions": list(QUESTIONS[:8])})
+        assert len(route_rows(read_frame(from_worker))) == 8
+        self._stop(worker, thread, to_worker, from_worker)
 
     def test_serve_refuses_an_ack_at_another_version(self, cluster_checkpoint):
         worker = _local_worker(cluster_checkpoint)
@@ -422,7 +439,7 @@ class TestServeLoop:
                 assert [(reply["type"], reply["id"]) for reply in replies] == \
                     [("route_response", request_id) for request_id in ids] \
                     + [("pong", round_)]
-                assert all(len(_reply_routes(reply)) == 1 for reply in replies[:-1])
+                assert all(len(route_rows(reply)) == 1 for reply in replies[:-1])
         finally:
             self._stop(worker, thread, to_worker, from_worker)
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 import io
 import json
 import os
-import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.cluster import transport
 from repro.cluster.transport import (
-    BINARY_HEADER,
-    BINARY_KEY,
     FRAME_HEADER,
     FRAME_MAGIC,
     MAX_FRAME_BYTES,
@@ -39,12 +39,11 @@ from repro.cluster.transport import (
     error_message,
     hello_message,
     read_frame,
-    route_lists_from_binary,
-    route_lists_to_binary,
-    route_rows_from_binary,
+    route_response,
+    route_rows,
     write_frame,
 )
-from repro.core.router import SchemaRoute, merge_route_lists
+from repro.core.router import SchemaRoute, merge_route_lists, schema_routes
 
 
 def _frame_of(message: dict) -> bytes:
@@ -64,13 +63,11 @@ class TestFraming:
         {"type": "route_batch_request", "id": 2, "questions": ["q1", "q2"],
          "max_candidates": None, "careful": True},
         {"type": "route_response", "id": 2,
-         "routes_binary": {"questions": 2, "routes": 0, "tokens": 0,
-                           "strings": []}},
+         "routes": [[[-0.5, "concert_hall", "singer", "stadium"],
+                     [-2.25, "world_atlas"]], []]},
         # a traced reply: the worker's spans as positional rows -- [parent
         # row, name, started ns, ended ns, status, error, attributes]
-        {"type": "route_response", "id": 4,
-         "routes_binary": {"questions": 1, "routes": 0, "tokens": 0,
-                           "strings": []},
+        {"type": "route_response", "id": 4, "routes": [[]],
          "spans": [[None, "worker", 0, 81980, "ok", None, {"shard": 0}],
                    [0, "encode", 14026, 18061, "ok", None, {"questions": 1}],
                    [0, "decode", 56991, 69226, "error", "ValueError: boom",
@@ -130,18 +127,20 @@ class TestMalformedStreams:
                 _read_back(frame[:cut])
 
     def test_oversized_frame_refused_on_read(self):
-        header = FRAME_HEADER.pack(FRAME_MAGIC, 0, MAX_FRAME_BYTES + 1)
+        header = FRAME_HEADER.pack(FRAME_MAGIC, MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameTooLargeError):
             _read_back(header + b"x" * 16)
 
-    def test_oversized_payload_refused_on_encode(self):
+    def test_oversized_payload_refused_on_encode(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 32)
         with pytest.raises(FrameTooLargeError):
-            encode_frame({"type": "ping", "blob": "x" * 64}, max_frame_bytes=32)
+            encode_frame({"type": "ping", "blob": "x" * 64})
 
-    def test_small_read_cap_rejects_big_but_valid_frames(self):
+    def test_small_read_cap_rejects_big_but_valid_frames(self, monkeypatch):
         frame = _frame_of({"type": "ping", "payload": "y" * 128})
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 64)
         with pytest.raises(FrameTooLargeError):
-            read_frame(io.BytesIO(frame), max_frame_bytes=64)
+            read_frame(io.BytesIO(frame))
 
     def test_foreign_magic_raises(self):
         frame = bytearray(_frame_of({"type": "ping", "id": 1}))
@@ -149,27 +148,21 @@ class TestMalformedStreams:
         with pytest.raises(ProtocolError):
             _read_back(bytes(frame))
 
-    def test_unknown_payload_kind_raises(self):
-        payload = json.dumps({"type": "ping"}).encode()
-        frame = FRAME_HEADER.pack(FRAME_MAGIC, 9, len(payload)) + payload
-        with pytest.raises(ProtocolError):
-            _read_back(frame)
-
     def test_non_json_payload_raises(self):
         payload = b"\xff\xfe not json"
-        frame = FRAME_HEADER.pack(FRAME_MAGIC, 0, len(payload)) + payload
+        frame = FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
         with pytest.raises(ProtocolError):
             _read_back(frame)
 
     def test_non_object_payload_raises(self):
         payload = json.dumps(["route_batch_request"]).encode()
-        frame = FRAME_HEADER.pack(FRAME_MAGIC, 0, len(payload)) + payload
+        frame = FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
         with pytest.raises(ProtocolError):
             _read_back(frame)
 
     def test_unknown_message_type_raises_on_read(self):
         payload = json.dumps({"type": "route_batch_request_v99"}).encode()
-        frame = FRAME_HEADER.pack(FRAME_MAGIC, 0, len(payload)) + payload
+        frame = FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
         with pytest.raises(UnknownMessageError):
             _read_back(frame)
 
@@ -225,16 +218,17 @@ class TestHandshake:
 
 # -- route payloads ------------------------------------------------------------
 AWKWARD_SCORES = [0.1 + 0.2, -1.5e-300, -123.456789012345678, 5e-324,
-                  -0.0, 1 / 3, -17.000000000000004]
+                  -0.0, 1 / 3, -17.000000000000004,
+                  sys.float_info.max, sys.float_info.min, -5e-324]
+
+
+def _rows_over_the_wire(route_lists):
+    """Encode -> frame -> read back -> decode, as a reply travels."""
+    return route_rows(_read_back(encode_frame(route_response(1, route_lists))))
 
 
 def _over_the_wire(route_lists):
-    """Encode -> frame -> read back -> decode, as a reply travels."""
-    descriptor, segment = route_lists_to_binary(route_lists)
-    back = _read_back(encode_frame({"type": "route_response", "id": 1,
-                                    "routes_binary": descriptor},
-                                   binary=segment))
-    return route_lists_from_binary(back["routes_binary"], back[BINARY_KEY])
+    return schema_routes(_rows_over_the_wire(route_lists))
 
 
 class TestRoutePayloads:
@@ -244,6 +238,13 @@ class TestRoutePayloads:
         for original, back in zip(routes, restored):
             assert back == original
             assert back.score.hex() == original.score.hex()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_score_survives_a_route_response_frame(self, score):
+        """``json`` writes a float as its ``repr`` and reads it back correctly
+        rounded: every finite double crosses the wire bit for bit."""
+        (((back, _, _),),) = _rows_over_the_wire([[SchemaRoute("db", (), score)]])
+        assert back.hex() == score.hex()
 
     def test_merge_is_invariant_under_serialization(self):
         """The acceptance property: merging shard answers that crossed the
@@ -258,15 +259,14 @@ class TestRoutePayloads:
                                   max_candidates=3)
         assert wired == local
 
-    def test_rows_round_trip_bit_exactly(self):
+    @pytest.mark.parametrize("size", ["sample", "20480-routes"])
+    def test_rows_round_trip_bit_exactly(self, size):
         """The one decoder's rows, read off a real frame, equal the
-        in-process routes as ``(score, database, tables)`` to the last bit."""
-        route_lists = _sample_route_lists()
-        descriptor, segment = route_lists_to_binary(route_lists)
-        back = _read_back(encode_frame({"type": "route_response", "id": 1,
-                                        "routes_binary": descriptor},
-                                       binary=segment))
-        rows = route_rows_from_binary(back["routes_binary"], back[BINARY_KEY])
+        in-process routes as ``(score, database, tables)`` to the last bit --
+        a reply far beyond any real scatter wave included."""
+        route_lists = _sample_route_lists() if size == "sample" \
+            else _large_route_lists()
+        rows = _rows_over_the_wire(route_lists)
         local = [[(route.score, route.database, route.tables) for route in routes]
                  for routes in route_lists]
         assert rows == local
@@ -279,138 +279,62 @@ def _sample_route_lists():
     scores = AWKWARD_SCORES
     return [
         [SchemaRoute("concert_hall", ("stadium", "singer"), scores[0]),
-         SchemaRoute("world_atlas", ("city",), scores[1])],
+         SchemaRoute("world_atlas", ("city",), scores[1]),
+         SchemaRoute('the "quoted" hall', ("back\\slash", "caf\u00e9", "\u6b4c\u624b"),
+                     scores[2])],
         [],  # a question with no routes still takes a slot
         [SchemaRoute("concert_hall", (), scores[index])
-         for index in range(2, len(scores))],
+         for index in range(3, len(scores))],
     ]
 
 
-def _lie_in_segment(segment: bytes, offset: int, delta: int) -> bytes:
-    """``segment`` with the int32 at ``offset`` moved by ``delta``: a count
-    that lies while the segment keeps the size its descriptor implies."""
-    lying = bytearray(segment)
-    (value,) = struct.unpack_from("<i", lying, offset)
-    struct.pack_into("<i", lying, offset, value + delta)
-    return bytes(lying)
+def _large_route_lists():
+    """5 questions x 4 096 routes: 20 480 rows in one reply."""
+    scores = AWKWARD_SCORES
+    return [
+        [SchemaRoute(f"db_{index}_{slot}", (f"t{slot}",),
+                     scores[(index * 31 + slot) % len(scores)])
+         for slot in range(4096)]
+        for index in range(5)
+    ]
 
 
-#: Every way a route reply can lie, as ``(descriptor, segment) -> (descriptor,
-#: segment)`` over a well-formed sample.  The seq_lens array starts after
-#: three question counts and seven float64 scores.
+def _first_row(reply: dict) -> list:
+    return reply["routes"][0][0]
+
+
+def _set_first_row(reply: dict, row) -> dict:
+    reply["routes"][0][0] = row
+    return reply
+
+
+#: Every way a route reply can lie, as ``reply -> reply`` over a well-formed
+#: sample whose first row is ``[score, "concert_hall", "stadium", "singer"]``.
 MALFORMED_ROUTE_PAYLOADS = {
-    "no descriptor": lambda descriptor, segment: (None, b""),
-    "missing fields": lambda descriptor, segment: ({"questions": 1, "routes": 1}, b""),
-    "count not a number": lambda descriptor, segment: (
-        {"questions": "not-a-count", "routes": 0, "tokens": 0, "strings": []}, b""),
-    "truncated": lambda descriptor, segment: (descriptor, segment[:-1]),
-    "padded": lambda descriptor, segment: (descriptor, segment + b"\x00"),
-    "lying route total": lambda descriptor, segment: (
-        dict(descriptor, routes=descriptor["routes"] + 1), segment),
-    "lying question count": lambda descriptor, segment: (
-        descriptor, _lie_in_segment(segment, 0, 1)),
-    "lying sequence length": lambda descriptor, segment: (
-        descriptor, _lie_in_segment(segment, 4 * 3 + 8 * 7, 1)),
-    "token out of range": lambda descriptor, segment: (
-        dict(descriptor, strings=descriptor["strings"][:-1]), segment),
-    "string table not a list": lambda descriptor, segment: (
-        dict(descriptor, strings="concert_hall"), segment),
+    "routes missing": lambda reply: {"type": reply["type"], "id": reply["id"]},
+    "routes not a list": lambda reply: dict(reply, routes={"0": reply["routes"][0]}),
+    "answer not a list": lambda reply: dict(reply, routes=[reply["routes"][0][0][0]]),
+    "row not a list": lambda reply: _set_first_row(reply, "concert_hall"),
+    "one-entry row": lambda reply: _set_first_row(reply, _first_row(reply)[:1]),
+    "int score": lambda reply: _set_first_row(reply, [-1, *_first_row(reply)[1:]]),
+    "bool score": lambda reply: _set_first_row(reply, [True, *_first_row(reply)[1:]]),
+    "str score": lambda reply: _set_first_row(reply, ["-0.5", *_first_row(reply)[1:]]),
+    "null score": lambda reply: _set_first_row(reply, [None, *_first_row(reply)[1:]]),
+    "non-string database": lambda reply: _set_first_row(
+        reply, [_first_row(reply)[0], 7, *_first_row(reply)[2:]]),
+    "non-string table": lambda reply: _set_first_row(
+        reply, [*_first_row(reply)[:2], None, *_first_row(reply)[3:]]),
 }
 
 
-@pytest.mark.parametrize("decoder", [route_rows_from_binary, route_lists_from_binary],
-                         ids=["rows", "routes"])
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROUTE_PAYLOADS))
-def test_malformed_route_payload_raises_through_either_decoder(decoder, case):
-    """The adapter adds no check and skips none: each malformed payload is a
-    :class:`ProtocolError` from the row decoder and from the adapter."""
-    descriptor, segment = route_lists_to_binary(_sample_route_lists())
-    assert route_rows_from_binary(descriptor, segment)  # the sample is well formed
+def test_malformed_route_payload_raises(case):
+    """Each lie, read off a real frame, is a :class:`ProtocolError` from the
+    one decoder."""
+    assert _rows_over_the_wire(_sample_route_lists())  # the sample is well formed
+    lying = MALFORMED_ROUTE_PAYLOADS[case](route_response(1, _sample_route_lists()))
     with pytest.raises(ProtocolError):
-        decoder(*MALFORMED_ROUTE_PAYLOADS[case](descriptor, segment))
-
-
-class TestBinaryRoutePayloads:
-    def _route_lists(self):
-        return _sample_route_lists()
-
-    def test_binary_segment_round_trips_bit_exactly(self):
-        route_lists = self._route_lists()
-        descriptor, segment = route_lists_to_binary(route_lists)
-        # the descriptor is plain JSON; the segment is raw bytes
-        descriptor = json.loads(json.dumps(descriptor))
-        restored = route_lists_from_binary(descriptor, segment)
-        assert restored == route_lists
-        for routes, back in zip(route_lists, restored):
-            for original, decoded in zip(routes, back):
-                assert decoded.score.hex() == original.score.hex()
-
-    def test_string_table_is_interned(self):
-        descriptor, _ = route_lists_to_binary(self._route_lists())
-        strings = descriptor["strings"]
-        assert len(strings) == len(set(strings))  # each name stored once
-        assert set(strings) == {"concert_hall", "stadium", "singer",
-                                "world_atlas", "city"}
-
-    def test_binary_frame_round_trips(self):
-        descriptor, segment = route_lists_to_binary(self._route_lists())
-        message = {"type": "route_response", "id": 9,
-                   "routes_binary": descriptor}
-        frame = encode_frame(message, binary=segment)
-        back = _read_back(frame)
-        assert back.pop(BINARY_KEY) == segment
-        assert back == message
-        assert route_lists_from_binary(back["routes_binary"], segment) \
-            == self._route_lists()
-
-    def test_binary_key_is_reserved_on_encode(self):
-        with pytest.raises(ProtocolError):
-            encode_frame({"type": "route_response", "id": 1, BINARY_KEY: b"x"})
-
-    def test_every_prefix_of_a_binary_frame_fails_loudly_or_cleanly(self):
-        """The kind-1 truncation sweep: cutting a binary frame anywhere --
-        header, JSON sub-header, or mid-segment -- must read as clean EOF
-        (empty) or raise, never hand back a short segment as complete."""
-        descriptor, segment = route_lists_to_binary(self._route_lists())
-        frame = encode_frame({"type": "route_response", "id": 5,
-                              "routes_binary": descriptor}, binary=segment)
-        for cut in range(len(frame)):
-            prefix = frame[:cut]
-            if cut == 0:
-                assert _read_back(prefix) is None
-            else:
-                with pytest.raises(ProtocolError):
-                    _read_back(prefix)
-        restored = _read_back(frame)
-        assert restored[BINARY_KEY] == segment
-
-    def test_lying_json_length_raises(self):
-        """A kind-1 frame whose JSON sub-header length overruns the payload
-        is truncation, not an index error."""
-        payload = json.dumps({"type": "ping", "id": 1}).encode()
-        body = BINARY_HEADER.pack(len(payload) + 50) + payload
-        frame = FRAME_HEADER.pack(FRAME_MAGIC, 1, len(body)) + body
-        with pytest.raises(TruncatedFrameError):
-            _read_back(frame)
-
-    def test_a_20480_route_segment_round_trips_bit_exactly(self):
-        """One codec for every size: a segment far beyond any real scatter
-        wave takes the same path as a three-route reply."""
-        scores = AWKWARD_SCORES
-        route_lists = [
-            [SchemaRoute(f"db_{index}_{slot}", (f"t{slot}",),
-                         scores[(index * 31 + slot) % len(scores)])
-             for slot in range(4096)]
-            for index in range(5)
-        ]
-        descriptor, segment = route_lists_to_binary(route_lists)
-        assert descriptor["routes"] == 20480
-        restored = route_lists_from_binary(
-            json.loads(json.dumps(descriptor)), segment)
-        assert restored == route_lists
-        for routes, back in zip(route_lists, restored):
-            for original, decoded in zip(routes, back):
-                assert decoded.score.hex() == original.score.hex()
+        route_rows(_read_back(encode_frame(lying)))
 
 
 class TestHotPathEncoding:
@@ -544,9 +468,9 @@ class TestFrameReader:
 
     def test_oversized_frame_detected_before_payload_arrives(self):
         reader_file, writer_file = self._pipe()
-        reader = FrameReader(reader_file, max_frame_bytes=64)
+        reader = FrameReader(reader_file)
         try:
-            writer_file.write(FRAME_HEADER.pack(FRAME_MAGIC, 0, 1 << 20))
+            writer_file.write(FRAME_HEADER.pack(FRAME_MAGIC, MAX_FRAME_BYTES + 1))
             with pytest.raises(FrameTooLargeError):
                 reader.read(timeout_seconds=5.0)
         finally:

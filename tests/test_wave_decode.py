@@ -44,7 +44,7 @@ from repro.cluster import (
     save_cluster,
 )
 from repro.cluster.shard import shard_search
-from repro.cluster.transport import BINARY_KEY
+from repro.cluster.transport import route_rows
 from repro.core import (
     RouterConfig,
     SchemaGraph,
@@ -251,7 +251,7 @@ class TestLoadedFleetSharesTheMasterTrunk:
     def test_retired_pipelined_transport_key_boots_the_one_wire(
             self, master_router, tmp_path, saved):
         """A pre-PR-24 manifest says ``pipelined_transport``; whatever it
-        says, the subprocess fleet it boots is the multiplexed binary wire
+        says, the subprocess fleet it boots is the one multiplexed wire
         and answers like the inproc fleet, bit for bit."""
         _checkpoint(master_router, tmp_path / "ckpt")
         manifest_path = tmp_path / "ckpt" / "cluster.json"
@@ -270,7 +270,7 @@ class TestLoadedFleetSharesTheMasterTrunk:
                 == [score.hex() for score in _scores(expected)]
             # Two frames on one pipe before either is awaited, with the child
             # stopped so neither reply can land first: in-flight depth is 2
-            # by construction, and both replies come back as binary segments.
+            # by construction, and both replies come back as JSON rows.
             worker = fleet.shards[0].workers[0]
             request = {"type": "route_batch_request", "questions": questions[:1],
                        "max_candidates": None, "careful": False}
@@ -283,8 +283,8 @@ class TestLoadedFleetSharesTheMasterTrunk:
             for pending, _ in sent:
                 reply = worker._await_reply(pending, "route_response",
                                             30.0, "route_batch_request")
-                assert isinstance(reply[BINARY_KEY], bytes)
-                assert "routes" not in reply
+                assert len(route_rows(reply)) == 1
+                assert "routes_binary" not in reply
             assert fleet.stats()["transport"]["max_in_flight"] == 2
         with pytest.raises(TypeError):
             ClusterConfig(**{"pipelined_transport": saved})

@@ -39,11 +39,10 @@ import pytest
 from repro.cluster.dispatcher import ShardTimeoutError
 from repro.cluster.procworker import ProcShardWorker, WorkerCrashedError
 from repro.cluster.transport import (
-    BINARY_KEY,
     PROTOCOL_VERSION,
     TransportTimeoutError,
     TruncatedFrameError,
-    route_lists_to_binary,
+    route_response,
 )
 from repro.core.router import SchemaRoute
 from repro.obs.health import (
@@ -164,9 +163,7 @@ def _routes_for(request_id: int, tag: str = "db") -> list[list[SchemaRoute]]:
 
 
 def _route_reply(request_id: int, tag: str = "db") -> dict:
-    descriptor, segment = route_lists_to_binary(_routes_for(request_id, tag))
-    return {"type": "route_response", "id": request_id,
-            "routes_binary": descriptor, BINARY_KEY: segment}
+    return route_response(request_id, _routes_for(request_id, tag))
 
 
 class ScriptedReader:
@@ -243,7 +240,7 @@ class FakeChild:
                           "shard_id": 0, "databases": ["db"], "pid": pid})
 
     # the FrameWriter surface
-    def write(self, message, *, binary=None, timeout_seconds=None) -> None:
+    def write(self, message, *, timeout_seconds=None) -> None:
         if self.process.returncode is not None:
             raise BrokenPipeError("fake child is gone")
         self.frames.append(message)
@@ -542,7 +539,7 @@ class EchoChild(FakeChild):
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
-    def write(self, message, *, binary=None, timeout_seconds=None) -> None:
+    def write(self, message, *, timeout_seconds=None) -> None:
         self.frames.append(message)
         if message["type"] != "hello_ack":
             self.inbox.put(message)
@@ -553,9 +550,7 @@ class EchoChild(FakeChild):
             if message["type"] == "route_batch_request":
                 routes = [[SchemaRoute(message["questions"][0], ("t",),
                                        -float(message["id"]))]]
-                descriptor, segment = route_lists_to_binary(routes)
-                self.reader.feed({"type": "route_response", "id": message["id"],
-                                  "routes_binary": descriptor, BINARY_KEY: segment})
+                self.reader.feed(route_response(message["id"], routes))
                 continue
             self.unanswered.append(message)
             self._answer_control_frames()
