@@ -52,6 +52,7 @@ are gone: the parent knows the trace id, mints span ids and derives the rest.
 from __future__ import annotations
 
 import json
+import math
 import os
 import selectors
 import struct
@@ -352,7 +353,9 @@ def route_rows(reply: dict) -> list[list[RouteRow]]:
     """A ``route_response``'s answers as ``(score, database, tables)`` rows
     per question; :class:`ProtocolError` unless ``routes`` is a list of lists
     of ``[float, str, *str]`` rows (an int, bool or null score is refused:
-    ``json`` reads every float the encoder wrote as a float)."""
+    ``json`` reads every float the encoder wrote as a float; so is a ``NaN``
+    or infinite one, which ``json`` reads too but no decode ever scores and
+    which would unsettle the merge's ranking)."""
     answers = reply.get("routes")
     if type(answers) is not list:
         raise ProtocolError(f"route_response routes is a "
@@ -366,6 +369,8 @@ def route_rows(reply: dict) -> list[list[RouteRow]]:
         for row in answer:
             if type(row) is not list or len(row) < 2 or type(row[0]) is not float:
                 raise ProtocolError("route row is not [score, database, *tables]")
+            if not math.isfinite(row[0]):
+                raise ProtocolError(f"route row scores {row[0]!r}, not a finite float")
             for name in row[1:]:
                 if type(name) is not str:
                     raise ProtocolError(f"route row names a "

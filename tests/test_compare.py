@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 COMPARE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
@@ -64,3 +65,30 @@ def test_each_verdict_once(tmp_path, capsys):
         == ["better", "same", "worse", "unresolved"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["new.json", "old.json"]
     assert compare.main([str(old_path)]) == 2
+
+
+def test_a_workload_only_one_file_has_is_not_compared():
+    compare = _compare_module()
+    spec = json.loads(compare.SPEC_PATH.read_text())
+    new = {"workloads": {**NEW["workloads"],
+                         "proc_hot": NEW["workloads"]["proc_cold"]}}
+    assert {row["workload"] for row in compare.compare(OLD, new, spec)} \
+        == {"proc_cold"}
+    assert compare.compare(OLD, {"workloads": {}}, spec) == []
+
+
+def test_one_run_is_its_own_quartiles():
+    compare = _compare_module()
+    assert compare.quartiles([3.5]) == (3.5, 3.5, 3.5)
+    row = compare.verdict([2.0], [1.0], 0.25, "lower")
+    assert row["old"] == (2.0, 2.0, 2.0)
+    assert (row["change"], row["verdict"]) == (-0.5, "better")
+
+
+def test_a_change_from_a_zero_median_is_infinite():
+    compare = _compare_module()
+    assert compare.relative(0.0, 0.0) == 0.0
+    assert compare.relative(2.0, 0.0) == math.inf
+    assert compare.relative(-2.0, 0.0) == -math.inf
+    row = compare.verdict([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.25, "higher")
+    assert (row["change"], row["verdict"]) == (math.inf, "better")

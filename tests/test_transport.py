@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import sys
 import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import transport
 from repro.cluster.transport import (
@@ -259,6 +260,79 @@ class TestRoutePayloads:
                                   max_candidates=3)
         assert wired == local
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.floats(min_value=-50.0, max_value=0.0),
+        st.sampled_from(["db1", "db2", "db3"]),
+        st.lists(st.sampled_from(["t1", "t2", "t3"]), max_size=3, unique=True)),
+        max_size=4), min_size=1, max_size=3))
+    def test_merging_wired_rows_ranks_as_the_local_routes(self, shards):
+        """The dispatcher merges reply rows as they come off the wire; any
+        shard answers, overlapping databases included, rank exactly as the
+        in-process routes would."""
+        shard_routes = [[SchemaRoute(database, tuple(tables), score)
+                         for score, database, tables in shard] for shard in shards]
+        local = merge_route_lists(shard_routes, max_candidates=4)
+        wired = merge_route_lists([_rows_over_the_wire([routes])[0]
+                                   for routes in shard_routes], max_candidates=4)
+        assert wired == local
+        assert [route.score.hex() for route in wired] \
+            == [route.score.hex() for route in local]
+
+    @given(st.text(), st.lists(st.text(), max_size=4))
+    def test_any_names_survive_a_route_response_frame(self, database, tables):
+        """Names are JSON strings: quotes, escapes, non-ASCII and lone
+        surrogates cross the wire unchanged."""
+        route = SchemaRoute(database, tuple(tables), -1.0)
+        assert _over_the_wire([[route]]) == [[route]]
+
+    def test_a_reply_is_one_row_list_per_question(self):
+        reply = route_response(4, [
+            [SchemaRoute("concert_hall", ("stadium", "singer"), -0.5)],
+            [],
+            [SchemaRoute("world_atlas", (), -2.25)]])
+        assert reply == {"type": "route_response", "id": 4, "routes": [
+            [[-0.5, "concert_hall", "stadium", "singer"]],
+            [],
+            [[-2.25, "world_atlas"]]]}
+        assert route_rows(_read_back(encode_frame(reply))) == [
+            [(-0.5, "concert_hall", ("stadium", "singer"))],
+            [],
+            [(-2.25, "world_atlas", ())]]
+
+    def test_a_reply_to_no_questions_has_no_answers(self):
+        assert route_response(5, []) == {"type": "route_response", "id": 5,
+                                         "routes": []}
+        assert _rows_over_the_wire([]) == []
+
+    def test_a_reply_read_in_pieces_decodes_bit_exactly(self):
+        """A reply that reaches :class:`FrameReader` a few bytes at a time
+        (as a pipe may hand it over) decodes to the same rows."""
+        route_lists = _sample_route_lists()
+        frame = encode_frame(route_response(6, route_lists))
+        read_fd, write_fd = os.pipe()
+        reader_file = os.fdopen(read_fd, "rb", buffering=0)
+        writer_file = os.fdopen(write_fd, "wb", buffering=0)
+        reader = FrameReader(reader_file)
+
+        def trickle():
+            for start in range(0, len(frame), 7):
+                writer_file.write(frame[start:start + 7])
+                time.sleep(0.001)
+
+        writer = threading.Thread(target=trickle)
+        writer.start()
+        try:
+            reply = reader.read(timeout_seconds=10.0)
+        finally:
+            writer.join()
+            reader.close()
+            reader_file.close()
+            writer_file.close()
+        assert route_rows(reply) == [
+            [(route.score, route.database, route.tables) for route in routes]
+            for routes in route_lists]
+
     @pytest.mark.parametrize("size", ["sample", "20480-routes"])
     def test_rows_round_trip_bit_exactly(self, size):
         """The one decoder's rows, read off a real frame, equal the
@@ -324,6 +398,20 @@ MALFORMED_ROUTE_PAYLOADS = {
         reply, [_first_row(reply)[0], 7, *_first_row(reply)[2:]]),
     "non-string table": lambda reply: _set_first_row(
         reply, [*_first_row(reply)[:2], None, *_first_row(reply)[3:]]),
+    "list table": lambda reply: _set_first_row(
+        reply, [*_first_row(reply)[:2], _first_row(reply)[2:]]),
+    "empty row": lambda reply: _set_first_row(reply, []),
+    "answer null": lambda reply: dict(reply, routes=[None, *reply["routes"][1:]]),
+    "NaN score": lambda reply: _set_first_row(
+        reply, [math.nan, *_first_row(reply)[1:]]),
+    "infinite score": lambda reply: _set_first_row(
+        reply, [math.inf, *_first_row(reply)[1:]]),
+    "negative infinite score": lambda reply: _set_first_row(
+        reply, [-math.inf, *_first_row(reply)[1:]]),
+    # a protocol-6 peer's reply: a binary-segment descriptor, no rows
+    "binary descriptor": lambda reply: {
+        "type": reply["type"], "id": reply["id"],
+        "routes_binary": {"questions": 3, "routes": 0, "tokens": 0, "strings": []}},
 }
 
 
