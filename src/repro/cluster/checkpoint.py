@@ -217,6 +217,12 @@ def load_cluster(path: str | Path,
         shards = _spawn_proc_shards(path / MASTER_DIR, assignment, config)
     else:
         shards = project_shards(master, assignment, config)
-    return ClusterRoutingService(shards, assignment, config=config,
-                                 master_router=master,
-                                 catalog_version=manifest.get("catalog_version", 0))
+    try:
+        return ClusterRoutingService(shards, assignment, config=config,
+                                     master_router=master,
+                                     catalog_version=manifest.get("catalog_version", 0))
+    except BaseException:
+        # a failed load must not leak the worker processes it spawned
+        for replica_set in shards:
+            replica_set.close()
+        raise

@@ -98,6 +98,12 @@ class ClusterConfig:
                              f"{sorted(WORKER_BACKENDS)}, not {self.worker_backend!r}")
         if self.replicas <= 0:
             raise ValueError("replicas must be positive")
+        if self.cache_size <= 0:
+            raise ValueError("cache_size must be positive")
+        if self.quarantine_seconds < 0:
+            raise ValueError("quarantine_seconds must be non-negative")
+        if self.shard_timeout_seconds is not None and self.shard_timeout_seconds <= 0:
+            raise ValueError("shard_timeout_seconds must be positive (or None)")
         if self.worker_backend == "inproc":
             for name, isolating in (("replicas", self.replicas > 1),
                                     ("shard_timeout_seconds",

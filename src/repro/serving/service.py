@@ -57,6 +57,10 @@ class ServingConfig:
     #: and closed, and nothing else (``repro.obs.trace``, "Cheap when on").
     enable_tracing: bool = True
 
+    def __post_init__(self) -> None:
+        if self.cache_size <= 0:
+            raise ValueError("cache_size must be positive")
+
 
 class BatchResultCountError(RuntimeError):
     """A decode returned a different number of results than it was given

@@ -669,14 +669,19 @@ class TestClusterRoutingService:
         with ClusterRoutingService.from_router(master_router, config) as service:
             yield service
 
-    def test_matches_monolithic_top1_on_seeded_questions(self, master_router, cluster):
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_matches_monolithic_top1_on_seeded_questions(self, master_router,
+                                                         num_shards):
         agree = 0
-        for question in QUESTIONS:
-            mono = master_router.route(question)
-            merged = cluster.submit(question)
-            assert merged, f"cluster routed {question!r} to nothing"
-            if mono and merged[0].database == mono[0].database:
-                agree += 1
+        with ClusterRoutingService.from_router(
+                master_router, ClusterConfig(num_shards=num_shards)) as cluster:
+            for question in QUESTIONS:
+                mono = master_router.route(question)
+                merged = cluster.submit(question)
+                assert merged, f"cluster routed {question!r} to nothing"
+                if mono and merged[0].database == mono[0].database:
+                    agree += 1
+            assert cluster.stats()["dispatcher"]["shard_failures"] == 0
         assert agree >= round(0.95 * len(QUESTIONS))
 
     def test_scores_are_normalized_probabilities(self, cluster):
@@ -787,6 +792,10 @@ class TestClusterRoutingService:
             ClusterConfig(replicas=0)
         with pytest.raises(ValueError, match="subprocess"):
             ClusterConfig(replicas=2)
+        for bad in ({"cache_size": 0}, {"quarantine_seconds": -1.0},
+                    {"shard_timeout_seconds": 0.0}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                ClusterConfig(worker_backend="subprocess", **bad)
         with pytest.raises(ValueError):
             ClusterRoutingService([], partition_catalog(master_router.graph.catalog, 2))
 

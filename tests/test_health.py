@@ -24,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from test_serving import SteppedTime, _serving_catalog
+from test_serving import QUESTIONS, SteppedTime, _serving_catalog
 
 from repro.core import (
     RouterConfig,
@@ -58,9 +58,11 @@ from repro.obs.slo import (
 )
 from repro.obs.export import parse_prometheus
 from repro.serving import (
+    LoadGenerator,
     RoutingService,
     ScenarioDriver,
     ServingConfig,
+    WorkloadConfig,
     loadgen,
     named_scenario,
 )
@@ -607,6 +609,27 @@ class TestMonitor:
         stub.report = HealthReport(component="stub", status="failing")
         assert monitor.check_now().status == "failing"
         assert monitor.latest()["health"]["status"] == "ok"
+
+    def test_a_loaded_service_stays_ok_and_quiet(self, trained_router):
+        """A repeating stream through a real service between ticks on the
+        injected clock: the verdict stays ``ok``, no alert fires, every tick
+        succeeds and no SLO is firing."""
+        clock = FakeClock()
+        generator = LoadGenerator(QUESTIONS, WorkloadConfig(
+            num_requests=40, unique_fraction=0.2, seed=17, concurrency=2))
+        with RoutingService(trained_router,
+                            ServingConfig(enable_tracing=False)) as service:
+            monitor = Monitor(service, clock=clock)
+            for _ in range(8):
+                assert generator.run(service.submit).errors == 0
+                clock.advance(monitor.interval_seconds)
+                latest = monitor.tick()
+            health = monitor.check_now()
+            summary = monitor.summary()
+        assert health.status == "ok", health.reasons
+        assert (summary["ticks"], summary["tick_errors"]) == (8, 0)
+        assert summary["alerts"]["active"] == summary["alerts"]["fired"] == 0
+        assert not any(status["firing"] for status in latest["slo"])
 
     def test_shutdown_leaves_no_live_threads(self):
         stub = _StubService()

@@ -972,6 +972,28 @@ class TestSubprocessCluster:
                     [_signature([merge_route_lists([routes], max_candidates=limit)])
                      for routes in alone]
 
+    def test_a_failed_construction_closes_the_spawned_workers(self, cluster_checkpoint,
+                                                               monkeypatch):
+        """The service constructor raises after both workers spawned: the
+        load closes them instead of leaving two orphan processes."""
+        spawned: list[ProcShardWorker] = []
+        boot = ProcShardWorker.__init__
+
+        def recorded(self, *args, **kwargs):
+            boot(self, *args, **kwargs)
+            spawned.append(self)
+
+        def refused(self, *args, **kwargs):
+            raise ValueError("refused after the spawn")
+
+        monkeypatch.setattr(ProcShardWorker, "__init__", recorded)
+        monkeypatch.setattr(ClusterRoutingService, "__init__", refused)
+        with pytest.raises(ValueError, match="after the spawn"):
+            load_cluster(cluster_checkpoint,
+                         config=ClusterConfig(worker_backend="subprocess"))
+        assert len(spawned) == 2
+        assert not any(worker.is_alive() for worker in spawned)
+
     def test_from_router_builds_and_owns_a_temp_checkpoint(self, master_router):
         service = ClusterRoutingService.from_router(
             master_router, ClusterConfig(num_shards=2, worker_backend="subprocess"))

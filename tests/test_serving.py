@@ -855,6 +855,11 @@ class TestRoutingService:
         assert {field.name for field in fields(ServingConfig)} == {
             "enable_cache", "cache_size", "enable_tracing"}
 
+    @pytest.mark.parametrize("cache_size", [0, -1])
+    def test_a_cache_size_below_one_is_refused(self, cache_size):
+        with pytest.raises(ValueError, match="cache_size"):
+            ServingConfig(cache_size=cache_size)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_a_budget_below_one_is_refused_before_the_cache(self, trained_router,
                                                             budget, monkeypatch):
@@ -955,26 +960,26 @@ def _digest(items) -> str:
 
 class TestStreamsArePinned:
     """Every seed draws the stream it drew before the two drivers shared one
-    planner, so benches, examples and tests keep their questions."""
+    planner (``draw_questions``), so examples and tests keep their questions."""
 
-    BENCH_POOL = [f"question {index}" for index in range(40)]
+    POOL_40 = [f"question {index}" for index in range(40)]
     EXAMPLE_POOL = [f"question {index}" for index in range(30)]
 
     @pytest.mark.parametrize("pool, config, digest", [
-        # bench_serving_throughput
-        (BENCH_POOL, WorkloadConfig(num_requests=150, unique_fraction=0.1,
-                                    skew=1.0, seed=17, concurrency=4),
+        # a head-only stream: a small distinct head, many repeats
+        (POOL_40, WorkloadConfig(num_requests=150, unique_fraction=0.1,
+                                 skew=1.0, seed=17, concurrency=4),
          "909a336699d68dfd"),
-        # bench_cluster_scaling, test_procworker
-        (BENCH_POOL, WorkloadConfig(num_requests=200, distribution="zipf",
-                                    skew=1.0, seed=29), "da8898e5ab799214"),
+        # the seeded Zipf config test_procworker drives
+        (POOL_40, WorkloadConfig(num_requests=200, distribution="zipf",
+                                 skew=1.0, seed=29), "da8898e5ab799214"),
         # examples/serving_quickstart.py
         (EXAMPLE_POOL, WorkloadConfig(num_requests=120, unique_fraction=0.15,
                                       seed=7, concurrency=4), "a8608e91e768d889"),
         # examples/cluster_quickstart.py, examples/procworker_quickstart.py
         (EXAMPLE_POOL, WorkloadConfig(num_requests=120, distribution="zipf",
                                       skew=1.0, seed=7), "a04ea1d25a25fdf9"),
-    ], ids=["serving_bench", "zipf_seed_29", "serving_quickstart", "zipf_seed_7"])
+    ], ids=["head_seed_17", "zipf_seed_29", "serving_quickstart", "zipf_seed_7"])
     def test_workload_stream(self, pool, config, digest):
         assert _digest(LoadGenerator(pool, config).workload()) == digest
 
@@ -1008,11 +1013,21 @@ class TestLoadGenerator:
             generator = LoadGenerator(QUESTIONS, WorkloadConfig(
                 num_requests=20, unique_fraction=0.2, seed=4, concurrency=2))
             report = generator.run(service.submit)
+            stats = service.stats()
         assert report.num_requests == 20
         assert report.errors == 0
         assert report.throughput_rps > 0
         assert report.latency["count"] == 20
         assert json.loads(json.dumps(report.to_json())) == report.to_json()
+        # the repeating stream hits the cache; every miss opened and finished
+        # one trace (hits stay trace-free), none is left open, and the stage
+        # breakdown is populated
+        counters = stats["counters"]
+        assert stats["cache_hit_rate"] > 0.0
+        assert stats["traces"]["completed"] \
+            == counters["requests"] - counters["cache_hits"] > 0
+        assert stats["traces"]["open_traces"] == 0
+        assert {"request_wave", "encode", "decode", "parse"} <= set(stats["stages"])
 
     def test_zipf_distribution_spans_the_whole_pool(self):
         config = WorkloadConfig(num_requests=400, distribution="zipf", skew=1.0,

@@ -234,6 +234,9 @@ class TestLoadedFleetSharesTheMasterTrunk:
         ("num_shards", 0),
         ("worker_backend", "gpu"),
         ("replicas", 2),                    # inproc: a subprocess-only knob
+        ("cache_size", 0),
+        ("quarantine_seconds", -1.0),
+        ("shard_timeout_seconds", 0.0),
     ])
     def test_an_invalid_saved_config_is_a_checkpoint_error(
             self, master_router, tmp_path, field, value):
