@@ -15,9 +15,10 @@ universe without retraining:
 
 Every operation re-projects only the affected shard's replicas -- its fast
 and careful routers swapped in one assignment, the other shards untouched --
-and then bumps the cluster catalog version, which stales the front's cached
-answers (the fleet's only cache): those are merged across all shards, so any
-shard's change stales them.
+and then calls the cluster's ``notify_catalog_changed()``, which bumps the
+catalog version and stales the front's cached answers (the fleet's only
+cache): those are merged across all shards, so any shard's change stales
+them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class ClusterRebalancer:
         cluster = self.cluster
         cluster.assignment = cluster.assignment.replace_shard(shard_id, databases)
         cluster.shards[shard_id].set_databases(databases, cluster.master_router)
-        cluster.bump_catalog_version()
+        cluster.notify_catalog_changed()
 
     def least_loaded_shard(self) -> int:
         """The shard with the fewest tables (ties -> lowest shard id)."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import shutil
 import tempfile
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -40,7 +39,6 @@ from repro.cluster.replica import ReplicaSet
 from repro.cluster.shard import ShardWorker
 from repro.cluster.wave import ClusterWaveEngine
 from repro.obs.health import HealthReport, dispatcher_health, rollup
-from repro.serving.metrics import QPS_WINDOW_SECONDS, WindowedCounter
 from repro.serving.service import RoutingService, ServingConfig
 
 #: Supported shard-worker backends.
@@ -139,9 +137,9 @@ class ClusterRoutingService:
     over the dispatcher: its route cache, the fleet's only one, holds
     merged answers (``stats()["cache"]``; sized by ``cache_size``), so a
     repeated question -- a needy one included -- costs no scatter of either
-    tier.  Its validity is the catalog's alone: :meth:`bump_catalog_version`
-    -- the one hook every catalog change already ends in -- stales all of
-    it, and an entry never ages.
+    tier.  Its validity is the catalog's alone: :meth:`notify_catalog_changed`
+    -- the one hook every catalog change ends in -- stales all of it, and
+    an entry never ages.
     """
 
     def __init__(self, shards: Sequence[ReplicaSet], assignment: ShardAssignment,
@@ -184,13 +182,6 @@ class ClusterRoutingService:
             cache_size=self.config.cache_size,
             enable_tracing=self.config.enable_tracing))
         self.metrics, self.tracer = self.front.metrics, self.front.tracer
-        # Routed-load window: merged top-1 answers per second, labelled by
-        # database, on the front's metrics clock.  In a scatter-gather
-        # cluster every shard sees every question, so request QPS is flat
-        # across shards by construction; which databases *win* the questions
-        # is the only load signal that distinguishes a hot shard
-        # (``routing_load()``, on ``/stats`` and ``/metrics``).
-        self._routed = WindowedCounter(QPS_WINDOW_SECONDS, self.metrics.clock)
         #: A temp checkpoint directory this service wrote for its own
         #: subprocess workers (removed on close); None when the caller owns it.
         self._owned_checkpoint_dir: Path | None = None
@@ -245,41 +236,8 @@ class ClusterRoutingService:
                     max_candidates: int | None = None) -> list[list[SchemaRoute]]:
         """Route a wave through the front: its cache answers what it can,
         and the misses -- shared with concurrent callers' -- scatter as one
-        dispatch.  Every answered question counts in :meth:`routing_load`."""
-        results = self.front.submit_many(questions, max_candidates)
-        self._note_routed(results)
-        return results
-
-    def _note_routed(self, results: Sequence[list[SchemaRoute]]) -> None:
-        """Tally the wave's merged top-1 databases and record the tally in
-        the routed-load window: one ``Counter``, one lock, per wave."""
-        tally = Counter([routes[0].database for routes in results if routes])
-        self._routed.note(sum(tally.values()), tally)
-
-    def routing_load(self) -> dict:
-        """Who is winning the traffic: trailing-window routed-answer counts,
-        read from the one routed-load window :meth:`_note_routed` feeds.
-
-        ``per_database`` maps database name to how many questions it answered
-        (as merged top-1) inside the window; ``per_shard`` sums those counts
-        under the current assignment: the hot/cold signal an operator reads
-        before a manual rebalance.  Databases whose buckets have all expired
-        are absent, so a yesterday's-hot-set database does not linger at zero
-        forever.
-        """
-        per_database = dict(sorted(self._routed.label_totals().items()))
-        per_shard = [0] * self.num_shards
-        for name, count in per_database.items():
-            try:
-                per_shard[self.assignment.shard_of(name)] += count
-            except KeyError:
-                continue  # routed to a database since dropped from the catalog
-        return {
-            "window_seconds": QPS_WINDOW_SECONDS,
-            "total": sum(per_database.values()),
-            "per_database": per_database,
-            "per_shard": per_shard,
-        }
+        dispatch."""
+        return self.front.submit_many(questions, max_candidates)
 
     # -- topology ------------------------------------------------------------
     @property
@@ -302,27 +260,21 @@ class ClusterRoutingService:
     def catalog_version(self) -> int:
         return self._catalog_version
 
-    def bump_catalog_version(self) -> int:
-        """Record a catalog change; call it *after* any affected shard has
-        been re-projected.
-
-        Stales the front cache: a merged answer pools all shards, so any
-        shard's change stales it.  A wave that consulted the front before
-        the bump caches nothing after it, and one that consults after the
-        bump sees only changed shards."""
-        self._catalog_version += 1
-        self.front.notify_catalog_changed()
-        return self._catalog_version
-
     def notify_catalog_changed(self, database: str | None = None) -> None:
-        """Stale every cached answer, for a change to ``database`` or to the
-        whole catalog: the front's cache is the fleet's only one, so this
-        bumps the catalog version and touches no worker.  Raises
-        ``KeyError``, with the catalog version where it was, when no shard
-        serves ``database``."""
+        """Record a change to ``database`` or to the whole catalog: bump the
+        catalog version.  A rebalance calls it *after* re-projecting the
+        affected shard.
+
+        Stales every cached answer -- the front's cache is the fleet's only
+        one, and a merged answer pools all shards, so any shard's change
+        stales it -- and touches no worker.  A wave that consulted the front
+        before the change caches nothing after it.  Raises ``KeyError``, with
+        the catalog version where it was, when no shard serves
+        ``database``."""
         if database is not None:
             self.assignment.shard_of(database)
-        self.bump_catalog_version()
+        self._catalog_version += 1
+        self.front.notify_catalog_changed()
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
@@ -363,7 +315,6 @@ class ClusterRoutingService:
         snapshot["catalog_version"] = self._catalog_version
         if transport_rollup["workers"]:
             snapshot["transport"] = transport_rollup
-        snapshot["routing_load"] = self.routing_load()
         snapshot["dispatcher"] = self.dispatcher.stats()
         snapshot["shards"] = shard_stats
         return snapshot

@@ -308,7 +308,7 @@ def named_scenario(name: str, num_requests: int = 300, qps: float = 50.0,
     * ``burst`` — steady, then a ``burst_factor`` x overload spike, then
       steady again (lag grows, then drains);
     * ``shift_hot_set`` — flat QPS whose hot question set rotates mid-run
-      (the per-database routed load moves with it).
+      (the second phase's head is a different slice of the pool).
     """
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")

@@ -12,7 +12,7 @@ import bisect
 import math
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from typing import Callable, Iterable, Mapping
 
 #: Histogram bucket upper bounds in seconds (log-spaced, Prometheus-style).
@@ -119,72 +119,18 @@ class LatencyRecorder:
 #: reservoirs (a read files them at once): bounds the backlog's memory.
 STAGE_BACKLOG = 1024
 
-#: Width of the sliding QPS window, in seconds.
-QPS_WINDOW_SECONDS = 60
-
-
-class WindowedCounter:
-    """A counter summed over a trailing window of per-second buckets, each
-    optionally split by label.
-
-    :class:`MetricsRegistry` keeps one for its sliding QPS; the cluster
-    service keeps one whose labels are databases, fed once per wave with the
-    wave's merged top-1 tally, to know which catalogs are winning the routed
-    traffic *right now* (the hot-shard signal), where a cumulative counter
-    would forever remember last hour's hot set.
-    """
-
-    def __init__(self, window_seconds: int = QPS_WINDOW_SECONDS,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.window_seconds = window_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: [second, count, per-label counts of that second]
-        self._buckets: deque[list] = deque()
-
-    def note(self, amount: int = 1, labels: Mapping[str, int] | None = None) -> None:
-        """Add ``amount`` events, and ``labels``' counts, to this second."""
-        second = int(self._clock())
-        with self._lock:
-            if self._buckets and self._buckets[-1][0] == second:
-                bucket = self._buckets[-1]
-                bucket[1] += amount
-            else:
-                bucket = [second, amount, Counter()]
-                self._buckets.append(bucket)
-            if labels:
-                bucket[2].update(labels)
-            cutoff = second - self.window_seconds
-            while self._buckets and self._buckets[0][0] <= cutoff:
-                self._buckets.popleft()
-
-    def total(self) -> int:
-        """Events inside the trailing window (expired buckets dropped)."""
-        cutoff = int(self._clock()) - self.window_seconds
-        with self._lock:
-            return sum(count for second, count, _ in self._buckets
-                       if second > cutoff)
-
-    def label_totals(self) -> Counter:
-        """Per-label counts inside the trailing window; a label whose buckets
-        all expired is absent."""
-        cutoff = int(self._clock()) - self.window_seconds
-        totals: Counter = Counter()
-        with self._lock:
-            for second, _, labels in self._buckets:
-                if second > cutoff:
-                    totals.update(labels)
-        return totals
-
 
 class MetricsRegistry:
-    """Counters + latency + batch-size + per-stage accounting for one service."""
+    """Counters + latency + batch-size + per-stage accounting for one service.
+
+    Every counter is cumulative from the registry's birth; the snapshot's
+    ``qps`` is the lifetime rate.  A trailing rate is the difference of two
+    snapshots -- what :class:`repro.obs.slo.SloEngine` computes, and what
+    Prometheus ``rate()`` computes from ``/metrics`` -- so the registry keeps
+    no window of its own."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        #: The registry's time source; windows kept beside it read it too.
-        self.clock = clock
+        self._clock = clock
         self._started = clock()
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
@@ -193,7 +139,6 @@ class MetricsRegistry:
         self._stages: dict[str, LatencyRecorder] = {}
         #: Stage observations not yet in ``_stages``.
         self._stage_backlog: list[tuple[str, float]] = []
-        self._request_window = WindowedCounter(QPS_WINDOW_SECONDS, clock)
 
     # -- recording -----------------------------------------------------------
     def increment(self, name: str, amount: int = 1) -> None:
@@ -204,8 +149,6 @@ class MetricsRegistry:
         with self._lock:
             for name, amount in amounts.items():
                 self._counters[name] = self._counters.get(name, 0) + amount
-        if "requests" in amounts:
-            self._request_window.note(amounts["requests"])
 
     def observe_latency(self, seconds: float, count: int = 1) -> None:
         self.latency.record(seconds, count)
@@ -255,18 +198,7 @@ class MetricsRegistry:
             return dict(self._counters)
 
     def uptime_seconds(self) -> float:
-        return max(self.clock() - self._started, 1e-9)
-
-    def window_qps(self) -> float:
-        """Requests per second over the trailing :data:`QPS_WINDOW_SECONDS`.
-
-        Unlike the snapshot's lifetime ``qps``, this recovers immediately
-        when fresh load hits a service that sat idle: only the last window's
-        buckets count, and the denominator is capped at the window width
-        (and floored at one second so a brand-new registry is not wildly
-        extrapolated)."""
-        horizon = max(min(self.uptime_seconds(), float(QPS_WINDOW_SECONDS)), 1.0)
-        return self._request_window.total() / horizon
+        return max(self._clock() - self._started, 1e-9)
 
     def stage_summaries(self) -> dict[str, dict]:
         """Per-stage latency summaries, keyed by stage name (sorted)."""
@@ -297,8 +229,6 @@ class MetricsRegistry:
             "uptime_seconds": round(uptime, 3),
             "counters": counters,
             "qps": round(counters.get("requests", 0) / uptime, 2),
-            "qps_window": round(self.window_qps(), 2),
-            "qps_window_seconds": QPS_WINDOW_SECONDS,
             "latency": self.latency.summary(),
             "batch_size_histogram": histogram,
             "mean_batch_size": round(batch_total / batches, 2) if batches else 0.0,

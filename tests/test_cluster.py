@@ -750,6 +750,13 @@ class TestClusterRoutingService:
     def test_stats_expose_backend_and_timeout_accounting(self, cluster):
         cluster.submit_many(QUESTIONS[:2])
         stats = cluster.stats()
+        # cumulative accounting only: the front's snapshot plus the fleet's
+        # layout, dispatcher and shards -- no trailing window
+        assert set(stats) == {
+            "uptime_seconds", "counters", "qps", "latency", "batch_size_histogram",
+            "mean_batch_size", "stages", "cache", "cache_hit_rate", "traces",
+            "num_shards", "replicas", "worker_backend", "assignment",
+            "catalog_version", "dispatcher", "shards"}
         assert stats["worker_backend"] == "inproc"
         dispatcher = stats["dispatcher"]
         # shards_timed_out breaks the "partial gathers drop timeouts silently"
@@ -759,6 +766,7 @@ class TestClusterRoutingService:
         assert set(dispatcher) == {"questions", "shard_failures", "shards_timed_out",
                                    "partial_gathers", "escalations"}
         json.dumps(stats)  # the whole rollup stays JSON-serializable
+        assert cluster.health().status in ("ok", "degraded")
 
     def test_escalation_tier_is_wired_and_counted(self, master_router, cluster):
         assert all(worker.careful_router is not None

@@ -12,7 +12,6 @@ real fleets (inproc wave, subprocess workers) where the wiring is.
 
 from __future__ import annotations
 
-import functools
 import sys
 import threading
 
@@ -28,9 +27,8 @@ from repro.cluster import (
 from repro.core import SchemaRoute
 from repro.obs.slo import SloEngine, SloSpec
 from repro.serving import RoutingService, ServingConfig
-from repro.serving.metrics import QPS_WINDOW_SECONDS, MetricsRegistry
 from test_cluster import QUESTIONS, master_router, sender  # noqa: F401  (module fixture)
-from test_serving import SteppedTime, _contended
+from test_serving import _contended
 
 
 def _hex_signature(route_lists):
@@ -537,41 +535,3 @@ class TestOneDecodeAtATime:
         counters = service.metrics.counters()
         assert counters["requests"] == 3 * 5 * (len(QUESTIONS) + 1)
         assert _conserves(counters)
-
-
-# -- routed-load windows on a live fleet ----------------------------------------
-class TestClusterRoutingLoad:
-    def test_routing_load_and_window_qps_in_stats(self, master_router):
-        config = ClusterConfig(num_shards=2, enable_cache=False,
-                               enable_tracing=False)
-        with ClusterRoutingService.from_router(master_router, config) as cluster:
-            cluster.submit(QUESTIONS[0])
-            cluster.submit_many(QUESTIONS[1:3])
-            stats = cluster.stats()
-            load = stats["routing_load"]
-            assert load["total"] == 3
-            assert sum(load["per_database"].values()) == 3
-            assert len(load["per_shard"]) == 2
-            assert sum(load["per_shard"]) == 3
-            assert cluster.health().status in ("ok", "degraded")
-
-    def test_front_hits_count_and_the_window_expires(self, master_router,
-                                                      monkeypatch):
-        # The routed-load window reads the front's metrics clock.
-        clock = SteppedTime()
-        monkeypatch.setattr("repro.serving.service.MetricsRegistry",
-                            functools.partial(MetricsRegistry, clock=clock.monotonic))
-        wave = QUESTIONS[:3] + QUESTIONS[:1]
-        config = ClusterConfig(num_shards=2, enable_tracing=False)
-        with ClusterRoutingService.from_router(master_router, config) as cluster:
-            assert all(cluster.submit_many(wave))
-            clock.advance(1.0)
-            cluster.submit_many(wave)  # answered by front hits
-            assert cluster.stats()["counters"]["cache_hits"] == len(wave)
-            load = cluster.routing_load()
-            assert load["total"] == sum(load["per_shard"]) == 2 * len(wave)
-            clock.advance(QPS_WINDOW_SECONDS - 1.0)  # the first wave's second leaves
-            assert cluster.routing_load()["total"] == len(wave)
-            clock.advance(1.0)
-            load = cluster.routing_load()
-            assert load["per_database"] == {} and sum(load["per_shard"]) == 0

@@ -1,4 +1,4 @@
-"""Observability layer: tracer/span/journal, window QPS, and the exporters.
+"""Observability layer: tracer/span/journal, stage metrics, and the exporters.
 
 Everything here runs on injectable fake clocks -- no sleeps, no wall-clock
 flakiness.  The contracts:
@@ -10,8 +10,6 @@ flakiness.  The contracts:
 * remote span rows rebase onto the ``wire`` anchor span and stitch in
   under the parent trace id;
 * the journal retains only the N slowest traces, slowest first;
-* ``window_qps`` recovers when fresh load hits a long-idle service while
-  lifetime ``qps`` stays diluted;
 * Prometheus text and JSON lines both parse back to the exact flattened
   sample list -- the two export paths provably carry the same numbers.
 """
@@ -49,7 +47,7 @@ from repro.obs import (
 )
 from repro.obs.export import main as export_main
 from repro.obs.trace import stitch_span_rows
-from repro.serving.metrics import QPS_WINDOW_SECONDS, STAGE_BACKLOG, MetricsRegistry
+from repro.serving.metrics import STAGE_BACKLOG, MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -405,55 +403,6 @@ class TestStageMetrics:
         trace.finish()
         assert "decode" not in metrics.stage_summaries()
         assert "wire" in metrics.stage_summaries()
-
-
-# -- the sliding QPS window ----------------------------------------------------
-class TestWindowQps:
-    def test_window_qps_recovers_after_a_long_idle_stretch(self):
-        clock = FakeClock(start=0.0)
-        metrics = MetricsRegistry(clock=clock)
-        for _ in range(100):
-            metrics.increment("requests")
-        clock.advance(3600.0)  # an hour of silence
-        for _ in range(120):
-            metrics.increment("requests")
-
-        snapshot = metrics.snapshot()
-        # lifetime QPS is diluted by the idle hour...
-        assert snapshot["qps"] == pytest.approx(220 / 3600.0, abs=0.01)
-        # ...but the window sees only the fresh burst over its 60s horizon
-        assert snapshot["qps_window"] == pytest.approx(120 / 60.0, abs=0.01)
-        assert snapshot["qps_window_seconds"] == QPS_WINDOW_SECONDS
-
-    def test_young_registry_is_not_wildly_extrapolated(self):
-        clock = FakeClock(start=50.0)
-        metrics = MetricsRegistry(clock=clock)
-        clock.advance(0.010)  # ten milliseconds old
-        metrics.increment("requests", amount=5)
-        # naive 5 / 0.01 would claim 500 qps; the 1s floor keeps it honest
-        assert metrics.window_qps() == pytest.approx(5.0)
-
-    def test_old_buckets_are_pruned(self):
-        clock = FakeClock(start=0.0)
-        metrics = MetricsRegistry(clock=clock)
-        metrics.increment("requests", amount=30)
-        clock.advance(QPS_WINDOW_SECONDS + 1.0)
-        metrics.increment("requests")  # triggers the prune
-        # The window forgets the old burst; the lifetime counter does not.
-        assert metrics.window_qps() == pytest.approx(1 / 60.0, abs=1e-6)
-        assert metrics.counter("requests") == 31
-
-    def test_only_requests_feed_the_window(self):
-        clock = FakeClock(start=0.0)
-        metrics = MetricsRegistry(clock=clock)
-        clock.advance(QPS_WINDOW_SECONDS)
-        metrics.increment("cache_hits", amount=50)
-        metrics.increment("errors")
-        assert metrics.window_qps() == 0.0
-        metrics.increment("requests", amount=6)
-        metrics.increment("requests")
-        assert metrics.window_qps() == pytest.approx(7 / QPS_WINDOW_SECONDS)
-        assert metrics.counters() == {"cache_hits": 50, "errors": 1, "requests": 7}
 
 
 # -- the exporters -------------------------------------------------------------

@@ -934,6 +934,66 @@ class TestSubprocessCluster:
         finally:
             sub.close()
 
+    def test_an_unreplicated_worker_killed_mid_wave_fails_that_wave_only(
+            self, cluster_checkpoint, monkeypatch):
+        """``replicas=1``: shard 0's child is SIGKILLed right after a wave's
+        frame is written, before it can read it.  That wave -- and only that
+        wave -- raises ``ClusterError``, its misses count as ``errors``; the
+        next wave respawns the worker once and answers ``float.hex``-equal to
+        the fault-free wave before it; no trace is left open and no child
+        outlives ``close()``."""
+        def exact(replies):
+            return [[(route.database, route.tables, route.score.hex())
+                      for route in routes] for routes in replies]
+
+        send = ProcShardWorker.send_route_batch
+        doomed: list[ProcShardWorker] = []
+
+        def killed_after_the_send(self, *args, **kwargs):
+            if self not in doomed:
+                return send(self, *args, **kwargs)
+            doomed.remove(self)
+            # stopped first, so the frame lands unread and no reply can
+            # beat the kill
+            os.kill(self.pid, signal.SIGSTOP)
+            wait = send(self, *args, **kwargs)
+            self.crash()
+            return wait
+
+        monkeypatch.setattr(ProcShardWorker, "send_route_batch", killed_after_the_send)
+        wave = list(QUESTIONS)
+        sub = load_cluster(cluster_checkpoint, config=ClusterConfig(
+            worker_backend="subprocess", enable_cache=False))
+        victim = sub.shards[0].workers[0]
+        children = [worker.process for replica_set in sub.shards
+                    for worker in replica_set.workers]
+        try:
+            expected = exact(sub.submit_many(wave))
+            doomed.append(victim)
+            with pytest.raises(ClusterError) as outcome:
+                sub.submit_many(wave)
+            assert isinstance(outcome.value.__cause__.__cause__, WorkerCrashedError)
+            assert doomed == [] and not victim.is_alive()
+            stats = sub.stats()
+            counters = stats["counters"]
+            assert counters["errors"] == len(wave)  # every one a miss: no cache
+            assert counters["requests"] == counters.get("cache_hits", 0) \
+                + counters["routed"] + counters["errors"] == 2 * len(wave)
+            assert stats["dispatcher"]["shard_failures"] == 1
+            assert exact(sub.submit_many(wave)) == expected
+            children.append(victim.process)
+            assert (victim.respawns, victim.crashes) == (1, 1)
+            stats = sub.stats()
+            assert stats["dispatcher"]["shard_failures"] == 1
+            assert (stats["counters"]["errors"], stats["counters"]["routed"]) \
+                == (len(wave), 2 * len(wave))
+            assert stats["traces"]["open_traces"] == 0
+            assert stats["traces"]["open_spans"] == 0
+        finally:
+            sub.close()
+        assert len(set(map(id, children))) == 3
+        assert all(child.returncode is not None for child in children)
+
     @pytest.mark.parametrize("allow_partial", [False, True])
     def test_a_failed_send_still_settles_every_sent_frame(self, cluster_checkpoint,
                                                           allow_partial):

@@ -46,7 +46,7 @@ from repro.serving import (
 )
 from repro.serving import loadgen
 from repro.serving.checkpoint import catalog_from_payload, catalog_to_payload
-from repro.serving.metrics import LatencyRecorder, MetricsRegistry, WindowedCounter
+from repro.serving.metrics import LatencyRecorder, MetricsRegistry
 from repro.serving.service import BatchResultCountError
 
 
@@ -516,8 +516,7 @@ class TestMetrics:
         registry.observe_latency(0.01, count=3)
         registry.observe_stages([("decode", 0.004)])
         snapshot = registry.snapshot()
-        assert set(snapshot) == {"uptime_seconds", "counters", "qps", "qps_window",
-                                 "qps_window_seconds", "latency",
+        assert set(snapshot) == {"uptime_seconds", "counters", "qps", "latency",
                                  "batch_size_histogram", "mean_batch_size", "stages"}
         assert set(snapshot["stages"]) == {"decode"}
         assert set(snapshot["latency"]) == set(snapshot["stages"]["decode"]) == {
@@ -563,8 +562,12 @@ class TestMetrics:
         registry.increment_many({"requests": 4, "cache_hits": 3})
         registry.increment_many({"routed": 1})
         assert registry.counters() == {"requests": 4, "cache_hits": 3, "routed": 1}
-        # a young registry's window divides by its one-second floor
-        assert registry.window_qps() == pytest.approx(4.0)
+        assert registry.counter("requests") == 4
+        clock.advance(3600.0)  # an hour of silence, then a fresh burst
+        registry.increment_many({"requests": 116})
+        # the lifetime rate is diluted by the idle hour: counters are
+        # cumulative, and a trailing rate is two snapshots' difference
+        assert registry.snapshot()["qps"] == pytest.approx(120 / 3600.0, abs=0.01)
 
 
 # -- the service façade --------------------------------------------------------
@@ -1159,69 +1162,6 @@ class TestLoadGenerator:
         assert (report.num_requests, report.answered, report.errors) == (24, 24, 0)
         assert counters["requests"] == counters["routed"] == 24
         assert counters.get("errors", 0) == 0
-
-
-class TestWindowedCounter:
-    def test_expires_outside_the_window(self):
-        clock = SteppedTime()
-        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
-        counter.note(5)
-        clock.advance(30)
-        counter.note(2)
-        assert counter.total() == 7
-        clock.advance(31)  # the first bucket is now 61s old
-        assert counter.total() == 2
-        clock.advance(61)
-        assert counter.total() == 0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            WindowedCounter(window_seconds=0)
-
-    def test_a_bucket_leaves_exactly_one_window_after_its_second(self):
-        clock = SteppedTime()
-        clock.advance(100.0)
-        counter = WindowedCounter(window_seconds=10, clock=clock.monotonic)
-        counter.note(3)
-        clock.advance(9.5)
-        assert counter.total() == 3
-        clock.advance(0.5)  # second 110: the second-100 bucket is 10s old
-        assert counter.total() == 0
-
-    def test_notes_within_one_second_share_a_bucket(self):
-        clock = SteppedTime()
-        counter = WindowedCounter(window_seconds=2, clock=clock.monotonic)
-        counter.note(1)
-        clock.advance(0.4)
-        counter.note(2, labels={"a": 2})
-        clock.advance(0.5)
-        counter.note(4, labels={"a": 1, "b": 3})
-        assert counter.total() == 7
-        assert counter.label_totals() == {"a": 3, "b": 3}
-        clock.advance(1.1)  # second 2: the one bucket of second 0 expires whole
-        assert counter.total() == 0
-        assert counter.label_totals() == {}
-
-    def test_a_label_leaves_with_its_last_bucket(self):
-        clock = SteppedTime()
-        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
-        counter.note(2, labels={"concert_singer": 2})
-        clock.advance(30)
-        counter.note(3, labels={"concert_singer": 1, "world": 2})
-        assert counter.label_totals() == {"concert_singer": 3, "world": 2}
-        clock.advance(31)
-        assert counter.label_totals() == {"concert_singer": 1, "world": 2}
-        clock.advance(30)
-        assert "world" not in counter.label_totals()
-        assert counter.label_totals() == {}
-
-    def test_labels_count_apart_from_the_amount(self):
-        clock = SteppedTime()
-        counter = WindowedCounter(window_seconds=60, clock=clock.monotonic)
-        counter.note(0, labels={"world": 5})
-        counter.note(2)
-        assert counter.total() == 2
-        assert counter.label_totals() == {"world": 5}
 
 
 class TestScenarioDriver:
