@@ -923,6 +923,24 @@ class TestRebalance:
         rebalancer.add_database(victim)
         assert cluster.catalog_version == 2
 
+    def test_the_version_moves_after_the_shard_is_re_projected(self, cluster,
+                                                              monkeypatch):
+        seen = []
+        notify = cluster.notify_catalog_changed
+
+        def recording(database=None):
+            seen.append((cluster.assignment.shards[0],
+                         cluster.shards[0].workers[0].databases))
+            notify(database)
+
+        monkeypatch.setattr(cluster, "notify_catalog_changed", recording)
+        victim = cluster.assignment.shards[0][0]
+        ClusterRebalancer(cluster).remove_database(victim)
+        assert len(seen) == 1
+        assignment, databases = seen[0]
+        assert victim not in assignment and victim not in databases
+        assert cluster.catalog_version == 1
+
     def test_add_prefers_the_least_loaded_shard(self, cluster):
         rebalancer = ClusterRebalancer(cluster)
         victim = cluster.assignment.shards[0][0]

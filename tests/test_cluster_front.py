@@ -276,6 +276,27 @@ class TestFrontOnFleets:
             cluster.submit_many(QUESTIONS)
             assert len(cache) == 3
 
+    def test_front_hits_count_on_the_cumulative_counters(self, master_router):
+        wave = QUESTIONS[:3] + QUESTIONS[:1]
+        with _fleet(master_router, enable_tracing=False) as cluster:
+            assert all(cluster.submit_many(wave))
+            assert "cache_hits" not in cluster.metrics.counters()
+            cluster.submit_many(wave)  # answered by front hits
+            counters = cluster.stats()["counters"]
+            assert (counters["cache_hits"], counters["requests"]) \
+                == (len(wave), 2 * len(wave))
+            assert _conserves(counters)
+
+    def test_every_miss_is_routed_with_the_cache_off(self, master_router):
+        with _fleet(master_router, enable_cache=False,
+                    enable_tracing=False) as cluster:
+            cluster.submit(QUESTIONS[0])
+            cluster.submit_many(QUESTIONS[1:3])
+            stats = cluster.stats()
+            assert stats["counters"] == {"requests": 3, "routed": 3}
+            assert stats["dispatcher"]["questions"] == 3
+            assert cluster.health().status in ("ok", "degraded")
+
     def test_served_lists_do_not_alias_the_front_cache(self, master_router):
         with _fleet(master_router) as cluster:
             first = cluster.submit_many(QUESTIONS[:1] * 2)

@@ -10,6 +10,8 @@ flakiness.  The contracts:
 * remote span rows rebase onto the ``wire`` anchor span and stitch in
   under the parent trace id;
 * the journal retains only the N slowest traces, slowest first;
+* counters never expire and ``qps`` is the lifetime rate: a trailing rate
+  is the difference of two snapshots;
 * Prometheus text and JSON lines both parse back to the exact flattened
   sample list -- the two export paths provably carry the same numbers.
 """
@@ -46,6 +48,7 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.export import main as export_main
+from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.trace import stitch_span_rows
 from repro.serving.metrics import STAGE_BACKLOG, MetricsRegistry
 
@@ -403,6 +406,103 @@ class TestStageMetrics:
         trace.finish()
         assert "decode" not in metrics.stage_summaries()
         assert "wire" in metrics.stage_summaries()
+
+
+# -- lifetime rates ------------------------------------------------------------
+class TestLifetimeRates:
+    """Counters are cumulative from the registry's birth and ``qps`` is the
+    lifetime rate; a trailing rate is the difference of two snapshots."""
+
+    def test_lifetime_qps_is_diluted_by_a_long_idle_stretch(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        for _ in range(100):
+            metrics.increment("requests")
+        clock.advance(3600.0)  # an hour of silence
+        for _ in range(120):
+            metrics.increment("requests")
+        snapshot = metrics.snapshot()
+        assert snapshot["uptime_seconds"] == 3600.0
+        assert snapshot["qps"] == pytest.approx(220 / 3600.0, abs=0.01)
+
+    def test_uptime_and_qps_read_the_injected_clock(self):
+        clock = FakeClock(start=50.0)
+        metrics = MetricsRegistry(clock=clock)
+        clock.advance(12.5)
+        metrics.increment("requests", amount=25)
+        assert metrics.uptime_seconds() == pytest.approx(12.5)
+        snapshot = metrics.snapshot()
+        assert snapshot["uptime_seconds"] == 12.5
+        assert snapshot["qps"] == 2.0
+
+    def test_counters_never_expire(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        metrics.increment("requests", amount=30)
+        clock.advance(86400.0)
+        metrics.increment("requests")
+        assert metrics.counter("requests") == 31
+        assert metrics.snapshot()["counters"] == {"requests": 31}
+
+    def test_only_requests_feed_qps(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        clock.advance(10.0)
+        metrics.increment("cache_hits", amount=50)
+        metrics.increment("errors")
+        assert metrics.snapshot()["qps"] == 0.0
+        metrics.increment("requests", amount=6)
+        metrics.increment("requests")
+        assert metrics.snapshot()["qps"] == 0.7
+        assert metrics.counters() == {"cache_hits": 50, "errors": 1, "requests": 7}
+
+    def test_a_trailing_rate_is_two_snapshots_difference(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        metrics.increment("requests", amount=100)
+        clock.advance(3600.0)
+        before = metrics.snapshot()
+        metrics.increment("requests", amount=120)
+        clock.advance(60.0)
+        after = metrics.snapshot()
+        served = after["counters"]["requests"] - before["counters"]["requests"]
+        elapsed = after["uptime_seconds"] - before["uptime_seconds"]
+        assert served / elapsed == pytest.approx(2.0)
+        assert after["qps"] < 0.1  # the lifetime rate stays diluted
+
+    def test_an_slo_engine_rates_only_its_window(self):
+        """The engine reads successive cumulative snapshots: an error burst
+        older than its window leaves no mark on the window's error rate."""
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        engine = SloEngine([SloSpec(name="errors", metric="error_rate",
+                                    target=0.05, fast_window_seconds=60.0,
+                                    slow_window_seconds=60.0)], clock=clock)
+        metrics.increment_many({"requests": 100, "errors": 50})
+        engine.observe(metrics.snapshot())
+        clock.advance(600.0)
+        engine.observe(metrics.snapshot())  # the next window's base
+        clock.advance(60.0)
+        metrics.increment_many({"requests": 40, "errors": 1})
+        assert engine.observe(metrics.snapshot()) == []
+        status, = engine.status()
+        assert status["fast_value"] == pytest.approx(1 / 40)
+        assert not status["firing"]
+        counters = metrics.counters()
+        assert counters["errors"] / counters["requests"] > 0.3  # lifetime
+
+    def test_the_export_carries_the_lifetime_rate(self):
+        clock = FakeClock(start=0.0)
+        metrics = MetricsRegistry(clock=clock)
+        clock.advance(4.0)
+        metrics.increment("requests", amount=10)
+        samples = {name: value
+                   for name, labels, value in flatten_snapshot(metrics.snapshot())
+                   if not labels}
+        assert samples["repro_qps"] == 2.5
+        assert samples["repro_counters_requests"] == 10.0
+        assert samples["repro_uptime_seconds"] == 4.0
+        assert not any("window" in name for name in samples)
 
 
 # -- the exporters -------------------------------------------------------------

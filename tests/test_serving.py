@@ -569,6 +569,21 @@ class TestMetrics:
         # cumulative, and a trailing rate is two snapshots' difference
         assert registry.snapshot()["qps"] == pytest.approx(120 / 3600.0, abs=0.01)
 
+    def test_concurrent_increment_many_loses_no_count(self):
+        registry = MetricsRegistry()
+
+        def hammer() -> None:
+            for _ in range(500):
+                registry.increment_many({"requests": 2, "routed": 1})
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.counters() == {"requests": 4000, "routed": 2000}
+
 
 # -- the service façade --------------------------------------------------------
 class TestRoutingService:
