@@ -13,14 +13,13 @@ merge, escalation -- as a tree of spans per request:
 * :mod:`repro.obs.health` -- :class:`HealthReport`, the threshold
   constants and the stats-dict probes behind every layer's ``health()``,
   rolled up bottom-up into one verdict;
-* :mod:`repro.obs.slo` -- declarative :class:`SloSpec`s, the multi-window
-  burn-rate :class:`SloEngine`, the deduplicating :class:`AlertJournal`,
-  and EWMA stage-latency baselines;
-* :mod:`repro.obs.monitor` -- the background :class:`Monitor` thread
-  (snapshot → evaluate → journal on a loop);
 * :mod:`repro.obs.httpd` -- the ``python -m repro.obs.httpd`` ops daemon
-  serving ``/healthz`` ``/metrics`` ``/slo`` ``/alerts`` ``/traces``
-  ``/stats``.
+  serving ``/healthz`` ``/metrics`` ``/traces`` ``/stats``.
+
+The package reports; it does not alert.  Every counter is cumulative, so a
+trailing rate or an objective is a rule a scraper evaluates over
+``/metrics`` (``examples/prometheus_rules.yml``), outside the process it
+judges.
 
 Span durations additionally feed per-stage
 :class:`repro.serving.metrics.LatencyRecorder` reservoirs, so
@@ -46,11 +45,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "parse_prometheus": "repro.obs.export",
     "to_json_lines": "repro.obs.export",
     "to_prometheus": "repro.obs.export",
-    "AlertJournal": "repro.obs.slo",
-    "EwmaBaselineTracker": "repro.obs.slo",
-    "SloEngine": "repro.obs.slo",
-    "SloSpec": "repro.obs.slo",
-    "default_slo_specs": "repro.obs.slo",
-    "Monitor": "repro.obs.monitor",
     "OpsServer": "repro.obs.httpd",
 })

@@ -1,24 +1,24 @@
 """A zero-dependency ops endpoint over ``http.server``.
 
-:class:`OpsServer` wraps a :class:`repro.obs.monitor.Monitor` (and through
-it any ``RoutingService`` or ``ClusterRoutingService``) in a tiny threaded
-HTTP daemon:
+:class:`OpsServer` wraps any ``RoutingService`` or ``ClusterRoutingService``
+in a tiny threaded HTTP daemon:
 
 ==============  ==============================================================
 ``/healthz``    live health verdict; **200** only when ``ok``, **503** when
                 degraded/failing (load balancers need the status code, not
                 the body)
-``/metrics``    live ``stats()`` in Prometheus text format (PR-6 exporter,
-                with counter/histogram typing)
-``/slo``        per-spec burn rates and firing state
-``/alerts``     active alerts + the bounded fire/resolve event journal
+``/metrics``    live ``stats()`` in Prometheus text format
+                (:mod:`repro.obs.export`, with counter/histogram typing)
 ``/traces``     trace-journal counters + the retained slowest exemplars
 ``/stats``      the raw ``stats()`` snapshot as JSON
 ==============  ==============================================================
 
-Everything is served from the live objects — no files, no sockets beyond
-the listener, no dependencies beyond the standard library.  Runnable
-standalone against any checkpoint::
+Everything is served from the live service, read on each request — no
+files, no sockets beyond the listener, no dependencies beyond the standard
+library.  The daemon reports; it does not alert.  Objectives are rules a
+scraper evaluates over ``/metrics`` (``examples/prometheus_rules.yml``), so
+they keep working when the process they judge wedges.  Runnable standalone
+against any checkpoint::
 
     python -m repro.obs.httpd --checkpoint ckpt/ --port 8321
     python -m repro.obs.httpd --cluster-checkpoint cluster/ --port 8321
@@ -34,17 +34,18 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.export import to_prometheus
-from repro.obs.monitor import Monitor
+
+_ENDPOINTS = ("/healthz", "/metrics", "/traces", "/stats")
 
 
 class OpsServer:
-    """The ops HTTP daemon for one monitor; bind with port 0 for ephemeral."""
+    """The ops HTTP daemon for one service; bind with port 0 for ephemeral."""
 
-    def __init__(self, monitor: Monitor, host: str = "127.0.0.1",
-                 port: int = 0, prefix: str = "repro") -> None:
-        self.monitor = monitor
-        handler = _make_handler(monitor, prefix)
-        self._server = ThreadingHTTPServer((host, port), handler)
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
+                 prefix: str = "repro") -> None:
+        self.service = service
+        self._server = ThreadingHTTPServer((host, port),
+                                           _make_handler(service, prefix))
         self._server.daemon_threads = True
         self._thread: threading.Thread | None = None
 
@@ -68,12 +69,14 @@ class OpsServer:
         return self
 
     def close(self) -> None:
-        """Stop accepting, close the listener, and join the serve thread."""
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop and join the serve thread if it was started, then close the
+        listener.  ``shutdown()`` waits for a ``serve_forever`` to finish,
+        so it is only called when one was started."""
         thread, self._thread = self._thread, None
         if thread is not None:
+            self._server.shutdown()
             thread.join(timeout=10.0)
+        self._server.server_close()
 
     def __enter__(self) -> "OpsServer":
         return self
@@ -82,7 +85,7 @@ class OpsServer:
         self.close()
 
 
-def _make_handler(monitor: Monitor, prefix: str):
+def _make_handler(service, prefix: str):
     class OpsHandler(BaseHTTPRequestHandler):
         #: Our close() joins threads; hanging on a slow peer would wedge it.
         timeout = 30
@@ -106,31 +109,22 @@ def _make_handler(monitor: Monitor, prefix: str):
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
             try:
                 if path == "/healthz":
-                    report = monitor.check_now()
+                    # Fresh on every request, so a just-killed shard shows.
+                    report = service.health()
                     self._send_json(200 if report.is_ok else 503,
                                     report.to_dict())
                 elif path == "/metrics":
-                    text = to_prometheus(monitor.service_stats(), prefix=prefix)
+                    text = to_prometheus(service.stats(), prefix=prefix)
                     self._send(200, text.encode("utf-8"),
                                "text/plain; version=0.0.4")
-                elif path == "/slo":
-                    self._send_json(200, {"specs": monitor.engine.status(),
-                                          "monitor": monitor.summary()})
-                elif path == "/alerts":
-                    journal = monitor.engine.journal
-                    self._send_json(200, {"active": journal.active(),
-                                          "events": journal.events(),
-                                          "stats": journal.stats()})
                 elif path == "/traces":
-                    journal = monitor.service.tracer.journal
+                    journal = service.tracer.journal
                     self._send_json(200, {"stats": journal.stats(),
                                           "slowest": journal.slowest()})
                 elif path == "/stats":
-                    self._send_json(200, monitor.service_stats())
+                    self._send_json(200, service.stats())
                 elif path == "/":
-                    self._send_json(200, {"endpoints": [
-                        "/healthz", "/metrics", "/slo", "/alerts",
-                        "/traces", "/stats"]})
+                    self._send_json(200, {"endpoints": list(_ENDPOINTS)})
                 else:
                     self._send_json(404, {"error": f"no such endpoint: {path}"})
             except BrokenPipeError:  # peer went away mid-reply; nothing to do
@@ -147,22 +141,11 @@ def _make_handler(monitor: Monitor, prefix: str):
 
 
 # -- CLI -----------------------------------------------------------------------
-def _load_specs(path: str | None):
-    """SLO specs from a JSON file (a list of SloSpec-kwarg dicts), or the
-    defaults."""
-    from repro.obs.slo import SloSpec, default_slo_specs
-
-    if path is None:
-        return default_slo_specs()
-    with open(path, "r", encoding="utf-8") as handle:
-        return [SloSpec(**entry) for entry in json.load(handle)]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.httpd",
-        description="Serve /healthz, /metrics, /slo, /alerts, /traces, and "
-                    "/stats for a checkpointed routing service.")
+        description=f"Serve {', '.join(_ENDPOINTS)} for a checkpointed "
+                    f"routing service.")
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--checkpoint", metavar="DIR",
                         help="boot a RoutingService from this router checkpoint")
@@ -171,11 +154,6 @@ def main(argv: list[str] | None = None) -> int:
                              "checkpoint")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321)
-    parser.add_argument("--interval", type=float, default=5.0,
-                        help="monitor tick interval in seconds (default 5)")
-    parser.add_argument("--slo", metavar="PATH", default=None,
-                        help="JSON file with a list of SloSpec fields "
-                             "(default: built-in latency/error-rate specs)")
     parser.add_argument("--prefix", default="repro",
                         help="metric-name prefix for /metrics (default: repro)")
     args = parser.parse_args(argv)
@@ -188,22 +166,18 @@ def main(argv: list[str] | None = None) -> int:
         from repro.cluster import load_cluster
 
         service = load_cluster(args.cluster_checkpoint)
-    monitor = Monitor(service, specs=_load_specs(args.slo),
-                      interval_seconds=args.interval)
-    server = OpsServer(monitor, host=args.host, port=args.port,
-                       prefix=args.prefix)
-    monitor.start()
-    server.start()
-    print(f"ops endpoint listening on {server.url} "
-          f"(/healthz /metrics /slo /alerts /traces /stats)", file=sys.stderr,
-          flush=True)
+    # The listener binds inside the try: a taken port still closes the
+    # service (a subprocess fleet's children with it).
     try:
-        threading.Event().wait()  # serve until interrupted
+        with OpsServer(service, host=args.host, port=args.port,
+                       prefix=args.prefix) as server:
+            server.start()
+            print(f"ops endpoint listening on {server.url} "
+                  f"({' '.join(_ENDPOINTS)})", file=sys.stderr, flush=True)
+            threading.Event().wait()  # serve until interrupted
     except KeyboardInterrupt:
         pass
     finally:
-        server.close()
-        monitor.close()
         service.close()
     return 0
 

@@ -125,9 +125,8 @@ class MetricsRegistry:
 
     Every counter is cumulative from the registry's birth; the snapshot's
     ``qps`` is the lifetime rate.  A trailing rate is the difference of two
-    snapshots -- what :class:`repro.obs.slo.SloEngine` computes, and what
-    Prometheus ``rate()`` computes from ``/metrics`` -- so the registry keeps
-    no window of its own."""
+    snapshots -- what Prometheus ``rate()`` computes from ``/metrics`` -- so
+    the registry keeps no window of its own."""
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock

@@ -25,7 +25,6 @@ from repro.cluster import (
     ClusterRoutingService,
 )
 from repro.core import SchemaRoute
-from repro.obs.slo import SloEngine, SloSpec
 from repro.serving import RoutingService, ServingConfig
 from test_cluster import QUESTIONS, master_router, sender  # noqa: F401  (module fixture)
 from test_serving import _contended
@@ -356,21 +355,13 @@ class TestFrontOnFleets:
             assert "cache_hits" not in cluster.metrics.counters()
 
     def test_the_fleets_cache_hit_rate_is_the_fronts(self, master_router):
-        """One wave, then the same wave: half the lookups hit, as the stats
-        and an SLO engine fed the fleet's snapshots both read."""
-        now = [0.0]
-        engine = SloEngine([SloSpec(name="hits", metric="cache_hit_rate",
-                                    target=0.9)], clock=lambda: now[0])
+        """One wave, then the same wave: half the lookups hit, as the
+        fleet's stats read."""
         with _fleet(master_router) as cluster:
-            engine.observe(cluster.stats())
             for _ in range(2):
                 cluster.submit_many(QUESTIONS)
-            now[0] = 30.0
             stats = cluster.stats()
-            engine.observe(stats)
         assert stats["cache_hit_rate"] == stats["cache"]["hit_rate"] == 0.5
-        (status,) = engine.status()
-        assert status["fast_value"] == status["slow_value"] == 0.5
 
     def test_a_rebalance_stales_every_answer(self, master_router):
         count = len(QUESTIONS)
@@ -464,20 +455,13 @@ class TestFrontOnFleets:
         assert _conserves(stats["counters"])
 
     def test_a_hot_front_does_not_hide_a_collapsed_fast_tier(self, master_router):
-        """Every question escalates: health and the escalation-rate SLO judge
-        the questions that reached the dispatcher, however many front hits
-        surround them."""
+        """Every question escalates: health judges the questions that
+        reached the dispatcher, however many front hits surround them."""
         questions = [f"{question} number {index}" for index in range(3)
                      for question in QUESTIONS]
-        now = [0.0]
-        engine = SloEngine([SloSpec(name="escalation", metric="escalation_rate",
-                                    target=0.5)], clock=lambda: now[0])
         with _fleet(master_router) as cluster:
-            engine.observe(cluster.stats())
             for _ in range(10):
                 cluster.submit_many(questions)
-            now[0] = 30.0
-            engine.observe(cluster.stats())
             stats = cluster.stats()
             report = cluster.health()
         dispatched = len(questions)
@@ -486,8 +470,6 @@ class TestFrontOnFleets:
         assert stats["dispatcher"]["escalations"] == dispatched
         assert report.details["escalation_rate"] == 1.0
         assert any("escalation rate" in reason for reason in report.reasons)
-        (status,) = engine.evaluate()
-        assert status["fast_value"] == 1.0
 
 
 class _InFlight:

@@ -48,7 +48,6 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.obs.export import main as export_main
-from repro.obs.slo import SloEngine, SloSpec
 from repro.obs.trace import stitch_span_rows
 from repro.serving.metrics import STAGE_BACKLOG, MetricsRegistry
 
@@ -469,27 +468,6 @@ class TestLifetimeRates:
         elapsed = after["uptime_seconds"] - before["uptime_seconds"]
         assert served / elapsed == pytest.approx(2.0)
         assert after["qps"] < 0.1  # the lifetime rate stays diluted
-
-    def test_an_slo_engine_rates_only_its_window(self):
-        """The engine reads successive cumulative snapshots: an error burst
-        older than its window leaves no mark on the window's error rate."""
-        clock = FakeClock(start=0.0)
-        metrics = MetricsRegistry(clock=clock)
-        engine = SloEngine([SloSpec(name="errors", metric="error_rate",
-                                    target=0.05, fast_window_seconds=60.0,
-                                    slow_window_seconds=60.0)], clock=clock)
-        metrics.increment_many({"requests": 100, "errors": 50})
-        engine.observe(metrics.snapshot())
-        clock.advance(600.0)
-        engine.observe(metrics.snapshot())  # the next window's base
-        clock.advance(60.0)
-        metrics.increment_many({"requests": 40, "errors": 1})
-        assert engine.observe(metrics.snapshot()) == []
-        status, = engine.status()
-        assert status["fast_value"] == pytest.approx(1 / 40)
-        assert not status["firing"]
-        counters = metrics.counters()
-        assert counters["errors"] / counters["requests"] > 0.3  # lifetime
 
     def test_the_export_carries_the_lifetime_rate(self):
         clock = FakeClock(start=0.0)
