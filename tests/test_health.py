@@ -8,6 +8,7 @@ The contracts:
   503 while a killed subprocess shard is down, recovering after respawn;
 * ``/metrics`` serves parseable Prometheus text over a real socket, and
   every series the shipped rules file reads is one it emits;
+* a read that raises answers 500 and the server keeps serving;
 * the server closes cleanly, started or not, and the daemon closes the
   service it booted when its port is taken.
 """
@@ -21,6 +22,7 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.core import (
     TemplateQuestioner,
     synthesize_training_data,
 )
+import repro.cluster
 from repro.cluster import ClusterConfig, ClusterRoutingService
 from repro.obs import health
 from repro.obs.health import (
@@ -384,6 +387,141 @@ class TestOpsEndpoint:
         assert closed == [True]
 
 
+    def test_the_daemon_closes_a_cluster_it_booted_when_the_port_is_taken(
+            self, monkeypatch):
+        closed = []
+
+        class _Cluster:
+            def close(self) -> None:
+                closed.append(True)
+
+        monkeypatch.setattr(repro.cluster, "load_cluster",
+                            lambda path: _Cluster())
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            with pytest.raises(OSError):
+                httpd.main(["--cluster-checkpoint", "unused",
+                            "--port", str(holder.getsockname()[1])])
+        assert closed == [True]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--checkpoint", "a", "--cluster-checkpoint", "b"],
+        ["--checkpoint"],
+        ["--checkpoint", "a", "--port", "http"],
+    ], ids=["no-source", "two-sources", "no-dir", "port-not-int"])
+    def test_the_daemon_refuses_a_bad_command_line(self, argv, monkeypatch):
+        """Exactly one checkpoint source with its directory, and an integer
+        port; argparse exits before any service boots."""
+        booted = []
+        monkeypatch.setattr(RoutingService, "from_checkpoint",
+                            staticmethod(booted.append))
+        with pytest.raises(SystemExit) as exit_info:
+            httpd.main(argv)
+        assert exit_info.value.code == 2
+        assert booted == []
+
+
+# -- the handler's contract, against a stub service ----------------------------
+class _StubService:
+    """The four reads the handler makes; each raises while ``raises`` is set."""
+
+    def __init__(self) -> None:
+        self.report = HealthReport(component="stub")
+        self.raises = False
+        self.tracer = SimpleNamespace(journal=SimpleNamespace(
+            stats=lambda: self._read({"recorded": 0}),
+            slowest=lambda: self._read([])))
+
+    def _read(self, value):
+        if self.raises:
+            raise RuntimeError("stub broke")
+        return value
+
+    def health(self) -> HealthReport:
+        return self._read(self.report)
+
+    def stats(self) -> dict:
+        return self._read({"counters": {"requests": 3, "errors": 1}})
+
+
+def _request(url: str) -> tuple[int, dict, bytes]:
+    try:
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.status, dict(response.headers), response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, dict(error.headers), error.read()
+
+
+class TestOpsHandler:
+    @pytest.fixture()
+    def stub(self):
+        service = _StubService()
+        with OpsServer(service).start() as server:
+            yield service, server
+
+    @pytest.mark.parametrize("status,code", [
+        ("ok", 200), ("degraded", 503), ("failing", 503)])
+    def test_healthz_answers_200_only_for_ok(self, stub, status, code):
+        service, server = stub
+        service.report = HealthReport(component="stub", status=status,
+                                      reasons=[f"it is {status}"])
+        got, _, body = _request(f"{server.url}/healthz")
+        assert got == code
+        assert json.loads(body) == service.report.to_dict()
+
+    @pytest.mark.parametrize("path", ["/healthz", "/metrics", "/traces",
+                                      "/stats"])
+    def test_a_raising_read_is_a_500_and_the_server_keeps_serving(
+            self, stub, path):
+        service, server = stub
+        service.raises = True
+        code, _, body = _request(f"{server.url}{path}")
+        assert code == 500
+        assert json.loads(body) == {"error": "RuntimeError: stub broke"}
+        service.raises = False
+        assert _request(f"{server.url}{path}")[0] == 200
+
+    @pytest.mark.parametrize("path,content_type", [
+        ("/", "application/json"),
+        ("/healthz", "application/json"),
+        ("/metrics", "text/plain; version=0.0.4"),
+        ("/traces", "application/json"),
+        ("/stats", "application/json"),
+    ])
+    def test_each_endpoint_declares_its_type_and_length(self, stub, path,
+                                                        content_type):
+        _, server = stub
+        code, headers, body = _request(f"{server.url}{path}")
+        assert code == 200
+        assert headers["Content-Type"] == content_type
+        assert int(headers["Content-Length"]) == len(body)
+
+    @pytest.mark.parametrize("path", ["/healthz/", "/stats?pretty=1",
+                                      "/traces/?since=0"])
+    def test_a_query_or_trailing_slash_reaches_the_endpoint(self, stub,
+                                                            path):
+        _, server = stub
+        code, _, body = _request(f"{server.url}{path}")
+        assert code == 200 and json.loads(body)
+
+    def test_the_prefix_names_every_metric(self):
+        with OpsServer(_StubService(), prefix="dbc").start() as server:
+            code, _, body = _request(f"{server.url}/metrics")
+        assert code == 200
+        samples = dict((name, value) for name, _, value
+                       in parse_prometheus(body.decode()))
+        assert samples == {"dbc_counters_requests": 3.0,
+                           "dbc_counters_errors": 1.0}
+
+    def test_a_second_start_runs_no_second_serve_thread(self, stub):
+        _, server = stub
+        assert server.start() is server
+        assert sum(thread.name == "repro-obs-httpd" and thread.is_alive()
+                   for thread in threading.enumerate()) == 1
+
+
 # -- the shipped objectives read what the exporter emits -----------------------
 @pytest.mark.parametrize("kind", ["monolith", "fleet"])
 def test_every_rule_series_is_exported(trained_router, kind, monkeypatch):
@@ -414,6 +552,23 @@ def test_every_rule_series_is_exported(trained_router, kind, monkeypatch):
     assert stats["counters"]["errors"] == 1
     emitted = {name for name, _, _ in parse_prometheus(to_prometheus(stats))}
     assert read <= emitted, sorted(read - emitted)
+
+
+@pytest.mark.parametrize("alert,objective", [
+    ("ReproLatencyP95", "0.5"), ("ReproErrorRate", "0.05")])
+def test_each_alert_burns_a_fast_and_a_slow_window(alert, objective):
+    """Both objectives keep the burn-rate shape: the 1m window at 2x the
+    objective and the 5m window at 1x, in the exporter's units (latency
+    in seconds, matching ``repro_latency_seconds``)."""
+    lines = RULES.read_text().splitlines()
+    start = lines.index(f"      - alert: {alert}")
+    expr = lines[start + 1].strip()
+    assert expr.startswith("expr: ")
+    fast, slow = expr.split(" and ")
+    assert "[1m]" in fast and "[5m]" not in fast
+    assert fast.endswith(f">= 2 * {objective}")
+    assert "[5m]" in slow and "[1m]" not in slow
+    assert slow.endswith(f">= 1 * {objective}")
 
 
 class TestKilledShardHealthz:
